@@ -34,14 +34,24 @@ PROP_PACKAGES = . ./internal/proptest ./internal/proptest/scenario ./internal/sy
 	./internal/explore
 ROUNDS ?= 64
 FUZZTIME ?= 30s
+# GOMAXPROCS values test-cpu runs every test at.
+CPUS ?= 1,4
 
-.PHONY: build test vet bench bench-smoke bench-compare explore-bench test-props fuzz cache-clean
+.PHONY: build test test-cpu vet bench bench-smoke bench-compare explore-bench test-props fuzz cache-clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# test-cpu runs the whole suite at each GOMAXPROCS value in CPUS, plain and
+# then under the race detector. Byte-identity claims (artifacts, digests,
+# goldens) must hold on one core and on several; a single `go test` only
+# ever sees the host's core count.
+test-cpu:
+	$(GO) test -cpu $(CPUS) ./...
+	$(GO) test -race -cpu $(CPUS) ./...
 
 vet:
 	$(GO) vet ./...

@@ -403,60 +403,55 @@ func BenchmarkKAnonymizeScaling(b *testing.B) {
 
 // BenchmarkMonitorThroughput measures sustained monitor ingestion: GOMAXPROCS
 // goroutines each replay the medical-service run for their own user,
-// re-registering (an O(1) cache hit) when the script ends. The shards=1
-// sub-benchmark serializes every Observe behind a single lock — the old
-// monitor design — so the higher shard counts show how lock striping scales
-// events/sec with available cores.
+// re-registering (an O(1) cache hit) when the script ends. Every Observe
+// takes the monitor's one lock, so this is the contended figure; fleet
+// parallelism is BenchmarkClusterIngest's subject.
 func BenchmarkMonitorThroughput(b *testing.B) {
 	p, err := privascope.Generate(casestudy.Surgery())
 	if err != nil {
 		b.Fatal(err)
 	}
 	baseProfile := casestudy.PatientProfile()
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			monitor, err := privascope.NewMonitor(p, privascope.MonitorConfig{Shards: shards})
+	monitor, err := privascope.NewMonitor(p, privascope.MonitorConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var nextUser atomic.Int64
+	register := func(userID string) {
+		profile := baseProfile
+		profile.ID = userID
+		if err := monitor.RegisterUser(profile); err != nil {
+			panic(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		userID := fmt.Sprintf("user-%d", nextUser.Add(1))
+		register(userID)
+		// One consented medical-service run: six events that each match a
+		// declared transition without raising alerts — the monitor's hot
+		// path.
+		script := casestudy.MedicalServiceEvents(userID)
+		pos := 0
+		for pb.Next() {
+			if pos == len(script) {
+				register(userID) // reset the cursor; O(1) via the profile cache
+				pos = 0
+			}
+			obs, err := monitor.Observe(script[pos])
 			if err != nil {
-				b.Fatal(err)
+				panic(err)
 			}
-			var nextUser atomic.Int64
-			register := func(userID string) {
-				profile := baseProfile
-				profile.ID = userID
-				if err := monitor.RegisterUser(profile); err != nil {
-					panic(err)
-				}
+			if !obs.Matched {
+				panic("consented medical-service event did not match")
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				userID := fmt.Sprintf("user-%d", nextUser.Add(1))
-				register(userID)
-				// One consented medical-service run: six events that each
-				// match a declared transition without raising alerts — the
-				// monitor's hot path.
-				script := casestudy.MedicalServiceEvents(userID)
-				pos := 0
-				for pb.Next() {
-					if pos == len(script) {
-						register(userID) // reset the cursor; O(1) via the profile cache
-						pos = 0
-					}
-					obs, err := monitor.Observe(script[pos])
-					if err != nil {
-						panic(err)
-					}
-					if !obs.Matched {
-						panic("consented medical-service event did not match")
-					}
-					pos++
-				}
-			})
-			b.StopTimer()
-			if seconds := b.Elapsed().Seconds(); seconds > 0 {
-				b.ReportMetric(float64(b.N)/seconds, "events/sec")
-			}
-		})
+			pos++
+		}
+	})
+	b.StopTimer()
+	if seconds := b.Elapsed().Seconds(); seconds > 0 {
+		b.ReportMetric(float64(b.N)/seconds, "events/sec")
 	}
 }
 
@@ -590,12 +585,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 			nodeByName := make(map[string]*cluster.Node, nodes)
 			var fleet []*cluster.Node
 			for _, name := range names {
-				// One monitor shard per node: the fleet's parallelism is the
-				// node fan-out itself.
-				n, err := cluster.NewNode(p, cluster.NodeConfig{
-					Name:    name,
-					Monitor: privascope.MonitorConfig{Shards: 1},
-				})
+				n, err := cluster.NewNode(p, cluster.NodeConfig{Name: name})
 				if err != nil {
 					b.Fatal(err)
 				}

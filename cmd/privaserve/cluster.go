@@ -21,12 +21,10 @@ import (
 // exactly as in single-monitor mode; only the observation plane is
 // distributed.
 func runClusterMode(ctx context.Context, nodes int, generated *privascope.PrivacyModel,
-	model *privascope.Model, profile privascope.UserProfile, shards int,
+	model *privascope.Model, profile privascope.UserProfile,
 	eventsPath string, duration time.Duration, out io.Writer) error {
 
-	c, err := cluster.StartLocal(generated, nodes,
-		cluster.NodeConfig{Monitor: privascope.MonitorConfig{Shards: shards}},
-		cluster.RouterConfig{})
+	c, err := cluster.StartLocal(generated, nodes, cluster.NodeConfig{}, cluster.RouterConfig{})
 	if err != nil {
 		return err
 	}

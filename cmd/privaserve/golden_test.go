@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,7 +71,7 @@ func replaySection(output string) string {
 
 // goldenReplay is the expected replay block for the healthcare fixture. The
 // state IDs are stable because LTS generation is deterministic for every
-// worker count, and the monitor is deterministic for every shard count.
+// worker count.
 const goldenReplay = `replay 1: collect([name date_of_birth]) by receptionist on  -> state s1
 replay 2: create([name date_of_birth appointment]) by receptionist on appointments -> state s2
 replay 3: read([name date_of_birth appointment]) by doctor on appointments -> state s3
@@ -87,43 +86,28 @@ replay 9: read([diagnosis]) by nurse on ehr -> state s21
 ALERT [denied-operation]: access-control denied read by "nurse" on ehr.[diagnosis]
 replay complete: 9 events (1 skipped), 3 alerts`
 
-// TestRunReplayGoldenAcrossShardCounts runs privaserve end-to-end against
-// the healthcare example model — generation, monitor construction, event
-// replay through the sharded batch path, then live serving until the
-// duration elapses — and requires byte-identical replay output for 1, 4 and
-// 16 monitor shards, matching the golden transcript.
-func TestRunReplayGoldenAcrossShardCounts(t *testing.T) {
+// TestRunReplayGolden runs privaserve end-to-end against the healthcare
+// example model — generation, monitor construction, event replay through the
+// batch path, then live serving until the duration elapses — and requires
+// the replay output to match the golden transcript byte for byte.
+func TestRunReplayGolden(t *testing.T) {
 	modelPath, profilePath, eventsPath := replayFixture(t, t.TempDir())
-	outputs := make(map[int]string)
-	for _, shards := range []int{1, 4, 16} {
-		var out strings.Builder
-		err := run(context.Background(), []string{
-			"-model", modelPath,
-			"-profile", profilePath,
-			"-events", eventsPath,
-			"-monitor-shards", fmt.Sprint(shards),
-			"-duration", "100ms",
-		}, &out)
-		if err != nil {
-			t.Fatalf("shards=%d: run: %v", shards, err)
-		}
-		text := out.String()
-		if want := fmt.Sprintf("monitor: %d shards", shards); !strings.Contains(text, want) {
-			t.Errorf("shards=%d: output missing %q", shards, want)
-		}
-		if !strings.Contains(text, "duration elapsed; 3 alerts recorded") {
-			t.Errorf("shards=%d: output missing the final alert count:\n%s", shards, text)
-		}
-		outputs[shards] = replaySection(text)
+	var out strings.Builder
+	err := run(context.Background(), []string{
+		"-model", modelPath,
+		"-profile", profilePath,
+		"-events", eventsPath,
+		"-duration", "100ms",
+	}, &out)
+	if err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	for _, shards := range []int{4, 16} {
-		if outputs[shards] != outputs[1] {
-			t.Errorf("replay output differs between 1 and %d shards:\n--- shards=1\n%s\n--- shards=%d\n%s",
-				shards, outputs[1], shards, outputs[shards])
-		}
+	text := out.String()
+	if !strings.Contains(text, "duration elapsed; 3 alerts recorded") {
+		t.Errorf("output missing the final alert count:\n%s", text)
 	}
-	if outputs[1] != goldenReplay {
+	if got := replaySection(text); got != goldenReplay {
 		t.Errorf("replay output does not match the golden transcript:\n--- got\n%s\n--- want\n%s",
-			outputs[1], goldenReplay)
+			got, goldenReplay)
 	}
 }

@@ -7,18 +7,15 @@
 // Usage:
 //
 //	privaserve -model model.json [-profile profile.json] [-duration 30s]
-//	           [-monitor-shards 16] [-events replay.json] [-model-cache dir]
-//	           [-cluster N]
+//	           [-events replay.json] [-model-cache dir] [-cluster N]
 //
 // The server addresses are printed on startup; drive them with any HTTP
 // client (the X-Privascope-Actor header selects the acting actor). The
 // process exits after -duration (0 means run until interrupted).
 //
-// -monitor-shards spreads the monitor's per-user state over the given
-// number of lock stripes (0 = one per CPU); alerts and observations are
-// identical for every value. -events replays a JSON array of events through
-// the monitor's batch-ingestion path before live serving starts, which is
-// useful for smoke-testing a model against a recorded trace.
+// -events replays a JSON array of events through the monitor's
+// batch-ingestion path before live serving starts, which is useful for
+// smoke-testing a model against a recorded trace.
 //
 // -cluster N distributes the observation plane: N in-process ingest nodes
 // (internal/cluster), each with its own monitor and HTTP server, fronted by
@@ -66,7 +63,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "parallel LTS-generation workers (0 = one per CPU)")
 	symmetry := fs.Bool("symmetry", false, "symmetry-reduced LTS generation (identical output, fewer explored states)")
 	incremental := fs.Bool("incremental", false, "regenerate incrementally from the engine's previous exploration when models differ only in metadata or policy")
-	monitorShards := fs.Int("monitor-shards", 0, "monitor lock stripes for per-user state (0 = one per CPU)")
 	eventsPath := fs.String("events", "", "path to a JSON array of events to replay through the monitor at startup")
 	modelCache := fs.String("model-cache", "", "directory of the persistent compiled-model cache (empty = off)")
 	clusterNodes := fs.Int("cluster", 0, "spawn N in-process ingest nodes behind a consistent-hash router (0 = single monitor)")
@@ -102,16 +98,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *clusterNodes > 0 {
 		return runClusterMode(ctx, *clusterNodes, generated, model, profile,
-			*monitorShards, *eventsPath, *duration, out)
+			*eventsPath, *duration, out)
 	}
-	monitor, err := privascope.NewMonitor(generated, privascope.MonitorConfig{Shards: *monitorShards})
+	monitor, err := privascope.NewMonitor(generated, privascope.MonitorConfig{})
 	if err != nil {
 		return err
 	}
 	if err := monitor.RegisterUserContext(ctx, profile); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "monitor: %d shards\n", monitor.Shards())
 
 	if *eventsPath != "" {
 		if err := replayEvents(ctx, *eventsPath, monitor, profile.ID, out); err != nil {
@@ -146,8 +141,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// Batch the live stream: one goroutine drains the subscription in bursts
 	// (privascope.NextEventBatch) and the monitor ingests each burst through
-	// its sharded batch path. The done channel unblocks a pending send when
-	// run returns before the subscription closes (deadline or interrupt), so
+	// its batch path. The done channel unblocks a pending send when run
+	// returns before the subscription closes (deadline or interrupt), so
 	// in-process callers (tests) do not leak the goroutine.
 	done := make(chan struct{})
 	defer close(done)

@@ -29,7 +29,7 @@ import (
 // order, so member lists stay in ascending row order and the merged result
 // is byte-identical to the single-threaded Table.EquivalenceClasses output
 // for any worker count (the same merge discipline as the LTS generator's
-// sharded visited set).
+// frontier-order merge).
 //
 // A ClassIndex is safe for concurrent use. Both caches are single-flighted
 // with context support (internal/flight): concurrent requests for the same

@@ -83,8 +83,8 @@ type NodeStats struct {
 // Node is one ingest server of the cluster: it decodes event frames from
 // /ingest, queues them through a bounded buffer, and applies them to its own
 // runtime.Monitor on a single drain goroutine — one drainer per node keeps
-// cross-frame per-user order exactly as the frames arrived, and the monitor's
-// own shard fan-out below it provides the parallelism.
+// cross-frame per-user order exactly as the frames arrived; parallelism
+// across users comes from running several nodes.
 type Node struct {
 	name       string
 	monitor    *runtime.Monitor
@@ -347,7 +347,7 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		if !n.admit(batch) {
 			n.rejected.Add(int64(len(batch)))
-			w.Header().Set("Retry-After", strconv.Itoa(int((n.retryAfter + time.Second - 1) / time.Second)))
+			w.Header().Set("Retry-After", strconv.Itoa(int((n.retryAfter+time.Second-1)/time.Second)))
 			writeJSON(w, http.StatusTooManyRequests, ingestResponse{Accepted: accepted, Error: "ingest queue full"})
 			return
 		}

@@ -135,8 +135,8 @@ func TestRingMinimalMovementProperty(t *testing.T) {
 	})
 }
 
-// comparableAlert is an Alert minus its unexported cross-shard sequence
-// number, which legitimately differs between deployments.
+// comparableAlert is an Alert whose event is reduced to what the wire format
+// carries (see comparableEvent).
 type comparableAlert struct {
 	Kind    runtime.AlertKind
 	UserID  string
@@ -182,8 +182,8 @@ func stripAlerts(alerts []runtime.Alert) []comparableAlert {
 // property: for random scenarios and event streams, a cluster of N nodes —
 // real HTTP/2 servers, binary frames, consistent-hash routing — produces
 // exactly the per-user alerts and cursors of one single-process monitor fed
-// the same stream directly. This extends the PR 6 shard-independence
-// property across the wire path.
+// the same stream directly. This extends the runtime package's
+// ingest-path-independence property across the wire path.
 func TestClusterSingleNodeEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins HTTP servers per round")

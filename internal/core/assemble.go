@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"strconv"
+	"strings"
 	"sync"
 
 	"privascope/internal/explore"
@@ -58,9 +59,22 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 		p.stores[id] = sm
 	}
 
+	// Workers build potential-read labels independently (expand.go's
+	// per-worker cache), so how many objects carry one label value follows
+	// the schedule. Keep the first object per distinct value, in edge order,
+	// in the trace as well as the graph: from here on pointer identity is
+	// value identity, which is what modelstore.Encode interns by and what
+	// makes a compiled artifact byte-identical for any worker count.
+	canon := labelCanon{
+		byPtr:   make(map[*TransitionLabel]*TransitionLabel),
+		byValue: make(map[labelValue]*TransitionLabel),
+	}
 	bulk := make([]lts.BulkEdge, len(res.Edges))
 	for i := range res.Edges {
 		e := &res.Edges[i]
+		if l, ok := e.Label.(*TransitionLabel); ok && l != nil {
+			e.Label = canon.of(l)
+		}
 		bulk[i] = lts.BulkEdge{From: e.From, To: e.To, Label: e.Label}
 	}
 	graph, err := lts.FromParts(ids, 0, bulk)
@@ -69,6 +83,40 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 	}
 	p.Graph = graph
 	return nil
+}
+
+// labelValue is a TransitionLabel's content as a comparable value; fields is
+// the sorted field list joined by NUL.
+type labelValue struct {
+	action                                                           Action
+	actor, datastore, purpose, service, flowKey, counterpart, fields string
+	potential                                                        bool
+}
+
+// labelCanon maps each label object to the first object seen with the same
+// value. byPtr spares rebuilding the value key for an object already seen,
+// which is nearly every edge.
+type labelCanon struct {
+	byPtr   map[*TransitionLabel]*TransitionLabel
+	byValue map[labelValue]*TransitionLabel
+}
+
+func (c *labelCanon) of(l *TransitionLabel) *TransitionLabel {
+	if first, ok := c.byPtr[l]; ok {
+		return first
+	}
+	v := labelValue{
+		action: l.Action, actor: l.Actor, datastore: l.Datastore, purpose: l.Purpose,
+		service: l.Service, flowKey: l.FlowKey, counterpart: l.Counterpart,
+		fields: strings.Join(l.Fields, "\x00"), potential: l.Potential,
+	}
+	first, ok := c.byValue[v]
+	if !ok {
+		first = l
+		c.byValue[v] = l
+	}
+	c.byPtr[l] = first
+	return first
 }
 
 // fillVectors computes every state's public vector into the shared slab,

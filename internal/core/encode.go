@@ -121,7 +121,7 @@ func (c *stateCodec) setFired(ps packedState, flowIdx int) {
 }
 
 // keyOf returns the canonical fixed-width key of the state: the little-endian
-// byte image of its words. Used to hash states into the sharded visited set.
+// byte image of its words.
 func (c *stateCodec) keyOf(ps packedState) string {
 	buf := make([]byte, len(ps)*8)
 	for i, w := range ps {

@@ -3,6 +3,7 @@ package modelstore_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -190,6 +191,39 @@ func TestPropModelStoreRoundTrip(t *testing.T) {
 			return err
 		}
 		requireSameModel(t, p, loaded, s.Profiles[0])
+		return nil
+	})
+}
+
+// TestPropEncodeWorkerCountIndependence: the compiled artifact is a function
+// of the model alone. Workers build potential-read labels independently, so
+// the bytes stay equal across worker counts only while generation
+// canonicalises labels by value before the encoder interns them by pointer.
+func TestPropEncodeWorkerCountIndependence(t *testing.T) {
+	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
+		s := scenario.Draw(seed)
+		opts := s.Opts
+		// Only potential-read labels are built per worker; draw which kind.
+		opts.PotentialReads = []core.PotentialReadMode{
+			core.PotentialReadsTerminal, core.PotentialReadsFull}[rng.Intn(2)]
+		var want []byte
+		for _, workers := range []int{1, 2, 4, 8} {
+			opts.Workers = workers
+			p, err := core.GenerateWithOptions(s.Model, opts)
+			if err != nil {
+				return err
+			}
+			data, err := modelstore.Encode(p)
+			if err != nil {
+				return err
+			}
+			if want == nil {
+				want = data
+			} else if !bytes.Equal(data, want) {
+				return fmt.Errorf("Workers=%d: artifact of %d bytes differs from the %d bytes of Workers=1",
+					workers, len(data), len(want))
+			}
+		}
 		return nil
 	})
 }

@@ -13,15 +13,14 @@ import (
 	"privascope/internal/testutil"
 )
 
-// cancelMonitor builds a sharded monitor with many registered users, so
-// ObserveBatchContext takes the parallel per-shard fan-out path.
+// cancelMonitor builds a monitor with many registered users.
 func cancelMonitor(t *testing.T) (*runtime.Monitor, []string) {
 	t.Helper()
 	p, err := core.Generate(casestudy.Surgery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := runtime.NewMonitor(p, runtime.Config{Shards: 8})
+	m, err := runtime.NewMonitor(p, runtime.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

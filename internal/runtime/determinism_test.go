@@ -35,85 +35,10 @@ func mixedEventStream(users []string) []service.Event {
 	return out
 }
 
-// TestMonitorShardCountDeterminism is the tentpole's behavioural contract:
-// the same sequential event stream produces identical observations, cursor
-// positions and alerts (content and order) for 1, 4 and 16 shards.
-func TestMonitorShardCountDeterminism(t *testing.T) {
-	p, err := core.Generate(casestudy.Surgery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := make([]string, 9)
-	for i := range users {
-		users[i] = fmt.Sprintf("patient-%d", i)
-	}
-	stream := mixedEventStream(users)
-
-	type result struct {
-		observations []runtime.Observation
-		alerts       []runtime.Alert
-		users        []string
-		cursors      map[string]string
-	}
-	runWith := func(shards int) result {
-		monitor, err := runtime.NewMonitor(p, runtime.Config{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := monitor.Shards(); got != shards {
-			t.Fatalf("Shards() = %d, want %d", got, shards)
-		}
-		for _, id := range users {
-			profile := casestudy.PatientProfile()
-			profile.ID = id
-			if err := monitor.RegisterUser(profile); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res := result{cursors: make(map[string]string)}
-		for i, ev := range stream {
-			obs, err := monitor.Observe(ev)
-			if err != nil {
-				t.Fatalf("shards=%d: Observe(%d): %v", shards, i, err)
-			}
-			res.observations = append(res.observations, obs)
-		}
-		res.alerts = monitor.Alerts()
-		res.users = monitor.Users()
-		for _, id := range users {
-			state, ok := monitor.CurrentState(id)
-			if !ok {
-				t.Fatalf("shards=%d: no cursor for %s", shards, id)
-			}
-			res.cursors[id] = string(state)
-		}
-		return res
-	}
-
-	baseline := runWith(1)
-	if len(baseline.alerts) != len(users) {
-		t.Fatalf("baseline alerts = %d, want one per user (%d)", len(baseline.alerts), len(users))
-	}
-	for _, shards := range []int{4, 16} {
-		got := runWith(shards)
-		if !reflect.DeepEqual(got.observations, baseline.observations) {
-			t.Errorf("shards=%d: observations differ from single-shard baseline", shards)
-		}
-		if !reflect.DeepEqual(got.alerts, baseline.alerts) {
-			t.Errorf("shards=%d: alerts differ from single-shard baseline", shards)
-		}
-		if !reflect.DeepEqual(got.users, baseline.users) {
-			t.Errorf("shards=%d: Users() = %v, want %v", shards, got.users, baseline.users)
-		}
-		if !reflect.DeepEqual(got.cursors, baseline.cursors) {
-			t.Errorf("shards=%d: cursors = %v, want %v", shards, got.cursors, baseline.cursors)
-		}
-	}
-}
-
-// TestObserveBatchMatchesSequentialObserve feeds the same stream through
-// ObserveBatch (parallel shard fan-out) and sequential Observe calls and
-// requires identical observations and per-user alert sequences.
+// TestObserveBatchMatchesSequentialObserve feeds the same stream through the
+// three ingestion entry points — sequential Observe calls, ObserveBatch and
+// IngestBatch — and requires identical observations (where the entry point
+// returns them), alert logs, cursors and ExportUser snapshots.
 func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
 	p, err := core.Generate(casestudy.Surgery())
 	if err != nil {
@@ -125,7 +50,11 @@ func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
 	}
 	stream := mixedEventStream(users)
 
-	register := func(m *runtime.Monitor) {
+	newMonitor := func() *runtime.Monitor {
+		m, err := runtime.NewMonitor(p, runtime.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, id := range users {
 			profile := casestudy.PatientProfile()
 			profile.ID = id
@@ -133,13 +62,10 @@ func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		return m
 	}
 
-	sequential, err := runtime.NewMonitor(p, runtime.Config{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	register(sequential)
+	sequential := newMonitor()
 	var want []runtime.Observation
 	for _, ev := range stream {
 		obs, err := sequential.Observe(ev)
@@ -148,42 +74,42 @@ func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
 		}
 		want = append(want, obs)
 	}
-
-	batched, err := runtime.NewMonitor(p, runtime.Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	if got := len(sequential.Alerts()); got != len(users) {
+		t.Fatalf("sequential monitor raised %d alerts, want one per user (%d)", got, len(users))
 	}
-	register(batched)
+
+	batched := newMonitor()
 	got, err := batched.ObserveBatch(stream)
 	if err != nil {
 		t.Fatalf("ObserveBatch: %v", err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("ObserveBatch returned %d observations, want %d", len(got), len(want))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ObserveBatch observations differ from sequential Observe:\n got %+v\nwant %+v", got, want)
 	}
-	for i := range want {
-		// Alert sequence numbers may differ across concurrent shards; compare
-		// everything else and the alert contents.
-		if got[i].Matched != want[i].Matched || got[i].From != want[i].From || got[i].To != want[i].To ||
-			!reflect.DeepEqual(got[i].Transition, want[i].Transition) {
-			t.Errorf("observation %d differs: got %+v want %+v", i, got[i], want[i])
+
+	ingested := newMonitor()
+	stats := ingested.IngestBatch(stream)
+	if stats.Events != len(stream) || stats.Unregistered != 0 ||
+		stats.Unmodelled+stats.Denied+stats.RiskAlerts != len(users) {
+		t.Errorf("IngestBatch stats = %+v for %d events raising %d alerts", stats, len(stream), len(users))
+	}
+
+	for name, m := range map[string]*runtime.Monitor{"ObserveBatch": batched, "IngestBatch": ingested} {
+		if !reflect.DeepEqual(m.Alerts(), sequential.Alerts()) {
+			t.Errorf("%s: alert log differs from sequential Observe", name)
 		}
-		if len(got[i].Alerts) != len(want[i].Alerts) {
-			t.Fatalf("observation %d: %d alerts, want %d", i, len(got[i].Alerts), len(want[i].Alerts))
+		if !reflect.DeepEqual(m.Users(), sequential.Users()) {
+			t.Errorf("%s: Users() = %v, want %v", name, m.Users(), sequential.Users())
 		}
-		for j := range want[i].Alerts {
-			g, w := got[i].Alerts[j], want[i].Alerts[j]
-			if g.Kind != w.Kind || g.UserID != w.UserID || g.Message != w.Message || g.Risk != w.Risk {
-				t.Errorf("observation %d alert %d differs: got %+v want %+v", i, j, g, w)
+		for _, id := range users {
+			g, _ := m.ExportUser(id)
+			w, _ := sequential.ExportUser(id)
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: ExportUser(%s) = %+v, want %+v", name, id, g, w)
 			}
-		}
-	}
-	// Per-user alert sequences must match exactly.
-	for _, id := range users {
-		g := alertSummaries(batched.AlertsFor(id))
-		w := alertSummaries(sequential.AlertsFor(id))
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("AlertsFor(%s): got %v want %v", id, g, w)
+			if !reflect.DeepEqual(m.AlertsFor(id), sequential.AlertsFor(id)) {
+				t.Errorf("%s: AlertsFor(%s) differs from sequential Observe", name, id)
+			}
 		}
 	}
 }
@@ -218,24 +144,5 @@ func TestObserveBatchUnregisteredUsers(t *testing.T) {
 	}
 	if observations[1].Matched || len(observations[1].Alerts) != 0 {
 		t.Errorf("unregistered user's observation should be zero, got %+v", observations[1])
-	}
-}
-
-// TestWatchBatched drives the batched watcher through a closing channel.
-func TestWatchBatched(t *testing.T) {
-	_, monitor := surgeryMonitor(t)
-	ch := make(chan service.Event, 16)
-	for _, ev := range medicalServiceEvents("patient-1") {
-		ch <- ev
-	}
-	close(ch)
-	if n := monitor.WatchBatched(ch, 4); n != 6 {
-		t.Errorf("WatchBatched observed %d events, want 6", n)
-	}
-	if state, _ := monitor.CurrentState("patient-1"); state == "" {
-		t.Error("cursor missing after WatchBatched")
-	}
-	if alerts := monitor.Alerts(); len(alerts) != 0 {
-		t.Errorf("consented run raised alerts: %+v", alerts)
 	}
 }

@@ -25,7 +25,7 @@ func FuzzObserve(f *testing.F) {
 	// panic rather than f.Fatal: this also runs inside the f.Fuzz callback
 	// (periodic monitor recycling), where F methods must not be called.
 	newMonitor := func() *runtime.Monitor {
-		monitor, err := runtime.NewMonitor(p, runtime.Config{Shards: 4})
+		monitor, err := runtime.NewMonitor(p, runtime.Config{})
 		if err != nil {
 			panic(err)
 		}

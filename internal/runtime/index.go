@@ -56,7 +56,7 @@ type stateEntry struct {
 }
 
 // transitionIndex is immutable after newTransitionIndex returns and therefore
-// shared lock-free by every monitor shard.
+// read without a lock of its own.
 type transitionIndex struct {
 	fieldBits map[string]int
 	words     int

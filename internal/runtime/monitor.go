@@ -12,21 +12,20 @@
 // threshold or when the behaviour is not part of the model at all
 // (unmodelled behaviour — a design/implementation mismatch).
 //
-// The monitor is built for production event rates. Per-user state is spread
-// over lock-striped shards keyed by user-ID hash, so concurrent Observe
-// calls on different users do not contend; event matching runs against a
-// transition index compiled once per model (see index.go); and risk
-// assessments are deduplicated through a profile-fingerprint cache, so
-// registering the millionth user with an already-seen profile shape is O(1).
-// The observable behaviour — observations, cursor movement, alerts — is
-// identical for every shard count.
+// The monitor is built for production event rates: each user's state is one
+// record found by one map probe, event matching runs against a transition
+// index compiled once per model (see index.go), and risk assessments are
+// deduplicated through a profile-fingerprint cache, so registering the
+// millionth user with an already-seen profile shape is O(1). One mutex guards
+// the user records and the alert log; parallelism across users comes from
+// running one monitor per cluster node (internal/cluster), not from inside
+// the monitor.
 package runtime
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	goruntime "runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,11 +73,6 @@ type Alert struct {
 	Finding risk.Finding
 	// Message is a human-readable summary.
 	Message string
-
-	// seq orders alerts across shards: it is assigned from a monitor-wide
-	// counter at the moment the alert is raised, so Alerts() can merge the
-	// per-shard slices back into observation order.
-	seq int64
 }
 
 // Observation is the result of feeding one event to the monitor.
@@ -107,23 +101,17 @@ type findingKey struct {
 // per shape and shared read-only by every user with that shape.
 type findingsIndex map[findingKey]risk.Finding
 
-// monitorShard holds the mutable per-user state of one lock stripe.
-type monitorShard struct {
-	mu       sync.Mutex
-	cursors  map[string]lts.StateID
-	profiles map[string]risk.UserProfile
-	findings map[string]findingsIndex
-	alerts   []Alert
-	// applied and alertCount are cumulative per-user cursors carried across
-	// handoffs (UserSnapshot): events applied and alerts raised for the user,
-	// including on previous owners.
-	applied    map[string]int64
-	alertCount map[string]int64
+// userState is everything the monitor keeps for one registered user: the
+// portable part (profile, cursor, cumulative counters — exactly what
+// ExportUser hands out) plus the findings index shared with every user of
+// the same profile shape.
+type userState struct {
+	UserSnapshot
+	findings findingsIndex
 }
 
 // Monitor tracks per-user privacy state against a privacy LTS. It is safe
-// for concurrent use; Observe calls for users on different shards proceed in
-// parallel.
+// for concurrent use.
 type Monitor struct {
 	lts   *core.PrivacyLTS
 	cache *risk.AssessmentCache
@@ -131,8 +119,10 @@ type Monitor struct {
 	// alertAt is the minimum risk level that raises an alert.
 	alertAt risk.Level
 
-	shards   []monitorShard
-	alertSeq atomic.Int64
+	// mu guards users, every userState in it, and alerts.
+	mu     sync.Mutex
+	users  map[string]*userState
+	alerts []Alert
 
 	// shapes caches the compiled findings index per profile fingerprint.
 	// Deduplication of the underlying (expensive) risk analysis is the
@@ -152,13 +142,6 @@ type Config struct {
 	// AlertAt is the minimum risk level that raises an alert; defaults to
 	// Medium.
 	AlertAt risk.Level
-	// Shards is the number of lock stripes user state is spread over; zero
-	// or negative selects one per CPU. Purely a concurrency knob: for a
-	// sequential event stream every value yields identical observations,
-	// cursors and alerts, and under concurrent ingestion per-user sequences
-	// and the alert set stay shard-count-independent (only the global
-	// interleaving across users follows scheduling, as with any lock).
-	Shards int
 }
 
 // NewMonitor creates a monitor for the generated privacy LTS. The model's
@@ -175,56 +158,20 @@ func NewMonitor(p *core.PrivacyLTS, cfg Config) (*Monitor, error) {
 	if alertAt == 0 {
 		alertAt = risk.LevelMedium
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = goruntime.GOMAXPROCS(0)
-	}
-	m := &Monitor{
+	return &Monitor{
 		lts:     p,
 		cache:   cache,
 		index:   newTransitionIndex(p),
 		alertAt: alertAt,
-		shards:  make([]monitorShard, shards),
+		users:   make(map[string]*userState),
 		shapes:  make(map[string]findingsIndex),
-	}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.cursors = make(map[string]lts.StateID)
-		s.profiles = make(map[string]risk.UserProfile)
-		s.findings = make(map[string]findingsIndex)
-		s.applied = make(map[string]int64)
-		s.alertCount = make(map[string]int64)
-	}
-	return m, nil
+	}, nil
 }
-
-// Shards returns the number of lock stripes the monitor uses.
-func (m *Monitor) Shards() int { return len(m.shards) }
 
 // AssessmentCacheStats reports how many user registrations were served from
 // the profile-fingerprint cache versus assessed from scratch.
 func (m *Monitor) AssessmentCacheStats() (hits, misses int64) {
 	return m.shapeHits.Load(), m.shapeMisses.Load()
-}
-
-// shardIndexFor hashes a user ID onto a lock stripe (inline FNV-1a: the
-// hash/fnv API would allocate twice per event on the Observe hot path).
-func (m *Monitor) shardIndexFor(userID string) int {
-	if len(m.shards) == 1 {
-		return 0
-	}
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(userID); i++ {
-		h ^= uint32(userID[i])
-		h *= prime32
-	}
-	return int(h % uint32(len(m.shards)))
-}
-
-// shardFor selects the lock stripe owning the user's state.
-func (m *Monitor) shardFor(userID string) *monitorShard {
-	return &m.shards[m.shardIndexFor(userID)]
 }
 
 // RegisterUser starts tracking a user: their cursor is placed at the initial
@@ -241,18 +188,21 @@ func (m *Monitor) RegisterUser(profile risk.UserProfile) error {
 // and aborts with ctx.Err() when the caller cancels; nothing is cached for
 // the shape in that case.
 func (m *Monitor) RegisterUserContext(ctx context.Context, profile risk.UserProfile) error {
-	index, err := m.shapeIndex(ctx, profile)
+	return m.install(ctx, UserSnapshot{Profile: profile, State: m.lts.InitialState()})
+}
+
+// install starts tracking the snapshot's user at the snapshot's state and
+// counters, replacing whatever the monitor held for that ID. Registration
+// installs the initial state with zero counters, import installs the
+// snapshot as it is. Nothing is installed when the shape's analysis fails.
+func (m *Monitor) install(ctx context.Context, snap UserSnapshot) error {
+	index, err := m.shapeIndex(ctx, snap.Profile)
 	if err != nil {
 		return err
 	}
-	shard := m.shardFor(profile.ID)
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
-	shard.profiles[profile.ID] = profile
-	shard.cursors[profile.ID] = m.lts.InitialState()
-	shard.findings[profile.ID] = index
-	shard.applied[profile.ID] = 0
-	shard.alertCount[profile.ID] = 0
+	m.mu.Lock()
+	m.users[snap.Profile.ID] = &userState{UserSnapshot: snap, findings: index}
+	m.mu.Unlock()
 	return nil
 }
 
@@ -294,26 +244,25 @@ func (m *Monitor) shapeIndex(ctx context.Context, profile risk.UserProfile) (fin
 
 // Users returns the IDs of registered users, sorted.
 func (m *Monitor) Users() []string {
-	var out []string
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for id := range s.profiles {
-			out = append(out, id)
-		}
-		s.mu.Unlock()
+	m.mu.Lock()
+	out := make([]string, 0, len(m.users))
+	for id := range m.users {
+		out = append(out, id)
 	}
+	m.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
 
 // CurrentState returns the user's current privacy state.
 func (m *Monitor) CurrentState(userID string) (lts.StateID, bool) {
-	shard := m.shardFor(userID)
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
-	id, ok := shard.cursors[userID]
-	return id, ok
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	u, ok := m.users[userID]
+	if !ok {
+		return "", false
+	}
+	return u.State, true
 }
 
 // CurrentVector returns the user's current privacy state vector.
@@ -328,24 +277,17 @@ func (m *Monitor) CurrentVector(userID string) (core.StateVector, bool) {
 // Alerts returns a copy of every alert raised so far, in the order they were
 // raised.
 func (m *Monitor) Alerts() []Alert {
-	var out []Alert
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		out = append(out, s.alerts...)
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]Alert(nil), m.alerts...)
 }
 
 // AlertsFor returns the alerts concerning one user.
 func (m *Monitor) AlertsFor(userID string) []Alert {
-	shard := m.shardFor(userID)
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var out []Alert
-	for _, a := range shard.alerts {
+	for _, a := range m.alerts {
 		if a.UserID == userID {
 			out = append(out, a)
 		}
@@ -353,10 +295,6 @@ func (m *Monitor) AlertsFor(userID string) []Alert {
 	return out
 }
 
-// deniedAlert, unmodelledAlert and riskAlert build the three alert shapes.
-// They are shared by Observe and IngestBatch so the two ingestion paths can
-// never drift apart in what they record — the cluster alert-equivalence
-// property (internal/cluster) depends on the alerts being byte-identical.
 func deniedAlert(ev *service.Event) Alert {
 	return Alert{
 		Kind:   AlertDenied,
@@ -388,129 +326,108 @@ func riskAlert(ev *service.Event, finding risk.Finding) Alert {
 	}
 }
 
-// Observe feeds one event to the monitor and returns the resulting
-// observation. Events for unregistered users are an error; callers decide
-// whether that is fatal (tests) or just logged (live deployments).
-func (m *Monitor) Observe(ev service.Event) (Observation, error) {
-	shard := m.shardFor(ev.UserID)
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
+// step is what applying one event did.
+type step struct {
+	// registered is false when the event named a user the monitor does not
+	// track; nothing else is set and nothing changed.
+	registered bool
+	// from is the user's state before the event.
+	from lts.StateID
+	// matched and transition report the model transition the event took.
+	matched    bool
+	transition lts.Transition
+	// raised is the kind of the alert the event raised — now the last entry
+	// of m.alerts — or zero when it raised none. An event raises at most one.
+	raised AlertKind
+}
 
-	cursor, ok := shard.cursors[ev.UserID]
+// apply is the one place a user's cursor advances and alerts are raised:
+// Observe and IngestBatch both go through it, so the two ingestion paths
+// record the same thing by construction — the cluster alert-equivalence
+// property (internal/cluster) depends on that. The caller holds m.mu.
+func (m *Monitor) apply(ev *service.Event) step {
+	u, ok := m.users[ev.UserID]
 	if !ok {
-		return Observation{}, fmt.Errorf("runtime: user %q is not registered with the monitor", ev.UserID)
+		return step{}
 	}
-	shard.applied[ev.UserID]++
-	obs := Observation{From: cursor, To: cursor}
-
+	u.Applied++
+	st := step{registered: true, from: u.State}
 	if ev.Denied {
-		m.raise(shard, &obs, deniedAlert(&ev))
-		return obs, nil
+		st.raised = m.raise(u, deniedAlert(ev))
+		return st
 	}
-
-	transition, matched := m.index.match(cursor, &ev)
-	if !matched {
-		m.raise(shard, &obs, unmodelledAlert(&ev, cursor))
-		return obs, nil
+	st.transition, st.matched = m.index.match(u.State, ev)
+	if !st.matched {
+		st.raised = m.raise(u, unmodelledAlert(ev, u.State))
+		return st
 	}
-
-	shard.cursors[ev.UserID] = transition.To
-	obs.Matched = true
-	obs.Transition = transition
-	obs.To = transition.To
-
+	u.State = st.transition.To
 	// Alert only when the observed actor is the non-allowed actor the finding
 	// concerns: a consented-service flow that merely exposes data to someone
 	// else is design-time knowledge (already in the static assessment), while
 	// the non-allowed actor actually reading the data is a live disclosure
 	// event.
-	if finding, ok := shard.findings[ev.UserID][findingKey{tr: transition, actor: ev.Actor}]; ok &&
+	if finding, ok := u.findings[findingKey{tr: st.transition, actor: ev.Actor}]; ok &&
 		finding.Risk >= m.alertAt {
-		m.raise(shard, &obs, riskAlert(&ev, finding))
+		st.raised = m.raise(u, riskAlert(ev, finding))
+	}
+	return st
+}
+
+// raise appends the alert to the log, counts it for the user and returns its
+// kind. The caller holds m.mu.
+func (m *Monitor) raise(u *userState, alert Alert) AlertKind {
+	m.alerts = append(m.alerts, alert)
+	u.Alerts++
+	return alert.Kind
+}
+
+// Observe feeds one event to the monitor and returns the resulting
+// observation. Events for unregistered users are an error; callers decide
+// whether that is fatal (tests) or just logged (live deployments).
+func (m *Monitor) Observe(ev service.Event) (Observation, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.apply(&ev)
+	if !st.registered {
+		return Observation{}, fmt.Errorf("runtime: user %q is not registered with the monitor", ev.UserID)
+	}
+	obs := Observation{From: st.from, To: st.from}
+	if st.matched {
+		obs.Matched = true
+		obs.Transition = st.transition
+		obs.To = st.transition.To
+	}
+	if st.raised != 0 {
+		obs.Alerts = []Alert{m.alerts[len(m.alerts)-1]}
 	}
 	return obs, nil
 }
 
-// raise stamps the alert and records it on the shard and the observation. The
-// caller holds shard.mu.
-func (m *Monitor) raise(shard *monitorShard, obs *Observation, alert Alert) {
-	obs.Alerts = append(obs.Alerts, m.raiseLocked(shard, alert))
-}
-
-// raiseLocked stamps the alert with the next monitor-wide sequence number and
-// appends it to the shard's alert log. The caller holds shard.mu.
-func (m *Monitor) raiseLocked(shard *monitorShard, alert Alert) Alert {
-	alert.seq = m.alertSeq.Add(1)
-	shard.alerts = append(shard.alerts, alert)
-	shard.alertCount[alert.UserID]++
-	return alert
-}
-
-// observeBatchThreshold is the batch size below which ObserveBatch runs
-// inline: spawning goroutines costs more than a handful of map operations.
-const observeBatchThreshold = 32
-
-// ObserveBatch feeds a slice of events to the monitor, processing the shards
-// they hash to in parallel while preserving the relative order of each
-// user's events. The returned observations align with the input slice.
-// Events for unregistered users yield a zero Observation and contribute to
-// the joined error; the remaining events are still processed.
+// ObserveBatch feeds a slice of events to the monitor in input order. The
+// returned observations align with the input slice. Events for unregistered
+// users yield a zero Observation and contribute to the joined error; the
+// remaining events are still processed.
 func (m *Monitor) ObserveBatch(events []service.Event) ([]Observation, error) {
 	return m.ObserveBatchContext(context.Background(), events)
 }
 
-// ObserveBatchContext is ObserveBatch with cancellation: every per-shard
-// worker polls ctx between events and stops applying the remainder of its
-// bucket when ctx is done, the fan-out is joined before returning (no
-// goroutines leak), and the returned error wraps ctx.Err(). Events skipped
-// by cancellation yield a zero Observation and are NOT applied — per-user
-// cursor sequences stay prefix-consistent because each user's events live in
-// one bucket and are processed in input order until the cutoff.
+// ObserveBatchContext is ObserveBatch with cancellation: ctx is polled
+// between events and the remainder of the batch is not applied once it is
+// done; the returned error then wraps ctx.Err(). Events skipped by
+// cancellation yield a zero Observation.
 func (m *Monitor) ObserveBatchContext(ctx context.Context, events []service.Event) ([]Observation, error) {
 	out := make([]Observation, len(events))
-	errs := make([]error, len(events))
-	observe := func(i int) {
+	var errs []error
+	for i := range events {
+		if err := ctx.Err(); err != nil {
+			return out, errors.Join(append(errs, err)...)
+		}
 		obs, err := m.Observe(events[i])
 		out[i] = obs
 		if err != nil {
-			errs[i] = fmt.Errorf("event %d: %w", i, err)
+			errs = append(errs, fmt.Errorf("event %d: %w", i, err))
 		}
-	}
-	if len(m.shards) == 1 || len(events) < observeBatchThreshold {
-		for i := range events {
-			if err := ctx.Err(); err != nil {
-				return out, errors.Join(append(errs[:i:i], err)...)
-			}
-			observe(i)
-		}
-		return out, errors.Join(errs...)
-	}
-	// Same user => same shard => same bucket, processed in input order, so
-	// per-user observation sequences are independent of the fan-out.
-	buckets := make([][]int, len(m.shards))
-	for i, ev := range events {
-		idx := m.shardIndexFor(ev.UserID)
-		buckets[idx] = append(buckets[idx], i)
-	}
-	var wg sync.WaitGroup
-	for _, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				if ctx.Err() != nil {
-					return
-				}
-				observe(i)
-			}
-		}(bucket)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return out, errors.Join(append(errs, err)...)
 	}
 	return out, errors.Join(errs...)
 }
@@ -530,23 +447,6 @@ func (m *Monitor) Watch(events <-chan service.Event) int {
 		_, _ = m.Observe(ev)
 	}
 	return n
-}
-
-// WatchBatched is Watch with batched ingestion: it blocks for the first
-// pending event, drains up to batchSize-1 more without blocking
-// (service.NextBatch), and feeds the batch through ObserveBatch so a burst
-// of events for different users is absorbed by multiple shards at once. It
-// returns the number of events observed.
-func (m *Monitor) WatchBatched(events <-chan service.Event, batchSize int) int {
-	n := 0
-	for {
-		batch := service.NextBatch(events, batchSize)
-		if len(batch) == 0 {
-			return n
-		}
-		n += len(batch)
-		_, _ = m.ObserveBatch(batch)
-	}
 }
 
 // IngestStats aggregates one batched ingestion: how many events were applied
@@ -572,7 +472,7 @@ type IngestStats struct {
 	Unregistered int
 }
 
-// Merge accumulates stats (per-shard buckets, or per-batch node totals).
+// Merge accumulates stats (per-batch node totals, per-node fleet totals).
 func (s *IngestStats) Merge(o IngestStats) {
 	s.Events += o.Events
 	s.Matched += o.Matched
@@ -582,7 +482,7 @@ func (s *IngestStats) Merge(o IngestStats) {
 	s.Unregistered += o.Unregistered
 }
 
-// ingestCancelStride is how many events an ingest worker applies between
+// ingestCancelStride is how many events IngestBatchContext applies between
 // context polls: context.Err takes a lock, so per-event polling would cost
 // more than the work it guards.
 const ingestCancelStride = 256
@@ -591,108 +491,40 @@ const ingestCancelStride = 256
 // cluster ingest protocol (internal/cluster): it applies the batch exactly
 // like ObserveBatch — same cursor movement, same alerts, byte-identical
 // alert log — but returns aggregate counts instead of materialising one
-// Observation per event, holds each shard's lock once per bucket instead of
-// once per event, and counts events for unregistered users instead of
-// failing. Per-user event order is preserved (same user ⇒ same shard ⇒ same
-// bucket, processed in input order).
+// Observation per event, takes the lock once per batch instead of once per
+// event, and counts events for unregistered users instead of failing.
 func (m *Monitor) IngestBatch(events []service.Event) IngestStats {
 	stats, _ := m.IngestBatchContext(context.Background(), events)
 	return stats
 }
 
-// IngestBatchContext is IngestBatch with cancellation: workers poll ctx every
-// ingestCancelStride events and stop applying the remainder of their bucket
-// when ctx is done; the fan-out is joined before returning and the error is
-// ctx.Err(). Events skipped by cancellation are not counted in the stats.
+// IngestBatchContext is IngestBatch with cancellation: ctx is polled every
+// ingestCancelStride events and the remainder of the batch is not applied
+// once it is done; the error is ctx.Err(). Events skipped by cancellation
+// are not counted in the stats.
 func (m *Monitor) IngestBatchContext(ctx context.Context, events []service.Event) (IngestStats, error) {
 	var stats IngestStats
-	if len(m.shards) == 1 || len(events) < observeBatchThreshold {
-		// Sequential path: group runs of events that share a shard so the
-		// lock is taken once per run, not once per event.
-		var (
-			cur    *monitorShard
-			locked bool
-		)
-		for i := range events {
-			if i%ingestCancelStride == 0 && ctx.Err() != nil {
-				break
-			}
-			shard := m.shardFor(events[i].UserID)
-			if shard != cur {
-				if locked {
-					cur.mu.Unlock()
-				}
-				cur = shard
-				cur.mu.Lock()
-				locked = true
-			}
-			m.ingestLocked(cur, &events[i], &stats)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range events {
+		if i%ingestCancelStride == 0 && ctx.Err() != nil {
+			break
 		}
-		if locked {
-			cur.mu.Unlock()
-		}
-		return stats, ctx.Err()
-	}
-	// Same user => same shard => same bucket, processed in input order, so
-	// per-user sequences are independent of the fan-out (mirrors
-	// ObserveBatchContext).
-	buckets := make([][]int, len(m.shards))
-	for i, ev := range events {
-		idx := m.shardIndexFor(ev.UserID)
-		buckets[idx] = append(buckets[idx], i)
-	}
-	perShard := make([]IngestStats, len(m.shards))
-	var wg sync.WaitGroup
-	for b, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard *monitorShard, idxs []int, st *IngestStats) {
-			defer wg.Done()
-			shard.mu.Lock()
-			defer shard.mu.Unlock()
-			for n, i := range idxs {
-				if n%ingestCancelStride == 0 && ctx.Err() != nil {
-					return
-				}
-				m.ingestLocked(shard, &events[i], st)
+		st := m.apply(&events[i])
+		stats.Events++
+		switch {
+		case !st.registered:
+			stats.Unregistered++
+		case st.raised == AlertDenied:
+			stats.Denied++
+		case !st.matched:
+			stats.Unmodelled++
+		default:
+			stats.Matched++
+			if st.raised == AlertRisk {
+				stats.RiskAlerts++
 			}
-		}(&m.shards[b], bucket, &perShard[b])
-	}
-	wg.Wait()
-	for i := range perShard {
-		stats.Merge(perShard[i])
+		}
 	}
 	return stats, ctx.Err()
-}
-
-// ingestLocked applies one event to its shard, mirroring Observe's logic
-// without building an Observation. The caller holds shard.mu.
-func (m *Monitor) ingestLocked(shard *monitorShard, ev *service.Event, stats *IngestStats) {
-	stats.Events++
-	cursor, ok := shard.cursors[ev.UserID]
-	if !ok {
-		stats.Unregistered++
-		return
-	}
-	shard.applied[ev.UserID]++
-	if ev.Denied {
-		stats.Denied++
-		m.raiseLocked(shard, deniedAlert(ev))
-		return
-	}
-	transition, matched := m.index.match(cursor, ev)
-	if !matched {
-		stats.Unmodelled++
-		m.raiseLocked(shard, unmodelledAlert(ev, cursor))
-		return
-	}
-	shard.cursors[ev.UserID] = transition.To
-	stats.Matched++
-	if finding, ok := shard.findings[ev.UserID][findingKey{tr: transition, actor: ev.Actor}]; ok &&
-		finding.Risk >= m.alertAt {
-		stats.RiskAlerts++
-		m.raiseLocked(shard, riskAlert(ev, finding))
-	}
 }

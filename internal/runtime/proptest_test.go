@@ -1,62 +1,24 @@
 package runtime_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"privascope/internal/lts"
 	"privascope/internal/proptest"
 	"privascope/internal/proptest/scenario"
 	"privascope/internal/runtime"
-	"privascope/internal/service"
 	"privascope/internal/synth"
 )
 
-// comparableAlert is an Alert minus its unexported cross-shard sequence
-// number, which legitimately differs between shard layouts.
-type comparableAlert struct {
-	Kind    runtime.AlertKind
-	UserID  string
-	Event   service.Event
-	Risk    interface{}
-	Finding interface{}
-	Message string
-}
-
-func stripAlert(a runtime.Alert) comparableAlert {
-	return comparableAlert{Kind: a.Kind, UserID: a.UserID, Event: a.Event,
-		Risk: a.Risk, Finding: a.Finding, Message: a.Message}
-}
-
-func stripAlerts(alerts []runtime.Alert) []comparableAlert {
-	out := make([]comparableAlert, len(alerts))
-	for i, a := range alerts {
-		out[i] = stripAlert(a)
-	}
-	return out
-}
-
-// comparableObservation is an Observation with its alerts stripped the same
-// way.
-type comparableObservation struct {
-	Matched    bool
-	From, To   lts.StateID
-	Transition lts.Transition
-	Alerts     []comparableAlert
-}
-
-func stripObservation(o runtime.Observation) comparableObservation {
-	return comparableObservation{Matched: o.Matched, From: o.From, To: o.To,
-		Transition: o.Transition, Alerts: stripAlerts(o.Alerts)}
-}
-
-// TestPropMonitorShardCountIndependence generalises the fixed-model shard
-// determinism test to random scenarios and the batch entry point: feeding
-// one random event stream through ObserveBatchContext must yield, for every
-// user, the same observation sequence, the same alerts and the same final
-// cursor whether the monitor runs 1, 2 or 8 shards.
-func TestPropMonitorShardCountIndependence(t *testing.T) {
+// TestPropMonitorIngestPathIndependence generalises the fixed-model
+// TestObserveBatchMatchesSequentialObserve to random scenarios: one random
+// per-user event script fed through sequential Observe calls, ObserveBatch
+// and IngestBatch must leave the same alert log, the same cursors and the
+// same ExportUser snapshots, and the two entry points that return
+// observations must return the same ones.
+func TestPropMonitorIngestPathIndependence(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		s := scenario.Draw(seed)
 		p, err := s.Generate()
@@ -67,62 +29,77 @@ func TestPropMonitorShardCountIndependence(t *testing.T) {
 		for i, profile := range s.Profiles {
 			users[i] = profile.ID
 		}
-		// At least observeBatchThreshold events, so multi-shard monitors
-		// take the parallel fan-out path.
 		perUser := 1 + (48+len(users)-1)/len(users)
 		stream := synth.RandomEventStream(rng, p, users, perUser)
 
 		type result struct {
-			perUserObs    map[string][]comparableObservation
-			perUserAlerts map[string][]comparableAlert
-			cursors       map[string]lts.StateID
+			observations []runtime.Observation
+			alerts       []runtime.Alert
+			snapshots    []runtime.UserSnapshot
 		}
-		runWith := func(shards int) result {
-			monitor, err := runtime.NewMonitor(p, runtime.Config{Shards: shards})
+		runWith := func(path string, feed func(*runtime.Monitor) ([]runtime.Observation, error)) (result, error) {
+			monitor, err := runtime.NewMonitor(p, runtime.Config{})
 			if err != nil {
-				t.Fatalf("seed %d: NewMonitor(shards=%d): %v", seed, shards, err)
+				return result{}, err
 			}
 			for _, profile := range s.Profiles {
 				if err := monitor.RegisterUser(profile); err != nil {
-					t.Fatalf("seed %d: RegisterUser: %v", seed, err)
+					return result{}, err
 				}
 			}
-			obs, err := monitor.ObserveBatch(stream)
+			obs, err := feed(monitor)
 			if err != nil {
-				t.Fatalf("seed %d: ObserveBatch(shards=%d): %v", seed, shards, err)
+				return result{}, fmt.Errorf("%s: %w", path, err)
 			}
-			res := result{
-				perUserObs:    make(map[string][]comparableObservation),
-				perUserAlerts: make(map[string][]comparableAlert),
-				cursors:       make(map[string]lts.StateID),
-			}
-			for i, o := range obs {
-				id := stream[i].UserID
-				res.perUserObs[id] = append(res.perUserObs[id], stripObservation(o))
-			}
+			res := result{observations: obs, alerts: monitor.Alerts()}
 			for _, id := range users {
-				res.perUserAlerts[id] = stripAlerts(monitor.AlertsFor(id))
-				cursor, ok := monitor.CurrentState(id)
+				snap, ok := monitor.ExportUser(id)
 				if !ok {
-					t.Fatalf("seed %d: user %s has no cursor", seed, id)
+					return result{}, fmt.Errorf("%s: user %s has no state", path, id)
 				}
-				res.cursors[id] = cursor
+				res.snapshots = append(res.snapshots, snap)
 			}
-			return res
+			return res, nil
 		}
 
-		want := runWith(1)
-		for _, shards := range []int{2, 8} {
-			got := runWith(shards)
-			if !reflect.DeepEqual(got.cursors, want.cursors) {
-				t.Fatalf("seed %d: cursors with %d shards differ from 1 shard:\n%v\nvs\n%v",
-					seed, shards, got.cursors, want.cursors)
+		want, err := runWith("Observe", func(m *runtime.Monitor) ([]runtime.Observation, error) {
+			var out []runtime.Observation
+			for _, ev := range stream {
+				obs, err := m.Observe(ev)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, obs)
 			}
-			if !reflect.DeepEqual(got.perUserAlerts, want.perUserAlerts) {
-				t.Fatalf("seed %d: per-user alerts with %d shards differ from 1 shard", seed, shards)
+			return out, nil
+		})
+		if err != nil {
+			return err
+		}
+		batched, err := runWith("ObserveBatch", func(m *runtime.Monitor) ([]runtime.Observation, error) {
+			return m.ObserveBatch(stream)
+		})
+		if err != nil {
+			return err
+		}
+		ingested, err := runWith("IngestBatch", func(m *runtime.Monitor) ([]runtime.Observation, error) {
+			if stats := m.IngestBatch(stream); stats.Events != len(stream) || stats.Unregistered != 0 {
+				return nil, fmt.Errorf("stats %+v for %d events of registered users", stats, len(stream))
 			}
-			if !reflect.DeepEqual(got.perUserObs, want.perUserObs) {
-				t.Fatalf("seed %d: per-user observations with %d shards differ from 1 shard", seed, shards)
+			return nil, nil
+		})
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(batched.observations, want.observations) {
+			return fmt.Errorf("ObserveBatch: observations differ from sequential Observe")
+		}
+		for path, got := range map[string]result{"ObserveBatch": batched, "IngestBatch": ingested} {
+			if !reflect.DeepEqual(got.alerts, want.alerts) {
+				return fmt.Errorf("%s: alert log differs from sequential Observe:\n%+v\nvs\n%+v", path, got.alerts, want.alerts)
+			}
+			if !reflect.DeepEqual(got.snapshots, want.snapshots) {
+				return fmt.Errorf("%s: snapshots differ from sequential Observe:\n%+v\nvs\n%+v", path, got.snapshots, want.snapshots)
 			}
 		}
 		return nil

@@ -33,19 +33,13 @@ type UserSnapshot struct {
 // ExportUser snapshots the user's current monitor state without disturbing
 // it. The second return is false when the user is not registered.
 func (m *Monitor) ExportUser(userID string) (UserSnapshot, bool) {
-	shard := m.shardFor(userID)
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
-	cursor, ok := shard.cursors[userID]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	u, ok := m.users[userID]
 	if !ok {
 		return UserSnapshot{}, false
 	}
-	return UserSnapshot{
-		Profile: shard.profiles[userID],
-		State:   cursor,
-		Applied: shard.applied[userID],
-		Alerts:  shard.alertCount[userID],
-	}, true
+	return u.UserSnapshot, true
 }
 
 // RemoveUser stops tracking the user, dropping their cursor, profile and
@@ -53,18 +47,11 @@ func (m *Monitor) ExportUser(userID string) (UserSnapshot, bool) {
 // here; a handoff moves the user's future, not their history. It reports
 // whether the user was registered.
 func (m *Monitor) RemoveUser(userID string) bool {
-	shard := m.shardFor(userID)
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
-	if _, ok := shard.cursors[userID]; !ok {
-		return false
-	}
-	delete(shard.cursors, userID)
-	delete(shard.profiles, userID)
-	delete(shard.findings, userID)
-	delete(shard.applied, userID)
-	delete(shard.alertCount, userID)
-	return true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.users[userID]
+	delete(m.users, userID)
+	return ok
 }
 
 // ImportUser is ImportUserContext with a background context.
@@ -95,17 +82,5 @@ func (m *Monitor) ImportUserContext(ctx context.Context, snap UserSnapshot) erro
 		return fmt.Errorf("runtime: import of user %q: negative cursor (applied %d, alerts %d)",
 			snap.Profile.ID, snap.Applied, snap.Alerts)
 	}
-	index, err := m.shapeIndex(ctx, snap.Profile)
-	if err != nil {
-		return err
-	}
-	shard := m.shardFor(snap.Profile.ID)
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
-	shard.profiles[snap.Profile.ID] = snap.Profile
-	shard.cursors[snap.Profile.ID] = snap.State
-	shard.findings[snap.Profile.ID] = index
-	shard.applied[snap.Profile.ID] = snap.Applied
-	shard.alertCount[snap.Profile.ID] = snap.Alerts
-	return nil
+	return m.install(ctx, snap)
 }

@@ -86,21 +86,11 @@ func TestExportImportResumesMidStream(t *testing.T) {
 		if !reflect.DeepEqual(got, wantSnap) {
 			t.Errorf("split %d: final snapshot %+v, want %+v", split, got, wantSnap)
 		}
-		merged := append(stripSeq(first.Alerts()), stripSeq(second.Alerts())...)
-		if want := stripSeq(whole.Alerts()); !reflect.DeepEqual(merged, want) {
+		merged := append(first.Alerts(), second.Alerts()...)
+		if want := whole.Alerts(); !reflect.DeepEqual(merged, want) {
 			t.Errorf("split %d: merged alerts differ:\n got %+v\nwant %+v", split, merged, want)
 		}
 	}
-}
-
-// stripSeq drops the unexported cross-shard sequence number, which
-// legitimately differs between monitors.
-func stripSeq(alerts []Alert) []Alert {
-	out := append([]Alert(nil), alerts...)
-	for i := range out {
-		out[i].seq = 0
-	}
-	return out
 }
 
 func TestExportUserCounters(t *testing.T) {
@@ -128,6 +118,52 @@ func TestExportUserCounters(t *testing.T) {
 	}
 	if snap.Profile.ID != profile.ID {
 		t.Errorf("snapshot profile ID = %q", snap.Profile.ID)
+	}
+}
+
+// TestReRegisterResetsImportOverwrites pins the difference a handoff retry
+// depends on: registering an ID the monitor already tracks starts the user
+// over (initial state, zero Applied and Alerts), while importing over it
+// installs the snapshot's cursor and counters as they are — so a retried
+// import is idempotent and a retried registration is not.
+func TestReRegisterResetsImportOverwrites(t *testing.T) {
+	p := snapshotTestModel(t)
+	profile := casestudy.PatientProfile()
+	m, err := NewMonitor(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RegisterUser(profile); err != nil {
+		t.Fatal(err)
+	}
+	m.IngestBatch(snapshotTrace(profile.ID))
+	advanced, _ := m.ExportUser(profile.ID)
+	if advanced.Applied == 0 || advanced.Alerts == 0 || advanced.State == p.InitialState() {
+		t.Fatalf("trace left the user at %+v, want a moved cursor and non-zero counters", advanced)
+	}
+	raised := len(m.Alerts())
+
+	if err := m.RegisterUser(profile); err != nil {
+		t.Fatal(err)
+	}
+	want := UserSnapshot{Profile: profile, State: p.InitialState()}
+	if got, _ := m.ExportUser(profile.ID); !reflect.DeepEqual(got, want) {
+		t.Errorf("after re-registering: %+v, want %+v", got, want)
+	}
+	if got := len(m.Alerts()); got != raised {
+		t.Errorf("re-registering changed the alert log from %d to %d entries", raised, got)
+	}
+
+	for attempt := 0; attempt < 2; attempt++ {
+		if err := m.ImportUser(advanced); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := m.ExportUser(profile.ID); !reflect.DeepEqual(got, advanced) {
+			t.Errorf("after import %d: %+v, want %+v", attempt, got, advanced)
+		}
+	}
+	if got := m.Users(); len(got) != 1 {
+		t.Errorf("Users() = %v, want the one user", got)
 	}
 }
 

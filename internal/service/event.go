@@ -111,8 +111,8 @@ func (l *Log) Len() int {
 // it blocks until at least one event is available (or the channel is
 // closed), then drains up to max-1 further events without blocking. A nil
 // return means the channel is closed and drained. Consumers that process
-// events in bulk — such as the runtime monitor's WatchBatched — use it to
-// absorb bursts in one pass instead of one channel receive per event.
+// events in bulk — privaserve's live loop — use it to absorb bursts in one
+// pass instead of one channel receive per event.
 func NextBatch(events <-chan Event, max int) []Event {
 	if max <= 0 {
 		max = 64

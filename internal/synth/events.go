@@ -11,10 +11,10 @@ import (
 // user's events are mostly a random walk along the model's transitions
 // (events the monitor will match), mixed with unmodelled operations and
 // occasional denied operations, and the per-user streams are interleaved
-// round-robin so every partitioning of the stream — monitor shard layouts,
-// cluster node assignments — sees the same per-user order. Like everything
-// in this package it is a pure function of the generator state, which is
-// what lets the property harness replay a failing stream from its seed.
+// round-robin so every partitioning of the stream — cluster node
+// assignments — sees the same per-user order. Like everything in this
+// package it is a pure function of the generator state, which is what lets
+// the property harness replay a failing stream from its seed.
 func RandomEventStream(rng *rand.Rand, p *core.PrivacyLTS, users []string, perUser int) []service.Event {
 	streams := make([][]service.Event, len(users))
 	for u, id := range users {

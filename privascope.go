@@ -12,11 +12,11 @@
 //     field, and whose transitions are the paper's six actions on personal
 //     data (collect, create, read, disclose, anon, delete). Generation is a
 //     parallel, memory-compact state-space exploration: states are encoded
-//     as fixed-width bit vectors hashed into a sharded visited set, and a
-//     configurable worker pool (GenerateOptions.Workers, one worker per CPU
-//     by default) expands the BFS frontier with deterministic merging, so
-//     the generated model is byte-identical for any worker count. See
-//     docs/ARCHITECTURE.md for the engine design.
+//     as fixed-width bit vectors resolved against an open-addressing state
+//     table, and a configurable worker pool (GenerateOptions.Workers, one
+//     worker per CPU by default) expands the BFS frontier with deterministic
+//     merging, so the generated model is byte-identical for any worker
+//     count. See docs/ARCHITECTURE.md for the engine design.
 //  3. Automated analyses run over the generated model: unwanted-disclosure
 //     risk per user profile (impact × likelihood through a risk matrix),
 //     pseudonymisation value risk against a dataset (the k-anonymity value
