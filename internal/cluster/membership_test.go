@@ -203,6 +203,29 @@ func TestClusterGracefulLeave(t *testing.T) {
 	requireClusterMatchesDirect(t, c, direct, users)
 }
 
+// crashRouterConfig is the router configuration of the tests that crash a
+// node. Between the victim's server stopping and the eviction marking its
+// sender dead (a gap of ~1 s whenever the h2 connection waits out its GOAWAY
+// timeout) every delivery attempt is refused at once, and a sender that runs
+// out of retries in that gap abandons frames nobody can recover. Two things
+// keep it retrying until the eviction parks them. The retry budget — at least
+// MaxRetries × BackoffMax/2 = 10 s, the Stop timeout — outlasts the gap;
+// eviction interrupts the backoff, so it costs nothing once that happens. And
+// the flush tick never fires: a tick that finds the victim's one-frame window
+// full blocks on its queue while holding the membership lock, and the
+// eviction then waits behind it until the budget is gone. These tests flush
+// explicitly (membership changes seal, Quiesce flushes), so they lose nothing
+// with the tick.
+func crashRouterConfig() RouterConfig {
+	return RouterConfig{
+		BatchEvents:   5,
+		FlushInterval: time.Hour,
+		MaxRetries:    1000,
+		BackoffBase:   100 * time.Microsecond,
+		BackoffMax:    20 * time.Millisecond,
+	}
+}
+
 // TestClusterEvictFailover crashes a node with frames in flight and evicts
 // it: users fail over from their last snapshot, parked frames are re-routed
 // with the dead node's stream cursor filtering duplicates, and nothing that
@@ -218,12 +241,7 @@ func TestClusterEvictFailover(t *testing.T) {
 	stream := synth.RandomEventStream(rng, p, users, 24)
 	direct := directMonitor(t, profiles, stream)
 
-	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{
-		BatchEvents: 5,
-		MaxRetries:  6,
-		BackoffBase: 100 * time.Microsecond,
-		BackoffMax:  time.Millisecond,
-	})
+	c, err := StartLocal(p, 3, NodeConfig{}, crashRouterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +307,7 @@ func TestProberEvictsDeadNode(t *testing.T) {
 	stream := synth.RandomEventStream(rng, p, users, 12)
 	direct := directMonitor(t, profiles, stream)
 
-	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{
-		BatchEvents: 5,
-		MaxRetries:  6,
-		BackoffBase: 100 * time.Microsecond,
-		BackoffMax:  time.Millisecond,
-	})
+	c, err := StartLocal(p, 3, NodeConfig{}, crashRouterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

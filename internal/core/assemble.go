@@ -14,10 +14,11 @@ import (
 
 // assemble materialises the PrivacyLTS payload — state IDs, public vectors,
 // decoded store contents, and the transition graph — from a finished
-// exploration result. The per-state products are batch-allocated: one slab
-// holds every public vector, store contents are decoded once per distinct
-// store-segment image and shared between states (the maps are read-only
-// through the PrivacyLTS API), and the graph is bulk-built via lts.FromParts.
+// exploration result, keeping the exploration's dense state numbering
+// throughout: one slab holds every public vector, store contents are decoded
+// once per distinct store-segment image and shared between states (the maps
+// are read-only through the PrivacyLTS API), and lts.FromParts builds the
+// graph already compiled.
 func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explore.Result, workers int) error {
 	n := res.NumStates
 	w := res.Words
@@ -31,21 +32,16 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 		ids[i] = lts.StateID(idBuf)
 	}
 
-	vecSlab := make([]uint64, n*hasWords)
-	if err := fillVectors(ctx, cm, res, vecSlab, workers); err != nil {
+	p.vecWords = make([]uint64, n*hasWords)
+	if err := fillVectors(ctx, cm, res, p.vecWords, workers); err != nil {
 		return err
 	}
 
-	p.vectors = make(map[lts.StateID]StateVector, n)
-	p.stores = make(map[lts.StateID]map[string]schema.FieldSet, n)
+	p.stores = make([]map[string]schema.FieldSet, n)
 	storeSegLo, storeSegHi := hasWords, cm.codec.ctrlBase
 	storeCache := make(map[string]map[string]schema.FieldSet)
 	var keyBuf []byte
 	for i := 0; i < n; i++ {
-		id := ids[i]
-		lo, hi := i*hasWords, (i+1)*hasWords
-		p.vectors[id] = StateVector{words: vecSlab[lo:hi:hi], vocab: cm.vocab}
-
 		base := i * w
 		keyBuf = keyBuf[:0]
 		for _, word := range res.States[base+storeSegLo : base+storeSegHi] {
@@ -56,7 +52,7 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 			sm = cm.decodeStores(res.StateWords(int32(i)))
 			storeCache[string(keyBuf)] = sm
 		}
-		p.stores[id] = sm
+		p.stores[i] = sm
 	}
 
 	// Workers build potential-read labels independently (expand.go's

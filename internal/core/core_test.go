@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -524,8 +525,15 @@ func TestPrivacyLTSQueries(t *testing.T) {
 	if p.Has("ghost", "doctor", "name") || p.Could("ghost", "doctor", "name") {
 		t.Error("queries on unknown states should be false")
 	}
-	if p.ActorsWhoCould("ghost", "name") != nil {
-		t.Error("ActorsWhoCould on unknown state should be nil")
+	if p.ActorsWhoCould("ghost", "name") != nil || p.ActorsWhoHave("ghost", "name") != nil {
+		t.Error("ActorsWhoCould/ActorsWhoHave on unknown state should be nil")
+	}
+	if p.StoreMap("ghost") != nil || !p.StoreContents("ghost", "ehr").IsEmpty() {
+		t.Error("store contents of an unknown state should be empty")
+	}
+	if p.ChangeOf(lts.Transition{From: p.InitialState(), To: "ghost"}) != nil ||
+		p.ChangeOf(lts.Transition{From: "ghost", To: p.InitialState()}) != nil {
+		t.Error("ChangeOf with an unknown endpoint should be nil")
 	}
 }
 
@@ -569,5 +577,20 @@ func TestDeclaredVsPotentialPartition(t *testing.T) {
 	total := p.Graph.TransitionCount()
 	if got := len(p.DeclaredTransitions()) + len(p.PotentialTransitions()); got != total {
 		t.Errorf("declared+potential = %d, want %d", got, total)
+	}
+	// Both are the matching transitions of Graph.Transitions, in its order.
+	var declared, potential []lts.Transition
+	for _, tr := range p.Graph.Transitions() {
+		if LabelOf(tr).Potential {
+			potential = append(potential, tr)
+		} else {
+			declared = append(declared, tr)
+		}
+	}
+	if !reflect.DeepEqual(p.DeclaredTransitions(), declared) || !reflect.DeepEqual(p.PotentialTransitions(), potential) {
+		t.Error("declared/potential transitions are not the filtered transition list in insertion order")
+	}
+	if got := p.Stats().PotentialTransitions; got != len(potential) || got == 0 {
+		t.Errorf("Stats().PotentialTransitions = %d, want %d", got, len(potential))
 	}
 }

@@ -144,21 +144,12 @@ func (g *Generator) reuseTrace(ctx context.Context, pre *prepared, prev *Privacy
 	} else {
 		p.Graph = prev.Graph
 	}
+	p.vecWords = prev.vecWords
 	if recomputeVectors {
-		n := res.NumStates
-		hasWords := pre.cm.codec.hasWords
-		vecSlab := make([]uint64, n*hasWords)
-		if err := fillVectors(ctx, pre.cm, res, vecSlab, g.opts.Workers); err != nil {
+		p.vecWords = make([]uint64, res.NumStates*pre.cm.codec.hasWords)
+		if err := fillVectors(ctx, pre.cm, res, p.vecWords, g.opts.Workers); err != nil {
 			return nil, nil, nil, err
 		}
-		ids := prev.Graph.StateIDs()
-		p.vectors = make(map[lts.StateID]StateVector, n)
-		for i := 0; i < n; i++ {
-			lo, hi := i*hasWords, (i+1)*hasWords
-			p.vectors[ids[i]] = StateVector{words: vecSlab[lo:hi:hi], vocab: pre.cm.vocab}
-		}
-	} else {
-		p.vectors = prev.vectors
 	}
 	report := &ExploreReport{
 		Mode: "replay", DeltaKind: delta.Kind.String(),

@@ -9,6 +9,7 @@ import (
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
 	"privascope/internal/synth"
+	"privascope/internal/testutil"
 )
 
 // regenCase runs one cold traced generation of before, regenerates with the
@@ -197,5 +198,53 @@ func TestRegenerateWithoutSeed(t *testing.T) {
 	}
 	if gd, cd := ltsDigest(t, got), ltsDigest(t, cold); gd != cd {
 		t.Fatalf("fallback digest %s != cold digest %s", gd, cd)
+	}
+}
+
+// TestGraphsAreBornCompiled: every way a generator hands out a model — cold,
+// each regeneration tier, the fallback — leaves the graph's compiled view in
+// place, so the first Graph.Compiled() builds nothing.
+func TestGraphsAreBornCompiled(t *testing.T) {
+	ctx := context.Background()
+	base := func() *dataflow.Model { return synth.SymmetricModel(synth.SymmetricSpec{Replicas: 3}) }
+	relabelled := base()
+	relabelled.Flows[0].Purpose = "relabelled-collect"
+	revoked := base()
+	revoked.Policy = revoked.Policy.(*accesscontrol.ACL).WithoutActor("auditor", "shared")
+
+	for name, tc := range map[string]struct {
+		opts    core.Options
+		after   *dataflow.Model // nil: cold generation only
+		noTrace bool            // regenerate without the previous trace
+		mode    string
+	}{
+		"cold":                {mode: "full"},
+		"cold with symmetry":  {opts: core.Options{Explore: core.ExploreOptions{Symmetry: true}}, mode: "symmetry"},
+		"identical":           {after: base(), mode: "replay"},
+		"metadata relabel":    {after: relabelled, mode: "replay"},
+		"policy, reads off":   {opts: core.Options{PotentialReads: core.PotentialReadsOff}, after: revoked, mode: "replay"},
+		"policy, driver":      {after: revoked, mode: "replay"},
+		"fallback (no trace)": {after: revoked, noTrace: true, mode: "full"},
+	} {
+		gen := core.NewGenerator(tc.opts)
+		fresh := func() *core.PrivacyLTS {
+			p, trace, report, err := gen.GenerateTracedContext(ctx, base())
+			if err == nil && tc.after != nil {
+				if tc.noTrace {
+					trace = nil
+				}
+				p, _, report, err = gen.RegenerateContext(ctx, p, trace, tc.after)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if report.Mode != tc.mode {
+				t.Fatalf("%s: took the %q path, want %q", name, report.Mode, tc.mode)
+			}
+			return p
+		}
+		if allocs := testutil.AllocsOnFresh(fresh, func(p *core.PrivacyLTS) { p.Graph.Compiled() }); allocs != 0 {
+			t.Errorf("%s: first Graph.Compiled() allocated %v objects; the graph was not born compiled", name, allocs)
+		}
 	}
 }

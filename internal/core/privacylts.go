@@ -16,6 +16,11 @@ import (
 // states carry privacy state vectors and whose transitions carry
 // TransitionLabels. It also remembers, per state, the contents of every
 // datastore, which the pseudonymisation risk analysis needs.
+//
+// The per-state payloads are indexed by the state's dense index in Graph
+// (generation order): a state ID resolves through the graph's one ID map and
+// nothing here is keyed by ID. Generation and the model store build the same
+// shape.
 type PrivacyLTS struct {
 	// Model is the data-flow model the LTS was generated from.
 	Model *dataflow.Model
@@ -27,24 +32,45 @@ type PrivacyLTS struct {
 	// flows whose actor lacks the permission the flow requires.
 	Warnings []string
 
-	vectors map[lts.StateID]StateVector
-	stores  map[lts.StateID]map[string]schema.FieldSet
+	// vecWords is one slab holding every state's vector: state s owns words
+	// [s*w, (s+1)*w) for w = Vocab.WordsPerVector().
+	vecWords []uint64
+	// stores holds each state's datastore contents; states whose contents are
+	// equal share one (read-only) map.
+	stores []map[string]schema.FieldSet
 
 	// compiled lazily holds the analysis view (see Compiled); single-flighted
 	// so concurrent analyses compile the model exactly once.
 	compiled flight.Group[struct{}, *CompiledView]
 }
 
+// dense resolves a state ID to its index into the per-state payloads; ok is
+// false for IDs the model does not know.
+func (p *PrivacyLTS) dense(id lts.StateID) (int, bool) {
+	s, ok := p.Graph.Compiled().Index(id)
+	return int(s), ok && int(s) < len(p.stores)
+}
+
+// vectorAt returns the vector of the state at the dense index; the words
+// alias the slab.
+func (p *PrivacyLTS) vectorAt(s int) StateVector {
+	w := p.Vocab.wordsPerVec
+	return StateVector{words: p.vecWords[s*w : (s+1)*w : (s+1)*w], vocab: p.Vocab}
+}
+
 // Vector returns the privacy state vector of the given state.
 func (p *PrivacyLTS) Vector(id lts.StateID) (StateVector, bool) {
-	v, ok := p.vectors[id]
-	return v, ok
+	s, ok := p.dense(id)
+	if !ok {
+		return StateVector{}, false
+	}
+	return p.vectorAt(s), true
 }
 
 // StoreContents returns the fields held by the named datastore in the given
 // state.
 func (p *PrivacyLTS) StoreContents(id lts.StateID, datastore string) schema.FieldSet {
-	return p.stores[id][datastore]
+	return p.StoreMap(id)[datastore]
 }
 
 // InitialState returns the initial state ID (the absolute privacy state).
@@ -58,43 +84,37 @@ func (p *PrivacyLTS) States() []lts.StateID { return p.Graph.StateIDs() }
 
 // Has reports whether the actor has identified the field in the given state.
 func (p *PrivacyLTS) Has(id lts.StateID, actor, field string) bool {
-	v, ok := p.vectors[id]
+	v, ok := p.Vector(id)
 	return ok && v.Has(actor, field)
 }
 
 // Could reports whether the actor could identify the field in the given
 // state.
 func (p *PrivacyLTS) Could(id lts.StateID, actor, field string) bool {
-	v, ok := p.vectors[id]
+	v, ok := p.Vector(id)
 	return ok && v.Could(actor, field)
 }
 
 // ActorsWhoCould returns the sorted actors that could identify the field in
 // the given state.
 func (p *PrivacyLTS) ActorsWhoCould(id lts.StateID, field string) []string {
-	v, ok := p.vectors[id]
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, actor := range p.Vocab.Actors() {
-		if v.Could(actor, field) {
-			out = append(out, actor)
-		}
-	}
-	return out
+	return p.actorsWith(id, field, CouldIdentify)
 }
 
 // ActorsWhoHave returns the sorted actors that have identified the field in
 // the given state.
 func (p *PrivacyLTS) ActorsWhoHave(id lts.StateID, field string) []string {
-	v, ok := p.vectors[id]
+	return p.actorsWith(id, field, HasIdentified)
+}
+
+func (p *PrivacyLTS) actorsWith(id lts.StateID, field string, kind VarKind) []string {
+	v, ok := p.Vector(id)
 	if !ok {
 		return nil
 	}
 	var out []string
-	for _, actor := range p.Vocab.Actors() {
-		if v.Has(actor, field) {
+	for _, actor := range p.Vocab.actors {
+		if v.Get(actor, field, kind) {
 			out = append(out, actor)
 		}
 	}
@@ -105,9 +125,10 @@ func (p *PrivacyLTS) ActorsWhoHave(id lts.StateID, field string) []string {
 // generation order.
 func (p *PrivacyLTS) FindStates(pred func(StateVector) bool) []lts.StateID {
 	var out []lts.StateID
-	for _, id := range p.Graph.StateIDs() {
-		if pred(p.vectors[id]) {
-			out = append(out, id)
+	c := p.Graph.Compiled()
+	for s := range p.stores {
+		if pred(p.vectorAt(s)) {
+			out = append(out, c.StateAt(int32(s)))
 		}
 	}
 	return out
@@ -117,8 +138,8 @@ func (p *PrivacyLTS) FindStates(pred func(StateVector) bool) []lts.StateID {
 // fires (the change relative to the source state, used by the impact
 // computation of Section III-A).
 func (p *PrivacyLTS) ChangeOf(t lts.Transition) []Variable {
-	from, okFrom := p.vectors[t.From]
-	to, okTo := p.vectors[t.To]
+	from, okFrom := p.Vector(t.From)
+	to, okTo := p.Vector(t.To)
 	if !okFrom || !okTo {
 		return nil
 	}
@@ -127,23 +148,20 @@ func (p *PrivacyLTS) ChangeOf(t lts.Transition) []Variable {
 
 // PotentialTransitions returns the transitions the generator added beyond the
 // declared flows (policy-permitted reads), in insertion order.
-func (p *PrivacyLTS) PotentialTransitions() []lts.Transition {
-	var out []lts.Transition
-	for _, t := range p.Graph.Transitions() {
-		if label := LabelOf(t); label != nil && label.Potential {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+func (p *PrivacyLTS) PotentialTransitions() []lts.Transition { return p.transitionsWhere(true) }
 
 // DeclaredTransitions returns the transitions that correspond to declared
 // data-flow arrows.
-func (p *PrivacyLTS) DeclaredTransitions() []lts.Transition {
+func (p *PrivacyLTS) DeclaredTransitions() []lts.Transition { return p.transitionsWhere(false) }
+
+// transitionsWhere filters the transitions by their label's Potential flag
+// over the compiled view's per-edge labels, in insertion order.
+func (p *PrivacyLTS) transitionsWhere(potential bool) []lts.Transition {
+	v := p.Compiled()
 	var out []lts.Transition
-	for _, t := range p.Graph.Transitions() {
-		if label := LabelOf(t); label != nil && !label.Potential {
-			out = append(out, t)
+	for e, label := range v.labels {
+		if label != nil && label.Potential == potential {
+			out = append(out, v.Graph.TransitionAt(int32(e)))
 		}
 	}
 	return out
@@ -163,18 +181,20 @@ func (p *PrivacyLTS) DeclaredTransitions() []lts.Transition {
 // deltas no original transition performs.)
 func (p *PrivacyLTS) Minimized() (*PrivacyLTS, map[lts.StateID]lts.StateID) {
 	min, mapping := p.Graph.MinimizeRespecting(p.payloadKey)
+	reps := min.Compiled()
+	w := p.Vocab.wordsPerVec
 	q := &PrivacyLTS{
 		Model:    p.Model,
 		Vocab:    p.Vocab,
 		Graph:    min,
 		Warnings: p.Warnings,
-		vectors:  make(map[lts.StateID]StateVector, min.StateCount()),
-		stores:   make(map[lts.StateID]map[string]schema.FieldSet, min.StateCount()),
+		vecWords: make([]uint64, reps.NumStates()*w),
+		stores:   make([]map[string]schema.FieldSet, reps.NumStates()),
 	}
-	for orig, rep := range mapping {
-		if orig == rep {
-			q.vectors[rep] = p.vectors[rep]
-			q.stores[rep] = p.stores[rep]
+	for i := range q.stores {
+		if s, ok := p.dense(reps.StateAt(int32(i))); ok {
+			copy(q.vecWords[i*w:], p.vectorAt(s).words)
+			q.stores[i] = p.stores[s]
 		}
 	}
 	return q, mapping
@@ -184,9 +204,13 @@ func (p *PrivacyLTS) Minimized() (*PrivacyLTS, map[lts.StateID]lts.StateID) {
 // contents; states agreeing on it are interchangeable for every analysis in
 // this module.
 func (p *PrivacyLTS) payloadKey(id lts.StateID) string {
+	s, ok := p.dense(id)
+	if !ok {
+		return ""
+	}
 	var b strings.Builder
-	b.WriteString(p.vectors[id].Key())
-	storeMap := p.stores[id]
+	b.WriteString(p.vectorAt(s).Key())
+	storeMap := p.stores[s]
 	storeIDs := make([]string, 0, len(storeMap))
 	for sid := range storeMap {
 		if !storeMap[sid].IsEmpty() {
@@ -219,7 +243,7 @@ func (p *PrivacyLTS) Stats() Stats {
 	return Stats{
 		States:               p.Graph.StateCount(),
 		Transitions:          p.Graph.TransitionCount(),
-		PotentialTransitions: len(p.PotentialTransitions()),
+		PotentialTransitions: p.Compiled().potential,
 		StateVariables:       p.Vocab.NumVariables(),
 		Actors:               len(p.Vocab.Actors()),
 		Fields:               len(p.Vocab.Fields()),
@@ -252,7 +276,7 @@ func (p *PrivacyLTS) DOT(opts DOTOptions) string {
 	return p.Graph.DOT(lts.DOTOptions{
 		Name: name,
 		StateLabel: func(id lts.StateID) string {
-			vec := p.vectors[id]
+			vec, _ := p.Vector(id)
 			if opts.VerboseStates {
 				return fmt.Sprintf("%s\n%s", id, wrapVariables(vec.TrueVariables(), 3))
 			}
@@ -343,24 +367,17 @@ func (p *PrivacyLTS) MarshalJSON() ([]byte, error) {
 		Fields:    p.Vocab.Fields(),
 		Warnings:  p.Warnings,
 	}
-	for _, id := range p.Graph.StateIDs() {
-		vec := p.vectors[id]
+	for s, id := range p.Graph.StateIDs() {
 		js := jsonState{ID: string(id)}
-		for _, v := range vec.TrueVariables() {
+		for _, v := range p.vectorAt(s).TrueVariables() {
 			js.Variables = append(js.Variables, v.String())
 		}
-		storeMap := p.stores[id]
-		if len(storeMap) > 0 {
-			js.Stores = make(map[string][]string)
-			storeIDs := make([]string, 0, len(storeMap))
-			for sid := range storeMap {
-				storeIDs = append(storeIDs, sid)
-			}
-			sort.Strings(storeIDs)
-			for _, sid := range storeIDs {
-				if fs := storeMap[sid]; !fs.IsEmpty() {
-					js.Stores[sid] = fs.Names()
+		for sid, fs := range p.stores[s] {
+			if !fs.IsEmpty() {
+				if js.Stores == nil {
+					js.Stores = make(map[string][]string)
 				}
+				js.Stores[sid] = fs.Names()
 			}
 		}
 		doc.States = append(doc.States, js)

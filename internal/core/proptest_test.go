@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"privascope/internal/accesscontrol"
@@ -178,6 +179,9 @@ func TestPropMinimizedQuotientIsExact(t *testing.T) {
 			repVec, ok := q.Vector(rep)
 			if !ok || !origVec.Equal(repVec) {
 				t.Fatalf("seed %d: state %s merged into %s with a different privacy vector", seed, id, rep)
+			}
+			if id == rep && !reflect.DeepEqual(p.StoreMap(id), q.StoreMap(rep)) {
+				t.Fatalf("seed %d: representative %s lost its datastore contents in the quotient", seed, rep)
 			}
 			for _, d := range p.Model.Datastores {
 				origFS := p.StoreContents(id, d.ID)

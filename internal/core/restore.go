@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"privascope/internal/dataflow"
 	"privascope/internal/lts"
 	"privascope/internal/schema"
@@ -13,7 +11,9 @@ import (
 // generated PrivacyLTS into a binary artifact and rebuilds it on load without
 // re-running state-space exploration. They expose the per-state payloads the
 // struct otherwise keeps private — the raw vector words and the datastore
-// contents — and accept them back.
+// contents — and accept them back in the dense shape the struct holds them
+// in, so a loaded model and a generated one are the same object built the
+// same way.
 
 // Words returns the raw bit words of the vector, in ascending bit order. The
 // slice aliases the vector's storage and must be treated as read-only; a zero
@@ -24,38 +24,34 @@ func (s StateVector) Words() []uint64 { return s.words }
 // vocabulary occupies (at least 1).
 func (v *Vocabulary) WordsPerVector() int { return v.wordsPerVec }
 
-// VectorFromWords wraps raw bit words as a state vector of this vocabulary.
-// The words are retained, not copied — the model store's zero-copy path hands
-// in subslices of one mmap'd section. The length must match WordsPerVector
-// exactly.
-func (v *Vocabulary) VectorFromWords(words []uint64) (StateVector, error) {
-	if len(words) != v.wordsPerVec {
-		return StateVector{}, fmt.Errorf("core: vector has %d words, vocabulary needs %d", len(words), v.wordsPerVec)
-	}
-	return StateVector{words: words, vocab: v}, nil
-}
-
 // StoreMap returns the per-datastore contents of the given state. The map and
-// its field sets are the model's own bookkeeping and must be treated as
-// read-only; states without datastore contents return nil.
+// its field sets are the model's own bookkeeping, shared between states with
+// equal contents, and must be treated as read-only; states without datastore
+// contents return nil.
 func (p *PrivacyLTS) StoreMap(id lts.StateID) map[string]schema.FieldSet {
-	return p.stores[id]
+	s, ok := p.dense(id)
+	if !ok {
+		return nil
+	}
+	return p.stores[s]
 }
 
 // RestorePrivacyLTS assembles a PrivacyLTS from previously serialised parts:
 // the (caller-verified) data-flow model the artifact was generated from, the
-// vocabulary, the restored graph, and the per-state payload maps. The
-// arguments are retained, not copied. The compiled analysis view is built
-// lazily on first use, exactly as after generation.
+// vocabulary, the restored graph, and the per-state payloads indexed by the
+// graph's dense state index — vecWords holds vocab.WordsPerVector() words per
+// state back to back, stores one (possibly shared, possibly nil) map per
+// state. The arguments are retained, not copied: the model store's zero-copy
+// path hands in a vecWords that aliases an mmap'd section. The compiled
+// analysis view is built lazily on first use, exactly as after generation.
 func RestorePrivacyLTS(model *dataflow.Model, vocab *Vocabulary, graph *lts.LTS,
-	warnings []string, vectors map[lts.StateID]StateVector,
-	stores map[lts.StateID]map[string]schema.FieldSet) *PrivacyLTS {
+	warnings []string, vecWords []uint64, stores []map[string]schema.FieldSet) *PrivacyLTS {
 	return &PrivacyLTS{
 		Model:    model,
 		Vocab:    vocab,
 		Graph:    graph,
 		Warnings: warnings,
-		vectors:  vectors,
+		vecWords: vecWords,
 		stores:   stores,
 	}
 }

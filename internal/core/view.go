@@ -13,9 +13,8 @@ import (
 // otherwise re-derive per transition per profile, resolved once per model —
 // the TransitionLabel of every edge (no type assertions on the hot path) and
 // the profile-independent state-vector delta of every edge as dense
-// (actor index, field index, kind) triples, so an analysis never touches the
-// string-keyed vector maps or allocates Variable slices while walking the
-// model.
+// (actor index, field index, kind) triples, so an analysis never resolves a
+// state ID or allocates Variable slices while walking the model.
 //
 // A CompiledView is immutable and shared: PrivacyLTS.Compiled builds it at
 // most once per model (single-flighted), and the Engine's fingerprint-keyed
@@ -26,6 +25,7 @@ type CompiledView struct {
 	Graph *lts.Compiled
 
 	labels    []*TransitionLabel // per edge; nil for foreign label types
+	potential int                // edges whose label is a potential read
 	fieldsCSV []string           // per edge; the label's fields joined with ", "
 	changes   [][]EdgeChange     // per edge; the variables the edge newly sets
 	actors    []string           // vocabulary order (sorted)
@@ -96,16 +96,15 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 	// Labels are shared across edges (one per declared flow), so joined field
 	// lists are memoised per label pointer.
 	joined := make(map[*TransitionLabel]string)
-	// Dense state -> vector, so the per-edge delta never hits the map.
-	vecs := make([]StateVector, c.NumStates())
-	for i := range vecs {
-		vecs[i] = p.vectors[c.StateAt(int32(i))]
-	}
 	numFields := len(v.fields)
+	numVecs := int32(len(p.stores))
 	for e := 0; e < m; e++ {
 		tr := c.TransitionAt(int32(e))
 		if label, ok := tr.Label.(*TransitionLabel); ok {
 			v.labels[e] = label
+			if label.Potential {
+				v.potential++
+			}
 			csv, ok := joined[label]
 			if !ok {
 				csv = strings.Join(label.Fields, ", ")
@@ -114,11 +113,9 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 			v.fieldsCSV[e] = csv
 		}
 		// Matching ChangeOf: an edge whose source or target has no vector
-		// contributes no change (a zero StateVector marks a missing map
-		// entry).
-		to, from := vecs[c.To(int32(e))], vecs[c.From(int32(e))]
-		if to.vocab != nil && from.vocab != nil {
-			v.changes[e] = edgeChanges(to, from, numFields)
+		// contributes no change.
+		if to, from := c.To(int32(e)), c.From(int32(e)); to < numVecs && from < numVecs {
+			v.changes[e] = edgeChanges(p.vectorAt(int(to)), p.vectorAt(int(from)), numFields)
 		}
 	}
 	return v
@@ -126,7 +123,7 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 
 // edgeChanges extracts the newly-true variables of to relative to from as
 // dense index triples, in vocabulary bit order (matching
-// StateVector.NewlyTrue). Both vectors must be present (non-zero).
+// StateVector.NewlyTrue).
 func edgeChanges(to, from StateVector, numFields int) []EdgeChange {
 	if numFields == 0 {
 		return nil

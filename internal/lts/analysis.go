@@ -2,6 +2,7 @@ package lts
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -305,44 +306,40 @@ func (l *LTS) MinimizeRespecting(classOf func(StateID) string) (*LTS, map[StateI
 		}
 	}
 
-	// Representative of each block: the first state in insertion order.
-	repOf := make([]StateID, numBlocks)
-	repSet := make([]bool, numBlocks)
+	// Blocks are numbered by first encounter, so block b's representative —
+	// its first state in insertion order — is the b-th state to open a block,
+	// and the quotient is already in dense form for FromParts.
+	reps := make([]StateID, 0, numBlocks)
+	props := make([]map[string]string, 0, numBlocks)
 	mapping := make(map[StateID]StateID, n)
 	for i := 0; i < n; i++ {
-		b := block[i]
-		if !repSet[b] {
-			repSet[b] = true
-			repOf[b] = c.states[i]
+		if int(block[i]) == len(reps) {
+			reps = append(reps, c.states[i])
+			props = append(props, maps.Clone(l.propsAt(i)))
 		}
-		mapping[c.states[i]] = repOf[b]
-	}
-
-	min := New()
-	for i := 0; i < n; i++ {
-		id := c.states[i]
-		if mapping[id] == id {
-			min.AddState(id, l.states[id].Props)
-		}
-	}
-	if l.hasInitial {
-		min.SetInitial(mapping[l.initial])
+		mapping[c.states[i]] = reps[block[i]]
 	}
 	// Quotient transitions, deduplicated by (source block, target block,
-	// label) with the first insertion-order occurrence winning — exactly what
-	// AddTransition's per-edge duplicate scan used to compute, without
-	// re-rendering any label.
+	// label) with the first insertion-order occurrence winning.
 	type quotientEdge struct{ from, to, label int32 }
 	added := make(map[quotientEdge]bool, len(c.trs))
+	var edges []BulkEdge
 	for e := range c.trs {
 		k := quotientEdge{block[c.edgeFrom[e]], block[c.edgeTo[e]], c.edgeLabel[e]}
-		if added[k] {
-			continue
+		if !added[k] {
+			added[k] = true
+			edges = append(edges, BulkEdge{From: k.from, To: k.to, Label: c.trs[e].Label})
 		}
-		added[k] = true
-		t := c.trs[e]
-		min.AddTransitionUnchecked(mapping[t.From], mapping[t.To], t.Label)
 	}
+	initial := -1
+	if c.initial >= 0 {
+		initial = int(block[c.initial])
+	}
+	min, err := FromParts(reps, initial, edges)
+	if err != nil {
+		panic(err) // unreachable: representatives are distinct states of l
+	}
+	min.props = props
 	return min, mapping
 }
 

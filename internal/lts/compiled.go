@@ -1,27 +1,30 @@
 package lts
 
+import "reflect"
+
 // Compiled is an immutable, cache-friendly compilation of an LTS: states are
-// renumbered to dense int32 indices (in insertion order), every distinct
-// label string is interned into a table exactly once, and the transitions are
-// laid out twice in compressed-sparse-row (CSR) form — grouped by source for
-// outgoing traversal and by target for incoming traversal — as flat []int32
-// slices of transition indices. Every graph analysis in this package
-// (reachability, shortest witness traces, simple-path enumeration,
-// minimisation) runs on the compiled form: integer-indexed BFS/DFS over
-// slices with bitset visited sets, no map lookups and no label rendering on
-// the hot path.
+// dense int32 indices (in insertion order), every distinct label string is
+// interned into a table exactly once, and the transitions are laid out twice
+// in compressed-sparse-row (CSR) form — grouped by source for outgoing
+// traversal and by target for incoming traversal — as flat []int32 slices of
+// transition indices. Every graph analysis in this package (reachability,
+// shortest witness traces, simple-path enumeration, minimisation) and the
+// LTS's own Outgoing/Incoming run on the compiled form: integer-indexed
+// BFS/DFS over slices with bitset visited sets, no map lookups and no label
+// rendering on the hot path.
 //
-// A Compiled is a snapshot: it references the transitions the LTS held when
-// Compile ran and never observes later mutations. The LTS caches its own
-// compiled view (see LTS.Compiled) and invalidates it on mutation, so
-// analyses transparently recompile after the builder changes. All methods are
-// safe for concurrent use.
+// A Compiled is a snapshot: it shares the LTS's ID index, state list and
+// transitions as they were when it was taken and never observes later
+// mutations (the LTS copies before it writes, see LTS.edit). The LTS caches
+// its compiled view (see LTS.Compiled) and drops it on mutation, so analyses
+// transparently recompile after the builder changes. All methods are safe for
+// concurrent use.
 type Compiled struct {
 	states  []StateID         // dense index -> state ID, insertion order
-	ids     map[StateID]int32 // state ID -> dense index
+	ids     map[StateID]int32 // state ID -> dense index; the LTS's own map
 	initial int32             // dense initial state, -1 when unset
 
-	trs []Transition // snapshot of the source transitions, insertion order
+	trs []Transition // the source transitions, insertion order
 
 	labels    []Label  // interned label table; labels[i] is the first Label seen rendering labelStrs[i]
 	labelStrs []string // labelStrs[i] == labels[i].LabelString() (resolved once, at compile time)
@@ -37,54 +40,78 @@ type Compiled struct {
 	maxOutDegree int
 }
 
-// Compile builds the CSR form of the LTS. Each distinct label string is
-// rendered exactly once into the interned table; analyses on the compiled
-// form never call LabelString again.
+// Compile builds the CSR form of the LTS and caches it as the LTS's current
+// view. Each distinct label is rendered exactly once into the interned table;
+// analyses on the compiled form never call LabelString again.
 func Compile(l *LTS) *Compiled {
 	n := len(l.order)
 	m := len(l.transitions)
 	c := &Compiled{
-		states:  append([]StateID(nil), l.order...),
-		ids:     make(map[StateID]int32, n),
-		initial: -1,
-		// Full-capacity reslice: later appends to the builder's slice can
+		// Full-capacity reslices: later appends to the builder's slices can
 		// never write into this snapshot's window.
-		trs:       l.transitions[:m:m],
-		edgeLabel: make([]int32, m),
-		edgeFrom:  make([]int32, m),
-		edgeTo:    make([]int32, m),
-		outOff:    make([]int32, n+1),
-		inOff:     make([]int32, n+1),
-	}
-	for i, id := range c.states {
-		c.ids[id] = int32(i)
+		states:   l.order[:n:n],
+		ids:      l.index,
+		initial:  -1,
+		trs:      l.transitions[:m:m],
+		edgeFrom: make([]int32, m),
+		edgeTo:   make([]int32, m),
 	}
 	if l.hasInitial {
 		c.initial = c.ids[l.initial]
 	}
-
-	labelIDs := make(map[string]int32)
 	for i := range c.trs {
-		t := &c.trs[i]
-		c.edgeFrom[i] = c.ids[t.From]
-		c.edgeTo[i] = c.ids[t.To]
-		str := ""
-		if t.Label != nil {
-			str = t.Label.LabelString()
+		c.edgeFrom[i] = c.ids[c.trs[i].From]
+		c.edgeTo[i] = c.ids[c.trs[i].To]
+	}
+	c.internLabels()
+	c.buildCSR()
+	l.compiled.Store(c)
+	return c
+}
+
+// internLabels derives the label table and the per-edge label index from the
+// transitions: labels intern by rendered string in first-occurrence order,
+// the table keeps the first Label value seen per string, and nil interns as
+// "". A label object is rendered once, then found again by identity
+// (generated models share one object per distinct label).
+func (c *Compiled) internLabels() {
+	c.labels, c.labelStrs = nil, nil
+	c.edgeLabel = make([]int32, len(c.trs))
+	byStr := make(map[string]int32)
+	byObject := make(map[Label]int32)
+	for i := range c.trs {
+		label := c.trs[i].Label
+		// Only comparable label types can key a map.
+		hashable := label != nil && reflect.TypeOf(label).Comparable()
+		if hashable {
+			if lid, ok := byObject[label]; ok {
+				c.edgeLabel[i] = lid
+				continue
+			}
 		}
-		lid, ok := labelIDs[str]
+		str := labelString(label)
+		lid, ok := byStr[str]
 		if !ok {
 			lid = int32(len(c.labels))
-			labelIDs[str] = lid
-			c.labels = append(c.labels, t.Label)
+			byStr[str] = lid
+			c.labels = append(c.labels, label)
 			c.labelStrs = append(c.labelStrs, str)
+		}
+		if hashable {
+			byObject[label] = lid
 		}
 		c.edgeLabel[i] = lid
 	}
+}
 
-	// Counting sort into CSR: one pass to count degrees, a prefix sum, and a
-	// stable fill (ascending transition index preserves insertion order
-	// within each source/target).
+// buildCSR lays the transitions out in both CSR directions from edgeFrom and
+// edgeTo — the one counting sort of the package: a pass to count degrees, a
+// prefix sum, and a stable fill (ascending transition index preserves
+// insertion order within each source/target).
+func (c *Compiled) buildCSR() {
+	n, m := len(c.states), len(c.trs)
+	c.outOff = make([]int32, n+1)
+	c.inOff = make([]int32, n+1)
 	for i := 0; i < m; i++ {
 		c.outOff[c.edgeFrom[i]+1]++
 		c.inOff[c.edgeTo[i]+1]++
@@ -107,7 +134,6 @@ func Compile(l *LTS) *Compiled {
 		c.inEdges[inNext[to]] = int32(i)
 		inNext[to]++
 	}
-	return c
 }
 
 // NumStates returns the number of states.

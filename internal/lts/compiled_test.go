@@ -149,7 +149,8 @@ func TestCompiledRoundTrip(t *testing.T) {
 }
 
 // TestCompiledCachedAndInvalidated checks the builder-side cache: repeated
-// calls share one compiled view, and any mutation invalidates it.
+// calls share one compiled view, any mutation invalidates it, and no mutation
+// reaches a view taken earlier.
 func TestCompiledCachedAndInvalidated(t *testing.T) {
 	l := New()
 	l.SetInitial("s0")
@@ -174,6 +175,116 @@ func TestCompiledCachedAndInvalidated(t *testing.T) {
 	init, ok := l.Compiled().InitialIndex()
 	if !ok || l.Compiled().StateAt(init) != "s1" {
 		t.Fatal("Compiled not invalidated by SetInitial")
+	}
+
+	// A Compiled shares its LTS's ID index, so every way an LTS comes to hold
+	// a view — born with it in bulk, or compiling on demand — must copy before
+	// the next write. A reader keeps querying the snapshot while the LTS is
+	// mutated; under -race a write into shared storage fails the test even
+	// where the values happen to agree.
+	builderBorn := buildRestoreFixture()
+	bulkBorn, err := FromParts(bulkParts(builderBorn.Compiled()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabeled, err := bulkBorn.Relabeled(make([]Label, bulkBorn.TransitionCount()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, l := range map[string]*LTS{"builder-born": builderBorn, "bulk-born": bulkBorn, "relabeled": relabeled} {
+		snap := l.Compiled()
+		want := snap.Parts()
+		for _, field := range []*[]int32{&want.EdgeLabel, &want.EdgeFrom, &want.EdgeTo, &want.OutOff, &want.OutEdges, &want.InOff, &want.InEdges} {
+			*field = append([]int32(nil), *field...)
+		}
+		want.States = append([]StateID(nil), want.States...)
+		want.Trs = append([]Transition(nil), want.Trs...)
+
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, ok := snap.Index("island"); ok {
+					t.Errorf("%s: snapshot resolves a state added after it was taken", name)
+					return
+				}
+				snap.Out(0)
+				snap.TransitionAt(0)
+			}
+		}()
+		l.AddState("island", map[string]string{"k": "v"})
+		l.AddTransition("island", "s0", StringLabel("back"))
+		l.AddTransition("s0", "s1", StringLabel("shared")) // duplicate unless relabeled: scans the derived out lists
+		l.AddTransitionUnchecked("s0", "island", nil)
+		l.SetInitial("island")
+		close(stop)
+		<-done
+
+		if !reflect.DeepEqual(snap.Parts(), want) {
+			t.Errorf("%s: snapshot changed under mutation", name)
+		}
+		if init, ok := snap.InitialIndex(); !ok || snap.StateAt(init) != "s0" {
+			t.Errorf("%s: snapshot initial state moved", name)
+		}
+		c := l.Compiled()
+		if c == snap || c.NumStates() != 5 {
+			t.Errorf("%s: mutated LTS compiles to %d states, want a fresh view of 5", name, c.NumStates())
+		}
+		added, addedFromS0 := 2, 1
+		if name == "relabeled" { // its s0->s1 edges carry nil labels, so "shared" is new
+			added, addedFromS0 = 3, 2
+		}
+		if c.NumEdges() != snap.NumEdges()+added {
+			t.Errorf("%s: mutated LTS has %d edges, want %d", name, c.NumEdges(), snap.NumEdges()+added)
+		}
+		if got, want := len(l.Outgoing("s0")), len(snap.Out(0))+addedFromS0; got != want {
+			t.Errorf("%s: Outgoing(s0) has %d transitions, want %d", name, got, want)
+		}
+		if st, ok := l.State("island"); !ok || st.Props["k"] != "v" {
+			t.Errorf("%s: State(island) = %+v, %v", name, st, ok)
+		}
+	}
+}
+
+// countingLabel counts how often it is rendered.
+type countingLabel struct {
+	str   string
+	calls int
+}
+
+func (c *countingLabel) LabelString() string { c.calls++; return c.str }
+
+// TestLabelsRenderedOncePerObject: building a graph in bulk renders each
+// distinct label object exactly once however many transitions share it, and
+// nothing that reads the compiled view renders it again.
+func TestLabelsRenderedOncePerObject(t *testing.T) {
+	labels := []*countingLabel{{str: "a"}, {str: "b"}, {str: "a"}} // two objects render alike
+	ids := []StateID{"s0", "s1", "s2", "s3"}
+	var edges []BulkEdge
+	for i := 0; i < 60; i++ {
+		edges = append(edges, BulkEdge{From: int32(i % 4), To: int32((i + 1) % 4), Label: labels[i%3]})
+	}
+	l, err := FromParts(ids, 0, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := l.Compiled()
+	if c.NumLabels() != 2 || c.Label(0) != Label(labels[0]) {
+		t.Fatalf("label table has %d entries led by %v, want 2 led by the first object", c.NumLabels(), c.Label(0))
+	}
+	l.Stats() //nolint:errcheck // only the rendering count matters here
+	l.LabelHistogram()
+	l.IsDeterministic()
+	l.DOT(DOTOptions{})
+	for i, label := range labels {
+		if label.calls != 1 {
+			t.Errorf("label object %d rendered %d times, want 1", i, label.calls)
+		}
 	}
 }
 

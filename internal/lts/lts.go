@@ -8,11 +8,19 @@
 // about what states and labels mean: package core layers the privacy
 // semantics (state variables, actions, extraction rules) on top of it, and
 // the analyses in packages risk and pseudorisk annotate it.
+//
+// There is one representation: states are dense int32 indices in insertion
+// order behind a single StateID -> index map, per-state data is a slice over
+// that index, and adjacency is the CSR layout of the Compiled view, which
+// shares the map. An LTS built edge by edge compiles on first use; one built
+// in bulk (FromParts, RestoreLTS, Relabeled) is born compiled.
 package lts
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -39,7 +47,7 @@ var _ Label = StringLabel("")
 
 // State is a node of the LTS. Props holds small display-oriented annotations;
 // richer per-state data (such as the privacy state vector) is kept by the
-// layer that builds the LTS, keyed by the state ID.
+// layer that builds the LTS, indexed by the state's dense index (Compiled.Index).
 type State struct {
 	ID StateID
 	// Props are optional display annotations (e.g. "phase": "after-care").
@@ -53,13 +61,18 @@ type Transition struct {
 	Label Label
 }
 
+// labelString renders a label; nil renders "".
+func labelString(label Label) string {
+	if label == nil {
+		return ""
+	}
+	return label.LabelString()
+}
+
 // String renders the transition for traces and error messages, e.g.
 // "s0 --[collect(name)]--> s1".
 func (t Transition) String() string {
-	label := ""
-	if t.Label != nil {
-		label = t.Label.LabelString()
-	}
+	label := labelString(t.Label)
 	var b strings.Builder
 	b.Grow(len(t.From) + len(label) + len(t.To) + len(" --[") + len("]--> "))
 	b.WriteString(string(t.From))
@@ -76,16 +89,18 @@ func (t Transition) String() string {
 type LTS struct {
 	initial     StateID
 	hasInitial  bool
-	states      map[StateID]State
-	order       []StateID // insertion order, for deterministic iteration
+	index       map[StateID]int32   // the one ID -> dense index map, shared with Compiled views
+	order       []StateID           // dense index -> ID, insertion order
+	props       []map[string]string // dense index -> props; may be shorter than order
 	transitions []Transition
-	outgoing    map[StateID][]int // state -> indices into transitions
-	incoming    map[StateID][]int
+	// out lists each state's outgoing transition indices for AddTransition's
+	// duplicate scan; a bulk-born graph has none until edit derives it.
+	out [][]int32
 
-	// compiled caches the CSR view every analysis runs on; mutators reset it.
-	// Concurrent readers may race to compile, which is harmless (both results
-	// are identical snapshots); mutation concurrent with reads is already
-	// excluded by the LTS contract.
+	// compiled caches the CSR view every analysis and adjacency query runs
+	// on; mutators reset it. Concurrent readers may race to compile, which is
+	// harmless (both results are identical snapshots); mutation concurrent
+	// with reads is already excluded by the LTS contract.
 	compiled atomic.Pointer[Compiled]
 }
 
@@ -96,55 +111,64 @@ func (l *LTS) Compiled() *Compiled {
 	if c := l.compiled.Load(); c != nil {
 		return c
 	}
-	c := Compile(l)
-	l.compiled.Store(c)
-	return c
+	return Compile(l)
 }
 
-// invalidate drops the cached compiled view after a mutation.
-func (l *LTS) invalidate() { l.compiled.Store(nil) }
+// edit readies the LTS for a mutation. A cached view shares the index map
+// (and, through Relabeled, the props slice), so they are copied and the view
+// dropped; order and transitions are shared at full capacity, so appending
+// never writes into a snapshot.
+func (l *LTS) edit() {
+	c := l.compiled.Load()
+	if c == nil {
+		return
+	}
+	l.index = maps.Clone(l.index)
+	l.props = slices.Clone(l.props)
+	if len(l.out) < len(l.order) { // bulk-born: the CSR is the only adjacency so far
+		l.out = make([][]int32, len(l.order))
+		for s := range l.out {
+			l.out[s] = slices.Clip(c.Out(int32(s)))
+		}
+	}
+	l.compiled.Store(nil)
+}
 
 // New returns an empty LTS.
 func New() *LTS {
-	return &LTS{
-		states:   make(map[StateID]State),
-		outgoing: make(map[StateID][]int),
-		incoming: make(map[StateID][]int),
-	}
+	return &LTS{index: make(map[StateID]int32)}
 }
 
 // AddState adds a state. Adding an existing ID merges the props.
 func (l *LTS) AddState(id StateID, props map[string]string) {
-	if existing, ok := l.states[id]; ok {
-		if len(props) > 0 {
-			if existing.Props == nil {
-				existing.Props = make(map[string]string, len(props))
-			}
-			for k, v := range props {
-				existing.Props[k] = v
-			}
-			l.states[id] = existing
-		}
+	s, exists := l.index[id]
+	if exists && len(props) == 0 {
 		return
 	}
-	s := State{ID: id}
-	if len(props) > 0 {
-		s.Props = make(map[string]string, len(props))
-		for k, v := range props {
-			s.Props[k] = v
-		}
+	l.edit()
+	if !exists {
+		s = int32(len(l.order))
+		l.index[id] = s
+		l.order = append(l.order, id)
+		l.out = append(l.out, nil)
 	}
-	l.states[id] = s
-	l.order = append(l.order, id)
-	l.invalidate()
+	if len(props) > 0 {
+		for int(s) >= len(l.props) {
+			l.props = append(l.props, nil)
+		}
+		if l.props[s] == nil {
+			l.props[s] = make(map[string]string, len(props))
+		}
+		maps.Copy(l.props[s], props)
+	}
 }
 
 // SetInitial marks the initial state, adding it if necessary.
 func (l *LTS) SetInitial(id StateID) {
 	l.AddState(id, nil)
+	l.edit()
 	l.initial = id
 	l.hasInitial = true
-	l.invalidate()
 }
 
 // Initial returns the initial state ID; ok is false if none was set.
@@ -152,14 +176,26 @@ func (l *LTS) Initial() (StateID, bool) { return l.initial, l.hasInitial }
 
 // HasState reports whether the state exists.
 func (l *LTS) HasState(id StateID) bool {
-	_, ok := l.states[id]
+	_, ok := l.index[id]
 	return ok
 }
 
 // State returns the state with the given ID.
 func (l *LTS) State(id StateID) (State, bool) {
-	s, ok := l.states[id]
-	return s, ok
+	s, ok := l.index[id]
+	if !ok {
+		return State{}, false
+	}
+	return State{ID: id, Props: l.propsAt(int(s))}, true
+}
+
+// propsAt returns the props of the state at the dense index, nil when it has
+// none.
+func (l *LTS) propsAt(s int) map[string]string {
+	if s < len(l.props) {
+		return l.props[s]
+	}
+	return nil
 }
 
 // AddTransition adds a labelled transition, creating missing endpoint states.
@@ -168,48 +204,31 @@ func (l *LTS) State(id StateID) (State, bool) {
 func (l *LTS) AddTransition(from, to StateID, label Label) {
 	l.AddState(from, nil)
 	l.AddState(to, nil)
-	labelStr := ""
-	if label != nil {
-		labelStr = label.LabelString()
-	}
-	for _, idx := range l.outgoing[from] {
-		t := l.transitions[idx]
-		if t.To != to {
-			continue
-		}
-		existing := ""
-		if t.Label != nil {
-			existing = t.Label.LabelString()
-		}
-		if existing == labelStr {
+	l.edit()
+	labelStr := labelString(label)
+	for _, idx := range l.out[l.index[from]] {
+		if t := l.transitions[idx]; t.To == to && labelString(t.Label) == labelStr {
 			return
 		}
 	}
-	l.transitions = append(l.transitions, Transition{From: from, To: to, Label: label})
-	idx := len(l.transitions) - 1
-	l.outgoing[from] = append(l.outgoing[from], idx)
-	l.incoming[to] = append(l.incoming[to], idx)
-	l.invalidate()
+	l.AddTransitionUnchecked(from, to, label)
 }
 
 // AddTransitionUnchecked appends a labelled transition without AddTransition's
 // duplicate scan (which renders the label of every parallel edge). Builders
-// that guarantee each (from, to, label) triple is produced at most once — such
-// as the privacy-LTS generator, which expands every state exactly once — use
-// it to keep the serial merge phase of parallel generation cheap. Missing
-// endpoint states are still created.
+// that guarantee each (from, to, label) triple is produced at most once use
+// it to keep construction cheap. Missing endpoint states are still created.
 func (l *LTS) AddTransitionUnchecked(from, to StateID, label Label) {
 	l.AddState(from, nil)
 	l.AddState(to, nil)
+	l.edit()
+	s := l.index[from]
+	l.out[s] = append(l.out[s], int32(len(l.transitions)))
 	l.transitions = append(l.transitions, Transition{From: from, To: to, Label: label})
-	idx := len(l.transitions) - 1
-	l.outgoing[from] = append(l.outgoing[from], idx)
-	l.incoming[to] = append(l.incoming[to], idx)
-	l.invalidate()
 }
 
 // StateCount returns the number of states.
-func (l *LTS) StateCount() int { return len(l.states) }
+func (l *LTS) StateCount() int { return len(l.order) }
 
 // TransitionCount returns the number of transitions.
 func (l *LTS) TransitionCount() int { return len(l.transitions) }
@@ -230,21 +249,22 @@ func (l *LTS) Transitions() []Transition {
 
 // Outgoing returns the transitions leaving the given state, in insertion
 // order.
-func (l *LTS) Outgoing(id StateID) []Transition {
-	idxs := l.outgoing[id]
-	out := make([]Transition, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, l.transitions[i])
-	}
-	return out
-}
+func (l *LTS) Outgoing(id StateID) []Transition { return l.adjacent(id, (*Compiled).Out) }
 
 // Incoming returns the transitions entering the given state.
-func (l *LTS) Incoming(id StateID) []Transition {
-	idxs := l.incoming[id]
-	out := make([]Transition, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, l.transitions[i])
+func (l *LTS) Incoming(id StateID) []Transition { return l.adjacent(id, (*Compiled).In) }
+
+// adjacent copies one CSR bucket of the state out as transitions.
+func (l *LTS) adjacent(id StateID, bucket func(*Compiled, int32) []int32) []Transition {
+	c := l.Compiled()
+	s, ok := c.ids[id]
+	if !ok {
+		return []Transition{}
+	}
+	edges := bucket(c, s)
+	out := make([]Transition, len(edges))
+	for i, e := range edges {
+		out[i] = c.trs[e]
 	}
 	return out
 }
@@ -416,7 +436,7 @@ func (l *LTS) Stats() (Stats, error) {
 // examples and debugging output.
 func (l *LTS) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "LTS: %d states, %d transitions\n", len(l.states), len(l.transitions))
+	fmt.Fprintf(&b, "LTS: %d states, %d transitions\n", len(l.order), len(l.transitions))
 	if l.hasInitial {
 		fmt.Fprintf(&b, "initial: %s\n", l.initial)
 	}

@@ -14,9 +14,9 @@ import (
 // over a map-keyed partition, with stability detected by block-count
 // equality.
 func minimizeReference(l *LTS) (*LTS, map[StateID]StateID) {
-	block := make(map[StateID]int, len(l.states))
+	block := make(map[StateID]int, l.StateCount())
 	for _, id := range l.order {
-		if len(l.outgoing[id]) == 0 {
+		if len(l.Outgoing(id)) == 0 {
 			block[id] = 1
 		} else {
 			block[id] = 0
@@ -31,9 +31,9 @@ func minimizeReference(l *LTS) (*LTS, map[StateID]StateID) {
 	}
 	for {
 		sigOf := func(id StateID) string {
-			parts := make([]string, 0, len(l.outgoing[id]))
-			for _, idx := range l.outgoing[id] {
-				t := l.transitions[idx]
+			outgoing := l.Outgoing(id)
+			parts := make([]string, 0, len(outgoing))
+			for _, t := range outgoing {
 				label := ""
 				if t.Label != nil {
 					label = t.Label.LabelString()
@@ -44,7 +44,7 @@ func minimizeReference(l *LTS) (*LTS, map[StateID]StateID) {
 			return fmt.Sprintf("%d|%s", block[id], strings.Join(parts, "\x01"))
 		}
 		sigBlocks := make(map[string]int)
-		newBlock := make(map[StateID]int, len(l.states))
+		newBlock := make(map[StateID]int, l.StateCount())
 		for _, id := range l.order {
 			sig := sigOf(id)
 			b, ok := sigBlocks[sig]
@@ -62,7 +62,7 @@ func minimizeReference(l *LTS) (*LTS, map[StateID]StateID) {
 	}
 
 	repOf := make(map[int]StateID)
-	mapping := make(map[StateID]StateID, len(l.states))
+	mapping := make(map[StateID]StateID, l.StateCount())
 	for _, id := range l.order {
 		b := block[id]
 		if _, ok := repOf[b]; !ok {
@@ -74,7 +74,7 @@ func minimizeReference(l *LTS) (*LTS, map[StateID]StateID) {
 	min := New()
 	for _, id := range l.order {
 		if mapping[id] == id {
-			s := l.states[id]
+			s, _ := l.State(id)
 			min.AddState(id, s.Props)
 		}
 	}

@@ -106,16 +106,11 @@ func (l *LTS) MarshalJSON() ([]byte, error) {
 	if l.hasInitial {
 		doc.Initial = string(l.initial)
 	}
-	for _, id := range l.order {
-		s := l.states[id]
-		doc.States = append(doc.States, jsonState{ID: string(id), Props: s.Props})
+	for s, id := range l.order {
+		doc.States = append(doc.States, jsonState{ID: string(id), Props: l.propsAt(s)})
 	}
 	for _, t := range l.transitions {
-		jt := jsonTransition{From: string(t.From), To: string(t.To)}
-		if t.Label != nil {
-			jt.Label = t.Label.LabelString()
-		}
-		doc.Transitions = append(doc.Transitions, jt)
+		doc.Transitions = append(doc.Transitions, jsonTransition{From: string(t.From), To: string(t.To), Label: labelString(t.Label)})
 	}
 	if st, err := l.Stats(); err == nil {
 		doc.Stats = map[string]int{
@@ -136,7 +131,7 @@ func (l *LTS) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("lts: parsing LTS document: %w", err)
 	}
 	// Rebuild into a fresh LTS and adopt its fields (the receiver's cached
-	// compiled view cannot be copied, only invalidated).
+	// compiled view cannot be copied, only dropped).
 	fresh := New()
 	for _, s := range doc.States {
 		fresh.AddState(StateID(s.ID), s.Props)
@@ -149,12 +144,12 @@ func (l *LTS) UnmarshalJSON(data []byte) error {
 	}
 	l.initial = fresh.initial
 	l.hasInitial = fresh.hasInitial
-	l.states = fresh.states
+	l.index = fresh.index
 	l.order = fresh.order
+	l.props = fresh.props
 	l.transitions = fresh.transitions
-	l.outgoing = fresh.outgoing
-	l.incoming = fresh.incoming
-	l.invalidate()
+	l.out = fresh.out
+	l.compiled.Store(nil)
 	return nil
 }
 

@@ -163,42 +163,15 @@ func checkCSR(name string, off, edges, endpoint []int32) error {
 	return nil
 }
 
-// RestoreLTS rebuilds a fully functional builder LTS around a restored
-// compiled view: the state map, insertion order, transition list and
-// per-state adjacency of a New()+AddTransition construction, with the
-// compiled view pre-seeded so the first analysis never recompiles (and never
-// re-renders a label). The LTS is immediately usable by every consumer —
-// traversals, DOT rendering, JSON serialisation — and, like any built LTS, is
-// safe for concurrent readers.
+// RestoreLTS wraps a compiled view in an LTS born with that view in place, so
+// the first analysis never recompiles (and never re-renders a label). The LTS
+// shares the view's ID index, state list and transitions — nothing is
+// allocated per state — and is immediately usable by every consumer:
+// traversals, DOT rendering, JSON serialisation, and, copying first, the
+// mutators. Like any built LTS it is safe for concurrent readers.
 func RestoreLTS(c *Compiled) *LTS {
-	n := len(c.states)
-	l := &LTS{
-		states:      make(map[StateID]State, n),
-		order:       append([]StateID(nil), c.states...),
-		transitions: c.trs,
-		outgoing:    make(map[StateID][]int, n),
-		incoming:    make(map[StateID][]int, n),
-	}
-	for _, id := range c.states {
-		l.states[id] = State{ID: id}
-	}
-	for s := 0; s < n; s++ {
-		id := c.states[s]
-		if out := c.Out(int32(s)); len(out) > 0 {
-			idxs := make([]int, len(out))
-			for i, e := range out {
-				idxs[i] = int(e)
-			}
-			l.outgoing[id] = idxs
-		}
-		if in := c.In(int32(s)); len(in) > 0 {
-			idxs := make([]int, len(in))
-			for i, e := range in {
-				idxs[i] = int(e)
-			}
-			l.incoming[id] = idxs
-		}
-	}
+	n, m := len(c.states), len(c.trs)
+	l := &LTS{index: c.ids, order: c.states[:n:n], transitions: c.trs[:m:m]}
 	if c.initial >= 0 {
 		l.initial = c.states[c.initial]
 		l.hasInitial = true

@@ -21,50 +21,107 @@ func buildRestoreFixture() *LTS {
 	return l
 }
 
+// bulkParts returns the inputs of FromParts that reproduce the compiled LTS.
+func bulkParts(c *Compiled) ([]StateID, int, []BulkEdge) {
+	p := c.Parts()
+	edges := make([]BulkEdge, len(p.Trs))
+	for e, tr := range p.Trs {
+		edges[e] = BulkEdge{From: p.EdgeFrom[e], To: p.EdgeTo[e], Label: tr.Label}
+	}
+	return append([]StateID(nil), p.States...), int(p.Initial), edges
+}
+
+// TestRestoreCompiledRoundTrip: every bulk constructor — RestoreLTS over
+// restored parts, FromParts over the dense lists, Relabeled with the same
+// labels — yields an LTS indistinguishable from the builder-born original,
+// born with its compiled view in place.
 func TestRestoreCompiledRoundTrip(t *testing.T) {
 	orig := buildRestoreFixture()
-	parts := orig.Compiled().Parts()
-
-	restored, err := RestoreCompiled(parts)
-	if err != nil {
-		t.Fatalf("RestoreCompiled: %v", err)
+	builders := map[string]func() (*LTS, error){
+		"RestoreLTS": func() (*LTS, error) {
+			restored, err := RestoreCompiled(orig.Compiled().Parts())
+			if err != nil {
+				return nil, err
+			}
+			l := RestoreLTS(restored)
+			if l.Compiled() != restored {
+				t.Errorf("restored LTS recompiled instead of adopting the restored view")
+			}
+			return l, nil
+		},
+		"FromParts": func() (*LTS, error) { return FromParts(bulkParts(orig.Compiled())) },
+		"Relabeled": func() (*LTS, error) {
+			labels := make([]Label, orig.TransitionCount())
+			for i, tr := range orig.Transitions() {
+				labels[i] = tr.Label
+			}
+			return orig.Relabeled(labels)
+		},
 	}
-	l := RestoreLTS(restored)
-
-	if got, want := l.String(), orig.String(); got != want {
-		t.Fatalf("restored LTS renders differently:\n%s\nvs\n%s", got, want)
-	}
-	if !reflect.DeepEqual(l.Transitions(), orig.Transitions()) {
-		t.Fatalf("restored transitions differ")
-	}
-	if !reflect.DeepEqual(l.StateIDs(), orig.StateIDs()) {
-		t.Fatalf("restored state order differs")
-	}
-	gotStats, err := l.Stats()
-	if err != nil {
-		t.Fatalf("restored Stats: %v", err)
-	}
-	wantStats, _ := orig.Stats()
-	if gotStats != wantStats {
-		t.Fatalf("restored stats %+v, want %+v", gotStats, wantStats)
-	}
-	for _, id := range orig.StateIDs() {
-		if !reflect.DeepEqual(l.Outgoing(id), orig.Outgoing(id)) {
-			t.Fatalf("outgoing of %s differs", id)
+	for name, build := range builders {
+		l, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(l.Incoming(id), orig.Incoming(id)) {
-			t.Fatalf("incoming of %s differs", id)
+		// The LTS must serve analyses without compiling: the view is there
+		// before anything asks for it.
+		born := l.compiled.Load()
+		if born == nil || l.Compiled() != born {
+			t.Fatalf("%s: LTS was not born with its compiled view", name)
+		}
+		if !reflect.DeepEqual(born.Parts(), orig.Compiled().Parts()) {
+			t.Fatalf("%s: compiled parts differ from the original's", name)
+		}
+		if got, want := l.String(), orig.String(); got != want {
+			t.Fatalf("%s: LTS renders differently:\n%s\nvs\n%s", name, got, want)
+		}
+		if !reflect.DeepEqual(l.Transitions(), orig.Transitions()) {
+			t.Fatalf("%s: transitions differ", name)
+		}
+		if !reflect.DeepEqual(l.StateIDs(), orig.StateIDs()) {
+			t.Fatalf("%s: state order differs", name)
+		}
+		gotStats, err := l.Stats()
+		if err != nil {
+			t.Fatalf("%s: Stats: %v", name, err)
+		}
+		wantStats, _ := orig.Stats()
+		if gotStats != wantStats {
+			t.Fatalf("%s: stats %+v, want %+v", name, gotStats, wantStats)
+		}
+		for _, id := range orig.StateIDs() {
+			if !l.HasState(id) {
+				t.Fatalf("%s: state %s missing", name, id)
+			}
+			if !reflect.DeepEqual(l.Outgoing(id), orig.Outgoing(id)) {
+				t.Fatalf("%s: outgoing of %s differs", name, id)
+			}
+			if !reflect.DeepEqual(l.Incoming(id), orig.Incoming(id)) {
+				t.Fatalf("%s: incoming of %s differs", name, id)
+			}
+		}
+		min, _ := orig.Minimize()
+		minBulk, _ := l.Minimize()
+		if got, want := minBulk.String(), min.String(); got != want {
+			t.Fatalf("%s: minimized LTS differs:\n%s\nvs\n%s", name, got, want)
 		}
 	}
-	// The restored LTS must serve analyses without recompiling: its compiled
-	// pointer is the restored snapshot itself.
-	if l.Compiled() != restored {
-		t.Fatalf("restored LTS recompiled instead of adopting the restored view")
-	}
-	min, _ := orig.Minimize()
-	minRestored, _ := l.Minimize()
-	if got, want := minRestored.String(), min.String(); got != want {
-		t.Fatalf("minimized restored LTS differs:\n%s\nvs\n%s", got, want)
+}
+
+// TestFromPartsRejectsBadInput: malformed dense input is an error, never a
+// panic.
+func TestFromPartsRejectsBadInput(t *testing.T) {
+	ids := []StateID{"a", "b"}
+	for name, build := range map[string]func() (*LTS, error){
+		"duplicate id":     func() (*LTS, error) { return FromParts([]StateID{"a", "a"}, 0, nil) },
+		"initial range":    func() (*LTS, error) { return FromParts(ids, 2, nil) },
+		"endpoint range":   func() (*LTS, error) { return FromParts(ids, 0, []BulkEdge{{From: 0, To: 2}}) },
+		"negative source":  func() (*LTS, error) { return FromParts(ids, -1, []BulkEdge{{From: -1, To: 0}}) },
+		"relabel mismatch": func() (*LTS, error) { return buildRestoreFixture().Relabeled(nil) },
+	} {
+		if _, err := build(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -53,7 +53,9 @@ type meta struct {
 // decode is the shared implementation. With zeroCopy set, flat int32/int64
 // sections alias the data (the caller guarantees the buffer outlives the
 // model — Store.Load never unmaps a successfully decoded artifact); otherwise
-// everything is copied out.
+// everything is copied out. Either way the sections go to lts.RestoreCompiled
+// and core.RestorePrivacyLTS as they are — the model's in-memory shape is the
+// artifact's — so no per-state map or adjacency list is rebuilt.
 func decode(data []byte, model *dataflow.Model, zeroCopy bool) (*core.PrivacyLTS, error) {
 	secs, err := parseSections(data)
 	if err != nil {
@@ -185,45 +187,39 @@ func decode(data []byte, model *dataflow.Model, zeroCopy bool) (*core.PrivacyLTS
 		warnings = append(warnings, w)
 	}
 
-	// Derive the interned label table exactly as Compile would have: first
-	// occurrence over the transitions, keyed by label-string content, with the
-	// first Label value encountered per string. Per-pointer memos keep the
-	// content map to one lookup per distinct pointer.
+	// Derive the interned label table exactly as lts does from transitions —
+	// by label string in first-occurrence order, with the first Label value per
+	// string and nil interning as "" — from each label's verified stored
+	// rendering. ptrLid memoises per distinct label; its last slot is nil's.
 	edgeLabel := make([]int32, mt.numEdges)
-	strIdx := make(map[string]int32, mt.numLabels+1)
-	ptrLid := make([]int32, mt.numLabels)
+	strLid := make(map[string]int32, mt.numLabels+1)
+	ptrLid := make([]int32, mt.numLabels+1)
 	for i := range ptrLid {
 		ptrLid[i] = -1
 	}
-	nilLid := int32(-1)
 	var labelVals []lts.Label
 	var labelStrs []string
-	intern := func(s string, val lts.Label) int32 {
-		if lid, ok := strIdx[s]; ok {
-			return lid
-		}
-		lid := int32(len(labelStrs))
-		strIdx[s] = lid
-		labelStrs = append(labelStrs, s)
-		labelVals = append(labelVals, val)
-		return lid
-	}
 	trs := make([]lts.Transition, mt.numEdges)
-	for e := 0; e < mt.numEdges; e++ {
-		var iface lts.Label
-		if ptr := edgeLabelPtr[e]; ptr < 0 {
-			if nilLid < 0 {
-				nilLid = intern("", nil)
-			}
-			edgeLabel[e] = nilLid
+	for e := range trs {
+		ptr, str := int(edgeLabelPtr[e]), ""
+		var label lts.Label
+		if ptr < 0 {
+			ptr = mt.numLabels
 		} else {
-			if ptrLid[ptr] < 0 {
-				ptrLid[ptr] = intern(labels[ptr].str, labels[ptr].label)
-			}
-			edgeLabel[e] = ptrLid[ptr]
-			iface = labels[ptr].label
+			label, str = labels[ptr].label, labels[ptr].str
 		}
-		trs[e] = lts.Transition{From: stateIDs[edgeFrom[e]], To: stateIDs[edgeTo[e]], Label: iface}
+		if ptrLid[ptr] < 0 {
+			lid, ok := strLid[str]
+			if !ok {
+				lid = int32(len(labelStrs))
+				strLid[str] = lid
+				labelStrs = append(labelStrs, str)
+				labelVals = append(labelVals, label)
+			}
+			ptrLid[ptr] = lid
+		}
+		edgeLabel[e] = ptrLid[ptr]
+		trs[e] = lts.Transition{From: stateIDs[edgeFrom[e]], To: stateIDs[edgeTo[e]], Label: label}
 	}
 
 	compiled, err := lts.RestoreCompiled(lts.CompiledParts{
@@ -243,23 +239,11 @@ func decode(data []byte, model *dataflow.Model, zeroCopy bool) (*core.PrivacyLTS
 	if err != nil {
 		return nil, corruptf("%v", err)
 	}
-	graph := lts.RestoreLTS(compiled)
-
-	vectors := make(map[lts.StateID]core.StateVector, mt.numStates)
-	for s, id := range stateIDs {
-		v, err := vocab.VectorFromWords(vecWords[s*mt.wordsPerVec : (s+1)*mt.wordsPerVec : (s+1)*mt.wordsPerVec])
-		if err != nil {
-			return nil, corruptf("%v", err)
-		}
-		vectors[id] = v
-	}
-
-	stores, err := parseStores(storeOff, recs, stateIDs, ref)
+	stores, err := parseStores(storeOff, recs, mt.numStates, ref)
 	if err != nil {
 		return nil, err
 	}
-
-	return core.RestorePrivacyLTS(model, vocab, graph, warnings, vectors, stores), nil
+	return core.RestorePrivacyLTS(model, vocab, lts.RestoreLTS(compiled), warnings, vecWords, stores), nil
 }
 
 // parseSections validates the header, checksum and section table and returns
@@ -471,9 +455,11 @@ func parseLabels(sec []byte, count int, ref func(uint32) (string, error)) ([]dec
 }
 
 // parseStores rebuilds the per-state datastore contents from the offset/
-// record layout, rejecting windows that do not parse exactly.
-func parseStores(storeOff, recs []uint32, stateIDs []lts.StateID, ref func(uint32) (string, error)) (map[lts.StateID]map[string]schema.FieldSet, error) {
-	n := len(stateIDs)
+// record layout, rejecting windows that do not parse exactly. Each distinct
+// record window is parsed once and its map shared by every state with that
+// window, as generation shares one map per distinct store image; a window
+// equal word for word to one already parsed has passed the same checks.
+func parseStores(storeOff, recs []uint32, n int, ref func(uint32) (string, error)) ([]map[string]schema.FieldSet, error) {
 	if storeOff[0] != 0 || uint64(storeOff[n]) != uint64(len(recs)) {
 		return nil, corruptf("store offsets span [%d, %d], records have %d words", storeOff[0], storeOff[n], len(recs))
 	}
@@ -488,43 +474,61 @@ func parseStores(storeOff, recs []uint32, stateIDs []lts.StateID, ref func(uint3
 			return nil, corruptf("store offset %d of state %d exceeds the %d record words", storeOff[s+1], s, len(recs))
 		}
 	}
-	stores := make(map[lts.StateID]map[string]schema.FieldSet, n)
+	stores := make([]map[string]schema.FieldSet, n)
+	parsed := make(map[string]map[string]schema.FieldSet)
+	var key []byte
 	for s := 0; s < n; s++ {
 		lo, hi := storeOff[s], storeOff[s+1]
 		if lo == hi {
 			continue
 		}
-		contents := make(map[string]schema.FieldSet)
-		for i := lo; i < hi; {
-			if hi-i < 2 {
-				return nil, corruptf("store record of state %d truncated", s)
-			}
-			name, err := ref(recs[i])
-			if err != nil {
+		key = key[:0]
+		for _, word := range recs[lo:hi] {
+			key = binary.LittleEndian.AppendUint32(key, word)
+		}
+		contents, ok := parsed[string(key)]
+		if !ok {
+			var err error
+			if contents, err = parseStoreWindow(recs[lo:hi], s, ref); err != nil {
 				return nil, err
 			}
-			fieldCount := recs[i+1]
-			i += 2
-			if fieldCount == 0 || fieldCount > hi-i {
-				return nil, corruptf("store %q of state %d claims %d fields, window has %d words", name, s, fieldCount, hi-i)
-			}
-			names := make([]string, fieldCount)
-			for k := range names {
-				f, err := ref(recs[i+uint32(k)])
-				if err != nil {
-					return nil, err
-				}
-				names[k] = f
-			}
-			i += fieldCount
-			if _, dup := contents[name]; dup {
-				return nil, corruptf("state %d lists store %q twice", s, name)
-			}
-			contents[name] = schema.NewFieldSet(names...)
+			parsed[string(key)] = contents
 		}
-		stores[stateIDs[s]] = contents
+		stores[s] = contents
 	}
 	return stores, nil
+}
+
+// parseStoreWindow parses one state's (store ref, field count, field refs...)
+// records.
+func parseStoreWindow(win []uint32, s int, ref func(uint32) (string, error)) (map[string]schema.FieldSet, error) {
+	contents := make(map[string]schema.FieldSet)
+	for len(win) > 0 {
+		if len(win) < 2 {
+			return nil, corruptf("store record of state %d truncated", s)
+		}
+		name, err := ref(win[0])
+		if err != nil {
+			return nil, err
+		}
+		fieldCount := win[1]
+		win = win[2:]
+		if fieldCount == 0 || uint64(fieldCount) > uint64(len(win)) {
+			return nil, corruptf("store %q of state %d claims %d fields, window has %d words", name, s, fieldCount, len(win))
+		}
+		names := make([]string, fieldCount)
+		for k := range names {
+			if names[k], err = ref(win[k]); err != nil {
+				return nil, err
+			}
+		}
+		win = win[fieldCount:]
+		if _, dup := contents[name]; dup {
+			return nil, corruptf("state %d lists store %q twice", s, name)
+		}
+		contents[name] = schema.NewFieldSet(names...)
+	}
+	return contents, nil
 }
 
 // matchVocab verifies the artifact's stored vocabulary against the one

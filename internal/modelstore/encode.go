@@ -7,7 +7,7 @@ import (
 
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
-	"privascope/internal/lts"
+	"privascope/internal/schema"
 )
 
 // Encode serialises a generated privacy model into a version-1 artifact. The
@@ -136,9 +136,9 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	recWords := uint32(0)
 	storeOffs.u32(0)
 	for _, id := range parts.States {
-		for _, name := range sortedStoreNames(p, id) {
-			fs := p.StoreMap(id)[name]
-			names := fs.Names()
+		storeMap := p.StoreMap(id)
+		for _, name := range sortedStoreNames(storeMap) {
+			names := storeMap[name].Names()
 			storeRecs.u32(in.ref(name))
 			storeRecs.u32(uint32(len(names)))
 			for _, f := range names {
@@ -201,10 +201,9 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	return assemble(payloads), nil
 }
 
-// sortedStoreNames returns the state's datastore names with non-empty
-// contents, sorted.
-func sortedStoreNames(p *core.PrivacyLTS, id lts.StateID) []string {
-	storeMap := p.StoreMap(id)
+// sortedStoreNames returns the datastore names with non-empty contents,
+// sorted.
+func sortedStoreNames(storeMap map[string]schema.FieldSet) []string {
 	names := make([]string, 0, len(storeMap))
 	for name, fs := range storeMap {
 		if !fs.IsEmpty() {

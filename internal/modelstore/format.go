@@ -4,7 +4,15 @@
 // privacy vectors and datastore contents — into a single versioned binary
 // artifact keyed by the model's dataflow.Fingerprint, and rebuilds the model
 // from the artifact without re-running state-space exploration (and without
-// re-rendering a single label string).
+// re-rendering a label string beyond the one check per distinct label).
+//
+// The sections are the model's in-memory representation — everything indexed
+// by dense state or transition number, one StateID -> index map per graph —
+// so decoding validates them and hands them to lts.RestoreCompiled,
+// lts.RestoreLTS and core.RestorePrivacyLTS as they are: the vector slab and
+// the CSR arrays whole, the datastore contents as one map per distinct
+// record window. A loaded model is the object generation builds, with its
+// graph born compiled; nothing is rebuilt state by state.
 //
 // The format is canonical and integrity-checked: every multi-byte value is
 // little-endian regardless of the writing host, encoding the same model

@@ -20,6 +20,7 @@ import (
 	"privascope/internal/proptest/scenario"
 	"privascope/internal/risk"
 	"privascope/internal/synth"
+	"privascope/internal/testutil"
 )
 
 // fixtureModel returns a deterministic mid-size model and its generated
@@ -116,6 +117,62 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	other := synth.Model(synth.ModelSpec{Services: 3})
 	if _, err := modelstore.Decode(data, other); err == nil {
 		t.Fatalf("Decode accepted an artifact from a different model")
+	}
+}
+
+// distinctStoreMaps counts the store-content maps the model's states hold, by
+// identity: states sharing one map count once, as do all states holding none.
+func distinctStoreMaps(p *core.PrivacyLTS) int {
+	seen := make(map[uintptr]bool)
+	for _, id := range p.States() {
+		seen[reflect.ValueOf(p.StoreMap(id)).Pointer()] = true
+	}
+	return len(seen)
+}
+
+// TestDecodeBuildsTheGeneratedShape: a decoded model is the object generation
+// builds, not a heavier copy — states share store-content maps exactly as
+// generated states do, decoding allocates no more than the same order of
+// objects as generating (it was ~15x), and the graph is born compiled. Run on
+// the benchmark's "large" model (15,625 states).
+func TestDecodeBuildsTheGeneratedShape(t *testing.T) {
+	m := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3})
+	p, err := core.Generate(m)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	if n := p.Graph.StateCount(); n < 10000 {
+		t.Fatalf("model has %d states, want at least 10000", n)
+	}
+	data, err := modelstore.Encode(p)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	decode := func() *core.PrivacyLTS {
+		d, err := modelstore.Decode(data, m)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		return d
+	}
+
+	if got, want := distinctStoreMaps(decode()), distinctStoreMaps(p); got != want || want >= p.Graph.StateCount()/10 {
+		t.Errorf("decoded states hold %d distinct store maps, generated states %d (of %d states)", got, want, p.Graph.StateCount())
+	}
+
+	generateAllocs := testing.AllocsPerRun(3, func() {
+		if _, err := core.Generate(m); err != nil {
+			t.Fatalf("generate: %v", err)
+		}
+	})
+	decodeAllocs := testing.AllocsPerRun(3, func() { decode() })
+	t.Logf("allocations: generate %.0f, decode %.0f", generateAllocs, decodeAllocs)
+	if decodeAllocs > 2*generateAllocs {
+		t.Errorf("Decode allocates %.0f objects, more than twice Generate's %.0f", decodeAllocs, generateAllocs)
+	}
+
+	if allocs := testutil.AllocsOnFresh(decode, func(d *core.PrivacyLTS) { d.Graph.Compiled() }); allocs != 0 {
+		t.Errorf("first Graph.Compiled() of a decoded model allocated %v objects; the graph was not born compiled", allocs)
 	}
 }
 
