@@ -11,7 +11,7 @@ BENCH ?= .
 BENCHTIME ?= 2s
 # The benchmarks CI smokes on every push: the headline number of each
 # subsystem plus the compiled-vs-reference pairs this PR introduced.
-SMOKE_BENCH = LTSGeneration|MonitorThroughput|ValueRiskPipeline|EngineAssessCached|AnalyzeCompiled|AnalyzeReference|MinimizeCompiled|MinimizeReference|ModelStoreLoad|ClusterIngest|ExploreSymmetry|ExploreIncremental
+SMOKE_BENCH = LTSGeneration|MonitorThroughput|ValueRiskPipeline|EngineAssessCached|AnalyzeCompiled|AnalyzeReference|MinimizeCompiled|MinimizeReference|ModelStoreLoad|ClusterIngest|ExploreSymmetry|ExploreIncremental|MembershipChange
 # BASELINE is the perf-gate reference. It must be a like-for-like snapshot:
 # per-op numbers from a 1-iteration smoke run include un-amortised setup, so
 # they can only be compared against another 1-iteration run — never against

@@ -696,3 +696,70 @@ func BenchmarkClusterIngest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMembershipChange times one live membership change — join, graceful
+// leave, eviction — on a 2-node local cluster holding a fixed registered
+// population, seal, chunked state handoff, ring swap and tear-down included.
+// The untimed half of each iteration undoes the change, so every timed change
+// starts from two nodes. ns/user is the change's wall time over the users it
+// moved (RouterStats.LastChange, the same record `privaserve -cluster`
+// prints).
+func BenchmarkMembershipChange(b *testing.B) {
+	p, err := privascope.Generate(casestudy.Surgery())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const users = 32768
+	profiles := make([]risk.UserProfile, users)
+	for i := range profiles {
+		profiles[i] = casestudy.PatientProfile()
+		profiles[i].ID = fmt.Sprintf("user-%d", i)
+	}
+	ctx := context.Background()
+	newest := func(c *cluster.Local) string { return c.Nodes[len(c.Nodes)-1].Name() }
+	changes := []struct {
+		name     string
+		do, undo func(c *cluster.Local) error
+	}{
+		{"join",
+			func(c *cluster.Local) error { _, err := c.AddNode(ctx); return err },
+			func(c *cluster.Local) error { return c.RemoveNode(ctx, newest(c)) }},
+		{"leave",
+			func(c *cluster.Local) error { return c.RemoveNode(ctx, newest(c)) },
+			func(c *cluster.Local) error { _, err := c.AddNode(ctx); return err }},
+		{"evict",
+			func(c *cluster.Local) error { return c.EvictNode(ctx, newest(c)) },
+			func(c *cluster.Local) error { _, err := c.AddNode(ctx); return err }},
+	}
+	for _, change := range changes {
+		b.Run(change.name, func(b *testing.B) {
+			c, err := cluster.StartLocal(p, 2, cluster.NodeConfig{}, cluster.RouterConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Stop(ctx)
+			if err := c.Router.Register(ctx, profiles); err != nil {
+				b.Fatal(err)
+			}
+			moved := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := change.do(c); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				moved += c.Router.Stats().LastChange.UsersMoved
+				if err := change.undo(c); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.StopTimer()
+			if moved == 0 {
+				b.Fatal("the timed changes moved no users")
+			}
+			b.ReportMetric(float64(moved)/float64(b.N), "users-moved/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/user")
+		})
+	}
+}

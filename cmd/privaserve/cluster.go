@@ -179,8 +179,10 @@ func replayEventsCluster(ctx context.Context, path string, c *cluster.Local, out
 
 // printMembershipStats summarizes the fault-tolerance counters after a run:
 // the ring epoch (how many membership changes happened), retry/dedup volume,
-// and how many user snapshots moved between nodes — split into planned
-// rebalances and failovers from a dead node's last snapshot.
+// and — when the fleet changed shape — how many user snapshots moved between
+// nodes, split into planned rebalances and failovers from a dead node's last
+// snapshot, with what the changes cost: how long sends were parked in total,
+// and what the last change moved and where its time went.
 func printMembershipStats(c *cluster.Local, out io.Writer) {
 	rs := c.Router.Stats()
 	var deduped, handoffIn, handoffOut, failoverIn int64
@@ -193,8 +195,17 @@ func printMembershipStats(c *cluster.Local, out io.Writer) {
 	}
 	fmt.Fprintf(out, "cluster: ring epoch %d; %d frames sent, %d retries, %d deduped, %d dropped\n",
 		rs.Epoch, rs.FramesSent, rs.Retries, deduped, rs.Dropped)
-	if handoffIn+handoffOut+failoverIn+rs.ReroutedEvents > 0 {
-		fmt.Fprintf(out, "cluster: handoff %d users out / %d in (%d via failover); %d events re-routed\n",
-			handoffOut, handoffIn, failoverIn, rs.ReroutedEvents)
+	if handoffIn+handoffOut+failoverIn+rs.ReroutedEvents+rs.Changes == 0 {
+		return
 	}
+	fmt.Fprintf(out, "cluster: handoff %d users out / %d in (%d via failover); %d events re-routed",
+		handoffOut, handoffIn, failoverIn, rs.ReroutedEvents)
+	if rs.Changes > 0 {
+		us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+		last := rs.LastChange
+		fmt.Fprintf(out, "; %d membership changes parked sends for %v; last: %s of %s at epoch %d moved %d users in %d chunks in %v (seal %v, handoff %v, teardown %v)",
+			rs.Changes, us(rs.Frozen), last.Kind, last.Node, last.Epoch, last.UsersMoved, last.Chunks,
+			us(last.Total), us(last.Seal), us(last.Handoff), us(last.Teardown))
+	}
+	fmt.Fprintln(out)
 }

@@ -5,6 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"privascope/internal/casestudy"
+	"privascope/internal/cluster"
+	"privascope/internal/core"
+	"privascope/internal/risk"
 )
 
 // clusterAlertSection extracts the sorted ALERT lines and the replay summary
@@ -66,5 +71,51 @@ func TestRunClusterReplayGoldenAcrossNodeCounts(t *testing.T) {
 	if outputs[1] != goldenClusterReplay {
 		t.Errorf("alert block does not match the golden transcript:\n--- got\n%s\n--- want\n%s",
 			outputs[1], goldenClusterReplay)
+	}
+}
+
+// TestMembershipSummaryReportsLastChange: a run without a membership change
+// keeps its one-line summary; after one, the handoff line says what the fleet
+// moved, how long sends were parked and where the last change's time went.
+func TestMembershipSummaryReportsLastChange(t *testing.T) {
+	generated, err := core.Generate(casestudy.Surgery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.StartLocal(generated, 2, cluster.NodeConfig{}, cluster.RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	defer c.Stop(ctx)
+	var profiles []risk.UserProfile
+	for i := 0; i < 64; i++ {
+		p := casestudy.PatientProfile()
+		p.ID = fmt.Sprintf("summary-user-%03d", i)
+		profiles = append(profiles, p)
+	}
+	if err := c.Router.Register(ctx, profiles); err != nil {
+		t.Fatal(err)
+	}
+	var before strings.Builder
+	printMembershipStats(c, &before)
+	if got := before.String(); strings.Count(got, "\n") != 1 || !strings.HasPrefix(got, "cluster: ring epoch 1;") {
+		t.Fatalf("summary before any change:\n%s", got)
+	}
+	if _, err := c.AddNode(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var after strings.Builder
+	printMembershipStats(c, &after)
+	last := c.Router.Stats().LastChange
+	for _, want := range []string{
+		"cluster: ring epoch 2;",
+		"1 membership changes parked sends for ",
+		fmt.Sprintf("last: join of node2 at epoch 2 moved %d users in %d chunks in ", last.UsersMoved, last.Chunks),
+		"(seal ", ", handoff ", ", teardown 0s)",
+	} {
+		if !strings.Contains(after.String(), want) {
+			t.Errorf("summary after a join is missing %q:\n%s", want, after.String())
+		}
 	}
 }

@@ -72,9 +72,22 @@ func (s *NodeServer) URL() string { return "http://" + s.listener.Addr().String(
 // Node returns the served node.
 func (s *NodeServer) Node() *Node { return s.node }
 
-// Stop shuts the server down and waits for the serve loop to exit.
+// Stop shuts the server down gracefully — in-flight requests finish — and
+// waits for the serve loop to exit.
 func (s *NodeServer) Stop(ctx context.Context) error {
 	err := s.server.Shutdown(ctx)
+	<-s.done
+	if err != nil {
+		return err
+	}
+	return s.err
+}
+
+// Close stops the server at once: the listener and every connection are
+// closed without waiting for requests in flight. It is for a node nobody
+// should be talking to any more — evicted as dead, or never joined.
+func (s *NodeServer) Close() error {
+	err := s.server.Close()
 	<-s.done
 	if err != nil {
 		return err
@@ -102,15 +115,9 @@ type Local struct {
 	// retired holds removed/evicted nodes: their monitors keep the alert
 	// history those nodes raised while they owned their users.
 	retired []*Node
-	// joining names the node a in-progress AddNode is handing off to, which
-	// is not yet in Nodes.
-	joining *joiningNode
-}
-
-// joiningNode is the name/URL of a node mid-join.
-type joiningNode struct {
-	name string
-	url  string
+	// joining is the server of the node an in-progress AddNode is handing off
+	// to, which is not yet in Nodes.
+	joining *NodeServer
 }
 
 // StartLocal builds and starts an n-node local cluster over the model.

@@ -232,6 +232,15 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 }
 
+// CloseIdleConnections forwards to the base transport, so an http.Client
+// built on the injector drops its pooled connections like one built on the
+// bare transport (the router does that when a node departs).
+func (t *Transport) CloseIdleConnections() {
+	if base, ok := t.base.(interface{ CloseIdleConnections() }); ok {
+		base.CloseIdleConnections()
+	}
+}
+
 // closeBody honors the RoundTripper contract for requests that never reach
 // the base transport: the body must be closed even on failure.
 func closeBody(req *http.Request) {

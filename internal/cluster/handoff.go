@@ -14,8 +14,9 @@ import (
 // The state-handoff wire format: a length-prefixed binary snapshot frame in
 // the PSEF idiom (little-endian regardless of host, canonical first-occurrence
 // string interning, whole-offset-array validation before any slicing). One
-// frame carries the UserSnapshots moving to one node in a membership change;
-// a /handoff request body is exactly one frame.
+// frame carries one chunk of the UserSnapshots moving to one node in a
+// membership change (encodeHandoffChunk cuts them); a /handoff request body is
+// exactly one frame.
 //
 //	header (16 bytes):
 //	  magic    [4]byte  "PSHO"
@@ -68,6 +69,14 @@ const MaxHandoffBytes = 8 << 20
 // more users in multiple frames.
 const MaxHandoffUsers = 1 << 16
 
+// handoffChunkBytes is the encoded size at which a membership change cuts a
+// chunk: a sixteenth of the frame bound, which at the format's design ratio
+// of MaxHandoffBytes/MaxHandoffUsers bytes per user is MaxHandoffUsers/16
+// users. Small enough that the next chunk encodes while this one is on the
+// wire and being imported and that no population can reach the per-frame
+// bounds, large enough that the per-request cost is noise.
+const handoffChunkBytes = MaxHandoffUsers / 16 * (MaxHandoffBytes / MaxHandoffUsers)
+
 // ErrHandoffVersion marks a structurally plausible handoff frame written by a
 // newer format version.
 var ErrHandoffVersion = errors.New("cluster: handoff frame written by a newer format version")
@@ -79,65 +88,96 @@ func badHandoff(format string, args ...any) error {
 
 // EncodeHandoff encodes the snapshots as one handoff frame.
 func EncodeHandoff(snaps []runtime.UserSnapshot) ([]byte, error) {
-	if len(snaps) == 0 {
-		return nil, fmt.Errorf("cluster: refusing to encode an empty handoff frame")
-	}
 	if len(snaps) > MaxHandoffUsers {
 		return nil, fmt.Errorf("cluster: %d snapshots exceed the %d-user handoff bound", len(snaps), MaxHandoffUsers)
+	}
+	frame, n, err := encodeHandoffChunk(snaps, MaxHandoffBytes)
+	if err != nil {
+		return nil, err
+	}
+	if n < len(snaps) {
+		return nil, fmt.Errorf("cluster: only %d of %d snapshots fit the %d-byte handoff frame bound", n, len(snaps), MaxHandoffBytes)
+	}
+	return frame, nil
+}
+
+// encodeHandoffChunk encodes the longest prefix of snaps whose frame stays
+// within maxBytes (and MaxHandoffUsers) and returns it with the prefix
+// length. A first snapshot larger than maxBytes still goes, alone, as long as
+// it fits MaxHandoffBytes: a chunk always makes progress.
+func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int, error) {
+	if len(snaps) == 0 {
+		return nil, 0, fmt.Errorf("cluster: refusing to encode an empty handoff frame")
 	}
 	enc := frameEncoder{intern: make(map[string]uint32, 64)}
 	enc.ref("")
 
 	// First pass: validate, intern in canonical first-occurrence order
 	// (sensitivity fields sorted — map order must not leak into the bytes)
-	// and size the record section.
-	sensFields := make([][]string, len(snaps))
-	recordsSize := 0
+	// and size the frame, stopping before the snapshot that would overflow.
+	// refs and sens keep each record's string refs and sensitivity values in
+	// record order, so the second pass writes without another lookup.
+	var (
+		refs   []uint32
+		sens   []float64
+		fields []string
+	)
+	n, blobSize, recordsSize, total := 0, 0, 0, 0
 	for i := range snaps {
 		s := &snaps[i]
 		if s.Profile.ID == "" {
-			return nil, fmt.Errorf("cluster: snapshot %d has no user ID", i)
+			return nil, 0, fmt.Errorf("cluster: snapshot %d has no user ID", i)
 		}
 		if s.Applied < 0 || s.Alerts < 0 {
-			return nil, fmt.Errorf("cluster: snapshot of user %q has negative cursors (applied %d, alerts %d)",
+			return nil, 0, fmt.Errorf("cluster: snapshot of user %q has negative cursors (applied %d, alerts %d)",
 				s.Profile.ID, s.Applied, s.Alerts)
 		}
 		if err := s.Profile.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: snapshot of user %q: %w", s.Profile.ID, err)
+			return nil, 0, fmt.Errorf("cluster: snapshot of user %q: %w", s.Profile.ID, err)
 		}
 		if len(s.Profile.ConsentedServices) > math.MaxUint16 || len(s.Profile.Sensitivities) > math.MaxUint16 {
-			return nil, fmt.Errorf("cluster: snapshot of user %q has too many services or sensitivities", s.Profile.ID)
+			return nil, 0, fmt.Errorf("cluster: snapshot of user %q has too many services or sensitivities", s.Profile.ID)
 		}
-		enc.ref(s.Profile.ID)
-		enc.ref(string(s.State))
+		strMark, refMark, sensMark := len(enc.strs), len(refs), len(sens)
+		refs = append(refs, enc.ref(s.Profile.ID), enc.ref(string(s.State)))
 		for _, svc := range s.Profile.ConsentedServices {
-			enc.ref(svc)
+			refs = append(refs, enc.ref(svc))
 		}
-		fields := make([]string, 0, len(s.Profile.Sensitivities))
+		fields = fields[:0]
 		for f := range s.Profile.Sensitivities {
 			fields = append(fields, f)
 		}
 		sort.Strings(fields)
 		for _, f := range fields {
-			enc.ref(f)
+			refs = append(refs, enc.ref(f))
+			sens = append(sens, s.Profile.Sensitivities[f])
 		}
-		sensFields[i] = fields
-		recordsSize += snapshotFixedSize + 4*len(s.Profile.ConsentedServices) + 12*len(fields)
-	}
-	blobSize := 0
-	for _, s := range enc.strs {
-		blobSize += len(s)
-	}
-	total := handoffHeaderSize + 4 + 4*(len(enc.strs)+1) + blobSize + recordsSize
-	if total > MaxHandoffBytes {
-		return nil, fmt.Errorf("cluster: handoff frame of %d bytes exceeds the %d-byte bound", total, MaxHandoffBytes)
+		newBlob := blobSize
+		for _, str := range enc.strs[strMark:] {
+			newBlob += len(str)
+		}
+		newRecords := recordsSize + snapshotFixedSize + 4*len(s.Profile.ConsentedServices) + 12*len(fields)
+		newTotal := handoffHeaderSize + 4 + 4*(len(enc.strs)+1) + newBlob + newRecords
+		if i == 0 && newTotal > MaxHandoffBytes {
+			return nil, 0, fmt.Errorf("cluster: snapshot of user %q alone needs %d bytes, over the %d-byte handoff frame bound",
+				s.Profile.ID, newTotal, MaxHandoffBytes)
+		}
+		if i > 0 && (newTotal > maxBytes || i == MaxHandoffUsers) {
+			// Forget what only the overflowing snapshot contributed.
+			for _, str := range enc.strs[strMark:] {
+				delete(enc.intern, str)
+			}
+			enc.strs, refs, sens = enc.strs[:strMark], refs[:refMark], sens[:sensMark]
+			break
+		}
+		n, blobSize, recordsSize, total = i+1, newBlob, newRecords, newTotal
 	}
 
 	b := make([]byte, total)
 	copy(b, handoffMagic)
 	binary.LittleEndian.PutUint16(b[4:], HandoffVersion)
 	binary.LittleEndian.PutUint32(b[8:], uint32(total))
-	binary.LittleEndian.PutUint32(b[12:], uint32(len(snaps)))
+	binary.LittleEndian.PutUint32(b[12:], uint32(n))
 	p := handoffHeaderSize
 	binary.LittleEndian.PutUint32(b[p:], uint32(len(enc.strs)))
 	p += 4
@@ -152,30 +192,32 @@ func EncodeHandoff(snaps []runtime.UserSnapshot) ([]byte, error) {
 	for _, s := range enc.strs {
 		p += copy(b[p:], s)
 	}
-	for i := range snaps {
+	for i := range snaps[:n] {
 		s := &snaps[i]
-		binary.LittleEndian.PutUint32(b[p:], enc.intern[s.Profile.ID])
-		binary.LittleEndian.PutUint32(b[p+4:], enc.intern[string(s.State)])
+		nsvc, nsens := len(s.Profile.ConsentedServices), len(s.Profile.Sensitivities)
+		binary.LittleEndian.PutUint32(b[p:], refs[0])
+		binary.LittleEndian.PutUint32(b[p+4:], refs[1])
 		binary.LittleEndian.PutUint64(b[p+8:], uint64(s.Applied))
 		binary.LittleEndian.PutUint64(b[p+16:], uint64(s.Alerts))
 		binary.LittleEndian.PutUint64(b[p+24:], math.Float64bits(s.Profile.DefaultSensitivity))
-		binary.LittleEndian.PutUint16(b[p+32:], uint16(len(s.Profile.ConsentedServices)))
-		binary.LittleEndian.PutUint16(b[p+34:], uint16(len(sensFields[i])))
+		binary.LittleEndian.PutUint16(b[p+32:], uint16(nsvc))
+		binary.LittleEndian.PutUint16(b[p+34:], uint16(nsens))
 		p += snapshotFixedSize
-		for _, svc := range s.Profile.ConsentedServices {
-			binary.LittleEndian.PutUint32(b[p:], enc.intern[svc])
+		for _, ref := range refs[2 : 2+nsvc] {
+			binary.LittleEndian.PutUint32(b[p:], ref)
 			p += 4
 		}
-		for _, f := range sensFields[i] {
-			binary.LittleEndian.PutUint32(b[p:], enc.intern[f])
-			binary.LittleEndian.PutUint64(b[p+4:], math.Float64bits(s.Profile.Sensitivities[f]))
+		for v, ref := range refs[2+nsvc : 2+nsvc+nsens] {
+			binary.LittleEndian.PutUint32(b[p:], ref)
+			binary.LittleEndian.PutUint64(b[p+4:], math.Float64bits(sens[v]))
 			p += 12
 		}
+		refs, sens = refs[2+nsvc+nsens:], sens[nsens:]
 	}
 	if p != total {
-		return nil, fmt.Errorf("cluster: handoff encoder wrote %d of %d bytes", p, total)
+		return nil, 0, fmt.Errorf("cluster: handoff encoder wrote %d of %d bytes", p, total)
 	}
-	return b, nil
+	return b, n, nil
 }
 
 // DecodeHandoff decodes exactly one handoff frame, rejecting trailing bytes.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"privascope/internal/runtime"
@@ -22,12 +23,27 @@ import (
 //  1. Seal: flush every live sender (cut partial frames, wait until every cut
 //     frame is accepted or dropped). For an eviction the dead node's sender is
 //     instead marked dead, and its undelivered frames are parked.
-//  2. Handoff: export the moved users' snapshots from their old owners and
-//     import them on the new ones (the caller-supplied callback).
+//  2. Handoff: copy the moved users' snapshots from their old owners to the
+//     new ones, in bounded chunks (the caller-supplied callback). Nothing is
+//     removed from an old owner until every chunk to every new owner has been
+//     acknowledged; a change that fails part-way deletes the copies it made,
+//     so it leaves every node holding exactly the users it held before.
 //  3. Swap: install the new ring and increment the epoch.
-//  4. Re-route (eviction only): decode the dead sender's parked frames, skip
+//  4. Tear down (leave and eviction): close the departed sender's queue and
+//     the router's pooled connections. A Go HTTP/2 server that has sent its
+//     graceful-shutdown GOAWAY keeps each connection open for a second unless
+//     the client closes it first, and http.Server.Shutdown waits for those
+//     connections; the router's long-lived h2c connection is the one that
+//     would make every departure cost that second. Every pooled connection is
+//     idle here — the seal drove the in-flight count to zero and the handoff
+//     requests have returned — so closing the idle ones closes them all;
+//     survivors re-dial on their next frame.
+//  5. Re-route (eviction only): decode the dead sender's parked frames, skip
 //     the prefix its stream cursor proves already applied, and route the rest
 //     to the ring successors — in-flight events are re-routed, never dropped.
+//
+// Send is parked for steps 1–5; stopping the departed node's server happens
+// after the lock is released.
 
 // HandoffReason values for the HeaderHandoffReason label.
 const (
@@ -35,12 +51,88 @@ const (
 	ReasonFailover  = "failover"
 )
 
-// AddNode joins a node to the ring at a new epoch. The handoff callback runs
-// after the fleet is sealed and before the ring swap; it receives the old and
-// new rings and is responsible for moving the users whose owner changes.
-func (r *Router) AddNode(ctx context.Context, name, url string, handoff func(oldRing, newRing *Ring) error) error {
+// MembershipChange.Kind values.
+const (
+	ChangeJoin  = "join"
+	ChangeLeave = "leave"
+	ChangeEvict = "evict"
+)
+
+// HandoffResult is what a change's handoff moved: user snapshots, and the
+// PSHO frames that carried them.
+type HandoffResult struct {
+	Users  int
+	Chunks int
+}
+
+// HandoffFunc moves the users whose owner differs between the old and the new
+// ring. It runs after the fleet is sealed and before the ring swap; when it
+// fails the change is abandoned, and it must have left every node's users as
+// it found them.
+type HandoffFunc func(oldRing, newRing *Ring) (HandoffResult, error)
+
+// freeze takes the membership lock exclusively; thaw releases it and accounts
+// the time Send was parked.
+func (r *Router) freeze() time.Time {
 	r.memberMu.Lock()
-	defer r.memberMu.Unlock()
+	return time.Now()
+}
+
+func (r *Router) thaw(frozenAt time.Time) {
+	r.frozenNs.Add(int64(time.Since(frozenAt)))
+	r.memberMu.Unlock()
+}
+
+// changeClock times the steps of one membership change.
+type changeClock struct {
+	start, sealed, handed time.Time
+	teardown              time.Duration
+}
+
+// recordChange publishes a completed change in the router's stats. The caller
+// holds memberMu exclusively.
+func (r *Router) recordChange(kind, node string, moved HandoffResult, c changeClock) {
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
+	r.changes++
+	r.lastChange = MembershipChange{
+		Kind:       kind,
+		Node:       node,
+		Epoch:      r.epoch.Load(),
+		UsersMoved: moved.Users,
+		Chunks:     moved.Chunks,
+		Seal:       c.sealed.Sub(c.start),
+		Handoff:    c.handed.Sub(c.sealed),
+		Teardown:   c.teardown,
+		Total:      time.Since(c.start),
+	}
+}
+
+// noteServerStop adds the time the caller spent stopping the departed node's
+// server, after the change itself returned, to the last change's record.
+func (r *Router) noteServerStop(d time.Duration) {
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
+	r.lastChange.Teardown += d
+	r.lastChange.Total += d
+}
+
+// dropSender is the tear-down step: it retires the departed node's sender and
+// closes the router's pooled connections (see the protocol above), returning
+// how long that took. The caller holds memberMu exclusively, sealed.
+func (r *Router) dropSender(name string, s *nodeSender) time.Duration {
+	t0 := time.Now()
+	delete(r.senders, name)
+	close(s.frames)
+	r.client.CloseIdleConnections()
+	return time.Since(t0)
+}
+
+// AddNode joins a node to the ring at a new epoch, after the handoff callback
+// has moved the users it will own.
+func (r *Router) AddNode(ctx context.Context, name, url string, handoff HandoffFunc) error {
+	clock := changeClock{start: r.freeze()}
+	defer r.thaw(clock.start)
 	if _, ok := r.senders[name]; ok {
 		return fmt.Errorf("cluster: node %q already in the ring", name)
 	}
@@ -55,14 +147,16 @@ func (r *Router) AddNode(ctx context.Context, name, url string, handoff func(old
 	if err := r.flushSealed(ctx, ""); err != nil {
 		return err
 	}
-	if handoff != nil {
-		if err := handoff(oldRing, newRing); err != nil {
-			return fmt.Errorf("cluster: handoff to %q: %w", name, err)
-		}
+	clock.sealed = time.Now()
+	moved, err := handoff(oldRing, newRing)
+	if err != nil {
+		return fmt.Errorf("cluster: handoff to %q: %w", name, err)
 	}
+	clock.handed = time.Now()
 	r.startSender(name, url)
 	r.ring.Store(newRing)
 	r.epoch.Add(1)
+	r.recordChange(ChangeJoin, name, moved, clock)
 	return nil
 }
 
@@ -70,9 +164,9 @@ func (r *Router) AddNode(ctx context.Context, name, url string, handoff func(old
 // everything it owes, the handoff callback moves the node's users to their
 // ring successors, and the ring is swapped at a new epoch. The last node
 // cannot be removed.
-func (r *Router) RemoveNode(ctx context.Context, name string, handoff func(oldRing, newRing *Ring) error) error {
-	r.memberMu.Lock()
-	defer r.memberMu.Unlock()
+func (r *Router) RemoveNode(ctx context.Context, name string, handoff HandoffFunc) error {
+	clock := changeClock{start: r.freeze()}
+	defer r.thaw(clock.start)
 	s, ok := r.senders[name]
 	if !ok {
 		return fmt.Errorf("cluster: node %q not in the ring", name)
@@ -85,15 +179,16 @@ func (r *Router) RemoveNode(ctx context.Context, name string, handoff func(oldRi
 	if err := r.flushSealed(ctx, ""); err != nil {
 		return err
 	}
-	if handoff != nil {
-		if err := handoff(oldRing, newRing); err != nil {
-			return fmt.Errorf("cluster: handoff from %q: %w", name, err)
-		}
+	clock.sealed = time.Now()
+	moved, err := handoff(oldRing, newRing)
+	if err != nil {
+		return fmt.Errorf("cluster: handoff from %q: %w", name, err)
 	}
-	delete(r.senders, name)
-	close(s.frames)
+	clock.handed = time.Now()
 	r.ring.Store(newRing)
 	r.epoch.Add(1)
+	clock.teardown = r.dropSender(name, s)
+	r.recordChange(ChangeLeave, name, moved, clock)
 	return nil
 }
 
@@ -105,9 +200,9 @@ func (r *Router) RemoveNode(ctx context.Context, name string, handoff func(oldRi
 // new ring. Combined with the receiving side's stream-offset deduplication
 // this makes eviction lose nothing and duplicate nothing, whatever the crash
 // timing.
-func (r *Router) EvictNode(ctx context.Context, name string, handoff func(oldRing, newRing *Ring) error, cursor func(stream string) int64) error {
-	r.memberMu.Lock()
-	defer r.memberMu.Unlock()
+func (r *Router) EvictNode(ctx context.Context, name string, handoff HandoffFunc, cursor func(stream string) int64) error {
+	clock := changeClock{start: r.freeze()}
+	defer r.thaw(clock.start)
 	s, ok := r.senders[name]
 	if !ok {
 		return fmt.Errorf("cluster: node %q not in the ring", name)
@@ -124,23 +219,30 @@ func (r *Router) EvictNode(ctx context.Context, name string, handoff func(oldRin
 	if err := r.flushSealed(ctx, name); err != nil {
 		return err
 	}
-	if handoff != nil {
-		if err := handoff(oldRing, newRing); err != nil {
-			return fmt.Errorf("cluster: failover from %q: %w", name, err)
-		}
+	clock.sealed = time.Now()
+	moved, err := handoff(oldRing, newRing)
+	if err != nil {
+		return fmt.Errorf("cluster: failover from %q: %w", name, err)
 	}
-	delete(r.senders, name)
-	close(s.frames)
+	clock.handed = time.Now()
 	r.ring.Store(newRing)
 	r.epoch.Add(1)
+	clock.teardown = r.dropSender(name, s)
 
-	// Re-route what the dead node never applied. Frames below its stream
-	// cursor were applied before it died (their responses may have been
-	// lost); replaying them would double-count, so they are skipped.
 	next := int64(0)
 	if cursor != nil {
 		next = cursor(r.streamFor(name))
 	}
+	err = r.rerouteParked(ctx, s, next)
+	r.recordChange(ChangeEvict, name, moved, clock)
+	return err
+}
+
+// rerouteParked routes what an evicted node never applied through the new
+// ring. Frames below next, its stream cursor, were applied before it died
+// (their responses may have been lost); replaying them would double-count,
+// so they are skipped.
+func (r *Router) rerouteParked(ctx context.Context, s *nodeSender, next int64) error {
 	s.mu.Lock()
 	parked := s.parked
 	s.parked = nil
@@ -204,13 +306,14 @@ func (c *Local) AddNode(ctx context.Context) (*Node, error) {
 		node.Close()
 		return nil, err
 	}
-	c.joining = &joiningNode{name: cfg.Name, url: srv.URL()}
-	err = c.Router.AddNode(ctx, cfg.Name, srv.URL(), func(oldRing, newRing *Ring) error {
+	c.joining = srv
+	err = c.Router.AddNode(ctx, cfg.Name, srv.URL(), func(oldRing, newRing *Ring) (HandoffResult, error) {
 		return c.rebalanceLocked(ctx, newRing, ReasonRebalance, nil)
 	})
 	c.joining = nil
 	if err != nil {
-		_ = srv.Stop(ctx)
+		// Nobody but this change ever spoke to the node: no reader to wait for.
+		_ = srv.Close()
 		node.Close()
 		return nil, err
 	}
@@ -222,8 +325,9 @@ func (c *Local) AddNode(ctx context.Context) (*Node, error) {
 
 // RemoveNode gracefully retires the named node: the router finishes its
 // deliveries, the node's users are handed off to their ring successors, and
-// its server is stopped. The node's monitor is retained so its alert history
-// still counts in Alerts.
+// its server is shut down — gracefully, for readers outside the fleet, and
+// promptly, because the router has closed its own connection to it. The
+// node's monitor is retained so its alert history still counts in Alerts.
 func (c *Local) RemoveNode(ctx context.Context, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -233,18 +337,21 @@ func (c *Local) RemoveNode(ctx context.Context, name string) error {
 	}
 	node := c.Nodes[i]
 	node.BeginDrain()
-	err := c.Router.RemoveNode(ctx, name, func(oldRing, newRing *Ring) error {
+	err := c.Router.RemoveNode(ctx, name, func(oldRing, newRing *Ring) (HandoffResult, error) {
 		return c.rebalanceLocked(ctx, newRing, ReasonRebalance, node)
 	})
 	if err != nil {
+		node.draining.Store(false)
 		return err
 	}
+	srv := c.Servers[i]
 	c.detachLocked(i)
-	if err := c.Servers[i].Stop(ctx); err != nil {
-		c.dropServerLocked(i)
+	t0 := time.Now()
+	err = srv.Stop(ctx)
+	c.Router.noteServerStop(time.Since(t0))
+	if err != nil {
 		return err
 	}
-	c.dropServerLocked(i)
 	node.Close()
 	return nil
 }
@@ -263,7 +370,7 @@ func (c *Local) EvictNode(ctx context.Context, name string) error {
 	}
 	node := c.Nodes[i]
 	err := c.Router.EvictNode(ctx, name,
-		func(oldRing, newRing *Ring) error {
+		func(oldRing, newRing *Ring) (HandoffResult, error) {
 			return c.rebalanceLocked(ctx, newRing, ReasonFailover, node)
 		},
 		node.StreamCursor,
@@ -271,13 +378,13 @@ func (c *Local) EvictNode(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
+	srv := c.Servers[i]
 	c.detachLocked(i)
-	// The server may already be gone (that is usually why we are here);
-	// stopping it again is harmless and its error carries no information.
-	stopCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-	_ = c.Servers[i].Stop(stopCtx)
-	cancel()
-	c.dropServerLocked(i)
+	// The node is dead by declaration, and its server usually is already:
+	// close whatever is left without waiting for anyone.
+	t0 := time.Now()
+	_ = srv.Close()
+	c.Router.noteServerStop(time.Since(t0))
 	node.Close()
 	return nil
 }
@@ -293,84 +400,198 @@ func (c *Local) indexOfLocked(name string) int {
 }
 
 // detachLocked moves Nodes[i] to the retired list (its monitor keeps the
-// alert history the fleet already raised).
+// alert history the fleet already raised) and forgets its server.
 func (c *Local) detachLocked(i int) {
 	c.retired = append(c.retired, c.Nodes[i])
 	c.Nodes = append(c.Nodes[:i], c.Nodes[i+1:]...)
-}
-
-// dropServerLocked removes Servers[i].
-func (c *Local) dropServerLocked(i int) {
 	c.Servers = append(c.Servers[:i], c.Servers[i+1:]...)
 }
 
-// rebalanceLocked moves every user whose owner under newRing differs from
-// the node currently holding them. With only == nil all live nodes are
-// scanned (a join pulls users from everywhere); otherwise just that node (a
-// leave or failover pushes its whole population out). Sources are quiesced
-// first so each exported snapshot reflects every event the node accepted.
-func (c *Local) rebalanceLocked(ctx context.Context, newRing *Ring, reason string, only *Node) error {
+// handoffStream is the users one source hands to one destination in a
+// membership change, and how far the transfer got.
+type handoffStream struct {
+	src, dst *Node
+	url      string
+	snaps    []runtime.UserSnapshot
+	// sent counts the snapshots in chunks posted so far, the one in flight
+	// included: the destination may hold any of snaps[:sent]. chunks counts
+	// the acknowledged frames.
+	sent   int
+	chunks int
+}
+
+// userIDs lists the users of a snapshot slice.
+func userIDs(snaps []runtime.UserSnapshot) []string {
+	ids := make([]string, len(snaps))
+	for i := range snaps {
+		ids[i] = snaps[i].Profile.ID
+	}
+	return ids
+}
+
+// fanOut runs f(ctx, 0) … f(ctx, n-1) concurrently and waits for all of them.
+// The first failure cancels the context the others run under and is the
+// error returned. n is bounded by the fleet size.
+func fanOut(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := f(ctx, i); err != nil {
+				once.Do(func() {
+					first = err
+					cancel()
+				})
+			}
+		}(i)
+	}
+	wg.Wait()
+	return first
+}
+
+// rebalanceLocked copies every user whose owner under newRing differs from
+// the node currently holding them to that owner, then removes them from
+// their old one. With only == nil all live nodes are scanned (a join pulls
+// users from everywhere); otherwise just that node (a leave or failover
+// pushes its whole population out). Sources are quiesced first so each
+// exported snapshot reflects every event the node accepted, and export and
+// transfer run concurrently across sources and destinations.
+//
+// Users leave a source only after every chunk to every destination has been
+// acknowledged. On any failure the copies already made are deleted from the
+// destinations instead (they are in-process), so an aborted change leaves
+// every source complete and no node holding a user it does not own.
+func (c *Local) rebalanceLocked(ctx context.Context, newRing *Ring, reason string, only *Node) (HandoffResult, error) {
 	sources := c.Nodes
 	if only != nil {
 		sources = []*Node{only}
 	}
-	for _, src := range sources {
-		if err := src.Quiesce(ctx); err != nil {
+	perSource := make([][]*handoffStream, len(sources))
+	err := fanOut(ctx, len(sources), func(ctx context.Context, i int) error {
+		var err error
+		perSource[i], err = c.exportMovedLocked(ctx, sources[i], newRing)
+		return err
+	})
+	if err != nil {
+		return HandoffResult{}, err
+	}
+	var streams []*handoffStream
+	for _, s := range perSource {
+		streams = append(streams, s...)
+	}
+	err = fanOut(ctx, len(streams), func(ctx context.Context, i int) error {
+		return c.streamHandoff(ctx, streams[i], reason)
+	})
+	if err != nil {
+		for _, st := range streams {
+			st.dst.Monitor().RemoveUsers(userIDs(st.snaps[:st.sent]))
+		}
+		return HandoffResult{}, err
+	}
+	var moved HandoffResult
+	for _, st := range streams {
+		st.src.Monitor().RemoveUsers(userIDs(st.snaps))
+		st.src.handoffOut.Add(int64(len(st.snaps)))
+		moved.Users += len(st.snaps)
+		moved.Chunks += st.chunks
+	}
+	return moved, nil
+}
+
+// exportMovedLocked quiesces src and snapshots the users newRing assigns to
+// another node, one stream per new owner.
+func (c *Local) exportMovedLocked(ctx context.Context, src *Node, newRing *Ring) ([]*handoffStream, error) {
+	if err := src.Quiesce(ctx); err != nil {
+		return nil, err
+	}
+	moved := src.Monitor().ExportUsers(func(userID string) (string, bool) {
+		owner := newRing.Owner(userID)
+		return owner, owner != src.Name()
+	})
+	streams := make([]*handoffStream, 0, len(moved))
+	for owner, snaps := range moved {
+		srv, err := c.serverOfLocked(owner)
+		if err != nil {
+			return nil, err
+		}
+		streams = append(streams, &handoffStream{src: src, dst: srv.Node(), url: srv.URL(), snaps: snaps})
+	}
+	return streams, nil
+}
+
+// serverOfLocked resolves a live or joining node's server. A joining node is
+// not yet in c.Nodes when its handoff runs, so the router's sender table
+// cannot be the source of truth here; Servers and joining are.
+func (c *Local) serverOfLocked(name string) (*NodeServer, error) {
+	for i, n := range c.Nodes {
+		if n.Name() == name {
+			return c.Servers[i], nil
+		}
+	}
+	if c.joining != nil && c.joining.Node().Name() == name {
+		return c.joining, nil
+	}
+	return nil, fmt.Errorf("cluster: no server for node %q", name)
+}
+
+// streamHandoff sends one stream's snapshots as a sequence of bounded PSHO
+// frames, encoding the next chunk while the previous one is on the wire and
+// being imported.
+func (c *Local) streamHandoff(ctx context.Context, st *handoffStream, reason string) error {
+	type chunk struct {
+		frame []byte
+		users int
+		err   error
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	chunks := make(chan chunk)
+	go func() {
+		defer close(chunks)
+		for rest := st.snaps; len(rest) > 0; {
+			frame, n, err := encodeHandoffChunk(rest, handoffChunkBytes)
+			select {
+			case chunks <- chunk{frame, n, err}:
+			case <-ctx.Done():
+				return
+			}
+			if err != nil {
+				return
+			}
+			rest = rest[n:]
+		}
+	}()
+	// Whatever ends the loop below, stop the encoder and wait for it.
+	defer func() {
+		cancel()
+		for range chunks {
+		}
+	}()
+	for ch := range chunks {
+		if ch.err != nil {
+			return ch.err
+		}
+		st.sent += ch.users
+		if err := c.postHandoff(ctx, st.url, ch.frame, reason); err != nil {
 			return err
 		}
-		moved := make(map[string][]runtime.UserSnapshot)
-		for _, userID := range src.Monitor().Users() {
-			newOwner := newRing.Owner(userID)
-			if newOwner == src.Name() {
-				continue
-			}
-			snap, ok := src.Monitor().ExportUser(userID)
-			if !ok {
-				return fmt.Errorf("cluster: user %q vanished from %q during rebalance", userID, src.Name())
-			}
-			moved[newOwner] = append(moved[newOwner], snap)
-		}
-		for owner, snaps := range moved {
-			url, err := c.urlOfLocked(owner)
-			if err != nil {
-				return err
-			}
-			if err := c.sendHandoff(ctx, url, snaps, reason); err != nil {
-				return err
-			}
-			// Only drop the users from the source once the new owner has
-			// them: a failed handoff leaves the cluster exactly as it was.
-			for _, snap := range snaps {
-				src.Monitor().RemoveUser(snap.Profile.ID)
-			}
-			src.handoffOut.Add(int64(len(snaps)))
-		}
+		st.chunks++
+	}
+	if st.sent < len(st.snaps) {
+		return ctx.Err() // cancelled between chunks
 	}
 	return nil
 }
 
-// urlOfLocked resolves a live node's base URL. A joining node is not yet in
-// c.Nodes when its handoff runs, so the router's sender table cannot be the
-// source of truth here; the Servers slice is.
-func (c *Local) urlOfLocked(name string) (string, error) {
-	for i, n := range c.Nodes {
-		if n.Name() == name {
-			return c.Servers[i].URL(), nil
-		}
-	}
-	if c.joining != nil && c.joining.name == name {
-		return c.joining.url, nil
-	}
-	return "", fmt.Errorf("cluster: no server for node %q", name)
-}
-
-// sendHandoff posts one PSHO frame, retrying a few times: imports are
+// postHandoff posts one PSHO frame, retrying a few times: imports are
 // idempotent, so redelivery after a lost response converges.
-func (c *Local) sendHandoff(ctx context.Context, url string, snaps []runtime.UserSnapshot, reason string) error {
-	frame, err := EncodeHandoff(snaps)
-	if err != nil {
-		return err
-	}
+func (c *Local) postHandoff(ctx context.Context, url string, frame []byte, reason string) error {
 	var lastErr error
 	delay := 10 * time.Millisecond
 	for attempt := 0; attempt < 5; attempt++ {

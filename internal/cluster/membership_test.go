@@ -205,24 +205,19 @@ func TestClusterGracefulLeave(t *testing.T) {
 
 // crashRouterConfig is the router configuration of the tests that crash a
 // node. Between the victim's server stopping and the eviction marking its
-// sender dead (a gap of ~1 s whenever the h2 connection waits out its GOAWAY
-// timeout) every delivery attempt is refused at once, and a sender that runs
-// out of retries in that gap abandons frames nobody can recover. Two things
-// keep it retrying until the eviction parks them. The retry budget — at least
-// MaxRetries × BackoffMax/2 = 10 s, the Stop timeout — outlasts the gap;
-// eviction interrupts the backoff, so it costs nothing once that happens. And
-// the flush tick never fires: a tick that finds the victim's one-frame window
-// full blocks on its queue while holding the membership lock, and the
-// eviction then waits behind it until the budget is gone. These tests flush
-// explicitly (membership changes seal, Quiesce flushes), so they lose nothing
-// with the tick.
+// sender dead every delivery attempt is refused at once, and a sender that
+// runs out of retries in that gap abandons frames nobody can recover. The
+// retry budget — at least MaxRetries × BackoffMax/2 = 10 s, the tests' Stop
+// timeout — outlasts the gap; eviction interrupts the backoff, so it costs
+// nothing once that happens. The flush tick runs at its default interval: a
+// tick that finds the victim's one-frame window full skips that sender
+// instead of waiting on it (TestTickCannotStallEviction).
 func crashRouterConfig() RouterConfig {
 	return RouterConfig{
-		BatchEvents:   5,
-		FlushInterval: time.Hour,
-		MaxRetries:    1000,
-		BackoffBase:   100 * time.Microsecond,
-		BackoffMax:    20 * time.Millisecond,
+		BatchEvents: 5,
+		MaxRetries:  1000,
+		BackoffBase: 100 * time.Microsecond,
+		BackoffMax:  20 * time.Millisecond,
 	}
 }
 

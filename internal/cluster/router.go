@@ -96,6 +96,37 @@ type RouterStats struct {
 	// because the dead node's stream cursor proved them already applied.
 	ReroutedEvents        int64
 	FailoverSkippedFrames int64
+	// Changes counts completed membership changes and Frozen is the cumulative
+	// time the membership lock was held exclusively — how long Send was parked
+	// in total, failed changes included. LastChange describes the most recent
+	// completed change (zero before the first).
+	Changes    int64
+	Frozen     time.Duration
+	LastChange MembershipChange
+}
+
+// MembershipChange is what one completed membership change moved and where
+// its time went.
+type MembershipChange struct {
+	// Kind is ChangeJoin, ChangeLeave or ChangeEvict; Node is the node that
+	// joined or departed; Epoch is the ring epoch the change installed.
+	Kind  string
+	Node  string
+	Epoch int64
+	// UsersMoved and Chunks count the user snapshots handed to new owners and
+	// the PSHO frames that carried them.
+	UsersMoved int
+	Chunks     int
+	// Seal is the time to flush (or, for the evicted node, park) the in-flight
+	// frames, Handoff the time to move the users, and Teardown the time to
+	// close the router's connections to a departed node and stop its server
+	// (zero for a join). Send is parked for Seal + Handoff and the ring swap —
+	// plus, for an eviction, the re-routing of the parked frames — but not for
+	// the server stop. Total is the whole change, first lock to last close.
+	Seal     time.Duration
+	Handoff  time.Duration
+	Teardown time.Duration
+	Total    time.Duration
 }
 
 // cutFrame is one encoded frame queued on a sender, tagged with its index in
@@ -176,6 +207,12 @@ type Router struct {
 	droppedEvents atomic.Int64
 	rerouted      atomic.Int64
 	failoverSkip  atomic.Int64
+	frozenNs      atomic.Int64
+
+	// changeMu guards the membership-change record.
+	changeMu   sync.Mutex
+	changes    int64
+	lastChange MembershipChange
 
 	// jitter is the deterministic backoff-jitter source; sleepFn is the
 	// backoff sleep (swapped for a fake clock in tests).
@@ -301,7 +338,13 @@ func (r *Router) streamFor(node string) string { return r.streamID + "/" + node 
 
 // Stats snapshots the router's counters.
 func (r *Router) Stats() RouterStats {
+	r.changeMu.Lock()
+	changes, last := r.changes, r.lastChange
+	r.changeMu.Unlock()
 	return RouterStats{
+		Changes:               changes,
+		Frozen:                time.Duration(r.frozenNs.Load()),
+		LastChange:            last,
 		EventsSent:            r.events.Load(),
 		FramesSent:            r.frames.Load(),
 		Rejected429:           r.rej429.Load(),
@@ -405,8 +448,18 @@ func (r *Router) tickLoop() {
 				if s.isDead() {
 					continue
 				}
+				// The tick never waits for room in a sender's window: it
+				// holds the membership lock, and a membership change — the
+				// eviction of the very node that is not draining its window —
+				// must not queue behind it. Frames are queued only under
+				// s.mu, so a window with room here cannot fill before the cut;
+				// a full one is cut by a later tick, by Send reaching the
+				// batch threshold, or by the seal.
+				var err error
 				s.mu.Lock()
-				err := r.cutLocked(context.Background(), s)
+				if len(s.frames) < cap(s.frames) {
+					err = r.cutLocked(context.Background(), s)
+				}
 				s.mu.Unlock()
 				if err != nil {
 					r.setErr(err)
@@ -607,7 +660,18 @@ func (r *Router) timerSleep(d time.Duration, dead <-chan struct{}) bool {
 	}
 }
 
-// Register sends each profile to its owner node's /register endpoint.
+// registerSliceProfiles and registerSliceBytes bound one /register request: a
+// node's profiles go in slices of at most that many, and a slice whose JSON
+// still comes out larger is halved. Both stay far below the MaxFrameBytes the
+// receiving side reads, so no population can overflow that.
+const (
+	registerSliceProfiles = 4096
+	registerSliceBytes    = MaxFrameBytes / 8
+)
+
+// Register sends each profile to its owner node's /register endpoint, a
+// node's profiles in input order and in as many bounded requests as they
+// need.
 func (r *Router) Register(ctx context.Context, profiles []risk.UserProfile) error {
 	r.memberMu.RLock()
 	defer r.memberMu.RUnlock()
@@ -618,24 +682,44 @@ func (r *Router) Register(ctx context.Context, profiles []risk.UserProfile) erro
 		byNode[owner] = append(byNode[owner], p)
 	}
 	for name, group := range byNode {
-		payload, err := json.Marshal(group)
-		if err != nil {
-			return fmt.Errorf("cluster: encoding profiles: %w", err)
+		for len(group) > 0 {
+			n := min(len(group), registerSliceProfiles)
+			if err := r.registerSlice(ctx, name, group[:n]); err != nil {
+				return err
+			}
+			group = group[n:]
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.senders[name].url+"/register", bytes.NewReader(payload))
-		if err != nil {
+	}
+	return nil
+}
+
+// registerSlice posts one slice of a node's profiles, in halves when its JSON
+// is over registerSliceBytes. The caller holds memberMu.
+func (r *Router) registerSlice(ctx context.Context, name string, group []risk.UserProfile) error {
+	payload, err := json.Marshal(group)
+	if err != nil {
+		return fmt.Errorf("cluster: encoding profiles: %w", err)
+	}
+	if len(payload) > registerSliceBytes && len(group) > 1 {
+		half := len(group) / 2
+		if err := r.registerSlice(ctx, name, group[:half]); err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.client.Do(req)
-		if err != nil {
-			return fmt.Errorf("cluster: registering on %q: %w", name, err)
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("cluster: registering on %q: %s: %s", name, resp.Status, bytes.TrimSpace(body))
-		}
+		return r.registerSlice(ctx, name, group[half:])
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.senders[name].url+"/register", bytes.NewReader(payload))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return fmt.Errorf("cluster: registering on %q: %w", name, err)
+	}
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: registering on %q: %s: %s", name, resp.Status, bytes.TrimSpace(body))
 	}
 	return nil
 }
@@ -692,8 +776,8 @@ func (r *Router) Close() error {
 		}
 		r.memberMu.Unlock()
 		r.sendersWG.Wait()
-		// Drop the pooled HTTP/2 connections so node servers can shut down
-		// without waiting out their graceful-shutdown poll.
+		// As in a membership change's tear-down step (membership.go): the
+		// node servers are stopped next and must not wait on this client.
 		r.client.CloseIdleConnections()
 		if err == nil {
 			err = r.Err()

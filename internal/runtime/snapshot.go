@@ -42,16 +42,45 @@ func (m *Monitor) ExportUser(userID string) (UserSnapshot, bool) {
 	return u.UserSnapshot, true
 }
 
+// ExportUsers snapshots, in one pass under one lock acquisition, every
+// registered user route assigns a destination, grouped by that destination
+// and in no particular order within a group — the batch form a membership
+// change uses to pick the users whose owner moved and sort them by new owner.
+// route runs with the monitor locked: it must be a quick pure function of the
+// ID (a ring lookup) and must not call back into the monitor.
+func (m *Monitor) ExportUsers(route func(userID string) (dest string, ok bool)) map[string][]UserSnapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[string][]UserSnapshot)
+	for id, u := range m.users {
+		if dest, ok := route(id); ok {
+			out[dest] = append(out[dest], u.UserSnapshot)
+		}
+	}
+	return out
+}
+
 // RemoveUser stops tracking the user, dropping their cursor, profile and
 // counters. Alerts already raised stay in this monitor's log — they happened
 // here; a handoff moves the user's future, not their history. It reports
 // whether the user was registered.
 func (m *Monitor) RemoveUser(userID string) bool {
+	return m.RemoveUsers([]string{userID}) == 1
+}
+
+// RemoveUsers is RemoveUser for a batch under one lock acquisition. It
+// returns how many of the users were registered.
+func (m *Monitor) RemoveUsers(userIDs []string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.users[userID]
-	delete(m.users, userID)
-	return ok
+	removed := 0
+	for _, id := range userIDs {
+		if _, ok := m.users[id]; ok {
+			delete(m.users, id)
+			removed++
+		}
+	}
+	return removed
 }
 
 // ImportUser is ImportUserContext with a background context.
@@ -69,6 +98,24 @@ func (m *Monitor) ImportUser(snap UserSnapshot) error {
 // overwrites their state; imports are idempotent, so a retried handoff is
 // harmless.
 func (m *Monitor) ImportUserContext(ctx context.Context, snap UserSnapshot) error {
+	return m.ImportUsers(ctx, []UserSnapshot{snap})
+}
+
+// ImportUsers is ImportUserContext for a batch — one handoff chunk — under
+// one lock acquisition. Every snapshot is validated and its profile shape
+// resolved before any user is touched, so an invalid snapshot anywhere in the
+// batch installs nothing from it.
+func (m *Monitor) ImportUsers(ctx context.Context, snaps []UserSnapshot) error {
+	for i := range snaps {
+		if err := m.checkSnapshot(&snaps[i]); err != nil {
+			return err
+		}
+	}
+	return m.install(ctx, snaps)
+}
+
+// checkSnapshot validates a snapshot against this monitor's model.
+func (m *Monitor) checkSnapshot(snap *UserSnapshot) error {
 	if snap.Profile.ID == "" {
 		return fmt.Errorf("runtime: import: snapshot has no user ID")
 	}
@@ -82,5 +129,5 @@ func (m *Monitor) ImportUserContext(ctx context.Context, snap UserSnapshot) erro
 		return fmt.Errorf("runtime: import of user %q: negative cursor (applied %d, alerts %d)",
 			snap.Profile.ID, snap.Applied, snap.Alerts)
 	}
-	return m.install(ctx, snap)
+	return nil
 }
