@@ -233,9 +233,13 @@ func (r *Router) EvictNode(ctx context.Context, name string, handoff HandoffFunc
 	if cursor != nil {
 		next = cursor(r.streamFor(name))
 	}
-	err = r.rerouteParked(ctx, s, next)
+	if err := r.rerouteParked(ctx, s, next); err != nil {
+		// The ring is swapped and the node gone, but parked events are still
+		// owed: Changes and LastChange describe completed changes only.
+		return err
+	}
 	r.recordChange(ChangeEvict, name, moved, clock)
-	return err
+	return nil
 }
 
 // rerouteParked routes what an evicted node never applied through the new
@@ -466,8 +470,9 @@ func fanOut(ctx context.Context, n int, f func(ctx context.Context, i int) error
 //
 // Users leave a source only after every chunk to every destination has been
 // acknowledged. On any failure the copies already made are deleted from the
-// destinations instead (they are in-process), so an aborted change leaves
-// every source complete and no node holding a user it does not own.
+// destinations instead (they are in-process), each once it is done with the
+// chunks that had reached it, so an aborted change leaves every source
+// complete and no node holding a user it does not own.
 func (c *Local) rebalanceLocked(ctx context.Context, newRing *Ring, reason string, only *Node) (HandoffResult, error) {
 	sources := c.Nodes
 	if only != nil {
@@ -491,6 +496,10 @@ func (c *Local) rebalanceLocked(ctx context.Context, newRing *Ring, reason strin
 	})
 	if err != nil {
 		for _, st := range streams {
+			// The failure cancelled the other streams' requests, but a chunk
+			// whose body had already arrived is still being imported: roll back
+			// only once the destination has finished with it.
+			st.dst.awaitHandoffsServed()
 			st.dst.Monitor().RemoveUsers(userIDs(st.snaps[:st.sent]))
 		}
 		return HandoffResult{}, err

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -452,15 +451,7 @@ type handoffResponse struct {
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	n.receiving.Add(1)
 	defer n.receiving.Add(-1)
-	// Sized once from the declared length: io.ReadAll would regrow its buffer
-	// a dozen times per half-megabyte chunk, and that garbage alone costs a
-	// membership change a fifth of its time (BenchmarkMembershipChange).
-	var buf bytes.Buffer
-	if r.ContentLength > 0 && r.ContentLength <= MaxHandoffBytes {
-		buf.Grow(int(r.ContentLength) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(io.LimitReader(r.Body, MaxHandoffBytes+1))
-	body := buf.Bytes()
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxHandoffBytes+1))
 	if err != nil {
 		http.Error(w, "cluster: reading handoff frame: "+err.Error(), http.StatusBadRequest)
 		return
@@ -480,6 +471,15 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		n.failoverIn.Add(int64(len(snaps)))
 	}
 	writeJSON(w, http.StatusOK, handoffResponse{Imported: len(snaps)})
+}
+
+// awaitHandoffsServed returns once no /handoff request is being served. Every
+// such request ends on its own: its body is either complete or reset by the
+// sender that gave up on it.
+func (n *Node) awaitHandoffsServed() {
+	for n.receiving.Load() != 0 {
+		time.Sleep(500 * time.Microsecond)
+	}
 }
 
 // handleHealthz is the liveness half of the health split: it answers 200

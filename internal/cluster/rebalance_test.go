@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -312,42 +314,6 @@ func TestLeaveOfNodeOverOneFrame(t *testing.T) {
 	requireClusterMatchesDirect(t, c, direct, users)
 }
 
-// TestRegisterHalvesOversizedSlices: profiles so large that one count-bounded
-// slice of them is over the /register byte bound are sent in halves, and every
-// one arrives intact.
-func TestRegisterHalvesOversizedSlices(t *testing.T) {
-	p := surgeryModel(t)
-	profiles := membershipProfiles(48)
-	for i := range profiles {
-		profiles[i].Sensitivities = make(map[string]float64)
-		for f := 0; f < 2000; f++ {
-			profiles[i].Sensitivities[fmt.Sprintf("field-%d-of-user-%d-%s", f, i, strings.Repeat("x", 16))] = 0.25
-		}
-	}
-	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop(context.Background())
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := c.Router.Register(ctx, profiles); err != nil {
-		t.Fatalf("registering %d large profiles: %v", len(profiles), err)
-	}
-	ring := c.Router.Ring()
-	for _, want := range profiles {
-		for _, n := range c.Nodes {
-			got, ok := n.Monitor().ExportUser(want.ID)
-			if owns := ring.Owner(want.ID) == n.Name(); ok != owns {
-				t.Fatalf("user %q on %q: registered %v, owned %v", want.ID, n.Name(), ok, owns)
-			}
-			if ok && !reflect.DeepEqual(got.Profile, want) {
-				t.Fatalf("user %q arrived with a different profile", want.ID)
-			}
-		}
-	}
-}
-
 // TestRegisterBodyOverBound: a /register body over the bound is a 413, not a
 // JSON syntax error at whatever byte the limit fell on.
 func TestRegisterBodyOverBound(t *testing.T) {
@@ -564,6 +530,151 @@ func TestAbortedChangeLeavesFleetUnchanged(t *testing.T) {
 			requireClusterMatchesDirect(t, c, direct, users)
 		})
 	}
+}
+
+// holdHandoff stages the abort race: the first /handoff to holdHost is
+// delivered under a context of its own, as a chunk the server already has all
+// of, minus its last byte — so the node is serving it, mid-read — and only
+// then do /handoff requests to failHost start failing. When that failure
+// cancels the held request, its sender is told so at once, as by the real
+// transport; the last byte follows a little later, and the import with it.
+type holdHandoff struct {
+	base               http.RoundTripper
+	failHost, holdHost string
+	serving            func() bool // the held node has a handoff in progress
+	hold               sync.Once
+	entered            chan struct{}
+	delivered          chan error // the held request's outcome at the node
+}
+
+func (h *holdHandoff) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/handoff" {
+		return h.base.RoundTrip(req)
+	}
+	held := false
+	if req.URL.Host == h.holdHost {
+		h.hold.Do(func() { held = true })
+	}
+	switch {
+	case held:
+		frame, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		body, last := io.Pipe()
+		fwd, err := http.NewRequest(http.MethodPost, req.URL.String(), body)
+		if err != nil {
+			return nil, err
+		}
+		fwd.Header = req.Header.Clone()
+		fwd.ContentLength = int64(len(frame))
+		go func() {
+			resp, err := h.base.RoundTrip(fwd)
+			if err == nil {
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("held handoff answered %s", resp.Status)
+				}
+			}
+			h.delivered <- err
+		}()
+		if _, err := last.Write(frame[:len(frame)-1]); err != nil {
+			return nil, err
+		}
+		for !h.serving() {
+			time.Sleep(time.Millisecond)
+		}
+		close(h.entered)
+		<-req.Context().Done()
+		go func() {
+			time.Sleep(50 * time.Millisecond)
+			_, _ = last.Write(frame[len(frame)-1:])
+			last.Close()
+		}()
+		return nil, req.Context().Err()
+	case req.URL.Host == h.failHost:
+		<-h.entered
+		req.Body.Close()
+		return nil, fmt.Errorf("holdHandoff: connection to %s refused", h.failHost)
+	}
+	return h.base.RoundTrip(req)
+}
+
+func (h *holdHandoff) CloseIdleConnections() { closeIdle(h.base) }
+
+// TestAbortWaitsForChunkInFlight: when one destination's failure aborts a
+// change, a chunk another destination had already received is still imported
+// after its sender was cancelled. The rollback must come after that import,
+// not before it — or the node keeps users it does not own.
+func TestAbortWaitsForChunkInFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the handoff retry backoff")
+	}
+	p := surgeryModel(t)
+	before, after := []string{"node0", "node1", "node2"}, []string{"node0", "node2"}
+	profiles := pickProfiles(
+		map[string]int{"node0>node0": 10, "node2>node2": 10, "node1>node0": 10, "node1>node2": 10},
+		ownerMove(t, before, after))
+	users := profileIDs(profiles)
+	stream := synth.RandomEventStream(rand.New(rand.NewSource(29)), p, users, 10)
+	direct := directMonitor(t, profiles, stream)
+
+	base := H2CTransport()
+	transport := newSwitchTransport(base)
+	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{BatchEvents: 5, HTTPClient: &http.Client{Transport: transport}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := c.Router.Register(ctx, profiles); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Router.SendBatch(ctx, stream[:len(stream)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	held, ringBefore := holdings(c), c.Router.Ring()
+
+	node2 := c.Nodes[2]
+	race := &holdHandoff{
+		base:      base,
+		failHost:  strings.TrimPrefix(c.Servers[0].URL(), "http://"),
+		holdHost:  strings.TrimPrefix(c.Servers[2].URL(), "http://"),
+		serving:   func() bool { return node2.receiving.Load() > 0 },
+		entered:   make(chan struct{}),
+		delivered: make(chan error, 1),
+	}
+	transport.use(race)
+	if err := c.RemoveNode(ctx, "node1"); err == nil {
+		t.Fatal("the leave succeeded although node0 never acknowledged its handoff")
+	}
+	// The held chunk does get imported; what matters is that the rollback
+	// came after it.
+	if err := <-race.delivered; err != nil {
+		t.Fatalf("the held chunk was not imported: %v", err)
+	}
+	if c.Router.Epoch() != 1 || c.Router.Ring() != ringBefore {
+		t.Fatalf("aborted leave moved the ring: epoch %d", c.Router.Epoch())
+	}
+	if got := holdings(c); !reflect.DeepEqual(got, held) {
+		t.Fatalf("aborted leave left different holdings:\n got %v\nwant %v", got, held)
+	}
+	requireOwnedOnly(t, c)
+
+	transport.use(base)
+	if err := c.RemoveNode(ctx, "node1"); err != nil {
+		t.Fatalf("retry after the fault passed: %v", err)
+	}
+	if err := c.Router.SendBatch(ctx, stream[len(stream)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	requireClusterMatchesDirect(t, c, direct, users)
 }
 
 // refuseIngest fails every /ingest request to one host at once, the way a

@@ -660,14 +660,11 @@ func (r *Router) timerSleep(d time.Duration, dead <-chan struct{}) bool {
 	}
 }
 
-// registerSliceProfiles and registerSliceBytes bound one /register request: a
-// node's profiles go in slices of at most that many, and a slice whose JSON
-// still comes out larger is halved. Both stay far below the MaxFrameBytes the
-// receiving side reads, so no population can overflow that.
-const (
-	registerSliceProfiles = 4096
-	registerSliceBytes    = MaxFrameBytes / 8
-)
+// registerSliceProfiles bounds one /register request: a node's profiles go in
+// slices of at most that many. A profile would have to render to 2 KiB of JSON
+// (the case study's is 260 bytes) for a slice to reach the MaxFrameBytes the
+// receiving side reads; one that does is refused there with a 413.
+const registerSliceProfiles = 4096
 
 // Register sends each profile to its owner node's /register endpoint, a
 // node's profiles in input order and in as many bounded requests as they
@@ -693,19 +690,12 @@ func (r *Router) Register(ctx context.Context, profiles []risk.UserProfile) erro
 	return nil
 }
 
-// registerSlice posts one slice of a node's profiles, in halves when its JSON
-// is over registerSliceBytes. The caller holds memberMu.
+// registerSlice posts one slice of a node's profiles. The caller holds
+// memberMu.
 func (r *Router) registerSlice(ctx context.Context, name string, group []risk.UserProfile) error {
 	payload, err := json.Marshal(group)
 	if err != nil {
 		return fmt.Errorf("cluster: encoding profiles: %w", err)
-	}
-	if len(payload) > registerSliceBytes && len(group) > 1 {
-		half := len(group) / 2
-		if err := r.registerSlice(ctx, name, group[:half]); err != nil {
-			return err
-		}
-		return r.registerSlice(ctx, name, group[half:])
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.senders[name].url+"/register", bytes.NewReader(payload))
 	if err != nil {

@@ -106,3 +106,23 @@ func TestRegisterUserContextCancelled(t *testing.T) {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
 }
+
+// TestImportUsersContextDone: a batch handed over under a context that is
+// already done installs nothing, even when every shape in it is cached and
+// nothing would have polled the context.
+func TestImportUsersContextDone(t *testing.T) {
+	m, users := cancelMonitor(t)
+	snap, ok := m.ExportUser(users[0])
+	if !ok {
+		t.Fatal("no snapshot for a registered user")
+	}
+	snap.Profile.ID = "late-arrival"
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := m.ImportUsers(ctx, []runtime.UserSnapshot{snap}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if _, ok := m.ExportUser("late-arrival"); ok {
+		t.Fatal("a user was installed despite the cancelled context")
+	}
+}

@@ -195,23 +195,19 @@ func (m *Monitor) RegisterUserContext(ctx context.Context, profile risk.UserProf
 // counters, replacing whatever the monitor held for that ID. Registration
 // installs the initial state with zero counters, import installs snapshots
 // as they are. Every shape is resolved before the lock is taken, once, for
-// the whole batch: nothing is installed when any shape's analysis fails.
+// the whole batch: nothing is installed when any shape's analysis fails or
+// ctx is done by then.
 func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 	states := make([]*userState, len(snaps))
 	for i := range snaps {
-		var index findingsIndex
-		if i > 0 && sameShape(&snaps[i-1].Profile, &snaps[i].Profile) {
-			// A handoff chunk is mostly runs of one shape: skip rendering the
-			// fingerprint the previous snapshot just resolved.
-			index = states[i-1].findings
-			m.shapeHits.Add(1)
-		} else {
-			var err error
-			if index, err = m.shapeIndex(ctx, snaps[i].Profile); err != nil {
-				return err
-			}
+		index, err := m.shapeIndex(ctx, snaps[i].Profile)
+		if err != nil {
+			return err
 		}
 		states[i] = &userState{UserSnapshot: snaps[i], findings: index}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	for _, u := range states {
@@ -219,29 +215,6 @@ func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 	}
 	m.mu.Unlock()
 	return nil
-}
-
-// sameShape reports whether two profiles certainly share a Fingerprint: the
-// same default sensitivity, the same services in the same order and equal
-// sensitivity maps. (Profiles that differ only in service order share one
-// too; they take the fingerprint path.)
-func sameShape(a, b *risk.UserProfile) bool {
-	if a.DefaultSensitivity != b.DefaultSensitivity ||
-		len(a.ConsentedServices) != len(b.ConsentedServices) ||
-		len(a.Sensitivities) != len(b.Sensitivities) {
-		return false
-	}
-	for i, svc := range a.ConsentedServices {
-		if b.ConsentedServices[i] != svc {
-			return false
-		}
-	}
-	for field, v := range a.Sensitivities {
-		if w, ok := b.Sensitivities[field]; !ok || w != v {
-			return false
-		}
-	}
-	return true
 }
 
 // shapeIndex returns the shared findings index for the profile's shape,

@@ -104,7 +104,7 @@ func (m *Monitor) ImportUserContext(ctx context.Context, snap UserSnapshot) erro
 // ImportUsers is ImportUserContext for a batch — one handoff chunk — under
 // one lock acquisition. Every snapshot is validated and its profile shape
 // resolved before any user is touched, so an invalid snapshot anywhere in the
-// batch installs nothing from it.
+// batch installs nothing from it; nor does a ctx that is done by then.
 func (m *Monitor) ImportUsers(ctx context.Context, snaps []UserSnapshot) error {
 	for i := range snaps {
 		if err := m.checkSnapshot(&snaps[i]); err != nil {
