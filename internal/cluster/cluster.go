@@ -1,6 +1,6 @@
 // Package cluster is the horizontally scalable ingestion layer for the
 // runtime monitor: a consistent-hash ring partitions user IDs across nodes
-// (internal/runtime's FNV user hash, so one node degenerates to the
+// (HashUserID places users and nodes; one node degenerates to the
 // single-process monitor), a Router client streams length-prefixed binary
 // event frames to each owner node over unencrypted HTTP/2, and every Node
 // applies its partition through Monitor.IngestBatch behind a bounded queue

@@ -5,26 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"privascope/internal/core"
 	"privascope/internal/service"
+	"privascope/internal/wire"
 )
 
 // The ingest wire format: a length-prefixed binary event frame, little-endian
-// regardless of host (the internal/modelstore convention). One frame carries
-// one batch of service.Events; an ingest request body is a stream of frames.
+// regardless of host. One frame carries one batch of service.Events; an ingest
+// request body is a stream of frames. The header, the string table and their
+// hostile-input validation are internal/wire's; this file is the schema.
 //
-//	header (16 bytes):
-//	  magic    [4]byte  "PSEF"
-//	  version  uint16   FrameVersion; newer versions are rejected, not guessed
-//	  reserved uint16   must be zero
-//	  length   uint32   total frame length in bytes, header included
-//	  count    uint32   number of events
-//	strings:
-//	  scount   uint32   interned string count (entry 0 is always "")
-//	  offsets  [scount+1]uint32  monotone offsets into the blob
-//	  blob     [...]byte         concatenated string bytes
+//	header and string table (wire.Frame): magic "PSEF", FrameVersion
 //	events (count records):
 //	  seq      int64
 //	  time     int64   UnixNano; 0 encodes the zero time
@@ -36,21 +30,16 @@ import (
 //
 // Strings are interned in canonical first-occurrence order, so encoding the
 // same batch twice is byte-identical. The decoder is hardened against
-// untrusted input: the whole offset array is validated in one pass before any
-// string is sliced (monotone, every bound inside the blob — the offset-spike
-// lesson from the modelstore decoder), every string ref is bounds-checked,
-// and any malformed frame yields an error, never a panic.
+// untrusted input: every string ref is bounds-checked against a table wire
+// validated whole, and any malformed frame yields an error, never a panic.
 
 // FrameVersion is the wire format written by EncodeFrame. DecodeFrame rejects
 // frames from a newer version with ErrFrameVersion instead of misreading
 // them.
 const FrameVersion = 1
 
-// frameMagic identifies a privascope event frame.
-const frameMagic = "PSEF"
-
 const (
-	frameHeaderSize = 16
+	frameHeaderSize = wire.HeaderSize
 	// eventFixedSize is the fixed part of one event record: seq(8) time(8)
 	// actor(4) datastore(4) service(4) purpose(4) user(4) action(1) denied(1)
 	// nfields(2).
@@ -69,29 +58,20 @@ const MaxFrameEvents = 1 << 16
 // format version.
 var ErrFrameVersion = errors.New("cluster: frame written by a newer format version")
 
-// badFramef builds a decode error; every malformed-frame path funnels through
-// it so callers can rely on the "cluster:" prefix.
-func badFramef(format string, args ...any) error {
-	return fmt.Errorf("cluster: invalid frame: "+format, args...)
+// eventFrame is the PSEF framing; every decode error carries its "cluster:"
+// prefix.
+var eventFrame = wire.Frame{
+	Magic: "PSEF", Version: FrameVersion,
+	MaxBytes: MaxFrameBytes, MaxCount: MaxFrameEvents,
+	Label: "cluster: invalid frame", ErrNewer: ErrFrameVersion,
 }
 
-// frameEncoder holds the reusable interning state of one frame writer. The
-// zero value is ready; a Router keeps one per node so the intern map's
-// storage survives across flushes.
+// frameEncoder holds the reusable state of one frame writer: the interner and
+// the scratch the event records are written to. The zero value is ready; a
+// Router keeps one per node so their storage survives across flushes.
 type frameEncoder struct {
-	intern map[string]uint32
-	strs   []string
-}
-
-// ref interns a string, returning its table index.
-func (e *frameEncoder) ref(s string) uint32 {
-	if i, ok := e.intern[s]; ok {
-		return i
-	}
-	i := uint32(len(e.strs))
-	e.intern[s] = i
-	e.strs = append(e.strs, s)
-	return i
+	in   wire.Interner
+	recs wire.Buf
 }
 
 // appendFrame encodes one frame onto dst.
@@ -102,17 +82,16 @@ func (e *frameEncoder) appendFrame(dst []byte, events []service.Event) ([]byte, 
 	if len(events) > MaxFrameEvents {
 		return nil, fmt.Errorf("cluster: %d events exceed the %d-event frame bound", len(events), MaxFrameEvents)
 	}
-	if e.intern == nil {
-		e.intern = make(map[string]uint32, 64)
-	} else {
-		clear(e.intern)
-	}
-	e.strs = e.strs[:0]
-	e.ref("") // entry 0 is always the empty string
+	e.in.Reset()
 
-	// First pass: intern in canonical first-occurrence order and size the
-	// event section.
-	eventsSize := 0
+	// The records go to scratch first: interning them in canonical
+	// first-occurrence order is what completes the string table, and the table
+	// precedes them in the frame.
+	recsSize := 0
+	for i := range events {
+		recsSize += eventFixedSize + 4*len(events[i].Fields)
+	}
+	w := wire.Buf{B: slices.Grow(e.recs.B[:0], recsSize)}
 	for i := range events {
 		ev := &events[i]
 		if len(ev.Fields) > MaxFrameEvents {
@@ -121,77 +100,33 @@ func (e *frameEncoder) appendFrame(dst []byte, events []service.Event) ([]byte, 
 		if !ev.Action.Valid() {
 			return nil, fmt.Errorf("cluster: event %d has invalid action %d", i, ev.Action)
 		}
-		e.ref(ev.Actor)
-		e.ref(ev.Datastore)
-		e.ref(ev.Service)
-		e.ref(ev.Purpose)
-		e.ref(ev.UserID)
-		for _, f := range ev.Fields {
-			e.ref(f)
-		}
-		eventsSize += eventFixedSize + 4*len(ev.Fields)
-	}
-	blobSize := 0
-	for _, s := range e.strs {
-		blobSize += len(s)
-	}
-	total := frameHeaderSize + 4 + 4*(len(e.strs)+1) + blobSize + eventsSize
-	if total > MaxFrameBytes {
-		return nil, fmt.Errorf("cluster: frame of %d bytes exceeds the %d-byte bound", total, MaxFrameBytes)
-	}
-
-	base := len(dst)
-	dst = append(dst, make([]byte, total)...)
-	b := dst[base:]
-	copy(b, frameMagic)
-	binary.LittleEndian.PutUint16(b[4:], FrameVersion)
-	binary.LittleEndian.PutUint32(b[8:], uint32(total))
-	binary.LittleEndian.PutUint32(b[12:], uint32(len(events)))
-	p := frameHeaderSize
-	binary.LittleEndian.PutUint32(b[p:], uint32(len(e.strs)))
-	p += 4
-	off := uint32(0)
-	for _, s := range e.strs {
-		binary.LittleEndian.PutUint32(b[p:], off)
-		p += 4
-		off += uint32(len(s))
-	}
-	binary.LittleEndian.PutUint32(b[p:], off)
-	p += 4
-	for _, s := range e.strs {
-		p += copy(b[p:], s)
-	}
-	for i := range events {
-		ev := &events[i]
-		binary.LittleEndian.PutUint64(b[p:], uint64(ev.Seq))
-		p += 8
+		w.U64(uint64(ev.Seq))
 		var nanos int64
 		if !ev.Time.IsZero() {
 			nanos = ev.Time.UnixNano()
 		}
-		binary.LittleEndian.PutUint64(b[p:], uint64(nanos))
-		p += 8
-		for _, s := range [...]string{ev.Actor, ev.Datastore, ev.Service, ev.Purpose, ev.UserID} {
-			binary.LittleEndian.PutUint32(b[p:], e.intern[s])
-			p += 4
-		}
-		b[p] = byte(ev.Action)
+		w.U64(uint64(nanos))
+		w.U32(e.in.Ref(ev.Actor))
+		w.U32(e.in.Ref(ev.Datastore))
+		w.U32(e.in.Ref(ev.Service))
+		w.U32(e.in.Ref(ev.Purpose))
+		w.U32(e.in.Ref(ev.UserID))
+		w.U8(byte(ev.Action))
 		denied := byte(0)
 		if ev.Denied {
 			denied = 1
 		}
-		b[p+1] = denied
-		binary.LittleEndian.PutUint16(b[p+2:], uint16(len(ev.Fields)))
-		p += 4
+		w.U8(denied)
+		w.U16(uint16(len(ev.Fields)))
 		for _, f := range ev.Fields {
-			binary.LittleEndian.PutUint32(b[p:], e.intern[f])
-			p += 4
+			w.U32(e.in.Ref(f))
 		}
 	}
-	if p != total {
-		return nil, fmt.Errorf("cluster: frame encoder wrote %d of %d bytes", p, total)
+	e.recs = w
+	if total := eventFrame.Size(&e.in, len(w.B)); total > MaxFrameBytes {
+		return nil, fmt.Errorf("cluster: frame of %d bytes exceeds the %d-byte bound", total, MaxFrameBytes)
 	}
-	return dst, nil
+	return eventFrame.Append(dst, &e.in, len(events), w.B), nil
 }
 
 // EncodeFrame encodes one batch of events as a single frame.
@@ -204,142 +139,80 @@ func EncodeFrame(events []service.Event) ([]byte, error) {
 // round-trips at UnixNano resolution (the zero time stays zero); decoded
 // strings alias one per-frame copy of the blob, so events share storage.
 func DecodeFrame(data []byte) ([]service.Event, error) {
-	events, n, err := decodeFrame(data)
+	count, err := eventFrame.ParseFrame(data)
 	if err != nil {
 		return nil, err
 	}
-	if n != len(data) {
-		return nil, badFramef("%d trailing bytes after the frame", len(data)-n)
-	}
-	return events, nil
+	return decodeEvents(data, count)
 }
 
-// decodeFrame decodes the frame at the head of data, returning the events
-// and the frame's total length.
-func decodeFrame(data []byte) ([]service.Event, int, error) {
-	if len(data) < frameHeaderSize {
-		return nil, 0, badFramef("%d bytes is shorter than the %d-byte header", len(data), frameHeaderSize)
-	}
-	if string(data[:4]) != frameMagic {
-		return nil, 0, badFramef("bad magic %q", data[:4])
-	}
-	version := binary.LittleEndian.Uint16(data[4:])
-	if version != FrameVersion {
-		if version > FrameVersion {
-			return nil, 0, fmt.Errorf("%w: version %d, this build reads %d", ErrFrameVersion, version, FrameVersion)
-		}
-		return nil, 0, badFramef("version %d", version)
-	}
-	if reserved := binary.LittleEndian.Uint16(data[6:]); reserved != 0 {
-		return nil, 0, badFramef("reserved field is %#x, want 0", reserved)
-	}
-	total := int(binary.LittleEndian.Uint32(data[8:]))
-	count := int(binary.LittleEndian.Uint32(data[12:]))
-	if total > MaxFrameBytes {
-		return nil, 0, badFramef("declared length %d exceeds the %d-byte bound", total, MaxFrameBytes)
-	}
-	if total < frameHeaderSize || total > len(data) {
-		return nil, 0, badFramef("declared length %d outside [%d, %d]", total, frameHeaderSize, len(data))
-	}
-	if count == 0 || count > MaxFrameEvents {
-		return nil, 0, badFramef("event count %d outside [1, %d]", count, MaxFrameEvents)
-	}
-	b := data[:total]
-	p := frameHeaderSize
-
-	// String table: validate the whole offset array before slicing the blob.
-	if total-p < 4 {
-		return nil, 0, badFramef("truncated string table")
-	}
-	scount := int(binary.LittleEndian.Uint32(b[p:]))
-	p += 4
-	if scount < 1 || scount > total/4 {
-		return nil, 0, badFramef("string count %d", scount)
-	}
-	if total-p < 4*(scount+1) {
-		return nil, 0, badFramef("truncated string offsets")
-	}
-	offsets := make([]uint32, scount+1)
-	for i := range offsets {
-		offsets[i] = binary.LittleEndian.Uint32(b[p:])
-		p += 4
-	}
-	blobLen := total - p // upper bound: events still follow
-	prev := uint32(0)
-	for i, off := range offsets {
-		if off < prev || int(off) > blobLen {
-			return nil, 0, badFramef("string offset %d of %d is %d, outside [%d, %d]", i, scount+1, off, prev, blobLen)
-		}
-		prev = off
-	}
-	if offsets[0] != 0 || offsets[1] != 0 {
-		return nil, 0, badFramef("string table entry 0 is not the empty string")
-	}
-	blob := string(b[p : p+int(offsets[scount])])
-	p += int(offsets[scount])
-	strs := make([]string, scount)
-	for i := 0; i < scount; i++ {
-		strs[i] = blob[offsets[i]:offsets[i+1]]
+// decodeEvents decodes the body of a frame whose header declared len(frame)
+// bytes and count events.
+func decodeEvents(frame []byte, count int) ([]service.Event, error) {
+	c, strs, err := eventFrame.Records(frame)
+	if err != nil {
+		return nil, err
 	}
 
 	// Events: every string ref bounds-checked against the table.
 	events := make([]service.Event, count)
 	var fieldArena []string
-	for i := 0; i < count; i++ {
-		if total-p < eventFixedSize {
-			return nil, 0, badFramef("truncated event %d of %d", i, count)
+	for i := range events {
+		rec, err := c.Take(eventFixedSize)
+		if err != nil {
+			return nil, err
 		}
 		ev := &events[i]
-		ev.Seq = int64(binary.LittleEndian.Uint64(b[p:]))
-		if nanos := int64(binary.LittleEndian.Uint64(b[p+8:])); nanos != 0 {
+		ev.Seq = int64(binary.LittleEndian.Uint64(rec))
+		if nanos := int64(binary.LittleEndian.Uint64(rec[8:])); nanos != 0 {
 			ev.Time = time.Unix(0, nanos).UTC()
 		}
 		refs := [5]uint32{}
 		for r := range refs {
-			refs[r] = binary.LittleEndian.Uint32(b[p+16+4*r:])
-			if int(refs[r]) >= scount {
-				return nil, 0, badFramef("event %d string ref %d out of range", i, refs[r])
+			refs[r] = binary.LittleEndian.Uint32(rec[16+4*r:])
+			if int64(refs[r]) >= int64(len(strs)) {
+				return nil, c.Errorf("event %d string ref %d out of range", i, refs[r])
 			}
 		}
 		ev.Actor, ev.Datastore, ev.Service, ev.Purpose, ev.UserID =
 			strs[refs[0]], strs[refs[1]], strs[refs[2]], strs[refs[3]], strs[refs[4]]
-		action := core.Action(b[p+36])
+		action := core.Action(rec[36])
 		if !action.Valid() {
-			return nil, 0, badFramef("event %d has invalid action %d", i, action)
+			return nil, c.Errorf("event %d has invalid action %d", i, action)
 		}
 		ev.Action = action
-		switch b[p+37] {
+		switch rec[37] {
 		case 0:
 		case 1:
 			ev.Denied = true
 		default:
-			return nil, 0, badFramef("event %d denied flag is %d", i, b[p+37])
+			return nil, c.Errorf("event %d denied flag is %d", i, rec[37])
 		}
-		nfields := int(binary.LittleEndian.Uint16(b[p+38:]))
-		p += eventFixedSize
-		if total-p < 4*nfields {
-			return nil, 0, badFramef("truncated field list of event %d", i)
+		nfields := int(binary.LittleEndian.Uint16(rec[38:]))
+		if nfields == 0 {
+			continue
 		}
-		if nfields > 0 {
-			if cap(fieldArena)-len(fieldArena) < nfields {
-				fieldArena = make([]string, 0, max(4*nfields, 1024))
+		raw, err := c.Take(4 * nfields)
+		if err != nil {
+			return nil, err
+		}
+		if cap(fieldArena)-len(fieldArena) < nfields {
+			fieldArena = make([]string, 0, max(4*nfields, 1024))
+		}
+		start := len(fieldArena)
+		for f := 0; f < nfields; f++ {
+			ref := binary.LittleEndian.Uint32(raw[4*f:])
+			if int64(ref) >= int64(len(strs)) {
+				return nil, c.Errorf("event %d field ref %d out of range", i, ref)
 			}
-			start := len(fieldArena)
-			for f := 0; f < nfields; f++ {
-				ref := binary.LittleEndian.Uint32(b[p:])
-				p += 4
-				if int(ref) >= scount {
-					return nil, 0, badFramef("event %d field ref %d out of range", i, ref)
-				}
-				fieldArena = append(fieldArena, strs[ref])
-			}
-			ev.Fields = fieldArena[start:len(fieldArena):len(fieldArena)]
+			fieldArena = append(fieldArena, strs[ref])
 		}
+		ev.Fields = fieldArena[start:len(fieldArena):len(fieldArena)]
 	}
-	if p != total {
-		return nil, 0, badFramef("%d bytes of padding after the last event", total-p)
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
-	return events, total, nil
+	return events, nil
 }
 
 // FrameReader decodes a stream of frames from an io.Reader (an ingest request
@@ -369,27 +242,20 @@ func (fr *FrameReader) Read() ([]service.Event, error) {
 		}
 		return nil, err
 	}
-	if string(header[:4]) != frameMagic {
-		return nil, badFramef("bad magic %q", header[:4])
-	}
-	total := int(binary.LittleEndian.Uint32(header[8:]))
-	if total > MaxFrameBytes {
-		return nil, badFramef("declared length %d exceeds the %d-byte bound", total, MaxFrameBytes)
-	}
-	if total < frameHeaderSize {
-		return nil, badFramef("declared length %d is shorter than the header", total)
+	total, count, err := eventFrame.ParseHeader(header)
+	if err != nil {
+		return nil, err
 	}
 	if cap(fr.buf) < total {
 		fr.buf = make([]byte, total)
+		copy(fr.buf, header)
 	}
 	frame := fr.buf[:total]
-	copy(frame, header)
 	if _, err := io.ReadFull(fr.r, frame[frameHeaderSize:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	events, _, err := decodeFrame(frame)
-	return events, err
+	return decodeEvents(frame, count)
 }

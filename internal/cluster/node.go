@@ -103,11 +103,15 @@ type Node struct {
 	handoffOut   atomic.Int64
 	failoverIn   atomic.Int64
 
-	// draining and receiving drive the readiness half of the health split:
-	// /readyz answers 503 while the node is flushing its queue for a
-	// shutdown/handoff (draining) or importing snapshots (receiving), so
-	// probers and load balancers stop routing to it before its state moves.
+	// draining, quiescing and receiving drive the readiness half of the
+	// health split: /readyz answers 503 once the node is leaving (draining,
+	// set by BeginDrain for good), while it flushes its queue (quiescing, a
+	// count of Quiesce calls in progress — kept apart from draining so a
+	// quiesce ending cannot clear the permanent mark) or while it imports
+	// snapshots (receiving), so probers and load balancers stop routing to it
+	// before its state moves.
 	draining  atomic.Bool
+	quiescing atomic.Int32
 	receiving atomic.Int32
 
 	// streams maps a router sender's stream ID to the next expected frame
@@ -200,7 +204,7 @@ func (n *Node) Stats() NodeStats {
 
 // ready reports the readiness half of the health split.
 func (n *Node) ready() bool {
-	return !n.draining.Load() && n.receiving.Load() == 0
+	return !n.draining.Load() && n.quiescing.Load() == 0 && n.receiving.Load() == 0
 }
 
 // drain is the node's single ingestion worker.
@@ -239,8 +243,8 @@ func (n *Node) drain() {
 // reports not-ready on /readyz: a drain is exactly the moment probers and
 // load balancers should stop routing new work here.
 func (n *Node) Quiesce(ctx context.Context) error {
-	n.draining.Store(true)
-	defer n.draining.Store(false)
+	n.quiescing.Add(1)
+	defer n.quiescing.Add(-1)
 	tick := time.NewTicker(500 * time.Microsecond)
 	defer tick.Stop()
 	for n.pending.Load() != 0 {
@@ -504,7 +508,7 @@ func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]any{
 		"node":      n.name,
 		"ready":     n.ready(),
-		"draining":  n.draining.Load(),
+		"draining":  n.draining.Load() || n.quiescing.Load() > 0,
 		"receiving": n.receiving.Load() > 0,
 		"pending":   n.pending.Load(),
 	})

@@ -17,8 +17,8 @@ type ProberConfig struct {
 	// declared dead and evicted (0 selects DefaultProbeFailures). Keying on
 	// consecutive failures keeps one dropped packet from amputating a node.
 	Failures int
-	// HTTPClient overrides the probe client (its Timeout is ignored; the
-	// prober applies its own per-probe deadline).
+	// HTTPClient overrides the probe client, by default the router's (its
+	// Timeout is ignored; the prober applies its own per-probe deadline).
 	HTTPClient *http.Client
 	// OnEvict, when set, observes each eviction and its outcome.
 	OnEvict func(name string, err error)
@@ -80,7 +80,11 @@ func (c *Local) StartProber(cfg ProberConfig) *Prober {
 	}
 	client := cfg.HTTPClient
 	if client == nil {
-		client = h2cClient()
+		// Probes ride the router's pooled connections: a departure closes
+		// those so the leaving server's GOAWAY has nobody to wait a second
+		// for (membership.go, step 4), and a second set of connections held
+		// open here would bring that second back.
+		client = c.Router.client
 	}
 	p := &Prober{
 		c:      c,

@@ -417,6 +417,32 @@ func TestDepartureSkipsGoawayLinger(t *testing.T) {
 	}
 }
 
+// TestDepartureWithProberSkipsGoawayLinger: a running failure detector must
+// not bring the linger back. The prober used to dial its own client, so the
+// leaving server's GOAWAY still had that connection to wait a second for.
+func TestDepartureWithProberSkipsGoawayLinger(t *testing.T) {
+	c, err := StartLocal(surgeryModel(t), 2, NodeConfig{}, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop(context.Background())
+	// The ticker never fires: rounds are driven by hand, so the probe
+	// connections are warm and no probe is in flight during the departure.
+	prober := c.StartProber(ProberConfig{Interval: time.Hour, Timeout: time.Second})
+	defer prober.Stop()
+	prober.round()
+	if s := prober.Stats(); s.Probes != 2 || s.Failures != 0 {
+		t.Fatalf("prober stats = %+v, want 2 successful probes", s)
+	}
+	t0 := time.Now()
+	if err := c.RemoveNode(context.Background(), "node1"); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(t0); d >= 500*time.Millisecond {
+		t.Fatalf("RemoveNode took %v with a prober running, want well under the GOAWAY second", d)
+	}
+}
+
 // TestAbortedChangeLeavesFleetUnchanged fails one destination's handoff past
 // every retry, for a join and for a leave: the change returns an error with
 // the ring, the epoch, every node's users and every snapshot as they were —

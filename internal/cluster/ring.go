@@ -6,10 +6,9 @@ import (
 	"strconv"
 )
 
-// HashUserID is the user-ID hash shared by the whole fleet: the same inline
-// FNV-1a the monitor uses for its lock stripes (runtime.Monitor), so the ring
-// partitions users with the hash the rest of the system already keys on, and
-// a one-node ring degenerates to exactly today's single-process behaviour.
+// HashUserID is the user-ID hash shared by the whole fleet: inline 32-bit
+// FNV-1a, used for both the ring's virtual points and the users placed among
+// them, so every router and node computes the same owner for a user.
 func HashUserID(userID string) uint32 {
 	const offset32, prime32 = 2166136261, 16777619
 	h := uint32(offset32)

@@ -195,10 +195,25 @@ func TestRouter429TrimAcrossRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	router.sleepFn = clock.sleep
+	// A sender posts whatever is queued when it wakes, so with a live sender
+	// frame 0 sometimes left alone before frame 1 was cut and the 429 had no
+	// sequence to split. Retire the sender NewRouter started and cut both
+	// frames onto one whose loop starts only afterwards: the first POST then
+	// always carries the two-frame sequence.
+	router.memberMu.Lock()
+	close(router.senders["only"].frames)
+	staged := &nodeSender{name: "only", url: srv.URL, frames: make(chan cutFrame, 4), dead: make(chan struct{})}
+	router.senders["only"] = staged
+	router.memberMu.Unlock()
 	events := casestudy.MedicalServiceEvents("u")[:4] // 2 frames, one sequence
 	if err := router.SendBatch(context.Background(), events); err != nil {
 		t.Fatal(err)
 	}
+	if got := staged.pending.Load(); got != 2 {
+		t.Fatalf("%d frames cut before the sender starts, want 2", got)
+	}
+	router.sendersWG.Add(1)
+	go router.sendLoop(staged)
 	if err := router.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +322,21 @@ func TestReadyzSplitsFromHealthz(t *testing.T) {
 	if got := get("/healthz"); got != http.StatusOK {
 		t.Fatalf("draining node /healthz = %d, want 200: draining is not dead", got)
 	}
+	// A removal quiesces the node after BeginDrain; the quiesce's own
+	// temporary not-ready mark must not clear the permanent one on its way out.
+	if err := node.Quiesce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := get("/readyz"); got != http.StatusServiceUnavailable {
+		t.Fatalf("draining node /readyz after Quiesce = %d, want 503: a node being removed reported ready again", got)
+	}
 	node.draining.Store(false)
+	if err := node.Quiesce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := get("/readyz"); got != http.StatusOK {
+		t.Fatalf("/readyz after a plain Quiesce = %d, want 200: its not-ready mark is temporary", got)
+	}
 	node.receiving.Add(1)
 	if got := get("/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("receiving node /readyz = %d, want 503", got)

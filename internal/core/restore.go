@@ -41,9 +41,9 @@ func (p *PrivacyLTS) StoreMap(id lts.StateID) map[string]schema.FieldSet {
 // vocabulary, the restored graph, and the per-state payloads indexed by the
 // graph's dense state index — vecWords holds vocab.WordsPerVector() words per
 // state back to back, stores one (possibly shared, possibly nil) map per
-// state. The arguments are retained, not copied: the model store's zero-copy
-// path hands in a vecWords that aliases an mmap'd section. The compiled
-// analysis view is built lazily on first use, exactly as after generation.
+// state. The arguments are retained, not copied: the model store hands in the
+// slab and maps it decoded and keeps no other reference. The compiled analysis
+// view is built lazily on first use, exactly as after generation.
 func RestorePrivacyLTS(model *dataflow.Model, vocab *Vocabulary, graph *lts.LTS,
 	warnings []string, vecWords []uint64, stores []map[string]schema.FieldSet) *PrivacyLTS {
 	return &PrivacyLTS{

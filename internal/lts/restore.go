@@ -55,8 +55,8 @@ func (c *Compiled) Parts() CompiledParts {
 // indices, and both CSR layouts partitioning the transitions with ascending
 // indices per bucket. It never panics on malformed parts; the first violated
 // invariant is returned as an error. The slices are retained, not copied —
-// callers hand over ownership (the model store's zero-copy path aliases them
-// into an mmap'd artifact).
+// callers hand over ownership (the model store passes the slices it decoded
+// out of an artifact).
 //
 // Consistency of Trs with States/EdgeFrom/EdgeTo/EdgeLabel is the caller's
 // contract (the model store constructs Trs from those same arrays); it is not

@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"unsafe"
 
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
 	"privascope/internal/lts"
 	"privascope/internal/schema"
+	"privascope/internal/wire"
 )
 
 // ErrFutureVersion is wrapped by Decode when the artifact was written by a
@@ -17,29 +17,11 @@ import (
 // regenerate rather than report corruption.
 var ErrFutureVersion = fmt.Errorf("modelstore: artifact format version is newer than this build")
 
-// Decode rebuilds a privacy model from an artifact, verifying it end to end:
-// the header, the whole-file checksum, every section bound, every index and
-// offset, both CSR layouts, and — via dataflow.Fingerprint — that the
-// artifact really was built from the supplied data-flow model. Malformed
-// input of any kind yields an error, never a panic. The data is copied; the
-// caller keeps ownership of the buffer. (Store.Load uses the zero-copy
-// variant over a private file mapping instead.)
-func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
-	return decode(data, model, false)
-}
-
 // Fingerprint verifies an artifact's framing and checksum and returns the
 // embedded model fingerprint, without rebuilding the model.
 func Fingerprint(data []byte) (string, error) {
-	secs, err := parseSections(data)
-	if err != nil {
-		return "", err
-	}
-	mt, err := parseMeta(secs[secMeta], len(data))
-	if err != nil {
-		return "", err
-	}
-	return mt.fingerprint, nil
+	_, mt, err := parseSections(data)
+	return mt.fingerprint, err
 }
 
 type meta struct {
@@ -50,18 +32,15 @@ type meta struct {
 	fingerprint                                string
 }
 
-// decode is the shared implementation. With zeroCopy set, flat int32/int64
-// sections alias the data (the caller guarantees the buffer outlives the
-// model — Store.Load never unmaps a successfully decoded artifact); otherwise
-// everything is copied out. Either way the sections go to lts.RestoreCompiled
-// and core.RestorePrivacyLTS as they are — the model's in-memory shape is the
-// artifact's — so no per-state map or adjacency list is rebuilt.
-func decode(data []byte, model *dataflow.Model, zeroCopy bool) (*core.PrivacyLTS, error) {
-	secs, err := parseSections(data)
-	if err != nil {
-		return nil, err
-	}
-	mt, err := parseMeta(secs[secMeta], len(data))
+// Decode rebuilds a privacy model from an artifact, verifying it end to end:
+// the header, the whole-file checksum, every section bound, every index and
+// offset, both CSR layouts, and — via dataflow.Fingerprint — that the
+// artifact really was built from the supplied data-flow model. Malformed
+// input of any kind yields an error, never a panic. Everything is copied out
+// of data: the caller keeps ownership of the buffer and the model never
+// references it again. Store.Load is os.ReadFile plus this function.
+func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
+	secs, mt, err := parseSections(data)
 	if err != nil {
 		return nil, err
 	}
@@ -81,8 +60,10 @@ func decode(data []byte, model *dataflow.Model, zeroCopy bool) (*core.PrivacyLTS
 		return nil, corruptf("initial state %d out of range [0, %d)", mt.initial, mt.numStates)
 	}
 
-	strs, err := parseStrings(secs[secStrings], mt.numStrings)
-	if err != nil {
+	// The interned string table must fill its section.
+	tc := section("strings", secs[secStrings])
+	strs, err := tc.Strings(mt.numStrings)
+	if err := firstErr(err, tc.Done()); err != nil {
 		return nil, err
 	}
 	ref := func(r uint32) (string, error) {
@@ -93,12 +74,9 @@ func decode(data []byte, model *dataflow.Model, zeroCopy bool) (*core.PrivacyLTS
 	}
 
 	// States.
-	sr := &reader{name: "states", b: secs[secStates]}
-	stateRefs, err := sr.u32s(mt.numStates)
-	if err != nil {
-		return nil, err
-	}
-	if err := sr.done(); err != nil {
+	sr := section("states", secs[secStates])
+	stateRefs, err := sr.U32s(mt.numStates)
+	if err := firstErr(err, sr.Done()); err != nil {
 		return nil, err
 	}
 	stateIDs := make([]lts.StateID, mt.numStates)
@@ -119,11 +97,11 @@ func decode(data []byte, model *dataflow.Model, zeroCopy bool) (*core.PrivacyLTS
 	}
 
 	// Edges.
-	er := &reader{name: "edges", b: secs[secEdges], alias: zeroCopy}
-	edgeFrom, err1 := er.i32s(mt.numEdges)
-	edgeTo, err2 := er.i32s(mt.numEdges)
-	edgeLabelPtr, err3 := er.i32s(mt.numEdges)
-	if err := firstErr(err1, err2, err3, er.done()); err != nil {
+	er := section("edges", secs[secEdges])
+	edgeFrom, err1 := er.I32s(mt.numEdges)
+	edgeTo, err2 := er.I32s(mt.numEdges)
+	edgeLabelPtr, err3 := er.I32s(mt.numEdges)
+	if err := firstErr(err1, err2, err3, er.Done()); err != nil {
 		return nil, err
 	}
 	for e := 0; e < mt.numEdges; e++ {
@@ -136,42 +114,39 @@ func decode(data []byte, model *dataflow.Model, zeroCopy bool) (*core.PrivacyLTS
 	}
 
 	// CSR layouts (fully validated by lts.RestoreCompiled below).
-	cr := &reader{name: "csr", b: secs[secCSR], alias: zeroCopy}
-	outOff, err1 := cr.i32s(mt.numStates + 1)
-	inOff, err2 := cr.i32s(mt.numStates + 1)
-	outEdges, err3 := cr.i32s(mt.numEdges)
-	inEdges, err4 := cr.i32s(mt.numEdges)
-	if err := firstErr(err1, err2, err3, err4, cr.done()); err != nil {
+	cr := section("csr", secs[secCSR])
+	outOff, err1 := cr.I32s(mt.numStates + 1)
+	inOff, err2 := cr.I32s(mt.numStates + 1)
+	outEdges, err3 := cr.I32s(mt.numEdges)
+	inEdges, err4 := cr.I32s(mt.numEdges)
+	if err := firstErr(err1, err2, err3, err4, cr.Done()); err != nil {
 		return nil, err
 	}
 
 	// Vectors.
-	vr := &reader{name: "vectors", b: secs[secVectors], alias: zeroCopy}
-	vecWords, err := vr.u64s(mt.numStates * mt.wordsPerVec)
-	if err := firstErr(err, vr.done()); err != nil {
+	vr := section("vectors", secs[secVectors])
+	vecWords, err := vr.U64s(mt.numStates * mt.wordsPerVec)
+	if err := firstErr(err, vr.Done()); err != nil {
 		return nil, err
 	}
 
 	// Stores.
-	tr := &reader{name: "stores", b: secs[secStores]}
-	storeOff, err := tr.u32s(mt.numStates + 1)
+	tr := section("stores", secs[secStores])
+	storeOff, err := tr.U32s(mt.numStates + 1)
 	if err != nil {
 		return nil, err
 	}
-	if len(tr.b[tr.off:])%4 != 0 {
-		return nil, corruptf("stores section has %d trailing bytes", len(tr.b[tr.off:])%4)
-	}
-	recs, err := tr.u32s((len(tr.b) - tr.off) / 4)
-	if err := firstErr(err, tr.done()); err != nil {
+	recs, err := tr.U32s(tr.Len() / 4)
+	if err := firstErr(err, tr.Done()); err != nil { // Done rejects a ragged tail
 		return nil, err
 	}
 
 	// Vocabulary and warnings.
-	wr := &reader{name: "vocab", b: secs[secVocab]}
-	actorRefs, err1 := wr.u32s(mt.numActors)
-	fieldRefs, err2 := wr.u32s(mt.numFields)
-	warnRefs, err3 := wr.u32s(mt.numWarnings)
-	if err := firstErr(err1, err2, err3, wr.done()); err != nil {
+	wr := section("vocab", secs[secVocab])
+	actorRefs, err1 := wr.U32s(mt.numActors)
+	fieldRefs, err2 := wr.U32s(mt.numFields)
+	warnRefs, err3 := wr.U32s(mt.numWarnings)
+	if err := firstErr(err1, err2, err3, wr.Done()); err != nil {
 		return nil, err
 	}
 	vocab := core.VocabularyFromModel(model)
@@ -247,34 +222,34 @@ func decode(data []byte, model *dataflow.Model, zeroCopy bool) (*core.PrivacyLTS
 }
 
 // parseSections validates the header, checksum and section table and returns
-// the payload of each section.
-func parseSections(data []byte) (map[uint32][]byte, error) {
+// the payload of each section and the parsed meta section.
+func parseSections(data []byte) (map[uint32][]byte, meta, error) {
 	if len(data) < headerSize {
-		return nil, corruptf("%d bytes is shorter than the %d-byte header", len(data), headerSize)
+		return nil, meta{}, corruptf("%d bytes is shorter than the %d-byte header", len(data), headerSize)
 	}
 	if string(data[:8]) != magic {
-		return nil, corruptf("bad magic")
+		return nil, meta{}, corruptf("bad magic")
 	}
 	version := binary.LittleEndian.Uint32(data[8:])
 	if version > FormatVersion {
-		return nil, fmt.Errorf("%w (artifact v%d, build understands v%d)", ErrFutureVersion, version, FormatVersion)
+		return nil, meta{}, fmt.Errorf("%w (artifact v%d, build understands v%d)", ErrFutureVersion, version, FormatVersion)
 	}
 	if version != FormatVersion {
-		return nil, corruptf("unknown format version %d", version)
+		return nil, meta{}, corruptf("unknown format version %d", version)
 	}
 	if size := binary.LittleEndian.Uint64(data[16:]); size != uint64(len(data)) {
-		return nil, corruptf("header says %d bytes, artifact has %d", size, len(data))
+		return nil, meta{}, corruptf("header says %d bytes, artifact has %d", size, len(data))
 	}
 	if sum := checksumOf(data); string(sum[:]) != string(data[checksumOff:checksumOff+checksumSize]) {
-		return nil, corruptf("checksum mismatch")
+		return nil, meta{}, corruptf("checksum mismatch")
 	}
 	count := binary.LittleEndian.Uint32(data[12:])
 	if int(count) != len(requiredSections) {
-		return nil, corruptf("%d sections, format v1 has %d", count, len(requiredSections))
+		return nil, meta{}, corruptf("%d sections, format v1 has %d", count, len(requiredSections))
 	}
 	tableEnd := headerSize + len(requiredSections)*secEntrySize
 	if len(data) < tableEnd {
-		return nil, corruptf("section table truncated")
+		return nil, meta{}, corruptf("section table truncated")
 	}
 	payloadStart := uint64(align8(tableEnd))
 	secs := make(map[uint32][]byte, len(requiredSections))
@@ -284,19 +259,20 @@ func parseSections(data []byte) (map[uint32][]byte, error) {
 		off := binary.LittleEndian.Uint64(e[8:])
 		length := binary.LittleEndian.Uint64(e[16:])
 		if _, dup := secs[id]; dup {
-			return nil, corruptf("duplicate section %d", id)
+			return nil, meta{}, corruptf("duplicate section %d", id)
 		}
 		if off%8 != 0 || off < payloadStart || off > uint64(len(data)) || length > uint64(len(data))-off {
-			return nil, corruptf("section %d spans [%d, %d+%d) outside the artifact", id, off, off, length)
+			return nil, meta{}, corruptf("section %d spans [%d, %d+%d) outside the artifact", id, off, off, length)
 		}
 		secs[id] = data[off : off+length : off+length]
 	}
 	for _, id := range requiredSections {
 		if _, ok := secs[id]; !ok {
-			return nil, corruptf("missing section %d", id)
+			return nil, meta{}, corruptf("missing section %d", id)
 		}
 	}
-	return secs, nil
+	mt, err := parseMeta(secs[secMeta], len(data))
+	return secs, mt, err
 }
 
 // parseMeta reads the counts, initial state and fingerprint. Every count is
@@ -334,42 +310,6 @@ func parseMeta(sec []byte, fileSize int) (meta, error) {
 	return mt, nil
 }
 
-// parseStrings materialises the interned string table: count+1 offsets
-// followed by the concatenated blob. Entry 0 must be the empty string.
-func parseStrings(sec []byte, count int) ([]string, error) {
-	r := &reader{name: "strings", b: sec}
-	offs, err := r.u32s(count + 1)
-	if err != nil {
-		return nil, err
-	}
-	blob := sec[r.off:]
-	if count < 1 || offs[0] != 0 {
-		return nil, corruptf("string table must start with the empty string")
-	}
-	if uint64(offs[count]) != uint64(len(blob)) {
-		return nil, corruptf("string blob has %d bytes, offsets claim %d", len(blob), offs[count])
-	}
-	// Validate the whole offset array before materialising anything: pairwise
-	// monotonicity alone would slice with a spiked upper bound before reaching
-	// the entry where the sequence decreases again.
-	for i := 0; i < count; i++ {
-		if offs[i] > offs[i+1] {
-			return nil, corruptf("string offsets decrease at entry %d", i)
-		}
-		if uint64(offs[i+1]) > uint64(len(blob)) {
-			return nil, corruptf("string offset %d exceeds the %d-byte blob at entry %d", offs[i+1], len(blob), i)
-		}
-	}
-	strs := make([]string, count)
-	for i := 0; i < count; i++ {
-		strs[i] = string(blob[offs[i]:offs[i+1]])
-	}
-	if strs[0] != "" {
-		return nil, corruptf("string table must start with the empty string")
-	}
-	return strs, nil
-}
-
 // decodedLabel pairs a rebuilt label with its verified interned rendering.
 type decodedLabel struct {
 	label *core.TransitionLabel
@@ -379,21 +319,12 @@ type decodedLabel struct {
 // parseLabels rebuilds the distinct transition labels from the column layout
 // and verifies each against its stored rendering.
 func parseLabels(sec []byte, count int, ref func(uint32) (string, error)) ([]decodedLabel, error) {
-	r := &reader{name: "labels", b: sec}
-	action, err := r.i32s(count)
-	if err != nil {
-		return nil, err
-	}
-	flags, err := r.u32s(count)
-	if err != nil {
-		return nil, err
-	}
-	strRefs, err := r.u32s(7 * count)
-	if err != nil {
-		return nil, err
-	}
-	fieldsOff, err := r.u32s(count + 1)
-	if err != nil {
+	r := section("labels", sec)
+	action, err1 := r.I32s(count)
+	flags, err2 := r.U32s(count)
+	strRefs, err3 := r.U32s(7 * count)
+	fieldsOff, err4 := r.U32s(count + 1)
+	if err := firstErr(err1, err2, err3, err4); err != nil {
 		return nil, err
 	}
 	if fieldsOff[0] != 0 {
@@ -404,8 +335,8 @@ func parseLabels(sec []byte, count int, ref func(uint32) (string, error)) ([]dec
 			return nil, corruptf("label field offsets decrease at label %d", i)
 		}
 	}
-	fieldRefs, err := r.u32s(int(fieldsOff[count]))
-	if err := firstErr(err, r.done()); err != nil {
+	fieldRefs, err := r.U32s(int(fieldsOff[count]))
+	if err := firstErr(err, r.Done()); err != nil {
 		return nil, err
 	}
 
@@ -561,81 +492,10 @@ func matchVocab(vocab *core.Vocabulary, actorRefs, fieldRefs []uint32, wordsPerV
 	return nil
 }
 
-// reader is a bounds-checked cursor over one section. With alias set (the
-// mmap path on a little-endian host) the typed readers return slices that
-// alias the underlying bytes when alignment allows; otherwise they copy and
-// byte-swap via encoding/binary.
-type reader struct {
-	name  string
-	b     []byte
-	off   int
-	alias bool
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || n > len(r.b)-r.off {
-		return nil, corruptf("%s section truncated (need %d bytes at offset %d of %d)", r.name, n, r.off, len(r.b))
-	}
-	s := r.b[r.off : r.off+n : r.off+n]
-	r.off += n
-	return s, nil
-}
-
-func (r *reader) i32s(n int) ([]int32, error) {
-	if n > math.MaxInt32 {
-		return nil, corruptf("%s section claims %d entries", r.name, n)
-	}
-	raw, err := r.take(n * 4)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if r.alias && hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&raw[0])), n), nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	return out, nil
-}
-
-func (r *reader) u32s(n int) ([]uint32, error) {
-	vs, err := r.i32s(n)
-	if err != nil {
-		return nil, err
-	}
-	return *(*[]uint32)(unsafe.Pointer(&vs)), nil
-}
-
-func (r *reader) u64s(n int) ([]uint64, error) {
-	if n > math.MaxInt32 {
-		return nil, corruptf("%s section claims %d entries", r.name, n)
-	}
-	raw, err := r.take(n * 8)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if r.alias && hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&raw[0])), n), nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(raw[i*8:])
-	}
-	return out, nil
-}
-
-func (r *reader) done() error {
-	if r.off != len(r.b) {
-		return corruptf("%s section has %d trailing bytes", r.name, len(r.b)-r.off)
-	}
-	return nil
+// section returns a cursor over one section's payload whose errors name the
+// section.
+func section(name string, b []byte) *wire.Cursor {
+	return wire.NewCursor(corruptLabel+": "+name+" section", b)
 }
 
 func firstErr(errs ...error) error {

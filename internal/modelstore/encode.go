@@ -8,6 +8,7 @@ import (
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
 	"privascope/internal/schema"
+	"privascope/internal/wire"
 )
 
 // Encode serialises a generated privacy model into a version-1 artifact. The
@@ -26,12 +27,13 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 		return nil, fmt.Errorf("modelstore: model has no initial state")
 	}
 
-	in := newInterner()
+	var in wire.Interner
+	in.Reset()
 
 	// States, in dense order.
-	stateRefs := make([]uint32, n)
-	for s, id := range parts.States {
-		stateRefs[s] = in.ref(string(id))
+	states := wire.Buf{B: make([]byte, 0, 4*n)}
+	for _, id := range parts.States {
+		states.U32(in.Ref(string(id)))
 	}
 
 	// Distinct label pointers in first-occurrence order over the transitions.
@@ -63,58 +65,48 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	}
 	numLabels := len(ptrs)
 
-	var labels leBuf
+	var labels wire.Buf
 	for _, lbl := range ptrs { // action column
-		labels.i32(int32(lbl.Action))
+		labels.I32(int32(lbl.Action))
 	}
 	for _, lbl := range ptrs { // flags column
 		var flags uint32
 		if lbl.Potential {
 			flags |= 1
 		}
-		labels.u32(flags)
+		labels.U32(flags)
 	}
 	for i, lbl := range ptrs { // string-ref columns
-		labels.u32(in.ref(ptrStrs[i]))
-		labels.u32(in.ref(lbl.Actor))
-		labels.u32(in.ref(lbl.Datastore))
-		labels.u32(in.ref(lbl.Purpose))
-		labels.u32(in.ref(lbl.Service))
-		labels.u32(in.ref(lbl.FlowKey))
-		labels.u32(in.ref(lbl.Counterpart))
+		labels.U32(in.Ref(ptrStrs[i]))
+		labels.U32(in.Ref(lbl.Actor))
+		labels.U32(in.Ref(lbl.Datastore))
+		labels.U32(in.Ref(lbl.Purpose))
+		labels.U32(in.Ref(lbl.Service))
+		labels.U32(in.Ref(lbl.FlowKey))
+		labels.U32(in.Ref(lbl.Counterpart))
 	}
 	fieldsOff := uint32(0)
-	labels.u32(0) // fieldsOff column, one ahead of the refs
+	labels.U32(0) // fieldsOff column, one ahead of the refs
 	for _, lbl := range ptrs {
 		fieldsOff += uint32(len(lbl.Fields))
-		labels.u32(fieldsOff)
+		labels.U32(fieldsOff)
 	}
 	for _, lbl := range ptrs { // field refs, concatenated
 		for _, f := range lbl.Fields {
-			labels.u32(in.ref(f))
+			labels.U32(in.Ref(f))
 		}
 	}
 
-	var edges leBuf
-	for _, v := range parts.EdgeFrom {
-		edges.i32(v)
+	var edges, csr wire.Buf
+	for _, col := range [][]int32{parts.EdgeFrom, parts.EdgeTo, edgeLabelPtr} {
+		edges.I32s(col)
 	}
-	for _, v := range parts.EdgeTo {
-		edges.i32(v)
-	}
-	for _, v := range edgeLabelPtr {
-		edges.i32(v)
-	}
-
-	var csr leBuf
 	for _, col := range [][]int32{parts.OutOff, parts.InOff, parts.OutEdges, parts.InEdges} {
-		for _, v := range col {
-			csr.i32(v)
-		}
+		csr.I32s(col)
 	}
 
 	wpv := p.Vocab.WordsPerVector()
-	var vectors leBuf
+	var vectors wire.Buf
 	for _, id := range parts.States {
 		v, ok := p.Vector(id)
 		if !ok {
@@ -125,78 +117,68 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 			return nil, fmt.Errorf("modelstore: state %s vector has %d words, vocabulary needs %d", id, len(words), wpv)
 		}
 		for _, w := range words {
-			vectors.u64(w)
+			vectors.U64(w)
 		}
 	}
 
 	// Per-state datastore contents: offsets count uint32 record words; each
 	// record is (store ref, field count, field refs...). Empty field sets are
 	// behaviourally invisible and are skipped, keeping the form canonical.
-	var storeOffs, storeRecs leBuf
+	var storeOffs, storeRecs wire.Buf
 	recWords := uint32(0)
-	storeOffs.u32(0)
+	storeOffs.U32(0)
 	for _, id := range parts.States {
 		storeMap := p.StoreMap(id)
 		for _, name := range sortedStoreNames(storeMap) {
 			names := storeMap[name].Names()
-			storeRecs.u32(in.ref(name))
-			storeRecs.u32(uint32(len(names)))
+			storeRecs.U32(in.Ref(name))
+			storeRecs.U32(uint32(len(names)))
 			for _, f := range names {
-				storeRecs.u32(in.ref(f))
+				storeRecs.U32(in.Ref(f))
 			}
 			recWords += 2 + uint32(len(names))
 		}
-		storeOffs.u32(recWords)
+		storeOffs.U32(recWords)
 	}
-	stores := leBuf{b: append(storeOffs.b, storeRecs.b...)}
+	stores := append(storeOffs.B, storeRecs.B...)
 
-	var vocab leBuf
+	var vocab wire.Buf
 	actors, fields := p.Vocab.Actors(), p.Vocab.Fields()
 	for _, a := range actors {
-		vocab.u32(in.ref(a))
+		vocab.U32(in.Ref(a))
 	}
 	for _, f := range fields {
-		vocab.u32(in.ref(f))
+		vocab.U32(in.Ref(f))
 	}
 	for _, w := range p.Warnings {
-		vocab.u32(in.ref(w))
+		vocab.U32(in.Ref(w))
 	}
 
 	// The string table is complete only now; meta depends on its size.
-	var strings leBuf
-	blobOff := uint32(0)
-	strings.u32(0)
-	for _, s := range in.all {
-		blobOff += uint32(len(s))
-		strings.u32(blobOff)
-	}
-	for _, s := range in.all {
-		strings.b = append(strings.b, s...)
-	}
-
-	var meta leBuf
-	meta.u32(uint32(n))
-	meta.u32(uint32(m))
-	meta.u32(uint32(numLabels))
-	meta.u32(uint32(len(in.all)))
-	meta.u32(uint32(wpv))
-	meta.u32(uint32(len(actors)))
-	meta.u32(uint32(len(fields)))
-	meta.u32(uint32(len(p.Warnings)))
-	meta.i32(parts.Initial)
-	meta.u32(uint32(len(fp)))
-	meta.b = append(meta.b, fp...)
+	var strings, meta wire.Buf
+	strings.StringTable(in.Strings())
+	meta.U32(uint32(n))
+	meta.U32(uint32(m))
+	meta.U32(uint32(numLabels))
+	meta.U32(uint32(len(in.Strings())))
+	meta.U32(uint32(wpv))
+	meta.U32(uint32(len(actors)))
+	meta.U32(uint32(len(fields)))
+	meta.U32(uint32(len(p.Warnings)))
+	meta.I32(parts.Initial)
+	meta.U32(uint32(len(fp)))
+	meta.B = append(meta.B, fp...)
 
 	payloads := map[uint32][]byte{
-		secMeta:    meta.b,
-		secStrings: strings.b,
-		secStates:  u32Bytes(stateRefs),
-		secLabels:  labels.b,
-		secEdges:   edges.b,
-		secCSR:     csr.b,
-		secVectors: vectors.b,
-		secStores:  stores.b,
-		secVocab:   vocab.b,
+		secMeta:    meta.B,
+		secStrings: strings.B,
+		secStates:  states.B,
+		secLabels:  labels.B,
+		secEdges:   edges.B,
+		secCSR:     csr.B,
+		secVectors: vectors.B,
+		secStores:  stores,
+		secVocab:   vocab.B,
 	}
 	return assemble(payloads), nil
 }
@@ -239,42 +221,4 @@ func assemble(payloads map[uint32][]byte) []byte {
 	sum := checksumOf(buf)
 	copy(buf[checksumOff:], sum[:])
 	return buf
-}
-
-// interner assigns dense references to strings in first-use order; reference
-// 0 is always the empty string.
-type interner struct {
-	idx map[string]uint32
-	all []string
-}
-
-func newInterner() *interner {
-	return &interner{idx: map[string]uint32{"": 0}, all: []string{""}}
-}
-
-func (in *interner) ref(s string) uint32 {
-	if r, ok := in.idx[s]; ok {
-		return r
-	}
-	r := uint32(len(in.all))
-	in.idx[s] = r
-	in.all = append(in.all, s)
-	return r
-}
-
-// leBuf appends little-endian scalars to a byte slice.
-type leBuf struct{ b []byte }
-
-func (w *leBuf) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *leBuf) i32(v int32)  { w.u32(uint32(v)) }
-func (w *leBuf) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-
-// u32Bytes renders a uint32 column as little-endian bytes.
-func u32Bytes(vs []uint32) []byte {
-	var w leBuf
-	w.b = make([]byte, 0, 4*len(vs))
-	for _, v := range vs {
-		w.u32(v)
-	}
-	return w.b
 }

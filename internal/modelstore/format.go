@@ -24,14 +24,11 @@
 // decoded label is re-rendered and compared against its stored interned
 // string.
 //
-// Artifacts load either by copying (Decode, safe for caller-owned buffers)
-// or zero-copy (Store.Load on platforms with mmap): the flat int32/int64
-// sections — both CSR layouts, the per-edge arrays and the state-vector
-// words — are aliased directly into the mapped file when the host is
-// little-endian and the mapping is suitably aligned, falling back to a
-// byte-order-converting copy otherwise. The mapping is private
-// (copy-on-write), so a stray write through an aliased slice can never
-// corrupt the artifact on disk.
+// There is one decode path: Decode copies every section out of the buffer
+// it is given, and Store.Load is os.ReadFile plus Decode, so a loaded model
+// never references the artifact file again — it may be truncated, replaced or
+// pruned under a running process. The buffer mechanics (cursor, string table,
+// interner) are internal/wire's, shared with the cluster's frame formats.
 //
 // On top of the codec, Store is a registry directory: one artifact per
 // fingerprint, written atomically (temp file + fsync + rename) so concurrent
@@ -40,7 +37,6 @@ package modelstore
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 )
 
@@ -81,11 +77,6 @@ var requiredSections = []uint32{
 	secMeta, secStrings, secStates, secLabels, secEdges, secCSR, secVectors, secStores, secVocab,
 }
 
-// hostLittleEndian reports whether the running host stores integers
-// little-endian; only then may the flat sections be aliased without
-// conversion.
-var hostLittleEndian = binary.NativeEndian.Uint16([]byte{0x01, 0x02}) == 0x0201
-
 // checksumOf computes the whole-file checksum: SHA-256 over the artifact
 // with the checksum field itself zeroed.
 func checksumOf(data []byte) [checksumSize]byte {
@@ -115,8 +106,10 @@ func Reseal(data []byte) ([]byte, error) {
 // align8 rounds the offset up to the next multiple of 8.
 func align8(off int) int { return (off + 7) &^ 7 }
 
-// corruptf builds a decode error; every malformed-artifact path funnels
-// through it so callers can rely on the "modelstore:" prefix.
+// corruptLabel prefixes every decode error, whether corruptf or a section's
+// wire.Cursor builds it, so callers can rely on the "modelstore:" prefix.
+const corruptLabel = "modelstore: invalid artifact"
+
 func corruptf(format string, args ...any) error {
-	return fmt.Errorf("modelstore: invalid artifact: "+format, args...)
+	return fmt.Errorf(corruptLabel+": "+format, args...)
 }

@@ -112,13 +112,10 @@ func (s *Store) Save(fingerprint string, p *core.PrivacyLTS) error {
 }
 
 // Load rebuilds the model stored under the fingerprint, verifying the
-// artifact end to end against the supplied data-flow model. Where the
-// platform supports it the artifact is mapped rather than read, and the flat
-// sections are decoded zero-copy; the private (copy-on-write) mapping then
-// backs the model for the life of the process and is intentionally never
-// unmapped — the Go runtime does not track the aliasing slices. A missing
-// artifact returns ErrNotFound; a corrupt one returns a decode error (callers
-// treat both as a cache miss and regenerate).
+// artifact end to end against the supplied data-flow model: it reads the file
+// and Decodes it, so the returned model shares nothing with the file. A
+// missing artifact returns ErrNotFound; a corrupt one returns a decode error
+// (callers treat both as a cache miss and regenerate).
 func (s *Store) Load(fingerprint string, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	path, err := s.Path(fingerprint)
 	if err != nil {
@@ -127,14 +124,6 @@ func (s *Store) Load(fingerprint string, model *dataflow.Model) (*core.PrivacyLT
 	// Touch the artifact so Prune's recency order reflects use, not just
 	// installation. Best-effort: a read-only registry still loads fine.
 	_ = os.Chtimes(path, time.Time{}, time.Now())
-	if data, ok := mapFile(path); ok {
-		p, err := decode(data, model, true)
-		if err != nil {
-			unmapFile(data)
-			return nil, err
-		}
-		return p, nil
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -142,16 +131,17 @@ func (s *Store) Load(fingerprint string, model *dataflow.Model) (*core.PrivacyLT
 		}
 		return nil, fmt.Errorf("modelstore: read artifact: %w", err)
 	}
-	return decode(data, model, true)
+	return Decode(data, model)
 }
 
 // Prune evicts artifacts beyond the keep most recently used, oldest first
 // (Load touches an artifact's mtime, so recency tracks use). It returns the
-// number of artifacts removed. Pruning is safe against concurrent Loads: an
-// artifact mapped or read before its unlink keeps working — POSIX keeps the
-// data alive until the last reference drops — and a Load racing the unlink
-// sees ErrNotFound, which callers already treat as a cache miss. Temp files
-// and foreign files in the registry directory are never touched.
+// number of artifacts removed. Pruning is safe against concurrent Loads: a
+// loaded model holds no reference to its file, a read in flight at the unlink
+// completes — POSIX keeps the data alive until the descriptor closes — and a
+// Load racing the unlink sees ErrNotFound, which callers already treat as a
+// cache miss. Temp files and foreign files in the registry directory are
+// never touched.
 func (s *Store) Prune(keep int) (int, error) {
 	if keep < 0 {
 		return 0, fmt.Errorf("modelstore: negative keep %d", keep)

@@ -212,9 +212,71 @@ func TestStoreSaveLoad(t *testing.T) {
 	}
 }
 
+// TestLoadedModelOutlivesItsArtifact: a loaded model holds no reference to the
+// file it came from. Store.Load used to alias the model's flat sections into a
+// never-unmapped private mapping of the artifact, so shrinking the file under
+// a running process raised SIGBUS on the next state-vector read, and rewriting
+// it in place changed the model.
+func TestLoadedModelOutlivesItsArtifact(t *testing.T) {
+	m, p := fixtureModel(t)
+	profile := synth.Population(m, synth.PopulationOptions{})[0]
+	fp, err := dataflow.Fingerprint(m)
+	if err != nil {
+		t.Fatalf("fingerprint: %v", err)
+	}
+	load := func(t *testing.T) (*modelstore.Store, string, *core.PrivacyLTS) {
+		store, err := modelstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if err := store.Save(fp, p); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		path, err := store.Path(fp)
+		if err != nil {
+			t.Fatalf("Path: %v", err)
+		}
+		loaded, err := store.Load(fp, m)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		return store, path, loaded
+	}
+
+	t.Run("truncated", func(t *testing.T) {
+		_, path, loaded := load(t)
+		if err := os.Truncate(path, 0); err != nil {
+			t.Fatalf("truncate: %v", err)
+		}
+		requireSameModel(t, p, loaded, profile)
+	})
+
+	t.Run("overwritten in place then pruned", func(t *testing.T) {
+		store, path, loaded := load(t)
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("stat: %v", err)
+		}
+		// Same inode, every byte changed: anything still reading the file
+		// through a mapping sees 0xFF where its indexes and vectors were.
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatalf("open for overwrite: %v", err)
+		}
+		_, err = f.Write(bytes.Repeat([]byte{0xFF}, int(info.Size())))
+		if cerr := f.Close(); err != nil || cerr != nil {
+			t.Fatalf("overwrite: %v, close: %v", err, cerr)
+		}
+		if removed, err := store.Prune(0); err != nil || removed != 1 {
+			t.Fatalf("Prune(0) = %d, %v; want 1, nil", removed, err)
+		}
+		requireSameModel(t, p, loaded, profile)
+	})
+}
+
 // TestPropModelStoreRoundTrip is the catalog property: on random synth
 // models, store→load→assess is byte-identical to generate→assess, via both
-// the copying decoder and the registry's zero-copy load.
+// Decode on a caller's buffer and the registry's Load.
 func TestPropModelStoreRoundTrip(t *testing.T) {
 	store, err := modelstore.Open(t.TempDir())
 	if err != nil {
@@ -357,9 +419,8 @@ func TestDecodeRejectsCorruptArtifacts(t *testing.T) {
 }
 
 // TestModelStoreConcurrentSaveLoad hammers one registry entry from writer and
-// reader goroutines; under the race detector this doubles as the data-race
-// proof for the zero-copy load path. Readers must only ever see a complete
-// artifact or a clean miss.
+// reader goroutines, under the race detector too. Readers must only ever see
+// a complete artifact or a clean miss.
 func TestModelStoreConcurrentSaveLoad(t *testing.T) {
 	m, p := fixtureModel(t)
 	store, err := modelstore.Open(t.TempDir())
@@ -483,8 +544,8 @@ func TestModelStoreCrossProcessRename(t *testing.T) {
 }
 
 // BenchmarkModelStoreLoad compares a cold start's three ways of obtaining the
-// compiled model: full generation, decoding a copied artifact, and the
-// registry's zero-copy mmap load.
+// compiled model: full generation, decoding an artifact already in memory,
+// and the registry's Load (read the file, then the same decode).
 func BenchmarkModelStoreLoad(b *testing.B) {
 	m, p := fixtureModel(b)
 	data, err := modelstore.Encode(p)
@@ -519,7 +580,7 @@ func BenchmarkModelStoreLoad(b *testing.B) {
 			}
 		}
 	})
-	b.Run("mmap", func(b *testing.B) {
+	b.Run("load", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := store.Load(fp, m); err != nil {
