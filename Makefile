@@ -31,7 +31,7 @@ THRESHOLD_PCT ?= 25
 PROP_PACKAGES = . ./internal/proptest ./internal/proptest/scenario ./internal/synth \
 	./internal/core ./internal/lts ./internal/risk ./internal/anonymize \
 	./internal/pseudorisk ./internal/runtime ./internal/modelstore ./internal/cluster \
-	./internal/explore
+	./internal/explore ./internal/report
 ROUNDS ?= 64
 FUZZTIME ?= 30s
 # GOMAXPROCS values test-cpu runs every test at.

@@ -155,7 +155,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		doc.AddTable("Re-identification risk", "", summary)
 	}
 
-	fmt.Fprint(out, doc.Render())
+	if _, err := doc.WriteTo(out); err != nil {
+		return fmt.Errorf("writing report: %w", err)
+	}
 
 	if *maxViolationPct >= 0 {
 		if err := pseudorisk.CheckThreshold(results, *maxViolationPct/100); err != nil {

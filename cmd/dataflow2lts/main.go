@@ -115,7 +115,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(out, report.ModelSummary(generated).Render())
+		if _, err := report.ModelSummary(generated).WriteTo(out); err != nil {
+			return fmt.Errorf("writing model summary: %w", err)
+		}
 		return nil
 	default:
 		return fmt.Errorf("unknown mode %q (want dataflow, lts, lts-json, or stats)", *mode)

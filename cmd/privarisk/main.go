@@ -150,10 +150,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
+	write := doc.WriteTo
 	if *markdown {
-		fmt.Fprint(out, doc.RenderMarkdown())
-	} else {
-		fmt.Fprint(out, doc.Render())
+		write = doc.WriteMarkdownTo
+	}
+	if _, err := write(out); err != nil {
+		return fmt.Errorf("writing report: %w", err)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,4 +98,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-model", modelPath, "-profile", profilePath, "-mitigated", "missing.json"}, &out); err == nil {
 		t.Error("missing mitigated model accepted")
 	}
+	for _, format := range [][]string{nil, {"-markdown"}} {
+		args := append([]string{"-model", modelPath}, format...)
+		if err := run(context.Background(), args, closedPipe{}); !errors.Is(err, io.ErrClosedPipe) {
+			t.Errorf("%v: a failed write of the report returned %v, want the writer's error", format, err)
+		}
+	}
 }
+
+// closedPipe refuses every write.
+type closedPipe struct{}
+
+func (closedPipe) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"time"
 
@@ -54,6 +55,10 @@ const MaxFrameBytes = 8 << 20
 // MaxFrameEvents bounds the events per frame.
 const MaxFrameEvents = 1 << 16
 
+// maxEventFields bounds the fields of one event: the record stores their
+// count as a uint16.
+const maxEventFields = math.MaxUint16
+
 // ErrFrameVersion marks a structurally plausible frame written by a newer
 // format version.
 var ErrFrameVersion = errors.New("cluster: frame written by a newer format version")
@@ -94,8 +99,8 @@ func (e *frameEncoder) appendFrame(dst []byte, events []service.Event) ([]byte, 
 	w := wire.Buf{B: slices.Grow(e.recs.B[:0], recsSize)}
 	for i := range events {
 		ev := &events[i]
-		if len(ev.Fields) > MaxFrameEvents {
-			return nil, fmt.Errorf("cluster: event %d has %d fields, exceeding the frame bound", i, len(ev.Fields))
+		if len(ev.Fields) > maxEventFields {
+			return nil, fmt.Errorf("cluster: event %d has %d fields, exceeding the %d-field bound", i, len(ev.Fields), maxEventFields)
 		}
 		if !ev.Action.Valid() {
 			return nil, fmt.Errorf("cluster: event %d has invalid action %d", i, ev.Action)

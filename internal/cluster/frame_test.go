@@ -90,6 +90,35 @@ func TestFrameEncodeRejects(t *testing.T) {
 	}
 }
 
+// TestFrameFieldCountFitsItsUint16: the widest event the record can count
+// round-trips, and one field more is refused instead of being written as
+// "no fields" followed by stray refs.
+func TestFrameFieldCountFitsItsUint16(t *testing.T) {
+	event := func(fields int) []service.Event {
+		ev := service.Event{Seq: 1, Actor: "doctor", Action: core.ActionRead, UserID: "patient-1",
+			Fields: make([]string, fields)}
+		for i := range ev.Fields {
+			ev.Fields[i] = "f" // one interned string: the frame stays far below MaxFrameBytes
+		}
+		return []service.Event{ev}
+	}
+	widest := event(65535)
+	frame, err := EncodeFrame(widest)
+	if err != nil {
+		t.Fatalf("encoding an event with 65535 fields: %v", err)
+	}
+	decoded, err := DecodeFrame(frame)
+	if err != nil {
+		t.Fatalf("decoding an event with 65535 fields: %v", err)
+	}
+	if !reflect.DeepEqual(decoded, widest) {
+		t.Fatal("an event with 65535 fields did not round-trip")
+	}
+	if _, err := EncodeFrame(event(65536)); err == nil {
+		t.Error("encoding an event with 65536 fields succeeded; its count does not fit the record's uint16")
+	}
+}
+
 // corrupt returns a copy of frame with the byte at off overwritten.
 func corrupt(frame []byte, off int, b byte) []byte {
 	c := append([]byte(nil), frame...)

@@ -319,6 +319,10 @@ func TestProberEvictsDeadNode(t *testing.T) {
 	evicted := make(chan string, 1)
 	prober := c.StartProber(ProberConfig{
 		Interval: 5 * time.Millisecond,
+		// Left to default to the interval, a loaded host makes three healthy
+		// probes in a row miss 5 ms and a live node is evicted; the stopped
+		// node refuses its connection at once whatever the timeout.
+		Timeout:  time.Second,
 		Failures: 3,
 		OnEvict: func(name string, err error) {
 			if err == nil {

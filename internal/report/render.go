@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -47,28 +48,17 @@ func DisclosureAssessment(a *risk.Assessment) *Report {
 			orNone(strings.Join(a.AllowedActors, ", ")),
 			orNone(strings.Join(a.NonAllowedActors, ", "))))
 
-	findings := NewTable("risk", "actor", "action", "datastore", "driving field", "impact", "likelihood", "explanation")
-	for _, f := range a.Findings {
-		findings.AddRow(
-			f.Risk.String(),
-			f.Actor,
-			f.Action.String(),
-			f.Datastore,
-			f.DrivingField,
-			fmt.Sprintf("%.2f (%s)", f.Impact, f.ImpactLevel),
-			fmt.Sprintf("%.2f (%s)", f.Likelihood, f.LikelihoodLevel),
-			f.Explanation,
-		)
-	}
-	r.AddTable("Findings", fmt.Sprintf("Overall risk: %s", a.OverallRisk), findings)
+	r.AddTable("Findings", fmt.Sprintf("Overall risk: %s", a.OverallRisk), findingsTable(a.Findings))
 
 	mitigations := NewTable("actor", "risk", "suggested mitigation")
-	seen := make(map[string]bool)
-	for _, f := range a.Findings {
+	type advice struct{ actor, mitigation string }
+	seen := make(map[advice]bool)
+	for i := range a.Findings {
+		f := &a.Findings[i]
 		if f.Risk < risk.LevelMedium || f.Mitigation == "" {
 			continue
 		}
-		key := f.Actor + "|" + f.Mitigation
+		key := advice{f.Actor, f.Mitigation}
 		if seen[key] {
 			continue
 		}
@@ -79,6 +69,68 @@ func DisclosureAssessment(a *risk.Assessment) *Report {
 		r.AddTable("Suggested mitigations", "", mitigations)
 	}
 	return r
+}
+
+// findingRows is the row source of the findings table: it formats each cell
+// straight from the assessment's findings, which it only reads, so a listing
+// of a hundred thousand findings holds no text of its own.
+type findingRows struct {
+	findings []risk.Finding
+	// scores holds the "0.90 (high)" text of every distinct impact and
+	// likelihood, a handful per assessment; shown[row] indexes the two that
+	// the row shows.
+	scores []string
+	shown  [][2]int32
+}
+
+func findingsTable(findings []risk.Finding) *Table {
+	rows := &findingRows{findings: findings, shown: make([][2]int32, len(findings))}
+	// A value is keyed by its bits, so that a NaN finds its own entry.
+	type score struct {
+		bits  uint64
+		level risk.Level
+	}
+	index := make(map[score]int32)
+	intern := func(v float64, level risk.Level) int32 {
+		key := score{math.Float64bits(v), level}
+		i, ok := index[key]
+		if !ok {
+			i = int32(len(rows.scores))
+			index[key] = i
+			rows.scores = append(rows.scores, fmt.Sprintf("%.2f (%s)", v, level))
+		}
+		return i
+	}
+	for i := range findings {
+		f := &findings[i]
+		rows.shown[i] = [2]int32{intern(f.Impact, f.ImpactLevel), intern(f.Likelihood, f.LikelihoodLevel)}
+	}
+	return &Table{rows: rows,
+		headers: []string{"risk", "actor", "action", "datastore", "driving field", "impact", "likelihood", "explanation"}}
+}
+
+func (r *findingRows) numRows() int { return len(r.findings) }
+
+func (r *findingRows) appendCell(dst []byte, row, col int) []byte {
+	f := &r.findings[row]
+	switch col {
+	case 0:
+		return append(dst, f.Risk.String()...)
+	case 1:
+		return append(dst, f.Actor...)
+	case 2:
+		return append(dst, f.Action.String()...)
+	case 3:
+		return append(dst, f.Datastore...)
+	case 4:
+		return append(dst, f.DrivingField...)
+	case 5:
+		return append(dst, r.scores[r.shown[row][0]]...)
+	case 6:
+		return append(dst, r.scores[r.shown[row][1]]...)
+	default:
+		return append(dst, f.Explanation...)
+	}
 }
 
 // RiskComparison builds the before/after table of a mitigation (case study

@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -104,8 +105,8 @@ func (a *Assessment) FindingsAtLeast(level Level) []Finding {
 // MaxRiskFor returns the highest risk among findings involving the actor.
 func (a *Assessment) MaxRiskFor(actor string) Level {
 	max := LevelNone
-	for _, f := range a.FindingsFor(actor) {
-		if f.Risk > max {
+	for i := range a.Findings {
+		if f := &a.Findings[i]; f.Actor == actor && f.Risk > max {
 			max = f.Risk
 		}
 	}
@@ -287,6 +288,26 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 	slots := make([]exposure, len(actors))
 	epoch := uint32(0)
 
+	// The edge loop records each finding as a pending entry: everything the
+	// ordering needs and everything that is not a function of the edge's
+	// label, in 24 pointer-free bytes, so growing the slice is a plain copy
+	// the collector never scans. The wide Finding structs are built once,
+	// below, directly in their final order.
+	type pending struct {
+		impact       float64
+		edge         int32
+		actor        int32
+		driving      int32
+		risk         uint8
+		impactLevel  uint8
+		serviceClass bool
+	}
+	var pend []pending
+
+	// The analyzer has exactly two likelihood values; bucket each once.
+	otherLevel := a.cfg.Matrix.LikelihoodLevel(a.otherLikelihood)
+	serviceLevel := a.cfg.Matrix.LikelihoodLevel(a.serviceLikelihood)
+
 	numEdges := view.Graph.NumEdges()
 	for e := 0; e < numEdges; e++ {
 		// Poll between transitions, spaced out so the atomic load never
@@ -341,99 +362,90 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 		// reads and mere exposure fall under the remaining scenarios
 		// (accidental access, maintenance exposure).
 		consented := label.Service != "" && consentedSet[label.Service]
-		tr := view.Graph.TransitionAt(int32(e))
-		fieldsJoined := view.FieldsJoined(int32(e))
-		fieldSet, ok := fieldSets[label]
-		if !ok {
-			fieldSet = label.FieldSet()
-			fieldSets[label] = fieldSet
-		}
-		lid := view.Graph.LabelID(int32(e))
 		for ai := range slots {
 			slot := &slots[ai]
 			if slot.stamp != epoch {
 				continue
 			}
 			serviceClass := !label.Potential && slot.identified && !consented
-			likelihood := a.otherLikelihood
-			scenarioNames := a.otherScenarios
+			likelihoodLevel := otherLevel
 			if serviceClass {
-				likelihood = a.serviceLikelihood
-				scenarioNames = a.serviceScenarios
+				likelihoodLevel = serviceLevel
 			}
-
 			impactLevel := a.cfg.Matrix.ImpactLevel(slot.impact)
-			likelihoodLevel := a.cfg.Matrix.LikelihoodLevel(likelihood)
 			riskLevel := a.cfg.Matrix.Risk(impactLevel, likelihoodLevel)
-
-			finding := Finding{
-				Transition:      tr,
-				Action:          label.Action,
-				Actor:           actors[ai],
-				PerformedBy:     label.Actor,
-				Datastore:       label.Datastore,
-				Fields:          fieldSet,
-				Potential:       label.Potential,
-				Service:         label.Service,
-				DrivingField:    fields[slot.driving],
-				Impact:          slot.impact,
-				ImpactLevel:     impactLevel,
-				Likelihood:      likelihood,
-				LikelihoodLevel: likelihoodLevel,
-				Scenarios:       scenarioNames,
-				Risk:            riskLevel,
-			}
-			key := reportKey{label: lid, actor: int32(ai), driving: slot.driving,
-				service: label.Service, serviceClass: serviceClass}
-			text, ok := reports[key]
-			if !ok {
-				text = reportText{
-					explanation: a.explain(&finding, fieldsJoined, rc),
-					mitigation:  a.suggestMitigation(&finding, rc),
-				}
-				reports[key] = text
-			}
-			finding.Explanation = text.explanation
-			finding.Mitigation = text.mitigation
-			assessment.Findings = append(assessment.Findings, finding)
-			if finding.Risk > assessment.OverallRisk {
-				assessment.OverallRisk = finding.Risk
+			pend = append(pend, pending{impact: slot.impact, edge: int32(e), actor: int32(ai), driving: slot.driving,
+				risk: uint8(riskLevel), impactLevel: uint8(impactLevel), serviceClass: serviceClass})
+			if riskLevel > assessment.OverallRisk {
+				assessment.OverallRisk = riskLevel
 			}
 		}
 	}
 
-	// Order by decreasing risk, then impact, then actor. Sorting a
-	// permutation of indices and materialising once moves 4-byte ints
-	// through the sort instead of the wide Finding structs; the stable
-	// index sort reproduces sort.SliceStable's order exactly.
-	if n := len(assessment.Findings); n > 1 {
-		findings := assessment.Findings
-		perm := make([]int32, n)
-		for i := range perm {
-			perm[i] = int32(i)
+	// Order by decreasing risk, then impact, then actor (index order is name
+	// order), then edge. Entries were recorded in ascending (edge, actor)
+	// order and no two share both, so the edge tie-break makes the order
+	// total and equal to what a stable sort on the first three keys gives.
+	slices.SortFunc(pend, func(x, y pending) int {
+		if x.risk != y.risk {
+			return cmp.Compare(y.risk, x.risk)
 		}
-		slices.SortStableFunc(perm, func(i, j int32) int {
-			fi, fj := &findings[i], &findings[j]
-			if fi.Risk != fj.Risk {
-				if fi.Risk > fj.Risk {
-					return -1
-				}
-				return 1
-			}
-			if fi.Impact != fj.Impact {
-				if fi.Impact > fj.Impact {
-					return -1
-				}
-				return 1
-			}
-			return strings.Compare(fi.Actor, fj.Actor)
-		})
-		sorted := make([]Finding, n)
-		for i, p := range perm {
-			sorted[i] = findings[p]
+		if x.impact != y.impact {
+			return cmp.Compare(y.impact, x.impact)
 		}
-		assessment.Findings = sorted
+		if x.actor != y.actor {
+			return cmp.Compare(x.actor, y.actor)
+		}
+		return cmp.Compare(x.edge, y.edge)
+	})
+	if len(pend) == 0 {
+		return assessment, nil
 	}
+
+	findings := make([]Finding, len(pend))
+	for i, pe := range pend {
+		label := view.Label(pe.edge)
+		fieldSet, ok := fieldSets[label]
+		if !ok {
+			fieldSet = label.FieldSet()
+			fieldSets[label] = fieldSet
+		}
+		likelihood, likelihoodLevel, scenarios := a.otherLikelihood, otherLevel, a.otherScenarios
+		if pe.serviceClass {
+			likelihood, likelihoodLevel, scenarios = a.serviceLikelihood, serviceLevel, a.serviceScenarios
+		}
+		f := &findings[i]
+		*f = Finding{
+			Transition:      view.Graph.TransitionAt(pe.edge),
+			Action:          label.Action,
+			Actor:           actors[pe.actor],
+			PerformedBy:     label.Actor,
+			Datastore:       label.Datastore,
+			Fields:          fieldSet,
+			Potential:       label.Potential,
+			Service:         label.Service,
+			DrivingField:    fields[pe.driving],
+			Impact:          pe.impact,
+			ImpactLevel:     Level(pe.impactLevel),
+			Likelihood:      likelihood,
+			LikelihoodLevel: likelihoodLevel,
+			Scenarios:       scenarios,
+			Risk:            Level(pe.risk),
+		}
+		key := reportKey{label: view.Graph.LabelID(pe.edge), actor: pe.actor, driving: pe.driving,
+			service: label.Service, serviceClass: pe.serviceClass}
+		text, ok := reports[key]
+		if !ok {
+			text = reportText{
+				explanation: a.explain(f, view.FieldsJoined(pe.edge), rc),
+				mitigation:  a.suggestMitigation(f, rc),
+			}
+			reports[key] = text
+		}
+		f.Explanation = text.explanation
+		f.Mitigation = text.mitigation
+	}
+	assessment.Findings = findings
 	return assessment, nil
 }
 

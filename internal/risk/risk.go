@@ -52,25 +52,27 @@ const (
 	LevelHigh
 )
 
-var levelNames = map[Level]string{
+var levelNames = [...]string{
 	LevelNone:   "none",
 	LevelLow:    "low",
 	LevelMedium: "medium",
 	LevelHigh:   "high",
 }
 
+func (l Level) defined() bool { return l >= LevelNone && l <= LevelHigh }
+
 // String returns the lower-case level name.
 func (l Level) String() string {
-	if s, ok := levelNames[l]; ok {
-		return s
+	if l.defined() {
+		return levelNames[l]
 	}
 	return "level(" + strconv.Itoa(int(l)) + ")"
 }
 
 // ParseLevel converts a level name back into a Level.
 func ParseLevel(s string) (Level, error) {
-	for l, name := range levelNames {
-		if name == strings.ToLower(strings.TrimSpace(s)) {
+	for l := LevelNone; l <= LevelHigh; l++ {
+		if levelNames[l] == strings.ToLower(strings.TrimSpace(s)) {
 			return l, nil
 		}
 	}
@@ -200,7 +202,7 @@ func (m Matrix) Validate() error {
 	}
 	for i := range m.Table {
 		for j := range m.Table[i] {
-			if _, ok := levelNames[m.Table[i][j]]; !ok {
+			if !m.Table[i][j].defined() {
 				return fmt.Errorf("risk: matrix entry [%d][%d] is not a valid level", i, j)
 			}
 		}
