@@ -12,15 +12,12 @@ BENCHTIME ?= 2s
 # The benchmarks CI smokes on every push: the headline number of each
 # subsystem plus the compiled-vs-reference pairs this PR introduced.
 SMOKE_BENCH = LTSGeneration|MonitorThroughput|ValueRiskPipeline|EngineAssessCached|AnalyzeCompiled|AnalyzeReference|MinimizeCompiled|MinimizeReference|ModelStoreLoad|ClusterIngest|ExploreSymmetry|ExploreIncremental|MembershipChange
-# BASELINE is the perf-gate reference. It must be a like-for-like snapshot:
-# per-op numbers from a 1-iteration smoke run include un-amortised setup, so
-# they can only be compared against another 1-iteration run — never against
-# the full-benchtime BENCH_<n>.json trajectory records. The committed smoke
-# baseline is BENCH_smoke.json (re-record with `make bench-smoke N=smoke`
-# when benchmark behaviour changes deliberately); if it is absent the newest
-# BENCH_<n>.json is used as a best effort.
-BASELINE ?= $(shell test -f BENCH_smoke.json && echo BENCH_smoke.json \
-	|| ls BENCH_*.json 2>/dev/null | grep -v '^BENCH_ci\.json$$' | sort -t_ -k2 -n | tail -n 1)
+# BASELINE is the perf-gate reference: the committed 1-iteration smoke record
+# (re-record with `make bench-smoke N=smoke` when benchmark behaviour changes
+# deliberately). Per-op numbers from a 1-iteration run include un-amortised
+# setup, so they can only be compared against another 1-iteration run — never
+# against a full-benchtime `make bench` record.
+BASELINE ?= BENCH_smoke.json
 # Gated metrics for bench-compare: allocation counts are deterministic and
 # gate tightly; ns/op from a 1-iteration smoke run is noisy, so it only
 # catches order-of-magnitude blowups.
@@ -75,12 +72,12 @@ bench-smoke:
 	$(MAKE) bench BENCH='$(SMOKE_BENCH)' BENCHTIME=1x
 
 # bench-compare is the perf-regression gate: re-run the smoke benchmarks as
-# BENCH_ci.json and diff them against the newest committed snapshot with
+# BENCH_ci.json and diff them against the committed baseline with
 # cmd/benchjson -compare; a gated metric regressing past its threshold exits
 # nonzero and fails the build. Tune with e.g.:
 #   make bench-compare THRESHOLD_PCT=10 COMPARE_METRICS='allocs/op,B/op,ns/op=300'
 bench-compare:
-	@test -n "$(BASELINE)" || { echo "bench-compare: no committed BENCH_*.json baseline found"; exit 1; }
+	@test -f "$(BASELINE)" || { echo "bench-compare: baseline $(BASELINE) not found"; exit 1; }
 	$(MAKE) bench-smoke N=ci
 	@echo "comparing against $(BASELINE)"
 	$(GO) run ./cmd/benchjson -compare -threshold-pct $(THRESHOLD_PCT) -metrics '$(COMPARE_METRICS)' $(BASELINE) BENCH_ci.json

@@ -18,14 +18,15 @@ import (
 // TestExploreAllocReduction pins the headline win of the arena/slab frontier
 // allocator: generating the BenchmarkLTSGenerationParallel model (5 services,
 // 15625 states) must allocate at least 5x less than the pre-explore engine.
-// BENCH_6.json records 705,864 allocs/op for workers=1 on this exact model;
-// the arena-backed driver has to stay under a fifth of that.
+// Commit 8924b81's benchmark record (its BENCH_6.json) has 705,864 allocs/op
+// for workers=1 on this exact model; the arena-backed driver has to stay under
+// a fifth of that.
 func TestExploreAllocReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement generates a 15625-state model")
 	}
 	model := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3})
-	const baselineAllocs = 705864 // BENCH_6.json, BenchmarkLTSGenerationParallel/workers=1
+	const baselineAllocs = 705864 // commit 8924b81, BenchmarkLTSGenerationParallel/workers=1
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := privascope.GenerateWithOptions(model, privascope.GenerateOptions{Workers: 1}); err != nil {
 			t.Fatal(err)

@@ -1,16 +1,18 @@
 // Package fault is a deterministic fault injector for the cluster's HTTP
-// plane: a RoundTripper wrapper that drops, delays, resets, mis-statuses and
-// partitions requests according to a seeded splitmix64 schedule. Every
-// decision is a pure function of (seed, target host, per-host request
-// ordinal), so a single-sender-per-host traffic pattern — which is exactly
-// what the cluster Router produces — sees a reproducible fault sequence for
-// a given seed, and a failing run can be replayed from the seed alone.
+// plane: a RoundTripper wrapper that drops, delays, resets, mis-statuses,
+// partitions and black-holes requests according to a seeded splitmix64
+// schedule. Every decision is a pure function of (seed, target host, per-host
+// request ordinal), so a single-sender-per-host traffic pattern — which is
+// exactly what the cluster Router produces — sees a reproducible fault
+// sequence for a given seed, and a failing run can be replayed from the seed
+// alone.
 //
 // Fault modes split into two families with very different semantics:
 //
-//   - Request faults (Drop, Reset, Status, Partition) fail the exchange
+//   - Request faults (Drop, Reset, Status, Partition, Hang) fail the exchange
 //     BEFORE the server sees it: nothing was delivered, so the client's
-//     retry cannot double-apply anything.
+//     retry cannot double-apply anything. Hang is the one that does not fail
+//     at once: the request is swallowed until its own context ends.
 //   - Response faults (ResponseDrop) deliver the request and then lose the
 //     answer: the server applied it, the client doesn't know. This is the
 //     mode that exercises the receiver's stream-offset deduplication — the
@@ -40,6 +42,11 @@ type Partition struct {
 	From, To uint64
 }
 
+// covers reports whether the window affects the host's request at ordinal.
+func (p Partition) covers(host string, ordinal uint64) bool {
+	return (p.Host == "" || p.Host == host) && ordinal >= p.From && ordinal < p.To
+}
+
 // Config is a fault schedule. Rates are probabilities in [0, 1], evaluated in
 // the order Drop, Reset, Status, ResponseDrop, Delay from one uniform draw
 // per request — at most one fault fires per request.
@@ -66,10 +73,17 @@ type Config struct {
 	DelayMax time.Duration
 	// Partitions are unreachability windows, checked before the rates.
 	Partitions []Partition
+	// Hang lists black-hole windows, checked after Partitions and before the
+	// rates: a request in one is accepted and never answered — it blocks until
+	// its own context ends and fails with that context's error. Like a
+	// partition it is selected by ordinal, not by the uniform draw, so adding
+	// one moves no other request's fault.
+	Hang []Partition
 	// Paths restricts faults to these URL paths (exact match); requests to
 	// other paths pass through without consuming a schedule ordinal. Empty
 	// means every path is eligible. Confining faults to /ingest keeps the
-	// management plane (handoff, register, probes) out of the schedule, so
+	// management plane (handoffs, registrations among them, and probes) out of
+	// the schedule, so
 	// the per-host ordinal sequence stays aligned with the router's FIFO
 	// sender and the schedule stays reproducible.
 	Paths []string
@@ -84,6 +98,7 @@ type Stats struct {
 	ResponseDrops int64
 	Delayed       int64
 	Partitioned   int64
+	Hung          int64
 	Passed        int64
 }
 
@@ -102,6 +117,7 @@ type Transport struct {
 	responseDrops atomic.Int64
 	delayed       atomic.Int64
 	partitioned   atomic.Int64
+	hung          atomic.Int64
 	passed        atomic.Int64
 }
 
@@ -139,6 +155,7 @@ func (t *Transport) Stats() Stats {
 		ResponseDrops: t.responseDrops.Load(),
 		Delayed:       t.delayed.Load(),
 		Partitioned:   t.partitioned.Load(),
+		Hung:          t.hung.Load(),
 		Passed:        t.passed.Load(),
 	}
 }
@@ -189,10 +206,18 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.mu.Unlock()
 
 	for _, p := range t.cfg.Partitions {
-		if (p.Host == "" || p.Host == host) && ordinal >= p.From && ordinal < p.To {
+		if p.covers(host, ordinal) {
 			t.partitioned.Add(1)
 			closeBody(req)
 			return nil, fmt.Errorf("%w (partition, host %s ordinal %d)", ErrInjectedDrop, host, ordinal)
+		}
+	}
+	for _, p := range t.cfg.Hang {
+		if p.covers(host, ordinal) {
+			t.hung.Add(1)
+			closeBody(req)
+			<-req.Context().Done()
+			return nil, req.Context().Err()
 		}
 	}
 

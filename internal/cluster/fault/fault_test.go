@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -164,6 +165,81 @@ func TestPartitionWindow(t *testing.T) {
 	}
 	if got := tr.Stats().Partitioned; got != 2 {
 		t.Fatalf("Partitioned = %d, want 2", got)
+	}
+}
+
+// TestHangWindow: a request in a Hang window never reaches the base transport
+// and returns only when its own context ends, with that context's error;
+// requests outside the window, or to another host, pass. And because the
+// window is selected by ordinal, not by the uniform draw, adding one changes
+// no other request's fault: every existing seed keeps its schedule.
+func TestHangWindow(t *testing.T) {
+	base := &record{}
+	tr := New(base, Config{Hang: []Partition{{Host: "a:1", From: 1, To: 2}}})
+	if _, err := get(t, tr, "http://a:1/x"); err != nil {
+		t.Fatalf("ordinal 0 is before the window: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://a:1/x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := tr.RoundTrip(req)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("the hung request returned (%v) while its context was live", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := get(t, tr, "http://b:1/x"); err != nil {
+		t.Fatalf("the hang of a:1 leaked to b:1: %v", err)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("hung request failed with %v, want its context's error", err)
+	}
+	if _, err := get(t, tr, "http://a:1/x"); err != nil {
+		t.Fatalf("ordinal 2 is past the window: %v", err)
+	}
+	if s := tr.Stats(); s.Hung != 1 || base.delivered.Load() != 3 {
+		t.Fatalf("stats %+v, %d delivered: want 1 hung request and 3 delivered", s, base.delivered.Load())
+	}
+
+	// The schedule of every request outside the window is untouched.
+	cfg := Config{Seed: 42, Drop: 0.2, Reset: 0.1, Status: 0.1, ResponseDrop: 0.1,
+		Partitions: []Partition{{From: 4, To: 7}}}
+	schedule := func(cfg Config, skip uint64) []string {
+		tr := New(&record{}, cfg)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // a hung request returns at once
+		var out []string
+		for i := uint64(0); i < 200; i++ {
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://hostA:1/ingest", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := tr.RoundTrip(req)
+			switch {
+			case i == skip:
+			case err != nil:
+				out = append(out, "err:"+err.Error())
+			default:
+				out = append(out, "ok:"+resp.Status)
+			}
+		}
+		return out
+	}
+	const hung = 50
+	plain := schedule(cfg, hung)
+	cfg.Hang = []Partition{{From: hung, To: hung + 1}}
+	with := schedule(cfg, hung)
+	for i := range plain {
+		if plain[i] != with[i] {
+			t.Fatalf("a Hang window at ordinal %d moved another request's fault: %q became %q", hung, plain[i], with[i])
+		}
 	}
 }
 

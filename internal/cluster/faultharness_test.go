@@ -3,11 +3,13 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,8 +22,8 @@ import (
 
 // faultSchedule is the golden harness's mixed schedule: drops, resets,
 // delays, injected 503s, lost responses, and one short partition window per
-// host — confined to /ingest so the management plane (register, handoff)
-// stays out of the per-host ordinal sequence.
+// host — confined to /ingest so the management plane (handoffs, registrations
+// among them) stays out of the per-host ordinal sequence.
 func faultSchedule(seed int64) fault.Config {
 	return fault.Config{
 		Seed:         seed,
@@ -157,116 +159,13 @@ func TestClusterFaultDeterminismGolden(t *testing.T) {
 // pins: random scenarios, node counts, fault rates and a random membership
 // change (join, leave, or crash+evict) mid-stream — the cluster must still
 // match the direct monitor exactly. Rides the CI property soak via
-// PROP_PACKAGES.
+// PROP_PACKAGES. One more round has a black hole in place of the membership
+// change, and a prober to evict it (faultRound).
 func TestClusterFaultDeterminismProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins HTTP servers per round")
 	}
-	prop := func(seed int64, rng *rand.Rand) error {
-		s := scenario.Draw(seed)
-		p, err := s.Generate()
-		if err != nil {
-			return err
-		}
-		users := make([]string, len(s.Profiles))
-		for i, profile := range s.Profiles {
-			users[i] = profile.ID
-		}
-		perUser := 1 + (48+len(users)-1)/len(users)
-		stream := synth.RandomEventStream(rng, p, users, perUser)
-
-		direct, err := runtime.NewMonitor(p, runtime.Config{})
-		if err != nil {
-			return err
-		}
-		for _, profile := range s.Profiles {
-			if err := direct.RegisterUser(profile); err != nil {
-				return err
-			}
-		}
-		direct.IngestBatch(stream)
-
-		cfg := faultSchedule(seed)
-		cfg.Drop = rng.Float64() * 0.1
-		cfg.Reset = rng.Float64() * 0.05
-		cfg.Status = rng.Float64() * 0.1
-		cfg.ResponseDrop = rng.Float64() * 0.08
-		cfg.Delay = rng.Float64() * 0.1
-		injector := fault.New(H2CTransport(), cfg)
-		nodes := 1 + rng.Intn(3)
-		c, err := StartLocal(p, nodes, NodeConfig{}, faultRouterConfig(seed, injector))
-		if err != nil {
-			return err
-		}
-		defer c.Stop(context.Background())
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		if err := c.Router.Register(ctx, s.Profiles); err != nil {
-			return err
-		}
-		half := len(stream) / 2
-		if err := c.Router.SendBatch(ctx, stream[:half]); err != nil {
-			return err
-		}
-
-		switch op := rng.Intn(3); {
-		case op == 0:
-			if _, err := c.AddNode(ctx); err != nil {
-				return fmt.Errorf("join: %w", err)
-			}
-		case op == 1 && len(c.Nodes) > 1:
-			if err := c.RemoveNode(ctx, c.Nodes[rng.Intn(len(c.Nodes))].Name()); err != nil {
-				return fmt.Errorf("leave: %w", err)
-			}
-		case op == 2 && len(c.Nodes) > 1:
-			victim := c.Nodes[rng.Intn(len(c.Nodes))].Name()
-			for i, n := range c.Nodes {
-				if n.Name() == victim {
-					stopCtx, stopCancel := context.WithTimeout(ctx, 10*time.Second)
-					err := c.Servers[i].Stop(stopCtx)
-					stopCancel()
-					if err != nil {
-						return err
-					}
-				}
-			}
-			if err := c.EvictNode(ctx, victim); err != nil {
-				return fmt.Errorf("evict: %w", err)
-			}
-		}
-		if err := c.Router.SendBatch(ctx, stream[half:]); err != nil {
-			return err
-		}
-		if err := c.Quiesce(ctx); err != nil {
-			return err
-		}
-
-		if got, want := sortedComparable(c.Alerts()), sortedComparable(direct.Alerts()); !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("seed %d: merged alerts differ under faults:\n got %d: %+v\nwant %d: %+v",
-				seed, len(got), got, len(want), want)
-		}
-		ring := c.Router.Ring()
-		byName := make(map[string]*Node, len(c.Nodes))
-		for _, n := range c.Nodes {
-			byName[n.Name()] = n
-		}
-		for _, id := range users {
-			owner, ok := byName[ring.Owner(id)]
-			if !ok {
-				return fmt.Errorf("seed %d: user %q owned by dead node %q", seed, id, ring.Owner(id))
-			}
-			got, ok1 := owner.Monitor().ExportUser(id)
-			want, ok2 := direct.ExportUser(id)
-			if !ok1 || !ok2 || !reflect.DeepEqual(got, want) {
-				return fmt.Errorf("seed %d: user %q snapshot differs: cluster %+v (%v), direct %+v (%v)",
-					seed, id, got, ok1, want, ok2)
-			}
-		}
-		if stats := c.Router.Stats(); stats.Dropped != 0 {
-			return fmt.Errorf("seed %d: router abandoned %d sequences", seed, stats.Dropped)
-		}
-		return nil
-	}
+	prop := func(seed int64, rng *rand.Rand) error { return faultRound(seed, rng, false) }
 	// Rounds pinned so they run whatever the round schedule draws, both
 	// crash+evict: in the first the victim was slow enough to stop that a short
 	// retry budget ran out before the eviction; in the second a flush tick
@@ -279,5 +178,157 @@ func TestClusterFaultDeterminismProperty(t *testing.T) {
 			}
 		})
 	}
+	t.Run("black-hole", func(t *testing.T) {
+		const seed = 20260808
+		hole := func(seed int64, rng *rand.Rand) error { return faultRound(seed, rng, true) }
+		if err := proptest.CheckSeed(seed, hole); err != nil {
+			t.Fatalf("%s", proptest.FailureMessage(t.Name(), seed, err))
+		}
+	})
 	proptest.Run(t, prop)
+}
+
+// faultRound is one round of the fault property. With blackHole set no
+// membership change is drawn: one node stops answering mid-stream — its
+// /ingest and /healthz requests hang — and a prober has to notice and evict it
+// while the router is still sending to it.
+func faultRound(seed int64, rng *rand.Rand, blackHole bool) error {
+	s := scenario.Draw(seed)
+	p, err := s.Generate()
+	if err != nil {
+		return err
+	}
+	users := make([]string, len(s.Profiles))
+	for i, profile := range s.Profiles {
+		users[i] = profile.ID
+	}
+	perUser := 1 + (48+len(users)-1)/len(users)
+	stream := synth.RandomEventStream(rng, p, users, perUser)
+
+	direct, err := runtime.NewMonitor(p, runtime.Config{})
+	if err != nil {
+		return err
+	}
+	for _, profile := range s.Profiles {
+		if err := direct.RegisterUser(profile); err != nil {
+			return err
+		}
+	}
+	direct.IngestBatch(stream)
+
+	cfg := faultSchedule(seed)
+	cfg.Drop = rng.Float64() * 0.1
+	cfg.Reset = rng.Float64() * 0.05
+	cfg.Status = rng.Float64() * 0.1
+	cfg.ResponseDrop = rng.Float64() * 0.08
+	cfg.Delay = rng.Float64() * 0.1
+	injector := fault.New(H2CTransport(), cfg)
+	transport := newSwitchTransport(injector)
+	nodes := 1 + rng.Intn(3)
+	if blackHole {
+		nodes = 2 + rng.Intn(2) // the black-holed node needs a successor
+	}
+	c, err := StartLocal(p, nodes, NodeConfig{}, faultRouterConfig(seed, transport))
+	if err != nil {
+		return err
+	}
+	defer c.Stop(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := c.Router.Register(ctx, s.Profiles); err != nil {
+		return err
+	}
+	var hole string
+	evicted := make(chan string, nodes)
+	if blackHole {
+		// The hang sits in front of the seeded schedule and is all that sees
+		// the probes: the schedule's ordinals stay the router's frames. The
+		// host's first three requests pass, so the node has state to fail over.
+		i := rng.Intn(nodes)
+		hole = c.Nodes[i].Name()
+		transport.use(fault.New(injector, fault.Config{
+			Paths: []string{"/ingest", "/healthz"},
+			Hang:  []fault.Partition{{Host: strings.TrimPrefix(c.Servers[i].URL(), "http://"), From: 3, To: math.MaxUint64}},
+		}))
+		prober := c.StartProber(ProberConfig{
+			Interval: 5 * time.Millisecond,
+			Timeout:  250 * time.Millisecond, // a loaded host must not cost a healthy node three probes
+			OnEvict: func(name string, err error) {
+				if err == nil {
+					evicted <- name
+				}
+			},
+		})
+		defer prober.Stop()
+	}
+	half := len(stream) / 2
+	if err := c.Router.SendBatch(ctx, stream[:half]); err != nil {
+		return err
+	}
+
+	switch op := rng.Intn(3); {
+	case blackHole:
+		for name := ""; name != hole; {
+			select {
+			case name = <-evicted:
+			case <-ctx.Done():
+				return fmt.Errorf("the prober never evicted the black-holed node %q: %w", hole, ctx.Err())
+			}
+		}
+	case op == 0:
+		if _, err := c.AddNode(ctx); err != nil {
+			return fmt.Errorf("join: %w", err)
+		}
+	case op == 1 && len(c.Nodes) > 1:
+		if err := c.RemoveNode(ctx, c.Nodes[rng.Intn(len(c.Nodes))].Name()); err != nil {
+			return fmt.Errorf("leave: %w", err)
+		}
+	case op == 2 && len(c.Nodes) > 1:
+		victim := c.Nodes[rng.Intn(len(c.Nodes))].Name()
+		for i, n := range c.Nodes {
+			if n.Name() == victim {
+				stopCtx, stopCancel := context.WithTimeout(ctx, 10*time.Second)
+				err := c.Servers[i].Stop(stopCtx)
+				stopCancel()
+				if err != nil {
+					return err
+				}
+			}
+		}
+		if err := c.EvictNode(ctx, victim); err != nil {
+			return fmt.Errorf("evict: %w", err)
+		}
+	}
+	if err := c.Router.SendBatch(ctx, stream[half:]); err != nil {
+		return err
+	}
+	if err := c.Quiesce(ctx); err != nil {
+		return err
+	}
+
+	if got, want := sortedComparable(c.Alerts()), sortedComparable(direct.Alerts()); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("seed %d: merged alerts differ under faults:\n got %d: %+v\nwant %d: %+v",
+			seed, len(got), got, len(want), want)
+	}
+	ring := c.Router.Ring()
+	byName := make(map[string]*Node, len(c.Nodes))
+	for _, n := range c.Nodes {
+		byName[n.Name()] = n
+	}
+	for _, id := range users {
+		owner, ok := byName[ring.Owner(id)]
+		if !ok {
+			return fmt.Errorf("seed %d: user %q owned by dead node %q", seed, id, ring.Owner(id))
+		}
+		got, ok1 := owner.Monitor().ExportUser(id)
+		want, ok2 := direct.ExportUser(id)
+		if !ok1 || !ok2 || !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("seed %d: user %q snapshot differs: cluster %+v (%v), direct %+v (%v)",
+				seed, id, got, ok1, want, ok2)
+		}
+	}
+	if stats := c.Router.Stats(); stats.Dropped != 0 {
+		return fmt.Errorf("seed %d: router abandoned %d sequences", seed, stats.Dropped)
+	}
+	return nil
 }

@@ -16,13 +16,14 @@ import (
 // the same internal/wire substrate as PSEF (little-endian regardless of host,
 // canonical first-occurrence string interning, a header and string table
 // validated whole before any slicing). One frame carries one chunk of the
-// UserSnapshots moving to one node in a membership change (encodeHandoffChunk
-// cuts them); a /handoff request body is exactly one frame.
+// UserSnapshots going to one node — moved by a membership change, or fresh
+// from Router.Register, with no state yet — (encodeHandoffChunk cuts them); a
+// /handoff request body is exactly one frame.
 //
 //	header and string table (wire.Frame): magic "PSHO", HandoffVersion
 //	snapshots (count records):
 //	  user     uint32   string ref (must not be "")
-//	  state    uint32   string ref (the LTS state ID)
+//	  state    uint32   string ref (the LTS state ID; "" in a registration)
 //	  applied  uint64   cumulative events applied (must fit int64)
 //	  alerts   uint64   cumulative alert cursor (must fit int64)
 //	  defsens  float64  profile default sensitivity, in [0,1]
@@ -58,8 +59,8 @@ const MaxHandoffBytes = 8 << 20
 // more users in multiple frames.
 const MaxHandoffUsers = 1 << 16
 
-// handoffChunkBytes is the encoded size at which a membership change cuts a
-// chunk: a sixteenth of the frame bound, which at the format's design ratio
+// handoffChunkBytes is the encoded size at which a membership change (or a
+// registration) cuts a chunk: a sixteenth of the frame bound, which at the format's design ratio
 // of MaxHandoffBytes/MaxHandoffUsers bytes per user is MaxHandoffUsers/16
 // users. Small enough that the next chunk encodes while this one is on the
 // wire and being imported and that no population can reach the per-frame

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 
 	"privascope/internal/casestudy"
@@ -141,15 +140,7 @@ func TestHandoffEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(body []byte, reason string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/handoff", strings.NewReader(string(body)))
-		if reason != "" {
-			req.Header.Set(HeaderHandoffReason, reason)
-		}
-		w := httptest.NewRecorder()
-		node.Handler().ServeHTTP(w, req)
-		return w
-	}
+	post := func(body []byte, reason string) *httptest.ResponseRecorder { return postHandoff(node, body, reason) }
 	if w := post(frame, ReasonFailover); w.Code != http.StatusOK {
 		t.Fatalf("handoff returned %d: %s", w.Code, w.Body)
 	}

@@ -6,30 +6,37 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
 	"privascope/internal/runtime"
 )
 
-// This file is the live-membership layer: the Router's ring-change primitives
-// (join, graceful leave, eviction of a dead node) and the Local cluster's
-// orchestration on top of them, which moves per-user monitor state between
-// nodes through the /handoff endpoint.
+// This file is the live-membership layer: the Router's one ring-change
+// procedure (change: join, graceful leave, eviction of a dead node) and the
+// Local cluster's orchestration on top of it, which moves per-user monitor
+// state between nodes through the /handoff endpoint.
 //
-// Every change follows the same protocol under the router's exclusive
-// membership lock, so the Send plane is frozen while ownership moves:
+// Every change follows the same protocol; change's body is this list:
 //
-//  1. Seal: flush every live sender (cut partial frames, wait until every cut
-//     frame is accepted or dropped). For an eviction the dead node's sender is
-//     instead marked dead, and its undelivered frames are parked.
-//  2. Handoff: copy the moved users' snapshots from their old owners to the
-//     new ones, in bounded chunks (the caller-supplied callback). Nothing is
+//  1. Validate, under the shared membership lock: the node is (join: is not)
+//     in the ring and the ring the change would install exists. An eviction
+//     then cancels the dead node's sender, still under the shared lock: its
+//     POST in flight is aborted, and whatever was blocked on that node's full
+//     window — a Send, a Flush — parks its frame and lets go of the lock the
+//     next step needs.
+//  2. Freeze: take the membership lock exclusively. The Send plane is parked
+//     from here to the end of step 7.
+//  3. Seal: cut every sender's buffer and wait until every cut frame is
+//     resolved — accepted or dropped, or, on the cancelled sender, parked.
+//  4. Move: copy the moved users' snapshots from their old owners to the new
+//     ones, in bounded chunks (the caller-supplied callback). Nothing is
 //     removed from an old owner until every chunk to every new owner has been
 //     acknowledged; a change that fails part-way deletes the copies it made,
 //     so it leaves every node holding exactly the users it held before.
-//  3. Swap: install the new ring and increment the epoch.
-//  4. Tear down (leave and eviction): close the departed sender's queue and
+//  5. Swap: install the new ring and increment the epoch.
+//  6. Tear down (leave and eviction): close the departed sender's queue and
 //     the router's pooled connections. A Go HTTP/2 server that has sent its
 //     graceful-shutdown GOAWAY keeps each connection open for a second unless
 //     the client closes it first, and http.Server.Shutdown waits for those
@@ -38,17 +45,24 @@ import (
 //     idle here — the seal drove the in-flight count to zero and the handoff
 //     requests have returned — so closing the idle ones closes them all;
 //     survivors re-dial on their next frame.
-//  5. Re-route (eviction only): decode the dead sender's parked frames, skip
-//     the prefix its stream cursor proves already applied, and route the rest
-//     to the ring successors — in-flight events are re-routed, never dropped.
+//  7. Re-route (eviction only): decode the dead sender's parked frames in
+//     stream order, skip the prefix its stream cursor proves already applied,
+//     and route the rest to the ring successors — in-flight events are
+//     re-routed, never dropped.
+//  8. Record the change in the router's stats.
 //
-// Send is parked for steps 1–5; stopping the departed node's server happens
-// after the lock is released.
+// Stopping the departed node's server happens after the lock is released.
+//
+// Cancelling a request does not stop the handler already serving it, so
+// before an eviction Local fences the victim (Node.fence): a fenced node
+// admits no further frame, its stream cursor stands still, and the snapshots
+// step 4 exports agree with the cursor step 7 reads.
 
 // HandoffReason values for the HeaderHandoffReason label.
 const (
 	ReasonRebalance = "rebalance"
 	ReasonFailover  = "failover"
+	ReasonRegister  = "register"
 )
 
 // MembershipChange.Kind values.
@@ -57,56 +71,6 @@ const (
 	ChangeLeave = "leave"
 	ChangeEvict = "evict"
 )
-
-// HandoffResult is what a change's handoff moved: user snapshots, and the
-// PSHO frames that carried them.
-type HandoffResult struct {
-	Users  int
-	Chunks int
-}
-
-// HandoffFunc moves the users whose owner differs between the old and the new
-// ring. It runs after the fleet is sealed and before the ring swap; when it
-// fails the change is abandoned, and it must have left every node's users as
-// it found them.
-type HandoffFunc func(oldRing, newRing *Ring) (HandoffResult, error)
-
-// freeze takes the membership lock exclusively; thaw releases it and accounts
-// the time Send was parked.
-func (r *Router) freeze() time.Time {
-	r.memberMu.Lock()
-	return time.Now()
-}
-
-func (r *Router) thaw(frozenAt time.Time) {
-	r.frozenNs.Add(int64(time.Since(frozenAt)))
-	r.memberMu.Unlock()
-}
-
-// changeClock times the steps of one membership change.
-type changeClock struct {
-	start, sealed, handed time.Time
-	teardown              time.Duration
-}
-
-// recordChange publishes a completed change in the router's stats. The caller
-// holds memberMu exclusively.
-func (r *Router) recordChange(kind, node string, moved HandoffResult, c changeClock) {
-	r.changeMu.Lock()
-	defer r.changeMu.Unlock()
-	r.changes++
-	r.lastChange = MembershipChange{
-		Kind:       kind,
-		Node:       node,
-		Epoch:      r.epoch.Load(),
-		UsersMoved: moved.Users,
-		Chunks:     moved.Chunks,
-		Seal:       c.sealed.Sub(c.start),
-		Handoff:    c.handed.Sub(c.sealed),
-		Teardown:   c.teardown,
-		Total:      time.Since(c.start),
-	}
-}
 
 // noteServerStop adds the time the caller spent stopping the departed node's
 // server, after the change itself returned, to the last change's record.
@@ -117,135 +81,97 @@ func (r *Router) noteServerStop(d time.Duration) {
 	r.lastChange.Total += d
 }
 
-// dropSender is the tear-down step: it retires the departed node's sender and
-// closes the router's pooled connections (see the protocol above), returning
-// how long that took. The caller holds memberMu exclusively, sealed.
-func (r *Router) dropSender(name string, s *nodeSender) time.Duration {
-	t0 := time.Now()
-	delete(r.senders, name)
-	close(s.frames)
-	r.client.CloseIdleConnections()
-	return time.Since(t0)
-}
+// change is the membership change: kind is ChangeJoin (url is the joiner's),
+// ChangeLeave or ChangeEvict of the node name. move hands the users whose
+// owner differs under newRing to their new owners; when it fails the change is
+// abandoned, and it must have left every node's users as it found them.
+// cursor reads an evicted node's stream cursor (nil otherwise). Combined with
+// the receiving side's stream-offset deduplication the protocol in this
+// file's header makes an eviction lose nothing and duplicate nothing,
+// whatever the crash timing. Callers serialize changes (Local.mu), so what
+// step 1 saw under the shared lock still holds under the exclusive one.
+func (r *Router) change(ctx context.Context, kind, name, url string,
+	move func(newRing *Ring) (users, chunks int, err error), cursor func(stream string) int64) error {
+	r.memberMu.RLock()
+	s, member := r.senders[name]
+	var newRing *Ring
+	var err error
+	switch {
+	case kind == ChangeJoin && member:
+		err = fmt.Errorf("cluster: node %q already in the ring", name)
+	case kind == ChangeJoin && url == "":
+		err = fmt.Errorf("cluster: node %q has no URL", name)
+	case kind == ChangeJoin:
+		newRing, err = r.ring.Load().WithNode(name)
+	case !member:
+		err = fmt.Errorf("cluster: node %q not in the ring", name)
+	default:
+		newRing, err = r.ring.Load().WithoutNode(name)
+	}
+	if err == nil && kind == ChangeEvict {
+		s.cancel()
+	}
+	r.memberMu.RUnlock()
+	if err != nil {
+		return err
+	}
 
-// AddNode joins a node to the ring at a new epoch, after the handoff callback
-// has moved the users it will own.
-func (r *Router) AddNode(ctx context.Context, name, url string, handoff HandoffFunc) error {
-	clock := changeClock{start: r.freeze()}
-	defer r.thaw(clock.start)
-	if _, ok := r.senders[name]; ok {
-		return fmt.Errorf("cluster: node %q already in the ring", name)
-	}
-	if url == "" {
-		return fmt.Errorf("cluster: node %q has no URL", name)
-	}
-	oldRing := r.ring.Load()
-	newRing, err := oldRing.WithNode(name)
-	if err != nil {
+	r.memberMu.Lock()
+	start := time.Now()
+	defer func() {
+		r.frozenNs.Add(int64(time.Since(start)))
+		r.memberMu.Unlock()
+	}()
+	if err := r.flushSealed(ctx); err != nil {
 		return err
 	}
-	if err := r.flushSealed(ctx, ""); err != nil {
-		return err
-	}
-	clock.sealed = time.Now()
-	moved, err := handoff(oldRing, newRing)
+	sealed := time.Now()
+	users, chunks, err := move(newRing)
 	if err != nil {
-		return fmt.Errorf("cluster: handoff to %q: %w", name, err)
+		return fmt.Errorf("cluster: %s of %q: moving its users: %w", kind, name, err)
 	}
-	clock.handed = time.Now()
-	r.startSender(name, url)
+	handed := time.Now()
+
+	if kind == ChangeJoin {
+		r.startSender(name, url)
+	}
 	r.ring.Store(newRing)
 	r.epoch.Add(1)
-	r.recordChange(ChangeJoin, name, moved, clock)
-	return nil
-}
+	var teardown time.Duration
+	if kind != ChangeJoin {
+		t0 := time.Now()
+		delete(r.senders, name)
+		close(s.frames)
+		s.cancel()
+		r.client.CloseIdleConnections()
+		teardown = time.Since(t0)
+	}
+	if kind == ChangeEvict {
+		// On failure the ring is swapped and the node gone, but parked events
+		// are still owed: Changes and LastChange describe completed changes only.
+		if err := r.rerouteParked(ctx, s, cursor(r.streamFor(name))); err != nil {
+			return err
+		}
+	}
 
-// RemoveNode gracefully retires a node: its sender finishes delivering
-// everything it owes, the handoff callback moves the node's users to their
-// ring successors, and the ring is swapped at a new epoch. The last node
-// cannot be removed.
-func (r *Router) RemoveNode(ctx context.Context, name string, handoff HandoffFunc) error {
-	clock := changeClock{start: r.freeze()}
-	defer r.thaw(clock.start)
-	s, ok := r.senders[name]
-	if !ok {
-		return fmt.Errorf("cluster: node %q not in the ring", name)
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
+	r.changes++
+	r.lastChange = MembershipChange{
+		Kind: kind, Node: name, Epoch: r.epoch.Load(),
+		UsersMoved: users, Chunks: chunks,
+		Seal: sealed.Sub(start), Handoff: handed.Sub(sealed), Teardown: teardown,
+		Total: time.Since(start),
 	}
-	oldRing := r.ring.Load()
-	newRing, err := oldRing.WithoutNode(name)
-	if err != nil {
-		return err
-	}
-	if err := r.flushSealed(ctx, ""); err != nil {
-		return err
-	}
-	clock.sealed = time.Now()
-	moved, err := handoff(oldRing, newRing)
-	if err != nil {
-		return fmt.Errorf("cluster: handoff from %q: %w", name, err)
-	}
-	clock.handed = time.Now()
-	r.ring.Store(newRing)
-	r.epoch.Add(1)
-	clock.teardown = r.dropSender(name, s)
-	r.recordChange(ChangeLeave, name, moved, clock)
-	return nil
-}
-
-// EvictNode removes a dead node from the ring. Its sender is marked dead so
-// in-flight delivery attempts abort and park their frames; the handoff
-// callback fails the node's users over to their ring successors; and the
-// parked frames — minus the prefix the dead node's stream cursor (read via
-// the cursor callback) proves it already applied — are re-routed under the
-// new ring. Combined with the receiving side's stream-offset deduplication
-// this makes eviction lose nothing and duplicate nothing, whatever the crash
-// timing.
-func (r *Router) EvictNode(ctx context.Context, name string, handoff HandoffFunc, cursor func(stream string) int64) error {
-	clock := changeClock{start: r.freeze()}
-	defer r.thaw(clock.start)
-	s, ok := r.senders[name]
-	if !ok {
-		return fmt.Errorf("cluster: node %q not in the ring", name)
-	}
-	oldRing := r.ring.Load()
-	newRing, err := oldRing.WithoutNode(name)
-	if err != nil {
-		return err
-	}
-	s.markDead()
-	if err := r.waitSettled(ctx, s); err != nil {
-		return err
-	}
-	if err := r.flushSealed(ctx, name); err != nil {
-		return err
-	}
-	clock.sealed = time.Now()
-	moved, err := handoff(oldRing, newRing)
-	if err != nil {
-		return fmt.Errorf("cluster: failover from %q: %w", name, err)
-	}
-	clock.handed = time.Now()
-	r.ring.Store(newRing)
-	r.epoch.Add(1)
-	clock.teardown = r.dropSender(name, s)
-
-	next := int64(0)
-	if cursor != nil {
-		next = cursor(r.streamFor(name))
-	}
-	if err := r.rerouteParked(ctx, s, next); err != nil {
-		// The ring is swapped and the node gone, but parked events are still
-		// owed: Changes and LastChange describe completed changes only.
-		return err
-	}
-	r.recordChange(ChangeEvict, name, moved, clock)
 	return nil
 }
 
 // rerouteParked routes what an evicted node never applied through the new
-// ring. Frames below next, its stream cursor, were applied before it died
-// (their responses may have been lost); replaying them would double-count,
-// so they are skipped.
+// ring. Frames are parked from two places — the send loop and a cut that was
+// waiting for room — so they are put back in stream order first: per-user
+// event order is the ring's guarantee. Frames below next, the node's stream
+// cursor, were applied before it died (their responses may have been lost);
+// replaying them would double-count, so they are skipped.
 func (r *Router) rerouteParked(ctx context.Context, s *nodeSender, next int64) error {
 	s.mu.Lock()
 	parked := s.parked
@@ -253,6 +179,7 @@ func (r *Router) rerouteParked(ctx context.Context, s *nodeSender, next int64) e
 	buffered := s.buf
 	s.buf = nil
 	s.mu.Unlock()
+	sort.Slice(parked, func(i, j int) bool { return parked[i].idx < parked[j].idx })
 	for _, f := range parked {
 		if f.idx < next {
 			r.failoverSkip.Add(1)
@@ -278,21 +205,6 @@ func (r *Router) rerouteParked(ctx context.Context, s *nodeSender, next int64) e
 	return nil
 }
 
-// waitSettled waits until a dead sender's loop has resolved every queued
-// frame (parked them, since the sender is dead).
-func (r *Router) waitSettled(ctx context.Context, s *nodeSender) error {
-	tick := time.NewTicker(500 * time.Microsecond)
-	defer tick.Stop()
-	for s.pending.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-	return nil
-}
-
 // AddNode starts a fresh node + server over the cluster's model and joins it
 // to the ring, live: users whose ownership moves are handed off before the
 // ring swap, and no in-flight event is dropped. It returns the new node.
@@ -311,9 +223,9 @@ func (c *Local) AddNode(ctx context.Context) (*Node, error) {
 		return nil, err
 	}
 	c.joining = srv
-	err = c.Router.AddNode(ctx, cfg.Name, srv.URL(), func(oldRing, newRing *Ring) (HandoffResult, error) {
+	err = c.Router.change(ctx, ChangeJoin, cfg.Name, srv.URL(), func(newRing *Ring) (int, int, error) {
 		return c.rebalanceLocked(ctx, newRing, ReasonRebalance, nil)
-	})
+	}, nil)
 	c.joining = nil
 	if err != nil {
 		// Nobody but this change ever spoke to the node: no reader to wait for.
@@ -333,62 +245,54 @@ func (c *Local) AddNode(ctx context.Context) (*Node, error) {
 // promptly, because the router has closed its own connection to it. The
 // node's monitor is retained so its alert history still counts in Alerts.
 func (c *Local) RemoveNode(ctx context.Context, name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i := c.indexOfLocked(name)
-	if i < 0 {
-		return fmt.Errorf("cluster: node %q not in the cluster", name)
-	}
-	node := c.Nodes[i]
-	node.BeginDrain()
-	err := c.Router.RemoveNode(ctx, name, func(oldRing, newRing *Ring) (HandoffResult, error) {
-		return c.rebalanceLocked(ctx, newRing, ReasonRebalance, node)
-	})
-	if err != nil {
-		node.draining.Store(false)
-		return err
-	}
-	srv := c.Servers[i]
-	c.detachLocked(i)
-	t0 := time.Now()
-	err = srv.Stop(ctx)
-	c.Router.noteServerStop(time.Since(t0))
-	if err != nil {
-		return err
-	}
-	node.Close()
-	return nil
+	return c.depart(ctx, ChangeLeave, name)
 }
 
-// EvictNode fails the named node over: the router parks its in-flight
-// frames, the node's users move to their ring successors from their last
-// snapshot (the node is in-process, so its monitor is still readable even
-// when its server is unreachable), and the parked frames the node never
-// applied are re-routed. Its alert history is retained.
+// EvictNode fails the named node over: the node is fenced, the router parks
+// its in-flight frames, the node's users move to their ring successors from
+// their last snapshot (the node is in-process, so its monitor is still
+// readable even when its server is unreachable), and the parked frames the
+// node never applied are re-routed. Its alert history is retained.
 func (c *Local) EvictNode(ctx context.Context, name string) error {
+	return c.depart(ctx, ChangeEvict, name)
+}
+
+// depart is the departure both RemoveNode and EvictNode are: mark the node
+// (a leaver drains, a victim is fenced), run the change with the node's whole
+// population moving out, then stop its server and retire it.
+func (c *Local) depart(ctx context.Context, kind, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i := c.indexOfLocked(name)
 	if i < 0 {
 		return fmt.Errorf("cluster: node %q not in the cluster", name)
 	}
-	node := c.Nodes[i]
-	err := c.Router.EvictNode(ctx, name,
-		func(oldRing, newRing *Ring) (HandoffResult, error) {
-			return c.rebalanceLocked(ctx, newRing, ReasonFailover, node)
-		},
-		node.StreamCursor,
-	)
+	node, srv := c.Nodes[i], c.Servers[i]
+	mark, reason := node.draining.Store, ReasonRebalance
+	if kind == ChangeEvict {
+		mark, reason = node.fence, ReasonFailover
+	}
+	mark(true)
+	err := c.Router.change(ctx, kind, name, "", func(newRing *Ring) (int, int, error) {
+		return c.rebalanceLocked(ctx, newRing, reason, node)
+	}, node.StreamCursor)
+	if err != nil {
+		mark(false)
+		return err
+	}
+	c.detachLocked(i)
+	t0 := time.Now()
+	if kind == ChangeEvict {
+		// The node is dead by declaration, and its server usually is already:
+		// close whatever is left without waiting for anyone.
+		_ = srv.Close()
+	} else {
+		err = srv.Stop(ctx)
+	}
+	c.Router.noteServerStop(time.Since(t0))
 	if err != nil {
 		return err
 	}
-	srv := c.Servers[i]
-	c.detachLocked(i)
-	// The node is dead by declaration, and its server usually is already:
-	// close whatever is left without waiting for anyone.
-	t0 := time.Now()
-	_ = srv.Close()
-	c.Router.noteServerStop(time.Since(t0))
 	node.Close()
 	return nil
 }
@@ -412,7 +316,8 @@ func (c *Local) detachLocked(i int) {
 }
 
 // handoffStream is the users one source hands to one destination in a
-// membership change, and how far the transfer got.
+// membership change (a registration has neither node: its snapshots are
+// fresh), and how far the transfer got.
 type handoffStream struct {
 	src, dst *Node
 	url      string
@@ -473,45 +378,46 @@ func fanOut(ctx context.Context, n int, f func(ctx context.Context, i int) error
 // destinations instead (they are in-process), each once it is done with the
 // chunks that had reached it, so an aborted change leaves every source
 // complete and no node holding a user it does not own.
-func (c *Local) rebalanceLocked(ctx context.Context, newRing *Ring, reason string, only *Node) (HandoffResult, error) {
+func (c *Local) rebalanceLocked(ctx context.Context, newRing *Ring, reason string, only *Node) (users, chunks int, err error) {
 	sources := c.Nodes
 	if only != nil {
 		sources = []*Node{only}
 	}
 	perSource := make([][]*handoffStream, len(sources))
-	err := fanOut(ctx, len(sources), func(ctx context.Context, i int) error {
+	err = fanOut(ctx, len(sources), func(ctx context.Context, i int) error {
 		var err error
 		perSource[i], err = c.exportMovedLocked(ctx, sources[i], newRing)
 		return err
 	})
 	if err != nil {
-		return HandoffResult{}, err
+		return 0, 0, err
 	}
 	var streams []*handoffStream
 	for _, s := range perSource {
 		streams = append(streams, s...)
 	}
 	err = fanOut(ctx, len(streams), func(ctx context.Context, i int) error {
-		return c.streamHandoff(ctx, streams[i], reason)
+		return c.Router.streamHandoff(ctx, streams[i], reason)
 	})
 	if err != nil {
 		for _, st := range streams {
 			// The failure cancelled the other streams' requests, but a chunk
 			// whose body had already arrived is still being imported: roll back
-			// only once the destination has finished with it.
-			st.dst.awaitHandoffsServed()
+			// only once the destination is serving no /handoff request (each
+			// ends on its own, its body complete or reset by the sender that
+			// gave up on it) — or the change's own context is done.
+			_ = waitZero(ctx, &st.dst.receiving)
 			st.dst.Monitor().RemoveUsers(userIDs(st.snaps[:st.sent]))
 		}
-		return HandoffResult{}, err
+		return 0, 0, err
 	}
-	var moved HandoffResult
 	for _, st := range streams {
 		st.src.Monitor().RemoveUsers(userIDs(st.snaps))
 		st.src.handoffOut.Add(int64(len(st.snaps)))
-		moved.Users += len(st.snaps)
-		moved.Chunks += st.chunks
+		users += len(st.snaps)
+		chunks += st.chunks
 	}
-	return moved, nil
+	return users, chunks, nil
 }
 
 // exportMovedLocked quiesces src and snapshots the users newRing assigns to
@@ -553,7 +459,7 @@ func (c *Local) serverOfLocked(name string) (*NodeServer, error) {
 // streamHandoff sends one stream's snapshots as a sequence of bounded PSHO
 // frames, encoding the next chunk while the previous one is on the wire and
 // being imported.
-func (c *Local) streamHandoff(ctx context.Context, st *handoffStream, reason string) error {
+func (r *Router) streamHandoff(ctx context.Context, st *handoffStream, reason string) error {
 	type chunk struct {
 		frame []byte
 		users int
@@ -587,7 +493,7 @@ func (c *Local) streamHandoff(ctx context.Context, st *handoffStream, reason str
 			return ch.err
 		}
 		st.sent += ch.users
-		if err := c.postHandoff(ctx, st.url, ch.frame, reason); err != nil {
+		if err := r.postHandoff(ctx, st.url, ch.frame, reason); err != nil {
 			return err
 		}
 		st.chunks++
@@ -600,7 +506,7 @@ func (c *Local) streamHandoff(ctx context.Context, st *handoffStream, reason str
 
 // postHandoff posts one PSHO frame, retrying a few times: imports are
 // idempotent, so redelivery after a lost response converges.
-func (c *Local) postHandoff(ctx context.Context, url string, frame []byte, reason string) error {
+func (r *Router) postHandoff(ctx context.Context, url string, frame []byte, reason string) error {
 	var lastErr error
 	delay := 10 * time.Millisecond
 	for attempt := 0; attempt < 5; attempt++ {
@@ -618,7 +524,7 @@ func (c *Local) postHandoff(ctx context.Context, url string, frame []byte, reaso
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
 		req.Header.Set(HeaderHandoffReason, reason)
-		resp, err := c.Router.client.Do(req)
+		resp, err := r.client.Do(req)
 		if err != nil {
 			lastErr = err
 			continue

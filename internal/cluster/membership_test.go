@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"privascope/internal/casestudy"
+	"privascope/internal/lts"
 	"privascope/internal/risk"
 	"privascope/internal/runtime"
 	"privascope/internal/service"
@@ -204,8 +205,8 @@ func TestClusterGracefulLeave(t *testing.T) {
 }
 
 // crashRouterConfig is the router configuration of the tests that crash a
-// node. Between the victim's server stopping and the eviction marking its
-// sender dead every delivery attempt is refused at once, and a sender that
+// node. Between the victim's server stopping and the eviction cancelling its
+// sender every delivery attempt is refused at once, and a sender that
 // runs out of retries in that gap abandons frames nobody can recover. The
 // retry budget — at least MaxRetries × BackoffMax/2 = 10 s, the tests' Stop
 // timeout — outlasts the gap; eviction interrupts the backoff, so it costs
@@ -371,13 +372,18 @@ func TestProberEvictsDeadNode(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsExposeMembership spot-checks the new /metrics series.
+// TestClusterMetricsExposeMembership spot-checks the membership /metrics
+// series, and that the handoff counters count membership moves only: a
+// registration arrives through /handoff too and must not show up in them.
 func TestClusterMetricsExposeMembership(t *testing.T) {
 	node := newTestNode(t, NodeConfig{})
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	w := httptest.NewRecorder()
-	node.Handler().ServeHTTP(w, req)
-	body := w.Body.String()
+	metrics := func() string {
+		req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+		w := httptest.NewRecorder()
+		node.Handler().ServeHTTP(w, req)
+		return w.Body.String()
+	}
+	body := metrics()
 	for _, series := range []string{
 		"privascope_node_deduped_frames_total",
 		"privascope_node_handoff_in_users_total",
@@ -387,6 +393,27 @@ func TestClusterMetricsExposeMembership(t *testing.T) {
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("metrics output missing %s", series)
+		}
+	}
+	snap := runtime.UserSnapshot{Profile: casestudy.PatientProfile()}
+	for _, step := range []struct {
+		reason string
+		state  lts.StateID
+		want   string
+	}{
+		{ReasonRegister, "", `privascope_node_handoff_in_users_total{node="test-node"} 0`},
+		{ReasonRebalance, surgeryModel(t).InitialState(), `privascope_node_handoff_in_users_total{node="test-node"} 1`},
+	} {
+		snap.State = step.state
+		frame, err := EncodeHandoff([]runtime.UserSnapshot{snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := postHandoff(node, frame, step.reason); w.Code != http.StatusOK {
+			t.Fatalf("%s handoff returned %d: %s", step.reason, w.Code, w.Body)
+		}
+		if body := metrics(); !strings.Contains(body, step.want) {
+			t.Errorf("after a %s handoff the metrics lack %q:\n%s", step.reason, step.want, body)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"privascope/internal/core"
-	"privascope/internal/risk"
+	"privascope/internal/lts"
 	"privascope/internal/runtime"
 	"privascope/internal/service"
 )
@@ -64,8 +64,9 @@ type NodeStats struct {
 	// monitor; QueueLimit is the admission bound.
 	QueueDepth int64
 	QueueLimit int64
-	// HandoffInUsers counts user snapshots imported through /handoff;
-	// HandoffOutUsers counts snapshots exported off this node by a
+	// HandoffInUsers counts user snapshots a membership change imported
+	// through /handoff (registrations, which arrive there too, are not
+	// counted); HandoffOutUsers counts snapshots exported off this node by a
 	// membership change, split by reason ("rebalance" vs "failover" lives on
 	// the importing side's metrics labels).
 	HandoffInUsers  int64
@@ -88,6 +89,7 @@ type NodeStats struct {
 type Node struct {
 	name       string
 	monitor    *runtime.Monitor
+	initial    lts.StateID // the model's initial state, where a registration starts
 	mux        *http.ServeMux
 	queue      chan []service.Event
 	retryAfter time.Duration
@@ -112,13 +114,17 @@ type Node struct {
 	// before its state moves.
 	draining  atomic.Bool
 	quiescing atomic.Int32
-	receiving atomic.Int32
+	receiving atomic.Int64
 
 	// streams maps a router sender's stream ID to the next expected frame
 	// index, so a frame redelivered after a lost response is skipped instead
 	// of applied twice (exactly-once ingest on top of at-least-once retries).
+	// fenced marks a node being evicted: it admits no further frame, so the
+	// cursors stand still. streamsMu guards both, and a frame's whole
+	// admission decision (handleIngest) is one critical section under it.
 	streamsMu sync.Mutex
 	streams   map[string]int64
+	fenced    bool
 
 	statsMu sync.Mutex
 	ingest  runtime.IngestStats
@@ -146,6 +152,7 @@ func NewNode(p *core.PrivacyLTS, cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		name:       cfg.Name,
 		monitor:    monitor,
+		initial:    p.InitialState(),
 		queue:      make(chan []service.Event, nodeQueueBatches),
 		retryAfter: cfg.RetryAfter,
 		queueLimit: int64(cfg.QueueEvents),
@@ -155,7 +162,6 @@ func NewNode(p *core.PrivacyLTS, cfg NodeConfig) (*Node, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", n.handleIngest)
-	mux.HandleFunc("POST /register", n.handleRegister)
 	mux.HandleFunc("POST /handoff", n.handleHandoff)
 	mux.HandleFunc("GET /alerts", n.handleAlerts)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
@@ -210,25 +216,24 @@ func (n *Node) ready() bool {
 // drain is the node's single ingestion worker.
 func (n *Node) drain() {
 	defer close(n.drained)
+	apply := func(batch []service.Event) {
+		stats := n.monitor.IngestBatch(batch)
+		n.statsMu.Lock()
+		n.ingest.Merge(stats)
+		n.statsMu.Unlock()
+		n.pending.Add(-int64(len(batch)))
+	}
 	for {
 		select {
 		case batch := <-n.queue:
-			stats := n.monitor.IngestBatch(batch)
-			n.statsMu.Lock()
-			n.ingest.Merge(stats)
-			n.statsMu.Unlock()
-			n.pending.Add(-int64(len(batch)))
+			apply(batch)
 		case <-n.stop:
 			// Drain what was admitted before stopping: accepted events must
 			// not be dropped.
 			for {
 				select {
 				case batch := <-n.queue:
-					stats := n.monitor.IngestBatch(batch)
-					n.statsMu.Lock()
-					n.ingest.Merge(stats)
-					n.statsMu.Unlock()
-					n.pending.Add(-int64(len(batch)))
+					apply(batch)
 				default:
 					return
 				}
@@ -245,16 +250,7 @@ func (n *Node) drain() {
 func (n *Node) Quiesce(ctx context.Context) error {
 	n.quiescing.Add(1)
 	defer n.quiescing.Add(-1)
-	tick := time.NewTicker(500 * time.Microsecond)
-	defer tick.Stop()
-	for n.pending.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-	return nil
+	return waitZero(ctx, &n.pending)
 }
 
 // BeginDrain marks the node as draining for good: /readyz answers 503 from
@@ -277,6 +273,18 @@ func (n *Node) StreamCursor(stream string) int64 {
 	n.streamsMu.Lock()
 	defer n.streamsMu.Unlock()
 	return n.streams[stream]
+}
+
+// fence marks (or, when the eviction is abandoned, unmarks) the node as being
+// evicted. The router aborts its requests to an evicted node, but abandoning a
+// request does not stop its handler, which may be holding a decoded frame. Once
+// fence(true) returns no handler admits another frame: what Quiesce then
+// applies and the users' snapshots show is exactly what the stream cursors
+// say, so the eviction's re-route neither loses nor repeats a frame.
+func (n *Node) fence(on bool) {
+	n.streamsMu.Lock()
+	n.fenced = on
+	n.streamsMu.Unlock()
 }
 
 // admit reserves room for a decoded batch, returning false when the node is
@@ -344,68 +352,39 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, ingestResponse{Accepted: accepted, Error: err.Error()})
 			return
 		}
-		if stream != "" && n.dedupFrame(stream, base+int64(accepted)) {
-			n.deduped.Add(1)
-			accepted++
-			continue
+		// One critical section decides the frame: a fenced node refuses; a
+		// frame below its stream's cursor was applied by a delivery whose
+		// response got lost; otherwise the batch is admitted, if there is
+		// room, and the cursor moves past it (frames a client dropped leave
+		// gaps; the cursor only moves forward). One section, not one per
+		// question, so fence and StreamCursor see no frame half-way through.
+		idx := base + int64(accepted)
+		n.streamsMu.Lock()
+		fenced := n.fenced
+		duplicate := !fenced && stream != "" && idx < n.streams[stream]
+		admitted := !fenced && !duplicate && n.admit(batch)
+		if admitted && stream != "" {
+			n.streams[stream] = idx + 1
 		}
-		if !n.admit(batch) {
+		n.streamsMu.Unlock()
+		switch {
+		case fenced:
+			writeJSON(w, http.StatusServiceUnavailable, ingestResponse{Accepted: accepted, Error: "node is being evicted"})
+			return
+		case duplicate:
+			n.deduped.Add(1)
+		case !admitted:
 			n.rejected.Add(int64(len(batch)))
 			w.Header().Set("Retry-After", strconv.Itoa(int((n.retryAfter+time.Second-1)/time.Second)))
 			writeJSON(w, http.StatusTooManyRequests, ingestResponse{Accepted: accepted, Error: "ingest queue full"})
 			return
+		default:
+			n.frames.Add(1)
+			n.events.Add(int64(len(batch)))
 		}
-		if stream != "" {
-			n.advanceStream(stream, base+int64(accepted))
-		}
-		n.frames.Add(1)
-		n.events.Add(int64(len(batch)))
 		accepted++
 	}
 	writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: accepted})
-}
-
-// dedupFrame reports whether the frame at idx was already applied on the
-// stream (idx below the cursor).
-func (n *Node) dedupFrame(stream string, idx int64) bool {
-	n.streamsMu.Lock()
-	defer n.streamsMu.Unlock()
-	return idx < n.streams[stream]
-}
-
-// advanceStream records that the frame at idx was admitted. Frames dropped by
-// the client leave gaps; the cursor only ever moves forward.
-func (n *Node) advanceStream(stream string, idx int64) {
-	n.streamsMu.Lock()
-	defer n.streamsMu.Unlock()
-	if idx+1 > n.streams[stream] {
-		n.streams[stream] = idx + 1
-	}
-}
-
-// handleRegister registers a JSON array of user profiles with the node's
-// monitor. Registration is management-plane: rare, small, human-scale — JSON
-// keeps it debuggable, the binary frame format is reserved for the event
-// firehose. A body over MaxFrameBytes is a 413; Router.Register slices a
-// node's profiles well under it.
-func (n *Node) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var profiles []risk.UserProfile
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxFrameBytes)).Decode(&profiles); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, "cluster: bad register payload: "+err.Error(), status)
-		return
-	}
-	for i := range profiles {
-		if err := n.monitor.RegisterUserContext(r.Context(), profiles[i]); err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"registered": len(profiles)})
 }
 
 // alertJSON is the wire form of one alert.
@@ -435,9 +414,10 @@ func (n *Node) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// HeaderHandoffReason labels a /handoff request with why ownership moved:
+// HeaderHandoffReason labels a /handoff request with why its users arrive:
 // "rebalance" for a planned membership change, "failover" when the previous
-// owner was evicted as dead. The importing node counts the two separately.
+// owner was evicted as dead — the importing node counts the two separately —
+// and "register" for users the fleet has not tracked before.
 const HeaderHandoffReason = "Privascope-Handoff-Reason"
 
 // handoffResponse is the /handoff reply body.
@@ -447,11 +427,14 @@ type handoffResponse struct {
 }
 
 // handleHandoff imports the user snapshots of one PSHO frame — one chunk of a
-// membership change — into the node's monitor. The frame is fully decoded and
-// every snapshot validated before any user is touched, so a rejected frame
-// installs nothing; imports are idempotent, so a duplicated delivery (the
-// sender retried after a lost response) converges to the same state. While a
-// handoff is being received the node reports not-ready.
+// membership change or of a registration — into the node's monitor. The frame
+// is fully decoded and every snapshot validated before any user is touched,
+// so a rejected frame installs nothing; imports are idempotent, so a
+// duplicated delivery (the sender retried after a lost response) converges to
+// the same state. A registration's snapshots must carry no state and zero
+// cursors — the router has no model; the node starts them at its model's
+// initial state — while a moved user's must name a state of the model. While
+// a handoff is being received the node reports not-ready.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	n.receiving.Add(1)
 	defer n.receiving.Add(-1)
@@ -466,24 +449,28 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, handoffResponse{Error: err.Error()})
 		return
 	}
+	reason := r.Header.Get(HeaderHandoffReason)
+	if reason == ReasonRegister {
+		for i := range snaps {
+			if s := &snaps[i]; s.State != "" || s.Applied != 0 || s.Alerts != 0 {
+				writeJSON(w, http.StatusUnprocessableEntity, handoffResponse{Error: fmt.Sprintf(
+					"cluster: registration of user %q carries state (%q, applied %d, alerts %d)", s.Profile.ID, s.State, s.Applied, s.Alerts)})
+				return
+			}
+			snaps[i].State = n.initial
+		}
+	}
 	if err := n.monitor.ImportUsers(r.Context(), snaps); err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, handoffResponse{Error: err.Error()})
 		return
 	}
-	n.handoffIn.Add(int64(len(snaps)))
-	if r.Header.Get(HeaderHandoffReason) == ReasonFailover {
+	if reason != ReasonRegister {
+		n.handoffIn.Add(int64(len(snaps)))
+	}
+	if reason == ReasonFailover {
 		n.failoverIn.Add(int64(len(snaps)))
 	}
 	writeJSON(w, http.StatusOK, handoffResponse{Imported: len(snaps)})
-}
-
-// awaitHandoffsServed returns once no /handoff request is being served. Every
-// such request ends on its own: its body is either complete or reset by the
-// sender that gave up on it.
-func (n *Node) awaitHandoffsServed() {
-	for n.receiving.Load() != 0 {
-		time.Sleep(500 * time.Microsecond)
-	}
 }
 
 // handleHealthz is the liveness half of the health split: it answers 200

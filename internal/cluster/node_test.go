@@ -12,7 +12,7 @@ import (
 
 	"privascope/internal/casestudy"
 	"privascope/internal/core"
-	"privascope/internal/risk"
+	"privascope/internal/runtime"
 	"privascope/internal/service"
 )
 
@@ -58,6 +58,18 @@ func postIngest(t testing.TB, n *Node, body []byte) (*httptest.ResponseRecorder,
 		t.Fatalf("ingest response %q is not JSON: %v", rec.Body.String(), err)
 	}
 	return rec, ir
+}
+
+// postHandoff posts one PSHO frame to the node's /handoff under the reason
+// label ("" sends none).
+func postHandoff(n *Node, frame []byte, reason string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/handoff", bytes.NewReader(frame))
+	if reason != "" {
+		req.Header.Set(HeaderHandoffReason, reason)
+	}
+	rec := httptest.NewRecorder()
+	n.Handler().ServeHTTP(rec, req)
+	return rec
 }
 
 func TestNodeIngestAppliesEvents(t *testing.T) {
@@ -121,15 +133,20 @@ func TestNodeBackpressure429(t *testing.T) {
 
 func TestNodeRegisterAndAlertsEndpoints(t *testing.T) {
 	n := newTestNode(t, NodeConfig{})
-	payload, err := json.Marshal([]risk.UserProfile{casestudy.PatientProfile()})
+	// A registration is the handoff of a fresh snapshot; the JSON endpoint
+	// that used to install users is gone.
+	payload, err := EncodeHandoff([]runtime.UserSnapshot{{Profile: casestudy.PatientProfile()}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rec := postHandoff(n, payload, ReasonRegister); rec.Code != http.StatusOK {
+		t.Fatalf("register: status %d: %s", rec.Code, rec.Body.String())
 	}
 	req := httptest.NewRequest(http.MethodPost, "/register", bytes.NewReader(payload))
 	rec := httptest.NewRecorder()
 	n.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("register: status %d: %s", rec.Code, rec.Body.String())
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("POST /register: status %d, want 404: the route is gone", rec.Code)
 	}
 
 	// A denied operation raises an alert that must appear on /alerts.

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -269,8 +268,8 @@ func TestLeaveChunkBoundaries(t *testing.T) {
 // TestLeaveOfNodeOverOneFrame retires a node holding more users than one PSHO
 // frame may carry (MaxHandoffUsers, and MaxHandoffBytes before that): the
 // leave succeeds in chunks and the survivor's snapshots equal a direct
-// monitor's. Registering the population in one call also crosses the
-// /register body bound, which Router.Register must slice under.
+// monitor's. Registering the population in one call crosses the same bounds
+// on the way in, which Router.Register must chunk under too.
 func TestLeaveOfNodeOverOneFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("registers and moves 70,000 users")
@@ -312,19 +311,6 @@ func TestLeaveOfNodeOverOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireClusterMatchesDirect(t, c, direct, users)
-}
-
-// TestRegisterBodyOverBound: a /register body over the bound is a 413, not a
-// JSON syntax error at whatever byte the limit fell on.
-func TestRegisterBodyOverBound(t *testing.T) {
-	node := newTestNode(t, NodeConfig{})
-	body := "[" + strings.Repeat(" ", MaxFrameBytes) + "]"
-	req := httptest.NewRequest(http.MethodPost, "/register", strings.NewReader(body))
-	w := httptest.NewRecorder()
-	node.Handler().ServeHTTP(w, req)
-	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized register body returned %d (%s), want 413", w.Code, strings.TrimSpace(w.Body.String()))
-	}
 }
 
 // TestDepartureSkipsGoawayLinger: on a fleet whose router holds a warm pooled
@@ -768,16 +754,6 @@ func TestTickCannotStallEviction(t *testing.T) {
 	c.Router.memberMu.RLock()
 	sender := c.Router.senders[victim.Node().Name()]
 	c.Router.memberMu.RUnlock()
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	// Three slices of the stream: the first is cut by a tick and taken by the
 	// sender, which retries it forever; the second is cut into the window and
 	// fills it; the third stays buffered for the next tick to find.
@@ -785,14 +761,14 @@ func TestTickCannotStallEviction(t *testing.T) {
 	if err := c.Router.SendBatch(ctx, stream[:third]); err != nil {
 		t.Fatal(err)
 	}
-	waitFor("the first frame to be in flight", func() bool {
+	waitUntil(t, "the first frame to be in flight", func() bool {
 		pending := sender.pending.Load()
 		return pending == 1 && len(sender.frames) == 0 || pending >= 2
 	})
 	if err := c.Router.SendBatch(ctx, stream[third:2*third]); err != nil {
 		t.Fatal(err)
 	}
-	waitFor("the second frame to fill the window", func() bool { return len(sender.frames) == 1 })
+	waitUntil(t, "the second frame to fill the window", func() bool { return len(sender.frames) == 1 })
 	if err := c.Router.SendBatch(ctx, stream[2*third:3*third]); err != nil {
 		t.Fatal(err)
 	}

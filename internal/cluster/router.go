@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"privascope/internal/risk"
+	"privascope/internal/runtime"
 	"privascope/internal/service"
 )
 
@@ -145,41 +145,30 @@ type nodeSender struct {
 	name string
 	url  string
 
+	// ctx is the sender's lifetime. Evicting the node cancels it: the POST in
+	// flight is aborted, a backoff sleep ends, and every frame still owed —
+	// in a request, queued, or waiting for room in the window — is parked for
+	// the eviction to re-route instead of posted or dropped.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu      sync.Mutex
 	buf     []service.Event
 	enc     frameEncoder
 	nextIdx int64      // next frame index in this sender's stream
-	parked  []cutFrame // frames recovered from a dead node, pending re-route
+	parked  []cutFrame // frames an evicted node still owed, in no particular order
 
 	frames  chan cutFrame // cut frames, FIFO; capacity = MaxInFlight
-	pending atomic.Int64  // frames cut for this sender, not yet resolved
-
-	dead     chan struct{} // closed when the node is evicted
-	deadOnce sync.Once
+	pending atomic.Int64  // frames cut, not yet accepted, dropped or parked
 }
-
-func (s *nodeSender) markDead() { s.deadOnce.Do(func() { close(s.dead) }) }
-
-func (s *nodeSender) isDead() bool {
-	select {
-	case <-s.dead:
-		return true
-	default:
-		return false
-	}
-}
-
-// errSenderDead aborts a delivery attempt when the target was evicted
-// mid-retry; the sequence is parked for re-routing, not dropped.
-var errSenderDead = errors.New("cluster: sender marked dead")
 
 // Router is the cluster's ingest client: it partitions events over the ring,
 // buffers per node, cuts binary frames at the batch threshold or flush
-// deadline, and honors 429 + Retry-After backpressure. Membership is live:
-// AddNode, RemoveNode and EvictNode rebuild the ring at a new epoch after
-// handing per-user monitor state to the new owners, and an evicted node's
-// undelivered frames are re-routed to its ring successors — never silently
-// dropped.
+// deadline, and honors 429 + Retry-After backpressure. Membership is live: a
+// join, leave or eviction (change, in membership.go) rebuilds the ring at a
+// new epoch after handing per-user monitor state to the new owners, and an
+// evicted node's undelivered frames are re-routed to its ring successors —
+// never silently dropped.
 type Router struct {
 	ring   atomic.Pointer[Ring]
 	epoch  atomic.Int64
@@ -196,7 +185,6 @@ type Router struct {
 	// from this router never collide with another router's streams.
 	streamID string
 
-	pending atomic.Int64 // frames cut but not yet accepted, dropped or parked
 	events  atomic.Int64
 	frames  atomic.Int64
 	rej429  atomic.Int64
@@ -218,7 +206,7 @@ type Router struct {
 	// backoff sleep (swapped for a fake clock in tests).
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
-	sleepFn  func(d time.Duration, interrupt <-chan struct{}) bool
+	sleepFn  func(ctx context.Context, d time.Duration)
 
 	errMu    sync.Mutex
 	firstErr error
@@ -314,12 +302,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // startSender builds and launches the sender for one node. The caller either
 // owns the router exclusively (NewRouter) or holds memberMu exclusively.
 func (r *Router) startSender(name, url string) *nodeSender {
-	s := &nodeSender{
-		name:   name,
-		url:    url,
-		frames: make(chan cutFrame, r.cfg.MaxInFlight),
-		dead:   make(chan struct{}),
-	}
+	s := &nodeSender{name: name, url: url, frames: make(chan cutFrame, r.cfg.MaxInFlight)}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	r.senders[name] = s
 	r.sendersWG.Add(1)
 	go r.sendLoop(s)
@@ -410,7 +394,9 @@ func (r *Router) SendBatch(ctx context.Context, events []service.Event) error {
 // cutLocked encodes s.buf as one frame and queues it on the sender, blocking
 // while the in-flight window is full. Called with s.mu held; holding it
 // through the (possibly blocking) queue insert keeps frame order identical
-// to buffer order.
+// to buffer order. A sender cancelled while the cut waits for room parks the
+// frame here: the send loop needs s.mu to park what it holds, so it cannot be
+// what empties the window.
 func (r *Router) cutLocked(ctx context.Context, s *nodeSender) error {
 	if len(s.buf) == 0 {
 		return nil
@@ -422,13 +408,15 @@ func (r *Router) cutLocked(ctx context.Context, s *nodeSender) error {
 	f := cutFrame{idx: s.nextIdx, data: data, events: len(s.buf)}
 	s.nextIdx++
 	s.buf = s.buf[:0]
-	r.pending.Add(1)
 	s.pending.Add(1)
 	select {
 	case s.frames <- f:
 		return nil
+	case <-s.ctx.Done():
+		s.parked = append(s.parked, f)
+		s.pending.Add(-1)
+		return nil
 	case <-ctx.Done():
-		r.pending.Add(-1)
 		s.pending.Add(-1)
 		return ctx.Err()
 	}
@@ -445,13 +433,11 @@ func (r *Router) tickLoop() {
 		case <-tick.C:
 			r.memberMu.RLock()
 			for _, s := range r.senders {
-				if s.isDead() {
-					continue
-				}
-				// The tick never waits for room in a sender's window: it
-				// holds the membership lock, and a membership change — the
-				// eviction of the very node that is not draining its window —
-				// must not queue behind it. Frames are queued only under
+				// The tick never waits for room in a sender's window. Waiting,
+				// it would hold s.mu and the membership lock: the next Send to
+				// that node would queue behind it — with a node that is not
+				// draining its window, until somebody else evicts it — and so
+				// would every join and leave. Frames are queued only under
 				// s.mu, so a window with room here cannot fill before the cut;
 				// a full one is cut by a later tick, by Send reaching the
 				// batch threshold, or by the seal.
@@ -475,8 +461,8 @@ func (r *Router) tickLoop() {
 // sendLoop posts cut frames in order. It drains greedily: every frame
 // already queued behind the first is concatenated into the same request body
 // (a body is a frame sequence), amortizing the request overhead under load.
-// When the node has been marked dead, sequences are parked for the eviction
-// path to re-route instead of posted or dropped.
+// Once the sender is cancelled, what it could not deliver is parked for the
+// eviction to re-route instead of dropped.
 func (r *Router) sendLoop(s *nodeSender) {
 	defer r.sendersWG.Done()
 	for first := range s.frames {
@@ -493,21 +479,12 @@ func (r *Router) sendLoop(s *nodeSender) {
 				break drainMore
 			}
 		}
-		total := len(frames)
-		var rest []cutFrame
-		var err error
-		if s.isDead() {
-			rest = frames
-			err = errSenderDead
-		} else {
-			var accepted, acceptedEvents int
-			accepted, acceptedEvents, rest, err = r.post(s, frames)
-			r.frames.Add(int64(accepted))
-			r.events.Add(int64(acceptedEvents))
-		}
+		accepted, acceptedEvents, rest, err := r.post(s, frames)
+		r.frames.Add(int64(accepted))
+		r.events.Add(int64(acceptedEvents))
 		switch {
 		case err == nil:
-		case errors.Is(err, errSenderDead):
+		case s.ctx.Err() != nil:
 			s.mu.Lock()
 			s.parked = append(s.parked, rest...)
 			s.mu.Unlock()
@@ -519,8 +496,7 @@ func (r *Router) sendLoop(s *nodeSender) {
 				r.droppedEvents.Add(int64(f.events))
 			}
 		}
-		r.pending.Add(-int64(total))
-		s.pending.Add(-int64(total))
+		s.pending.Add(-int64(len(frames)))
 	}
 }
 
@@ -529,15 +505,16 @@ func (r *Router) sendLoop(s *nodeSender) {
 // delay and resends from there, and the accepted prefix survives later
 // failures — acceptance is monotonic across retries. Non-2xx/429 responses
 // and transport errors retry the remainder after a jittered exponential
-// backoff, up to MaxRetries attempts in total. It returns the accepted frame
-// and event counts, the unaccepted remainder, and the final error (nil when
-// everything was accepted; errSenderDead when the node was evicted
-// mid-delivery).
+// backoff, up to MaxRetries attempts in total. Requests and sleeps run under
+// the sender's context, so evicting the node ends the delivery at once. It
+// returns the accepted frame and event counts, the unaccepted remainder, and
+// the final error (nil when everything was accepted, the context's when the
+// sender was cancelled).
 func (r *Router) post(s *nodeSender, frames []cutFrame) (acceptedFrames, acceptedEvents int, rest []cutFrame, err error) {
 	var lastErr error
 	for attempt := 0; attempt < r.cfg.MaxRetries; attempt++ {
-		if s.isDead() {
-			return acceptedFrames, acceptedEvents, frames, errSenderDead
+		if err := s.ctx.Err(); err != nil {
+			return acceptedFrames, acceptedEvents, frames, err
 		}
 		if attempt > 0 {
 			r.retries.Add(1)
@@ -546,7 +523,7 @@ func (r *Router) post(s *nodeSender, frames []cutFrame) (acceptedFrames, accepte
 		for _, f := range frames {
 			body = append(body, f.data...)
 		}
-		req, reqErr := http.NewRequest(http.MethodPost, s.url+"/ingest", bytes.NewReader(body))
+		req, reqErr := http.NewRequestWithContext(s.ctx, http.MethodPost, s.url+"/ingest", bytes.NewReader(body))
 		if reqErr != nil {
 			return acceptedFrames, acceptedEvents, frames, reqErr
 		}
@@ -556,9 +533,7 @@ func (r *Router) post(s *nodeSender, frames []cutFrame) (acceptedFrames, accepte
 		resp, postErr := r.client.Do(req)
 		if postErr != nil {
 			lastErr = postErr
-			if !r.backoffSleep(attempt, s.dead) {
-				return acceptedFrames, acceptedEvents, frames, errSenderDead
-			}
+			r.sleepFn(s.ctx, r.backoff(attempt))
 			continue
 		}
 		respBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
@@ -583,14 +558,10 @@ func (r *Router) post(s *nodeSender, frames []cutFrame) (acceptedFrames, accepte
 				return acceptedFrames, acceptedEvents, nil, nil
 			}
 			lastErr = fmt.Errorf("saturated (429) after %d attempts", attempt+1)
-			if !r.sleep(retryAfterOf(resp), s.dead) {
-				return acceptedFrames, acceptedEvents, frames, errSenderDead
-			}
+			r.sleepFn(s.ctx, retryAfterOf(resp))
 		default:
 			lastErr = fmt.Errorf("ingest returned %s: %s", resp.Status, bytes.TrimSpace(respBody))
-			if !r.backoffSleep(attempt, s.dead) {
-				return acceptedFrames, acceptedEvents, frames, errSenderDead
-			}
+			r.sleepFn(s.ctx, r.backoff(attempt))
 		}
 	}
 	return acceptedFrames, acceptedEvents, frames, lastErr
@@ -632,84 +603,40 @@ func (r *Router) backoff(attempt int) time.Duration {
 	return d/2 + j
 }
 
-// backoffSleep sleeps the backoff for the attempt; it returns false when the
-// sleep was interrupted by the sender dying or the router closing.
-func (r *Router) backoffSleep(attempt int, dead <-chan struct{}) bool {
-	return r.sleepFn(r.backoff(attempt), dead)
-}
-
-// sleep waits d via the router's sleep function (a fake clock in tests).
-func (r *Router) sleep(d time.Duration, dead <-chan struct{}) bool {
-	return r.sleepFn(d, dead)
-}
-
-// timerSleep is the production sleep: interruptible by eviction of the
-// target node and by router close, so a retry loop never outlives either.
-func (r *Router) timerSleep(d time.Duration, dead <-chan struct{}) bool {
+// timerSleep is the production sleep: it ends early when ctx does (the
+// target node was evicted) or the router closes, so a retry loop never
+// outlives either. Closing flushes first, so that only short-circuits
+// attempts that already failed once.
+func (r *Router) timerSleep(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
-	case <-dead:
-		return false
+	case <-ctx.Done():
 	case <-r.closed:
-		// Closing flushes first, so an interrupt here only short-circuits
-		// attempts that already failed once.
-		return true
 	}
 }
 
-// registerSliceProfiles bounds one /register request: a node's profiles go in
-// slices of at most that many. A profile would have to render to 2 KiB of JSON
-// (the case study's is 260 bytes) for a slice to reach the MaxFrameBytes the
-// receiving side reads; one that does is refused there with a 413.
-const registerSliceProfiles = 4096
-
-// Register sends each profile to its owner node's /register endpoint, a
-// node's profiles in input order and in as many bounded requests as they
-// need.
+// Register installs each profile on its owner node as what it is: the
+// handoff of a fresh snapshot — no state, zero cursors; the node supplies its
+// model's initial state — down the chunked, pipelined, idempotently retried
+// path a membership change moves users by (streamHandoff), under the reason
+// label ReasonRegister. Registering a user the fleet already tracks resets
+// them.
 func (r *Router) Register(ctx context.Context, profiles []risk.UserProfile) error {
 	r.memberMu.RLock()
 	defer r.memberMu.RUnlock()
-	byNode := make(map[string][]risk.UserProfile)
+	byNode := make(map[string][]runtime.UserSnapshot)
 	ring := r.ring.Load()
 	for _, p := range profiles {
 		owner := ring.Owner(p.ID)
-		byNode[owner] = append(byNode[owner], p)
+		byNode[owner] = append(byNode[owner], runtime.UserSnapshot{Profile: p})
 	}
-	for name, group := range byNode {
-		for len(group) > 0 {
-			n := min(len(group), registerSliceProfiles)
-			if err := r.registerSlice(ctx, name, group[:n]); err != nil {
-				return err
-			}
-			group = group[n:]
+	for name, snaps := range byNode {
+		st := &handoffStream{url: r.senders[name].url, snaps: snaps}
+		if err := r.streamHandoff(ctx, st, ReasonRegister); err != nil {
+			return fmt.Errorf("cluster: registering on %q: %w", name, err)
 		}
-	}
-	return nil
-}
-
-// registerSlice posts one slice of a node's profiles. The caller holds
-// memberMu.
-func (r *Router) registerSlice(ctx context.Context, name string, group []risk.UserProfile) error {
-	payload, err := json.Marshal(group)
-	if err != nil {
-		return fmt.Errorf("cluster: encoding profiles: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.senders[name].url+"/register", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("cluster: registering on %q: %w", name, err)
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: registering on %q: %s: %s", name, resp.Status, bytes.TrimSpace(body))
 	}
 	return nil
 }
@@ -719,19 +646,17 @@ func (r *Router) registerSlice(ctx context.Context, name string, group []risk.Us
 func (r *Router) Flush(ctx context.Context) error {
 	r.memberMu.RLock()
 	defer r.memberMu.RUnlock()
-	if err := r.flushSealed(ctx, ""); err != nil {
+	if err := r.flushSealed(ctx); err != nil {
 		return err
 	}
 	return r.Err()
 }
 
-// flushSealed cuts and settles every live sender except skip. The caller
-// holds memberMu in either mode.
-func (r *Router) flushSealed(ctx context.Context, skip string) error {
-	for name, s := range r.senders {
-		if name == skip || s.isDead() {
-			continue
-		}
+// flushSealed cuts every sender's buffer and waits until every cut frame is
+// resolved: accepted, dropped or — the sender of a node being evicted —
+// parked. The caller holds memberMu in either mode.
+func (r *Router) flushSealed(ctx context.Context) error {
+	for _, s := range r.senders {
 		s.mu.Lock()
 		err := r.cutLocked(ctx, s)
 		s.mu.Unlock()
@@ -739,9 +664,24 @@ func (r *Router) flushSealed(ctx context.Context, skip string) error {
 			return err
 		}
 	}
+	for _, s := range r.senders {
+		if err := waitZero(ctx, &s.pending); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// waitZero polls until n reads zero or ctx is done. It is the package's one
+// wait on a counter other goroutines drain: frames a sender owes, events a
+// node has admitted, handoff requests a node is serving.
+func waitZero(ctx context.Context, n *atomic.Int64) error {
+	if n.Load() == 0 {
+		return nil
+	}
 	tick := time.NewTicker(500 * time.Microsecond)
 	defer tick.Stop()
-	for r.pending.Load() != 0 {
+	for n.Load() != 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -764,8 +704,11 @@ func (r *Router) Close() error {
 		for _, s := range r.senders {
 			close(s.frames)
 		}
-		r.memberMu.Unlock()
 		r.sendersWG.Wait()
+		for _, s := range r.senders {
+			s.cancel()
+		}
+		r.memberMu.Unlock()
 		// As in a membership change's tear-down step (membership.go): the
 		// node servers are stopped next and must not wait on this client.
 		r.client.CloseIdleConnections()

@@ -21,11 +21,10 @@ type fakeClock struct {
 	sleeps []time.Duration
 }
 
-func (f *fakeClock) sleep(d time.Duration, _ <-chan struct{}) bool {
+func (f *fakeClock) sleep(_ context.Context, d time.Duration) {
 	f.mu.Lock()
 	f.sleeps = append(f.sleeps, d)
 	f.mu.Unlock()
-	return true
 }
 
 func (f *fakeClock) recorded() []time.Duration {
@@ -202,7 +201,9 @@ func TestRouter429TrimAcrossRetries(t *testing.T) {
 	// always carries the two-frame sequence.
 	router.memberMu.Lock()
 	close(router.senders["only"].frames)
-	staged := &nodeSender{name: "only", url: srv.URL, frames: make(chan cutFrame, 4), dead: make(chan struct{})}
+	router.senders["only"].cancel()
+	staged := &nodeSender{name: "only", url: srv.URL, frames: make(chan cutFrame, 4)}
+	staged.ctx, staged.cancel = context.WithCancel(context.Background())
 	router.senders["only"] = staged
 	router.memberMu.Unlock()
 	events := casestudy.MedicalServiceEvents("u")[:4] // 2 frames, one sequence
