@@ -1,28 +1,14 @@
-# Development entry points. The bench target records the repository's
-# performance trajectory: every run emits BENCH_$(N).json (benchmark ->
-# iterations + ns/op, B/op, allocs/op and custom metrics) via cmd/benchjson,
-# so successive PRs leave comparable perf snapshots behind.
+# Development entry points. Performance has one record and one gate, both
+# benchmark/'s (benchmark/README.md, BENCHMARK.json): `make bench` prints every
+# number the docs cite, `make bench-gate` compares this checkout with its
+# parent commit on this host and fails on an end-to-end regression beyond the
+# bound BENCHMARK.json fixes. Nothing is recorded in the repository, so there
+# is no baseline to re-record. Allocation counts are not a benchmark: they are
+# a tier-1 test (TestAllocCeilings in alloc_test.go).
 
 GO ?= go
-# N tags the benchmark snapshot; defaults to the commit count so successive
-# snapshots sort naturally.
-N ?= $(shell git rev-list --count HEAD 2>/dev/null || echo 0)
-BENCH ?= .
-BENCHTIME ?= 2s
-# The benchmarks CI smokes on every push: the headline number of each
-# subsystem plus the compiled-vs-reference pairs this PR introduced.
-SMOKE_BENCH = LTSGeneration|MonitorThroughput|ValueRiskPipeline|EngineAssessCached|AnalyzeCompiled|AnalyzeReference|MinimizeCompiled|MinimizeReference|ModelStoreLoad|ClusterIngest|ExploreSymmetry|ExploreIncremental|MembershipChange
-# BASELINE is the perf-gate reference: the committed 1-iteration smoke record
-# (re-record with `make bench-smoke N=smoke` when benchmark behaviour changes
-# deliberately). Per-op numbers from a 1-iteration run include un-amortised
-# setup, so they can only be compared against another 1-iteration run — never
-# against a full-benchtime `make bench` record.
-BASELINE ?= BENCH_smoke.json
-# Gated metrics for bench-compare: allocation counts are deterministic and
-# gate tightly; ns/op from a 1-iteration smoke run is noisy, so it only
-# catches order-of-magnitude blowups.
-COMPARE_METRICS ?= allocs/op,ns/op=300
-THRESHOLD_PCT ?= 25
+# BASE is the commit bench-gate compares this checkout against.
+BASE ?= HEAD~1
 # Packages holding property tests; only their test binaries register the
 # -proptest.* flags, so soak runs must enumerate them instead of using ./...
 PROP_PACKAGES = . ./internal/proptest ./internal/proptest/scenario ./internal/synth \
@@ -34,7 +20,7 @@ FUZZTIME ?= 30s
 # GOMAXPROCS values test-cpu runs every test at.
 CPUS ?= 1,4
 
-.PHONY: build test test-cpu vet bench bench-smoke bench-compare explore-bench test-props fuzz cache-clean
+.PHONY: build test test-cpu vet bench bench-gate bench-gate-selftest test-props fuzz cache-clean
 
 build:
 	$(GO) build ./...
@@ -53,40 +39,65 @@ test-cpu:
 vet:
 	$(GO) vet ./...
 
-# bench runs the selected benchmarks (-benchmem) across every package and
-# writes BENCH_$(N).json. Override BENCH / BENCHTIME / N as needed, e.g.:
-#   make bench BENCH='Analyze' BENCHTIME=5s N=pr5
-# The go-test run and the JSON conversion are separate steps (not a pipe) so
-# a failing or non-compiling benchmark fails the target instead of being
-# masked by benchjson's exit status.
+# bench is the one command behind every performance number in the docs: an
+# untraced pass over the six workloads prints the end-to-end records (one JSON
+# object per line: op_p50_ms, work_per_s, peak_rss_mb, setup_s, and the host,
+# toolchain and commit they were measured on), then a traced pass prints the
+# per-layer records. About two minutes a pass.
 bench:
-	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -benchtime=$(BENCHTIME) ./... > .bench_$(N).txt \
-		|| (rm -f .bench_$(N).txt; exit 1)
-	$(GO) run ./cmd/benchjson < .bench_$(N).txt > BENCH_$(N).json
-	@rm -f .bench_$(N).txt
-	@echo "wrote BENCH_$(N).json"
+	bash benchmark/run.sh -all
+	bash benchmark/run.sh -all -trace 1
 
-# bench-smoke is the CI variant: one iteration of the headline benchmarks,
-# still recorded as BENCH_$(N).json so every CI run leaves a perf record.
-bench-smoke:
-	$(MAKE) bench BENCH='$(SMOKE_BENCH)' BENCHTIME=1x
+# bench-gate is the perf-regression gate. It checks BASE out into a git
+# worktree under .bench_gate/, runs three pairs of `benchmark/run.sh -all`
+# (pair i on seed i, at the benchmark's own run length, the side that goes
+# first alternating) and hands both sets of records to the benchmark's
+# comparer, whose exit status is the gate's: non-zero when an end-to-end
+# metric's median worsened beyond its bound, when any run was wrong, or when
+# the sides ran on different core counts. A change to the benchmark's own
+# definition has no comparable baseline and passes. About 13 minutes on two
+# cores; the worktree is removed however the run ends.
+bench-gate:
+	@set -eu; gate="$$PWD/.bench_gate"; \
+	git rev-parse --verify --quiet '$(BASE)^{commit}' > /dev/null \
+		|| { echo "bench-gate: BASE=$(BASE) is not a commit here (a shallow clone has no parent: fetch with full history)"; exit 1; }; \
+	if ! git diff --quiet '$(BASE)' -- benchmark BENCHMARK.json; then \
+		echo "bench-gate: benchmark/ or BENCHMARK.json differs from $(BASE): the benchmark's definition changed, nothing is comparable (the baseline is re-measured after such a change)"; \
+		exit 0; \
+	fi; \
+	trap 'git worktree remove --force "$$gate/base" 2> /dev/null || true; git worktree prune' EXIT; \
+	trap 'exit 130' INT TERM; \
+	rm -rf "$$gate"; git worktree prune; mkdir -p "$$gate"; \
+	git worktree add --quiet --detach "$$gate/base" '$(BASE)'; \
+	for i in 1 2 3; do \
+		sides="base head"; [ $$((i % 2)) -eq 1 ] || sides="head base"; \
+		for side in $$sides; do \
+			dir="$$PWD"; [ $$side = head ] || dir="$$gate/base"; \
+			echo "bench-gate: pair $$i, $$side"; \
+			bash "$$dir/benchmark/run.sh" -all -seed $$i >> "$$gate/$$side.jsonl"; \
+		done; \
+	done; \
+	bash benchmark/run.sh -compare "$$gate/base.jsonl" "$$gate/head.jsonl"
 
-# bench-compare is the perf-regression gate: re-run the smoke benchmarks as
-# BENCH_ci.json and diff them against the committed baseline with
-# cmd/benchjson -compare; a gated metric regressing past its threshold exits
-# nonzero and fails the build. Tune with e.g.:
-#   make bench-compare THRESHOLD_PCT=10 COMPARE_METRICS='allocs/op,B/op,ns/op=300'
-bench-compare:
-	@test -f "$(BASELINE)" || { echo "bench-compare: baseline $(BASELINE) not found"; exit 1; }
-	$(MAKE) bench-smoke N=ci
-	@echo "comparing against $(BASELINE)"
-	$(GO) run ./cmd/benchjson -compare -threshold-pct $(THRESHOLD_PCT) -metrics '$(COMPARE_METRICS)' $(BASELINE) BENCH_ci.json
-
-# explore-bench runs just the exploration-strategy benchmarks (symmetry
-# quotient vs full, cold vs incremental regeneration) with allocation stats —
-# the quick loop for tuning the internal/explore subsystem.
-explore-bench:
-	$(GO) test -run='^$$' -bench='ExploreSymmetry|ExploreIncremental' -benchmem -benchtime=$(BENCHTIME) .
+# bench-gate-selftest proves the gate fires, on one real record (needs jq): the
+# record against itself passes; against a copy whose op_p50_ms is 1.5 times
+# slower it fails with a BEYOND row; against a copy that reports a failed
+# operation it fails.
+bench-gate-selftest:
+	@set -eu; t="$$PWD/.bench_gate/selftest"; rm -rf "$$t"; mkdir -p "$$t"; trap 'rm -rf "$$t"' EXIT; \
+	bash benchmark/run.sh -workload assess_population -seconds 1 | head -n 1 > "$$t/real.jsonl"; \
+	jq -c '.metrics.op_p50_ms.value *= 1.5' "$$t/real.jsonl" > "$$t/slow.jsonl"; \
+	jq -c '.failed = 1' "$$t/real.jsonl" > "$$t/failed.jsonl"; \
+	bash benchmark/run.sh -compare "$$t/real.jsonl" "$$t/real.jsonl" > /dev/null \
+		|| { echo "bench-gate-selftest: a record compared with itself did not pass"; exit 1; }; \
+	if bash benchmark/run.sh -compare "$$t/real.jsonl" "$$t/slow.jsonl" > "$$t/slow.out" 2>&1; then \
+		echo "bench-gate-selftest: an op_p50_ms 1.5 times slower passed the gate"; exit 1; \
+	fi; \
+	grep -q BEYOND "$$t/slow.out" || { echo "bench-gate-selftest: the slower record failed without a BEYOND row:"; cat "$$t/slow.out"; exit 1; }; \
+	if bash benchmark/run.sh -compare "$$t/real.jsonl" "$$t/failed.jsonl" > /dev/null 2>&1; then \
+		echo "bench-gate-selftest: a record with a failed operation passed the gate"; exit 1; \
+	fi; \
+	echo "bench-gate-selftest: ok"
 
 # test-props soaks the property suites with more rounds per property than the
 # bounded default that plain `go test ./...` runs (ROUNDS=64, override at

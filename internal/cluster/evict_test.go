@@ -449,3 +449,81 @@ func TestFencedNodeRefusesIngest(t *testing.T) {
 		t.Fatalf("after the fence was lifted: %d, %d accepted", code, accepted)
 	}
 }
+
+// TestFailedEvictionLeavesNodeDeliverable: an eviction cancels the victim's
+// sender before it knows the change will complete. When the change then fails
+// — here the destination never acknowledges a handoff — the victim is still
+// in the ring and still owed its events: what the cancelled sender parked,
+// and everything routed to the node afterwards, must reach it. A node left
+// behind a cancelled sender swallows them silently: Flush returns nil and
+// nothing is counted dropped.
+func TestFailedEvictionLeavesNodeDeliverable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the handoff retry backoff")
+	}
+	p := surgeryModel(t)
+	ring, err := NewRing([]string{"node0", "node1"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := ownedProfiles(ring, map[string]int{"node0": 8, "node1": 8})
+	users := profileIDs(profiles)
+	stream := synth.RandomEventStream(rand.New(rand.NewSource(43)), p, users, 12)
+	direct := directMonitor(t, profiles, stream)
+
+	base := H2CTransport()
+	transport := newSwitchTransport(base)
+	// Only the seal cuts frames: the first half of the stream is still in the
+	// senders' buffers when the eviction starts, so the victim's share of it
+	// is cut onto the cancelled sender and parked.
+	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{
+		BatchEvents:   4096,
+		FlushInterval: time.Hour,
+		HTTPClient:    &http.Client{Transport: transport},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := c.Router.Register(ctx, profiles); err != nil {
+		t.Fatal(err)
+	}
+	half := len(stream) / 2
+	if err := c.Router.SendBatch(ctx, stream[:half]); err != nil {
+		t.Fatal(err)
+	}
+
+	host := strings.TrimPrefix(c.Servers[0].URL(), "http://")
+	transport.use(fault.New(base, fault.Config{
+		Paths:      []string{"/handoff"},
+		Partitions: []fault.Partition{{Host: host, From: 0, To: math.MaxUint64}},
+	}))
+	if err := c.EvictNode(ctx, "node1"); err == nil {
+		t.Fatal("the eviction succeeded although the destination never acknowledged its handoff")
+	}
+	if c.Router.Epoch() != 1 || len(c.Nodes) != 2 {
+		t.Fatalf("failed eviction moved the ring: epoch %d, %d live nodes", c.Router.Epoch(), len(c.Nodes))
+	}
+	transport.use(base)
+
+	if err := c.Router.SendBatch(ctx, stream[half:]); err != nil {
+		t.Fatal(err)
+	}
+	requireClusterMatchesDirect(t, c, direct, users)
+	c.Router.memberMu.RLock()
+	sender := c.Router.senders["node1"]
+	c.Router.memberMu.RUnlock()
+	sender.mu.Lock()
+	parked := len(sender.parked)
+	sender.mu.Unlock()
+	if stats := c.Router.Stats(); stats.DroppedEvents != 0 || parked != 0 {
+		t.Fatalf("after the failed eviction: %d events dropped, %d frames left parked; want none of either", stats.DroppedEvents, parked)
+	}
+
+	if err := c.EvictNode(ctx, "node1"); err != nil {
+		t.Fatalf("second eviction, after the fault passed: %v", err)
+	}
+	requireClusterMatchesDirect(t, c, direct, users)
+}

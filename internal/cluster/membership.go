@@ -34,7 +34,9 @@ import (
 //     ones, in bounded chunks (the caller-supplied callback). Nothing is
 //     removed from an old owner until every chunk to every new owner has been
 //     acknowledged; a change that fails part-way deletes the copies it made,
-//     so it leaves every node holding exactly the users it held before.
+//     so it leaves every node holding exactly the users it held before. An
+//     eviction that fails here or in step 3 leaves its node in the ring, so
+//     the node gets a working sender back (resumeSender).
 //  5. Swap: install the new ring and increment the epoch.
 //  6. Tear down (leave and eviction): close the departed sender's queue and
 //     the router's pooled connections. A Go HTTP/2 server that has sent its
@@ -118,7 +120,11 @@ func (r *Router) change(ctx context.Context, kind, name, url string,
 
 	r.memberMu.Lock()
 	start := time.Now()
+	swapped := false
 	defer func() {
+		if kind == ChangeEvict && !swapped {
+			r.resumeSender(s)
+		}
 		r.frozenNs.Add(int64(time.Since(start)))
 		r.memberMu.Unlock()
 	}()
@@ -133,10 +139,11 @@ func (r *Router) change(ctx context.Context, kind, name, url string,
 	handed := time.Now()
 
 	if kind == ChangeJoin {
-		r.startSender(name, url)
+		r.startSender(name, url, nil)
 	}
 	r.ring.Store(newRing)
 	r.epoch.Add(1)
+	swapped = true
 	var teardown time.Duration
 	if kind != ChangeJoin {
 		t0 := time.Now()
@@ -164,6 +171,27 @@ func (r *Router) change(ctx context.Context, kind, name, url string,
 		Total: time.Since(start),
 	}
 	return nil
+}
+
+// resumeSender undoes step 1's cancel for an eviction abandoned before its ring
+// swap: the node is still in the ring, and a cancelled sender would park every
+// later frame for it with nothing counted pending or dropped. The node gets a
+// fresh sender that continues the old one's stream — same stream key, next
+// index and buffer — and whose first sequence is what the old one parked, in
+// stream order; the node's stream cursor makes redelivery of a frame it had
+// applied a no-op. The caller holds memberMu exclusively.
+func (r *Router) resumeSender(old *nodeSender) {
+	// A cancelled sender resolves what it holds without the network, so this
+	// wait needs no deadline, and must not share one with a change that failed
+	// because its own ran out.
+	close(old.frames)
+	_ = waitZero(context.Background(), &old.pending)
+	old.mu.Lock()
+	defer old.mu.Unlock()
+	sort.Slice(old.parked, func(i, j int) bool { return old.parked[i].idx < old.parked[j].idx })
+	s := r.startSender(old.name, old.url, old.parked)
+	s.buf, s.nextIdx = old.buf, old.nextIdx
+	old.parked, old.buf = nil, nil
 }
 
 // rerouteParked routes what an evicted node never applied through the new

@@ -82,7 +82,7 @@ func (c *Local) StartProber(cfg ProberConfig) *Prober {
 	if client == nil {
 		// Probes ride the router's pooled connections: a departure closes
 		// those so the leaving server's GOAWAY has nobody to wait a second
-		// for (membership.go, step 4), and a second set of connections held
+		// for (membership.go, step 6), and a second set of connections held
 		// open here would bring that second back.
 		client = c.Router.client
 	}

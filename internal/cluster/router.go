@@ -293,20 +293,23 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	r.ring.Store(ring)
 	r.epoch.Store(1)
 	for name, url := range cfg.Nodes {
-		r.startSender(name, url)
+		r.startSender(name, url, nil)
 	}
 	go r.tickLoop()
 	return r, nil
 }
 
-// startSender builds and launches the sender for one node. The caller either
-// owns the router exclusively (NewRouter) or holds memberMu exclusively.
-func (r *Router) startSender(name, url string) *nodeSender {
+// startSender builds and launches the sender for one node; owed is the frame
+// sequence it delivers before anything queued on it (resumeSender's, nil
+// otherwise). The caller either owns the router exclusively (NewRouter) or
+// holds memberMu exclusively.
+func (r *Router) startSender(name, url string, owed []cutFrame) *nodeSender {
 	s := &nodeSender{name: name, url: url, frames: make(chan cutFrame, r.cfg.MaxInFlight)}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
+	s.pending.Add(int64(len(owed)))
 	r.senders[name] = s
 	r.sendersWG.Add(1)
-	go r.sendLoop(s)
+	go r.sendLoop(s, owed)
 	return s
 }
 
@@ -463,8 +466,11 @@ func (r *Router) tickLoop() {
 // (a body is a frame sequence), amortizing the request overhead under load.
 // Once the sender is cancelled, what it could not deliver is parked for the
 // eviction to re-route instead of dropped.
-func (r *Router) sendLoop(s *nodeSender) {
+func (r *Router) sendLoop(s *nodeSender, owed []cutFrame) {
 	defer r.sendersWG.Done()
+	if len(owed) > 0 {
+		r.deliver(s, owed)
+	}
 	for first := range s.frames {
 		frames := []cutFrame{first}
 	drainMore:
@@ -479,25 +485,31 @@ func (r *Router) sendLoop(s *nodeSender) {
 				break drainMore
 			}
 		}
-		accepted, acceptedEvents, rest, err := r.post(s, frames)
-		r.frames.Add(int64(accepted))
-		r.events.Add(int64(acceptedEvents))
-		switch {
-		case err == nil:
-		case s.ctx.Err() != nil:
-			s.mu.Lock()
-			s.parked = append(s.parked, rest...)
-			s.mu.Unlock()
-		default:
-			r.setErr(fmt.Errorf("cluster: node %q: %w", s.name, err))
-			r.dropped.Add(1)
-			r.droppedFrames.Add(int64(len(rest)))
-			for _, f := range rest {
-				r.droppedEvents.Add(int64(f.events))
-			}
-		}
-		s.pending.Add(-int64(len(frames)))
+		r.deliver(s, frames)
 	}
+}
+
+// deliver posts one frame sequence and resolves every frame of it: accepted,
+// parked (the sender was cancelled) or dropped.
+func (r *Router) deliver(s *nodeSender, frames []cutFrame) {
+	accepted, acceptedEvents, rest, err := r.post(s, frames)
+	r.frames.Add(int64(accepted))
+	r.events.Add(int64(acceptedEvents))
+	switch {
+	case err == nil:
+	case s.ctx.Err() != nil:
+		s.mu.Lock()
+		s.parked = append(s.parked, rest...)
+		s.mu.Unlock()
+	default:
+		r.setErr(fmt.Errorf("cluster: node %q: %w", s.name, err))
+		r.dropped.Add(1)
+		r.droppedFrames.Add(int64(len(rest)))
+		for _, f := range rest {
+			r.droppedEvents.Add(int64(f.events))
+		}
+	}
+	s.pending.Add(-int64(len(frames)))
 }
 
 // post delivers a frame sequence, honoring 429 + Retry-After: a saturated

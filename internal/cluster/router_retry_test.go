@@ -214,7 +214,7 @@ func TestRouter429TrimAcrossRetries(t *testing.T) {
 		t.Fatalf("%d frames cut before the sender starts, want 2", got)
 	}
 	router.sendersWG.Add(1)
-	go router.sendLoop(staged)
+	go router.sendLoop(staged, nil)
 	if err := router.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func TestRegenerateUnsafeDeltaFallsBack(t *testing.T) {
 // small fraction of the cold generation. The structural guarantee
 // (StatesExplored == 0, nothing re-explored) is asserted exactly; the
 // wall-clock ratio is asserted at 50% to stay robust under CI noise — the
-// measured ratio is ~10% (see BenchmarkExploreIncremental).
+// measured ratio is ~10% (benchmark/'s core.regenerate_metadata_ms).
 func TestRegenerateWallClock(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 15625-state model several times")

@@ -143,40 +143,3 @@ func TestMinimizeStability(t *testing.T) {
 		t.Fatalf("states a and b should share a representative, got %v", gotMap)
 	}
 }
-
-// minimizeBenchModel is the shared fixture for the Minimize benchmarks: a
-// large layered model (many mergeable states, parallel labelled edges) of the
-// shape the generator produces for wide data-flow models.
-func minimizeBenchModel() *LTS {
-	return buildLayered(40, 15) // 601 states, 9000 transitions
-}
-
-// BenchmarkMinimizeCompiled measures the integer-signature Minimize on the
-// compiled view. Compare with BenchmarkMinimizeReference for the speedup of
-// this rewrite.
-func BenchmarkMinimizeCompiled(b *testing.B) {
-	l := minimizeBenchModel()
-	l.Compiled() // compile outside the timed loop, as analyses share the view
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		min, _ := l.Minimize()
-		if min.StateCount() == 0 {
-			b.Fatal("empty quotient")
-		}
-	}
-}
-
-// BenchmarkMinimizeReference measures the retired string-signature Minimize
-// on the same model, kept as the baseline for the compiled rewrite.
-func BenchmarkMinimizeReference(b *testing.B) {
-	l := minimizeBenchModel()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		min, _ := minimizeReference(l)
-		if min.StateCount() == 0 {
-			b.Fatal("empty quotient")
-		}
-	}
-}

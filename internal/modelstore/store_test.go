@@ -542,50 +542,3 @@ func TestModelStoreCrossProcessRename(t *testing.T) {
 		loads++
 	}
 }
-
-// BenchmarkModelStoreLoad compares a cold start's three ways of obtaining the
-// compiled model: full generation, decoding an artifact already in memory,
-// and the registry's Load (read the file, then the same decode).
-func BenchmarkModelStoreLoad(b *testing.B) {
-	m, p := fixtureModel(b)
-	data, err := modelstore.Encode(p)
-	if err != nil {
-		b.Fatalf("Encode: %v", err)
-	}
-	fp, err := dataflow.Fingerprint(m)
-	if err != nil {
-		b.Fatalf("fingerprint: %v", err)
-	}
-	store, err := modelstore.Open(b.TempDir())
-	if err != nil {
-		b.Fatalf("Open: %v", err)
-	}
-	if err := store.Save(fp, p); err != nil {
-		b.Fatalf("Save: %v", err)
-	}
-
-	b.Run("generate", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Generate(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := modelstore.Decode(data, m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("load", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := store.Load(fp, m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

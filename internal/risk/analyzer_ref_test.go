@@ -385,51 +385,3 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkAnalyzeCompiled measures the compiled-view disclosure-risk
-// analysis of the case-study model (one full, uncached assessment per
-// iteration). Compare with BenchmarkAnalyzeReference for the speedup of the
-// compiled rewrite.
-func BenchmarkAnalyzeCompiled(b *testing.B) {
-	p, err := core.Generate(surgeryModel())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Compiled() // shared view, built once per model as in production
-	a := MustAnalyzer(Config{})
-	profile := surgeryProfiles()[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		assessment, err := a.Analyze(p, profile)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(assessment.Findings) == 0 {
-			b.Fatal("no findings on the case-study model")
-		}
-	}
-}
-
-// BenchmarkAnalyzeReference measures the retired map-walking analysis on the
-// same model and profile, kept as the baseline for the compiled rewrite.
-func BenchmarkAnalyzeReference(b *testing.B) {
-	p, err := core.Generate(surgeryModel())
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := MustAnalyzer(Config{})
-	profile := surgeryProfiles()[0]
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		assessment, err := referenceAnalyze(a, ctx, p, profile)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(assessment.Findings) == 0 {
-			b.Fatal("no findings on the case-study model")
-		}
-	}
-}
