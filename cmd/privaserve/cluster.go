@@ -16,7 +16,7 @@ import (
 
 // runClusterMode is privaserve with -cluster N: instead of one in-process
 // monitor, it spawns N ingest nodes (each with its own monitor and HTTP
-// server), routes all traffic through the consistent-hash Router, and merges
+// server), routes all traffic through the rendezvous-hash Router, and merges
 // the fleet's alerts. The datastore servers and the live event stream work
 // exactly as in single-monitor mode; only the observation plane is
 // distributed.
@@ -38,7 +38,7 @@ func runClusterMode(ctx context.Context, nodes int, generated *privascope.Privac
 		fmt.Fprintf(out, "  %-8s %s\n", c.Nodes[i].Name(), srv.URL())
 	}
 	// Failure detection: a node that misses consecutive liveness probes is
-	// evicted, its users fail over to ring successors from their last
+	// evicted, its users fail over to their new owners from their last
 	// snapshot, and undelivered frames are re-routed.
 	prober := c.StartProber(cluster.ProberConfig{
 		OnEvict: func(name string, err error) {
@@ -159,8 +159,8 @@ func replayEventsCluster(ctx context.Context, path string, c *cluster.Local, out
 		return fmt.Errorf("quiescing cluster: %w", err)
 	}
 	var stats runtime.IngestStats
-	for _, n := range c.Nodes {
-		stats.Merge(n.Stats().Ingest)
+	for _, ns := range c.NodeStats() {
+		stats.Merge(ns.Ingest)
 	}
 	alerts := c.Alerts()
 	lines := make([]string, len(alerts))
@@ -186,8 +186,7 @@ func replayEventsCluster(ctx context.Context, path string, c *cluster.Local, out
 func printMembershipStats(c *cluster.Local, out io.Writer) {
 	rs := c.Router.Stats()
 	var deduped, handoffIn, handoffOut, failoverIn int64
-	for _, n := range c.Nodes {
-		ns := n.Stats()
+	for _, ns := range c.NodeStats() {
 		deduped += ns.DedupedFrames
 		handoffIn += ns.HandoffInUsers
 		handoffOut += ns.HandoffOutUsers

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -74,10 +75,10 @@ func TestRunClusterReplayGoldenAcrossNodeCounts(t *testing.T) {
 	}
 }
 
-// TestMembershipSummaryReportsLastChange: a run without a membership change
-// keeps its one-line summary; after one, the handoff line says what the fleet
-// moved, how long sends were parked and where the last change's time went.
-func TestMembershipSummaryReportsLastChange(t *testing.T) {
+// twoNodeFleet starts a two-node local cluster over the surgery model and
+// stops it when the test ends.
+func twoNodeFleet(t *testing.T) *cluster.Local {
+	t.Helper()
 	generated, err := core.Generate(casestudy.Surgery())
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +87,16 @@ func TestMembershipSummaryReportsLastChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Stop(context.Background()) })
+	return c
+}
+
+// TestMembershipSummaryReportsLastChange: a run without a membership change
+// keeps its one-line summary; after one, the handoff line says what the fleet
+// moved, how long sends were parked and where the last change's time went.
+func TestMembershipSummaryReportsLastChange(t *testing.T) {
+	c := twoNodeFleet(t)
 	ctx := context.Background()
-	defer c.Stop(ctx)
 	var profiles []risk.UserProfile
 	for i := 0; i < 64; i++ {
 		p := casestudy.PatientProfile()
@@ -116,6 +125,33 @@ func TestMembershipSummaryReportsLastChange(t *testing.T) {
 	} {
 		if !strings.Contains(after.String(), want) {
 			t.Errorf("summary after a join is missing %q:\n%s", want, after.String())
+		}
+	}
+}
+
+// TestMembershipSummaryBesideEviction prints the summary while a node is
+// evicted, as the prober's eviction may run beside the exit summary. Under
+// -race it fails if the summary reads the fleet's node list without the lock
+// the eviction rewrites it under.
+func TestMembershipSummaryBesideEviction(t *testing.T) {
+	c := twoNodeFleet(t)
+	ctx := context.Background()
+	evicted := make(chan error, 1)
+	go func() { evicted <- c.EvictNode(ctx, "node1") }()
+	for {
+		printMembershipStats(c, io.Discard)
+		select {
+		case err := <-evicted:
+			if err != nil {
+				t.Fatal(err)
+			}
+			var after strings.Builder
+			printMembershipStats(c, &after)
+			if want := "last: evict of node1 at epoch 2"; !strings.Contains(after.String(), want) {
+				t.Fatalf("summary after the eviction is missing %q:\n%s", want, after.String())
+			}
+			return
+		default:
 		}
 	}
 }

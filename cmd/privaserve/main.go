@@ -19,7 +19,7 @@
 //
 // -cluster N distributes the observation plane: N in-process ingest nodes
 // (internal/cluster), each with its own monitor and HTTP server, fronted by
-// a consistent-hash router that streams binary event frames to each user's
+// a rendezvous-hash router that streams binary event frames to each user's
 // owner node. The alert set is identical to single-monitor mode for every N;
 // each node also exposes /metrics and /debug/pprof.
 package main
@@ -62,10 +62,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	duration := fs.Duration("duration", 0, "how long to serve before exiting (0 = until interrupted)")
 	workers := fs.Int("workers", 0, "parallel LTS-generation workers (0 = one per CPU)")
 	symmetry := fs.Bool("symmetry", false, "symmetry-reduced LTS generation (identical output, fewer explored states)")
-	incremental := fs.Bool("incremental", false, "regenerate incrementally from the engine's previous exploration when models differ only in metadata or policy")
 	eventsPath := fs.String("events", "", "path to a JSON array of events to replay through the monitor at startup")
 	modelCache := fs.String("model-cache", "", "directory of the persistent compiled-model cache (empty = off)")
-	clusterNodes := fs.Int("cluster", 0, "spawn N in-process ingest nodes behind a consistent-hash router (0 = single monitor)")
+	clusterNodes := fs.Int("cluster", 0, "spawn N in-process ingest nodes behind a rendezvous-hash router (0 = single monitor)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,8 +81,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	engine, err := privascope.NewEngine(privascope.EngineOptions{
 		Generate: privascope.GenerateOptions{Workers: *workers,
 			Explore: privascope.ExploreOptions{Symmetry: *symmetry}},
-		CacheDir:    *modelCache,
-		Incremental: *incremental,
+		CacheDir: *modelCache,
 	})
 	if err != nil {
 		return err

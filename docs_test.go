@@ -18,6 +18,8 @@ import (
 // measurement system deleted in favour of benchmark/ (its converter, its
 // committed records, its make targets) is named nowhere but in history:
 // CHANGES.md, ROADMAP.md's Recent section and the frozen benchmark/README.md.
+// Every backticked `-flag` is one a command's FlagSet, the benchmark driver or
+// the property harness defines, or one of the go tool's that the docs use.
 func TestDocsCiteWhatExists(t *testing.T) {
 	var catalog struct {
 		Workloads []struct{ Name string }
@@ -50,6 +52,26 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		`^(?:(?:` + strings.Join(workloadPrefixes, "|") + `)_[a-z_]+` +
 			`|(?:` + strings.Join(layers, "|") + `)\.[a-z0-9_]+(?:\.[a-z0-9_]+)?` +
 			`|[a-z0-9]+(?:_[a-z0-9]+)*_(?:ms|s|mb))$`)
+
+	flags := map[string]bool{ // the go tool's
+		"race": true, "cpu": true, "count": true, "run": true, "bench": true, "benchtime": true,
+		"fuzz": true, "fuzztime": true, "v": true, "short": true, "timeout": true,
+	}
+	flagDefinition := regexp.MustCompile(`\.(?:String|Int|Int64|Bool|Duration|Float64)(?:Var)?\((?:&[\w.]+, )?"([\w.-]+)"`)
+	flagSources, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagSources = append(flagSources, filepath.Join("benchmark", "main.go"), filepath.Join("internal", "proptest", "proptest.go"))
+	for _, path := range flagSources {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range flagDefinition.FindAllSubmatch(text, -1) {
+			flags[string(m[1])] = true
+		}
+	}
 
 	declared := make(map[string]bool)
 	goBenchmark := regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
@@ -97,6 +119,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 
 	backticked := regexp.MustCompile("`([^`\n]+)`")
 	citedBenchmark := regexp.MustCompile(`^Benchmark[A-Z]\w*`)
+	citedFlag := regexp.MustCompile(`(?:^|\s)--?([a-z][\w.-]*)`)
 	for _, path := range docs {
 		text, err := os.ReadFile(path)
 		if err != nil {
@@ -109,6 +132,11 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			}
 			if benchmarkName.MatchString(token) && !defined[token] {
 				t.Errorf("%s cites `%s`, shaped like a benchmark/ workload or metric, which BENCHMARK.json does not define", path, token)
+			}
+			for _, f := range citedFlag.FindAllStringSubmatch(token, -1) {
+				if !flags[f[1]] {
+					t.Errorf("%s cites `%s`: no command, benchmark/main.go or internal/proptest defines a -%s flag, and it is not one of the go tool's", path, token, f[1])
+				}
 			}
 		}
 	}

@@ -68,8 +68,6 @@ type KAnonymizeOptions struct {
 	// MaxDoublings bounds how often each width may double before the
 	// remaining undersized classes are suppressed; default 20.
 	MaxDoublings int
-	// Origins aligns the bins per column; default 0.
-	Origins map[string]float64
 	// Workers bounds the goroutines used for class building inside each
 	// widening round; zero or negative selects one per CPU. The output is
 	// identical for any worker count.
@@ -120,12 +118,6 @@ func KAnonymize(t *Table, quasiIdentifiers []string, k int, opts KAnonymizeOptio
 		}
 		widths[q] = w
 	}
-	origin := func(q string) float64 {
-		if opts.Origins != nil {
-			return opts.Origins[q]
-		}
-		return 0
-	}
 
 	result := KAnonymizeResult{K: k, Widths: widths}
 	var out *Table
@@ -133,7 +125,7 @@ func KAnonymize(t *Table, quasiIdentifiers []string, k int, opts KAnonymizeOptio
 	for round := 0; ; round++ {
 		spec := Spec{}
 		for _, q := range quasiIdentifiers {
-			spec[q] = NumericBinning{Width: widths[q], Origin: origin(q)}
+			spec[q] = NumericBinning{Width: widths[q]}
 		}
 		var err error
 		out, err = spec.Apply(t)

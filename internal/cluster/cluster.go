@@ -1,14 +1,13 @@
 // Package cluster is the horizontally scalable ingestion layer for the
-// runtime monitor: a consistent-hash ring partitions user IDs across nodes
-// (HashUserID places users and nodes; one node degenerates to the
-// single-process monitor), a Router client streams length-prefixed binary
-// event frames to each owner node over unencrypted HTTP/2, and every Node
-// applies its partition through Monitor.IngestBatch behind a bounded queue
-// with 429 + Retry-After admission control. Because alert content is a pure
-// function of each user's event sequence and a user's events all land on one
-// node in send order, the union of the fleet's alerts equals the single-node
-// monitor's alert set — the distribution-independence property the package's
-// tests pin down.
+// runtime monitor: a rendezvous-hash Ring places user IDs on nodes (one node
+// degenerates to the single-process monitor), a Router client streams
+// length-prefixed binary event frames to each owner node over unencrypted
+// HTTP/2, and every Node applies its partition through Monitor.IngestBatch
+// behind a bounded queue with 429 + Retry-After admission control. Because
+// alert content is a pure function of each user's event sequence and a user's
+// events all land on one node in send order, the union of the fleet's alerts
+// equals the single-node monitor's alert set — the distribution-independence
+// property the package's tests pin down.
 package cluster
 
 import (
@@ -122,7 +121,7 @@ type Local struct {
 
 // StartLocal builds and starts an n-node local cluster over the model.
 // nodeCfg is the per-node template (Name is assigned here); routerCfg's
-// Nodes and Replicas are filled in from the started servers.
+// Nodes is filled in from the started servers.
 func StartLocal(p *core.PrivacyLTS, n int, nodeCfg NodeConfig, routerCfg RouterConfig) (*Local, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
@@ -171,6 +170,18 @@ func (c *Local) Alerts() []runtime.Alert {
 		all = append(all, n.Monitor().Alerts()...)
 	}
 	return all
+}
+
+// NodeStats snapshots every live node's counters. A caller that may run beside
+// a Prober reads the fleet through here: an eviction rewrites Nodes under mu.
+func (c *Local) NodeStats() []NodeStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	stats := make([]NodeStats, len(c.Nodes))
+	for i, n := range c.Nodes {
+		stats[i] = n.Stats()
+	}
+	return stats
 }
 
 // Quiesce flushes the router and waits until every node has applied every

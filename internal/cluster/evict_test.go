@@ -41,7 +41,7 @@ type blackHoleFleet struct {
 func startBlackHoleFleet(t *testing.T, ctx context.Context, cfg RouterConfig) *blackHoleFleet {
 	t.Helper()
 	p := surgeryModel(t)
-	ring, err := NewRing([]string{"node0", "node1"}, 0)
+	ring, err := NewRing([]string{"node0", "node1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func (a *abandonedIngest) CloseIdleConnections() { closeIdle(a.base) }
 // fence makes the node refuse it, so the frame is re-routed and applied once.
 func TestEvictFencesAbandonedRequest(t *testing.T) {
 	p := surgeryModel(t)
-	ring, err := NewRing([]string{"node0", "node1"}, 0)
+	ring, err := NewRing([]string{"node0", "node1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestFailedEvictionLeavesNodeDeliverable(t *testing.T) {
 		t.Skip("waits out the handoff retry backoff")
 	}
 	p := surgeryModel(t)
-	ring, err := NewRing([]string{"node0", "node1"}, 0)
+	ring, err := NewRing([]string{"node0", "node1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,7 +226,7 @@ func faultRound(seed int64, rng *rand.Rand, blackHole bool) error {
 	transport := newSwitchTransport(injector)
 	nodes := 1 + rng.Intn(3)
 	if blackHole {
-		nodes = 2 + rng.Intn(2) // the black-holed node needs a successor
+		nodes = 2 + rng.Intn(2) // the black-holed node's users need a new owner
 	}
 	c, err := StartLocal(p, nodes, NodeConfig{}, faultRouterConfig(seed, transport))
 	if err != nil {

@@ -49,7 +49,7 @@ import (
 //     survivors re-dial on their next frame.
 //  7. Re-route (eviction only): decode the dead sender's parked frames in
 //     stream order, skip the prefix its stream cursor proves already applied,
-//     and route the rest to the ring successors — in-flight events are
+//     and route the rest to their users' new owners — in-flight events are
 //     re-routed, never dropped.
 //  8. Record the change in the router's stats.
 //
@@ -268,7 +268,7 @@ func (c *Local) AddNode(ctx context.Context) (*Node, error) {
 }
 
 // RemoveNode gracefully retires the named node: the router finishes its
-// deliveries, the node's users are handed off to their ring successors, and
+// deliveries, the node's users are handed off to their new owners, and
 // its server is shut down — gracefully, for readers outside the fleet, and
 // promptly, because the router has closed its own connection to it. The
 // node's monitor is retained so its alert history still counts in Alerts.
@@ -277,7 +277,7 @@ func (c *Local) RemoveNode(ctx context.Context, name string) error {
 }
 
 // EvictNode fails the named node over: the node is fenced, the router parks
-// its in-flight frames, the node's users move to their ring successors from
+// its in-flight frames, the node's users move to their new owners from
 // their last snapshot (the node is in-process, so its monitor is still
 // readable even when its server is unreachable), and the parked frames the
 // node never applied are re-routed. Its alert history is retained.

@@ -162,7 +162,7 @@ func TestClusterLiveJoinRebalances(t *testing.T) {
 }
 
 // TestClusterGracefulLeave shrinks 3 nodes to 2 mid-stream: the leaver's
-// users move to ring successors, its alert history still counts, and the
+// users move to their new owners, its alert history still counts, and the
 // stream completes as if nothing happened.
 func TestClusterGracefulLeave(t *testing.T) {
 	p := surgeryModel(t)

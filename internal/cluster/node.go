@@ -23,8 +23,6 @@ import (
 type NodeConfig struct {
 	// Name is the node's ring name (required; must match the Router's view).
 	Name string
-	// Monitor configures the node's runtime monitor.
-	Monitor runtime.Config
 	// QueueEvents bounds the events buffered between the HTTP handlers and
 	// the drain worker; past it the node answers 429. 0 selects
 	// DefaultQueueEvents.
@@ -139,7 +137,7 @@ func NewNode(p *core.PrivacyLTS, cfg NodeConfig) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("cluster: node needs a name")
 	}
-	monitor, err := runtime.NewMonitor(p, cfg.Monitor)
+	monitor, err := runtime.NewMonitor(p, runtime.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 	}

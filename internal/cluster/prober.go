@@ -48,8 +48,8 @@ type ProberStats struct {
 // Prober is the cluster's failure detector: it probes every live node's
 // /healthz (liveness — a draining node is alive and must not be evicted) at
 // a fixed interval and hands nodes that miss the consecutive-failure
-// threshold to Local.EvictNode, which fails their users over to ring
-// successors from their last snapshot.
+// threshold to Local.EvictNode, which fails their users over to their new
+// owners from their last snapshot.
 type Prober struct {
 	c      *Local
 	cfg    ProberConfig

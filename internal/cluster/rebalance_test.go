@@ -24,9 +24,8 @@ import (
 
 // pickProfiles builds case-study patient profiles under fixed-width IDs —
 // every handoff record is then the same size, so chunk capacity is a number —
-// taking IDs in sequence until it has want[k] profiles of each key k. The
-// ring spreads a handful of similar IDs very unevenly, so tests that need
-// users in particular places pick them.
+// taking IDs in sequence until it has want[k] profiles of each key k: tests
+// that need an exact number of users in particular places pick them.
 func pickProfiles(want map[string]int, key func(userID string) string) []risk.UserProfile {
 	var profiles []risk.UserProfile
 	have := make(map[string]int)
@@ -55,11 +54,11 @@ func ownedProfiles(ring *Ring, want map[string]int) []risk.UserProfile {
 // ownerMove keys a user by "old owner>new owner" across a ring change.
 func ownerMove(t *testing.T, before, after []string) func(userID string) string {
 	t.Helper()
-	from, err := NewRing(before, 0)
+	from, err := NewRing(before)
 	if err != nil {
 		t.Fatal(err)
 	}
-	to, err := NewRing(after, 0)
+	to, err := NewRing(after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestHandoffChunking(t *testing.T) {
 // snapshots of an uninterrupted monitor.
 func TestLeaveChunkBoundaries(t *testing.T) {
 	p := surgeryModel(t)
-	ring, err := NewRing([]string{"node0", "node1"}, 0)
+	ring, err := NewRing([]string{"node0", "node1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +274,7 @@ func TestLeaveOfNodeOverOneFrame(t *testing.T) {
 		t.Skip("registers and moves 70,000 users")
 	}
 	p := surgeryModel(t)
-	ring, err := NewRing([]string{"node0", "node1"}, 0)
+	ring, err := NewRing([]string{"node0", "node1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,7 +717,7 @@ func (r *refuseIngest) CloseIdleConnections() { closeIdle(r.base) }
 func TestTickCannotStallEviction(t *testing.T) {
 	const flushInterval = 10 * time.Millisecond
 	p := surgeryModel(t)
-	ring, err := NewRing([]string{"node0", "node1"}, 0)
+	ring, err := NewRing([]string{"node0", "node1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func (c *countHandoffs) CloseIdleConnections() { closeIdle(c.base) }
 // initial state, zero cursors — as re-registration on a single monitor does.
 func TestRegisterChunksAndResets(t *testing.T) {
 	p := surgeryModel(t)
-	ring, err := NewRing([]string{"node0"}, 0)
+	ring, err := NewRing([]string{"node0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,6 @@ import (
 type RouterConfig struct {
 	// Nodes maps ring node names to base URLs (required, at least one).
 	Nodes map[string]string
-	// Replicas is the ring's virtual-node count (0 selects DefaultReplicas).
-	Replicas int
 	// BatchEvents is the per-node buffer size at which a frame is cut and
 	// sent (0 selects DefaultBatchEvents).
 	BatchEvents int
@@ -91,7 +89,7 @@ type RouterStats struct {
 	// membership change, so readers can tell which ownership generation the
 	// other counters belong to.
 	Epoch int64
-	// ReroutedEvents counts events re-routed to ring successors when a node
+	// ReroutedEvents counts events re-routed to their new owners when a node
 	// was evicted; FailoverSkippedFrames counts parked frames NOT re-routed
 	// because the dead node's stream cursor proved them already applied.
 	ReroutedEvents        int64
@@ -167,7 +165,7 @@ type nodeSender struct {
 // deadline, and honors 429 + Retry-After backpressure. Membership is live: a
 // join, leave or eviction (change, in membership.go) rebuilds the ring at a
 // new epoch after handing per-user monitor state to the new owners, and an
-// evicted node's undelivered frames are re-routed to its ring successors —
+// evicted node's undelivered frames are re-routed to its users' new owners —
 // never silently dropped.
 type Router struct {
 	ring   atomic.Pointer[Ring]
@@ -246,7 +244,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		names = append(names, name)
 	}
-	ring, err := NewRing(names, cfg.Replicas)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}

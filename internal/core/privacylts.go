@@ -261,10 +261,6 @@ type DOTOptions struct {
 	// HighlightStates colours the listed states (e.g. states where a
 	// non-allowed actor could identify a sensitive field).
 	HighlightStates map[lts.StateID]string
-	// TransitionStyle may override edge attributes per transition; potential
-	// reads default to dashed grey edges, matching the dotted risk
-	// transitions of the paper's Fig. 4.
-	TransitionStyle func(lts.Transition) map[string]string
 }
 
 // DOT renders the privacy LTS to Graphviz DOT.
@@ -291,16 +287,13 @@ func (p *PrivacyLTS) DOT(opts DOTOptions) string {
 			return attrs
 		},
 		TransitionAttrs: func(t lts.Transition) map[string]string {
+			// Potential reads are dashed grey edges, the dotted risk
+			// transitions of the paper's Fig. 4.
 			attrs := map[string]string{}
 			if label := LabelOf(t); label != nil && label.Potential {
 				attrs["style"] = "dashed"
 				attrs["color"] = "gray40"
 				attrs["fontcolor"] = "gray40"
-			}
-			if opts.TransitionStyle != nil {
-				for k, v := range opts.TransitionStyle(t) {
-					attrs[k] = v
-				}
 			}
 			return attrs
 		},

@@ -20,8 +20,6 @@ type DOTOptions struct {
 	// transitions as in the paper's Fig. 4); the label defaults to the
 	// transition's LabelString.
 	TransitionAttrs func(Transition) map[string]string
-	// RankDir sets the layout direction; defaults to "LR".
-	RankDir string
 }
 
 // DOT renders the LTS using the given options.
@@ -30,12 +28,8 @@ func (l *LTS) DOT(opts DOTOptions) string {
 	if name == "" {
 		name = "lts"
 	}
-	rank := opts.RankDir
-	if rank == "" {
-		rank = "LR"
-	}
 	g := dot.NewGraph(name)
-	g.SetGraphAttr("rankdir", rank)
+	g.SetGraphAttr("rankdir", "LR")
 	g.SetNodeDefault("shape", "circle")
 	g.SetNodeDefault("fontname", "Helvetica")
 	g.SetEdgeDefault("fontname", "Helvetica")

@@ -298,3 +298,56 @@ func TestMonitorWithLiveCluster(t *testing.T) {
 		t.Errorf("expected a risk alert for the administrator's EHR read; alerts: %+v", alerts)
 	}
 }
+
+// TestMonitorAlertAt: Config.AlertAt is the threshold a finding's risk must
+// reach to raise an alert. After one run of the medical service the
+// administrator can read the EHR (a medium-risk finding) or the appointments
+// store (a low-risk one): the default threshold, medium, alerts on the first
+// only, high on neither and low on both.
+func TestMonitorAlertAt(t *testing.T) {
+	p, err := core.Generate(casestudy.Surgery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const userID = "patient-1"
+	reads := map[risk.Level]service.Event{
+		risk.LevelLow: {Actor: casestudy.ActorAdministrator, Action: core.ActionRead,
+			Datastore: casestudy.StoreAppointments, UserID: userID, Fields: []string{casestudy.FieldAppointment}},
+		risk.LevelMedium: {Actor: casestudy.ActorAdministrator, Action: core.ActionRead,
+			Datastore: casestudy.StoreEHR, UserID: userID, Fields: []string{casestudy.FieldDiagnosis}},
+	}
+	for _, tc := range []struct {
+		alertAt, read risk.Level
+		want          bool
+	}{
+		{0, risk.LevelMedium, true},
+		{0, risk.LevelLow, false},
+		{risk.LevelHigh, risk.LevelMedium, false},
+		{risk.LevelLow, risk.LevelLow, true},
+	} {
+		monitor, err := runtime.NewMonitor(p, runtime.Config{AlertAt: tc.alertAt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := monitor.RegisterUser(casestudy.PatientProfile()); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range medicalServiceEvents(userID) {
+			if _, err := monitor.Observe(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		obs, err := monitor.Observe(reads[tc.read])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !obs.Matched {
+			t.Fatalf("AlertAt %v: the %v-risk read matched no transition", tc.alertAt, tc.read)
+		}
+		if got := len(obs.Alerts) == 1; got != tc.want {
+			t.Errorf("AlertAt %v: the %v-risk read raised %+v, want an alert: %v", tc.alertAt, tc.read, obs.Alerts, tc.want)
+		} else if got && (obs.Alerts[0].Kind != runtime.AlertRisk || obs.Alerts[0].Risk != tc.read) {
+			t.Errorf("AlertAt %v: the %v-risk read raised %+v", tc.alertAt, tc.read, obs.Alerts[0])
+		}
+	}
+}
