@@ -20,7 +20,7 @@ FUZZTIME ?= 30s
 # GOMAXPROCS values test-cpu runs every test at.
 CPUS ?= 1,4
 
-.PHONY: build test test-cpu vet bench bench-gate bench-gate-selftest test-props fuzz cache-clean
+.PHONY: build test test-cpu vet fmt-check bench bench-gate bench-gate-selftest test-props fuzz cache-clean
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,10 @@ test-cpu:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails, listing them, when any file is not gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l .)"; [ -z "$$out" ] || { echo "not gofmt-clean:"; echo "$$out"; exit 1; }
 
 # bench is the one command behind every performance number in the docs: an
 # untraced pass over the six workloads prints the end-to-end records (one JSON

@@ -60,10 +60,18 @@ func TestAllocCeilings(t *testing.T) {
 		run func(t *testing.T) (allocs float64, units int)
 	}{
 		// Generating the 15,625-state model with one worker.
-		{"generate", 17383, "generation", func(t *testing.T) (float64, int) {
+		{"generate", 1699, "generation", func(t *testing.T) (float64, int) {
 			return testing.AllocsPerRun(1, func() {
 				mustGenerate(t, large, privascope.GenerateOptions{Workers: 1})
 			}), 1
+		}},
+		// PrivacyLTS.Compiled on that model, 25,000 transitions: a fixed
+		// number of per-edge tables, nothing allocated per edge.
+		{"compile_view", 46, "view", func(t *testing.T) (float64, int) {
+			fresh := func() *privascope.PrivacyModel {
+				return mustGenerate(t, large, privascope.GenerateOptions{Workers: 1})
+			}
+			return testutil.AllocsOnFresh(fresh, func(p *privascope.PrivacyModel) { p.Compiled() }), 1
 		}},
 		// Engine.Assess of the case study, model and verdict cached.
 		{"engine_assess_cached", 314, "assessment", func(t *testing.T) (float64, int) {
@@ -86,7 +94,7 @@ func TestAllocCeilings(t *testing.T) {
 			return allocs, 1
 		}},
 		// One-shot privascope.Assess of the case study: generate, analyse, report.
-		{"assess_one_shot", 944, "assessment", func(t *testing.T) (float64, int) {
+		{"assess_one_shot", 737, "assessment", func(t *testing.T) (float64, int) {
 			return testing.AllocsPerRun(3, func() {
 				if _, err := privascope.Assess(surgery, patient, privascope.AssessOptions{}); err != nil {
 					t.Fatal(err)

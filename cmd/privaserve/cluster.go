@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"privascope"
@@ -37,19 +38,7 @@ func runClusterMode(ctx context.Context, nodes int, generated *privascope.Privac
 	for i, srv := range c.Servers {
 		fmt.Fprintf(out, "  %-8s %s\n", c.Nodes[i].Name(), srv.URL())
 	}
-	// Failure detection: a node that misses consecutive liveness probes is
-	// evicted, its users fail over to their new owners from their last
-	// snapshot, and undelivered frames are re-routed.
-	prober := c.StartProber(cluster.ProberConfig{
-		OnEvict: func(name string, err error) {
-			if err != nil {
-				fmt.Fprintf(out, "cluster: evicting dead node %q failed: %v\n", name, err)
-				return
-			}
-			fmt.Fprintf(out, "cluster: node %q evicted after failed liveness probes; users failed over (ring epoch %d)\n",
-				name, c.Router.Epoch())
-		},
-	})
+	prober, out := startProber(c, cluster.ProberConfig{}, out)
 	defer prober.Stop()
 	if err := c.Router.Register(ctx, []privascope.UserProfile{profile}); err != nil {
 		return err
@@ -137,6 +126,37 @@ func runClusterMode(ctx context.Context, nodes int, generated *privascope.Privac
 			return finish()
 		}
 	}
+}
+
+// startProber starts the fleet's failure detection: a node that misses
+// consecutive liveness probes is evicted, its users fail over to their new
+// owners from their last snapshot, and undelivered frames are re-routed. The
+// prober reports each eviction on out from its own goroutine, beside whatever
+// the command is printing, so it returns the writer the command must print
+// through from then on: both sides' writes take one lock.
+func startProber(c *cluster.Local, cfg cluster.ProberConfig, out io.Writer) (*cluster.Prober, io.Writer) {
+	out = &lockedWriter{w: out}
+	cfg.OnEvict = func(name string, err error) {
+		if err != nil {
+			fmt.Fprintf(out, "cluster: evicting dead node %q failed: %v\n", name, err)
+			return
+		}
+		fmt.Fprintf(out, "cluster: node %q evicted after failed liveness probes; users failed over (ring epoch %d)\n",
+			name, c.Router.Epoch())
+	}
+	return c.StartProber(cfg), out
+}
+
+// lockedWriter serialises Write calls on w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // replayEventsCluster streams a recorded JSON event trace through the

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"privascope/internal/casestudy"
 	"privascope/internal/cluster"
@@ -152,6 +154,70 @@ func TestMembershipSummaryBesideEviction(t *testing.T) {
 			}
 			return
 		default:
+		}
+	}
+}
+
+// gatedWriter is an output whose first Write stalls inside gate, and which
+// notes whether a second Write ever entered meanwhile.
+type gatedWriter struct {
+	buf        strings.Builder
+	gate       func()
+	gated      atomic.Bool
+	inside     atomic.Int32
+	overlapped atomic.Bool
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	if w.inside.Add(1) > 1 {
+		w.overlapped.Store(true)
+	}
+	defer w.inside.Add(-1)
+	if w.gated.CompareAndSwap(false, true) {
+		w.gate()
+	}
+	return w.buf.Write(p)
+}
+
+// TestEvictionReportBesideReplay kills a node while replayEventsCluster is
+// inside its first Write and keeps it there until the prober has evicted the
+// node and had time to report it. The prober reports from its own goroutine:
+// its line must wait for the replay's, not land inside it (without one lock
+// around both, the writes overlap and -race reports the buffer).
+func TestEvictionReportBesideReplay(t *testing.T) {
+	c := twoNodeFleet(t)
+	ctx := context.Background()
+	if err := c.Router.Register(ctx, []risk.UserProfile{casestudy.PatientProfile()}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, eventsPath := replayFixture(t, t.TempDir())
+	w := &gatedWriter{gate: func() {
+		for i, n := range c.Nodes {
+			if n.Name() == "node1" {
+				if err := c.Servers[i].Stop(ctx); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		for deadline := time.Now().Add(10 * time.Second); c.Router.Epoch() < 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond) // OnEvict runs as soon as the eviction returns
+	}}
+	// The timeout is long for the reason TestProberEvictsDeadNode gives: a
+	// loaded host must not see the live node evicted too.
+	prober, out := startProber(c, cluster.ProberConfig{Interval: 5 * time.Millisecond, Timeout: time.Second}, w)
+	err := replayEventsCluster(ctx, eventsPath, c, out)
+	prober.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.overlapped.Load() {
+		t.Error("the eviction report was written while the replay was inside Write")
+	}
+	for _, want := range []string{"cluster replay complete: 10 events", `cluster: node "node1" evicted after failed liveness probes`} {
+		if !strings.Contains(w.buf.String(), want) {
+			t.Errorf("output is missing %q:\n%s", want, w.buf.String())
 		}
 	}
 }

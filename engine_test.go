@@ -286,7 +286,9 @@ func TestEngineAssessCancelledNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3})
+	// 90,625 states: generation must still be running when the timer below
+	// fires (the 15,625-state model now finishes inside 10 ms on four workers).
+	model := synth.Model(synth.ModelSpec{Services: 6, FieldsPerService: 2})
 	profile := privascope.UserProfile{ID: "u", DefaultSensitivity: 0.5}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -24,12 +24,20 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 	w := res.Words
 	hasWords := cm.codec.hasWords
 
+	// The IDs s0, s1, ... are substrings of one backing string: one
+	// allocation for all of them instead of one per state.
+	idBuf := make([]byte, 0, n*(1+len(strconv.Itoa(n))))
+	for i := 0; i < n; i++ {
+		idBuf = strconv.AppendInt(append(idBuf, 's'), int64(i), 10)
+	}
+	allIDs := string(idBuf)
 	ids := make([]lts.StateID, n)
-	var idBuf []byte
-	for i := range ids {
-		idBuf = append(idBuf[:0], 's')
-		idBuf = strconv.AppendInt(idBuf, int64(i), 10)
-		ids[i] = lts.StateID(idBuf)
+	for i, off, width, wider := 0, 0, 2, 10; i < n; i++ {
+		if i == wider {
+			width, wider = width+1, wider*10
+		}
+		ids[i] = lts.StateID(allIDs[off : off+width])
+		off += width
 	}
 
 	p.vecWords = make([]uint64, n*hasWords)

@@ -27,7 +27,8 @@ type CompiledView struct {
 	labels    []*TransitionLabel // per edge; nil for foreign label types
 	potential int                // edges whose label is a potential read
 	fieldsCSV []string           // per edge; the label's fields joined with ", "
-	changes   [][]EdgeChange     // per edge; the variables the edge newly sets
+	changes   []EdgeChange       // every edge's newly set variables, back to back
+	changeOff []int32            // edge e's are changes[changeOff[e]:changeOff[e+1]]
 	actors    []string           // vocabulary order (sorted)
 	fields    []string
 }
@@ -53,7 +54,9 @@ func (v *CompiledView) FieldsJoined(e int32) string { return v.fieldsCSV[e] }
 // Changes returns the state variables the edge newly sets relative to its
 // source state, in vocabulary bit order. The slice is shared and must not be
 // modified.
-func (v *CompiledView) Changes(e int32) []EdgeChange { return v.changes[e] }
+func (v *CompiledView) Changes(e int32) []EdgeChange {
+	return v.changes[v.changeOff[e]:v.changeOff[e+1]:v.changeOff[e+1]]
+}
 
 // Actors returns the vocabulary's actors in sorted order. The slice is shared
 // and must not be modified.
@@ -89,15 +92,21 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 		Graph:     c,
 		labels:    make([]*TransitionLabel, m),
 		fieldsCSV: make([]string, m),
-		changes:   make([][]EdgeChange, m),
+		changeOff: make([]int32, m+1),
 		actors:    p.Vocab.actors,
 		fields:    p.Vocab.fields,
 	}
 	// Labels are shared across edges (one per declared flow), so joined field
 	// lists are memoised per label pointer.
 	joined := make(map[*TransitionLabel]string)
-	numFields := len(v.fields)
-	numVecs := int32(len(p.stores))
+	// Matching ChangeOf: an edge whose source or target has no vector
+	// contributes no change.
+	numFields, numVecs, wpv := len(v.fields), len(p.stores), p.Vocab.wordsPerVec
+	hasVectors := func(e int) (to, from int, ok bool) {
+		to, from = int(c.To(int32(e))), int(c.From(int32(e)))
+		return to, from, to < numVecs && from < numVecs
+	}
+	numChanges := 0
 	for e := 0; e < m; e++ {
 		tr := c.TransitionAt(int32(e))
 		if label, ok := tr.Label.(*TransitionLabel); ok {
@@ -112,23 +121,30 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 			}
 			v.fieldsCSV[e] = csv
 		}
-		// Matching ChangeOf: an edge whose source or target has no vector
-		// contributes no change.
-		if to, from := c.To(int32(e)), c.From(int32(e)); to < numVecs && from < numVecs {
-			v.changes[e] = edgeChanges(p.vectorAt(int(to)), p.vectorAt(int(from)), numFields)
+		if to, from, ok := hasVectors(e); ok {
+			for w := 0; w < wpv; w++ {
+				numChanges += bits.OnesCount64(p.vecWords[to*wpv+w] &^ p.vecWords[from*wpv+w])
+			}
 		}
+	}
+	// Sized exactly: grown by append, the list is copied five times over.
+	v.changes = make([]EdgeChange, 0, numChanges)
+	for e := 0; e < m; e++ {
+		if to, from, ok := hasVectors(e); ok {
+			v.changes = appendEdgeChanges(v.changes, p.vectorAt(to), p.vectorAt(from), numFields)
+		}
+		v.changeOff[e+1] = int32(len(v.changes))
 	}
 	return v
 }
 
-// edgeChanges extracts the newly-true variables of to relative to from as
-// dense index triples, in vocabulary bit order (matching
+// appendEdgeChanges appends the newly-true variables of to relative to from
+// as dense index triples, in vocabulary bit order (matching
 // StateVector.NewlyTrue).
-func edgeChanges(to, from StateVector, numFields int) []EdgeChange {
+func appendEdgeChanges(out []EdgeChange, to, from StateVector, numFields int) []EdgeChange {
 	if numFields == 0 {
-		return nil
+		return out
 	}
-	var out []EdgeChange
 	for w := range to.words {
 		diff := to.words[w]
 		if w < len(from.words) {

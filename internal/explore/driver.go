@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -163,9 +164,22 @@ func (s *Sink) Emit(words []uint64, rule int32, label lts.Label, terminal bool) 
 	if !ok {
 		id = -1
 	}
-	s.cands = append(s.cands, candidate{
+	s.cands = append(reserve(s.cands, 1), candidate{
 		words: words, label: label, hash: h, knownID: id, rule: rule, terminal: terminal,
 	})
+}
+
+// reserve returns s with room for n more elements, at least doubling a full
+// slice (from 1024 elements up). append grows a large slice by a quarter, so
+// a slab reaching megabytes is copied some five times over, each time into
+// pages yet to be faulted in; doubling copies an element twice at most.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), max(2*cap(s), len(s)+n, 1024))
+	copy(grown, s)
+	return grown
 }
 
 func (s *Sink) begin(slab []uint64, table *stateTable) {
@@ -253,7 +267,7 @@ func Run(ctx context.Context, cfg Config, x Expander) (*Result, error) {
 						id = found
 					} else {
 						id = int32(res.NumStates)
-						res.States = append(res.States, c.words...)
+						res.States = append(reserve(res.States, w), c.words...)
 						res.NumStates++
 						if int(id)/64 >= len(res.expanded) {
 							res.expanded = append(res.expanded, 0)
@@ -262,7 +276,7 @@ func Run(ctx context.Context, cfg Config, x Expander) (*Result, error) {
 						isNew = true
 					}
 				}
-				res.Edges = append(res.Edges, Edge{From: from, To: id, Rule: c.rule, Label: c.label})
+				res.Edges = append(reserve(res.Edges, 1), Edge{From: from, To: id, Rule: c.rule, Label: c.label})
 				if isNew && !c.terminal {
 					next = append(next, id)
 				}
@@ -275,6 +289,9 @@ func Run(ctx context.Context, cfg Config, x Expander) (*Result, error) {
 		frontier, next = next, frontier
 	}
 	res.markExpanded(0)
+	// A Result is shared from here on (replay, WithEdges clones): no spare
+	// capacity, so no later owner's append can write into another's slab.
+	res.States, res.Edges = slices.Clip(res.States), slices.Clip(res.Edges)
 	return res, nil
 }
 

@@ -55,10 +55,10 @@ func FromParts(ids []StateID, initial int, edges []BulkEdge) (*LTS, error) {
 		edgeTo:   make([]int32, m),
 	}
 	for s, id := range ids {
-		if _, dup := c.ids[id]; dup {
+		c.ids[id] = int32(s)
+		if len(c.ids) <= s { // the assignment overwrote an entry: one probe finds a duplicate
 			return nil, fmt.Errorf("lts: FromParts: duplicate state ID %q", id)
 		}
-		c.ids[id] = int32(s)
 	}
 	for i, e := range edges {
 		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {

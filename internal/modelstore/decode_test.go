@@ -67,7 +67,7 @@ func TestDecodeRejectsOffsetSpikes(t *testing.T) {
 		// record count: the window parses cleanly up to the last real word
 		// and the overrun read is the very next index.
 		recsOff := off + (numStates+1)*4
-		binary.LittleEndian.PutUint32(data[recsOff:], 0)                     // store name: ref 0 ("")
+		binary.LittleEndian.PutUint32(data[recsOff:], 0)                    // store name: ref 0 ("")
 		binary.LittleEndian.PutUint32(data[recsOff+4:], uint32(recWords-2)) // field count
 		for k := 2; k < recWords; k++ {
 			binary.LittleEndian.PutUint32(data[recsOff+k*4:], 0) // field refs: ""
