@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"privascope"
+	"privascope/internal/anonymize"
 	"privascope/internal/casestudy"
 	"privascope/internal/cluster"
 	"privascope/internal/core"
 	"privascope/internal/modelstore"
+	"privascope/internal/pseudorisk"
 	"privascope/internal/risk"
 	"privascope/internal/service"
 	"privascope/internal/synth"
@@ -49,6 +52,8 @@ func TestAllocCeilings(t *testing.T) {
 	large := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3}) // 15,625 states
 	profiles, stream := ingestFixture(2048)
 	fleetProfiles, _ := ingestFixture(8192)
+	const valueRiskRows = 10_000
+	valueRiskCSV := pseudonymisedCSV(valueRiskRows)
 
 	rows := []struct {
 		name string
@@ -252,6 +257,39 @@ func TestAllocCeilings(t *testing.T) {
 			}
 			return allocs, moved
 		}},
+		// anonymize.ReadCSV of 10,000 rows by 4 columns, a few dozen distinct
+		// cells a column: encoding/csv's one string per record, and nothing
+		// per cell.
+		{"valuerisk_read_csv", 1.026, "row", func(t *testing.T) (float64, int) {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := anonymize.ReadCSV(bytes.NewReader(valueRiskCSV), nil); err != nil {
+					t.Fatal(err)
+				}
+			}), valueRiskRows
+		}},
+		// A fresh evaluator on that table: four scenarios, then the attacker
+		// models off the same class index. A scored row is a row of one
+		// scenario's result.
+		{"valuerisk_progression", 0.0072, "scored row", func(t *testing.T) (float64, int) {
+			table, err := anonymize.ReadCSV(bytes.NewReader(valueRiskCSV), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			policy := pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9}
+			progression := [][]string{{"age"}, {"height"}, {"city"}, {"age", "height", "city"}}
+			return testing.AllocsPerRun(3, func() {
+				evaluator, err := pseudorisk.NewEvaluator(table, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := evaluator.EvaluateProgression(ctx, progression); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := anonymize.ReidentificationRiskIndexed(ctx, evaluator.Index(), progression[3], 0.2); err != nil {
+					t.Fatal(err)
+				}
+			}), valueRiskRows * len(progression)
+		}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -285,6 +323,21 @@ func mustGenerate(t *testing.T, m *privascope.Model, opts privascope.GenerateOpt
 		t.Fatal(err)
 	}
 	return p
+}
+
+// pseudonymisedCSV renders a seeded pseudonymised release of n records: binned
+// age and height, a city, an integer weight.
+func pseudonymisedCSV(n int) []byte {
+	var out bytes.Buffer
+	cities := []string{"berlin", "paris", "london", "madrid", "rome", "vienna"}
+	rng := rand.New(rand.NewSource(11))
+	out.WriteString("age,height,city,weight\n")
+	for i := 0; i < n; i++ {
+		lo := 150 + 10*rng.Intn(4)
+		fmt.Fprintf(&out, "%d,%d-%d,%s,%d\n",
+			20+10*rng.Intn(6), lo, lo+10, cities[rng.Intn(len(cities))], 45+rng.Intn(90))
+	}
+	return out.Bytes()
 }
 
 // ingestFixture returns n patient profiles and their consented

@@ -14,12 +14,13 @@
 // k-anonymises the raw dataset before scoring it, and reports the utility
 // loss of the anonymisation.
 //
-// The pipeline is built for large tables: the CSV is streamed into a
-// column-oriented table with interned cells, equivalence classes are
-// computed once per quasi-identifier set and shared across scenarios and
-// attacker models, and -workers fans class building and record scoring out
-// over a worker pool (0 = one per CPU) without changing a byte of output.
-// -max-rows caps the per-record rows printed for huge datasets.
+// The pipeline is built for large tables: the CSV is streamed into
+// dictionary-encoded columns (each distinct cell stored once, four bytes a
+// row), rows are grouped and scored on the integer codes, and equivalence
+// classes are computed once per quasi-identifier set and shared across
+// scenarios and attacker models. A -scenarios field that is not a column of
+// the dataset is an error. -max-rows caps the per-record rows printed for
+// huge datasets. Ctrl-C cancels the run wherever it is.
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -39,9 +41,9 @@ import (
 )
 
 func main() {
-	// Ctrl-C cancels the in-flight scenario evaluation: class building and
-	// record scoring observe the cancellation at chunk boundaries and the
-	// tool exits non-zero instead of being hard-killed mid-table.
+	// Ctrl-C cancels whichever analysis is in flight — k-anonymisation,
+	// scenario scoring or re-identification — at its next context poll, and
+	// the tool exits non-zero instead of being hard-killed mid-table.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
@@ -65,7 +67,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	quasi := fs.String("quasi", "", "comma-separated quasi-identifier columns for -k and -reident")
 	maxViolationPct := fs.Float64("max-violations", -1, "fail when any scenario's violation percentage exceeds this value (0-100)")
 	reidentThreshold := fs.Float64("reident", -1, "also report re-identification risk, flagging records at or above this probability")
-	workers := fs.Int("workers", 0, "worker goroutines for class building and scoring (0 = one per CPU; output is identical for any count)")
 	maxRows := fs.Int("max-rows", 0, "cap the per-record rows printed in the value-risk table (0 = all rows)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,7 +92,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if len(quasiCols) == 0 {
 			return fmt.Errorf("-k requires -quasi")
 		}
-		anonymised, result, err := anonymize.KAnonymize(table, quasiCols, *k, anonymize.KAnonymizeOptions{Workers: *workers})
+		anonymised, result, err := anonymize.KAnonymize(ctx, table, quasiCols, *k, anonymize.KAnonymizeOptions{})
 		if err != nil {
 			return err
 		}
@@ -117,13 +118,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	policy := pseudorisk.Policy{TargetField: *target, Closeness: *closeness, Confidence: *confidence}
-	evaluator, err := pseudorisk.NewEvaluatorWithOptions(table, policy, pseudorisk.EvaluatorOptions{Workers: *workers})
+	evaluator, err := pseudorisk.NewEvaluator(table, policy)
 	if err != nil {
 		return err
 	}
 
 	fieldSets := parseScenarios(*scenarios, table, *target)
-	results, err := evaluator.EvaluateProgressionContext(ctx, fieldSets)
+	// The evaluator ignores a field the dataset lacks (an LTS field may have
+	// no column); here that would score a typo as "nothing visible".
+	for _, field := range slices.Concat(fieldSets...) {
+		if _, ok := table.ColumnIndex(field); !ok {
+			return fmt.Errorf("-scenarios names %q, which is not a column of the dataset (columns: %s)",
+				field, strings.Join(table.ColumnNames(), ", "))
+		}
+	}
+	results, err := evaluator.EvaluateProgression(ctx, fieldSets)
 	if err != nil {
 		return err
 	}
@@ -134,15 +143,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *reidentThreshold >= 0 {
 		quasiCols := splitList(*quasi)
 		if len(quasiCols) == 0 {
-			for _, name := range table.ColumnNames() {
-				if name != *target {
-					quasiCols = append(quasiCols, name)
-				}
-			}
+			quasiCols = otherColumns(table, *target)
 		}
 		// The evaluator's class index is shared, so quasi-identifier sets
 		// already partitioned for a value-risk scenario are not recomputed.
-		reident, err := anonymize.ReidentificationRiskIndexed(evaluator.Index(), quasiCols, *reidentThreshold)
+		reident, err := anonymize.ReidentificationRiskIndexed(ctx, evaluator.Index(), quasiCols, *reidentThreshold)
 		if err != nil {
 			return err
 		}
@@ -178,12 +183,7 @@ func parseScenarios(raw string, table *anonymize.Table, target string) [][]strin
 		}
 		return out
 	}
-	var others []string
-	for _, name := range table.ColumnNames() {
-		if name != target {
-			others = append(others, name)
-		}
-	}
+	others := otherColumns(table, target)
 	out := make([][]string, 0, len(others)+1)
 	for _, name := range others {
 		out = append(out, []string{name})
@@ -192,6 +192,11 @@ func parseScenarios(raw string, table *anonymize.Table, target string) [][]strin
 		out = append(out, others)
 	}
 	return out
+}
+
+// otherColumns returns the table's column names without the target's.
+func otherColumns(table *anonymize.Table, target string) []string {
+	return slices.DeleteFunc(table.ColumnNames(), func(name string) bool { return name == target })
 }
 
 func splitList(raw string) []string {

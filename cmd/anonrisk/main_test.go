@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -148,8 +147,7 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// syntheticCSV writes a deterministic dataset with enough rows to cross the
-// parallel class-building threshold, mixing numeric, interval and
+// syntheticCSV writes a deterministic dataset mixing numeric, interval and
 // categorical cells.
 func syntheticCSV(t *testing.T, rows int) string {
 	t.Helper()
@@ -174,34 +172,51 @@ func syntheticCSV(t *testing.T, rows int) string {
 	return path
 }
 
-func TestRunOutputIdenticalAcrossWorkerCounts(t *testing.T) {
+func TestRunMaxRowsElidesRecords(t *testing.T) {
 	path := syntheticCSV(t, 3000)
-	outputs := make(map[int]string)
-	for _, workers := range []int{1, 4, 16} {
-		var out strings.Builder
-		err := run(context.Background(), []string{
-			"-data", path,
-			"-target", "weight",
-			"-closeness", "5",
-			"-scenarios", "height;age;age,height;city,age",
-			"-reident", "0.2",
-			"-quasi", "age,height",
-			"-workers", strconv.Itoa(workers),
-			"-max-rows", "50",
-		}, &out)
-		if err != nil {
-			t.Fatalf("run(workers=%d): %v", workers, err)
-		}
-		outputs[workers] = out.String()
+	var out strings.Builder
+	err := run(context.Background(), []string{
+		"-data", path,
+		"-target", "weight",
+		"-closeness", "5",
+		"-scenarios", "height;age;age,height;city,age",
+		"-reident", "0.2",
+		"-quasi", "age,height",
+		"-max-rows", "50",
+	}, &out)
+	if err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	if outputs[1] != outputs[4] {
-		t.Error("output differs between -workers 1 and 4")
-	}
-	if outputs[1] != outputs[16] {
-		t.Error("output differs between -workers 1 and 16")
-	}
-	if !strings.Contains(outputs[1], "more records") {
+	if !strings.Contains(out.String(), "more records") {
 		t.Error("-max-rows did not elide per-record rows")
+	}
+}
+
+// TestRunRejectsUnknownScenarioField: the evaluator drops a field the dataset
+// lacks, so a misspelt -scenarios entry the command let through would be
+// scored as "nothing visible" and exit 0.
+func TestRunRejectsUnknownScenarioField(t *testing.T) {
+	path := tableIFixture(t)
+	var out strings.Builder
+	err := run(context.Background(), []string{
+		"-data", path, "-target", "weight", "-closeness", "5", "-scenarios", "hieght;age",
+	}, &out)
+	if err == nil || !strings.Contains(err.Error(), `"hieght"`) {
+		t.Fatalf("error = %v, want one naming the misspelt field", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("a report was printed for a rejected run:\n%s", out.String())
+	}
+}
+
+// TestRunHonoursCancellation: every stage of the run takes the context.
+func TestRunHonoursCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out strings.Builder
+	err := run(ctx, []string{"-data", rawFixture(t), "-target", "weight", "-k", "2", "-quasi", "age,height"}, &out)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want context.Canceled", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,10 @@ import (
 // committed records, its make targets) is named nowhere but in history:
 // CHANGES.md, ROADMAP.md's Recent section and the frozen benchmark/README.md.
 // Every backticked `-flag` is one a command's FlagSet, the benchmark driver or
-// the property harness defines, or one of the go tool's that the docs use.
+// the property harness defines, or one of the go tool's that the docs use; one
+// cited after a command's name (`anonrisk -max-rows`) is that command's own.
+// And a CHANGES.md entry from PR 24 on is at most 2 KB: it is what the next
+// session reads first.
 func TestDocsCiteWhatExists(t *testing.T) {
 	var catalog struct {
 		Workloads []struct{ Name string }
@@ -63,13 +67,19 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		t.Fatal(err)
 	}
 	flagSources = append(flagSources, filepath.Join("benchmark", "main.go"), filepath.Join("internal", "proptest", "proptest.go"))
+	commandFlags := make(map[string]map[string]bool) // cmd/<name> -> the flags it defines
 	for _, path := range flagSources {
 		text, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		own := make(map[string]bool)
 		for _, m := range flagDefinition.FindAllSubmatch(text, -1) {
 			flags[string(m[1])] = true
+			own[string(m[1])] = true
+		}
+		if filepath.Dir(filepath.Dir(path)) == "cmd" {
+			commandFlags[filepath.Base(filepath.Dir(path))] = own
 		}
 	}
 
@@ -133,10 +143,33 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			if benchmarkName.MatchString(token) && !defined[token] {
 				t.Errorf("%s cites `%s`, shaped like a benchmark/ workload or metric, which BENCHMARK.json does not define", path, token)
 			}
+			command, _, _ := strings.Cut(token, " ")
 			for _, f := range citedFlag.FindAllStringSubmatch(token, -1) {
 				if !flags[f[1]] {
 					t.Errorf("%s cites `%s`: no command, benchmark/main.go or internal/proptest defines a -%s flag, and it is not one of the go tool's", path, token, f[1])
+				} else if own := commandFlags[command]; own != nil && !own[f[1]] {
+					t.Errorf("%s cites `%s`: %s defines no -%s flag", path, token, command, f[1])
 				}
+			}
+		}
+	}
+
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entryStart := regexp.MustCompile(`(?m)^- `)
+	entryNumber := regexp.MustCompile(`^- PR (\d+):`)
+	starts := entryStart.FindAllIndex(changes, -1)
+	for i, start := range starts {
+		end := len(changes)
+		if i+1 < len(starts) {
+			end = starts[i+1][0]
+		}
+		entry := changes[start[0]:end]
+		if m := entryNumber.FindSubmatch(entry); m != nil {
+			if pr, _ := strconv.Atoi(string(m[1])); pr >= 24 && len(entry) > 2048 {
+				t.Errorf("CHANGES.md: the entry for PR %d is %d bytes, over the 2 KB an entry may take", pr, len(entry))
 			}
 		}
 	}

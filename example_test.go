@@ -2,6 +2,7 @@ package privascope_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 
@@ -48,7 +49,7 @@ func ExampleNewValueRiskEvaluator() {
 		return
 	}
 	for _, visible := range [][]string{{"height"}, {"age"}, {"age", "height"}} {
-		result, err := evaluator.Evaluate(visible)
+		result, err := evaluator.Evaluate(context.Background(), visible)
 		if err != nil {
 			fmt.Println("error:", err)
 			return

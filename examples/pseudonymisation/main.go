@@ -16,10 +16,12 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"privascope"
 	"privascope/internal/anonymize"
@@ -44,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	progression := [][]string{{"height"}, {"age"}, {"age", "height"}}
-	results, err := evaluator.EvaluateProgression(progression)
+	results, err := evaluator.EvaluateProgression(context.Background(), progression)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,10 +72,11 @@ func main() {
 	fmt.Println(report.PseudonymisationAnnotation(annotation).Render())
 	fmt.Printf("violation counts across at-risk states: %v (the paper's Fig. 4 shows 0, 2 and 4)\n\n",
 		annotation.ViolationCounts())
-	if err := os.WriteFile("fig4_pseudonymisation_lts.dot", []byte(annotation.DOT("fig4")), 0o644); err != nil {
+	dotPath := filepath.Join(os.TempDir(), "fig4_pseudonymisation_lts.dot")
+	if err := os.WriteFile(dotPath, []byte(annotation.DOT("fig4")), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("wrote fig4_pseudonymisation_lts.dot (dotted edges are the risk transitions)")
+	fmt.Printf("wrote %s (dotted edges are the risk transitions)\n", dotPath)
 
 	// ----- Design-time gate: more than 50% violations is unacceptable.
 	if err := annotation.CheckThreshold(0.5); err != nil {
@@ -92,7 +95,7 @@ func main() {
 	data := synth.HealthRecords(synth.HealthRecordsOptions{Rows: 200, Seed: 42})
 	comparison := report.NewTable("k", "violations (age+height visible)", "max risk", "generalisation loss", "weight mean shift")
 	for _, k := range []int{2, 10} {
-		anonymised, _, err := anonymize.KAnonymize(data, []string{"age", "height"}, k, anonymize.KAnonymizeOptions{
+		anonymised, _, err := anonymize.KAnonymize(context.Background(), data, []string{"age", "height"}, k, anonymize.KAnonymizeOptions{
 			InitialWidths: map[string]float64{"age": 5, "height": 5},
 		})
 		if err != nil {
@@ -102,7 +105,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		scenario, err := eval.Evaluate([]string{"age", "height"})
+		scenario, err := eval.Evaluate(context.Background(), []string{"age", "height"})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -239,7 +239,7 @@ func TestTableString(t *testing.T) {
 
 func TestEquivalenceClasses(t *testing.T) {
 	tbl := tableIRecords(t)
-	classes, err := tbl.EquivalenceClasses([]string{"age", "height"})
+	classes, err := tbl.EquivalenceClasses(ctx, []string{"age", "height"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +253,11 @@ func TestEquivalenceClasses(t *testing.T) {
 	if sizes[2] != 3 {
 		t.Errorf("expected three classes of size 2, got %v", classes)
 	}
-	if _, err := tbl.EquivalenceClasses([]string{"ghost"}); err == nil {
+	if _, err := tbl.EquivalenceClasses(ctx, []string{"ghost"}); err == nil {
 		t.Error("unknown column accepted")
 	}
 	// Grouping on height only gives 2 classes (4 + 2).
-	classes, err = tbl.EquivalenceClasses([]string{"height"})
+	classes, err = tbl.EquivalenceClasses(ctx, []string{"height"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,22 +339,22 @@ func TestSpecApply(t *testing.T) {
 func TestIsKAnonymous(t *testing.T) {
 	tbl := tableIRecords(t)
 	qi := []string{"age", "height"}
-	ok, err := IsKAnonymous(tbl, qi, 2)
+	ok, err := IsKAnonymous(ctx, tbl, qi, 2)
 	if err != nil || !ok {
-		t.Errorf("IsKAnonymous(k=2) = %v, %v; Table I is 2-anonymous", ok, err)
+		t.Errorf("IsKAnonymous(ctx, k=2) = %v, %v; Table I is 2-anonymous", ok, err)
 	}
-	ok, err = IsKAnonymous(tbl, qi, 3)
+	ok, err = IsKAnonymous(ctx, tbl, qi, 3)
 	if err != nil || ok {
-		t.Errorf("IsKAnonymous(k=3) = %v, %v; want false", ok, err)
+		t.Errorf("IsKAnonymous(ctx, k=3) = %v, %v; want false", ok, err)
 	}
-	if _, err := IsKAnonymous(tbl, qi, 0); err == nil {
+	if _, err := IsKAnonymous(ctx, tbl, qi, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := IsKAnonymous(tbl, []string{"ghost"}, 2); err == nil {
+	if _, err := IsKAnonymous(ctx, tbl, []string{"ghost"}, 2); err == nil {
 		t.Error("unknown QI accepted")
 	}
 	empty := MustTable(Column{Name: "x"})
-	if ok, err := IsKAnonymous(empty, []string{"x"}, 5); err != nil || !ok {
+	if ok, err := IsKAnonymous(ctx, empty, []string{"x"}, 5); err != nil || !ok {
 		t.Errorf("empty table should be trivially k-anonymous, got %v, %v", ok, err)
 	}
 }
@@ -364,18 +364,18 @@ func TestDistinctLDiversity(t *testing.T) {
 	qi := []string{"age", "height"}
 	// Every class has 2 distinct weights except the paper does not require
 	// it; classes {100,102}, {110,111}, {80,110} all have 2 distinct values.
-	ok, err := DistinctLDiversity(tbl, qi, "weight", 2)
+	ok, err := DistinctLDiversity(ctx, tbl, qi, "weight", 2)
 	if err != nil || !ok {
 		t.Errorf("l=2 diversity = %v, %v", ok, err)
 	}
-	ok, err = DistinctLDiversity(tbl, qi, "weight", 3)
+	ok, err = DistinctLDiversity(ctx, tbl, qi, "weight", 3)
 	if err != nil || ok {
 		t.Errorf("l=3 diversity = %v, %v; want false", ok, err)
 	}
-	if _, err := DistinctLDiversity(tbl, qi, "ghost", 2); err == nil {
+	if _, err := DistinctLDiversity(ctx, tbl, qi, "ghost", 2); err == nil {
 		t.Error("unknown sensitive column accepted")
 	}
-	if _, err := DistinctLDiversity(tbl, qi, "weight", 0); err == nil {
+	if _, err := DistinctLDiversity(ctx, tbl, qi, "weight", 0); err == nil {
 		t.Error("l=0 accepted")
 	}
 }
@@ -395,13 +395,13 @@ func TestKAnonymize(t *testing.T) {
 		tbl.MustAddRow(Num(r[0]), Num(r[1]), Num(r[2]))
 	}
 	qi := []string{"age", "height"}
-	anon, result, err := KAnonymize(tbl, qi, 2, KAnonymizeOptions{
+	anon, result, err := KAnonymize(ctx, tbl, qi, 2, KAnonymizeOptions{
 		InitialWidths: map[string]float64{"age": 5, "height": 10},
 	})
 	if err != nil {
 		t.Fatalf("KAnonymize: %v", err)
 	}
-	ok, err := IsKAnonymous(anon, qi, 2)
+	ok, err := IsKAnonymous(ctx, anon, qi, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,10 +426,10 @@ func TestKAnonymize(t *testing.T) {
 	}
 
 	// Error cases.
-	if _, _, err := KAnonymize(tbl, qi, 0, KAnonymizeOptions{}); err == nil {
+	if _, _, err := KAnonymize(ctx, tbl, qi, 0, KAnonymizeOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := KAnonymize(tbl, []string{"ghost"}, 2, KAnonymizeOptions{}); err == nil {
+	if _, _, err := KAnonymize(ctx, tbl, []string{"ghost"}, 2, KAnonymizeOptions{}); err == nil {
 		t.Error("unknown QI accepted")
 	}
 }
@@ -441,7 +441,7 @@ func TestKAnonymizeSuppressionFallback(t *testing.T) {
 	tbl.MustAddRow(Num(1), Num(50))
 	tbl.MustAddRow(Num(1e9), Num(60))
 	tbl.MustAddRow(Num(1), Num(55))
-	anon, result, err := KAnonymize(tbl, []string{"age"}, 2, KAnonymizeOptions{MaxDoublings: 3})
+	anon, result, err := KAnonymize(ctx, tbl, []string{"age"}, 2, KAnonymizeOptions{MaxDoublings: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,11 +473,11 @@ func TestKAnonymizeProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tbl.MustAddRow(Num(float64(next(50))), Num(float64(next(100))))
 		}
-		anon, result, err := KAnonymize(tbl, []string{"a"}, 2, KAnonymizeOptions{})
+		anon, result, err := KAnonymize(ctx, tbl, []string{"a"}, 2, KAnonymizeOptions{})
 		if err != nil {
 			return false
 		}
-		classes, err := anon.EquivalenceClasses([]string{"a"})
+		classes, err := anon.EquivalenceClasses(ctx, []string{"a"})
 		if err != nil {
 			return false
 		}
@@ -519,7 +519,7 @@ func TestValueRisksReproduceTableI(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			risks, err := ValueRisks(tbl, ValueRiskOptions{
+			risks, err := ValueRisks(ctx, tbl, ValueRiskOptions{
 				VisibleColumns: tt.visible,
 				TargetColumn:   "weight",
 				Closeness:      closeness,
@@ -542,20 +542,20 @@ func TestValueRisksReproduceTableI(t *testing.T) {
 
 func TestValueRisksEdgeCases(t *testing.T) {
 	tbl := tableIRecords(t)
-	if _, err := ValueRisks(nil, ValueRiskOptions{TargetColumn: "weight"}); err == nil {
+	if _, err := ValueRisks(ctx, nil, ValueRiskOptions{TargetColumn: "weight"}); err == nil {
 		t.Error("nil table accepted")
 	}
-	if _, err := ValueRisks(tbl, ValueRiskOptions{TargetColumn: "ghost"}); err == nil {
+	if _, err := ValueRisks(ctx, tbl, ValueRiskOptions{TargetColumn: "ghost"}); err == nil {
 		t.Error("unknown target accepted")
 	}
-	if _, err := ValueRisks(tbl, ValueRiskOptions{TargetColumn: "weight", VisibleColumns: []string{"ghost"}}); err == nil {
+	if _, err := ValueRisks(ctx, tbl, ValueRiskOptions{TargetColumn: "weight", VisibleColumns: []string{"ghost"}}); err == nil {
 		t.Error("unknown visible column accepted")
 	}
-	if _, err := ValueRisks(tbl, ValueRiskOptions{TargetColumn: "weight", Closeness: -1}); err == nil {
+	if _, err := ValueRisks(ctx, tbl, ValueRiskOptions{TargetColumn: "weight", Closeness: -1}); err == nil {
 		t.Error("negative closeness accepted")
 	}
 	// No visible columns: one set covering the whole table.
-	risks, err := ValueRisks(tbl, ValueRiskOptions{TargetColumn: "weight", Closeness: 5})
+	risks, err := ValueRisks(ctx, tbl, ValueRiskOptions{TargetColumn: "weight", Closeness: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,7 +711,7 @@ func TestValueRiskProbabilityBounds(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tbl.MustAddRow(Num(float64(next(3))), Num(float64(next(10))))
 		}
-		risks, err := ValueRisks(tbl, ValueRiskOptions{
+		risks, err := ValueRisks(ctx, tbl, ValueRiskOptions{
 			VisibleColumns: []string{"qi"}, TargetColumn: "target", Closeness: float64(next(4)),
 		})
 		if err != nil {

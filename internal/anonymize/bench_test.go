@@ -35,7 +35,7 @@ func BenchmarkEquivalenceClasses(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := anon.EquivalenceClasses([]string{"age", "height"}); err != nil {
+				if _, err := anon.EquivalenceClasses(ctx, []string{"age", "height"}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,7 +54,7 @@ func BenchmarkValueRisks(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ValueRisks(anon, opts); err != nil {
+				if _, err := ValueRisks(ctx, anon, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -71,7 +71,7 @@ func BenchmarkReidentificationRisk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReidentificationRisk(anon, []string{"age", "height"}, 0.2); err != nil {
+		if _, err := ReidentificationRisk(ctx, anon, []string{"age", "height"}, 0.2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,8 +12,7 @@ import (
 )
 
 func cancelTestTable() *anonymize.Table {
-	// Big enough that the parallel chunked paths actually engage
-	// (minChunkRows is 1024).
+	// Several times the row-loop poll interval (4096).
 	return synth.HealthRecords(synth.HealthRecordsOptions{Rows: 30_000, Seed: 7})
 }
 
@@ -22,61 +21,75 @@ func TestValueRisksContextPreCancelled(t *testing.T) {
 	table := cancelTestTable()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := anonymize.ValueRisksContext(ctx, table, anonymize.ValueRiskOptions{
+	_, err := anonymize.ValueRisks(ctx, table, anonymize.ValueRiskOptions{
 		VisibleColumns: []string{"age", "height"},
 		TargetColumn:   "weight",
 		Closeness:      5,
-		Workers:        4,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-func TestValueRisksContextBackgroundMatchesValueRisks(t *testing.T) {
+// cancelAfter is a context that is cancelled from its n-th Err poll on: a
+// deterministic "Ctrl-C somewhere in the middle".
+type cancelAfter struct {
+	context.Context
+	polls, after int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls++; c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestKAnonymizeHonoursCancellation: the widening search runs up to twenty
+// rounds of class building over the whole table, and every one polls ctx —
+// before the first round, and wherever in the search the cancellation lands.
+func TestKAnonymizeHonoursCancellation(t *testing.T) {
 	table := cancelTestTable()
-	opts := anonymize.ValueRiskOptions{
-		VisibleColumns: []string{"age"},
-		TargetColumn:   "weight",
-		Closeness:      5,
-		Workers:        4,
-	}
-	direct, err := anonymize.ValueRisks(table, opts)
-	if err != nil {
+	qis := []string{"age", "height"}
+	// k above the table's size: no width reaches it, so the search runs all
+	// its rounds unless it is stopped.
+	k := table.NumRows() + 1
+	full := &cancelAfter{Context: context.Background(), after: 1 << 30}
+	if _, _, err := anonymize.KAnonymize(full, table, qis, k, anonymize.KAnonymizeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	viaContext, err := anonymize.ValueRisksContext(context.Background(), table, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(direct) != len(viaContext) {
-		t.Fatalf("length mismatch: %d vs %d", len(direct), len(viaContext))
-	}
-	for i := range direct {
-		if direct[i] != viaContext[i] {
-			t.Fatalf("row %d: %v vs %v", i, direct[i], viaContext[i])
+	for _, after := range []int{0, 1, full.polls / 2, full.polls - 1} {
+		ctx := &cancelAfter{Context: context.Background(), after: after}
+		_, _, err := anonymize.KAnonymize(ctx, table, qis, k, anonymize.KAnonymizeOptions{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d of %d: err = %v, want context.Canceled", after+1, full.polls, err)
 		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := anonymize.ReidentificationRisk(ctx, table, []string{"age"}, 0.2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReidentificationRisk: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestClassIndexCancelledBuildIsNotCached(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	table := cancelTestTable()
-	index := anonymize.NewClassIndex(table, 4)
+	index := anonymize.NewClassIndex(table)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := index.ClassesContext(ctx, []string{"age", "height"}); !errors.Is(err, context.Canceled) {
+	if _, err := index.Classes(ctx, []string{"age", "height"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	// The aborted build must not poison the index: a live caller recomputes
 	// and gets the real partition.
-	classes, err := index.ClassesContext(context.Background(), []string{"age", "height"})
+	classes, err := index.Classes(context.Background(), []string{"age", "height"})
 	if err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
-	want, err := table.EquivalenceClasses([]string{"age", "height"})
+	want, err := table.EquivalenceClasses(context.Background(), []string{"age", "height"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +101,7 @@ func TestClassIndexCancelledBuildIsNotCached(t *testing.T) {
 func TestClassIndexWaiterHonoursOwnContext(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	table := cancelTestTable()
-	index := anonymize.NewClassIndex(table, 2)
+	index := anonymize.NewClassIndex(table)
 
 	// A waiter with an already-expired deadline must not block behind a
 	// concurrent build for longer than its context allows.
@@ -96,7 +109,7 @@ func TestClassIndexWaiterHonoursOwnContext(t *testing.T) {
 	defer cancel()
 	time.Sleep(time.Millisecond) // ensure expiry
 	start := time.Now()
-	_, err := index.ClassesContext(ctx, []string{"age"})
+	_, err := index.Classes(ctx, []string{"age"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

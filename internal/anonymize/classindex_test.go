@@ -1,15 +1,23 @@
 package anonymize
 
 import (
+	"bytes"
+	"context"
+	"encoding/csv"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
+
+	"privascope/internal/proptest"
 )
 
-// classTestTable builds a deterministic mixed-kind table large enough to
-// exercise the chunked parallel path (several chunks at minChunkRows).
+var ctx = context.Background()
+
+// classTestTable builds a deterministic mixed-kind table.
 func classTestTable(rows int) *Table {
 	rng := rand.New(rand.NewSource(7))
 	countries := []string{"de", "fr", "uk", "es", "it", "nl", "pl", "se"}
@@ -34,42 +42,14 @@ func classTestTable(rows int) *Table {
 	return t
 }
 
-func TestClassIndexMatchesSequentialAcrossWorkerCounts(t *testing.T) {
-	tbl := classTestTable(4 * minChunkRows)
-	columnSets := [][]string{
-		{"age"},
-		{"country"},
-		{"age", "height"},
-		{"height", "age"}, // column order changes group order; both must match sequential
-		{"age", "height", "country"},
-	}
-	for _, columns := range columnSets {
-		want, err := tbl.EquivalenceClasses(columns)
-		if err != nil {
-			t.Fatalf("EquivalenceClasses(%v): %v", columns, err)
-		}
-		for _, workers := range []int{1, 2, 4, 16} {
-			ix := NewClassIndex(tbl, workers)
-			got, err := ix.Classes(columns)
-			if err != nil {
-				t.Fatalf("Classes(%v) workers=%d: %v", columns, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("Classes(%v) workers=%d diverges from sequential: %d vs %d groups",
-					columns, workers, len(got), len(want))
-			}
-		}
-	}
-}
-
 func TestClassIndexCachesPartitions(t *testing.T) {
 	tbl := classTestTable(100)
-	ix := NewClassIndex(tbl, 4)
-	first, err := ix.Classes([]string{"age", "height"})
+	ix := NewClassIndex(tbl)
+	first, err := ix.Classes(ctx, []string{"age", "height"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := ix.Classes([]string{"age", "height"})
+	second, err := ix.Classes(ctx, []string{"age", "height"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,21 +60,21 @@ func TestClassIndexCachesPartitions(t *testing.T) {
 		t.Errorf("hits=%d misses=%d, want 1 and 1", ix.Hits(), ix.Misses())
 	}
 	// A different column order is a different partition order: distinct entry.
-	if _, err := ix.Classes([]string{"height", "age"}); err != nil {
+	if _, err := ix.Classes(ctx, []string{"height", "age"}); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Misses() != 2 {
 		t.Errorf("misses=%d after reordered columns, want 2", ix.Misses())
 	}
-	if _, err := ix.Classes([]string{"ghost"}); err == nil {
+	if _, err := ix.Classes(ctx, []string{"ghost"}); err == nil {
 		t.Error("unknown column accepted")
 	}
 }
 
 func TestClassIndexEmptyAndDegenerateTables(t *testing.T) {
 	empty := MustTable(Column{Name: "a"})
-	ix := NewClassIndex(empty, 8)
-	classes, err := ix.Classes([]string{"a"})
+	ix := NewClassIndex(empty)
+	classes, err := ix.Classes(ctx, []string{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +84,7 @@ func TestClassIndexEmptyAndDegenerateTables(t *testing.T) {
 
 	single := MustTable(Column{Name: "a"})
 	single.MustAddRow(Num(1))
-	classes, err = NewClassIndex(single, 8).Classes([]string{"a"})
+	classes, err = NewClassIndex(single).Classes(ctx, []string{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,41 +93,12 @@ func TestClassIndexEmptyAndDegenerateTables(t *testing.T) {
 	}
 }
 
-func TestValueRisksIdenticalAcrossWorkerCounts(t *testing.T) {
-	tbl := classTestTable(3 * minChunkRows)
-	anon, err := Spec{"age": NumericBinning{Width: 10}, "height": NumericBinning{Width: 20}}.Apply(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := ValueRiskOptions{
-		VisibleColumns: []string{"age", "height", "country"},
-		TargetColumn:   "weight",
-		Closeness:      5,
-	}
-	want, err := ValueRisks(anon, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 16} {
-		opts := base
-		opts.Workers = workers
-		opts.Index = NewClassIndex(anon, workers)
-		got, err := ValueRisks(anon, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d risks diverge from sequential", workers)
-		}
-	}
-}
-
 func TestValueRisksRejectsForeignIndex(t *testing.T) {
 	a := classTestTable(10)
 	b := classTestTable(10)
-	_, err := ValueRisks(a, ValueRiskOptions{
+	_, err := ValueRisks(ctx, a, ValueRiskOptions{
 		TargetColumn: "weight",
-		Index:        NewClassIndex(b, 1),
+		Index:        NewClassIndex(b),
 	})
 	if err == nil {
 		t.Error("index over a different table accepted")
@@ -160,110 +111,20 @@ func TestReidentificationRiskIndexedMatchesUnindexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ReidentificationRisk(anon, []string{"age", "country"}, 0.2)
+	want, err := ReidentificationRisk(ctx, anon, []string{"age", "country"}, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewClassIndex(anon, 8)
-	got, err := ReidentificationRiskIndexed(ix, []string{"age", "country"}, 0.2)
+	ix := NewClassIndex(anon)
+	got, err := ReidentificationRiskIndexed(ctx, ix, []string{"age", "country"}, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("indexed re-identification risk diverges from unindexed")
 	}
-	if _, err := ReidentificationRiskIndexed(nil, []string{"age"}, 0.2); err == nil {
+	if _, err := ReidentificationRiskIndexed(ctx, nil, []string{"age"}, 0.2); err == nil {
 		t.Error("nil index accepted")
-	}
-}
-
-func TestRowChunksCoverAllRows(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {minChunkRows, 4}, {2*minChunkRows + 1, 4}, {10 * minChunkRows, 3}, {100, 1},
-	} {
-		chunks := rowChunks(tc.n, tc.workers)
-		next := 0
-		for _, c := range chunks {
-			if c[0] != next {
-				t.Fatalf("n=%d workers=%d: chunk starts at %d, want %d", tc.n, tc.workers, c[0], next)
-			}
-			if c[1] < c[0] {
-				t.Fatalf("n=%d workers=%d: inverted chunk %v", tc.n, tc.workers, c)
-			}
-			next = c[1]
-		}
-		if next != tc.n {
-			t.Fatalf("n=%d workers=%d: chunks cover [0,%d), want [0,%d)", tc.n, tc.workers, next, tc.n)
-		}
-	}
-}
-
-func TestInternerPoolsRepeatedCells(t *testing.T) {
-	in := NewInterner()
-	a := in.Parse("berlin")
-	b := in.Parse("berlin")
-	if a != b {
-		t.Error("repeated cell parsed to different values")
-	}
-	if in.Size() != 1 {
-		t.Errorf("pool size = %d, want 1", in.Size())
-	}
-	if v := in.Parse("41.5"); v.Kind != KindNumeric || v.Num != 41.5 {
-		t.Errorf("numeric cell = %v", v)
-	}
-	if v := in.Parse("30-40"); v.Kind != KindInterval || v.Lo != 30 || v.Hi != 40 {
-		t.Errorf("interval cell = %v", v)
-	}
-	if v := in.Parse("*"); !v.IsSuppressed() {
-		t.Errorf("suppressed cell = %v", v)
-	}
-	if in.Size() != 4 {
-		t.Errorf("pool size = %d, want 4", in.Size())
-	}
-}
-
-func TestInternerDetachesFromCallerBuffer(t *testing.T) {
-	buf := []byte("madrid")
-	in := NewInterner()
-	v := in.Parse(string(buf))
-	copy(buf, "XXXXXX")
-	if v.Str != "madrid" {
-		t.Errorf("pooled value aliased the caller's buffer: %q", v.Str)
-	}
-	if got := in.Parse("madrid"); got != v {
-		t.Error("pool key aliased the caller's buffer")
-	}
-}
-
-func TestEquivalenceClassesLargeTableParallelConsistency(t *testing.T) {
-	// End-to-end sanity on a table big enough for >= 4 chunks: every row
-	// appears in exactly one class, and classes are internally consistent.
-	tbl := classTestTable(4 * minChunkRows)
-	ix := NewClassIndex(tbl, 8)
-	classes, err := ix.Classes([]string{"age", "country"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int]bool, tbl.NumRows())
-	for _, class := range classes {
-		key := ""
-		for i, r := range class {
-			if seen[r] {
-				t.Fatalf("row %d in two classes", r)
-			}
-			seen[r] = true
-			age, _ := tbl.Value(r, "age")
-			country, _ := tbl.Value(r, "country")
-			k := age.GroupKey() + "|" + country.GroupKey()
-			if i == 0 {
-				key = k
-			} else if k != key {
-				t.Fatalf("class mixes keys %q and %q", key, k)
-			}
-		}
-	}
-	if len(seen) != tbl.NumRows() {
-		t.Fatalf("classes cover %d rows, want %d", len(seen), tbl.NumRows())
 	}
 }
 
@@ -275,117 +136,191 @@ func ExampleClassIndex() {
 	for _, row := range [][2]float64{{23, 50}, {23, 55}, {34, 70}, {34, 72}} {
 		tbl.MustAddRow(Num(row[0]), Num(row[1]))
 	}
-	ix := NewClassIndex(tbl, 4)
-	classes, _ := ix.Classes([]string{"age"})
+	ix := NewClassIndex(tbl)
+	classes, _ := ix.Classes(ctx, []string{"age"})
 	fmt.Println(len(classes), "classes")
-	classes2, _ := ix.Classes([]string{"age"}) // served from cache
+	classes2, _ := ix.Classes(ctx, []string{"age"}) // served from cache
 	fmt.Println(len(classes2), "classes,", ix.Hits(), "cache hit")
 	// Output:
 	// 2 classes
 	// 2 classes, 1 cache hit
 }
 
-func TestScoreClassFastPathMatchesQuadratic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// Mixed-kind classes straddling the quadratic cutoff, including exact
-	// boundary hits at distance == closeness.
-	makeValue := func() Value {
-		switch rng.Intn(6) {
-		case 0:
-			return Cat([]string{"a", "b", "c"}[rng.Intn(3)])
-		case 1:
-			return Suppressed()
-		case 2:
-			lo := float64(rng.Intn(20))
-			return Interval(lo, lo+float64(rng.Intn(10)))
-		default:
-			return Num(float64(rng.Intn(30)))
+// AltText spells a cell the way a second CSV writer might: a finite number
+// with a trailing ".0", a category with trailing blanks. The result parses to
+// the value v.String() parses to, but a reader that keys on text sees two.
+func AltText(v Value) string {
+	alt := v.String()
+	switch v.Kind {
+	case KindNumeric:
+		alt = strconv.FormatFloat(v.Num, 'f', 1, 64)
+	case KindCategorical:
+		alt += "  "
+	}
+	if keyOf(ParseValue(alt)) != keyOf(ParseValue(v.String())) {
+		return v.String()
+	}
+	return alt
+}
+
+// checkScorer scores the sets of rows of a one-column table of the given
+// cells with the dictionary scorer — one scorer, its scratch carried from set
+// to set — and with the pairwise reference, and reports the first difference.
+// The table is built twice: by AddRow, and by ReadCSV from text in which every
+// other row is spelt the other way, so its dictionary holds values twice.
+func checkScorer(closeness float64, sets [][]int, cells []Value) error {
+	added := MustTable(Column{Name: "target"})
+	var text bytes.Buffer
+	w := csv.NewWriter(&text)
+	_ = w.Write([]string{"target"})
+	for r, v := range cells {
+		added.MustAddRow(v)
+		if r%2 == 1 {
+			_ = w.Write([]string{AltText(v)})
+		} else {
+			_ = w.Write([]string{v.String()})
 		}
 	}
-	for _, size := range []int{1, 2, quadraticClassCutoff, quadraticClassCutoff + 1, 200, 1000} {
-		for _, closeness := range []float64{0, 1, 5} {
-			target := make([]Value, size)
-			class := make([]int, size)
-			for i := range target {
-				target[i] = makeValue()
-				class[i] = i
+	w.Flush()
+	read, err := ReadCSV(&text, nil)
+	if err != nil {
+		return err
+	}
+	for _, tbl := range []*Table{added, read} {
+		target := &tbl.cols[0]
+		got, want := make([]ValueRisk, len(cells)), make([]ValueRisk, len(cells))
+		scorer := newSetScorer(target, closeness)
+		for _, set := range sets {
+			scorer.score(got, set)
+			scoreClassQuadratic(want, set, target, closeness)
+		}
+		for r := range want {
+			if got[r] != want[r] {
+				return fmt.Errorf("closeness %v, row %d (%v), %d entries for %d cells: scorer %+v, pairwise %+v",
+					closeness, r, target.at(r), len(target.dict), len(cells), got[r], want[r])
 			}
-			want := make([]ValueRisk, size)
-			scoreClassQuadratic(want, class, target, closeness)
-			got := make([]ValueRisk, size)
-			scoreClassInto(got, class, target, closeness)
-			if !reflect.DeepEqual(got, want) {
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("size=%d closeness=%v row %d (%v): fast=%+v quadratic=%+v",
-							size, closeness, i, target[i], got[i], want[i])
-					}
-				}
+		}
+	}
+	return nil
+}
+
+// oneSet is the partition of n rows into a single set.
+func oneSet(n int) [][]int {
+	set := make([]int, n)
+	for r := range set {
+		set[r] = r
+	}
+	return [][]int{set}
+}
+
+// numbers returns n numeric cells f(0), f(1), ...
+func numbers(n int, f func(i int) float64) []Value {
+	cells := make([]Value, n)
+	for i := range cells {
+		cells[i] = Num(f(i))
+	}
+	return cells
+}
+
+// mixedCell draws a target cell of any kind, NaN-bounded and junk-carrying
+// ones included; every interval it draws has lo <= hi.
+func mixedCell(rng *rand.Rand) Value {
+	switch rng.Intn(12) {
+	case 0:
+		return Cat([]string{"a", "b", "c"}[rng.Intn(3)])
+	case 1:
+		return Suppressed()
+	case 2, 3:
+		lo := float64(rng.Intn(20))
+		return Interval(lo, lo+float64(rng.Intn(10)))
+	case 4:
+		return Num(math.NaN())
+	case 5:
+		return Interval(float64(rng.Intn(30)), math.NaN())
+	case 6:
+		return Value{Kind: KindNumeric, Num: float64(rng.Intn(30)), Str: "junk", Hi: 4}
+	default:
+		return Num(float64(rng.Intn(30)))
+	}
+}
+
+func TestScoreClassFastPathMatchesQuadratic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	// Mixed-kind sets of every size class, including exact boundary hits at
+	// distance == closeness.
+	for _, size := range []int{1, 2, 32, 33, 200, 1000} {
+		cells := make([]Value, size)
+		for i := range cells {
+			cells[i] = mixedCell(rng)
+		}
+		for _, closeness := range []float64{0, 1, 5} {
+			if err := checkScorer(closeness, oneSet(size), cells); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 }
 
 func TestScoreClassInvertedIntervalFallsBack(t *testing.T) {
-	// An interval parsed from "50-30" is inverted; the fast path must defer
-	// to the exact pairwise scan for the whole class.
-	size := 2 * quadraticClassCutoff
-	target := make([]Value, size)
-	class := make([]int, size)
-	for i := range target {
-		target[i] = Num(float64(i))
-		class[i] = i
-	}
-	target[7] = Interval(50, 30)
-	want := make([]ValueRisk, size)
-	scoreClassQuadratic(want, class, target, 5)
-	got := make([]ValueRisk, size)
-	scoreClassInto(got, class, target, 5)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("inverted-interval class diverges from quadratic reference")
+	// An interval parsed from "50-30" is inverted; the scorer must defer to
+	// the exact pairwise scan for the whole set.
+	cells := numbers(64, func(i int) float64 { return float64(i) })
+	cells[7] = Interval(50, 30)
+	if err := checkScorer(5, oneSet(64), cells); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestScoreClassNaNValues(t *testing.T) {
-	size := 2 * quadraticClassCutoff
-	target := make([]Value, size)
-	class := make([]int, size)
-	for i := range target {
-		target[i] = Num(float64(i % 10))
-		class[i] = i
+	cells := numbers(64, func(i int) float64 { return float64(i % 10) })
+	cells[3] = Num(math.NaN())
+	if err := checkScorer(1, oneSet(64), cells); err != nil {
+		t.Error(err)
 	}
-	target[3] = Num(math.NaN())
-	want := make([]ValueRisk, size)
-	scoreClassQuadratic(want, class, target, 1)
-	got := make([]ValueRisk, size)
-	scoreClassInto(got, class, target, 1)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("NaN-valued class diverges from quadratic reference")
+	tbl := MustTable(Column{Name: "target"})
+	for _, v := range cells {
+		tbl.MustAddRow(v)
 	}
-	if got[3].Frequency != 0 {
-		t.Errorf("NaN record frequency = %d, want 0", got[3].Frequency)
+	risks, err := ValueRisks(ctx, tbl, ValueRiskOptions{TargetColumn: "target", Closeness: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if risks[3].Frequency != 0 {
+		t.Errorf("NaN record frequency = %d, want 0", risks[3].Frequency)
 	}
 }
 
 func TestScoreClassFloatRoundingEdge(t *testing.T) {
 	// At 1e16 the additions fl(hi+c) and subtractions fl(lo-c) round
-	// differently; the fast path must evaluate exactly the float expressions
+	// differently; the scorer must evaluate exactly the float expressions
 	// Close uses or it disagrees with the pairwise reference here.
-	size := 2 * quadraticClassCutoff
-	target := make([]Value, size)
-	class := make([]int, size)
-	for i := range target {
-		target[i] = Num(1e16)
-		class[i] = i
+	cells := numbers(64, func(int) float64 { return 1e16 })
+	cells[1] = Num(1e16 + 2)
+	if err := checkScorer(1, oneSet(64), cells); err != nil {
+		t.Error(err)
 	}
-	target[1] = Num(1e16 + 2)
-	want := make([]ValueRisk, size)
-	scoreClassQuadratic(want, class, target, 1.0)
-	got := make([]ValueRisk, size)
-	scoreClassInto(got, class, target, 1.0)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("fast path diverges at the rounding edge: fast=%+v quadratic=%+v", got[1], want[1])
-	}
+}
+
+// TestPropScorerMatchesQuadratic: over random tables of mixed kinds — a third
+// of them holding an inverted interval — split into random sets, the
+// dictionary scorer agrees with the pairwise reference on every record.
+func TestPropScorerMatchesQuadratic(t *testing.T) {
+	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
+		cells := make([]Value, 1+rng.Intn(300))
+		for i := range cells {
+			cells[i] = mixedCell(rng)
+		}
+		if rng.Intn(3) == 0 {
+			cells[rng.Intn(len(cells))] = Interval(float64(10+rng.Intn(20)), float64(rng.Intn(10)))
+		}
+		sets := make([][]int, 1+rng.Intn(6))
+		for r := range cells {
+			i := rng.Intn(len(sets))
+			sets[i] = append(sets[i], r)
+		}
+		sets = slices.DeleteFunc(sets, func(set []int) bool { return len(set) == 0 })
+		return checkScorer([]float64{0, 0.5, 1, 5}[rng.Intn(4)], sets, cells)
+	})
 }
 
 func TestEquivalenceClassesSeparatorInjective(t *testing.T) {
@@ -394,7 +329,7 @@ func TestEquivalenceClassesSeparatorInjective(t *testing.T) {
 	tbl := MustTable(Column{Name: "a"}, Column{Name: "b"})
 	tbl.MustAddRow(Cat("x|categorical:y"), Cat("z"))
 	tbl.MustAddRow(Cat("x"), Cat("y|categorical:z"))
-	classes, err := tbl.EquivalenceClasses([]string{"a", "b"})
+	classes, err := tbl.EquivalenceClasses(ctx, []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,13 @@ type ColumnSpec map[string]ColumnRole
 // becomes an interval, "*" a suppressed cell, and everything else a
 // category.
 //
-// The input is streamed record-at-a-time into the table's column-oriented
-// storage — the whole file is never buffered — and cells are pooled through
-// an Interner, so repeated categorical cells share one string allocation.
-// Duplicate header column names are rejected (a duplicate would make every
-// lookup silently resolve to the first column of that name), as are ragged
-// rows whose cell count differs from the header's.
+// The input is streamed record-at-a-time into the table's dictionary-encoded
+// columns — the whole file is never buffered — and each distinct cell text of
+// a column is parsed and stored once; every repetition costs one map probe and
+// four bytes. No stored value aliases the reader's buffer. Duplicate header
+// column names are rejected (a duplicate would make every lookup silently
+// resolve to the first column of that name), as are ragged rows whose cell
+// count differs from the header's.
 func ReadCSV(r io.Reader, spec ColumnSpec) (*Table, error) {
 	reader := csv.NewReader(r)
 	reader.TrimLeadingSpace = true
@@ -43,11 +44,9 @@ func ReadCSV(r io.Reader, spec ColumnSpec) (*Table, error) {
 			return nil, fmt.Errorf("anonymize: duplicate CSV header column %q (columns %d and %d); every column lookup would resolve to the first one only", name, first+1, i+1)
 		}
 		seen[name] = i
-		role := RoleStandard
-		if spec != nil {
-			if r, ok := spec[name]; ok {
-				role = r
-			}
+		role, ok := spec[name]
+		if !ok {
+			role = RoleStandard
 		}
 		columns[i] = Column{Name: name, Role: role}
 	}
@@ -56,7 +55,13 @@ func ReadCSV(r io.Reader, spec ColumnSpec) (*Table, error) {
 		return nil, err
 	}
 
-	pool := NewInterner()
+	// texts maps a column's cell texts to codes: a repeated cell costs this one
+	// probe, a new one the probe and its insert. An equal value under another
+	// text ("1", "1.0") is not looked for; see column.dict.
+	texts := make([]map[string]int32, len(columns))
+	for i := range texts {
+		texts[i] = make(map[string]int32)
+	}
 	for row := 1; ; row++ {
 		record, err := reader.Read()
 		if err == io.EOF {
@@ -69,7 +74,17 @@ func ReadCSV(r io.Reader, spec ColumnSpec) (*Table, error) {
 			return nil, fmt.Errorf("anonymize: CSV row %d: %w", row, err)
 		}
 		for i, cell := range record {
-			t.cols[i] = append(t.cols[i], pool.Parse(cell))
+			col := &t.cols[i]
+			code, ok := texts[i][cell]
+			if !ok {
+				// The record's backing array is reused: own the text, which
+				// also keeps a category from pinning a whole record.
+				cell = strings.Clone(cell)
+				code = int32(len(col.dict))
+				col.dict = append(col.dict, ParseValue(cell).normalized())
+				texts[i][cell] = code
+			}
+			col.codes = append(col.codes, code)
 		}
 		t.nrows++
 	}
@@ -84,8 +99,8 @@ func WriteCSV(w io.Writer, t *Table) error {
 	}
 	cells := make([]string, len(t.cols))
 	for r := 0; r < t.nrows; r++ {
-		for i, col := range t.cols {
-			cells[i] = col[r].String()
+		for i := range t.cols {
+			cells[i] = t.cols[i].at(r).String()
 		}
 		if err := writer.Write(cells); err != nil {
 			return fmt.Errorf("anonymize: writing CSV row %d: %w", r, err)

@@ -1,7 +1,10 @@
 package anonymize
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -74,6 +77,69 @@ func TestReadCSVStreamsLargeInput(t *testing.T) {
 			t.Fatalf("row %d age = %v, want %v", i, ageCol[i].Num, want)
 		}
 	}
+}
+
+// TestReadCSVRepeatedCellsShareAnEntry: a cell text that repeats in its column
+// is parsed and stored once. A value spelt two ways ("41.5", "41.50"; "*", "")
+// is stored under each spelling and still reads back, and groups, as one.
+func TestReadCSVRepeatedCellsShareAnEntry(t *testing.T) {
+	input := "city,x\nberlin,41.5\nberlin,41.50\nparis,30-40\nberlin,*\nparis,\nberlin,30-40\nparis,41.5\n"
+	tbl, err := ReadCSV(strings.NewReader(input), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	city, x := tbl.cols[0], tbl.cols[1]
+	if len(city.dict) != 2 || len(x.dict) != 5 {
+		t.Fatalf("dictionaries hold %d and %d entries, want 2 and 5: %v %v", len(city.dict), len(x.dict), city.dict, x.dict)
+	}
+	for r, want := range []Value{Num(41.5), Num(41.5), Interval(30, 40), Suppressed(), Suppressed(), Interval(30, 40), Num(41.5)} {
+		if got := x.at(r); got != want {
+			t.Errorf("row %d = %v, want %v", r, got, want)
+		}
+	}
+	classes, err := tbl.EquivalenceClasses(ctx, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{3, 4}, {2, 5}, {0, 1, 6}}; !reflect.DeepEqual(classes, want) {
+		t.Errorf("classes over x = %v, want %v", classes, want)
+	}
+}
+
+// TestReadCSVOwnsItsCells: nothing the table holds aliases what it was read
+// from. The caller may overwrite its input, and a stored category does not
+// keep alive the record it was cut from — encoding/csv hands out each record's
+// fields as slices of one string, here a kilobyte of which is filler.
+func TestReadCSVOwnsItsCells(t *testing.T) {
+	const rows = 2000
+	filler := strings.Repeat("x", 1024)
+	var input bytes.Buffer
+	input.WriteString("id,filler\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&input, "patient-%d,%s\n", i, filler)
+	}
+	buf := input.Bytes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tbl, err := ReadCSV(bytes.NewReader(buf), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 'X'
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if v, _ := tbl.Value(rows-1, "id"); v != Cat(fmt.Sprintf("patient-%d", rows-1)) || tbl.ColumnNames()[0] != "id" {
+		t.Errorf("table aliased the input: column %q, cell %v", tbl.ColumnNames()[0], v)
+	}
+	// Pinned records would be rows KB; the table itself is a tenth of that.
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > rows*1024/2 {
+		t.Errorf("heap grew %d bytes for %d short cells: the records are still alive", grown, rows)
+	}
+	runtime.KeepAlive(tbl)
+	runtime.KeepAlive(buf) // or freeing it would hide the growth
 }
 
 func TestReadCSVQuotedAndTypedCells(t *testing.T) {

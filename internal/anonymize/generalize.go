@@ -96,19 +96,26 @@ var _ Generalizer = SuppressAll{}
 type Spec map[string]Generalizer
 
 // Apply returns a new table with the spec's generalisers applied column-wise.
-// The input table is not modified. With column-oriented storage each
-// generaliser streams over one contiguous cell slice.
+// The input table is not modified. A generaliser is called once per dictionary
+// entry of its column — once per distinct cell the column has held, not once
+// per row — and the rows' codes are remapped to the generalised dictionary.
 func (s Spec) Apply(t *Table) (*Table, error) {
 	out := t.Clone()
-	for column, gen := range s {
-		idx, ok := out.ColumnIndex(column)
+	for name, gen := range s {
+		idx, ok := out.ColumnIndex(name)
 		if !ok {
-			return nil, fmt.Errorf("anonymize: generalisation spec references unknown column %q", column)
+			return nil, fmt.Errorf("anonymize: generalisation spec references unknown column %q", name)
 		}
-		cells := out.cols[idx]
-		for r := range cells {
-			cells[r] = gen.Generalize(cells[r])
+		from := &out.cols[idx]
+		to := column{codes: from.codes}
+		remap := make([]int32, len(from.dict))
+		for code, v := range from.dict {
+			remap[code] = to.intern(gen.Generalize(v))
 		}
+		for r, code := range to.codes {
+			to.codes[r] = remap[code]
+		}
+		out.cols[idx] = to
 	}
 	return out, nil
 }

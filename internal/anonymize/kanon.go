@@ -1,31 +1,39 @@
 package anonymize
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
 // IsKAnonymous reports whether every equivalence class induced by the
 // quasi-identifier columns has at least k members (Sweeney's k-anonymity).
 // Rows whose quasi-identifiers are all suppressed count as one shared class.
-func IsKAnonymous(t *Table, quasiIdentifiers []string, k int) (bool, error) {
+func IsKAnonymous(ctx context.Context, t *Table, quasiIdentifiers []string, k int) (bool, error) {
 	if k <= 0 {
 		return false, errors.New("anonymize: k must be positive")
 	}
 	if t.NumRows() == 0 {
 		return true, nil
 	}
-	classes, err := t.EquivalenceClasses(quasiIdentifiers)
+	classes, err := t.EquivalenceClasses(ctx, quasiIdentifiers)
 	if err != nil {
 		return false, err
 	}
+	return smallestClass(classes) >= k, nil
+}
+
+// smallestClass returns the size of the smallest class, or math.MaxInt when
+// there is none.
+func smallestClass(classes [][]int) int {
+	smallest := math.MaxInt
 	for _, class := range classes {
-		if len(class) < k {
-			return false, nil
-		}
+		smallest = min(smallest, len(class))
 	}
-	return true, nil
+	return smallest
 }
 
 // DistinctLDiversity reports whether every equivalence class induced by the
@@ -33,25 +41,24 @@ func IsKAnonymous(t *Table, quasiIdentifiers []string, k int) (bool, error) {
 // column (distinct l-diversity, Machanavajjhala et al.). The paper contrasts
 // the value risk that k-anonymity leaves behind with what l-diversity would
 // remove; this check lets the analysis make that comparison concrete.
-func DistinctLDiversity(t *Table, quasiIdentifiers []string, sensitive string, l int) (bool, error) {
+func DistinctLDiversity(ctx context.Context, t *Table, quasiIdentifiers []string, sensitive string, l int) (bool, error) {
 	if l <= 0 {
 		return false, errors.New("anonymize: l must be positive")
 	}
-	if _, ok := t.ColumnIndex(sensitive); !ok {
+	idx, ok := t.ColumnIndex(sensitive)
+	if !ok {
 		return false, fmt.Errorf("anonymize: unknown sensitive column %q", sensitive)
 	}
-	classes, err := t.EquivalenceClasses(quasiIdentifiers)
+	classes, err := t.EquivalenceClasses(ctx, quasiIdentifiers)
 	if err != nil {
 		return false, err
 	}
+	codes := t.cols[idx].codes
+	rank, _ := t.cols[idx].ranks(false)
 	for _, class := range classes {
-		distinct := make(map[string]bool)
+		distinct := make(map[int32]bool)
 		for _, r := range class {
-			v, err := t.Value(r, sensitive)
-			if err != nil {
-				return false, err
-			}
-			distinct[v.GroupKey()] = true
+			distinct[rank[codes[r]]] = true
 		}
 		if len(distinct) < l {
 			return false, nil
@@ -68,10 +75,6 @@ type KAnonymizeOptions struct {
 	// MaxDoublings bounds how often each width may double before the
 	// remaining undersized classes are suppressed; default 20.
 	MaxDoublings int
-	// Workers bounds the goroutines used for class building inside each
-	// widening round; zero or negative selects one per CPU. The output is
-	// identical for any worker count.
-	Workers int
 }
 
 // KAnonymizeResult reports how k-anonymity was achieved.
@@ -96,8 +99,9 @@ type KAnonymizeResult struct {
 // suppressed. Categorical quasi-identifiers are left as-is during widening
 // and suppressed with the rest in the fallback.
 //
-// The input table is not modified.
-func KAnonymize(t *Table, quasiIdentifiers []string, k int, opts KAnonymizeOptions) (*Table, KAnonymizeResult, error) {
+// The input table is not modified. Every round's class building polls ctx, so
+// a cancelled context aborts the search with ctx.Err().
+func KAnonymize(ctx context.Context, t *Table, quasiIdentifiers []string, k int, opts KAnonymizeOptions) (*Table, KAnonymizeResult, error) {
 	if k <= 0 {
 		return nil, KAnonymizeResult{}, errors.New("anonymize: k must be positive")
 	}
@@ -112,17 +116,17 @@ func KAnonymize(t *Table, quasiIdentifiers []string, k int, opts KAnonymizeOptio
 
 	widths := make(map[string]float64, len(quasiIdentifiers))
 	for _, q := range quasiIdentifiers {
-		w := 1.0
-		if opts.InitialWidths != nil && opts.InitialWidths[q] > 0 {
-			w = opts.InitialWidths[q]
+		widths[q] = 1
+		if w := opts.InitialWidths[q]; w > 0 {
+			widths[q] = w
 		}
-		widths[q] = w
 	}
 
 	result := KAnonymizeResult{K: k, Widths: widths}
 	var out *Table
 	var classes [][]int
 	for round := 0; ; round++ {
+		result.Doublings = round
 		spec := Spec{}
 		for _, q := range quasiIdentifiers {
 			spec[q] = NumericBinning{Width: widths[q]}
@@ -132,23 +136,11 @@ func KAnonymize(t *Table, quasiIdentifiers []string, k int, opts KAnonymizeOptio
 		if err != nil {
 			return nil, KAnonymizeResult{}, err
 		}
-		// One class index per candidate table: the k-check, the per-column
-		// widening heuristic and the final suppression pass all share its
-		// per-column group keys instead of re-deriving them.
-		ix := NewClassIndex(out, opts.Workers)
-		classes, err = ix.Classes(quasiIdentifiers)
+		classes, err = out.EquivalenceClasses(ctx, quasiIdentifiers)
 		if err != nil {
 			return nil, KAnonymizeResult{}, err
 		}
-		ok := true
-		for _, class := range classes {
-			if len(class) < k {
-				ok = false
-				break
-			}
-		}
-		if ok || round >= opts.MaxDoublings {
-			result.Doublings = round
+		if smallestClass(classes) >= k || round >= opts.MaxDoublings {
 			break
 		}
 		// Double the width of the column whose smallest class is smallest —
@@ -156,26 +148,16 @@ func KAnonymize(t *Table, quasiIdentifiers []string, k int, opts KAnonymizeOptio
 		// determinism.
 		worst := ""
 		worstSize := t.NumRows() + 1
-		names := append([]string(nil), quasiIdentifiers...)
-		sort.Strings(names)
-		for _, q := range names {
-			perColumn, err := ix.Classes([]string{q})
+		for _, q := range slices.Sorted(slices.Values(quasiIdentifiers)) {
+			perColumn, err := out.EquivalenceClasses(ctx, []string{q})
 			if err != nil {
 				return nil, KAnonymizeResult{}, err
 			}
-			minSize := t.NumRows() + 1
-			for _, class := range perColumn {
-				if len(class) < minSize {
-					minSize = len(class)
-				}
-			}
-			if minSize < worstSize {
-				worstSize = minSize
-				worst = q
+			if size := smallestClass(perColumn); size < worstSize {
+				worstSize, worst = size, q
 			}
 		}
 		if worst == "" {
-			result.Doublings = round
 			break
 		}
 		widths[worst] *= 2
@@ -198,7 +180,7 @@ func KAnonymize(t *Table, quasiIdentifiers []string, k int, opts KAnonymizeOptio
 	}
 	sort.Ints(result.SuppressedRows)
 
-	finalClasses, err := out.EquivalenceClasses(quasiIdentifiers)
+	finalClasses, err := out.EquivalenceClasses(ctx, quasiIdentifiers)
 	if err != nil {
 		return nil, KAnonymizeResult{}, err
 	}

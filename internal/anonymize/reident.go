@@ -1,6 +1,7 @@
 package anonymize
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -98,8 +99,8 @@ func (r ReidentReport) RiskFor(model AttackerModel) float64 {
 // given the quasi-identifier columns the adversary is assumed to know.
 // Records whose risk is at least threshold are counted as at-risk; a
 // threshold of 0.2, for example, flags records in classes smaller than 5.
-func ReidentificationRisk(t *Table, quasiIdentifiers []string, threshold float64) (ReidentReport, error) {
-	return reidentificationRisk(t, nil, quasiIdentifiers, threshold)
+func ReidentificationRisk(ctx context.Context, t *Table, quasiIdentifiers []string, threshold float64) (ReidentReport, error) {
+	return ReidentificationRiskIndexed(ctx, NewClassIndex(t), quasiIdentifiers, threshold)
 }
 
 // ReidentificationRiskIndexed is ReidentificationRisk drawing its
@@ -107,15 +108,11 @@ func ReidentificationRisk(t *Table, quasiIdentifiers []string, threshold float64
 // (for example) a value-risk scenario over the same quasi-identifiers
 // instead of being recomputed. All three attacker models are derived from
 // the one cached partition.
-func ReidentificationRiskIndexed(ix *ClassIndex, quasiIdentifiers []string, threshold float64) (ReidentReport, error) {
+func ReidentificationRiskIndexed(ctx context.Context, ix *ClassIndex, quasiIdentifiers []string, threshold float64) (ReidentReport, error) {
 	if ix == nil {
 		return ReidentReport{}, errors.New("anonymize: class index must not be nil")
 	}
-	return reidentificationRisk(ix.Table(), ix, quasiIdentifiers, threshold)
-}
-
-// reidentificationRisk is the shared implementation; ix is optional.
-func reidentificationRisk(t *Table, ix *ClassIndex, quasiIdentifiers []string, threshold float64) (ReidentReport, error) {
+	t := ix.Table()
 	if t == nil {
 		return ReidentReport{}, errors.New("anonymize: table must not be nil")
 	}
@@ -125,13 +122,7 @@ func reidentificationRisk(t *Table, ix *ClassIndex, quasiIdentifiers []string, t
 	if threshold < 0 || threshold > 1 {
 		return ReidentReport{}, fmt.Errorf("anonymize: threshold %v outside [0,1]", threshold)
 	}
-	var classes [][]int
-	var err error
-	if ix != nil {
-		classes, err = ix.Classes(quasiIdentifiers)
-	} else {
-		classes, err = t.EquivalenceClasses(quasiIdentifiers)
-	}
+	classes, err := ix.Classes(ctx, quasiIdentifiers)
 	if err != nil {
 		return ReidentReport{}, err
 	}
@@ -143,20 +134,15 @@ func reidentificationRisk(t *Table, ix *ClassIndex, quasiIdentifiers []string, t
 	if t.NumRows() == 0 {
 		return report, nil
 	}
-	report.SmallestClass = t.NumRows()
+	report.SmallestClass = smallestClass(classes)
 	sum := 0.0
 	for _, class := range classes {
 		size := len(class)
-		if size < report.SmallestClass {
-			report.SmallestClass = size
-		}
 		risk := 1.0 / float64(size)
 		for _, row := range class {
 			report.Records[row] = RecordReidentRisk{Row: row, ClassSize: size, Risk: risk}
 			sum += risk
-			if risk > report.HighestRisk {
-				report.HighestRisk = risk
-			}
+			report.HighestRisk = max(report.HighestRisk, risk)
 			if risk >= threshold {
 				report.AtRiskRecords++
 			}

@@ -19,7 +19,7 @@ func TestAttackerModelString(t *testing.T) {
 
 func TestReidentificationRiskTableI(t *testing.T) {
 	tbl := tableIRecords(t)
-	report, err := ReidentificationRisk(tbl, []string{"age", "height"}, 0.5)
+	report, err := ReidentificationRisk(ctx, tbl, []string{"age", "height"}, 0.5)
 	if err != nil {
 		t.Fatalf("ReidentificationRisk: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestReidentificationRiskSingletons(t *testing.T) {
 	for _, a := range []float64{21, 22, 23, 24} {
 		tbl.MustAddRow(Num(a))
 	}
-	report, err := ReidentificationRisk(tbl, []string{"age"}, 0.9)
+	report, err := ReidentificationRisk(ctx, tbl, []string{"age"}, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReidentificationRiskSingletons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ReidentificationRisk(anon, []string{"age"}, 0.9)
+	after, err := ReidentificationRisk(ctx, anon, []string{"age"}, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,20 +93,20 @@ func TestReidentificationRiskSingletons(t *testing.T) {
 
 func TestReidentificationRiskErrors(t *testing.T) {
 	tbl := tableIRecords(t)
-	if _, err := ReidentificationRisk(nil, []string{"age"}, 0.5); err == nil {
+	if _, err := ReidentificationRisk(ctx, nil, []string{"age"}, 0.5); err == nil {
 		t.Error("nil table accepted")
 	}
-	if _, err := ReidentificationRisk(tbl, nil, 0.5); err == nil {
+	if _, err := ReidentificationRisk(ctx, tbl, nil, 0.5); err == nil {
 		t.Error("empty quasi-identifier list accepted")
 	}
-	if _, err := ReidentificationRisk(tbl, []string{"ghost"}, 0.5); err == nil {
+	if _, err := ReidentificationRisk(ctx, tbl, []string{"ghost"}, 0.5); err == nil {
 		t.Error("unknown quasi-identifier accepted")
 	}
-	if _, err := ReidentificationRisk(tbl, []string{"age"}, 1.5); err == nil {
+	if _, err := ReidentificationRisk(ctx, tbl, []string{"age"}, 1.5); err == nil {
 		t.Error("threshold above 1 accepted")
 	}
 	empty := MustTable(Column{Name: "age"})
-	report, err := ReidentificationRisk(empty, []string{"age"}, 0.5)
+	report, err := ReidentificationRisk(ctx, empty, []string{"age"}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestReidentificationRiskProperties(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tbl.MustAddRow(Num(float64(next(4))), Num(float64(i)))
 		}
-		report, err := ReidentificationRisk(tbl, []string{"qi"}, 0.5)
+		report, err := ReidentificationRisk(ctx, tbl, []string{"qi"}, 0.5)
 		if err != nil {
 			return false
 		}
-		classes, err := tbl.EquivalenceClasses([]string{"qi"})
+		classes, err := tbl.EquivalenceClasses(ctx, []string{"qi"})
 		if err != nil {
 			return false
 		}
@@ -156,7 +156,7 @@ func TestReidentificationRiskProperties(t *testing.T) {
 			}
 		}
 		for k := 1; k <= 3; k++ {
-			ok, err := IsKAnonymous(tbl, []string{"qi"}, k)
+			ok, err := IsKAnonymous(ctx, tbl, []string{"qi"}, k)
 			if err != nil {
 				return false
 			}

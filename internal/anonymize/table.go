@@ -1,8 +1,11 @@
 package anonymize
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -47,18 +50,73 @@ type Column struct {
 // Table is an in-memory record table: the datasets the pseudonymisation risk
 // analysis operates on.
 //
-// Storage is column-oriented: each column's cells live in one contiguous
-// slice, so the analyses — which walk a handful of columns over every row —
-// scan sequential memory instead of hopping across per-row allocations, and
-// a million-row table costs one allocation per column rather than one per
-// row. Tables are not safe for concurrent mutation; concurrent reads are
-// safe once mutation has stopped.
+// Storage is column-oriented and dictionary-encoded: a column is the distinct
+// cells it has held, each stored once, plus one int32 code per row, so the
+// analyses group, count and generalise on small integers and touch a Value
+// once per distinct cell instead of once per row. A cell reads back normalised:
+// a NaN's payload and the fields its kind does not use are cleared on the way
+// in. Tables are not safe for concurrent mutation; concurrent reads are safe
+// once mutation has stopped.
 type Table struct {
 	columns []Column
 	index   map[string]int
-	// cols holds the cell data column-major: cols[c][r] is row r of column c.
-	cols  [][]Value
-	nrows int
+	cols    []column
+	nrows   int
+}
+
+// column is one dictionary-encoded column: codes[r] indexes dict.
+type column struct {
+	// dict holds normalised cells in order of first appearance. Entries are
+	// never rewritten, so clones share them; one whose rows were all
+	// overwritten by SetValue stays behind with no row. Entries are unique by
+	// what their writer keyed on — AddRow and SetValue the value, ReadCSV the
+	// cell's text — so after "1" and "1.0" two entries hold one value, and a
+	// reader that must not tell them apart goes through ranks.
+	dict  []Value
+	codes []int32
+	// lookup maps a normalised cell's bits to a code; the first AddRow or
+	// SetValue after a clone or a ReadCSV rebuilds it from dict.
+	lookup map[cellKey]int32
+}
+
+// cellKey is a normalised Value compared by bits, so that NaN finds itself
+// and -0 does not find 0.
+type cellKey struct {
+	kind        ValueKind
+	num, lo, hi uint64
+	str         string
+}
+
+func keyOf(v Value) cellKey {
+	return cellKey{v.Kind, math.Float64bits(v.Num), math.Float64bits(v.Lo), math.Float64bits(v.Hi), v.Str}
+}
+
+// intern returns the code of an entry holding v, adding one if there is none.
+func (c *column) intern(v Value) int32 {
+	v = v.normalized()
+	if c.lookup == nil {
+		c.lookup = make(map[cellKey]int32, len(c.dict))
+		for code, entry := range c.dict {
+			c.lookup[keyOf(entry)] = int32(code)
+		}
+	}
+	key := keyOf(v)
+	code, ok := c.lookup[key]
+	if !ok {
+		code = int32(len(c.dict))
+		c.dict = append(c.dict, v)
+		c.lookup[key] = code
+	}
+	return code
+}
+
+// at returns the cell of row r.
+func (c *column) at(r int) Value { return c.dict[c.codes[r]] }
+
+// clone copies the codes and shares the dictionary's entries: the copy's dict
+// has no spare capacity, so neither side's appends can reach the other.
+func (c *column) clone() column {
+	return column{dict: slices.Clip(c.dict), codes: slices.Clone(c.codes)}
 }
 
 // NewTable creates an empty table with the given columns.
@@ -69,7 +127,7 @@ func NewTable(columns ...Column) (*Table, error) {
 	t := &Table{
 		columns: append([]Column(nil), columns...),
 		index:   make(map[string]int, len(columns)),
-		cols:    make([][]Value, len(columns)),
+		cols:    make([]column, len(columns)),
 	}
 	for i, c := range columns {
 		if strings.TrimSpace(c.Name) == "" {
@@ -98,7 +156,8 @@ func (t *Table) AddRow(values ...Value) error {
 		return fmt.Errorf("anonymize: row has %d values, table has %d columns", len(values), len(t.columns))
 	}
 	for i, v := range values {
-		t.cols[i] = append(t.cols[i], v)
+		col := &t.cols[i]
+		col.codes = append(col.codes, col.intern(v))
 	}
 	t.nrows++
 	return nil
@@ -148,14 +207,18 @@ func (t *Table) ColumnsByRole(role ColumnRole) []string {
 	return out
 }
 
-// ColumnValues returns the cells of the named column in row order. The
-// returned slice is the table's backing storage and must be treated as
-// read-only; it stays valid until the table is mutated.
+// ColumnValues returns a copy of the named column's cells in row order.
 func (t *Table) ColumnValues(name string) ([]Value, bool) {
-	if i, ok := t.index[name]; ok {
-		return t.cols[i], true
+	i, ok := t.index[name]
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	col := &t.cols[i]
+	out := make([]Value, t.nrows)
+	for r := range out {
+		out[r] = col.at(r)
+	}
+	return out, true
 }
 
 // NumRows returns the number of rows.
@@ -173,7 +236,7 @@ func (t *Table) Value(row int, column string) (Value, error) {
 	if !ok {
 		return Value{}, fmt.Errorf("anonymize: unknown column %q", column)
 	}
-	return t.cols[i][row], nil
+	return t.cols[i].at(row), nil
 }
 
 // Row returns a copy of the row's values.
@@ -182,8 +245,8 @@ func (t *Table) Row(row int) ([]Value, error) {
 		return nil, fmt.Errorf("anonymize: row %d out of range [0,%d)", row, t.nrows)
 	}
 	out := make([]Value, len(t.cols))
-	for i, col := range t.cols {
-		out[i] = col[row]
+	for i := range t.cols {
+		out[i] = t.cols[i].at(row)
 	}
 	return out, nil
 }
@@ -197,39 +260,26 @@ func (t *Table) SetValue(row int, column string, v Value) error {
 	if !ok {
 		return fmt.Errorf("anonymize: unknown column %q", column)
 	}
-	t.cols[i][row] = v
+	t.cols[i].codes[row] = t.cols[i].intern(v)
 	return nil
 }
 
-// Clone returns a deep copy of the table.
+// Clone returns an independent copy; the dictionaries' entries are shared.
 func (t *Table) Clone() *Table {
-	out := &Table{
-		columns: append([]Column(nil), t.columns...),
-		index:   make(map[string]int, len(t.index)),
-		cols:    make([][]Value, len(t.cols)),
-		nrows:   t.nrows,
-	}
-	for k, v := range t.index {
-		out.index[k] = v
-	}
-	for i, col := range t.cols {
-		out.cols[i] = append([]Value(nil), col...)
-	}
+	out, _ := t.Project(t.ColumnNames()...) // its own columns resolve
 	return out
 }
 
 // Project returns a new table containing only the named columns (in the
 // given order), with all rows copied.
 func (t *Table) Project(columns ...string) (*Table, error) {
-	cols := make([]Column, 0, len(columns))
-	idxs := make([]int, 0, len(columns))
-	for _, name := range columns {
-		i, ok := t.index[name]
-		if !ok {
-			return nil, fmt.Errorf("anonymize: unknown column %q", name)
-		}
-		cols = append(cols, t.columns[i])
-		idxs = append(idxs, i)
+	idxs, err := t.resolveColumns(columns)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]Column, len(idxs))
+	for j, i := range idxs {
+		cols[j] = t.columns[i]
 	}
 	out, err := NewTable(cols...)
 	if err != nil {
@@ -237,7 +287,7 @@ func (t *Table) Project(columns ...string) (*Table, error) {
 	}
 	out.nrows = t.nrows
 	for j, i := range idxs {
-		out.cols[j] = append([]Value(nil), t.cols[i]...)
+		out.cols[j] = t.cols[i].clone()
 	}
 	return out, nil
 }
@@ -256,11 +306,9 @@ func (t *Table) String() string {
 	cells := make([][]string, t.nrows)
 	for r := 0; r < t.nrows; r++ {
 		cells[r] = make([]string, len(t.cols))
-		for i, col := range t.cols {
-			cells[r][i] = col[r].String()
-			if len(cells[r][i]) > widths[i] {
-				widths[i] = len(cells[r][i])
-			}
+		for i := range t.cols {
+			cells[r][i] = t.cols[i].at(r).String()
+			widths[i] = max(widths[i], len(cells[r][i]))
 		}
 	}
 	var b strings.Builder
@@ -285,16 +333,10 @@ func (t *Table) String() string {
 // the given columns are indistinguishable (identical group keys). The groups
 // and their members are returned in deterministic order: groups sorted by
 // their canonical key, members in ascending row order. Rows where every
-// grouping column is suppressed form their own shared group.
-//
-// The computation is single-threaded; use a ClassIndex to build (and cache)
-// classes with a worker pool on large tables. Both produce identical output.
-func (t *Table) EquivalenceClasses(columns []string) ([][]int, error) {
-	idxs, err := t.resolveColumns(columns)
-	if err != nil {
-		return nil, err
-	}
-	return buildClasses(t, idxs, 1), nil
+// grouping column is suppressed form their own shared group. The build polls
+// ctx; use a ClassIndex to compute each partition of a table once.
+func (t *Table) EquivalenceClasses(ctx context.Context, columns []string) ([][]int, error) {
+	return NewClassIndex(t).Classes(ctx, columns)
 }
 
 // resolveColumns maps column names to their indices, erroring on unknowns.

@@ -88,12 +88,12 @@ func CompareUtility(original, anonymised *Table, columns []string) (UtilityRepor
 			return UtilityReport{}, fmt.Errorf("anonymize: unknown column %q in anonymised table", column)
 		}
 		cu := ColumnUtility{Column: column}
-		origCol, anonCol := original.cols[oi], anonymised.cols[ai]
+		origCol, anonCol := &original.cols[oi], &anonymised.cols[ai]
 		var origVals, anonVals []float64
 		var absErrSum float64
 		var pairCount, suppressed int
 		for r := 0; r < original.NumRows(); r++ {
-			ov, av := origCol[r], anonCol[r]
+			ov, av := origCol.at(r), anonCol.at(r)
 			totalCells++
 			if av.IsSuppressed() {
 				suppressedCells++
@@ -169,31 +169,22 @@ func GeneralizationLoss(original, anonymised *Table, columns []string) (float64,
 			return 0, fmt.Errorf("anonymize: unknown column %q in anonymised table", column)
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range original.cols[oi] {
-			m := v.Midpoint()
-			if math.IsNaN(m) {
-				continue
-			}
-			if m < lo {
-				lo = m
-			}
-			if m > hi {
-				hi = m
+		for _, code := range original.cols[oi].codes {
+			m := original.cols[oi].dict[code].Midpoint()
+			if !math.IsNaN(m) {
+				lo, hi = min(lo, m), max(hi, m)
 			}
 		}
 		rangeWidth := hi - lo
-		for _, v := range anonymised.cols[ai] {
+		for _, code := range anonymised.cols[ai].codes {
+			v := anonymised.cols[ai].dict[code]
 			cells++
 			switch v.Kind {
 			case KindSuppressed:
 				total += 1
 			case KindInterval:
 				if rangeWidth > 0 {
-					loss := (v.Hi - v.Lo) / rangeWidth
-					if loss > 1 {
-						loss = 1
-					}
-					total += loss
+					total += min((v.Hi-v.Lo)/rangeWidth, 1)
 				} else {
 					total += 1
 				}

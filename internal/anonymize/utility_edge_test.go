@@ -148,7 +148,7 @@ func TestValueRisksSingleRowClass(t *testing.T) {
 	)
 	tbl.MustAddRow(Num(23), Num(50))
 	tbl.MustAddRow(Num(34), Num(70))
-	risks, err := ValueRisks(tbl, ValueRiskOptions{
+	risks, err := ValueRisks(ctx, tbl, ValueRiskOptions{
 		VisibleColumns: []string{"age"},
 		TargetColumn:   "weight",
 	})

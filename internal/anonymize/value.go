@@ -74,31 +74,59 @@ func (v Value) IsSuppressed() bool { return v.Kind == KindSuppressed }
 
 // String renders the value the way the paper's Table I does: numbers plainly,
 // intervals as "lo-hi", categories verbatim, suppressed cells as "*".
-func (v Value) String() string {
+func (v Value) String() string { return string(v.appendText(nil)) }
+
+func (v Value) appendText(b []byte) []byte {
 	switch v.Kind {
 	case KindNumeric:
-		return strconv.FormatFloat(v.Num, 'f', -1, 64)
+		return strconv.AppendFloat(b, v.Num, 'f', -1, 64)
 	case KindInterval:
-		return fmt.Sprintf("%s-%s",
-			strconv.FormatFloat(v.Lo, 'f', -1, 64), strconv.FormatFloat(v.Hi, 'f', -1, 64))
+		b = strconv.AppendFloat(b, v.Lo, 'f', -1, 64)
+		b = append(b, '-')
+		return strconv.AppendFloat(b, v.Hi, 'f', -1, 64)
 	case KindCategorical:
-		return v.Str
+		return append(b, v.Str...)
 	case KindSuppressed:
-		return "*"
+		return append(b, '*')
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 
 // GroupKey returns a canonical string used when grouping rows into
 // equivalence classes: values with the same group key are indistinguishable
 // to an observer who sees this cell.
-func (v Value) GroupKey() string {
+func (v Value) GroupKey() string { return string(v.appendGroupKey(nil)) }
+
+func (v Value) appendGroupKey(b []byte) []byte {
+	if v.Kind == KindSuppressed {
+		return append(b, '*')
+	}
+	b = append(b, v.Kind.String()...)
+	b = append(b, ':')
+	return v.appendText(b)
+}
+
+// normalized returns the value with everything GroupKey does not render
+// cleared — the fields its kind does not use, and NaN payloads — so that two
+// values have the same group key exactly when their normalised forms have the
+// same bits. -0 and 0 render differently and stay apart.
+func (v Value) normalized() Value {
+	canon := func(x float64) float64 {
+		if x != x {
+			return math.NaN()
+		}
+		return x
+	}
 	switch v.Kind {
-	case KindSuppressed:
-		return "*"
+	case KindNumeric:
+		return Value{Kind: KindNumeric, Num: canon(v.Num)}
+	case KindInterval:
+		return Value{Kind: KindInterval, Lo: canon(v.Lo), Hi: canon(v.Hi)}
+	case KindCategorical:
+		return Value{Kind: KindCategorical, Str: v.Str}
 	default:
-		return v.Kind.String() + ":" + v.String()
+		return Value{Kind: v.Kind}
 	}
 }
 

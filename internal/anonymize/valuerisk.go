@@ -1,13 +1,13 @@
 package anonymize
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // ValueRisk is the per-record outcome of the paper's value-risk computation
@@ -45,10 +45,6 @@ type ValueRiskOptions struct {
 	// same observation (5 kg in the paper's weight example). Zero means
 	// exact equality.
 	Closeness float64
-	// Workers bounds the goroutines used to build classes and score records;
-	// zero or one selects the sequential path. The result is identical for
-	// any worker count.
-	Workers int
 	// Index, when set, supplies (and caches) the equivalence classes instead
 	// of recomputing them. It must index the analysed table.
 	Index *ClassIndex
@@ -66,20 +62,10 @@ type ValueRiskOptions struct {
 //     the closeness range of r's value.
 //
 // When no columns are visible, every record falls into one set covering the
-// whole table.
-//
-// Scoring fans out over equivalence sets (Options.Workers): sets are
-// independent and each worker writes only its sets' rows, so the output is
-// byte-identical for any worker count.
-func ValueRisks(t *Table, opts ValueRiskOptions) ([]ValueRisk, error) {
-	return ValueRisksContext(context.Background(), t, opts)
-}
-
-// ValueRisksContext is ValueRisks with cancellation: class building polls ctx
-// at row-chunk boundaries and scoring polls it between equivalence sets, so a
-// cancelled context aborts the computation promptly, returns ctx.Err(), and
-// joins every scoring goroutine before returning (none leak).
-func ValueRisksContext(ctx context.Context, t *Table, opts ValueRiskOptions) ([]ValueRisk, error) {
+// whole table. Class building polls ctx every few thousand rows and scoring
+// polls it between equivalence sets, so a cancelled context aborts the
+// computation promptly with ctx.Err().
+func ValueRisks(ctx context.Context, t *Table, opts ValueRiskOptions) ([]ValueRisk, error) {
 	if t == nil {
 		return nil, errors.New("anonymize: table must not be nil")
 	}
@@ -90,158 +76,176 @@ func ValueRisksContext(ctx context.Context, t *Table, opts ValueRiskOptions) ([]
 	if opts.Closeness < 0 {
 		return nil, errors.New("anonymize: closeness must not be negative")
 	}
-	if opts.Index != nil && opts.Index.Table() != t {
+	index := opts.Index
+	if index == nil {
+		index = NewClassIndex(t)
+	} else if index.Table() != t {
 		return nil, errors.New("anonymize: class index was built for a different table")
 	}
-
-	classes, err := valueRiskClasses(ctx, t, opts)
+	classes, err := index.Classes(ctx, opts.VisibleColumns)
 	if err != nil {
 		return nil, err
 	}
 
 	risks := make([]ValueRisk, t.NumRows())
-	target := t.cols[targetIdx]
-	scoreClass := func(class []int) {
-		scoreClassInto(risks, class, target, opts.Closeness)
-	}
-
-	workers := opts.Workers
-	if workers > len(classes) {
-		workers = len(classes)
-	}
-	if workers <= 1 {
-		for i, class := range classes {
-			if i&classCancelCheckMask == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+	scorer := newSetScorer(&t.cols[targetIdx], opts.Closeness)
+	for i, class := range classes {
+		if i&classCancelCheckMask == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			scoreClass(class)
 		}
-		return risks, nil
-	}
-	// Each class touches a disjoint set of rows, so workers can pull classes
-	// from a shared counter and write results without coordination. Workers
-	// poll ctx between classes and are joined before returning.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(classes) || ctx.Err() != nil {
-					return
-				}
-				scoreClass(classes[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		scorer.score(risks, class)
 	}
 	return risks, nil
 }
 
-// classCancelCheckMask spaces ctx polls on the sequential scoring loop; an
-// equivalence set can be scored in nanoseconds (singleton sets), so checking
-// every set would be measurable on tables with millions of classes.
+// classCancelCheckMask spaces ctx polls on the scoring loop: a singleton set
+// is scored in nanoseconds, so a poll per set would be measurable.
 const classCancelCheckMask = 255
 
-// quadraticClassCutoff is the class size below which the direct pairwise
-// frequency scan beats the sorted-bounds counting path (no allocations, no
-// sorting).
-const quadraticClassCutoff = 32
+// setScorer scores equivalence sets against one target column: a set is
+// reduced to how many of its rows hold each distinct target value, a
+// frequency is computed once per distinct value present, and the rows read
+// theirs off. Distinct values are numbered by the dictionary's ranks, which
+// entries holding one value share. Its scratch is reused from set to set.
+type setScorer struct {
+	target    *column
+	closeness float64
+	rank      []int32
+	// count[k] is the number of the current set's rows holding the value of
+	// rank k (zero between sets), freq[k] the frequency computed for it.
+	count, freq []int
+	// present holds one code for each rank the current set has.
+	present []int32
+	// los and his are the bounds of the numeric and interval values present.
+	los, his []bound
+}
 
-// scoreClassInto computes the value risk of every record of one equivalence
-// set and writes the results into the rows' slots of risks.
-//
-// Small sets use the direct O(k²) pairwise scan. Large sets use an
-// O(k log k) counting scheme that produces exactly the same frequencies:
-//
-//   - categorical values are close only to equal categorical values, so one
-//     hash count per distinct category answers all of them;
-//   - suppressed cells (and NaN-valued numerics) are close to nothing and
-//     count for nothing;
-//   - the remaining numeric and interval values widen to bounds [lo, hi],
-//     and Close(i, j) is lo_i-c <= hi_j && lo_j-c <= hi_i — so with both
-//     bound multisets sorted, frequency(i) is the total minus two binary-
-//     search exclusion counts, each evaluating the same float expression
-//     Close does (the excluded sets cannot overlap while every interval
-//     satisfies lo <= hi; inverted intervals fall back to the pairwise
-//     scan).
-//
-// Without this path a single million-row equivalence set — the "no visible
-// fields" scenario of every large dataset — would cost 10¹² comparisons.
-func scoreClassInto(risks []ValueRisk, class []int, target []Value, closeness float64) {
-	size := len(class)
-	if size <= quadraticClassCutoff {
-		scoreClassQuadratic(risks, class, target, closeness)
-		return
-	}
+func newSetScorer(target *column, closeness float64) *setScorer {
+	rank, distinct := target.ranks(false)
+	return &setScorer{target: target, closeness: closeness, rank: rank,
+		count: make([]int, distinct), freq: make([]int, distinct)}
+}
 
-	var catCounts map[string]int
-	los := make([]float64, 0, size)
-	his := make([]float64, 0, size)
+// bound is one end of a distinct value's range, held by n rows. In a sorted
+// list n is the number of rows at earlier bounds; a last element has the total.
+type bound struct {
+	at float64
+	n  int
+}
+
+// score computes the value risk of every record of one equivalence set and
+// writes the results into the rows' slots of risks, with exactly the
+// frequencies of the pairwise scan (scoreClassQuadratic):
+//
+//   - categorical values are close only to equal categorical values, so a
+//     category's frequency is its own count;
+//   - suppressed cells (and values with a NaN bound) are close to nothing
+//     and count for nothing;
+//   - the remaining values widen to bounds [lo, hi], and Close(i, j) is
+//     lo_i-c <= hi_j && lo_j-c <= hi_i — so with both bound lists sorted,
+//     frequency(i) is the total minus two binary-search exclusion counts,
+//     each evaluating the same float expression Close does (the excluded
+//     sets cannot overlap while every interval satisfies lo <= hi; a set
+//     holding an inverted interval goes to the pairwise scan).
+//
+// Without the sorted lists a single million-row equivalence set — the "no
+// visible fields" scenario of every large dataset — would cost 10¹²
+// comparisons.
+func (s *setScorer) score(risks []ValueRisk, class []int) {
+	codes := s.target.codes
+	s.present = s.present[:0]
 	for _, r := range class {
-		v := target[r]
-		switch v.Kind {
-		case KindCategorical:
-			if catCounts == nil {
-				catCounts = make(map[string]int)
-			}
-			catCounts[v.Str]++
-		case KindNumeric, KindInterval:
-			lo, hi := v.bounds()
-			if lo > hi || math.IsNaN(lo) || math.IsNaN(hi) {
-				if lo > hi {
-					// An inverted interval breaks the disjointness of the two
-					// exclusion counts; keep exactness over speed.
-					scoreClassQuadratic(risks, class, target, closeness)
-					return
-				}
-				continue // NaN bounds: close to nothing, like a suppressed cell
-			}
-			los = append(los, lo)
-			his = append(his, hi)
+		k := s.rank[codes[r]]
+		if s.count[k] == 0 {
+			s.present = append(s.present, codes[r])
 		}
+		s.count[k]++
 	}
-	sort.Float64s(los)
-	sort.Float64s(his)
-	numeric := len(los)
-
-	for _, r := range class {
-		v := target[r]
-		freq := 0
-		switch v.Kind {
-		case KindCategorical:
-			freq = catCounts[v.Str]
-		case KindNumeric, KindInterval:
-			lo, hi := v.bounds()
-			if !math.IsNaN(lo) && !math.IsNaN(hi) {
-				// Both exclusion counts evaluate the exact float expressions
-				// Close uses — hi_j < fl(lo_i-c) and fl(lo_j-c) > hi_i — so
-				// rounding cannot make the fast path disagree with the
-				// pairwise scan. fl(x-c) is monotone in x, so the sorted
-				// order of los carries over to the searched predicate.
-				below := sort.SearchFloat64s(his, lo-closeness)
-				above := numeric - sort.Search(numeric, func(i int) bool { return los[i]-closeness > hi })
-				freq = numeric - below - above
-			}
+	if s.frequencies() {
+		size := len(class)
+		for _, r := range class {
+			freq := s.freq[s.rank[codes[r]]]
+			risks[r] = ValueRisk{Row: r, SetSize: size, Frequency: freq, Probability: float64(freq) / float64(size)}
 		}
-		risks[r] = ValueRisk{Row: r, SetSize: size, Frequency: freq, Probability: float64(freq) / float64(size)}
+	} else {
+		// An inverted interval: exactness over speed.
+		scoreClassQuadratic(risks, class, s.target, s.closeness)
+	}
+	for _, code := range s.present {
+		s.count[s.rank[code]] = 0
 	}
 }
 
+// frequencies fills freq for the values present from their counts. It reports
+// false, with freq unusable, when one of them is an inverted interval.
+func (s *setScorer) frequencies() bool {
+	const pending = -1 // a frequency the bound lists will answer
+	dict := s.target.dict
+	s.los, s.his = s.los[:0], s.his[:0]
+	for _, code := range s.present {
+		k := s.rank[code]
+		n := s.count[k]
+		switch v := dict[code]; v.Kind {
+		case KindSuppressed:
+			s.freq[k] = 0
+		case KindCategorical:
+			s.freq[k] = n
+		default:
+			lo, hi := v.bounds()
+			if lo > hi {
+				return false
+			}
+			if math.IsNaN(lo) || math.IsNaN(hi) {
+				s.freq[k] = 0
+				continue
+			}
+			s.freq[k] = pending
+			s.los = append(s.los, bound{lo, n})
+			s.his = append(s.his, bound{hi, n})
+		}
+	}
+	s.los, s.his = sortBounds(s.los), sortBounds(s.his)
+	last := len(s.los) - 1
+	bounded := s.los[last].n
+	for _, code := range s.present {
+		k := s.rank[code]
+		if s.freq[k] != pending {
+			continue
+		}
+		// Both exclusion counts evaluate the exact float expressions Close
+		// uses — hi_j < fl(lo_i-c) and fl(lo_j-c) > hi_i — so rounding cannot
+		// make this path disagree with the pairwise scan. fl(x-c) is monotone
+		// in x, so the sorted order of los carries over to the searched
+		// predicate.
+		lo, hi := dict[code].bounds()
+		below := s.his[sort.Search(last, func(i int) bool { return s.his[i].at >= lo-s.closeness })].n
+		above := bounded - s.los[sort.Search(last, func(i int) bool { return s.los[i].at-s.closeness > hi })].n
+		s.freq[k] = bounded - below - above
+	}
+	return true
+}
+
+// sortBounds orders the list by position, turns each n into the number of
+// rows before it and appends an element carrying the total.
+func sortBounds(list []bound) []bound {
+	slices.SortFunc(list, func(a, b bound) int { return cmp.Compare(a.at, b.at) })
+	list = append(list, bound{})
+	before := 0
+	for i := range list {
+		list[i].n, before = before, before+list[i].n
+	}
+	return list
+}
+
 // scoreClassQuadratic is the direct pairwise scan; the reference semantics
-// every fast path must reproduce.
-func scoreClassQuadratic(risks []ValueRisk, class []int, target []Value, closeness float64) {
+// the scorer must reproduce.
+func scoreClassQuadratic(risks []ValueRisk, class []int, target *column, closeness float64) {
 	size := len(class)
 	values := make([]Value, size)
 	for i, r := range class {
-		values[i] = target[r]
+		values[i] = target.at(r)
 	}
 	for i, r := range class {
 		freq := 0
@@ -250,38 +254,8 @@ func scoreClassQuadratic(risks []ValueRisk, class []int, target []Value, closene
 				freq++
 			}
 		}
-		risk := ValueRisk{Row: r, SetSize: size, Frequency: freq}
-		if size > 0 {
-			risk.Probability = float64(freq) / float64(size)
-		}
-		risks[r] = risk
+		risks[r] = ValueRisk{Row: r, SetSize: size, Frequency: freq, Probability: float64(freq) / float64(size)}
 	}
-}
-
-// valueRiskClasses resolves the equivalence sets for the options: the whole
-// table as one set when nothing is visible, otherwise the (possibly cached)
-// class partition over the visible columns.
-func valueRiskClasses(ctx context.Context, t *Table, opts ValueRiskOptions) ([][]int, error) {
-	for _, c := range opts.VisibleColumns {
-		if _, ok := t.ColumnIndex(c); !ok {
-			return nil, fmt.Errorf("anonymize: unknown visible column %q", c)
-		}
-	}
-	if len(opts.VisibleColumns) == 0 {
-		all := make([]int, t.NumRows())
-		for i := range all {
-			all[i] = i
-		}
-		return [][]int{all}, nil
-	}
-	if opts.Index != nil {
-		return opts.Index.ClassesContext(ctx, opts.VisibleColumns)
-	}
-	idxs, err := t.resolveColumns(opts.VisibleColumns)
-	if err != nil {
-		return nil, err
-	}
-	return buildClassesContext(ctx, t, idxs, opts.Workers)
 }
 
 // CountViolations returns how many records' value risk meets or exceeds the

@@ -1,6 +1,7 @@
 package casestudy
 
 import (
+	"context"
 	"testing"
 
 	"privascope/internal/accesscontrol"
@@ -227,7 +228,7 @@ func TestTableIRecords(t *testing.T) {
 	if tbl.NumRows() != 6 {
 		t.Fatalf("rows = %d, want 6", tbl.NumRows())
 	}
-	ok, err := anonymize.IsKAnonymous(tbl, []string{FieldAge, FieldHeight}, 2)
+	ok, err := anonymize.IsKAnonymous(context.Background(), tbl, []string{FieldAge, FieldHeight}, 2)
 	if err != nil || !ok {
 		t.Errorf("Table I records should be 2-anonymous: %v, %v", ok, err)
 	}

@@ -152,7 +152,10 @@ func DecodeFrame(data []byte) ([]service.Event, error) {
 }
 
 // decodeEvents decodes the body of a frame whose header declared len(frame)
-// bytes and count events.
+// bytes and count events. The events share per-frame storage — their strings
+// are slices of one copy of the frame's string blob, their Fields slices of
+// arenas of up to 1,024 strings — so whoever retains one event beyond the
+// batch copies it (runtime.Monitor does for an alert), or keeps all of it.
 func decodeEvents(frame []byte, count int) ([]service.Event, error) {
 	c, strs, err := eventFrame.Records(frame)
 	if err != nil {
@@ -223,7 +226,9 @@ func decodeEvents(frame []byte, count int) ([]service.Event, error) {
 // FrameReader decodes a stream of frames from an io.Reader (an ingest request
 // body). The read buffer is reused across frames, but decoded events never
 // alias it — the decoder copies the string blob once per frame — so a batch
-// may be retained (queued) after the next Read call.
+// may be retained (queued) after the next Read call. A batch's events share
+// that copy (see decodeEvents): retaining one of them retains the frame's
+// storage, so a long-lived holder of single events copies what it keeps.
 type FrameReader struct {
 	r   io.Reader
 	buf []byte

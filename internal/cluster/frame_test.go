@@ -3,13 +3,17 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"privascope/internal/casestudy"
 	"privascope/internal/core"
+	"privascope/internal/runtime"
 	"privascope/internal/service"
 )
 
@@ -214,4 +218,70 @@ func TestFrameReaderStreams(t *testing.T) {
 		}
 		break
 	}
+}
+
+// TestRetainedAlertDoesNotRetainItsFrame: decoded events share per-frame
+// storage, so an alert that kept its event as decoded would keep the frame's
+// string blob and field arena alive for as long as the alert log lives, and a
+// node's memory would grow with the events it has processed rather than with
+// the alerts it holds. 512 users walk the medical service one frame per step,
+// one denied event riding in each; the frames go through the wire form and are
+// dropped once ingested. What stays behind per logged alert is the alert.
+func TestRetainedAlertDoesNotRetainItsFrame(t *testing.T) {
+	const users = 512
+	monitor, err := runtime.NewMonitor(surgeryModel(t), runtime.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripts := make([][]service.Event, users)
+	for u := range scripts {
+		profile := casestudy.PatientProfile()
+		profile.ID = fmt.Sprintf("patient-%04d", u)
+		if err := monitor.RegisterUser(profile); err != nil {
+			t.Fatal(err)
+		}
+		scripts[u] = casestudy.MedicalServiceEvents(profile.ID)
+	}
+	var body []byte
+	var enc frameEncoder
+	for step := range scripts[0] {
+		batch := make([]service.Event, 0, users+1)
+		for _, script := range scripts {
+			batch = append(batch, script[step])
+		}
+		denied := scripts[step][0]
+		denied.Denied = true
+		if body, err = enc.appendFrame(body, append(batch, denied)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	heap := func() int64 {
+		var stats goruntime.MemStats
+		goruntime.GC()
+		goruntime.GC()
+		goruntime.ReadMemStats(&stats)
+		return int64(stats.HeapAlloc)
+	}
+	before := heap()
+	fr := NewFrameReader(bytes.NewReader(body))
+	for {
+		batch, err := fr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		monitor.IngestBatch(batch)
+	}
+	grown := heap() - before
+	alerts := monitor.Alerts()
+	if len(alerts) != len(scripts[0]) {
+		t.Fatalf("%d alerts logged, want one a frame (%d)", len(alerts), len(scripts[0]))
+	}
+	if per := grown / int64(len(alerts)); per > 2048 {
+		t.Errorf("heap grew %d bytes per logged alert, want at most 2048: alerts keep their frames alive", per)
+	}
+	goruntime.KeepAlive(body)
 }

@@ -73,10 +73,6 @@ type Options struct {
 	// pseudonymised field is not listed, its base name (without the _anon
 	// suffix) is used.
 	FieldColumns map[string]string
-	// Workers bounds the evaluator's parallelism (class building, record
-	// scoring); zero or negative selects one per CPU. The annotation is
-	// identical for any worker count.
-	Workers int
 }
 
 // AnalyzeLTS produces the pseudonymisation-risk annotation of a privacy LTS:
@@ -88,14 +84,11 @@ type Options struct {
 // Following the paper, the risk only exists if the actor has access rights to
 // f_anon but not to f itself; AnalyzeLTS verifies this against the model's
 // access-control policy and returns an error otherwise.
-func AnalyzeLTS(p *core.PrivacyLTS, opts Options) (*Annotation, error) {
-	return AnalyzeLTSContext(context.Background(), p, opts)
-}
-
-// AnalyzeLTSContext is AnalyzeLTS with cancellation: ctx is polled between
-// at-risk states and threaded into every dataset evaluation, so a cancelled
-// context aborts the annotation promptly with ctx.Err().
-func AnalyzeLTSContext(ctx context.Context, p *core.PrivacyLTS, opts Options) (*Annotation, error) {
+//
+// ctx is polled between at-risk states and threaded into every dataset
+// evaluation, so a cancelled context aborts the annotation promptly with
+// ctx.Err().
+func AnalyzeLTS(ctx context.Context, p *core.PrivacyLTS, opts Options) (*Annotation, error) {
 	if p == nil {
 		return nil, errors.New("pseudorisk: privacy LTS must not be nil")
 	}
@@ -108,7 +101,7 @@ func AnalyzeLTSContext(ctx context.Context, p *core.PrivacyLTS, opts Options) (*
 	// The evaluator's scenario cache is what keeps this pass cheap on large
 	// models: distinct LTS states frequently share the same fieldsread set,
 	// and each distinct set is scored against the dataset only once.
-	evaluator, err := NewEvaluatorWithOptions(opts.Table, opts.Policy, EvaluatorOptions{Workers: opts.Workers})
+	evaluator, err := NewEvaluator(opts.Table, opts.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -122,10 +115,8 @@ func AnalyzeLTSContext(ctx context.Context, p *core.PrivacyLTS, opts Options) (*
 	}
 
 	columnOf := func(field string) string {
-		if opts.FieldColumns != nil {
-			if col, ok := opts.FieldColumns[field]; ok {
-				return col
-			}
+		if col, ok := opts.FieldColumns[field]; ok {
+			return col
 		}
 		return schema.BaseName(field)
 	}
@@ -161,7 +152,7 @@ func AnalyzeLTSContext(ctx context.Context, p *core.PrivacyLTS, opts Options) (*
 			visibleColumns = append(visibleColumns, columnOf(field))
 		}
 		sort.Strings(readAnon)
-		result, err := evaluator.EvaluateContext(ctx, visibleColumns)
+		result, err := evaluator.Evaluate(ctx, visibleColumns)
 		if err != nil {
 			return nil, err
 		}
@@ -187,8 +178,7 @@ func checkAccessRights(p *core.PrivacyLTS, actor, target, targetAnon string) err
 	if policy == nil {
 		return errors.New("pseudorisk: model has no access-control policy; cannot establish that the actor lacks access to the original field")
 	}
-	var hasAnon bool
-	var hasOriginal bool
+	var hasAnon, hasOriginal bool
 	for _, store := range p.Model.Datastores {
 		// Only consult stores whose schema actually declares the field:
 		// wildcard grants on an unrelated store must not count as access.

@@ -13,21 +13,20 @@ import (
 func TestEvaluateProgressionContextPreCancelled(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	table := synth.HealthRecords(synth.HealthRecordsOptions{Rows: 20_000, Seed: 5})
-	evaluator, err := pseudorisk.NewEvaluatorWithOptions(table,
-		pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9},
-		pseudorisk.EvaluatorOptions{Workers: 4})
+	evaluator, err := pseudorisk.NewEvaluator(table,
+		pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	progression := [][]string{{"age"}, {"height"}, {"age", "height"}}
-	if _, err := evaluator.EvaluateProgressionContext(ctx, progression); !errors.Is(err, context.Canceled) {
+	if _, err := evaluator.EvaluateProgression(ctx, progression); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	// The cancelled scenarios were not cached: a live caller computes them.
-	results, err := evaluator.EvaluateProgressionContext(context.Background(), progression)
+	results, err := evaluator.EvaluateProgression(context.Background(), progression)
 	if err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}

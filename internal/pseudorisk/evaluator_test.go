@@ -1,17 +1,18 @@
 package pseudorisk_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"privascope/internal/anonymize"
 	"privascope/internal/pseudorisk"
 )
 
-// syntheticTable builds a deterministic dataset large enough to exercise the
-// chunked class-building path.
+var ctx = context.Background()
+
+// syntheticTable builds a deterministic dataset.
 func syntheticTable(rows int) *anonymize.Table {
 	rng := rand.New(rand.NewSource(99))
 	cities := []string{"berlin", "paris", "london", "madrid", "rome"}
@@ -30,34 +31,6 @@ func syntheticTable(rows int) *anonymize.Table {
 	return t
 }
 
-func TestEvaluateProgressionIdenticalAcrossWorkerCounts(t *testing.T) {
-	table := syntheticTable(6000)
-	policy := pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9}
-	progression := [][]string{nil, {"age"}, {"city"}, {"age", "city"}, {"city", "age"}}
-
-	sequential, err := pseudorisk.NewEvaluatorWithOptions(table, policy, pseudorisk.EvaluatorOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sequential.EvaluateProgression(progression)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{4, 16} {
-		e, err := pseudorisk.NewEvaluatorWithOptions(table, policy, pseudorisk.EvaluatorOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.EvaluateProgression(progression)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d progression diverges from sequential", workers)
-		}
-	}
-}
-
 func TestEvaluatorCachesScenarioResults(t *testing.T) {
 	table := syntheticTable(500)
 	policy := pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9}
@@ -65,13 +38,13 @@ func TestEvaluatorCachesScenarioResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Evaluate([]string{"age", "city"})
+	first, err := e.Evaluate(ctx, []string{"age", "city"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same canonical set, different spelling: unsorted order, target field
 	// mixed in, unknown column ignored.
-	second, err := e.Evaluate([]string{"city", "weight", "age", "ghost"})
+	second, err := e.Evaluate(ctx, []string{"city", "weight", "age", "ghost"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,19 +59,19 @@ func TestEvaluatorCachesScenarioResults(t *testing.T) {
 func TestEvaluatorSharedIndex(t *testing.T) {
 	table := syntheticTable(500)
 	policy := pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9}
-	ix := anonymize.NewClassIndex(table, 2)
-	e, err := pseudorisk.NewEvaluatorWithOptions(table, policy, pseudorisk.EvaluatorOptions{Workers: 2, Index: ix})
+	ix := anonymize.NewClassIndex(table)
+	e, err := pseudorisk.NewEvaluatorWithOptions(table, policy, pseudorisk.EvaluatorOptions{Index: ix})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Index() != ix {
 		t.Error("provided index not adopted")
 	}
-	if _, err := e.Evaluate([]string{"age", "city"}); err != nil {
+	if _, err := e.Evaluate(ctx, []string{"age", "city"}); err != nil {
 		t.Fatal(err)
 	}
 	// The same partition is now visible to other analyses via the index.
-	if _, err := anonymize.ReidentificationRiskIndexed(ix, []string{"age", "city"}, 0.2); err != nil {
+	if _, err := anonymize.ReidentificationRiskIndexed(ctx, ix, []string{"age", "city"}, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Hits() != 1 {
@@ -119,10 +92,9 @@ func ExampleEvaluator_EvaluateProgression() {
 	for _, row := range [][2]float64{{23, 50}, {23, 55}, {34, 70}, {34, 90}} {
 		table.MustAddRow(anonymize.Num(row[0]), anonymize.Num(row[1]))
 	}
-	e, _ := pseudorisk.NewEvaluatorWithOptions(table,
-		pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9},
-		pseudorisk.EvaluatorOptions{Workers: 4})
-	results, _ := e.EvaluateProgression([][]string{nil, {"age"}})
+	e, _ := pseudorisk.NewEvaluator(table,
+		pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9})
+	results, _ := e.EvaluateProgression(ctx, [][]string{nil, {"age"}})
 	for _, r := range results {
 		fmt.Printf("visible=%v violations=%d\n", r.VisibleFields, r.Violations)
 	}

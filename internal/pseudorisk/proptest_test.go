@@ -1,6 +1,7 @@
 package pseudorisk_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -49,51 +50,64 @@ func randomProgression(rng *rand.Rand) [][]string {
 	return progression
 }
 
-// TestPropEvaluateProgressionWorkerIndependence: the pseudonymisation-risk
-// progression over a random table is identical for any worker count and for
-// a shared pre-built class index.
-func TestPropEvaluateProgressionWorkerIndependence(t *testing.T) {
+// pairwiseRisks is Section III-B read literally: a record's set is the
+// records whose visible cells have the same group keys, its frequency the
+// records of that set whose target value is close to its own.
+func pairwiseRisks(table *anonymize.Table, visible []string, target string, closeness float64) []anonymize.ValueRisk {
+	setKey := func(r int) string {
+		key := ""
+		for _, column := range visible {
+			v, _ := table.Value(r, column)
+			key += fmt.Sprintf("%q", v.GroupKey())
+		}
+		return key
+	}
+	out := make([]anonymize.ValueRisk, table.NumRows())
+	for r := range out {
+		mine, _ := table.Value(r, target)
+		out[r].Row = r
+		for other := range out {
+			if setKey(other) != setKey(r) {
+				continue
+			}
+			out[r].SetSize++
+			if theirs, _ := table.Value(other, target); mine.Close(theirs, closeness) {
+				out[r].Frequency++
+			}
+		}
+		out[r].Probability = float64(out[r].Frequency) / float64(out[r].SetSize)
+	}
+	return out
+}
+
+// TestPropEvaluateProgressionMatchesDefinition: over a random table the
+// progression's per-record risks and violation counts are those of
+// pairwiseRisks, whether the evaluator builds its own class index or is
+// handed a shared one.
+func TestPropEvaluateProgressionMatchesDefinition(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		table := randomWeightTable(rng, 64)
 		policy := pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.5 + rng.Float64()*0.5}
 		progression := randomProgression(rng)
 
-		sequential, err := pseudorisk.NewEvaluatorWithOptions(table, policy,
-			pseudorisk.EvaluatorOptions{Workers: 1})
-		if err != nil {
-			return err
-		}
-		want, err := sequential.EvaluateProgression(progression)
-		if err != nil {
-			return err
-		}
-
-		for _, workers := range []int{2, 8} {
-			e, err := pseudorisk.NewEvaluatorWithOptions(table, policy,
-				pseudorisk.EvaluatorOptions{Workers: workers})
+		for _, opts := range []pseudorisk.EvaluatorOptions{{}, {Index: anonymize.NewClassIndex(table)}} {
+			e, err := pseudorisk.NewEvaluatorWithOptions(table, policy, opts)
 			if err != nil {
 				return err
 			}
-			got, err := e.EvaluateProgression(progression)
+			results, err := e.EvaluateProgression(ctx, progression)
 			if err != nil {
 				return err
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: progression with %d workers diverges from sequential", seed, workers)
+			for i, got := range results {
+				want := pairwiseRisks(table, got.VisibleFields, policy.TargetField, policy.Closeness)
+				if !reflect.DeepEqual(got.Risks, want) {
+					return fmt.Errorf("scenario %v (shared index: %v): risks\n%v\nwant\n%v", progression[i], opts.Index != nil, got.Risks, want)
+				}
+				if violations := anonymize.CountViolations(want, policy.Confidence); got.Violations != violations {
+					return fmt.Errorf("scenario %v: %d violations, want %d", progression[i], got.Violations, violations)
+				}
 			}
-		}
-
-		shared, err := pseudorisk.NewEvaluatorWithOptions(table, policy,
-			pseudorisk.EvaluatorOptions{Workers: 4, Index: anonymize.NewClassIndex(table, 2)})
-		if err != nil {
-			return err
-		}
-		got, err := shared.EvaluateProgression(progression)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: progression with a shared class index diverges from sequential", seed)
 		}
 		return nil
 	})
@@ -110,14 +124,14 @@ func TestPropViolationsBoundedByRecords(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		canonical, err := e.Evaluate([]string{"age", "city"})
+		canonical, err := e.Evaluate(ctx, []string{"age", "city"})
 		if err != nil {
 			return err
 		}
 		if canonical.Violations < 0 || canonical.Violations > table.NumRows() {
 			t.Fatalf("seed %d: %d violations outside [0, %d]", seed, canonical.Violations, table.NumRows())
 		}
-		respelled, err := e.Evaluate([]string{"city", "weight", "age"})
+		respelled, err := e.Evaluate(ctx, []string{"city", "weight", "age"})
 		if err != nil {
 			return err
 		}

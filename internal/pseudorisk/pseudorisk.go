@@ -22,11 +22,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"privascope/internal/anonymize"
 	"privascope/internal/flight"
@@ -94,30 +91,24 @@ func (s ScenarioResult) Key() string { return strings.Join(s.VisibleFields, "+")
 //
 // It is built for datasets far larger than the paper's six-row example: the
 // equivalence classes of each visible-field set are computed once (through a
-// shared anonymize.ClassIndex, with worker-pool class building) and every
-// scenario's full result is cached by its canonical visible-field key, so
-// re-evaluating the same field set — as the LTS annotation does for every
-// at-risk state with the same fieldsread — is a map lookup. An Evaluator is
-// safe for concurrent use; cached results (including their Risks slices) are
-// shared between callers and must be treated as read-only. The scenario
-// cache is single-flighted with context support: concurrent evaluations of
-// the same field set share one computation, and a computation aborted by
-// cancellation is forgotten rather than cached.
+// shared anonymize.ClassIndex) and every scenario's full result is cached by
+// its canonical visible-field key, so re-evaluating the same field set — as
+// the LTS annotation does for every at-risk state with the same fieldsread —
+// is a map lookup. An Evaluator is safe for concurrent use; cached results
+// (including their Risks slices) are shared between callers and must be
+// treated as read-only. The scenario cache is single-flighted with context
+// support: concurrent evaluations of the same field set share one
+// computation, and one aborted by cancellation is forgotten, not cached.
 type Evaluator struct {
-	table   *anonymize.Table
-	policy  Policy
-	workers int
-	index   *anonymize.ClassIndex
+	table  *anonymize.Table
+	policy Policy
+	index  *anonymize.ClassIndex
 
 	results flight.Group[string, ScenarioResult]
 }
 
 // EvaluatorOptions tunes an Evaluator beyond the defaults.
 type EvaluatorOptions struct {
-	// Workers bounds the goroutines used for class building, record scoring
-	// and scenario fan-out; zero or negative selects runtime.GOMAXPROCS(0).
-	// Results are identical for any worker count.
-	Workers int
 	// Index, when set, supplies the shared equivalence-class cache; it must
 	// index the evaluator's table. Leave nil to let the evaluator build its
 	// own. Sharing one index lets other analyses of the same dataset (such
@@ -142,22 +133,13 @@ func NewEvaluatorWithOptions(table *anonymize.Table, policy Policy, opts Evaluat
 	if _, ok := table.ColumnIndex(policy.TargetField); !ok {
 		return nil, fmt.Errorf("pseudorisk: dataset has no column %q for the policy target", policy.TargetField)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	index := opts.Index
 	if index == nil {
-		index = anonymize.NewClassIndex(table, workers)
+		index = anonymize.NewClassIndex(table)
 	} else if index.Table() != table {
 		return nil, errors.New("pseudorisk: class index was built for a different table")
 	}
-	return &Evaluator{
-		table:   table,
-		policy:  policy,
-		workers: workers,
-		index:   index,
-	}, nil
+	return &Evaluator{table: table, policy: policy, index: index}, nil
 }
 
 // Table returns the dataset the evaluator works on.
@@ -175,15 +157,11 @@ func (e *Evaluator) Index() *anonymize.ClassIndex { return e.index }
 // adversary), and the target column is never treated as a visible
 // quasi-identifier. Each distinct visible-field set is evaluated at most
 // once per evaluator.
-func (e *Evaluator) Evaluate(visibleFields []string) (ScenarioResult, error) {
-	return e.EvaluateContext(context.Background(), visibleFields)
-}
-
-// EvaluateContext is Evaluate with cancellation: the underlying class build
-// and record scoring poll ctx at chunk boundaries, a caller waiting on a
-// concurrent evaluation of the same field set returns its own ctx.Err() when
-// ctx is done, and a cancelled evaluation is not cached.
-func (e *Evaluator) EvaluateContext(ctx context.Context, visibleFields []string) (ScenarioResult, error) {
+//
+// The underlying class build and record scoring poll ctx, a caller waiting on
+// a concurrent evaluation of the same field set returns its own ctx.Err()
+// when ctx is done, and a cancelled evaluation is not cached.
+func (e *Evaluator) Evaluate(ctx context.Context, visibleFields []string) (ScenarioResult, error) {
 	var visible []string
 	for _, f := range visibleFields {
 		if f == e.policy.TargetField {
@@ -194,91 +172,41 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, visibleFields []string)
 		}
 	}
 	sort.Strings(visible)
-
-	key := strings.Join(visible, "\x00")
-	return e.results.Do(ctx, key, func(ctx context.Context) (ScenarioResult, error) {
-		return e.evaluate(ctx, visible)
+	return e.results.Do(ctx, strings.Join(visible, "\x00"), func(ctx context.Context) (ScenarioResult, error) {
+		risks, err := anonymize.ValueRisks(ctx, e.table, anonymize.ValueRiskOptions{
+			VisibleColumns: visible,
+			TargetColumn:   e.policy.TargetField,
+			Closeness:      e.policy.Closeness,
+			Index:          e.index,
+		})
+		if err != nil {
+			return ScenarioResult{}, err
+		}
+		result := ScenarioResult{
+			VisibleFields: visible,
+			Risks:         risks,
+			Violations:    anonymize.CountViolations(risks, e.policy.Confidence),
+			MaxRisk:       anonymize.MaxRisk(risks),
+		}
+		if n := e.table.NumRows(); n > 0 {
+			result.ViolationFraction = float64(result.Violations) / float64(n)
+		}
+		return result, nil
 	})
-}
-
-// evaluate scores one canonicalised visible-field set.
-func (e *Evaluator) evaluate(ctx context.Context, visible []string) (ScenarioResult, error) {
-	risks, err := anonymize.ValueRisksContext(ctx, e.table, anonymize.ValueRiskOptions{
-		VisibleColumns: visible,
-		TargetColumn:   e.policy.TargetField,
-		Closeness:      e.policy.Closeness,
-		Workers:        e.workers,
-		Index:          e.index,
-	})
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	result := ScenarioResult{
-		VisibleFields: visible,
-		Risks:         risks,
-		Violations:    anonymize.CountViolations(risks, e.policy.Confidence),
-		MaxRisk:       anonymize.MaxRisk(risks),
-	}
-	if n := e.table.NumRows(); n > 0 {
-		result.ViolationFraction = float64(result.Violations) / float64(n)
-	}
-	return result, nil
 }
 
 // EvaluateProgression evaluates the policy for a sequence of visible-field
 // sets — typically increasing, as in Table I where the researcher first sees
-// height, then age, then both. Scenarios are evaluated concurrently on the
-// evaluator's worker pool; results come back in input order and are
-// identical for any worker count, and the first failing scenario (by input
-// position) determines the returned error.
-func (e *Evaluator) EvaluateProgression(fieldSets [][]string) ([]ScenarioResult, error) {
-	return e.EvaluateProgressionContext(context.Background(), fieldSets)
-}
-
-// EvaluateProgressionContext is EvaluateProgression with cancellation: the
-// scenario fan-out workers poll ctx between scenarios (and each scenario's
-// class build and scoring poll it at chunk boundaries), the pool is joined
-// before returning, and a cancelled context yields ctx.Err().
-func (e *Evaluator) EvaluateProgressionContext(ctx context.Context, fieldSets [][]string) ([]ScenarioResult, error) {
+// height, then age, then both. Results come back in input order; the first
+// failing scenario, or a cancelled ctx, ends the progression with its error.
+func (e *Evaluator) EvaluateProgression(ctx context.Context, fieldSets [][]string) ([]ScenarioResult, error) {
 	out := make([]ScenarioResult, len(fieldSets))
-	errs := make([]error, len(fieldSets))
-	workers := e.workers
-	if workers > len(fieldSets) {
-		workers = len(fieldSets)
-	}
-	if workers <= 1 {
-		for i, fields := range fieldSets {
-			r, err := e.EvaluateContext(ctx, fields)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(fieldSets) || ctx.Err() != nil {
-					return
-				}
-				out[i], errs[i] = e.EvaluateContext(ctx, fieldSets[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
+	for i, fields := range fieldSets {
+		r, err := e.Evaluate(ctx, fields)
 		if err != nil {
 			return nil, err
 		}
+		out[i] = r
 	}
 	return out, nil
 }

@@ -75,7 +75,7 @@ func TestEvaluateReproducesTableI(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			result, err := e.Evaluate(tt.visible)
+			result, err := e.Evaluate(ctx, tt.visible)
 			if err != nil {
 				t.Fatalf("Evaluate: %v", err)
 			}
@@ -100,7 +100,7 @@ func TestEvaluateReproducesTableI(t *testing.T) {
 func TestEvaluateIgnoresTargetAndUnknownColumns(t *testing.T) {
 	e := evaluator(t)
 	// The target column and unknown fields must not act as quasi-identifiers.
-	result, err := e.Evaluate([]string{"weight", "shoe_size_anon", "age"})
+	result, err := e.Evaluate(ctx, []string{"weight", "shoe_size_anon", "age"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEvaluateIgnoresTargetAndUnknownColumns(t *testing.T) {
 
 func TestEvaluateProgression(t *testing.T) {
 	e := evaluator(t)
-	results, err := e.EvaluateProgression([][]string{{"height"}, {"age"}, {"age", "height"}})
+	results, err := e.EvaluateProgression(ctx, [][]string{{"height"}, {"age"}, {"age", "height"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestEvaluateProgression(t *testing.T) {
 
 func TestCheckThreshold(t *testing.T) {
 	e := evaluator(t)
-	results, err := e.EvaluateProgression([][]string{{"height"}, {"age"}, {"age", "height"}})
+	results, err := e.EvaluateProgression(ctx, [][]string{{"height"}, {"age"}, {"age", "height"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func metricsLTS(t testing.TB) *core.PrivacyLTS {
 
 func TestAnalyzeLTSFig4(t *testing.T) {
 	p := metricsLTS(t)
-	annotation, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{
+	annotation, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
 		Policy: casestudy.ResearchPolicy(),
 		Table:  casestudy.TableIRecords(),
@@ -223,7 +223,7 @@ func TestAnalyzeLTSFig4(t *testing.T) {
 
 func TestAnalyzeLTSDOT(t *testing.T) {
 	p := metricsLTS(t)
-	annotation, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{
+	annotation, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
 		Policy: casestudy.ResearchPolicy(),
 		Table:  casestudy.TableIRecords(),
@@ -251,27 +251,27 @@ func TestAnalyzeLTSErrors(t *testing.T) {
 	table := casestudy.TableIRecords()
 	policy := casestudy.ResearchPolicy()
 
-	if _, err := pseudorisk.AnalyzeLTS(nil, pseudorisk.Options{Actor: "x", Policy: policy, Table: table}); err == nil {
+	if _, err := pseudorisk.AnalyzeLTS(ctx, nil, pseudorisk.Options{Actor: "x", Policy: policy, Table: table}); err == nil {
 		t.Error("nil LTS accepted")
 	}
-	if _, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{Actor: " ", Policy: policy, Table: table}); err == nil {
+	if _, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{Actor: " ", Policy: policy, Table: table}); err == nil {
 		t.Error("empty actor accepted")
 	}
-	if _, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{Actor: "ghost", Policy: policy, Table: table}); err == nil {
+	if _, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{Actor: "ghost", Policy: policy, Table: table}); err == nil {
 		t.Error("unknown actor accepted")
 	}
-	if _, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{Actor: casestudy.ActorResearcher, Policy: policy}); err == nil {
+	if _, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{Actor: casestudy.ActorResearcher, Policy: policy}); err == nil {
 		t.Error("nil table accepted")
 	}
 	// An actor who may read the original field is not a pseudonymisation
 	// risk (the disclosure analysis covers them).
-	if _, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{
+	if _, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor: casestudy.ActorDataManager, Policy: policy, Table: table,
 	}); err == nil {
 		t.Error("actor with access to the raw field accepted")
 	}
 	// An actor with no access to the anonymised field has no value risk.
-	if _, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{
+	if _, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor: casestudy.ActorClinician, Policy: policy, Table: table,
 	}); err == nil {
 		t.Error("actor without anon access accepted")
@@ -283,7 +283,7 @@ func TestAnalyzeLTSErrors(t *testing.T) {
 	// Give the table the required target column so NewEvaluator passes and
 	// the model check is exercised.
 	_ = badTable
-	if _, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{
+	if _, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor: casestudy.ActorResearcher, Policy: badPolicy, Table: table,
 	}); err == nil {
 		t.Error("policy for unknown field accepted")
@@ -305,7 +305,7 @@ func TestAnalyzeLTSFieldColumnMapping(t *testing.T) {
 		table.MustAddRow(age, height, weight)
 	}
 	p := metricsLTS(t)
-	annotation, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{
+	annotation, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
 		Policy: casestudy.ResearchPolicy(),
 		Table:  table,

@@ -1,6 +1,7 @@
 package report_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestTableIReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := evaluator.EvaluateProgression([][]string{{"height"}, {"age"}, {"age", "height"}})
+	results, err := evaluator.EvaluateProgression(context.Background(), [][]string{{"height"}, {"age"}, {"age", "height"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestPseudonymisationAnnotationReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	annotation, err := pseudorisk.AnalyzeLTS(p, pseudorisk.Options{
+	annotation, err := pseudorisk.AnalyzeLTS(context.Background(), p, pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
 		Policy: casestudy.ResearchPolicy(),
 		Table:  casestudy.TableIRecords(),

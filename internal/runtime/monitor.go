@@ -26,7 +26,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -387,7 +389,20 @@ func (m *Monitor) apply(ev *service.Event) step {
 
 // raise appends the alert to the log, counts it for the user and returns its
 // kind. The caller holds m.mu.
+//
+// The log owns what it keeps: the caller's event may be one of a decoded
+// frame's, whose strings and Fields share storage with every other event of
+// that frame, and an alert holding on to them would keep the whole frame alive
+// for as long as the log lives.
 func (m *Monitor) raise(u *userState, alert Alert) AlertKind {
+	ev := &alert.Event
+	alert.UserID, ev.UserID = u.Profile.ID, u.Profile.ID
+	ev.Actor, ev.Datastore = strings.Clone(ev.Actor), strings.Clone(ev.Datastore)
+	ev.Service, ev.Purpose = strings.Clone(ev.Service), strings.Clone(ev.Purpose)
+	ev.Fields = slices.Clone(ev.Fields)
+	for i, f := range ev.Fields {
+		ev.Fields[i] = strings.Clone(f)
+	}
 	m.alerts = append(m.alerts, alert)
 	u.Alerts++
 	return alert.Kind

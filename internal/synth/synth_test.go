@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -70,13 +71,13 @@ func TestHealthRecordsPlausibleRanges(t *testing.T) {
 
 func TestHealthRecordsUsableByAnonymiser(t *testing.T) {
 	tbl := HealthRecords(HealthRecordsOptions{Rows: 60, Seed: 3})
-	anon, result, err := anonymize.KAnonymize(tbl, []string{"age", "height"}, 5, anonymize.KAnonymizeOptions{
+	anon, result, err := anonymize.KAnonymize(context.Background(), tbl, []string{"age", "height"}, 5, anonymize.KAnonymizeOptions{
 		InitialWidths: map[string]float64{"age": 10, "height": 10},
 	})
 	if err != nil {
 		t.Fatalf("KAnonymize: %v", err)
 	}
-	ok, err := anonymize.IsKAnonymous(anon, []string{"age", "height"}, 5)
+	ok, err := anonymize.IsKAnonymous(context.Background(), anon, []string{"age", "height"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,12 @@
 //
 // The API is context-first: every potentially long-running entry point has a
 // ...Context form (GenerateContext, AssessContext,
-// AnalyzeDisclosurePopulationContext, Evaluator.EvaluateProgressionContext,
+// AnalyzeDisclosurePopulationContext, AnalyzePseudonymisationContext,
 // Monitor.ObserveBatchContext, ...) whose worker pools observe cancellation
 // at chunk boundaries, return ctx.Err() promptly and never leak goroutines;
-// the context-free names remain as thin context.Background() wrappers. For
+// the context-free names remain as thin context.Background() wrappers. The
+// value-risk types' methods (ValueRiskEvaluator.Evaluate and
+// EvaluateProgression, DataClassIndex.Classes) take the context directly. For
 // the paper's generate-once/analyse-many workflow, hold a long-lived Engine:
 // it caches generated privacy models by content fingerprint and shares risk
 // analyses across same-shaped profiles, safely across goroutines.
@@ -316,8 +318,7 @@ type (
 	PseudonymisationAnnotation = pseudorisk.Annotation
 	// PseudonymisationOptions configures AnalyzePseudonymisation.
 	PseudonymisationOptions = pseudorisk.Options
-	// ValueRiskEvaluatorOptions tunes an evaluator's worker pool and
-	// class-index sharing.
+	// ValueRiskEvaluatorOptions lets an evaluator share a class index.
 	ValueRiskEvaluatorOptions = pseudorisk.EvaluatorOptions
 	// DataClassIndex caches a table's equivalence-class partitions across
 	// scenarios and attacker models.
@@ -329,37 +330,36 @@ func NewValueRiskEvaluator(table *DataTable, p ViolationPolicy) (*ValueRiskEvalu
 	return pseudorisk.NewEvaluator(table, p)
 }
 
-// NewValueRiskEvaluatorWithOptions is NewValueRiskEvaluator with explicit
-// worker-pool and class-index options.
+// NewValueRiskEvaluatorWithOptions is NewValueRiskEvaluator with a shared
+// class index.
 func NewValueRiskEvaluatorWithOptions(table *DataTable, p ViolationPolicy, opts ValueRiskEvaluatorOptions) (*ValueRiskEvaluator, error) {
 	return pseudorisk.NewEvaluatorWithOptions(table, p, opts)
 }
 
-// NewDataClassIndex builds an equivalence-class cache over a table; workers
-// bounds the class-building goroutines (0 = one per CPU).
-func NewDataClassIndex(t *DataTable, workers int) *DataClassIndex {
-	return anonymize.NewClassIndex(t, workers)
+// NewDataClassIndex builds an equivalence-class cache over a table.
+func NewDataClassIndex(t *DataTable) *DataClassIndex {
+	return anonymize.NewClassIndex(t)
 }
 
 // AnalyzePseudonymisation layers dataset-driven value risks onto a privacy
 // model for one actor (the paper's Fig. 4).
 func AnalyzePseudonymisation(p *PrivacyModel, opts PseudonymisationOptions) (*PseudonymisationAnnotation, error) {
-	return pseudorisk.AnalyzeLTS(p, opts)
+	return pseudorisk.AnalyzeLTS(context.Background(), p, opts)
 }
 
 // AnalyzePseudonymisationContext is AnalyzePseudonymisation with
 // cancellation: ctx is polled between at-risk states and threaded into the
-// dataset evaluations (class building and record scoring poll it at chunk
-// boundaries), so a cancelled context aborts the annotation promptly with
-// ctx.Err().
+// dataset evaluations (class building polls it every few thousand rows,
+// scoring between equivalence sets), so a cancelled context aborts the
+// annotation promptly with ctx.Err().
 func AnalyzePseudonymisationContext(ctx context.Context, p *PrivacyModel, opts PseudonymisationOptions) (*PseudonymisationAnnotation, error) {
-	return pseudorisk.AnalyzeLTSContext(ctx, p, opts)
+	return pseudorisk.AnalyzeLTS(ctx, p, opts)
 }
 
 // KAnonymize produces a k-anonymous version of a table by generalisation and
 // suppression of the given quasi-identifiers.
 func KAnonymize(t *DataTable, quasiIdentifiers []string, k int) (*DataTable, anonymize.KAnonymizeResult, error) {
-	return anonymize.KAnonymize(t, quasiIdentifiers, k, anonymize.KAnonymizeOptions{})
+	return anonymize.KAnonymize(context.Background(), t, quasiIdentifiers, k, anonymize.KAnonymizeOptions{})
 }
 
 // ReidentReport summarises the re-identification risk of a dataset under the
@@ -370,7 +370,7 @@ type ReidentReport = anonymize.ReidentReport
 // dataset given the quasi-identifiers the adversary is assumed to know.
 // Records whose risk is at least threshold are counted as at-risk.
 func ReidentificationRisk(t *DataTable, quasiIdentifiers []string, threshold float64) (ReidentReport, error) {
-	return anonymize.ReidentificationRisk(t, quasiIdentifiers, threshold)
+	return anonymize.ReidentificationRisk(context.Background(), t, quasiIdentifiers, threshold)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package privascope_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestFacadePseudonymisation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewValueRiskEvaluator: %v", err)
 	}
-	scenario, err := evaluator.Evaluate([]string{"age", "height"})
+	scenario, err := evaluator.Evaluate(context.Background(), []string{"age", "height"})
 	if err != nil {
 		t.Fatal(err)
 	}
