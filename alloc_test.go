@@ -99,7 +99,7 @@ func TestAllocCeilings(t *testing.T) {
 			return allocs, 1
 		}},
 		// One-shot privascope.Assess of the case study: generate, analyse, report.
-		{"assess_one_shot", 737, "assessment", func(t *testing.T) (float64, int) {
+		{"assess_one_shot", 736, "assessment", func(t *testing.T) (float64, int) {
 			return testing.AllocsPerRun(3, func() {
 				if _, err := privascope.Assess(surgery, patient, privascope.AssessOptions{}); err != nil {
 					t.Fatal(err)
@@ -120,7 +120,7 @@ func TestAllocCeilings(t *testing.T) {
 			}), 1
 		}},
 		// modelstore.Decode of the default synthetic model's artifact.
-		{"modelstore_decode", 343, "decode", func(t *testing.T) (float64, int) {
+		{"modelstore_decode", 342, "decode", func(t *testing.T) (float64, int) {
 			m := synth.Model(synth.ModelSpec{})
 			data, err := modelstore.Encode(mustGenerate(t, m, privascope.GenerateOptions{}))
 			if err != nil {

@@ -11,11 +11,12 @@ import (
 	"testing"
 )
 
-// TestDocsCiteWhatExists keeps the docs' performance citations resolvable. In
-// README.md and docs/*.md every backticked Go benchmark is declared in some
-// _test.go, and every backticked token shaped like a benchmark/ name — a
-// workload, an end-to-end metric, or `<layer>.<metric>` under one of
-// BENCHMARK.json's layer prefixes — is one BENCHMARK.json defines. And the
+// TestDocsCiteWhatExists keeps the docs' citations resolvable. In README.md
+// and docs/*.md every backticked Go test, fuzz target, example or benchmark is
+// declared in some _test.go, and every backticked token shaped like a
+// benchmark/ name — a workload, an end-to-end metric, or `<layer>.<metric>`
+// under one of BENCHMARK.json's layer prefixes — is one BENCHMARK.json
+// defines. And the
 // measurement system deleted in favour of benchmark/ (its converter, its
 // committed records, its make targets) is named nowhere but in history:
 // CHANGES.md, ROADMAP.md's Recent section and the frozen benchmark/README.md.
@@ -84,7 +85,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 	}
 
 	declared := make(map[string]bool)
-	goBenchmark := regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
+	goTest := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example|Benchmark)[A-Z_]\w*)\(`)
 	// Spelled in pieces so that a search for the old system's names does not
 	// find this file.
 	retired := regexp.MustCompile(`BENCH_\w+\.json|bench` + `json|bench-` + `smoke|bench-` + `compare`)
@@ -105,7 +106,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			return err
 		}
 		if strings.HasSuffix(path, "_test.go") {
-			for _, m := range goBenchmark.FindAllSubmatch(text, -1) {
+			for _, m := range goTest.FindAllSubmatch(text, -1) {
 				declared[string(m[1])] = true
 			}
 		}
@@ -128,7 +129,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 	}
 
 	backticked := regexp.MustCompile("`([^`\n]+)`")
-	citedBenchmark := regexp.MustCompile(`^Benchmark[A-Z]\w*`)
+	citedTest := regexp.MustCompile(`^(?:Test|Fuzz|Example|Benchmark)[A-Z_]\w*`)
 	citedFlag := regexp.MustCompile(`(?:^|\s)--?([a-z][\w.-]*)`)
 	for _, path := range docs {
 		text, err := os.ReadFile(path)
@@ -137,7 +138,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		}
 		for _, m := range backticked.FindAllSubmatch(text, -1) {
 			token := string(m[1])
-			if name := citedBenchmark.FindString(token); name != "" && !declared[name] {
+			if name := citedTest.FindString(token); name != "" && !declared[name] {
 				t.Errorf("%s cites `%s`, which no _test.go declares", path, token)
 			}
 			if benchmarkName.MatchString(token) && !defined[token] {

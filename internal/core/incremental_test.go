@@ -202,8 +202,9 @@ func TestRegenerateWithoutSeed(t *testing.T) {
 }
 
 // TestGraphsAreBornCompiled: every way a generator hands out a model — cold,
-// each regeneration tier, the fallback — leaves the graph's compiled view in
-// place, so the first Graph.Compiled() builds nothing.
+// each regeneration tier, the fallback — hands out a graph that is already
+// in its compiled form, so the first Graph.Compiled() builds and allocates
+// nothing.
 func TestGraphsAreBornCompiled(t *testing.T) {
 	ctx := context.Background()
 	base := func() *dataflow.Model { return synth.SymmetricModel(synth.SymmetricSpec{Replicas: 3}) }

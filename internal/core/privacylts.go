@@ -47,7 +47,7 @@ type PrivacyLTS struct {
 // dense resolves a state ID to its index into the per-state payloads; ok is
 // false for IDs the model does not know.
 func (p *PrivacyLTS) dense(id lts.StateID) (int, bool) {
-	s, ok := p.Graph.Compiled().Index(id)
+	s, ok := p.Graph.Index(id)
 	return int(s), ok && int(s) < len(p.stores)
 }
 
@@ -125,10 +125,9 @@ func (p *PrivacyLTS) actorsWith(id lts.StateID, field string, kind VarKind) []st
 // generation order.
 func (p *PrivacyLTS) FindStates(pred func(StateVector) bool) []lts.StateID {
 	var out []lts.StateID
-	c := p.Graph.Compiled()
 	for s := range p.stores {
 		if pred(p.vectorAt(s)) {
-			out = append(out, c.StateAt(int32(s)))
+			out = append(out, p.Graph.StateAt(int32(s)))
 		}
 	}
 	return out
@@ -181,18 +180,17 @@ func (p *PrivacyLTS) transitionsWhere(potential bool) []lts.Transition {
 // deltas no original transition performs.)
 func (p *PrivacyLTS) Minimized() (*PrivacyLTS, map[lts.StateID]lts.StateID) {
 	min, mapping := p.Graph.MinimizeRespecting(p.payloadKey)
-	reps := min.Compiled()
 	w := p.Vocab.wordsPerVec
 	q := &PrivacyLTS{
 		Model:    p.Model,
 		Vocab:    p.Vocab,
 		Graph:    min,
 		Warnings: p.Warnings,
-		vecWords: make([]uint64, reps.NumStates()*w),
-		stores:   make([]map[string]schema.FieldSet, reps.NumStates()),
+		vecWords: make([]uint64, min.StateCount()*w),
+		stores:   make([]map[string]schema.FieldSet, min.StateCount()),
 	}
 	for i := range q.stores {
-		if s, ok := p.dense(reps.StateAt(int32(i))); ok {
+		if s, ok := p.dense(min.StateAt(int32(i))); ok {
 			copy(q.vecWords[i*w:], p.vectorAt(s).words)
 			q.stores[i] = p.stores[s]
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // CompiledView is the analysis-side compilation of a PrivacyLTS: the CSR
-// graph (lts.Compiled) plus everything the disclosure analyses would
+// graph (lts.LTS) plus everything the disclosure analyses would
 // otherwise re-derive per transition per profile, resolved once per model —
 // the TransitionLabel of every edge (no type assertions on the hot path) and
 // the profile-independent state-vector delta of every edge as dense
@@ -21,8 +21,9 @@ import (
 // model cache means every Assess/Analyze/AssessPopulation/Monitor call on the
 // same model shares one view.
 type CompiledView struct {
-	// Graph is the CSR compilation of the privacy LTS.
-	Graph *lts.Compiled
+	// Graph is the privacy LTS's graph (p.Graph), which every per-edge
+	// table below is indexed by.
+	Graph *lts.LTS
 
 	labels    []*TransitionLabel // per edge; nil for foreign label types
 	potential int                // edges whose label is a potential read
@@ -71,10 +72,10 @@ func (v *CompiledView) Fields() []string { return v.fields }
 // single-flighted onto one compilation and every later caller shares the
 // result.
 //
-// The view is pinned forever: a PrivacyLTS is immutable once generated (the
-// same invariant the identity-keyed risk.AssessmentCache already relies on),
-// so mutating p.Graph after the first analysis is unsupported and would
-// leave this view — like any previously cached assessment — stale.
+// The view is pinned forever, and that is sound because nothing can change
+// what it was built from: an lts.LTS has no mutators, and the per-state
+// payloads are private. The identity-keyed risk.AssessmentCache relies on the
+// same guarantee.
 func (p *PrivacyLTS) Compiled() *CompiledView {
 	v, _ := p.compiled.Do(context.Background(), struct{}{},
 		func(context.Context) (*CompiledView, error) {
@@ -86,8 +87,8 @@ func (p *PrivacyLTS) Compiled() *CompiledView {
 // newCompiledView resolves the per-edge labels and vector deltas of the
 // model.
 func newCompiledView(p *PrivacyLTS) *CompiledView {
-	c := p.Graph.Compiled()
-	m := c.NumEdges()
+	c := p.Graph
+	m := c.TransitionCount()
 	v := &CompiledView{
 		Graph:     c,
 		labels:    make([]*TransitionLabel, m),

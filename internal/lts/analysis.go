@@ -2,9 +2,7 @@ package lts
 
 import (
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -40,35 +38,20 @@ func (tr Trace) End(start StateID) StateID {
 
 // FindStates returns the reachable states satisfying the predicate, sorted.
 func (l *LTS) FindStates(pred StatePredicate) ([]StateID, error) {
-	c := l.Compiled()
-	init, ok := c.InitialIndex()
-	if !ok {
-		return nil, ErrNoInitialState
-	}
-	bits, _ := c.ReachableBits(init)
-	var out []StateID
-	for i, id := range c.states {
-		if bits.Has(int32(i)) && pred(id) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return l.reachableSorted(true, func(s int32) bool { return pred(l.states[s]) })
 }
 
 // FindTransitions returns the transitions (between reachable states)
 // satisfying the predicate, in insertion order.
 func (l *LTS) FindTransitions(pred TransitionPredicate) ([]Transition, error) {
-	c := l.Compiled()
-	init, ok := c.InitialIndex()
-	if !ok {
+	if l.initial < 0 {
 		return nil, ErrNoInitialState
 	}
-	bits, _ := c.ReachableBits(init)
+	bits, _ := l.ReachableBits(l.initial)
 	var out []Transition
-	for e := range c.trs {
-		if bits.Has(c.edgeFrom[e]) && pred(c.trs[e]) {
-			out = append(out, c.trs[e])
+	for e := range l.trs {
+		if bits.Has(l.edgeFrom[e]) && pred(l.trs[e]) {
+			out = append(out, l.trs[e])
 		}
 	}
 	return out, nil
@@ -78,10 +61,10 @@ func (l *LTS) FindTransitions(pred TransitionPredicate) ([]Transition, error) {
 // (the modal-logic EF operator) and, if so, returns a shortest witness trace
 // from the initial state to such a state.
 func (l *LTS) Exists(pred StatePredicate) (bool, Trace, error) {
-	if !l.hasInitial {
+	if l.initial < 0 {
 		return false, nil, ErrNoInitialState
 	}
-	trace, found := l.shortestTrace(l.initial, pred)
+	trace, found := l.shortestTrace(l.states[l.initial], pred)
 	return found, trace, nil
 }
 
@@ -99,13 +82,12 @@ func (l *LTS) Always(pred StatePredicate) (bool, Trace, error) {
 	return true, nil, nil
 }
 
-// shortestTrace runs an integer BFS over the compiled view from start and
+// shortestTrace runs an integer BFS over the CSR layout from start and
 // returns the shortest trace to a state satisfying pred. The discovery order
 // (FIFO queue, out-edges in insertion order) matches the original map-based
 // search exactly, so witness traces are byte-identical.
 func (l *LTS) shortestTrace(start StateID, pred StatePredicate) (Trace, bool) {
-	c := l.Compiled()
-	s, ok := c.ids[start]
+	s, ok := l.ids[start]
 	if !ok {
 		return nil, false
 	}
@@ -114,32 +96,32 @@ func (l *LTS) shortestTrace(start StateID, pred StatePredicate) (Trace, bool) {
 	}
 	// via[v] is the transition that discovered v; its source is the BFS
 	// parent, so one array carries both links of the parent chain.
-	via := make([]int32, len(c.states))
+	via := make([]int32, len(l.states))
 	for i := range via {
 		via[i] = -1
 	}
-	visited := NewBitset(len(c.states))
+	visited := NewBitset(len(l.states))
 	visited.Set(s)
 	queue := make([]int32, 0, 64)
 	queue = append(queue, s)
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		for _, e := range c.Out(cur) {
-			next := c.edgeTo[e]
+		for _, e := range l.Out(cur) {
+			next := l.edgeTo[e]
 			if visited.Has(next) {
 				continue
 			}
 			visited.Set(next)
 			via[next] = e
-			if pred(c.states[next]) {
+			if pred(l.states[next]) {
 				depth := 0
-				for at := next; at != s; at = c.edgeFrom[via[at]] {
+				for at := next; at != s; at = l.edgeFrom[via[at]] {
 					depth++
 				}
 				trace := make(Trace, depth)
-				for at := next; at != s; at = c.edgeFrom[via[at]] {
+				for at := next; at != s; at = l.edgeFrom[via[at]] {
 					depth--
-					trace[depth] = c.trs[via[at]]
+					trace[depth] = l.trs[via[at]]
 				}
 				return trace, true
 			}
@@ -152,10 +134,10 @@ func (l *LTS) shortestTrace(start StateID, pred StatePredicate) (Trace, bool) {
 // ShortestTraceTo returns the shortest trace from the initial state to the
 // given state.
 func (l *LTS) ShortestTraceTo(target StateID) (Trace, error) {
-	if !l.hasInitial {
+	if l.initial < 0 {
 		return nil, ErrNoInitialState
 	}
-	trace, ok := l.shortestTrace(l.initial, func(id StateID) bool { return id == target })
+	trace, ok := l.shortestTrace(l.states[l.initial], func(id StateID) bool { return id == target })
 	if !ok {
 		return nil, fmt.Errorf("lts: state %q is not reachable from the initial state", target)
 	}
@@ -167,16 +149,15 @@ func (l *LTS) ShortestTraceTo(target StateID) (Trace, error) {
 // maxTraces paths so callers cannot accidentally explode; a negative
 // maxTraces means unbounded.
 func (l *LTS) TracesFrom(start StateID, maxDepth, maxTraces int) []Trace {
-	c := l.Compiled()
-	s, ok := c.ids[start]
+	s, ok := l.ids[start]
 	if !ok {
 		return nil
 	}
 	var out []Trace
 	// Simple paths are bounded by the state count, so cap the pre-allocation
 	// there: callers may pass an effectively-unbounded maxDepth.
-	cur := make([]int32, 0, min(max(maxDepth, 0), len(c.states))) // transition indices of the current path
-	visited := NewBitset(len(c.states))
+	cur := make([]int32, 0, min(max(maxDepth, 0), len(l.states))) // transition indices of the current path
+	visited := NewBitset(len(l.states))
 	visited.Set(s)
 	var walk func(from int32, depth int)
 	walk = func(from int32, depth int) {
@@ -185,8 +166,8 @@ func (l *LTS) TracesFrom(start StateID, maxDepth, maxTraces int) []Trace {
 		}
 		extended := false
 		if depth < maxDepth {
-			for _, e := range c.Out(from) {
-				to := c.edgeTo[e]
+			for _, e := range l.Out(from) {
+				to := l.edgeTo[e]
 				if visited.Has(to) {
 					continue
 				}
@@ -201,7 +182,7 @@ func (l *LTS) TracesFrom(start StateID, maxDepth, maxTraces int) []Trace {
 		if !extended && len(cur) > 0 {
 			trace := make(Trace, len(cur))
 			for i, e := range cur {
-				trace[i] = c.trs[e]
+				trace[i] = l.trs[e]
 			}
 			out = append(out, trace)
 		}
@@ -217,7 +198,7 @@ func (l *LTS) TracesFrom(start StateID, maxDepth, maxTraces int) []Trace {
 // strings; it is used to present compact views of large generated models.
 // The mapping from original state IDs to representative IDs is also returned.
 //
-// The refinement runs on the compiled view: a state's signature is its own
+// The refinement runs on the CSR layout: a state's signature is its own
 // block plus the sorted multiset of (label ID, successor block) integer
 // pairs, hashed and bucketed with full-signature comparison on collision, so
 // no label strings are rendered and no per-round signature strings are
@@ -237,8 +218,7 @@ func (l *LTS) Minimize() (*LTS, map[StateID]StateID) {
 // transition's vector delta an exact original delta and vice versa. A nil
 // classOf puts every state in one class, which is plain Minimize.
 func (l *LTS) MinimizeRespecting(classOf func(StateID) string) (*LTS, map[StateID]StateID) {
-	c := l.Compiled()
-	n := c.NumStates()
+	n := l.StateCount()
 
 	// Initial partition: split by terminal/non-terminal and the caller's
 	// class, blocks numbered by first encounter in state order (the
@@ -252,9 +232,9 @@ func (l *LTS) MinimizeRespecting(classOf func(StateID) string) (*LTS, map[StateI
 	}
 	initBlocks := make(map[initKey]int32, 2)
 	for i := 0; i < n; i++ {
-		key := initKey{terminal: c.OutDegree(int32(i)) == 0}
+		key := initKey{terminal: l.OutDegree(int32(i)) == 0}
 		if classOf != nil {
-			key.class = classOf(c.states[i])
+			key.class = classOf(l.states[i])
 		}
 		b, ok := initBlocks[key]
 		if !ok {
@@ -272,14 +252,14 @@ func (l *LTS) MinimizeRespecting(classOf func(StateID) string) (*LTS, map[StateI
 		sig []uint64
 	}
 	newBlock := make([]int32, n)
-	sig := make([]uint64, 0, c.MaxOutDegree())
+	sig := make([]uint64, 0, l.MaxOutDegree())
 	for {
 		table := make(map[uint64][]int32, numBlocks)
 		reps := make([]blockRep, 0, numBlocks)
 		for i := 0; i < n; i++ {
 			sig = sig[:0]
-			for _, e := range c.Out(int32(i)) {
-				sig = append(sig, uint64(uint32(c.edgeLabel[e]))<<32|uint64(uint32(block[c.edgeTo[e]])))
+			for _, e := range l.Out(int32(i)) {
+				sig = append(sig, uint64(uint32(l.edgeLabel[e]))<<32|uint64(uint32(block[l.edgeTo[e]])))
 			}
 			slices.Sort(sig)
 			own := block[i]
@@ -310,36 +290,33 @@ func (l *LTS) MinimizeRespecting(classOf func(StateID) string) (*LTS, map[StateI
 	// its first state in insertion order — is the b-th state to open a block,
 	// and the quotient is already in dense form for FromParts.
 	reps := make([]StateID, 0, numBlocks)
-	props := make([]map[string]string, 0, numBlocks)
 	mapping := make(map[StateID]StateID, n)
 	for i := 0; i < n; i++ {
 		if int(block[i]) == len(reps) {
-			reps = append(reps, c.states[i])
-			props = append(props, maps.Clone(l.propsAt(i)))
+			reps = append(reps, l.states[i])
 		}
-		mapping[c.states[i]] = reps[block[i]]
+		mapping[l.states[i]] = reps[block[i]]
 	}
 	// Quotient transitions, deduplicated by (source block, target block,
 	// label) with the first insertion-order occurrence winning.
 	type quotientEdge struct{ from, to, label int32 }
-	added := make(map[quotientEdge]bool, len(c.trs))
+	added := make(map[quotientEdge]bool, len(l.trs))
 	var edges []BulkEdge
-	for e := range c.trs {
-		k := quotientEdge{block[c.edgeFrom[e]], block[c.edgeTo[e]], c.edgeLabel[e]}
+	for e := range l.trs {
+		k := quotientEdge{block[l.edgeFrom[e]], block[l.edgeTo[e]], l.edgeLabel[e]}
 		if !added[k] {
 			added[k] = true
-			edges = append(edges, BulkEdge{From: k.from, To: k.to, Label: c.trs[e].Label})
+			edges = append(edges, BulkEdge{From: k.from, To: k.to, Label: l.trs[e].Label})
 		}
 	}
 	initial := -1
-	if c.initial >= 0 {
-		initial = int(block[c.initial])
+	if l.initial >= 0 {
+		initial = int(block[l.initial])
 	}
 	min, err := FromParts(reps, initial, edges)
 	if err != nil {
 		panic(err) // unreachable: representatives are distinct states of l
 	}
-	min.props = props
 	return min, mapping
 }
 

@@ -9,20 +9,19 @@ import (
 //
 //	s0 --a--> s1 --c--> s3
 //	s0 --b--> s2 --d--> s3 ; s3 --e--> s4 ; island (unreachable)
-func analysisFixture() *LTS {
-	l := New()
-	l.SetInitial("s0")
-	l.AddTransition("s0", "s1", StringLabel("a"))
-	l.AddTransition("s0", "s2", StringLabel("b"))
-	l.AddTransition("s1", "s3", StringLabel("c"))
-	l.AddTransition("s2", "s3", StringLabel("d"))
-	l.AddTransition("s3", "s4", StringLabel("e"))
-	l.AddState("island", nil)
-	return l
+func analysisFixture() *graph {
+	g := newGraph().init("s0").
+		edge("s0", "s1", StringLabel("a")).
+		edge("s0", "s2", StringLabel("b")).
+		edge("s1", "s3", StringLabel("c")).
+		edge("s2", "s3", StringLabel("d")).
+		edge("s3", "s4", StringLabel("e"))
+	g.state("island")
+	return g
 }
 
 func TestTraceEnd(t *testing.T) {
-	l := analysisFixture()
+	l := analysisFixture().build()
 	if end := (Trace{}).End("s0"); end != "s0" {
 		t.Errorf("empty trace End = %s, want the start state", end)
 	}
@@ -36,8 +35,9 @@ func TestTraceEnd(t *testing.T) {
 }
 
 func TestFindStatesRequiresInitial(t *testing.T) {
-	l := New()
-	l.AddState("lonely", nil)
+	g := newGraph()
+	g.state("lonely")
+	l := g.build()
 	if _, err := l.FindStates(func(StateID) bool { return true }); err != ErrNoInitialState {
 		t.Errorf("FindStates without initial: err = %v, want ErrNoInitialState", err)
 	}
@@ -47,7 +47,7 @@ func TestFindStatesRequiresInitial(t *testing.T) {
 }
 
 func TestFindStatesExcludesUnreachable(t *testing.T) {
-	l := analysisFixture()
+	l := analysisFixture().build()
 	states, err := l.FindStates(func(StateID) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +63,7 @@ func TestFindStatesExcludesUnreachable(t *testing.T) {
 }
 
 func TestFindTransitionsPredicateAndReachability(t *testing.T) {
-	l := analysisFixture()
-	l.AddTransition("island", "s4", StringLabel("c")) // from an unreachable state
+	l := analysisFixture().edge("island", "s4", StringLabel("c")).build() // from an unreachable state
 	trans, err := l.FindTransitions(func(tr Transition) bool { return tr.Label.LabelString() == "c" })
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestFindTransitionsPredicateAndReachability(t *testing.T) {
 }
 
 func TestExistsOnInitialState(t *testing.T) {
-	l := analysisFixture()
+	l := analysisFixture().build()
 	found, trace, err := l.Exists(func(id StateID) bool { return id == "s0" })
 	if err != nil || !found {
 		t.Fatalf("Exists(s0) = %v, %v", found, err)
@@ -86,13 +85,13 @@ func TestExistsOnInitialState(t *testing.T) {
 }
 
 func TestAlwaysPropagatesMissingInitial(t *testing.T) {
-	if _, _, err := New().Always(func(StateID) bool { return true }); err != ErrNoInitialState {
+	if _, _, err := newGraph().build().Always(func(StateID) bool { return true }); err != ErrNoInitialState {
 		t.Errorf("Always without initial: err = %v, want ErrNoInitialState", err)
 	}
 }
 
 func TestAlwaysCounterExampleIsShortest(t *testing.T) {
-	l := analysisFixture()
+	l := analysisFixture().build()
 	ok, counter, err := l.Always(func(id StateID) bool { return id != "s4" })
 	if err != nil || ok {
 		t.Fatalf("Always(!s4) = %v, %v", ok, err)
@@ -103,13 +102,13 @@ func TestAlwaysCounterExampleIsShortest(t *testing.T) {
 }
 
 func TestShortestTraceToMissingInitial(t *testing.T) {
-	if _, err := New().ShortestTraceTo("x"); err != ErrNoInitialState {
+	if _, err := newGraph().build().ShortestTraceTo("x"); err != ErrNoInitialState {
 		t.Errorf("ShortestTraceTo without initial: err = %v, want ErrNoInitialState", err)
 	}
 }
 
 func TestShortestTraceFromUnknownStart(t *testing.T) {
-	l := analysisFixture()
+	l := analysisFixture().build()
 	if trace, ok := l.shortestTrace("nowhere", func(StateID) bool { return true }); ok || trace != nil {
 		t.Errorf("shortestTrace(nowhere) = %v, %v, want no trace", trace, ok)
 	}
@@ -119,7 +118,7 @@ func TestShortestTraceFromUnknownStart(t *testing.T) {
 }
 
 func TestTracesFromBounds(t *testing.T) {
-	l := analysisFixture()
+	l := analysisFixture().build()
 	// maxTraces = 0 yields nothing.
 	if traces := l.TracesFrom("s0", 10, 0); len(traces) != 0 {
 		t.Errorf("TracesFrom(maxTraces=0) = %v, want none", traces)
@@ -147,7 +146,7 @@ func TestTracesFromBounds(t *testing.T) {
 }
 
 func TestTraceStringRendersSteps(t *testing.T) {
-	l := analysisFixture()
+	l := analysisFixture().build()
 	trace, err := l.ShortestTraceTo("s4")
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,7 @@ import (
 // buildLayered builds a layered LTS with the given number of layers and
 // width: every node of one layer has an edge to every node of the next.
 func buildLayered(layers, width int) *LTS {
-	l := New()
-	l.SetInitial("s0")
+	g := newGraph().init("s0")
 	prev := []StateID{"s0"}
 	id := 1
 	for layer := 0; layer < layers; layer++ {
@@ -21,12 +20,12 @@ func buildLayered(layers, width int) *LTS {
 		}
 		for _, from := range prev {
 			for i, to := range next {
-				l.AddTransition(from, to, StringLabel(fmt.Sprintf("a%d", i)))
+				g.edge(from, to, StringLabel(fmt.Sprintf("a%d", i)))
 			}
 		}
 		prev = next
 	}
-	return l
+	return g.build()
 }
 
 func BenchmarkReachable(b *testing.B) {
@@ -57,7 +56,6 @@ func BenchmarkExistsWitness(b *testing.B) {
 // edges) of the shape the generator produces for wide data-flow models.
 func BenchmarkMinimize(b *testing.B) {
 	l := buildLayered(40, 15)
-	l.Compiled() // compile outside the timed loop, as analyses share the view
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,0 +1,135 @@
+package lts
+
+import (
+	"fmt"
+	"reflect"
+)
+
+// BulkEdge is one transition of a bulk-constructed LTS, with endpoints given
+// as dense indices into the state-ID list passed to FromParts.
+type BulkEdge struct {
+	From, To int32
+	Label    Label
+}
+
+// FromParts builds an LTS from a dense state list and edge list, the shape
+// exploration drivers naturally produce: state i is ids[i], transition i is
+// edges[i], and both CSR layouts are built straight from the dense endpoints,
+// rendering every distinct label object once.
+//
+// ids must be distinct and is retained, not copied; edge endpoints must index
+// into ids. initial is the index of the initial state, or -1 for none.
+func FromParts(ids []StateID, initial int, edges []BulkEdge) (*LTS, error) {
+	n, m := len(ids), len(edges)
+	if initial < -1 || initial >= n {
+		return nil, fmt.Errorf("lts: FromParts: initial index %d out of range", initial)
+	}
+	l := &LTS{
+		states:   ids,
+		ids:      make(map[StateID]int32, n),
+		initial:  int32(initial),
+		trs:      make([]Transition, m),
+		edgeFrom: make([]int32, m),
+		edgeTo:   make([]int32, m),
+	}
+	for s, id := range ids {
+		l.ids[id] = int32(s)
+		if len(l.ids) <= s { // the assignment overwrote an entry: one probe finds a duplicate
+			return nil, fmt.Errorf("lts: FromParts: duplicate state ID %q", id)
+		}
+	}
+	for i, e := range edges {
+		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+			return nil, fmt.Errorf("lts: FromParts: edge %d endpoints (%d, %d) out of range", i, e.From, e.To)
+		}
+		l.trs[i] = Transition{From: ids[e.From], To: ids[e.To], Label: e.Label}
+		l.edgeFrom[i], l.edgeTo[i] = e.From, e.To
+	}
+	l.internLabels()
+	l.buildCSR()
+	return l, nil
+}
+
+// Relabeled returns an LTS with the receiver's states, transitions and CSR
+// layout in which transition i carries labels[i] (in Transitions order)
+// instead of the receiver's label. Everything but the transition list and the
+// label table is shared with the receiver, not copied. Incremental
+// regeneration uses this to swap re-derived labels into a wholesale-reused
+// exploration without rebuilding any index.
+func (l *LTS) Relabeled(labels []Label) (*LTS, error) {
+	if len(labels) != len(l.trs) {
+		return nil, fmt.Errorf("lts: Relabeled: %d labels for %d transitions", len(labels), len(l.trs))
+	}
+	r := *l
+	r.trs = make([]Transition, len(l.trs))
+	for i, t := range l.trs {
+		t.Label = labels[i]
+		r.trs[i] = t
+	}
+	r.internLabels()
+	return &r, nil
+}
+
+// internLabels derives the label table and the per-edge label index from the
+// transitions: labels intern by rendered string in first-occurrence order,
+// the table keeps the first Label value seen per string, and nil interns as
+// "". A label object is rendered once, then found again by identity
+// (generated models share one object per distinct label).
+func (l *LTS) internLabels() {
+	l.labels, l.labelStrs = nil, nil
+	l.edgeLabel = make([]int32, len(l.trs))
+	byStr := make(map[string]int32)
+	byObject := make(map[Label]int32)
+	for i := range l.trs {
+		label := l.trs[i].Label
+		// Only comparable label types can key a map.
+		hashable := label != nil && reflect.TypeOf(label).Comparable()
+		if hashable {
+			if lid, ok := byObject[label]; ok {
+				l.edgeLabel[i] = lid
+				continue
+			}
+		}
+		str := labelString(label)
+		lid, ok := byStr[str]
+		if !ok {
+			lid = int32(len(l.labels))
+			byStr[str] = lid
+			l.labels = append(l.labels, label)
+			l.labelStrs = append(l.labelStrs, str)
+		}
+		if hashable {
+			byObject[label] = lid
+		}
+		l.edgeLabel[i] = lid
+	}
+}
+
+// buildCSR lays the transitions out in both CSR directions from edgeFrom and
+// edgeTo — the one counting sort of the package: a pass to count degrees, a
+// prefix sum, and a stable fill (ascending transition index preserves
+// insertion order within each source/target).
+func (l *LTS) buildCSR() {
+	n, m := len(l.states), len(l.trs)
+	l.outOff = make([]int32, n+1)
+	l.inOff = make([]int32, n+1)
+	for i := 0; i < m; i++ {
+		l.outOff[l.edgeFrom[i]+1]++
+		l.inOff[l.edgeTo[i]+1]++
+	}
+	for s := 0; s < n; s++ {
+		l.outOff[s+1] += l.outOff[s]
+		l.inOff[s+1] += l.inOff[s]
+	}
+	l.outEdges = make([]int32, m)
+	l.inEdges = make([]int32, m)
+	outNext := append([]int32(nil), l.outOff[:n]...)
+	inNext := append([]int32(nil), l.inOff[:n]...)
+	for i := 0; i < m; i++ {
+		from, to := l.edgeFrom[i], l.edgeTo[i]
+		l.outEdges[outNext[from]] = int32(i)
+		outNext[from]++
+		l.inEdges[inNext[to]] = int32(i)
+		inNext[to]++
+	}
+}

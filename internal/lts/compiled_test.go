@@ -4,25 +4,26 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// randomLTS builds a pseudo-random LTS: up to maxStates states, up to
+// randomGraph collects a pseudo-random LTS: up to maxStates states, up to
 // maxEdges transitions over a label alphabet of numLabels strings, an initial
 // state most of the time, and occasionally nil labels and unreachable
-// islands, so the property tests cover the builder's full surface.
-func randomLTS(rng *rand.Rand, maxStates, maxEdges, numLabels int) *LTS {
-	l := New()
+// islands.
+func randomGraph(rng *rand.Rand, maxStates, maxEdges, numLabels int) *graph {
+	g := newGraph()
 	n := 1 + rng.Intn(maxStates)
 	states := make([]StateID, n)
 	for i := range states {
 		states[i] = StateID(fmt.Sprintf("s%d", i))
 	}
-	// Register a random subset of states explicitly (some with props); the
-	// rest appear only as transition endpoints.
+	// Register a random subset of states up front; the rest appear only as
+	// transition endpoints.
 	for _, id := range states {
 		if rng.Intn(3) == 0 {
-			l.AddState(id, map[string]string{"n": string(id)})
+			g.state(id)
 		}
 	}
 	edges := rng.Intn(maxEdges + 1)
@@ -33,220 +34,90 @@ func randomLTS(rng *rand.Rand, maxStates, maxEdges, numLabels int) *LTS {
 		if rng.Intn(8) != 0 { // occasionally nil
 			label = StringLabel(fmt.Sprintf("a%d", rng.Intn(numLabels)))
 		}
-		l.AddTransition(from, to, label)
+		g.edge(from, to, label)
 	}
 	if rng.Intn(8) != 0 {
-		l.SetInitial(states[rng.Intn(n)])
+		g.init(states[rng.Intn(n)])
 	}
-	return l
+	return g
+}
+
+func randomLTS(rng *rand.Rand, maxStates, maxEdges, numLabels int) *LTS {
+	return randomGraph(rng, maxStates, maxEdges, numLabels).build()
+}
+
+// checkBuiltFrom checks that l is exactly the graph g collected: states and
+// dense indices in insertion order, the initial state, every transition with
+// its endpoints and label, both CSR layouts against a linear scan of the
+// edge list, and a label table of the distinct label strings in first
+// occurrence order, each led by the first Label value rendering it.
+func checkBuiltFrom(g *graph, l *LTS) error {
+	if !slices.Equal(l.StateIDs(), g.ids) {
+		return fmt.Errorf("StateIDs = %v, want %v", l.StateIDs(), g.ids)
+	}
+	for i, id := range g.ids {
+		if dense, ok := l.Index(id); !ok || dense != int32(i) || l.StateAt(int32(i)) != id {
+			return fmt.Errorf("Index(%s) = (%d, %v), want (%d, true)", id, dense, ok, i)
+		}
+	}
+	if _, ok := l.Index("no-such-state"); ok {
+		return fmt.Errorf("Index resolved an unknown state")
+	}
+	if init, ok := l.Initial(); ok != (g.initial >= 0) || (ok && init != g.ids[g.initial]) {
+		return fmt.Errorf("Initial = (%s, %v), want index %d", init, ok, g.initial)
+	}
+	if l.TransitionCount() != len(g.edges) {
+		return fmt.Errorf("TransitionCount = %d, want %d", l.TransitionCount(), len(g.edges))
+	}
+	firstLabel := map[string]int32{}
+	var labelOrder []string
+	for e, want := range g.edges {
+		tr := Transition{From: g.ids[want.From], To: g.ids[want.To], Label: want.Label}
+		if got := l.TransitionAt(int32(e)); !reflect.DeepEqual(got, tr) || l.From(int32(e)) != want.From || l.To(int32(e)) != want.To {
+			return fmt.Errorf("transition %d = %+v (%d -> %d), want %+v", e, got, l.From(int32(e)), l.To(int32(e)), tr)
+		}
+		str := labelString(want.Label)
+		if _, ok := firstLabel[str]; !ok {
+			firstLabel[str] = int32(len(labelOrder))
+			labelOrder = append(labelOrder, str)
+			if lid := firstLabel[str]; l.Label(lid) != want.Label {
+				return fmt.Errorf("label table entry %d = %v, want the first value %v", lid, l.Label(lid), want.Label)
+			}
+		}
+		if l.LabelID(int32(e)) != firstLabel[str] || l.LabelString(firstLabel[str]) != str {
+			return fmt.Errorf("edge %d label id %d, want %d rendering %q", e, l.LabelID(int32(e)), firstLabel[str], str)
+		}
+	}
+	if l.NumLabels() != len(labelOrder) {
+		return fmt.Errorf("NumLabels = %d, want %d distinct strings", l.NumLabels(), len(labelOrder))
+	}
+	for s := range g.ids {
+		var out, in []int32
+		for e, edge := range g.edges {
+			if edge.From == int32(s) {
+				out = append(out, int32(e))
+			}
+			if edge.To == int32(s) {
+				in = append(in, int32(e))
+			}
+		}
+		if !slices.Equal(l.Out(int32(s)), out) || !slices.Equal(l.In(int32(s)), in) || l.OutDegree(int32(s)) != len(out) {
+			return fmt.Errorf("state %s: Out %v In %v, want %v and %v", g.ids[s], l.Out(int32(s)), l.In(int32(s)), out, in)
+		}
+	}
+	return nil
 }
 
 // TestCompiledRoundTrip is the round-trip property test: for randomly
-// generated models, the compiled form reproduces the builder's states,
-// initial state, transitions (per-source and per-target, in insertion order)
-// and label strings exactly.
+// collected models, the LTS FromParts builds reproduces the collected
+// states, initial state, transitions (per source and per target, in
+// insertion order) and label strings exactly.
 func TestCompiledRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 200; round++ {
-		l := randomLTS(rng, 30, 120, 6)
-		c := l.Compiled()
-
-		// States: same count, same insertion order, dense IDs invert StateAt.
-		ids := l.StateIDs()
-		if c.NumStates() != len(ids) {
-			t.Fatalf("round %d: NumStates = %d, want %d", round, c.NumStates(), len(ids))
-		}
-		for i, id := range ids {
-			if got := c.StateAt(int32(i)); got != id {
-				t.Fatalf("round %d: StateAt(%d) = %s, want %s", round, i, got, id)
-			}
-			dense, ok := c.Index(id)
-			if !ok || dense != int32(i) {
-				t.Fatalf("round %d: Index(%s) = (%d, %v), want (%d, true)", round, id, dense, ok, i)
-			}
-		}
-		if _, ok := c.Index("no-such-state"); ok {
-			t.Fatalf("round %d: Index resolved an unknown state", round)
-		}
-
-		// Initial state.
-		wantInit, wantOK := l.Initial()
-		gotIdx, gotOK := c.InitialIndex()
-		if gotOK != wantOK {
-			t.Fatalf("round %d: InitialIndex ok = %v, want %v", round, gotOK, wantOK)
-		}
-		if wantOK && c.StateAt(gotIdx) != wantInit {
-			t.Fatalf("round %d: initial = %s, want %s", round, c.StateAt(gotIdx), wantInit)
-		}
-
-		// Transitions: global snapshot and CSR per-source/per-target order.
-		trs := l.Transitions()
-		if c.NumEdges() != len(trs) {
-			t.Fatalf("round %d: NumEdges = %d, want %d", round, c.NumEdges(), len(trs))
-		}
-		for e, want := range trs {
-			got := c.TransitionAt(int32(e))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d: TransitionAt(%d) = %+v, want %+v", round, e, got, want)
-			}
-			if c.StateAt(c.From(int32(e))) != want.From || c.StateAt(c.To(int32(e))) != want.To {
-				t.Fatalf("round %d: edge %d endpoints disagree", round, e)
-			}
-			wantLabel := ""
-			if want.Label != nil {
-				wantLabel = want.Label.LabelString()
-			}
-			if got := c.LabelString(c.LabelID(int32(e))); got != wantLabel {
-				t.Fatalf("round %d: edge %d label = %q, want %q", round, e, got, wantLabel)
-			}
-		}
-		for i, id := range ids {
-			wantOut := l.Outgoing(id)
-			out := c.Out(int32(i))
-			if len(out) != len(wantOut) || c.OutDegree(int32(i)) != len(wantOut) {
-				t.Fatalf("round %d: Out(%s) has %d edges, want %d", round, id, len(out), len(wantOut))
-			}
-			for j, e := range out {
-				if got := c.TransitionAt(e); !reflect.DeepEqual(got, wantOut[j]) {
-					t.Fatalf("round %d: Out(%s)[%d] = %+v, want %+v", round, id, j, got, wantOut[j])
-				}
-			}
-			wantIn := l.Incoming(id)
-			in := c.In(int32(i))
-			if len(in) != len(wantIn) {
-				t.Fatalf("round %d: In(%s) has %d edges, want %d", round, id, len(in), len(wantIn))
-			}
-			for j, e := range in {
-				if got := c.TransitionAt(e); !reflect.DeepEqual(got, wantIn[j]) {
-					t.Fatalf("round %d: In(%s)[%d] = %+v, want %+v", round, id, j, got, wantIn[j])
-				}
-			}
-		}
-
-		// Label interning: table size equals the number of distinct label
-		// strings, and every table entry renders its own string.
-		distinct := make(map[string]bool)
-		for _, tr := range trs {
-			s := ""
-			if tr.Label != nil {
-				s = tr.Label.LabelString()
-			}
-			distinct[s] = true
-		}
-		if c.NumLabels() != len(distinct) {
-			t.Fatalf("round %d: NumLabels = %d, want %d distinct strings", round, c.NumLabels(), len(distinct))
-		}
-		for lid := 0; lid < c.NumLabels(); lid++ {
-			want := ""
-			if label := c.Label(int32(lid)); label != nil {
-				want = label.LabelString()
-			}
-			if got := c.LabelString(int32(lid)); got != want {
-				t.Fatalf("round %d: label table entry %d renders %q, table says %q", round, lid, want, got)
-			}
-		}
-	}
-}
-
-// TestCompiledCachedAndInvalidated checks the builder-side cache: repeated
-// calls share one compiled view, any mutation invalidates it, and no mutation
-// reaches a view taken earlier.
-func TestCompiledCachedAndInvalidated(t *testing.T) {
-	l := New()
-	l.SetInitial("s0")
-	l.AddTransition("s0", "s1", StringLabel("a"))
-	c1 := l.Compiled()
-	if c2 := l.Compiled(); c2 != c1 {
-		t.Fatal("Compiled not cached between calls")
-	}
-	l.AddTransition("s1", "s2", StringLabel("b"))
-	c3 := l.Compiled()
-	if c3 == c1 {
-		t.Fatal("Compiled not invalidated by AddTransition")
-	}
-	if c3.NumEdges() != 2 || c3.NumStates() != 3 {
-		t.Fatalf("recompiled view has %d states / %d edges, want 3 / 2", c3.NumStates(), c3.NumEdges())
-	}
-	l.AddState("island", nil)
-	if l.Compiled() == c3 {
-		t.Fatal("Compiled not invalidated by AddState")
-	}
-	l.SetInitial("s1")
-	init, ok := l.Compiled().InitialIndex()
-	if !ok || l.Compiled().StateAt(init) != "s1" {
-		t.Fatal("Compiled not invalidated by SetInitial")
-	}
-
-	// A Compiled shares its LTS's ID index, so every way an LTS comes to hold
-	// a view — born with it in bulk, or compiling on demand — must copy before
-	// the next write. A reader keeps querying the snapshot while the LTS is
-	// mutated; under -race a write into shared storage fails the test even
-	// where the values happen to agree.
-	builderBorn := buildRestoreFixture()
-	bulkBorn, err := FromParts(bulkParts(builderBorn.Compiled()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	relabeled, err := bulkBorn.Relabeled(make([]Label, bulkBorn.TransitionCount()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, l := range map[string]*LTS{"builder-born": builderBorn, "bulk-born": bulkBorn, "relabeled": relabeled} {
-		snap := l.Compiled()
-		want := snap.Parts()
-		for _, field := range []*[]int32{&want.EdgeLabel, &want.EdgeFrom, &want.EdgeTo, &want.OutOff, &want.OutEdges, &want.InOff, &want.InEdges} {
-			*field = append([]int32(nil), *field...)
-		}
-		want.States = append([]StateID(nil), want.States...)
-		want.Trs = append([]Transition(nil), want.Trs...)
-
-		stop, done := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, ok := snap.Index("island"); ok {
-					t.Errorf("%s: snapshot resolves a state added after it was taken", name)
-					return
-				}
-				snap.Out(0)
-				snap.TransitionAt(0)
-			}
-		}()
-		l.AddState("island", map[string]string{"k": "v"})
-		l.AddTransition("island", "s0", StringLabel("back"))
-		l.AddTransition("s0", "s1", StringLabel("shared")) // duplicate unless relabeled: scans the derived out lists
-		l.AddTransitionUnchecked("s0", "island", nil)
-		l.SetInitial("island")
-		close(stop)
-		<-done
-
-		if !reflect.DeepEqual(snap.Parts(), want) {
-			t.Errorf("%s: snapshot changed under mutation", name)
-		}
-		if init, ok := snap.InitialIndex(); !ok || snap.StateAt(init) != "s0" {
-			t.Errorf("%s: snapshot initial state moved", name)
-		}
-		c := l.Compiled()
-		if c == snap || c.NumStates() != 5 {
-			t.Errorf("%s: mutated LTS compiles to %d states, want a fresh view of 5", name, c.NumStates())
-		}
-		added, addedFromS0 := 2, 1
-		if name == "relabeled" { // its s0->s1 edges carry nil labels, so "shared" is new
-			added, addedFromS0 = 3, 2
-		}
-		if c.NumEdges() != snap.NumEdges()+added {
-			t.Errorf("%s: mutated LTS has %d edges, want %d", name, c.NumEdges(), snap.NumEdges()+added)
-		}
-		if got, want := len(l.Outgoing("s0")), len(snap.Out(0))+addedFromS0; got != want {
-			t.Errorf("%s: Outgoing(s0) has %d transitions, want %d", name, got, want)
-		}
-		if st, ok := l.State("island"); !ok || st.Props["k"] != "v" {
-			t.Errorf("%s: State(island) = %+v, %v", name, st, ok)
+		g := randomGraph(rng, 30, 120, 6)
+		if err := checkBuiltFrom(g, g.build()); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 }
@@ -261,7 +132,7 @@ func (c *countingLabel) LabelString() string { c.calls++; return c.str }
 
 // TestLabelsRenderedOncePerObject: building a graph in bulk renders each
 // distinct label object exactly once however many transitions share it, and
-// nothing that reads the compiled view renders it again.
+// nothing that reads the LTS renders it again.
 func TestLabelsRenderedOncePerObject(t *testing.T) {
 	labels := []*countingLabel{{str: "a"}, {str: "b"}, {str: "a"}} // two objects render alike
 	ids := []StateID{"s0", "s1", "s2", "s3"}
@@ -273,9 +144,8 @@ func TestLabelsRenderedOncePerObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := l.Compiled()
-	if c.NumLabels() != 2 || c.Label(0) != Label(labels[0]) {
-		t.Fatalf("label table has %d entries led by %v, want 2 led by the first object", c.NumLabels(), c.Label(0))
+	if l.NumLabels() != 2 || l.Label(0) != Label(labels[0]) {
+		t.Fatalf("label table has %d entries led by %v, want 2 led by the first object", l.NumLabels(), l.Label(0))
 	}
 	l.Stats() //nolint:errcheck // only the rendering count matters here
 	l.LabelHistogram()
@@ -293,7 +163,7 @@ func TestLabelsRenderedOncePerObject(t *testing.T) {
 
 func referenceReachableFrom(l *LTS, start StateID) map[StateID]bool {
 	visited := make(map[StateID]bool)
-	if !l.HasState(start) {
+	if _, ok := l.Index(start); !ok {
 		return visited
 	}
 	stack := []StateID{start}
@@ -312,7 +182,7 @@ func referenceReachableFrom(l *LTS, start StateID) map[StateID]bool {
 }
 
 func referenceShortestTrace(l *LTS, start StateID, pred StatePredicate) (Trace, bool) {
-	if !l.HasState(start) {
+	if _, ok := l.Index(start); !ok {
 		return nil, false
 	}
 	if pred(start) {
@@ -391,10 +261,9 @@ func referenceTracesFrom(l *LTS, start StateID, maxDepth, maxTraces int) []Trace
 // bound neither panics nor over-allocates: simple paths are bounded by the
 // state count, so the path buffer must be capped there.
 func TestTracesFromUnboundedDepth(t *testing.T) {
-	l := New()
-	l.SetInitial("s0")
-	l.AddTransition("s0", "s1", StringLabel("a"))
-	l.AddTransition("s1", "s2", StringLabel("b"))
+	l := newGraph().init("s0").
+		edge("s0", "s1", StringLabel("a")).
+		edge("s1", "s2", StringLabel("b")).build()
 	traces := l.TracesFrom("s0", int(^uint(0)>>1), -1)
 	if len(traces) != 1 || len(traces[0]) != 2 {
 		t.Fatalf("TracesFrom with MaxInt depth = %v, want one 2-step trace", traces)

@@ -1,5 +1,5 @@
 // Package lts provides a general-purpose Labelled Transition System (LTS)
-// library: construction, traversal, trace extraction, property checking,
+// library: bulk construction, traversal, trace extraction, property checking,
 // minimisation and rendering.
 //
 // The paper's formal model of user privacy (Section II-B) is an LTS whose
@@ -9,21 +9,20 @@
 // semantics (state variables, actions, extraction rules) on top of it, and
 // the analyses in packages risk and pseudorisk annotate it.
 //
-// There is one representation: states are dense int32 indices in insertion
-// order behind a single StateID -> index map, per-state data is a slice over
-// that index, and adjacency is the CSR layout of the Compiled view, which
-// shares the map. An LTS built edge by edge compiles on first use; one built
-// in bulk (FromParts, RestoreLTS, Relabeled) is born compiled.
+// An LTS is built whole and never changes. FromParts builds one from a dense
+// state list and edge list, RestoreCompiled from the flat sections a model
+// store saved, Relabeled from another LTS with new labels, and
+// MinimizeRespecting as a quotient; nothing mutates one afterwards. States are
+// dense int32 indices in insertion order behind a single StateID -> index
+// map, and adjacency is a CSR layout in each direction, so every analysis is
+// an integer traversal and every LTS is safe for concurrent readers.
 package lts
 
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // StateID identifies a state within an LTS.
@@ -44,15 +43,6 @@ type StringLabel string
 func (s StringLabel) LabelString() string { return string(s) }
 
 var _ Label = StringLabel("")
-
-// State is a node of the LTS. Props holds small display-oriented annotations;
-// richer per-state data (such as the privacy state vector) is kept by the
-// layer that builds the LTS, indexed by the state's dense index (Compiled.Index).
-type State struct {
-	ID StateID
-	// Props are optional display annotations (e.g. "phase": "after-care").
-	Props map[string]string
-}
 
 // Transition is a directed, labelled edge of the LTS.
 type Transition struct {
@@ -83,188 +73,138 @@ func (t Transition) String() string {
 	return b.String()
 }
 
-// LTS is a labelled transition system. The zero value is not usable; create
-// instances with New. An LTS is not safe for concurrent mutation; once built
-// it is safe for concurrent readers.
+// LTS is an immutable labelled transition system: states are dense int32
+// indices (in insertion order), every distinct label string is interned into
+// a table exactly once, and the transitions are laid out twice in
+// compressed-sparse-row (CSR) form — grouped by source for outgoing traversal
+// and by target for incoming traversal — as flat []int32 slices of transition
+// indices. Every analysis in this package runs on that layout: integer BFS/DFS
+// over slices with bitset visited sets, no map lookups and no label rendering
+// on the hot path. The zero value is not usable; only FromParts,
+// RestoreCompiled, Relabeled and MinimizeRespecting build one. All methods are
+// safe for concurrent use.
 type LTS struct {
-	initial     StateID
-	hasInitial  bool
-	index       map[StateID]int32   // the one ID -> dense index map, shared with Compiled views
-	order       []StateID           // dense index -> ID, insertion order
-	props       []map[string]string // dense index -> props; may be shorter than order
-	transitions []Transition
-	// out lists each state's outgoing transition indices for AddTransition's
-	// duplicate scan; a bulk-born graph has none until edit derives it.
-	out [][]int32
+	states  []StateID         // dense index -> state ID, insertion order
+	ids     map[StateID]int32 // state ID -> dense index
+	initial int32             // dense initial state, -1 when none
 
-	// compiled caches the CSR view every analysis and adjacency query runs
-	// on; mutators reset it. Concurrent readers may race to compile, which is
-	// harmless (both results are identical snapshots); mutation concurrent
-	// with reads is already excluded by the LTS contract.
-	compiled atomic.Pointer[Compiled]
+	trs []Transition // insertion order
+
+	labels    []Label  // interned label table; labels[i] is the first Label seen rendering labelStrs[i]
+	labelStrs []string // labelStrs[i] == labels[i].LabelString(), resolved once
+	edgeLabel []int32  // per transition -> index into the label table
+	edgeFrom  []int32  // per transition -> dense source state
+	edgeTo    []int32  // per transition -> dense target state
+
+	outOff   []int32 // len StateCount+1; out-edges of s are outEdges[outOff[s]:outOff[s+1]]
+	outEdges []int32 // transition indices grouped by source, insertion order within each source
+	inOff    []int32
+	inEdges  []int32
 }
 
-// Compiled returns the CSR compilation of the LTS, building it on first use
-// and caching it until the next mutation. The result is an immutable snapshot
-// shared by all callers.
-func (l *LTS) Compiled() *Compiled {
-	if c := l.compiled.Load(); c != nil {
-		return c
-	}
-	return Compile(l)
-}
-
-// edit readies the LTS for a mutation. A cached view shares the index map
-// (and, through Relabeled, the props slice), so they are copied and the view
-// dropped; order and transitions are shared at full capacity, so appending
-// never writes into a snapshot.
-func (l *LTS) edit() {
-	c := l.compiled.Load()
-	if c == nil {
-		return
-	}
-	l.index = maps.Clone(l.index)
-	l.props = slices.Clone(l.props)
-	if len(l.out) < len(l.order) { // bulk-born: the CSR is the only adjacency so far
-		l.out = make([][]int32, len(l.order))
-		for s := range l.out {
-			l.out[s] = slices.Clip(c.Out(int32(s)))
-		}
-	}
-	l.compiled.Store(nil)
-}
-
-// New returns an empty LTS.
-func New() *LTS {
-	return &LTS{index: make(map[StateID]int32)}
-}
-
-// AddState adds a state. Adding an existing ID merges the props.
-func (l *LTS) AddState(id StateID, props map[string]string) {
-	s, exists := l.index[id]
-	if exists && len(props) == 0 {
-		return
-	}
-	l.edit()
-	if !exists {
-		s = int32(len(l.order))
-		l.index[id] = s
-		l.order = append(l.order, id)
-		l.out = append(l.out, nil)
-	}
-	if len(props) > 0 {
-		for int(s) >= len(l.props) {
-			l.props = append(l.props, nil)
-		}
-		if l.props[s] == nil {
-			l.props[s] = make(map[string]string, len(props))
-		}
-		maps.Copy(l.props[s], props)
-	}
-}
-
-// SetInitial marks the initial state, adding it if necessary.
-func (l *LTS) SetInitial(id StateID) {
-	l.AddState(id, nil)
-	l.edit()
-	l.initial = id
-	l.hasInitial = true
-}
-
-// Initial returns the initial state ID; ok is false if none was set.
-func (l *LTS) Initial() (StateID, bool) { return l.initial, l.hasInitial }
-
-// HasState reports whether the state exists.
-func (l *LTS) HasState(id StateID) bool {
-	_, ok := l.index[id]
-	return ok
-}
-
-// State returns the state with the given ID.
-func (l *LTS) State(id StateID) (State, bool) {
-	s, ok := l.index[id]
-	if !ok {
-		return State{}, false
-	}
-	return State{ID: id, Props: l.propsAt(int(s))}, true
-}
-
-// propsAt returns the props of the state at the dense index, nil when it has
-// none.
-func (l *LTS) propsAt(s int) map[string]string {
-	if s < len(l.props) {
-		return l.props[s]
-	}
-	return nil
-}
-
-// AddTransition adds a labelled transition, creating missing endpoint states.
-// The same (from, label, to) triple may be added only once; duplicates are
-// silently ignored so generators can be written without bookkeeping.
-func (l *LTS) AddTransition(from, to StateID, label Label) {
-	l.AddState(from, nil)
-	l.AddState(to, nil)
-	l.edit()
-	labelStr := labelString(label)
-	for _, idx := range l.out[l.index[from]] {
-		if t := l.transitions[idx]; t.To == to && labelString(t.Label) == labelStr {
-			return
-		}
-	}
-	l.AddTransitionUnchecked(from, to, label)
-}
-
-// AddTransitionUnchecked appends a labelled transition without AddTransition's
-// duplicate scan (which renders the label of every parallel edge). Builders
-// that guarantee each (from, to, label) triple is produced at most once use
-// it to keep construction cheap. Missing endpoint states are still created.
-func (l *LTS) AddTransitionUnchecked(from, to StateID, label Label) {
-	l.AddState(from, nil)
-	l.AddState(to, nil)
-	l.edit()
-	s := l.index[from]
-	l.out[s] = append(l.out[s], int32(len(l.transitions)))
-	l.transitions = append(l.transitions, Transition{From: from, To: to, Label: label})
-}
+// Compiled returns l itself: an LTS is born in its compiled form, so this
+// allocates nothing and builds nothing.
+func (l *LTS) Compiled() *LTS { return l }
 
 // StateCount returns the number of states.
-func (l *LTS) StateCount() int { return len(l.order) }
+func (l *LTS) StateCount() int { return len(l.states) }
 
 // TransitionCount returns the number of transitions.
-func (l *LTS) TransitionCount() int { return len(l.transitions) }
+func (l *LTS) TransitionCount() int { return len(l.trs) }
+
+// NumLabels returns the number of distinct label strings.
+func (l *LTS) NumLabels() int { return len(l.labels) }
+
+// Initial returns the initial state ID; ok is false if the LTS has none.
+func (l *LTS) Initial() (StateID, bool) {
+	if l.initial < 0 {
+		return "", false
+	}
+	return l.states[l.initial], true
+}
+
+// Index returns the dense index of the state ID; ok is false for IDs the LTS
+// does not know.
+func (l *LTS) Index(id StateID) (int32, bool) {
+	s, ok := l.ids[id]
+	return s, ok
+}
+
+// StateAt returns the state ID at the given dense index.
+func (l *LTS) StateAt(s int32) StateID { return l.states[s] }
+
+// TransitionAt returns the transition at the given transition index.
+func (l *LTS) TransitionAt(e int32) Transition { return l.trs[e] }
 
 // StateIDs returns all state IDs in insertion order.
 func (l *LTS) StateIDs() []StateID {
-	out := make([]StateID, len(l.order))
-	copy(out, l.order)
+	out := make([]StateID, len(l.states))
+	copy(out, l.states)
 	return out
 }
 
 // Transitions returns a copy of all transitions in insertion order.
 func (l *LTS) Transitions() []Transition {
-	out := make([]Transition, len(l.transitions))
-	copy(out, l.transitions)
+	out := make([]Transition, len(l.trs))
+	copy(out, l.trs)
 	return out
 }
 
+// Out returns the transition indices leaving the state, in insertion order.
+// The returned slice aliases the CSR layout and must not be modified.
+func (l *LTS) Out(s int32) []int32 { return l.outEdges[l.outOff[s]:l.outOff[s+1]] }
+
+// In returns the transition indices entering the state, in insertion order.
+// The returned slice aliases the CSR layout and must not be modified.
+func (l *LTS) In(s int32) []int32 { return l.inEdges[l.inOff[s]:l.inOff[s+1]] }
+
+// OutDegree returns the number of transitions leaving the state.
+func (l *LTS) OutDegree(s int32) int { return int(l.outOff[s+1] - l.outOff[s]) }
+
+// MaxOutDegree returns the largest number of transitions leaving any state.
+func (l *LTS) MaxOutDegree() int {
+	d := 0
+	for s := range l.states {
+		d = max(d, l.OutDegree(int32(s)))
+	}
+	return d
+}
+
+// From returns the dense source state of the transition.
+func (l *LTS) From(e int32) int32 { return l.edgeFrom[e] }
+
+// To returns the dense target state of the transition.
+func (l *LTS) To(e int32) int32 { return l.edgeTo[e] }
+
+// LabelID returns the interned label index of the transition.
+func (l *LTS) LabelID(e int32) int32 { return l.edgeLabel[e] }
+
+// Label returns the interned label at the given label index: the first Label
+// value encountered with that label string (nil labels intern alongside
+// labels rendering the empty string).
+func (l *LTS) Label(lid int32) Label { return l.labels[lid] }
+
+// LabelString returns the label string at the given label index, rendered
+// once when the LTS was built.
+func (l *LTS) LabelString(lid int32) string { return l.labelStrs[lid] }
+
 // Outgoing returns the transitions leaving the given state, in insertion
 // order.
-func (l *LTS) Outgoing(id StateID) []Transition { return l.adjacent(id, (*Compiled).Out) }
+func (l *LTS) Outgoing(id StateID) []Transition { return l.adjacent(id, (*LTS).Out) }
 
 // Incoming returns the transitions entering the given state.
-func (l *LTS) Incoming(id StateID) []Transition { return l.adjacent(id, (*Compiled).In) }
+func (l *LTS) Incoming(id StateID) []Transition { return l.adjacent(id, (*LTS).In) }
 
 // adjacent copies one CSR bucket of the state out as transitions.
-func (l *LTS) adjacent(id StateID, bucket func(*Compiled, int32) []int32) []Transition {
-	c := l.Compiled()
-	s, ok := c.ids[id]
+func (l *LTS) adjacent(id StateID, bucket func(*LTS, int32) []int32) []Transition {
+	s, ok := l.ids[id]
 	if !ok {
 		return []Transition{}
 	}
-	edges := bucket(c, s)
+	edges := bucket(l, s)
 	out := make([]Transition, len(edges))
 	for i, e := range edges {
-		out[i] = c.trs[e]
+		out[i] = l.trs[e]
 	}
 	return out
 }
@@ -290,24 +230,23 @@ var ErrNoInitialState = errors.New("lts: no initial state set")
 // Reachable returns the set of states reachable from the initial state
 // (including it), as a map for membership tests.
 func (l *LTS) Reachable() (map[StateID]bool, error) {
-	if !l.hasInitial {
+	if l.initial < 0 {
 		return nil, ErrNoInitialState
 	}
-	return l.ReachableFrom(l.initial), nil
+	return l.ReachableFrom(l.states[l.initial]), nil
 }
 
 // ReachableFrom returns the set of states reachable from the given state.
-// The traversal itself is an integer DFS with a bitset visited set over the
-// compiled view; only the returned membership map is allocated per call.
+// The traversal itself is an integer DFS with a bitset visited set; only the
+// returned membership map is allocated per call.
 func (l *LTS) ReachableFrom(start StateID) map[StateID]bool {
-	c := l.Compiled()
-	s, ok := c.ids[start]
+	s, ok := l.ids[start]
 	if !ok {
 		return make(map[StateID]bool)
 	}
-	bits, count := c.ReachableBits(s)
+	bits, count := l.ReachableBits(s)
 	visited := make(map[StateID]bool, count)
-	for i, id := range c.states {
+	for i, id := range l.states {
 		if bits.Has(int32(i)) {
 			visited[id] = true
 		}
@@ -315,58 +254,48 @@ func (l *LTS) ReachableFrom(start StateID) map[StateID]bool {
 	return visited
 }
 
-// UnreachableStates returns states not reachable from the initial state,
-// sorted by ID. Generators should normally produce none.
-func (l *LTS) UnreachableStates() ([]StateID, error) {
-	c := l.Compiled()
-	init, ok := c.InitialIndex()
-	if !ok {
+// reachableSorted returns the states the initial state does (or, with
+// reachable false, does not) reach that satisfy keep, sorted by ID.
+func (l *LTS) reachableSorted(reachable bool, keep func(s int32) bool) ([]StateID, error) {
+	if l.initial < 0 {
 		return nil, ErrNoInitialState
 	}
-	bits, _ := c.ReachableBits(init)
+	bits, _ := l.ReachableBits(l.initial)
 	var out []StateID
-	for i, id := range c.states {
-		if !bits.Has(int32(i)) {
+	for i, id := range l.states {
+		if bits.Has(int32(i)) == reachable && keep(int32(i)) {
 			out = append(out, id)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
+}
+
+// UnreachableStates returns states not reachable from the initial state,
+// sorted by ID. Generators should normally produce none.
+func (l *LTS) UnreachableStates() ([]StateID, error) {
+	return l.reachableSorted(false, func(int32) bool { return true })
 }
 
 // TerminalStates returns reachable states with no outgoing transitions,
 // sorted by ID.
 func (l *LTS) TerminalStates() ([]StateID, error) {
-	c := l.Compiled()
-	init, ok := c.InitialIndex()
-	if !ok {
-		return nil, ErrNoInitialState
-	}
-	bits, _ := c.ReachableBits(init)
-	var out []StateID
-	for i, id := range c.states {
-		if bits.Has(int32(i)) && c.OutDegree(int32(i)) == 0 {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return l.reachableSorted(true, func(s int32) bool { return l.OutDegree(s) == 0 })
 }
 
 // IsDeterministic reports whether no state has two outgoing transitions with
 // the same label string leading to different states.
 func (l *LTS) IsDeterministic() bool {
-	c := l.Compiled()
 	seen := make(map[int32]int32)
-	for s := range c.states {
-		edges := c.Out(int32(s))
+	for s := range l.states {
+		edges := l.Out(int32(s))
 		if len(edges) < 2 {
 			continue
 		}
 		clear(seen)
 		for _, e := range edges {
-			lid := c.edgeLabel[e]
-			to := c.edgeTo[e]
+			lid := l.edgeLabel[e]
+			to := l.edgeTo[e]
 			if prev, ok := seen[lid]; ok && prev != to {
 				return false
 			}
@@ -391,25 +320,24 @@ type Stats struct {
 
 // Stats computes summary statistics. It requires an initial state.
 func (l *LTS) Stats() (Stats, error) {
-	c := l.Compiled()
-	init, ok := c.InitialIndex()
-	if !ok {
+	init := l.initial
+	if init < 0 {
 		return Stats{}, ErrNoInitialState
 	}
 	st := Stats{
-		States:       c.NumStates(),
-		Transitions:  c.NumEdges(),
-		MaxOutDegree: c.MaxOutDegree(),
+		States:       l.StateCount(),
+		Transitions:  l.TransitionCount(),
+		MaxOutDegree: l.MaxOutDegree(),
 	}
-	bits, reachable := c.ReachableBits(init)
-	st.Unreachable = c.NumStates() - reachable
-	for i := range c.states {
-		if bits.Has(int32(i)) && c.OutDegree(int32(i)) == 0 {
+	bits, reachable := l.ReachableBits(init)
+	st.Unreachable = l.StateCount() - reachable
+	for i := range l.states {
+		if bits.Has(int32(i)) && l.OutDegree(int32(i)) == 0 {
 			st.Terminal++
 		}
 	}
 	// Integer BFS for depth.
-	dist := make([]int32, c.NumStates())
+	dist := make([]int32, l.StateCount())
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -421,8 +349,8 @@ func (l *LTS) Stats() (Stats, error) {
 		if int(dist[cur]) > st.Depth {
 			st.Depth = int(dist[cur])
 		}
-		for _, e := range c.Out(cur) {
-			next := c.edgeTo[e]
+		for _, e := range l.Out(cur) {
+			next := l.edgeTo[e]
 			if dist[next] < 0 {
 				dist[next] = dist[cur] + 1
 				queue = append(queue, next)
@@ -436,14 +364,54 @@ func (l *LTS) Stats() (Stats, error) {
 // examples and debugging output.
 func (l *LTS) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "LTS: %d states, %d transitions\n", len(l.order), len(l.transitions))
-	if l.hasInitial {
-		fmt.Fprintf(&b, "initial: %s\n", l.initial)
+	fmt.Fprintf(&b, "LTS: %d states, %d transitions\n", len(l.states), len(l.trs))
+	if init, ok := l.Initial(); ok {
+		fmt.Fprintf(&b, "initial: %s\n", init)
 	}
-	for _, id := range l.order {
-		for _, t := range l.Outgoing(id) {
-			fmt.Fprintf(&b, "  %s\n", t)
+	for s := range l.states {
+		for _, e := range l.Out(int32(s)) {
+			fmt.Fprintf(&b, "  %s\n", l.trs[e])
 		}
 	}
 	return b.String()
 }
+
+// ReachableBits returns the bitset of states reachable from the given dense
+// state (including it) and their count.
+func (l *LTS) ReachableBits(start int32) (Bitset, int) {
+	visited := NewBitset(len(l.states))
+	visited.Set(start)
+	count := 1
+	stack := make([]int32, 0, 64)
+	stack = append(stack, start)
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range l.Out(cur) {
+			next := l.edgeTo[e]
+			if visited.Has(next) {
+				continue
+			}
+			visited.Set(next)
+			count++
+			stack = append(stack, next)
+		}
+	}
+	return visited, count
+}
+
+// Bitset is a fixed-width bitset over dense state indices, the visited-set
+// representation of every graph traversal.
+type Bitset []uint64
+
+// NewBitset returns an all-false bitset for n elements.
+func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
+
+// Set sets bit i.
+func (b Bitset) Set(i int32) { b[i>>6] |= 1 << uint(i&63) }
+
+// Clear clears bit i.
+func (b Bitset) Clear(i int32) { b[i>>6] &^= 1 << uint(i&63) }
+
+// Has reports whether bit i is set.
+func (b Bitset) Has(i int32) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }

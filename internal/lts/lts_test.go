@@ -2,73 +2,80 @@ package lts
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
 
+// graph collects a test LTS one edge at a time: a state is registered on
+// first mention and a repeated (from, label string, to) triple is dropped, so
+// fixtures and random corpora read like edge lists. build ends in FromParts.
+type graph struct {
+	ids     []StateID
+	index   map[StateID]int32
+	initial int
+	edges   []BulkEdge
+	seen    map[string]bool
+}
+
+func newGraph() *graph {
+	return &graph{index: map[StateID]int32{}, initial: -1, seen: map[string]bool{}}
+}
+
+// state returns the dense index of id, registering it if it is new.
+func (g *graph) state(id StateID) int32 {
+	if _, ok := g.index[id]; !ok {
+		g.index[id] = int32(len(g.ids))
+		g.ids = append(g.ids, id)
+	}
+	return g.index[id]
+}
+
+func (g *graph) init(id StateID) *graph { g.initial = int(g.state(id)); return g }
+
+// edge adds from --label--> to unless the graph already has that triple.
+func (g *graph) edge(from, to StateID, label Label) *graph {
+	e := BulkEdge{From: g.state(from), To: g.state(to), Label: label}
+	if k := fmt.Sprint(e.From, " ", e.To, " ", labelString(label)); !g.seen[k] {
+		g.seen[k] = true
+		g.edges = append(g.edges, e)
+	}
+	return g
+}
+
+func (g *graph) build() *LTS {
+	l, err := FromParts(g.ids, g.initial, g.edges)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
 // chain builds the LTS  s0 --a--> s1 --b--> s2 --c--> s3.
 func chain() *LTS {
-	l := New()
-	l.SetInitial("s0")
-	l.AddTransition("s0", "s1", StringLabel("a"))
-	l.AddTransition("s1", "s2", StringLabel("b"))
-	l.AddTransition("s2", "s3", StringLabel("c"))
-	return l
+	return newGraph().init("s0").
+		edge("s0", "s1", StringLabel("a")).
+		edge("s1", "s2", StringLabel("b")).
+		edge("s2", "s3", StringLabel("c")).build()
 }
 
 // diamond builds an LTS with two paths from s0 to s3 and a detached state.
 func diamond() *LTS {
-	l := New()
-	l.SetInitial("s0")
-	l.AddTransition("s0", "s1", StringLabel("left"))
-	l.AddTransition("s0", "s2", StringLabel("right"))
-	l.AddTransition("s1", "s3", StringLabel("join"))
-	l.AddTransition("s2", "s3", StringLabel("join"))
-	l.AddState("island", nil)
-	return l
-}
-
-func TestAddStateAndTransitionBasics(t *testing.T) {
-	l := New()
-	l.AddState("s0", map[string]string{"phase": "start"})
-	l.AddState("s0", map[string]string{"note": "merged"})
-	s, ok := l.State("s0")
-	if !ok {
-		t.Fatal("State(s0) missing")
-	}
-	if s.Props["phase"] != "start" || s.Props["note"] != "merged" {
-		t.Errorf("props not merged: %+v", s.Props)
-	}
-	l.AddTransition("s0", "s1", StringLabel("go"))
-	if !l.HasState("s1") {
-		t.Error("AddTransition should create target state")
-	}
-	if l.StateCount() != 2 || l.TransitionCount() != 1 {
-		t.Errorf("counts = %d states, %d transitions", l.StateCount(), l.TransitionCount())
-	}
-	// Duplicate transitions are ignored.
-	l.AddTransition("s0", "s1", StringLabel("go"))
-	if l.TransitionCount() != 1 {
-		t.Errorf("duplicate transition added: %d", l.TransitionCount())
-	}
-	// Same endpoints, different label is a new transition.
-	l.AddTransition("s0", "s1", StringLabel("other"))
-	if l.TransitionCount() != 2 {
-		t.Errorf("distinct-label transition not added: %d", l.TransitionCount())
-	}
+	g := newGraph().init("s0").
+		edge("s0", "s1", StringLabel("left")).
+		edge("s0", "s2", StringLabel("right")).
+		edge("s1", "s3", StringLabel("join")).
+		edge("s2", "s3", StringLabel("join"))
+	g.state("island")
+	return g.build()
 }
 
 func TestInitial(t *testing.T) {
-	l := New()
-	if _, ok := l.Initial(); ok {
-		t.Error("empty LTS should have no initial state")
+	if _, ok := newGraph().edge("s0", "s1", nil).build().Initial(); ok {
+		t.Error("an LTS built without an initial index should have no initial state")
 	}
-	l.SetInitial("s0")
-	if id, ok := l.Initial(); !ok || id != "s0" {
+	if id, ok := chain().Initial(); !ok || id != "s0" {
 		t.Errorf("Initial() = %q, %v", id, ok)
-	}
-	if !l.HasState("s0") {
-		t.Error("SetInitial should add the state")
 	}
 }
 
@@ -118,7 +125,7 @@ func TestReachability(t *testing.T) {
 		t.Errorf("TerminalStates() = %v", term)
 	}
 
-	empty := New()
+	empty := newGraph().build()
 	if _, err := empty.Reachable(); err != ErrNoInitialState {
 		t.Errorf("Reachable without initial = %v, want ErrNoInitialState", err)
 	}
@@ -128,10 +135,9 @@ func TestIsDeterministic(t *testing.T) {
 	if !chain().IsDeterministic() {
 		t.Error("chain should be deterministic")
 	}
-	l := New()
-	l.SetInitial("s0")
-	l.AddTransition("s0", "s1", StringLabel("a"))
-	l.AddTransition("s0", "s2", StringLabel("a"))
+	l := newGraph().init("s0").
+		edge("s0", "s1", StringLabel("a")).
+		edge("s0", "s2", StringLabel("a")).build()
 	if l.IsDeterministic() {
 		t.Error("two a-transitions to different states should be nondeterministic")
 	}
@@ -155,7 +161,7 @@ func TestStats(t *testing.T) {
 	if st.MaxOutDegree != 2 {
 		t.Errorf("Stats.MaxOutDegree = %d, want 2", st.MaxOutDegree)
 	}
-	if _, err := New().Stats(); err == nil {
+	if _, err := newGraph().build().Stats(); err == nil {
 		t.Error("Stats without initial state should fail")
 	}
 }
@@ -193,7 +199,7 @@ func TestExistsAndAlways(t *testing.T) {
 		t.Errorf("Always(true) = %v, %v", ok, err)
 	}
 
-	if _, _, err := New().Exists(func(StateID) bool { return true }); err == nil {
+	if _, _, err := newGraph().build().Exists(func(StateID) bool { return true }); err == nil {
 		t.Error("Exists without initial should fail")
 	}
 }
@@ -355,25 +361,28 @@ func TestDOT(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTrip: the document MarshalJSON writes decodes back to the
+// LTS's initial state, states, transitions and label strings.
 func TestJSONRoundTrip(t *testing.T) {
 	l := diamond()
 	data, err := json.Marshal(l)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	var back LTS
+	var back jsonDoc
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if back.StateCount() != l.StateCount() || back.TransitionCount() != l.TransitionCount() {
-		t.Errorf("round trip lost structure: %d/%d vs %d/%d",
-			back.StateCount(), back.TransitionCount(), l.StateCount(), l.TransitionCount())
+	if back.Initial != "s0" || len(back.States) != l.StateCount() || back.Stats["states"] != l.StateCount() {
+		t.Errorf("round trip lost the states: %+v", back)
 	}
-	if init, ok := back.Initial(); !ok || init != "s0" {
-		t.Errorf("round trip initial = %q, %v", init, ok)
+	if len(back.Transitions) != l.TransitionCount() {
+		t.Fatalf("round trip has %d transitions, want %d", len(back.Transitions), l.TransitionCount())
 	}
-	if err := (&LTS{}).UnmarshalJSON([]byte("{bad")); err == nil {
-		t.Error("invalid JSON accepted")
+	for i, tr := range l.Transitions() {
+		if got := back.Transitions[i]; got.From != string(tr.From) || got.To != string(tr.To) || got.Label != tr.Label.LabelString() {
+			t.Errorf("transition %d round-trips as %+v, want %s", i, got, tr)
+		}
 	}
 }
 
@@ -408,31 +417,5 @@ func TestTransitionsReturnsCopy(t *testing.T) {
 	ids[0] = "corrupted"
 	if l.StateIDs()[0] == "corrupted" {
 		t.Error("StateIDs() must return a copy")
-	}
-}
-
-func TestAddTransitionUnchecked(t *testing.T) {
-	l := New()
-	l.SetInitial("s0")
-	l.AddTransitionUnchecked("s0", "s1", StringLabel("a"))
-	l.AddTransitionUnchecked("s1", "s1", StringLabel("loop"))
-	if l.StateCount() != 2 || l.TransitionCount() != 2 {
-		t.Fatalf("states/transitions = %d/%d, want 2/2", l.StateCount(), l.TransitionCount())
-	}
-	if got := len(l.Outgoing("s0")); got != 1 {
-		t.Errorf("Outgoing(s0) = %d transitions, want 1", got)
-	}
-	if got := len(l.Incoming("s1")); got != 2 {
-		t.Errorf("Incoming(s1) = %d transitions, want 2", got)
-	}
-	// Unlike AddTransition, duplicates are the caller's responsibility: the
-	// unchecked variant appends them verbatim.
-	l.AddTransitionUnchecked("s0", "s1", StringLabel("a"))
-	if l.TransitionCount() != 3 {
-		t.Errorf("unchecked duplicate was deduplicated; transitions = %d, want 3", l.TransitionCount())
-	}
-	l.AddTransition("s0", "s1", StringLabel("a"))
-	if l.TransitionCount() != 3 {
-		t.Errorf("checked add after unchecked should dedupe; transitions = %d, want 3", l.TransitionCount())
 	}
 }

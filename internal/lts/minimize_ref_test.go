@@ -15,7 +15,7 @@ import (
 // equality.
 func minimizeReference(l *LTS) (*LTS, map[StateID]StateID) {
 	block := make(map[StateID]int, l.StateCount())
-	for _, id := range l.order {
+	for _, id := range l.states {
 		if len(l.Outgoing(id)) == 0 {
 			block[id] = 1
 		} else {
@@ -45,7 +45,7 @@ func minimizeReference(l *LTS) (*LTS, map[StateID]StateID) {
 		}
 		sigBlocks := make(map[string]int)
 		newBlock := make(map[StateID]int, l.StateCount())
-		for _, id := range l.order {
+		for _, id := range l.states {
 			sig := sigOf(id)
 			b, ok := sigBlocks[sig]
 			if !ok {
@@ -63,7 +63,7 @@ func minimizeReference(l *LTS) (*LTS, map[StateID]StateID) {
 
 	repOf := make(map[int]StateID)
 	mapping := make(map[StateID]StateID, l.StateCount())
-	for _, id := range l.order {
+	for _, id := range l.states {
 		b := block[id]
 		if _, ok := repOf[b]; !ok {
 			repOf[b] = id
@@ -71,20 +71,19 @@ func minimizeReference(l *LTS) (*LTS, map[StateID]StateID) {
 		mapping[id] = repOf[b]
 	}
 
-	min := New()
-	for _, id := range l.order {
+	min := newGraph()
+	for _, id := range l.states {
 		if mapping[id] == id {
-			s, _ := l.State(id)
-			min.AddState(id, s.Props)
+			min.state(id)
 		}
 	}
-	if l.hasInitial {
-		min.SetInitial(mapping[l.initial])
+	if init, ok := l.Initial(); ok {
+		min.init(mapping[init])
 	}
-	for _, t := range l.transitions {
-		min.AddTransition(mapping[t.From], mapping[t.To], t.Label)
+	for _, t := range l.trs {
+		min.edge(mapping[t.From], mapping[t.To], t.Label)
 	}
-	return min, mapping
+	return min.build(), mapping
 }
 
 // TestMinimizeMatchesReference is the property test pinning the rewritten
@@ -123,13 +122,13 @@ func TestMinimizeMatchesReference(t *testing.T) {
 // canonical first-encounter numbering (first state terminal): the rewritten
 // loop must still converge to the reference partition.
 func TestMinimizeStability(t *testing.T) {
-	l := New()
-	l.AddState("t0", nil) // terminal first, so initial numbering is renamed
-	l.AddTransition("a", "t0", StringLabel("x"))
-	l.AddTransition("b", "t0", StringLabel("x"))
-	l.AddTransition("c", "a", StringLabel("y"))
-	l.AddTransition("c", "b", StringLabel("y"))
-	l.SetInitial("c")
+	g := newGraph()
+	g.state("t0") // terminal first, so initial numbering is renamed
+	l := g.edge("a", "t0", StringLabel("x")).
+		edge("b", "t0", StringLabel("x")).
+		edge("c", "a", StringLabel("y")).
+		edge("c", "b", StringLabel("y")).
+		init("c").build()
 	gotMin, gotMap := l.Minimize()
 	wantMin, wantMap := minimizeReference(l)
 	if !reflect.DeepEqual(gotMap, wantMap) {

@@ -2,7 +2,6 @@ package lts
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 
 	"privascope/internal/dot"
@@ -34,14 +33,14 @@ func (l *LTS) DOT(opts DOTOptions) string {
 	g.SetNodeDefault("fontname", "Helvetica")
 	g.SetEdgeDefault("fontname", "Helvetica")
 
-	for _, id := range l.order {
+	for s, id := range l.states {
 		attrs := map[string]string{}
 		label := string(id)
 		if opts.StateLabel != nil {
 			label = opts.StateLabel(id)
 		}
 		attrs["label"] = label
-		if l.hasInitial && id == l.initial {
+		if int32(s) == l.initial {
 			attrs["penwidth"] = "2"
 		}
 		if opts.StateAttrs != nil {
@@ -51,15 +50,12 @@ func (l *LTS) DOT(opts DOTOptions) string {
 		}
 		g.AddNode(string(id), attrs)
 	}
-	// Edge labels come from the compiled view's interned table, so each
-	// distinct label string is rendered once per model rather than once per
-	// transition.
-	c := l.Compiled()
-	for e := range c.trs {
-		t := c.trs[e]
+	// Edge labels come from the interned table, so each distinct label string
+	// is rendered once per model rather than once per transition.
+	for e, t := range l.trs {
 		attrs := map[string]string{}
 		if t.Label != nil {
-			attrs["label"] = c.labelStrs[c.edgeLabel[e]]
+			attrs["label"] = l.labelStrs[l.edgeLabel[e]]
 		}
 		if opts.TransitionAttrs != nil {
 			for k, v := range opts.TransitionAttrs(t) {
@@ -75,16 +71,14 @@ func (l *LTS) DOT(opts DOTOptions) string {
 // string form; systems that need richer labels should serialise at their own
 // layer (package core does).
 type jsonDoc struct {
-	Initial     string            `json:"initial,omitempty"`
-	States      []jsonState       `json:"states"`
-	Transitions []jsonTransition  `json:"transitions"`
-	Stats       map[string]int    `json:"stats,omitempty"`
-	Extra       map[string]string `json:"extra,omitempty"`
+	Initial     string           `json:"initial,omitempty"`
+	States      []jsonState      `json:"states"`
+	Transitions []jsonTransition `json:"transitions"`
+	Stats       map[string]int   `json:"stats,omitempty"`
 }
 
 type jsonState struct {
-	ID    string            `json:"id"`
-	Props map[string]string `json:"props,omitempty"`
+	ID string `json:"id"`
 }
 
 type jsonTransition struct {
@@ -97,13 +91,13 @@ type jsonTransition struct {
 // strings). The concrete Label types are not preserved.
 func (l *LTS) MarshalJSON() ([]byte, error) {
 	doc := jsonDoc{}
-	if l.hasInitial {
-		doc.Initial = string(l.initial)
+	if init, ok := l.Initial(); ok {
+		doc.Initial = string(init)
 	}
-	for s, id := range l.order {
-		doc.States = append(doc.States, jsonState{ID: string(id), Props: l.propsAt(s)})
+	for _, id := range l.states {
+		doc.States = append(doc.States, jsonState{ID: string(id)})
 	}
-	for _, t := range l.transitions {
+	for _, t := range l.trs {
 		doc.Transitions = append(doc.Transitions, jsonTransition{From: string(t.From), To: string(t.To), Label: labelString(t.Label)})
 	}
 	if st, err := l.Stats(); err == nil {
@@ -117,49 +111,17 @@ func (l *LTS) MarshalJSON() ([]byte, error) {
 	return json.Marshal(doc)
 }
 
-// UnmarshalJSON rebuilds an LTS from the JSON produced by MarshalJSON.
-// Transition labels become StringLabel values.
-func (l *LTS) UnmarshalJSON(data []byte) error {
-	var doc jsonDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("lts: parsing LTS document: %w", err)
-	}
-	// Rebuild into a fresh LTS and adopt its fields (the receiver's cached
-	// compiled view cannot be copied, only dropped).
-	fresh := New()
-	for _, s := range doc.States {
-		fresh.AddState(StateID(s.ID), s.Props)
-	}
-	for _, t := range doc.Transitions {
-		fresh.AddTransition(StateID(t.From), StateID(t.To), StringLabel(t.Label))
-	}
-	if doc.Initial != "" {
-		fresh.SetInitial(StateID(doc.Initial))
-	}
-	l.initial = fresh.initial
-	l.hasInitial = fresh.hasInitial
-	l.index = fresh.index
-	l.order = fresh.order
-	l.props = fresh.props
-	l.transitions = fresh.transitions
-	l.out = fresh.out
-	l.compiled.Store(nil)
-	return nil
-}
-
 // LabelHistogram counts transitions per label string, sorted by label. It is
 // used in reports to summarise which actions dominate a model. The counting
-// runs over the compiled view's interned label table, so no label is
-// re-rendered.
+// runs over the interned label table, so no label is re-rendered.
 func (l *LTS) LabelHistogram() []LabelCount {
-	c := l.Compiled()
-	counts := make([]int, c.NumLabels())
-	for _, lid := range c.edgeLabel {
+	counts := make([]int, l.NumLabels())
+	for _, lid := range l.edgeLabel {
 		counts[lid]++
 	}
 	out := make([]LabelCount, 0, len(counts))
 	for lid, n := range counts {
-		out = append(out, LabelCount{Label: c.labelStrs[lid], Count: n})
+		out = append(out, LabelCount{Label: l.labelStrs[lid], Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
 	return out

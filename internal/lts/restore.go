@@ -2,10 +2,10 @@ package lts
 
 import "fmt"
 
-// CompiledParts is the flat data of a Compiled, exposed so the on-disk model
-// store (internal/modelstore) can serialise the compiled form and rebuild it
-// without recompiling — in particular without re-rendering any label string.
-// Every slice aliases the Compiled's internal layout and must be treated as
+// CompiledParts is the flat data of an LTS, exposed so the on-disk model
+// store (internal/modelstore) can serialise the graph and rebuild it without
+// re-deriving anything — in particular without re-rendering any label string.
+// Every slice aliases the LTS's internal layout and must be treated as
 // immutable.
 type CompiledParts struct {
 	// States maps each dense index to its state ID, in insertion order.
@@ -30,27 +30,27 @@ type CompiledParts struct {
 	OutOff, OutEdges, InOff, InEdges []int32
 }
 
-// Parts returns the flat sections of the compiled LTS. The returned slices
-// alias the Compiled and must not be modified.
-func (c *Compiled) Parts() CompiledParts {
+// Parts returns the flat sections of the LTS. The returned slices alias the
+// LTS and must not be modified.
+func (l *LTS) Parts() CompiledParts {
 	return CompiledParts{
-		States:    c.states,
-		Initial:   c.initial,
-		Trs:       c.trs,
-		Labels:    c.labels,
-		LabelStrs: c.labelStrs,
-		EdgeLabel: c.edgeLabel,
-		EdgeFrom:  c.edgeFrom,
-		EdgeTo:    c.edgeTo,
-		OutOff:    c.outOff,
-		OutEdges:  c.outEdges,
-		InOff:     c.inOff,
-		InEdges:   c.inEdges,
+		States:    l.states,
+		Initial:   l.initial,
+		Trs:       l.trs,
+		Labels:    l.labels,
+		LabelStrs: l.labelStrs,
+		EdgeLabel: l.edgeLabel,
+		EdgeFrom:  l.edgeFrom,
+		EdgeTo:    l.edgeTo,
+		OutOff:    l.outOff,
+		OutEdges:  l.outEdges,
+		InOff:     l.inOff,
+		InEdges:   l.inEdges,
 	}
 }
 
-// RestoreCompiled rebuilds a Compiled from previously exported parts,
-// validating every structural invariant Compile would have established:
+// RestoreCompiled rebuilds an LTS from previously exported parts, validating
+// every structural invariant FromParts would have established:
 // consistent section lengths, distinct state IDs, in-range endpoint and label
 // indices, and both CSR layouts partitioning the transitions with ascending
 // indices per bucket. It never panics on malformed parts; the first violated
@@ -62,7 +62,7 @@ func (c *Compiled) Parts() CompiledParts {
 // contract (the model store constructs Trs from those same arrays); it is not
 // re-verified here because it would re-render or re-compare every label and
 // state string.
-func RestoreCompiled(p CompiledParts) (*Compiled, error) {
+func RestoreCompiled(p CompiledParts) (*LTS, error) {
 	n, m := len(p.States), len(p.Trs)
 	if len(p.EdgeLabel) != m || len(p.EdgeFrom) != m || len(p.EdgeTo) != m {
 		return nil, fmt.Errorf("lts: restore: edge arrays have %d/%d/%d entries, want %d",
@@ -82,7 +82,7 @@ func RestoreCompiled(p CompiledParts) (*Compiled, error) {
 	if p.Initial < -1 || int(p.Initial) >= n {
 		return nil, fmt.Errorf("lts: restore: initial state %d out of range [-1, %d)", p.Initial, n)
 	}
-	c := &Compiled{
+	l := &LTS{
 		states:    p.States,
 		ids:       make(map[StateID]int32, n),
 		initial:   p.Initial,
@@ -98,10 +98,10 @@ func RestoreCompiled(p CompiledParts) (*Compiled, error) {
 		inEdges:   p.InEdges,
 	}
 	for i, id := range p.States {
-		if _, dup := c.ids[id]; dup {
+		if _, dup := l.ids[id]; dup {
 			return nil, fmt.Errorf("lts: restore: duplicate state ID %q", id)
 		}
-		c.ids[id] = int32(i)
+		l.ids[id] = int32(i)
 	}
 	numLabels := int32(len(p.Labels))
 	for e := 0; e < m; e++ {
@@ -120,12 +120,7 @@ func RestoreCompiled(p CompiledParts) (*Compiled, error) {
 	if err := checkCSR("incoming", p.InOff, p.InEdges, p.EdgeTo); err != nil {
 		return nil, err
 	}
-	for s := 0; s < n; s++ {
-		if d := int(p.OutOff[s+1] - p.OutOff[s]); d > c.maxOutDegree {
-			c.maxOutDegree = d
-		}
-	}
-	return c, nil
+	return l, nil
 }
 
 // checkCSR verifies one CSR layout against the per-edge endpoint array:
@@ -161,21 +156,4 @@ func checkCSR(name string, off, edges, endpoint []int32) error {
 		}
 	}
 	return nil
-}
-
-// RestoreLTS wraps a compiled view in an LTS born with that view in place, so
-// the first analysis never recompiles (and never re-renders a label). The LTS
-// shares the view's ID index, state list and transitions — nothing is
-// allocated per state — and is immediately usable by every consumer:
-// traversals, DOT rendering, JSON serialisation, and, copying first, the
-// mutators. Like any built LTS it is safe for concurrent readers.
-func RestoreLTS(c *Compiled) *LTS {
-	n, m := len(c.states), len(c.trs)
-	l := &LTS{index: c.ids, order: c.states[:n:n], transitions: c.trs[:m:m]}
-	if c.initial >= 0 {
-		l.initial = c.states[c.initial]
-		l.hasInitial = true
-	}
-	l.compiled.Store(c)
-	return l
 }

@@ -9,21 +9,19 @@ import (
 // buildRestoreFixture returns a small LTS with shared labels, a diamond shape
 // and a parallel edge, exercising every CSR corner.
 func buildRestoreFixture() *LTS {
-	l := New()
-	l.SetInitial("s0")
 	shared := StringLabel("shared")
-	l.AddTransition("s0", "s1", shared)
-	l.AddTransition("s0", "s2", StringLabel("b"))
-	l.AddTransition("s1", "s3", shared)
-	l.AddTransition("s2", "s3", StringLabel("c"))
-	l.AddTransition("s3", "s0", nil)
-	l.AddTransition("s0", "s1", StringLabel("parallel"))
-	return l
+	return newGraph().init("s0").
+		edge("s0", "s1", shared).
+		edge("s0", "s2", StringLabel("b")).
+		edge("s1", "s3", shared).
+		edge("s2", "s3", StringLabel("c")).
+		edge("s3", "s0", nil).
+		edge("s0", "s1", StringLabel("parallel")).build()
 }
 
-// bulkParts returns the inputs of FromParts that reproduce the compiled LTS.
-func bulkParts(c *Compiled) ([]StateID, int, []BulkEdge) {
-	p := c.Parts()
+// bulkParts returns the inputs of FromParts that reproduce the LTS.
+func bulkParts(l *LTS) ([]StateID, int, []BulkEdge) {
+	p := l.Parts()
 	edges := make([]BulkEdge, len(p.Trs))
 	for e, tr := range p.Trs {
 		edges[e] = BulkEdge{From: p.EdgeFrom[e], To: p.EdgeTo[e], Label: tr.Label}
@@ -31,25 +29,14 @@ func bulkParts(c *Compiled) ([]StateID, int, []BulkEdge) {
 	return append([]StateID(nil), p.States...), int(p.Initial), edges
 }
 
-// TestRestoreCompiledRoundTrip: every bulk constructor — RestoreLTS over
-// restored parts, FromParts over the dense lists, Relabeled with the same
-// labels — yields an LTS indistinguishable from the builder-born original,
-// born with its compiled view in place.
+// TestRestoreCompiledRoundTrip: every bulk constructor — RestoreCompiled over
+// exported parts, FromParts over the dense lists, Relabeled with the same
+// labels — yields an LTS indistinguishable from the original.
 func TestRestoreCompiledRoundTrip(t *testing.T) {
 	orig := buildRestoreFixture()
 	builders := map[string]func() (*LTS, error){
-		"RestoreLTS": func() (*LTS, error) {
-			restored, err := RestoreCompiled(orig.Compiled().Parts())
-			if err != nil {
-				return nil, err
-			}
-			l := RestoreLTS(restored)
-			if l.Compiled() != restored {
-				t.Errorf("restored LTS recompiled instead of adopting the restored view")
-			}
-			return l, nil
-		},
-		"FromParts": func() (*LTS, error) { return FromParts(bulkParts(orig.Compiled())) },
+		"RestoreCompiled": func() (*LTS, error) { return RestoreCompiled(orig.Parts()) },
+		"FromParts":       func() (*LTS, error) { return FromParts(bulkParts(orig)) },
 		"Relabeled": func() (*LTS, error) {
 			labels := make([]Label, orig.TransitionCount())
 			for i, tr := range orig.Transitions() {
@@ -63,14 +50,8 @@ func TestRestoreCompiledRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		// The LTS must serve analyses without compiling: the view is there
-		// before anything asks for it.
-		born := l.compiled.Load()
-		if born == nil || l.Compiled() != born {
-			t.Fatalf("%s: LTS was not born with its compiled view", name)
-		}
-		if !reflect.DeepEqual(born.Parts(), orig.Compiled().Parts()) {
-			t.Fatalf("%s: compiled parts differ from the original's", name)
+		if !reflect.DeepEqual(l.Parts(), orig.Parts()) {
+			t.Fatalf("%s: parts differ from the original's", name)
 		}
 		if got, want := l.String(), orig.String(); got != want {
 			t.Fatalf("%s: LTS renders differently:\n%s\nvs\n%s", name, got, want)
@@ -90,7 +71,7 @@ func TestRestoreCompiledRoundTrip(t *testing.T) {
 			t.Fatalf("%s: stats %+v, want %+v", name, gotStats, wantStats)
 		}
 		for _, id := range orig.StateIDs() {
-			if !l.HasState(id) {
+			if _, ok := l.Index(id); !ok {
 				t.Fatalf("%s: state %s missing", name, id)
 			}
 			if !reflect.DeepEqual(l.Outgoing(id), orig.Outgoing(id)) {
@@ -129,9 +110,9 @@ func TestFromPartsRejectsBadInput(t *testing.T) {
 // requires a clean error, never a panic.
 func TestRestoreCompiledRejectsCorruptParts(t *testing.T) {
 	fresh := func() CompiledParts {
-		// Re-derive parts from a fresh compile each time, deep-copying the
+		// Re-derive parts from a fresh fixture each time, deep-copying the
 		// slices a case mutates.
-		p := buildRestoreFixture().Compiled().Parts()
+		p := buildRestoreFixture().Parts()
 		p.EdgeFrom = append([]int32(nil), p.EdgeFrom...)
 		p.EdgeTo = append([]int32(nil), p.EdgeTo...)
 		p.EdgeLabel = append([]int32(nil), p.EdgeLabel...)

@@ -197,7 +197,7 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 		trs[e] = lts.Transition{From: stateIDs[edgeFrom[e]], To: stateIDs[edgeTo[e]], Label: label}
 	}
 
-	compiled, err := lts.RestoreCompiled(lts.CompiledParts{
+	graph, err := lts.RestoreCompiled(lts.CompiledParts{
 		States:    stateIDs,
 		Initial:   mt.initial,
 		Trs:       trs,
@@ -218,7 +218,7 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.RestorePrivacyLTS(model, vocab, lts.RestoreLTS(compiled), warnings, vecWords, stores), nil
+	return core.RestorePrivacyLTS(model, vocab, graph, warnings, vecWords, stores), nil
 }
 
 // parseSections validates the header, checksum and section table and returns

@@ -21,7 +21,7 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("modelstore: model cannot be fingerprinted: %w", err)
 	}
-	parts := p.Graph.Compiled().Parts()
+	parts := p.Graph.Parts()
 	n, m := len(parts.States), len(parts.Trs)
 	if parts.Initial < 0 {
 		return nil, fmt.Errorf("modelstore: model has no initial state")

@@ -8,11 +8,11 @@
 //
 // The sections are the model's in-memory representation — everything indexed
 // by dense state or transition number, one StateID -> index map per graph —
-// so decoding validates them and hands them to lts.RestoreCompiled,
-// lts.RestoreLTS and core.RestorePrivacyLTS as they are: the vector slab and
-// the CSR arrays whole, the datastore contents as one map per distinct
-// record window. A loaded model is the object generation builds, with its
-// graph born compiled; nothing is rebuilt state by state.
+// so decoding validates them and hands them to lts.RestoreCompiled and
+// core.RestorePrivacyLTS as they are: the vector slab and the CSR arrays
+// whole, the datastore contents as one map per distinct record window. A
+// loaded model is the object generation builds; nothing is rebuilt state by
+// state.
 //
 // The format is canonical and integrity-checked: every multi-byte value is
 // little-endian regardless of the writing host, encoding the same model

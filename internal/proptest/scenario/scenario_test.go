@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"privascope/internal/core"
 	"privascope/internal/dataflow"
 	"privascope/internal/proptest"
 	"privascope/internal/proptest/scenario"
@@ -39,7 +40,8 @@ func TestPropDrawIsPure(t *testing.T) {
 }
 
 // TestPropScenarioGenerates: every drawn scenario's model generates a
-// privacy LTS under the drawn options without error.
+// privacy LTS under the drawn options without error, at a tenth of the state
+// cap or less.
 func TestPropScenarioGenerates(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		s := scenario.Draw(seed)
@@ -47,8 +49,8 @@ func TestPropScenarioGenerates(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if p.Graph.StateCount() == 0 {
-			t.Fatalf("seed %d: generated LTS has no states", seed)
+		if n := p.Graph.StateCount(); n == 0 || n > core.DefaultMaxStates/10 {
+			t.Fatalf("seed %d: generated LTS has %d states", seed, n)
 		}
 		return nil
 	})

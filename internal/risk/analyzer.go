@@ -308,7 +308,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 	otherLevel := a.cfg.Matrix.LikelihoodLevel(a.otherLikelihood)
 	serviceLevel := a.cfg.Matrix.LikelihoodLevel(a.serviceLikelihood)
 
-	numEdges := view.Graph.NumEdges()
+	numEdges := view.Graph.TransitionCount()
 	for e := 0; e < numEdges; e++ {
 		// Poll between transitions, spaced out so the atomic load never
 		// shows up on profiles of small models.

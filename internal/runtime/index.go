@@ -62,7 +62,7 @@ type transitionIndex struct {
 	words     int
 	// graph resolves cursor state IDs to the dense indices states is
 	// addressed by.
-	graph *lts.Compiled
+	graph *lts.LTS
 	// states[denseState] buckets that state's outgoing transitions, nil for
 	// states with none.
 	states []map[eventKey]*stateEntry
@@ -78,10 +78,10 @@ func newTransitionIndex(p *core.PrivacyLTS) *transitionIndex {
 	ix := &transitionIndex{
 		fieldBits: make(map[string]int),
 		graph:     c,
-		states:    make([]map[eventKey]*stateEntry, c.NumStates()),
+		states:    make([]map[eventKey]*stateEntry, c.StateCount()),
 	}
 	// First pass: the field universe, so mask widths are known up front.
-	numEdges := c.NumEdges()
+	numEdges := c.TransitionCount()
 	for e := 0; e < numEdges; e++ {
 		label := view.Label(int32(e))
 		if label == nil {
@@ -100,7 +100,7 @@ func newTransitionIndex(p *core.PrivacyLTS) *transitionIndex {
 
 	// Second pass: bucket each state's outgoing transitions in insertion
 	// order, declared flows apart from potential reads.
-	for s := 0; s < c.NumStates(); s++ {
+	for s := 0; s < c.StateCount(); s++ {
 		edges := c.Out(int32(s))
 		if len(edges) == 0 {
 			continue

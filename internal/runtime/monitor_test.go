@@ -213,13 +213,12 @@ func TestMonitorWithLiveCluster(t *testing.T) {
 	ctx := context.Background()
 	userID := profile.ID
 
-	// The doctor records the consultation and the nurse reads the treatment
-	// (we drive the stores directly for collect-style knowledge, since
-	// collect happens between people, not against a datastore).
-	if _, err := monitor.Observe(service.Event{Actor: casestudy.ActorReceptionist, Action: core.ActionCollect,
-		UserID: userID, Fields: []string{casestudy.FieldName, casestudy.FieldDateOfBirth}}); err != nil {
-		t.Fatal(err)
-	}
+	// The doctor records the consultation and the nurse reads the treatment.
+	// Collect happens between people, not against a datastore, so the test
+	// appends those events to the cluster's log itself: one ordered stream
+	// then feeds Watch, and no collect can overtake the store events before it.
+	cluster.Log().Append(service.Event{Actor: casestudy.ActorReceptionist, Action: core.ActionCollect,
+		UserID: userID, Fields: []string{casestudy.FieldName, casestudy.FieldDateOfBirth}})
 	receptionist, err := cluster.Client(casestudy.StoreAppointments, casestudy.ActorReceptionist)
 	if err != nil {
 		t.Fatal(err)
@@ -238,10 +237,8 @@ func TestMonitorWithLiveCluster(t *testing.T) {
 	if _, err := doctorAppointments.Get(ctx, userID, "prepare consultation", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := monitor.Observe(service.Event{Actor: casestudy.ActorDoctor, Action: core.ActionCollect,
-		UserID: userID, Fields: []string{casestudy.FieldMedicalIssues}}); err != nil {
-		t.Fatal(err)
-	}
+	cluster.Log().Append(service.Event{Actor: casestudy.ActorDoctor, Action: core.ActionCollect,
+		UserID: userID, Fields: []string{casestudy.FieldMedicalIssues}})
 	doctorEHR, err := cluster.Client(casestudy.StoreEHR, casestudy.ActorDoctor)
 	if err != nil {
 		t.Fatal(err)

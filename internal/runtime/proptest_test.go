@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"privascope/internal/core"
+	"privascope/internal/lts"
 	"privascope/internal/proptest"
 	"privascope/internal/proptest/scenario"
+	"privascope/internal/risk"
 	"privascope/internal/runtime"
 	"privascope/internal/service"
 	"privascope/internal/synth"
@@ -285,4 +289,117 @@ func TestPropMonitorBatchHandoffForms(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestPropMonitorAlertsAreDesignTimeFindings: what the monitor raises at run
+// time is what the design-time assessment found. A random event stream fed
+// through IngestBatch raises the same sequence of alert kinds as
+// referenceMonitor, carries the same finding on every risk alert and leaves
+// every user at the same state; at the default threshold and at LevelLow,
+// where risk alerts actually fire.
+func TestPropMonitorAlertsAreDesignTimeFindings(t *testing.T) {
+	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
+		s := scenario.Draw(seed)
+		p, err := s.Generate()
+		if err != nil {
+			return err
+		}
+		users := make([]string, len(s.Profiles))
+		for i, profile := range s.Profiles {
+			users[i] = profile.ID
+		}
+		stream := synth.RandomEventStream(rng, p, users, 1+(48+len(users)-1)/len(users))
+		for _, tc := range []struct{ alertAt, want risk.Level }{{0, risk.LevelMedium}, {risk.LevelLow, risk.LevelLow}} {
+			monitor, err := runtime.NewMonitor(p, runtime.Config{AlertAt: tc.alertAt})
+			if err != nil {
+				return err
+			}
+			for _, profile := range s.Profiles {
+				if err := monitor.RegisterUser(profile); err != nil {
+					return err
+				}
+			}
+			monitor.IngestBatch(stream)
+			wantKinds, wantFindings, wantStates, err := referenceMonitor(p, s.Profiles, stream, tc.want)
+			if err != nil {
+				return err
+			}
+			var kinds []runtime.AlertKind
+			var findings []risk.Finding
+			for _, a := range monitor.Alerts() {
+				kinds = append(kinds, a.Kind)
+				if a.Kind == runtime.AlertRisk {
+					findings = append(findings, a.Finding)
+				}
+			}
+			if !slices.Equal(kinds, wantKinds) {
+				return fmt.Errorf("alert at %v: kinds %v, the design-time reference %v", tc.want, kinds, wantKinds)
+			}
+			if !reflect.DeepEqual(findings, wantFindings) {
+				return fmt.Errorf("alert at %v: risk alerts carry findings\n%+v\nthe reference\n%+v", tc.want, findings, wantFindings)
+			}
+			for id, want := range wantStates {
+				if got, _ := monitor.CurrentState(id); got != want {
+					return fmt.Errorf("alert at %v: user %s ends at %s, the reference at %s", tc.want, id, got, want)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// referenceMonitor replays the stream against the design-time artefacts
+// alone: a linear scan of Graph.Outgoing from each user's cursor (same action,
+// actor and datastore, non-empty event fields within the label's, declared
+// flows before potential reads, first in insertion order) and the Findings of
+// each user's Assessment (the highest Risk per transition and actor). It
+// returns every alert's kind, every risk alert's finding and each user's
+// final state.
+func referenceMonitor(p *core.PrivacyLTS, profiles []risk.UserProfile, stream []service.Event, alertAt risk.Level) ([]runtime.AlertKind, []risk.Finding, map[string]lts.StateID, error) {
+	analyzer, err := risk.NewAnalyzer(risk.Config{})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	assessed := make(map[string][]risk.Finding)
+	cursor := make(map[string]lts.StateID)
+	for _, profile := range profiles {
+		a, err := analyzer.Analyze(p, profile)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		assessed[profile.ID], cursor[profile.ID] = a.Findings, p.InitialState()
+	}
+	var kinds []runtime.AlertKind
+	var raised []risk.Finding
+	for _, ev := range stream {
+		tr, matched := lts.Transition{}, false
+		for _, potential := range []bool{false, true} {
+			for _, out := range p.Graph.Outgoing(cursor[ev.UserID]) {
+				label := core.LabelOf(out)
+				if !matched && len(ev.Fields) > 0 && label != nil && label.Potential == potential &&
+					label.Action == ev.Action && label.Actor == ev.Actor && label.Datastore == ev.Datastore &&
+					!slices.ContainsFunc(ev.Fields, func(f string) bool { return !slices.Contains(label.Fields, f) }) {
+					tr, matched = out, true
+				}
+			}
+		}
+		switch {
+		case ev.Denied:
+			kinds = append(kinds, runtime.AlertDenied)
+		case !matched:
+			kinds = append(kinds, runtime.AlertUnmodelled)
+		default:
+			cursor[ev.UserID] = tr.To
+			var best *risk.Finding
+			for i, f := range assessed[ev.UserID] {
+				if f.Transition == tr && f.Actor == ev.Actor && (best == nil || f.Risk > best.Risk) {
+					best = &assessed[ev.UserID][i]
+				}
+			}
+			if best != nil && best.Risk >= alertAt {
+				kinds, raised = append(kinds, runtime.AlertRisk), append(raised, *best)
+			}
+		}
+	}
+	return kinds, raised, cursor, nil
 }

@@ -122,7 +122,7 @@ func (m *Monitor) checkSnapshot(snap *UserSnapshot) error {
 	if err := snap.Profile.Validate(); err != nil {
 		return fmt.Errorf("runtime: import of user %q: %w", snap.Profile.ID, err)
 	}
-	if !m.lts.Graph.HasState(snap.State) {
+	if _, ok := m.lts.Graph.Index(snap.State); !ok {
 		return fmt.Errorf("runtime: import of user %q: state %q is not in the model", snap.Profile.ID, snap.State)
 	}
 	if snap.Applied < 0 || snap.Alerts < 0 {
