@@ -122,6 +122,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzHandoffDecode -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzModelDelta -fuzztime=$(FUZZTIME) ./internal/explore
+	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeOrder -fuzztime=$(FUZZTIME) ./internal/risk
 
 # cache-clean removes local persistent model-cache directories (the -model-cache
 # registries the CLIs and examples write next to the repo).

@@ -119,6 +119,29 @@ func TestAllocCeilings(t *testing.T) {
 				}
 			}), 1
 		}},
+		// A population scan without a shared cache: 256 users of 32 shapes on
+		// the medium synthetic model (2,625 states). A user costs its
+		// fingerprint; a shape one ranked walk, and no Finding or text.
+		{"risk_population", 24.26, "user", func(t *testing.T) (float64, int) {
+			medium := synth.Model(synth.ModelSpec{Services: 4, FieldsPerService: 3})
+			p := mustGenerate(t, medium, privascope.GenerateOptions{})
+			shapes := synth.Population(medium, synth.PopulationOptions{Users: 32, Seed: 3, SensitiveFields: synth.SensitiveFieldsOf(medium)})
+			users := make([]risk.UserProfile, 256)
+			for u := range users {
+				users[u] = shapes[u%len(shapes)]
+				users[u].ID = fmt.Sprintf("user-%03d", u)
+			}
+			analyzer := risk.MustAnalyzer(risk.Config{})
+			return testing.AllocsPerRun(3, func() {
+				pa, err := analyzer.AnalyzePopulation(p, users)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pa.DistinctShapes != len(shapes) || pa.UsersAtRisk == 0 {
+					t.Fatalf("%d shapes, %d users at risk: want %d shapes and some risk", pa.DistinctShapes, pa.UsersAtRisk, len(shapes))
+				}
+			}), len(users)
+		}},
 		// modelstore.Decode of the default synthetic model's artifact.
 		{"modelstore_decode", 342, "decode", func(t *testing.T) (float64, int) {
 			m := synth.Model(synth.ModelSpec{})

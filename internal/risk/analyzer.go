@@ -1,7 +1,6 @@
 package risk
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -120,13 +119,15 @@ type Analyzer struct {
 	cfg Config
 
 	// Scenario aggregates, precomputed at construction: the summed
-	// probability and contributing names of the service-level scenarios (for
-	// declared flows of non-consented services) and of the remaining
-	// scenarios (for potential reads and mere exposure). The name slices are
-	// shared read-only across every finding they apply to.
+	// probability, its bucketed level and the contributing names of the
+	// service-level scenarios (for declared flows of non-consented services)
+	// and of the remaining scenarios (for potential reads and mere exposure).
+	// The name slices are shared read-only across every finding they apply to.
 	serviceLikelihood float64
+	serviceLevel      Level
 	serviceScenarios  []string
 	otherLikelihood   float64
+	otherLevel        Level
 	otherScenarios    []string
 }
 
@@ -154,12 +155,9 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 			a.otherScenarios = append(a.otherScenarios, s.Name)
 		}
 	}
-	if a.serviceLikelihood > 1 {
-		a.serviceLikelihood = 1
-	}
-	if a.otherLikelihood > 1 {
-		a.otherLikelihood = 1
-	}
+	a.serviceLikelihood, a.otherLikelihood = min(a.serviceLikelihood, 1), min(a.otherLikelihood, 1)
+	a.serviceLevel = cfg.Matrix.LikelihoodLevel(a.serviceLikelihood)
+	a.otherLevel = cfg.Matrix.LikelihoodLevel(a.otherLikelihood)
 	return a, nil
 }
 
@@ -179,15 +177,99 @@ func (a *Analyzer) Analyze(p *core.PrivacyLTS, profile UserProfile) (*Assessment
 
 // AnalyzeContext is Analyze with cancellation: ctx is polled while walking
 // the model's transitions, so analyses of very large models abort promptly
-// with ctx.Err() when the caller cancels or the deadline passes.
-//
-// The walk runs over the model's compiled view (core.PrivacyLTS.Compiled):
-// per-edge labels and newly-set state variables are pre-resolved to dense
-// actor/field indices once per model, and the profile's sensitivities and the
-// allowed-actor set are resolved to index-addressed tables once per call, so
-// the per-transition work is pure array arithmetic — no map lookups, no label
-// rendering and no Variable allocation.
+// with ctx.Err() when the caller cancels or the deadline passes. Each
+// finding of the walk (rank) is built once, straight into its report slot.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profile UserProfile) (*Assessment, error) {
+	r, err := a.rank(ctx, p, profile)
+	if err != nil {
+		return nil, err
+	}
+	if len(r.pend) == 0 {
+		return r.assessment, nil
+	}
+	view := r.view
+	// Memos for this call: each name is quoted and each float formatted once,
+	// each label's field set copied once, and each event's texts rendered
+	// once. A text is fixed by the label (shared per declared flow; it fixes
+	// action, fields, performer, store, service and potential marker), the
+	// actor, the driving field (hence the impact) and the likelihood class.
+	rc := newRenderCache()
+	fieldSets := make(map[*core.TransitionLabel][]string)
+	type reportKey struct {
+		label          *core.TransitionLabel
+		actor, driving int32
+		serviceClass   bool
+	}
+	type reportText struct{ explanation, mitigation string }
+	reports := make(map[reportKey]reportText)
+	findings := make([]Finding, len(r.pend))
+	r.place(func(pos int, pe pending) {
+		label := view.Label(pe.edge)
+		fieldSet, ok := fieldSets[label]
+		if !ok {
+			fieldSet = label.FieldSet()
+			fieldSets[label] = fieldSet
+		}
+		likelihood, likelihoodLevel, scenarios := a.otherLikelihood, a.otherLevel, a.otherScenarios
+		if pe.serviceClass {
+			likelihood, likelihoodLevel, scenarios = a.serviceLikelihood, a.serviceLevel, a.serviceScenarios
+		}
+		f := &findings[pos]
+		*f = Finding{
+			Transition:      view.Graph.TransitionAt(pe.edge),
+			Action:          label.Action,
+			Actor:           view.Actors()[pe.actor],
+			PerformedBy:     label.Actor,
+			Datastore:       label.Datastore,
+			Fields:          fieldSet,
+			Potential:       label.Potential,
+			Service:         label.Service,
+			DrivingField:    view.Fields()[pe.driving],
+			Impact:          r.sens[pe.driving],
+			ImpactLevel:     Level(pe.impactLevel),
+			Likelihood:      likelihood,
+			LikelihoodLevel: likelihoodLevel,
+			Scenarios:       scenarios,
+			Risk:            Level(pe.risk),
+		}
+		key := reportKey{label: label, actor: pe.actor, driving: pe.driving, serviceClass: pe.serviceClass}
+		text, ok := reports[key]
+		if !ok {
+			text = reportText{a.explain(f, view.FieldsJoined(pe.edge), rc), a.suggestMitigation(f, rc)}
+			reports[key] = text
+		}
+		f.Explanation, f.Mitigation = text.explanation, text.mitigation
+	})
+	r.assessment.Findings = findings
+	return r.assessment, nil
+}
+
+// pending is one finding as the walk records it: all of it that is not a
+// function of the edge's label (the impact is the driving field's σ), in 16
+// pointer-free bytes the collector never scans.
+type pending struct {
+	edge, actor, driving int32
+	risk, impactLevel    uint8
+	serviceClass         bool
+}
+
+// ranking is one profile's walk over a model: the assessment without its
+// Findings, and the findings as pending entries in walk order (edge
+// ascending, then actor). Report order is (bucket, actor, edge).
+type ranking struct {
+	assessment *Assessment
+	view       *core.CompiledView
+	sens       []float64 // σ per vocabulary field
+	impactRank []int32   // per vocabulary field: 0 for the highest σ; equal σ share a rank
+	pend       []pending
+}
+
+// rank validates the profile and walks the model's compiled view once:
+// labels and newly-set variables are resolved to dense actor/field indices
+// once per model, σ and the allowed set to index-addressed tables once per
+// call, so the per-transition work is array arithmetic with no map lookup,
+// no rendering and no allocation beyond the pending slice.
+func (a *Analyzer) rank(ctx context.Context, p *core.PrivacyLTS, profile UserProfile) (*ranking, error) {
 	if p == nil {
 		return nil, errors.New("risk: privacy LTS must not be nil")
 	}
@@ -238,36 +320,16 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 	for _, svc := range profile.ConsentedServices {
 		consentedSet[svc] = true
 	}
-
-	// Report-rendering memos for this call: every finding quotes names drawn
-	// from the same small vocabulary and formats impact/likelihood values
-	// drawn from the profile's sensitivity set, so each distinct string is
-	// quoted and each distinct float formatted exactly once. The label's
-	// field-set copy is likewise shared per label across the findings (and
-	// calls) that reference it.
-	rc := newRenderCache()
-	fieldSets := make(map[*core.TransitionLabel][]string)
-
-	// Whole-report memo: a finding's explanation and mitigation are fully
-	// determined by the interned label string (which fixes action, fields,
-	// performer, datastore and the potential marker), the label's service,
-	// the at-risk actor, the driving field (which fixes the impact through
-	// the profile's sensitivities) and the likelihood class. The same
-	// disclosure event recurs from many states of the LTS — every state a
-	// potential read is enabled in repeats it — so each distinct event is
-	// rendered once per analysis.
-	type reportKey struct {
-		label        int32
-		actor        int32
-		driving      int32
-		service      string
-		serviceClass bool
+	// A finding's impact is its driving field's σ, so ranking the distinct σ
+	// values orders impacts and keeps equal impacts tied.
+	distinct := slices.Clone(sens)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	impactRank := make([]int32, len(fields))
+	for i, s := range sens {
+		j, _ := slices.BinarySearch(distinct, s)
+		impactRank[i] = int32(len(distinct) - 1 - j)
 	}
-	type reportText struct {
-		explanation string
-		mitigation  string
-	}
-	reports := make(map[reportKey]reportText)
 
 	// Per-actor exposure scratch, reused across every transition via epoch
 	// stamping (no clearing, no per-transition map). Slots are only ever
@@ -275,40 +337,19 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 	// ascending actor name, so iterating the slots in order reproduces the
 	// sorted-actor finding order of the per-transition assessment.
 	type exposure struct {
-		impact float64
-		// driving is the field whose sensitivity determines the impact.
-		driving int32
-		// identified is true when the transition sets a "has identified"
-		// variable for the actor, i.e. the actor actually receives the data
-		// through this transition rather than merely becoming able to read
-		// it later.
+		impact  float64
+		driving int32 // the field whose σ is the impact
+		// identified: the transition sets a "has identified" variable for the
+		// actor, who receives the data rather than merely becoming able to
+		// read it later.
 		identified bool
 		stamp      uint32
 	}
 	slots := make([]exposure, len(actors))
 	epoch := uint32(0)
 
-	// The edge loop records each finding as a pending entry: everything the
-	// ordering needs and everything that is not a function of the edge's
-	// label, in 24 pointer-free bytes, so growing the slice is a plain copy
-	// the collector never scans. The wide Finding structs are built once,
-	// below, directly in their final order.
-	type pending struct {
-		impact       float64
-		edge         int32
-		actor        int32
-		driving      int32
-		risk         uint8
-		impactLevel  uint8
-		serviceClass bool
-	}
-	var pend []pending
-
-	// The analyzer has exactly two likelihood values; bucket each once.
-	otherLevel := a.cfg.Matrix.LikelihoodLevel(a.otherLikelihood)
-	serviceLevel := a.cfg.Matrix.LikelihoodLevel(a.serviceLikelihood)
-
 	numEdges := view.Graph.TransitionCount()
+	pend := make([]pending, 0, numEdges) // models yield about one finding an edge
 	for e := 0; e < numEdges; e++ {
 		// Poll between transitions, spaced out so the atomic load never
 		// shows up on profiles of small models.
@@ -368,85 +409,70 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 				continue
 			}
 			serviceClass := !label.Potential && slot.identified && !consented
-			likelihoodLevel := otherLevel
+			likelihoodLevel := a.otherLevel
 			if serviceClass {
-				likelihoodLevel = serviceLevel
+				likelihoodLevel = a.serviceLevel
 			}
 			impactLevel := a.cfg.Matrix.ImpactLevel(slot.impact)
 			riskLevel := a.cfg.Matrix.Risk(impactLevel, likelihoodLevel)
-			pend = append(pend, pending{impact: slot.impact, edge: int32(e), actor: int32(ai), driving: slot.driving,
+			pend = append(pend, pending{edge: int32(e), actor: int32(ai), driving: slot.driving,
 				risk: uint8(riskLevel), impactLevel: uint8(impactLevel), serviceClass: serviceClass})
-			if riskLevel > assessment.OverallRisk {
-				assessment.OverallRisk = riskLevel
-			}
+			assessment.OverallRisk = max(assessment.OverallRisk, riskLevel)
 		}
 	}
+	return &ranking{assessment: assessment, view: view, sens: sens, impactRank: impactRank, pend: pend}, nil
+}
 
-	// Order by decreasing risk, then impact, then actor (index order is name
-	// order), then edge. Entries were recorded in ascending (edge, actor)
-	// order and no two share both, so the edge tie-break makes the order
-	// total and equal to what a stable sort on the first three keys gives.
-	slices.SortFunc(pend, func(x, y pending) int {
-		if x.risk != y.risk {
-			return cmp.Compare(y.risk, x.risk)
-		}
-		if x.impact != y.impact {
-			return cmp.Compare(y.impact, x.impact)
-		}
-		if x.actor != y.actor {
-			return cmp.Compare(x.actor, y.actor)
-		}
-		return cmp.Compare(x.edge, y.edge)
-	})
-	if len(pend) == 0 {
-		return assessment, nil
-	}
+// bucket is the major part of a finding's report-order key, in [0,
+// 4·|fields|): risk descending, then impact descending. Within a bucket
+// actors ascend (index order is name order), then edges.
+func (r *ranking) bucket(pe pending) int {
+	return int(LevelHigh-Level(pe.risk))*len(r.sens) + int(r.impactRank[pe.driving])
+}
 
-	findings := make([]Finding, len(pend))
-	for i, pe := range pend {
-		label := view.Label(pe.edge)
-		fieldSet, ok := fieldSets[label]
-		if !ok {
-			fieldSet = label.FieldSet()
-			fieldSets[label] = fieldSet
-		}
-		likelihood, likelihoodLevel, scenarios := a.otherLikelihood, otherLevel, a.otherScenarios
-		if pe.serviceClass {
-			likelihood, likelihoodLevel, scenarios = a.serviceLikelihood, serviceLevel, a.serviceScenarios
-		}
-		f := &findings[i]
-		*f = Finding{
-			Transition:      view.Graph.TransitionAt(pe.edge),
-			Action:          label.Action,
-			Actor:           actors[pe.actor],
-			PerformedBy:     label.Actor,
-			Datastore:       label.Datastore,
-			Fields:          fieldSet,
-			Potential:       label.Potential,
-			Service:         label.Service,
-			DrivingField:    fields[pe.driving],
-			Impact:          pe.impact,
-			ImpactLevel:     Level(pe.impactLevel),
-			Likelihood:      likelihood,
-			LikelihoodLevel: likelihoodLevel,
-			Scenarios:       scenarios,
-			Risk:            Level(pe.risk),
-		}
-		key := reportKey{label: view.Graph.LabelID(pe.edge), actor: pe.actor, driving: pe.driving,
-			service: label.Service, serviceClass: pe.serviceClass}
-		text, ok := reports[key]
-		if !ok {
-			text = reportText{
-				explanation: a.explain(f, view.FieldsJoined(pe.edge), rc),
-				mitigation:  a.suggestMitigation(f, rc),
-			}
-			reports[key] = text
-		}
-		f.Explanation = text.explanation
-		f.Mitigation = text.mitigation
+// place hands every pending finding to put with its position in report
+// order: a stable counting sort by actor, then one by bucket, so its scratch
+// is one copy of the findings plus a counter per actor and per bucket. The
+// walk emitted edges ascending, so they stay ascending within a key.
+func (r *ranking) place(put func(pos int, pe pending)) {
+	byActor := make([]pending, len(r.pend))
+	countingSort(r.pend, len(r.view.Actors()), func(pe pending) int { return int(pe.actor) },
+		func(pos int, pe pending) { byActor[pos] = pe })
+	countingSort(byActor, 4*len(r.sens), r.bucket, put)
+}
+
+// countingSort hands each entry of pend to put with its position in a
+// stable sort of pend by key, which lies in [0, n).
+func countingSort(pend []pending, n int, key func(pending) int, put func(pos int, pe pending)) {
+	next := make([]int, n+1)
+	for _, pe := range pend {
+		next[key(pe)+1]++
 	}
-	assessment.Findings = findings
-	return assessment, nil
+	for k := 1; k <= n; k++ {
+		next[k] += next[k-1]
+	}
+	for _, pe := range pend {
+		k := key(pe)
+		put(next[k], pe)
+		next[k]++
+	}
+}
+
+// summary is the profile's population entry, all but its UserID. The first
+// finding in report order has the smallest (bucket, actor) and, of those, the
+// earliest edge, which the walk emitted first.
+func (r *ranking) summary() UserRisk {
+	entry := UserRisk{OverallRisk: r.assessment.OverallRisk, Findings: len(r.pend)}
+	top, topBucket := -1, 0
+	for i, pe := range r.pend {
+		if b := r.bucket(pe); top < 0 || b < topBucket || b == topBucket && pe.actor < r.pend[top].actor {
+			top, topBucket = i, b
+		}
+	}
+	if top >= 0 {
+		entry.HighestImpactField, entry.WorstActor = r.view.Fields()[r.pend[top].driving], r.view.Actors()[r.pend[top].actor]
+	}
+	return entry
 }
 
 // renderCache memoises the report-path string conversions of one analysis:

@@ -11,11 +11,13 @@ import (
 	"privascope/internal/synth"
 )
 
-// TestAnalyzeMaterialisesFindingsOnce: an analysis allocates, in total, less
-// than twice the bytes of the findings it returns — the one []Finding plus
-// the compact pending entries, the memo of distinct texts and the per-call
-// tables. Growing a []Finding by append and copying it into sorted order
-// costs about four times the slice instead.
+// TestAnalyzeMaterialisesFindingsOnce: an analysis allocates, in total, at
+// most 1.25 times the bytes of the findings it returns — the one []Finding,
+// written slot by slot in report order, plus the 16-byte pending entries and
+// their one copy ordered by actor, the memo of distinct texts and the
+// per-call tables. A comparison sort that grows its pending slice by append
+// reads 1.40 times; growing a []Finding by append and copying it into sorted
+// order, about four times.
 func TestAnalyzeMaterialisesFindingsOnce(t *testing.T) {
 	m := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3, ExtraActors: 2})
 	p, err := core.Generate(m)
@@ -46,7 +48,7 @@ func TestAnalyzeMaterialisesFindingsOnce(t *testing.T) {
 	allocated := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d findings of %d bytes: %d bytes allocated, %.2f times the findings",
 		len(a.Findings), reflect.TypeOf(risk.Finding{}).Size(), allocated, float64(allocated)/float64(findingBytes))
-	if allocated > 2*findingBytes {
-		t.Errorf("analysis allocated %d bytes for %d bytes of findings, want at most twice", allocated, findingBytes)
+	if 4*allocated > 5*findingBytes {
+		t.Errorf("analysis allocated %d bytes for %d bytes of findings, want at most 1.25 times", allocated, findingBytes)
 	}
 }

@@ -47,8 +47,8 @@ type PopulationAssessment struct {
 	// mitigation pays off most.
 	WorstActors map[string]int
 	// DistinctShapes is the number of distinct profile shapes
-	// (UserProfile.Fingerprint) in the population — the number of full
-	// analyses actually run; every other user shared a cached assessment.
+	// (UserProfile.Fingerprint) in the population: each was analysed (or
+	// read from a shared cache) once, and every other user shared its entry.
 	DistinctShapes int
 }
 
@@ -73,31 +73,50 @@ func (p *PopulationAssessment) WorstActorsRanked() []string {
 // any profile aborts the analysis so partial results are never mistaken for
 // complete ones.
 //
-// Assessments are deduplicated through an AssessmentCache: real populations
-// hold millions of users but few distinct privacy-control shapes, so the
-// full analysis runs once per (model, shape) pair and every same-shaped user
-// reuses it. The aggregation itself is O(users).
+// Real populations hold millions of users but few distinct privacy-control
+// shapes (UserProfile.Fingerprint), so the model is walked once per shape
+// and same-shaped users share its entry, read straight off the ranked walk:
+// the count, the overall risk and the first finding in report order. A scan
+// builds no Finding and renders no text; the aggregation is O(users).
 func (a *Analyzer) AnalyzePopulation(p *core.PrivacyLTS, profiles []UserProfile) (*PopulationAssessment, error) {
 	return a.AnalyzePopulationContext(context.Background(), p, profiles)
 }
 
 // AnalyzePopulationContext is AnalyzePopulation with cancellation: ctx is
-// polled between profiles (and inside each underlying analysis), so a
-// cancelled context aborts the population scan promptly with ctx.Err().
+// polled between profiles (and inside each underlying walk), so a cancelled
+// context aborts the population scan promptly with ctx.Err().
 func (a *Analyzer) AnalyzePopulationContext(ctx context.Context, p *core.PrivacyLTS, profiles []UserProfile) (*PopulationAssessment, error) {
-	cache, err := NewAssessmentCache(a)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzePopulationCached(ctx, cache, p, profiles)
+	return analyzePopulation(ctx, p, profiles, func(profile UserProfile, _ string) (UserRisk, error) {
+		r, err := a.rank(ctx, p, profile)
+		if err != nil {
+			return UserRisk{}, err
+		}
+		return r.summary(), nil
+	})
 }
 
 // AnalyzePopulationCached is AnalyzePopulationContext over a caller-supplied
 // assessment cache, so long-lived sessions (privascope.Engine) can share one
 // cache across many population scans and individual assessments of the same
-// model. DistinctShapes still counts the shapes of this population only, not
-// the cache's total size.
+// model: a shape's entry comes from its cached Assessment. DistinctShapes
+// still counts the shapes of this population only, not the cache's size.
 func AnalyzePopulationCached(ctx context.Context, cache *AssessmentCache, p *core.PrivacyLTS, profiles []UserProfile) (*PopulationAssessment, error) {
+	return analyzePopulation(ctx, p, profiles, func(profile UserProfile, fingerprint string) (UserRisk, error) {
+		a, err := cache.AnalyzeFingerprinted(ctx, p, profile, fingerprint)
+		if err != nil {
+			return UserRisk{}, err
+		}
+		entry := UserRisk{OverallRisk: a.OverallRisk, Findings: len(a.Findings)}
+		if len(a.Findings) > 0 { // findings are in report order
+			entry.HighestImpactField, entry.WorstActor = a.Findings[0].DrivingField, a.Findings[0].Actor
+		}
+		return entry, nil
+	})
+}
+
+// analyzePopulation aggregates profiles, asking shape once per distinct shape.
+func analyzePopulation(ctx context.Context, p *core.PrivacyLTS, profiles []UserProfile,
+	shape func(profile UserProfile, fingerprint string) (UserRisk, error)) (*PopulationAssessment, error) {
 	if p == nil {
 		return nil, errors.New("risk: privacy LTS must not be nil")
 	}
@@ -105,36 +124,31 @@ func AnalyzePopulationCached(ctx context.Context, cache *AssessmentCache, p *cor
 		return nil, errors.New("risk: population is empty")
 	}
 	out := &PopulationAssessment{
+		Users:        make([]UserRisk, 0, len(profiles)),
 		Distribution: make(map[Level]int),
 		WorstActors:  make(map[string]int),
 	}
-	shapes := make(map[string]bool)
+	shapes := make(map[string]UserRisk)
 	for i, profile := range profiles {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// One fingerprint computation per profile, shared by the cache key
-		// and the distinct-shape accounting.
 		fingerprint := profile.Fingerprint()
-		assessment, err := cache.AnalyzeFingerprinted(ctx, p, profile, fingerprint)
-		if err != nil {
-			return nil, fmt.Errorf("risk: analysing profile %d (%s): %w", i, profile.ID, err)
+		entry, ok := shapes[fingerprint]
+		if !ok {
+			var err error
+			if entry, err = shape(profile, fingerprint); err != nil {
+				return nil, fmt.Errorf("risk: analysing profile %d (%s): %w", i, profile.ID, err)
+			}
+			shapes[fingerprint] = entry
 		}
-		shapes[fingerprint] = true
-		entry := UserRisk{
-			UserID:      profile.ID,
-			OverallRisk: assessment.OverallRisk,
-			Findings:    len(assessment.Findings),
-		}
-		if len(assessment.Findings) > 0 {
-			top := assessment.Findings[0] // findings are sorted by risk, then impact
-			entry.HighestImpactField = top.DrivingField
-			entry.WorstActor = top.Actor
-			out.WorstActors[top.Actor]++
+		entry.UserID = profile.ID
+		if entry.Findings > 0 {
+			out.WorstActors[entry.WorstActor]++
 		}
 		out.Users = append(out.Users, entry)
-		out.Distribution[assessment.OverallRisk]++
-		if assessment.OverallRisk >= LevelMedium {
+		out.Distribution[entry.OverallRisk]++
+		if entry.OverallRisk >= LevelMedium {
 			out.UsersAtRisk++
 		}
 	}
