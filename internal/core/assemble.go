@@ -16,7 +16,7 @@ import (
 // decoded store contents, and the transition graph — from a finished
 // exploration result, keeping the exploration's dense state numbering
 // throughout: one slab holds every public vector, store contents are decoded
-// once per distinct store-segment image and shared between states (the maps
+// once per distinct store-segment image into the table states index (the maps
 // are read-only through the PrivacyLTS API), and lts.FromParts builds the
 // graph already compiled.
 func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explore.Result, workers int) error {
@@ -45,9 +45,11 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 		return err
 	}
 
-	p.stores = make([]map[string]schema.FieldSet, n)
+	// storeOf first holds the first state with each state's store image, then
+	// that state's table index.
+	p.storeOf = make([]int32, n)
 	storeSegLo, storeSegHi := hasWords, cm.codec.ctrlBase
-	storeCache := make(map[string]map[string]schema.FieldSet)
+	first := make(map[string]int32)
 	var keyBuf []byte
 	for i := 0; i < n; i++ {
 		base := i * w
@@ -55,12 +57,21 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 		for _, word := range res.States[base+storeSegLo : base+storeSegHi] {
 			keyBuf = binary.LittleEndian.AppendUint64(keyBuf, word)
 		}
-		sm, ok := storeCache[string(keyBuf)]
+		f, ok := first[string(keyBuf)]
 		if !ok {
-			sm = cm.decodeStores(res.StateWords(int32(i)))
-			storeCache[string(keyBuf)] = sm
+			f = int32(i)
+			first[string(keyBuf)] = f
 		}
-		p.stores[i] = sm
+		p.storeOf[i] = f
+	}
+	p.storeSets = make([]map[string]schema.FieldSet, 0, len(first))
+	for i, f := range p.storeOf {
+		if int(f) < i {
+			p.storeOf[i] = p.storeOf[f]
+			continue
+		}
+		p.storeOf[i] = int32(len(p.storeSets))
+		p.storeSets = append(p.storeSets, cm.decodeStores(res.StateWords(int32(i))))
 	}
 
 	// Workers build potential-read labels independently (expand.go's

@@ -528,7 +528,7 @@ func TestPrivacyLTSQueries(t *testing.T) {
 	if p.ActorsWhoCould("ghost", "name") != nil || p.ActorsWhoHave("ghost", "name") != nil {
 		t.Error("ActorsWhoCould/ActorsWhoHave on unknown state should be nil")
 	}
-	if p.StoreMap("ghost") != nil || !p.StoreContents("ghost", "ehr").IsEmpty() {
+	if !p.StoreContents("ghost", "ehr").IsEmpty() {
 		t.Error("store contents of an unknown state should be empty")
 	}
 	if p.ChangeOf(lts.Transition{From: p.InitialState(), To: "ghost"}) != nil ||

@@ -123,7 +123,7 @@ func (g *Generator) reuseTrace(ctx context.Context, pre *prepared, prev *Privacy
 		}
 	}
 	p := pre.p
-	p.stores = prev.stores
+	p.storeOf, p.storeSets = prev.storeOf, prev.storeSets
 	res := prevTrace
 	if anyChanged {
 		edges := make([]explore.Edge, len(prevTrace.Edges))

@@ -35,9 +35,10 @@ type PrivacyLTS struct {
 	// vecWords is one slab holding every state's vector: state s owns words
 	// [s*w, (s+1)*w) for w = Vocab.WordsPerVector().
 	vecWords []uint64
-	// stores holds each state's datastore contents; states whose contents are
-	// equal share one (read-only) map.
-	stores []map[string]schema.FieldSet
+	// storeOf holds each state's index into storeSets, the table of distinct
+	// datastore contents (read-only maps) in first-occurrence order.
+	storeOf   []int32
+	storeSets []map[string]schema.FieldSet
 
 	// compiled lazily holds the analysis view (see Compiled); single-flighted
 	// so concurrent analyses compile the model exactly once.
@@ -48,8 +49,11 @@ type PrivacyLTS struct {
 // false for IDs the model does not know.
 func (p *PrivacyLTS) dense(id lts.StateID) (int, bool) {
 	s, ok := p.Graph.Index(id)
-	return int(s), ok && int(s) < len(p.stores)
+	return int(s), ok && int(s) < len(p.storeOf)
 }
+
+// storesAt returns the datastore contents of the state at the dense index.
+func (p *PrivacyLTS) storesAt(s int) map[string]schema.FieldSet { return p.storeSets[p.storeOf[s]] }
 
 // vectorAt returns the vector of the state at the dense index; the words
 // alias the slab.
@@ -70,7 +74,11 @@ func (p *PrivacyLTS) Vector(id lts.StateID) (StateVector, bool) {
 // StoreContents returns the fields held by the named datastore in the given
 // state.
 func (p *PrivacyLTS) StoreContents(id lts.StateID, datastore string) schema.FieldSet {
-	return p.StoreMap(id)[datastore]
+	s, ok := p.dense(id)
+	if !ok {
+		return schema.FieldSet{}
+	}
+	return p.storesAt(s)[datastore]
 }
 
 // InitialState returns the initial state ID (the absolute privacy state).
@@ -125,7 +133,7 @@ func (p *PrivacyLTS) actorsWith(id lts.StateID, field string, kind VarKind) []st
 // generation order.
 func (p *PrivacyLTS) FindStates(pred func(StateVector) bool) []lts.StateID {
 	var out []lts.StateID
-	for s := range p.stores {
+	for s := range p.storeOf {
 		if pred(p.vectorAt(s)) {
 			out = append(out, p.Graph.StateAt(int32(s)))
 		}
@@ -182,17 +190,18 @@ func (p *PrivacyLTS) Minimized() (*PrivacyLTS, map[lts.StateID]lts.StateID) {
 	min, mapping := p.Graph.MinimizeRespecting(p.payloadKey)
 	w := p.Vocab.wordsPerVec
 	q := &PrivacyLTS{
-		Model:    p.Model,
-		Vocab:    p.Vocab,
-		Graph:    min,
-		Warnings: p.Warnings,
-		vecWords: make([]uint64, min.StateCount()*w),
-		stores:   make([]map[string]schema.FieldSet, min.StateCount()),
+		Model:     p.Model,
+		Vocab:     p.Vocab,
+		Graph:     min,
+		Warnings:  p.Warnings,
+		vecWords:  make([]uint64, min.StateCount()*w),
+		storeOf:   make([]int32, min.StateCount()),
+		storeSets: p.storeSets,
 	}
-	for i := range q.stores {
+	for i := range q.storeOf {
 		if s, ok := p.dense(min.StateAt(int32(i))); ok {
 			copy(q.vecWords[i*w:], p.vectorAt(s).words)
-			q.stores[i] = p.stores[s]
+			q.storeOf[i] = p.storeOf[s]
 		}
 	}
 	return q, mapping
@@ -208,7 +217,7 @@ func (p *PrivacyLTS) payloadKey(id lts.StateID) string {
 	}
 	var b strings.Builder
 	b.WriteString(p.vectorAt(s).Key())
-	storeMap := p.stores[s]
+	storeMap := p.storesAt(s)
 	storeIDs := make([]string, 0, len(storeMap))
 	for sid := range storeMap {
 		if !storeMap[sid].IsEmpty() {
@@ -363,7 +372,7 @@ func (p *PrivacyLTS) MarshalJSON() ([]byte, error) {
 		for _, v := range p.vectorAt(s).TrueVariables() {
 			js.Variables = append(js.Variables, v.String())
 		}
-		for sid, fs := range p.stores[s] {
+		for sid, fs := range p.storesAt(s) {
 			if !fs.IsEmpty() {
 				if js.Stores == nil {
 					js.Stores = make(map[string][]string)

@@ -102,7 +102,7 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 	joined := make(map[*TransitionLabel]string)
 	// Matching ChangeOf: an edge whose source or target has no vector
 	// contributes no change.
-	numFields, numVecs, wpv := len(v.fields), len(p.stores), p.Vocab.wordsPerVec
+	numFields, numVecs, wpv := len(v.fields), len(p.storeOf), p.Vocab.wordsPerVec
 	hasVectors := func(e int) (to, from int, ok bool) {
 		to, from = int(c.To(int32(e))), int(c.From(int32(e)))
 		return to, from, to < numVecs && from < numVecs

@@ -214,11 +214,11 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	if err != nil {
 		return nil, corruptf("%v", err)
 	}
-	stores, err := parseStores(storeOff, recs, mt.numStates, ref)
+	storeOf, storeSets, err := parseStores(storeOff, recs, secs[secStores][4*len(storeOff):], mt.numStates, ref)
 	if err != nil {
 		return nil, err
 	}
-	return core.RestorePrivacyLTS(model, vocab, graph, warnings, vecWords, stores), nil
+	return core.RestorePrivacyLTS(model, vocab, graph, warnings, vecWords, storeOf, storeSets), nil
 }
 
 // parseSections validates the header, checksum and section table and returns
@@ -387,47 +387,52 @@ func parseLabels(sec []byte, count int, ref func(uint32) (string, error)) ([]dec
 
 // parseStores rebuilds the per-state datastore contents from the offset/
 // record layout, rejecting windows that do not parse exactly. Each distinct
-// record window is parsed once and its map shared by every state with that
-// window, as generation shares one map per distinct store image; a window
-// equal word for word to one already parsed has passed the same checks.
-func parseStores(storeOff, recs []uint32, n int, ref func(uint32) (string, error)) ([]map[string]schema.FieldSet, error) {
+// record window is parsed once into the table of distinct contents, in
+// first-occurrence order, as generation tables one entry per distinct store
+// image; a window equal word for word to one already parsed has passed the
+// same checks. raw is the records' little-endian bytes, which key the windows.
+func parseStores(storeOff, recs []uint32, raw []byte, n int, ref func(uint32) (string, error)) ([]int32, []map[string]schema.FieldSet, error) {
 	if storeOff[0] != 0 || uint64(storeOff[n]) != uint64(len(recs)) {
-		return nil, corruptf("store offsets span [%d, %d], records have %d words", storeOff[0], storeOff[n], len(recs))
+		return nil, nil, corruptf("store offsets span [%d, %d], records have %d words", storeOff[0], storeOff[n], len(recs))
 	}
 	// Validate every window bound before touching the records: an intermediate
 	// offset spike would otherwise drive the record cursor past len(recs) before
 	// the pairwise decrease is reached.
 	for s := 0; s < n; s++ {
 		if storeOff[s] > storeOff[s+1] {
-			return nil, corruptf("store offsets decrease at state %d", s)
+			return nil, nil, corruptf("store offsets decrease at state %d", s)
 		}
 		if uint64(storeOff[s+1]) > uint64(len(recs)) {
-			return nil, corruptf("store offset %d of state %d exceeds the %d record words", storeOff[s+1], s, len(recs))
+			return nil, nil, corruptf("store offset %d of state %d exceeds the %d record words", storeOff[s+1], s, len(recs))
 		}
 	}
-	stores := make([]map[string]schema.FieldSet, n)
-	parsed := make(map[string]map[string]schema.FieldSet)
-	var key []byte
+	// storeOf first holds the first state with each state's window, then that
+	// state's table index.
+	storeOf := make([]int32, n)
+	first := make(map[string]int32)
 	for s := 0; s < n; s++ {
-		lo, hi := storeOff[s], storeOff[s+1]
-		if lo == hi {
+		key := raw[4*int(storeOff[s]) : 4*int(storeOff[s+1])]
+		f, ok := first[string(key)]
+		if !ok {
+			f = int32(s)
+			first[string(key)] = f
+		}
+		storeOf[s] = f
+	}
+	sets := make([]map[string]schema.FieldSet, 0, len(first))
+	for s, f := range storeOf {
+		if int(f) < s {
+			storeOf[s] = storeOf[f]
 			continue
 		}
-		key = key[:0]
-		for _, word := range recs[lo:hi] {
-			key = binary.LittleEndian.AppendUint32(key, word)
+		contents, err := parseStoreWindow(recs[storeOff[s]:storeOff[s+1]], s, ref)
+		if err != nil {
+			return nil, nil, err
 		}
-		contents, ok := parsed[string(key)]
-		if !ok {
-			var err error
-			if contents, err = parseStoreWindow(recs[lo:hi], s, ref); err != nil {
-				return nil, err
-			}
-			parsed[string(key)] = contents
-		}
-		stores[s] = contents
+		storeOf[s] = int32(len(sets))
+		sets = append(sets, contents)
 	}
-	return stores, nil
+	return storeOf, sets, nil
 }
 
 // parseStoreWindow parses one state's (store ref, field count, field refs...)

@@ -1,7 +1,6 @@
 package modelstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -16,6 +15,12 @@ import (
 // cannot be fingerprinted cannot be persisted (they bypass every cache tier
 // anyway). Encoding is deterministic: the same model yields byte-identical
 // artifacts.
+//
+// It runs in two passes over the dense model. The first takes every string
+// reference in the order that makes the bytes canonical — state IDs, label
+// columns, one record list per distinct store set, the vocabulary — so the
+// string table is complete; the second sizes every section, allocates the
+// artifact once and writes each section at its final offset.
 func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	fp, err := dataflow.Fingerprint(p.Model)
 	if err != nil {
@@ -26,14 +31,19 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	if parts.Initial < 0 {
 		return nil, fmt.Errorf("modelstore: model has no initial state")
 	}
+	wpv, vecWords := p.Vocab.WordsPerVector(), p.VectorWords()
+	storeOf, storeSets := p.StoreTable()
+	if len(vecWords) != n*wpv || len(storeOf) != n {
+		return nil, fmt.Errorf("modelstore: model has %d vector words and %d store indexes for %d states of %d words",
+			len(vecWords), len(storeOf), n, wpv)
+	}
 
+	// Pass 1: string references.
 	var in wire.Interner
-	in.Reset()
-
-	// States, in dense order.
-	states := wire.Buf{B: make([]byte, 0, 4*n)}
-	for _, id := range parts.States {
-		states.U32(in.Ref(string(id)))
+	in.ResetSized(n)
+	stateRefs := make([]uint32, n)
+	for s, id := range parts.States {
+		stateRefs[s] = in.Ref(string(id))
 	}
 
 	// Distinct label pointers in first-occurrence order over the transitions.
@@ -63,162 +73,162 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 			return nil, fmt.Errorf("modelstore: transition %d carries a foreign label type %T", e, tr.Label)
 		}
 	}
-	numLabels := len(ptrs)
-
-	var labels wire.Buf
-	for _, lbl := range ptrs { // action column
-		labels.I32(int32(lbl.Action))
+	// Seven string refs per label, then every label's field refs.
+	var labelRefs []uint32
+	for i, lbl := range ptrs {
+		labelRefs = append(labelRefs, in.Ref(ptrStrs[i]), in.Ref(lbl.Actor), in.Ref(lbl.Datastore),
+			in.Ref(lbl.Purpose), in.Ref(lbl.Service), in.Ref(lbl.FlowKey), in.Ref(lbl.Counterpart))
 	}
-	for _, lbl := range ptrs { // flags column
-		var flags uint32
-		if lbl.Potential {
-			flags |= 1
-		}
-		labels.U32(flags)
-	}
-	for i, lbl := range ptrs { // string-ref columns
-		labels.U32(in.Ref(ptrStrs[i]))
-		labels.U32(in.Ref(lbl.Actor))
-		labels.U32(in.Ref(lbl.Datastore))
-		labels.U32(in.Ref(lbl.Purpose))
-		labels.U32(in.Ref(lbl.Service))
-		labels.U32(in.Ref(lbl.FlowKey))
-		labels.U32(in.Ref(lbl.Counterpart))
-	}
-	fieldsOff := uint32(0)
-	labels.U32(0) // fieldsOff column, one ahead of the refs
 	for _, lbl := range ptrs {
-		fieldsOff += uint32(len(lbl.Fields))
-		labels.U32(fieldsOff)
-	}
-	for _, lbl := range ptrs { // field refs, concatenated
 		for _, f := range lbl.Fields {
-			labels.U32(in.Ref(f))
+			labelRefs = append(labelRefs, in.Ref(f))
 		}
 	}
 
-	var edges, csr wire.Buf
-	for _, col := range [][]int32{parts.EdgeFrom, parts.EdgeTo, edgeLabelPtr} {
-		edges.I32s(col)
-	}
-	for _, col := range [][]int32{parts.OutOff, parts.InOff, parts.OutEdges, parts.InEdges} {
-		csr.I32s(col)
-	}
-
-	wpv := p.Vocab.WordsPerVector()
-	var vectors wire.Buf
-	for _, id := range parts.States {
-		v, ok := p.Vector(id)
-		if !ok {
-			return nil, fmt.Errorf("modelstore: state %s has no privacy vector", id)
+	// Each distinct store set's records, built where a state first holds it
+	// (storeRecords never returns nil).
+	setRecs := make([][]uint32, len(storeSets))
+	recWords := 0
+	for _, k := range storeOf {
+		if setRecs[k] == nil {
+			setRecs[k] = storeRecords(storeSets[k], &in)
 		}
-		words := v.Words()
-		if len(words) != wpv {
-			return nil, fmt.Errorf("modelstore: state %s vector has %d words, vocabulary needs %d", id, len(words), wpv)
-		}
-		for _, w := range words {
-			vectors.U64(w)
-		}
+		recWords += len(setRecs[k])
 	}
 
-	// Per-state datastore contents: offsets count uint32 record words; each
-	// record is (store ref, field count, field refs...). Empty field sets are
-	// behaviourally invisible and are skipped, keeping the form canonical.
-	var storeOffs, storeRecs wire.Buf
-	recWords := uint32(0)
-	storeOffs.U32(0)
-	for _, id := range parts.States {
-		storeMap := p.StoreMap(id)
-		for _, name := range sortedStoreNames(storeMap) {
-			names := storeMap[name].Names()
-			storeRecs.U32(in.Ref(name))
-			storeRecs.U32(uint32(len(names)))
-			for _, f := range names {
-				storeRecs.U32(in.Ref(f))
-			}
-			recWords += 2 + uint32(len(names))
-		}
-		storeOffs.U32(recWords)
-	}
-	stores := append(storeOffs.B, storeRecs.B...)
-
-	var vocab wire.Buf
 	actors, fields := p.Vocab.Actors(), p.Vocab.Fields()
-	for _, a := range actors {
-		vocab.U32(in.Ref(a))
+	vocabRefs := make([]uint32, 0, len(actors)+len(fields)+len(p.Warnings))
+	for _, list := range [][]string{actors, fields, p.Warnings} {
+		for _, s := range list {
+			vocabRefs = append(vocabRefs, in.Ref(s))
+		}
 	}
-	for _, f := range fields {
-		vocab.U32(in.Ref(f))
-	}
-	for _, w := range p.Warnings {
-		vocab.U32(in.Ref(w))
+	strs := in.Strings()
+
+	// Pass 2: size every section, then write each at its offset.
+	numLabels := len(ptrs)
+	var size, off [secVocab + 1]int
+	size[secMeta] = 10*4 + len(fp)
+	size[secStrings] = in.TableSize()
+	size[secStates] = 4 * n
+	size[secLabels] = 4 * (3*numLabels + 1 + len(labelRefs))
+	size[secEdges] = 3 * 4 * m
+	size[secCSR] = 2*4*(n+1) + 2*4*m
+	size[secVectors] = 8 * len(vecWords)
+	size[secStores] = 4*(n+1) + 4*recWords
+	size[secVocab] = 4 * len(vocabRefs)
+	end := align8(headerSize + len(requiredSections)*secEntrySize)
+	for _, id := range requiredSections {
+		off[id] = end
+		end = align8(end + size[id])
 	}
 
-	// The string table is complete only now; meta depends on its size.
-	var strings, meta wire.Buf
-	strings.StringTable(in.Strings())
-	meta.U32(uint32(n))
-	meta.U32(uint32(m))
-	meta.U32(uint32(numLabels))
-	meta.U32(uint32(len(in.Strings())))
-	meta.U32(uint32(wpv))
-	meta.U32(uint32(len(actors)))
-	meta.U32(uint32(len(fields)))
-	meta.U32(uint32(len(p.Warnings)))
-	meta.I32(parts.Initial)
-	meta.U32(uint32(len(fp)))
-	meta.B = append(meta.B, fp...)
-
-	payloads := map[uint32][]byte{
-		secMeta:    meta.B,
-		secStrings: strings.B,
-		secStates:  states.B,
-		secLabels:  labels.B,
-		secEdges:   edges.B,
-		secCSR:     csr.B,
-		secVectors: vectors.B,
-		secStores:  stores,
-		secVocab:   vocab.B,
+	// The buffer is fresh, so the reserved header bytes, the checksum field
+	// and the alignment padding are zero when resliced over.
+	w := wire.Buf{B: make([]byte, 0, end)}
+	w.B = append(w.B, magic...)
+	w.U32(FormatVersion)
+	w.U32(uint32(len(requiredSections)))
+	w.U64(uint64(end))
+	w.B = w.B[:headerSize]
+	for _, id := range requiredSections {
+		w.U32(id)
+		w.U32(0)
+		w.U64(uint64(off[id]))
+		w.U64(uint64(size[id]))
 	}
-	return assemble(payloads), nil
+	for _, id := range requiredSections {
+		w.B = w.B[:off[id]]
+		switch id {
+		case secMeta:
+			for _, c := range []int{n, m, numLabels, len(strs), wpv, len(actors), len(fields), len(p.Warnings)} {
+				w.U32(uint32(c))
+			}
+			w.I32(parts.Initial)
+			w.U32(uint32(len(fp)))
+			w.B = append(w.B, fp...)
+		case secStrings:
+			w.StringTable(strs)
+		case secStates:
+			w.U32s(stateRefs)
+		case secLabels:
+			for _, lbl := range ptrs {
+				w.I32(int32(lbl.Action))
+			}
+			for _, lbl := range ptrs {
+				var flags uint32
+				if lbl.Potential {
+					flags |= 1
+				}
+				w.U32(flags)
+			}
+			w.U32s(labelRefs[:7*numLabels])
+			fieldsOff := uint32(0)
+			w.U32(0)
+			for _, lbl := range ptrs {
+				fieldsOff += uint32(len(lbl.Fields))
+				w.U32(fieldsOff)
+			}
+			w.U32s(labelRefs[7*numLabels:])
+		case secEdges:
+			w.I32s(parts.EdgeFrom)
+			w.I32s(parts.EdgeTo)
+			w.I32s(edgeLabelPtr)
+		case secCSR:
+			w.I32s(parts.OutOff)
+			w.I32s(parts.InOff)
+			w.I32s(parts.OutEdges)
+			w.I32s(parts.InEdges)
+		case secVectors:
+			for _, v := range vecWords {
+				w.U64(v)
+			}
+		case secStores:
+			// Offsets count uint32 record words; a state's window is its set's
+			// records.
+			words := uint32(0)
+			w.U32(0)
+			for _, k := range storeOf {
+				words += uint32(len(setRecs[k]))
+				w.U32(words)
+			}
+			for _, k := range storeOf {
+				w.U32s(setRecs[k])
+			}
+		case secVocab:
+			w.U32s(vocabRefs)
+		}
+		if got := len(w.B) - off[id]; got != size[id] {
+			return nil, fmt.Errorf("modelstore: encoder wrote %d bytes of section %d, sized %d", got, id, size[id])
+		}
+	}
+	buf := w.B[:end]
+	sum := checksumOf(buf)
+	copy(buf[checksumOff:], sum[:])
+	return buf, nil
 }
 
-// sortedStoreNames returns the datastore names with non-empty contents,
-// sorted.
-func sortedStoreNames(storeMap map[string]schema.FieldSet) []string {
-	names := make([]string, 0, len(storeMap))
-	for name, fs := range storeMap {
+// storeRecords interns one store set and returns its records: (store ref,
+// field count, field refs...) per datastore, by store name, fields sorted.
+// Empty field sets are behaviourally invisible and are skipped, keeping the
+// form canonical.
+func storeRecords(contents map[string]schema.FieldSet, in *wire.Interner) []uint32 {
+	names := make([]string, 0, len(contents))
+	words := 0
+	for name, fs := range contents {
 		if !fs.IsEmpty() {
 			names = append(names, name)
+			words += 2 + fs.Len()
 		}
 	}
 	sort.Strings(names)
-	return names
-}
-
-// assemble lays the section payloads out after the header and section table,
-// 8-aligned, then patches the file size and checksum.
-func assemble(payloads map[uint32][]byte) []byte {
-	tableLen := len(requiredSections) * secEntrySize
-	off := align8(headerSize + tableLen)
-	offsets := make(map[uint32]int, len(requiredSections))
-	for _, id := range requiredSections {
-		offsets[id] = off
-		off = align8(off + len(payloads[id]))
+	recs := make([]uint32, 0, words)
+	for _, name := range names {
+		fields := contents[name].Names()
+		recs = append(recs, in.Ref(name), uint32(len(fields)))
+		for _, f := range fields {
+			recs = append(recs, in.Ref(f))
+		}
 	}
-	buf := make([]byte, off)
-	copy(buf, magic)
-	binary.LittleEndian.PutUint32(buf[8:], FormatVersion)
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(requiredSections)))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(len(buf)))
-	for i, id := range requiredSections {
-		e := buf[headerSize+i*secEntrySize:]
-		binary.LittleEndian.PutUint32(e, id)
-		binary.LittleEndian.PutUint64(e[8:], uint64(offsets[id]))
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(payloads[id])))
-		copy(buf[offsets[id]:], payloads[id])
-	}
-	sum := checksumOf(buf)
-	copy(buf[checksumOff:], sum[:])
-	return buf
+	return recs
 }

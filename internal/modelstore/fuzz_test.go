@@ -48,7 +48,8 @@ func corpusSeeds(tb testing.TB) map[string][]byte {
 // invariant is total: any input either decodes to a model byte-identical to
 // the generated one (only a faithful artifact can pass the fingerprint and
 // structural checks) or returns an error — never a panic, never a wrong
-// model.
+// model. An accepted artifact also re-encodes to the very bytes it came from:
+// decode∘encode is a fixpoint, so the format has one spelling per model.
 func FuzzStoreDecode(f *testing.F) {
 	m := synth.Model(synth.ModelSpec{})
 	p, err := core.Generate(m)
@@ -74,6 +75,13 @@ func FuzzStoreDecode(f *testing.F) {
 		}
 		if !bytes.Equal(gotJSON, wantJSON) {
 			t.Fatalf("decoder accepted an artifact that yields a different model")
+		}
+		reencoded, err := modelstore.Encode(decoded)
+		if err != nil {
+			t.Fatalf("decoded model fails to encode: %v", err)
+		}
+		if !bytes.Equal(reencoded, data) {
+			t.Fatalf("accepted artifact of %d bytes re-encodes to %d different bytes", len(data), len(reencoded))
 		}
 	})
 }

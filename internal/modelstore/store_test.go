@@ -120,21 +120,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// distinctStoreMaps counts the store-content maps the model's states hold, by
-// identity: states sharing one map count once, as do all states holding none.
-func distinctStoreMaps(p *core.PrivacyLTS) int {
-	seen := make(map[uintptr]bool)
-	for _, id := range p.States() {
-		seen[reflect.ValueOf(p.StoreMap(id)).Pointer()] = true
-	}
-	return len(seen)
-}
-
 // TestDecodeBuildsTheGeneratedShape: a decoded model is the object generation
-// builds, not a heavier copy — states share store-content maps exactly as
-// generated states do, decoding allocates no more than the same order of
-// objects as generating (it was ~15x), and the graph is born compiled. Run on
-// the benchmark's "large" model (15,625 states).
+// builds, not a heavier copy — its table of distinct store contents is the
+// generated one, entry for entry and state for state, decoding allocates no
+// more than the same order of objects as generating (it was ~15x), and the
+// graph is born compiled. Run on the benchmark's "large" model (15,625
+// states).
 func TestDecodeBuildsTheGeneratedShape(t *testing.T) {
 	m := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3})
 	p, err := core.Generate(m)
@@ -156,8 +147,18 @@ func TestDecodeBuildsTheGeneratedShape(t *testing.T) {
 		return d
 	}
 
-	if got, want := distinctStoreMaps(decode()), distinctStoreMaps(p); got != want || want >= p.Graph.StateCount()/10 {
-		t.Errorf("decoded states hold %d distinct store maps, generated states %d (of %d states)", got, want, p.Graph.StateCount())
+	wantOf, wantSets := p.StoreTable()
+	gotOf, gotSets := decode().StoreTable()
+	if len(gotSets) != len(wantSets) || len(wantSets) >= p.Graph.StateCount()/10 {
+		t.Errorf("decoded store table has %d entries, generated %d (of %d states)", len(gotSets), len(wantSets), p.Graph.StateCount())
+	}
+	if !reflect.DeepEqual(gotOf, wantOf) {
+		t.Errorf("decoded states index the store table differently from generated states")
+	}
+	for k := range min(len(gotSets), len(wantSets)) {
+		if !reflect.DeepEqual(gotSets[k], wantSets[k]) {
+			t.Errorf("store table entry %d decodes to %v, generated %v", k, gotSets[k], wantSets[k])
+		}
 	}
 
 	generateAllocs := testing.AllocsPerRun(3, func() {
@@ -276,7 +277,8 @@ func TestLoadedModelOutlivesItsArtifact(t *testing.T) {
 
 // TestPropModelStoreRoundTrip is the catalog property: on random synth
 // models, store→load→assess is byte-identical to generate→assess, via both
-// Decode on a caller's buffer and the registry's Load.
+// Decode on a caller's buffer and the registry's Load, and re-encoding the
+// decoded model reproduces the artifact byte for byte.
 func TestPropModelStoreRoundTrip(t *testing.T) {
 	store, err := modelstore.Open(t.TempDir())
 	if err != nil {
@@ -301,6 +303,13 @@ func TestPropModelStoreRoundTrip(t *testing.T) {
 			return err
 		}
 		requireSameModel(t, p, decoded, s.Profiles[0])
+		reencoded, err := modelstore.Encode(decoded)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(reencoded, data) {
+			return fmt.Errorf("re-encoding the decoded model gives %d bytes that differ from the %d-byte artifact", len(reencoded), len(data))
+		}
 
 		if err := store.Save(fp, p); err != nil {
 			return err

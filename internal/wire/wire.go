@@ -37,6 +37,13 @@ func (w *Buf) I32s(vs []int32) {
 	}
 }
 
+// U32s appends a whole uint32 column.
+func (w *Buf) U32s(vs []uint32) {
+	for _, v := range vs {
+		w.U32(v)
+	}
+}
+
 // StringTable appends a string table: len(strs)+1 monotone uint32 offsets
 // into the blob, then the blob of concatenated string bytes. The count is the
 // caller's to place (PSEF and PSHO write it just before, PSM in its meta
@@ -74,6 +81,14 @@ func (in *Interner) Reset() {
 	in.idx[""] = 0
 	in.strs = append(in.strs[:0], "")
 	in.blob = 0
+}
+
+// ResetSized is Reset for a table about to take about n strings: the map and
+// the list are allocated once at that size instead of growing as they fill.
+func (in *Interner) ResetSized(n int) {
+	in.idx = make(map[string]uint32, n+1)
+	in.strs = make([]string, 0, n+1)
+	in.Reset()
 }
 
 // Ref interns s, returning its table index.
