@@ -108,9 +108,12 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 		// An uncached risk analysis of the case study on its compiled model.
 		{"risk_analyze", 86, "analysis", func(t *testing.T) (float64, int) {
-			analyzer := risk.MustAnalyzer(risk.Config{})
+			analyzer, err := risk.NewAnalyzer(risk.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			return testing.AllocsPerRun(3, func() {
-				a, err := analyzer.Analyze(surgeryLTS, patient)
+				a, err := analyzer.AnalyzeContext(context.Background(), surgeryLTS, patient)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,9 +134,12 @@ func TestAllocCeilings(t *testing.T) {
 				users[u] = shapes[u%len(shapes)]
 				users[u].ID = fmt.Sprintf("user-%03d", u)
 			}
-			analyzer := risk.MustAnalyzer(risk.Config{})
+			analyzer, err := risk.NewAnalyzer(risk.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			return testing.AllocsPerRun(3, func() {
-				pa, err := analyzer.AnalyzePopulation(p, users)
+				pa, err := analyzer.AnalyzePopulationContext(context.Background(), p, users)
 				if err != nil {
 					t.Fatal(err)
 				}

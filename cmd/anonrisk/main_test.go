@@ -11,34 +11,37 @@ import (
 	"strings"
 	"testing"
 
-	"privascope/internal/anonymize"
-	"privascope/internal/casestudy"
 	"privascope/internal/pseudorisk"
 )
 
+// tableIFixture writes the paper's Table I records, 2-anonymised, as CSV.
 func tableIFixture(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "records.csv")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := anonymize.WriteCSV(f, casestudy.TableIRecords()); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return csvFixture(t, `age,height,weight
+30-40,180-200,100
+30-40,180-200,102
+20-30,180-200,110
+20-30,180-200,111
+20-30,160-180,80
+20-30,160-180,110
+`)
 }
 
+// rawFixture writes plausible raw records that 2-anonymise to Table I.
 func rawFixture(t *testing.T) string {
+	return csvFixture(t, `age,height,weight
+34,185,100
+38,192,102
+25,183,110
+28,199,111
+22,165,80
+27,171,110
+`)
+}
+
+func csvFixture(t *testing.T, text string) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "raw.csv")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := anonymize.WriteCSV(f, casestudy.RawMetricsRecords()); err != nil {
+	path := filepath.Join(t.TempDir(), "records.csv")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

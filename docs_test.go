@@ -2,6 +2,7 @@ package privascope_test
 
 import (
 	"encoding/json"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -22,7 +23,10 @@ import (
 // Every backticked `-flag` is one a command's FlagSet, the benchmark driver or
 // the property harness defines, or one of the go tool's that the docs use; one
 // cited after a command's name (`anonrisk -max-rows`) is that command's own.
-// And every CHANGES.md entry is at most 2 KB: it is what a reviewer reads
+// Every backticked qualified name whose qualifier names one of the module's
+// packages — `lts.FromParts`, `risk.Analyzer.AnalyzeContext` — resolves to a
+// declaration of that package: a package-level name, or a field or method of
+// one. And every CHANGES.md entry is at most 2 KB: it is what a reviewer reads
 // first.
 func TestDocsCiteWhatExists(t *testing.T) {
 	var catalog struct {
@@ -127,6 +131,20 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The module's own packages by name; a name the standard library also
+	// uses (runtime) resolves against either.
+	m := loadModule(t)
+	ownPackages := make(map[string][]*types.Package)
+	for _, p := range m.pkgs {
+		if name := p.pkg.Name(); name != "main" {
+			ownPackages[name] = append(ownPackages[name], p.pkg)
+			if std, err := m.std.Import(name); err == nil {
+				ownPackages[name] = append(ownPackages[name], std)
+			}
+		}
+	}
+	qualifiedName := regexp.MustCompile(`^(\w+)\.(\w+)(?:\.(\w+))?(?:\(.*\))?$`)
+
 	backticked := regexp.MustCompile("`([^`\n]+)`")
 	citedTest := regexp.MustCompile(`^(?:Test|Fuzz|Example|Benchmark)[A-Z_]\w*`)
 	citedFlag := regexp.MustCompile(`(?:^|\s)--?([a-z][\w.-]*)`)
@@ -140,8 +158,12 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			if name := citedTest.FindString(token); name != "" && !declared[name] {
 				t.Errorf("%s cites `%s`, which no _test.go declares", path, token)
 			}
-			if benchmarkName.MatchString(token) && !defined[token] {
-				t.Errorf("%s cites `%s`, shaped like a benchmark/ workload or metric, which BENCHMARK.json does not define", path, token)
+			if benchmarkName.MatchString(token) {
+				if !defined[token] {
+					t.Errorf("%s cites `%s`, shaped like a benchmark/ workload or metric, which BENCHMARK.json does not define", path, token)
+				}
+			} else if q := qualifiedName.FindStringSubmatch(token); q != nil && ownPackages[q[1]] != nil && !declares(ownPackages[q[1]], q[2], q[3]) {
+				t.Errorf("%s cites `%s`, but package %s declares no %s", path, token, q[1], strings.TrimSuffix(q[2]+"."+q[3], "."))
 			}
 			command, _, _ := strings.Cut(token, " ")
 			for _, f := range citedFlag.FindAllStringSubmatch(token, -1) {
@@ -170,4 +192,23 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			t.Errorf("CHANGES.md: the entry %q is %d bytes, over the 2 KB an entry may take", title, len(entry))
 		}
 	}
+}
+
+// declares reports whether one of pkgs declares name at package level and,
+// when member is not empty, whether that declaration has a field or method
+// of that name.
+func declares(pkgs []*types.Package, name, member string) bool {
+	for _, pkg := range pkgs {
+		obj := pkg.Scope().Lookup(name)
+		if obj == nil {
+			continue
+		}
+		if member == "" {
+			return true
+		}
+		if found, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg, member); found != nil {
+			return true
+		}
+	}
+	return false
 }

@@ -20,8 +20,8 @@ func TestEngineIncrementalRegeneration(t *testing.T) {
 
 	before := casestudy.Surgery()
 	after := casestudy.Surgery()
-	after.Policy = after.Policy.(*accesscontrol.ACL).WithoutActor(
-		casestudy.ActorResearcher, casestudy.StoreAnonEHR)
+	after.Policy = after.Policy.(*accesscontrol.ACL).Restrict(
+		casestudy.ActorResearcher, casestudy.StoreAnonEHR, nil)
 
 	inc := privascope.MustEngine(privascope.EngineOptions{Incremental: true})
 	if _, err := inc.Assess(ctx, before, profile); err != nil {

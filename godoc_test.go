@@ -12,18 +12,20 @@ import (
 )
 
 // TestGodocCompleteness is the documentation gate CI runs: every exported
-// symbol of the public facade and the scaled analysis packages must carry a
-// doc comment. The root privascope package — including the Engine and every
-// ...Context entry point — is the documented surface external code builds
-// against, and the anonymization/value-risk pipeline is the part external
-// tooling scripts against, so an undocumented export in any of them is
-// treated as a build break, not a style nit.
+// symbol of the public facade and of every internal/ package
+// TestEveryNameHasAProductionCaller checks must carry a doc comment. The root
+// privascope package is the documented surface external code builds against,
+// and the internal packages are what its types alias and its callers read
+// through it, so an undocumented export in any of them is treated as a build
+// break, not a style nit.
 func TestGodocCompleteness(t *testing.T) {
-	for _, dir := range []string{
-		".", // the root privascope package: facade + Engine
-		filepath.Join("internal", "anonymize"),
-		filepath.Join("internal", "pseudorisk"),
-	} {
+	dirs := []string{"."} // the root privascope package: facade + Engine
+	for _, p := range loadModule(t).pkgs {
+		if strings.HasPrefix(p.dir, "internal"+string(filepath.Separator)) && !p.testSupport {
+			dirs = append(dirs, p.dir)
+		}
+	}
+	for _, dir := range dirs {
 		missing, err := undocumentedExports(dir)
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)

@@ -242,25 +242,11 @@ func (a *ACL) ActorsWith(datastore, field string, perm Permission) []string {
 	return sortedSet(set)
 }
 
-// WithoutActor returns a copy of the ACL with every grant for the given actor
-// on the given datastore removed. It is the mitigation primitive used in case
-// study IV-A ("The access policies were changed accordingly").
-func (a *ACL) WithoutActor(actor, datastore string) *ACL {
-	out := &ACL{actors: make(map[string]bool)}
-	for _, g := range a.grants {
-		if g.Actor == actor && g.Datastore == datastore {
-			continue
-		}
-		// Add re-validates and re-copies; errors are impossible for grants
-		// that were already accepted.
-		_ = out.Add(g)
-	}
-	return out
-}
-
 // Restrict returns a copy of the ACL where the actor's grants on the
 // datastore are narrowed to only the listed fields. Grants that end up with
-// no fields are dropped.
+// no fields are dropped, so restricting to no fields at all removes the
+// actor's access to the datastore — the mitigation of case study IV-A ("The
+// access policies were changed accordingly").
 func (a *ACL) Restrict(actor, datastore string, fields []string) *ACL {
 	allowed := make(map[string]bool, len(fields))
 	for _, f := range fields {

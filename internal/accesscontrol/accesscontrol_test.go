@@ -144,16 +144,16 @@ func TestACLActors(t *testing.T) {
 
 func TestACLWithoutActor(t *testing.T) {
 	acl := sampleACL(t)
-	mitigated := acl.WithoutActor("administrator", "ehr")
+	mitigated := acl.Restrict("administrator", "ehr", nil)
 	if mitigated.Allows("administrator", "ehr", "diagnosis", PermissionRead) {
-		t.Error("administrator should lose read access after WithoutActor")
+		t.Error("administrator should lose read access after restricting them to no fields")
 	}
 	if !mitigated.Allows("doctor", "ehr", "diagnosis", PermissionRead) {
 		t.Error("doctor access should be preserved")
 	}
 	// Original is untouched.
 	if !acl.Allows("administrator", "ehr", "diagnosis", PermissionRead) {
-		t.Error("WithoutActor mutated the original policy")
+		t.Error("Restrict mutated the original policy")
 	}
 }
 
@@ -313,7 +313,7 @@ func TestComposite(t *testing.T) {
 
 func TestDiff(t *testing.T) {
 	before := sampleACL(t)
-	after := before.WithoutActor("administrator", "ehr")
+	after := before.Restrict("administrator", "ehr", nil)
 	scope := Scope{
 		Actors:     []string{"administrator", "doctor", "nurse"},
 		Datastores: map[string][]string{"ehr": {"name", "diagnosis", "treatment"}},

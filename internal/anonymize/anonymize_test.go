@@ -286,9 +286,6 @@ func TestNumericBinning(t *testing.T) {
 	if got := (NumericBinning{Width: 20, Origin: 160}).Generalize(Num(185)); got != Interval(180, 200) {
 		t.Errorf("origin-aligned binning = %v", got)
 	}
-	if !strings.Contains(bin.Describe(), "10") {
-		t.Error("Describe should mention the width")
-	}
 }
 
 func TestCategoryMapAndSuppressAll(t *testing.T) {
@@ -308,9 +305,6 @@ func TestCategoryMapAndSuppressAll(t *testing.T) {
 	}
 	if got := (SuppressAll{}).Generalize(Num(5)); !got.IsSuppressed() {
 		t.Errorf("SuppressAll = %v", got)
-	}
-	if cm.Describe() == "" || (SuppressAll{}).Describe() == "" {
-		t.Error("Describe should not be empty")
 	}
 }
 
@@ -435,13 +429,13 @@ func TestKAnonymize(t *testing.T) {
 }
 
 func TestKAnonymizeSuppressionFallback(t *testing.T) {
-	// Two wildly different records cannot be generalised together with few
-	// doublings, so the anonymiser must fall back to suppression.
+	// Ages 1 and 1e9 are further apart than the widest bin the doubling
+	// budget reaches (2^20), so the anonymiser must fall back to suppression.
 	tbl := MustTable(Column{Name: "age", Role: RoleQuasiIdentifier}, Column{Name: "weight"})
 	tbl.MustAddRow(Num(1), Num(50))
 	tbl.MustAddRow(Num(1e9), Num(60))
 	tbl.MustAddRow(Num(1), Num(55))
-	anon, result, err := KAnonymize(ctx, tbl, []string{"age"}, 2, KAnonymizeOptions{MaxDoublings: 3})
+	anon, result, err := KAnonymize(ctx, tbl, []string{"age"}, 2, KAnonymizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,25 +90,3 @@ func ReadCSV(r io.Reader, spec ColumnSpec) (*Table, error) {
 	}
 	return t, nil
 }
-
-// WriteCSV writes the table as CSV, rendering cells with Value.String.
-func WriteCSV(w io.Writer, t *Table) error {
-	writer := csv.NewWriter(w)
-	if err := writer.Write(t.ColumnNames()); err != nil {
-		return fmt.Errorf("anonymize: writing CSV header: %w", err)
-	}
-	cells := make([]string, len(t.cols))
-	for r := 0; r < t.nrows; r++ {
-		for i := range t.cols {
-			cells[i] = t.cols[i].at(r).String()
-		}
-		if err := writer.Write(cells); err != nil {
-			return fmt.Errorf("anonymize: writing CSV row %d: %w", r, err)
-		}
-	}
-	writer.Flush()
-	if err := writer.Error(); err != nil {
-		return fmt.Errorf("anonymize: flushing CSV: %w", err)
-	}
-	return nil
-}

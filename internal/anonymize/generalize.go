@@ -11,9 +11,6 @@ import (
 type Generalizer interface {
 	// Generalize coarsens a single value.
 	Generalize(v Value) Value
-	// Describe returns a short human-readable description of the
-	// generalisation applied, for reports.
-	Describe() string
 }
 
 // NumericBinning generalises numeric values into fixed-width intervals
@@ -43,11 +40,6 @@ func (n NumericBinning) Generalize(v Value) Value {
 	return Interval(lo, lo+n.Width)
 }
 
-// Describe implements Generalizer.
-func (n NumericBinning) Describe() string {
-	return fmt.Sprintf("numeric binning (width %v)", n.Width)
-}
-
 var _ Generalizer = NumericBinning{}
 
 // CategoryMap generalises categorical values by mapping each category to a
@@ -72,11 +64,6 @@ func (c CategoryMap) Generalize(v Value) Value {
 	return v
 }
 
-// Describe implements Generalizer.
-func (c CategoryMap) Describe() string {
-	return fmt.Sprintf("category map (%d groups)", len(c.Groups))
-}
-
 var _ Generalizer = CategoryMap{}
 
 // SuppressAll replaces every value with a suppressed cell. It is the most
@@ -85,9 +72,6 @@ type SuppressAll struct{}
 
 // Generalize implements Generalizer.
 func (SuppressAll) Generalize(Value) Value { return Suppressed() }
-
-// Describe implements Generalizer.
-func (SuppressAll) Describe() string { return "suppression" }
 
 var _ Generalizer = SuppressAll{}
 

@@ -9,23 +9,6 @@ import (
 	"sort"
 )
 
-// IsKAnonymous reports whether every equivalence class induced by the
-// quasi-identifier columns has at least k members (Sweeney's k-anonymity).
-// Rows whose quasi-identifiers are all suppressed count as one shared class.
-func IsKAnonymous(ctx context.Context, t *Table, quasiIdentifiers []string, k int) (bool, error) {
-	if k <= 0 {
-		return false, errors.New("anonymize: k must be positive")
-	}
-	if t.NumRows() == 0 {
-		return true, nil
-	}
-	classes, err := t.EquivalenceClasses(ctx, quasiIdentifiers)
-	if err != nil {
-		return false, err
-	}
-	return smallestClass(classes) >= k, nil
-}
-
 // smallestClass returns the size of the smallest class, or math.MaxInt when
 // there is none.
 func smallestClass(classes [][]int) int {
@@ -36,46 +19,16 @@ func smallestClass(classes [][]int) int {
 	return smallest
 }
 
-// DistinctLDiversity reports whether every equivalence class induced by the
-// quasi-identifiers contains at least l distinct values of the sensitive
-// column (distinct l-diversity, Machanavajjhala et al.). The paper contrasts
-// the value risk that k-anonymity leaves behind with what l-diversity would
-// remove; this check lets the analysis make that comparison concrete.
-func DistinctLDiversity(ctx context.Context, t *Table, quasiIdentifiers []string, sensitive string, l int) (bool, error) {
-	if l <= 0 {
-		return false, errors.New("anonymize: l must be positive")
-	}
-	idx, ok := t.ColumnIndex(sensitive)
-	if !ok {
-		return false, fmt.Errorf("anonymize: unknown sensitive column %q", sensitive)
-	}
-	classes, err := t.EquivalenceClasses(ctx, quasiIdentifiers)
-	if err != nil {
-		return false, err
-	}
-	codes := t.cols[idx].codes
-	rank, _ := t.cols[idx].ranks(false)
-	for _, class := range classes {
-		distinct := make(map[int32]bool)
-		for _, r := range class {
-			distinct[rank[codes[r]]] = true
-		}
-		if len(distinct) < l {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // KAnonymizeOptions configures the k-anonymiser.
 type KAnonymizeOptions struct {
 	// InitialWidths seeds the bin width per numeric quasi-identifier; when a
 	// column is missing, the width starts at 1.
 	InitialWidths map[string]float64
-	// MaxDoublings bounds how often each width may double before the
-	// remaining undersized classes are suppressed; default 20.
-	MaxDoublings int
 }
+
+// maxDoublings bounds the width-doubling rounds of KAnonymize before the
+// remaining undersized classes are suppressed.
+const maxDoublings = 20
 
 // KAnonymizeResult reports how k-anonymity was achieved.
 type KAnonymizeResult struct {
@@ -95,7 +48,7 @@ type KAnonymizeResult struct {
 // KAnonymize produces a k-anonymous version of the table by global recoding:
 // numeric quasi-identifiers are binned with per-column widths that double
 // until every equivalence class has at least k rows; rows still in
-// undersized classes after MaxDoublings rounds have their quasi-identifiers
+// undersized classes after maxDoublings rounds have their quasi-identifiers
 // suppressed. Categorical quasi-identifiers are left as-is during widening
 // and suppressed with the rest in the fallback.
 //
@@ -110,10 +63,6 @@ func KAnonymize(ctx context.Context, t *Table, quasiIdentifiers []string, k int,
 			return nil, KAnonymizeResult{}, fmt.Errorf("anonymize: unknown quasi-identifier %q", q)
 		}
 	}
-	if opts.MaxDoublings <= 0 {
-		opts.MaxDoublings = 20
-	}
-
 	widths := make(map[string]float64, len(quasiIdentifiers))
 	for _, q := range quasiIdentifiers {
 		widths[q] = 1
@@ -140,7 +89,7 @@ func KAnonymize(ctx context.Context, t *Table, quasiIdentifiers []string, k int,
 		if err != nil {
 			return nil, KAnonymizeResult{}, err
 		}
-		if smallestClass(classes) >= k || round >= opts.MaxDoublings {
+		if smallestClass(classes) >= k || round >= maxDoublings {
 			break
 		}
 		// Double the width of the column whose smallest class is smallest —

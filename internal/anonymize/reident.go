@@ -151,15 +151,3 @@ func ReidentificationRiskIndexed(ctx context.Context, ix *ClassIndex, quasiIdent
 	report.AverageRisk = sum / float64(t.NumRows())
 	return report, nil
 }
-
-// SatisfiesK reports whether the dataset meets k-anonymity according to the
-// report's smallest equivalence class.
-func (r ReidentReport) SatisfiesK(k int) bool {
-	if k <= 0 {
-		return false
-	}
-	if len(r.Records) == 0 {
-		return true
-	}
-	return r.SmallestClass >= k
-}

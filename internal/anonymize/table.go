@@ -170,9 +170,6 @@ func (t *Table) MustAddRow(values ...Value) {
 	}
 }
 
-// Columns returns a copy of the column definitions.
-func (t *Table) Columns() []Column { return append([]Column(nil), t.columns...) }
-
 // ColumnNames returns the column names in order.
 func (t *Table) ColumnNames() []string {
 	out := make([]string, len(t.columns))
@@ -188,44 +185,8 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// Column returns the definition of the named column.
-func (t *Table) Column(name string) (Column, bool) {
-	if i, ok := t.index[name]; ok {
-		return t.columns[i], true
-	}
-	return Column{}, false
-}
-
-// ColumnsByRole returns the names of columns with the given role, in order.
-func (t *Table) ColumnsByRole(role ColumnRole) []string {
-	var out []string
-	for _, c := range t.columns {
-		if c.Role == role {
-			out = append(out, c.Name)
-		}
-	}
-	return out
-}
-
-// ColumnValues returns a copy of the named column's cells in row order.
-func (t *Table) ColumnValues(name string) ([]Value, bool) {
-	i, ok := t.index[name]
-	if !ok {
-		return nil, false
-	}
-	col := &t.cols[i]
-	out := make([]Value, t.nrows)
-	for r := range out {
-		out[r] = col.at(r)
-	}
-	return out, true
-}
-
 // NumRows returns the number of rows.
 func (t *Table) NumRows() int { return t.nrows }
-
-// NumColumns returns the number of columns.
-func (t *Table) NumColumns() int { return len(t.columns) }
 
 // Value returns the cell at (row, column name).
 func (t *Table) Value(row int, column string) (Value, error) {
@@ -237,18 +198,6 @@ func (t *Table) Value(row int, column string) (Value, error) {
 		return Value{}, fmt.Errorf("anonymize: unknown column %q", column)
 	}
 	return t.cols[i].at(row), nil
-}
-
-// Row returns a copy of the row's values.
-func (t *Table) Row(row int) ([]Value, error) {
-	if row < 0 || row >= t.nrows {
-		return nil, fmt.Errorf("anonymize: row %d out of range [0,%d)", row, t.nrows)
-	}
-	out := make([]Value, len(t.cols))
-	for i := range t.cols {
-		out[i] = t.cols[i].at(row)
-	}
-	return out, nil
 }
 
 // SetValue overwrites the cell at (row, column name).

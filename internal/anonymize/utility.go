@@ -55,20 +55,6 @@ func (u UtilityReport) Column(name string) (ColumnUtility, bool) {
 	return ColumnUtility{}, false
 }
 
-// AcceptableWithin reports whether every compared column's mean shifted by at
-// most maxMeanShift. It is the simple accept/reject gate the paper sketches
-// ("If a technique requires too much data removal and utility is shown to be
-// likely adversely affected, the technique used would clearly be not
-// appropriate").
-func (u UtilityReport) AcceptableWithin(maxMeanShift float64) bool {
-	for _, c := range u.Columns {
-		if c.MeanShift() > maxMeanShift {
-			return false
-		}
-	}
-	return true
-}
-
 // CompareUtility compares the named numeric columns of the original and
 // anonymised tables, which must have the same number of rows.
 func CompareUtility(original, anonymised *Table, columns []string) (UtilityReport, error) {

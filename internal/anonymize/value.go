@@ -1,7 +1,7 @@
 // Package anonymize provides the dataset and pseudonymisation substrate the
 // paper's value-risk analysis (Section III-B) is built on: typed record
-// tables, generalisation, k-anonymisation, l-diversity checking, utility
-// metrics, and the per-record value-risk computation
+// tables, generalisation, k-anonymisation, utility metrics, and the
+// per-record value-risk computation
 // risk(r, f) = frequency(f) / size(s) that produces Table I.
 //
 // The paper does not propose new anonymisation algorithms — it models the
@@ -93,11 +93,9 @@ func (v Value) appendText(b []byte) []byte {
 	}
 }
 
-// GroupKey returns a canonical string used when grouping rows into
+// appendGroupKey appends the canonical key rows are grouped by into
 // equivalence classes: values with the same group key are indistinguishable
 // to an observer who sees this cell.
-func (v Value) GroupKey() string { return string(v.appendGroupKey(nil)) }
-
 func (v Value) appendGroupKey(b []byte) []byte {
 	if v.Kind == KindSuppressed {
 		return append(b, '*')
@@ -107,7 +105,7 @@ func (v Value) appendGroupKey(b []byte) []byte {
 	return v.appendText(b)
 }
 
-// normalized returns the value with everything GroupKey does not render
+// normalized returns the value with everything appendGroupKey does not render
 // cleared — the fields its kind does not use, and NaN payloads — so that two
 // values have the same group key exactly when their normalised forms have the
 // same bits. -0 and 0 render differently and stay apart.
@@ -170,9 +168,6 @@ func (v Value) bounds() (float64, float64) {
 	return v.Num, v.Num
 }
 
-// Equal reports exact equality of two values.
-func (v Value) Equal(other Value) bool { return v == other }
-
 // ParseValue parses a cell from text: "lo-hi" becomes an interval, a number
 // becomes numeric, "*" or an empty cell becomes suppressed, anything else
 // categorical. Empty cells map to suppressed rather than Cat("") so that a
@@ -201,14 +196,6 @@ func ParseValue(s string) Value {
 // (e.g. "2/4", "3/4", "2/2").
 type Fraction struct {
 	Num, Den int
-}
-
-// Float returns the fraction as a float64; zero when the denominator is zero.
-func (f Fraction) Float() float64 {
-	if f.Den == 0 {
-		return 0
-	}
-	return float64(f.Num) / float64(f.Den)
 }
 
 // String renders the fraction exactly as Table I does.

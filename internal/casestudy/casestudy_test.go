@@ -2,11 +2,13 @@ package casestudy
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"privascope/internal/accesscontrol"
 	"privascope/internal/anonymize"
 	"privascope/internal/core"
+	"privascope/internal/lts"
 	"privascope/internal/risk"
 )
 
@@ -15,15 +17,14 @@ func TestSurgeryModelIsValid(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("Surgery model invalid: %v", err)
 	}
-	stats := m.Stats()
-	if stats.Actors != 5 {
-		t.Errorf("actors = %d, want 5 (paper Section II-B)", stats.Actors)
+	if len(m.Actors) != 5 {
+		t.Errorf("actors = %d, want 5 (paper Section II-B)", len(m.Actors))
 	}
-	if stats.Datastores != 3 {
-		t.Errorf("datastores = %d, want 3", stats.Datastores)
+	if len(m.Datastores) != 3 {
+		t.Errorf("datastores = %d, want 3", len(m.Datastores))
 	}
-	if stats.Services != 2 {
-		t.Errorf("services = %d, want 2", stats.Services)
+	if len(m.Services) != 2 {
+		t.Errorf("services = %d, want 2", len(m.Services))
 	}
 	if len(m.ServiceFlows(ServiceMedical)) != 6 {
 		t.Errorf("medical service flows = %d, want 6", len(m.ServiceFlows(ServiceMedical)))
@@ -76,15 +77,26 @@ func TestSurgeryLTSGenerates(t *testing.T) {
 	}
 	// The administrator never takes part in a medical-service flow but could
 	// identify the diagnosis once it reaches the EHR.
-	finals := p.FindStates(func(v core.StateVector) bool { return v.Has(ActorNurse, FieldTreatment) })
+	finals := statesWhere(p, func(v core.StateVector) bool { return v.Has(ActorNurse, FieldTreatment) })
 	if len(finals) == 0 {
 		t.Fatal("medical service never completes")
 	}
 	for _, id := range finals {
-		if !p.Could(id, ActorAdministrator, FieldDiagnosis) {
+		if v, _ := p.Vector(id); !v.Get(ActorAdministrator, FieldDiagnosis, core.CouldIdentify) {
 			t.Errorf("state %s: administrator should be able to identify the diagnosis", id)
 		}
 	}
+}
+
+// statesWhere returns the states of p whose vector satisfies pred.
+func statesWhere(p *core.PrivacyLTS, pred func(core.StateVector) bool) []lts.StateID {
+	var out []lts.StateID
+	for _, id := range p.Graph.StateIDs() {
+		if v, _ := p.Vector(id); pred(v) {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func TestCaseStudyAMediumThenLow(t *testing.T) {
@@ -92,14 +104,17 @@ func TestCaseStudyAMediumThenLow(t *testing.T) {
 	// administrator's potential read of the EHR carries Medium risk for the
 	// diagnosis; after the policy change it is reduced (the diagnosis finding
 	// disappears and the residual administrator risk is Low).
-	analyzer := risk.MustAnalyzer(risk.Config{})
+	analyzer, err := risk.NewAnalyzer(risk.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	profile := PatientProfile()
 
 	before, err := core.Generate(Surgery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	beforeAssessment, err := analyzer.Analyze(before, profile)
+	beforeAssessment, err := analyzer.AnalyzeContext(context.Background(), before, profile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +122,8 @@ func TestCaseStudyAMediumThenLow(t *testing.T) {
 		t.Errorf("administrator risk before mitigation = %v, want medium", got)
 	}
 	var diagnosisFinding bool
-	for _, f := range beforeAssessment.FindingsFor(ActorAdministrator) {
-		if f.DrivingField == FieldDiagnosis && f.Datastore == StoreEHR {
+	for _, f := range beforeAssessment.Findings {
+		if f.Actor == ActorAdministrator && f.DrivingField == FieldDiagnosis && f.Datastore == StoreEHR {
 			diagnosisFinding = true
 			if f.Risk != risk.LevelMedium {
 				t.Errorf("diagnosis finding risk = %v, want medium", f.Risk)
@@ -123,15 +138,15 @@ func TestCaseStudyAMediumThenLow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterAssessment, err := analyzer.Analyze(after, profile)
+	afterAssessment, err := analyzer.AnalyzeContext(context.Background(), after, profile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := afterAssessment.MaxRiskFor(ActorAdministrator); got > risk.LevelLow {
 		t.Errorf("administrator risk after mitigation = %v, want at most low", got)
 	}
-	for _, f := range afterAssessment.FindingsFor(ActorAdministrator) {
-		if f.DrivingField == FieldDiagnosis && f.Datastore == StoreEHR {
+	for _, f := range afterAssessment.Findings {
+		if f.Actor == ActorAdministrator && f.DrivingField == FieldDiagnosis && f.Datastore == StoreEHR {
 			t.Error("diagnosis finding should disappear after the policy change")
 		}
 	}
@@ -180,7 +195,7 @@ func TestPatientProfile(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("profile invalid: %v", err)
 	}
-	if !p.Consented(ServiceMedical) || p.Consented(ServiceResearch) {
+	if !slices.Contains(p.ConsentedServices, ServiceMedical) || slices.Contains(p.ConsentedServices, ServiceResearch) {
 		t.Error("profile consent wrong")
 	}
 	if p.Sensitivity(FieldDiagnosis) != risk.SensitivityHigh {
@@ -228,13 +243,51 @@ func TestTableIRecords(t *testing.T) {
 	if tbl.NumRows() != 6 {
 		t.Fatalf("rows = %d, want 6", tbl.NumRows())
 	}
-	ok, err := anonymize.IsKAnonymous(context.Background(), tbl, []string{FieldAge, FieldHeight}, 2)
-	if err != nil || !ok {
-		t.Errorf("Table I records should be 2-anonymous: %v, %v", ok, err)
+	classes, err := tbl.EquivalenceClasses(context.Background(), []string{FieldAge, FieldHeight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range classes {
+		if len(class) < 2 {
+			t.Errorf("Table I records should be 2-anonymous, but rows %v form a class", class)
+		}
 	}
 	v, err := tbl.Value(0, FieldWeight)
 	if err != nil || v != anonymize.Num(100) {
 		t.Errorf("first weight = %v, %v", v, err)
+	}
+}
+
+// RawMetricsRecords returns a plausible raw (pre-anonymisation) version of
+// the Table I records, used by the examples and benchmarks that exercise the
+// k-anonymiser end to end before computing value risks.
+func RawMetricsRecords() *anonymize.Table {
+	t := anonymize.MustTable(
+		anonymize.Column{Name: FieldAge, Role: anonymize.RoleQuasiIdentifier},
+		anonymize.Column{Name: FieldHeight, Role: anonymize.RoleQuasiIdentifier, Unit: "cm"},
+		anonymize.Column{Name: FieldWeight, Role: anonymize.RoleSensitive, Unit: "kg"},
+	)
+	rows := [][3]float64{
+		{34, 185, 100},
+		{38, 192, 102},
+		{25, 183, 110},
+		{28, 199, 111},
+		{22, 165, 80},
+		{27, 171, 110},
+	}
+	for _, r := range rows {
+		t.MustAddRow(anonymize.Num(r[0]), anonymize.Num(r[1]), anonymize.Num(r[2]))
+	}
+	return t
+}
+
+// TableIGeneralisation returns the generalisation spec that turns
+// RawMetricsRecords into the 2-anonymised form of Table I: 10-year age bins
+// and 20-cm height bins aligned to 0 and 160 respectively.
+func TableIGeneralisation() anonymize.Spec {
+	return anonymize.Spec{
+		FieldAge:    anonymize.NumericBinning{Width: 10},
+		FieldHeight: anonymize.NumericBinning{Width: 20},
 	}
 }
 
@@ -285,14 +338,14 @@ func TestMetricsLTSGenerates(t *testing.T) {
 	}
 	// There is a state where the researcher has read only the anonymised
 	// weight, and one where they have read all three anonymised fields.
-	onlyWeight := p.FindStates(func(v core.StateVector) bool {
+	onlyWeight := statesWhere(p, func(v core.StateVector) bool {
 		return v.Has(ActorResearcher, "weight_anon") &&
 			!v.Has(ActorResearcher, "age_anon") && !v.Has(ActorResearcher, "height_anon")
 	})
 	if len(onlyWeight) == 0 {
 		t.Error("no state where the researcher has read only weight_anon")
 	}
-	all := p.FindStates(func(v core.StateVector) bool {
+	all := statesWhere(p, func(v core.StateVector) bool {
 		return v.Has(ActorResearcher, "weight_anon") &&
 			v.Has(ActorResearcher, "age_anon") && v.Has(ActorResearcher, "height_anon")
 	})

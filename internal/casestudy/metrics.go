@@ -143,36 +143,3 @@ func TableIRecords() *anonymize.Table {
 	}
 	return t
 }
-
-// RawMetricsRecords returns a plausible raw (pre-anonymisation) version of
-// the Table I records, used by the examples and benchmarks that exercise the
-// k-anonymiser end to end before computing value risks.
-func RawMetricsRecords() *anonymize.Table {
-	t := anonymize.MustTable(
-		anonymize.Column{Name: FieldAge, Role: anonymize.RoleQuasiIdentifier},
-		anonymize.Column{Name: FieldHeight, Role: anonymize.RoleQuasiIdentifier, Unit: "cm"},
-		anonymize.Column{Name: FieldWeight, Role: anonymize.RoleSensitive, Unit: "kg"},
-	)
-	rows := [][3]float64{
-		{34, 185, 100},
-		{38, 192, 102},
-		{25, 183, 110},
-		{28, 199, 111},
-		{22, 165, 80},
-		{27, 171, 110},
-	}
-	for _, r := range rows {
-		t.MustAddRow(anonymize.Num(r[0]), anonymize.Num(r[1]), anonymize.Num(r[2]))
-	}
-	return t
-}
-
-// TableIGeneralisation returns the generalisation spec that turns
-// RawMetricsRecords into the 2-anonymised form of Table I: 10-year age bins
-// and 20-cm height bins aligned to 0 and 160 respectively.
-func TableIGeneralisation() anonymize.Spec {
-	return anonymize.Spec{
-		FieldAge:    anonymize.NumericBinning{Width: 10},
-		FieldHeight: anonymize.NumericBinning{Width: 20},
-	}
-}

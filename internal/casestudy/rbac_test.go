@@ -1,6 +1,7 @@
 package casestudy
 
 import (
+	"context"
 	"testing"
 
 	"privascope/internal/accesscontrol"
@@ -50,13 +51,16 @@ func TestSurgeryRBACProducesSameLTSAndRisk(t *testing.T) {
 		t.Errorf("LTS stats differ: acl=%+v rbac=%+v", aclLTS.Stats(), rbacLTS.Stats())
 	}
 
-	analyzer := risk.MustAnalyzer(risk.Config{})
-	profile := PatientProfile()
-	aclAssessment, err := analyzer.Analyze(aclLTS, profile)
+	analyzer, err := risk.NewAnalyzer(risk.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbacAssessment, err := analyzer.Analyze(rbacLTS, profile)
+	profile := PatientProfile()
+	aclAssessment, err := analyzer.AnalyzeContext(context.Background(), aclLTS, profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rbacAssessment, err := analyzer.AnalyzeContext(context.Background(), rbacLTS, profile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,5 +84,68 @@ func TestSurgeryRBACRoleAssignments(t *testing.T) {
 	}
 	if got := len(rbac.Actors()); got != 5 {
 		t.Errorf("actors with roles = %d, want 5", got)
+	}
+}
+
+// Role names used by the RBAC variant of the surgery policy.
+const (
+	RoleReception  = "reception-staff"
+	RoleClinician  = "clinical-staff"
+	RoleNursing    = "nursing-staff"
+	RoleSysAdmin   = "system-administrator"
+	RoleResearcher = "research-staff"
+)
+
+// SurgeryRBAC returns a role-based formulation of the surgery's original
+// access-control policy, equivalent in effect to SurgeryACL. The paper
+// assumes "traditional access control lists and role-based access control";
+// this fixture exercises the RBAC half: the generated privacy LTS and the
+// risk analysis results are identical to the ACL-based model (see the tests
+// in this package).
+func SurgeryRBAC() *accesscontrol.RBAC {
+	rw := []accesscontrol.Permission{accesscontrol.PermissionRead, accesscontrol.PermissionWrite}
+	r := []accesscontrol.Permission{accesscontrol.PermissionRead}
+	rwd := []accesscontrol.Permission{accesscontrol.PermissionRead, accesscontrol.PermissionWrite, accesscontrol.PermissionDelete}
+	rd := []accesscontrol.Permission{accesscontrol.PermissionRead, accesscontrol.PermissionDelete}
+	all := []string{accesscontrol.AllFields}
+
+	rbac := accesscontrol.NewRBAC()
+	mustAddRole(rbac, accesscontrol.Role{Name: RoleReception, Grants: []accesscontrol.Grant{
+		{Datastore: StoreAppointments, Fields: all, Permissions: rw, Reason: "appointment booking"},
+	}})
+	mustAddRole(rbac, accesscontrol.Role{Name: RoleClinician, Grants: []accesscontrol.Grant{
+		{Datastore: StoreAppointments, Fields: all, Permissions: r, Reason: "consultation preparation"},
+		{Datastore: StoreEHR, Fields: all, Permissions: rw, Reason: "clinical record keeping"},
+		{Datastore: StoreAnonEHR, Fields: all, Permissions: rw, Reason: "research extract preparation"},
+	}})
+	mustAddRole(rbac, accesscontrol.Role{Name: RoleNursing, Grants: []accesscontrol.Grant{
+		{Datastore: StoreEHR, Fields: []string{FieldName, FieldTreatment}, Permissions: r, Reason: "treatment administration"},
+	}})
+	mustAddRole(rbac, accesscontrol.Role{Name: RoleSysAdmin, Grants: []accesscontrol.Grant{
+		{Datastore: StoreAppointments, Fields: all, Permissions: rwd, Reason: "system maintenance"},
+		{Datastore: StoreEHR, Fields: all, Permissions: rwd, Reason: "system maintenance"},
+		{Datastore: StoreAnonEHR, Fields: all, Permissions: rd, Reason: "system maintenance"},
+	}})
+	mustAddRole(rbac, accesscontrol.Role{Name: RoleResearcher, Grants: []accesscontrol.Grant{
+		{Datastore: StoreAnonEHR, Fields: all, Permissions: r, Reason: "medical research"},
+	}})
+
+	mustAssign(rbac, ActorReceptionist, RoleReception)
+	mustAssign(rbac, ActorDoctor, RoleClinician)
+	mustAssign(rbac, ActorNurse, RoleNursing)
+	mustAssign(rbac, ActorAdministrator, RoleSysAdmin)
+	mustAssign(rbac, ActorResearcher, RoleResearcher)
+	return rbac
+}
+
+func mustAddRole(rbac *accesscontrol.RBAC, role accesscontrol.Role) {
+	if err := rbac.AddRole(role); err != nil {
+		panic(err)
+	}
+}
+
+func mustAssign(rbac *accesscontrol.RBAC, actor, role string) {
+	if err := rbac.Assign(actor, role); err != nil {
+		panic(err)
 	}
 }

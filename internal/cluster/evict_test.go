@@ -18,9 +18,9 @@ import (
 
 	"privascope/internal/casestudy"
 	"privascope/internal/cluster/fault"
+	"privascope/internal/proptest/scenario"
 	"privascope/internal/risk"
 	"privascope/internal/service"
-	"privascope/internal/synth"
 )
 
 // blackHoleFleet is the fixture of the two black-hole tests: a 2-node fleet
@@ -48,7 +48,7 @@ func startBlackHoleFleet(t *testing.T, ctx context.Context, cfg RouterConfig) *b
 	f := &blackHoleFleet{victim: "node1"}
 	f.profiles = ownedProfiles(ring, map[string]int{"node0": 12, "node1": 12})
 	f.users = profileIDs(f.profiles)
-	f.stream = synth.RandomEventStream(rand.New(rand.NewSource(37)), p, f.users, 12)
+	f.stream = scenario.RandomEventStream(rand.New(rand.NewSource(37)), p, f.users, 12)
 
 	base := H2CTransport()
 	transport := newSwitchTransport(base)
@@ -334,7 +334,7 @@ func TestEvictFencesAbandonedRequest(t *testing.T) {
 	// The victim's first twelve events go first — three frames of four — and
 	// the rest of the stream follows in its own order.
 	var victims, stream []service.Event
-	for _, ev := range synth.RandomEventStream(rand.New(rand.NewSource(41)), p, users, 12) {
+	for _, ev := range scenario.RandomEventStream(rand.New(rand.NewSource(41)), p, users, 12) {
 		if ring.Owner(ev.UserID) == "node1" && len(victims) < 12 {
 			victims = append(victims, ev)
 		} else {
@@ -468,7 +468,7 @@ func TestFailedEvictionLeavesNodeDeliverable(t *testing.T) {
 	}
 	profiles := ownedProfiles(ring, map[string]int{"node0": 8, "node1": 8})
 	users := profileIDs(profiles)
-	stream := synth.RandomEventStream(rand.New(rand.NewSource(43)), p, users, 12)
+	stream := scenario.RandomEventStream(rand.New(rand.NewSource(43)), p, users, 12)
 	direct := directMonitor(t, profiles, stream)
 
 	base := H2CTransport()

@@ -17,7 +17,6 @@ import (
 	"privascope/internal/proptest"
 	"privascope/internal/proptest/scenario"
 	"privascope/internal/runtime"
-	"privascope/internal/synth"
 )
 
 // faultSchedule is the golden harness's mixed schedule: drops, resets,
@@ -79,7 +78,7 @@ func TestClusterFaultDeterminismGolden(t *testing.T) {
 	for i, pr := range profiles {
 		users[i] = pr.ID
 	}
-	stream := synth.RandomEventStream(rand.New(rand.NewSource(seed)), p, users, 20)
+	stream := scenario.RandomEventStream(rand.New(rand.NewSource(seed)), p, users, 20)
 	direct := directMonitor(t, profiles, stream)
 
 	for _, nodes := range []int{1, 2, 4} {
@@ -203,7 +202,7 @@ func faultRound(seed int64, rng *rand.Rand, blackHole bool) error {
 		users[i] = profile.ID
 	}
 	perUser := 1 + (48+len(users)-1)/len(users)
-	stream := synth.RandomEventStream(rng, p, users, perUser)
+	stream := scenario.RandomEventStream(rng, p, users, perUser)
 
 	direct, err := runtime.NewMonitor(p, runtime.Config{})
 	if err != nil {

@@ -14,10 +14,10 @@ import (
 
 	"privascope/internal/casestudy"
 	"privascope/internal/lts"
+	"privascope/internal/proptest/scenario"
 	"privascope/internal/risk"
 	"privascope/internal/runtime"
 	"privascope/internal/service"
-	"privascope/internal/synth"
 )
 
 // membershipProfiles builds n registered user profiles (clones of the
@@ -105,7 +105,7 @@ func TestClusterLiveJoinRebalances(t *testing.T) {
 		users[i] = pr.ID
 	}
 	rng := rand.New(rand.NewSource(7))
-	stream := synth.RandomEventStream(rng, p, users, 24)
+	stream := scenario.RandomEventStream(rng, p, users, 24)
 	direct := directMonitor(t, profiles, stream)
 
 	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{BatchEvents: 5})
@@ -172,7 +172,7 @@ func TestClusterGracefulLeave(t *testing.T) {
 		users[i] = pr.ID
 	}
 	rng := rand.New(rand.NewSource(11))
-	stream := synth.RandomEventStream(rng, p, users, 24)
+	stream := scenario.RandomEventStream(rng, p, users, 24)
 	direct := directMonitor(t, profiles, stream)
 
 	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{BatchEvents: 5})
@@ -234,7 +234,7 @@ func TestClusterEvictFailover(t *testing.T) {
 		users[i] = pr.ID
 	}
 	rng := rand.New(rand.NewSource(13))
-	stream := synth.RandomEventStream(rng, p, users, 24)
+	stream := scenario.RandomEventStream(rng, p, users, 24)
 	direct := directMonitor(t, profiles, stream)
 
 	c, err := StartLocal(p, 3, NodeConfig{}, crashRouterConfig())
@@ -300,7 +300,7 @@ func TestProberEvictsDeadNode(t *testing.T) {
 		users[i] = pr.ID
 	}
 	rng := rand.New(rand.NewSource(17))
-	stream := synth.RandomEventStream(rng, p, users, 12)
+	stream := scenario.RandomEventStream(rng, p, users, 12)
 	direct := directMonitor(t, profiles, stream)
 
 	c, err := StartLocal(p, 3, NodeConfig{}, crashRouterConfig())

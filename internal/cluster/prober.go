@@ -24,26 +24,15 @@ type ProberConfig struct {
 	OnEvict func(name string, err error)
 }
 
+// DefaultProbeInterval and DefaultProbeFailures trade detection latency
+// against tolerance for transient stalls: three missed 250ms probes declare a
+// node dead in under a second.
 const (
-	// DefaultProbeInterval and DefaultProbeFailures trade detection latency
-	// against tolerance for transient stalls: three missed 250ms probes
-	// declare a node dead in under a second.
+	// DefaultProbeInterval is the time between two probes of a node.
 	DefaultProbeInterval = 250 * time.Millisecond
+	// DefaultProbeFailures is how many probes in a row a node may miss.
 	DefaultProbeFailures = 3
 )
-
-// ProberStats is a snapshot of the failure detector's state.
-type ProberStats struct {
-	// Probes counts probe requests sent; Failures counts the ones that
-	// failed (error, timeout, or non-200).
-	Probes   int64
-	Failures int64
-	// Failing maps node name to its current consecutive-failure count
-	// (nodes at zero are omitted).
-	Failing map[string]int
-	// Evicted lists the nodes this prober declared dead, in order.
-	Evicted []string
-}
 
 // Prober is the cluster's failure detector: it probes every live node's
 // /healthz (liveness — a draining node is alive and must not be evicted) at
@@ -102,24 +91,6 @@ func (c *Local) StartProber(cfg ProberConfig) *Prober {
 func (p *Prober) Stop() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	<-p.done
-}
-
-// Stats snapshots the prober's counters.
-func (p *Prober) Stats() ProberStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	failing := make(map[string]int, len(p.fails))
-	for name, n := range p.fails {
-		if n > 0 {
-			failing[name] = n
-		}
-	}
-	return ProberStats{
-		Probes:   p.probes,
-		Failures: p.failed,
-		Failing:  failing,
-		Evicted:  append([]string(nil), p.evicted...),
-	}
 }
 
 func (p *Prober) loop() {

@@ -12,7 +12,6 @@ import (
 	"privascope/internal/proptest/scenario"
 	"privascope/internal/risk"
 	"privascope/internal/runtime"
-	"privascope/internal/synth"
 )
 
 // randomNodeNames draws 1..6 distinct node names.
@@ -92,9 +91,9 @@ func TestRingMinimalMovementProperty(t *testing.T) {
 				return fmt.Errorf("user %q moved from %q to %q across a join+leave round trip", id, before, back)
 			}
 		}
-		if expected := float64(users) / float64(grown.Size()); !withinQuarter(moved, expected) {
+		if expected := float64(users) / float64(len(grown.Nodes())); !withinQuarter(moved, expected) {
 			return fmt.Errorf("join moved %d of %d users across %d nodes; a fair placement moves %.0f ± 25%%",
-				moved, users, grown.Size(), expected)
+				moved, users, len(grown.Nodes()), expected)
 		}
 		// Leave of an original member (the failover direction).
 		if len(names) > 1 {
@@ -118,9 +117,9 @@ func TestRingMinimalMovementProperty(t *testing.T) {
 						leaver, id, before, after)
 				}
 			}
-			if expected := float64(users) / float64(base.Size()); !withinQuarter(departed, expected) {
+			if expected := float64(users) / float64(len(base.Nodes())); !withinQuarter(departed, expected) {
 				return fmt.Errorf("leave moved %d of %d users across %d nodes; a fair placement moves %.0f ± 25%%",
-					departed, users, base.Size(), expected)
+					departed, users, len(base.Nodes()), expected)
 			}
 		}
 		return nil
@@ -191,7 +190,7 @@ func TestClusterSingleNodeEquivalenceProperty(t *testing.T) {
 			users[i] = profile.ID
 		}
 		perUser := 1 + (64+len(users)-1)/len(users)
-		stream := synth.RandomEventStream(rng, p, users, perUser)
+		stream := scenario.RandomEventStream(rng, p, users, perUser)
 
 		direct, err := runtime.NewMonitor(p, runtime.Config{})
 		if err != nil {

@@ -16,10 +16,10 @@ import (
 
 	"privascope/internal/casestudy"
 	"privascope/internal/cluster/fault"
+	"privascope/internal/proptest/scenario"
 	"privascope/internal/risk"
 	"privascope/internal/runtime"
 	"privascope/internal/service"
-	"privascope/internal/synth"
 )
 
 // pickProfiles builds case-study patient profiles under fixed-width IDs —
@@ -225,7 +225,7 @@ func TestLeaveChunkBoundaries(t *testing.T) {
 		t.Run(fmt.Sprintf("moved=%d", tc.moved), func(t *testing.T) {
 			profiles := ownedProfiles(ring, map[string]int{"node0": 3, "node1": tc.moved})
 			users := profileIDs(profiles)
-			stream := synth.RandomEventStream(rand.New(rand.NewSource(int64(tc.moved))), p, users[:min(len(users), 40)], 6)
+			stream := scenario.RandomEventStream(rand.New(rand.NewSource(int64(tc.moved))), p, users[:min(len(users), 40)], 6)
 			direct := directMonitor(t, profiles, stream)
 
 			c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{})
@@ -281,7 +281,7 @@ func TestLeaveOfNodeOverOneFrame(t *testing.T) {
 	const onLeaver = 70000
 	profiles := ownedProfiles(ring, map[string]int{"node0": onLeaver, "node1": 100})
 	users := profileIDs(profiles)
-	stream := synth.RandomEventStream(rand.New(rand.NewSource(70)), p, users[:64], 8)
+	stream := scenario.RandomEventStream(rand.New(rand.NewSource(70)), p, users[:64], 8)
 	direct := directMonitor(t, profiles, stream)
 
 	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{})
@@ -333,7 +333,7 @@ func TestDepartureSkipsGoawayLinger(t *testing.T) {
 				map[string]int{"node0>node0": 6, "node0>node2": 6, "node1>node0": 6, "node1>node2": 6},
 				ownerMove(t, []string{"node0", "node1"}, []string{"node0", "node2"}))
 			users := profileIDs(profiles)
-			stream := synth.RandomEventStream(rand.New(rand.NewSource(5)), p, users, 12)
+			stream := scenario.RandomEventStream(rand.New(rand.NewSource(5)), p, users, 12)
 			direct := directMonitor(t, profiles, stream)
 
 			c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{BatchEvents: 5, HTTPClient: client()})
@@ -475,7 +475,7 @@ func TestAbortedChangeLeavesFleetUnchanged(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			profiles := pickProfiles(change.users, ownerMove(t, change.before, change.after))
 			users := profileIDs(profiles)
-			stream := synth.RandomEventStream(rand.New(rand.NewSource(23)), p, users, 10)
+			stream := scenario.RandomEventStream(rand.New(rand.NewSource(23)), p, users, 10)
 			direct := directMonitor(t, profiles, stream)
 
 			// One connection pool under every schedule, so the router's
@@ -629,7 +629,7 @@ func TestAbortWaitsForChunkInFlight(t *testing.T) {
 		map[string]int{"node0>node0": 10, "node2>node2": 10, "node1>node0": 10, "node1>node2": 10},
 		ownerMove(t, before, after))
 	users := profileIDs(profiles)
-	stream := synth.RandomEventStream(rand.New(rand.NewSource(29)), p, users, 10)
+	stream := scenario.RandomEventStream(rand.New(rand.NewSource(29)), p, users, 10)
 	direct := directMonitor(t, profiles, stream)
 
 	base := H2CTransport()
@@ -723,7 +723,7 @@ func TestTickCannotStallEviction(t *testing.T) {
 	}
 	profiles := ownedProfiles(ring, map[string]int{"node0": 12, "node1": 12})
 	users := profileIDs(profiles)
-	stream := synth.RandomEventStream(rand.New(rand.NewSource(31)), p, users, 12)
+	stream := scenario.RandomEventStream(rand.New(rand.NewSource(31)), p, users, 12)
 	direct := directMonitor(t, profiles, stream)
 
 	transport := &refuseIngest{base: H2CTransport()}

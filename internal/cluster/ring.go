@@ -69,9 +69,6 @@ func NewRing(nodes []string) (*Ring, error) {
 // Nodes returns the ring's node names, sorted.
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
-// Size returns the number of nodes.
-func (r *Ring) Size() int { return len(r.nodes) }
-
 // Owner returns the node owning the user ID: the one scoring it highest. Equal
 // scores go to the lower name, so the owner stays a function of the node set.
 func (r *Ring) Owner(userID string) string {

@@ -50,7 +50,7 @@ func ringSkew(r *Ring, ids int, format string) float64 {
 			largest = counts[owner]
 		}
 	}
-	return float64(largest) * float64(r.Size()) / float64(ids)
+	return float64(largest) * float64(len(r.Nodes())) / float64(ids)
 }
 
 // TestRingSkew pins what a fair placement promises on the IDs that are hard
@@ -101,7 +101,7 @@ func TestRingWithAndWithoutNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := grown.Size(); got != 3 {
+	if got := len(grown.Nodes()); got != 3 {
 		t.Fatalf("grown ring has %d nodes, want 3", got)
 	}
 	if _, err := r.WithNode("a"); err == nil {
@@ -111,7 +111,7 @@ func TestRingWithAndWithoutNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := shrunk.Size(); got != 2 {
+	if got := len(shrunk.Nodes()); got != 2 {
 		t.Fatalf("shrunk ring has %d nodes, want 2", got)
 	}
 	if _, err := r.WithoutNode("zzz"); err == nil {

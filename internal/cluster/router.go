@@ -63,10 +63,11 @@ const (
 	DefaultFlushInterval = 50 * time.Millisecond
 	// DefaultMaxRetries bounds attempts per frame sequence.
 	DefaultMaxRetries = 16
-	// DefaultBackoffBase and DefaultBackoffMax bound the retry backoff:
-	// 5ms doubling to a 2s ceiling reaches the cap on the 9th retry.
+	// DefaultBackoffBase is the first retry's backoff; it doubles per retry
+	// up to DefaultBackoffMax, which the 9th retry reaches.
 	DefaultBackoffBase = 5 * time.Millisecond
-	DefaultBackoffMax  = 2 * time.Second
+	// DefaultBackoffMax caps the retry backoff.
+	DefaultBackoffMax = 2 * time.Second
 )
 
 // RouterStats is a snapshot of the router's counters.

@@ -285,15 +285,6 @@ func (cm *compiledModel) enabled(cf *compiledFlow, ps packedState) bool {
 	return true
 }
 
-// publicVector builds the externally-visible privacy state vector of a packed
-// state: the accumulated has bits, each implying its could bit, plus the
-// could bits derived from policy-readable datastore contents.
-func (cm *compiledModel) publicVector(ps packedState) StateVector {
-	vec := StateVector{words: make([]uint64, cm.codec.hasWords), vocab: cm.vocab}
-	cm.publicVectorInto(ps, vec.words)
-	return vec
-}
-
 // publicVectorInto computes the public vector into a caller-provided word
 // slice of length codec.hasWords (the batch assembly writes into a shared
 // slab).

@@ -1,7 +1,5 @@
 package core
 
-import "encoding/binary"
-
 // packedState is the compact exploration state of the generator: one flat
 // vector of uint64 words holding, in order,
 //
@@ -16,13 +14,6 @@ import "encoding/binary"
 // a packed state is a single allocation, copies with memmove, and hashes
 // without any sorting or formatting.
 type packedState []uint64
-
-// clone returns an independent copy of the packed state.
-func (ps packedState) clone() packedState {
-	out := make(packedState, len(ps))
-	copy(out, ps)
-	return out
-}
 
 // wordMask addresses a group of bits within one word of a packedState (or of
 // a StateVector's words). Precompiled gate and apply masks are lists of
@@ -118,14 +109,4 @@ func (c *stateCodec) fired(ps packedState, flowIdx int) bool {
 // setFired marks the flow as executed.
 func (c *stateCodec) setFired(ps packedState, flowIdx int) {
 	ps[c.ctrlBase+flowIdx/64] |= 1 << uint(flowIdx%64)
-}
-
-// keyOf returns the canonical fixed-width key of the state: the little-endian
-// byte image of its words.
-func (c *stateCodec) keyOf(ps packedState) string {
-	buf := make([]byte, len(ps)*8)
-	for i, w := range ps {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
-	}
-	return string(buf)
 }

@@ -61,19 +61,6 @@ func TestPackedStateCodec(t *testing.T) {
 	if !dd.fired(ds, 3) || dd.fired(ds, 2) {
 		t.Error("setFired misbehaves")
 	}
-
-	key := codec.keyOf(ps)
-	if len(key) != codec.totalWords*8 {
-		t.Errorf("key length = %d, want %d", len(key), codec.totalWords*8)
-	}
-	other := ps.clone()
-	other[codec.storeBase(1)] |= 1
-	if codec.keyOf(other) == key {
-		t.Error("store segment change must change the key")
-	}
-	if !strings.HasPrefix(codec.keyOf(ps.clone()), key) {
-		t.Error("clone must encode identically")
-	}
 }
 
 // TestGenerateWorkersDeterministic: the clinic model generated with 1, 2, 4

@@ -47,7 +47,7 @@ func TestRegeneratePolicyDelta(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			before := synth.SymmetricModel(synth.SymmetricSpec{Replicas: 3})
 			after := synth.SymmetricModel(synth.SymmetricSpec{Replicas: 3})
-			after.Policy = after.Policy.(*accesscontrol.ACL).WithoutActor("auditor", "shared")
+			after.Policy = after.Policy.(*accesscontrol.ACL).Restrict("auditor", "shared", nil)
 
 			opts := core.Options{PotentialReads: mode, Workers: workers}
 			_, report := regenCase(t, opts, before, after)
@@ -77,7 +77,7 @@ func TestRegeneratePolicyDelta(t *testing.T) {
 // replayed, and the result still matches a cold generation.
 func TestRegenerateGrantDelta(t *testing.T) {
 	before := synth.SymmetricModel(synth.SymmetricSpec{Replicas: 3})
-	before.Policy = before.Policy.(*accesscontrol.ACL).WithoutActor("auditor", "shared")
+	before.Policy = before.Policy.(*accesscontrol.ACL).Restrict("auditor", "shared", nil)
 	after := synth.SymmetricModel(synth.SymmetricSpec{Replicas: 3})
 
 	opts := core.Options{PotentialReads: core.PotentialReadsFull, Workers: 2}
@@ -211,7 +211,7 @@ func TestGraphsAreBornCompiled(t *testing.T) {
 	relabelled := base()
 	relabelled.Flows[0].Purpose = "relabelled-collect"
 	revoked := base()
-	revoked.Policy = revoked.Policy.(*accesscontrol.ACL).WithoutActor("auditor", "shared")
+	revoked.Policy = revoked.Policy.(*accesscontrol.ACL).Restrict("auditor", "shared", nil)
 
 	for name, tc := range map[string]struct {
 		opts    core.Options

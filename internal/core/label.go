@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,16 +43,6 @@ func (a Action) String() string {
 func (a Action) Valid() bool {
 	_, ok := actionNames[a]
 	return ok
-}
-
-// ParseAction converts an action name back into an Action.
-func ParseAction(s string) (Action, error) {
-	for a, name := range actionNames {
-		if name == strings.ToLower(strings.TrimSpace(s)) {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown action %q", s)
 }
 
 // TransitionLabel is the label attached to every transition of the privacy

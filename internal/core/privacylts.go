@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"privascope/internal/dataflow"
@@ -71,167 +70,10 @@ func (p *PrivacyLTS) Vector(id lts.StateID) (StateVector, bool) {
 	return p.vectorAt(s), true
 }
 
-// StoreContents returns the fields held by the named datastore in the given
-// state.
-func (p *PrivacyLTS) StoreContents(id lts.StateID, datastore string) schema.FieldSet {
-	s, ok := p.dense(id)
-	if !ok {
-		return schema.FieldSet{}
-	}
-	return p.storesAt(s)[datastore]
-}
-
 // InitialState returns the initial state ID (the absolute privacy state).
 func (p *PrivacyLTS) InitialState() lts.StateID {
 	id, _ := p.Graph.Initial()
 	return id
-}
-
-// States returns every state ID in generation order (s0, s1, ...).
-func (p *PrivacyLTS) States() []lts.StateID { return p.Graph.StateIDs() }
-
-// Has reports whether the actor has identified the field in the given state.
-func (p *PrivacyLTS) Has(id lts.StateID, actor, field string) bool {
-	v, ok := p.Vector(id)
-	return ok && v.Has(actor, field)
-}
-
-// Could reports whether the actor could identify the field in the given
-// state.
-func (p *PrivacyLTS) Could(id lts.StateID, actor, field string) bool {
-	v, ok := p.Vector(id)
-	return ok && v.Could(actor, field)
-}
-
-// ActorsWhoCould returns the sorted actors that could identify the field in
-// the given state.
-func (p *PrivacyLTS) ActorsWhoCould(id lts.StateID, field string) []string {
-	return p.actorsWith(id, field, CouldIdentify)
-}
-
-// ActorsWhoHave returns the sorted actors that have identified the field in
-// the given state.
-func (p *PrivacyLTS) ActorsWhoHave(id lts.StateID, field string) []string {
-	return p.actorsWith(id, field, HasIdentified)
-}
-
-func (p *PrivacyLTS) actorsWith(id lts.StateID, field string, kind VarKind) []string {
-	v, ok := p.Vector(id)
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, actor := range p.Vocab.actors {
-		if v.Get(actor, field, kind) {
-			out = append(out, actor)
-		}
-	}
-	return out
-}
-
-// FindStates returns the states whose vector satisfies the predicate, in
-// generation order.
-func (p *PrivacyLTS) FindStates(pred func(StateVector) bool) []lts.StateID {
-	var out []lts.StateID
-	for s := range p.storeOf {
-		if pred(p.vectorAt(s)) {
-			out = append(out, p.Graph.StateAt(int32(s)))
-		}
-	}
-	return out
-}
-
-// ChangeOf returns the state variables that become true when the transition
-// fires (the change relative to the source state, used by the impact
-// computation of Section III-A).
-func (p *PrivacyLTS) ChangeOf(t lts.Transition) []Variable {
-	from, okFrom := p.Vector(t.From)
-	to, okTo := p.Vector(t.To)
-	if !okFrom || !okTo {
-		return nil
-	}
-	return to.NewlyTrue(from)
-}
-
-// PotentialTransitions returns the transitions the generator added beyond the
-// declared flows (policy-permitted reads), in insertion order.
-func (p *PrivacyLTS) PotentialTransitions() []lts.Transition { return p.transitionsWhere(true) }
-
-// DeclaredTransitions returns the transitions that correspond to declared
-// data-flow arrows.
-func (p *PrivacyLTS) DeclaredTransitions() []lts.Transition { return p.transitionsWhere(false) }
-
-// transitionsWhere filters the transitions by their label's Potential flag
-// over the compiled view's per-edge labels, in insertion order.
-func (p *PrivacyLTS) transitionsWhere(potential bool) []lts.Transition {
-	v := p.Compiled()
-	var out []lts.Transition
-	for e, label := range v.labels {
-		if label != nil && label.Potential == potential {
-			out = append(out, v.Graph.TransitionAt(int32(e)))
-		}
-	}
-	return out
-}
-
-// Minimized returns the quotient of the privacy LTS under payload-respecting
-// label-signature bisimulation as a new PrivacyLTS, together with the
-// mapping from original to representative state IDs. The quotient only
-// merges states with identical privacy vectors and datastore contents
-// (lts.MinimizeRespecting seeded with the state payload key), so every
-// quotient state's payload is exact — not a representative's approximation —
-// and every quotient transition's vector delta is an original delta and vice
-// versa. Risk assessments therefore see the same disclosure events on the
-// quotient as on the original, a metamorphic property the randomized test
-// harness checks. (Plain Graph.Minimize without the payload refinement does
-// NOT have this property: merging states with different vectors manufactures
-// deltas no original transition performs.)
-func (p *PrivacyLTS) Minimized() (*PrivacyLTS, map[lts.StateID]lts.StateID) {
-	min, mapping := p.Graph.MinimizeRespecting(p.payloadKey)
-	w := p.Vocab.wordsPerVec
-	q := &PrivacyLTS{
-		Model:     p.Model,
-		Vocab:     p.Vocab,
-		Graph:     min,
-		Warnings:  p.Warnings,
-		vecWords:  make([]uint64, min.StateCount()*w),
-		storeOf:   make([]int32, min.StateCount()),
-		storeSets: p.storeSets,
-	}
-	for i := range q.storeOf {
-		if s, ok := p.dense(min.StateAt(int32(i))); ok {
-			copy(q.vecWords[i*w:], p.vectorAt(s).words)
-			q.storeOf[i] = p.storeOf[s]
-		}
-	}
-	return q, mapping
-}
-
-// payloadKey canonically serialises the state's privacy vector and datastore
-// contents; states agreeing on it are interchangeable for every analysis in
-// this module.
-func (p *PrivacyLTS) payloadKey(id lts.StateID) string {
-	s, ok := p.dense(id)
-	if !ok {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(p.vectorAt(s).Key())
-	storeMap := p.storesAt(s)
-	storeIDs := make([]string, 0, len(storeMap))
-	for sid := range storeMap {
-		if !storeMap[sid].IsEmpty() {
-			storeIDs = append(storeIDs, sid)
-		}
-	}
-	sort.Strings(storeIDs)
-	for _, sid := range storeIDs {
-		b.WriteString("|")
-		b.WriteString(sid)
-		b.WriteString("=")
-		b.WriteString(strings.Join(storeMap[sid].Names(), ","))
-	}
-	return b.String()
 }
 
 // Stats summarises the generated model.
@@ -265,9 +107,6 @@ type DOTOptions struct {
 	// VerboseStates lists the true state variables inside each node instead
 	// of only the counts. Only sensible for small models.
 	VerboseStates bool
-	// HighlightStates colours the listed states (e.g. states where a
-	// non-allowed actor could identify a sensitive field).
-	HighlightStates map[lts.StateID]string
 }
 
 // DOT renders the privacy LTS to Graphviz DOT.
@@ -285,13 +124,8 @@ func (p *PrivacyLTS) DOT(opts DOTOptions) string {
 			}
 			return fmt.Sprintf("%s\n(%d/%d)", id, vec.CountTrue(), p.Vocab.NumVariables())
 		},
-		StateAttrs: func(id lts.StateID) map[string]string {
-			attrs := map[string]string{"shape": "ellipse"}
-			if colour, ok := opts.HighlightStates[id]; ok {
-				attrs["style"] = "filled"
-				attrs["fillcolor"] = colour
-			}
-			return attrs
+		StateAttrs: func(lts.StateID) map[string]string {
+			return map[string]string{"shape": "ellipse"}
 		},
 		TransitionAttrs: func(t lts.Transition) map[string]string {
 			// Potential reads are dashed grey edges, the dotted risk

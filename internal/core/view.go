@@ -100,8 +100,7 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 	// Labels are shared across edges (one per declared flow), so joined field
 	// lists are memoised per label pointer.
 	joined := make(map[*TransitionLabel]string)
-	// Matching ChangeOf: an edge whose source or target has no vector
-	// contributes no change.
+	// An edge whose source or target has no vector contributes no change.
 	numFields, numVecs, wpv := len(v.fields), len(p.storeOf), p.Vocab.wordsPerVec
 	hasVectors := func(e int) (to, from int, ok bool) {
 		to, from = int(c.To(int32(e))), int(c.From(int32(e)))

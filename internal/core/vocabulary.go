@@ -171,45 +171,12 @@ func (v *Vocabulary) Variable(bit int) (Variable, bool) {
 	return Variable{Actor: v.actors[ai], Field: v.fields[fi], Kind: kind}, true
 }
 
-// NewVector returns an all-false state vector for this vocabulary: the
-// "absolute privacy state" the paper measures sensitivity changes against.
-func (v *Vocabulary) NewVector() StateVector {
-	return StateVector{words: make([]uint64, v.wordsPerVec), vocab: v}
-}
-
 // StateVector is the set of Boolean state variables of one privacy state,
 // stored as a bitset. Vectors are value types; Clone before mutating shared
 // ones.
 type StateVector struct {
 	words []uint64
 	vocab *Vocabulary
-}
-
-// Clone returns an independent copy of the vector.
-func (s StateVector) Clone() StateVector {
-	out := StateVector{words: make([]uint64, len(s.words)), vocab: s.vocab}
-	copy(out.words, s.words)
-	return out
-}
-
-// Set sets the variable for (actor, field, kind) to true. Unknown actors or
-// fields are ignored, which lets callers handle fields outside the
-// vocabulary (such as another user's data) without special cases.
-func (s StateVector) Set(actor, field string, kind VarKind) {
-	bit := s.vocab.index(actor, field, kind)
-	if bit < 0 {
-		return
-	}
-	s.words[bit/64] |= 1 << uint(bit%64)
-}
-
-// Clear sets the variable to false.
-func (s StateVector) Clear(actor, field string, kind VarKind) {
-	bit := s.vocab.index(actor, field, kind)
-	if bit < 0 {
-		return
-	}
-	s.words[bit/64] &^= 1 << uint(bit%64)
 }
 
 // Get reports the value of the variable. Unknown actors or fields are false.
@@ -223,44 +190,6 @@ func (s StateVector) Get(actor, field string, kind VarKind) bool {
 
 // Has reports whether the actor has identified the field in this state.
 func (s StateVector) Has(actor, field string) bool { return s.Get(actor, field, HasIdentified) }
-
-// Could reports whether the actor could identify the field in this state.
-func (s StateVector) Could(actor, field string) bool { return s.Get(actor, field, CouldIdentify) }
-
-// IsZero reports whether every variable is false (the absolute privacy
-// state).
-func (s StateVector) IsZero() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether both vectors have identical variables. Vectors from
-// different vocabularies are never equal.
-func (s StateVector) Equal(other StateVector) bool {
-	if s.vocab != other.vocab || len(s.words) != len(other.words) {
-		return false
-	}
-	for i := range s.words {
-		if s.words[i] != other.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Key returns a compact canonical string for the vector, used when hashing
-// exploration states.
-func (s StateVector) Key() string {
-	var b strings.Builder
-	for _, w := range s.words {
-		fmt.Fprintf(&b, "%016x", w)
-	}
-	return b.String()
-}
 
 // CountTrue returns the number of variables that are true.
 func (s StateVector) CountTrue() int {
@@ -278,21 +207,6 @@ func (s StateVector) TrueVariables() []Variable {
 	var out []Variable
 	for bit := 0; bit < s.vocab.numVars; bit++ {
 		if s.words[bit/64]&(1<<uint(bit%64)) != 0 {
-			if v, ok := s.vocab.Variable(bit); ok {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// NewlyTrue returns the variables that are true in s but false in prev: the
-// change a transition caused. Both vectors must share a vocabulary.
-func (s StateVector) NewlyTrue(prev StateVector) []Variable {
-	var out []Variable
-	for bit := 0; bit < s.vocab.numVars; bit++ {
-		mask := uint64(1) << uint(bit%64)
-		if s.words[bit/64]&mask != 0 && (len(prev.words) <= bit/64 || prev.words[bit/64]&mask == 0) {
 			if v, ok := s.vocab.Variable(bit); ok {
 				out = append(out, v)
 			}

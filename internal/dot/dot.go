@@ -83,12 +83,6 @@ func (g *Graph) HasNode(id string) bool {
 	return ok
 }
 
-// NodeCount returns the number of nodes added to the graph.
-func (g *Graph) NodeCount() int { return len(g.nodes) }
-
-// EdgeCount returns the number of edges added to the graph.
-func (g *Graph) EdgeCount() int { return len(g.edges) }
-
 // AddEdge adds a directed edge between two node identifiers. Nodes that have
 // not been declared are created implicitly with no attributes.
 func (g *Graph) AddEdge(from, to string, attrs map[string]string) {
@@ -100,20 +94,6 @@ func (g *Graph) AddEdge(from, to string, attrs map[string]string) {
 	}
 	g.edges = append(g.edges, &edge{from: from, to: to, attrs: copyAttrs(attrs)})
 }
-
-// AddCluster creates a subgraph cluster with the given name and display
-// label, and returns it so nodes can be assigned to it.
-func (g *Graph) AddCluster(name, label string) *Cluster {
-	c := &Cluster{name: name, label: label, attrs: make(map[string]string)}
-	g.clusters = append(g.clusters, c)
-	return c
-}
-
-// SetAttr sets a cluster-level attribute such as "style".
-func (c *Cluster) SetAttr(key, value string) { c.attrs[key] = value }
-
-// AddNode assigns an existing (or future) node identifier to the cluster.
-func (c *Cluster) AddNode(id string) { c.nodes = append(c.nodes, id) }
 
 // Render produces the DOT document as a string. The document is assembled
 // with direct writes into one pre-sized strings.Builder — no fmt formatting

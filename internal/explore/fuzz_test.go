@@ -36,7 +36,7 @@ func mutateScript(data []byte) *dataflow.Model {
 			m.Name = fmt.Sprintf("fuzz-model-%d", arg)
 		case 2:
 			m.Policy = m.Policy.(*accesscontrol.ACL).
-				WithoutActor(actors[arg%len(actors)], stores[arg%len(stores)])
+				Restrict(actors[arg%len(actors)], stores[arg%len(stores)], nil)
 		case 3:
 			_ = m.Policy.(*accesscontrol.ACL).Add(accesscontrol.Grant{
 				Actor:       actors[arg%len(actors)],

@@ -121,7 +121,7 @@ func mutateSafe(rng *rand.Rand, m *dataflow.Model) string {
 			desc += "[rename model]"
 		case 2:
 			a, s := actors[rng.Intn(len(actors))], stores[rng.Intn(len(stores))]
-			m.Policy = m.Policy.(*accesscontrol.ACL).WithoutActor(a, s)
+			m.Policy = m.Policy.(*accesscontrol.ACL).Restrict(a, s, nil)
 			desc += fmt.Sprintf("[revoke %s@%s]", a, s)
 		case 3:
 			g := accesscontrol.Grant{

@@ -51,21 +51,6 @@ func BenchmarkExistsWitness(b *testing.B) {
 	}
 }
 
-// BenchmarkMinimize times bisimulation minimisation on a large layered model
-// (601 states, 9000 transitions: many mergeable states, parallel labelled
-// edges) of the shape the generator produces for wide data-flow models.
-func BenchmarkMinimize(b *testing.B) {
-	l := buildLayered(40, 15)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		min, _ := l.Minimize()
-		if min.StateCount() == 0 {
-			b.Fatal("empty quotient")
-		}
-	}
-}
-
 func BenchmarkDOTRender(b *testing.B) {
 	l := buildLayered(10, 8)
 	b.ReportAllocs()

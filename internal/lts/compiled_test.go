@@ -56,7 +56,7 @@ func checkBuiltFrom(g *graph, l *LTS) error {
 		return fmt.Errorf("StateIDs = %v, want %v", l.StateIDs(), g.ids)
 	}
 	for i, id := range g.ids {
-		if dense, ok := l.Index(id); !ok || dense != int32(i) || l.StateAt(int32(i)) != id {
+		if dense, ok := l.Index(id); !ok || dense != int32(i) || l.states[i] != id {
 			return fmt.Errorf("Index(%s) = (%d, %v), want (%d, true)", id, dense, ok, i)
 		}
 	}
@@ -80,12 +80,12 @@ func checkBuiltFrom(g *graph, l *LTS) error {
 		if _, ok := firstLabel[str]; !ok {
 			firstLabel[str] = int32(len(labelOrder))
 			labelOrder = append(labelOrder, str)
-			if lid := firstLabel[str]; l.Label(lid) != want.Label {
-				return fmt.Errorf("label table entry %d = %v, want the first value %v", lid, l.Label(lid), want.Label)
+			if lid := firstLabel[str]; l.labels[lid] != want.Label {
+				return fmt.Errorf("label table entry %d = %v, want the first value %v", lid, l.labels[lid], want.Label)
 			}
 		}
-		if l.LabelID(int32(e)) != firstLabel[str] || l.LabelString(firstLabel[str]) != str {
-			return fmt.Errorf("edge %d label id %d, want %d rendering %q", e, l.LabelID(int32(e)), firstLabel[str], str)
+		if l.edgeLabel[e] != firstLabel[str] || l.labelStrs[firstLabel[str]] != str {
+			return fmt.Errorf("edge %d label id %d, want %d rendering %q", e, l.edgeLabel[e], firstLabel[str], str)
 		}
 	}
 	if l.NumLabels() != len(labelOrder) {
@@ -144,12 +144,11 @@ func TestLabelsRenderedOncePerObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.NumLabels() != 2 || l.Label(0) != Label(labels[0]) {
-		t.Fatalf("label table has %d entries led by %v, want 2 led by the first object", l.NumLabels(), l.Label(0))
+	if l.NumLabels() != 2 || l.labels[0] != Label(labels[0]) {
+		t.Fatalf("label table has %d entries led by %v, want 2 led by the first object", l.NumLabels(), l.labels[0])
 	}
 	l.Stats() //nolint:errcheck // only the rendering count matters here
 	l.LabelHistogram()
-	l.IsDeterministic()
 	l.DOT(DOTOptions{})
 	for i, label := range labels {
 		if label.calls != 1 {

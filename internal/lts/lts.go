@@ -1,6 +1,6 @@
 // Package lts provides a general-purpose Labelled Transition System (LTS)
-// library: bulk construction, traversal, trace extraction, property checking,
-// minimisation and rendering.
+// library: bulk construction, traversal, trace extraction, property checking
+// and rendering.
 //
 // The paper's formal model of user privacy (Section II-B) is an LTS whose
 // states represent the user's state of privacy and whose labelled transitions
@@ -11,17 +11,16 @@
 //
 // An LTS is built whole and never changes. FromParts builds one from a dense
 // state list and edge list, RestoreCompiled from the flat sections a model
-// store saved, Relabeled from another LTS with new labels, and
-// MinimizeRespecting as a quotient; nothing mutates one afterwards. States are
-// dense int32 indices in insertion order behind a single StateID -> index
-// map, and adjacency is a CSR layout in each direction, so every analysis is
-// an integer traversal and every LTS is safe for concurrent readers.
+// store saved and Relabeled from another LTS with new labels; nothing mutates
+// one afterwards. States are dense int32 indices in insertion order behind a
+// single StateID -> index map, and adjacency is a CSR layout in each
+// direction, so every analysis is an integer traversal and every LTS is safe
+// for concurrent readers.
 package lts
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -81,8 +80,8 @@ func (t Transition) String() string {
 // indices. Every analysis in this package runs on that layout: integer BFS/DFS
 // over slices with bitset visited sets, no map lookups and no label rendering
 // on the hot path. The zero value is not usable; only FromParts,
-// RestoreCompiled, Relabeled and MinimizeRespecting build one. All methods are
-// safe for concurrent use.
+// RestoreCompiled and Relabeled build one. All methods are safe for concurrent
+// use.
 type LTS struct {
 	states  []StateID         // dense index -> state ID, insertion order
 	ids     map[StateID]int32 // state ID -> dense index
@@ -130,9 +129,6 @@ func (l *LTS) Index(id StateID) (int32, bool) {
 	return s, ok
 }
 
-// StateAt returns the state ID at the given dense index.
-func (l *LTS) StateAt(s int32) StateID { return l.states[s] }
-
 // TransitionAt returns the transition at the given transition index.
 func (l *LTS) TransitionAt(e int32) Transition { return l.trs[e] }
 
@@ -154,10 +150,6 @@ func (l *LTS) Transitions() []Transition {
 // The returned slice aliases the CSR layout and must not be modified.
 func (l *LTS) Out(s int32) []int32 { return l.outEdges[l.outOff[s]:l.outOff[s+1]] }
 
-// In returns the transition indices entering the state, in insertion order.
-// The returned slice aliases the CSR layout and must not be modified.
-func (l *LTS) In(s int32) []int32 { return l.inEdges[l.inOff[s]:l.inOff[s+1]] }
-
 // OutDegree returns the number of transitions leaving the state.
 func (l *LTS) OutDegree(s int32) int { return int(l.outOff[s+1] - l.outOff[s]) }
 
@@ -176,24 +168,9 @@ func (l *LTS) From(e int32) int32 { return l.edgeFrom[e] }
 // To returns the dense target state of the transition.
 func (l *LTS) To(e int32) int32 { return l.edgeTo[e] }
 
-// LabelID returns the interned label index of the transition.
-func (l *LTS) LabelID(e int32) int32 { return l.edgeLabel[e] }
-
-// Label returns the interned label at the given label index: the first Label
-// value encountered with that label string (nil labels intern alongside
-// labels rendering the empty string).
-func (l *LTS) Label(lid int32) Label { return l.labels[lid] }
-
-// LabelString returns the label string at the given label index, rendered
-// once when the LTS was built.
-func (l *LTS) LabelString(lid int32) string { return l.labelStrs[lid] }
-
 // Outgoing returns the transitions leaving the given state, in insertion
 // order.
 func (l *LTS) Outgoing(id StateID) []Transition { return l.adjacent(id, (*LTS).Out) }
-
-// Incoming returns the transitions entering the given state.
-func (l *LTS) Incoming(id StateID) []Transition { return l.adjacent(id, (*LTS).In) }
 
 // adjacent copies one CSR bucket of the state out as transitions.
 func (l *LTS) adjacent(id StateID, bucket func(*LTS, int32) []int32) []Transition {
@@ -206,21 +183,6 @@ func (l *LTS) adjacent(id StateID, bucket func(*LTS, int32) []int32) []Transitio
 	for i, e := range edges {
 		out[i] = l.trs[e]
 	}
-	return out
-}
-
-// Successors returns the distinct successor state IDs of the given state,
-// sorted.
-func (l *LTS) Successors(id StateID) []StateID {
-	set := make(map[StateID]bool)
-	for _, t := range l.Outgoing(id) {
-		set[t.To] = true
-	}
-	out := make([]StateID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -252,57 +214,6 @@ func (l *LTS) ReachableFrom(start StateID) map[StateID]bool {
 		}
 	}
 	return visited
-}
-
-// reachableSorted returns the states the initial state does (or, with
-// reachable false, does not) reach that satisfy keep, sorted by ID.
-func (l *LTS) reachableSorted(reachable bool, keep func(s int32) bool) ([]StateID, error) {
-	if l.initial < 0 {
-		return nil, ErrNoInitialState
-	}
-	bits, _ := l.ReachableBits(l.initial)
-	var out []StateID
-	for i, id := range l.states {
-		if bits.Has(int32(i)) == reachable && keep(int32(i)) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// UnreachableStates returns states not reachable from the initial state,
-// sorted by ID. Generators should normally produce none.
-func (l *LTS) UnreachableStates() ([]StateID, error) {
-	return l.reachableSorted(false, func(int32) bool { return true })
-}
-
-// TerminalStates returns reachable states with no outgoing transitions,
-// sorted by ID.
-func (l *LTS) TerminalStates() ([]StateID, error) {
-	return l.reachableSorted(true, func(s int32) bool { return l.OutDegree(s) == 0 })
-}
-
-// IsDeterministic reports whether no state has two outgoing transitions with
-// the same label string leading to different states.
-func (l *LTS) IsDeterministic() bool {
-	seen := make(map[int32]int32)
-	for s := range l.states {
-		edges := l.Out(int32(s))
-		if len(edges) < 2 {
-			continue
-		}
-		clear(seen)
-		for _, e := range edges {
-			lid := l.edgeLabel[e]
-			to := l.edgeTo[e]
-			if prev, ok := seen[lid]; ok && prev != to {
-				return false
-			}
-			seen[lid] = to
-		}
-	}
-	return true
 }
 
 // Stats summarises the size and shape of the LTS.
@@ -409,9 +320,6 @@ func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 
 // Set sets bit i.
 func (b Bitset) Set(i int32) { b[i>>6] |= 1 << uint(i&63) }
-
-// Clear clears bit i.
-func (b Bitset) Clear(i int32) { b[i>>6] &^= 1 << uint(i&63) }
 
 // Has reports whether bit i is set.
 func (b Bitset) Has(i int32) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }

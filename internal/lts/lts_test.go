@@ -299,33 +299,6 @@ func TestLTSString(t *testing.T) {
 	}
 }
 
-func TestMinimize(t *testing.T) {
-	// s1 and s2 are bisimilar (both go to s3 with "join"), so the quotient
-	// has one fewer state.
-	l := diamond()
-	min, mapping := l.Minimize()
-	if min.StateCount() >= l.StateCount() {
-		t.Errorf("Minimize did not reduce: %d -> %d states", l.StateCount(), min.StateCount())
-	}
-	if mapping["s1"] != mapping["s2"] {
-		t.Errorf("s1 and s2 should merge, mapping = %v", mapping)
-	}
-	if mapping["s0"] == mapping["s3"] {
-		t.Error("s0 and s3 must not merge")
-	}
-	// Behaviour is preserved: s3-equivalent still reachable.
-	found, _, err := min.Exists(func(id StateID) bool { return id == mapping["s3"] })
-	if err != nil || !found {
-		t.Errorf("quotient lost reachability: %v, %v", found, err)
-	}
-	// Minimizing a chain changes nothing (all states distinguishable).
-	c := chain()
-	minChain, _ := c.Minimize()
-	if minChain.StateCount() != c.StateCount() {
-		t.Errorf("chain minimised from %d to %d states", c.StateCount(), minChain.StateCount())
-	}
-}
-
 func TestDOT(t *testing.T) {
 	l := chain()
 	out := l.DOT(DOTOptions{Name: "fig3"})

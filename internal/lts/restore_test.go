@@ -81,11 +81,6 @@ func TestRestoreCompiledRoundTrip(t *testing.T) {
 				t.Fatalf("%s: incoming of %s differs", name, id)
 			}
 		}
-		min, _ := orig.Minimize()
-		minBulk, _ := l.Minimize()
-		if got, want := minBulk.String(), min.String(); got != want {
-			t.Fatalf("%s: minimized LTS differs:\n%s\nvs\n%s", name, got, want)
-		}
 	}
 }
 

@@ -17,13 +17,6 @@ import (
 // regenerate rather than report corruption.
 var ErrFutureVersion = fmt.Errorf("modelstore: artifact format version is newer than this build")
 
-// Fingerprint verifies an artifact's framing and checksum and returns the
-// embedded model fingerprint, without rebuilding the model.
-func Fingerprint(data []byte) (string, error) {
-	_, mt, err := parseSections(data)
-	return mt.fingerprint, err
-}
-
 type meta struct {
 	numStates, numEdges, numLabels, numStrings int
 	wordsPerVec, numActors, numFields          int

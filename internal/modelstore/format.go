@@ -90,19 +90,6 @@ func checksumOf(data []byte) [checksumSize]byte {
 	return out
 }
 
-// Reseal recomputes the checksum of an artifact-shaped buffer in place and
-// returns it. It exists for tests and fuzz corpora that deliberately mutate
-// payload bytes and need the decoder's structural validation — not the
-// checksum — to be what rejects the result.
-func Reseal(data []byte) ([]byte, error) {
-	if len(data) < headerSize {
-		return nil, corruptf("%d bytes is shorter than the %d-byte header", len(data), headerSize)
-	}
-	sum := checksumOf(data)
-	copy(data[checksumOff:], sum[:])
-	return data, nil
-}
-
 // align8 rounds the offset up to the next multiple of 8.
 func align8(off int) int { return (off + 7) &^ 7 }
 

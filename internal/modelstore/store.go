@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"privascope/internal/core"
@@ -56,16 +54,6 @@ func (s *Store) Path(fingerprint string) (string, error) {
 		}
 	}
 	return filepath.Join(s.dir, fingerprint+artifactExt), nil
-}
-
-// Has reports whether an artifact exists for the fingerprint.
-func (s *Store) Has(fingerprint string) bool {
-	path, err := s.Path(fingerprint)
-	if err != nil {
-		return false
-	}
-	_, err = os.Stat(path)
-	return err == nil
 }
 
 // Save encodes the model and atomically installs it under its fingerprint,
@@ -121,8 +109,9 @@ func (s *Store) Load(fingerprint string, model *dataflow.Model) (*core.PrivacyLT
 	if err != nil {
 		return nil, err
 	}
-	// Touch the artifact so Prune's recency order reflects use, not just
-	// installation. Best-effort: a read-only registry still loads fine.
+	// Touch the artifact so its mtime records the last use, not just the
+	// installation, for whoever evicts the least recently used artifacts.
+	// Best-effort: a read-only registry still loads fine.
 	_ = os.Chtimes(path, time.Time{}, time.Now())
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -132,54 +121,4 @@ func (s *Store) Load(fingerprint string, model *dataflow.Model) (*core.PrivacyLT
 		return nil, fmt.Errorf("modelstore: read artifact: %w", err)
 	}
 	return Decode(data, model)
-}
-
-// Prune evicts artifacts beyond the keep most recently used, oldest first
-// (Load touches an artifact's mtime, so recency tracks use). It returns the
-// number of artifacts removed. Pruning is safe against concurrent Loads: a
-// loaded model holds no reference to its file, a read in flight at the unlink
-// completes — POSIX keeps the data alive until the descriptor closes — and a
-// Load racing the unlink sees ErrNotFound, which callers already treat as a
-// cache miss. Temp files and foreign files in the registry directory are
-// never touched.
-func (s *Store) Prune(keep int) (int, error) {
-	if keep < 0 {
-		return 0, fmt.Errorf("modelstore: negative keep %d", keep)
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("modelstore: read registry: %w", err)
-	}
-	type artifact struct {
-		path  string
-		mtime time.Time
-	}
-	var artifacts []artifact
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, artifactExt) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			// Already removed by a concurrent pruner or installer.
-			continue
-		}
-		artifacts = append(artifacts, artifact{path: filepath.Join(s.dir, name), mtime: info.ModTime()})
-	}
-	if len(artifacts) <= keep {
-		return 0, nil
-	}
-	sort.Slice(artifacts, func(i, j int) bool { return artifacts[i].mtime.Before(artifacts[j].mtime) })
-	removed := 0
-	for _, a := range artifacts[:len(artifacts)-keep] {
-		if err := os.Remove(a.path); err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			return removed, fmt.Errorf("modelstore: prune %s: %w", filepath.Base(a.path), err)
-		}
-		removed++
-	}
-	return removed, nil
 }

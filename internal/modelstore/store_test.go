@@ -2,6 +2,7 @@ package modelstore_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -61,11 +62,11 @@ func requireSameModel(t testing.TB, want, got *core.PrivacyLTS, profile risk.Use
 	if err != nil {
 		t.Fatalf("new analyzer: %v", err)
 	}
-	wantAssess, err := analyzer.Analyze(want, profile)
+	wantAssess, err := analyzer.AnalyzeContext(context.Background(), want, profile)
 	if err != nil {
 		t.Fatalf("analyze generated model: %v", err)
 	}
-	gotAssess, err := analyzer.Analyze(got, profile)
+	gotAssess, err := analyzer.AnalyzeContext(context.Background(), got, profile)
 	if err != nil {
 		t.Fatalf("analyze decoded model: %v", err)
 	}

@@ -1,14 +1,13 @@
-// Package policy models service privacy policies and user consent, and
-// checks a generated privacy LTS against them.
+// Package policy models service privacy policies and checks a generated
+// privacy LTS against them.
 //
 // The paper positions this as the complement of risk analysis: "A system's
 // behaviour should be matched against its own privacy policy ... all of these
 // solutions only check if a system behaves according to its stated privacy
 // policy (our LTS can be similarly analysed)" (Section V). This package
 // provides that analysis: a ServicePolicy declares which actors may perform
-// which actions on which fields for which purposes, a ConsentRegistry records
-// what each user agreed to, and the Checker walks the LTS reporting every
-// transition the stated policy does not cover.
+// which actions on which fields for which purposes, and the Checker walks the
+// LTS reporting every transition the stated policy does not cover.
 package policy
 
 import (
@@ -16,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"privascope/internal/core"
 	"privascope/internal/lts"
@@ -143,92 +141,10 @@ func NewPolicySet(policies ...ServicePolicy) (*PolicySet, error) {
 	return set, nil
 }
 
-// MustPolicySet is like NewPolicySet but panics on error; for fixtures.
-func MustPolicySet(policies ...ServicePolicy) *PolicySet {
-	set, err := NewPolicySet(policies...)
-	if err != nil {
-		panic(err)
-	}
-	return set
-}
-
 // Policy returns the policy of the named service.
 func (s *PolicySet) Policy(service string) (ServicePolicy, bool) {
 	p, ok := s.policies[service]
 	return p, ok
-}
-
-// Services returns the service IDs with a policy, sorted.
-func (s *PolicySet) Services() []string {
-	out := make([]string, 0, len(s.policies))
-	for id := range s.policies {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Consent records that a user agreed to a service's policy at a point in
-// time. Withdrawn consent keeps the record but sets Withdrawn.
-type Consent struct {
-	UserID    string    `json:"user_id"`
-	Service   string    `json:"service"`
-	GrantedAt time.Time `json:"granted_at"`
-	Withdrawn bool      `json:"withdrawn,omitempty"`
-}
-
-// ConsentRegistry tracks user consent per service. The zero value is not
-// usable; create registries with NewConsentRegistry. It is not safe for
-// concurrent mutation.
-type ConsentRegistry struct {
-	consents map[string]map[string]Consent // user -> service -> consent
-}
-
-// NewConsentRegistry returns an empty registry.
-func NewConsentRegistry() *ConsentRegistry {
-	return &ConsentRegistry{consents: make(map[string]map[string]Consent)}
-}
-
-// Grant records consent by the user to the service.
-func (r *ConsentRegistry) Grant(userID, service string, at time.Time) error {
-	if strings.TrimSpace(userID) == "" || strings.TrimSpace(service) == "" {
-		return errors.New("policy: consent requires a user and a service")
-	}
-	if r.consents[userID] == nil {
-		r.consents[userID] = make(map[string]Consent)
-	}
-	r.consents[userID][service] = Consent{UserID: userID, Service: service, GrantedAt: at}
-	return nil
-}
-
-// Withdraw marks the user's consent to the service as withdrawn.
-func (r *ConsentRegistry) Withdraw(userID, service string) error {
-	c, ok := r.consents[userID][service]
-	if !ok {
-		return fmt.Errorf("policy: user %q has no consent for service %q to withdraw", userID, service)
-	}
-	c.Withdrawn = true
-	r.consents[userID][service] = c
-	return nil
-}
-
-// HasConsent reports whether the user currently consents to the service.
-func (r *ConsentRegistry) HasConsent(userID, service string) bool {
-	c, ok := r.consents[userID][service]
-	return ok && !c.Withdrawn
-}
-
-// ConsentedServices returns the services the user currently consents to,
-// sorted.
-func (r *ConsentRegistry) ConsentedServices(userID string) []string {
-	var out []string
-	for service, c := range r.consents[userID] {
-		if !c.Withdrawn {
-			out = append(out, service)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Violation is one transition of the privacy LTS that the stated service

@@ -3,7 +3,6 @@ package policy_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"privascope/internal/casestudy"
 	"privascope/internal/core"
@@ -17,6 +16,15 @@ func surgeryLTS(t testing.TB) *core.PrivacyLTS {
 		t.Fatalf("Generate: %v", err)
 	}
 	return p
+}
+
+func mustPolicySet(t testing.TB, policies ...policy.ServicePolicy) *policy.PolicySet {
+	t.Helper()
+	set, err := policy.NewPolicySet(policies...)
+	if err != nil {
+		t.Fatalf("NewPolicySet: %v", err)
+	}
+	return set
 }
 
 func TestStatementValidate(t *testing.T) {
@@ -98,52 +106,11 @@ func TestPolicySet(t *testing.T) {
 	if _, ok := set.Policy("ghost"); ok {
 		t.Error("Policy(ghost) should fail")
 	}
-	if got := set.Services(); len(got) != 2 || got[0] != "a" {
-		t.Errorf("Services() = %v", got)
-	}
 	if _, err := policy.NewPolicySet(a, a); err == nil {
 		t.Error("duplicate service policy accepted")
 	}
 	if _, err := policy.NewPolicySet(policy.ServicePolicy{Service: "x", Statements: []policy.Statement{{}}}); err == nil {
 		t.Error("invalid policy accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustPolicySet should panic")
-		}
-	}()
-	policy.MustPolicySet(a, a)
-}
-
-func TestConsentRegistry(t *testing.T) {
-	r := policy.NewConsentRegistry()
-	now := time.Date(2026, 6, 15, 12, 0, 0, 0, time.UTC)
-	if err := r.Grant("alice", "medical-service", now); err != nil {
-		t.Fatalf("Grant: %v", err)
-	}
-	if err := r.Grant("", "x", now); err == nil {
-		t.Error("empty user accepted")
-	}
-	if !r.HasConsent("alice", "medical-service") {
-		t.Error("consent not recorded")
-	}
-	if r.HasConsent("alice", "research") || r.HasConsent("bob", "medical-service") {
-		t.Error("unexpected consent")
-	}
-	if got := r.ConsentedServices("alice"); len(got) != 1 || got[0] != "medical-service" {
-		t.Errorf("ConsentedServices = %v", got)
-	}
-	if err := r.Withdraw("alice", "medical-service"); err != nil {
-		t.Fatalf("Withdraw: %v", err)
-	}
-	if r.HasConsent("alice", "medical-service") {
-		t.Error("withdrawn consent still active")
-	}
-	if len(r.ConsentedServices("alice")) != 0 {
-		t.Error("withdrawn consent still listed")
-	}
-	if err := r.Withdraw("alice", "ghost"); err == nil {
-		t.Error("withdrawing unknown consent accepted")
 	}
 }
 
@@ -151,7 +118,7 @@ func TestCheckerCompliantWithDerivedPolicies(t *testing.T) {
 	p := surgeryLTS(t)
 	// Policies derived from the flows themselves must make the model
 	// compliant — the system does exactly what it says it does.
-	set := policy.MustPolicySet(
+	set := mustPolicySet(t,
 		policy.PolicyFromModelFlows(p, casestudy.ServiceMedical),
 		policy.PolicyFromModelFlows(p, casestudy.ServiceResearch),
 	)
@@ -171,7 +138,7 @@ func TestCheckerDetectsUncoveredBehaviour(t *testing.T) {
 	p := surgeryLTS(t)
 	// A policy that only covers the medical service leaves the research
 	// service's flows uncovered.
-	set := policy.MustPolicySet(policy.PolicyFromModelFlows(p, casestudy.ServiceMedical))
+	set := mustPolicySet(t, policy.PolicyFromModelFlows(p, casestudy.ServiceMedical))
 	report, err := policy.NewChecker(set).Check(p)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +170,7 @@ func TestCheckerDetectsUncoveredBehaviour(t *testing.T) {
 		}
 	}
 	research := policy.PolicyFromModelFlows(p, casestudy.ServiceResearch)
-	report, err = policy.NewChecker(policy.MustPolicySet(medical, research)).Check(p)
+	report, err = policy.NewChecker(mustPolicySet(t, medical, research)).Check(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +190,7 @@ func TestCheckerIncludePotential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := policy.MustPolicySet(
+	set := mustPolicySet(t,
 		policy.PolicyFromModelFlows(full, casestudy.ServiceMedical),
 		policy.PolicyFromModelFlows(full, casestudy.ServiceResearch),
 	)
@@ -256,7 +223,7 @@ func TestCheckerIncludePotential(t *testing.T) {
 }
 
 func TestCheckerErrors(t *testing.T) {
-	set := policy.MustPolicySet()
+	set := mustPolicySet(t)
 	if _, err := policy.NewChecker(set).Check(nil); err == nil {
 		t.Error("nil LTS accepted")
 	}

@@ -1,4 +1,4 @@
-package synth
+package scenario
 
 import (
 	"math/rand"
@@ -12,9 +12,9 @@ import (
 // (events the monitor will match), mixed with unmodelled operations and
 // occasional denied operations, and the per-user streams are interleaved
 // round-robin so every partitioning of the stream — cluster node
-// assignments — sees the same per-user order. Like everything in this
-// package it is a pure function of the generator state, which is what lets
-// the property harness replay a failing stream from its seed.
+// assignments — sees the same per-user order. Like a Scenario it is a pure
+// function of the generator state, which is what lets the property harness
+// replay a failing stream from its seed.
 func RandomEventStream(rng *rand.Rand, p *core.PrivacyLTS, users []string, perUser int) []service.Event {
 	streams := make([][]service.Event, len(users))
 	for u, id := range users {
@@ -54,32 +54,4 @@ func RandomEventStream(rng *rand.Rand, p *core.PrivacyLTS, users []string, perUs
 		}
 	}
 	return out
-}
-
-// WalkScripts precomputes, per user, one maximal matched-event walk from the
-// model's initial state (first outgoing transition at every step, so the
-// script is deterministic). Benchmarks replay these scripts instead of
-// drawing events inside the timed region; the privacy LTS is a DAG, so each
-// script is finite and a replay needs the user's cursor reset between
-// generations.
-func WalkScripts(p *core.PrivacyLTS, users []string) [][]service.Event {
-	scripts := make([][]service.Event, len(users))
-	for u, id := range users {
-		cursor := p.InitialState()
-		for {
-			outs := p.Graph.Outgoing(cursor)
-			if len(outs) == 0 {
-				break
-			}
-			tr := outs[0]
-			label := core.LabelOf(tr)
-			scripts[u] = append(scripts[u], service.Event{
-				Actor: label.Actor, Action: label.Action, Datastore: label.Datastore,
-				Service: label.Service, Purpose: label.Purpose,
-				UserID: id, Fields: label.FieldSet(),
-			})
-			cursor = tr.To
-		}
-	}
-	return scripts
 }

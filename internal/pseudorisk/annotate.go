@@ -200,28 +200,6 @@ func checkAccessRights(p *core.PrivacyLTS, actor, target, targetAnon string) err
 	return nil
 }
 
-// Violations returns the risk transitions that violate the policy.
-func (a *Annotation) Violations() []RiskTransition {
-	var out []RiskTransition
-	for _, rt := range a.RiskTransitions {
-		if rt.Violates {
-			out = append(out, rt)
-		}
-	}
-	return out
-}
-
-// MaxViolations returns the largest violation count across risk transitions.
-func (a *Annotation) MaxViolations() int {
-	max := 0
-	for _, rt := range a.RiskTransitions {
-		if rt.Result.Violations > max {
-			max = rt.Result.Violations
-		}
-	}
-	return max
-}
-
 // ViolationCounts returns the violation count of every risk transition in
 // state order — for the case-study model this is the paper's "0, 2 and 4"
 // sequence of Fig. 4.

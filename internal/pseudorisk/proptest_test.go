@@ -58,7 +58,7 @@ func pairwiseRisks(table *anonymize.Table, visible []string, target string, clos
 		key := ""
 		for _, column := range visible {
 			v, _ := table.Value(r, column)
-			key += fmt.Sprintf("%q", v.GroupKey())
+			key += fmt.Sprintf("%q", v.Kind.String()+":"+v.String())
 		}
 		return key
 	}

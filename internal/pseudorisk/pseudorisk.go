@@ -74,19 +74,6 @@ type ScenarioResult struct {
 	MaxRisk float64
 }
 
-// Fractions returns the per-record risks as exact fractions, in row order —
-// the entries of Table I.
-func (s ScenarioResult) Fractions() []anonymize.Fraction {
-	out := make([]anonymize.Fraction, len(s.Risks))
-	for i, r := range s.Risks {
-		out[i] = r.Fraction()
-	}
-	return out
-}
-
-// Key returns a canonical identifier for the visible-field set.
-func (s ScenarioResult) Key() string { return strings.Join(s.VisibleFields, "+") }
-
 // Evaluator computes scenario results for a fixed dataset and policy.
 //
 // It is built for datasets far larger than the paper's six-row example: the
@@ -144,9 +131,6 @@ func NewEvaluatorWithOptions(table *anonymize.Table, policy Policy, opts Evaluat
 
 // Table returns the dataset the evaluator works on.
 func (e *Evaluator) Table() *anonymize.Table { return e.table }
-
-// Policy returns the evaluator's policy.
-func (e *Evaluator) Policy() Policy { return e.policy }
 
 // Index returns the evaluator's equivalence-class cache, for sharing with
 // other analyses of the same dataset.

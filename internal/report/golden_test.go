@@ -1,6 +1,7 @@
 package report_test
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -63,7 +64,7 @@ func TestGoldenModelSummary(t *testing.T) {
 
 func TestGoldenDisclosureAssessment(t *testing.T) {
 	p, profiles := goldenModel(t)
-	a, err := risk.MustAnalyzer(risk.Config{}).Analyze(p, profiles[0])
+	a, err := defaultAnalyzer(t).AnalyzeContext(context.Background(), p, profiles[0])
 	if err != nil {
 		t.Fatalf("analyzing: %v", err)
 	}
@@ -74,7 +75,7 @@ func TestGoldenDisclosureAssessment(t *testing.T) {
 
 func TestGoldenPopulationSummary(t *testing.T) {
 	p, profiles := goldenModel(t)
-	pa, err := risk.MustAnalyzer(risk.Config{}).AnalyzePopulation(p, profiles)
+	pa, err := defaultAnalyzer(t).AnalyzePopulationContext(context.Background(), p, profiles)
 	if err != nil {
 		t.Fatalf("analyzing population: %v", err)
 	}

@@ -2,6 +2,7 @@ package report_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -240,7 +241,7 @@ func assessed(t testing.TB, spec synth.ModelSpec) *risk.Assessment {
 		t.Fatal(err)
 	}
 	profiles := synth.Population(m, synth.PopulationOptions{Users: 1, Seed: 7, SensitiveFields: synth.SensitiveFieldsOf(m)})
-	a, err := risk.MustAnalyzer(risk.Config{}).Analyze(p, profiles[0])
+	a, err := defaultAnalyzer(t).AnalyzeContext(context.Background(), p, profiles[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,9 +85,6 @@ func (t *Table) NumRows() int { return t.rows.numRows() }
 // the header. Columns are as wide as their longest cell in bytes.
 func (t *Table) Render() string { return render(t, textFormat) }
 
-// RenderMarkdown produces a GitHub-flavoured Markdown table.
-func (t *Table) RenderMarkdown() string { return render(t, markdownFormat) }
-
 // Section is one titled block of a report: free text, a table, or both.
 type Section struct {
 	Title string
@@ -121,9 +118,6 @@ func (r *Report) Sections() []Section { return append([]Section(nil), r.sections
 
 // Render produces the plain-text document.
 func (r *Report) Render() string { return render(r, textFormat) }
-
-// RenderMarkdown produces the Markdown document.
-func (r *Report) RenderMarkdown() string { return render(r, markdownFormat) }
 
 // WriteTo writes the plain-text document to w, a chunk at a time, and stops
 // at the first write error.

@@ -13,6 +13,16 @@ import (
 	"privascope/internal/risk"
 )
 
+// defaultAnalyzer returns an analyzer with the default configuration.
+func defaultAnalyzer(t testing.TB) *risk.Analyzer {
+	t.Helper()
+	a, err := risk.NewAnalyzer(risk.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestTableRender(t *testing.T) {
 	tbl := report.NewTable("name", "value")
 	tbl.AddRow("states", "12")
@@ -94,7 +104,7 @@ func TestDisclosureAssessmentReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assessment, err := risk.MustAnalyzer(risk.Config{}).Analyze(p, casestudy.PatientProfile())
+	assessment, err := defaultAnalyzer(t).AnalyzeContext(context.Background(), p, casestudy.PatientProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +121,10 @@ func TestPopulationSummaryReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzer := risk.MustAnalyzer(risk.Config{})
+	analyzer := defaultAnalyzer(t)
 	wary := casestudy.PatientProfile()
 	relaxed := risk.UserProfile{ID: "relaxed", ConsentedServices: []string{casestudy.ServiceMedical, casestudy.ServiceResearch}}
-	population, err := analyzer.AnalyzePopulation(p, []risk.UserProfile{wary, relaxed})
+	population, err := analyzer.AnalyzePopulationContext(context.Background(), p, []risk.UserProfile{wary, relaxed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +201,10 @@ func TestComplianceReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := policy.MustPolicySet(policy.PolicyFromModelFlows(p, casestudy.ServiceMedical))
+	set, err := policy.NewPolicySet(policy.PolicyFromModelFlows(p, casestudy.ServiceMedical))
+	if err != nil {
+		t.Fatal(err)
+	}
 	compliance, err := policy.NewChecker(set).Check(p)
 	if err != nil {
 		t.Fatal(err)
@@ -204,10 +217,13 @@ func TestComplianceReport(t *testing.T) {
 		t.Error("missing offending service")
 	}
 
-	full := policy.MustPolicySet(
+	full, err := policy.NewPolicySet(
 		policy.PolicyFromModelFlows(p, casestudy.ServiceMedical),
 		policy.PolicyFromModelFlows(p, casestudy.ServiceResearch),
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	compliance, err = policy.NewChecker(full).Check(p)
 	if err != nil {
 		t.Fatal(err)

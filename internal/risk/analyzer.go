@@ -78,17 +78,6 @@ type Assessment struct {
 	OverallRisk Level
 }
 
-// FindingsFor returns the findings involving the given actor.
-func (a *Assessment) FindingsFor(actor string) []Finding {
-	var out []Finding
-	for _, f := range a.Findings {
-		if f.Actor == actor {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // FindingsAtLeast returns the findings whose risk is at least the given
 // level.
 func (a *Assessment) FindingsAtLeast(level Level) []Finding {
@@ -161,24 +150,11 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 	return a, nil
 }
 
-// MustAnalyzer is like NewAnalyzer but panics on error; for fixtures.
-func MustAnalyzer(cfg Config) *Analyzer {
-	a, err := NewAnalyzer(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// Analyze assesses the user profile against the privacy LTS.
-func (a *Analyzer) Analyze(p *core.PrivacyLTS, profile UserProfile) (*Assessment, error) {
-	return a.AnalyzeContext(context.Background(), p, profile)
-}
-
-// AnalyzeContext is Analyze with cancellation: ctx is polled while walking
-// the model's transitions, so analyses of very large models abort promptly
-// with ctx.Err() when the caller cancels or the deadline passes. Each
-// finding of the walk (rank) is built once, straight into its report slot.
+// AnalyzeContext assesses the user profile against the privacy LTS. ctx is
+// polled while walking the model's transitions, so analyses of very large
+// models abort promptly with ctx.Err() when the caller cancels or the
+// deadline passes. Each finding of the walk (rank) is built once, straight
+// into its report slot.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profile UserProfile) (*Assessment, error) {
 	r, err := a.rank(ctx, p, profile)
 	if err != nil {

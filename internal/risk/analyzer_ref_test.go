@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -101,7 +102,16 @@ func referenceAssessTransition(a *Analyzer, p *core.PrivacyLTS, profile UserProf
 		identified bool
 	}
 	exposures := make(map[string]exposure)
-	for _, v := range p.ChangeOf(tr) {
+	from, _ := p.Vector(tr.From)
+	to, _ := p.Vector(tr.To)
+	before := make(map[core.Variable]bool)
+	for _, v := range from.TrueVariables() {
+		before[v] = true
+	}
+	for _, v := range to.TrueVariables() {
+		if before[v] {
+			continue
+		}
 		s := sigma(v.Field, v.Actor)
 		if s <= 0 {
 			continue
@@ -125,7 +135,7 @@ func referenceAssessTransition(a *Analyzer, p *core.PrivacyLTS, profile UserProf
 	}
 	sort.Strings(actors)
 
-	consented := label.Service != "" && profile.Consented(label.Service)
+	consented := label.Service != "" && slices.Contains(profile.ConsentedServices, label.Service)
 	var findings []Finding
 	for _, actor := range actors {
 		exp := exposures[actor]
@@ -338,7 +348,7 @@ func TestValidateRejectsNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Analyze(p, profile); err == nil {
+	if _, err := a.AnalyzeContext(context.Background(), p, profile); err == nil {
 		t.Fatal("Analyze accepted a NaN sensitivity")
 	}
 }
@@ -359,7 +369,7 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 	for ci, cfg := range configs {
 		a := MustAnalyzer(cfg)
 		for _, profile := range surgeryProfiles() {
-			got, err := a.Analyze(p, profile)
+			got, err := a.AnalyzeContext(context.Background(), p, profile)
 			if err != nil {
 				t.Fatalf("config %d, profile %s: %v", ci, profile.ID, err)
 			}

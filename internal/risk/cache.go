@@ -89,21 +89,13 @@ func NewAssessmentCache(analyzer *Analyzer) (*AssessmentCache, error) {
 	return &AssessmentCache{analyzer: analyzer}, nil
 }
 
-// Analyzer returns the underlying analyzer.
-func (c *AssessmentCache) Analyzer() *Analyzer { return c.analyzer }
-
-// Analyze returns the assessment for the profile, computing it at most once
-// per (model, profile shape). The returned Assessment carries the caller's
-// profile; its Findings slice is shared with every other user of the same
-// shape.
-func (c *AssessmentCache) Analyze(p *core.PrivacyLTS, profile UserProfile) (*Assessment, error) {
-	return c.AnalyzeContext(context.Background(), p, profile)
-}
-
-// AnalyzeContext is Analyze with cancellation: the analysis polls ctx while
-// walking the model's transitions, a caller blocked on another caller's
-// in-flight analysis of the same shape returns its own ctx.Err() when ctx is
-// done, and a cancelled analysis is not cached.
+// AnalyzeContext returns the assessment for the profile, computing it at
+// most once per (model, profile shape). The returned Assessment carries the
+// caller's profile; its Findings slice is shared with every other user of the
+// same shape. The analysis polls ctx while walking the model's transitions, a
+// caller blocked on another caller's in-flight analysis of the same shape
+// returns its own ctx.Err() when ctx is done, and a cancelled analysis is not
+// cached.
 func (c *AssessmentCache) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profile UserProfile) (*Assessment, error) {
 	return c.AnalyzeFingerprinted(ctx, p, profile, profile.Fingerprint())
 }
@@ -125,11 +117,8 @@ func (c *AssessmentCache) AnalyzeFingerprinted(ctx context.Context, p *core.Priv
 	return &assessment, nil
 }
 
-// Hits returns how many Analyze calls were served from the cache.
+// Hits returns how many AnalyzeContext calls were served from the cache.
 func (c *AssessmentCache) Hits() int64 { return c.entries.Hits() }
 
-// Misses returns how many Analyze calls computed a fresh assessment.
+// Misses returns how many AnalyzeContext calls computed a fresh assessment.
 func (c *AssessmentCache) Misses() int64 { return c.entries.Misses() }
-
-// Size returns the number of distinct (model, shape) pairs cached.
-func (c *AssessmentCache) Size() int { return c.entries.Size() }

@@ -1,6 +1,7 @@
 package risk_test
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -50,7 +51,7 @@ func TestAssessmentCacheHitAndMiss(t *testing.T) {
 	}
 
 	first := casestudy.PatientProfile()
-	a1, err := cache.Analyze(p, first)
+	a1, err := cache.AnalyzeContext(context.Background(), p, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestAssessmentCacheHitAndMiss(t *testing.T) {
 	// the caller's profile.
 	second := casestudy.PatientProfile()
 	second.ID = "patient-2"
-	a2, err := cache.Analyze(p, second)
+	a2, err := cache.AnalyzeContext(context.Background(), p, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestAssessmentCacheHitAndMiss(t *testing.T) {
 	insensitive.ID = "patient-3"
 	insensitive.DefaultSensitivity = 0
 	insensitive.Sensitivities = nil
-	if _, err := cache.Analyze(p, insensitive); err != nil {
+	if _, err := cache.AnalyzeContext(context.Background(), p, insensitive); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := cache.Hits(), cache.Misses(); hits != 1 || misses != 2 {
@@ -94,7 +95,7 @@ func TestAssessmentCacheHitAndMiss(t *testing.T) {
 	// The same shape against a different model instance misses: the cache is
 	// keyed by model identity, not shape alone.
 	other := surgeryLTS(t)
-	if _, err := cache.Analyze(other, first); err != nil {
+	if _, err := cache.AnalyzeContext(context.Background(), other, first); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := cache.Hits(), cache.Misses(); hits != 1 || misses != 3 {
@@ -112,16 +113,16 @@ func TestAssessmentCacheSharedResultMatchesDirectAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	profile := casestudy.PatientProfile()
-	if _, err := cache.Analyze(p, profile); err != nil {
+	if _, err := cache.AnalyzeContext(context.Background(), p, profile); err != nil {
 		t.Fatal(err)
 	}
 	profile2 := casestudy.PatientProfile()
 	profile2.ID = "patient-2"
-	cached, err := cache.Analyze(p, profile2)
+	cached, err := cache.AnalyzeContext(context.Background(), p, profile2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := cache.Analyzer().Analyze(p, profile2)
+	direct, err := cache.Analyzer().AnalyzeContext(context.Background(), p, profile2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +143,13 @@ func TestAssessmentCacheErrorsNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := risk.UserProfile{ID: "u", ConsentedServices: []string{"no-such-service"}}
-	if _, err := cache.Analyze(p, bad); err == nil {
+	if _, err := cache.AnalyzeContext(context.Background(), p, bad); err == nil {
 		t.Fatal("unknown consented service accepted")
 	}
 	// Failed analyses are forgotten (so one caller's cancellation can never
 	// poison the cache): a same-shaped retry recomputes and fails again.
 	bad.ID = "v"
-	if _, err := cache.Analyze(p, bad); err == nil {
+	if _, err := cache.AnalyzeContext(context.Background(), p, bad); err == nil {
 		t.Fatal("error not returned for same-shaped profile")
 	}
 	if cache.Size() != 0 {
@@ -173,7 +174,7 @@ func TestAssessmentCacheConcurrentSingleComputation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			profile := casestudy.PatientProfile()
-			a, err := cache.Analyze(p, profile)
+			a, err := cache.AnalyzeContext(context.Background(), p, profile)
 			if err != nil {
 				t.Error(err)
 				return

@@ -38,7 +38,7 @@ func FuzzAnalyzeOrder(f *testing.F) {
 				profile.Sensitivities[fields[i]] = palette[int(b)%len(palette)]
 			}
 		}
-		got, err := analyzer.Analyze(p, profile)
+		got, err := analyzer.AnalyzeContext(context.Background(), p, profile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func FuzzAnalyzeOrder(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("profile %+v: %d findings differ from the reference's %d", profile, len(got.Findings), len(want.Findings))
 		}
-		population, err := analyzer.AnalyzePopulation(p, []UserProfile{profile})
+		population, err := analyzer.AnalyzePopulationContext(context.Background(), p, []UserProfile{profile})
 		if err != nil {
 			t.Fatal(err)
 		}

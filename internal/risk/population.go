@@ -68,8 +68,8 @@ func (p *PopulationAssessment) WorstActorsRanked() []string {
 	return actors
 }
 
-// AnalyzePopulation assesses every profile against the privacy model and
-// aggregates the results. Profiles are analysed independently; an error in
+// AnalyzePopulationContext assesses every profile against the privacy model
+// and aggregates the results. Profiles are analysed independently; an error in
 // any profile aborts the analysis so partial results are never mistaken for
 // complete ones.
 //
@@ -77,14 +77,9 @@ func (p *PopulationAssessment) WorstActorsRanked() []string {
 // shapes (UserProfile.Fingerprint), so the model is walked once per shape
 // and same-shaped users share its entry, read straight off the ranked walk:
 // the count, the overall risk and the first finding in report order. A scan
-// builds no Finding and renders no text; the aggregation is O(users).
-func (a *Analyzer) AnalyzePopulation(p *core.PrivacyLTS, profiles []UserProfile) (*PopulationAssessment, error) {
-	return a.AnalyzePopulationContext(context.Background(), p, profiles)
-}
-
-// AnalyzePopulationContext is AnalyzePopulation with cancellation: ctx is
+// builds no Finding and renders no text; the aggregation is O(users). ctx is
 // polled between profiles (and inside each underlying walk), so a cancelled
-// context aborts the population scan promptly with ctx.Err().
+// context aborts the scan promptly with ctx.Err().
 func (a *Analyzer) AnalyzePopulationContext(ctx context.Context, p *core.PrivacyLTS, profiles []UserProfile) (*PopulationAssessment, error) {
 	return analyzePopulation(ctx, p, profiles, func(profile UserProfile, _ string) (UserRisk, error) {
 		r, err := a.rank(ctx, p, profile)

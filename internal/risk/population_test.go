@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestAnalyzePopulation(t *testing.T) {
 	noConsent.ID = "wary"
 	noConsent.ConsentedServices = nil
 
-	population, err := a.AnalyzePopulation(p, []UserProfile{sensitive, indifferent, noConsent})
+	population, err := a.AnalyzePopulationContext(context.Background(), p, []UserProfile{sensitive, indifferent, noConsent})
 	if err != nil {
 		t.Fatalf("AnalyzePopulation: %v", err)
 	}
@@ -60,15 +61,15 @@ func TestAnalyzePopulation(t *testing.T) {
 func TestAnalyzePopulationErrors(t *testing.T) {
 	p := generate(t, clinicModel(t, []string{accesscontrol.AllFields}))
 	a := MustAnalyzer(Config{})
-	if _, err := a.AnalyzePopulation(nil, []UserProfile{patientProfile()}); err == nil {
+	if _, err := a.AnalyzePopulationContext(context.Background(), nil, []UserProfile{patientProfile()}); err == nil {
 		t.Error("nil LTS accepted")
 	}
-	if _, err := a.AnalyzePopulation(p, nil); err == nil {
+	if _, err := a.AnalyzePopulationContext(context.Background(), p, nil); err == nil {
 		t.Error("empty population accepted")
 	}
 	bad := patientProfile()
 	bad.Sensitivities["x"] = 7
-	if _, err := a.AnalyzePopulation(p, []UserProfile{patientProfile(), bad}); err == nil {
+	if _, err := a.AnalyzePopulationContext(context.Background(), p, []UserProfile{patientProfile(), bad}); err == nil {
 		t.Error("invalid profile accepted")
 	}
 }
@@ -90,7 +91,7 @@ func TestAnalyzePopulationDeduplicatesShapes(t *testing.T) {
 		profile.ID = fmt.Sprintf("user-%03d", i)
 		population = append(population, profile)
 	}
-	got, err := a.AnalyzePopulation(p, population)
+	got, err := a.AnalyzePopulationContext(context.Background(), p, population)
 	if err != nil {
 		t.Fatalf("AnalyzePopulation: %v", err)
 	}

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Canonical sensitivity values for the qualitative categories the paper
@@ -69,16 +68,6 @@ func (l Level) String() string {
 	return "level(" + strconv.Itoa(int(l)) + ")"
 }
 
-// ParseLevel converts a level name back into a Level.
-func ParseLevel(s string) (Level, error) {
-	for l := LevelNone; l <= LevelHigh; l++ {
-		if levelNames[l] == strings.ToLower(strings.TrimSpace(s)) {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("risk: unknown level %q", s)
-}
-
 // UserProfile captures one user's privacy-control requirements.
 type UserProfile struct {
 	// ID identifies the user (or simulated user at design time).
@@ -114,16 +103,6 @@ func (u UserProfile) Sensitivity(field string) float64 {
 		return s
 	}
 	return u.DefaultSensitivity
-}
-
-// Consented reports whether the user agreed to use the service.
-func (u UserProfile) Consented(serviceID string) bool {
-	for _, s := range u.ConsentedServices {
-		if s == serviceID {
-			return true
-		}
-	}
-	return false
 }
 
 // Scenario is one of the uncorrelated situations under which a non-allowed

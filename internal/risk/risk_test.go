@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -116,10 +117,6 @@ func TestUserProfile(t *testing.T) {
 	if got := p.Sensitivity("name"); got != 0.1 {
 		t.Errorf("Sensitivity(name) = %v, want default", got)
 	}
-	if !p.Consented("care") || p.Consented("research") {
-		t.Error("Consented misbehaves")
-	}
-
 	bad := UserProfile{Sensitivities: map[string]float64{"x": 1.5}}
 	if err := bad.Validate(); err == nil {
 		t.Error("sensitivity > 1 accepted")
@@ -227,18 +224,18 @@ func TestNewAnalyzerValidation(t *testing.T) {
 
 func TestAnalyzeErrors(t *testing.T) {
 	a := MustAnalyzer(Config{})
-	if _, err := a.Analyze(nil, patientProfile()); err == nil {
+	if _, err := a.AnalyzeContext(context.Background(), nil, patientProfile()); err == nil {
 		t.Error("nil LTS accepted")
 	}
 	p := generate(t, clinicModel(t, []string{accesscontrol.AllFields}))
 	bad := patientProfile()
 	bad.Sensitivities["x"] = 3
-	if _, err := a.Analyze(p, bad); err == nil {
+	if _, err := a.AnalyzeContext(context.Background(), p, bad); err == nil {
 		t.Error("invalid profile accepted")
 	}
 	unknown := patientProfile()
 	unknown.ConsentedServices = []string{"ghost-service"}
-	if _, err := a.Analyze(p, unknown); err == nil {
+	if _, err := a.AnalyzeContext(context.Background(), p, unknown); err == nil {
 		t.Error("consent to unknown service accepted")
 	}
 }
@@ -250,7 +247,7 @@ func TestAnalyzeIdentifiesUnwantedDisclosure(t *testing.T) {
 	// could read the diagnosis: a Medium-risk finding.
 	p := generate(t, clinicModel(t, []string{accesscontrol.AllFields}))
 	a := MustAnalyzer(Config{})
-	assessment, err := a.Analyze(p, patientProfile())
+	assessment, err := a.AnalyzeContext(context.Background(), p, patientProfile())
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -322,11 +319,11 @@ func TestAnalyzeMitigationReducesRisk(t *testing.T) {
 	after := generate(t, clinicModel(t, []string{"name"}))
 	a := MustAnalyzer(Config{})
 
-	beforeAssessment, err := a.Analyze(before, patientProfile())
+	beforeAssessment, err := a.AnalyzeContext(context.Background(), before, patientProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterAssessment, err := a.Analyze(after, patientProfile())
+	afterAssessment, err := a.AnalyzeContext(context.Background(), after, patientProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +363,7 @@ func TestAnalyzeConsentChangesAllowedActors(t *testing.T) {
 	// an allowed actor: findings driven by the researcher disappear.
 	consentBoth := patientProfile()
 	consentBoth.ConsentedServices = []string{"care", "research"}
-	assessment, err := a.Analyze(p, consentBoth)
+	assessment, err := a.AnalyzeContext(context.Background(), p, consentBoth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +381,7 @@ func TestAnalyzeConsentChangesAllowedActors(t *testing.T) {
 	// disclosure events).
 	consentNone := patientProfile()
 	consentNone.ConsentedServices = nil
-	none, err := a.Analyze(p, consentNone)
+	none, err := a.AnalyzeContext(context.Background(), p, consentNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +401,7 @@ func TestAnalyzeInsensitiveUserHasNoFindings(t *testing.T) {
 	p := generate(t, clinicModel(t, []string{accesscontrol.AllFields}))
 	a := MustAnalyzer(Config{})
 	indifferent := UserProfile{ID: "u", ConsentedServices: []string{"care", "research"}}
-	assessment, err := a.Analyze(p, indifferent)
+	assessment, err := a.AnalyzeContext(context.Background(), p, indifferent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +416,7 @@ func TestAnalyzeInsensitiveUserHasNoFindings(t *testing.T) {
 func TestCompareNilAssessments(t *testing.T) {
 	p := generate(t, clinicModel(t, []string{accesscontrol.AllFields}))
 	a := MustAnalyzer(Config{})
-	assessment, err := a.Analyze(p, patientProfile())
+	assessment, err := a.AnalyzeContext(context.Background(), p, patientProfile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,12 +170,6 @@ func NewMonitor(p *core.PrivacyLTS, cfg Config) (*Monitor, error) {
 	}, nil
 }
 
-// AssessmentCacheStats reports how many user registrations were served from
-// the profile-fingerprint cache versus assessed from scratch.
-func (m *Monitor) AssessmentCacheStats() (hits, misses int64) {
-	return m.shapeHits.Load(), m.shapeMisses.Load()
-}
-
 // RegisterUser starts tracking a user: their cursor is placed at the initial
 // (absolute privacy) state and their profile is assessed against the model so
 // observed transitions can be mapped to risk levels cheaply. The assessment
@@ -456,23 +450,6 @@ func (m *Monitor) ObserveBatchContext(ctx context.Context, events []service.Even
 		}
 	}
 	return out, errors.Join(errs...)
-}
-
-// Watch consumes events from the channel until it is closed, observing each
-// one. Events for unregistered users are counted but otherwise ignored. It
-// returns the number of events observed. Run it in its own goroutine for
-// live monitoring:
-//
-//	events, cancel := cluster.Log().Subscribe(128)
-//	defer cancel()
-//	go monitor.Watch(events)
-func (m *Monitor) Watch(events <-chan service.Event) int {
-	n := 0
-	for ev := range events {
-		n++
-		_, _ = m.Observe(ev)
-	}
-	return n
 }
 
 // IngestStats aggregates one batched ingestion: how many events were applied

@@ -85,7 +85,7 @@ func TestObserveMedicalServiceRun(t *testing.T) {
 	if !vec.Has(casestudy.ActorNurse, casestudy.FieldTreatment) {
 		t.Error("nurse should have identified the treatment")
 	}
-	if !vec.Could(casestudy.ActorAdministrator, casestudy.FieldDiagnosis) {
+	if !vec.Get(casestudy.ActorAdministrator, casestudy.FieldDiagnosis, core.CouldIdentify) {
 		t.Error("administrator should be able to identify the diagnosis")
 	}
 	if len(monitor.Alerts()) != 0 {

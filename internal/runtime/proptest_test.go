@@ -15,7 +15,6 @@ import (
 	"privascope/internal/risk"
 	"privascope/internal/runtime"
 	"privascope/internal/service"
-	"privascope/internal/synth"
 )
 
 // TestPropMonitorIngestPathIndependence generalises the fixed-model
@@ -36,7 +35,7 @@ func TestPropMonitorIngestPathIndependence(t *testing.T) {
 			users[i] = profile.ID
 		}
 		perUser := 1 + (48+len(users)-1)/len(users)
-		stream := synth.RandomEventStream(rng, p, users, perUser)
+		stream := scenario.RandomEventStream(rng, p, users, perUser)
 
 		type result struct {
 			observations []runtime.Observation
@@ -131,7 +130,7 @@ func TestPropMonitorBatchHandoffForms(t *testing.T) {
 			users[i] = profile.ID
 		}
 		perUser := 1 + (48+len(users)-1)/len(users)
-		stream := synth.RandomEventStream(rng, p, users, perUser)
+		stream := scenario.RandomEventStream(rng, p, users, perUser)
 		half := len(stream) / 2
 
 		// Which users move, and to which of two destinations.
@@ -308,7 +307,7 @@ func TestPropMonitorAlertsAreDesignTimeFindings(t *testing.T) {
 		for i, profile := range s.Profiles {
 			users[i] = profile.ID
 		}
-		stream := synth.RandomEventStream(rng, p, users, 1+(48+len(users)-1)/len(users))
+		stream := scenario.RandomEventStream(rng, p, users, 1+(48+len(users)-1)/len(users))
 		for _, tc := range []struct{ alertAt, want risk.Level }{{0, risk.LevelMedium}, {risk.LevelLow, risk.LevelLow}} {
 			monitor, err := runtime.NewMonitor(p, runtime.Config{AlertAt: tc.alertAt})
 			if err != nil {
@@ -363,7 +362,7 @@ func referenceMonitor(p *core.PrivacyLTS, profiles []risk.UserProfile, stream []
 	assessed := make(map[string][]risk.Finding)
 	cursor := make(map[string]lts.StateID)
 	for _, profile := range profiles {
-		a, err := analyzer.Analyze(p, profile)
+		a, err := analyzer.AnalyzeContext(context.Background(), p, profile)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -60,16 +60,10 @@ func (m *Monitor) ExportUsers(route func(userID string) (dest string, ok bool)) 
 	return out
 }
 
-// RemoveUser stops tracking the user, dropping their cursor, profile and
-// counters. Alerts already raised stay in this monitor's log — they happened
-// here; a handoff moves the user's future, not their history. It reports
-// whether the user was registered.
-func (m *Monitor) RemoveUser(userID string) bool {
-	return m.RemoveUsers([]string{userID}) == 1
-}
-
-// RemoveUsers is RemoveUser for a batch under one lock acquisition. It
-// returns how many of the users were registered.
+// RemoveUsers stops tracking the users, dropping their cursors, profiles and
+// counters, under one lock acquisition. Alerts already raised stay in this
+// monitor's log — they happened here; a handoff moves the users' future, not
+// their history. It returns how many of the users were registered.
 func (m *Monitor) RemoveUsers(userIDs []string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

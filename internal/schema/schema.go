@@ -62,17 +62,6 @@ func (c Category) Valid() bool {
 	return ok
 }
 
-// ParseCategory converts a category name (as produced by String) back to a
-// Category value.
-func ParseCategory(s string) (Category, error) {
-	for c, name := range categoryNames {
-		if name == strings.ToLower(strings.TrimSpace(s)) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("schema: unknown field category %q", s)
-}
-
 // Field describes a single personal-data field.
 type Field struct {
 	// Name is the unique (per schema) field name, e.g. "diagnosis".
@@ -84,17 +73,6 @@ type Field struct {
 	// Pseudonymised marks a field that is itself the pseudonymised form of
 	// another field (its name normally ends in AnonSuffix).
 	Pseudonymised bool `json:"pseudonymised,omitempty"`
-}
-
-// AnonField returns the pseudonymised counterpart of f: same category,
-// Pseudonymised set, and the AnonSuffix appended to the name.
-func (f Field) AnonField() Field {
-	return Field{
-		Name:          AnonName(f.Name),
-		Category:      f.Category,
-		Description:   "pseudonymised form of " + f.Name,
-		Pseudonymised: true,
-	}
 }
 
 // AnonName returns the conventional name of the pseudonymised form of the
@@ -190,34 +168,6 @@ func (s Schema) FieldNames() []string {
 	return names
 }
 
-// FieldsByCategory returns the names of fields with the given category, in
-// declaration order.
-func (s Schema) FieldsByCategory(c Category) []string {
-	var names []string
-	for _, f := range s.Fields {
-		if f.Category == c {
-			names = append(names, f.Name)
-		}
-	}
-	return names
-}
-
-// Anonymised returns a schema holding the pseudonymised counterparts of every
-// field in s. Fields that are already pseudonymised are carried over
-// unchanged. The resulting schema name carries the AnonSuffix.
-func (s Schema) Anonymised() Schema {
-	out := Schema{Name: AnonName(s.Name)}
-	out.Fields = make([]Field, 0, len(s.Fields))
-	for _, f := range s.Fields {
-		if f.Pseudonymised {
-			out.Fields = append(out.Fields, f)
-			continue
-		}
-		out.Fields = append(out.Fields, f.AnonField())
-	}
-	return out
-}
-
 // Datastore describes a persistent store of personal data: an identifier, the
 // schema of its records, and whether it holds pseudonymised data.
 type Datastore struct {
@@ -241,99 +191,6 @@ func (d Datastore) Validate() error {
 		return fmt.Errorf("datastore %q: %w", d.ID, err)
 	}
 	return nil
-}
-
-// Catalog is a registry of schemas and datastores, providing lookup by name
-// and the global field vocabulary required when generating the privacy model.
-type Catalog struct {
-	schemas    map[string]Schema
-	datastores map[string]Datastore
-}
-
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{
-		schemas:    make(map[string]Schema),
-		datastores: make(map[string]Datastore),
-	}
-}
-
-// AddSchema registers a schema. Re-registering a name is an error.
-func (c *Catalog) AddSchema(s Schema) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if _, ok := c.schemas[s.Name]; ok {
-		return fmt.Errorf("schema: schema %q already registered", s.Name)
-	}
-	c.schemas[s.Name] = s
-	return nil
-}
-
-// AddDatastore registers a datastore and its schema. Re-registering an ID is
-// an error; the schema is registered too if not already present.
-func (c *Catalog) AddDatastore(d Datastore) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	if _, ok := c.datastores[d.ID]; ok {
-		return fmt.Errorf("schema: datastore %q already registered", d.ID)
-	}
-	if _, ok := c.schemas[d.Schema.Name]; !ok {
-		c.schemas[d.Schema.Name] = d.Schema
-	}
-	c.datastores[d.ID] = d
-	return nil
-}
-
-// Schema looks up a registered schema by name.
-func (c *Catalog) Schema(name string) (Schema, bool) {
-	s, ok := c.schemas[name]
-	return s, ok
-}
-
-// Datastore looks up a registered datastore by ID.
-func (c *Catalog) Datastore(id string) (Datastore, bool) {
-	d, ok := c.datastores[id]
-	return d, ok
-}
-
-// Datastores returns all registered datastores ordered by ID.
-func (c *Catalog) Datastores() []Datastore {
-	out := make([]Datastore, 0, len(c.datastores))
-	for _, d := range c.datastores {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Schemas returns all registered schemas ordered by name.
-func (c *Catalog) Schemas() []Schema {
-	out := make([]Schema, 0, len(c.schemas))
-	for _, s := range c.schemas {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// FieldUniverse returns the sorted union of all field names declared by any
-// registered schema. This is the field dimension of the privacy state space
-// (Section II-B computes 2 * |actors| * |fields| state variables).
-func (c *Catalog) FieldUniverse() []string {
-	set := make(map[string]bool)
-	for _, s := range c.schemas {
-		for _, f := range s.Fields {
-			set[f.Name] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FieldSet is an immutable-by-convention set of field names with set algebra
@@ -370,37 +227,6 @@ func (fs FieldSet) Names() []string {
 	return out
 }
 
-// Union returns a new set containing members of both sets.
-func (fs FieldSet) Union(other FieldSet) FieldSet {
-	out := NewFieldSet(fs.Names()...)
-	for n := range other.members {
-		out.members[n] = true
-	}
-	return out
-}
-
-// Intersect returns a new set containing members present in both sets.
-func (fs FieldSet) Intersect(other FieldSet) FieldSet {
-	out := NewFieldSet()
-	for n := range fs.members {
-		if other.members[n] {
-			out.members[n] = true
-		}
-	}
-	return out
-}
-
-// Minus returns a new set with other's members removed.
-func (fs FieldSet) Minus(other FieldSet) FieldSet {
-	out := NewFieldSet()
-	for n := range fs.members {
-		if !other.members[n] {
-			out.members[n] = true
-		}
-	}
-	return out
-}
-
 // ContainsAll reports whether every member of other is in fs.
 func (fs FieldSet) ContainsAll(other FieldSet) bool {
 	for n := range other.members {
@@ -409,11 +235,6 @@ func (fs FieldSet) ContainsAll(other FieldSet) bool {
 		}
 	}
 	return true
-}
-
-// Equal reports whether both sets have exactly the same members.
-func (fs FieldSet) Equal(other FieldSet) bool {
-	return fs.Len() == other.Len() && fs.ContainsAll(other)
 }
 
 // String renders the set as a comma-separated sorted list, for labels.

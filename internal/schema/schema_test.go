@@ -1,7 +1,6 @@
 package schema
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -180,60 +179,6 @@ func TestDatastoreValidate(t *testing.T) {
 	badSchema := Datastore{ID: "x", Schema: Schema{Name: ""}}
 	if err := badSchema.Validate(); err == nil {
 		t.Error("invalid schema accepted")
-	}
-}
-
-func TestCatalog(t *testing.T) {
-	c := NewCatalog()
-	ehr := Datastore{ID: "ehr", Name: "EHR", Schema: MustSchema("ehr",
-		Field{Name: "name", Category: CategoryIdentifier},
-		Field{Name: "diagnosis", Category: CategorySensitive},
-	)}
-	appt := Datastore{ID: "appointments", Name: "Appointments", Schema: MustSchema("appointments",
-		Field{Name: "name", Category: CategoryIdentifier},
-		Field{Name: "appointment", Category: CategoryStandard},
-	)}
-	if err := c.AddDatastore(ehr); err != nil {
-		t.Fatalf("AddDatastore(ehr): %v", err)
-	}
-	if err := c.AddDatastore(appt); err != nil {
-		t.Fatalf("AddDatastore(appointments): %v", err)
-	}
-	if err := c.AddDatastore(ehr); err == nil {
-		t.Error("duplicate datastore accepted")
-	}
-	if _, ok := c.Datastore("ehr"); !ok {
-		t.Error("Datastore(ehr) not found")
-	}
-	if _, ok := c.Schema("appointments"); !ok {
-		t.Error("Schema(appointments) not auto-registered")
-	}
-	ids := make([]string, 0)
-	for _, d := range c.Datastores() {
-		ids = append(ids, d.ID)
-	}
-	if !sort.StringsAreSorted(ids) {
-		t.Errorf("Datastores() not sorted: %v", ids)
-	}
-	universe := c.FieldUniverse()
-	want := []string{"appointment", "diagnosis", "name"}
-	if len(universe) != len(want) {
-		t.Fatalf("FieldUniverse() = %v, want %v", universe, want)
-	}
-	for i := range want {
-		if universe[i] != want[i] {
-			t.Errorf("FieldUniverse()[%d] = %q, want %q", i, universe[i], want[i])
-		}
-	}
-
-	if err := c.AddSchema(MustSchema("extra", Field{Name: "z", Category: CategoryStandard})); err != nil {
-		t.Fatalf("AddSchema: %v", err)
-	}
-	if err := c.AddSchema(MustSchema("extra", Field{Name: "z", Category: CategoryStandard})); err == nil {
-		t.Error("duplicate schema accepted")
-	}
-	if got := len(c.Schemas()); got != 3 {
-		t.Errorf("len(Schemas()) = %d, want 3", got)
 	}
 }
 

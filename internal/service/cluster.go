@@ -82,16 +82,6 @@ func (c *Cluster) Client(datastoreID, actor string) (*Client, error) {
 	return &Client{BaseURL: url, Actor: actor}, nil
 }
 
-// Datastore returns the in-process datastore behind the named server, for
-// inspection in tests and examples.
-func (c *Cluster) Datastore(datastoreID string) (*Datastore, error) {
-	s, ok := c.servers[datastoreID]
-	if !ok {
-		return nil, fmt.Errorf("service: no server for datastore %q", datastoreID)
-	}
-	return s.Store(), nil
-}
-
 // Datastores returns the IDs of the datastores served by the cluster.
 func (c *Cluster) Datastores() []string {
 	out := make([]string, 0, len(c.servers))

@@ -60,13 +60,6 @@ func NewLog() *Log {
 	return &Log{subs: make(map[int]chan Event), clock: time.Now}
 }
 
-// SetClock overrides the time source; intended for tests.
-func (l *Log) SetClock(clock func() time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.clock = clock
-}
-
 // Append assigns a sequence number and timestamp to the event, stores it and
 // delivers it to subscribers. Subscribers with full buffers miss the event
 // rather than blocking the writer.
@@ -89,22 +82,6 @@ func (l *Log) Append(ev Event) Event {
 		}
 	}
 	return ev
-}
-
-// Events returns a copy of all recorded events in order.
-func (l *Log) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
-}
-
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
 }
 
 // NextBatch collects the next batch of events from a subscription channel:

@@ -175,9 +175,6 @@ func StartServer(store *Datastore, addr string) (*Server, error) {
 // URL returns the base URL of the running server.
 func (s *Server) URL() string { return "http://" + s.listener.Addr().String() }
 
-// Store returns the served datastore.
-func (s *Server) Store() *Datastore { return s.store }
-
 // Stop shuts the server down and waits for the serve loop to exit.
 func (s *Server) Stop(ctx context.Context) error {
 	err := s.server.Shutdown(ctx)
@@ -277,21 +274,4 @@ func (c *Client) Get(ctx context.Context, userID, purpose string, fields []strin
 		return nil, fmt.Errorf("service: decoding response: %w", err)
 	}
 	return out.Values, nil
-}
-
-// Delete removes the given fields (all when empty) of a user's record.
-func (c *Client) Delete(ctx context.Context, userID, purpose string, fields []string) error {
-	query := ""
-	if len(fields) > 0 {
-		query = "fields=" + strings.Join(fields, ",")
-	}
-	resp, err := c.do(ctx, http.MethodDelete, "/records/"+userID, purpose, query, nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return decodeError(resp)
-	}
-	return nil
 }

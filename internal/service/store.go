@@ -48,9 +48,6 @@ func NewDatastore(def schema.Datastore, policy accesscontrol.Policy, log *Log) (
 	}, nil
 }
 
-// Definition returns the datastore's schema definition.
-func (d *Datastore) Definition() schema.Datastore { return d.def }
-
 // emit appends an event if a log is attached.
 func (d *Datastore) emit(ev Event) {
 	if d.log != nil {
@@ -163,31 +160,6 @@ func (d *Datastore) Delete(actor, userID, purpose string, fields []string) error
 	d.emit(Event{Actor: actor, Action: core.ActionDelete, Datastore: d.def.ID, UserID: userID,
 		Fields: fields, Purpose: purpose})
 	return nil
-}
-
-// Users returns the IDs of users with at least one stored field, sorted.
-func (d *Datastore) Users() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.records))
-	for u := range d.records {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FieldsOf returns the fields currently stored for the user, sorted.
-func (d *Datastore) FieldsOf(userID string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	record := d.records[userID]
-	out := make([]string, 0, len(record))
-	for f := range record {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func sortedKeys(m map[string]string) []string {

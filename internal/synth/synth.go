@@ -32,7 +32,7 @@ type HealthRecordsOptions struct {
 
 // HealthRecords generates a synthetic physical-attributes dataset with age,
 // height and weight columns (the shape of the paper's Table I) plus a
-// categorical condition column usable as an l-diversity sensitive attribute.
+// categorical condition column.
 func HealthRecords(opts HealthRecordsOptions) *anonymize.Table {
 	rows := opts.Rows
 	if rows <= 0 {

@@ -23,11 +23,22 @@ import (
 // Buf appends little-endian scalars to a byte slice.
 type Buf struct{ B []byte }
 
-func (w *Buf) U8(v uint8)    { w.B = append(w.B, v) }
-func (w *Buf) U16(v uint16)  { w.B = binary.LittleEndian.AppendUint16(w.B, v) }
-func (w *Buf) U32(v uint32)  { w.B = binary.LittleEndian.AppendUint32(w.B, v) }
-func (w *Buf) I32(v int32)   { w.U32(uint32(v)) }
-func (w *Buf) U64(v uint64)  { w.B = binary.LittleEndian.AppendUint64(w.B, v) }
+// U8 appends one byte.
+func (w *Buf) U8(v uint8) { w.B = append(w.B, v) }
+
+// U16 appends v in two bytes.
+func (w *Buf) U16(v uint16) { w.B = binary.LittleEndian.AppendUint16(w.B, v) }
+
+// U32 appends v in four bytes.
+func (w *Buf) U32(v uint32) { w.B = binary.LittleEndian.AppendUint32(w.B, v) }
+
+// I32 appends v in four bytes, two's complement.
+func (w *Buf) I32(v int32) { w.U32(uint32(v)) }
+
+// U64 appends v in eight bytes.
+func (w *Buf) U64(v uint64) { w.B = binary.LittleEndian.AppendUint64(w.B, v) }
+
+// F64 appends the IEEE 754 bits of v in eight bytes.
 func (w *Buf) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // I32s appends a whole int32 column.

@@ -2,6 +2,7 @@ package privascope_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,8 +142,8 @@ func TestFacadePseudonymisation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzePseudonymisation: %v", err)
 	}
-	if annotation.MaxViolations() != 4 {
-		t.Errorf("MaxViolations = %d, want 4", annotation.MaxViolations())
+	if got := slices.Max(annotation.ViolationCounts()); got != 4 {
+		t.Errorf("most violations = %d, want 4", got)
 	}
 }
 
