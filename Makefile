@@ -20,7 +20,7 @@ FUZZTIME ?= 30s
 # GOMAXPROCS values test-cpu runs every test at.
 CPUS ?= 1,4
 
-.PHONY: build test test-cpu vet fmt-check bench bench-gate bench-gate-selftest test-props fuzz cache-clean
+.PHONY: build test test-cpu test-router vet fmt-check bench bench-gate bench-gate-selftest test-props fuzz cache-clean
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,15 @@ test:
 test-cpu:
 	$(GO) test -cpu $(CPUS) ./...
 	$(GO) test -race -cpu $(CPUS) ./...
+
+# test-router soaks the router's state machine and the cluster protocols built
+# on it — step tests, retries, membership changes, evictions and the seeded
+# fault harness — under the race detector, ten times at GOMAXPROCS 1 and 4:
+# an interleaving bug shows up as a flake, so one run is not evidence. About
+# three minutes on two cores.
+ROUTER_TESTS = ^(TestStep|TestRouter(BackoffSchedule|StatsPersistent5xx|429TrimAcrossRetries)|TestSendDeadline|TestClusterLiveJoin|TestClusterGracefulLeave|TestAbortedChange|TestEvict|TestFailedEviction|TestTickCannotStall|TestFencedNode|TestClusterEvictFailover|TestProberEvicts|TestClusterFaultDeterminismGolden)
+test-router:
+	$(GO) test -race -count=10 -cpu 1,4 -run '$(ROUTER_TESTS)' ./internal/cluster/
 
 vet:
 	$(GO) vet ./...

@@ -145,12 +145,11 @@ func TestEvictBlackHoledNode(t *testing.T) {
 }
 
 // TestEvictWhileSendBlockedOnDeadWindow: with the victim's one-frame window
-// full behind a hung request, a Send that reaches the batch threshold waits
-// for room holding the membership lock shared. The eviction cancels the
-// sender before it asks for the lock exclusively, so that Send parks its
-// frame and lets go: the eviction completes, the blocked SendBatch carries on
-// under the new ring, and the frames parked from three places — the request,
-// the window, the cut — are re-routed in stream order.
+// full behind a hung request, a Send that reaches the batch threshold is held
+// for room. The eviction cancels the sender before it seals, which releases
+// that Send: the eviction completes, the blocked SendBatch returns, and the
+// frames the victim owed — the request's, the window's, the cut's — are
+// re-routed in stream order.
 func TestEvictWhileSendBlockedOnDeadWindow(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -163,9 +162,7 @@ func TestEvictWhileSendBlockedOnDeadWindow(t *testing.T) {
 		BackoffMax:  20 * time.Millisecond,
 	})
 	direct := directMonitor(t, f.profiles, f.stream)
-	f.c.Router.memberMu.RLock()
-	sender := f.c.Router.senders[f.victim]
-	f.c.Router.memberMu.RUnlock()
+	victim := func() senderCounts { return f.c.Router.senderCounts()[f.victim] }
 
 	// The victim's first frame leaves alone and hangs; behind it one frame
 	// fills the window and the next cut waits for room.
@@ -182,7 +179,8 @@ func TestEvictWhileSendBlockedOnDeadWindow(t *testing.T) {
 	sent := make(chan error, 1)
 	go func() { sent <- f.c.Router.SendBatch(ctx, f.rest[first:]) }()
 	waitUntil(t, "a Send to block on the victim's full window", func() bool {
-		return sender.pending.Load() == 3 && len(sender.frames) == 1
+		n := victim()
+		return n.Wire == 1 && n.Queued == 2 && n.Buffered == 1
 	})
 	select {
 	case err := <-sent:
@@ -512,12 +510,7 @@ func TestFailedEvictionLeavesNodeDeliverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireClusterMatchesDirect(t, c, direct, users)
-	c.Router.memberMu.RLock()
-	sender := c.Router.senders["node1"]
-	c.Router.memberMu.RUnlock()
-	sender.mu.Lock()
-	parked := len(sender.parked)
-	sender.mu.Unlock()
+	parked := c.Router.senderCounts()["node1"].Owed
 	if stats := c.Router.Stats(); stats.DroppedEvents != 0 || parked != 0 {
 		t.Fatalf("after the failed eviction: %d events dropped, %d frames left parked; want none of either", stats.DroppedEvents, parked)
 	}

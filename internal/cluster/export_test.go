@@ -30,3 +30,27 @@ func (p *Prober) Stats() ProberStats {
 		Evicted:  append([]string(nil), p.evicted...),
 	}
 }
+
+// senderCounts is one node's sender as the owner loop sees it: frames in the
+// sequence on the wire, frames waiting in the window, events not yet cut, and
+// frames a cancelled sender owes.
+type senderCounts struct {
+	Wire, Queued, Buffered, Owed int
+}
+
+// senderCounts snapshots every sender, answered by the owner loop.
+func (r *Router) senderCounts() map[string]senderCounts {
+	out := make(map[string]senderCounts)
+	r.inspect(func(st *routerState) {
+		for _, s := range st.senders {
+			n := senderCounts{Wire: s.inFlight, Buffered: len(s.buf)}
+			if waiting := len(s.queue) - s.inFlight; s.cancelled {
+				n.Owed = waiting
+			} else {
+				n.Queued = waiting
+			}
+			out[s.name] = n
+		}
+	})
+	return out
+}

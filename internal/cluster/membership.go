@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,47 +17,45 @@ import (
 // Local cluster's orchestration on top of it, which moves per-user monitor
 // state between nodes through the /handoff endpoint.
 //
-// Every change follows the same protocol; change's body is this list:
+// A change is this list of events for the owner loop, and the two effects it
+// carries out itself between them:
 //
-//  1. Validate, under the shared membership lock: the node is (join: is not)
-//     in the ring and the ring the change would install exists. An eviction
-//     then cancels the dead node's sender, still under the shared lock: its
-//     POST in flight is aborted, and whatever was blocked on that node's full
-//     window — a Send, a Flush — parks its frame and lets go of the lock the
-//     next step needs.
-//  2. Freeze: take the membership lock exclusively. The Send plane is parked
-//     from here to the end of step 7.
-//  3. Seal: cut every sender's buffer and wait until every cut frame is
-//     resolved — accepted or dropped, or, on the cancelled sender, parked.
-//  4. Move: copy the moved users' snapshots from their old owners to the new
-//     ones, in bounded chunks (the caller-supplied callback). Nothing is
-//     removed from an old owner until every chunk to every new owner has been
-//     acknowledged; a change that fails part-way deletes the copies it made,
-//     so it leaves every node holding exactly the users it held before. An
-//     eviction that fails here or in step 3 leaves its node in the ring, so
-//     the node gets a working sender back (resumeSender).
-//  5. Swap: install the new ring and increment the epoch.
-//  6. Tear down (leave and eviction): close the departed sender's queue and
-//     the router's pooled connections. A Go HTTP/2 server that has sent its
-//     graceful-shutdown GOAWAY keeps each connection open for a second unless
-//     the client closes it first, and http.Server.Shutdown waits for those
-//     connections; the router's long-lived h2c connection is the one that
-//     would make every departure cost that second. Every pooled connection is
-//     idle here — the seal drove the in-flight count to zero and the handoff
-//     requests have returned — so closing the idle ones closes them all;
-//     survivors re-dial on their next frame.
-//  7. Re-route (eviction only): decode the dead sender's parked frames in
-//     stream order, skip the prefix its stream cursor proves already applied,
-//     and route the rest to their users' new owners — in-flight events are
-//     re-routed, never dropped.
-//  8. Record the change in the router's stats.
+//  1. begin: the node is (join: is not) in the ring and the ring the change
+//     would install exists. An eviction cancels the node's sender: its POST in
+//     flight is aborted and its frames are owed from now on, so a Send waiting
+//     for room in its window is taken at once.
+//  2. seal (a flush): freeze — no Send, Flush or Register is taken until the
+//     change ends — and wait until every buffer is cut and every cut frame is
+//     accepted or dropped or, on the cancelled sender, owed, and no
+//     registration is handing off.
+//  3. move (effect): copy the moved users' snapshots from their old owners to
+//     the new ones, in bounded chunks (the caller-supplied callback). Nothing
+//     is removed from an old owner until every chunk to every new owner has
+//     been acknowledged; a move that fails part-way deletes the copies it made.
+//  4. swap: install the new ring, increment the epoch, and give a joiner a
+//     sender or retire the departed node's.
+//  5. tear down (effect, leave and eviction): close the router's pooled
+//     connections. A Go HTTP/2 server that has sent its graceful-shutdown
+//     GOAWAY keeps each connection open for a second unless the client closes
+//     it first, and http.Server.Shutdown waits for those connections. All are
+//     idle here — the seal left nothing in flight and the handoffs have
+//     returned — so closing the idle ones closes them all; survivors re-dial.
+//  6. re-route (eviction only): route the owed frames to their users' new
+//     owners, skipping those below the dead node's stream cursor (applied
+//     already). They are in stream order: frames leave a sender's queue only
+//     from the front, and an aborted sequence stays at its head.
+//  7. record: count the change and thaw.
 //
-// Stopping the departed node's server happens after the lock is released.
+// A change that fails sends abort instead of its next event: abort thaws, and
+// an eviction that fails before its swap clears the cancelled mark, so the
+// same stream resumes from its first owed frame (the node's stream cursor
+// makes redelivering an applied frame a no-op). One more event adds the time
+// to stop the departed node's server, which happens after the change.
 //
 // Cancelling a request does not stop the handler already serving it, so
 // before an eviction Local fences the victim (Node.fence): a fenced node
 // admits no further frame, its stream cursor stands still, and the snapshots
-// step 4 exports agree with the cursor step 7 reads.
+// step 3 exports agree with the cursor step 6 reads.
 
 // HandoffReason values for the HeaderHandoffReason label.
 const (
@@ -74,14 +71,28 @@ const (
 	ChangeEvict = "evict"
 )
 
-// noteServerStop adds the time the caller spent stopping the departed node's
-// server, after the change itself returned, to the last change's record.
-func (r *Router) noteServerStop(d time.Duration) {
-	r.changeMu.Lock()
-	defer r.changeMu.Unlock()
-	r.lastChange.Teardown += d
-	r.lastChange.Total += d
+// changeCall is one change; change sends it once per event, with phase set.
+type changeCall struct {
+	reply
+	phase           changePhase
+	kind, node, url string
+	ring            *Ring            // begin's answer: the ring the change installs
+	next            int64            // re-route: the departed node's stream cursor
+	elapsed         time.Duration    // record, abort: Send's time parked; serverStopped: the stop's
+	record          MembershipChange // record
+	departed        *sender          // set by the swap
 }
+
+type changePhase uint8
+
+const (
+	phaseBegin changePhase = iota
+	phaseSwap
+	phaseReroute
+	phaseRecord
+	phaseAbort
+	phaseServerStopped
+)
 
 // change is the membership change: kind is ChangeJoin (url is the joiner's),
 // ChangeLeave or ChangeEvict of the node name. move hands the users whose
@@ -90,147 +101,123 @@ func (r *Router) noteServerStop(d time.Duration) {
 // cursor reads an evicted node's stream cursor (nil otherwise). Combined with
 // the receiving side's stream-offset deduplication the protocol in this
 // file's header makes an eviction lose nothing and duplicate nothing,
-// whatever the crash timing. Callers serialize changes (Local.mu), so what
-// step 1 saw under the shared lock still holds under the exclusive one.
+// whatever the crash timing. The owner loop refuses a second concurrent change.
 func (r *Router) change(ctx context.Context, kind, name, url string,
 	move func(newRing *Ring) (users, chunks int, err error), cursor func(stream string) int64) error {
-	r.memberMu.RLock()
-	s, member := r.senders[name]
-	var newRing *Ring
-	var err error
-	switch {
-	case kind == ChangeJoin && member:
-		err = fmt.Errorf("cluster: node %q already in the ring", name)
-	case kind == ChangeJoin && url == "":
-		err = fmt.Errorf("cluster: node %q has no URL", name)
-	case kind == ChangeJoin:
-		newRing, err = r.ring.Load().WithNode(name)
-	case !member:
-		err = fmt.Errorf("cluster: node %q not in the ring", name)
-	default:
-		newRing, err = r.ring.Load().WithoutNode(name)
-	}
-	if err == nil && kind == ChangeEvict {
-		s.cancel()
-	}
-	r.memberMu.RUnlock()
-	if err != nil {
+	c := &changeCall{kind: kind, node: name, url: url}
+	if err := r.phase(c, phaseBegin); err != nil {
 		return err
 	}
-
-	r.memberMu.Lock()
 	start := time.Now()
-	swapped := false
-	defer func() {
-		if kind == ChangeEvict && !swapped {
-			r.resumeSender(s)
-		}
-		r.frozenNs.Add(int64(time.Since(start)))
-		r.memberMu.Unlock()
-	}()
-	if err := r.flushSealed(ctx); err != nil {
+	fail := func(err error) error {
+		c.elapsed = time.Since(start)
+		_ = r.phase(c, phaseAbort)
 		return err
+	}
+	if err := r.ask(ctx, &flushCall{kind: flushSeal}); err != nil {
+		return fail(err)
 	}
 	sealed := time.Now()
-	users, chunks, err := move(newRing)
+	users, chunks, err := move(c.ring)
 	if err != nil {
-		return fmt.Errorf("cluster: %s of %q: moving its users: %w", kind, name, err)
+		return fail(fmt.Errorf("cluster: %s of %q: moving its users: %w", kind, name, err))
 	}
 	handed := time.Now()
-
-	if kind == ChangeJoin {
-		r.startSender(name, url, nil)
-	}
-	r.ring.Store(newRing)
-	r.epoch.Add(1)
-	swapped = true
+	_ = r.phase(c, phaseSwap)
 	var teardown time.Duration
 	if kind != ChangeJoin {
 		t0 := time.Now()
-		delete(r.senders, name)
-		close(s.frames)
-		s.cancel()
 		r.client.CloseIdleConnections()
 		teardown = time.Since(t0)
 	}
 	if kind == ChangeEvict {
-		// On failure the ring is swapped and the node gone, but parked events
-		// are still owed: Changes and LastChange describe completed changes only.
-		if err := r.rerouteParked(ctx, s, cursor(r.streamFor(name))); err != nil {
-			return err
+		c.next = cursor(r.streamFor(name))
+		if err := r.phase(c, phaseReroute); err != nil {
+			return fail(err)
 		}
 	}
-
-	r.changeMu.Lock()
-	defer r.changeMu.Unlock()
-	r.changes++
-	r.lastChange = MembershipChange{
-		Kind: kind, Node: name, Epoch: r.epoch.Load(),
-		UsersMoved: users, Chunks: chunks,
-		Seal: sealed.Sub(start), Handoff: handed.Sub(sealed), Teardown: teardown,
-		Total: time.Since(start),
-	}
-	return nil
+	c.elapsed = time.Since(start)
+	c.record = MembershipChange{Kind: kind, Node: name, UsersMoved: users, Chunks: chunks,
+		Seal: sealed.Sub(start), Handoff: handed.Sub(sealed), Teardown: teardown, Total: c.elapsed}
+	return r.phase(c, phaseRecord)
 }
 
-// resumeSender undoes step 1's cancel for an eviction abandoned before its ring
-// swap: the node is still in the ring, and a cancelled sender would park every
-// later frame for it with nothing counted pending or dropped. The node gets a
-// fresh sender that continues the old one's stream — same stream key, next
-// index and buffer — and whose first sequence is what the old one parked, in
-// stream order; the node's stream cursor makes redelivery of a frame it had
-// applied a no-op. The caller holds memberMu exclusively.
-func (r *Router) resumeSender(old *nodeSender) {
-	// A cancelled sender resolves what it holds without the network, so this
-	// wait needs no deadline, and must not share one with a change that failed
-	// because its own ran out.
-	close(old.frames)
-	_ = waitZero(context.Background(), &old.pending)
-	old.mu.Lock()
-	defer old.mu.Unlock()
-	sort.Slice(old.parked, func(i, j int) bool { return old.parked[i].idx < old.parked[j].idx })
-	s := r.startSender(old.name, old.url, old.parked)
-	s.buf, s.nextIdx = old.buf, old.nextIdx
-	old.parked, old.buf = nil, nil
+// phase sends the change's next event. Only the seal waits on the network, so
+// only the seal is given the change's context.
+func (r *Router) phase(c *changeCall, p changePhase) error {
+	c.phase = p
+	return r.ask(context.Background(), c)
 }
 
-// rerouteParked routes what an evicted node never applied through the new
-// ring. Frames are parked from two places — the send loop and a cut that was
-// waiting for room — so they are put back in stream order first: per-user
-// event order is the ring's guarantee. Frames below next, the node's stream
-// cursor, were applied before it died (their responses may have been lost);
-// replaying them would double-count, so they are skipped.
-func (r *Router) rerouteParked(ctx context.Context, s *nodeSender, next int64) error {
-	s.mu.Lock()
-	parked := s.parked
-	s.parked = nil
-	buffered := s.buf
-	s.buf = nil
-	s.mu.Unlock()
-	sort.Slice(parked, func(i, j int) bool { return parked[i].idx < parked[j].idx })
-	for _, f := range parked {
-		if f.idx < next {
-			r.failoverSkip.Add(1)
-			continue
+// stepChange is step for a change's events.
+func (st *routerState) stepChange(c *changeCall) {
+	var err error
+	switch s := st.sender(c.node); c.phase {
+	case phaseBegin:
+		switch {
+		case st.change != nil:
+			err = fmt.Errorf("cluster: node %q: another membership change is in progress", c.node)
+		case c.kind == ChangeJoin && s != nil:
+			err = fmt.Errorf("cluster: node %q already in the ring", c.node)
+		case c.kind == ChangeJoin && c.url == "":
+			err = fmt.Errorf("cluster: node %q has no URL", c.node)
+		case c.kind == ChangeJoin:
+			c.ring, err = st.ring.WithNode(c.node)
+		case s == nil:
+			err = fmt.Errorf("cluster: node %q not in the ring", c.node)
+		default:
+			c.ring, err = st.ring.WithoutNode(c.node)
 		}
-		batch, err := NewFrameReader(bytes.NewReader(f.data)).Read()
-		if err != nil {
-			return fmt.Errorf("cluster: re-decoding parked frame %d: %w", f.idx, err)
+		if err == nil {
+			st.change = c
 		}
-		for _, ev := range batch {
-			if err := r.route(ctx, ev); err != nil {
-				return err
+		if err == nil && c.kind == ChangeEvict {
+			s.cancelled = true
+			if s.inFlight > 0 {
+				st.out = append(st.out, effect{kind: effAbort, node: s.name})
 			}
 		}
-		r.rerouted.Add(int64(len(batch)))
-	}
-	for _, ev := range buffered {
-		if err := r.route(ctx, ev); err != nil {
-			return err
+	case phaseSwap:
+		senders := make([]*sender, len(c.ring.nodes))
+		for i, name := range c.ring.nodes {
+			if senders[i] = st.sender(name); senders[i] == nil {
+				senders[i] = &sender{name: name, url: c.url}
+			}
 		}
+		st.ring, st.senders, c.departed = c.ring, senders, s
+		st.stats.Epoch++
+	case phaseReroute:
+		for _, f := range c.departed.queue {
+			if f.idx < c.next {
+				st.stats.FailoverSkippedFrames++
+				continue
+			}
+			events, derr := DecodeFrame(f.data)
+			if derr != nil {
+				err = fmt.Errorf("cluster: re-decoding owed frame %d: %w", f.idx, derr)
+				break
+			}
+			for i := range events {
+				st.take(&events[i], true)
+			}
+			st.stats.ReroutedEvents += int64(len(events))
+		}
+		c.departed.queue = nil
+	case phaseRecord, phaseAbort:
+		if c.phase == phaseRecord {
+			c.record.Epoch = st.stats.Epoch
+			st.stats.Changes++
+			st.stats.LastChange = c.record
+		} else if s != nil && c.kind == ChangeEvict {
+			s.cancelled = false // failed before its swap: the node stays
+		}
+		st.stats.Frozen += c.elapsed
+		st.frozen, st.change = false, nil
+	case phaseServerStopped:
+		st.stats.LastChange.Teardown += c.elapsed
+		st.stats.LastChange.Total += c.elapsed
 	}
-	r.rerouted.Add(int64(len(buffered)))
-	return nil
+	st.answer(&c.reply, err)
 }
 
 // AddNode starts a fresh node + server over the cluster's model and joins it
@@ -276,11 +263,11 @@ func (c *Local) RemoveNode(ctx context.Context, name string) error {
 	return c.depart(ctx, ChangeLeave, name)
 }
 
-// EvictNode fails the named node over: the node is fenced, the router parks
-// its in-flight frames, the node's users move to their new owners from
-// their last snapshot (the node is in-process, so its monitor is still
-// readable even when its server is unreachable), and the parked frames the
-// node never applied are re-routed. Its alert history is retained.
+// EvictNode fails the named node over: the node is fenced, the router takes
+// back the frames it owed the node, the node's users move to their new owners
+// from their last snapshot (the node is in-process, so its monitor is still
+// readable even when its server is unreachable), and the owed frames the node
+// never applied are re-routed. Its alert history is retained.
 func (c *Local) EvictNode(ctx context.Context, name string) error {
 	return c.depart(ctx, ChangeEvict, name)
 }
@@ -317,7 +304,7 @@ func (c *Local) depart(ctx context.Context, kind, name string) error {
 	} else {
 		err = srv.Stop(ctx)
 	}
-	c.Router.noteServerStop(time.Since(t0))
+	_ = c.Router.phase(&changeCall{elapsed: time.Since(t0)}, phaseServerStopped)
 	if err != nil {
 		return err
 	}

@@ -251,6 +251,25 @@ func (n *Node) Quiesce(ctx context.Context) error {
 	return waitZero(ctx, &n.pending)
 }
 
+// waitZero polls until n reads zero or ctx is done. It is the package's one
+// wait on a counter other goroutines drain: events a node has admitted,
+// handoff requests a node is serving.
+func waitZero(ctx context.Context, n *atomic.Int64) error {
+	if n.Load() == 0 {
+		return nil
+	}
+	tick := time.NewTicker(500 * time.Microsecond)
+	defer tick.Stop()
+	for n.Load() != 0 {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-tick.C:
+		}
+	}
+	return nil
+}
+
 // BeginDrain marks the node as draining for good: /readyz answers 503 from
 // here on. A graceful leave calls it before the state handoff so external
 // routing backs off while ownership moves; Close implies it.
@@ -265,7 +284,7 @@ func (n *Node) Close() {
 
 // StreamCursor returns the next frame index the node expects on the stream —
 // everything below it has been applied. Membership changes read it off a dead
-// node (management plane, in-process) to decide which parked frames still
+// node (management plane, in-process) to decide which owed frames still
 // need re-routing and which would be duplicates.
 func (n *Node) StreamCursor(stream string) int64 {
 	n.streamsMu.Lock()

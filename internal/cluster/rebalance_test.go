@@ -750,9 +750,7 @@ func TestTickCannotStallEviction(t *testing.T) {
 	host := strings.TrimPrefix(victim.URL(), "http://")
 	transport.host.Store(&host)
 
-	c.Router.memberMu.RLock()
-	sender := c.Router.senders[victim.Node().Name()]
-	c.Router.memberMu.RUnlock()
+	sender := func() senderCounts { return c.Router.senderCounts()[victim.Node().Name()] }
 	// Three slices of the stream: the first is cut by a tick and taken by the
 	// sender, which retries it forever; the second is cut into the window and
 	// fills it; the third stays buffered for the next tick to find.
@@ -761,13 +759,13 @@ func TestTickCannotStallEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "the first frame to be in flight", func() bool {
-		pending := sender.pending.Load()
-		return pending == 1 && len(sender.frames) == 0 || pending >= 2
+		n := sender()
+		return n.Wire == 1 && n.Queued == 0 || n.Wire+n.Queued >= 2
 	})
 	if err := c.Router.SendBatch(ctx, stream[third:2*third]); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "the second frame to fill the window", func() bool { return len(sender.frames) == 1 })
+	waitUntil(t, "the second frame to fill the window", func() bool { return sender().Queued == 1 })
 	if err := c.Router.SendBatch(ctx, stream[2*third:3*third]); err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,10 @@ func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
 // Owner returns the node owning the user ID: the one scoring it highest. Equal
 // scores go to the lower name, so the owner stays a function of the node set.
-func (r *Ring) Owner(userID string) string {
+func (r *Ring) Owner(userID string) string { return r.nodes[r.ownerIndex(userID)] }
+
+// ownerIndex is Owner's node as an index into the sorted node list.
+func (r *Ring) ownerIndex(userID string) int {
 	h := hash64(userID)
 	best, bestScore := 0, mix(h^r.seeds[0])
 	for i := 1; i < len(r.seeds); i++ {
@@ -79,7 +82,7 @@ func (r *Ring) Owner(userID string) string {
 			best, bestScore = i, score
 		}
 	}
-	return r.nodes[best]
+	return best
 }
 
 // WithNode returns a new ring with the node added.

@@ -2,15 +2,17 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,11 +31,12 @@ type RouterConfig struct {
 	// FlushInterval bounds how long a buffered event may wait before the
 	// partial frame is sent anyway (0 selects DefaultFlushInterval).
 	FlushInterval time.Duration
-	// MaxInFlight bounds the cut frames queued for delivery per node; a full
-	// window blocks Send, which is the client half of the backpressure
-	// protocol. Delivery itself is one FIFO sender per node regardless of
-	// the window, so per-user event order is preserved end to end; a larger
-	// window only deepens the queue feeding that sender. Default 1.
+	// MaxInFlight bounds the cut frames queued for delivery per node behind
+	// the sequence on the wire: one more frame may be cut, and a Send whose
+	// event would cut the next blocks, which is the client half of the
+	// backpressure protocol. Delivery itself is one FIFO sequence per node at
+	// a time regardless of the window, so per-user event order is preserved
+	// end to end; a larger window only deepens the queue feeding it. Default 1.
 	MaxInFlight int
 	// MaxRetries bounds delivery attempts per frame sequence, 429 rounds
 	// included (0 selects DefaultMaxRetries).
@@ -91,14 +94,13 @@ type RouterStats struct {
 	// other counters belong to.
 	Epoch int64
 	// ReroutedEvents counts events re-routed to their new owners when a node
-	// was evicted; FailoverSkippedFrames counts parked frames NOT re-routed
+	// was evicted; FailoverSkippedFrames counts owed frames NOT re-routed
 	// because the dead node's stream cursor proved them already applied.
 	ReroutedEvents        int64
 	FailoverSkippedFrames int64
 	// Changes counts completed membership changes and Frozen is the cumulative
-	// time the membership lock was held exclusively — how long Send was parked
-	// in total, failed changes included. LastChange describes the most recent
-	// completed change (zero before the first).
+	// time Send was parked by them, failed changes included. LastChange
+	// describes the most recent completed change (zero before the first).
 	Changes    int64
 	Frozen     time.Duration
 	LastChange MembershipChange
@@ -116,49 +118,24 @@ type MembershipChange struct {
 	// the PSHO frames that carried them.
 	UsersMoved int
 	Chunks     int
-	// Seal is the time to flush (or, for the evicted node, park) the in-flight
-	// frames, Handoff the time to move the users, and Teardown the time to
+	// Seal is the time to deliver (or, for the evicted node, take back) the
+	// cut frames, Handoff the time to move the users, and Teardown the time to
 	// close the router's connections to a departed node and stop its server
 	// (zero for a join). Send is parked for Seal + Handoff and the ring swap —
-	// plus, for an eviction, the re-routing of the parked frames — but not for
-	// the server stop. Total is the whole change, first lock to last close.
+	// plus, for an eviction, the re-routing of the owed frames — but not for
+	// the server stop. Total is the whole change, seal to last close.
 	Seal     time.Duration
 	Handoff  time.Duration
 	Teardown time.Duration
 	Total    time.Duration
 }
 
-// cutFrame is one encoded frame queued on a sender, tagged with its index in
-// the sender's stream so the receiving node can deduplicate redeliveries.
+// cutFrame is one encoded frame, tagged with its index in the sender's stream
+// so the receiving node can deduplicate redeliveries.
 type cutFrame struct {
 	idx    int64
 	data   []byte
 	events int
-}
-
-// nodeSender is the per-node half of the router: a buffer the Send path
-// appends to, and a single goroutine posting cut frames in FIFO order, so the
-// per-user event order the ring guarantees (one user, one node) survives the
-// wire.
-type nodeSender struct {
-	name string
-	url  string
-
-	// ctx is the sender's lifetime. Evicting the node cancels it: the POST in
-	// flight is aborted, a backoff sleep ends, and every frame still owed —
-	// in a request, queued, or waiting for room in the window — is parked for
-	// the eviction to re-route instead of posted or dropped.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu      sync.Mutex
-	buf     []service.Event
-	enc     frameEncoder
-	nextIdx int64      // next frame index in this sender's stream
-	parked  []cutFrame // frames an evicted node still owed, in no particular order
-
-	frames  chan cutFrame // cut frames, FIFO; capacity = MaxInFlight
-	pending atomic.Int64  // frames cut, not yet accepted, dropped or parked
 }
 
 // Router is the cluster's ingest client: it partitions events over the ring,
@@ -168,53 +145,30 @@ type nodeSender struct {
 // new epoch after handing per-user monitor state to the new owners, and an
 // evicted node's undelivered frames are re-routed to its users' new owners —
 // never silently dropped.
+//
+// The router is one state machine. One goroutine, the owner loop (run), holds
+// the ring, the epoch, every node's buffer, window and owed frames and the
+// change in progress, and changes them only through step. Every call is an
+// event to it, and so are the flush tick and each delivery attempt's outcome;
+// what step asks for — an answer, a POST, a cancellation — run carries out.
 type Router struct {
-	ring   atomic.Pointer[Ring]
-	epoch  atomic.Int64
-	client *http.Client
 	cfg    RouterConfig
-
-	// memberMu is the membership lock: Send/Flush/Register and the flush
-	// tick hold it shared; membership changes hold it exclusively, so a
-	// change observes a frozen Send plane while state moves.
-	memberMu sync.RWMutex
-	senders  map[string]*nodeSender
-
+	client *http.Client
 	// streamID prefixes every sender's dedup stream key, so retried requests
 	// from this router never collide with another router's streams.
 	streamID string
+	ring     atomic.Pointer[Ring] // the state's, published for Ring
+	epoch    atomic.Int64         // the state's, published for Epoch
+	inbox    chan any             // events for the owner loop
+	done     chan struct{}        // closed when the owner loop has ended
 
-	events  atomic.Int64
-	frames  atomic.Int64
-	rej429  atomic.Int64
-	retries atomic.Int64
-
-	dropped       atomic.Int64
-	droppedFrames atomic.Int64
-	droppedEvents atomic.Int64
-	rerouted      atomic.Int64
-	failoverSkip  atomic.Int64
-	frozenNs      atomic.Int64
-
-	// changeMu guards the membership-change record.
-	changeMu   sync.Mutex
-	changes    int64
-	lastChange MembershipChange
-
-	// jitter is the deterministic backoff-jitter source; sleepFn is the
-	// backoff sleep (swapped for a fake clock in tests).
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
-	sleepFn  func(ctx context.Context, d time.Duration)
-
-	errMu    sync.Mutex
-	firstErr error
-
-	stopTick  chan struct{}
-	tickDone  chan struct{}
-	closed    chan struct{}
-	sendersWG sync.WaitGroup
-	closeOnce sync.Once
+	// Only the owner loop touches the rest: the state, each node's delivery
+	// attempt's cancel function, the backoff-jitter source. sleepFn is the
+	// pause after a failed attempt (swapped for a fake clock in tests).
+	st      routerState
+	cancels map[string]context.CancelFunc
+	jitter  *rand.Rand
+	sleepFn func(ctx context.Context, d time.Duration)
 }
 
 // H2CTransport returns a transport speaking unencrypted HTTP/2 (the fleet's
@@ -233,7 +187,11 @@ func h2cClient() *http.Client {
 // routerSeq distinguishes routers created within one process.
 var routerSeq atomic.Int64
 
-// NewRouter builds a router over the configured nodes.
+// errRouterClosed answers a call the router will never take.
+var errRouterClosed = errors.New("cluster: router is closed")
+
+// NewRouter builds a router over the configured nodes and starts its owner
+// loop.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one node")
@@ -249,67 +207,39 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.BatchEvents <= 0 {
-		cfg.BatchEvents = DefaultBatchEvents
-	}
-	if cfg.BatchEvents > MaxFrameEvents {
-		cfg.BatchEvents = MaxFrameEvents
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = DefaultFlushInterval
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 1
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = DefaultBackoffBase
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = DefaultBackoffMax
-	}
-	seed := cfg.BackoffJitterSeed
-	if seed == 0 {
-		seed = 1
-	}
+	cfg.BatchEvents = min(positiveOr(cfg.BatchEvents, DefaultBatchEvents), MaxFrameEvents)
+	cfg.FlushInterval = positiveOr(cfg.FlushInterval, DefaultFlushInterval)
+	cfg.MaxInFlight = positiveOr(cfg.MaxInFlight, 1)
+	cfg.MaxRetries = positiveOr(cfg.MaxRetries, DefaultMaxRetries)
+	cfg.BackoffBase = positiveOr(cfg.BackoffBase, DefaultBackoffBase)
+	cfg.BackoffMax = positiveOr(cfg.BackoffMax, DefaultBackoffMax)
 	client := cfg.HTTPClient
 	if client == nil {
 		client = h2cClient()
 	}
 	r := &Router{
-		client:   client,
-		senders:  make(map[string]*nodeSender, len(names)),
 		cfg:      cfg,
+		client:   client,
 		streamID: fmt.Sprintf("%d-%d-%d", os.Getpid(), time.Now().UnixNano(), routerSeq.Add(1)),
-		jitter:   rand.New(rand.NewSource(seed)),
-		stopTick: make(chan struct{}),
-		tickDone: make(chan struct{}),
-		closed:   make(chan struct{}),
+		inbox:    make(chan any),
+		done:     make(chan struct{}),
+		st:       newRouterState(cfg, ring),
+		cancels:  make(map[string]context.CancelFunc),
+		jitter:   rand.New(rand.NewSource(cmp.Or(cfg.BackoffJitterSeed, 1))),
+		sleepFn:  timerSleep,
 	}
-	r.sleepFn = r.timerSleep
 	r.ring.Store(ring)
 	r.epoch.Store(1)
-	for name, url := range cfg.Nodes {
-		r.startSender(name, url, nil)
-	}
-	go r.tickLoop()
+	go r.run()
 	return r, nil
 }
 
-// startSender builds and launches the sender for one node; owed is the frame
-// sequence it delivers before anything queued on it (resumeSender's, nil
-// otherwise). The caller either owns the router exclusively (NewRouter) or
-// holds memberMu exclusively.
-func (r *Router) startSender(name, url string, owed []cutFrame) *nodeSender {
-	s := &nodeSender{name: name, url: url, frames: make(chan cutFrame, r.cfg.MaxInFlight)}
-	s.ctx, s.cancel = context.WithCancel(context.Background())
-	s.pending.Add(int64(len(owed)))
-	r.senders[name] = s
-	r.sendersWG.Add(1)
-	go r.sendLoop(s, owed)
-	return s
+// positiveOr is v, or d when v is not positive.
+func positiveOr[T int | time.Duration](v, d T) T {
+	if v > 0 {
+		return v
+	}
+	return d
 }
 
 // Ring returns the router's current partitioning ring.
@@ -323,259 +253,213 @@ func (r *Router) Epoch() int64 { return r.epoch.Load() }
 func (r *Router) streamFor(node string) string { return r.streamID + "/" + node }
 
 // Stats snapshots the router's counters.
-func (r *Router) Stats() RouterStats {
-	r.changeMu.Lock()
-	changes, last := r.changes, r.lastChange
-	r.changeMu.Unlock()
-	return RouterStats{
-		Changes:               changes,
-		Frozen:                time.Duration(r.frozenNs.Load()),
-		LastChange:            last,
-		EventsSent:            r.events.Load(),
-		FramesSent:            r.frames.Load(),
-		Rejected429:           r.rej429.Load(),
-		Retries:               r.retries.Load(),
-		Dropped:               r.dropped.Load(),
-		DroppedFrames:         r.droppedFrames.Load(),
-		DroppedEvents:         r.droppedEvents.Load(),
-		Epoch:                 r.epoch.Load(),
-		ReroutedEvents:        r.rerouted.Load(),
-		FailoverSkippedFrames: r.failoverSkip.Load(),
-	}
+func (r *Router) Stats() (s RouterStats) {
+	r.inspect(func(st *routerState) { s = st.stats })
+	return s
 }
 
 // Err returns the first delivery error, if any frame sequence was dropped.
-func (r *Router) Err() error {
-	r.errMu.Lock()
-	defer r.errMu.Unlock()
-	return r.firstErr
-}
-
-func (r *Router) setErr(err error) {
-	r.errMu.Lock()
-	if r.firstErr == nil {
-		r.firstErr = err
-	}
-	r.errMu.Unlock()
+func (r *Router) Err() (err error) {
+	r.inspect(func(st *routerState) { err = st.err })
+	return err
 }
 
 // Send routes one event to its owner's buffer, cutting a frame when the
-// buffer reaches the batch threshold. It blocks when the owner's in-flight
-// window is full — that block is the backpressure propagating to the caller —
-// and while a membership change is rebuilding the ring, so an event observed
-// before a change lands on the old owner (whose state then moves) and an
-// event observed after lands on the new one: re-routed, never dropped.
+// buffer reaches the batch threshold. It blocks while that frame would find
+// the owner's in-flight window full — that block is the backpressure
+// propagating to the caller — and while a membership change is rebuilding the
+// ring, so an event observed before a change lands on the old owner (whose
+// state then moves) and an event observed after lands on the new one:
+// re-routed, never dropped. An error means the event was not taken; nil means
+// it will be delivered or counted in DroppedEvents.
 func (r *Router) Send(ctx context.Context, ev service.Event) error {
-	r.memberMu.RLock()
-	defer r.memberMu.RUnlock()
-	return r.route(ctx, ev)
+	return r.SendBatch(ctx, []service.Event{ev})
 }
 
-// route is Send under an already-held membership lock (either mode).
-func (r *Router) route(ctx context.Context, ev service.Event) error {
-	s := r.senders[r.ring.Load().Owner(ev.UserID)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buf = append(s.buf, ev)
-	if len(s.buf) >= r.cfg.BatchEvents {
-		return r.cutLocked(ctx, s)
-	}
-	return nil
-}
-
-// SendBatch routes a batch of events.
+// SendBatch routes a batch of events, in order, as one call. It returns nil
+// when every event was taken. When ctx ends while an event waits for window
+// room or for a membership change, it returns ctx's error: the events before
+// that one were taken, and it and the rest were not. Taken events are
+// delivered or counted in DroppedEvents.
 func (r *Router) SendBatch(ctx context.Context, events []service.Event) error {
-	for _, ev := range events {
-		if err := r.Send(ctx, ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// cutLocked encodes s.buf as one frame and queues it on the sender, blocking
-// while the in-flight window is full. Called with s.mu held; holding it
-// through the (possibly blocking) queue insert keeps frame order identical
-// to buffer order. A sender cancelled while the cut waits for room parks the
-// frame here: the send loop needs s.mu to park what it holds, so it cannot be
-// what empties the window.
-func (r *Router) cutLocked(ctx context.Context, s *nodeSender) error {
-	if len(s.buf) == 0 {
+	if len(events) == 0 {
 		return nil
 	}
-	data, err := s.enc.appendFrame(nil, s.buf)
-	if err != nil {
+	return r.ask(ctx, &sendCall{events: events})
+}
+
+// Register installs each profile on its owner node as what it is: the
+// handoff of a fresh snapshot — no state, zero cursors; the node supplies its
+// model's initial state — down the chunked, pipelined, idempotently retried
+// path a membership change moves users by (streamHandoff), under the reason
+// label ReasonRegister. Registering a user the fleet already tracks resets
+// them. No membership change seals while a registration is handing off.
+func (r *Router) Register(ctx context.Context, profiles []risk.UserProfile) error {
+	c := &registerCall{}
+	if err := r.ask(ctx, c); err != nil {
 		return err
 	}
-	f := cutFrame{idx: s.nextIdx, data: data, events: len(s.buf)}
-	s.nextIdx++
-	s.buf = s.buf[:0]
-	s.pending.Add(1)
-	select {
-	case s.frames <- f:
-		return nil
-	case <-s.ctx.Done():
-		s.parked = append(s.parked, f)
-		s.pending.Add(-1)
-		return nil
-	case <-ctx.Done():
-		s.pending.Add(-1)
-		return ctx.Err()
+	defer func() {
+		c.over = true
+		_ = r.ask(context.Background(), c)
+	}()
+	byNode := make([][]runtime.UserSnapshot, len(c.urls))
+	for _, p := range profiles {
+		i := c.ring.ownerIndex(p.ID)
+		byNode[i] = append(byNode[i], runtime.UserSnapshot{Profile: p})
 	}
-}
-
-// tickLoop cuts partial frames at the flush interval so buffered events
-// never wait longer than FlushInterval.
-func (r *Router) tickLoop() {
-	defer close(r.tickDone)
-	tick := time.NewTicker(r.cfg.FlushInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			r.memberMu.RLock()
-			for _, s := range r.senders {
-				// The tick never waits for room in a sender's window. Waiting,
-				// it would hold s.mu and the membership lock: the next Send to
-				// that node would queue behind it — with a node that is not
-				// draining its window, until somebody else evicts it — and so
-				// would every join and leave. Frames are queued only under
-				// s.mu, so a window with room here cannot fill before the cut;
-				// a full one is cut by a later tick, by Send reaching the
-				// batch threshold, or by the seal.
-				var err error
-				s.mu.Lock()
-				if len(s.frames) < cap(s.frames) {
-					err = r.cutLocked(context.Background(), s)
-				}
-				s.mu.Unlock()
-				if err != nil {
-					r.setErr(err)
-				}
-			}
-			r.memberMu.RUnlock()
-		case <-r.stopTick:
-			return
-		}
-	}
-}
-
-// sendLoop posts cut frames in order. It drains greedily: every frame
-// already queued behind the first is concatenated into the same request body
-// (a body is a frame sequence), amortizing the request overhead under load.
-// Once the sender is cancelled, what it could not deliver is parked for the
-// eviction to re-route instead of dropped.
-func (r *Router) sendLoop(s *nodeSender, owed []cutFrame) {
-	defer r.sendersWG.Done()
-	if len(owed) > 0 {
-		r.deliver(s, owed)
-	}
-	for first := range s.frames {
-		frames := []cutFrame{first}
-	drainMore:
-		for {
-			select {
-			case f, ok := <-s.frames:
-				if !ok {
-					break drainMore
-				}
-				frames = append(frames, f)
-			default:
-				break drainMore
-			}
-		}
-		r.deliver(s, frames)
-	}
-}
-
-// deliver posts one frame sequence and resolves every frame of it: accepted,
-// parked (the sender was cancelled) or dropped.
-func (r *Router) deliver(s *nodeSender, frames []cutFrame) {
-	accepted, acceptedEvents, rest, err := r.post(s, frames)
-	r.frames.Add(int64(accepted))
-	r.events.Add(int64(acceptedEvents))
-	switch {
-	case err == nil:
-	case s.ctx.Err() != nil:
-		s.mu.Lock()
-		s.parked = append(s.parked, rest...)
-		s.mu.Unlock()
-	default:
-		r.setErr(fmt.Errorf("cluster: node %q: %w", s.name, err))
-		r.dropped.Add(1)
-		r.droppedFrames.Add(int64(len(rest)))
-		for _, f := range rest {
-			r.droppedEvents.Add(int64(f.events))
-		}
-	}
-	s.pending.Add(-int64(len(frames)))
-}
-
-// post delivers a frame sequence, honoring 429 + Retry-After: a saturated
-// node reports how many frames it accepted, the router sleeps the advised
-// delay and resends from there, and the accepted prefix survives later
-// failures — acceptance is monotonic across retries. Non-2xx/429 responses
-// and transport errors retry the remainder after a jittered exponential
-// backoff, up to MaxRetries attempts in total. Requests and sleeps run under
-// the sender's context, so evicting the node ends the delivery at once. It
-// returns the accepted frame and event counts, the unaccepted remainder, and
-// the final error (nil when everything was accepted, the context's when the
-// sender was cancelled).
-func (r *Router) post(s *nodeSender, frames []cutFrame) (acceptedFrames, acceptedEvents int, rest []cutFrame, err error) {
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.MaxRetries; attempt++ {
-		if err := s.ctx.Err(); err != nil {
-			return acceptedFrames, acceptedEvents, frames, err
-		}
-		if attempt > 0 {
-			r.retries.Add(1)
-		}
-		body := make([]byte, 0, r.sequenceSize(frames))
-		for _, f := range frames {
-			body = append(body, f.data...)
-		}
-		req, reqErr := http.NewRequestWithContext(s.ctx, http.MethodPost, s.url+"/ingest", bytes.NewReader(body))
-		if reqErr != nil {
-			return acceptedFrames, acceptedEvents, frames, reqErr
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set(HeaderStream, r.streamFor(s.name))
-		req.Header.Set(HeaderFrameBase, strconv.FormatInt(frames[0].idx, 10))
-		resp, postErr := r.client.Do(req)
-		if postErr != nil {
-			lastErr = postErr
-			r.sleepFn(s.ctx, r.backoff(attempt))
+	for i, snaps := range byNode {
+		if len(snaps) == 0 {
 			continue
 		}
-		respBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			for _, f := range frames {
-				acceptedEvents += f.events
-			}
-			return acceptedFrames + len(frames), acceptedEvents, nil, nil
-		case http.StatusTooManyRequests:
-			r.rej429.Add(1)
-			var ir ingestResponse
-			if json.Unmarshal(respBody, &ir) == nil && ir.Accepted > 0 && ir.Accepted <= len(frames) {
-				acceptedFrames += ir.Accepted
-				for _, f := range frames[:ir.Accepted] {
-					acceptedEvents += f.events
-				}
-				frames = frames[ir.Accepted:]
-			}
-			if len(frames) == 0 {
-				return acceptedFrames, acceptedEvents, nil, nil
-			}
-			lastErr = fmt.Errorf("saturated (429) after %d attempts", attempt+1)
-			r.sleepFn(s.ctx, retryAfterOf(resp))
-		default:
-			lastErr = fmt.Errorf("ingest returned %s: %s", resp.Status, bytes.TrimSpace(respBody))
-			r.sleepFn(s.ctx, r.backoff(attempt))
+		if err := r.streamHandoff(ctx, &handoffStream{url: c.urls[i], snaps: snaps}, ReasonRegister); err != nil {
+			return fmt.Errorf("cluster: registering on %q: %w", c.ring.nodes[i], err)
 		}
 	}
-	return acceptedFrames, acceptedEvents, frames, lastErr
+	return nil
+}
+
+// Flush cuts every buffered partial frame and waits until every frame cut so
+// far has been accepted or dropped. It returns the first delivery error.
+func (r *Router) Flush(ctx context.Context) error {
+	return r.ask(ctx, &flushCall{})
+}
+
+// Close flushes buffered events, ends the owner loop, and returns the first
+// delivery error, if any. Calls after Close fail.
+func (r *Router) Close() error {
+	c := &flushCall{kind: flushClose}
+	if r.ask(context.Background(), c) == errRouterClosed {
+		return nil
+	}
+	<-r.done
+	// As in a membership change's tear-down (membership.go): the node servers
+	// are stopped next and must not wait on this client.
+	r.client.CloseIdleConnections()
+	return c.err
+}
+
+// ask hands the owner loop a call and waits for its answer. When ctx ends
+// first it asks for the call back, and the owner loop answers ctx's error
+// unless it has answered already: the answer is always the owner's word.
+func (r *Router) ask(ctx context.Context, c call) error {
+	rp := c.replyTo()
+	rp.answered, rp.done = false, make(chan struct{})
+	select {
+	case r.inbox <- c:
+	case <-r.done:
+		return errRouterClosed
+	}
+	select {
+	case <-rp.done:
+	case <-ctx.Done():
+		select {
+		case r.inbox <- withdraw{rp, ctx.Err()}:
+			<-rp.done
+		case <-rp.done:
+		}
+	}
+	return rp.err
+}
+
+// inspect runs f on the state in the owner loop, or directly once the loop
+// has ended.
+func (r *Router) inspect(f func(*routerState)) {
+	if r.ask(context.Background(), &inspectCall{f: f}) == errRouterClosed {
+		f(&r.st)
+	}
+}
+
+// run is the owner loop: it feeds every event to step and carries out the
+// effects step returns, until Close's flush is answered.
+func (r *Router) run() {
+	defer close(r.done)
+	tick := time.NewTicker(r.cfg.FlushInterval)
+	defer tick.Stop()
+	for !r.st.exited {
+		var ev any = flushTick{}
+		select {
+		case ev = <-r.inbox:
+		case <-tick.C:
+		}
+		if c, ok := ev.(*inspectCall); ok {
+			c.f(&r.st)
+			close(c.done)
+			continue
+		}
+		for _, e := range r.st.step(ev) {
+			switch e.kind {
+			case effAnswer:
+				close(e.reply.done)
+			case effPost:
+				ctx, cancel := context.WithCancel(context.Background())
+				r.cancels[e.node] = cancel
+				go r.attempt(ctx, cancel, e, r.backoff(e.attempt))
+			case effAbort:
+				r.cancels[e.node]()
+			}
+		}
+		if r.st.ring != r.ring.Load() {
+			r.epoch.Store(r.st.stats.Epoch)
+			r.ring.Store(r.st.ring)
+		}
+	}
+}
+
+// attempt is the delivery effect: one POST of a frame sequence and, when it
+// fails, the pause before the owner loop may try again — the node's
+// Retry-After after a 429, the jittered backoff otherwise — reported back as
+// a posted event. A saturated node's 429 says how many frames it accepted, so
+// the next attempt resends from there: acceptance is monotonic across
+// retries. Evicting the node cancels ctx, which ends request and pause.
+func (r *Router) attempt(ctx context.Context, cancel context.CancelFunc, e effect, pause time.Duration) {
+	defer cancel()
+	p := posted{node: e.node}
+	defer func() {
+		if p.err != nil {
+			r.sleepFn(ctx, pause)
+		}
+		r.inbox <- p
+	}()
+	size := 0
+	for _, f := range e.frames {
+		size += len(f.data)
+	}
+	body := make([]byte, 0, size)
+	for _, f := range e.frames {
+		body = append(body, f.data...)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.url+"/ingest", bytes.NewReader(body))
+	if err != nil {
+		p.err = err
+		return
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set(HeaderStream, r.streamFor(e.node))
+	req.Header.Set(HeaderFrameBase, strconv.FormatInt(e.frames[0].idx, 10))
+	resp, err := r.client.Do(req)
+	if err != nil {
+		p.err = err
+		return
+	}
+	respBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusAccepted:
+		p.accepted = len(e.frames)
+	case http.StatusTooManyRequests:
+		p.rejected = true
+		var ir ingestResponse
+		if json.Unmarshal(respBody, &ir) == nil && ir.Accepted > 0 && ir.Accepted <= len(e.frames) {
+			p.accepted = ir.Accepted
+		}
+		if p.accepted < len(e.frames) {
+			p.err = fmt.Errorf("saturated (429) after %d attempts", e.attempt+1)
+			pause = retryAfterOf(resp)
+		}
+	default:
+		p.err = fmt.Errorf("ingest returned %s: %s", resp.Status, bytes.TrimSpace(respBody))
+	}
 }
 
 // retryAfterOf parses a 429's Retry-After seconds, with a floor that keeps a
@@ -587,145 +471,422 @@ func retryAfterOf(resp *http.Response) time.Duration {
 	return 20 * time.Millisecond
 }
 
-// sequenceSize sums the encoded bytes of a frame sequence.
-func (r *Router) sequenceSize(frames []cutFrame) int {
-	n := 0
-	for _, f := range frames {
-		n += len(f.data)
-	}
-	return n
-}
-
 // backoff computes the jittered exponential delay after failed attempt k
 // (0-based): uniformly drawn from [d/2, d] for d = min(base<<k, max). The
-// jitter source is seeded (BackoffJitterSeed), so a test can pin the exact
-// schedule.
+// owner loop draws one for each attempt it starts, from a source seeded by
+// BackoffJitterSeed, so a test can pin the exact schedule.
 func (r *Router) backoff(attempt int) time.Duration {
 	d := r.cfg.BackoffBase
 	for i := 0; i < attempt && d < r.cfg.BackoffMax; i++ {
 		d *= 2
 	}
-	if d > r.cfg.BackoffMax {
-		d = r.cfg.BackoffMax
-	}
-	r.jitterMu.Lock()
-	j := time.Duration(r.jitter.Int63n(int64(d/2) + 1))
-	r.jitterMu.Unlock()
-	return d/2 + j
+	d = min(d, r.cfg.BackoffMax)
+	return d/2 + time.Duration(r.jitter.Int63n(int64(d/2)+1))
 }
 
-// timerSleep is the production sleep: it ends early when ctx does (the
-// target node was evicted) or the router closes, so a retry loop never
-// outlives either. Closing flushes first, so that only short-circuits
-// attempts that already failed once.
-func (r *Router) timerSleep(ctx context.Context, d time.Duration) {
+// timerSleep is the production pause: it ends early when ctx does (the node
+// was evicted), so a retry never outlives its node.
+func timerSleep(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-ctx.Done():
-	case <-r.closed:
 	}
 }
 
-// Register installs each profile on its owner node as what it is: the
-// handoff of a fresh snapshot — no state, zero cursors; the node supplies its
-// model's initial state — down the chunked, pipelined, idempotently retried
-// path a membership change moves users by (streamHandoff), under the reason
-// label ReasonRegister. Registering a user the fleet already tracks resets
-// them.
-func (r *Router) Register(ctx context.Context, profiles []risk.UserProfile) error {
-	r.memberMu.RLock()
-	defer r.memberMu.RUnlock()
-	byNode := make(map[string][]runtime.UserSnapshot)
-	ring := r.ring.Load()
-	for _, p := range profiles {
-		owner := ring.Owner(p.ID)
-		byNode[owner] = append(byNode[owner], runtime.UserSnapshot{Profile: p})
+// The events step takes: the calls, which a caller waits on, and the flush
+// tick, a delivery attempt's outcome and a caller taking its call back.
+type (
+	// reply is a call's answer: the owner loop sets err and closes done once
+	// per ask.
+	reply struct {
+		err      error
+		answered bool
+		done     chan struct{}
 	}
-	for name, snaps := range byNode {
-		st := &handoffStream{url: r.senders[name].url, snaps: snaps}
-		if err := r.streamHandoff(ctx, st, ReasonRegister); err != nil {
-			return fmt.Errorf("cluster: registering on %q: %w", name, err)
+	// sendCall is Send or SendBatch; events[:taken] are taken.
+	sendCall struct {
+		reply
+		events []service.Event
+		taken  int
+	}
+	// flushCall is Flush, a change's seal or Close's flush.
+	flushCall struct {
+		reply
+		kind  flushKind
+		marks []flushMark
+	}
+	// registerCall starts a registration, answered with the ring and its
+	// nodes' URLs; sent again with over set, it ends it.
+	registerCall struct {
+		reply
+		over bool
+		ring *Ring
+		urls []string
+	}
+	// inspectCall runs f on the state, in the owner loop but outside step.
+	inspectCall struct {
+		reply
+		f func(*routerState)
+	}
+	// withdraw takes an unanswered call back, answering err.
+	withdraw struct {
+		r   *reply
+		err error
+	}
+	// flushTick is the FlushInterval timer.
+	flushTick struct{}
+	// posted is a delivery attempt's outcome: the node took the first
+	// accepted frames of the sequence, and err says why not the rest.
+	posted struct {
+		node     string
+		accepted int
+		rejected bool // the node answered 429
+		err      error
+	}
+)
+
+// call is an event whose sender waits for the owner loop's answer.
+type call interface{ replyTo() *reply }
+
+func (r *reply) replyTo() *reply { return r }
+
+// flushKind tells the three flushes apart. A seal freezes the router until its
+// change ends and Close's for good; both wait for registrations to end, and
+// once Close's is answered the owner loop ends.
+type flushKind uint8
+
+const (
+	flushUser flushKind = iota // answered with the first delivery error
+	flushSeal
+	flushClose
+)
+
+// flushMark is one sender's share of a flush: every frame below upto must be
+// resolved — accepted, dropped or, on a cancelled sender, owed.
+type flushMark struct {
+	s    *sender
+	upto int64
+}
+
+// effect is what step asks the owner loop to do: answer a call, start a
+// delivery attempt of frames (attempt 0 for a sequence's first), or cancel
+// the node's attempt in flight.
+type effect struct {
+	kind      effectKind
+	reply     *reply
+	node, url string
+	frames    []cutFrame
+	attempt   int
+}
+
+type effectKind uint8
+
+const (
+	effAnswer effectKind = iota
+	effPost
+	effAbort
+)
+
+// sender is one node's share of the state: the events not yet cut, and every
+// cut frame not yet accepted or dropped, in stream order. queue[:inFlight] is
+// the sequence a delivery attempt carries; the rest waits in the window.
+// Frames only leave from the front, so what an evicted node owes is already
+// in stream order.
+type sender struct {
+	name, url string
+	buf       []service.Event
+	enc       frameEncoder
+	next      int64 // index of the next frame cut in this sender's stream
+	flushTo   int64 // a flush or tick wants the buffer cut until next reaches it
+	queue     []cutFrame
+	inFlight  int
+	attempt   int  // the attempt the sequence on the wire is on, from 0
+	cancelled bool // being evicted: its frames are owed, not posted
+}
+
+// routerState is everything the router knows. Only step changes it.
+type routerState struct {
+	batch, window, maxRetries int
+
+	ring        *Ring
+	senders     []*sender    // one per ring node, in the ring's (sorted) order
+	held        []call       // calls not yet taken, in arrival order
+	flushes     []*flushCall // flushes waiting for their frames
+	change      *changeCall  // the membership change in progress
+	frozen      bool         // a seal or Close froze the router: nothing held is taken
+	registering int          // registrations handing off right now
+	exited      bool         // Close's flush was answered
+	stats       RouterStats
+	err         error    // the first delivery error
+	out         []effect // step's effects, reused
+}
+
+// newRouterState is the state of a fresh router over ring; cfg is normalized
+// and names every node's URL.
+func newRouterState(cfg RouterConfig, ring *Ring) routerState {
+	st := routerState{batch: cfg.BatchEvents, window: cfg.MaxInFlight, maxRetries: cfg.MaxRetries, ring: ring}
+	for _, name := range ring.nodes {
+		st.senders = append(st.senders, &sender{name: name, url: cfg.Nodes[name]})
+	}
+	st.stats.Epoch = 1
+	return st
+}
+
+// step applies one event to the state and returns the effects it asks for, in
+// order. It takes no context, does no I/O, reads no clock and starts no
+// goroutine: run turns its effects into answers, requests and cancellations.
+func (st *routerState) step(ev any) []effect {
+	st.out = st.out[:0]
+	switch ev := ev.(type) {
+	case *registerCall:
+		if ev.over {
+			st.registering--
+			st.answer(&ev.reply, nil)
+			break
+		}
+		st.held = append(st.held, ev)
+	case *flushCall:
+		if ev.kind == flushUser {
+			st.held = append(st.held, ev)
+			break
+		}
+		st.frozen = true
+		st.flush(ev)
+	case *sendCall:
+		st.held = append(st.held, ev)
+	case *changeCall:
+		st.stepChange(ev)
+	case withdraw:
+		st.answer(ev.r, ev.err)
+	case flushTick:
+		for _, s := range st.senders {
+			if len(s.buf) > 0 {
+				s.flushTo = s.next + 1
+			}
+		}
+	case posted:
+		st.delivered(ev)
+	}
+	st.settle()
+	return st.out
+}
+
+// settle does what the event made possible: take the held calls, cut the
+// buffers a flush or tick wants cut and has room for, start the idle senders'
+// deliveries, and answer the flushes whose frames are all resolved.
+func (st *routerState) settle() {
+	if !st.frozen {
+		st.takeHeld()
+	}
+	for _, s := range st.senders {
+		if len(s.buf) > 0 && s.flushTo > s.next && st.room(s) {
+			st.cut(s)
+		}
+	}
+	for _, s := range st.senders {
+		if !s.cancelled && s.inFlight == 0 && len(s.queue) > 0 {
+			s.inFlight, s.attempt = len(s.queue), 0
+			st.post(s)
+		}
+	}
+	kept := st.flushes[:0]
+	for _, c := range st.flushes {
+		switch {
+		case c.answered:
+		case !st.flushed(c):
+			kept = append(kept, c)
+		case c.kind == flushSeal:
+			st.answer(&c.reply, nil)
+		default:
+			st.answer(&c.reply, st.err)
+			st.exited = st.exited || c.kind == flushClose
+		}
+	}
+	clear(st.flushes[len(kept):])
+	st.flushes = kept
+	if st.exited { // refuse whatever is still waiting
+		for _, c := range st.held {
+			st.answer(c.replyTo(), errRouterClosed)
+		}
+		for _, c := range st.flushes {
+			st.answer(&c.reply, errRouterClosed)
+		}
+		st.held, st.flushes = nil, nil
+	}
+}
+
+// takeHeld takes the held calls in arrival order. A send whose next event
+// must wait for window room stops the sends behind it, not the other calls.
+func (st *routerState) takeHeld() {
+	kept := st.held[:0]
+	blocked := false
+	for _, c := range st.held {
+		switch c := c.(type) {
+		case *sendCall:
+			for !c.answered && !blocked && c.taken < len(c.events) {
+				if blocked = !st.take(&c.events[c.taken], false); !blocked {
+					c.taken++
+				}
+			}
+			if c.taken == len(c.events) {
+				st.answer(&c.reply, nil)
+			}
+			if !c.answered {
+				kept = append(kept, c)
+			}
+		case *flushCall:
+			if !c.answered {
+				st.flush(c)
+			}
+		case *registerCall:
+			if !c.answered {
+				c.ring, c.urls = st.ring, make([]string, len(st.senders))
+				for i, s := range st.senders {
+					c.urls[i] = s.url
+				}
+				st.registering++
+				st.answer(&c.reply, nil)
+			}
+		}
+	}
+	clear(st.held[len(kept):])
+	st.held = kept
+}
+
+// take routes one event to its owner's buffer, cutting the frame the event
+// completes. Unless force is set (a re-route: the events were taken once
+// already), it refuses, leaving the event untaken, when that frame would find
+// the window full.
+func (st *routerState) take(ev *service.Event, force bool) bool {
+	s := st.senders[st.ring.ownerIndex(ev.UserID)]
+	full := len(s.buf)+1 >= st.batch
+	if full && !force && !st.room(s) {
+		return false
+	}
+	s.buf = append(s.buf, *ev)
+	if full {
+		st.cut(s)
+	}
+	return true
+}
+
+// room reports whether s may cut another frame: one more than the window
+// holds may wait behind the sequence on the wire, as the frame of a Send
+// blocked on a full window always did. A cancelled sender's window is
+// unbounded: what it is given is owed.
+func (st *routerState) room(s *sender) bool {
+	return s.cancelled || len(s.queue)-s.inFlight <= st.window
+}
+
+// cut encodes s's buffer as the next frame of its stream. A buffer that does
+// not encode is counted dropped; its index stays a gap in the stream.
+func (st *routerState) cut(s *sender) {
+	if data, err := s.enc.appendFrame(nil, s.buf); err == nil {
+		s.queue = append(s.queue, cutFrame{idx: s.next, data: data, events: len(s.buf)})
+	} else {
+		st.drop(s, []cutFrame{{events: len(s.buf)}}, err)
+	}
+	s.next++
+	clear(s.buf)
+	s.buf = s.buf[:0]
+}
+
+// flush asks for every buffer to be cut and marks, per sender, the frames c
+// waits for: every one cut so far, and the one the buffer becomes.
+func (st *routerState) flush(c *flushCall) {
+	for _, s := range st.senders {
+		upto := s.next
+		if len(s.buf) > 0 {
+			upto++
+			s.flushTo = upto
+		}
+		c.marks = append(c.marks, flushMark{s, upto})
+	}
+	st.flushes = append(st.flushes, c)
+}
+
+// flushed reports whether every frame c waits for is resolved — and, for a
+// seal or Close, that no registration is handing off.
+func (st *routerState) flushed(c *flushCall) bool {
+	for _, m := range c.marks {
+		// A cancelled sender's frames are resolved, as owed, unless on the wire.
+		s := m.s
+		unresolved := len(s.queue) > 0 && (!s.cancelled || s.inFlight > 0)
+		if s.next < m.upto || unresolved && s.queue[0].idx < m.upto {
+			return false
+		}
+	}
+	return c.kind == flushUser || st.registering == 0
+}
+
+// delivered applies a delivery attempt's outcome: the accepted frames leave
+// the queue, and the rest of the sequence is owed (the sender was cancelled),
+// retried or, out of attempts, dropped.
+func (st *routerState) delivered(p posted) {
+	s := st.sender(p.node)
+	for _, f := range s.queue[:p.accepted] {
+		st.stats.FramesSent++
+		st.stats.EventsSent += int64(f.events)
+	}
+	st.trim(s, p.accepted)
+	if p.rejected {
+		st.stats.Rejected429++
+	}
+	switch {
+	case s.inFlight == 0:
+	case s.cancelled:
+		s.inFlight = 0
+	case s.attempt+1 < st.maxRetries:
+		s.attempt++
+		st.stats.Retries++
+		st.post(s)
+	default:
+		st.drop(s, s.queue[:s.inFlight], p.err)
+		st.trim(s, s.inFlight)
+	}
+}
+
+// drop counts a sequence abandoned, with its frames and events, and records
+// why.
+func (st *routerState) drop(s *sender, frames []cutFrame, err error) {
+	st.stats.Dropped++
+	st.stats.DroppedFrames += int64(len(frames))
+	for _, f := range frames {
+		st.stats.DroppedEvents += int64(f.events)
+	}
+	if st.err == nil {
+		st.err = fmt.Errorf("cluster: node %q: %w", s.name, err)
+	}
+}
+
+// trim removes the first n frames of s's sequence in flight.
+func (st *routerState) trim(s *sender, n int) {
+	clear(s.queue[:n])
+	s.queue, s.inFlight = s.queue[n:], s.inFlight-n
+}
+
+// post asks for a delivery attempt of s's sequence in flight.
+func (st *routerState) post(s *sender) {
+	st.out = append(st.out, effect{kind: effPost, node: s.name, url: s.url,
+		frames: slices.Clone(s.queue[:s.inFlight]), attempt: s.attempt})
+}
+
+// answer answers a call, unless it has been answered already.
+func (st *routerState) answer(rp *reply, err error) {
+	if !rp.answered {
+		rp.err, rp.answered = err, true
+		st.out = append(st.out, effect{kind: effAnswer, reply: rp})
+	}
+}
+
+// sender finds a ring node's sender (nil when it is not one).
+func (st *routerState) sender(name string) *sender {
+	for _, s := range st.senders {
+		if s.name == name {
+			return s
 		}
 	}
 	return nil
-}
-
-// Flush cuts every buffered partial frame and waits until all cut frames
-// have been accepted or dropped.
-func (r *Router) Flush(ctx context.Context) error {
-	r.memberMu.RLock()
-	defer r.memberMu.RUnlock()
-	if err := r.flushSealed(ctx); err != nil {
-		return err
-	}
-	return r.Err()
-}
-
-// flushSealed cuts every sender's buffer and waits until every cut frame is
-// resolved: accepted, dropped or — the sender of a node being evicted —
-// parked. The caller holds memberMu in either mode.
-func (r *Router) flushSealed(ctx context.Context) error {
-	for _, s := range r.senders {
-		s.mu.Lock()
-		err := r.cutLocked(ctx, s)
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	for _, s := range r.senders {
-		if err := waitZero(ctx, &s.pending); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// waitZero polls until n reads zero or ctx is done. It is the package's one
-// wait on a counter other goroutines drain: frames a sender owes, events a
-// node has admitted, handoff requests a node is serving.
-func waitZero(ctx context.Context, n *atomic.Int64) error {
-	if n.Load() == 0 {
-		return nil
-	}
-	tick := time.NewTicker(500 * time.Microsecond)
-	defer tick.Stop()
-	for n.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-	return nil
-}
-
-// Close flushes buffered events, stops the background goroutines and returns
-// the first delivery error, if any.
-func (r *Router) Close() error {
-	var err error
-	r.closeOnce.Do(func() {
-		close(r.stopTick)
-		<-r.tickDone
-		err = r.Flush(context.Background())
-		close(r.closed)
-		r.memberMu.Lock()
-		for _, s := range r.senders {
-			close(s.frames)
-		}
-		r.sendersWG.Wait()
-		for _, s := range r.senders {
-			s.cancel()
-		}
-		r.memberMu.Unlock()
-		// As in a membership change's tear-down step (membership.go): the
-		// node servers are stopped next and must not wait on this client.
-		r.client.CloseIdleConnections()
-		if err == nil {
-			err = r.Err()
-		}
-	})
-	return err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"privascope/internal/casestudy"
+	"privascope/internal/core"
+	"privascope/internal/service"
 )
 
 // fakeClock records the router's backoff sleeps instead of sleeping.
@@ -194,27 +197,12 @@ func TestRouter429TrimAcrossRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	router.sleepFn = clock.sleep
-	// A sender posts whatever is queued when it wakes, so with a live sender
-	// frame 0 sometimes left alone before frame 1 was cut and the 429 had no
-	// sequence to split. Retire the sender NewRouter started and cut both
-	// frames onto one whose loop starts only afterwards: the first POST then
-	// always carries the two-frame sequence.
-	router.memberMu.Lock()
-	close(router.senders["only"].frames)
-	router.senders["only"].cancel()
-	staged := &nodeSender{name: "only", url: srv.URL, frames: make(chan cutFrame, 4)}
-	staged.ctx, staged.cancel = context.WithCancel(context.Background())
-	router.senders["only"] = staged
-	router.memberMu.Unlock()
+	// One SendBatch is one step of the owner loop: both frames are cut before
+	// the delivery starts, so the first POST carries the two-frame sequence.
 	events := casestudy.MedicalServiceEvents("u")[:4] // 2 frames, one sequence
 	if err := router.SendBatch(context.Background(), events); err != nil {
 		t.Fatal(err)
 	}
-	if got := staged.pending.Load(); got != 2 {
-		t.Fatalf("%d frames cut before the sender starts, want 2", got)
-	}
-	router.sendersWG.Add(1)
-	go router.sendLoop(staged, nil)
 	if err := router.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +224,78 @@ func TestRouter429TrimAcrossRetries(t *testing.T) {
 		t.Fatalf("Frame-Base headers = %v, want [0 1 1]", bases)
 	}
 	_ = router.Close()
+}
+
+// TestSendDeadlineKeepsAcceptedEvents: a Send whose context ends while the
+// frame its event completes waits for window room returns the context's
+// error and has not taken its event — and every event an earlier Send
+// returned nil for is still delivered.
+func TestSendDeadlineKeepsAcceptedEvents(t *testing.T) {
+	var delivered atomic.Int64
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		first.Do(func() { close(arrived); <-release }) // frame 0 stays in flight until released
+		fr := NewFrameReader(r.Body)
+		accepted := 0
+		for {
+			batch, err := fr.Read()
+			if err != nil {
+				break
+			}
+			delivered.Add(int64(len(batch)))
+			accepted++
+		}
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte(`{"accepted":` + strconv.Itoa(accepted) + `}`))
+	}))
+	defer srv.Close()
+	router, err := NewRouter(RouterConfig{
+		Nodes:         map[string]string{"only": srv.URL},
+		BatchEvents:   2,
+		FlushInterval: time.Hour,
+		HTTPClient:    srv.Client(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	releaseFrame0 := sync.OnceFunc(func() { close(release) })
+	defer releaseFrame0()
+	ev := func(i int) service.Event {
+		return service.Event{UserID: "u", Action: core.ActionCollect, Seq: int64(i)}
+	}
+	if err := router.SendBatch(context.Background(), []service.Event{ev(0), ev(1)}); err != nil {
+		t.Fatal(err)
+	}
+	<-arrived
+	// With frame 0 held on the wire the window fills: send one event at a
+	// time, each with a deadline, until one times out waiting for room.
+	taken := 2
+	for ; ; taken++ {
+		if taken == 16 {
+			t.Fatal("16 events taken with frame 0 held on the wire: the window never filled")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		err := router.Send(ctx, ev(taken))
+		cancel()
+		if errors.Is(err, context.DeadlineExceeded) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Send(ev%d) = %v", taken, err)
+		}
+	}
+	releaseFrame0()
+	if err := router.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := delivered.Load(); got != int64(taken) {
+		t.Fatalf("server applied %d events, want the %d Sends returned nil for, and not the one that timed out", got, taken)
+	}
+	if stats := router.Stats(); stats.DroppedEvents != 0 || router.Err() != nil {
+		t.Fatalf("stats = %+v, Err = %v; want nothing dropped", stats, router.Err())
+	}
 }
 
 // TestIngestDedupOnRetry pins the receiver half of exactly-once: redelivering

@@ -27,7 +27,7 @@
 // There is one decode path: Decode copies every section out of the buffer
 // it is given, and Store.Load is os.ReadFile plus Decode, so a loaded model
 // never references the artifact file again — it may be truncated, replaced or
-// pruned under a running process. The buffer mechanics (cursor, string table,
+// deleted under a running process. The buffer mechanics (cursor, string table,
 // interner) are internal/wire's, shared with the cluster's frame formats.
 //
 // On top of the codec, Store is a registry directory: one artifact per

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
@@ -109,10 +108,6 @@ func (s *Store) Load(fingerprint string, model *dataflow.Model) (*core.PrivacyLT
 	if err != nil {
 		return nil, err
 	}
-	// Touch the artifact so its mtime records the last use, not just the
-	// installation, for whoever evicts the least recently used artifacts.
-	// Best-effort: a read-only registry still loads fine.
-	_ = os.Chtimes(path, time.Time{}, time.Now())
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
