@@ -11,7 +11,7 @@ GO ?= go
 BASE ?= HEAD~1
 # Packages holding property tests; only their test binaries register the
 # -proptest.* flags, so soak runs must enumerate them instead of using ./...
-PROP_PACKAGES = . ./internal/proptest ./internal/proptest/scenario ./internal/synth \
+PROP_PACKAGES = . ./internal/proptest ./internal/proptest/scenario \
 	./internal/core ./internal/lts ./internal/risk ./internal/anonymize \
 	./internal/pseudorisk ./internal/runtime ./internal/modelstore ./internal/cluster \
 	./internal/explore ./internal/report

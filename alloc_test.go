@@ -101,7 +101,7 @@ func TestAllocCeilings(t *testing.T) {
 		// One-shot privascope.Assess of the case study: generate, analyse, report.
 		{"assess_one_shot", 736, "assessment", func(t *testing.T) (float64, int) {
 			return testing.AllocsPerRun(3, func() {
-				if _, err := privascope.Assess(surgery, patient, privascope.AssessOptions{}); err != nil {
+				if _, err := privascope.Assess(surgery, patient); err != nil {
 					t.Fatal(err)
 				}
 			}), 1

@@ -71,14 +71,14 @@ func BenchmarkCaseStudyADisclosureRisk(b *testing.B) {
 	profile := casestudy.PatientProfile()
 
 	// Correctness gate: medium before, at most low after.
-	before, err := privascope.Assess(original, profile, privascope.AssessOptions{})
+	before, err := privascope.Assess(original, profile)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if before.Assessment.MaxRiskFor(casestudy.ActorAdministrator) != risk.LevelMedium {
 		b.Fatalf("before risk = %v, want medium", before.Assessment.MaxRiskFor(casestudy.ActorAdministrator))
 	}
-	after, err := privascope.Assess(mitigated, profile, privascope.AssessOptions{})
+	after, err := privascope.Assess(mitigated, profile)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func BenchmarkCaseStudyADisclosureRisk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		beforeResult, err := privascope.Assess(original, profile, privascope.AssessOptions{})
+		beforeResult, err := privascope.Assess(original, profile)
 		if err != nil {
 			b.Fatal(err)
 		}
-		afterResult, err := privascope.Assess(mitigated, profile, privascope.AssessOptions{})
+		afterResult, err := privascope.Assess(mitigated, profile)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -124,33 +124,14 @@ func MustEngine(opts EngineOptions) *Engine {
 // engine. Concurrent first calls for the same model block on one generation
 // (the leader's); a cancelled caller returns its own ctx.Err() immediately,
 // and a generation aborted by cancellation is not cached, so the next caller
-// regenerates.
-//
-// Models whose access-control policy cannot be canonically fingerprinted
-// (custom Policy implementations) are generated on every call instead of
-// being cached; the engine's assessment cache is bypassed for them too, so
-// repeated calls cost a full generation + analysis but never accumulate
-// engine state.
+// regenerates. Every model has a fingerprint, so every model is cached; a
+// nil model is an error.
 func (e *Engine) Model(ctx context.Context, m *Model) (*PrivacyModel, error) {
-	p, _, err := e.model(ctx, m)
-	return p, err
-}
-
-// model resolves the (cached) privacy LTS for m; cacheable reports whether
-// the model was fingerprintable and therefore lives in (and may share) the
-// engine's caches. Per-model analysis results must only be stored in
-// engine-lifetime caches when cacheable is true: an unfingerprintable
-// model's LTS is a fresh pointer every call, so caching anything under it
-// would grow the engine without bound and never hit.
-func (e *Engine) model(ctx context.Context, m *Model) (p *PrivacyModel, cacheable bool, err error) {
 	fp, err := dataflow.Fingerprint(m)
 	if err != nil {
-		// Unfingerprintable model: generate uncached rather than guess at
-		// identity.
-		p, err := e.generate(ctx, m)
-		return p, false, err
+		return nil, err
 	}
-	p, err = e.models.Do(ctx, fp, func(ctx context.Context) (*core.PrivacyLTS, error) {
+	return e.models.Do(ctx, fp, func(ctx context.Context) (*core.PrivacyLTS, error) {
 		if e.store != nil {
 			if loaded, err := e.store.Load(fp, m); err == nil {
 				e.loads.Add(1)
@@ -167,7 +148,6 @@ func (e *Engine) model(ctx context.Context, m *Model) (p *PrivacyModel, cacheabl
 		}
 		return p, err
 	})
-	return p, true, err
 }
 
 // generate runs one instrumented LTS generation. With
@@ -219,19 +199,13 @@ func (e *Engine) Analyze(ctx context.Context, m *Model, profile UserProfile) (*R
 	return assessment, err
 }
 
-// analyze resolves the model and runs the shape-deduplicated risk analysis,
-// skipping the engine-lifetime assessment cache for uncacheable models.
+// analyze resolves the model and runs the shape-deduplicated risk analysis.
 func (e *Engine) analyze(ctx context.Context, m *Model, profile UserProfile) (*PrivacyModel, *RiskAssessment, error) {
-	p, cacheable, err := e.model(ctx, m)
+	p, err := e.Model(ctx, m)
 	if err != nil {
 		return nil, nil, err
 	}
-	var assessment *RiskAssessment
-	if cacheable {
-		assessment, err = e.assessments.AnalyzeContext(ctx, p, profile)
-	} else {
-		assessment, err = e.analyzer.AnalyzeContext(ctx, p, profile)
-	}
+	assessment, err := e.assessments.AnalyzeContext(ctx, p, profile)
 	if err != nil {
 		return nil, nil, fmt.Errorf("privascope: analysing disclosure risk: %w", err)
 	}
@@ -243,20 +217,11 @@ func (e *Engine) analyze(ctx context.Context, m *Model, profile UserProfile) (*P
 // profile-shape cache, so repeated population scans — and interleaved
 // single-user Assess calls — never re-analyse a shape the engine has seen.
 func (e *Engine) AssessPopulation(ctx context.Context, m *Model, profiles []UserProfile) (*PopulationAssessment, error) {
-	p, cacheable, err := e.model(ctx, m)
+	p, err := e.Model(ctx, m)
 	if err != nil {
 		return nil, err
 	}
-	cache := e.assessments
-	if !cacheable {
-		// A per-call cache still dedups shapes within this population but is
-		// dropped with it, so uncacheable models cannot grow the engine.
-		cache, err = risk.NewAssessmentCache(e.analyzer)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return risk.AnalyzePopulationCached(ctx, cache, p, profiles)
+	return risk.AnalyzePopulationCached(ctx, e.assessments, p, profiles)
 }
 
 // Monitor creates a runtime privacy monitor backed by the engine's (cached)
@@ -307,8 +272,7 @@ func (e *Engine) AssessmentCacheStats() (hits, misses int64) {
 // ModelFingerprint returns the canonical content fingerprint the Engine keys
 // its model cache by: the hex SHA-256 of the model's canonical JSON document
 // plus an injective encoding of its access-control policy. Semantically
-// different models never share a fingerprint; models with custom Policy
-// implementations cannot be fingerprinted and return an error.
+// different models never share a fingerprint. The only error is a nil model.
 func ModelFingerprint(m *Model) (string, error) {
 	return dataflow.Fingerprint(m)
 }

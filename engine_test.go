@@ -187,17 +187,16 @@ func TestModelFingerprintDistinguishesSemanticDifferences(t *testing.T) {
 	}
 }
 
-// TestModelFingerprintRBACAndComposite: non-ACL policies contribute to the
-// fingerprint instead of being silently ignored (the JSON codec omits them,
-// so the fingerprint must encode them separately).
+// TestModelFingerprintRBACAndComposite: a policy written as RBAC, or as the
+// concatenation of two grant lists, is fingerprinted as the ACL it is — role
+// assignments change the fingerprint through the grants they expand to.
 func TestModelFingerprintRBACAndComposite(t *testing.T) {
-	rbacWith := func(assign bool) *accesscontrol.RBAC {
+	read := []accesscontrol.Permission{accesscontrol.PermissionRead}
+	all := []string{accesscontrol.AllFields}
+	rbacWith := func(assign bool) *accesscontrol.ACL {
 		rbac := accesscontrol.NewRBAC()
 		if err := rbac.AddRole(accesscontrol.Role{Name: "clinician", Grants: []accesscontrol.Grant{{
-			Actor:       "clinician",
-			Datastore:   casestudy.StoreAppointments,
-			Fields:      []string{accesscontrol.AllFields},
-			Permissions: []accesscontrol.Permission{accesscontrol.PermissionRead},
+			Datastore: casestudy.StoreAppointments, Fields: all, Permissions: read,
 		}}}); err != nil {
 			t.Fatal(err)
 		}
@@ -206,72 +205,29 @@ func TestModelFingerprintRBACAndComposite(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return rbac
+		return rbac.ACL()
 	}
 
-	fp := func(m *privascope.Model) string {
+	fp := func(p accesscontrol.Policy) string {
 		t.Helper()
-		s, err := privascope.ModelFingerprint(m)
+		s, err := privascope.ModelFingerprint(casestudy.SurgeryWithPolicy(p))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	unassigned := fp(casestudy.SurgeryWithPolicy(rbacWith(false)))
-	assigned := fp(casestudy.SurgeryWithPolicy(rbacWith(true)))
-	if unassigned == assigned {
+	assigned := fp(rbacWith(true))
+	if fp(rbacWith(false)) == assigned {
 		t.Error("RBAC role assignment did not change the fingerprint")
 	}
-	composite := fp(casestudy.SurgeryWithPolicy(accesscontrol.NewComposite(rbacWith(true))))
-	if composite == assigned {
-		t.Error("composite wrapping did not change the fingerprint")
+	expanded := accesscontrol.MustACL(accesscontrol.Grant{Actor: casestudy.ActorDoctor,
+		Datastore: casestudy.StoreAppointments, Fields: all, Permissions: read, Reason: `role "clinician"`})
+	if fp(expanded) != assigned {
+		t.Error("an RBAC-built ACL fingerprints differently from the same grants written directly")
 	}
-
-	// Unknown policy implementations cannot be canonically encoded.
-	if _, err := privascope.ModelFingerprint(casestudy.SurgeryWithPolicy(unknownPolicy{})); err == nil {
-		t.Error("unknown policy type fingerprinted without error")
-	}
-}
-
-// unknownPolicy is a custom Policy implementation the fingerprint cannot
-// canonically encode.
-type unknownPolicy struct{}
-
-func (unknownPolicy) Allows(string, string, string, accesscontrol.Permission) bool { return false }
-func (unknownPolicy) Explain(string, string, string, accesscontrol.Permission) accesscontrol.Decision {
-	return accesscontrol.Decision{}
-}
-func (unknownPolicy) ActorsWith(string, string, accesscontrol.Permission) []string { return nil }
-
-// TestEngineUnfingerprintableModelStillWorks: a model with a custom policy
-// is generated per call (uncached) but everything else functions — and no
-// engine-lifetime state accumulates for it (each call's LTS is a fresh
-// pointer, so caching assessments under it would leak one entry per call).
-func TestEngineUnfingerprintableModelStillWorks(t *testing.T) {
-	engine := newTestEngine(t)
-	model := casestudy.SurgeryWithPolicy(unknownPolicy{})
-	ctx := context.Background()
-	if _, err := engine.Model(ctx, model); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.Model(ctx, model); err != nil {
-		t.Fatal(err)
-	}
-	if got := engine.Generations(); got != 2 {
-		t.Fatalf("generations = %d, want 2 (unfingerprintable models are uncached)", got)
-	}
-	if got := engine.CachedModels(); got != 0 {
-		t.Fatalf("cached models = %d, want 0", got)
-	}
-	profile := casestudy.PatientProfile()
-	if _, err := engine.Assess(ctx, model, profile); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.AssessPopulation(ctx, model, []privascope.UserProfile{profile}); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := engine.AssessmentCacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("assessment cache hits/misses = %d/%d, want 0/0 (uncacheable models must bypass engine-lifetime caches)", hits, misses)
+	concatenated := accesscontrol.MustACL(append(rbacWith(true).Grants(), casestudy.SurgeryACL().Grants()...)...)
+	if fp(concatenated) == assigned {
+		t.Error("concatenating a second grant list did not change the fingerprint")
 	}
 }
 
@@ -371,7 +327,7 @@ func TestEngineAssessPopulation(t *testing.T) {
 // TestAssessContextSourceCompatibility: the context-free facade keeps
 // working exactly as before, proving source compatibility of existing code.
 func TestAssessContextSourceCompatibility(t *testing.T) {
-	result, err := privascope.Assess(casestudy.Surgery(), casestudy.PatientProfile(), privascope.AssessOptions{})
+	result, err := privascope.Assess(casestudy.Surgery(), casestudy.PatientProfile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,13 @@ import (
 func ExampleAssess() {
 	profile := casestudy.PatientProfile()
 
-	before, err := privascope.Assess(casestudy.Surgery(), profile, privascope.AssessOptions{})
+	before, err := privascope.Assess(casestudy.Surgery(), profile)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	after, err := privascope.Assess(
-		casestudy.SurgeryWithPolicy(casestudy.MitigatedSurgeryACL()), profile, privascope.AssessOptions{})
+		casestudy.SurgeryWithPolicy(casestudy.MitigatedSurgeryACL()), profile)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

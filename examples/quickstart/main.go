@@ -69,7 +69,7 @@ func main() {
 
 	// 3. Run the pipeline: generate the privacy LTS and analyse the risk of
 	//    unwanted disclosure.
-	result, err := privascope.Assess(model, patient, privascope.AssessOptions{})
+	result, err := privascope.Assess(model, patient)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,12 +2,14 @@
 // paper's modelling framework (Section II-A): for every datastore, a
 // description of "which actors have access to that data".
 //
-// Two enforcement technologies are supported behind a single Policy
-// interface, matching the paper's assumption of "traditional access control
-// lists and role-based access control":
+// The paper assumes "traditional access control lists and role-based access
+// control". Both are written here, and both end up as one representation:
 //
-//   - ACL: explicit (actor, datastore, field, permission) grants.
-//   - RBAC: permissions attached to roles, with actors assigned to roles.
+//   - ACL: explicit (actor, datastore, field, permission) grants. It is the
+//     only Policy.
+//   - RBAC: permissions attached to roles, with actors assigned to roles. Its
+//     effective permissions are the assignments composed with the role
+//     grants, which is an ACL: RBAC.ACL expands it into one.
 //
 // Policies answer field-level questions ("may the Administrator read the
 // diagnosis field of the EHR store?") because the paper assumes "datastore
@@ -75,18 +77,29 @@ type Decision struct {
 	Reason string
 }
 
-// Policy is the interface implemented by every access-control mechanism.
-// Implementations must be safe for concurrent readers once fully built.
+// Policy is the access-control policy a data-flow model carries. The
+// unexported method seals it: *ACL is its only implementation, however the
+// policy was written, and ACLOf returns it. A Policy is safe for concurrent
+// readers once fully built.
 type Policy interface {
 	// Allows reports whether the actor may exercise the permission on the
 	// named field of the datastore.
 	Allows(actor, datastore, field string, perm Permission) bool
-	// Explain is like Allows but also returns the reasoning, for reports.
-	Explain(actor, datastore, field string, perm Permission) Decision
 	// ActorsWith returns the sorted set of actors that hold the permission
 	// on the named field of the datastore. This drives the "could identify"
 	// state variables of the privacy model (Section II-B).
 	ActorsWith(datastore, field string, perm Permission) []string
+	// acl returns the policy's grant list.
+	acl() *ACL
+}
+
+// ACLOf returns the grant list behind a policy, or an empty ACL for a nil
+// one.
+func ACLOf(p Policy) *ACL {
+	if p == nil {
+		return &ACL{}
+	}
+	return p.acl()
 }
 
 // Grant is a single ACL entry: an actor may exercise the listed permissions
@@ -191,14 +204,9 @@ func (a *ACL) Grants() []Grant {
 }
 
 // Actors returns the sorted set of actors that appear in any grant.
-func (a *ACL) Actors() []string {
-	out := make([]string, 0, len(a.actors))
-	for actor := range a.actors {
-		out = append(out, actor)
-	}
-	sort.Strings(out)
-	return out
-}
+func (a *ACL) Actors() []string { return sortedSet(a.actors) }
+
+func (a *ACL) acl() *ACL { return a }
 
 // Allows implements Policy. Unlike Explain it never formats a reason, so
 // bulk callers (policy diffs, compilation) stay allocation-free.
@@ -212,7 +220,7 @@ func (a *ACL) Allows(actor, datastore, field string, perm Permission) bool {
 	return false
 }
 
-// Explain implements Policy.
+// Explain is like Allows but also returns the reasoning, for reports.
 func (a *ACL) Explain(actor, datastore, field string, perm Permission) Decision {
 	for _, g := range a.grants {
 		if g.Actor != actor || g.Datastore != datastore {
@@ -288,11 +296,12 @@ type Role struct {
 	Grants []Grant `json:"grants"`
 }
 
-// RBAC is a role-based access-control policy: roles hold grants and actors
-// are assigned to roles. The zero value denies everything.
+// RBAC writes a policy as roles that hold grants and actors assigned to
+// roles. It answers no queries itself: ACL expands it into the ACL it
+// stands for.
 type RBAC struct {
 	roles       map[string]Role
-	assignments map[string][]string // actor -> role names
+	assignments map[string][]string // actor -> role names, in assignment order
 }
 
 // NewRBAC returns an empty RBAC policy.
@@ -316,7 +325,6 @@ func (r *RBAC) AddRole(role Role) error {
 		if err := g.Validate(); err != nil {
 			return fmt.Errorf("role %q grant %d: %w", role.Name, i, err)
 		}
-		role.Grants[i] = g
 	}
 	r.roles[role.Name] = role
 	return nil
@@ -339,135 +347,31 @@ func (r *RBAC) Assign(actor, roleName string) error {
 	return nil
 }
 
-// Roles returns a deep copy of the registered roles, sorted by name: the
-// grant structs and their Fields/Permissions slices are all copied, so
-// callers cannot mutate the policy through the result.
-func (r *RBAC) Roles() []Role {
-	out := make([]Role, 0, len(r.roles))
-	for _, role := range r.roles {
-		copied := role
-		copied.Grants = make([]Grant, len(role.Grants))
-		for i, g := range role.Grants {
-			g.Fields = append([]string(nil), g.Fields...)
-			g.Permissions = append([]Permission(nil), g.Permissions...)
-			copied.Grants[i] = g
-		}
-		out = append(out, copied)
+// ACL expands every assignment into grants: actors in sorted order, each
+// actor's roles in assignment order, each role's grants in declared order,
+// with the actor in place of the role. An expanded grant keeps its Reason,
+// or gets `role "<name>"` when it has none.
+func (r *RBAC) ACL() *ACL {
+	actors := make([]string, 0, len(r.assignments))
+	for actor := range r.assignments {
+		actors = append(actors, actor)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// RolesOf returns the sorted role names assigned to the actor.
-func (r *RBAC) RolesOf(actor string) []string {
-	out := append([]string(nil), r.assignments[actor]...)
-	sort.Strings(out)
-	return out
-}
-
-// Actors returns the sorted set of actors with at least one role.
-func (r *RBAC) Actors() []string {
-	set := make(map[string]bool, len(r.assignments))
-	for a := range r.assignments {
-		set[a] = true
-	}
-	return sortedSet(set)
-}
-
-// Allows implements Policy.
-func (r *RBAC) Allows(actor, datastore, field string, perm Permission) bool {
-	for _, roleName := range r.assignments[actor] {
-		for _, g := range r.roles[roleName].Grants {
-			if g.Datastore == datastore && g.covers(field) && g.hasPermission(perm) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Explain implements Policy.
-func (r *RBAC) Explain(actor, datastore, field string, perm Permission) Decision {
-	for _, roleName := range r.assignments[actor] {
-		role := r.roles[roleName]
-		for _, g := range role.Grants {
-			if g.Datastore == datastore && g.covers(field) && g.hasPermission(perm) {
-				return Decision{Allowed: true, Reason: fmt.Sprintf("role %q allows %s to %s %s.%s",
-					roleName, actor, perm, datastore, field)}
-			}
-		}
-	}
-	return Decision{Allowed: false, Reason: fmt.Sprintf("no role of %s allows %s on %s.%s",
-		actor, perm, datastore, field)}
-}
-
-// ActorsWith implements Policy.
-func (r *RBAC) ActorsWith(datastore, field string, perm Permission) []string {
-	set := make(map[string]bool)
-	for actor, roleNames := range r.assignments {
-		for _, roleName := range roleNames {
-			role := r.roles[roleName]
-			for _, g := range role.Grants {
-				if g.Datastore == datastore && g.covers(field) && g.hasPermission(perm) {
-					set[actor] = true
+	sort.Strings(actors)
+	a := &ACL{}
+	for _, actor := range actors {
+		for _, name := range r.assignments[actor] {
+			for _, g := range r.roles[name].Grants {
+				g.Actor = actor
+				if g.Reason == "" {
+					g.Reason = fmt.Sprintf("role %q", name)
 				}
+				// AddRole validated the grant; only the actor changed.
+				_ = a.Add(g)
 			}
 		}
 	}
-	return sortedSet(set)
+	return a
 }
-
-var _ Policy = (*RBAC)(nil)
-
-// Composite combines several policies; access is allowed if any member allows
-// it. It lets a model mix an ACL for one datastore with RBAC for another.
-type Composite struct {
-	policies []Policy
-}
-
-// NewComposite builds a composite from the given member policies.
-func NewComposite(policies ...Policy) *Composite {
-	return &Composite{policies: append([]Policy(nil), policies...)}
-}
-
-// Policies returns a copy of the member policies, in evaluation order.
-func (c *Composite) Policies() []Policy {
-	return append([]Policy(nil), c.policies...)
-}
-
-// Allows implements Policy.
-func (c *Composite) Allows(actor, datastore, field string, perm Permission) bool {
-	for _, p := range c.policies {
-		if p.Allows(actor, datastore, field, perm) {
-			return true
-		}
-	}
-	return false
-}
-
-// Explain implements Policy.
-func (c *Composite) Explain(actor, datastore, field string, perm Permission) Decision {
-	for _, p := range c.policies {
-		if d := p.Explain(actor, datastore, field, perm); d.Allowed {
-			return d
-		}
-	}
-	return Decision{Allowed: false, Reason: fmt.Sprintf("no member policy allows %s to %s %s.%s",
-		actor, perm, datastore, field)}
-}
-
-// ActorsWith implements Policy.
-func (c *Composite) ActorsWith(datastore, field string, perm Permission) []string {
-	set := make(map[string]bool)
-	for _, p := range c.policies {
-		for _, a := range p.ActorsWith(datastore, field, perm) {
-			set[a] = true
-		}
-	}
-	return sortedSet(set)
-}
-
-var _ Policy = (*Composite)(nil)
 
 // AccessChange describes one difference between two policies for a given
 // scope of datastores, fields and actors.

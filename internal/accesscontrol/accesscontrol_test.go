@@ -222,27 +222,46 @@ func TestRBAC(t *testing.T) {
 		t.Fatalf("Assign: %v", err)
 	}
 
-	if !r.Allows("doctor", "ehr", "diagnosis", PermissionWrite) {
+	// A role granted twice to one actor expands once; the second role keeps
+	// its grant's own reason.
+	if err := r.Assign("doctor", "clinician"); err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	if err := r.AddRole(Role{Name: "auditor", Grants: []Grant{
+		{Datastore: "ehr", Fields: []string{"name"}, Permissions: []Permission{PermissionRead}, Reason: "audit"},
+	}}); err != nil {
+		t.Fatalf("AddRole: %v", err)
+	}
+	if err := r.Assign("doctor", "auditor"); err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+
+	acl := r.ACL()
+	// Actors sorted, each actor's roles in assignment order, each role's
+	// grants in declared order; the actor stands in for the role.
+	want := []Grant{
+		{Actor: "doctor", Datastore: "ehr", Fields: []string{AllFields}, Permissions: readWrite(), Reason: `role "clinician"`},
+		{Actor: "doctor", Datastore: "ehr", Fields: []string{"name"}, Permissions: []Permission{PermissionRead}, Reason: "audit"},
+		{Actor: "receptionist", Datastore: "appointments", Fields: []string{"name", "appointment"}, Permissions: []Permission{PermissionRead}, Reason: `role "support"`},
+	}
+	if got := acl.Grants(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ACL().Grants() =\n%+v\nwant\n%+v", got, want)
+	}
+	if !acl.Allows("doctor", "ehr", "diagnosis", PermissionWrite) {
 		t.Error("doctor should write ehr via clinician role")
 	}
-	if r.Allows("receptionist", "ehr", "diagnosis", PermissionRead) {
+	if acl.Allows("receptionist", "ehr", "diagnosis", PermissionRead) {
 		t.Error("receptionist must not read ehr")
 	}
-	if !r.Allows("receptionist", "appointments", "name", PermissionRead) {
-		t.Error("receptionist should read appointments.name")
-	}
-	if got := r.ActorsWith("ehr", "diagnosis", PermissionRead); !reflect.DeepEqual(got, []string{"doctor"}) {
+	if got := acl.ActorsWith("ehr", "diagnosis", PermissionRead); !reflect.DeepEqual(got, []string{"doctor"}) {
 		t.Errorf("ActorsWith = %v", got)
 	}
-	if got := r.RolesOf("doctor"); !reflect.DeepEqual(got, []string{"clinician"}) {
-		t.Errorf("RolesOf(doctor) = %v", got)
-	}
-	if got := r.Actors(); !reflect.DeepEqual(got, []string{"doctor", "receptionist"}) {
+	if got := acl.Actors(); !reflect.DeepEqual(got, []string{"doctor", "receptionist"}) {
 		t.Errorf("Actors() = %v", got)
 	}
-	d := r.Explain("doctor", "ehr", "diagnosis", PermissionRead)
-	if !d.Allowed || d.Reason == "" {
-		t.Errorf("Explain = %+v", d)
+	d := acl.Explain("doctor", "ehr", "diagnosis", PermissionRead)
+	if want := `role "clinician": doctor may read ehr.diagnosis`; !d.Allowed || d.Reason != want {
+		t.Errorf("Explain = %+v, want reason %q", d, want)
 	}
 }
 
@@ -273,11 +292,14 @@ func TestRBACErrors(t *testing.T) {
 	if err := r.Assign("a", "dup"); err != nil {
 		t.Errorf("repeated Assign returned error: %v", err)
 	}
-	if got := r.RolesOf("a"); len(got) != 1 {
-		t.Errorf("RolesOf after duplicate assign = %v", got)
+	if got := r.ACL().Grants(); len(got) != 1 {
+		t.Errorf("grants after duplicate assign = %v", got)
 	}
 }
 
+// TestComposite: a policy mixing an ACL with RBAC roles is the
+// concatenation of the two grant lists, which allows what either half
+// allows and explains with the first grant that matches.
 func TestComposite(t *testing.T) {
 	acl := MustACL(Grant{Actor: "researcher", Datastore: "anon_ehr", Fields: []string{AllFields}, Permissions: []Permission{PermissionRead}})
 	rbac := NewRBAC()
@@ -289,22 +311,19 @@ func TestComposite(t *testing.T) {
 	if err := rbac.Assign("doctor", "clinician"); err != nil {
 		t.Fatal(err)
 	}
-	c := NewComposite(acl, rbac)
+	c := MustACL(append(acl.Grants(), rbac.ACL().Grants()...)...)
 
 	if !c.Allows("researcher", "anon_ehr", "weight_anon", PermissionRead) {
-		t.Error("composite should allow via ACL member")
+		t.Error("composite should allow via the ACL half")
 	}
 	if !c.Allows("doctor", "ehr", "diagnosis", PermissionWrite) {
-		t.Error("composite should allow via RBAC member")
+		t.Error("composite should allow via the RBAC half")
 	}
 	if c.Allows("researcher", "ehr", "diagnosis", PermissionRead) {
-		t.Error("composite must deny when no member allows")
+		t.Error("composite must deny when neither half allows")
 	}
-	if d := c.Explain("doctor", "ehr", "diagnosis", PermissionRead); !d.Allowed {
+	if d := c.Explain("doctor", "ehr", "diagnosis", PermissionRead); d.Reason != `role "clinician": doctor may read ehr.diagnosis` {
 		t.Errorf("Explain = %+v", d)
-	}
-	if d := c.Explain("researcher", "ehr", "diagnosis", PermissionRead); d.Allowed {
-		t.Errorf("Explain should deny, got %+v", d)
 	}
 	if got := c.ActorsWith("ehr", "diagnosis", PermissionRead); !reflect.DeepEqual(got, []string{"doctor"}) {
 		t.Errorf("ActorsWith = %v", got)

@@ -6,10 +6,10 @@ import (
 )
 
 // FuzzPolicyConstruction builds a policy from arbitrary grant material and
-// checks the cross-implementation contract: a grant is accepted by NewACL
-// exactly when it validates, and for every accepted grant the three Policy
-// implementations — the ACL itself, an RBAC policy holding the same grant in
-// a single role, and a Composite wrapping the ACL — answer every
+// checks the cross-writing contract: a grant is accepted by NewACL exactly
+// when it validates, and for every accepted grant the three ways of writing
+// it — the ACL itself, the ACL of an RBAC policy holding the same grant in a
+// single role, and the concatenation of the two — answer every
 // (field, permission) query identically, with Explain and ActorsWith
 // consistent with Allows.
 func FuzzPolicyConstruction(f *testing.F) {
@@ -43,18 +43,19 @@ func FuzzPolicyConstruction(f *testing.F) {
 		if err := rbac.Assign(actor, "fuzz-role"); err != nil {
 			t.Fatalf("assigning a valid actor failed: %v", err)
 		}
-		composite := NewComposite(acl)
+		rbacACL := rbac.ACL()
+		concatenated := MustACL(append(acl.Grants(), rbacACL.Grants()...)...)
 
 		queryFields := append(append([]string{}, fields...), probe, "unrelated-field")
 		for _, field := range queryFields {
 			for _, perm := range []Permission{PermissionRead, PermissionWrite, PermissionDelete} {
 				want := acl.Allows(actor, datastore, field, perm)
-				if got := rbac.Allows(actor, datastore, field, perm); got != want {
-					t.Fatalf("RBAC.Allows(%q,%q,%q,%s)=%v, ACL says %v",
+				if got := rbacACL.Allows(actor, datastore, field, perm); got != want {
+					t.Fatalf("RBAC.ACL().Allows(%q,%q,%q,%s)=%v, ACL says %v",
 						actor, datastore, field, perm, got, want)
 				}
-				if got := composite.Allows(actor, datastore, field, perm); got != want {
-					t.Fatalf("Composite.Allows(%q,%q,%q,%s)=%v, ACL says %v",
+				if got := concatenated.Allows(actor, datastore, field, perm); got != want {
+					t.Fatalf("concatenated ACL Allows(%q,%q,%q,%s)=%v, ACL says %v",
 						actor, datastore, field, perm, got, want)
 				}
 				if d := acl.Explain(actor, datastore, field, perm); d.Allowed != want {

@@ -15,7 +15,7 @@ import (
 
 	"privascope/internal/anonymize"
 	"privascope/internal/proptest"
-	"privascope/internal/synth"
+	"privascope/internal/proptest/scenario"
 )
 
 // minClassSize returns the size of the smallest equivalence class of the
@@ -44,7 +44,7 @@ func minClassSize(t *testing.T, tab *anonymize.Table, qis []string) int {
 // climbs.
 func TestPropGeneralizingNeverDecreasesK(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		tab, qis := synth.RandomTable(rng, 64)
+		tab, qis := scenario.RandomTable(rng, 64)
 		column := qis[rng.Intn(len(qis))]
 		width := math.Pow(2, float64(rng.Intn(4))) // 1, 2, 4 or 8
 
@@ -71,7 +71,7 @@ func TestPropGeneralizingNeverDecreasesK(t *testing.T) {
 // their quasi-identifiers are gone entirely.)
 func TestPropKAnonymizeReachesK(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		tab, qis := synth.RandomTable(rng, 64)
+		tab, qis := scenario.RandomTable(rng, 64)
 		k := 2 + rng.Intn(3)
 		out, res, err := anonymize.KAnonymize(context.Background(), tab, qis, k, anonymize.KAnonymizeOptions{})
 		if err != nil {
@@ -201,7 +201,7 @@ func TestPropClassesMatchReferencePartition(t *testing.T) {
 		return nil
 	}
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		tab, _ := synth.RandomTable(rng, 64)
+		tab, _ := scenario.RandomTable(rng, 64)
 		names := tab.ColumnNames()
 		rows := make([][]anonymize.Value, tab.NumRows())
 		for r := range rows {
@@ -397,7 +397,7 @@ func TestPropTableMatchesValueModel(t *testing.T) {
 // trip.
 func TestPropCSVCanonicalFormIsIdempotent(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		tab, _ := synth.RandomTable(rng, 64)
+		tab, _ := scenario.RandomTable(rng, 64)
 
 		var first bytes.Buffer
 		if err := anonymize.WriteCSV(&first, tab); err != nil {

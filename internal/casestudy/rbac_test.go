@@ -1,37 +1,84 @@
 package casestudy
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"slices"
 	"testing"
 
 	"privascope/internal/accesscontrol"
 	"privascope/internal/core"
+	"privascope/internal/dataflow"
 	"privascope/internal/risk"
 )
 
 func TestSurgeryRBACEquivalentToACL(t *testing.T) {
 	acl := SurgeryACL()
-	rbac := SurgeryRBAC()
+	rbac := SurgeryRBAC().ACL()
 
 	// Decision-level equivalence over every (actor, store, field, perm)
-	// combination of the model.
+	// combination of the model, explanation text included: each role grant
+	// carries the reason of the ACL grant it stands for.
 	model := Surgery()
 	perms := []accesscontrol.Permission{
 		accesscontrol.PermissionRead, accesscontrol.PermissionWrite, accesscontrol.PermissionDelete,
 	}
 	for _, store := range model.Datastores {
 		for _, field := range store.Schema.FieldNames() {
-			for _, actor := range model.ActorIDs() {
-				for _, perm := range perms {
-					a := acl.Allows(actor, store.ID, field, perm)
-					r := rbac.Allows(actor, store.ID, field, perm)
+			for _, perm := range perms {
+				if a, r := acl.ActorsWith(store.ID, field, perm), rbac.ActorsWith(store.ID, field, perm); !slices.Equal(a, r) {
+					t.Errorf("ActorsWith(%s.%s, %s): acl=%v rbac=%v", store.ID, field, perm, a, r)
+				}
+				for _, actor := range model.ActorIDs() {
+					a := acl.Explain(actor, store.ID, field, perm)
+					r := rbac.Explain(actor, store.ID, field, perm)
 					if a != r {
-						t.Errorf("ACL and RBAC disagree: %s %s %s.%s: acl=%v rbac=%v",
+						t.Errorf("ACL and RBAC disagree: %s %s %s.%s: acl=%+v rbac=%+v",
 							actor, perm, store.ID, field, a, r)
+					}
+					if got := rbac.Allows(actor, store.ID, field, perm); got != a.Allowed {
+						t.Errorf("RBAC Allows(%s %s %s.%s) = %v, Explain says %v", actor, perm, store.ID, field, got, a.Allowed)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestSurgeryRBACRoundTrips: a model whose policy was written as RBAC is
+// saved and loaded like any other — Marshal writes its grants, so the loaded
+// model has the same fingerprint and generates the same privacy LTS.
+func TestSurgeryRBACRoundTrips(t *testing.T) {
+	m := SurgeryWithPolicy(SurgeryRBAC().ACL())
+	data, err := dataflow.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := dataflow.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dataflow.Fingerprint(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := dataflow.Fingerprint(loaded); err != nil || got != want {
+		t.Errorf("fingerprint after round trip = %s (%v), want %s", got, err, want)
+	}
+	ltsJSON := func(m *dataflow.Model) []byte {
+		p, err := core.Generate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if a, b := ltsJSON(m), ltsJSON(loaded); !bytes.Equal(a, b) {
+		t.Error("the loaded model generates a different privacy LTS")
 	}
 }
 
@@ -40,7 +87,7 @@ func TestSurgeryRBACProducesSameLTSAndRisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbacLTS, err := core.Generate(SurgeryWithPolicy(SurgeryRBAC()))
+	rbacLTS, err := core.Generate(SurgeryWithPolicy(SurgeryRBAC().ACL()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +125,20 @@ func TestSurgeryRBACProducesSameLTSAndRisk(t *testing.T) {
 }
 
 func TestSurgeryRBACRoleAssignments(t *testing.T) {
-	rbac := SurgeryRBAC()
-	if got := rbac.RolesOf(ActorDoctor); len(got) != 1 || got[0] != RoleClinician {
-		t.Errorf("RolesOf(doctor) = %v", got)
-	}
-	if got := len(rbac.Actors()); got != 5 {
+	acl := SurgeryRBAC().ACL()
+	if got := len(acl.Actors()); got != 5 {
 		t.Errorf("actors with roles = %d, want 5", got)
+	}
+	// The doctor holds exactly the clinical-staff role's grants, in the
+	// role's declared order.
+	var stores []string
+	for _, g := range acl.Grants() {
+		if g.Actor == ActorDoctor {
+			stores = append(stores, g.Datastore)
+		}
+	}
+	if want := []string{StoreAppointments, StoreEHR, StoreAnonEHR}; !slices.Equal(stores, want) {
+		t.Errorf("doctor's grants cover %v, want %v", stores, want)
 	}
 }
 
@@ -97,7 +152,7 @@ const (
 )
 
 // SurgeryRBAC returns a role-based formulation of the surgery's original
-// access-control policy, equivalent in effect to SurgeryACL. The paper
+// access-control policy, whose ACL answers exactly like SurgeryACL. The paper
 // assumes "traditional access control lists and role-based access control";
 // this fixture exercises the RBAC half: the generated privacy LTS and the
 // risk analysis results are identical to the ACL-based model (see the tests

@@ -15,10 +15,9 @@ import (
 // reduced to a few word operations per successor. The compiled form is
 // immutable during exploration and therefore shared by all workers.
 type compiledModel struct {
-	model  *dataflow.Model
-	vocab  *Vocabulary
-	policy accesscontrol.Policy
-	codec  *stateCodec
+	model *dataflow.Model
+	vocab *Vocabulary
+	codec *stateCodec
 
 	// services in dataflow.Model.ServiceIDs order; flows in global
 	// enumeration order (services in ServiceIDs order, each service's flows
@@ -31,7 +30,6 @@ type compiledModel struct {
 }
 
 type compiledService struct {
-	id       string
 	flowIdxs []int // indices into compiledModel.flows, in execution order
 }
 
@@ -133,11 +131,11 @@ func compileModel(m *dataflow.Model, policy accesscontrol.Policy, vocab *Vocabul
 	numFlows := len(m.Flows)
 	codec := newStateCodec(vocab.wordsPerVec, storeFields, len(storeIDs), len(serviceIDs), numFlows, ordering)
 
-	cm := &compiledModel{model: m, vocab: vocab, policy: policy, codec: codec}
+	cm := &compiledModel{model: m, vocab: vocab, codec: codec}
 
 	// Flows, in the enumeration order of exploration.
 	for svcIdx, svcID := range serviceIDs {
-		svc := compiledService{id: svcID}
+		var svc compiledService
 		for _, f := range m.ServiceFlows(svcID) {
 			flowIdx := len(cm.flows)
 			cm.flows = append(cm.flows, compileFlow(m, vocab, codec, storeIndex, f, svcIdx, flowIdx))

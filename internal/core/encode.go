@@ -45,7 +45,6 @@ type stateCodec struct {
 	hasWords int
 	// storeWords is the length of each datastore's occupancy bitmask.
 	storeWords int
-	numStores  int
 	// ctrlBase is the word offset of the control segment.
 	ctrlBase   int
 	totalWords int
@@ -63,7 +62,6 @@ func newStateCodec(hasWords int, storeFields []string, numStores, numServices, n
 		hasWords:        hasWords,
 		storeFields:     storeFields,
 		storeFieldIndex: make(map[string]int, len(storeFields)),
-		numStores:       numStores,
 	}
 	for i, f := range storeFields {
 		c.storeFieldIndex[f] = i

@@ -10,7 +10,6 @@ import (
 	"privascope/internal/core"
 	"privascope/internal/proptest"
 	"privascope/internal/proptest/scenario"
-	"privascope/internal/synth"
 	"privascope/internal/testutil"
 )
 
@@ -110,7 +109,7 @@ func TestPropGeneratedModelInvariants(t *testing.T) {
 // because every warning reports a flow whose actor lacks a permission.
 func TestPropWarningsMonotoneUnderGrantRemoval(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		m := synth.RandomModel(rng, synth.RandomModelSpec{Policy: synth.PolicyACL})
+		m := scenario.RandomModel(rng, scenario.RandomModelSpec{Policy: scenario.PolicyACL})
 		p, err := core.Generate(m)
 		if err != nil {
 			return err

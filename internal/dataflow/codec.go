@@ -8,9 +8,9 @@ import (
 	"privascope/internal/accesscontrol"
 )
 
-// document is the on-disk JSON form of a model together with its ACL policy.
-// RBAC policies are not serialised; systems using RBAC attach the policy
-// programmatically.
+// document is the on-disk JSON form of a model together with its policy's
+// grants. An RBAC-written policy is an ACL by the time it is attached, so it
+// is written like any other.
 type document struct {
 	Model
 	ACL []grantJSON `json:"acl,omitempty"`
@@ -26,27 +26,25 @@ type grantJSON struct {
 	Reason      string   `json:"reason,omitempty"`
 }
 
-// Marshal serialises the model (and its ACL policy, if the attached policy is
-// an *accesscontrol.ACL) to indented JSON.
+// Marshal serialises the model and the grants of its policy to indented
+// JSON.
 func Marshal(m *Model) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("dataflow: cannot marshal nil model")
 	}
 	doc := document{Model: *m}
-	if acl, ok := m.Policy.(*accesscontrol.ACL); ok && acl != nil {
-		for _, g := range acl.Grants() {
-			perms := make([]string, len(g.Permissions))
-			for i, p := range g.Permissions {
-				perms[i] = p.String()
-			}
-			doc.ACL = append(doc.ACL, grantJSON{
-				Actor:       g.Actor,
-				Datastore:   g.Datastore,
-				Fields:      g.Fields,
-				Permissions: perms,
-				Reason:      g.Reason,
-			})
+	for _, g := range accesscontrol.ACLOf(m.Policy).Grants() {
+		perms := make([]string, len(g.Permissions))
+		for i, p := range g.Permissions {
+			perms[i] = p.String()
 		}
+		doc.ACL = append(doc.ACL, grantJSON{
+			Actor:       g.Actor,
+			Datastore:   g.Datastore,
+			Fields:      g.Fields,
+			Permissions: perms,
+			Reason:      g.Reason,
+		})
 	}
 	return json.MarshalIndent(doc, "", "  ")
 }

@@ -15,8 +15,9 @@ import (
 // with a canonical, injective encoding of the attached access-control
 // policy. Semantically different models never share a fingerprint, and two
 // builds of the same model — same actors, datastores, schemas, services,
-// flows (in declared order, which is semantically meaningful), grants,
-// roles and assignments, each in the same declaration order — always do.
+// flows (in declared order, which is semantically meaningful) and grants,
+// each in the same declaration order — always do. An RBAC-written policy is
+// fingerprinted as the ACL it expands to.
 // The converse direction is deliberately conservative: declaration order of
 // grants is part of the fingerprint even though it only affects explanation
 // text, so two policies listing the same grants in different orders hash
@@ -26,9 +27,7 @@ import (
 // generated privacy models by value rather than by pointer, so two loads of
 // the same model document share one generation.
 //
-// Policies of types other than the package's own ACL, RBAC and Composite
-// cannot be canonically encoded and yield an error; callers should treat
-// such models as unfingerprintable (and skip caching) rather than guess.
+// The only error is a nil model.
 func Fingerprint(m *Model) (string, error) {
 	if m == nil {
 		return "", fmt.Errorf("dataflow: cannot fingerprint nil model")
@@ -39,56 +38,24 @@ func Fingerprint(m *Model) (string, error) {
 	}
 	h := sha256.New()
 	h.Write(data)
-	// Marshal already encodes ACL policies, but the policy is re-encoded
-	// uniformly here so that (a) RBAC and Composite policies — which Marshal
-	// omits — contribute, and (b) a nil policy is distinguishable from an
-	// empty ACL.
-	if err := writePolicyCanonical(h, m.Policy); err != nil {
-		return "", err
-	}
+	// Marshal already encodes the grants, but the policy is re-encoded here
+	// so that a nil policy is distinguishable from an empty ACL.
+	writePolicyCanonical(h, m.Policy)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // writePolicyCanonical writes an injective encoding of the policy: every
-// variable-length string is length-prefixed, and each policy type carries a
-// distinct tag, so no two different policies render identically.
-func writePolicyCanonical(w io.Writer, p accesscontrol.Policy) error {
-	switch policy := p.(type) {
-	case nil:
+// variable-length string is length-prefixed, and a nil policy carries its
+// own tag, so no two different policies render identically.
+func writePolicyCanonical(w io.Writer, p accesscontrol.Policy) {
+	if p == nil {
 		io.WriteString(w, "|policy:none")
-	case *accesscontrol.ACL:
-		io.WriteString(w, "|policy:acl")
-		for _, g := range policy.Grants() {
-			writeGrantCanonical(w, g)
-		}
-	case *accesscontrol.RBAC:
-		io.WriteString(w, "|policy:rbac")
-		for _, role := range policy.Roles() {
-			io.WriteString(w, "|role")
-			writeString(w, role.Name)
-			for _, g := range role.Grants {
-				writeGrantCanonical(w, g)
-			}
-		}
-		for _, actor := range policy.Actors() {
-			io.WriteString(w, "|assign")
-			writeString(w, actor)
-			for _, role := range policy.RolesOf(actor) {
-				writeString(w, role)
-			}
-		}
-	case *accesscontrol.Composite:
-		io.WriteString(w, "|policy:composite[")
-		for _, member := range policy.Policies() {
-			if err := writePolicyCanonical(w, member); err != nil {
-				return err
-			}
-		}
-		io.WriteString(w, "]")
-	default:
-		return fmt.Errorf("dataflow: cannot fingerprint policy of type %T; use ACL, RBAC or Composite (or cache by identity instead)", p)
+		return
 	}
-	return nil
+	io.WriteString(w, "|policy:acl")
+	for _, g := range accesscontrol.ACLOf(p).Grants() {
+		writeGrantCanonical(w, g)
+	}
 }
 
 // writeGrantCanonical writes one grant with length-prefixed fields.

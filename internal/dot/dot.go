@@ -4,7 +4,7 @@
 // the paper) and labelled transition systems (Figs. 3 and 4) as text that can
 // be piped straight into `dot -Tpng`. Only the small subset of the DOT
 // language needed by those renderers is supported: directed graphs, node and
-// edge attributes, and named subgraph clusters.
+// edge attributes.
 package dot
 
 import (
@@ -22,15 +22,6 @@ type Graph struct {
 	nodes     []*node
 	nodeIndex map[string]*node
 	edges     []*edge
-	clusters  []*Cluster
-}
-
-// Cluster is a named subgraph rendered as a DOT cluster.
-type Cluster struct {
-	name  string
-	label string
-	attrs map[string]string
-	nodes []string
 }
 
 type node struct {
@@ -105,7 +96,7 @@ func (g *Graph) Render() string {
 	b.WriteString("digraph ")
 	b.WriteString(quoteID(g.name))
 	b.WriteString(" {\n")
-	writeAttrLines(&b, "  ", g.graphAttr)
+	writeAttrLines(&b, g.graphAttr)
 	if len(g.nodeAttr) > 0 {
 		b.WriteString("  node ")
 		writeAttrList(&b, g.nodeAttr)
@@ -116,27 +107,8 @@ func (g *Graph) Render() string {
 		writeAttrList(&b, g.edgeAttr)
 		b.WriteString(";\n")
 	}
-	clustered := make(map[string]bool)
-	for _, c := range g.clusters {
-		b.WriteString("  subgraph ")
-		b.WriteString(quoteID("cluster_" + c.name))
-		b.WriteString(" {\n    label=")
-		b.WriteString(quote(c.label))
-		b.WriteString(";\n")
-		writeAttrLines(&b, "    ", c.attrs)
-		for _, id := range c.nodes {
-			clustered[id] = true
-			if n, ok := g.nodeIndex[id]; ok {
-				writeNode(&b, "    ", n)
-			}
-		}
-		b.WriteString("  }\n")
-	}
 	for _, n := range g.nodes {
-		if clustered[n.id] {
-			continue
-		}
-		writeNode(&b, "  ", n)
+		writeNode(&b, n)
 	}
 	for _, e := range g.edges {
 		b.WriteString("  ")
@@ -167,10 +139,6 @@ func (g *Graph) estimateSize() int {
 	countAttrs(g.graphAttr)
 	countAttrs(g.nodeAttr)
 	countAttrs(g.edgeAttr)
-	for _, c := range g.clusters {
-		size += perElem + len(c.name) + len(c.label)
-		countAttrs(c.attrs)
-	}
 	for _, n := range g.nodes {
 		size += perElem + len(n.id)
 		countAttrs(n.attrs)
@@ -182,8 +150,8 @@ func (g *Graph) estimateSize() int {
 	return size
 }
 
-func writeNode(b *strings.Builder, indent string, n *node) {
-	b.WriteString(indent)
+func writeNode(b *strings.Builder, n *node) {
+	b.WriteString("  ")
 	b.WriteString(quoteID(n.id))
 	if len(n.attrs) > 0 {
 		b.WriteString(" ")
@@ -192,9 +160,9 @@ func writeNode(b *strings.Builder, indent string, n *node) {
 	b.WriteString(";\n")
 }
 
-func writeAttrLines(b *strings.Builder, indent string, attrs map[string]string) {
+func writeAttrLines(b *strings.Builder, attrs map[string]string) {
 	for _, k := range sortedKeys(attrs) {
-		b.WriteString(indent)
+		b.WriteString("  ")
 		b.WriteString(k)
 		b.WriteString("=")
 		b.WriteString(quote(attrs[k]))

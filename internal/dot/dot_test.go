@@ -61,30 +61,6 @@ func TestAddNodeMergesAttributes(t *testing.T) {
 	}
 }
 
-func TestClusters(t *testing.T) {
-	g := NewGraph("svc")
-	g.AddNode("a", map[string]string{"label": "A"})
-	g.AddNode("b", nil)
-	c := g.AddCluster("medical", "Medical Service")
-	c.SetAttr("style", "dashed")
-	c.AddNode("a")
-
-	out := g.Render()
-	if !strings.Contains(out, "subgraph cluster_medical {") {
-		t.Fatalf("missing cluster block:\n%s", out)
-	}
-	if !strings.Contains(out, `label="Medical Service";`) {
-		t.Fatalf("missing cluster label:\n%s", out)
-	}
-	if !strings.Contains(out, `style="dashed";`) {
-		t.Fatalf("missing cluster attr:\n%s", out)
-	}
-	// Node "a" must be emitted inside the cluster only.
-	if strings.Count(out, `a [label="A"];`) != 1 {
-		t.Fatalf("node a should be rendered exactly once:\n%s", out)
-	}
-}
-
 func TestQuoteEscaping(t *testing.T) {
 	tests := []struct {
 		name string

@@ -35,7 +35,7 @@ func golden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenGraphRender pins the raw renderer: defaults, clusters, implicit
+// TestGoldenGraphRender pins the raw renderer: defaults, implicit
 // nodes, and identifiers/attributes that need quoting.
 func TestGoldenGraphRender(t *testing.T) {
 	g := dot.NewGraph("sample graph")
@@ -46,10 +46,6 @@ func TestGoldenGraphRender(t *testing.T) {
 	g.AddNode("store-1", map[string]string{"shape": "box", "label": `holds "data"`})
 	g.AddEdge("start", "store-1", map[string]string{"label": "1. {name, age}"})
 	g.AddEdge("store-1", "implicit", nil)
-	c := g.AddCluster("cluster_svc", "Service One")
-	c.SetAttr("style", "dashed")
-	c.AddNode("start")
-	c.AddNode("store-1")
 	golden(t, "graph.golden", g.Render())
 }
 

@@ -135,10 +135,9 @@ func Diff(before, after *dataflow.Model) *Delta {
 	for _, a := range after.ActorIDs() {
 		actorSet[a] = true
 	}
-	if !collectPolicyActors(before.Policy, actorSet) || !collectPolicyActors(after.Policy, actorSet) {
-		d.Kind = DeltaUnsafe
-		unsafe("policy type does not enumerate its actors; cannot bound the comparison scope")
-		return d
+	beforeACL, afterACL := accesscontrol.ACLOf(before.Policy), accesscontrol.ACLOf(after.Policy)
+	for _, a := range append(beforeACL.Actors(), afterACL.Actors()...) {
+		actorSet[a] = true
 	}
 	fieldSet := make(map[string]bool)
 	for _, f := range after.FieldUniverse() {
@@ -160,7 +159,7 @@ func Diff(before, after *dataflow.Model) *Delta {
 		scope.Datastores[id] = fields
 	}
 	d.Scope = scope
-	d.Changes = accesscontrol.Diff(policyOrEmpty(before.Policy), policyOrEmpty(after.Policy), scope)
+	d.Changes = accesscontrol.Diff(beforeACL, afterACL, scope)
 
 	seen := make(map[ReaderKey]bool)
 	for _, c := range d.Changes {
@@ -190,41 +189,6 @@ func Diff(before, after *dataflow.Model) *Delta {
 		d.Kind = DeltaMetadata
 	}
 	return d
-}
-
-// collectPolicyActors adds every actor the policy names to the set,
-// returning false for policy types it cannot enumerate.
-func collectPolicyActors(p accesscontrol.Policy, out map[string]bool) bool {
-	switch pp := p.(type) {
-	case nil:
-		return true
-	case *accesscontrol.ACL:
-		for _, a := range pp.Actors() {
-			out[a] = true
-		}
-		return true
-	case *accesscontrol.RBAC:
-		for _, a := range pp.Actors() {
-			out[a] = true
-		}
-		return true
-	case *accesscontrol.Composite:
-		for _, sub := range pp.Policies() {
-			if !collectPolicyActors(sub, out) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-func policyOrEmpty(p accesscontrol.Policy) accesscontrol.Policy {
-	if p == nil {
-		return &accesscontrol.ACL{}
-	}
-	return p
 }
 
 // metadataEqual reports whether the models are deeply equal outside the

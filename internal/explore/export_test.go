@@ -2,7 +2,6 @@ package explore
 
 import (
 	"slices"
-	"sort"
 
 	"privascope/internal/accesscontrol"
 )
@@ -65,7 +64,7 @@ func (r *Result) LookupProbes() (hits, misses ProbeStats, load float64) {
 // ApplyPolicy patches the before-policy with the delta's access changes,
 // yielding a policy that answers like the after-policy over the delta's
 // scope. It is the round-trip half of Diff, used to validate deltas.
-func (d *Delta) ApplyPolicy(before accesscontrol.Policy) accesscontrol.Policy {
+func (d *Delta) ApplyPolicy(before accesscontrol.Policy) *patchedPolicy {
 	p := &patchedPolicy{base: before, overrides: make(map[patchKey]bool, len(d.Changes))}
 	for _, c := range d.Changes {
 		p.overrides[patchKey{actor: c.Actor, store: c.Datastore, field: c.Field, perm: c.Perm}] = c.After
@@ -84,6 +83,7 @@ type patchedPolicy struct {
 	overrides map[patchKey]bool
 }
 
+// Allows answers like the base policy except where a change overrides it.
 func (p *patchedPolicy) Allows(actor, datastore, field string, perm accesscontrol.Permission) bool {
 	if v, ok := p.overrides[patchKey{actor: actor, store: datastore, field: field, perm: perm}]; ok {
 		return v
@@ -92,34 +92,4 @@ func (p *patchedPolicy) Allows(actor, datastore, field string, perm accesscontro
 		return false
 	}
 	return p.base.Allows(actor, datastore, field, perm)
-}
-
-func (p *patchedPolicy) Explain(actor, datastore, field string, perm accesscontrol.Permission) accesscontrol.Decision {
-	allowed := p.Allows(actor, datastore, field, perm)
-	return accesscontrol.Decision{Allowed: allowed, Reason: "patched policy delta"}
-}
-
-func (p *patchedPolicy) ActorsWith(datastore, field string, perm accesscontrol.Permission) []string {
-	set := make(map[string]bool)
-	if p.base != nil {
-		for _, a := range p.base.ActorsWith(datastore, field, perm) {
-			set[a] = true
-		}
-	}
-	for k, after := range p.overrides {
-		if k.store != datastore || k.field != field || k.perm != perm {
-			continue
-		}
-		if after {
-			set[k.actor] = true
-		} else {
-			delete(set, k.actor)
-		}
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -20,6 +20,7 @@ import (
 	"privascope/internal/dataflow"
 	"privascope/internal/explore"
 	"privascope/internal/proptest"
+	"privascope/internal/proptest/scenario"
 	"privascope/internal/synth"
 )
 
@@ -40,9 +41,9 @@ func digest(p *core.PrivacyLTS) (string, error) {
 // modelPair draws the same random model twice from one seed: two structurally
 // independent copies the caller can mutate apart and diff.
 func modelPair(seed int64) (*dataflow.Model, *dataflow.Model) {
-	spec := synth.RandomModelSpec{Policy: synth.PolicyACL}
-	before := synth.RandomModel(rand.New(rand.NewSource(seed)), spec)
-	after := synth.RandomModel(rand.New(rand.NewSource(seed)), spec)
+	spec := scenario.RandomModelSpec{Policy: scenario.PolicyACL}
+	before := scenario.RandomModel(rand.New(rand.NewSource(seed)), spec)
+	after := scenario.RandomModel(rand.New(rand.NewSource(seed)), spec)
 	return before, after
 }
 

@@ -11,10 +11,9 @@ import (
 )
 
 // Encode serialises a generated privacy model into a version-1 artifact. The
-// artifact embeds the model's dataflow.Fingerprint, so models whose policies
-// cannot be fingerprinted cannot be persisted (they bypass every cache tier
-// anyway). Encoding is deterministic: the same model yields byte-identical
-// artifacts.
+// artifact embeds the model's dataflow.Fingerprint, which every model with a
+// data-flow model attached has. Encoding is deterministic: the same model
+// yields byte-identical artifacts.
 //
 // It runs in two passes over the dense model. The first takes every string
 // reference in the order that makes the bytes canonical — state IDs, label

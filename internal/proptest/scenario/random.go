@@ -1,4 +1,4 @@
-package synth
+package scenario
 
 import (
 	"fmt"
@@ -10,20 +10,19 @@ import (
 	"privascope/internal/dataflow"
 	"privascope/internal/risk"
 	"privascope/internal/schema"
+	"privascope/internal/synth"
 )
 
-// This file is the scenario-fuzzer side of the package: where Model,
-// Population and HealthRecords produce one fixed shape per spec, the Random*
-// generators draw structure — service/flow/field counts, flow chains, policy
-// kind, grant coverage, populations, datasets — from a caller-supplied
-// *rand.Rand. Everything is a pure function of the generator state, so a
+// Where synth.Model, synth.Population and synth.HealthRecords produce one
+// fixed shape per spec, the Random* generators draw structure —
+// service/flow/field counts, flow chains, policy kind, grant coverage,
+// populations, datasets — from a caller-supplied *rand.Rand. Everything is a pure function of the generator state, so a
 // scenario is reproducible from the single seed that created the Rand; the
 // property-test harness (internal/proptest) relies on exactly that.
 
-// PolicyKind selects the access-control implementation a random model is
-// equipped with. Every kind is built from the same grant list, so analyses
-// must behave identically across them — a cross-implementation invariant the
-// property harness checks.
+// PolicyKind selects how a random model's policy is written. Every kind is
+// built from the same grant list, so analyses must behave identically across
+// them — an invariant the property harness checks.
 type PolicyKind int
 
 // Policy kinds drawable by RandomModel.
@@ -31,10 +30,10 @@ const (
 	// PolicyACL attaches the grants as a flat access-control list.
 	PolicyACL PolicyKind = iota + 1
 	// PolicyRBAC wraps each actor's grants into a role the actor is
-	// assigned to.
+	// assigned to and expands the roles back into an ACL.
 	PolicyRBAC
-	// PolicyComposite splits the grants between an ACL member and an RBAC
-	// member of an accesscontrol.Composite.
+	// PolicyComposite writes every other grant directly and the rest as
+	// RBAC roles, and concatenates the two halves.
 	PolicyComposite
 )
 
@@ -103,7 +102,7 @@ func (s RandomModelSpec) withDefaults() RandomModelSpec {
 // with a random flow chain over a random field set (collect and store always;
 // read, disclose, anonymise into a dedicated anonymised store, and delete
 // each drawn independently), a random set of extra actors, and a random
-// ACL/RBAC/Composite policy assembled from the flows' required grants (each
+// ACL/RBAC/composite-written policy assembled from the flows' required grants (each
 // dropped with DropGrantProbability) plus random extra read grants. The
 // result always passes dataflow.Validate; structure, names and policy are a
 // pure function of rng.
@@ -255,15 +254,15 @@ func subset(rng *rand.Rand, names []string) []string {
 	return out
 }
 
-// PolicyFromGrants assembles an access-control policy of the given kind from
-// one grant list. All three kinds answer every Allows/Explain/ActorsWith
-// query identically for the same grants — RBAC roles are named after the
-// granted actor and the actor is assigned to exactly that role, and the
-// composite splits the list across an ACL and an RBAC member.
-func PolicyFromGrants(kind PolicyKind, grants []accesscontrol.Grant) accesscontrol.Policy {
+// PolicyFromGrants writes one grant list as a policy of the given kind. All
+// three kinds answer every Allows/ActorsWith query identically for the same
+// grants — RBAC roles are named after the granted actor and the actor is
+// assigned to exactly that role, and the composite concatenates the even
+// grants with the RBAC expansion of the odd ones.
+func PolicyFromGrants(kind PolicyKind, grants []accesscontrol.Grant) *accesscontrol.ACL {
 	switch kind {
 	case PolicyRBAC:
-		return rbacFromGrants(grants)
+		return rbacFromGrants(grants).ACL()
 	case PolicyComposite:
 		var aclPart, rbacPart []accesscontrol.Grant
 		for i, g := range grants {
@@ -273,7 +272,7 @@ func PolicyFromGrants(kind PolicyKind, grants []accesscontrol.Grant) accesscontr
 				rbacPart = append(rbacPart, g)
 			}
 		}
-		return accesscontrol.NewComposite(accesscontrol.MustACL(aclPart...), rbacFromGrants(rbacPart))
+		return accesscontrol.MustACL(append(aclPart, rbacFromGrants(rbacPart).ACL().Grants()...)...)
 	default:
 		return accesscontrol.MustACL(grants...)
 	}
@@ -310,11 +309,11 @@ func RandomPopulation(rng *rand.Rand, m *dataflow.Model, maxUsers int) []risk.Us
 	if maxUsers <= 0 {
 		maxUsers = 8
 	}
-	return Population(m, PopulationOptions{
+	return synth.Population(m, synth.PopulationOptions{
 		Users:              1 + rng.Intn(maxUsers),
 		Seed:               rng.Int63(),
 		ConsentProbability: 0.3 + rng.Float64()*0.6,
-		SensitiveFields:    SensitiveFieldsOf(m),
+		SensitiveFields:    synth.SensitiveFieldsOf(m),
 	})
 }
 

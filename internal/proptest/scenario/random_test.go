@@ -1,4 +1,4 @@
-package synth_test
+package scenario_test
 
 import (
 	"math/rand"
@@ -8,14 +8,14 @@ import (
 	"privascope/internal/accesscontrol"
 	"privascope/internal/dataflow"
 	"privascope/internal/proptest"
-	"privascope/internal/synth"
+	"privascope/internal/proptest/scenario"
 )
 
 // TestPropRandomModelValidates: every drawn model passes dataflow.Validate
 // (MustBuild would panic otherwise) and carries a policy.
 func TestPropRandomModelValidates(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		m := synth.RandomModel(rng, synth.RandomModelSpec{})
+		m := scenario.RandomModel(rng, scenario.RandomModelSpec{})
 		if err := m.Validate(); err != nil {
 			return err
 		}
@@ -28,7 +28,7 @@ func TestPropRandomModelValidates(t *testing.T) {
 func TestPropRandomModelIsDeterministic(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		fp := func(s int64) string {
-			m := synth.RandomModel(rand.New(rand.NewSource(s)), synth.RandomModelSpec{})
+			m := scenario.RandomModel(rand.New(rand.NewSource(s)), scenario.RandomModelSpec{})
 			f, err := dataflow.Fingerprint(m)
 			if err != nil {
 				t.Fatalf("fingerprint: %v", err)
@@ -45,7 +45,7 @@ func TestPropRandomModelIsDeterministic(t *testing.T) {
 func TestRandomModelCoversAllPolicyKinds(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 64 && len(seen) < 3; i++ {
-		m := synth.RandomModel(rand.New(rand.NewSource(int64(i))), synth.RandomModelSpec{})
+		m := scenario.RandomModel(rand.New(rand.NewSource(int64(i))), scenario.RandomModelSpec{})
 		for _, kind := range []string{"acl", "rbac", "composite"} {
 			if strings.HasSuffix(m.Name, kind) {
 				seen[kind] = true
@@ -57,18 +57,18 @@ func TestRandomModelCoversAllPolicyKinds(t *testing.T) {
 	}
 }
 
-// TestPropPolicyKindsAnswerIdentically is the cross-implementation invariant:
-// ACL, RBAC and Composite built from the same grants must answer every
-// (actor, datastore, field, permission) query identically.
+// TestPropPolicyKindsAnswerIdentically is the cross-kind invariant: the ACL,
+// the RBAC-built ACL and the concatenated ACL written from the same grants
+// must answer every (actor, datastore, field, permission) query identically.
 func TestPropPolicyKindsAnswerIdentically(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		forced := synth.PolicyACL
-		m := synth.RandomModel(rng, synth.RandomModelSpec{Policy: forced})
-		grants := m.Policy.(*accesscontrol.ACL).Grants()
+		forced := scenario.PolicyACL
+		m := scenario.RandomModel(rng, scenario.RandomModelSpec{Policy: forced})
+		grants := accesscontrol.ACLOf(m.Policy).Grants()
 
-		acl := synth.PolicyFromGrants(synth.PolicyACL, grants)
-		rbac := synth.PolicyFromGrants(synth.PolicyRBAC, grants)
-		comp := synth.PolicyFromGrants(synth.PolicyComposite, grants)
+		acl := scenario.PolicyFromGrants(scenario.PolicyACL, grants)
+		rbac := scenario.PolicyFromGrants(scenario.PolicyRBAC, grants)
+		comp := scenario.PolicyFromGrants(scenario.PolicyComposite, grants)
 
 		perms := []accesscontrol.Permission{
 			accesscontrol.PermissionRead, accesscontrol.PermissionWrite, accesscontrol.PermissionDelete}
@@ -78,11 +78,11 @@ func TestPropPolicyKindsAnswerIdentically(t *testing.T) {
 					for _, p := range perms {
 						want := acl.Allows(a.ID, d.ID, f.Name, p)
 						if got := rbac.Allows(a.ID, d.ID, f.Name, p); got != want {
-							t.Fatalf("seed %d: RBAC answers %v for (%s,%s,%s,%s), ACL answers %v",
+							t.Fatalf("seed %d: RBAC-built ACL answers %v for (%s,%s,%s,%s), ACL answers %v",
 								seed, got, a.ID, d.ID, f.Name, p, want)
 						}
 						if got := comp.Allows(a.ID, d.ID, f.Name, p); got != want {
-							t.Fatalf("seed %d: Composite answers %v for (%s,%s,%s,%s), ACL answers %v",
+							t.Fatalf("seed %d: concatenated ACL answers %v for (%s,%s,%s,%s), ACL answers %v",
 								seed, got, a.ID, d.ID, f.Name, p, want)
 						}
 					}
@@ -95,8 +95,8 @@ func TestPropPolicyKindsAnswerIdentically(t *testing.T) {
 
 func TestPropRandomPopulationIsWellFormed(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		m := synth.RandomModel(rng, synth.RandomModelSpec{})
-		profiles := synth.RandomPopulation(rng, m, 8)
+		m := scenario.RandomModel(rng, scenario.RandomModelSpec{})
+		profiles := scenario.RandomPopulation(rng, m, 8)
 		if len(profiles) == 0 || len(profiles) > 8 {
 			t.Fatalf("seed %d: population size %d outside [1,8]", seed, len(profiles))
 		}
@@ -106,7 +106,7 @@ func TestPropRandomPopulationIsWellFormed(t *testing.T) {
 
 func TestPropRandomTableIsWellFormed(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		tab, qis := synth.RandomTable(rng, 64)
+		tab, qis := scenario.RandomTable(rng, 64)
 		if got := tab.NumRows(); got < 2 || got > 65 {
 			t.Fatalf("seed %d: table has %d rows, want within [2,65]", seed, got)
 		}

@@ -1,10 +1,10 @@
 // Package scenario draws complete randomized verification scenarios — a
 // random data-flow model with a random policy, a random user population, a
 // random health-record table and random generation options — from a single
-// seed. It is the bridge between the proptest harness (which owns seeds and
-// reproduction) and the synth generators (which own randomized structure):
-// property tests across core, risk, runtime and the root package call
-// scenario.Draw(seed) and get the same scenario on every machine.
+// seed. The proptest harness owns seeds and reproduction; this package's
+// Random* generators own randomized structure: property tests across core,
+// risk, runtime and the root package call scenario.Draw(seed) and get the
+// same scenario on every machine.
 //
 // The package deliberately sits above internal/core in the dependency order,
 // so internal test packages of the layers below (internal/lts) must keep
@@ -19,7 +19,6 @@ import (
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
 	"privascope/internal/risk"
-	"privascope/internal/synth"
 )
 
 // Scenario is one fully-drawn verification scenario. Every field is a pure
@@ -29,7 +28,7 @@ type Scenario struct {
 	// messages.
 	Seed int64
 	// Model is a random valid data-flow model with a random
-	// ACL/RBAC/Composite policy (synth.RandomModel).
+	// ACL/RBAC/composite-written policy (RandomModel).
 	Model *dataflow.Model
 	// Profiles is a random user population over Model's fields.
 	Profiles []risk.UserProfile
@@ -70,9 +69,9 @@ func Draw(seed int64) *Scenario {
 
 // draw takes one scenario from the stream.
 func draw(seed int64, rng *rand.Rand) *Scenario {
-	m := synth.RandomModel(rng, synth.RandomModelSpec{})
-	profiles := synth.RandomPopulation(rng, m, 8)
-	table, qis := synth.RandomTable(rng, 64)
+	m := RandomModel(rng, RandomModelSpec{})
+	profiles := RandomPopulation(rng, m, 8)
+	table, qis := RandomTable(rng, 64)
 	opts := core.Options{
 		FlowOrdering: []core.FlowOrdering{
 			core.OrderSequential, core.OrderDataDriven}[rng.Intn(2)],

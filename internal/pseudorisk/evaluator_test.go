@@ -56,34 +56,6 @@ func TestEvaluatorCachesScenarioResults(t *testing.T) {
 	}
 }
 
-func TestEvaluatorSharedIndex(t *testing.T) {
-	table := syntheticTable(500)
-	policy := pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9}
-	ix := anonymize.NewClassIndex(table)
-	e, err := pseudorisk.NewEvaluatorWithOptions(table, policy, pseudorisk.EvaluatorOptions{Index: ix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Index() != ix {
-		t.Error("provided index not adopted")
-	}
-	if _, err := e.Evaluate(ctx, []string{"age", "city"}); err != nil {
-		t.Fatal(err)
-	}
-	// The same partition is now visible to other analyses via the index.
-	if _, err := anonymize.ReidentificationRiskIndexed(ctx, ix, []string{"age", "city"}, 0.2); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Hits() != 1 {
-		t.Errorf("index hits = %d, want 1 (reident should reuse the scenario partition)", ix.Hits())
-	}
-
-	other := syntheticTable(10)
-	if _, err := pseudorisk.NewEvaluatorWithOptions(other, policy, pseudorisk.EvaluatorOptions{Index: ix}); err == nil {
-		t.Error("index over a different table accepted")
-	}
-}
-
 func ExampleEvaluator_EvaluateProgression() {
 	table := anonymize.MustTable(
 		anonymize.Column{Name: "age", Role: anonymize.RoleQuasiIdentifier},

@@ -82,31 +82,28 @@ func pairwiseRisks(table *anonymize.Table, visible []string, target string, clos
 
 // TestPropEvaluateProgressionMatchesDefinition: over a random table the
 // progression's per-record risks and violation counts are those of
-// pairwiseRisks, whether the evaluator builds its own class index or is
-// handed a shared one.
+// pairwiseRisks.
 func TestPropEvaluateProgressionMatchesDefinition(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		table := randomWeightTable(rng, 64)
 		policy := pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.5 + rng.Float64()*0.5}
 		progression := randomProgression(rng)
 
-		for _, opts := range []pseudorisk.EvaluatorOptions{{}, {Index: anonymize.NewClassIndex(table)}} {
-			e, err := pseudorisk.NewEvaluatorWithOptions(table, policy, opts)
-			if err != nil {
-				return err
+		e, err := pseudorisk.NewEvaluator(table, policy)
+		if err != nil {
+			return err
+		}
+		results, err := e.EvaluateProgression(ctx, progression)
+		if err != nil {
+			return err
+		}
+		for i, got := range results {
+			want := pairwiseRisks(table, got.VisibleFields, policy.TargetField, policy.Closeness)
+			if !reflect.DeepEqual(got.Risks, want) {
+				return fmt.Errorf("scenario %v: risks\n%v\nwant\n%v", progression[i], got.Risks, want)
 			}
-			results, err := e.EvaluateProgression(ctx, progression)
-			if err != nil {
-				return err
-			}
-			for i, got := range results {
-				want := pairwiseRisks(table, got.VisibleFields, policy.TargetField, policy.Closeness)
-				if !reflect.DeepEqual(got.Risks, want) {
-					return fmt.Errorf("scenario %v (shared index: %v): risks\n%v\nwant\n%v", progression[i], opts.Index != nil, got.Risks, want)
-				}
-				if violations := anonymize.CountViolations(want, policy.Confidence); got.Violations != violations {
-					return fmt.Errorf("scenario %v: %d violations, want %d", progression[i], got.Violations, violations)
-				}
+			if violations := anonymize.CountViolations(want, policy.Confidence); got.Violations != violations {
+				return fmt.Errorf("scenario %v: %d violations, want %d", progression[i], got.Violations, violations)
 			}
 		}
 		return nil

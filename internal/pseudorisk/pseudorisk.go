@@ -94,23 +94,10 @@ type Evaluator struct {
 	results flight.Group[string, ScenarioResult]
 }
 
-// EvaluatorOptions tunes an Evaluator beyond the defaults.
-type EvaluatorOptions struct {
-	// Index, when set, supplies the shared equivalence-class cache; it must
-	// index the evaluator's table. Leave nil to let the evaluator build its
-	// own. Sharing one index lets other analyses of the same dataset (such
-	// as re-identification risk) reuse the partitions.
-	Index *anonymize.ClassIndex
-}
-
 // NewEvaluator builds an evaluator after validating the policy against the
-// dataset, with default options.
+// dataset. The evaluator builds its own equivalence-class cache; Index shares
+// it with other analyses of the same dataset.
 func NewEvaluator(table *anonymize.Table, policy Policy) (*Evaluator, error) {
-	return NewEvaluatorWithOptions(table, policy, EvaluatorOptions{})
-}
-
-// NewEvaluatorWithOptions is NewEvaluator with explicit options.
-func NewEvaluatorWithOptions(table *anonymize.Table, policy Policy, opts EvaluatorOptions) (*Evaluator, error) {
 	if table == nil {
 		return nil, errors.New("pseudorisk: table must not be nil")
 	}
@@ -120,13 +107,7 @@ func NewEvaluatorWithOptions(table *anonymize.Table, policy Policy, opts Evaluat
 	if _, ok := table.ColumnIndex(policy.TargetField); !ok {
 		return nil, fmt.Errorf("pseudorisk: dataset has no column %q for the policy target", policy.TargetField)
 	}
-	index := opts.Index
-	if index == nil {
-		index = anonymize.NewClassIndex(table)
-	} else if index.Table() != table {
-		return nil, errors.New("pseudorisk: class index was built for a different table")
-	}
-	return &Evaluator{table: table, policy: policy, index: index}, nil
+	return &Evaluator{table: table, policy: policy, index: anonymize.NewClassIndex(table)}, nil
 }
 
 // Table returns the dataset the evaluator works on.

@@ -5,7 +5,7 @@ import "privascope/internal/service"
 // AssessmentCacheStats reports how many user registrations were served from
 // the profile-fingerprint cache versus assessed from scratch.
 func (m *Monitor) AssessmentCacheStats() (hits, misses int64) {
-	return m.shapeHits.Load(), m.shapeMisses.Load()
+	return m.shapes.Hits(), m.shapes.Misses()
 }
 
 // Watch consumes events from the channel until it is closed, observing each

@@ -30,9 +30,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"privascope/internal/core"
+	"privascope/internal/flight"
 	"privascope/internal/lts"
 	"privascope/internal/risk"
 	"privascope/internal/service"
@@ -115,9 +115,9 @@ type userState struct {
 // Monitor tracks per-user privacy state against a privacy LTS. It is safe
 // for concurrent use.
 type Monitor struct {
-	lts   *core.PrivacyLTS
-	cache *risk.AssessmentCache
-	index *transitionIndex
+	lts      *core.PrivacyLTS
+	analyzer *risk.Analyzer
+	index    *transitionIndex
 	// alertAt is the minimum risk level that raises an alert.
 	alertAt risk.Level
 
@@ -126,14 +126,9 @@ type Monitor struct {
 	users  map[string]*userState
 	alerts []Alert
 
-	// shapes caches the compiled findings index per profile fingerprint.
-	// Deduplication of the underlying (expensive) risk analysis is the
-	// assessment cache's job; this memo only spares re-deriving the lookup
-	// table from the shared assessment.
-	shapeMu     sync.Mutex
-	shapes      map[string]findingsIndex
-	shapeHits   atomic.Int64
-	shapeMisses atomic.Int64
+	// shapes holds the findings index per profile fingerprint; its leader
+	// runs the risk analysis and builds the index, once per shape.
+	shapes flight.Group[string, findingsIndex]
 }
 
 // Config configures a Monitor.
@@ -152,21 +147,23 @@ func NewMonitor(p *core.PrivacyLTS, cfg Config) (*Monitor, error) {
 	if p == nil {
 		return nil, errors.New("runtime: privacy LTS must not be nil")
 	}
-	cache, err := risk.NewAssessmentCache(cfg.Analyzer)
-	if err != nil {
-		return nil, err
+	analyzer := cfg.Analyzer
+	if analyzer == nil {
+		var err error
+		if analyzer, err = risk.NewAnalyzer(risk.Config{}); err != nil {
+			return nil, err
+		}
 	}
 	alertAt := cfg.AlertAt
 	if alertAt == 0 {
 		alertAt = risk.LevelMedium
 	}
 	return &Monitor{
-		lts:     p,
-		cache:   cache,
-		index:   newTransitionIndex(p),
-		alertAt: alertAt,
-		users:   make(map[string]*userState),
-		shapes:  make(map[string]findingsIndex),
+		lts:      p,
+		analyzer: analyzer,
+		index:    newTransitionIndex(p),
+		alertAt:  alertAt,
+		users:    make(map[string]*userState),
 	}, nil
 }
 
@@ -214,39 +211,24 @@ func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 }
 
 // shapeIndex returns the shared findings index for the profile's shape,
-// building it on first use. Registrations racing on a brand-new shape may
-// each derive the (cheap) lookup table, but the expensive analysis beneath
-// is single-flighted by the assessment cache; the first inserted index wins
-// so all users of a shape share one table.
+// analysing the shape and building its index on first use. Registrations
+// racing on a brand-new shape wait for one analysis, so all users of a shape
+// share one table.
 func (m *Monitor) shapeIndex(ctx context.Context, profile risk.UserProfile) (findingsIndex, error) {
-	fp := profile.Fingerprint()
-	m.shapeMu.Lock()
-	index, ok := m.shapes[fp]
-	m.shapeMu.Unlock()
-	if ok {
-		m.shapeHits.Add(1)
-		return index, nil
-	}
-	m.shapeMisses.Add(1)
-	assessment, err := m.cache.AnalyzeFingerprinted(ctx, m.lts, profile, fp)
-	if err != nil {
-		return nil, err
-	}
-	index = make(findingsIndex, len(assessment.Findings))
-	for _, f := range assessment.Findings {
-		key := findingKey{tr: f.Transition, actor: f.Actor}
-		if existing, ok := index[key]; !ok || f.Risk > existing.Risk {
-			index[key] = f
+	return m.shapes.Do(ctx, profile.Fingerprint(), func(ctx context.Context) (findingsIndex, error) {
+		assessment, err := m.analyzer.AnalyzeContext(ctx, m.lts, profile)
+		if err != nil {
+			return nil, err
 		}
-	}
-	m.shapeMu.Lock()
-	if existing, ok := m.shapes[fp]; ok {
-		index = existing
-	} else {
-		m.shapes[fp] = index
-	}
-	m.shapeMu.Unlock()
-	return index, nil
+		index := make(findingsIndex, len(assessment.Findings))
+		for _, f := range assessment.Findings {
+			key := findingKey{tr: f.Transition, actor: f.Actor}
+			if existing, ok := index[key]; !ok || f.Risk > existing.Risk {
+				index[key] = f
+			}
+		}
+		return index, nil
+	})
 }
 
 // Users returns the IDs of registered users, sorted.

@@ -13,7 +13,6 @@ import (
 // data services" the model describes. It is used by the runtime-monitoring
 // example and the integration tests.
 type Cluster struct {
-	model   *dataflow.Model
 	log     *Log
 	servers map[string]*Server
 }
@@ -27,7 +26,7 @@ func StartCluster(model *dataflow.Model) (*Cluster, error) {
 	if model.Policy == nil {
 		return nil, errors.New("service: model has no access-control policy attached")
 	}
-	c := &Cluster{model: model, log: NewLog(), servers: make(map[string]*Server)}
+	c := &Cluster{log: NewLog(), servers: make(map[string]*Server)}
 	for _, def := range model.Datastores {
 		store, err := NewDatastore(def, model.Policy, c.log)
 		if err != nil {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
@@ -10,16 +9,6 @@ import (
 
 	"privascope/internal/schema"
 )
-
-// Datastore returns the in-process datastore behind the named server, for
-// inspection in tests and examples.
-func (c *Cluster) Datastore(datastoreID string) (*Datastore, error) {
-	s, ok := c.servers[datastoreID]
-	if !ok {
-		return nil, fmt.Errorf("service: no server for datastore %q", datastoreID)
-	}
-	return s.Store(), nil
-}
 
 // SetClock overrides the time source; intended for tests.
 func (l *Log) SetClock(clock func() time.Time) {
@@ -88,6 +77,3 @@ func (d *Datastore) FieldsOf(userID string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Store returns the served datastore.
-func (s *Server) Store() *Datastore { return s.store }

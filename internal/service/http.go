@@ -139,7 +139,6 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 // Server wraps a Datastore in an HTTP server listening on a local port.
 type Server struct {
-	store    *Datastore
 	server   *http.Server
 	listener net.Listener
 	done     chan struct{}
@@ -158,7 +157,6 @@ func StartServer(store *Datastore, addr string) (*Server, error) {
 		return nil, fmt.Errorf("service: listening on %s: %w", addr, err)
 	}
 	s := &Server{
-		store:    store,
 		listener: listener,
 		server:   &http.Server{Handler: store.Handler(), ReadHeaderTimeout: 5 * time.Second},
 		done:     make(chan struct{}),

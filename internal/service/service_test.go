@@ -312,9 +312,6 @@ func TestStartServerAndStop(t *testing.T) {
 	if err := client.Put(context.Background(), "bob", "record", map[string]string{"name": "Bob"}); err != nil {
 		t.Fatalf("Put over real listener: %v", err)
 	}
-	if server.Store() != store {
-		t.Error("Store() should return the served datastore")
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if err := server.Stop(ctx); err != nil {
@@ -374,9 +371,6 @@ func TestClusterRunsSurgeryModel(t *testing.T) {
 	}
 	if _, err := cluster.URL("ghost"); err == nil {
 		t.Error("URL for unknown datastore accepted")
-	}
-	if _, err := cluster.Datastore("ghost"); err == nil {
-		t.Error("Datastore for unknown datastore accepted")
 	}
 
 	// Error cases for StartCluster.

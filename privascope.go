@@ -5,7 +5,7 @@
 //
 //  1. Developers describe their system as a purpose-driven data-flow model —
 //     actors, datastores with schemas, services made of ordered flows — plus
-//     access-control policies (ACL or RBAC).
+//     an access-control policy (an ACL, or RBAC roles expanded to one).
 //  2. The toolkit automatically generates a formal model of user privacy: a
 //     Labelled Transition System whose states carry, for every (actor,
 //     field) pair, whether the actor HAS identified or COULD identify the
@@ -104,12 +104,16 @@ type (
 	// FieldCategory classifies a field's identification role.
 	FieldCategory = schema.Category
 
-	// AccessPolicy is the interface implemented by ACL and RBAC policies.
+	// AccessPolicy is a model's access-control policy; *ACL is its only
+	// implementation.
 	AccessPolicy = accesscontrol.Policy
 	// ACL is an access-control-list policy.
 	ACL = accesscontrol.ACL
-	// RBAC is a role-based access-control policy.
+	// RBAC writes a policy as roles; RBAC.ACL expands it into the ACL a
+	// model carries.
 	RBAC = accesscontrol.RBAC
+	// Role is a named bundle of grants for an RBAC policy.
+	Role = accesscontrol.Role
 	// Grant is a single access-control grant.
 	Grant = accesscontrol.Grant
 	// Permission is the kind of access requested on a field.
@@ -318,8 +322,6 @@ type (
 	PseudonymisationAnnotation = pseudorisk.Annotation
 	// PseudonymisationOptions configures AnalyzePseudonymisation.
 	PseudonymisationOptions = pseudorisk.Options
-	// ValueRiskEvaluatorOptions lets an evaluator share a class index.
-	ValueRiskEvaluatorOptions = pseudorisk.EvaluatorOptions
 	// DataClassIndex caches a table's equivalence-class partitions across
 	// scenarios and attacker models.
 	DataClassIndex = anonymize.ClassIndex
@@ -328,12 +330,6 @@ type (
 // NewValueRiskEvaluator builds an evaluator for a dataset and policy.
 func NewValueRiskEvaluator(table *DataTable, p ViolationPolicy) (*ValueRiskEvaluator, error) {
 	return pseudorisk.NewEvaluator(table, p)
-}
-
-// NewValueRiskEvaluatorWithOptions is NewValueRiskEvaluator with a shared
-// class index.
-func NewValueRiskEvaluatorWithOptions(table *DataTable, p ViolationPolicy, opts ValueRiskEvaluatorOptions) (*ValueRiskEvaluator, error) {
-	return pseudorisk.NewEvaluatorWithOptions(table, p, opts)
 }
 
 // NewDataClassIndex builds an equivalence-class cache over a table.
@@ -476,16 +472,6 @@ func SyntheticHealthRecords(opts synth.HealthRecordsOptions) *DataTable {
 // One-call pipelines.
 // ---------------------------------------------------------------------------
 
-// AssessOptions configures the Assess pipeline.
-type AssessOptions struct {
-	// Generate configures LTS generation; zero value for defaults
-	// (sequential flow ordering, terminal potential reads, one exploration
-	// worker per CPU).
-	Generate GenerateOptions
-	// Risk configures the disclosure-risk analyzer; zero value for defaults.
-	Risk RiskConfig
-}
-
 // AssessResult bundles the outputs of the Assess pipeline.
 type AssessResult struct {
 	// PrivacyModel is the generated LTS.
@@ -499,25 +485,26 @@ type AssessResult struct {
 
 // Assess runs the full design-time pipeline for one user profile: validate
 // the model, generate the privacy LTS, analyse unwanted-disclosure risk, and
-// build a report.
+// build a report, with the default generation options and risk
+// configuration.
 //
 // Assess regenerates the LTS on every call. For the paper's generate-once/
 // analyse-many workflow — or any server handling more than one request —
 // hold an Engine and call Engine.Assess instead: it caches generated models
 // by content fingerprint and deduplicates same-shaped profile analyses.
-func Assess(m *Model, profile UserProfile, opts AssessOptions) (*AssessResult, error) {
-	return AssessContext(context.Background(), m, profile, opts)
+func Assess(m *Model, profile UserProfile) (*AssessResult, error) {
+	return AssessContext(context.Background(), m, profile)
 }
 
 // AssessContext is Assess with cancellation: generation and analysis both
 // poll ctx and abort promptly with ctx.Err() when the caller cancels or the
 // deadline passes, leaking no goroutines.
-func AssessContext(ctx context.Context, m *Model, profile UserProfile, opts AssessOptions) (*AssessResult, error) {
-	p, err := core.GenerateWithOptionsContext(ctx, m, opts.Generate)
+func AssessContext(ctx context.Context, m *Model, profile UserProfile) (*AssessResult, error) {
+	p, err := core.GenerateWithOptionsContext(ctx, m, GenerateOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("privascope: generating privacy model: %w", err)
 	}
-	analyzer, err := risk.NewAnalyzer(opts.Risk)
+	analyzer, err := risk.NewAnalyzer(RiskConfig{})
 	if err != nil {
 		return nil, err
 	}

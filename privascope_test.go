@@ -63,7 +63,7 @@ func TestAssessPipeline(t *testing.T) {
 		Sensitivities:      map[string]float64{"diagnosis": privascope.SensitivityHigh},
 		DefaultSensitivity: 0.1,
 	}
-	result, err := privascope.Assess(model, profile, privascope.AssessOptions{})
+	result, err := privascope.Assess(model, profile)
 	if err != nil {
 		t.Fatalf("Assess: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestAssessPipeline(t *testing.T) {
 		}
 	}
 	// Invalid model propagates an error.
-	if _, err := privascope.Assess(&privascope.Model{}, profile, privascope.AssessOptions{}); err == nil {
+	if _, err := privascope.Assess(&privascope.Model{}, profile); err == nil {
 		t.Error("Assess of invalid model should fail")
 	}
 }
