@@ -72,7 +72,7 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 		// PrivacyLTS.Compiled on that model, 25,000 transitions: a fixed
 		// number of per-edge tables, nothing allocated per edge.
-		{"compile_view", 46, "view", func(t *testing.T) (float64, int) {
+		{"compile_view", 8, "view", func(t *testing.T) (float64, int) {
 			fresh := func() *privascope.PrivacyModel {
 				return mustGenerate(t, large, privascope.GenerateOptions{Workers: 1})
 			}

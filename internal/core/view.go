@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/bits"
-	"strings"
 
 	"privascope/internal/lts"
 )
@@ -27,7 +26,6 @@ type CompiledView struct {
 
 	labels    []*TransitionLabel // per edge; nil for foreign label types
 	potential int                // edges whose label is a potential read
-	fieldsCSV []string           // per edge; the label's fields joined with ", "
 	changes   []EdgeChange       // every edge's newly set variables, back to back
 	changeOff []int32            // edge e's are changes[changeOff[e]:changeOff[e+1]]
 	actors    []string           // vocabulary order (sorted)
@@ -46,11 +44,6 @@ type EdgeChange struct {
 // Label returns the TransitionLabel of the edge (nil when the transition
 // carries a foreign label type).
 func (v *CompiledView) Label(e int32) *TransitionLabel { return v.labels[e] }
-
-// FieldsJoined returns the edge label's field list joined with ", " (empty
-// for foreign labels), resolved once per model so per-finding report
-// rendering never re-joins it.
-func (v *CompiledView) FieldsJoined(e int32) string { return v.fieldsCSV[e] }
 
 // Changes returns the state variables the edge newly sets relative to its
 // source state, in vocabulary bit order. The slice is shared and must not be
@@ -92,14 +85,10 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 	v := &CompiledView{
 		Graph:     c,
 		labels:    make([]*TransitionLabel, m),
-		fieldsCSV: make([]string, m),
 		changeOff: make([]int32, m+1),
 		actors:    p.Vocab.actors,
 		fields:    p.Vocab.fields,
 	}
-	// Labels are shared across edges (one per declared flow), so joined field
-	// lists are memoised per label pointer.
-	joined := make(map[*TransitionLabel]string)
 	// An edge whose source or target has no vector contributes no change.
 	numFields, numVecs, wpv := len(v.fields), len(p.storeOf), p.Vocab.wordsPerVec
 	hasVectors := func(e int) (to, from int, ok bool) {
@@ -114,12 +103,6 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 			if label.Potential {
 				v.potential++
 			}
-			csv, ok := joined[label]
-			if !ok {
-				csv = strings.Join(label.Fields, ", ")
-				joined[label] = csv
-			}
-			v.fieldsCSV[e] = csv
 		}
 		if to, from, ok := hasVectors(e); ok {
 			for w := 0; w < wpv; w++ {

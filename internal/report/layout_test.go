@@ -5,13 +5,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"privascope/internal/core"
 	"privascope/internal/proptest"
+	"privascope/internal/proptest/scenario"
 	"privascope/internal/report"
 	"privascope/internal/risk"
 	"privascope/internal/synth"
@@ -248,9 +253,115 @@ func assessed(t testing.TB, spec synth.ModelSpec) *risk.Assessment {
 	return a
 }
 
-// TestFindingsTableEqualsStoredRows: the findings table, whose cells are
-// formatted on demand from the assessment, renders the bytes the same cells
-// stored with AddRow do — and still takes an AddRow itself.
+// storedDisclosure is the reference a disclosure report must equal: every
+// finding's cells stored as strings, in the reference renderer, and the
+// mitigations found finding by finding.
+func storedDisclosure(a *risk.Assessment) *refReport {
+	orNone := func(names []string) string {
+		if len(names) == 0 {
+			return "(none)"
+		}
+		return strings.Join(names, ", ")
+	}
+	findings := &refTable{headers: []string{"risk", "actor", "action", "datastore", "driving field", "impact", "likelihood", "explanation"}}
+	mitigations := &refTable{headers: []string{"actor", "risk", "suggested mitigation"}}
+	seen := make(map[[2]string]bool)
+	for _, f := range a.Findings {
+		findings.addRow(f.Risk.String(), f.Actor, f.Action.String(), f.Datastore, f.DrivingField,
+			fmt.Sprintf("%.2f (%s)", f.Impact, f.ImpactLevel),
+			fmt.Sprintf("%.2f (%s)", f.Likelihood, f.LikelihoodLevel), f.Explanation)
+		if key := [2]string{f.Actor, f.Mitigation}; f.Risk >= risk.LevelMedium && f.Mitigation != "" && !seen[key] {
+			seen[key] = true
+			mitigations.addRow(f.Actor, f.Risk.String(), f.Mitigation)
+		}
+	}
+	ref := &refReport{title: "Unwanted-disclosure risk assessment for " + a.Profile.ID, sections: []refSection{
+		{title: "Consent", body: "Consented services: " + orNone(a.Profile.ConsentedServices) +
+			"\nAllowed actors: " + orNone(a.AllowedActors) + "\nNon-allowed actors: " + orNone(a.NonAllowedActors)},
+		{title: "Findings", body: "Overall risk: " + a.OverallRisk.String(), table: findings},
+	}}
+	if len(mitigations.rows) > 0 {
+		ref.sections = append(ref.sections, refSection{title: "Suggested mitigations", table: mitigations})
+	}
+	return ref
+}
+
+// checkDisclosure compares the disclosure report of a with the stored-rows
+// reference, in text and in Markdown, rendered and written.
+func checkDisclosure(a *risk.Assessment) error {
+	r, ref := report.DisclosureAssessment(a), storedDisclosure(a)
+	var text, markdown bytes.Buffer
+	if _, err := r.WriteTo(&text); err != nil {
+		return err
+	}
+	if _, err := r.WriteMarkdownTo(&markdown); err != nil {
+		return err
+	}
+	for _, c := range []struct{ what, got, want string }{
+		{"Render", r.Render(), ref.text()},
+		{"RenderMarkdown", r.RenderMarkdown(), ref.markdown()},
+		{"WriteTo", text.String(), ref.text()},
+		{"WriteMarkdownTo", markdown.String(), ref.markdown()},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("%s of %d findings differs from the stored rows\n--- got ---\n%s\n--- want ---\n%s",
+				c.what, len(a.Findings), c.got, c.want)
+		}
+	}
+	return nil
+}
+
+// editedCopies returns copies of a that no analysis produces, each sharing
+// a's findings but one: every k-th finding dropped, two findings swapped, and
+// one finding's explanation, mitigation, datastore or impact rewritten.
+func editedCopies(a *risk.Assessment, rng *rand.Rand) []*risk.Assessment {
+	n := len(a.Findings)
+	if n == 0 {
+		return nil
+	}
+	edit := func(change func(findings []risk.Finding) []risk.Finding) *risk.Assessment {
+		c := *a
+		c.Findings = change(slices.Clone(a.Findings))
+		return &c
+	}
+	k := 2 + rng.Intn(4)
+	i, j := rng.Intn(n), rng.Intn(n)
+	out := []*risk.Assessment{
+		edit(func(fs []risk.Finding) []risk.Finding {
+			kept := fs[:0]
+			for i, f := range fs {
+				if i%k != k-1 {
+					kept = append(kept, f)
+				}
+			}
+			return kept
+		}),
+		edit(func(fs []risk.Finding) []risk.Finding { fs[i], fs[j] = fs[j], fs[i]; return fs }),
+	}
+	for field := range 4 {
+		out = append(out, edit(func(fs []risk.Finding) []risk.Finding {
+			f := &fs[i]
+			switch field {
+			case 0:
+				f.Explanation += " | rewritten"
+			case 1:
+				f.Mitigation = "rewritten|" + f.Mitigation
+			case 2:
+				f.Datastore += "-rewritten"
+			default:
+				f.Impact = []float64{f.Impact + 0.25, math.Copysign(0, -1), math.NaN(), math.Inf(1)}[rng.Intn(4)]
+			}
+			return fs
+		}))
+	}
+	return out
+}
+
+// TestFindingsTableEqualsStoredRows: the findings table, whose rows are
+// rendered once per class of identical rows, renders the bytes the same
+// cells stored with AddRow do — and still takes an AddRow itself. For
+// analyses of random scenarios, and for copies of them a caller has edited,
+// the whole disclosure report equals the stored-rows reference.
 func TestFindingsTableEqualsStoredRows(t *testing.T) {
 	a := assessed(t, synth.ModelSpec{Services: 2, FieldsPerService: 2, ExtraActors: 1})
 	if len(a.Findings) == 0 {
@@ -273,6 +384,27 @@ func TestFindingsTableEqualsStoredRows(t *testing.T) {
 		computed.AddRow("low", "somebody|else")
 		stored.AddRow("low", "somebody|else")
 	}
+
+	analyzer := defaultAnalyzer(t)
+	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
+		s := scenario.Draw(seed)
+		p, err := s.Generate()
+		if err != nil {
+			return err
+		}
+		for _, profile := range s.Profiles {
+			a, err := analyzer.AnalyzeContext(context.Background(), p, profile)
+			if err != nil {
+				return err
+			}
+			for e, c := range append([]*risk.Assessment{a}, editedCopies(a, rng)...) {
+				if err := checkDisclosure(c); err != nil {
+					return fmt.Errorf("profile %s, copy %d: %w", profile.ID, e, err)
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // TestReportAllocationsArePerReport: building and rendering a disclosure
@@ -311,6 +443,36 @@ func TestReportAllocationsArePerReport(t *testing.T) {
 	if many > few+16 || many > 200 {
 		t.Errorf("%.0f allocations for %d findings, %.0f for %d: want the same number, at most 200",
 			many, len(large.Findings), few, len(small.Findings))
+	}
+}
+
+// TestRenderAllocatesItsOutput: rendering allocates the output string, one
+// chunk buffer and a line per class of identical rows, so at most 1.05 times
+// its output plus 64 KB: for the 18,750 findings of the large model, and for
+// a 10,000-row AddRow table, whose rows are classes of one and get no line
+// memo.
+func TestRenderAllocatesItsOutput(t *testing.T) {
+	large := report.DisclosureAssessment(assessed(t, synth.ModelSpec{Services: 5, FieldsPerService: 3, ExtraActors: 2}))
+	stored := report.NewTable("row", "name", "value")
+	for i := range 10_000 {
+		stored.AddRow(strconv.Itoa(i), "field-"+strconv.Itoa(i%97), strings.Repeat("v", i%40))
+	}
+	for _, c := range []struct {
+		what   string
+		render func() string
+	}{
+		{"large disclosure report", large.Render},
+		{"10,000-row AddRow table", stored.Render},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out := c.render()
+		runtime.ReadMemStats(&after)
+		allocated, bound := after.TotalAlloc-before.TotalAlloc, uint64(len(out))*105/100+64<<10
+		t.Logf("%s: %d bytes of output, %d allocated", c.what, len(out), allocated)
+		if allocated > bound {
+			t.Errorf("%s: rendering %d bytes allocated %d, want at most %d", c.what, len(out), allocated, bound)
+		}
 	}
 }
 

@@ -48,17 +48,19 @@ func DisclosureAssessment(a *risk.Assessment) *Report {
 			orNone(strings.Join(a.AllowedActors, ", ")),
 			orNone(strings.Join(a.NonAllowedActors, ", "))))
 
-	r.AddTable("Findings", fmt.Sprintf("Overall risk: %s", a.OverallRisk), findingsTable(a.Findings))
+	findings := findingsTable(a.Findings)
+	r.AddTable("Findings", fmt.Sprintf("Overall risk: %s", a.OverallRisk), &Table{rows: findings,
+		headers: []string{"risk", "actor", "action", "datastore", "driving field", "impact", "likelihood", "explanation"}})
 
+	// Rows of a class give the same advice, so each class is asked once.
 	mitigations := NewTable("actor", "risk", "suggested mitigation")
-	type advice struct{ actor, mitigation string }
-	seen := make(map[advice]bool)
-	for i := range a.Findings {
-		f := &a.Findings[i]
+	seen := make(map[[2]string]bool) // actor and mitigation
+	for _, row := range findings.first {
+		f := &a.Findings[row]
 		if f.Risk < risk.LevelMedium || f.Mitigation == "" {
 			continue
 		}
-		key := advice{f.Actor, f.Mitigation}
+		key := [2]string{f.Actor, f.Mitigation}
 		if seen[key] {
 			continue
 		}
@@ -71,48 +73,56 @@ func DisclosureAssessment(a *risk.Assessment) *Report {
 	return r
 }
 
-// findingRows is the row source of the findings table: it formats each cell
-// straight from the assessment's findings, which it only reads, so a listing
-// of a hundred thousand findings holds no text of its own.
+// findingRows is the row source of the findings table. A class is every
+// finding that shows the same text in the findings table and in the
+// mitigations table; its cells are formatted straight from its first finding,
+// which the source only reads, so a listing of a hundred thousand findings
+// holds no text of its own.
 type findingRows struct {
 	findings []risk.Finding
-	// scores holds the "0.90 (high)" text of every distinct impact and
-	// likelihood, a handful per assessment; shown[row] indexes the two that
-	// the row shows.
-	scores []string
-	shown  [][2]int32
+	class    []int32 // per row
+	first    []int32 // per class: its first row
 }
 
-func findingsTable(findings []risk.Finding) *Table {
-	rows := &findingRows{findings: findings, shown: make([][2]int32, len(findings))}
-	// A value is keyed by its bits, so that a NaN finds its own entry.
-	type score struct {
-		bits  uint64
-		level risk.Level
+func findingsTable(findings []risk.Finding) *findingRows {
+	rows := &findingRows{findings: findings, class: make([]int32, len(findings))}
+	// Scores are keyed by their bits, so that a NaN finds its own class and
+	// -0 and 0 keep theirs.
+	type shown struct {
+		risk, impactLevel, likelihoodLevel                      risk.Level
+		action                                                  core.Action
+		actor, datastore, drivingField, explanation, mitigation string
+		impact, likelihood                                      uint64
 	}
-	index := make(map[score]int32)
-	intern := func(v float64, level risk.Level) int32 {
-		key := score{math.Float64bits(v), level}
-		i, ok := index[key]
-		if !ok {
-			i = int32(len(rows.scores))
-			index[key] = i
-			rows.scores = append(rows.scores, fmt.Sprintf("%.2f (%s)", v, level))
-		}
-		return i
-	}
+	index := make(map[shown]int32)
+	var last shown
+	c := int32(-1)
 	for i := range findings {
 		f := &findings[i]
-		rows.shown[i] = [2]int32{intern(f.Impact, f.ImpactLevel), intern(f.Likelihood, f.LikelihoodLevel)}
+		key := shown{f.Risk, f.ImpactLevel, f.LikelihoodLevel, f.Action, f.Actor, f.Datastore, f.DrivingField,
+			f.Explanation, f.Mitigation, math.Float64bits(f.Impact), math.Float64bits(f.Likelihood)}
+		// Rows of a class mostly run together, and comparing texts the
+		// analysis shares is cheaper than hashing them.
+		if c < 0 || key != last {
+			var ok bool
+			if c, ok = index[key]; !ok {
+				c = int32(len(rows.first))
+				index[key] = c
+				rows.first = append(rows.first, int32(i))
+			}
+			last = key
+		}
+		rows.class[i] = c
 	}
-	return &Table{rows: rows,
-		headers: []string{"risk", "actor", "action", "datastore", "driving field", "impact", "likelihood", "explanation"}}
+	return rows
 }
 
-func (r *findingRows) numRows() int { return len(r.findings) }
+func (r *findingRows) numRows() int        { return len(r.findings) }
+func (r *findingRows) numClasses() int     { return len(r.first) }
+func (r *findingRows) classOf(row int) int { return int(r.class[row]) }
 
-func (r *findingRows) appendCell(dst []byte, row, col int) []byte {
-	f := &r.findings[row]
+func (r *findingRows) appendCell(dst []byte, class, col int) []byte {
+	f := &r.findings[r.first[class]]
 	switch col {
 	case 0:
 		return append(dst, f.Risk.String()...)
@@ -125,12 +135,17 @@ func (r *findingRows) appendCell(dst []byte, row, col int) []byte {
 	case 4:
 		return append(dst, f.DrivingField...)
 	case 5:
-		return append(dst, r.scores[r.shown[row][0]]...)
+		return appendScore(dst, f.Impact, f.ImpactLevel)
 	case 6:
-		return append(dst, r.scores[r.shown[row][1]]...)
+		return appendScore(dst, f.Likelihood, f.LikelihoodLevel)
 	default:
 		return append(dst, f.Explanation...)
 	}
+}
+
+// appendScore appends fmt's "%.2f (%s)" of a score and its level.
+func appendScore(dst []byte, v float64, level risk.Level) []byte {
+	return append(append(append(strconv.AppendFloat(dst, v, 'f', 2, 64), " ("...), level.String()...), ')')
 }
 
 // RiskComparison builds the before/after table of a mitigation (case study

@@ -4,12 +4,14 @@
 // reports. The CLI tools and examples print these; EXPERIMENTS.md embeds
 // them.
 //
-// A document is measured, then written. The counting pass asks every table's
-// row source for each cell once and yields the column widths and the exact
-// size of the output; the write pass asks again and emits the bytes through
-// one small chunk buffer into an io.Writer (Report.WriteTo) or into a string
-// allocated once at that size (Report.Render). No row, table or section is
-// formatted into a string of its own on the way.
+// A document is measured, then written. A table's rows come in classes of
+// identical rows: a findings listing of a hundred thousand rows has a few
+// dozen, an AddRow table one per row. The counting pass asks every table's row
+// source for each class's cells once and yields the column widths and the
+// exact size of the output; the write pass lays out each class's line once and
+// copies it per row through one small chunk buffer into an io.Writer
+// (Report.WriteTo) or into a string allocated once at that size
+// (Report.Render).
 package report
 
 import (
@@ -18,26 +20,32 @@ import (
 	"strings"
 )
 
-// rowSource is the data rows of a table: how many there are, and the text of
-// each cell on demand. A source is only read while rendering, so one table
-// may be rendered from several goroutines at once.
+// rowSource is the data rows of a table: how many there are, the class of
+// each, and the text of a class's cells on demand. Rows of a class are
+// identical, and classes are numbered in the order of their first rows. A
+// source is only read while rendering, so one table may be rendered from
+// several goroutines at once.
 type rowSource interface {
 	numRows() int
-	// appendCell appends the text of cell (row, col) to dst.
-	appendCell(dst []byte, row, col int) []byte
+	numClasses() int
+	classOf(row int) int
+	// appendCell appends the text of cell (class, col) to dst.
+	appendCell(dst []byte, class, col int) []byte
 }
 
 // cellRows is the row source AddRow feeds: every row's cells, row-major, each
-// row exactly cols wide.
+// row exactly cols wide, and each row its own class.
 type cellRows struct {
 	cols, rows int
 	cells      []string
 }
 
-func (c *cellRows) numRows() int { return c.rows }
+func (c *cellRows) numRows() int        { return c.rows }
+func (c *cellRows) numClasses() int     { return c.rows }
+func (c *cellRows) classOf(row int) int { return row }
 
-func (c *cellRows) appendCell(dst []byte, row, col int) []byte {
-	return append(dst, c.cells[row*c.cols+col]...)
+func (c *cellRows) appendCell(dst []byte, class, col int) []byte {
+	return append(dst, c.cells[class*c.cols+col]...)
 }
 
 // Table is a simple column-aligned table builder.
@@ -62,7 +70,7 @@ func (t *Table) AddRow(cells ...string) {
 		var cell []byte
 		for row := 0; row < stored.rows; row++ {
 			for col := range t.headers {
-				cell = t.rows.appendCell(cell[:0], row, col)
+				cell = t.rows.appendCell(cell[:0], t.rows.classOf(row), col)
 				stored.cells = append(stored.cells, string(cell))
 			}
 		}
@@ -280,23 +288,34 @@ const rule = "---" // under a Markdown header
 var pipe = []byte("|")
 
 // measure is the counting pass over a table: it adds the exact size of the
-// rendering to p and returns the width of every column.
+// rendering to p and returns the width of every column. Each class's cells are
+// asked for once, and in Markdown they count once per row of the class.
 func (t *Table) measure(p *printer, f *format) []int {
 	widths := make([]int, len(t.headers))
-	cells := 0 // bytes of all cells as written, unpadded
+	cells := 0 // Markdown: bytes of all cells as written
 	for col, h := range t.headers {
 		widths[col] = len(h)
 		cells += len(h) + len(rule)
 	}
-	rows := t.rows.numRows()
+	rows, classes := t.rows.numRows(), t.rows.numClasses()
+	var count []int // rows per class; nil when every class has one
+	if classes < rows {
+		count = make([]int, classes)
+		for row := 0; row < rows; row++ {
+			count[t.rows.classOf(row)]++
+		}
+	}
 	cell := p.buf
-	for row := 0; row < rows; row++ {
+	for class := 0; class < classes; class++ {
+		n := 1
+		if count != nil {
+			n = count[class]
+		}
 		for col := range widths {
-			cell = t.rows.appendCell(cell[:0], row, col)
+			cell = t.rows.appendCell(cell[:0], class, col)
 			widths[col] = max(widths[col], len(cell))
-			cells += len(cell)
 			if f.markdown {
-				cells += bytes.Count(cell, pipe)
+				cells += n * (len(cell) + bytes.Count(cell, pipe))
 			}
 		}
 	}
@@ -314,7 +333,7 @@ func (t *Table) measure(p *printer, f *format) []int {
 	return widths
 }
 
-// The header and its rule are written by the same loop as the data rows.
+// The header and its rule are laid out by the same code as the data rows.
 const (
 	headerRow = -2
 	ruleRow   = -1
@@ -335,37 +354,32 @@ func appendRun(buf []byte, run string, n int) []byte {
 	return append(buf, run[:n]...)
 }
 
-// write is the write pass over a table.
+// write is the write pass over a table. When some class has several rows,
+// each class's line is laid out once, at its first row, and copied for every
+// row of it; otherwise each row's line is laid out in place.
 func (t *Table) write(p *printer, f *format, widths []int) {
 	// The chunk is a local while rows are appended, so that growing it is
 	// not a pointer store into the heap-allocated printer.
 	buf := p.buf
-	rows := t.rows.numRows()
-	for row := headerRow; row < rows && p.err == nil; row++ {
-		buf = append(buf, f.open...)
-		for col, width := range widths {
-			if col > 0 {
-				buf = append(buf, f.between...)
+	rows, classes := t.rows.numRows(), t.rows.numClasses()
+	// Class c's line is lines[ends[c]:ends[c+1]]; classes come in order.
+	var lines []byte
+	var ends []int
+	if classes < rows {
+		ends = make([]int, 1, classes+1)
+	}
+	buf = t.appendLine(t.appendLine(buf, f, widths, headerRow), f, widths, ruleRow)
+	for row := 0; row < rows && p.err == nil; row++ {
+		class := t.rows.classOf(row)
+		if ends == nil {
+			buf = t.appendLine(buf, f, widths, class)
+		} else {
+			if class+1 == len(ends) {
+				lines = t.appendLine(lines, f, widths, class)
+				ends = append(ends, len(lines))
 			}
-			start := len(buf)
-			switch {
-			case row == headerRow:
-				buf = append(buf, t.headers[col]...)
-			case row == ruleRow && f.markdown:
-				buf = append(buf, rule...)
-			case row == ruleRow:
-				buf = appendRun(buf, dashes, width)
-			default:
-				buf = t.rows.appendCell(buf, row, col)
-				if f.markdown {
-					buf = escapePipes(buf, start)
-				}
-			}
-			if !f.markdown {
-				buf = appendRun(buf, blanks, width-(len(buf)-start))
-			}
+			buf = append(buf, lines[ends[class]:ends[class+1]]...)
 		}
-		buf = append(buf, f.end...)
 		if len(buf) >= flushAt {
 			p.buf = buf
 			p.flush()
@@ -375,23 +389,31 @@ func (t *Table) write(p *printer, f *format, widths []int) {
 	p.buf = buf
 }
 
-// escapePipes rewrites buf[from:] in place with a backslash before every '|'.
-func escapePipes(buf []byte, from int) []byte {
-	extra := bytes.Count(buf[from:], pipe)
-	if extra == 0 {
-		return buf
-	}
-	src := len(buf) - 1
-	for ; extra > 0; extra-- {
-		buf = append(buf, 0)
-	}
-	for dst := len(buf) - 1; src >= from; src-- {
-		buf[dst] = buf[src]
-		dst--
-		if buf[src] == '|' {
-			buf[dst] = '\\'
-			dst--
+// appendLine appends one line of the table: the header, its rule, or a class
+// of data rows.
+func (t *Table) appendLine(buf []byte, f *format, widths []int, class int) []byte {
+	buf = append(buf, f.open...)
+	for col, width := range widths {
+		if col > 0 {
+			buf = append(buf, f.between...)
+		}
+		start := len(buf)
+		switch {
+		case class == headerRow:
+			buf = append(buf, t.headers[col]...)
+		case class == ruleRow && f.markdown:
+			buf = append(buf, rule...)
+		case class == ruleRow:
+			buf = appendRun(buf, dashes, width)
+		default:
+			buf = t.rows.appendCell(buf, class, col)
+			if f.markdown && bytes.IndexByte(buf[start:], '|') >= 0 {
+				buf = append(buf[:start], bytes.ReplaceAll(buf[start:], pipe, []byte(`\|`))...)
+			}
+		}
+		if !f.markdown {
+			buf = appendRun(buf, blanks, width-(len(buf)-start))
 		}
 	}
-	return buf
+	return append(buf, f.end...)
 }

@@ -153,7 +153,7 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 // AnalyzeContext assesses the user profile against the privacy LTS. ctx is
 // polled while walking the model's transitions, so analyses of very large
 // models abort promptly with ctx.Err() when the caller cancels or the
-// deadline passes. Each finding of the walk (rank) is built once, straight
+// deadline passes. Each finding of the walk (rank) is written once, straight
 // into its report slot.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profile UserProfile) (*Assessment, error) {
 	r, err := a.rank(ctx, p, profile)
@@ -164,23 +164,30 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 		return r.assessment, nil
 	}
 	view := r.view
-	// Memos for this call: each name is quoted and each float formatted once,
-	// each label's field set copied once, and each event's texts rendered
-	// once. A text is fixed by the label (shared per declared flow; it fixes
-	// action, fields, performer, store, service and potential marker), the
-	// actor, the driving field (hence the impact) and the likelihood class.
+	// A finding is its class plus its transition: the label (shared per
+	// declared flow; it fixes action, fields, performer, store, service and
+	// potential marker), the actor, the driving field (hence the impact) and
+	// the likelihood class fix every other field. The first finding of a class
+	// in report order is built, texts and all; the others copy it.
 	rc := newRenderCache()
 	fieldSets := make(map[*core.TransitionLabel][]string)
-	type reportKey struct {
+	type class struct {
 		label          *core.TransitionLabel
 		actor, driving int32
 		serviceClass   bool
 	}
-	type reportText struct{ explanation, mitigation string }
-	reports := make(map[reportKey]reportText)
+	first := make(map[class]int) // the report slot of the class's first finding
 	findings := make([]Finding, len(r.pend))
 	r.place(func(pos int, pe pending) {
 		label := view.Label(pe.edge)
+		f := &findings[pos]
+		key := class{label: label, actor: pe.actor, driving: pe.driving, serviceClass: pe.serviceClass}
+		if at, ok := first[key]; ok {
+			*f = findings[at]
+			f.Transition = view.Graph.TransitionAt(pe.edge)
+			return
+		}
+		first[key] = pos
 		fieldSet, ok := fieldSets[label]
 		if !ok {
 			fieldSet = label.FieldSet()
@@ -190,7 +197,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 		if pe.serviceClass {
 			likelihood, likelihoodLevel, scenarios = a.serviceLikelihood, a.serviceLevel, a.serviceScenarios
 		}
-		f := &findings[pos]
 		*f = Finding{
 			Transition:      view.Graph.TransitionAt(pe.edge),
 			Action:          label.Action,
@@ -208,13 +214,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 			Scenarios:       scenarios,
 			Risk:            Level(pe.risk),
 		}
-		key := reportKey{label: label, actor: pe.actor, driving: pe.driving, serviceClass: pe.serviceClass}
-		text, ok := reports[key]
-		if !ok {
-			text = reportText{a.explain(f, view.FieldsJoined(pe.edge), rc), a.suggestMitigation(f, rc)}
-			reports[key] = text
-		}
-		f.Explanation, f.Mitigation = text.explanation, text.mitigation
+		f.Explanation, f.Mitigation = a.explain(f, rc), a.suggestMitigation(f, rc)
 	})
 	r.assessment.Findings = findings
 	return r.assessment, nil
@@ -486,18 +486,28 @@ func (r *renderCache) fixed2(v float64) string {
 	return s
 }
 
-// explain renders the finding's explanation. It is on the per-finding report
-// path of every analysis, so it writes directly into one pre-sized
-// strings.Builder through the render cache instead of going through fmt; the
-// output is byte-identical to the earlier fmt-based rendering, which the
-// reference-equivalence tests pin down. fieldsJoined is the label's field
-// list pre-joined with ", " (resolved once per edge by the compiled view).
-func (a *Analyzer) explain(f *Finding, fieldsJoined string, rc *renderCache) string {
+// explain renders the finding's explanation. It runs once per finding class
+// of every analysis and writes directly into one pre-sized strings.Builder
+// through the render cache instead of going through fmt; the output is
+// byte-identical to the earlier fmt-based rendering, which the
+// reference-equivalence tests pin down.
+func (a *Analyzer) explain(f *Finding, rc *renderCache) string {
 	var b strings.Builder
-	b.Grow(160 + len(f.Actor) + len(f.PerformedBy) + len(f.Service) + len(f.Datastore) +
-		len(fieldsJoined) + len(f.DrivingField))
+	size := 160 + len(f.Actor) + len(f.PerformedBy) + len(f.Service) + len(f.Datastore) + len(f.DrivingField)
+	for _, field := range f.Fields {
+		size += len(field) + len(", ")
+	}
+	b.Grow(size)
 	writeQuoted := func(s string) { b.WriteString(rc.quote(s)) }
 	writeFixed2 := func(v float64) { b.WriteString(rc.fixed2(v)) }
+	writeFields := func() {
+		for i, field := range f.Fields {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(field)
+		}
+	}
 	switch {
 	case f.Potential:
 		b.WriteString("non-allowed actor ")
@@ -505,7 +515,7 @@ func (a *Analyzer) explain(f *Finding, fieldsJoined string, rc *renderCache) str
 		b.WriteString(" may ")
 		b.WriteString(f.Action.String())
 		b.WriteString(" ")
-		b.WriteString(fieldsJoined)
+		writeFields()
 		b.WriteString(" from datastore ")
 		writeQuoted(f.Datastore)
 		b.WriteString(" although no declared flow requires it")
@@ -517,7 +527,7 @@ func (a *Analyzer) explain(f *Finding, fieldsJoined string, rc *renderCache) str
 		b.WriteString(" ")
 		b.WriteString(f.Action.String())
 		b.WriteString(" ")
-		b.WriteString(fieldsJoined)
+		writeFields()
 	case f.Service != "":
 		b.WriteString(f.Action.String())
 		b.WriteString(" by ")
@@ -525,7 +535,7 @@ func (a *Analyzer) explain(f *Finding, fieldsJoined string, rc *renderCache) str
 		b.WriteString(" in service ")
 		writeQuoted(f.Service)
 		b.WriteString(" exposes ")
-		b.WriteString(fieldsJoined)
+		writeFields()
 		b.WriteString(" to non-allowed actor ")
 		writeQuoted(f.Actor)
 	default:
@@ -533,7 +543,7 @@ func (a *Analyzer) explain(f *Finding, fieldsJoined string, rc *renderCache) str
 		b.WriteString(" by ")
 		writeQuoted(f.PerformedBy)
 		b.WriteString(" exposes ")
-		b.WriteString(fieldsJoined)
+		writeFields()
 		b.WriteString(" to non-allowed actor ")
 		writeQuoted(f.Actor)
 	}
