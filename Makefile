@@ -132,6 +132,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHandoffDecode -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzModelDelta -fuzztime=$(FUZZTIME) ./internal/explore
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeOrder -fuzztime=$(FUZZTIME) ./internal/risk
+	$(GO) test -run='^$$' -fuzz=FuzzProfileShape -fuzztime=$(FUZZTIME) ./internal/risk
 	$(GO) test -run='^$$' -fuzz=FuzzFindingsTable -fuzztime=$(FUZZTIME) ./internal/report
 
 # cache-clean removes local persistent model-cache directories (the -model-cache

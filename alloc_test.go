@@ -123,9 +123,10 @@ func TestAllocCeilings(t *testing.T) {
 			}), 1
 		}},
 		// A population scan without a shared cache: 256 users of 32 shapes on
-		// the medium synthetic model (2,625 states). A user costs its
-		// fingerprint; a shape one ranked walk, and no Finding or text.
-		{"risk_population", 24.26, "user", func(t *testing.T) (float64, int) {
+		// the medium synthetic model (2,625 states). A user costs nothing: its
+		// shape is interned; a shape one registry copy and one ranked walk, and
+		// no Finding or text.
+		{"risk_population", 2.945, "user", func(t *testing.T) (float64, int) {
 			medium := synth.Model(synth.ModelSpec{Services: 4, FieldsPerService: 3})
 			p := mustGenerate(t, medium, privascope.GenerateOptions{})
 			shapes := synth.Population(medium, synth.PopulationOptions{Users: 32, Seed: 3, SensitiveFields: synth.SensitiveFieldsOf(medium)})
@@ -261,8 +262,10 @@ func TestAllocCeilings(t *testing.T) {
 				}
 			}), len(stream)
 		}},
-		// Router.Register of 8,192 users on a two-node fleet.
-		{"router_register", 19.20, "user", func(t *testing.T) (float64, int) {
+		// Router.Register of 8,192 users on a two-node fleet: per chunk a frame,
+		// its request and its decoded snapshots; per user only the slab's and
+		// the ID map's growth.
+		{"router_register", 0.219, "user", func(t *testing.T) (float64, int) {
 			return testutil.AllocsOnFresh(func() *cluster.Local { return startFleet(t, surgeryLTS) }, func(c *cluster.Local) {
 				if err := c.Router.Register(ctx, fleetProfiles); err != nil {
 					t.Fatal(err)
@@ -270,7 +273,7 @@ func TestAllocCeilings(t *testing.T) {
 			}), len(fleetProfiles)
 		}},
 		// AddNode then RemoveNode of the joiner on that fleet, registered.
-		{"join_leave", 19.26, "moved user", func(t *testing.T) (float64, int) {
+		{"join_leave", 0.345, "moved user", func(t *testing.T) (float64, int) {
 			fresh := func() *cluster.Local {
 				c := startFleet(t, surgeryLTS)
 				if err := c.Router.Register(ctx, fleetProfiles); err != nil {

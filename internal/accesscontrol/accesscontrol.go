@@ -410,7 +410,8 @@ type Scope struct {
 // Diff compares two policies over the given scope and returns the accesses
 // whose outcome changed, sorted deterministically. It is used to explain the
 // effect of a mitigation ("the access policies were changed accordingly and
-// the risk level was reduced", Section IV-A).
+// the risk level was reduced", Section IV-A). A point of the scope reads only
+// the grants of its actor on its store, looked up once per call.
 func Diff(before, after Policy, scope Scope) []AccessChange {
 	var changes []AccessChange
 	stores := make([]string, 0, len(scope.Datastores))
@@ -421,25 +422,43 @@ func Diff(before, after Policy, scope Scope) []AccessChange {
 	actors := append([]string(nil), scope.Actors...)
 	sort.Strings(actors)
 	perms := []Permission{PermissionRead, PermissionWrite, PermissionDelete}
+	beforeACL, afterACL := ACLOf(before), ACLOf(after)
+	// b[i] and a[i] hold actor i's grants on the store, in bAll and aAll.
+	b, a := make([]ACL, len(actors)), make([]ACL, len(actors))
+	bAll, aAll := make([]Grant, 0, len(beforeACL.grants)), make([]Grant, 0, len(afterACL.grants))
 	for _, ds := range stores {
+		bAll, aAll = bAll[:0], aAll[:0]
+		for i, actor := range actors {
+			n, m := len(bAll), len(aAll)
+			bAll, aAll = beforeACL.grantsOn(actor, ds, bAll), afterACL.grantsOn(actor, ds, aAll)
+			b[i].grants, a[i].grants = bAll[n:], aAll[m:]
+		}
 		fields := append([]string(nil), scope.Datastores[ds]...)
 		sort.Strings(fields)
 		for _, field := range fields {
-			for _, actor := range actors {
+			for i, actor := range actors {
+				if len(b[i].grants) == 0 && len(a[i].grants) == 0 {
+					continue
+				}
 				for _, perm := range perms {
-					b := before.Allows(actor, ds, field, perm)
-					a := after.Allows(actor, ds, field, perm)
-					if b != a {
-						changes = append(changes, AccessChange{
-							Actor: actor, Datastore: ds, Field: field, Perm: perm,
-							Before: b, After: a,
-						})
+					if before, after := b[i].Allows(actor, ds, field, perm), a[i].Allows(actor, ds, field, perm); before != after {
+						changes = append(changes, AccessChange{Actor: actor, Datastore: ds, Field: field, Perm: perm, Before: before, After: after})
 					}
 				}
 			}
 		}
 	}
 	return changes
+}
+
+// grantsOn appends the grants of the actor on the datastore to dst.
+func (a *ACL) grantsOn(actor, ds string, dst []Grant) []Grant {
+	for _, g := range a.grants {
+		if g.Actor == actor && g.Datastore == ds {
+			dst = append(dst, g)
+		}
+	}
+	return dst
 }
 
 func sortedSet(set map[string]bool) []string {

@@ -1,7 +1,9 @@
 package accesscontrol
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -359,6 +361,52 @@ func TestDiff(t *testing.T) {
 	// Identical policies produce no diff.
 	if d := Diff(before, before, scope); len(d) != 0 {
 		t.Errorf("Diff(p, p) = %v, want empty", d)
+	}
+}
+
+// TestDiffMatchesPointwiseAllows: on random pairs of policies, Diff lists
+// exactly the (store, field, actor, permission) points, in scope order, where
+// the two policies' Allows disagree — what it computed before it indexed the
+// grants.
+func TestDiffMatchesPointwiseAllows(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	rng := rand.New(rand.NewSource(1))
+	random := func() *ACL {
+		acl := &ACL{}
+		for n := rng.Intn(12); n > 0; n-- {
+			g := Grant{Actor: names[rng.Intn(3)], Datastore: "s" + names[rng.Intn(3)],
+				Fields: []string{[]string{"x", "y", AllFields}[rng.Intn(3)]}, Permissions: []Permission{Permission(1 + rng.Intn(3))}}
+			if rng.Intn(2) == 0 {
+				g.Fields = append(g.Fields, "z")
+				g.Permissions = append(g.Permissions, Permission(1+rng.Intn(3)))
+			}
+			if err := acl.Add(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return acl
+	}
+	scope := Scope{Actors: []string{"c", "a", "b", "d"},
+		Datastores: map[string][]string{"sb": {"y", "x", "z", "w"}, "sa": {"z", "x"}, "sd": {"x"}}}
+	for round := 0; round < 200; round++ {
+		before, after := random(), random()
+		var want []AccessChange
+		for _, ds := range []string{"sa", "sb", "sd"} {
+			fields := append([]string(nil), scope.Datastores[ds]...)
+			sort.Strings(fields)
+			for _, field := range fields {
+				for _, actor := range []string{"a", "b", "c", "d"} {
+					for perm := PermissionRead; perm <= PermissionDelete; perm++ {
+						if b, a := before.Allows(actor, ds, field, perm), after.Allows(actor, ds, field, perm); b != a {
+							want = append(want, AccessChange{Actor: actor, Datastore: ds, Field: field, Perm: perm, Before: b, After: a})
+						}
+					}
+				}
+			}
+		}
+		if got := Diff(before, after, scope); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: Diff = %v, want %v", round, got, want)
+		}
 	}
 }
 

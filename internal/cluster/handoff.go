@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"privascope/internal/lts"
+	"privascope/internal/risk"
 	"privascope/internal/runtime"
 	"privascope/internal/wire"
 )
@@ -39,6 +40,12 @@ import (
 // (bounds, sorted unique sensitivity fields, finite values in [0,1]) before
 // building a snapshot; semantic validation against the model (does the state
 // exist?) is the importing monitor's job.
+//
+// A profile's record tail — defsens through sens — is a function of the
+// profile and the strings interned before it, so a chunk's users that repeat
+// a profile repeat its tail byte for byte. The encoder writes a repeated
+// profile's tail once and copies it; the decoder builds each distinct tail's
+// profile once and shares its slice and map with every snapshot repeating it.
 
 // HandoffVersion is the wire format written by EncodeHandoff.
 const HandoffVersion = 1
@@ -102,7 +109,6 @@ func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int
 		return nil, 0, fmt.Errorf("cluster: refusing to encode an empty handoff frame")
 	}
 	var in wire.Interner
-	in.Reset()
 
 	// The records go to scratch first, as in appendFrame: interning them in
 	// canonical first-occurrence order (sensitivity fields sorted — map order
@@ -110,13 +116,16 @@ func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int
 	// scratch is sized once for the records that can fit maxBytes (growing it
 	// by doubling cost more than the encoding), and the loop stops before the
 	// snapshot that would overflow the frame.
-	recsCap := 0
-	for i := 0; i < len(snaps) && recsCap < maxBytes; i++ {
-		p := &snaps[i].Profile
+	recsCap, users := 0, 0
+	for ; users < len(snaps) && recsCap < maxBytes; users++ {
+		p := &snaps[users].Profile
 		recsCap += snapshotFixedSize + 4*len(p.ConsentedServices) + 12*len(p.Sensitivities)
 	}
+	in.ResetSized(users + 16) // a user ID each, a state and a profile's names
 	w := wire.Buf{B: make([]byte, 0, recsCap)}
 	var fields []string
+	var profiles risk.Shapes
+	var tails [][2]int // per profile record: its tail's span in w.B
 	n := 0
 	for i := range snaps {
 		s := &snaps[i]
@@ -127,31 +136,38 @@ func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int
 			return nil, 0, fmt.Errorf("cluster: snapshot of user %q has negative cursors (applied %d, alerts %d)",
 				s.Profile.ID, s.Applied, s.Alerts)
 		}
-		if err := s.Profile.Validate(); err != nil {
-			return nil, 0, fmt.Errorf("cluster: snapshot of user %q: %w", s.Profile.ID, err)
-		}
-		if len(s.Profile.ConsentedServices) > math.MaxUint16 || len(s.Profile.Sensitivities) > math.MaxUint16 {
-			return nil, 0, fmt.Errorf("cluster: snapshot of user %q has too many services or sensitivities", s.Profile.ID)
-		}
 		strMark, recMark := len(in.Strings()), len(w.B)
 		w.U32(in.Ref(s.Profile.ID))
 		w.U32(in.Ref(string(s.State)))
 		w.U64(uint64(s.Applied))
 		w.U64(uint64(s.Alerts))
-		w.F64(s.Profile.DefaultSensitivity)
-		w.U16(uint16(len(s.Profile.ConsentedServices)))
-		w.U16(uint16(len(s.Profile.Sensitivities)))
-		for _, svc := range s.Profile.ConsentedServices {
-			w.U32(in.Ref(svc))
-		}
-		fields = fields[:0]
-		for f := range s.Profile.Sensitivities {
-			fields = append(fields, f)
-		}
-		sort.Strings(fields)
-		for _, f := range fields {
-			w.U32(in.Ref(f))
-			w.F64(s.Profile.Sensitivities[f])
+		if record, _ := profiles.Intern(s.Profile); int(record) < len(tails) {
+			w.B = append(w.B, w.B[tails[record][0]:tails[record][1]]...)
+		} else {
+			// A record is validated once: its repeats are equal to the bit.
+			if err := s.Profile.Validate(); err != nil {
+				return nil, 0, fmt.Errorf("cluster: snapshot of user %q: %w", s.Profile.ID, err)
+			}
+			if len(s.Profile.ConsentedServices) > math.MaxUint16 || len(s.Profile.Sensitivities) > math.MaxUint16 {
+				return nil, 0, fmt.Errorf("cluster: snapshot of user %q has too many services or sensitivities", s.Profile.ID)
+			}
+			tail := len(w.B)
+			w.F64(s.Profile.DefaultSensitivity)
+			w.U16(uint16(len(s.Profile.ConsentedServices)))
+			w.U16(uint16(len(s.Profile.Sensitivities)))
+			for _, svc := range s.Profile.ConsentedServices {
+				w.U32(in.Ref(svc))
+			}
+			fields = fields[:0]
+			for f := range s.Profile.Sensitivities {
+				fields = append(fields, f)
+			}
+			sort.Strings(fields)
+			for _, f := range fields {
+				w.U32(in.Ref(f))
+				w.F64(s.Profile.Sensitivities[f])
+			}
+			tails = append(tails, [2]int{tail, len(w.B)})
 		}
 		newTotal := handoffFrame.Size(&in, len(w.B))
 		if i == 0 && newTotal > MaxHandoffBytes {
@@ -170,7 +186,8 @@ func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int
 }
 
 // DecodeHandoff decodes exactly one handoff frame, rejecting trailing bytes.
-// Decoded profiles own their storage (nothing aliases the input).
+// Decoded profiles own their storage (nothing aliases the input); snapshots
+// that repeat a profile record share its slice and map.
 func DecodeHandoff(data []byte) ([]runtime.UserSnapshot, error) {
 	count, err := handoffFrame.ParseFrame(data)
 	if err != nil {
@@ -182,6 +199,7 @@ func DecodeHandoff(data []byte) ([]runtime.UserSnapshot, error) {
 	}
 
 	snaps := make([]runtime.UserSnapshot, count)
+	seen := make(map[string]int) // profile record tail -> its first snapshot
 	str := func(raw []byte, what string, record int) (string, error) {
 		ref := binary.LittleEndian.Uint32(raw)
 		if int64(ref) >= int64(len(strs)) {
@@ -212,17 +230,21 @@ func DecodeHandoff(data []byte) ([]runtime.UserSnapshot, error) {
 			return nil, c.Errorf("snapshot %d cursors overflow int64", i)
 		}
 		s.Applied, s.Alerts = int64(applied), int64(alerts)
-		defsens := math.Float64frombits(binary.LittleEndian.Uint64(rec[24:]))
-		if !(defsens >= 0 && defsens <= 1) { // rejects NaN too
-			return nil, c.Errorf("snapshot %d default sensitivity %v outside [0,1]", i, defsens)
-		}
-		s.Profile.DefaultSensitivity = defsens
 		nsvc := int(binary.LittleEndian.Uint16(rec[32:]))
 		nsens := int(binary.LittleEndian.Uint16(rec[34:]))
 		lists, err := c.Take(4*nsvc + 12*nsens)
 		if err != nil {
 			return nil, err
 		}
+		end := len(data) - c.Len()
+		tail := data[end-len(rec[24:])-len(lists) : end] // rec[24:] and lists, read in one piece
+		if first, ok := seen[string(tail)]; ok {
+			s.Profile = risk.UserProfile{ID: s.Profile.ID, ConsentedServices: snaps[first].Profile.ConsentedServices,
+				Sensitivities: snaps[first].Profile.Sensitivities, DefaultSensitivity: snaps[first].Profile.DefaultSensitivity}
+			continue
+		}
+		seen[string(tail)] = i
+		s.Profile.DefaultSensitivity = math.Float64frombits(binary.LittleEndian.Uint64(rec[24:]))
 		if nsvc > 0 {
 			s.Profile.ConsentedServices = make([]string, nsvc)
 			for v := range s.Profile.ConsentedServices {
@@ -243,12 +265,11 @@ func DecodeHandoff(data []byte) ([]runtime.UserSnapshot, error) {
 					return nil, c.Errorf("snapshot %d sensitivity fields not sorted unique (%q after %q)", i, field, prevField)
 				}
 				prevField = field
-				value := math.Float64frombits(binary.LittleEndian.Uint64(pair[4:]))
-				if !(value >= 0 && value <= 1) {
-					return nil, c.Errorf("snapshot %d sensitivity of %q is %v, outside [0,1]", i, field, value)
-				}
-				s.Profile.Sensitivities[field] = value
+				s.Profile.Sensitivities[field] = math.Float64frombits(binary.LittleEndian.Uint64(pair[4:]))
 			}
+		}
+		if err := s.Profile.Validate(); err != nil { // σ in [0,1], NaN rejected
+			return nil, c.Errorf("snapshot %d: %v", i, err)
 		}
 	}
 	if err := c.Done(); err != nil {

@@ -129,6 +129,9 @@ func (l *LTS) Index(id StateID) (int32, bool) {
 	return s, ok
 }
 
+// StateAt returns the ID of the state at the given dense index.
+func (l *LTS) StateAt(s int32) StateID { return l.states[s] }
+
 // TransitionAt returns the transition at the given transition index.
 func (l *LTS) TransitionAt(e int32) Transition { return l.trs[e] }
 

@@ -46,9 +46,9 @@ type PopulationAssessment struct {
 	// is responsible for. It points designers at the access rights whose
 	// mitigation pays off most.
 	WorstActors map[string]int
-	// DistinctShapes is the number of distinct profile shapes
-	// (UserProfile.Fingerprint) in the population: each was analysed (or
-	// read from a shared cache) once, and every other user shared its entry.
+	// DistinctShapes is the number of distinct profile shapes (Shapes) in
+	// the population: each was analysed (or read from a shared cache) once,
+	// and every other user shared its entry.
 	DistinctShapes int
 }
 
@@ -74,14 +74,14 @@ func (p *PopulationAssessment) WorstActorsRanked() []string {
 // complete ones.
 //
 // Real populations hold millions of users but few distinct privacy-control
-// shapes (UserProfile.Fingerprint), so the model is walked once per shape
-// and same-shaped users share its entry, read straight off the ranked walk:
+// shapes (Shapes), so the model is walked once per shape and same-shaped
+// users share its entry, read straight off the ranked walk:
 // the count, the overall risk and the first finding in report order. A scan
 // builds no Finding and renders no text; the aggregation is O(users). ctx is
 // polled between profiles (and inside each underlying walk), so a cancelled
 // context aborts the scan promptly with ctx.Err().
 func (a *Analyzer) AnalyzePopulationContext(ctx context.Context, p *core.PrivacyLTS, profiles []UserProfile) (*PopulationAssessment, error) {
-	return analyzePopulation(ctx, p, profiles, func(profile UserProfile, _ string) (UserRisk, error) {
+	return analyzePopulation(ctx, p, profiles, func(profile UserProfile) (UserRisk, error) {
 		r, err := a.rank(ctx, p, profile)
 		if err != nil {
 			return UserRisk{}, err
@@ -96,8 +96,8 @@ func (a *Analyzer) AnalyzePopulationContext(ctx context.Context, p *core.Privacy
 // model: a shape's entry comes from its cached Assessment. DistinctShapes
 // still counts the shapes of this population only, not the cache's size.
 func AnalyzePopulationCached(ctx context.Context, cache *AssessmentCache, p *core.PrivacyLTS, profiles []UserProfile) (*PopulationAssessment, error) {
-	return analyzePopulation(ctx, p, profiles, func(profile UserProfile, fingerprint string) (UserRisk, error) {
-		a, err := cache.AnalyzeFingerprinted(ctx, p, profile, fingerprint)
+	return analyzePopulation(ctx, p, profiles, func(profile UserProfile) (UserRisk, error) {
+		a, err := cache.AnalyzeContext(ctx, p, profile)
 		if err != nil {
 			return UserRisk{}, err
 		}
@@ -111,7 +111,7 @@ func AnalyzePopulationCached(ctx context.Context, cache *AssessmentCache, p *cor
 
 // analyzePopulation aggregates profiles, asking shape once per distinct shape.
 func analyzePopulation(ctx context.Context, p *core.PrivacyLTS, profiles []UserProfile,
-	shape func(profile UserProfile, fingerprint string) (UserRisk, error)) (*PopulationAssessment, error) {
+	shape func(profile UserProfile) (UserRisk, error)) (*PopulationAssessment, error) {
 	if p == nil {
 		return nil, errors.New("risk: privacy LTS must not be nil")
 	}
@@ -123,20 +123,21 @@ func analyzePopulation(ctx context.Context, p *core.PrivacyLTS, profiles []UserP
 		Distribution: make(map[Level]int),
 		WorstActors:  make(map[string]int),
 	}
-	shapes := make(map[string]UserRisk)
+	var shapes Shapes
+	var entries []UserRisk // per shape id
 	for i, profile := range profiles {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		fingerprint := profile.Fingerprint()
-		entry, ok := shapes[fingerprint]
-		if !ok {
-			var err error
-			if entry, err = shape(profile, fingerprint); err != nil {
+		_, id := shapes.Intern(profile)
+		if int(id) == len(entries) { // a shape's first user
+			entry, err := shape(profile)
+			if err != nil {
 				return nil, fmt.Errorf("risk: analysing profile %d (%s): %w", i, profile.ID, err)
 			}
-			shapes[fingerprint] = entry
+			entries = append(entries, entry)
 		}
+		entry := entries[id]
 		entry.UserID = profile.ID
 		if entry.Findings > 0 {
 			out.WorstActors[entry.WorstActor]++
@@ -147,6 +148,6 @@ func analyzePopulation(ctx context.Context, p *core.PrivacyLTS, profiles []UserP
 			out.UsersAtRisk++
 		}
 	}
-	out.DistinctShapes = len(shapes)
+	out.DistinctShapes = len(entries)
 	return out, nil
 }

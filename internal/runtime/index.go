@@ -27,10 +27,9 @@ type eventKey struct {
 	datastore string
 }
 
-// indexedTransition is one outgoing transition with its precompiled field
-// mask.
+// indexedTransition is one outgoing edge with its precompiled field mask.
 type indexedTransition struct {
-	tr     lts.Transition
+	edge   int32
 	fields fieldMask
 }
 
@@ -60,8 +59,7 @@ type stateEntry struct {
 type transitionIndex struct {
 	fieldBits map[string]int
 	words     int
-	// graph resolves cursor state IDs to the dense indices states is
-	// addressed by.
+	// graph maps the dense states and edges the monitor keeps to their IDs.
 	graph *lts.LTS
 	// states[denseState] buckets that state's outgoing transitions, nil for
 	// states with none.
@@ -121,7 +119,7 @@ func newTransitionIndex(p *core.PrivacyLTS) *transitionIndex {
 			for _, f := range label.Fields {
 				mask.set(ix.fieldBits[f])
 			}
-			it := indexedTransition{tr: c.TransitionAt(e), fields: mask}
+			it := indexedTransition{edge: e, fields: mask}
 			if label.Potential {
 				entry.potential = append(entry.potential, it)
 			} else {
@@ -133,26 +131,22 @@ func newTransitionIndex(p *core.PrivacyLTS) *transitionIndex {
 	return ix
 }
 
-// match finds the transition leaving cursor that the event takes: same
+// match finds the edge leaving the dense state s that the event takes: same
 // action, actor and datastore, and the event's fields covered by the label's
 // fields (a read of a subset of the modelled fields still matches). Declared
 // flows are preferred over potential reads; within each partition the first
 // insertion-order match wins, mirroring a linear scan of Graph.Outgoing.
-func (ix *transitionIndex) match(cursor lts.StateID, ev *service.Event) (lts.Transition, bool) {
+func (ix *transitionIndex) match(s int32, ev *service.Event) (edge int32, ok bool) {
 	if len(ev.Fields) == 0 {
-		return lts.Transition{}, false
-	}
-	s, ok := ix.graph.Index(cursor)
-	if !ok {
-		return lts.Transition{}, false
+		return -1, false
 	}
 	entries := ix.states[s]
 	if entries == nil {
-		return lts.Transition{}, false
+		return -1, false
 	}
 	entry := entries[eventKey{action: ev.Action, actor: ev.Actor, datastore: ev.Datastore}]
 	if entry == nil {
-		return lts.Transition{}, false
+		return -1, false
 	}
 	var stack [4]uint64
 	var evMask fieldMask
@@ -165,19 +159,19 @@ func (ix *transitionIndex) match(cursor lts.StateID, ev *service.Event) (lts.Tra
 		bit, ok := ix.fieldBits[f]
 		if !ok {
 			// A field no label mentions: nothing can cover it.
-			return lts.Transition{}, false
+			return -1, false
 		}
 		evMask.set(bit)
 	}
 	for _, it := range entry.declared {
 		if it.fields.covers(evMask) {
-			return it.tr, true
+			return it.edge, true
 		}
 	}
 	for _, it := range entry.potential {
 		if it.fields.covers(evMask) {
-			return it.tr, true
+			return it.edge, true
 		}
 	}
-	return lts.Transition{}, false
+	return -1, false
 }

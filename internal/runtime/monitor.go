@@ -12,14 +12,13 @@
 // threshold or when the behaviour is not part of the model at all
 // (unmodelled behaviour — a design/implementation mismatch).
 //
-// The monitor is built for production event rates: each user's state is one
-// record found by one map probe, event matching runs against a transition
-// index compiled once per model (see index.go), and risk assessments are
-// deduplicated through a profile-fingerprint cache, so registering the
-// millionth user with an already-seen profile shape is O(1). One mutex guards
-// the user records and the alert log; parallelism across users comes from
-// running one monitor per cluster node (internal/cluster), not from inside
-// the monitor.
+// The monitor is built for production event rates: a user is a record in a
+// slab found by one map probe, event matching runs against a transition index
+// compiled once per model (see index.go), and profiles are interned in a
+// risk.Shapes registry, so each shape is analysed once. One mutex guards the
+// user records and the alert log; parallelism across users comes from running
+// one monitor per cluster node (internal/cluster), not from inside the
+// monitor.
 package runtime
 
 import (
@@ -90,26 +89,18 @@ type Observation struct {
 	Alerts []Alert
 }
 
-// findingKey indexes a user's assessment findings by the matched transition
-// and the at-risk actor, so an observed event maps to its risk level in
-// O(1). Transitions compare by value: (From, To, Label); generation shares
-// label pointers, so this equals identity of the disclosure event.
-type findingKey struct {
-	tr    lts.Transition
-	actor string
-}
+// edgeFindings is one shape's alerting findings by dense edge: an event that
+// takes an edge is performed by its label's actor, so the one finding it can
+// raise is that actor's (findingsOf). Built once per shape, read-only after.
+type edgeFindings map[int32]*risk.Finding
 
-// findingsIndex is the per-profile-shape risk lookup table. It is built once
-// per shape and shared read-only by every user with that shape.
-type findingsIndex map[findingKey]risk.Finding
-
-// userState is everything the monitor keeps for one registered user: the
-// portable part (profile, cursor, cumulative counters — exactly what
-// ExportUser hands out) plus the findings index shared with every user of
-// the same profile shape.
-type userState struct {
-	UserSnapshot
-	findings findingsIndex
+// user is one registered user: its shape's findings, its profile's record in
+// the monitor's registry, its dense cursor and its cumulative counters.
+type user struct {
+	id              string
+	findings        edgeFindings
+	profile, state  int32
+	applied, alerts int64
 }
 
 // Monitor tracks per-user privacy state against a privacy LTS. It is safe
@@ -121,14 +112,16 @@ type Monitor struct {
 	// alertAt is the minimum risk level that raises an alert.
 	alertAt risk.Level
 
-	// mu guards users, every userState in it, and alerts.
-	mu     sync.Mutex
-	users  map[string]*userState
-	alerts []Alert
+	// profiles interns every installed profile; shapes analyses each of its
+	// shapes once.
+	profiles risk.Shapes
+	shapes   flight.Group[int32, edgeFindings]
 
-	// shapes holds the findings index per profile fingerprint; its leader
-	// runs the risk analysis and builds the index, once per shape.
-	shapes flight.Group[string, findingsIndex]
+	// mu guards users, slab and alerts.
+	mu     sync.Mutex
+	users  map[string]int32 // user ID -> slab index
+	slab   []user
+	alerts alertLog
 }
 
 // Config configures a Monitor.
@@ -163,15 +156,14 @@ func NewMonitor(p *core.PrivacyLTS, cfg Config) (*Monitor, error) {
 		analyzer: analyzer,
 		index:    newTransitionIndex(p),
 		alertAt:  alertAt,
-		users:    make(map[string]*userState),
+		users:    make(map[string]int32),
 	}, nil
 }
 
 // RegisterUser starts tracking a user: their cursor is placed at the initial
 // (absolute privacy) state and their profile is assessed against the model so
-// observed transitions can be mapped to risk levels cheaply. The assessment
-// and its findings index are computed once per profile shape (Fingerprint)
-// and shared, so registration is O(1) after the first user of each shape.
+// observed transitions can be mapped to risk levels cheaply. The monitor keeps
+// its own copy of the profile, and analyses each profile shape once.
 func (m *Monitor) RegisterUser(profile risk.UserProfile) error {
 	return m.RegisterUserContext(context.Background(), profile)
 }
@@ -187,56 +179,77 @@ func (m *Monitor) RegisterUserContext(ctx context.Context, profile risk.UserProf
 // install starts tracking each snapshot's user at the snapshot's state and
 // counters, replacing whatever the monitor held for that ID. Registration
 // installs the initial state with zero counters, import installs snapshots
-// as they are. Every shape is resolved before the lock is taken, once, for
-// the whole batch: nothing is installed when any shape's analysis fails or
-// ctx is done by then.
+// as they are. Every profile is interned and its shape's findings resolved
+// before the lock is taken, once, for the whole batch: nothing is installed
+// when any shape's analysis fails or ctx is done by then.
 func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
-	states := make([]*userState, len(snaps))
+	users := make([]user, len(snaps))
 	for i := range snaps {
-		index, err := m.shapeIndex(ctx, snaps[i].Profile)
-		if err != nil {
-			return err
+		s, u := &snaps[i], &users[i]
+		record, shape := m.profiles.Intern(s.Profile)
+		if i > 0 && users[i-1].profile == record { // a batch's users come in runs of one profile
+			u.findings = users[i-1].findings
+		} else {
+			var err error
+			u.findings, err = m.shapes.Do(ctx, shape, func(ctx context.Context) (edgeFindings, error) {
+				return m.findingsOf(ctx, s.Profile)
+			})
+			if err != nil {
+				return err
+			}
 		}
-		states[i] = &userState{UserSnapshot: snaps[i], findings: index}
+		u.state, _ = m.index.graph.Index(s.State)
+		u.id, u.profile, u.applied, u.alerts = s.Profile.ID, record, s.Applied, s.Alerts
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	m.mu.Lock()
-	for _, u := range states {
-		m.users[u.Profile.ID] = u
+	defer m.mu.Unlock()
+	for _, u := range users {
+		if at, ok := m.users[u.id]; ok {
+			m.slab[at] = u
+			continue
+		}
+		m.users[u.id] = int32(len(m.slab))
+		m.slab = append(m.slab, u)
 	}
-	m.mu.Unlock()
 	return nil
 }
 
-// shapeIndex returns the shared findings index for the profile's shape,
-// analysing the shape and building its index on first use. Registrations
-// racing on a brand-new shape wait for one analysis, so all users of a shape
-// share one table.
-func (m *Monitor) shapeIndex(ctx context.Context, profile risk.UserProfile) (findingsIndex, error) {
-	return m.shapes.Do(ctx, profile.Fingerprint(), func(ctx context.Context) (findingsIndex, error) {
-		assessment, err := m.analyzer.AnalyzeContext(ctx, m.lts, profile)
-		if err != nil {
-			return nil, err
+// findingsOf keeps, per edge, the profile's riskiest finding whose at-risk
+// actor performs it, when its risk reaches the alert threshold: a flow that
+// merely exposes data to someone else is design-time knowledge (already in
+// the static assessment), while the non-allowed actor actually reading the
+// data is a live disclosure event.
+func (m *Monitor) findingsOf(ctx context.Context, profile risk.UserProfile) (edgeFindings, error) {
+	assessment, err := m.analyzer.AnalyzeContext(ctx, m.lts, profile)
+	if err != nil {
+		return nil, err
+	}
+	g := m.index.graph
+	out := make(edgeFindings)
+	for i := range assessment.Findings {
+		f := &assessment.Findings[i]
+		if f.Actor != f.PerformedBy || f.Risk < m.alertAt {
+			continue
 		}
-		index := make(findingsIndex, len(assessment.Findings))
-		for _, f := range assessment.Findings {
-			key := findingKey{tr: f.Transition, actor: f.Actor}
-			if existing, ok := index[key]; !ok || f.Risk > existing.Risk {
-				index[key] = f
+		from, _ := g.Index(f.Transition.From)
+		for _, e := range g.Out(from) {
+			if existing, ok := out[e]; g.TransitionAt(e) == f.Transition && (!ok || f.Risk > existing.Risk) {
+				out[e] = f
 			}
 		}
-		return index, nil
-	})
+	}
+	return out, nil
 }
 
 // Users returns the IDs of registered users, sorted.
 func (m *Monitor) Users() []string {
 	m.mu.Lock()
-	out := make([]string, 0, len(m.users))
-	for id := range m.users {
-		out = append(out, id)
+	out := make([]string, 0, len(m.slab))
+	for i := range m.slab {
+		out = append(out, m.slab[i].id)
 	}
 	m.mu.Unlock()
 	sort.Strings(out)
@@ -247,11 +260,11 @@ func (m *Monitor) Users() []string {
 func (m *Monitor) CurrentState(userID string) (lts.StateID, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	u, ok := m.users[userID]
+	at, ok := m.users[userID]
 	if !ok {
 		return "", false
 	}
-	return u.State, true
+	return m.index.graph.StateAt(m.slab[at].state), true
 }
 
 // CurrentVector returns the user's current privacy state vector.
@@ -268,7 +281,13 @@ func (m *Monitor) CurrentVector(userID string) (core.StateVector, bool) {
 func (m *Monitor) Alerts() []Alert {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Alert(nil), m.alerts...)
+	out := slices.Grow([]Alert(nil), m.alerts.n)
+	for _, block := range m.alerts.blocks {
+		for i := range block {
+			out = append(out, block[i].alert())
+		}
+	}
+	return out
 }
 
 // AlertsFor returns the alerts concerning one user.
@@ -276,43 +295,87 @@ func (m *Monitor) AlertsFor(userID string) []Alert {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []Alert
-	for _, a := range m.alerts {
-		if a.UserID == userID {
-			out = append(out, a)
+	for _, block := range m.alerts.blocks {
+		for i := range block {
+			if block[i].event.UserID == userID {
+				out = append(out, block[i].alert())
+			}
 		}
 	}
 	return out
 }
 
-func deniedAlert(ev *service.Event) Alert {
-	return Alert{
-		Kind:   AlertDenied,
-		UserID: ev.UserID,
-		Event:  *ev,
-		Message: fmt.Sprintf("access-control denied %s by %q on %s.%v",
-			ev.Action, ev.Actor, ev.Datastore, ev.Fields),
-	}
+// loggedAlert is an Alert as the log keeps it, in 184 bytes rather than 464:
+// a risk alert points at its shape's finding instead of copying it.
+type loggedAlert struct {
+	kind    AlertKind
+	event   service.Event
+	finding *risk.Finding
+	message string
 }
 
-func unmodelledAlert(ev *service.Event, cursor lts.StateID) Alert {
-	return Alert{
-		Kind:   AlertUnmodelled,
-		UserID: ev.UserID,
-		Event:  *ev,
-		Message: fmt.Sprintf("observed %s of %v by %q on %q has no matching transition from state %s; the design model and the running system disagree",
-			ev.Action, ev.Fields, ev.Actor, ev.Datastore, cursor),
+func (r *loggedAlert) alert() Alert {
+	a := Alert{Kind: r.kind, UserID: r.event.UserID, Event: r.event, Message: r.message}
+	if r.finding != nil {
+		a.Risk, a.Finding = r.finding.Risk, *r.finding
 	}
+	return a
 }
 
-func riskAlert(ev *service.Event, finding risk.Finding) Alert {
-	return Alert{
-		Kind:    AlertRisk,
-		UserID:  ev.UserID,
-		Event:   *ev,
-		Risk:    finding.Risk,
-		Finding: finding,
-		Message: fmt.Sprintf("%s-risk disclosure event for user %q: %s", finding.Risk, ev.UserID, finding.Explanation),
+// alertLog is the append-only alert log. Its blocks hold 8, 16, ... 512
+// alerts, then 512 each, so an append never copies a block and a short log
+// stays small. It owns what it keeps, one copy of each string: an event may
+// be one of a decoded frame's, whose strings and Fields share storage with
+// every other event of that frame, and an alert holding on to them would keep
+// the whole frame alive for as long as the log lives.
+type alertLog struct {
+	blocks [][]loggedAlert
+	n      int
+	names  map[string]string
+}
+
+func (l *alertLog) add(a loggedAlert) {
+	ev := &a.event
+	ev.Actor, ev.Datastore, ev.Service, ev.Purpose = l.own(ev.Actor), l.own(ev.Datastore), l.own(ev.Service), l.own(ev.Purpose)
+	ev.Fields = slices.Clone(ev.Fields)
+	for i, f := range ev.Fields {
+		ev.Fields[i] = l.own(f)
 	}
+	if n := len(l.blocks); n == 0 || len(l.blocks[n-1]) == cap(l.blocks[n-1]) {
+		l.blocks = append(l.blocks, make([]loggedAlert, 0, 8<<min(n, 6)))
+	}
+	last := &l.blocks[len(l.blocks)-1]
+	*last = append(*last, a)
+	l.n++
+}
+
+// own returns the log's copy of s.
+func (l *alertLog) own(s string) string {
+	c, ok := l.names[s]
+	if !ok {
+		if l.names == nil {
+			l.names = make(map[string]string)
+		}
+		c = strings.Clone(s)
+		l.names[c] = c
+	}
+	return c
+}
+
+func deniedAlert(ev *service.Event) loggedAlert {
+	return loggedAlert{kind: AlertDenied, event: *ev,
+		message: fmt.Sprintf("access-control denied %s by %q on %s.%v", ev.Action, ev.Actor, ev.Datastore, ev.Fields)}
+}
+
+func unmodelledAlert(ev *service.Event, cursor lts.StateID) loggedAlert {
+	return loggedAlert{kind: AlertUnmodelled, event: *ev,
+		message: fmt.Sprintf("observed %s of %v by %q on %q has no matching transition from state %s; the design model and the running system disagree",
+			ev.Action, ev.Fields, ev.Actor, ev.Datastore, cursor)}
+}
+
+func riskAlert(ev *service.Event, finding *risk.Finding) loggedAlert {
+	return loggedAlert{kind: AlertRisk, event: *ev, finding: finding,
+		message: fmt.Sprintf("%s-risk disclosure event for user %q: %s", finding.Risk, ev.UserID, finding.Explanation)}
 }
 
 // step is what applying one event did.
@@ -320,11 +383,11 @@ type step struct {
 	// registered is false when the event named a user the monitor does not
 	// track; nothing else is set and nothing changed.
 	registered bool
-	// from is the user's state before the event.
-	from lts.StateID
-	// matched and transition report the model transition the event took.
-	matched    bool
-	transition lts.Transition
+	// from is the user's dense state before the event.
+	from int32
+	// matched and edge report the model edge the event took.
+	matched bool
+	edge    int32
 	// raised is the kind of the alert the event raised — now the last entry
 	// of m.alerts — or zero when it raised none. An event raises at most one.
 	raised AlertKind
@@ -335,29 +398,24 @@ type step struct {
 // record the same thing by construction — the cluster alert-equivalence
 // property (internal/cluster) depends on that. The caller holds m.mu.
 func (m *Monitor) apply(ev *service.Event) step {
-	u, ok := m.users[ev.UserID]
+	at, ok := m.users[ev.UserID]
 	if !ok {
 		return step{}
 	}
-	u.Applied++
-	st := step{registered: true, from: u.State}
+	u := &m.slab[at]
+	u.applied++
+	st := step{registered: true, from: u.state}
 	if ev.Denied {
 		st.raised = m.raise(u, deniedAlert(ev))
 		return st
 	}
-	st.transition, st.matched = m.index.match(u.State, ev)
+	st.edge, st.matched = m.index.match(u.state, ev)
 	if !st.matched {
-		st.raised = m.raise(u, unmodelledAlert(ev, u.State))
+		st.raised = m.raise(u, unmodelledAlert(ev, m.index.graph.StateAt(u.state)))
 		return st
 	}
-	u.State = st.transition.To
-	// Alert only when the observed actor is the non-allowed actor the finding
-	// concerns: a consented-service flow that merely exposes data to someone
-	// else is design-time knowledge (already in the static assessment), while
-	// the non-allowed actor actually reading the data is a live disclosure
-	// event.
-	if finding, ok := u.findings[findingKey{tr: st.transition, actor: ev.Actor}]; ok &&
-		finding.Risk >= m.alertAt {
+	u.state = m.index.graph.To(st.edge)
+	if finding := u.findings[st.edge]; finding != nil {
 		st.raised = m.raise(u, riskAlert(ev, finding))
 	}
 	return st
@@ -365,23 +423,11 @@ func (m *Monitor) apply(ev *service.Event) step {
 
 // raise appends the alert to the log, counts it for the user and returns its
 // kind. The caller holds m.mu.
-//
-// The log owns what it keeps: the caller's event may be one of a decoded
-// frame's, whose strings and Fields share storage with every other event of
-// that frame, and an alert holding on to them would keep the whole frame alive
-// for as long as the log lives.
-func (m *Monitor) raise(u *userState, alert Alert) AlertKind {
-	ev := &alert.Event
-	alert.UserID, ev.UserID = u.Profile.ID, u.Profile.ID
-	ev.Actor, ev.Datastore = strings.Clone(ev.Actor), strings.Clone(ev.Datastore)
-	ev.Service, ev.Purpose = strings.Clone(ev.Service), strings.Clone(ev.Purpose)
-	ev.Fields = slices.Clone(ev.Fields)
-	for i, f := range ev.Fields {
-		ev.Fields[i] = strings.Clone(f)
-	}
-	m.alerts = append(m.alerts, alert)
-	u.Alerts++
-	return alert.Kind
+func (m *Monitor) raise(u *user, alert loggedAlert) AlertKind {
+	alert.event.UserID = u.id
+	m.alerts.add(alert)
+	u.alerts++
+	return alert.kind
 }
 
 // Observe feeds one event to the monitor and returns the resulting
@@ -394,14 +440,16 @@ func (m *Monitor) Observe(ev service.Event) (Observation, error) {
 	if !st.registered {
 		return Observation{}, fmt.Errorf("runtime: user %q is not registered with the monitor", ev.UserID)
 	}
-	obs := Observation{From: st.from, To: st.from}
+	from := m.index.graph.StateAt(st.from)
+	obs := Observation{From: from, To: from}
 	if st.matched {
 		obs.Matched = true
-		obs.Transition = st.transition
-		obs.To = st.transition.To
+		obs.Transition = m.index.graph.TransitionAt(st.edge)
+		obs.To = obs.Transition.To
 	}
 	if st.raised != 0 {
-		obs.Alerts = []Alert{m.alerts[len(m.alerts)-1]}
+		last := m.alerts.blocks[len(m.alerts.blocks)-1]
+		obs.Alerts = []Alert{last[len(last)-1].alert()}
 	}
 	return obs, nil
 }

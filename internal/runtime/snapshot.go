@@ -31,15 +31,23 @@ type UserSnapshot struct {
 }
 
 // ExportUser snapshots the user's current monitor state without disturbing
-// it. The second return is false when the user is not registered.
+// it. The second return is false when the user is not registered. The
+// profile's slice and map are the monitor's: treat them as read-only.
 func (m *Monitor) ExportUser(userID string) (UserSnapshot, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	u, ok := m.users[userID]
+	at, ok := m.users[userID]
 	if !ok {
 		return UserSnapshot{}, false
 	}
-	return u.UserSnapshot, true
+	return m.snapshot(&m.slab[at]), true
+}
+
+// snapshot builds the user's snapshot from its record. The caller holds m.mu.
+func (m *Monitor) snapshot(u *user) UserSnapshot {
+	profile := m.profiles.Profile(u.profile)
+	profile.ID = u.id
+	return UserSnapshot{Profile: profile, State: m.index.graph.StateAt(u.state), Applied: u.applied, Alerts: u.alerts}
 }
 
 // ExportUsers snapshots, in one pass under one lock acquisition, every
@@ -47,14 +55,15 @@ func (m *Monitor) ExportUser(userID string) (UserSnapshot, bool) {
 // and in no particular order within a group — the batch form a membership
 // change uses to pick the users whose owner moved and sort them by new owner.
 // route runs with the monitor locked: it must be a quick pure function of the
-// ID (a ring lookup) and must not call back into the monitor.
+// ID (a ring lookup) and must not call back into the monitor. Profiles are
+// shared as in ExportUser.
 func (m *Monitor) ExportUsers(route func(userID string) (dest string, ok bool)) map[string][]UserSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[string][]UserSnapshot)
-	for id, u := range m.users {
-		if dest, ok := route(id); ok {
-			out[dest] = append(out[dest], u.UserSnapshot)
+	for i := range m.slab {
+		if dest, ok := route(m.slab[i].id); ok {
+			out[dest] = append(out[dest], m.snapshot(&m.slab[i]))
 		}
 	}
 	return out
@@ -69,36 +78,38 @@ func (m *Monitor) RemoveUsers(userIDs []string) int {
 	defer m.mu.Unlock()
 	removed := 0
 	for _, id := range userIDs {
-		if _, ok := m.users[id]; ok {
-			delete(m.users, id)
-			removed++
+		at, ok := m.users[id]
+		if !ok {
+			continue
 		}
+		last := len(m.slab) - 1
+		m.slab[at] = m.slab[last]
+		m.users[m.slab[at].id] = at
+		m.slab[last] = user{}
+		m.slab = m.slab[:last]
+		delete(m.users, id)
+		removed++
 	}
 	return removed
 }
 
-// ImportUser is ImportUserContext with a background context.
+// ImportUser registers the user from a snapshot, resuming their cursor at the
+// snapshot state instead of the initial state. The snapshot is validated
+// against this monitor's model before any state is touched: the profile must
+// be well-formed, the state must exist in the LTS, and the cumulative counters
+// must be non-negative — a snapshot from a different model (or a corrupted
+// handoff frame that slipped past the codec) is rejected, never half-applied.
+// Importing an already-registered user overwrites their state; imports are
+// idempotent, so a retried handoff is harmless.
 func (m *Monitor) ImportUser(snap UserSnapshot) error {
-	return m.ImportUserContext(context.Background(), snap)
+	return m.ImportUsers(context.Background(), []UserSnapshot{snap})
 }
 
-// ImportUserContext registers the user from a snapshot, resuming their
-// cursor at the snapshot state instead of the initial state. The snapshot is
-// validated against this monitor's model before any state is touched: the
-// profile must be well-formed, the state must exist in the LTS, and the
-// cumulative counters must be non-negative — a snapshot from a different
-// model (or a corrupted handoff frame that slipped past the codec) is
-// rejected, never half-applied. Importing an already-registered user
-// overwrites their state; imports are idempotent, so a retried handoff is
-// harmless.
-func (m *Monitor) ImportUserContext(ctx context.Context, snap UserSnapshot) error {
-	return m.ImportUsers(ctx, []UserSnapshot{snap})
-}
-
-// ImportUsers is ImportUserContext for a batch — one handoff chunk — under
+// ImportUsers is ImportUser for a batch — one handoff chunk — under
 // one lock acquisition. Every snapshot is validated and its profile shape
 // resolved before any user is touched, so an invalid snapshot anywhere in the
-// batch installs nothing from it; nor does a ctx that is done by then.
+// batch installs nothing from it; nor does a ctx that is done by then. The
+// profile is validated by its shape's analysis, once per shape.
 func (m *Monitor) ImportUsers(ctx context.Context, snaps []UserSnapshot) error {
 	for i := range snaps {
 		if err := m.checkSnapshot(&snaps[i]); err != nil {
@@ -113,10 +124,7 @@ func (m *Monitor) checkSnapshot(snap *UserSnapshot) error {
 	if snap.Profile.ID == "" {
 		return fmt.Errorf("runtime: import: snapshot has no user ID")
 	}
-	if err := snap.Profile.Validate(); err != nil {
-		return fmt.Errorf("runtime: import of user %q: %w", snap.Profile.ID, err)
-	}
-	if _, ok := m.lts.Graph.Index(snap.State); !ok {
+	if _, ok := m.index.graph.Index(snap.State); !ok {
 		return fmt.Errorf("runtime: import of user %q: state %q is not in the model", snap.Profile.ID, snap.State)
 	}
 	if snap.Applied < 0 || snap.Alerts < 0 {

@@ -2,11 +2,13 @@ package runtime
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"privascope/internal/casestudy"
 	"privascope/internal/core"
+	"privascope/internal/risk"
 	"privascope/internal/service"
 )
 
@@ -238,5 +240,55 @@ func TestRemoveUserKeepsAlertHistory(t *testing.T) {
 	stats := m.IngestBatch(snapshotTrace(profile.ID)[:1])
 	if stats.Unregistered != 1 {
 		t.Errorf("post-removal ingest stats = %+v, want 1 unregistered", stats)
+	}
+}
+
+// TestMonitorOwnsItsProfiles: the monitor keeps its own copy of a registered
+// profile. Editing the caller's map afterwards changes neither the user's
+// findings nor what ExportUser returns, and each user's export deep-equals
+// the profile it was installed with, service order included, also when
+// another user has the same shape in another order.
+func TestMonitorOwnsItsProfiles(t *testing.T) {
+	p := snapshotTestModel(t)
+	m, err := NewMonitor(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := casestudy.PatientProfile()
+	profile.ConsentedServices = []string{casestudy.ServiceMedical, casestudy.ServiceResearch}
+	reordered := casestudy.PatientProfile()
+	reordered.ID = "patient-2"
+	reordered.ConsentedServices = []string{casestudy.ServiceResearch, casestudy.ServiceMedical}
+	for _, u := range []risk.UserProfile{profile, reordered} {
+		if err := m.RegisterUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := casestudy.PatientProfile()
+	want.ConsentedServices = slices.Clone(profile.ConsentedServices)
+	profile.Sensitivities[casestudy.FieldDiagnosis] = 0
+	delete(profile.Sensitivities, casestudy.FieldTreatment)
+	profile.ConsentedServices[0] = "edited"
+
+	got, _ := m.ExportUser(want.ID)
+	if !reflect.DeepEqual(got.Profile, want) {
+		t.Errorf("after the caller's edit, ExportUser returns %+v, want %+v", got.Profile, want)
+	}
+	if got, _ := m.ExportUser(reordered.ID); !reflect.DeepEqual(got.Profile, reordered) {
+		t.Errorf("the reordered user exports %+v, want %+v", got.Profile, reordered)
+	}
+	// The administrator's read of the diagnosis still raises the risk the
+	// registered σ gave it.
+	m.IngestBatch(snapshotTrace(want.ID))
+	fresh, err := NewMonitor(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RegisterUser(want); err != nil {
+		t.Fatal(err)
+	}
+	fresh.IngestBatch(snapshotTrace(want.ID))
+	if got, want := m.AlertsFor(want.ID), fresh.AlertsFor(want.ID); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("after the caller's edit the user raised %d alerts, an unedited twin %d", len(got), len(want))
 	}
 }
