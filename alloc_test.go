@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"privascope"
@@ -17,6 +18,7 @@ import (
 	"privascope/internal/modelstore"
 	"privascope/internal/pseudorisk"
 	"privascope/internal/risk"
+	"privascope/internal/runtime"
 	"privascope/internal/service"
 	"privascope/internal/synth"
 	"privascope/internal/testutil"
@@ -271,6 +273,50 @@ func TestAllocCeilings(t *testing.T) {
 					t.Fatal(err)
 				}
 			}), len(fleetProfiles)
+		}},
+		// A handoff of 4,096 users with a profile each: EncodeHandoff,
+		// DecodeHandoff and ImportUsers into a monitor that has analysed every
+		// shape before under another record (services in the other order), so
+		// the import copies each profile and analyses none. Per user the
+		// decoder builds a slice and a map, the monitor copies both.
+		{"handoff_distinct", 6.019, "user", func(t *testing.T) (float64, int) {
+			snaps := make([]runtime.UserSnapshot, 4096)
+			for i := range snaps {
+				p := casestudy.PatientProfile()
+				p.ID = fmt.Sprintf("user-%d", i)
+				p.ConsentedServices = append(p.ConsentedServices, casestudy.ServiceResearch)
+				p.DefaultSensitivity = float64(i) / float64(len(snaps))
+				snaps[i] = runtime.UserSnapshot{Profile: p, State: surgeryLTS.InitialState()}
+			}
+			fresh := func() *privascope.Monitor {
+				monitor, err := privascope.NewMonitor(surgeryLTS, privascope.MonitorConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				warm := slices.Clone(snaps)
+				for i := range warm {
+					p := &warm[i].Profile
+					p.ID, p.ConsentedServices = "warm-"+p.ID, slices.Clone(p.ConsentedServices)
+					slices.Reverse(p.ConsentedServices)
+				}
+				if err := monitor.ImportUsers(ctx, warm); err != nil {
+					t.Fatal(err)
+				}
+				return monitor
+			}
+			return testutil.AllocsOnFresh(fresh, func(monitor *privascope.Monitor) {
+				frame, err := cluster.EncodeHandoff(snaps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decoded, err := cluster.DecodeHandoff(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := monitor.ImportUsers(ctx, decoded); err != nil {
+					t.Fatal(err)
+				}
+			}), len(snaps)
 		}},
 		// AddNode then RemoveNode of the joiner on that fleet, registered.
 		{"join_leave", 0.345, "moved user", func(t *testing.T) (float64, int) {

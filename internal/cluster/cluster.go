@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -163,11 +162,14 @@ func StartLocal(p *core.PrivacyLTS, n int, nodeCfg NodeConfig, routerCfg RouterC
 func (c *Local) Alerts() []runtime.Alert {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var parts [][]runtime.Alert // concatenated once, without regrowing a copy per node
-	for _, n := range append(slices.Clip(c.Nodes), c.retired...) {
-		parts = append(parts, n.Monitor().Alerts())
+	var all []runtime.Alert
+	for _, n := range c.Nodes {
+		all = append(all, n.Monitor().Alerts()...)
 	}
-	return slices.Concat(parts...)
+	for _, n := range c.retired {
+		all = append(all, n.Monitor().Alerts()...)
+	}
+	return all
 }
 
 // NodeStats snapshots every live node's counters. A caller that may run beside

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sort"
 
@@ -43,9 +45,11 @@ import (
 //
 // A profile's record tail — defsens through sens — is a function of the
 // profile and the strings interned before it, so a chunk's users that repeat
-// a profile repeat its tail byte for byte. The encoder writes a repeated
-// profile's tail once and copies it; the decoder builds each distinct tail's
-// profile once and shares its slice and map with every snapshot repeating it.
+// a profile repeat its tail byte for byte. The encoder copies the previous
+// tail when a snapshot repeats the previous snapshot's profile record, so a
+// run of users of one profile costs one tail; interleaved profiles cost what
+// distinct ones do. The decoder builds each distinct tail's profile once and
+// shares its slice and map with every snapshot repeating it.
 
 // HandoffVersion is the wire format written by EncodeHandoff.
 const HandoffVersion = 1
@@ -124,8 +128,7 @@ func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int
 	in.ResetSized(users + 16) // a user ID each, a state and a profile's names
 	w := wire.Buf{B: make([]byte, 0, recsCap)}
 	var fields []string
-	var profiles risk.Shapes
-	var tails [][2]int // per profile record: its tail's span in w.B
+	var tail tailSpan // the last profile record tail written
 	n := 0
 	for i := range snaps {
 		s := &snaps[i]
@@ -141,8 +144,8 @@ func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int
 		w.U32(in.Ref(string(s.State)))
 		w.U64(uint64(s.Applied))
 		w.U64(uint64(s.Alerts))
-		if record, _ := profiles.Intern(s.Profile); int(record) < len(tails) {
-			w.B = append(w.B, w.B[tails[record][0]:tails[record][1]]...)
+		if i > 0 && risk.SameRecord(&snaps[tail.snap].Profile, &s.Profile) {
+			w.B = append(w.B, w.B[tail.from:tail.to]...)
 		} else {
 			// A record is validated once: its repeats are equal to the bit.
 			if err := s.Profile.Validate(); err != nil {
@@ -151,7 +154,7 @@ func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int
 			if len(s.Profile.ConsentedServices) > math.MaxUint16 || len(s.Profile.Sensitivities) > math.MaxUint16 {
 				return nil, 0, fmt.Errorf("cluster: snapshot of user %q has too many services or sensitivities", s.Profile.ID)
 			}
-			tail := len(w.B)
+			tail = tailSpan{i, len(w.B), 0}
 			w.F64(s.Profile.DefaultSensitivity)
 			w.U16(uint16(len(s.Profile.ConsentedServices)))
 			w.U16(uint16(len(s.Profile.Sensitivities)))
@@ -167,7 +170,7 @@ func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int
 				w.U32(in.Ref(f))
 				w.F64(s.Profile.Sensitivities[f])
 			}
-			tails = append(tails, [2]int{tail, len(w.B)})
+			tail.to = len(w.B)
 		}
 		newTotal := handoffFrame.Size(&in, len(w.B))
 		if i == 0 && newTotal > MaxHandoffBytes {
@@ -185,9 +188,20 @@ func encodeHandoffChunk(snaps []runtime.UserSnapshot, maxBytes int) ([]byte, int
 	return handoffFrame.Append(nil, &in, n, w.B), n, nil
 }
 
+// tailSpan is where a snapshot's profile record tail lies in a frame's bytes.
+type tailSpan struct{ snap, from, to int }
+
+var tailSeed = maphash.MakeSeed()
+
+// maxSharedRecords is how many distinct profile records DecodeHandoff
+// remembers to share, so a frame of users with profiles of their own does not
+// grow a memo it never hits.
+const maxSharedRecords = 64
+
 // DecodeHandoff decodes exactly one handoff frame, rejecting trailing bytes.
 // Decoded profiles own their storage (nothing aliases the input); snapshots
-// that repeat a profile record share its slice and map.
+// that repeat one of the frame's first maxSharedRecords profile records share
+// its slice and map.
 func DecodeHandoff(data []byte) ([]runtime.UserSnapshot, error) {
 	count, err := handoffFrame.ParseFrame(data)
 	if err != nil {
@@ -199,7 +213,7 @@ func DecodeHandoff(data []byte) ([]runtime.UserSnapshot, error) {
 	}
 
 	snaps := make([]runtime.UserSnapshot, count)
-	seen := make(map[string]int) // profile record tail -> its first snapshot
+	seen := make(map[uint64]tailSpan) // the first maxSharedRecords records' tails, by hash
 	str := func(raw []byte, what string, record int) (string, error) {
 		ref := binary.LittleEndian.Uint32(raw)
 		if int64(ref) >= int64(len(strs)) {
@@ -230,6 +244,11 @@ func DecodeHandoff(data []byte) ([]runtime.UserSnapshot, error) {
 			return nil, c.Errorf("snapshot %d cursors overflow int64", i)
 		}
 		s.Applied, s.Alerts = int64(applied), int64(alerts)
+		defsens := math.Float64frombits(binary.LittleEndian.Uint64(rec[24:]))
+		if !(defsens >= 0 && defsens <= 1) { // rejects NaN too
+			return nil, c.Errorf("snapshot %d default sensitivity %v outside [0,1]", i, defsens)
+		}
+		s.Profile.DefaultSensitivity = defsens
 		nsvc := int(binary.LittleEndian.Uint16(rec[32:]))
 		nsens := int(binary.LittleEndian.Uint16(rec[34:]))
 		lists, err := c.Take(4*nsvc + 12*nsens)
@@ -237,14 +256,16 @@ func DecodeHandoff(data []byte) ([]runtime.UserSnapshot, error) {
 			return nil, err
 		}
 		end := len(data) - c.Len()
-		tail := data[end-len(rec[24:])-len(lists) : end] // rec[24:] and lists, read in one piece
-		if first, ok := seen[string(tail)]; ok {
-			s.Profile = risk.UserProfile{ID: s.Profile.ID, ConsentedServices: snaps[first].Profile.ConsentedServices,
-				Sensitivities: snaps[first].Profile.Sensitivities, DefaultSensitivity: snaps[first].Profile.DefaultSensitivity}
+		start := end - len(rec[24:]) - len(lists) // the tail is rec[24:] and lists, read in one piece
+		h := maphash.Bytes(tailSeed, data[start:end])
+		if t, ok := seen[h]; ok && bytes.Equal(data[t.from:t.to], data[start:end]) {
+			p := &snaps[t.snap].Profile
+			s.Profile.ConsentedServices, s.Profile.Sensitivities = p.ConsentedServices, p.Sensitivities
 			continue
 		}
-		seen[string(tail)] = i
-		s.Profile.DefaultSensitivity = math.Float64frombits(binary.LittleEndian.Uint64(rec[24:]))
+		if len(seen) < maxSharedRecords {
+			seen[h] = tailSpan{i, start, end}
+		}
 		if nsvc > 0 {
 			s.Profile.ConsentedServices = make([]string, nsvc)
 			for v := range s.Profile.ConsentedServices {
@@ -265,11 +286,12 @@ func DecodeHandoff(data []byte) ([]runtime.UserSnapshot, error) {
 					return nil, c.Errorf("snapshot %d sensitivity fields not sorted unique (%q after %q)", i, field, prevField)
 				}
 				prevField = field
-				s.Profile.Sensitivities[field] = math.Float64frombits(binary.LittleEndian.Uint64(pair[4:]))
+				value := math.Float64frombits(binary.LittleEndian.Uint64(pair[4:]))
+				if !(value >= 0 && value <= 1) {
+					return nil, c.Errorf("snapshot %d sensitivity of %q is %v, outside [0,1]", i, field, value)
+				}
+				s.Profile.Sensitivities[field] = value
 			}
-		}
-		if err := s.Profile.Validate(); err != nil { // σ in [0,1], NaN rejected
-			return nil, c.Errorf("snapshot %d: %v", i, err)
 		}
 	}
 	if err := c.Done(); err != nil {

@@ -84,8 +84,9 @@ func TestDecodeHandoffSharesRepeatedProfiles(t *testing.T) {
 		t.Errorf("decoded %d distinct maps and %d distinct slices, want 3 of each", len(maps), len(slices))
 	}
 	// A frame costs its string table, the blob the table's strings share, the
-	// snapshot slice and the record memo; a distinct record its memo key, its
-	// slice and its map (a header and one group). Nothing is per user.
+	// snapshot slice and the record memo; a distinct record its slice, its map
+	// (a header and one group) and its share of the memo's growth. Nothing is
+	// per user.
 	const perFrame, perRecord, records = 6, 4, 4
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := DecodeHandoff(frame); err != nil {

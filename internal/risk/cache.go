@@ -53,7 +53,10 @@ func NewAssessmentCache(analyzer *Analyzer) (*AssessmentCache, error) {
 // returns its own ctx.Err() when ctx is done, and a cancelled analysis is not
 // cached.
 func (c *AssessmentCache) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profile UserProfile) (*Assessment, error) {
-	_, shape := c.shapes.Intern(profile)
+	_, shape, err := c.shapes.Intern(profile)
+	if err != nil {
+		return nil, err
+	}
 	shared, err := c.entries.Do(ctx, cacheKey{model: p, shape: shape}, func(ctx context.Context) (*Assessment, error) {
 		return c.analyzer.AnalyzeContext(ctx, p, profile)
 	})

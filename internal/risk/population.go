@@ -129,13 +129,14 @@ func analyzePopulation(ctx context.Context, p *core.PrivacyLTS, profiles []UserP
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		_, id := shapes.Intern(profile)
-		if int(id) == len(entries) { // a shape's first user
-			entry, err := shape(profile)
-			if err != nil {
-				return nil, fmt.Errorf("risk: analysing profile %d (%s): %w", i, profile.ID, err)
-			}
+		_, id, err := shapes.Intern(profile)
+		if err == nil && int(id) == len(entries) { // a shape's first user
+			var entry UserRisk
+			entry, err = shape(profile)
 			entries = append(entries, entry)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("risk: analysing profile %d (%s): %w", i, profile.ID, err)
 		}
 		entry := entries[id]
 		entry.UserID = profile.ID

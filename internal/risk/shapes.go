@@ -13,9 +13,10 @@ import (
 // record once — the profile as written, less its ID — and names it and its
 // shape by dense ids. A shape is what an assessment depends on: the multiset
 // of consented services, the sensitivities and the default, floats compared by
-// their bits (every NaN one value). A hash blind to service and map order
-// picks a bucket and an exact comparison confirms every candidate, so a
-// collision never merges two shapes. It is safe for concurrent use.
+// their bits. A hash blind to service and map order picks a bucket and an
+// exact comparison confirms every candidate, so a collision never merges two
+// shapes. A profile Validate rejects is never stored. It is safe for
+// concurrent use.
 type Shapes struct {
 	mu      sync.Mutex
 	buckets map[uint64]int32 // hash -> the newest record with it
@@ -34,28 +35,33 @@ var hashMask = ^uint64(0)
 
 var hashSeed = maphash.MakeSeed()
 
-// Intern returns the ids of the profile's record and shape, copying the
-// profile the first time its record is seen; otherwise it allocates nothing.
-func (s *Shapes) Intern(p UserProfile) (record, shape int32) {
+// Intern returns the ids of the profile's record and shape. The first time
+// its record is seen the profile is validated and copied; otherwise Intern
+// allocates nothing.
+func (s *Shapes) Intern(p UserProfile) (record, shape int32, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Users of one profile tend to come in runs: try the last record first.
-	if len(s.records) > 0 && sameRecord(&p, &s.records[s.last].profile) {
-		return s.last, s.records[s.last].shape
+	// A handoff chunk's users often come in runs of one profile: trying the
+	// last record first spares them the hash, and costs others one comparison.
+	if len(s.records) > 0 && SameRecord(&p, &s.records[s.last].profile) {
+		return s.last, s.records[s.last].shape, nil
 	}
-	h := shapeHash(p) & hashMask
+	h := shapeHash(&p) & hashMask
 	head, ok := s.buckets[h]
 	if !ok {
 		head = -1
 	}
 	shape = -1
 	for r := head; r >= 0; r = s.records[r].next {
-		if q := &s.records[r]; sameRecord(&p, &q.profile) {
+		if q := &s.records[r]; SameRecord(&p, &q.profile) {
 			s.last = r
-			return r, q.shape
+			return r, q.shape, nil
 		} else if shape < 0 && sameShape(&p, &q.profile) {
 			shape = q.shape
 		}
+	}
+	if err := p.Validate(); err != nil {
+		return -1, -1, err
 	}
 	if shape < 0 {
 		shape, s.shapes = s.shapes, s.shapes+1
@@ -68,7 +74,7 @@ func (s *Shapes) Intern(p UserProfile) (record, shape int32) {
 		Sensitivities: maps.Clone(p.Sensitivities), DefaultSensitivity: p.DefaultSensitivity}
 	s.records = append(s.records, shapeRecord{profile: own, shape: shape, next: head})
 	s.buckets[h], s.last = record, record
-	return record, shape
+	return record, shape, nil
 }
 
 // Profile returns the interned record, its ID empty. Its slice and map are
@@ -81,23 +87,15 @@ func (s *Shapes) Profile(record int32) UserProfile {
 
 // shapeHash sums per-service and per-sensitivity hashes, so neither order
 // reaches it.
-func shapeHash(p UserProfile) uint64 {
-	h := mix64(floatKey(p.DefaultSensitivity)) + uint64(len(p.ConsentedServices))<<32 + uint64(len(p.Sensitivities))
+func shapeHash(p *UserProfile) uint64 {
+	h := mix64(math.Float64bits(p.DefaultSensitivity)) + uint64(len(p.ConsentedServices))<<32 + uint64(len(p.Sensitivities))
 	for _, svc := range p.ConsentedServices {
 		h += mix64(maphash.String(hashSeed, svc))
 	}
 	for f, v := range p.Sensitivities {
-		h += mix64(maphash.String(hashSeed, f) ^ mix64(floatKey(v)+1))
+		h += mix64(maphash.String(hashSeed, f) ^ mix64(math.Float64bits(v)+1))
 	}
 	return mix64(h)
-}
-
-// floatKey is the bits a shape compares a float by: one value for every NaN.
-func floatKey(v float64) uint64 {
-	if v != v {
-		return 0x7ff8000000000001
-	}
-	return math.Float64bits(v)
 }
 
 // mix64 is the SplitMix64 finaliser.
@@ -107,9 +105,9 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// sameRecord reports whether a and b are one shape written alike: service
-// order, and nil against empty, included.
-func sameRecord(a, b *UserProfile) bool {
+// SameRecord reports whether a and b are one shape written alike — service
+// order, and nil against empty, included — whatever their IDs.
+func SameRecord(a, b *UserProfile) bool {
 	return (a.ConsentedServices == nil) == (b.ConsentedServices == nil) &&
 		(a.Sensitivities == nil) == (b.Sensitivities == nil) &&
 		slices.Equal(a.ConsentedServices, b.ConsentedServices) && sameShape(a, b)
@@ -117,15 +115,21 @@ func sameRecord(a, b *UserProfile) bool {
 
 // sameShape reports whether a and b have one shape.
 func sameShape(a, b *UserProfile) bool {
-	if floatKey(a.DefaultSensitivity) != floatKey(b.DefaultSensitivity) ||
+	if math.Float64bits(a.DefaultSensitivity) != math.Float64bits(b.DefaultSensitivity) ||
 		len(a.ConsentedServices) != len(b.ConsentedServices) || len(a.Sensitivities) != len(b.Sensitivities) {
 		return false
 	}
 	for f, v := range a.Sensitivities {
-		if w, ok := b.Sensitivities[f]; !ok || floatKey(v) != floatKey(w) {
+		if w, ok := b.Sensitivities[f]; !ok || math.Float64bits(v) != math.Float64bits(w) {
 			return false
 		}
 	}
-	return slices.Equal(a.ConsentedServices, b.ConsentedServices) ||
-		slices.Equal(slices.Sorted(slices.Values(a.ConsentedServices)), slices.Sorted(slices.Values(b.ConsentedServices)))
+	if slices.Equal(a.ConsentedServices, b.ConsentedServices) {
+		return true
+	}
+	var bufA, bufB [16]string // sorted copies stay on the stack while profiles are small
+	x, y := append(bufA[:0], a.ConsentedServices...), append(bufB[:0], b.ConsentedServices...)
+	slices.Sort(x)
+	slices.Sort(y)
+	return slices.Equal(x, y)
 }

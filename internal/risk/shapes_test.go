@@ -27,19 +27,28 @@ func recordKey(p risk.UserProfile) string {
 }
 
 // checkShapeIDs interns the profiles into one fresh registry and checks it
-// against the reference renderings: two profiles share a shape id exactly
-// when their fingerprints are equal, share a record exactly when their record
-// keys are equal, and a record reads back as the profile, less its ID.
+// against the reference renderings: a profile is refused exactly when
+// Validate refuses it; of the others, two share a shape id exactly when their
+// fingerprints are equal, share a record exactly when their record keys are
+// equal, and a record reads back as the profile, less its ID.
 func checkShapeIDs(profiles []risk.UserProfile) error {
 	var reg risk.Shapes
 	records, shapes := make([]int32, len(profiles)), make([]int32, len(profiles))
 	fps, keys := make([]string, len(profiles)), make([]string, len(profiles))
-	for i, p := range profiles {
-		records[i], shapes[i] = reg.Intern(p)
-		fps[i], keys[i] = p.Fingerprint(), recordKey(p)
+	var valid []risk.UserProfile
+	for _, p := range profiles {
+		record, shape, err := reg.Intern(p)
+		if (err != nil) != (p.Validate() != nil) {
+			return fmt.Errorf("interning %+v: error %v, Validate says %v", p, err, p.Validate())
+		}
+		if err == nil {
+			i := len(valid)
+			records[i], shapes[i], fps[i], keys[i] = record, shape, p.Fingerprint(), recordKey(p)
+			valid = append(valid, p)
+		}
 	}
-	for i, p := range profiles {
-		for j := range profiles[:i] {
+	for i, p := range valid {
+		for j := range valid[:i] {
 			if sameShape, sameFP := shapes[i] == shapes[j], fps[i] == fps[j]; sameShape != sameFP {
 				return fmt.Errorf("profiles %d and %d: same shape id %t, same fingerprint %t:\n%q\n%q",
 					j, i, sameShape, sameFP, fps[j], fps[i])
@@ -50,20 +59,11 @@ func checkShapeIDs(profiles []risk.UserProfile) error {
 		}
 		got, want := reg.Profile(records[i]), p
 		want.ID = ""
-		if !reflect.DeepEqual(got, want) && !hasNaN(p) {
+		if !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("profile %d reads back as %+v, want %+v", i, got, want)
 		}
 	}
 	return nil
-}
-
-func hasNaN(p risk.UserProfile) bool {
-	for _, v := range p.Sensitivities {
-		if v != v {
-			return true
-		}
-	}
-	return p.DefaultSensitivity != p.DefaultSensitivity
 }
 
 // editedProfiles returns p and copies of it edited the ways a shape key can
@@ -159,7 +159,10 @@ func TestShapesCollisionsNeverMerge(t *testing.T) {
 	var reg risk.Shapes
 	seen := map[int32]string{}
 	for _, p := range profiles {
-		_, shape := reg.Intern(p)
+		_, shape, err := reg.Intern(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if fp, ok := seen[shape]; ok && fp != p.Fingerprint() {
 			t.Fatalf("shape %d holds two fingerprints:\n%q\n%q", shape, fp, p.Fingerprint())
 		}
@@ -180,8 +183,11 @@ func TestShapesCollisionsNeverMerge(t *testing.T) {
 func TestShapesInternAllocatesNothingWhenSeen(t *testing.T) {
 	var reg risk.Shapes
 	p := casestudy.PatientProfile()
-	record, _ := reg.Intern(p)
-	if allocs := testing.AllocsPerRun(100, func() { reg.Intern(p) }); allocs != 0 {
+	record, _, err := reg.Intern(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = reg.Intern(p) }); allocs != 0 {
 		t.Errorf("interning a seen profile allocated %.0f objects", allocs)
 	}
 	p.Sensitivities[casestudy.FieldDiagnosis] = 0
@@ -194,9 +200,10 @@ func TestShapesInternAllocatesNothingWhenSeen(t *testing.T) {
 }
 
 // FuzzProfileShape interns fuzzer-written profiles over a small vocabulary —
-// names that concatenate alike, +0, -0, values one ULP apart, NaN, nil and
-// empty slices and maps — and checks the registry against the reference
-// fingerprints, with its own hash and with every profile in one bucket.
+// names that concatenate alike, +0, -0, values one ULP apart, NaN (refused,
+// as Validate refuses it), nil and empty slices and maps — and checks the
+// registry against the reference fingerprints, with its own hash and with
+// every profile in one bucket.
 func FuzzProfileShape(f *testing.F) {
 	names := []string{"a", "b", "ab", "", "a:b"}
 	values := []float64{0, math.Copysign(0, -1), 0.3, math.Nextafter(0.3, 1), 1, math.NaN()}
@@ -238,4 +245,18 @@ func FuzzProfileShape(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestShapesRefuseInvalidProfiles: a profile Validate refuses is reported and
+// never stored, so the next profile gets the first record and shape.
+func TestShapesRefuseInvalidProfiles(t *testing.T) {
+	var reg risk.Shapes
+	bad := casestudy.PatientProfile()
+	bad.Sensitivities[casestudy.FieldDiagnosis] = 2
+	if _, _, err := reg.Intern(bad); err == nil {
+		t.Fatal("interned a sensitivity of 2")
+	}
+	if record, shape, err := reg.Intern(casestudy.PatientProfile()); err != nil || record != 0 || shape != 0 {
+		t.Fatalf("after a refused profile, the first valid one got record %d, shape %d, error %v", record, shape, err)
+	}
 }

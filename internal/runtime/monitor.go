@@ -181,16 +181,19 @@ func (m *Monitor) RegisterUserContext(ctx context.Context, profile risk.UserProf
 // installs the initial state with zero counters, import installs snapshots
 // as they are. Every profile is interned and its shape's findings resolved
 // before the lock is taken, once, for the whole batch: nothing is installed
-// when any shape's analysis fails or ctx is done by then.
+// when any profile is invalid, any shape's analysis fails or ctx is done by
+// then.
 func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 	users := make([]user, len(snaps))
 	for i := range snaps {
 		s, u := &snaps[i], &users[i]
-		record, shape := m.profiles.Intern(s.Profile)
-		if i > 0 && users[i-1].profile == record { // a batch's users come in runs of one profile
+		record, shape, err := m.profiles.Intern(s.Profile)
+		if err != nil {
+			return fmt.Errorf("runtime: profile of user %q: %w", s.Profile.ID, err)
+		}
+		if i > 0 && users[i-1].profile == record { // a run of one profile
 			u.findings = users[i-1].findings
 		} else {
-			var err error
 			u.findings, err = m.shapes.Do(ctx, shape, func(ctx context.Context) (edgeFindings, error) {
 				return m.findingsOf(ctx, s.Profile)
 			})
@@ -281,11 +284,9 @@ func (m *Monitor) CurrentVector(userID string) (core.StateVector, bool) {
 func (m *Monitor) Alerts() []Alert {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := slices.Grow([]Alert(nil), m.alerts.n)
+	out := make([]Alert, 0, m.alerts.n)
 	for _, block := range m.alerts.blocks {
-		for i := range block {
-			out = append(out, block[i].alert())
-		}
+		out = append(out, block...)
 	}
 	return out
 }
@@ -297,85 +298,60 @@ func (m *Monitor) AlertsFor(userID string) []Alert {
 	var out []Alert
 	for _, block := range m.alerts.blocks {
 		for i := range block {
-			if block[i].event.UserID == userID {
-				out = append(out, block[i].alert())
+			if block[i].UserID == userID {
+				out = append(out, block[i])
 			}
 		}
 	}
 	return out
 }
 
-// loggedAlert is an Alert as the log keeps it, in 184 bytes rather than 464:
-// a risk alert points at its shape's finding instead of copying it.
-type loggedAlert struct {
-	kind    AlertKind
-	event   service.Event
-	finding *risk.Finding
-	message string
-}
-
-func (r *loggedAlert) alert() Alert {
-	a := Alert{Kind: r.kind, UserID: r.event.UserID, Event: r.event, Message: r.message}
-	if r.finding != nil {
-		a.Risk, a.Finding = r.finding.Risk, *r.finding
-	}
-	return a
-}
-
 // alertLog is the append-only alert log. Its blocks hold 8, 16, ... 512
 // alerts, then 512 each, so an append never copies a block and a short log
-// stays small. It owns what it keeps, one copy of each string: an event may
-// be one of a decoded frame's, whose strings and Fields share storage with
-// every other event of that frame, and an alert holding on to them would keep
-// the whole frame alive for as long as the log lives.
+// stays small.
 type alertLog struct {
-	blocks [][]loggedAlert
+	blocks [][]Alert
 	n      int
-	names  map[string]string
 }
 
-func (l *alertLog) add(a loggedAlert) {
-	ev := &a.event
-	ev.Actor, ev.Datastore, ev.Service, ev.Purpose = l.own(ev.Actor), l.own(ev.Datastore), l.own(ev.Service), l.own(ev.Purpose)
-	ev.Fields = slices.Clone(ev.Fields)
-	for i, f := range ev.Fields {
-		ev.Fields[i] = l.own(f)
-	}
+func (l *alertLog) add(a Alert) {
 	if n := len(l.blocks); n == 0 || len(l.blocks[n-1]) == cap(l.blocks[n-1]) {
-		l.blocks = append(l.blocks, make([]loggedAlert, 0, 8<<min(n, 6)))
+		l.blocks = append(l.blocks, make([]Alert, 0, 8<<min(n, 6)))
 	}
 	last := &l.blocks[len(l.blocks)-1]
 	*last = append(*last, a)
 	l.n++
 }
 
-// own returns the log's copy of s.
-func (l *alertLog) own(s string) string {
-	c, ok := l.names[s]
-	if !ok {
-		if l.names == nil {
-			l.names = make(map[string]string)
-		}
-		c = strings.Clone(s)
-		l.names[c] = c
+func deniedAlert(ev *service.Event) Alert {
+	return Alert{
+		Kind:   AlertDenied,
+		UserID: ev.UserID,
+		Event:  *ev,
+		Message: fmt.Sprintf("access-control denied %s by %q on %s.%v",
+			ev.Action, ev.Actor, ev.Datastore, ev.Fields),
 	}
-	return c
 }
 
-func deniedAlert(ev *service.Event) loggedAlert {
-	return loggedAlert{kind: AlertDenied, event: *ev,
-		message: fmt.Sprintf("access-control denied %s by %q on %s.%v", ev.Action, ev.Actor, ev.Datastore, ev.Fields)}
+func unmodelledAlert(ev *service.Event, cursor lts.StateID) Alert {
+	return Alert{
+		Kind:   AlertUnmodelled,
+		UserID: ev.UserID,
+		Event:  *ev,
+		Message: fmt.Sprintf("observed %s of %v by %q on %q has no matching transition from state %s; the design model and the running system disagree",
+			ev.Action, ev.Fields, ev.Actor, ev.Datastore, cursor),
+	}
 }
 
-func unmodelledAlert(ev *service.Event, cursor lts.StateID) loggedAlert {
-	return loggedAlert{kind: AlertUnmodelled, event: *ev,
-		message: fmt.Sprintf("observed %s of %v by %q on %q has no matching transition from state %s; the design model and the running system disagree",
-			ev.Action, ev.Fields, ev.Actor, ev.Datastore, cursor)}
-}
-
-func riskAlert(ev *service.Event, finding *risk.Finding) loggedAlert {
-	return loggedAlert{kind: AlertRisk, event: *ev, finding: finding,
-		message: fmt.Sprintf("%s-risk disclosure event for user %q: %s", finding.Risk, ev.UserID, finding.Explanation)}
+func riskAlert(ev *service.Event, finding risk.Finding) Alert {
+	return Alert{
+		Kind:    AlertRisk,
+		UserID:  ev.UserID,
+		Event:   *ev,
+		Risk:    finding.Risk,
+		Finding: finding,
+		Message: fmt.Sprintf("%s-risk disclosure event for user %q: %s", finding.Risk, ev.UserID, finding.Explanation),
+	}
 }
 
 // step is what applying one event did.
@@ -416,18 +392,30 @@ func (m *Monitor) apply(ev *service.Event) step {
 	}
 	u.state = m.index.graph.To(st.edge)
 	if finding := u.findings[st.edge]; finding != nil {
-		st.raised = m.raise(u, riskAlert(ev, finding))
+		st.raised = m.raise(u, riskAlert(ev, *finding))
 	}
 	return st
 }
 
 // raise appends the alert to the log, counts it for the user and returns its
 // kind. The caller holds m.mu.
-func (m *Monitor) raise(u *user, alert loggedAlert) AlertKind {
-	alert.event.UserID = u.id
+//
+// The log owns what it keeps: the caller's event may be one of a decoded
+// frame's, whose strings and Fields share storage with every other event of
+// that frame, and an alert holding on to them would keep the whole frame alive
+// for as long as the log lives.
+func (m *Monitor) raise(u *user, alert Alert) AlertKind {
+	ev := &alert.Event
+	alert.UserID, ev.UserID = u.id, u.id
+	ev.Actor, ev.Datastore = strings.Clone(ev.Actor), strings.Clone(ev.Datastore)
+	ev.Service, ev.Purpose = strings.Clone(ev.Service), strings.Clone(ev.Purpose)
+	ev.Fields = slices.Clone(ev.Fields)
+	for i, f := range ev.Fields {
+		ev.Fields[i] = strings.Clone(f)
+	}
 	m.alerts.add(alert)
 	u.alerts++
-	return alert.kind
+	return alert.Kind
 }
 
 // Observe feeds one event to the monitor and returns the resulting
@@ -449,7 +437,7 @@ func (m *Monitor) Observe(ev service.Event) (Observation, error) {
 	}
 	if st.raised != 0 {
 		last := m.alerts.blocks[len(m.alerts.blocks)-1]
-		obs.Alerts = []Alert{last[len(last)-1].alert()}
+		obs.Alerts = []Alert{last[len(last)-1]}
 	}
 	return obs, nil
 }

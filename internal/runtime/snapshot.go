@@ -3,6 +3,8 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"privascope/internal/lts"
 	"privascope/internal/risk"
@@ -32,7 +34,7 @@ type UserSnapshot struct {
 
 // ExportUser snapshots the user's current monitor state without disturbing
 // it. The second return is false when the user is not registered. The
-// profile's slice and map are the monitor's: treat them as read-only.
+// snapshot's profile is the caller's own copy.
 func (m *Monitor) ExportUser(userID string) (UserSnapshot, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -40,7 +42,10 @@ func (m *Monitor) ExportUser(userID string) (UserSnapshot, bool) {
 	if !ok {
 		return UserSnapshot{}, false
 	}
-	return m.snapshot(&m.slab[at]), true
+	snap := m.snapshot(&m.slab[at])
+	p := &snap.Profile
+	p.ConsentedServices, p.Sensitivities = slices.Clone(p.ConsentedServices), maps.Clone(p.Sensitivities)
+	return snap, true
 }
 
 // snapshot builds the user's snapshot from its record. The caller holds m.mu.
@@ -55,8 +60,9 @@ func (m *Monitor) snapshot(u *user) UserSnapshot {
 // and in no particular order within a group — the batch form a membership
 // change uses to pick the users whose owner moved and sort them by new owner.
 // route runs with the monitor locked: it must be a quick pure function of the
-// ID (a ring lookup) and must not call back into the monitor. Profiles are
-// shared as in ExportUser.
+// ID (a ring lookup) and must not call back into the monitor. Unlike
+// ExportUser's, each profile's slice and map are the monitor's own, shared by
+// every user of the profile: the caller must treat them as read-only.
 func (m *Monitor) ExportUsers(route func(userID string) (dest string, ok bool)) map[string][]UserSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -108,8 +114,8 @@ func (m *Monitor) ImportUser(snap UserSnapshot) error {
 // ImportUsers is ImportUser for a batch — one handoff chunk — under
 // one lock acquisition. Every snapshot is validated and its profile shape
 // resolved before any user is touched, so an invalid snapshot anywhere in the
-// batch installs nothing from it; nor does a ctx that is done by then. The
-// profile is validated by its shape's analysis, once per shape.
+// batch installs nothing from it; nor does a ctx that is done by then. A
+// profile is validated once, when the monitor first sees its record.
 func (m *Monitor) ImportUsers(ctx context.Context, snaps []UserSnapshot) error {
 	for i := range snaps {
 		if err := m.checkSnapshot(&snaps[i]); err != nil {

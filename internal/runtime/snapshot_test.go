@@ -277,6 +277,21 @@ func TestMonitorOwnsItsProfiles(t *testing.T) {
 	if got, _ := m.ExportUser(reordered.ID); !reflect.DeepEqual(got.Profile, reordered) {
 		t.Errorf("the reordered user exports %+v, want %+v", got.Profile, reordered)
 	}
+	// Nor does an edit of what ExportUser returned: not the user's profile,
+	// and not that of a user registered later with the same one.
+	got.Profile.Sensitivities[casestudy.FieldDiagnosis] = 0
+	got.Profile.ConsentedServices[0] = "edited"
+	if again, _ := m.ExportUser(want.ID); !reflect.DeepEqual(again.Profile, want) {
+		t.Errorf("after an edit of its export, ExportUser returns %+v, want %+v", again.Profile, want)
+	}
+	twin := want
+	twin.ID = "patient-3"
+	if err := m.RegisterUser(twin); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := m.ExportUser(twin.ID); !reflect.DeepEqual(got.Profile, twin) {
+		t.Errorf("a user registered after the edit exports %+v, want %+v", got.Profile, twin)
+	}
 	// The administrator's read of the diagnosis still raises the risk the
 	// registered σ gave it.
 	m.IngestBatch(snapshotTrace(want.ID))
