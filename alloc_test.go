@@ -67,7 +67,7 @@ func TestAllocCeilings(t *testing.T) {
 		run func(t *testing.T) (allocs float64, units int)
 	}{
 		// Generating the 15,625-state model with one worker.
-		{"generate", 1699, "generation", func(t *testing.T) (float64, int) {
+		{"generate", 1635, "generation", func(t *testing.T) (float64, int) {
 			return testing.AllocsPerRun(1, func() {
 				mustGenerate(t, large, privascope.GenerateOptions{Workers: 1})
 			}), 1
@@ -162,7 +162,7 @@ func TestAllocCeilings(t *testing.T) {
 			}), 1
 		}},
 		// modelstore.Decode of the default synthetic model's artifact.
-		{"modelstore_decode", 340, "decode", func(t *testing.T) (float64, int) {
+		{"modelstore_decode", 333, "decode", func(t *testing.T) (float64, int) {
 			m := synth.Model(synth.ModelSpec{})
 			data, err := modelstore.Encode(mustGenerate(t, m, privascope.GenerateOptions{}))
 			if err != nil {

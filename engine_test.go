@@ -2,7 +2,10 @@ package privascope_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +14,8 @@ import (
 	"privascope"
 	"privascope/internal/accesscontrol"
 	"privascope/internal/casestudy"
+	"privascope/internal/dataflow"
+	"privascope/internal/modelstore"
 	"privascope/internal/synth"
 	"privascope/internal/testutil"
 )
@@ -228,6 +233,62 @@ func TestModelFingerprintRBACAndComposite(t *testing.T) {
 	concatenated := accesscontrol.MustACL(append(rbacWith(true).Grants(), casestudy.SurgeryACL().Grants()...)...)
 	if fp(concatenated) == assigned {
 		t.Error("concatenating a second grant list did not change the fingerprint")
+	}
+}
+
+// TestEngineOverwritesFormerFormatArtifact: a registry file in the previous
+// artifact format is a cache miss, not an error. The engine regenerates the
+// model and overwrites the file in the current format, which the next
+// engine loads without generating.
+func TestEngineOverwritesFormerFormatArtifact(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("internal", "modelstore", "testdata", "surgery-v1.artifact"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := dataflow.Fingerprint(casestudy.Surgery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := store.Path(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, profile := context.Background(), casestudy.PatientProfile()
+	first := privascope.MustEngine(privascope.EngineOptions{CacheDir: dir})
+	want, err := first.Assess(ctx, casestudy.Surgery(), profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, l := first.Generations(), first.Loads(); g != 1 || l != 0 {
+		t.Fatalf("over a version-1 artifact the engine generated %d and loaded %d, want 1 and 0", g, l)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(rewritten[8:]); v != modelstore.FormatVersion {
+		t.Fatalf("the registry file is version %d after regeneration, want %d", v, modelstore.FormatVersion)
+	}
+
+	next := privascope.MustEngine(privascope.EngineOptions{CacheDir: dir})
+	got, err := next.Assess(ctx, casestudy.Surgery(), profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, l := next.Generations(), next.Loads(); g != 0 || l != 1 {
+		t.Fatalf("over the rewritten artifact the engine generated %d and loaded %d, want 0 and 1", g, l)
+	}
+	if got.Report.Render() != want.Report.Render() {
+		t.Fatalf("the loaded model reports differently from the generated one")
 	}
 }
 

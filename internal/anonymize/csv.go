@@ -23,7 +23,8 @@ type ColumnSpec map[string]ColumnRole
 // four bytes. No stored value aliases the reader's buffer. Duplicate header
 // column names are rejected (a duplicate would make every lookup silently
 // resolve to the first column of that name), as are ragged rows whose cell
-// count differs from the header's.
+// count differs from the header's. A line break inside a quoted cell reads as
+// "\n" however many carriage returns precede it.
 func ReadCSV(r io.Reader, spec ColumnSpec) (*Table, error) {
 	reader := csv.NewReader(r)
 	reader.TrimLeadingSpace = true
@@ -39,7 +40,7 @@ func ReadCSV(r io.Reader, spec ColumnSpec) (*Table, error) {
 	columns := make([]Column, len(header))
 	seen := make(map[string]int, len(header))
 	for i, name := range header {
-		name = strings.Clone(strings.TrimSpace(name))
+		name = strings.Clone(strings.TrimSpace(crlfToLF(name)))
 		if first, dup := seen[name]; dup {
 			return nil, fmt.Errorf("anonymize: duplicate CSV header column %q (columns %d and %d); every column lookup would resolve to the first one only", name, first+1, i+1)
 		}
@@ -81,7 +82,7 @@ func ReadCSV(r io.Reader, spec ColumnSpec) (*Table, error) {
 				// also keeps a category from pinning a whole record.
 				cell = strings.Clone(cell)
 				code = int32(len(col.dict))
-				col.dict = append(col.dict, ParseValue(cell).normalized())
+				col.dict = append(col.dict, ParseValue(crlfToLF(cell)).normalized())
 				texts[i][cell] = code
 			}
 			col.codes = append(col.codes, code)
@@ -89,4 +90,15 @@ func ReadCSV(r io.Reader, spec ColumnSpec) (*Table, error) {
 		t.nrows++
 	}
 	return t, nil
+}
+
+// crlfToLF drops every carriage return that ends a line inside a quoted cell.
+// encoding/csv drops only one per line break, so "\r\r\n" reads as "\r\n",
+// which a CSV writer emits verbatim and the next read shortens to "\n"; with
+// every such "\r" gone, a cell reads back as itself.
+func crlfToLF(s string) string {
+	for strings.Contains(s, "\r\n") {
+		s = strings.ReplaceAll(s, "\r\n", "\n")
+	}
+	return s
 }

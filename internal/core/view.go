@@ -96,9 +96,8 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 		return to, from, to < numVecs && from < numVecs
 	}
 	numChanges := 0
-	for e := 0; e < m; e++ {
-		tr := c.TransitionAt(int32(e))
-		if label, ok := tr.Label.(*TransitionLabel); ok {
+	for e, label := range c.Parts().EdgeLabels {
+		if label, ok := label.(*TransitionLabel); ok {
 			v.labels[e] = label
 			if label.Potential {
 				v.potential++

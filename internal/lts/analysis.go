@@ -52,7 +52,7 @@ func (l *LTS) Always(pred StatePredicate) (bool, Trace, error) {
 // (FIFO queue, out-edges in insertion order) matches the original map-based
 // search exactly, so witness traces are byte-identical.
 func (l *LTS) shortestTrace(start StateID, pred StatePredicate) (Trace, bool) {
-	s, ok := l.ids[start]
+	s, ok := l.Index(start)
 	if !ok {
 		return nil, false
 	}
@@ -86,7 +86,7 @@ func (l *LTS) shortestTrace(start StateID, pred StatePredicate) (Trace, bool) {
 				trace := make(Trace, depth)
 				for at := next; at != s; at = l.edgeFrom[via[at]] {
 					depth--
-					trace[depth] = l.trs[via[at]]
+					trace[depth] = l.TransitionAt(via[at])
 				}
 				return trace, true
 			}

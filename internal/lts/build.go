@@ -25,25 +25,20 @@ func FromParts(ids []StateID, initial int, edges []BulkEdge) (*LTS, error) {
 		return nil, fmt.Errorf("lts: FromParts: initial index %d out of range", initial)
 	}
 	l := &LTS{
-		states:   ids,
-		ids:      make(map[StateID]int32, n),
-		initial:  int32(initial),
-		trs:      make([]Transition, m),
-		edgeFrom: make([]int32, m),
-		edgeTo:   make([]int32, m),
+		states:     ids,
+		initial:    int32(initial),
+		edgeLabels: make([]Label, m),
+		edgeFrom:   make([]int32, m),
+		edgeTo:     make([]int32, m),
 	}
-	for s, id := range ids {
-		l.ids[id] = int32(s)
-		if len(l.ids) <= s { // the assignment overwrote an entry: one probe finds a duplicate
-			return nil, fmt.Errorf("lts: FromParts: duplicate state ID %q", id)
-		}
+	if err := l.indexStates(); err != nil {
+		return nil, fmt.Errorf("lts: FromParts: %w", err)
 	}
 	for i, e := range edges {
 		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
 			return nil, fmt.Errorf("lts: FromParts: edge %d endpoints (%d, %d) out of range", i, e.From, e.To)
 		}
-		l.trs[i] = Transition{From: ids[e.From], To: ids[e.To], Label: e.Label}
-		l.edgeFrom[i], l.edgeTo[i] = e.From, e.To
+		l.edgeLabels[i], l.edgeFrom[i], l.edgeTo[i] = e.Label, e.From, e.To
 	}
 	l.internLabels()
 	l.buildCSR()
@@ -52,36 +47,31 @@ func FromParts(ids []StateID, initial int, edges []BulkEdge) (*LTS, error) {
 
 // Relabeled returns an LTS with the receiver's states, transitions and CSR
 // layout in which transition i carries labels[i] (in Transitions order)
-// instead of the receiver's label. Everything but the transition list and the
-// label table is shared with the receiver, not copied. Incremental
+// instead of the receiver's label. labels is retained, not copied; everything
+// but it and the label table is shared with the receiver. Incremental
 // regeneration uses this to swap re-derived labels into a wholesale-reused
 // exploration without rebuilding any index.
 func (l *LTS) Relabeled(labels []Label) (*LTS, error) {
-	if len(labels) != len(l.trs) {
-		return nil, fmt.Errorf("lts: Relabeled: %d labels for %d transitions", len(labels), len(l.trs))
+	if len(labels) != len(l.edgeLabels) {
+		return nil, fmt.Errorf("lts: Relabeled: %d labels for %d transitions", len(labels), len(l.edgeLabels))
 	}
 	r := *l
-	r.trs = make([]Transition, len(l.trs))
-	for i, t := range l.trs {
-		t.Label = labels[i]
-		r.trs[i] = t
-	}
+	r.edgeLabels = labels
 	r.internLabels()
 	return &r, nil
 }
 
 // internLabels derives the label table and the per-edge label index from the
-// transitions: labels intern by rendered string in first-occurrence order,
+// per-edge labels: labels intern by rendered string in first-occurrence order,
 // the table keeps the first Label value seen per string, and nil interns as
 // "". A label object is rendered once, then found again by identity
 // (generated models share one object per distinct label).
 func (l *LTS) internLabels() {
 	l.labels, l.labelStrs = nil, nil
-	l.edgeLabel = make([]int32, len(l.trs))
+	l.edgeLabel = make([]int32, len(l.edgeLabels))
 	byStr := make(map[string]int32)
 	byObject := make(map[Label]int32)
-	for i := range l.trs {
-		label := l.trs[i].Label
+	for i, label := range l.edgeLabels {
 		// Only comparable label types can key a map.
 		hashable := label != nil && reflect.TypeOf(label).Comparable()
 		if hashable {
@@ -110,7 +100,7 @@ func (l *LTS) internLabels() {
 // prefix sum, and a stable fill (ascending transition index preserves
 // insertion order within each source/target).
 func (l *LTS) buildCSR() {
-	n, m := len(l.states), len(l.trs)
+	n, m := len(l.states), len(l.edgeLabels)
 	l.outOff = make([]int32, n+1)
 	l.inOff = make([]int32, n+1)
 	for i := 0; i < m; i++ {

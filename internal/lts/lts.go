@@ -12,10 +12,10 @@
 // An LTS is built whole and never changes. FromParts builds one from a dense
 // state list and edge list, RestoreCompiled from the flat sections a model
 // store saved and Relabeled from another LTS with new labels; nothing mutates
-// one afterwards. States are dense int32 indices in insertion order behind a
-// single StateID -> index map, and adjacency is a CSR layout in each
-// direction, so every analysis is an integer traversal and every LTS is safe
-// for concurrent readers.
+// one afterwards. An LTS is its dense arrays — int32 state indices in
+// insertion order, per-transition endpoints and labels, a CSR layout in each
+// direction — so every analysis is an integer traversal and every LTS is safe
+// for concurrent readers. Canonical state IDs (s0…sN-1) are parsed, not mapped.
 package lts
 
 import (
@@ -61,15 +61,7 @@ func labelString(label Label) string {
 // String renders the transition for traces and error messages, e.g.
 // "s0 --[collect(name)]--> s1".
 func (t Transition) String() string {
-	label := labelString(t.Label)
-	var b strings.Builder
-	b.Grow(len(t.From) + len(label) + len(t.To) + len(" --[") + len("]--> "))
-	b.WriteString(string(t.From))
-	b.WriteString(" --[")
-	b.WriteString(label)
-	b.WriteString("]--> ")
-	b.WriteString(string(t.To))
-	return b.String()
+	return string(t.From) + " --[" + labelString(t.Label) + "]--> " + string(t.To)
 }
 
 // LTS is an immutable labelled transition system: states are dense int32
@@ -84,16 +76,15 @@ func (t Transition) String() string {
 // use.
 type LTS struct {
 	states  []StateID         // dense index -> state ID, insertion order
-	ids     map[StateID]int32 // state ID -> dense index
+	ids     map[StateID]int32 // state ID -> dense index; nil when every ID is canonical
 	initial int32             // dense initial state, -1 when none
 
-	trs []Transition // insertion order
-
-	labels    []Label  // interned label table; labels[i] is the first Label seen rendering labelStrs[i]
-	labelStrs []string // labelStrs[i] == labels[i].LabelString(), resolved once
-	edgeLabel []int32  // per transition -> index into the label table
-	edgeFrom  []int32  // per transition -> dense source state
-	edgeTo    []int32  // per transition -> dense target state
+	labels     []Label  // interned label table; labels[i] is the first Label seen rendering labelStrs[i]
+	labelStrs  []string // labelStrs[i] == labels[i].LabelString(), resolved once
+	edgeLabels []Label  // per transition -> the Label it was built with
+	edgeLabel  []int32  // per transition -> index into the label table
+	edgeFrom   []int32  // per transition -> dense source state
+	edgeTo     []int32  // per transition -> dense target state
 
 	outOff   []int32 // len StateCount+1; out-edges of s are outEdges[outOff[s]:outOff[s+1]]
 	outEdges []int32 // transition indices grouped by source, insertion order within each source
@@ -109,7 +100,7 @@ func (l *LTS) Compiled() *LTS { return l }
 func (l *LTS) StateCount() int { return len(l.states) }
 
 // TransitionCount returns the number of transitions.
-func (l *LTS) TransitionCount() int { return len(l.trs) }
+func (l *LTS) TransitionCount() int { return len(l.edgeLabels) }
 
 // NumLabels returns the number of distinct label strings.
 func (l *LTS) NumLabels() int { return len(l.labels) }
@@ -123,17 +114,56 @@ func (l *LTS) Initial() (StateID, bool) {
 }
 
 // Index returns the dense index of the state ID; ok is false for IDs the LTS
-// does not know.
+// does not know. When state i is "s<i>" for every i, as in every generated
+// and decoded model, the number is parsed and no map is consulted.
 func (l *LTS) Index(id StateID) (int32, bool) {
-	s, ok := l.ids[id]
-	return s, ok
+	if l.ids != nil {
+		s, ok := l.ids[id]
+		return s, ok
+	}
+	return canonicalIndex(id, len(l.states))
+}
+
+// canonicalIndex parses the canonical ID "s<i>" — decimal, no sign, no
+// leading zero — of a state below n.
+func canonicalIndex(id StateID, n int) (int32, bool) {
+	if len(id) < 2 || len(id) > 11 || id[0] != 's' || (id[1] == '0' && len(id) > 2) {
+		return -1, false
+	}
+	v := uint64(0)
+	for _, c := range []byte(id[1:]) {
+		if c < '0' || c > '9' {
+			return -1, false
+		}
+		v = v*10 + uint64(c-'0')
+	}
+	return int32(v), v < uint64(n)
+}
+
+// indexStates leaves ids nil when the state IDs are canonical and otherwise
+// maps each to its index, failing on a duplicate.
+func (l *LTS) indexStates() error {
+	for i, id := range l.states {
+		if s, ok := canonicalIndex(id, len(l.states)); !ok || s != int32(i) {
+			l.ids = make(map[StateID]int32, len(l.states))
+			break
+		}
+	}
+	for s := 0; l.ids != nil && s < len(l.states); s++ {
+		if l.ids[l.states[s]] = int32(s); len(l.ids) <= s { // the assignment overwrote an entry: one probe finds a duplicate
+			return fmt.Errorf("duplicate state ID %q", l.states[s])
+		}
+	}
+	return nil
 }
 
 // StateAt returns the ID of the state at the given dense index.
 func (l *LTS) StateAt(s int32) StateID { return l.states[s] }
 
 // TransitionAt returns the transition at the given transition index.
-func (l *LTS) TransitionAt(e int32) Transition { return l.trs[e] }
+func (l *LTS) TransitionAt(e int32) Transition {
+	return Transition{From: l.states[l.edgeFrom[e]], To: l.states[l.edgeTo[e]], Label: l.edgeLabels[e]}
+}
 
 // StateIDs returns all state IDs in insertion order.
 func (l *LTS) StateIDs() []StateID {
@@ -144,8 +174,10 @@ func (l *LTS) StateIDs() []StateID {
 
 // Transitions returns a copy of all transitions in insertion order.
 func (l *LTS) Transitions() []Transition {
-	out := make([]Transition, len(l.trs))
-	copy(out, l.trs)
+	out := make([]Transition, len(l.edgeLabels))
+	for e := range out {
+		out[e] = l.TransitionAt(int32(e))
+	}
 	return out
 }
 
@@ -177,14 +209,14 @@ func (l *LTS) Outgoing(id StateID) []Transition { return l.adjacent(id, (*LTS).O
 
 // adjacent copies one CSR bucket of the state out as transitions.
 func (l *LTS) adjacent(id StateID, bucket func(*LTS, int32) []int32) []Transition {
-	s, ok := l.ids[id]
+	s, ok := l.Index(id)
 	if !ok {
 		return []Transition{}
 	}
 	edges := bucket(l, s)
 	out := make([]Transition, len(edges))
 	for i, e := range edges {
-		out[i] = l.trs[e]
+		out[i] = l.TransitionAt(e)
 	}
 	return out
 }
@@ -205,7 +237,7 @@ func (l *LTS) Reachable() (map[StateID]bool, error) {
 // The traversal itself is an integer DFS with a bitset visited set; only the
 // returned membership map is allocated per call.
 func (l *LTS) ReachableFrom(start StateID) map[StateID]bool {
-	s, ok := l.ids[start]
+	s, ok := l.Index(start)
 	if !ok {
 		return make(map[StateID]bool)
 	}
@@ -278,13 +310,13 @@ func (l *LTS) Stats() (Stats, error) {
 // examples and debugging output.
 func (l *LTS) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "LTS: %d states, %d transitions\n", len(l.states), len(l.trs))
+	fmt.Fprintf(&b, "LTS: %d states, %d transitions\n", len(l.states), len(l.edgeLabels))
 	if init, ok := l.Initial(); ok {
 		fmt.Fprintf(&b, "initial: %s\n", init)
 	}
 	for s := range l.states {
 		for _, e := range l.Out(int32(s)) {
-			fmt.Fprintf(&b, "  %s\n", l.trs[e])
+			fmt.Fprintf(&b, "  %s\n", l.TransitionAt(e))
 		}
 	}
 	return b.String()

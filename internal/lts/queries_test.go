@@ -72,9 +72,9 @@ func (l *LTS) FindTransitions(pred func(Transition) bool) ([]Transition, error) 
 	}
 	bits, _ := l.ReachableBits(l.initial)
 	var out []Transition
-	for e := range l.trs {
-		if bits.Has(l.edgeFrom[e]) && pred(l.trs[e]) {
-			out = append(out, l.trs[e])
+	for e := range l.edgeLabels {
+		if tr := l.TransitionAt(int32(e)); bits.Has(l.edgeFrom[e]) && pred(tr) {
+			out = append(out, tr)
 		}
 	}
 	return out, nil
@@ -99,7 +99,7 @@ func (l *LTS) IsDeterministic() bool {
 // maxDepth steps from start, stopping after maxTraces paths unless maxTraces
 // is negative.
 func (l *LTS) TracesFrom(start StateID, maxDepth, maxTraces int) []Trace {
-	s, ok := l.ids[start]
+	s, ok := l.Index(start)
 	if !ok {
 		return nil
 	}
@@ -127,7 +127,7 @@ func (l *LTS) TracesFrom(start StateID, maxDepth, maxTraces int) []Trace {
 		if !extended && len(cur) > 0 {
 			trace := make(Trace, len(cur))
 			for i, e := range cur {
-				trace[i] = l.trs[e]
+				trace[i] = l.TransitionAt(e)
 			}
 			out = append(out, trace)
 		}

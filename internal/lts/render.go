@@ -52,7 +52,7 @@ func (l *LTS) DOT(opts DOTOptions) string {
 	}
 	// Edge labels come from the interned table, so each distinct label string
 	// is rendered once per model rather than once per transition.
-	for e, t := range l.trs {
+	for e, t := range l.Transitions() {
 		attrs := map[string]string{}
 		if t.Label != nil {
 			attrs["label"] = l.labelStrs[l.edgeLabel[e]]
@@ -97,7 +97,7 @@ func (l *LTS) MarshalJSON() ([]byte, error) {
 	for _, id := range l.states {
 		doc.States = append(doc.States, jsonState{ID: string(id)})
 	}
-	for _, t := range l.trs {
+	for _, t := range l.Transitions() {
 		doc.Transitions = append(doc.Transitions, jsonTransition{From: string(t.From), To: string(t.To), Label: labelString(t.Label)})
 	}
 	if st, err := l.Stats(); err == nil {

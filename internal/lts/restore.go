@@ -12,10 +12,9 @@ type CompiledParts struct {
 	States []StateID
 	// Initial is the dense initial state, -1 when none was set.
 	Initial int32
-	// Trs are the original transitions, indexed by transition index. Trs[e]
-	// must satisfy Trs[e].From == States[EdgeFrom[e]] and
-	// Trs[e].To == States[EdgeTo[e]].
-	Trs []Transition
+	// EdgeLabels holds each transition's Label, indexed by transition index;
+	// EdgeLabels[e] renders LabelStrs[EdgeLabel[e]].
+	EdgeLabels []Label
 	// Labels and LabelStrs are the interned label table: LabelStrs[i] is the
 	// label string and Labels[i] the first Label value encountered rendering
 	// it (possibly nil).
@@ -34,36 +33,35 @@ type CompiledParts struct {
 // LTS and must not be modified.
 func (l *LTS) Parts() CompiledParts {
 	return CompiledParts{
-		States:    l.states,
-		Initial:   l.initial,
-		Trs:       l.trs,
-		Labels:    l.labels,
-		LabelStrs: l.labelStrs,
-		EdgeLabel: l.edgeLabel,
-		EdgeFrom:  l.edgeFrom,
-		EdgeTo:    l.edgeTo,
-		OutOff:    l.outOff,
-		OutEdges:  l.outEdges,
-		InOff:     l.inOff,
-		InEdges:   l.inEdges,
+		States:     l.states,
+		Initial:    l.initial,
+		EdgeLabels: l.edgeLabels,
+		Labels:     l.labels,
+		LabelStrs:  l.labelStrs,
+		EdgeLabel:  l.edgeLabel,
+		EdgeFrom:   l.edgeFrom,
+		EdgeTo:     l.edgeTo,
+		OutOff:     l.outOff,
+		OutEdges:   l.outEdges,
+		InOff:      l.inOff,
+		InEdges:    l.inEdges,
 	}
 }
 
 // RestoreCompiled rebuilds an LTS from previously exported parts, validating
 // every structural invariant FromParts would have established:
-// consistent section lengths, distinct state IDs, in-range endpoint and label
-// indices, and both CSR layouts partitioning the transitions with ascending
-// indices per bucket. It never panics on malformed parts; the first violated
-// invariant is returned as an error. The slices are retained, not copied —
-// callers hand over ownership (the model store passes the slices it decoded
-// out of an artifact).
+// consistent section lengths, distinct state IDs (indexed as FromParts
+// indexes them), in-range endpoint and label indices, and both CSR layouts
+// partitioning the transitions with ascending indices per bucket. It never
+// panics on malformed parts; the first violated invariant is returned as an
+// error. The slices are retained, not copied — callers hand over ownership
+// (the model store passes the slices it decoded out of an artifact).
 //
-// Consistency of Trs with States/EdgeFrom/EdgeTo/EdgeLabel is the caller's
-// contract (the model store constructs Trs from those same arrays); it is not
-// re-verified here because it would re-render or re-compare every label and
-// state string.
+// Consistency of EdgeLabels with EdgeLabel is the caller's contract (the model
+// store derives both from one label table); it is not re-verified here
+// because it would re-render or re-compare every label string.
 func RestoreCompiled(p CompiledParts) (*LTS, error) {
-	n, m := len(p.States), len(p.Trs)
+	n, m := len(p.States), len(p.EdgeLabels)
 	if len(p.EdgeLabel) != m || len(p.EdgeFrom) != m || len(p.EdgeTo) != m {
 		return nil, fmt.Errorf("lts: restore: edge arrays have %d/%d/%d entries, want %d",
 			len(p.EdgeLabel), len(p.EdgeFrom), len(p.EdgeTo), m)
@@ -83,35 +81,25 @@ func RestoreCompiled(p CompiledParts) (*LTS, error) {
 		return nil, fmt.Errorf("lts: restore: initial state %d out of range [-1, %d)", p.Initial, n)
 	}
 	l := &LTS{
-		states:    p.States,
-		ids:       make(map[StateID]int32, n),
-		initial:   p.Initial,
-		trs:       p.Trs,
-		labels:    p.Labels,
-		labelStrs: p.LabelStrs,
-		edgeLabel: p.EdgeLabel,
-		edgeFrom:  p.EdgeFrom,
-		edgeTo:    p.EdgeTo,
-		outOff:    p.OutOff,
-		outEdges:  p.OutEdges,
-		inOff:     p.InOff,
-		inEdges:   p.InEdges,
+		states:     p.States,
+		initial:    p.Initial,
+		edgeLabels: p.EdgeLabels,
+		labels:     p.Labels,
+		labelStrs:  p.LabelStrs,
+		edgeLabel:  p.EdgeLabel,
+		edgeFrom:   p.EdgeFrom,
+		edgeTo:     p.EdgeTo,
+		outOff:     p.OutOff,
+		outEdges:   p.OutEdges,
+		inOff:      p.InOff,
+		inEdges:    p.InEdges,
 	}
-	for i, id := range p.States {
-		if _, dup := l.ids[id]; dup {
-			return nil, fmt.Errorf("lts: restore: duplicate state ID %q", id)
-		}
-		l.ids[id] = int32(i)
+	if err := l.indexStates(); err != nil {
+		return nil, fmt.Errorf("lts: restore: %w", err)
 	}
-	numLabels := int32(len(p.Labels))
-	for e := 0; e < m; e++ {
-		if p.EdgeFrom[e] < 0 || int(p.EdgeFrom[e]) >= n || p.EdgeTo[e] < 0 || int(p.EdgeTo[e]) >= n {
-			return nil, fmt.Errorf("lts: restore: transition %d endpoints (%d, %d) out of range [0, %d)",
-				e, p.EdgeFrom[e], p.EdgeTo[e], n)
-		}
-		if p.EdgeLabel[e] < 0 || p.EdgeLabel[e] >= numLabels {
-			return nil, fmt.Errorf("lts: restore: transition %d label index %d out of range [0, %d)",
-				e, p.EdgeLabel[e], numLabels)
+	for e, lid := range p.EdgeLabel {
+		if lid < 0 || int(lid) >= len(p.Labels) {
+			return nil, fmt.Errorf("lts: restore: transition %d label index %d out of range [0, %d)", e, lid, len(p.Labels))
 		}
 	}
 	if err := checkCSR("outgoing", p.OutOff, p.OutEdges, p.EdgeFrom); err != nil {
@@ -128,7 +116,8 @@ func RestoreCompiled(p CompiledParts) (*LTS, error) {
 // bucket lists transition indices of its own state in ascending order. Since
 // each transition has exactly one endpoint state per direction, the ascending
 // in-range buckets summing to the edge count imply the layout is exactly a
-// partition of all transitions — no index missing, none duplicated.
+// partition of all transitions — no index missing, none duplicated — and so
+// that every endpoint is a state.
 func checkCSR(name string, off, edges, endpoint []int32) error {
 	m := int32(len(edges))
 	if off[0] != 0 || off[len(off)-1] != m {

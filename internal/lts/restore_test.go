@@ -22,9 +22,9 @@ func buildRestoreFixture() *LTS {
 // bulkParts returns the inputs of FromParts that reproduce the LTS.
 func bulkParts(l *LTS) ([]StateID, int, []BulkEdge) {
 	p := l.Parts()
-	edges := make([]BulkEdge, len(p.Trs))
-	for e, tr := range p.Trs {
-		edges[e] = BulkEdge{From: p.EdgeFrom[e], To: p.EdgeTo[e], Label: tr.Label}
+	edges := make([]BulkEdge, len(p.EdgeLabels))
+	for e, label := range p.EdgeLabels {
+		edges[e] = BulkEdge{From: p.EdgeFrom[e], To: p.EdgeTo[e], Label: label}
 	}
 	return append([]StateID(nil), p.States...), int(p.Initial), edges
 }

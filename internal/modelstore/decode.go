@@ -20,7 +20,7 @@ var ErrFutureVersion = fmt.Errorf("modelstore: artifact format version is newer 
 type meta struct {
 	numStates, numEdges, numLabels, numStrings int
 	wordsPerVec, numActors, numFields          int
-	numWarnings                                int
+	numWarnings, numStoreSets                  int
 	initial                                    int32
 	fingerprint                                string
 }
@@ -97,14 +97,6 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	if err := firstErr(err1, err2, err3, er.Done()); err != nil {
 		return nil, err
 	}
-	for e := 0; e < mt.numEdges; e++ {
-		if edgeFrom[e] < 0 || int(edgeFrom[e]) >= mt.numStates || edgeTo[e] < 0 || int(edgeTo[e]) >= mt.numStates {
-			return nil, corruptf("transition %d endpoints (%d, %d) out of range [0, %d)", e, edgeFrom[e], edgeTo[e], mt.numStates)
-		}
-		if edgeLabelPtr[e] < -1 || int(edgeLabelPtr[e]) >= mt.numLabels {
-			return nil, corruptf("transition %d label pointer %d out of range [-1, %d)", e, edgeLabelPtr[e], mt.numLabels)
-		}
-	}
 
 	// CSR layouts (fully validated by lts.RestoreCompiled below).
 	cr := section("csr", secs[secCSR])
@@ -123,14 +115,12 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 		return nil, err
 	}
 
-	// Stores.
+	// Stores: each distinct set's record offset, each state's set, the records.
 	tr := section("stores", secs[secStores])
-	storeOff, err := tr.U32s(mt.numStates + 1)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := tr.U32s(tr.Len() / 4)
-	if err := firstErr(err, tr.Done()); err != nil { // Done rejects a ragged tail
+	setOff, err1 := tr.U32s(mt.numStoreSets + 1)
+	storeOf, err2 := tr.I32s(mt.numStates)
+	recs, err3 := tr.U32s(tr.Len() / 4)
+	if err := firstErr(err1, err2, err3, tr.Done()); err != nil { // Done rejects a ragged tail
 		return nil, err
 	}
 
@@ -160,6 +150,7 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	// string and nil interning as "" — from each label's verified stored
 	// rendering. ptrLid memoises per distinct label; its last slot is nil's.
 	edgeLabel := make([]int32, mt.numEdges)
+	edgeLabels := make([]lts.Label, mt.numEdges)
 	strLid := make(map[string]int32, mt.numLabels+1)
 	ptrLid := make([]int32, mt.numLabels+1)
 	for i := range ptrLid {
@@ -167,13 +158,15 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	}
 	var labelVals []lts.Label
 	var labelStrs []string
-	trs := make([]lts.Transition, mt.numEdges)
-	for e := range trs {
+	for e := range edgeLabels {
 		ptr, str := int(edgeLabelPtr[e]), ""
 		var label lts.Label
-		if ptr < 0 {
+		switch {
+		case ptr < -1 || ptr >= mt.numLabels:
+			return nil, corruptf("transition %d label pointer %d out of range [-1, %d)", e, ptr, mt.numLabels)
+		case ptr < 0:
 			ptr = mt.numLabels
-		} else {
+		default:
 			label, str = labels[ptr].label, labels[ptr].str
 		}
 		if ptrLid[ptr] < 0 {
@@ -186,28 +179,27 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 			}
 			ptrLid[ptr] = lid
 		}
-		edgeLabel[e] = ptrLid[ptr]
-		trs[e] = lts.Transition{From: stateIDs[edgeFrom[e]], To: stateIDs[edgeTo[e]], Label: label}
+		edgeLabel[e], edgeLabels[e] = ptrLid[ptr], label
 	}
 
 	graph, err := lts.RestoreCompiled(lts.CompiledParts{
-		States:    stateIDs,
-		Initial:   mt.initial,
-		Trs:       trs,
-		Labels:    labelVals,
-		LabelStrs: labelStrs,
-		EdgeLabel: edgeLabel,
-		EdgeFrom:  edgeFrom,
-		EdgeTo:    edgeTo,
-		OutOff:    outOff,
-		OutEdges:  outEdges,
-		InOff:     inOff,
-		InEdges:   inEdges,
+		States:     stateIDs,
+		Initial:    mt.initial,
+		EdgeLabels: edgeLabels,
+		Labels:     labelVals,
+		LabelStrs:  labelStrs,
+		EdgeLabel:  edgeLabel,
+		EdgeFrom:   edgeFrom,
+		EdgeTo:     edgeTo,
+		OutOff:     outOff,
+		OutEdges:   outEdges,
+		InOff:      inOff,
+		InEdges:    inEdges,
 	})
 	if err != nil {
 		return nil, corruptf("%v", err)
 	}
-	storeOf, storeSets, err := parseStores(storeOff, recs, secs[secStores][4*len(storeOff):], mt.numStates, ref)
+	storeSets, err := parseStores(setOff, storeOf, recs, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -215,54 +207,45 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 }
 
 // parseSections validates the header, checksum and section table and returns
-// the payload of each section and the parsed meta section.
-func parseSections(data []byte) (map[uint32][]byte, meta, error) {
+// the payload of each section, indexed by section id, and the parsed meta
+// section. The table lists the sections in file order, each starting where
+// Encode puts it: 8-byte aligned, right after the previous one.
+func parseSections(data []byte) ([secVocab + 1][]byte, meta, error) {
+	var secs [secVocab + 1][]byte
 	if len(data) < headerSize {
-		return nil, meta{}, corruptf("%d bytes is shorter than the %d-byte header", len(data), headerSize)
+		return secs, meta{}, corruptf("%d bytes is shorter than the %d-byte header", len(data), headerSize)
 	}
 	if string(data[:8]) != magic {
-		return nil, meta{}, corruptf("bad magic")
+		return secs, meta{}, corruptf("bad magic")
 	}
 	version := binary.LittleEndian.Uint32(data[8:])
 	if version > FormatVersion {
-		return nil, meta{}, fmt.Errorf("%w (artifact v%d, build understands v%d)", ErrFutureVersion, version, FormatVersion)
+		return secs, meta{}, fmt.Errorf("%w (artifact v%d, build understands v%d)", ErrFutureVersion, version, FormatVersion)
 	}
 	if version != FormatVersion {
-		return nil, meta{}, corruptf("unknown format version %d", version)
+		return secs, meta{}, corruptf("unknown format version %d", version)
 	}
 	if size := binary.LittleEndian.Uint64(data[16:]); size != uint64(len(data)) {
-		return nil, meta{}, corruptf("header says %d bytes, artifact has %d", size, len(data))
+		return secs, meta{}, corruptf("header says %d bytes, artifact has %d", size, len(data))
 	}
-	if sum := checksumOf(data); string(sum[:]) != string(data[checksumOff:checksumOff+checksumSize]) {
-		return nil, meta{}, corruptf("checksum mismatch")
+	if sum := checksumOf(data); [checksumSize]byte(data[checksumOff:checksumOff+checksumSize]) != sum {
+		return secs, meta{}, corruptf("checksum mismatch")
 	}
-	count := binary.LittleEndian.Uint32(data[12:])
-	if int(count) != len(requiredSections) {
-		return nil, meta{}, corruptf("%d sections, format v1 has %d", count, len(requiredSections))
+	if count := binary.LittleEndian.Uint32(data[12:]); int(count) != len(requiredSections) {
+		return secs, meta{}, corruptf("%d sections, format v%d has %d", count, FormatVersion, len(requiredSections))
 	}
-	tableEnd := headerSize + len(requiredSections)*secEntrySize
-	if len(data) < tableEnd {
-		return nil, meta{}, corruptf("section table truncated")
+	end := align8(headerSize + len(requiredSections)*secEntrySize)
+	if len(data) < end {
+		return secs, meta{}, corruptf("section table truncated")
 	}
-	payloadStart := uint64(align8(tableEnd))
-	secs := make(map[uint32][]byte, len(requiredSections))
-	for i := 0; i < len(requiredSections); i++ {
+	for i, id := range requiredSections {
 		e := data[headerSize+i*secEntrySize:]
-		id := binary.LittleEndian.Uint32(e)
-		off := binary.LittleEndian.Uint64(e[8:])
-		length := binary.LittleEndian.Uint64(e[16:])
-		if _, dup := secs[id]; dup {
-			return nil, meta{}, corruptf("duplicate section %d", id)
-		}
-		if off%8 != 0 || off < payloadStart || off > uint64(len(data)) || length > uint64(len(data))-off {
-			return nil, meta{}, corruptf("section %d spans [%d, %d+%d) outside the artifact", id, off, off, length)
+		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		if binary.LittleEndian.Uint32(e) != id || off != uint64(end) || end > len(data) || length > uint64(len(data)-end) {
+			return secs, meta{}, corruptf("section table entry %d is not section %d at offset %d within the artifact", i, id, end)
 		}
 		secs[id] = data[off : off+length : off+length]
-	}
-	for _, id := range requiredSections {
-		if _, ok := secs[id]; !ok {
-			return nil, meta{}, corruptf("missing section %d", id)
-		}
+		end = align8(end + int(length))
 	}
 	mt, err := parseMeta(secs[secMeta], len(data))
 	return secs, mt, err
@@ -271,28 +254,29 @@ func parseSections(data []byte) (map[uint32][]byte, meta, error) {
 // parseMeta reads the counts, initial state and fingerprint. Every count is
 // sanity-bounded by the file size, which caps all later size arithmetic.
 func parseMeta(sec []byte, fileSize int) (meta, error) {
-	const fixed = 10 * 4
+	const fixed = 11 * 4
 	if len(sec) < fixed {
 		return meta{}, corruptf("meta section has %d bytes, want at least %d", len(sec), fixed)
 	}
 	u := func(i int) int { return int(binary.LittleEndian.Uint32(sec[i*4:])) }
 	mt := meta{
-		numStates:   u(0),
-		numEdges:    u(1),
-		numLabels:   u(2),
-		numStrings:  u(3),
-		wordsPerVec: u(4),
-		numActors:   u(5),
-		numFields:   u(6),
-		numWarnings: u(7),
-		initial:     int32(binary.LittleEndian.Uint32(sec[8*4:])),
+		numStates:    u(0),
+		numEdges:     u(1),
+		numLabels:    u(2),
+		numStrings:   u(3),
+		wordsPerVec:  u(4),
+		numActors:    u(5),
+		numFields:    u(6),
+		numWarnings:  u(7),
+		numStoreSets: u(8),
+		initial:      int32(binary.LittleEndian.Uint32(sec[9*4:])),
 	}
-	for _, c := range []int{mt.numStates, mt.numEdges, mt.numLabels, mt.numStrings, mt.wordsPerVec, mt.numActors, mt.numFields, mt.numWarnings} {
+	for _, c := range []int{mt.numStates, mt.numEdges, mt.numLabels, mt.numStrings, mt.wordsPerVec, mt.numActors, mt.numFields, mt.numWarnings, mt.numStoreSets} {
 		if c > fileSize || c > math.MaxInt32 {
 			return meta{}, corruptf("meta count %d exceeds the %d-byte artifact", c, fileSize)
 		}
 	}
-	fpLen := u(9)
+	fpLen := u(10)
 	if fpLen != len(sec)-fixed {
 		return meta{}, corruptf("fingerprint length %d does not match the meta section", fpLen)
 	}
@@ -378,63 +362,45 @@ func parseLabels(sec []byte, count int, ref func(uint32) (string, error)) ([]dec
 	return out, nil
 }
 
-// parseStores rebuilds the per-state datastore contents from the offset/
-// record layout, rejecting windows that do not parse exactly. Each distinct
-// record window is parsed once into the table of distinct contents, in
-// first-occurrence order, as generation tables one entry per distinct store
-// image; a window equal word for word to one already parsed has passed the
-// same checks. raw is the records' little-endian bytes, which key the windows.
-func parseStores(storeOff, recs []uint32, raw []byte, n int, ref func(uint32) (string, error)) ([]int32, []map[string]schema.FieldSet, error) {
-	if storeOff[0] != 0 || uint64(storeOff[n]) != uint64(len(recs)) {
-		return nil, nil, corruptf("store offsets span [%d, %d], records have %d words", storeOff[0], storeOff[n], len(recs))
+// parseStores parses each distinct store set once, from its window of the
+// records, after checking that the per-state set indexes are canonical
+// (checkStoreIndex).
+func parseStores(setOff []uint32, storeOf []int32, recs []uint32, ref func(uint32) (string, error)) ([]map[string]schema.FieldSet, error) {
+	k := len(setOff) - 1
+	if setOff[0] != 0 || uint64(setOff[k]) != uint64(len(recs)) {
+		return nil, corruptf("store set offsets span [%d, %d], records have %d words", setOff[0], setOff[k], len(recs))
 	}
 	// Validate every window bound before touching the records: an intermediate
 	// offset spike would otherwise drive the record cursor past len(recs) before
 	// the pairwise decrease is reached.
-	for s := 0; s < n; s++ {
-		if storeOff[s] > storeOff[s+1] {
-			return nil, nil, corruptf("store offsets decrease at state %d", s)
-		}
-		if uint64(storeOff[s+1]) > uint64(len(recs)) {
-			return nil, nil, corruptf("store offset %d of state %d exceeds the %d record words", storeOff[s+1], s, len(recs))
+	for i := 0; i < k; i++ {
+		if setOff[i] > setOff[i+1] || uint64(setOff[i+1]) > uint64(len(recs)) {
+			return nil, corruptf("store set %d spans [%d, %d] of %d record words", i, setOff[i], setOff[i+1], len(recs))
 		}
 	}
-	// storeOf first holds the first state with each state's window, then that
-	// state's table index.
-	storeOf := make([]int32, n)
-	first := make(map[string]int32)
-	for s := 0; s < n; s++ {
-		key := raw[4*int(storeOff[s]) : 4*int(storeOff[s+1])]
-		f, ok := first[string(key)]
-		if !ok {
-			f = int32(s)
-			first[string(key)] = f
-		}
-		storeOf[s] = f
+	if err := checkStoreIndex(storeOf, k); err != nil {
+		return nil, corruptf("%v", err)
 	}
-	sets := make([]map[string]schema.FieldSet, 0, len(first))
-	for s, f := range storeOf {
-		if int(f) < s {
-			storeOf[s] = storeOf[f]
-			continue
-		}
-		contents, err := parseStoreWindow(recs[storeOff[s]:storeOff[s+1]], s, ref)
+	sets := make([]map[string]schema.FieldSet, k)
+	for i := range sets {
+		contents, err := parseStoreSet(recs[setOff[i]:setOff[i+1]], i, ref)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		storeOf[s] = int32(len(sets))
-		sets = append(sets, contents)
+		sets[i] = contents
 	}
-	return storeOf, sets, nil
+	return sets, nil
 }
 
-// parseStoreWindow parses one state's (store ref, field count, field refs...)
-// records.
-func parseStoreWindow(win []uint32, s int, ref func(uint32) (string, error)) (map[string]schema.FieldSet, error) {
+// parseStoreSet parses one store set's (store ref, field count, field
+// refs...) records. Stores and each store's fields must be strictly
+// ascending, as Encode writes them, so an accepted set has one spelling.
+func parseStoreSet(win []uint32, set int, ref func(uint32) (string, error)) (map[string]schema.FieldSet, error) {
 	contents := make(map[string]schema.FieldSet)
+	prevName := ""
 	for len(win) > 0 {
 		if len(win) < 2 {
-			return nil, corruptf("store record of state %d truncated", s)
+			return nil, corruptf("record of store set %d truncated", set)
 		}
 		name, err := ref(win[0])
 		if err != nil {
@@ -443,19 +409,22 @@ func parseStoreWindow(win []uint32, s int, ref func(uint32) (string, error)) (ma
 		fieldCount := win[1]
 		win = win[2:]
 		if fieldCount == 0 || uint64(fieldCount) > uint64(len(win)) {
-			return nil, corruptf("store %q of state %d claims %d fields, window has %d words", name, s, fieldCount, len(win))
+			return nil, corruptf("store %q of set %d claims %d fields, window has %d words", name, set, fieldCount, len(win))
+		}
+		if len(contents) > 0 && name <= prevName {
+			return nil, corruptf("store set %d lists store %q after %q", set, name, prevName)
 		}
 		names := make([]string, fieldCount)
-		for k := range names {
-			if names[k], err = ref(win[k]); err != nil {
+		for i := range names {
+			if names[i], err = ref(win[i]); err != nil {
 				return nil, err
+			}
+			if i > 0 && names[i] <= names[i-1] {
+				return nil, corruptf("store %q of set %d lists field %q after %q", name, set, names[i], names[i-1])
 			}
 		}
 		win = win[fieldCount:]
-		if _, dup := contents[name]; dup {
-			return nil, corruptf("state %d lists store %q twice", s, name)
-		}
-		contents[name] = schema.NewFieldSet(names...)
+		contents[name], prevName = schema.NewFieldSet(names...), name
 	}
 	return contents, nil
 }

@@ -7,13 +7,13 @@ import (
 	"privascope/internal/modelstore"
 )
 
-// sectionRange locates a section's payload offset and length in a v1
+// sectionRange locates a section's payload offset and length in an
 // artifact via the section table (the header layout is part of the frozen
 // format, so reading it directly here cannot go stale without a version
 // bump).
 func sectionRange(t *testing.T, data []byte, id uint32) (off, length int) {
 	t.Helper()
-	const headerSize, entrySize, numSections = 64, 24, 9
+	const headerSize, entrySize = 64, 24
 	for i := 0; i < numSections; i++ {
 		e := data[headerSize+i*entrySize:]
 		if binary.LittleEndian.Uint32(e) == id {
@@ -31,7 +31,7 @@ func sectionRange(t *testing.T, data []byte, id uint32) (off, length int) {
 // bound has already been used to slice the string blob or index the store
 // records. Both must come back as errors.
 func TestDecodeRejectsOffsetSpikes(t *testing.T) {
-	const secMeta, secStrings, secStores = 1, 2, 8
+	const secStrings = 2
 	m, p := fixtureModel(t)
 	valid, err := modelstore.Encode(p)
 	if err != nil {
@@ -58,15 +58,16 @@ func TestDecodeRejectsOffsetSpikes(t *testing.T) {
 	t.Run("stores", func(t *testing.T) {
 		data := append([]byte(nil), valid...)
 		off, length := sectionRange(t, data, secStores)
-		recWords := length/4 - (numStates + 1)
-		if numStates < 2 || recWords < 3 {
-			t.Fatalf("fixture too small: %d states, %d record words", numStates, recWords)
+		numSets := int(binary.LittleEndian.Uint32(valid[metaOff+8*4:]))
+		recWords := length/4 - (numSets + 1) - numStates
+		if numSets < 2 || recWords < 3 {
+			t.Fatalf("fixture too small: %d store sets, %d record words", numSets, recWords)
 		}
 		// Rewrite the records as one giant well-formed record spanning the
-		// whole section, then spike the first state's upper bound past the
+		// whole section, then spike the first set's upper bound past the
 		// record count: the window parses cleanly up to the last real word
 		// and the overrun read is the very next index.
-		recsOff := off + (numStates+1)*4
+		recsOff := off + (numSets+1+numStates)*4
 		binary.LittleEndian.PutUint32(data[recsOff:], 0)                    // store name: ref 0 ("")
 		binary.LittleEndian.PutUint32(data[recsOff+4:], uint32(recWords-2)) // field count
 		for k := 2; k < recWords; k++ {

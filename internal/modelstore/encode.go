@@ -10,14 +10,14 @@ import (
 	"privascope/internal/wire"
 )
 
-// Encode serialises a generated privacy model into a version-1 artifact. The
-// artifact embeds the model's dataflow.Fingerprint, which every model with a
-// data-flow model attached has. Encoding is deterministic: the same model
-// yields byte-identical artifacts.
+// Encode serialises a generated privacy model into an artifact of
+// FormatVersion. The artifact embeds the model's dataflow.Fingerprint, which
+// every model with a data-flow model attached has. Encoding is deterministic:
+// the same model yields byte-identical artifacts.
 //
 // It runs in two passes over the dense model. The first takes every string
 // reference in the order that makes the bytes canonical — state IDs, label
-// columns, one record list per distinct store set, the vocabulary — so the
+// columns, each store set's records in table order, the vocabulary — so the
 // string table is complete; the second sizes every section, allocates the
 // artifact once and writes each section at its final offset.
 func Encode(p *core.PrivacyLTS) ([]byte, error) {
@@ -26,7 +26,7 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 		return nil, fmt.Errorf("modelstore: model cannot be fingerprinted: %w", err)
 	}
 	parts := p.Graph.Parts()
-	n, m := len(parts.States), len(parts.Trs)
+	n, m := len(parts.States), len(parts.EdgeLabels)
 	if parts.Initial < 0 {
 		return nil, fmt.Errorf("modelstore: model has no initial state")
 	}
@@ -35,6 +35,9 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	if len(vecWords) != n*wpv || len(storeOf) != n {
 		return nil, fmt.Errorf("modelstore: model has %d vector words and %d store indexes for %d states of %d words",
 			len(vecWords), len(storeOf), n, wpv)
+	}
+	if err := checkStoreIndex(storeOf, len(storeSets)); err != nil {
+		return nil, fmt.Errorf("modelstore: store table: %w", err)
 	}
 
 	// Pass 1: string references.
@@ -52,8 +55,8 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	var ptrs []*core.TransitionLabel
 	var ptrStrs []string
 	edgeLabelPtr := make([]int32, m)
-	for e, tr := range parts.Trs {
-		switch lbl := tr.Label.(type) {
+	for e, label := range parts.EdgeLabels {
+		switch lbl := label.(type) {
 		case nil:
 			edgeLabelPtr[e] = -1
 		case *core.TransitionLabel:
@@ -69,7 +72,7 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 			}
 			edgeLabelPtr[e] = idx
 		default:
-			return nil, fmt.Errorf("modelstore: transition %d carries a foreign label type %T", e, tr.Label)
+			return nil, fmt.Errorf("modelstore: transition %d carries a foreign label type %T", e, label)
 		}
 	}
 	// Seven string refs per label, then every label's field refs.
@@ -84,14 +87,11 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 		}
 	}
 
-	// Each distinct store set's records, built where a state first holds it
-	// (storeRecords never returns nil).
+	// Each distinct store set's records, in table order.
 	setRecs := make([][]uint32, len(storeSets))
 	recWords := 0
-	for _, k := range storeOf {
-		if setRecs[k] == nil {
-			setRecs[k] = storeRecords(storeSets[k], &in)
-		}
+	for k, set := range storeSets {
+		setRecs[k] = storeRecords(set, &in)
 		recWords += len(setRecs[k])
 	}
 
@@ -107,14 +107,14 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	// Pass 2: size every section, then write each at its offset.
 	numLabels := len(ptrs)
 	var size, off [secVocab + 1]int
-	size[secMeta] = 10*4 + len(fp)
+	size[secMeta] = 11*4 + len(fp)
 	size[secStrings] = in.TableSize()
 	size[secStates] = 4 * n
 	size[secLabels] = 4 * (3*numLabels + 1 + len(labelRefs))
 	size[secEdges] = 3 * 4 * m
 	size[secCSR] = 2*4*(n+1) + 2*4*m
 	size[secVectors] = 8 * len(vecWords)
-	size[secStores] = 4*(n+1) + 4*recWords
+	size[secStores] = 4*(len(storeSets)+1) + 4*n + 4*recWords
 	size[secVocab] = 4 * len(vocabRefs)
 	end := align8(headerSize + len(requiredSections)*secEntrySize)
 	for _, id := range requiredSections {
@@ -140,7 +140,7 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 		w.B = w.B[:off[id]]
 		switch id {
 		case secMeta:
-			for _, c := range []int{n, m, numLabels, len(strs), wpv, len(actors), len(fields), len(p.Warnings)} {
+			for _, c := range []int{n, m, numLabels, len(strs), wpv, len(actors), len(fields), len(p.Warnings), len(storeSets)} {
 				w.U32(uint32(c))
 			}
 			w.I32(parts.Initial)
@@ -183,16 +183,16 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 				w.U64(v)
 			}
 		case secStores:
-			// Offsets count uint32 record words; a state's window is its set's
-			// records.
+			// Offsets count uint32 record words.
 			words := uint32(0)
 			w.U32(0)
-			for _, k := range storeOf {
-				words += uint32(len(setRecs[k]))
+			for _, recs := range setRecs {
+				words += uint32(len(recs))
 				w.U32(words)
 			}
-			for _, k := range storeOf {
-				w.U32s(setRecs[k])
+			w.I32s(storeOf)
+			for _, recs := range setRecs {
+				w.U32s(recs)
 			}
 		case secVocab:
 			w.U32s(vocabRefs)

@@ -31,18 +31,19 @@ func mustEncode(t *testing.T, p *core.PrivacyLTS) []byte {
 
 // TestArtifactBytesPinned pins the artifact bytes across commits, not only
 // within one: the SHA-256 of Encode for three models, written down when the
-// format was version 1 and the encoder built each section in its own buffer.
-// An encoder rewrite that changes a byte — string order, a store record, the
-// padding — fails here even when it decodes its own output.
+// format became version 2 (the store table and a CRC-32C). An encoder rewrite
+// that changes a byte — string order, a store record, the padding — fails
+// here even when it decodes its own output; only a deliberate format change
+// re-pins.
 func TestArtifactBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		model *dataflow.Model
 		sum   string
 	}{
-		{"surgery", casestudy.Surgery(), "65f18a54dfc6ec3e4069ac460bcd651a01dbfe789ac99d90f4a0c6fee709ad9a"},
-		{"default", synth.Model(synth.ModelSpec{}), "2f8e46e6ecbcc74bdbfb6d2e68de0b03276685b01efa498e555c7e1d315d3a90"},
-		{"large", synth.Model(largeSpec), "2df0367fbfd489ff65e31a70d4dbcff0ddd8196a8bfa3d2b63a8833b396cd48a"},
+		{"surgery", casestudy.Surgery(), "d28d8e561851de31ff49f7b601e5cf5b3fc46da3cf89b3a64798bfeb027b0354"},
+		{"default", synth.Model(synth.ModelSpec{}), "340e3437a9fa58fbea32a2a3ef90731d8fe88144149eeecea7c50073e215244e"},
+		{"large", synth.Model(largeSpec), "783f96675205233e0233425f76bce1774805e6ac381798e9ee61b072534e7600"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := core.Generate(tc.model)

@@ -1,28 +1,28 @@
 // Package modelstore persists compiled privacy models: it serialises a
 // generated core.PrivacyLTS — the dense state table, the interned label
 // table, the forward and reverse CSR transition layouts, the per-state
-// privacy vectors and datastore contents — into a single versioned binary
+// privacy vectors and the store table — into a single versioned binary
 // artifact keyed by the model's dataflow.Fingerprint, and rebuilds the model
 // from the artifact without re-running state-space exploration (and without
 // re-rendering a label string beyond the one check per distinct label).
 //
-// The sections are the model's in-memory representation — everything indexed
-// by dense state or transition number, one StateID -> index map per graph —
-// so decoding validates them and hands them to lts.RestoreCompiled and
+// The sections are the model's in-memory representation, so decoding
+// validates them and hands them to lts.RestoreCompiled and
 // core.RestorePrivacyLTS as they are: the vector slab and the CSR arrays
-// whole, the datastore contents as one map per distinct record window. A
-// loaded model is the object generation builds; nothing is rebuilt state by
-// state.
+// whole, the store table as its distinct store sets in first-occurrence order
+// (each parsed once) plus one set index per state. A loaded model is the
+// object generation builds, down to canonical state IDs that need no ID map.
 //
 // The format is canonical and integrity-checked: every multi-byte value is
 // little-endian regardless of the writing host, encoding the same model
-// twice produces byte-identical artifacts, and a whole-file SHA-256 rejects
-// any corruption. Decoding is hardened against untrusted input — a malformed
-// or truncated artifact always yields an error, never a panic and never a
-// structurally inconsistent model: beyond the checksum, every index, offset
-// and CSR bucket is validated before use (see lts.RestoreCompiled), and each
-// decoded label is re-rendered and compared against its stored interned
-// string.
+// twice produces byte-identical artifacts, and a whole-file CRC-32C
+// (Castagnoli) rejects corruption — an artifact carries its own checksum, so
+// it guards against damage, not an attacker. Decoding is hardened against
+// untrusted input: a malformed or truncated artifact always yields an error,
+// never a panic and never an inconsistent model — every index, offset and
+// CSR bucket is validated (see lts.RestoreCompiled), and each decoded label
+// is re-rendered against its stored string. An older format version is
+// rejected like corruption, which callers treat as a cache miss.
 //
 // There is one decode path: Decode copies every section out of the buffer
 // it is given, and Store.Load is os.ReadFile plus Decode, so a loaded model
@@ -36,8 +36,9 @@
 package modelstore
 
 import (
-	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 )
 
 // magic identifies a privascope compiled-model artifact; the trailing byte
@@ -46,12 +47,12 @@ import (
 const magic = "PSCMODL\x01"
 
 // FormatVersion is the artifact format written by Encode. Decode rejects
-// artifacts written by a newer version with a clear error instead of
-// misreading them.
-const FormatVersion = 1
+// artifacts written by a newer version with ErrFutureVersion instead of
+// misreading them, and an older one as an unknown version.
+const FormatVersion = 2
 
 const (
-	headerSize   = 64 // magic(8) + version(4) + sectionCount(4) + fileSize(8) + checksum(32) + reserved(8)
+	headerSize   = 64 // magic(8) + version(4) + sectionCount(4) + fileSize(8) + checksum(32: CRC-32C, then zeros) + reserved(8)
 	checksumOff  = 24
 	checksumSize = 32
 	secEntrySize = 24 // id(4) + reserved(4) + offset(8) + length(8)
@@ -67,27 +68,44 @@ const (
 	secEdges   = 5 // per-transition endpoints and label-pointer refs
 	secCSR     = 6 // forward + reverse CSR layouts
 	secVectors = 7 // flat per-state privacy-vector words
-	secStores  = 8 // per-state datastore contents
+	secStores  = 8 // distinct store sets' record offsets, per-state set index, records
 	secVocab   = 9 // vocabulary actors/fields and generation warnings
 )
 
-// requiredSections lists every section id of format version 1, in file
-// order.
+// requiredSections lists every section id of the format, in file order.
 var requiredSections = []uint32{
 	secMeta, secStrings, secStates, secLabels, secEdges, secCSR, secVectors, secStores, secVocab,
 }
 
-// checksumOf computes the whole-file checksum: SHA-256 over the artifact
-// with the checksum field itself zeroed.
-func checksumOf(data []byte) [checksumSize]byte {
-	h := sha256.New()
-	h.Write(data[:checksumOff])
-	var zero [checksumSize]byte
-	h.Write(zero[:])
-	h.Write(data[checksumOff+checksumSize:])
-	var out [checksumSize]byte
-	h.Sum(out[:0])
-	return out
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksumOf computes the header's checksum field: the CRC-32C of the
+// artifact without that field, little-endian in its first 4 bytes, zeros
+// after.
+func checksumOf(data []byte) (field [checksumSize]byte) {
+	crc := crc32.Checksum(data[:checksumOff], castagnoli)
+	crc = crc32.Update(crc, castagnoli, data[checksumOff+checksumSize:])
+	binary.LittleEndian.PutUint32(field[:], crc)
+	return field
+}
+
+// checkStoreIndex reports whether storeOf indexes a table of numSets store
+// sets canonically: each state holds a set already seen or the next one, and
+// every set is used.
+func checkStoreIndex(storeOf []int32, numSets int) error {
+	next := int32(0)
+	for s, k := range storeOf {
+		if k < 0 || k > next || int(k) >= numSets {
+			return fmt.Errorf("state %d holds store set %d of %d, %d seen so far", s, k, numSets, next)
+		}
+		if k == next {
+			next++
+		}
+	}
+	if int(next) != numSets {
+		return fmt.Errorf("states use %d of %d store sets", next, numSets)
+	}
+	return nil
 }
 
 // align8 rounds the offset up to the next multiple of 8.

@@ -1,0 +1,147 @@
+package modelstore_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"privascope/internal/casestudy"
+	"privascope/internal/modelstore"
+)
+
+// Section ids and table geometry of the format, as decode_test.go reads them.
+const (
+	secMeta, secStores = 1, 8
+	numSections        = 9
+	sectionTableEnd    = 64 + numSections*24
+)
+
+// TestDecodeRejectsBitFlipsEverywhere: one flipped bit anywhere — in the
+// header, the section table or any section — fails Decode. Positions and bits
+// are drawn from a fixed seed, a few in every region, so each section is hit
+// however small it is.
+func TestDecodeRejectsBitFlipsEverywhere(t *testing.T) {
+	m, p := fixtureModel(t)
+	valid := mustEncode(t, p)
+	type region struct {
+		name     string
+		off, len int
+	}
+	regions := []region{{"header", 0, 64}, {"section table", 64, sectionTableEnd - 64}}
+	for id := uint32(1); id <= numSections; id++ {
+		off, length := sectionRange(t, valid, id)
+		regions = append(regions, region{fmt.Sprint("section ", id), off, length})
+	}
+	rng := rand.New(rand.NewSource(38))
+	for _, r := range regions {
+		if r.len == 0 {
+			t.Fatalf("%s is empty", r.name)
+		}
+		for i := 0; i < 16; i++ {
+			at, bit := r.off+rng.Intn(r.len), byte(1)<<rng.Intn(8)
+			data := append([]byte(nil), valid...)
+			data[at] ^= bit
+			if _, err := modelstore.Decode(data, m); err == nil {
+				t.Errorf("%s: bit %#x flipped at byte %d accepted", r.name, bit, at)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsNonCanonicalStoreIndex: the per-state store-set indexes
+// must number the sets in first-occurrence order and use every one. An index
+// that skips ahead, falls outside the table or leaves a set unused fails
+// Decode even under a valid checksum.
+func TestDecodeRejectsNonCanonicalStoreIndex(t *testing.T) {
+	m, p := fixtureModel(t)
+	valid := mustEncode(t, p)
+	metaOff, _ := sectionRange(t, valid, secMeta)
+	numStates := int(binary.LittleEndian.Uint32(valid[metaOff:]))
+	numSets := int(binary.LittleEndian.Uint32(valid[metaOff+8*4:]))
+	storesOff, _ := sectionRange(t, valid, secStores)
+	indexOff := storesOff + 4*(numSets+1)
+	setOf := func(d []byte, s int) int32 { return int32(binary.LittleEndian.Uint32(d[indexOff+4*s:])) }
+	setTo := func(d []byte, s int, k int32) { binary.LittleEndian.PutUint32(d[indexOff+4*s:], uint32(k)) }
+	if numSets < 3 {
+		t.Fatalf("fixture has %d store sets, need at least 3", numSets)
+	}
+	firstOf := func(d []byte, k int32) int {
+		for s := 0; s < numStates; s++ {
+			if setOf(d, s) == k {
+				return s
+			}
+		}
+		t.Fatalf("no state holds store set %d", k)
+		return -1
+	}
+
+	cases := map[string]func(d []byte){
+		"out of order": func(d []byte) { setTo(d, firstOf(d, 1), 2) },
+		"out of range": func(d []byte) { setTo(d, numStates-1, int32(numSets)) },
+		"negative":     func(d []byte) { setTo(d, numStates-1, -1) },
+		"set unused": func(d []byte) {
+			for s := 0; s < numStates; s++ {
+				if setOf(d, s) == int32(numSets-1) {
+					setTo(d, s, 0)
+				}
+			}
+		},
+	}
+	if _, err := modelstore.Decode(rechecksum(t, append([]byte(nil), valid...)), m); err != nil {
+		t.Fatalf("resealed valid artifact rejected: %v", err)
+	}
+	for name, mutate := range cases {
+		data := append([]byte(nil), valid...)
+		mutate(data)
+		_, err := modelstore.Decode(rechecksum(t, data), m)
+		if err == nil || !strings.Contains(err.Error(), "store set") {
+			t.Errorf("%s: Decode = %v, want a store-set index error", name, err)
+		}
+	}
+}
+
+// TestFormerFormatIsUnknown: a genuine version-1 artifact of the case study,
+// written before the store table and CRC-32C, is refused as an unknown
+// version — not as a future one — so callers regenerate over it.
+func TestFormerFormatIsUnknown(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "surgery-v1.artifact"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The SHA-256 TestArtifactBytesPinned held for the case study at version 1.
+	if sum := sha256.Sum256(v1); hex.EncodeToString(sum[:]) != "65f18a54dfc6ec3e4069ac460bcd651a01dbfe789ac99d90f4a0c6fee709ad9a" {
+		t.Fatalf("testdata/surgery-v1.artifact is not the pinned version-1 artifact")
+	}
+	_, err = modelstore.Decode(v1, casestudy.Surgery())
+	if err == nil || errors.Is(err, modelstore.ErrFutureVersion) || !strings.Contains(err.Error(), "unknown format version 1") {
+		t.Fatalf("Decode(v1) = %v, want an unknown-version error", err)
+	}
+}
+
+// TestDecodeRejectsSectionPastTheEnd: a section whose padded end lies past a
+// file that is not a multiple of 8 bytes long leaves the next section's
+// expected offset outside the artifact; that entry is an error, not a slice
+// past the end.
+func TestDecodeRejectsSectionPastTheEnd(t *testing.T) {
+	m, p := fixtureModel(t)
+	valid := mustEncode(t, p)
+	data := make([]byte, len(valid)-3) // no spare capacity to slice into
+	copy(data, valid)
+	binary.LittleEndian.PutUint64(data[16:], uint64(len(data)))
+	storesOff, _ := sectionRange(t, data, secStores)
+	stores := data[64+(secStores-1)*24:]
+	binary.LittleEndian.PutUint64(stores[16:], uint64(len(data)-1-storesOff))
+	vocab := data[64+(numSections-1)*24:]
+	binary.LittleEndian.PutUint64(vocab[8:], uint64(len(valid)))
+	binary.LittleEndian.PutUint64(vocab[16:], 0)
+	if _, err := modelstore.Decode(rechecksum(t, data), m); err == nil {
+		t.Fatalf("a section table running past the artifact was accepted")
+	}
+}
