@@ -308,6 +308,168 @@ func namedOf(t types.Type) *types.Named {
 	return named
 }
 
+// optionSetterAllowlist names the exported option fields that may stay
+// without a production setter, each with the reason it stays. Keys are
+// "<package path under internal/>.<Type>.<Field>", or "….<Type>" for every
+// field of the type; a facade field drops the package ("EngineOptions.…").
+// The list is capped: an option no deployment sets is a second configuration
+// nobody runs.
+var optionSetterAllowlist = map[string]string{
+	"risk.Config":                "results-defining input: the scenario set and risk matrix decide every finding; tests and the facade's RiskConfig callers supply their own",
+	"runtime.Config.AlertAt":     "results-defining input: the level at which a finding becomes an alert",
+	"core.Options.MaxStates":     "results-defining input: the state-space cap decides whether a model generates at all",
+	"synth.PopulationOptions":    "results-defining input: the size, seed and consent odds of a synthetic population",
+	"cluster.RouterConfig.Nodes": "deployment address: the node URLs a router outside StartLocal dials",
+	"EngineOptions.Incremental":  "gated by benchmark/: it reads Engine.Stats().IncrementalHits, which only this option moves",
+}
+
+// maxOptionAllowlisted caps optionSetterAllowlist.
+const maxOptionAllowlisted = 6
+
+// TestEveryOptionHasAProductionSetter is the dead-option gate: every exported
+// field of an exported struct type named …Config or …Options (aliases
+// skipped), declared in the facade or in a production package under
+// internal/, is set by some non-test code outside its own package — a
+// composite-literal key or the target of an assignment — or it is on
+// optionSetterAllowlist. The declaring package's own writes (filling in a
+// default, say) do not count: an option only its package sets is a constant.
+func TestEveryOptionHasAProductionSetter(t *testing.T) {
+	m := loadModule(t)
+	set := productionSetters(m)
+
+	var unset []declaration
+	checked := 0
+	for _, p := range m.pkgs {
+		if p.testSupport || p.dir != "." && !strings.HasPrefix(p.dir, "internal"+string(filepath.Separator)) {
+			continue
+		}
+		for _, d := range p.optionFields() {
+			checked++
+			if !set[d.obj] {
+				unset = append(unset, d)
+			}
+		}
+	}
+
+	t.Logf("checked %d option fields against the setters in all %d packages of the module", checked, len(m.pkgs))
+	if len(optionSetterAllowlist) > maxOptionAllowlisted {
+		t.Errorf("optionSetterAllowlist has %d entries; at most %d may stay without a production setter", len(optionSetterAllowlist), maxOptionAllowlisted)
+	}
+	allowed := make(map[string]bool)
+	for _, d := range unset {
+		typeKey := d.key[:strings.LastIndexByte(d.key, '.')]
+		if _, ok := optionSetterAllowlist[d.key]; ok {
+			allowed[d.key] = true
+			continue
+		}
+		if _, ok := optionSetterAllowlist[typeKey]; ok {
+			allowed[typeKey] = true
+			continue
+		}
+		t.Errorf("%s: field %s: no non-test code outside its package sets it (rule: every option has a production setter); delete it, or allowlist it with a reason", d.pos, d.name)
+	}
+	for key := range optionSetterAllowlist {
+		if !allowed[key] {
+			t.Errorf("optionSetterAllowlist: %s names no unset option field; drop the entry", key)
+		}
+	}
+}
+
+// optionFields lists the exported fields of p's exported, non-alias struct
+// types whose names end in Config or Options.
+func (p *modulePackage) optionFields() []declaration {
+	short := ""
+	if p.dir != "." {
+		short = filepath.ToSlash(strings.TrimPrefix(p.dir, "internal"+string(filepath.Separator))) + "."
+	}
+	var out []declaration
+	for _, f := range p.files {
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || ts.Assign.IsValid() || !ts.Name.IsExported() ||
+					!strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						if !id.IsExported() {
+							continue
+						}
+						pos := p.fset.Position(id.Pos())
+						out = append(out, declaration{obj: p.info.Defs[id], kind: "field", name: name + "." + id.Name,
+							key: short + name + "." + id.Name, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(pos.Filename), pos.Line)})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// productionSetters returns the struct fields production code — the non-test
+// files of packages that are not test support — sets outside the package
+// declaring them: a key of a composite literal, or a field selected on the
+// left of an assignment or increment (each field of x.A.B = v counts).
+func productionSetters(m *module) map[types.Object]bool {
+	set := make(map[types.Object]bool)
+	for _, p := range m.pkgs {
+		if p.testSupport {
+			continue
+		}
+		mark := func(id *ast.Ident) {
+			if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != p.pkg {
+				set[v.Origin()] = true
+			}
+		}
+		markTarget := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					mark(x.Sel)
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range x.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								mark(id)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						markTarget(lhs)
+					}
+				case *ast.IncDecStmt:
+					markTarget(x.X)
+				}
+				return true
+			})
+		}
+	}
+	return set
+}
+
 // module is this repository's Go module, every package type-checked from its
 // non-test files.
 type module struct {

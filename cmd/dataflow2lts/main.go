@@ -11,9 +11,6 @@
 //	dataflow2lts -model model.json -mode lts-json            # privacy LTS JSON
 //	dataflow2lts -model model.json -mode stats               # model and LTS sizes
 //
-// Large models generate faster with -workers N (0, the default, uses one
-// worker per CPU); the emitted LTS is byte-identical for any worker count.
-//
 // Ctrl-C (SIGINT) cancels an in-flight generation: the exploration workers
 // observe the cancellation, the partial state space is discarded, and the
 // tool exits non-zero ("interrupted") instead of being hard-killed.
@@ -54,8 +51,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	serviceID := fs.String("service", "", "restrict the data-flow diagram to one service")
 	ordering := fs.String("ordering", "sequential", "flow ordering: sequential or data-driven")
 	verbose := fs.Bool("verbose-states", false, "list state variables inside LTS nodes")
-	workers := fs.Int("workers", 0, "parallel exploration workers (0 = one per CPU); the output is identical for any count")
-	symmetry := fs.Bool("symmetry", false, "explore one canonical representative per orbit of interchangeable actors; the output is identical either way")
 	modelCache := fs.String("model-cache", "", "directory of the persistent compiled-model cache (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -68,7 +63,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	opts := core.Options{Workers: *workers, Explore: core.ExploreOptions{Symmetry: *symmetry}}
+	var opts core.Options
 	if *ordering == "data-driven" {
 		opts.FlowOrdering = core.OrderDataDriven
 	}

@@ -83,25 +83,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunWorkersDeterministic: the -workers flag must not change the emitted
-// LTS — the JSON document is byte-identical for any worker count.
-func TestRunWorkersDeterministic(t *testing.T) {
-	path := modelFixture(t)
-	outputs := make([]string, 0, 3)
-	for _, workers := range []string{"1", "4", "8"} {
-		var out strings.Builder
-		if err := run(context.Background(), []string{"-model", path, "-mode", "lts-json", "-workers", workers}, &out); err != nil {
-			t.Fatalf("workers=%s: %v", workers, err)
-		}
-		outputs = append(outputs, out.String())
-	}
-	for i := 1; i < len(outputs); i++ {
-		if outputs[i] != outputs[0] {
-			t.Errorf("output with workers=%d differs from workers=1", []int{1, 4, 8}[i])
-		}
-	}
-}
-
 // TestRunModelCache: with -model-cache, the first run persists the compiled
 // model and the second run (a fresh process in real use) loads it instead of
 // regenerating — and emits byte-identical output either way.

@@ -38,7 +38,7 @@ func runClusterMode(ctx context.Context, nodes int, generated *privascope.Privac
 	for i, srv := range c.Servers {
 		fmt.Fprintf(out, "  %-8s %s\n", c.Nodes[i].Name(), srv.URL())
 	}
-	prober, out := startProber(c, cluster.ProberConfig{}, out)
+	prober, out := startProber(c, out)
 	defer prober.Stop()
 	if err := c.Router.Register(ctx, []privascope.UserProfile{profile}); err != nil {
 		return err
@@ -134,17 +134,16 @@ func runClusterMode(ctx context.Context, nodes int, generated *privascope.Privac
 // prober reports each eviction on out from its own goroutine, beside whatever
 // the command is printing, so it returns the writer the command must print
 // through from then on: both sides' writes take one lock.
-func startProber(c *cluster.Local, cfg cluster.ProberConfig, out io.Writer) (*cluster.Prober, io.Writer) {
+func startProber(c *cluster.Local, out io.Writer) (*cluster.Prober, io.Writer) {
 	out = &lockedWriter{w: out}
-	cfg.OnEvict = func(name string, err error) {
+	return c.StartProber(cluster.ProberConfig{OnEvict: func(name string, err error) {
 		if err != nil {
 			fmt.Fprintf(out, "cluster: evicting dead node %q failed: %v\n", name, err)
 			return
 		}
 		fmt.Fprintf(out, "cluster: node %q evicted after failed liveness probes; users failed over (ring epoch %d)\n",
 			name, c.Router.Epoch())
-	}
-	return c.StartProber(cfg), out
+	}}), out
 }
 
 // lockedWriter serialises Write calls on w.

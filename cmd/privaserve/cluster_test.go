@@ -204,9 +204,7 @@ func TestEvictionReportBesideReplay(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond) // OnEvict runs as soon as the eviction returns
 	}}
-	// The timeout is long for the reason TestProberEvictsDeadNode gives: a
-	// loaded host must not see the live node evicted too.
-	prober, out := startProber(c, cluster.ProberConfig{Interval: 5 * time.Millisecond, Timeout: time.Second}, w)
+	prober, out := startProber(c, w)
 	err := replayEventsCluster(ctx, eventsPath, c, out)
 	prober.Stop()
 	if err != nil {

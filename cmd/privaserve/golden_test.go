@@ -3,11 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"privascope"
 	"privascope/internal/casestudy"
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
@@ -87,8 +89,8 @@ ALERT [denied-operation]: access-control denied read by "nurse" on ehr.[diagnosi
 replay complete: 9 events (1 skipped), 3 alerts`
 
 // TestRunReplayGolden runs privaserve end-to-end against the healthcare
-// example model — generation, monitor construction, event replay through the
-// batch path, then live serving until the duration elapses — and requires
+// example model — generation, monitor construction, event replay, then live
+// serving until the duration elapses — and requires
 // the replay output to match the golden transcript byte for byte.
 func TestRunReplayGolden(t *testing.T) {
 	modelPath, profilePath, eventsPath := replayFixture(t, t.TempDir())
@@ -109,5 +111,35 @@ func TestRunReplayGolden(t *testing.T) {
 	if got := replaySection(text); got != goldenReplay {
 		t.Errorf("replay output does not match the golden transcript:\n--- got\n%s\n--- want\n%s",
 			got, goldenReplay)
+	}
+}
+
+// TestReplayEventsCancelled: a replay whose context is already done applies
+// no event, prints nothing and returns the context's error.
+func TestReplayEventsCancelled(t *testing.T) {
+	_, _, eventsPath := replayFixture(t, t.TempDir())
+	p, err := core.Generate(casestudy.Surgery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitor, err := privascope.NewMonitor(p, privascope.MonitorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := casestudy.PatientProfile()
+	if err := monitor.RegisterUser(profile); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out strings.Builder
+	if err := replayEvents(ctx, eventsPath, monitor, profile.ID, &out); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if out.Len() != 0 || len(monitor.Alerts()) != 0 {
+		t.Errorf("a cancelled replay printed %q and raised %d alerts, want nothing", out.String(), len(monitor.Alerts()))
+	}
+	if snap, _ := monitor.ExportUser(profile.ID); snap.State != p.InitialState() {
+		t.Errorf("cursor moved to %s, want the initial state", snap.State)
 	}
 }

@@ -13,9 +13,9 @@
 // client (the X-Privascope-Actor header selects the acting actor). The
 // process exits after -duration (0 means run until interrupted).
 //
-// -events replays a JSON array of events through the monitor's
-// batch-ingestion path before live serving starts, which is useful for
-// smoke-testing a model against a recorded trace.
+// -events replays a JSON array of events through the monitor, one event at a
+// time, before live serving starts, which is useful for smoke-testing a
+// model against a recorded trace.
 //
 // -cluster N distributes the observation plane: N in-process ingest nodes
 // (internal/cluster), each with its own monitor and HTTP server, fronted by
@@ -60,8 +60,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	modelPath := fs.String("model", "", "path to the model document (JSON)")
 	profilePath := fs.String("profile", "", "path to the monitored user's profile (JSON)")
 	duration := fs.Duration("duration", 0, "how long to serve before exiting (0 = until interrupted)")
-	workers := fs.Int("workers", 0, "parallel LTS-generation workers (0 = one per CPU)")
-	symmetry := fs.Bool("symmetry", false, "symmetry-reduced LTS generation (identical output, fewer explored states)")
 	eventsPath := fs.String("events", "", "path to a JSON array of events to replay through the monitor at startup")
 	modelCache := fs.String("model-cache", "", "directory of the persistent compiled-model cache (empty = off)")
 	clusterNodes := fs.Int("cluster", 0, "spawn N in-process ingest nodes behind a rendezvous-hash router (0 = single monitor)")
@@ -78,11 +76,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// With -model-cache, a warm cache entry makes startup skip LTS generation
 	// and load the compiled model straight from disk.
-	engine, err := privascope.NewEngine(privascope.EngineOptions{
-		Generate: privascope.GenerateOptions{Workers: *workers,
-			Explore: privascope.ExploreOptions{Symmetry: *symmetry}},
-		CacheDir: *modelCache,
-	})
+	engine, err := privascope.NewEngine(privascope.EngineOptions{CacheDir: *modelCache})
 	if err != nil {
 		return err
 	}
@@ -173,25 +167,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			if !ok {
 				return nil
 			}
-			mine := batch[:0:0]
 			for _, ev := range batch {
-				if ev.UserID == profile.ID {
-					mine = append(mine, ev)
+				if ctx.Err() != nil {
+					break
 				}
-			}
-			if len(mine) == 0 {
-				continue
-			}
-			observations, err := monitor.ObserveBatch(mine)
-			if err != nil {
-				fmt.Fprintf(out, "batch partially ignored: %v\n", err)
-			}
-			for i, obs := range observations {
-				ev := mine[i]
-				if obs.From == "" {
-					// Zero observation: the event errored (see the joined
-					// error above) and was never applied.
-					fmt.Fprintf(out, "event %d ignored\n", ev.Seq)
+				if ev.UserID != profile.ID {
+					continue
+				}
+				obs, err := monitor.Observe(ev)
+				if err != nil {
+					fmt.Fprintf(out, "event %d ignored: %v\n", ev.Seq, err)
 					continue
 				}
 				fmt.Fprintf(out, "event %d: %s(%v) by %s on %s -> state %s\n",
@@ -212,10 +197,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 }
 
-// replayEvents feeds a recorded JSON event trace through the monitor's batch
-// path, printing one line per event plus any alerts. Events for users other
-// than the monitored one are skipped. Cancelling ctx aborts the replay
-// mid-batch.
+// replayEvents feeds a recorded JSON event trace through the monitor one
+// event at a time, printing one line per event plus any alerts. Events for
+// users other than the monitored one are skipped. Cancelling ctx aborts the
+// replay between two events.
 func replayEvents(ctx context.Context, path string, monitor *privascope.Monitor, userID string, out io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -225,32 +210,28 @@ func replayEvents(ctx context.Context, path string, monitor *privascope.Monitor,
 	if err := json.Unmarshal(data, &events); err != nil {
 		return fmt.Errorf("parsing events: %w", err)
 	}
-	replay := make([]privascope.Event, 0, len(events))
-	skipped := 0
+	replayed, skipped := 0, 0
 	for _, ev := range events {
 		if ev.UserID != userID {
 			skipped++
 			continue
 		}
-		replay = append(replay, ev)
-	}
-	observations, err := monitor.ObserveBatchContext(ctx, replay)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return fmt.Errorf("replaying events: %w", err)
-	}
-	for i, obs := range observations {
-		ev := replay[i]
+		obs, err := monitor.Observe(ev)
+		if err != nil {
+			return fmt.Errorf("replaying events: event %d: %w", replayed, err)
+		}
+		replayed++
 		fmt.Fprintf(out, "replay %d: %s(%v) by %s on %s -> state %s\n",
-			i+1, ev.Action, ev.Fields, ev.Actor, ev.Datastore, obs.To)
+			replayed, ev.Action, ev.Fields, ev.Actor, ev.Datastore, obs.To)
 		for _, alert := range obs.Alerts {
 			fmt.Fprintf(out, "ALERT [%s]: %s\n", alert.Kind, alert.Message)
 		}
 	}
 	fmt.Fprintf(out, "replay complete: %d events (%d skipped), %d alerts\n",
-		len(replay), skipped, len(monitor.Alerts()))
+		replayed, skipped, len(monitor.Alerts()))
 	return nil
 }
 

@@ -329,7 +329,7 @@ func TestResearchPolicy(t *testing.T) {
 }
 
 func TestMetricsLTSGenerates(t *testing.T) {
-	p, err := core.GenerateWithOptions(Metrics(), core.Options{FlowOrdering: core.OrderDataDriven})
+	p, err := core.GenerateWithOptionsContext(context.Background(), Metrics(), core.Options{FlowOrdering: core.OrderDataDriven})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}

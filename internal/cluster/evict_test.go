@@ -52,7 +52,7 @@ func startBlackHoleFleet(t *testing.T, ctx context.Context, cfg RouterConfig) *b
 
 	base := H2CTransport()
 	transport := newSwitchTransport(base)
-	cfg.HTTPClient = &http.Client{Transport: transport}
+	cfg.tuning.client = &http.Client{Transport: transport}
 	if f.c, err = StartLocal(p, 2, NodeConfig{}, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEvictBlackHoledNode(t *testing.T) {
 	// Only the tick cuts frames, so SendBatch never waits on the victim's
 	// window: one sequence hangs in flight, a frame waits in the window, the
 	// rest stays buffered.
-	f := startBlackHoleFleet(t, ctx, RouterConfig{BatchEvents: 4096, FlushInterval: 5 * time.Millisecond})
+	f := startBlackHoleFleet(t, ctx, RouterConfig{tuning: routerTuning{batchEvents: 4096, flushInterval: 5 * time.Millisecond}})
 	direct := directMonitor(t, f.profiles, f.stream)
 	q := len(f.rest) / 2
 	if err := f.c.Router.SendBatch(ctx, f.rest[:q]); err != nil {
@@ -154,12 +154,14 @@ func TestEvictWhileSendBlockedOnDeadWindow(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	f := startBlackHoleFleet(t, ctx, RouterConfig{
-		BatchEvents:   2,
-		FlushInterval: time.Hour,
-		// Nothing but the eviction may resolve the victim's frames.
-		MaxRetries:  1000,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
+		tuning: routerTuning{
+			batchEvents:   2,
+			flushInterval: time.Hour,
+			// Nothing but the eviction may resolve the victim's frames.
+			maxRetries:  1000,
+			backoffBase: time.Millisecond,
+			backoffMax:  20 * time.Millisecond,
+		},
 	})
 	direct := directMonitor(t, f.profiles, f.stream)
 	victim := func() senderCounts { return f.c.Router.senderCounts()[f.victim] }
@@ -345,15 +347,17 @@ func TestEvictFencesAbandonedRequest(t *testing.T) {
 		base: H2CTransport(), warm: make(chan struct{}), release: make(chan struct{}), abandoned: make(chan struct{}),
 	}
 	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{
-		// Only the batch threshold cuts frames, and a window of four lets
-		// frames 1 and 2 queue behind the held frame 0 and leave as one request.
-		BatchEvents:   4,
-		MaxInFlight:   4,
-		FlushInterval: time.Hour,
-		MaxRetries:    1000,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    20 * time.Millisecond,
-		HTTPClient:    &http.Client{Transport: race},
+		tuning: routerTuning{
+			// Only the batch threshold cuts frames, and a window of four lets
+			// frames 1 and 2 queue behind the held frame 0 and leave as one request.
+			batchEvents:   4,
+			maxInFlight:   4,
+			flushInterval: time.Hour,
+			maxRetries:    1000,
+			backoffBase:   time.Millisecond,
+			backoffMax:    20 * time.Millisecond,
+			client:        &http.Client{Transport: race},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -475,9 +479,11 @@ func TestFailedEvictionLeavesNodeDeliverable(t *testing.T) {
 	// senders' buffers when the eviction starts, so the victim's share of it
 	// is cut onto the cancelled sender and parked.
 	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{
-		BatchEvents:   4096,
-		FlushInterval: time.Hour,
-		HTTPClient:    &http.Client{Transport: transport},
+		tuning: routerTuning{
+			batchEvents:   4096,
+			flushInterval: time.Hour,
+			client:        &http.Client{Transport: transport},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

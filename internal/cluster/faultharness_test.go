@@ -46,9 +46,9 @@ func faultSchedule(seed int64) fault.Config {
 // below is meaningful.
 func faultRouterConfig(seed int64, transport http.RoundTripper) RouterConfig {
 	cfg := crashRouterConfig()
-	cfg.BatchEvents = 4
-	cfg.BackoffJitterSeed = seed
-	cfg.HTTPClient = &http.Client{Transport: transport}
+	cfg.tuning.batchEvents = 4
+	cfg.tuning.jitterSeed = seed
+	cfg.tuning.client = &http.Client{Transport: transport}
 	return cfg
 }
 
@@ -250,8 +250,10 @@ func faultRound(seed int64, rng *rand.Rand, blackHole bool) error {
 			Hang:  []fault.Partition{{Host: strings.TrimPrefix(c.Servers[i].URL(), "http://"), From: 3, To: math.MaxUint64}},
 		}))
 		prober := c.StartProber(ProberConfig{
-			Interval: 5 * time.Millisecond,
-			Timeout:  250 * time.Millisecond, // a loaded host must not cost a healthy node three probes
+			tuning: proberTuning{
+				interval: 5 * time.Millisecond,
+				timeout:  250 * time.Millisecond, // a loaded host must not cost a healthy node three probes
+			},
 			OnEvict: func(name string, err error) {
 				if err == nil {
 					evicted <- name

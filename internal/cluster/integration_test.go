@@ -66,9 +66,11 @@ func TestClusterGoldenTraceAcrossNodeCounts(t *testing.T) {
 	for _, nodes := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
 			c, err := StartLocal(p, nodes, NodeConfig{}, RouterConfig{
-				// A small batch threshold exercises multi-frame flushes even
-				// on the ten-event trace.
-				BatchEvents: 3,
+				tuning: routerTuning{
+					// A small batch threshold exercises multi-frame flushes even
+					// on the ten-event trace.
+					batchEvents: 3,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -209,9 +211,11 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 	defer srv.Close()
 
 	router, err := NewRouter(RouterConfig{
-		Nodes:       map[string]string{"only": srv.URL},
-		BatchEvents: 4,
-		HTTPClient:  srv.Client(),
+		Nodes: map[string]string{"only": srv.URL},
+		tuning: routerTuning{
+			batchEvents: 4,
+			client:      srv.Client(),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

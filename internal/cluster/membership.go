@@ -127,7 +127,7 @@ func (r *Router) change(ctx context.Context, kind, name, url string,
 	var teardown time.Duration
 	if kind != ChangeJoin {
 		t0 := time.Now()
-		r.client.CloseIdleConnections()
+		r.tuning.client.CloseIdleConnections()
 		teardown = time.Since(t0)
 	}
 	if kind == ChangeEvict {
@@ -539,7 +539,7 @@ func (r *Router) postHandoff(ctx context.Context, url string, frame []byte, reas
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
 		req.Header.Set(HeaderHandoffReason, reason)
-		resp, err := r.client.Do(req)
+		resp, err := r.tuning.client.Do(req)
 		if err != nil {
 			lastErr = err
 			continue

@@ -108,7 +108,7 @@ func TestClusterLiveJoinRebalances(t *testing.T) {
 	stream := scenario.RandomEventStream(rng, p, users, 24)
 	direct := directMonitor(t, profiles, stream)
 
-	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{BatchEvents: 5})
+	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{tuning: routerTuning{batchEvents: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestClusterGracefulLeave(t *testing.T) {
 	stream := scenario.RandomEventStream(rng, p, users, 24)
 	direct := directMonitor(t, profiles, stream)
 
-	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{BatchEvents: 5})
+	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{tuning: routerTuning{batchEvents: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,17 +208,19 @@ func TestClusterGracefulLeave(t *testing.T) {
 // node. Between the victim's server stopping and the eviction cancelling its
 // sender every delivery attempt is refused at once, and a sender that
 // runs out of retries in that gap abandons frames nobody can recover. The
-// retry budget — at least MaxRetries × BackoffMax/2 = 10 s, the tests' Stop
+// retry budget — at least maxRetries × backoffMax/2 = 10 s, the tests' Stop
 // timeout — outlasts the gap; eviction interrupts the backoff, so it costs
 // nothing once that happens. The flush tick runs at its default interval: a
 // tick that finds the victim's one-frame window full skips that sender
 // instead of waiting on it (TestTickCannotStallEviction).
 func crashRouterConfig() RouterConfig {
 	return RouterConfig{
-		BatchEvents: 5,
-		MaxRetries:  1000,
-		BackoffBase: 100 * time.Microsecond,
-		BackoffMax:  20 * time.Millisecond,
+		tuning: routerTuning{
+			batchEvents: 5,
+			maxRetries:  1000,
+			backoffBase: 100 * time.Microsecond,
+			backoffMax:  20 * time.Millisecond,
+		},
 	}
 }
 
@@ -319,12 +321,15 @@ func TestProberEvictsDeadNode(t *testing.T) {
 
 	evicted := make(chan string, 1)
 	prober := c.StartProber(ProberConfig{
-		Interval: 5 * time.Millisecond,
-		// Left to default to the interval, a loaded host makes three healthy
-		// probes in a row miss 5 ms and a live node is evicted; the stopped
-		// node refuses its connection at once whatever the timeout.
-		Timeout:  time.Second,
-		Failures: 3,
+		tuning: proberTuning{
+			interval: 5 * time.Millisecond,
+			// Left to default to the interval, a loaded host makes three
+			// healthy probes in a row miss 5 ms and a live node is evicted;
+			// the stopped node refuses its connection at once whatever the
+			// timeout.
+			timeout:  time.Second,
+			failures: 3,
+		},
 		OnEvict: func(name string, err error) {
 			if err == nil {
 				select {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,22 +24,27 @@ import (
 type NodeConfig struct {
 	// Name is the node's ring name (required; must match the Router's view).
 	Name string
-	// QueueEvents bounds the events buffered between the HTTP handlers and
-	// the drain worker; past it the node answers 429. 0 selects
-	// DefaultQueueEvents.
-	QueueEvents int
-	// RetryAfter is the advisory delay sent with 429 responses. 0 selects
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
+	// tuning is zero outside this package's tests.
+	tuning nodeTuning
+}
+
+// nodeTuning holds the node's admission parameters; a zero field selects
+// defaultQueueEvents or defaultRetryAfter.
+type nodeTuning struct {
+	// queueEvents bounds the events buffered between the HTTP handlers and
+	// the drain worker; past it the node answers 429.
+	queueEvents int
+	// retryAfter is the advisory delay sent with 429 responses.
+	retryAfter time.Duration
 }
 
 const (
-	// DefaultQueueEvents is the per-node admission bound: enough for a few
+	// defaultQueueEvents is the per-node admission bound: enough for a few
 	// dozen full frames in flight, small enough that a stalled drain worker
 	// pushes back within milliseconds of traffic.
-	DefaultQueueEvents = 65536
-	// DefaultRetryAfter is the advisory 429 Retry-After.
-	DefaultRetryAfter = time.Second
+	defaultQueueEvents = 65536
+	// defaultRetryAfter is the advisory 429 Retry-After.
+	defaultRetryAfter = time.Second
 	// nodeQueueBatches is the drain channel's capacity in batches; admission
 	// is governed by the event-count bound, this only has to be deep enough
 	// to never be the effective limit for reasonably sized frames.
@@ -141,19 +147,13 @@ func NewNode(p *core.PrivacyLTS, cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 	}
-	if cfg.QueueEvents <= 0 {
-		cfg.QueueEvents = DefaultQueueEvents
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	n := &Node{
 		name:       cfg.Name,
 		monitor:    monitor,
 		initial:    p.InitialState(),
 		queue:      make(chan []service.Event, nodeQueueBatches),
-		retryAfter: cfg.RetryAfter,
-		queueLimit: int64(cfg.QueueEvents),
+		retryAfter: cmp.Or(cfg.tuning.retryAfter, defaultRetryAfter),
+		queueLimit: int64(cmp.Or(cfg.tuning.queueEvents, defaultQueueEvents)),
 		streams:    make(map[string]int64),
 		stop:       make(chan struct{}),
 		drained:    make(chan struct{}),

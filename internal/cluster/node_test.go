@@ -109,7 +109,7 @@ func TestNodeIngestRejectsMalformedFrames(t *testing.T) {
 func TestNodeBackpressure429(t *testing.T) {
 	// A queue bound below the frame size forces deterministic admission
 	// failure regardless of how fast the drain worker runs.
-	n := newTestNode(t, NodeConfig{QueueEvents: 4, RetryAfter: 3 * time.Second})
+	n := newTestNode(t, NodeConfig{tuning: nodeTuning{queueEvents: 4, retryAfter: 3 * time.Second}})
 	profile := casestudy.PatientProfile()
 	if err := n.Monitor().RegisterUser(profile); err != nil {
 		t.Fatal(err)

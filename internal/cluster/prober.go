@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"net/http"
 	"sync"
@@ -9,29 +10,33 @@ import (
 
 // ProberConfig configures the failure detector.
 type ProberConfig struct {
-	// Interval between probe rounds (0 selects DefaultProbeInterval).
-	Interval time.Duration
-	// Timeout bounds one probe request (0 selects the interval).
-	Timeout time.Duration
-	// Failures is the consecutive-failure threshold at which a node is
-	// declared dead and evicted (0 selects DefaultProbeFailures). Keying on
-	// consecutive failures keeps one dropped packet from amputating a node.
-	Failures int
-	// HTTPClient overrides the probe client, by default the router's (its
-	// Timeout is ignored; the prober applies its own per-probe deadline).
-	HTTPClient *http.Client
 	// OnEvict, when set, observes each eviction and its outcome.
 	OnEvict func(name string, err error)
+	// tuning is zero outside this package's tests.
+	tuning proberTuning
 }
 
-// DefaultProbeInterval and DefaultProbeFailures trade detection latency
+// proberTuning holds the failure detector's parameters; a zero field selects
+// defaultProbeInterval, the interval or defaultProbeFailures.
+type proberTuning struct {
+	// interval separates probe rounds; timeout bounds one probe request (zero
+	// selects the interval).
+	interval time.Duration
+	timeout  time.Duration
+	// failures is the consecutive-failure threshold at which a node is
+	// declared dead and evicted. Keying on consecutive failures keeps one
+	// dropped packet from amputating a node.
+	failures int
+}
+
+// defaultProbeInterval and defaultProbeFailures trade detection latency
 // against tolerance for transient stalls: three missed 250ms probes declare a
 // node dead in under a second.
 const (
-	// DefaultProbeInterval is the time between two probes of a node.
-	DefaultProbeInterval = 250 * time.Millisecond
-	// DefaultProbeFailures is how many probes in a row a node may miss.
-	DefaultProbeFailures = 3
+	// defaultProbeInterval is the time between two probes of a node.
+	defaultProbeInterval = 250 * time.Millisecond
+	// defaultProbeFailures is how many probes in a row a node may miss.
+	defaultProbeFailures = 3
 )
 
 // Prober is the cluster's failure detector: it probes every live node's
@@ -40,9 +45,8 @@ const (
 // threshold to Local.EvictNode, which fails their users over to their new
 // owners from their last snapshot.
 type Prober struct {
-	c      *Local
-	cfg    ProberConfig
-	client *http.Client
+	c   *Local
+	cfg ProberConfig
 
 	mu      sync.Mutex
 	fails   map[string]int
@@ -58,30 +62,16 @@ type Prober struct {
 // StartProber launches a failure detector over the cluster. Stop it before
 // stopping the cluster.
 func (c *Local) StartProber(cfg ProberConfig) *Prober {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultProbeInterval
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = cfg.Interval
-	}
-	if cfg.Failures <= 0 {
-		cfg.Failures = DefaultProbeFailures
-	}
-	client := cfg.HTTPClient
-	if client == nil {
-		// Probes ride the router's pooled connections: a departure closes
-		// those so the leaving server's GOAWAY has nobody to wait a second
-		// for (membership.go, step 6), and a second set of connections held
-		// open here would bring that second back.
-		client = c.Router.client
-	}
+	t := &cfg.tuning
+	t.interval = cmp.Or(t.interval, defaultProbeInterval)
+	t.timeout = cmp.Or(t.timeout, t.interval)
+	t.failures = cmp.Or(t.failures, defaultProbeFailures)
 	p := &Prober{
-		c:      c,
-		cfg:    cfg,
-		client: client,
-		fails:  make(map[string]int),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		c:     c,
+		cfg:   cfg,
+		fails: make(map[string]int),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	go p.loop()
 	return p
@@ -95,7 +85,7 @@ func (p *Prober) Stop() {
 
 func (p *Prober) loop() {
 	defer close(p.done)
-	tick := time.NewTicker(p.cfg.Interval)
+	tick := time.NewTicker(p.cfg.tuning.interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -127,7 +117,7 @@ func (p *Prober) round() {
 		} else {
 			p.failed++
 			p.fails[name]++
-			if p.fails[name] >= p.cfg.Failures {
+			if p.fails[name] >= p.cfg.tuning.failures {
 				dead = append(dead, name)
 				delete(p.fails, name)
 			}
@@ -151,13 +141,17 @@ func (p *Prober) round() {
 
 // probe reports whether one liveness check succeeded.
 func (p *Prober) probe(url string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.tuning.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
 	if err != nil {
 		return false
 	}
-	resp, err := p.client.Do(req)
+	// Probes ride the router's pooled connections: a departure closes those
+	// so the leaving server's GOAWAY has nobody to wait a second for
+	// (membership.go, step 6), and a second set of connections held open
+	// here would bring that second back.
+	resp, err := p.c.Router.tuning.client.Do(req)
 	if err != nil {
 		return false
 	}

@@ -205,11 +205,13 @@ func TestClusterSingleNodeEquivalenceProperty(t *testing.T) {
 
 		nodes := 1 + rng.Intn(3)
 		c, err := StartLocal(p, nodes, NodeConfig{}, RouterConfig{
-			// Small frames plus an occasional >1 window exercise the
-			// multi-frame path; per-user order survives any window because
-			// each user's events ride one sender's FIFO.
-			BatchEvents: 8,
-			MaxInFlight: 1 + rng.Intn(2),
+			tuning: routerTuning{
+				// Small frames plus an occasional >1 window exercise the
+				// multi-frame path; per-user order survives any window because
+				// each user's events ride one sender's FIFO.
+				batchEvents: 8,
+				maxInFlight: 1 + rng.Intn(2),
+			},
 		})
 		if err != nil {
 			return err

@@ -336,7 +336,7 @@ func TestDepartureSkipsGoawayLinger(t *testing.T) {
 			stream := scenario.RandomEventStream(rand.New(rand.NewSource(5)), p, users, 12)
 			direct := directMonitor(t, profiles, stream)
 
-			c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{BatchEvents: 5, HTTPClient: client()})
+			c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{tuning: routerTuning{batchEvents: 5, client: client()}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,7 +413,7 @@ func TestDepartureWithProberSkipsGoawayLinger(t *testing.T) {
 	defer c.Stop(context.Background())
 	// The ticker never fires: rounds are driven by hand, so the probe
 	// connections are warm and no probe is in flight during the departure.
-	prober := c.StartProber(ProberConfig{Interval: time.Hour, Timeout: time.Second})
+	prober := c.StartProber(ProberConfig{tuning: proberTuning{interval: time.Hour, timeout: time.Second}})
 	defer prober.Stop()
 	prober.round()
 	if s := prober.Stats(); s.Probes != 2 || s.Failures != 0 {
@@ -483,8 +483,10 @@ func TestAbortedChangeLeavesFleetUnchanged(t *testing.T) {
 			base := H2CTransport()
 			transport := newSwitchTransport(base)
 			c, err := StartLocal(p, change.nodes, NodeConfig{}, RouterConfig{
-				BatchEvents: 5,
-				HTTPClient:  &http.Client{Transport: transport},
+				tuning: routerTuning{
+					batchEvents: 5,
+					client:      &http.Client{Transport: transport},
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -634,7 +636,7 @@ func TestAbortWaitsForChunkInFlight(t *testing.T) {
 
 	base := H2CTransport()
 	transport := newSwitchTransport(base)
-	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{BatchEvents: 5, HTTPClient: &http.Client{Transport: transport}})
+	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{tuning: routerTuning{batchEvents: 5, client: &http.Client{Transport: transport}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -728,14 +730,16 @@ func TestTickCannotStallEviction(t *testing.T) {
 
 	transport := &refuseIngest{base: H2CTransport()}
 	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{
-		// Only the tick cuts frames, and the retry budget (≥ 10 s) outlasts
-		// the test: nothing but the eviction can resolve the victim's frames.
-		BatchEvents:   4096,
-		FlushInterval: flushInterval,
-		MaxRetries:    1000,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    20 * time.Millisecond,
-		HTTPClient:    &http.Client{Transport: transport},
+		tuning: routerTuning{
+			// Only the tick cuts frames, and the retry budget (≥ 10 s) outlasts
+			// the test: nothing but the eviction can resolve the victim's frames.
+			batchEvents:   4096,
+			flushInterval: flushInterval,
+			maxRetries:    1000,
+			backoffBase:   time.Millisecond,
+			backoffMax:    20 * time.Millisecond,
+			client:        &http.Client{Transport: transport},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

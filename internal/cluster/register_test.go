@@ -89,7 +89,7 @@ func TestRegisterChunksAndResets(t *testing.T) {
 	}
 	profiles := ownedProfiles(ring, map[string]int{"node0": 10000})
 	transport := &countHandoffs{base: H2CTransport()}
-	c, err := StartLocal(p, 1, NodeConfig{}, RouterConfig{HTTPClient: &http.Client{Transport: transport}})
+	c, err := StartLocal(p, 1, NodeConfig{}, RouterConfig{tuning: routerTuning{client: &http.Client{Transport: transport}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,53 +25,71 @@ import (
 type RouterConfig struct {
 	// Nodes maps ring node names to base URLs (required, at least one).
 	Nodes map[string]string
-	// BatchEvents is the per-node buffer size at which a frame is cut and
-	// sent (0 selects DefaultBatchEvents).
-	BatchEvents int
-	// FlushInterval bounds how long a buffered event may wait before the
-	// partial frame is sent anyway (0 selects DefaultFlushInterval).
-	FlushInterval time.Duration
-	// MaxInFlight bounds the cut frames queued for delivery per node behind
-	// the sequence on the wire: one more frame may be cut, and a Send whose
-	// event would cut the next blocks, which is the client half of the
-	// backpressure protocol. Delivery itself is one FIFO sequence per node at
-	// a time regardless of the window, so per-user event order is preserved
-	// end to end; a larger window only deepens the queue feeding it. Default 1.
-	MaxInFlight int
-	// MaxRetries bounds delivery attempts per frame sequence, 429 rounds
-	// included (0 selects DefaultMaxRetries).
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
-	// between delivery attempts after a transport error or 5xx: attempt k
-	// waits a uniformly jittered duration in [d/2, d] for d =
-	// min(BackoffBase<<k, BackoffMax), so a flapping node is probed at a
-	// geometrically decreasing rate instead of hammered in a tight loop.
-	// Zero selects DefaultBackoffBase / DefaultBackoffMax. 429 responses are
-	// excluded: they carry the server's own Retry-After advice.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BackoffJitterSeed seeds the deterministic jitter source (0 selects a
-	// fixed default seed; tests pin schedules by choosing a seed).
-	BackoffJitterSeed int64
-	// HTTPClient overrides the default unencrypted-HTTP/2 client.
-	HTTPClient *http.Client
+	// tuning is zero outside this package's tests, which shrink the timings
+	// to reach protocol states in milliseconds.
+	tuning routerTuning
+}
+
+// routerTuning holds the router's protocol parameters; withDefaults gives a
+// zero field its production value.
+type routerTuning struct {
+	// batchEvents is the per-node buffer size at which a frame is cut and
+	// sent; flushInterval bounds how long a buffered event may wait before
+	// the partial frame is sent anyway.
+	batchEvents   int
+	flushInterval time.Duration
+	// maxInFlight bounds the cut frames queued per node behind the sequence
+	// on the wire: one more frame may be cut, and a Send whose event would
+	// cut the next blocks, which is the client half of the backpressure
+	// protocol. Delivery is one FIFO sequence per node at a time whatever the
+	// window, so a larger window only deepens the queue feeding it.
+	maxInFlight int
+	// maxRetries bounds delivery attempts per frame sequence, 429 rounds
+	// included.
+	maxRetries int
+	// backoffBase and backoffMax bound the jittered exponential backoff
+	// after a transport error or 5xx (see backoff), so a flapping node is
+	// probed at a geometrically decreasing rate instead of hammered; a 429
+	// carries the server's own Retry-After advice instead. jitterSeed seeds
+	// the jitter source, so a test can pin the schedule.
+	backoffBase time.Duration
+	backoffMax  time.Duration
+	jitterSeed  int64
+	// client replaces the unencrypted-HTTP/2 client (fault injection).
+	client *http.Client
 }
 
 const (
-	// DefaultBatchEvents is the frame-cut threshold: large enough to
+	// defaultBatchEvents is the frame-cut threshold: large enough to
 	// amortize the per-request cost over hundreds of events, small enough to
 	// stay far below MaxFrameBytes for any realistic event size.
-	DefaultBatchEvents = 512
-	// DefaultFlushInterval bounds buffered-event latency.
-	DefaultFlushInterval = 50 * time.Millisecond
-	// DefaultMaxRetries bounds attempts per frame sequence.
-	DefaultMaxRetries = 16
-	// DefaultBackoffBase is the first retry's backoff; it doubles per retry
-	// up to DefaultBackoffMax, which the 9th retry reaches.
-	DefaultBackoffBase = 5 * time.Millisecond
-	// DefaultBackoffMax caps the retry backoff.
-	DefaultBackoffMax = 2 * time.Second
+	defaultBatchEvents = 512
+	// defaultFlushInterval bounds buffered-event latency.
+	defaultFlushInterval = 50 * time.Millisecond
+	// defaultMaxRetries bounds attempts per frame sequence.
+	defaultMaxRetries = 16
+	// defaultBackoffBase is the first retry's backoff; it doubles per retry
+	// up to defaultBackoffMax, which the 9th retry reaches.
+	defaultBackoffBase = 5 * time.Millisecond
+	// defaultBackoffMax caps the retry backoff.
+	defaultBackoffMax = 2 * time.Second
 )
+
+// withDefaults fills every zero field: the constants above, a window of one
+// frame, jitter seed 1 and the h2c client.
+func (t routerTuning) withDefaults() routerTuning {
+	t.batchEvents = min(cmp.Or(t.batchEvents, defaultBatchEvents), MaxFrameEvents)
+	t.flushInterval = cmp.Or(t.flushInterval, defaultFlushInterval)
+	t.maxInFlight = cmp.Or(t.maxInFlight, 1)
+	t.maxRetries = cmp.Or(t.maxRetries, defaultMaxRetries)
+	t.backoffBase = cmp.Or(t.backoffBase, defaultBackoffBase)
+	t.backoffMax = cmp.Or(t.backoffMax, defaultBackoffMax)
+	t.jitterSeed = cmp.Or(t.jitterSeed, 1)
+	if t.client == nil {
+		t.client = h2cClient()
+	}
+	return t
+}
 
 // RouterStats is a snapshot of the router's counters.
 type RouterStats struct {
@@ -82,7 +100,7 @@ type RouterStats struct {
 	FramesSent  int64
 	Rejected429 int64
 	Retries     int64
-	// Dropped counts frame sequences abandoned after MaxRetries — exactly
+	// Dropped counts frame sequences abandoned after the retry budget — exactly
 	// once per abandoned sequence, however many frames it still carried;
 	// DroppedFrames and DroppedEvents count the frames and events those
 	// sequences lost.
@@ -152,8 +170,7 @@ type cutFrame struct {
 // event to it, and so are the flush tick and each delivery attempt's outcome;
 // what step asks for — an answer, a POST, a cancellation — run carries out.
 type Router struct {
-	cfg    RouterConfig
-	client *http.Client
+	tuning routerTuning // every field set
 	// streamID prefixes every sender's dedup stream key, so retried requests
 	// from this router never collide with another router's streams.
 	streamID string
@@ -207,39 +224,21 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.BatchEvents = min(positiveOr(cfg.BatchEvents, DefaultBatchEvents), MaxFrameEvents)
-	cfg.FlushInterval = positiveOr(cfg.FlushInterval, DefaultFlushInterval)
-	cfg.MaxInFlight = positiveOr(cfg.MaxInFlight, 1)
-	cfg.MaxRetries = positiveOr(cfg.MaxRetries, DefaultMaxRetries)
-	cfg.BackoffBase = positiveOr(cfg.BackoffBase, DefaultBackoffBase)
-	cfg.BackoffMax = positiveOr(cfg.BackoffMax, DefaultBackoffMax)
-	client := cfg.HTTPClient
-	if client == nil {
-		client = h2cClient()
-	}
+	tuning := cfg.tuning.withDefaults()
 	r := &Router{
-		cfg:      cfg,
-		client:   client,
+		tuning:   tuning,
 		streamID: fmt.Sprintf("%d-%d-%d", os.Getpid(), time.Now().UnixNano(), routerSeq.Add(1)),
 		inbox:    make(chan any),
 		done:     make(chan struct{}),
-		st:       newRouterState(cfg, ring),
+		st:       newRouterState(cfg.Nodes, tuning, ring),
 		cancels:  make(map[string]context.CancelFunc),
-		jitter:   rand.New(rand.NewSource(cmp.Or(cfg.BackoffJitterSeed, 1))),
+		jitter:   rand.New(rand.NewSource(tuning.jitterSeed)),
 		sleepFn:  timerSleep,
 	}
 	r.ring.Store(ring)
 	r.epoch.Store(1)
 	go r.run()
 	return r, nil
-}
-
-// positiveOr is v, or d when v is not positive.
-func positiveOr[T int | time.Duration](v, d T) T {
-	if v > 0 {
-		return v
-	}
-	return d
 }
 
 // Ring returns the router's current partitioning ring.
@@ -335,7 +334,7 @@ func (r *Router) Close() error {
 	<-r.done
 	// As in a membership change's tear-down (membership.go): the node servers
 	// are stopped next and must not wait on this client.
-	r.client.CloseIdleConnections()
+	r.tuning.client.CloseIdleConnections()
 	return c.err
 }
 
@@ -374,7 +373,7 @@ func (r *Router) inspect(f func(*routerState)) {
 // effects step returns, until Close's flush is answered.
 func (r *Router) run() {
 	defer close(r.done)
-	tick := time.NewTicker(r.cfg.FlushInterval)
+	tick := time.NewTicker(r.tuning.flushInterval)
 	defer tick.Stop()
 	for !r.st.exited {
 		var ev any = flushTick{}
@@ -437,7 +436,7 @@ func (r *Router) attempt(ctx context.Context, cancel context.CancelFunc, e effec
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(HeaderStream, r.streamFor(e.node))
 	req.Header.Set(HeaderFrameBase, strconv.FormatInt(e.frames[0].idx, 10))
-	resp, err := r.client.Do(req)
+	resp, err := r.tuning.client.Do(req)
 	if err != nil {
 		p.err = err
 		return
@@ -474,13 +473,13 @@ func retryAfterOf(resp *http.Response) time.Duration {
 // backoff computes the jittered exponential delay after failed attempt k
 // (0-based): uniformly drawn from [d/2, d] for d = min(base<<k, max). The
 // owner loop draws one for each attempt it starts, from a source seeded by
-// BackoffJitterSeed, so a test can pin the exact schedule.
+// the tuning's jitter seed, so a test can pin the exact schedule.
 func (r *Router) backoff(attempt int) time.Duration {
-	d := r.cfg.BackoffBase
-	for i := 0; i < attempt && d < r.cfg.BackoffMax; i++ {
+	d := r.tuning.backoffBase
+	for i := 0; i < attempt && d < r.tuning.backoffMax; i++ {
 		d *= 2
 	}
-	d = min(d, r.cfg.BackoffMax)
+	d = min(d, r.tuning.backoffMax)
 	return d/2 + time.Duration(r.jitter.Int63n(int64(d/2)+1))
 }
 
@@ -535,7 +534,7 @@ type (
 		r   *reply
 		err error
 	}
-	// flushTick is the FlushInterval timer.
+	// flushTick is the flush-interval timer.
 	flushTick struct{}
 	// posted is a delivery attempt's outcome: the node took the first
 	// accepted frames of the sequence, and err says why not the rest.
@@ -623,12 +622,12 @@ type routerState struct {
 	out         []effect // step's effects, reused
 }
 
-// newRouterState is the state of a fresh router over ring; cfg is normalized
-// and names every node's URL.
-func newRouterState(cfg RouterConfig, ring *Ring) routerState {
-	st := routerState{batch: cfg.BatchEvents, window: cfg.MaxInFlight, maxRetries: cfg.MaxRetries, ring: ring}
+// newRouterState is the state of a fresh router over ring; nodes names every
+// node's URL and tuning has its defaults filled in.
+func newRouterState(nodes map[string]string, tuning routerTuning, ring *Ring) routerState {
+	st := routerState{batch: tuning.batchEvents, window: tuning.maxInFlight, maxRetries: tuning.maxRetries, ring: ring}
 	for _, name := range ring.nodes {
-		st.senders = append(st.senders, &sender{name: name, url: cfg.Nodes[name]})
+		st.senders = append(st.senders, &sender{name: name, url: nodes[name]})
 	}
 	st.stats.Epoch = 1
 	return st

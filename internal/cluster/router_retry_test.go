@@ -49,13 +49,15 @@ func TestRouterBackoffSchedule(t *testing.T) {
 	run := func() []time.Duration {
 		clock := &fakeClock{}
 		router, err := NewRouter(RouterConfig{
-			Nodes:             map[string]string{"only": srv.URL},
-			BatchEvents:       4,
-			MaxRetries:        4,
-			BackoffBase:       10 * time.Millisecond,
-			BackoffMax:        40 * time.Millisecond,
-			BackoffJitterSeed: 99,
-			HTTPClient:        srv.Client(),
+			Nodes: map[string]string{"only": srv.URL},
+			tuning: routerTuning{
+				batchEvents: 4,
+				maxRetries:  4,
+				backoffBase: 10 * time.Millisecond,
+				backoffMax:  40 * time.Millisecond,
+				jitterSeed:  99,
+				client:      srv.Client(),
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +100,7 @@ func TestRouterBackoffSchedule(t *testing.T) {
 }
 
 // TestRouterStatsPersistent5xx pins the drop accounting: a sequence
-// abandoned after MaxRetries counts Dropped exactly once (however many
+// abandoned after maxRetries counts Dropped exactly once (however many
 // frames it carried), with the frames and events in DroppedFrames /
 // DroppedEvents, and Retries counting each re-attempt.
 func TestRouterStatsPersistent5xx(t *testing.T) {
@@ -109,18 +111,20 @@ func TestRouterStatsPersistent5xx(t *testing.T) {
 	}))
 	defer srv.Close()
 	router, err := NewRouter(RouterConfig{
-		Nodes:       map[string]string{"only": srv.URL},
-		BatchEvents: 2,
-		MaxInFlight: 4,
-		MaxRetries:  3,
-		BackoffBase: time.Microsecond,
-		BackoffMax:  2 * time.Microsecond,
-		HTTPClient:  srv.Client(),
+		Nodes: map[string]string{"only": srv.URL},
+		tuning: routerTuning{
+			batchEvents: 2,
+			maxInFlight: 4,
+			maxRetries:  3,
+			backoffBase: time.Microsecond,
+			backoffMax:  2 * time.Microsecond,
+			client:      srv.Client(),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 events = 2 frames; MaxInFlight 4 lets both queue before the sender
+	// 4 events = 2 frames; maxInFlight 4 lets both queue before the sender
 	// picks them up, so they ride one sequence.
 	if err := router.SendBatch(context.Background(), casestudy.MedicalServiceEvents("u")[:4]); err != nil {
 		t.Fatal(err)
@@ -135,8 +139,8 @@ func TestRouterStatsPersistent5xx(t *testing.T) {
 	if stats.DroppedEvents != 4 || stats.DroppedFrames != 2 {
 		t.Fatalf("stats = %+v, want all 4 events / 2 frames dropped", stats)
 	}
-	// Retries is per re-attempt: MaxRetries attempts per sequence, so
-	// (MaxRetries-1) retries per dropped sequence.
+	// Retries is per re-attempt: maxRetries attempts per sequence, so
+	// (maxRetries-1) retries per dropped sequence.
 	if want := stats.Dropped * 2; stats.Retries != want {
 		t.Fatalf("Retries = %d, want %d (2 per abandoned sequence)", stats.Retries, want)
 	}
@@ -187,11 +191,13 @@ func TestRouter429TrimAcrossRetries(t *testing.T) {
 
 	clock := &fakeClock{}
 	router, err := NewRouter(RouterConfig{
-		Nodes:       map[string]string{"only": srv.URL},
-		BatchEvents: 2,
-		MaxInFlight: 4,
-		MaxRetries:  8,
-		HTTPClient:  srv.Client(),
+		Nodes: map[string]string{"only": srv.URL},
+		tuning: routerTuning{
+			batchEvents: 2,
+			maxInFlight: 4,
+			maxRetries:  8,
+			client:      srv.Client(),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,10 +257,12 @@ func TestSendDeadlineKeepsAcceptedEvents(t *testing.T) {
 	}))
 	defer srv.Close()
 	router, err := NewRouter(RouterConfig{
-		Nodes:         map[string]string{"only": srv.URL},
-		BatchEvents:   2,
-		FlushInterval: time.Hour,
-		HTTPClient:    srv.Client(),
+		Nodes: map[string]string{"only": srv.URL},
+		tuning: routerTuning{
+			batchEvents:   2,
+			flushInterval: time.Hour,
+			client:        srv.Client(),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

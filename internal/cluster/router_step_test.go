@@ -33,8 +33,8 @@ func newStepHarness(t *testing.T, nodes ...string) *stepHarness {
 	for _, n := range nodes {
 		urls[n] = "http://" + n
 	}
-	cfg := RouterConfig{Nodes: urls, BatchEvents: 2, MaxInFlight: 1, MaxRetries: 8}
-	return &stepHarness{t: t, st: newRouterState(cfg, ring)}
+	tuning := routerTuning{batchEvents: 2, maxInFlight: 1, maxRetries: 8}
+	return &stepHarness{t: t, st: newRouterState(urls, tuning, ring)}
 }
 
 // step feeds one event and returns a copy of the effects.
@@ -80,7 +80,7 @@ func indices(frames []cutFrame) []int64 {
 }
 
 // evictWithEverythingOwed stages case (a): an eviction of b arrives with a
-// sequence on the wire, frames waiting in the window — one past MaxInFlight
+// sequence on the wire, frames waiting in the window — one past maxInFlight
 // may wait — a Send blocked because the frame its event completes finds no
 // room, and an event buffered.
 func evictWithEverythingOwed(t *testing.T) (*stepHarness, *sendCall) {

@@ -16,7 +16,7 @@ func TestGenerateContextPreCancelled(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := core.GenerateContext(ctx, casestudy.Surgery())
+	_, err := core.GenerateWithOptionsContext(ctx, casestudy.Surgery(), core.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -61,10 +61,11 @@ func TestGenerateContextDeadline(t *testing.T) {
 }
 
 // TestGenerateContextBackgroundMatchesGenerate: the context-free API is a
-// thin wrapper; both paths must produce identical models.
+// thin wrapper; generating under a background context with zero options must
+// produce the identical model.
 func TestGenerateContextBackgroundMatchesGenerate(t *testing.T) {
 	model := casestudy.Surgery()
-	viaContext, err := core.GenerateContext(context.Background(), model)
+	viaContext, err := core.GenerateWithOptionsContext(context.Background(), model, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +74,6 @@ func TestGenerateContextBackgroundMatchesGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ltsDigest(t, viaContext) != ltsDigest(t, direct) {
-		t.Error("GenerateContext(background) and Generate produced different models")
+		t.Error("GenerateWithOptionsContext(background) and Generate produced different models")
 	}
 }

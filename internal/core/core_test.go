@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -64,7 +65,7 @@ func clinicModel(t testing.TB) *dataflow.Model {
 
 func generateClinic(t testing.TB, opts Options) *PrivacyLTS {
 	t.Helper()
-	p, err := GenerateWithOptions(clinicModel(t), opts)
+	p, err := GenerateWithOptionsContext(context.Background(), clinicModel(t), opts)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -443,7 +444,7 @@ func TestGenerateDeleteFlow(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := GenerateWithOptions(m, Options{PotentialReads: PotentialReadsOff})
+	p, err := GenerateWithOptionsContext(context.Background(), m, Options{PotentialReads: PotentialReadsOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestGenerateDeleteFlow(t *testing.T) {
 }
 
 func TestGenerateMaxStates(t *testing.T) {
-	_, err := GenerateWithOptions(clinicModel(t), Options{MaxStates: 2})
+	_, err := GenerateWithOptionsContext(context.Background(), clinicModel(t), Options{MaxStates: 2})
 	if err == nil || !strings.Contains(err.Error(), "state space") {
 		t.Errorf("expected state-space error, got %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func TestGenerateWorkersDeterministic(t *testing.T) {
 	model := clinicModel(t)
 	for _, ordering := range []FlowOrdering{OrderSequential, OrderDataDriven} {
 		for _, mode := range []PotentialReadMode{PotentialReadsOff, PotentialReadsTerminal, PotentialReadsFull} {
-			base, err := GenerateWithOptions(model, Options{
+			base, err := GenerateWithOptionsContext(context.Background(), model, Options{
 				FlowOrdering: ordering, PotentialReads: mode, Workers: 1,
 			})
 			if err != nil {
@@ -78,7 +79,7 @@ func TestGenerateWorkersDeterministic(t *testing.T) {
 			}
 			want := digestOf(t, base)
 			for _, workers := range []int{2, 4, 8} {
-				p, err := GenerateWithOptions(model, Options{
+				p, err := GenerateWithOptionsContext(context.Background(), model, Options{
 					FlowOrdering: ordering, PotentialReads: mode, Workers: workers,
 				})
 				if err != nil {
@@ -97,7 +98,7 @@ func TestGenerateWorkersDeterministic(t *testing.T) {
 // parallel expansion.
 func TestGenerateMaxStatesParallel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := GenerateWithOptions(clinicModel(t), Options{MaxStates: 2, Workers: workers})
+		_, err := GenerateWithOptionsContext(context.Background(), clinicModel(t), Options{MaxStates: 2, Workers: workers})
 		if err == nil || !strings.Contains(err.Error(), "state space") {
 			t.Errorf("workers=%d: expected state-space error, got %v", workers, err)
 		}

@@ -139,34 +139,11 @@ func NewGenerator(opts Options) *Generator {
 
 // Generate builds the privacy LTS for the model using default options.
 func Generate(m *dataflow.Model) (*PrivacyLTS, error) {
-	return NewGenerator(Options{}).Generate(m)
+	return GenerateWithOptionsContext(context.Background(), m, Options{})
 }
 
-// GenerateWithOptions builds the privacy LTS using the supplied options.
-func GenerateWithOptions(m *dataflow.Model, opts Options) (*PrivacyLTS, error) {
-	return NewGenerator(opts).Generate(m)
-}
-
-// GenerateContext builds the privacy LTS with default options, honouring
-// cancellation and deadlines carried by ctx.
-func GenerateContext(ctx context.Context, m *dataflow.Model) (*PrivacyLTS, error) {
-	return NewGenerator(Options{}).GenerateContext(ctx, m)
-}
-
-// GenerateWithOptionsContext builds the privacy LTS using the supplied
-// options, honouring cancellation and deadlines carried by ctx.
-func GenerateWithOptionsContext(ctx context.Context, m *dataflow.Model, opts Options) (*PrivacyLTS, error) {
-	return NewGenerator(opts).GenerateContext(ctx, m)
-}
-
-// Generate builds the privacy LTS for the model. It is GenerateContext with
-// a background context: generation runs to completion (or error) without an
-// external cancellation point.
-func (g *Generator) Generate(m *dataflow.Model) (*PrivacyLTS, error) {
-	return g.GenerateContext(context.Background(), m)
-}
-
-// GenerateContext builds the privacy LTS for the model.
+// GenerateWithOptionsContext builds the privacy LTS for the model using the
+// supplied options.
 //
 // Exploration is delegated to the internal/explore driver: a
 // level-synchronised parallel BFS over a compact binary state encoding. The
@@ -182,15 +159,15 @@ func (g *Generator) Generate(m *dataflow.Model) (*PrivacyLTS, error) {
 // between generations, so a cancelled context aborts mid-BFS and returns
 // ctx.Err() promptly, with every worker goroutine joined before the call
 // returns (none leak).
-func (g *Generator) GenerateContext(ctx context.Context, m *dataflow.Model) (*PrivacyLTS, error) {
-	p, _, _, err := g.generate(ctx, m)
+func GenerateWithOptionsContext(ctx context.Context, m *dataflow.Model, opts Options) (*PrivacyLTS, error) {
+	p, _, _, err := NewGenerator(opts).generate(ctx, m)
 	return p, err
 }
 
-// GenerateTracedContext is GenerateContext, additionally returning the
-// exploration trace (the input of incremental regeneration, see
-// RegenerateContext) and a report describing how the state space was
-// explored.
+// GenerateTracedContext is GenerateWithOptionsContext with the generator's
+// options, additionally returning the exploration trace (the input of
+// incremental regeneration, see RegenerateContext) and a report describing
+// how the state space was explored.
 func (g *Generator) GenerateTracedContext(ctx context.Context, m *dataflow.Model) (*PrivacyLTS, *explore.Result, *ExploreReport, error) {
 	return g.generate(ctx, m)
 }

@@ -21,8 +21,8 @@ import (
 // unsafe deltas — any structural change — fall back to full regeneration;
 // identical, metadata and policy deltas replay the previous exploration,
 // recomputing only the potential reads of readers whose access changed.
-// Every path produces a PrivacyLTS byte-identical to a cold
-// GenerateContext(m), with identical warnings; the report says which path
+// Every path produces a PrivacyLTS byte-identical to a cold generation of m
+// with the same options, with identical warnings; the report says which path
 // ran and why.
 func (g *Generator) RegenerateContext(ctx context.Context, prev *PrivacyLTS, prevTrace *explore.Result, m *dataflow.Model) (*PrivacyLTS, *explore.Result, *ExploreReport, error) {
 	pre, err := g.prepare(m)

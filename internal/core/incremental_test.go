@@ -27,7 +27,7 @@ func regenCase(t *testing.T, opts core.Options, before, after *dataflow.Model) (
 	if err != nil {
 		t.Fatalf("regenerate: %v", err)
 	}
-	cold, err := core.GenerateWithOptions(after, opts)
+	cold, err := core.GenerateWithOptionsContext(context.Background(), after, opts)
 	if err != nil {
 		t.Fatalf("cold generate (after): %v", err)
 	}
@@ -192,7 +192,7 @@ func TestRegenerateWithoutSeed(t *testing.T) {
 	if report.Mode != "full" || !report.Fallback {
 		t.Fatalf("report mode=%q fallback=%v, want full fallback", report.Mode, report.Fallback)
 	}
-	cold, err := core.GenerateWithOptions(m, core.Options{})
+	cold, err := core.GenerateWithOptionsContext(context.Background(), m, core.Options{})
 	if err != nil {
 		t.Fatalf("cold generate: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"privascope/internal/casestudy"
@@ -24,9 +25,9 @@ func generatedModels(t *testing.T) map[string]*core.PrivacyLTS {
 	surgery := casestudy.Surgery()
 	p, err := core.Generate(surgery)
 	add("surgery/sequential", p, err)
-	p, err = core.GenerateWithOptions(surgery, core.Options{FlowOrdering: core.OrderDataDriven})
+	p, err = core.GenerateWithOptionsContext(context.Background(), surgery, core.Options{FlowOrdering: core.OrderDataDriven})
 	add("surgery/data-driven", p, err)
-	p, err = core.GenerateWithOptions(casestudy.Metrics(), core.Options{
+	p, err = core.GenerateWithOptionsContext(context.Background(), casestudy.Metrics(), core.Options{
 		FlowOrdering: core.OrderDataDriven, PotentialReads: core.PotentialReadsFull,
 	})
 	add("metrics/full-potential", p, err)
@@ -180,11 +181,11 @@ func TestInvariantDeterministicGeneration(t *testing.T) {
 // (data-driven only relaxes the gating).
 func TestInvariantSequentialIsSubsetOfDataDriven(t *testing.T) {
 	model := casestudy.Surgery()
-	seq, err := core.GenerateWithOptions(model, core.Options{PotentialReads: core.PotentialReadsOff})
+	seq, err := core.GenerateWithOptionsContext(context.Background(), model, core.Options{PotentialReads: core.PotentialReadsOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dd, err := core.GenerateWithOptions(model, core.Options{
+	dd, err := core.GenerateWithOptionsContext(context.Background(), model, core.Options{
 		FlowOrdering: core.OrderDataDriven, PotentialReads: core.PotentialReadsOff,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -37,13 +38,13 @@ func TestParallelGenerationIdenticalDigests(t *testing.T) {
 		generate func(opts core.Options) (*core.PrivacyLTS, error)
 	}{
 		"surgery": {func(opts core.Options) (*core.PrivacyLTS, error) {
-			return core.GenerateWithOptions(casestudy.Surgery(), opts)
+			return core.GenerateWithOptionsContext(context.Background(), casestudy.Surgery(), opts)
 		}},
 		"metrics": {func(opts core.Options) (*core.PrivacyLTS, error) {
-			return core.GenerateWithOptions(casestudy.Metrics(), opts)
+			return core.GenerateWithOptionsContext(context.Background(), casestudy.Metrics(), opts)
 		}},
 		"synthetic-3": {func(opts core.Options) (*core.PrivacyLTS, error) {
-			return core.GenerateWithOptions(synth.Model(synth.ModelSpec{Services: 3, FieldsPerService: 3}), opts)
+			return core.GenerateWithOptionsContext(context.Background(), synth.Model(synth.ModelSpec{Services: 3, FieldsPerService: 3}), opts)
 		}},
 	}
 	orderings := []core.FlowOrdering{core.OrderSequential, core.OrderDataDriven}
@@ -80,7 +81,7 @@ func TestParallelGenerationIdenticalDigests(t *testing.T) {
 // model must come out the same whether explored by one goroutine or many.
 func TestParallelGenerationSurgeryStats(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		p, err := core.GenerateWithOptions(casestudy.Surgery(), core.Options{Workers: workers})
+		p, err := core.GenerateWithOptionsContext(context.Background(), casestudy.Surgery(), core.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

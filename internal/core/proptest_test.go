@@ -22,14 +22,14 @@ func TestPropWorkerCountDeterminism(t *testing.T) {
 		s := scenario.Draw(seed)
 		opts := s.Opts
 		opts.Workers = 1
-		ref, err := core.GenerateWithOptions(s.Model, opts)
+		ref, err := core.GenerateWithOptionsContext(context.Background(), s.Model, opts)
 		if err != nil {
 			return err
 		}
 		want := ltsDigest(t, ref)
 		for _, workers := range []int{2, 8} {
 			opts.Workers = workers
-			p, err := core.GenerateWithOptions(s.Model, opts)
+			p, err := core.GenerateWithOptionsContext(context.Background(), s.Model, opts)
 			if err != nil {
 				return err
 			}

@@ -48,13 +48,13 @@ func TestSymmetryDigestIdentical(t *testing.T) {
 func generateCase(name string, opts core.Options) (*core.PrivacyLTS, error) {
 	switch name {
 	case "symmetric-4":
-		return core.GenerateWithOptions(synth.SymmetricModel(synth.SymmetricSpec{Replicas: 4}), opts)
+		return core.GenerateWithOptionsContext(context.Background(), synth.SymmetricModel(synth.SymmetricSpec{Replicas: 4}), opts)
 	case "symmetric-3":
-		return core.GenerateWithOptions(synth.SymmetricModel(synth.SymmetricSpec{Replicas: 3, Fields: 3}), opts)
+		return core.GenerateWithOptionsContext(context.Background(), synth.SymmetricModel(synth.SymmetricSpec{Replicas: 3, Fields: 3}), opts)
 	case "synthetic-2":
-		return core.GenerateWithOptions(synth.Model(synth.ModelSpec{}), opts)
+		return core.GenerateWithOptionsContext(context.Background(), synth.Model(synth.ModelSpec{}), opts)
 	case "surgery":
-		return core.GenerateWithOptions(casestudy.Surgery(), opts)
+		return core.GenerateWithOptionsContext(context.Background(), casestudy.Surgery(), opts)
 	}
 	return nil, fmt.Errorf("unknown case %q", name)
 }

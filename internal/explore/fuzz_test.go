@@ -2,6 +2,7 @@ package explore_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,7 +131,7 @@ func FuzzModelDelta(f *testing.F) {
 			t.Fatalf("delta kind %s but regeneration fallback=%v (reason=%q)",
 				d.Kind, report.Fallback, report.FallbackReason)
 		}
-		cold, err := core.GenerateWithOptions(after, opts)
+		cold, err := core.GenerateWithOptionsContext(context.Background(), after, opts)
 		if err != nil {
 			t.Fatalf("cold generate (after): %v", err)
 		}

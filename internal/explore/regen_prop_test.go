@@ -7,6 +7,7 @@
 package explore_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -71,7 +72,7 @@ func TestPropSymmetryDigest(t *testing.T) {
 		mode := drawMode(rng)
 		workers := []int{1, 2, 4}[rng.Intn(3)]
 
-		plain, err := core.GenerateWithOptions(m, core.Options{PotentialReads: mode, Workers: workers})
+		plain, err := core.GenerateWithOptionsContext(context.Background(), m, core.Options{PotentialReads: mode, Workers: workers})
 		if err != nil {
 			return fmt.Errorf("plain generate: %w", err)
 		}
@@ -163,7 +164,7 @@ func TestPropDeltaRegenMatchesCold(t *testing.T) {
 			return fmt.Errorf("safe delta %s fell back: kind=%s reason=%q",
 				desc, report.DeltaKind, report.FallbackReason)
 		}
-		cold, err := core.GenerateWithOptions(after, opts)
+		cold, err := core.GenerateWithOptionsContext(context.Background(), after, opts)
 		if err != nil {
 			return fmt.Errorf("cold generate (after): %w", err)
 		}
@@ -229,7 +230,7 @@ func TestPropUnsafeDeltaFallsBack(t *testing.T) {
 			return fmt.Errorf("%s: mode=%q fallback=%v reason=%q, want a full fallback with a reason",
 				desc, report.Mode, report.Fallback, report.FallbackReason)
 		}
-		cold, err := core.GenerateWithOptions(after, opts)
+		cold, err := core.GenerateWithOptionsContext(context.Background(), after, opts)
 		if err != nil {
 			return fmt.Errorf("cold generate (after): %w", err)
 		}

@@ -43,7 +43,7 @@ func TestRegenerateTwiceFromOneTrace(t *testing.T) {
 	metaEdit := synth.Model(spec)
 	metaEdit.Flows[0].Purpose = "relabelled"
 	for name, after := range map[string]*dataflow.Model{"policy edit": policyEdit, "metadata edit": metaEdit} {
-		cold, err := gen.Generate(after)
+		cold, err := core.Generate(after)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -338,7 +338,7 @@ func TestPropEncodeWorkerCountIndependence(t *testing.T) {
 		var want []byte
 		for _, workers := range []int{1, 2, 4, 8} {
 			opts.Workers = workers
-			p, err := core.GenerateWithOptions(s.Model, opts)
+			p, err := core.GenerateWithOptionsContext(context.Background(), s.Model, opts)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package policy_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func surgeryLTS(t testing.TB) *core.PrivacyLTS {
 	t.Helper()
-	p, err := core.GenerateWithOptions(casestudy.Surgery(), core.Options{PotentialReads: core.PotentialReadsOff})
+	p, err := core.GenerateWithOptionsContext(context.Background(), casestudy.Surgery(), core.Options{PotentialReads: core.PotentialReadsOff})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}

@@ -12,6 +12,7 @@
 package scenario
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 
@@ -61,7 +62,7 @@ func Draw(seed int64) *Scenario {
 		s := draw(seed, rng)
 		opts := s.Opts
 		opts.PotentialReads, opts.MaxStates, opts.Workers = core.PotentialReadsFull, maxDrawnStates, 1
-		if _, err := core.GenerateWithOptions(s.Model, opts); !errors.Is(err, core.ErrStateSpaceTooLarge) {
+		if _, err := core.GenerateWithOptionsContext(context.Background(), s.Model, opts); !errors.Is(err, core.ErrStateSpaceTooLarge) {
 			return s
 		}
 	}
@@ -92,5 +93,5 @@ func draw(seed int64, rng *rand.Rand) *Scenario {
 // Generate runs privacy-LTS generation for the scenario with its drawn
 // options.
 func (s *Scenario) Generate() (*core.PrivacyLTS, error) {
-	return core.GenerateWithOptions(s.Model, s.Opts)
+	return core.GenerateWithOptionsContext(context.Background(), s.Model, s.Opts)
 }

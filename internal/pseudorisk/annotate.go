@@ -68,11 +68,10 @@ type Options struct {
 	// "The Risk score ... can only be calculated when data is present.
 	// Hence, simulated data can be used at design time, whereas the model
 	// can be applied to the running system to get a more accurate picture."
+	// Its columns are named after the model's base fields: a pseudonymised
+	// field is scored against the column of its base name (without the _anon
+	// suffix).
 	Table *anonymize.Table
-	// FieldColumns maps LTS field names to dataset column names. When a
-	// pseudonymised field is not listed, its base name (without the _anon
-	// suffix) is used.
-	FieldColumns map[string]string
 }
 
 // AnalyzeLTS produces the pseudonymisation-risk annotation of a privacy LTS:
@@ -114,13 +113,6 @@ func AnalyzeLTS(ctx context.Context, p *core.PrivacyLTS, opts Options) (*Annotat
 		return nil, err
 	}
 
-	columnOf := func(field string) string {
-		if col, ok := opts.FieldColumns[field]; ok {
-			return col
-		}
-		return schema.BaseName(field)
-	}
-
 	annotation := &Annotation{LTS: p, Actor: opts.Actor, Policy: opts.Policy}
 	reachable, err := p.Graph.Reachable()
 	if err != nil {
@@ -149,7 +141,7 @@ func AnalyzeLTS(ctx context.Context, p *core.PrivacyLTS, opts Options) (*Annotat
 				continue
 			}
 			readAnon = append(readAnon, field)
-			visibleColumns = append(visibleColumns, columnOf(field))
+			visibleColumns = append(visibleColumns, schema.BaseName(field))
 		}
 		sort.Strings(readAnon)
 		result, err := evaluator.Evaluate(ctx, visibleColumns)

@@ -1,6 +1,7 @@
 package pseudorisk_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"slices"
@@ -157,7 +158,7 @@ func TestCheckThreshold(t *testing.T) {
 
 func metricsLTS(t testing.TB) *core.PrivacyLTS {
 	t.Helper()
-	p, err := core.GenerateWithOptions(casestudy.Metrics(), core.Options{
+	p, err := core.GenerateWithOptionsContext(context.Background(), casestudy.Metrics(), core.Options{
 		FlowOrdering:   core.OrderDataDriven,
 		PotentialReads: core.PotentialReadsOff,
 	})
@@ -288,29 +289,27 @@ func TestAnalyzeLTSErrors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeLTSFieldColumnMapping: a pseudonymised field is scored against
+// the dataset column named after its base field (age_anon reads "age"),
+// found by name wherever the column sits.
 func TestAnalyzeLTSFieldColumnMapping(t *testing.T) {
-	// Rename the dataset columns and map the model's anon fields onto them.
 	table := anonymize.MustTable(
-		anonymize.Column{Name: "age_years", Role: anonymize.RoleQuasiIdentifier},
-		anonymize.Column{Name: "height_cm", Role: anonymize.RoleQuasiIdentifier},
 		anonymize.Column{Name: "weight", Role: anonymize.RoleSensitive},
+		anonymize.Column{Name: "height", Role: anonymize.RoleQuasiIdentifier},
+		anonymize.Column{Name: "age", Role: anonymize.RoleQuasiIdentifier},
 	)
 	src := casestudy.TableIRecords()
 	for r := 0; r < src.NumRows(); r++ {
 		age, _ := src.Value(r, "age")
 		height, _ := src.Value(r, "height")
 		weight, _ := src.Value(r, "weight")
-		table.MustAddRow(age, height, weight)
+		table.MustAddRow(weight, height, age)
 	}
 	p := metricsLTS(t)
 	annotation, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
 		Policy: casestudy.ResearchPolicy(),
 		Table:  table,
-		FieldColumns: map[string]string{
-			"age_anon":    "age_years",
-			"height_anon": "height_cm",
-		},
 	})
 	if err != nil {
 		t.Fatalf("AnalyzeLTS with mapping: %v", err)

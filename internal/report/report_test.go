@@ -174,7 +174,7 @@ func TestTableIReport(t *testing.T) {
 }
 
 func TestPseudonymisationAnnotationReport(t *testing.T) {
-	p, err := core.GenerateWithOptions(casestudy.Metrics(), core.Options{
+	p, err := core.GenerateWithOptionsContext(context.Background(), casestudy.Metrics(), core.Options{
 		FlowOrdering: core.OrderDataDriven, PotentialReads: core.PotentialReadsOff,
 	})
 	if err != nil {
@@ -197,7 +197,7 @@ func TestPseudonymisationAnnotationReport(t *testing.T) {
 }
 
 func TestComplianceReport(t *testing.T) {
-	p, err := core.GenerateWithOptions(casestudy.Surgery(), core.Options{PotentialReads: core.PotentialReadsOff})
+	p, err := core.GenerateWithOptionsContext(context.Background(), casestudy.Surgery(), core.Options{PotentialReads: core.PotentialReadsOff})
 	if err != nil {
 		t.Fatal(err)
 	}

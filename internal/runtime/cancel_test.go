@@ -9,7 +9,6 @@ import (
 	"privascope/internal/casestudy"
 	"privascope/internal/core"
 	"privascope/internal/runtime"
-	"privascope/internal/service"
 	"privascope/internal/testutil"
 )
 
@@ -35,54 +34,6 @@ func cancelMonitor(t *testing.T) (*runtime.Monitor, []string) {
 		users = append(users, profile.ID)
 	}
 	return m, users
-}
-
-func TestObserveBatchContextPreCancelled(t *testing.T) {
-	testutil.CheckGoroutineLeak(t)
-	m, users := cancelMonitor(t)
-	var events []service.Event
-	for _, u := range users {
-		events = append(events, casestudy.MedicalServiceEvents(u)...)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	obs, err := m.ObserveBatchContext(ctx, events)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(obs) != len(events) {
-		t.Fatalf("observations = %d, want %d (aligned with input)", len(obs), len(events))
-	}
-	for i, o := range obs {
-		if o.Matched {
-			t.Fatalf("event %d was applied despite pre-cancelled context", i)
-		}
-	}
-	if alerts := m.Alerts(); len(alerts) != 0 {
-		t.Fatalf("%d alerts raised despite pre-cancelled context", len(alerts))
-	}
-}
-
-func TestObserveBatchContextBackgroundMatchesObserveBatch(t *testing.T) {
-	m1, users := cancelMonitor(t)
-	m2, _ := cancelMonitor(t)
-	var events []service.Event
-	for _, u := range users {
-		events = append(events, casestudy.MedicalServiceEvents(u)...)
-	}
-	obs1, err := m1.ObserveBatch(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs2, err := m2.ObserveBatchContext(context.Background(), events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range obs1 {
-		if obs1[i].From != obs2[i].From || obs1[i].To != obs2[i].To || obs1[i].Matched != obs2[i].Matched {
-			t.Fatalf("observation %d differs between ObserveBatch and ObserveBatchContext", i)
-		}
-	}
 }
 
 func TestRegisterUserContextCancelled(t *testing.T) {

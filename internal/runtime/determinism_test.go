@@ -35,11 +35,10 @@ func mixedEventStream(users []string) []service.Event {
 	return out
 }
 
-// TestObserveBatchMatchesSequentialObserve feeds the same stream through the
-// three ingestion entry points — sequential Observe calls, ObserveBatch and
-// IngestBatch — and requires identical observations (where the entry point
-// returns them), alert logs, cursors and ExportUser snapshots.
-func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
+// TestIngestBatchMatchesSequentialObserve feeds the same stream through the
+// two ingestion entry points — sequential Observe calls and IngestBatch — and
+// requires identical alert logs, cursors and ExportUser snapshots.
+func TestIngestBatchMatchesSequentialObserve(t *testing.T) {
 	p, err := core.Generate(casestudy.Surgery())
 	if err != nil {
 		t.Fatal(err)
@@ -66,25 +65,13 @@ func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
 	}
 
 	sequential := newMonitor()
-	var want []runtime.Observation
 	for _, ev := range stream {
-		obs, err := sequential.Observe(ev)
-		if err != nil {
+		if _, err := sequential.Observe(ev); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, obs)
 	}
 	if got := len(sequential.Alerts()); got != len(users) {
 		t.Fatalf("sequential monitor raised %d alerts, want one per user (%d)", got, len(users))
-	}
-
-	batched := newMonitor()
-	got, err := batched.ObserveBatch(stream)
-	if err != nil {
-		t.Fatalf("ObserveBatch: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ObserveBatch observations differ from sequential Observe:\n got %+v\nwant %+v", got, want)
 	}
 
 	ingested := newMonitor()
@@ -94,22 +81,20 @@ func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
 		t.Errorf("IngestBatch stats = %+v for %d events raising %d alerts", stats, len(stream), len(users))
 	}
 
-	for name, m := range map[string]*runtime.Monitor{"ObserveBatch": batched, "IngestBatch": ingested} {
-		if !reflect.DeepEqual(m.Alerts(), sequential.Alerts()) {
-			t.Errorf("%s: alert log differs from sequential Observe", name)
+	if !reflect.DeepEqual(ingested.Alerts(), sequential.Alerts()) {
+		t.Error("IngestBatch: alert log differs from sequential Observe")
+	}
+	if !reflect.DeepEqual(ingested.Users(), sequential.Users()) {
+		t.Errorf("IngestBatch: Users() = %v, want %v", ingested.Users(), sequential.Users())
+	}
+	for _, id := range users {
+		g, _ := ingested.ExportUser(id)
+		w, _ := sequential.ExportUser(id)
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("IngestBatch: ExportUser(%s) = %+v, want %+v", id, g, w)
 		}
-		if !reflect.DeepEqual(m.Users(), sequential.Users()) {
-			t.Errorf("%s: Users() = %v, want %v", name, m.Users(), sequential.Users())
-		}
-		for _, id := range users {
-			g, _ := m.ExportUser(id)
-			w, _ := sequential.ExportUser(id)
-			if !reflect.DeepEqual(g, w) {
-				t.Errorf("%s: ExportUser(%s) = %+v, want %+v", name, id, g, w)
-			}
-			if !reflect.DeepEqual(m.AlertsFor(id), sequential.AlertsFor(id)) {
-				t.Errorf("%s: AlertsFor(%s) differs from sequential Observe", name, id)
-			}
+		if !reflect.DeepEqual(ingested.AlertsFor(id), sequential.AlertsFor(id)) {
+			t.Errorf("IngestBatch: AlertsFor(%s) differs from sequential Observe", id)
 		}
 	}
 }
@@ -122,9 +107,9 @@ func alertSummaries(alerts []runtime.Alert) []string {
 	return out
 }
 
-// TestObserveBatchUnregisteredUsers: unknown users yield a joined error and
-// zero observations while the rest of the batch is still processed.
-func TestObserveBatchUnregisteredUsers(t *testing.T) {
+// TestIngestBatchUnregisteredUsers: events of unknown users are counted and
+// dropped while the rest of the batch is still applied.
+func TestIngestBatchUnregisteredUsers(t *testing.T) {
 	_, monitor := surgeryMonitor(t)
 	batch := []service.Event{
 		{Actor: casestudy.ActorReceptionist, Action: core.ActionCollect, UserID: "patient-1",
@@ -132,17 +117,11 @@ func TestObserveBatchUnregisteredUsers(t *testing.T) {
 		{Actor: casestudy.ActorReceptionist, Action: core.ActionCollect, UserID: "stranger",
 			Fields: []string{casestudy.FieldName}},
 	}
-	observations, err := monitor.ObserveBatch(batch)
-	if err == nil {
-		t.Fatal("ObserveBatch accepted an unregistered user")
+	stats := monitor.IngestBatch(batch)
+	if want := (runtime.IngestStats{Events: 2, Matched: 1, Unregistered: 1}); stats != want {
+		t.Fatalf("stats = %+v, want %+v", stats, want)
 	}
-	if len(observations) != 2 {
-		t.Fatalf("observations = %d, want 2", len(observations))
-	}
-	if !observations[0].Matched {
-		t.Error("registered user's event should have matched")
-	}
-	if observations[1].Matched || len(observations[1].Alerts) != 0 {
-		t.Errorf("unregistered user's observation should be zero, got %+v", observations[1])
+	if alerts := monitor.Alerts(); len(alerts) != 0 {
+		t.Errorf("alerts = %+v, want none: the stranger is dropped, the collect is modelled", alerts)
 	}
 }

@@ -442,41 +442,12 @@ func (m *Monitor) Observe(ev service.Event) (Observation, error) {
 	return obs, nil
 }
 
-// ObserveBatch feeds a slice of events to the monitor in input order. The
-// returned observations align with the input slice. Events for unregistered
-// users yield a zero Observation and contribute to the joined error; the
-// remaining events are still processed.
-func (m *Monitor) ObserveBatch(events []service.Event) ([]Observation, error) {
-	return m.ObserveBatchContext(context.Background(), events)
-}
-
-// ObserveBatchContext is ObserveBatch with cancellation: ctx is polled
-// between events and the remainder of the batch is not applied once it is
-// done; the returned error then wraps ctx.Err(). Events skipped by
-// cancellation yield a zero Observation.
-func (m *Monitor) ObserveBatchContext(ctx context.Context, events []service.Event) ([]Observation, error) {
-	out := make([]Observation, len(events))
-	var errs []error
-	for i := range events {
-		if err := ctx.Err(); err != nil {
-			return out, errors.Join(append(errs, err)...)
-		}
-		obs, err := m.Observe(events[i])
-		out[i] = obs
-		if err != nil {
-			errs = append(errs, fmt.Errorf("event %d: %w", i, err))
-		}
-	}
-	return out, errors.Join(errs...)
-}
-
 // IngestStats aggregates one batched ingestion: how many events were applied
 // and how each resolved. Events + 0 = Matched + Unmodelled + Denied +
 // Unregistered; RiskAlerts counts the matched events that additionally raised
 // an AlertRisk.
 type IngestStats struct {
-	// Events is the number of events processed (the whole input unless the
-	// context was cancelled mid-batch).
+	// Events is the number of events processed: the whole input.
 	Events int
 	// Matched events advanced their user's cursor along a model transition.
 	Matched int
@@ -503,34 +474,17 @@ func (s *IngestStats) Merge(o IngestStats) {
 	s.Unregistered += o.Unregistered
 }
 
-// ingestCancelStride is how many events IngestBatchContext applies between
-// context polls: context.Err takes a lock, so per-event polling would cost
-// more than the work it guards.
-const ingestCancelStride = 256
-
-// IngestBatch is the monitor's high-throughput ingestion path, built for the
-// cluster ingest protocol (internal/cluster): it applies the batch exactly
-// like ObserveBatch — same cursor movement, same alerts, byte-identical
+// IngestBatch is the monitor's batch ingestion path, built for the cluster
+// ingest protocol (internal/cluster): it applies the batch exactly like one
+// Observe call per event — same cursor movement, same alerts, byte-identical
 // alert log — but returns aggregate counts instead of materialising one
 // Observation per event, takes the lock once per batch instead of once per
 // event, and counts events for unregistered users instead of failing.
 func (m *Monitor) IngestBatch(events []service.Event) IngestStats {
-	stats, _ := m.IngestBatchContext(context.Background(), events)
-	return stats
-}
-
-// IngestBatchContext is IngestBatch with cancellation: ctx is polled every
-// ingestCancelStride events and the remainder of the batch is not applied
-// once it is done; the error is ctx.Err(). Events skipped by cancellation
-// are not counted in the stats.
-func (m *Monitor) IngestBatchContext(ctx context.Context, events []service.Event) (IngestStats, error) {
 	var stats IngestStats
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := range events {
-		if i%ingestCancelStride == 0 && ctx.Err() != nil {
-			break
-		}
 		st := m.apply(&events[i])
 		stats.Events++
 		switch {
@@ -547,5 +501,5 @@ func (m *Monitor) IngestBatchContext(ctx context.Context, events []service.Event
 			}
 		}
 	}
-	return stats, ctx.Err()
+	return stats
 }

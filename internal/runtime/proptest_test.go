@@ -18,11 +18,10 @@ import (
 )
 
 // TestPropMonitorIngestPathIndependence generalises the fixed-model
-// TestObserveBatchMatchesSequentialObserve to random scenarios: one random
-// per-user event script fed through sequential Observe calls, ObserveBatch
-// and IngestBatch must leave the same alert log, the same cursors and the
-// same ExportUser snapshots, and the two entry points that return
-// observations must return the same ones.
+// TestIngestBatchMatchesSequentialObserve to random scenarios: one random
+// per-user event script fed through sequential Observe calls and through
+// IngestBatch must leave the same alert log, the same cursors and the same
+// ExportUser snapshots.
 func TestPropMonitorIngestPathIndependence(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		s := scenario.Draw(seed)
@@ -38,11 +37,10 @@ func TestPropMonitorIngestPathIndependence(t *testing.T) {
 		stream := scenario.RandomEventStream(rng, p, users, perUser)
 
 		type result struct {
-			observations []runtime.Observation
-			alerts       []runtime.Alert
-			snapshots    []runtime.UserSnapshot
+			alerts    []runtime.Alert
+			snapshots []runtime.UserSnapshot
 		}
-		runWith := func(path string, feed func(*runtime.Monitor) ([]runtime.Observation, error)) (result, error) {
+		runWith := func(path string, feed func(*runtime.Monitor) error) (result, error) {
 			monitor, err := runtime.NewMonitor(p, runtime.Config{})
 			if err != nil {
 				return result{}, err
@@ -52,11 +50,10 @@ func TestPropMonitorIngestPathIndependence(t *testing.T) {
 					return result{}, err
 				}
 			}
-			obs, err := feed(monitor)
-			if err != nil {
+			if err := feed(monitor); err != nil {
 				return result{}, fmt.Errorf("%s: %w", path, err)
 			}
-			res := result{observations: obs, alerts: monitor.Alerts()}
+			res := result{alerts: monitor.Alerts()}
 			for _, id := range users {
 				snap, ok := monitor.ExportUser(id)
 				if !ok {
@@ -67,45 +64,31 @@ func TestPropMonitorIngestPathIndependence(t *testing.T) {
 			return res, nil
 		}
 
-		want, err := runWith("Observe", func(m *runtime.Monitor) ([]runtime.Observation, error) {
-			var out []runtime.Observation
+		want, err := runWith("Observe", func(m *runtime.Monitor) error {
 			for _, ev := range stream {
-				obs, err := m.Observe(ev)
-				if err != nil {
-					return nil, err
+				if _, err := m.Observe(ev); err != nil {
+					return err
 				}
-				out = append(out, obs)
 			}
-			return out, nil
+			return nil
 		})
 		if err != nil {
 			return err
 		}
-		batched, err := runWith("ObserveBatch", func(m *runtime.Monitor) ([]runtime.Observation, error) {
-			return m.ObserveBatch(stream)
-		})
-		if err != nil {
-			return err
-		}
-		ingested, err := runWith("IngestBatch", func(m *runtime.Monitor) ([]runtime.Observation, error) {
+		ingested, err := runWith("IngestBatch", func(m *runtime.Monitor) error {
 			if stats := m.IngestBatch(stream); stats.Events != len(stream) || stats.Unregistered != 0 {
-				return nil, fmt.Errorf("stats %+v for %d events of registered users", stats, len(stream))
+				return fmt.Errorf("stats %+v for %d events of registered users", stats, len(stream))
 			}
-			return nil, nil
+			return nil
 		})
 		if err != nil {
 			return err
 		}
-		if !reflect.DeepEqual(batched.observations, want.observations) {
-			return fmt.Errorf("ObserveBatch: observations differ from sequential Observe")
+		if !reflect.DeepEqual(ingested.alerts, want.alerts) {
+			return fmt.Errorf("IngestBatch: alert log differs from sequential Observe:\n%+v\nvs\n%+v", ingested.alerts, want.alerts)
 		}
-		for path, got := range map[string]result{"ObserveBatch": batched, "IngestBatch": ingested} {
-			if !reflect.DeepEqual(got.alerts, want.alerts) {
-				return fmt.Errorf("%s: alert log differs from sequential Observe:\n%+v\nvs\n%+v", path, got.alerts, want.alerts)
-			}
-			if !reflect.DeepEqual(got.snapshots, want.snapshots) {
-				return fmt.Errorf("%s: snapshots differ from sequential Observe:\n%+v\nvs\n%+v", path, got.snapshots, want.snapshots)
-			}
+		if !reflect.DeepEqual(ingested.snapshots, want.snapshots) {
+			return fmt.Errorf("IngestBatch: snapshots differ from sequential Observe:\n%+v\nvs\n%+v", ingested.snapshots, want.snapshots)
 		}
 		return nil
 	})

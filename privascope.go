@@ -35,7 +35,7 @@
 // The API is context-first: every potentially long-running entry point has a
 // ...Context form (GenerateContext, AssessContext,
 // AnalyzeDisclosurePopulationContext, AnalyzePseudonymisationContext,
-// Monitor.ObserveBatchContext, ...) whose worker pools observe cancellation
+// Monitor.RegisterUserContext, ...) whose worker pools observe cancellation
 // at chunk boundaries, return ctx.Err() promptly and never leak goroutines;
 // the context-free names remain as thin context.Background() wrappers. The
 // value-risk types' methods (ValueRiskEvaluator.Evaluate and
@@ -203,7 +203,7 @@ func Generate(m *Model) (*PrivacyModel, error) { return core.Generate(m) }
 
 // GenerateWithOptions builds the privacy LTS with explicit options.
 func GenerateWithOptions(m *Model, opts GenerateOptions) (*PrivacyModel, error) {
-	return core.GenerateWithOptions(m, opts)
+	return core.GenerateWithOptionsContext(context.Background(), m, opts)
 }
 
 // GenerateContext builds the privacy LTS with default options, honouring
@@ -211,7 +211,7 @@ func GenerateWithOptions(m *Model, opts GenerateOptions) (*PrivacyModel, error) 
 // state granularity and aborts mid-exploration with ctx.Err(), leaking no
 // goroutines.
 func GenerateContext(ctx context.Context, m *Model) (*PrivacyModel, error) {
-	return core.GenerateContext(ctx, m)
+	return core.GenerateWithOptionsContext(ctx, m, GenerateOptions{})
 }
 
 // GenerateWithOptionsContext is GenerateWithOptions with cancellation; see
