@@ -37,11 +37,11 @@ test-cpu:
 	$(GO) test -race -cpu $(CPUS) ./...
 
 # test-router soaks the router's state machine and the cluster protocols built
-# on it — step tests, retries, membership changes, evictions and the seeded
-# fault harness — under the race detector, ten times at GOMAXPROCS 1 and 4:
+# on it — step tests, retries, a node's ack-after-apply and its fence race,
+# membership changes, evictions and the seeded fault harness — under the race detector, ten times at GOMAXPROCS 1 and 4:
 # an interleaving bug shows up as a flake, so one run is not evidence. About
 # three minutes on two cores.
-ROUTER_TESTS = ^(TestStep|TestRouter(BackoffSchedule|StatsPersistent5xx|429TrimAcrossRetries)|TestSendDeadline|TestClusterLiveJoin|TestClusterGracefulLeave|TestAbortedChange|TestEvict|TestFailedEviction|TestTickCannotStall|TestFencedNode|TestClusterEvictFailover|TestProberEvicts|TestClusterFaultDeterminismGolden)
+ROUTER_TESTS = ^(TestStep|TestNode(IngestAppliesEvents|FenceRacingIngest)|TestRouter(BackoffSchedule|StatsPersistent5xx|429TrimAcrossRetries)|TestSendDeadline|TestClusterLiveJoin|TestClusterGracefulLeave|TestAbortedChange|TestEvict|TestFailedEviction|TestTickCannotStall|TestFencedNode|TestClusterEvictFailover|TestProberEvicts|TestClusterFaultDeterminismGolden)
 test-router:
 	$(GO) test -race -count=10 -cpu 1,4 -run '$(ROUTER_TESTS)' ./internal/cluster/
 

@@ -2,8 +2,9 @@
 // runtime monitor: a rendezvous-hash Ring places user IDs on nodes (one node
 // degenerates to the single-process monitor), a Router client streams
 // length-prefixed binary event frames to each owner node over unencrypted
-// HTTP/2, and every Node applies its partition through Monitor.IngestBatch
-// behind a bounded queue with 429 + Retry-After admission control. Because
+// HTTP/2, and every Node applies each frame of its partition through
+// Monitor.IngestBatch before acknowledging it, so the Router's per-node window
+// of unacknowledged frames is the one backpressure bound. Because
 // alert content is a pure function of each user's event sequence and a user's
 // events all land on one node in send order, the union of the fleet's alerts
 // equals the single-node monitor's alert set — the distribution-independence

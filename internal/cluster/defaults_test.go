@@ -5,16 +5,13 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"privascope/internal/casestudy"
 )
 
 // TestProductionConfiguration pins the one configuration production runs —
 // the zero configs that privaserve -cluster and the benchmark pass —
 // to the numbers the ingest workloads measure: frames of 512 events flushed
-// every 50 ms, a window of one frame, 16 attempts a sequence, backoff from
-// 5 ms to 2 s over h2c; nodes admitting 65,536 events and answering
-// Retry-After: 1 past that; probes every 250 ms with a 250 ms timeout, three
+// every 50 ms, a window of four frames, 16 attempts a sequence, backoff from
+// 5 ms to 2 s over h2c; probes every 250 ms with a 250 ms timeout, three
 // misses to an eviction.
 func TestProductionConfiguration(t *testing.T) {
 	c, err := StartLocal(surgeryModel(t), 2, NodeConfig{}, RouterConfig{})
@@ -28,30 +25,16 @@ func TestProductionConfiguration(t *testing.T) {
 		t.Errorf("router transport = %#v, want unencrypted HTTP/2", got.client.Transport)
 	}
 	got.client = nil
-	want := routerTuning{batchEvents: 512, flushInterval: 50 * time.Millisecond, maxInFlight: 1,
+	want := routerTuning{batchEvents: 512, flushInterval: 50 * time.Millisecond, maxInFlight: 4,
 		maxRetries: 16, backoffBase: 5 * time.Millisecond, backoffMax: 2 * time.Second, jitterSeed: 1}
 	if got != want {
 		t.Errorf("router tuning = %+v, want %+v", got, want)
 	}
 	c.Router.inspect(func(st *routerState) {
-		if st.batch != 512 || st.window != 1 || st.maxRetries != 16 {
-			t.Errorf("router state batch %d, window %d, attempts %d; want 512, 1, 16", st.batch, st.window, st.maxRetries)
+		if st.batch != 512 || st.window != 4 || st.maxRetries != 16 {
+			t.Errorf("router state batch %d, window %d, attempts %d; want 512, 4, 16", st.batch, st.window, st.maxRetries)
 		}
 	})
-
-	frame := mustFrame(t, casestudy.MedicalServiceEvents("u")[:1])
-	for _, n := range c.Nodes {
-		if limit := n.Stats().QueueLimit; limit != 65536 {
-			t.Errorf("node %s admits %d events, want 65536", n.Name(), limit)
-		}
-		// With the queue full, the next frame is refused with the advice.
-		n.pending.Add(n.queueLimit)
-		rec, _ := postIngest(t, n, frame)
-		n.pending.Add(-n.queueLimit)
-		if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" {
-			t.Errorf("node %s on a full queue: %d, Retry-After %q; want 429, \"1\"", n.Name(), rec.Code, rec.Header().Get("Retry-After"))
-		}
-	}
 
 	prober := c.StartProber(ProberConfig{})
 	defer prober.Stop()

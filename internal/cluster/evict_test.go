@@ -157,6 +157,8 @@ func TestEvictWhileSendBlockedOnDeadWindow(t *testing.T) {
 		tuning: routerTuning{
 			batchEvents:   2,
 			flushInterval: time.Hour,
+			// The scenario is scripted on a one-frame window.
+			maxInFlight: 1,
 			// Nothing but the eviction may resolve the victim's frames.
 			maxRetries:  1000,
 			backoffBase: time.Millisecond,

@@ -226,7 +226,7 @@ func decodeEvents(frame []byte, count int) ([]service.Event, error) {
 // FrameReader decodes a stream of frames from an io.Reader (an ingest request
 // body). The read buffer is reused across frames, but decoded events never
 // alias it — the decoder copies the string blob once per frame — so a batch
-// may be retained (queued) after the next Read call. A batch's events share
+// may be retained after the next Read call. A batch's events share
 // that copy (see decodeEvents): retaining one of them retains the frame's
 // storage, so a long-lived holder of single events copies what it keeps.
 type FrameReader struct {

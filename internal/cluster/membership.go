@@ -401,7 +401,7 @@ func (c *Local) rebalanceLocked(ctx context.Context, newRing *Ring, reason strin
 	perSource := make([][]*handoffStream, len(sources))
 	err = fanOut(ctx, len(sources), func(ctx context.Context, i int) error {
 		var err error
-		perSource[i], err = c.exportMovedLocked(ctx, sources[i], newRing)
+		perSource[i], err = c.exportMovedLocked(sources[i], newRing)
 		return err
 	})
 	if err != nil {
@@ -435,12 +435,10 @@ func (c *Local) rebalanceLocked(ctx context.Context, newRing *Ring, reason strin
 	return users, chunks, nil
 }
 
-// exportMovedLocked quiesces src and snapshots the users newRing assigns to
-// another node, one stream per new owner.
-func (c *Local) exportMovedLocked(ctx context.Context, src *Node, newRing *Ring) ([]*handoffStream, error) {
-	if err := src.Quiesce(ctx); err != nil {
-		return nil, err
-	}
+// exportMovedLocked snapshots the users newRing assigns to another node, one
+// stream per new owner. It waits for nothing: the seal returned, so every
+// frame src acknowledged is applied, and an evicted src is fenced.
+func (c *Local) exportMovedLocked(src *Node, newRing *Ring) ([]*handoffStream, error) {
 	moved := src.Monitor().ExportUsers(func(userID string) (string, bool) {
 		owner := newRing.Owner(userID)
 		return owner, owner != src.Name()

@@ -343,7 +343,7 @@ func TestProberEvictsDeadNode(t *testing.T) {
 
 	// A draining node is alive: give the prober a few rounds to prove it
 	// does not evict one.
-	c.Nodes[0].BeginDrain()
+	c.Nodes[0].draining.Store(true)
 	time.Sleep(50 * time.Millisecond)
 	c.Nodes[0].draining.Store(false)
 	if got := prober.Stats().Evicted; len(got) != 0 {

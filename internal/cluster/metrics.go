@@ -19,13 +19,11 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric := func(name, help, typ string, value int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s%s %d\n", name, help, name, typ, name, label, value)
 	}
-	metric("privascope_node_events_total", "Events accepted by the ingest endpoint.", "counter", s.Events)
-	metric("privascope_node_frames_total", "Event frames accepted by the ingest endpoint.", "counter", s.Frames)
-	metric("privascope_node_rejected_events_total", "Events rejected with 429 by admission control.", "counter", s.Rejected)
+	metric("privascope_node_events_total", "Events applied by the ingest endpoint.", "counter", s.Events)
+	metric("privascope_node_frames_total", "Event frames applied by the ingest endpoint.", "counter", s.Frames)
 	metric("privascope_node_decode_errors_total", "Malformed frames rejected with 400.", "counter", s.DecodeErrors)
 	metric("privascope_node_deduped_frames_total", "Retried frames skipped by stream-offset deduplication.", "counter", s.DedupedFrames)
-	metric("privascope_node_queue_depth", "Accepted events not yet applied to the monitor.", "gauge", s.QueueDepth)
-	metric("privascope_node_queue_limit", "Admission bound on queued events.", "gauge", s.QueueLimit)
+	metric("privascope_node_queue_depth", "Events of decoded frames waiting for or running their apply.", "gauge", s.QueueDepth)
 	metric("privascope_node_handoff_in_users_total", "User snapshots imported through /handoff.", "counter", s.HandoffInUsers)
 	metric("privascope_node_handoff_out_users_total", "User snapshots exported off this node by membership changes.", "counter", s.HandoffOutUsers)
 	metric("privascope_node_failover_in_users_total", "Imported snapshots whose previous owner was evicted as dead.", "counter", s.FailoverInUsers)

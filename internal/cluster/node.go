@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,50 +23,22 @@ import (
 type NodeConfig struct {
 	// Name is the node's ring name (required; must match the Router's view).
 	Name string
-	// tuning is zero outside this package's tests.
-	tuning nodeTuning
 }
-
-// nodeTuning holds the node's admission parameters; a zero field selects
-// defaultQueueEvents or defaultRetryAfter.
-type nodeTuning struct {
-	// queueEvents bounds the events buffered between the HTTP handlers and
-	// the drain worker; past it the node answers 429.
-	queueEvents int
-	// retryAfter is the advisory delay sent with 429 responses.
-	retryAfter time.Duration
-}
-
-const (
-	// defaultQueueEvents is the per-node admission bound: enough for a few
-	// dozen full frames in flight, small enough that a stalled drain worker
-	// pushes back within milliseconds of traffic.
-	defaultQueueEvents = 65536
-	// defaultRetryAfter is the advisory 429 Retry-After.
-	defaultRetryAfter = time.Second
-	// nodeQueueBatches is the drain channel's capacity in batches; admission
-	// is governed by the event-count bound, this only has to be deep enough
-	// to never be the effective limit for reasonably sized frames.
-	nodeQueueBatches = 1024
-)
 
 // NodeStats is an atomic snapshot of one node's counters.
 type NodeStats struct {
-	// Frames and Events count what the ingest endpoint accepted; Rejected
-	// counts events turned away with 429; DecodeErrors counts malformed
-	// frames (400).
+	// Frames and Events count what the ingest endpoint applied; DecodeErrors
+	// counts malformed frames (400).
 	Frames       int64
 	Events       int64
-	Rejected     int64
 	DecodeErrors int64
 	// DedupedFrames counts retried frames the stream-offset filter skipped
 	// because an earlier delivery already applied them (a response lost to
 	// the network, not the client's fault).
 	DedupedFrames int64
-	// QueueDepth is the number of accepted events not yet applied to the
-	// monitor; QueueLimit is the admission bound.
+	// QueueDepth is the number of events in decoded frames that wait for, or
+	// are running, their apply to the monitor.
 	QueueDepth int64
-	QueueLimit int64
 	// HandoffInUsers counts user snapshots a membership change imported
 	// through /handoff (registrations, which arrive there too, are not
 	// counted); HandoffOutUsers counts snapshots exported off this node by a
@@ -86,56 +57,45 @@ type NodeStats struct {
 }
 
 // Node is one ingest server of the cluster: it decodes event frames from
-// /ingest, queues them through a bounded buffer, and applies them to its own
-// runtime.Monitor on a single drain goroutine — one drainer per node keeps
-// cross-frame per-user order exactly as the frames arrived; parallelism
-// across users comes from running several nodes.
+// /ingest and applies each to its own runtime.Monitor before acknowledging
+// it, one frame at a time under streamsMu — so cross-frame per-user order is
+// exactly the order the frames arrived in, and a 202 means applied.
+// Parallelism across users comes from running several nodes; backpressure is
+// the Router's window of unacknowledged frames.
 type Node struct {
-	name       string
-	monitor    *runtime.Monitor
-	initial    lts.StateID // the model's initial state, where a registration starts
-	mux        *http.ServeMux
-	queue      chan []service.Event
-	retryAfter time.Duration
-	queueLimit int64
+	name    string
+	monitor *runtime.Monitor
+	initial lts.StateID // the model's initial state, where a registration starts
+	mux     *http.ServeMux
 
-	pending      atomic.Int64 // accepted events not yet applied
+	pending      atomic.Int64 // events of decoded frames not yet applied
 	frames       atomic.Int64
 	events       atomic.Int64
-	rejected     atomic.Int64
 	decodeErrors atomic.Int64
 	deduped      atomic.Int64
 	handoffIn    atomic.Int64
 	handoffOut   atomic.Int64
 	failoverIn   atomic.Int64
 
-	// draining, quiescing and receiving drive the readiness half of the
-	// health split: /readyz answers 503 once the node is leaving (draining,
-	// set by BeginDrain for good), while it flushes its queue (quiescing, a
-	// count of Quiesce calls in progress — kept apart from draining so a
-	// quiesce ending cannot clear the permanent mark) or while it imports
-	// snapshots (receiving), so probers and load balancers stop routing to it
-	// before its state moves.
+	// draining and receiving drive the readiness half of the health split:
+	// /readyz answers 503 once the node is leaving (draining, set for good
+	// when a graceful leave begins or the node is closed) or while it
+	// imports snapshots (receiving), so probers and load balancers stop
+	// routing to it before its state moves.
 	draining  atomic.Bool
-	quiescing atomic.Int32
 	receiving atomic.Int64
 
 	// streams maps a router sender's stream ID to the next expected frame
 	// index, so a frame redelivered after a lost response is skipped instead
 	// of applied twice (exactly-once ingest on top of at-least-once retries).
-	// fenced marks a node being evicted: it admits no further frame, so the
-	// cursors stand still. streamsMu guards both, and a frame's whole
-	// admission decision (handleIngest) is one critical section under it.
+	// fenced marks a node being evicted: it applies no further frame, so the
+	// cursors stand still. streamsMu guards both and ingest, and a frame's
+	// whole decision and apply (handleIngest) is one critical section under
+	// it.
 	streamsMu sync.Mutex
 	streams   map[string]int64
 	fenced    bool
-
-	statsMu sync.Mutex
-	ingest  runtime.IngestStats
-
-	stop     chan struct{}
-	drained  chan struct{}
-	stopOnce sync.Once
+	ingest    runtime.IngestStats
 }
 
 // NewNode builds a node with its own monitor over the model.
@@ -148,15 +108,10 @@ func NewNode(p *core.PrivacyLTS, cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 	}
 	n := &Node{
-		name:       cfg.Name,
-		monitor:    monitor,
-		initial:    p.InitialState(),
-		queue:      make(chan []service.Event, nodeQueueBatches),
-		retryAfter: cmp.Or(cfg.tuning.retryAfter, defaultRetryAfter),
-		queueLimit: int64(cmp.Or(cfg.tuning.queueEvents, defaultQueueEvents)),
-		streams:    make(map[string]int64),
-		stop:       make(chan struct{}),
-		drained:    make(chan struct{}),
+		name:    cfg.Name,
+		monitor: monitor,
+		initial: p.InitialState(),
+		streams: make(map[string]int64),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", n.handleIngest)
@@ -171,7 +126,6 @@ func NewNode(p *core.PrivacyLTS, cfg NodeConfig) (*Node, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	n.mux = mux
-	go n.drain()
 	return n, nil
 }
 
@@ -185,19 +139,17 @@ func (n *Node) Monitor() *runtime.Monitor { return n.monitor }
 // Handler returns the node's HTTP handler.
 func (n *Node) Handler() http.Handler { return n.mux }
 
-// Stats snapshots the node's counters.
+// Stats snapshots the node's counters. It waits for an apply in progress.
 func (n *Node) Stats() NodeStats {
-	n.statsMu.Lock()
+	n.streamsMu.Lock()
 	ingest := n.ingest
-	n.statsMu.Unlock()
+	n.streamsMu.Unlock()
 	return NodeStats{
 		Frames:          n.frames.Load(),
 		Events:          n.events.Load(),
-		Rejected:        n.rejected.Load(),
 		DecodeErrors:    n.decodeErrors.Load(),
 		DedupedFrames:   n.deduped.Load(),
 		QueueDepth:      n.pending.Load(),
-		QueueLimit:      n.queueLimit,
 		HandoffInUsers:  n.handoffIn.Load(),
 		HandoffOutUsers: n.handoffOut.Load(),
 		FailoverInUsers: n.failoverIn.Load(),
@@ -206,54 +158,23 @@ func (n *Node) Stats() NodeStats {
 	}
 }
 
-// ready reports the readiness half of the health split.
+// ready reports the readiness half of the health split. It reads atomics
+// only, so a probe never waits for an apply.
 func (n *Node) ready() bool {
-	return !n.draining.Load() && n.quiescing.Load() == 0 && n.receiving.Load() == 0
+	return !n.draining.Load() && n.receiving.Load() == 0
 }
 
-// drain is the node's single ingestion worker.
-func (n *Node) drain() {
-	defer close(n.drained)
-	apply := func(batch []service.Event) {
-		stats := n.monitor.IngestBatch(batch)
-		n.statsMu.Lock()
-		n.ingest.Merge(stats)
-		n.statsMu.Unlock()
-		n.pending.Add(-int64(len(batch)))
-	}
-	for {
-		select {
-		case batch := <-n.queue:
-			apply(batch)
-		case <-n.stop:
-			// Drain what was admitted before stopping: accepted events must
-			// not be dropped.
-			for {
-				select {
-				case batch := <-n.queue:
-					apply(batch)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// Quiesce blocks until every accepted event has been applied to the monitor
-// (or ctx is done). The router's Flush plus every node's Quiesce is the
-// cluster-wide happens-before edge tests rely on. While quiescing the node
-// reports not-ready on /readyz: a drain is exactly the moment probers and
-// load balancers should stop routing new work here.
+// Quiesce blocks until no ingest request holds a decoded frame it has not
+// yet applied (or ctx is done). Every acknowledged frame is already applied,
+// so the router's Flush plus every node's Quiesce is the cluster-wide
+// happens-before edge tests rely on.
 func (n *Node) Quiesce(ctx context.Context) error {
-	n.quiescing.Add(1)
-	defer n.quiescing.Add(-1)
 	return waitZero(ctx, &n.pending)
 }
 
 // waitZero polls until n reads zero or ctx is done. It is the package's one
-// wait on a counter other goroutines drain: events a node has admitted,
-// handoff requests a node is serving.
+// wait on a counter other goroutines count down: events of decoded frames a
+// node has yet to apply, handoff requests a node is serving.
 func waitZero(ctx context.Context, n *atomic.Int64) error {
 	if n.Load() == 0 {
 		return nil
@@ -270,17 +191,9 @@ func waitZero(ctx context.Context, n *atomic.Int64) error {
 	return nil
 }
 
-// BeginDrain marks the node as draining for good: /readyz answers 503 from
-// here on. A graceful leave calls it before the state handoff so external
-// routing backs off while ownership moves; Close implies it.
-func (n *Node) BeginDrain() { n.draining.Store(true) }
-
-// Close stops the drain worker after it has applied every accepted batch.
-func (n *Node) Close() {
-	n.BeginDrain()
-	n.stopOnce.Do(func() { close(n.stop) })
-	<-n.drained
-}
+// Close marks the node as draining for good: /readyz answers 503 from here
+// on. The node owns no goroutine, so nothing else is left to stop.
+func (n *Node) Close() { n.draining.Store(true) }
 
 // StreamCursor returns the next frame index the node expects on the stream —
 // everything below it has been applied. Membership changes read it off a dead
@@ -295,37 +208,19 @@ func (n *Node) StreamCursor(stream string) int64 {
 // fence marks (or, when the eviction is abandoned, unmarks) the node as being
 // evicted. The router aborts its requests to an evicted node, but abandoning a
 // request does not stop its handler, which may be holding a decoded frame. Once
-// fence(true) returns no handler admits another frame: what Quiesce then
-// applies and the users' snapshots show is exactly what the stream cursors
-// say, so the eviction's re-route neither loses nor repeats a frame.
+// fence(true) returns no apply is in progress and no handler applies another
+// frame: the users' snapshots show exactly what the stream cursors say, so the
+// eviction's re-route neither loses nor repeats a frame.
 func (n *Node) fence(on bool) {
 	n.streamsMu.Lock()
 	n.fenced = on
 	n.streamsMu.Unlock()
 }
 
-// admit reserves room for a decoded batch, returning false when the node is
-// saturated. Reservation is optimistic-add/rollback on the pending counter,
-// so concurrent ingest streams cannot jointly overshoot the bound.
-func (n *Node) admit(batch []service.Event) bool {
-	count := int64(len(batch))
-	if n.pending.Add(count) > n.queueLimit {
-		n.pending.Add(-count)
-		return false
-	}
-	select {
-	case n.queue <- batch:
-		return true
-	default:
-		n.pending.Add(-count)
-		return false
-	}
-}
-
 // ingestResponse is the /ingest reply body.
 type ingestResponse struct {
-	// Accepted counts the request's frames admitted to the queue; on 429 the
-	// client resends from frame Accepted.
+	// Accepted counts the request's frames applied or skipped as duplicates;
+	// a client whose request failed part-way resends from frame Accepted.
 	Accepted int    `json:"accepted"`
 	Error    string `json:"error,omitempty"`
 }
@@ -342,9 +237,10 @@ const (
 	HeaderFrameBase = "Privascope-Frame-Base"
 )
 
-// handleIngest streams frames out of the request body into the ingest queue.
-// The whole body is one frame sequence; the response reports how many frames
-// were admitted, so a 429 mid-stream tells the client exactly where to
+// handleIngest applies the frames of the request body to the monitor in
+// order. The whole body is one frame sequence; the 202 comes after the last
+// frame is applied, and every response reports how many frames were accepted,
+// so a request that fails mid-stream tells the client exactly where to
 // resume.
 func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	stream := r.Header.Get(HeaderStream)
@@ -369,35 +265,33 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, ingestResponse{Accepted: accepted, Error: err.Error()})
 			return
 		}
-		// One critical section decides the frame: a fenced node refuses; a
-		// frame below its stream's cursor was applied by a delivery whose
-		// response got lost; otherwise the batch is admitted, if there is
-		// room, and the cursor moves past it (frames a client dropped leave
-		// gaps; the cursor only moves forward). One section, not one per
-		// question, so fence and StreamCursor see no frame half-way through.
-		idx := base + int64(accepted)
+		// One critical section decides and applies the frame: a fenced node
+		// refuses; a frame below its stream's cursor was applied by a delivery
+		// whose response got lost; otherwise the batch is applied and the
+		// cursor moves past it (frames a client dropped leave gaps; the cursor
+		// only moves forward). One section, not one per question, so fence and
+		// StreamCursor see no frame half-way through.
+		idx, count := base+int64(accepted), int64(len(batch))
+		n.pending.Add(count)
 		n.streamsMu.Lock()
 		fenced := n.fenced
 		duplicate := !fenced && stream != "" && idx < n.streams[stream]
-		admitted := !fenced && !duplicate && n.admit(batch)
-		if admitted && stream != "" {
-			n.streams[stream] = idx + 1
+		if !fenced && !duplicate {
+			n.ingest.Merge(n.monitor.IngestBatch(batch))
+			if stream != "" {
+				n.streams[stream] = idx + 1
+			}
+			n.frames.Add(1)
+			n.events.Add(count)
 		}
 		n.streamsMu.Unlock()
+		n.pending.Add(-count)
 		switch {
 		case fenced:
 			writeJSON(w, http.StatusServiceUnavailable, ingestResponse{Accepted: accepted, Error: "node is being evicted"})
 			return
 		case duplicate:
 			n.deduped.Add(1)
-		case !admitted:
-			n.rejected.Add(int64(len(batch)))
-			w.Header().Set("Retry-After", strconv.Itoa(int((n.retryAfter+time.Second-1)/time.Second)))
-			writeJSON(w, http.StatusTooManyRequests, ingestResponse{Accepted: accepted, Error: "ingest queue full"})
-			return
-		default:
-			n.frames.Add(1)
-			n.events.Add(int64(len(batch)))
 		}
 		accepted++
 	}
@@ -492,7 +386,8 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz is the liveness half of the health split: it answers 200
 // whenever the process serves HTTP at all. Eviction decisions key off this —
-// a draining node is still alive.
+// a draining node is still alive. Like /readyz it reads atomics only, so a
+// busy node answers without waiting for its apply.
 func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"node":    n.name,
@@ -512,7 +407,7 @@ func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]any{
 		"node":      n.name,
 		"ready":     n.ready(),
-		"draining":  n.draining.Load() || n.quiescing.Load() > 0,
+		"draining":  n.draining.Load(),
 		"receiving": n.receiving.Load() > 0,
 		"pending":   n.pending.Load(),
 	})

@@ -72,6 +72,9 @@ func postHandoff(n *Node, frame []byte, reason string) *httptest.ResponseRecorde
 	return rec
 }
 
+// TestNodeIngestAppliesEvents: a 202 from /ingest means applied — the
+// counters, the user's state and the stream cursor all show the frame the
+// moment the response is written, with no Quiesce in between.
 func TestNodeIngestAppliesEvents(t *testing.T) {
 	n := newTestNode(t, NodeConfig{})
 	profile := casestudy.PatientProfile()
@@ -79,19 +82,86 @@ func TestNodeIngestAppliesEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := casestudy.MedicalServiceEvents(profile.ID)
-	rec, ir := postIngest(t, n, mustFrame(t, events))
-	if rec.Code != http.StatusAccepted || ir.Accepted != 1 {
-		t.Fatalf("ingest: status %d, accepted %d; want 202, 1", rec.Code, ir.Accepted)
+	req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(mustFrame(t, events)))
+	req.Header.Set(HeaderStream, "s1")
+	req.Header.Set(HeaderFrameBase, "0")
+	rec := httptest.NewRecorder()
+	n.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
 	}
-	if err := n.Quiesce(context.Background()); err != nil {
+	if s := n.Stats(); s.Events != int64(len(events)) || s.Ingest.Events != len(events) || s.Ingest.Matched != len(events) || s.QueueDepth != 0 {
+		t.Fatalf("stats after the 202: %+v, want %d events applied and matched, none pending", s, len(events))
+	}
+	direct, err := runtime.NewMonitor(surgeryModel(t), runtime.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats := n.Stats()
-	if stats.Events != int64(len(events)) || stats.Ingest.Matched != len(events) {
-		t.Fatalf("stats after ingest: %+v, want %d accepted and matched", stats, len(events))
+	if err := direct.RegisterUser(profile); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := n.Monitor().CurrentState(profile.ID); !ok {
-		t.Fatal("user has no cursor after ingest")
+	direct.IngestBatch(events)
+	want, _ := direct.CurrentState(profile.ID)
+	if got, ok := n.Monitor().CurrentState(profile.ID); !ok || got != want {
+		t.Fatalf("user state after the 202 = %q (registered %v), want %q", got, ok, want)
+	}
+	if got := n.StreamCursor("s1"); got != 1 {
+		t.Fatalf("stream cursor after the 202 = %d, want 1", got)
+	}
+}
+
+// TestNodeFenceRacingIngest: concurrent deliveries of one stream race an
+// eviction's fence. Once fence(true) returns, what the node applied is
+// exactly the frames below its stream cursor, each once, and nothing is
+// applied afterwards: every delivery still running is refused.
+func TestNodeFenceRacingIngest(t *testing.T) {
+	const frames, posters = 256, 8
+	n := newTestNode(t, NodeConfig{})
+	profile := casestudy.PatientProfile()
+	if err := n.Monitor().RegisterUser(profile); err != nil {
+		t.Fatal(err)
+	}
+	script := casestudy.MedicalServiceEvents(profile.ID)
+	var body []byte
+	for i := range frames {
+		body = append(body, mustFrame(t, script[i%len(script):i%len(script)+1])...)
+	}
+	// Every poster redelivers the whole stream from frame 0, as a router
+	// retrying after lost responses would: each frame is applied by whichever
+	// delivery reaches it first and skipped by the others.
+	codes := make(chan int, posters)
+	for range posters {
+		go func() {
+			req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body))
+			req.Header.Set(HeaderStream, "s1")
+			req.Header.Set(HeaderFrameBase, "0")
+			rec := httptest.NewRecorder()
+			n.Handler().ServeHTTP(rec, req)
+			codes <- rec.Code
+		}()
+	}
+	for n.StreamCursor("s1") < frames/4 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	n.fence(true)
+	cursor, fenced := n.StreamCursor("s1"), n.Stats()
+	applied := func(s NodeStats) int64 {
+		snap, _ := n.Monitor().ExportUser(profile.ID)
+		if s.Frames != snap.Applied || int64(s.Ingest.Events) != snap.Applied {
+			t.Errorf("stats %+v disagree with the user's %d applied events", s, snap.Applied)
+		}
+		return snap.Applied
+	}
+	if got := applied(fenced); got != cursor {
+		t.Fatalf("at the fence %d frames applied, want the %d below the stream cursor", got, cursor)
+	}
+	for range posters {
+		if code := <-codes; code != http.StatusServiceUnavailable && !(code == http.StatusAccepted && cursor == frames) {
+			t.Errorf("a delivery racing the fence answered %d with the cursor at %d of %d", code, cursor, frames)
+		}
+	}
+	if after := n.Stats(); applied(after) != cursor || n.StreamCursor("s1") != cursor {
+		t.Fatalf("after the fence: %d events applied, cursor %d; want both still %d", after.Ingest.Events, n.StreamCursor("s1"), cursor)
 	}
 }
 
@@ -103,31 +173,6 @@ func TestNodeIngestRejectsMalformedFrames(t *testing.T) {
 	}
 	if n.Stats().DecodeErrors != 1 {
 		t.Fatalf("decode errors = %d, want 1", n.Stats().DecodeErrors)
-	}
-}
-
-func TestNodeBackpressure429(t *testing.T) {
-	// A queue bound below the frame size forces deterministic admission
-	// failure regardless of how fast the drain worker runs.
-	n := newTestNode(t, NodeConfig{tuning: nodeTuning{queueEvents: 4, retryAfter: 3 * time.Second}})
-	profile := casestudy.PatientProfile()
-	if err := n.Monitor().RegisterUser(profile); err != nil {
-		t.Fatal(err)
-	}
-	small := mustFrame(t, casestudy.MedicalServiceEvents(profile.ID)[:2])
-	big := mustFrame(t, casestudy.MedicalServiceEvents(profile.ID))
-	rec, ir := postIngest(t, n, append(append([]byte(nil), small...), big...))
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("oversized second frame: status %d, want 429", rec.Code)
-	}
-	if ir.Accepted != 1 {
-		t.Fatalf("429 reported %d accepted frames, want 1 (the client resumes there)", ir.Accepted)
-	}
-	if got := rec.Header().Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After = %q, want %q", got, "3")
-	}
-	if n.Stats().Rejected != 6 {
-		t.Fatalf("rejected events = %d, want 6", n.Stats().Rejected)
 	}
 }
 
@@ -181,9 +226,6 @@ func TestNodeMetricsAndPprof(t *testing.T) {
 	events := casestudy.MedicalServiceEvents(profile.ID)
 	if rec, _ := postIngest(t, n, mustFrame(t, events)); rec.Code != http.StatusAccepted {
 		t.Fatalf("ingest: status %d", rec.Code)
-	}
-	if err := n.Quiesce(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)

@@ -40,9 +40,11 @@ type routerTuning struct {
 	flushInterval time.Duration
 	// maxInFlight bounds the cut frames queued per node behind the sequence
 	// on the wire: one more frame may be cut, and a Send whose event would
-	// cut the next blocks, which is the client half of the backpressure
-	// protocol. Delivery is one FIFO sequence per node at a time whatever the
-	// window, so a larger window only deepens the queue feeding it.
+	// cut the next blocks. It is the cluster's one backpressure bound: a node
+	// acknowledges a frame only once it has applied it. Delivery is one FIFO
+	// sequence per node at a time whatever the window, so a larger window
+	// lets the next request carry more frames while the node applies the
+	// current one.
 	maxInFlight int
 	// maxRetries bounds delivery attempts per frame sequence, 429 rounds
 	// included.
@@ -75,12 +77,12 @@ const (
 	defaultBackoffMax = 2 * time.Second
 )
 
-// withDefaults fills every zero field: the constants above, a window of one
-// frame, jitter seed 1 and the h2c client.
+// withDefaults fills every zero field: the constants above, a window of four
+// frames (2,048 events a node), jitter seed 1 and the h2c client.
 func (t routerTuning) withDefaults() routerTuning {
 	t.batchEvents = min(cmp.Or(t.batchEvents, defaultBatchEvents), MaxFrameEvents)
 	t.flushInterval = cmp.Or(t.flushInterval, defaultFlushInterval)
-	t.maxInFlight = cmp.Or(t.maxInFlight, 1)
+	t.maxInFlight = cmp.Or(t.maxInFlight, 4)
 	t.maxRetries = cmp.Or(t.maxRetries, defaultMaxRetries)
 	t.backoffBase = cmp.Or(t.backoffBase, defaultBackoffBase)
 	t.backoffMax = cmp.Or(t.backoffMax, defaultBackoffMax)
@@ -93,8 +95,8 @@ func (t routerTuning) withDefaults() routerTuning {
 
 // RouterStats is a snapshot of the router's counters.
 type RouterStats struct {
-	// EventsSent and FramesSent count what reached a node's queue (accepted,
-	// after any retries); Rejected429 counts backpressure rounds; Retries
+	// EventsSent and FramesSent count what a node applied (acknowledged, after
+	// any retries); Rejected429 counts 429 rounds from any HTTP hop; Retries
 	// counts delivery re-attempts (one per retried request).
 	EventsSent  int64
 	FramesSent  int64
@@ -406,10 +408,10 @@ func (r *Router) run() {
 }
 
 // attempt is the delivery effect: one POST of a frame sequence and, when it
-// fails, the pause before the owner loop may try again — the node's
+// fails, the pause before the owner loop may try again — the
 // Retry-After after a 429, the jittered backoff otherwise — reported back as
-// a posted event. A saturated node's 429 says how many frames it accepted, so
-// the next attempt resends from there: acceptance is monotonic across
+// a posted event. A 429 that says how many frames were accepted makes the
+// next attempt resend from there: acceptance is monotonic across
 // retries. Evicting the node cancels ctx, which ends request and pause.
 func (r *Router) attempt(ctx context.Context, cancel context.CancelFunc, e effect, pause time.Duration) {
 	defer cancel()

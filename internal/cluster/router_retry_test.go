@@ -384,15 +384,15 @@ func TestReadyzSplitsFromHealthz(t *testing.T) {
 	if got := get("/readyz"); got != http.StatusOK {
 		t.Fatalf("fresh node /readyz = %d", got)
 	}
-	node.BeginDrain()
+	node.draining.Store(true)
 	if got := get("/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("draining node /readyz = %d, want 503", got)
 	}
 	if got := get("/healthz"); got != http.StatusOK {
 		t.Fatalf("draining node /healthz = %d, want 200: draining is not dead", got)
 	}
-	// A removal quiesces the node after BeginDrain; the quiesce's own
-	// temporary not-ready mark must not clear the permanent one on its way out.
+	// A removal quiesces the node after marking it draining; the quiesce must
+	// not clear the mark.
 	if err := node.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestReadyzSplitsFromHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := get("/readyz"); got != http.StatusOK {
-		t.Fatalf("/readyz after a plain Quiesce = %d, want 200: its not-ready mark is temporary", got)
+		t.Fatalf("/readyz after a plain Quiesce = %d, want 200", got)
 	}
 	node.receiving.Add(1)
 	if got := get("/readyz"); got != http.StatusServiceUnavailable {
