@@ -118,22 +118,20 @@ bench-gate-selftest:
 test-props:
 	$(GO) test -count=1 $(PROP_PACKAGES) -proptest.rounds=$(ROUNDS)
 
-# fuzz runs every native fuzz target for FUZZTIME each (go test accepts one
-# -fuzz pattern per package invocation, hence the separate lines). New
-# crashers land in the package's testdata/fuzz/<Target>/ corpus; commit them.
+# fuzz runs every native fuzz target of the module for FUZZTIME each. The
+# targets are discovered, not listed: `go test -list` prints each package's
+# Fuzz functions before its "ok" line, and go test accepts one -fuzz target
+# per invocation, hence the loop. New crashers land in the package's
+# testdata/fuzz/<Target>/ corpus; commit them.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzObserve -fuzztime=$(FUZZTIME) ./internal/runtime
-	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/anonymize
-	$(GO) test -run='^$$' -fuzz=FuzzModelUnmarshal -fuzztime=$(FUZZTIME) ./internal/dataflow
-	$(GO) test -run='^$$' -fuzz=FuzzPolicyConstruction -fuzztime=$(FUZZTIME) ./internal/accesscontrol
-	$(GO) test -run='^$$' -fuzz=FuzzStoreDecode -fuzztime=$(FUZZTIME) ./internal/modelstore
-	$(GO) test -run='^$$' -fuzz=FuzzStringTable -fuzztime=$(FUZZTIME) ./internal/wire
-	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/cluster
-	$(GO) test -run='^$$' -fuzz=FuzzHandoffDecode -fuzztime=$(FUZZTIME) ./internal/cluster
-	$(GO) test -run='^$$' -fuzz=FuzzModelDelta -fuzztime=$(FUZZTIME) ./internal/explore
-	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeOrder -fuzztime=$(FUZZTIME) ./internal/risk
-	$(GO) test -run='^$$' -fuzz=FuzzProfileShape -fuzztime=$(FUZZTIME) ./internal/risk
-	$(GO) test -run='^$$' -fuzz=FuzzFindingsTable -fuzztime=$(FUZZTIME) ./internal/report
+	@targets=$$($(GO) test -list='^Fuzz' ./... | awk '/^Fuzz/ { t[n++] = $$1; next } \
+		/^ok/ { for (i = 0; i < n; i++) print $$2 " " t[i]; n = 0 } /^FAIL/ { bad = 1 } END { exit bad }') || \
+		{ echo "fuzz: listing the fuzz targets failed"; exit 1; }; \
+	test -n "$$targets" || { echo "fuzz: no fuzz targets found"; exit 1; }; \
+	echo "$$targets" | while read -r pkg target; do \
+		echo "fuzz: $$target ($$pkg)"; \
+		$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) "$$pkg" || exit 1; \
+	done
 
 # cache-clean removes local persistent model-cache directories (the -model-cache
 # registries the CLIs and examples write next to the repo).

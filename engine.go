@@ -28,8 +28,14 @@ type EngineOptions struct {
 	// cache as a second tier: a fingerprint miss first tries to load the
 	// compiled artifact from disk — skipping state-space generation entirely
 	// — and every generated model is written back atomically, so concurrent
-	// engines and future processes share it. Corrupt or stale artifacts are
-	// detected (checksummed, fingerprint-verified) and regenerated.
+	// engines and future processes share it. An artifact is filed under the
+	// model's fingerprint and the two generation options that decide the
+	// output, Generate.FlowOrdering and Generate.PotentialReads, so engines
+	// with different values never read each other's models. An artifact that
+	// is corrupt, of another format version or built from a different model
+	// is detected (checksum, version, embedded fingerprint) and regenerated
+	// over. An artifact written by a build whose generator produced other
+	// output for the same model and options is not detected.
 	CacheDir string
 	// Incremental makes the engine keep the exploration trace of its most
 	// recent generation and regenerate the next model incrementally from it
@@ -132,8 +138,9 @@ func (e *Engine) Model(ctx context.Context, m *Model) (*PrivacyModel, error) {
 		return nil, err
 	}
 	return e.models.Do(ctx, fp, func(ctx context.Context) (*core.PrivacyLTS, error) {
+		key := registryKey(fp, e.opts.Generate)
 		if e.store != nil {
-			if loaded, err := e.store.Load(fp, m); err == nil {
+			if loaded, err := e.store.Load(key, m); err == nil {
 				e.loads.Add(1)
 				return loaded, nil
 			}
@@ -144,10 +151,30 @@ func (e *Engine) Model(ctx context.Context, m *Model) (*PrivacyModel, error) {
 		if err == nil && e.store != nil {
 			// Persisting is best-effort: a full registry disk must not fail
 			// the request, and the next cold start simply regenerates.
-			_ = e.store.Save(fp, p)
+			_ = e.store.Save(key, p)
 		}
 		return p, err
 	})
+}
+
+// registryKey names a model's artifact in the registry: its fingerprint when
+// FlowOrdering and PotentialReads take their defaults (zero means the
+// default), and otherwise the fingerprint followed by both values as 16 hex
+// digits each, so every pair of values has its own key and none is a
+// fingerprint. The other options change how a model is generated, never
+// what.
+func registryKey(fp string, o GenerateOptions) string {
+	ordering, reads := o.FlowOrdering, o.PotentialReads
+	if ordering == 0 {
+		ordering = core.OrderSequential
+	}
+	if reads == 0 {
+		reads = core.PotentialReadsTerminal
+	}
+	if ordering == core.OrderSequential && reads == core.PotentialReadsTerminal {
+		return fp
+	}
+	return fmt.Sprintf("%s%016x%016x", fp, uint64(ordering), uint64(reads))
 }
 
 // generate runs one instrumented LTS generation. With

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -236,59 +237,115 @@ func TestModelFingerprintRBACAndComposite(t *testing.T) {
 	}
 }
 
-// TestEngineOverwritesFormerFormatArtifact: a registry file in the previous
+// TestCacheDirKeepsGenerationOptionsApart: engines that share a CacheDir but
+// generate with different FlowOrdering or PotentialReads values each get the
+// model their options generate, never another engine's artifact. The zero
+// value and the explicit defaults share one artifact, and so do options that
+// differ only in how generation runs.
+func TestCacheDirKeepsGenerationOptionsApart(t *testing.T) {
+	ctx, m := context.Background(), casestudy.Surgery()
+	dir := t.TempDir()
+	if _, err := privascope.MustEngine(privascope.EngineOptions{CacheDir: dir}).Model(ctx, m); err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]privascope.GenerateOptions{
+		"data-driven": {FlowOrdering: privascope.OrderDataDriven},
+		"reads-off":   {PotentialReads: privascope.PotentialReadsOff},
+		"reads-full":  {PotentialReads: privascope.PotentialReadsFull},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fresh, err := privascope.GenerateWithOptions(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []int64{0, 1} {
+				engine := privascope.MustEngine(privascope.EngineOptions{Generate: opts, CacheDir: dir})
+				got, err := engine.Model(ctx, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := got.Stats(), fresh.Stats(); g.States != w.States || g.Transitions != w.Transitions {
+					t.Fatalf("engine %d over the shared CacheDir has %d states and %d transitions, fresh generation %d and %d",
+						i, g.States, g.Transitions, w.States, w.Transitions)
+				}
+				if engine.Loads() != want {
+					t.Fatalf("engine %d loaded %d models, want %d", i, engine.Loads(), want)
+				}
+			}
+		})
+	}
+	for name, opts := range map[string]privascope.GenerateOptions{
+		"explicit defaults": {FlowOrdering: privascope.OrderSequential, PotentialReads: privascope.PotentialReadsTerminal},
+		"run knobs":         {Workers: 1, MaxStates: 1000, Explore: privascope.ExploreOptions{Symmetry: true}},
+	} {
+		engine := privascope.MustEngine(privascope.EngineOptions{Generate: opts, CacheDir: dir})
+		if _, err := engine.Model(ctx, m); err != nil {
+			t.Fatal(err)
+		}
+		if engine.Loads() != 1 || engine.Generations() != 0 {
+			t.Errorf("%s: loaded %d and generated %d, want the default artifact loaded", name, engine.Loads(), engine.Generations())
+		}
+	}
+}
+
+// TestEngineOverwritesFormerFormatArtifact: a registry file in an earlier
 // artifact format is a cache miss, not an error. The engine regenerates the
 // model and overwrites the file in the current format, which the next
 // engine loads without generating.
 func TestEngineOverwritesFormerFormatArtifact(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("internal", "modelstore", "testdata", "surgery-v1.artifact"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	store, err := modelstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := dataflow.Fingerprint(casestudy.Surgery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := store.Path(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for version := 1; version < modelstore.FormatVersion; version++ {
+		t.Run(fmt.Sprint("v", version), func(t *testing.T) {
+			file := fmt.Sprintf("surgery-v%d.artifact", version)
+			former, err := os.ReadFile(filepath.Join("internal", "modelstore", "testdata", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			store, err := modelstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, err := dataflow.Fingerprint(casestudy.Surgery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			path, err := store.Path(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, former, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, profile := context.Background(), casestudy.PatientProfile()
-	first := privascope.MustEngine(privascope.EngineOptions{CacheDir: dir})
-	want, err := first.Assess(ctx, casestudy.Surgery(), profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, l := first.Generations(), first.Loads(); g != 1 || l != 0 {
-		t.Fatalf("over a version-1 artifact the engine generated %d and loaded %d, want 1 and 0", g, l)
-	}
-	rewritten, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(rewritten[8:]); v != modelstore.FormatVersion {
-		t.Fatalf("the registry file is version %d after regeneration, want %d", v, modelstore.FormatVersion)
-	}
+			ctx, profile := context.Background(), casestudy.PatientProfile()
+			first := privascope.MustEngine(privascope.EngineOptions{CacheDir: dir})
+			want, err := first.Assess(ctx, casestudy.Surgery(), profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, l := first.Generations(), first.Loads(); g != 1 || l != 0 {
+				t.Fatalf("over a version-%d artifact the engine generated %d and loaded %d, want 1 and 0", version, g, l)
+			}
+			rewritten, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := binary.LittleEndian.Uint32(rewritten[8:]); v != modelstore.FormatVersion {
+				t.Fatalf("the registry file is version %d after regeneration, want %d", v, modelstore.FormatVersion)
+			}
 
-	next := privascope.MustEngine(privascope.EngineOptions{CacheDir: dir})
-	got, err := next.Assess(ctx, casestudy.Surgery(), profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, l := next.Generations(), next.Loads(); g != 0 || l != 1 {
-		t.Fatalf("over the rewritten artifact the engine generated %d and loaded %d, want 0 and 1", g, l)
-	}
-	if got.Report.Render() != want.Report.Render() {
-		t.Fatalf("the loaded model reports differently from the generated one")
+			next := privascope.MustEngine(privascope.EngineOptions{CacheDir: dir})
+			got, err := next.Assess(ctx, casestudy.Surgery(), profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, l := next.Generations(), next.Loads(); g != 0 || l != 1 {
+				t.Fatalf("over the rewritten artifact the engine generated %d and loaded %d, want 0 and 1", g, l)
+			}
+			if got.Report.Render() != want.Report.Render() {
+				t.Fatalf("the loaded model reports differently from the generated one")
+			}
+		})
 	}
 }
 

@@ -19,7 +19,6 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric := func(name, help, typ string, value int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s%s %d\n", name, help, name, typ, name, label, value)
 	}
-	metric("privascope_node_events_total", "Events applied by the ingest endpoint.", "counter", s.Events)
 	metric("privascope_node_frames_total", "Event frames applied by the ingest endpoint.", "counter", s.Frames)
 	metric("privascope_node_decode_errors_total", "Malformed frames rejected with 400.", "counter", s.DecodeErrors)
 	metric("privascope_node_deduped_frames_total", "Retried frames skipped by stream-offset deduplication.", "counter", s.DedupedFrames)

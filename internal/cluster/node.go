@@ -27,10 +27,9 @@ type NodeConfig struct {
 
 // NodeStats is an atomic snapshot of one node's counters.
 type NodeStats struct {
-	// Frames and Events count what the ingest endpoint applied; DecodeErrors
-	// counts malformed frames (400).
+	// Frames counts the frames the ingest endpoint applied (Ingest.Events
+	// their events); DecodeErrors counts malformed frames (400).
 	Frames       int64
-	Events       int64
 	DecodeErrors int64
 	// DedupedFrames counts retried frames the stream-offset filter skipped
 	// because an earlier delivery already applied them (a response lost to
@@ -70,7 +69,6 @@ type Node struct {
 
 	pending      atomic.Int64 // events of decoded frames not yet applied
 	frames       atomic.Int64
-	events       atomic.Int64
 	decodeErrors atomic.Int64
 	deduped      atomic.Int64
 	handoffIn    atomic.Int64
@@ -146,7 +144,6 @@ func (n *Node) Stats() NodeStats {
 	n.streamsMu.Unlock()
 	return NodeStats{
 		Frames:          n.frames.Load(),
-		Events:          n.events.Load(),
 		DecodeErrors:    n.decodeErrors.Load(),
 		DedupedFrames:   n.deduped.Load(),
 		QueueDepth:      n.pending.Load(),
@@ -282,7 +279,6 @@ func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 				n.streams[stream] = idx + 1
 			}
 			n.frames.Add(1)
-			n.events.Add(count)
 		}
 		n.streamsMu.Unlock()
 		n.pending.Add(-count)

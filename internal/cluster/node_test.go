@@ -90,7 +90,7 @@ func TestNodeIngestAppliesEvents(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
 	}
-	if s := n.Stats(); s.Events != int64(len(events)) || s.Ingest.Events != len(events) || s.Ingest.Matched != len(events) || s.QueueDepth != 0 {
+	if s := n.Stats(); s.Ingest.Events != len(events) || s.Ingest.Matched != len(events) || s.QueueDepth != 0 {
 		t.Fatalf("stats after the 202: %+v, want %d events applied and matched, none pending", s, len(events))
 	}
 	direct, err := runtime.NewMonitor(surgeryModel(t), runtime.Config{})
@@ -233,12 +233,12 @@ func TestNodeMetricsAndPprof(t *testing.T) {
 	n.Handler().ServeHTTP(rec, req)
 	body := rec.Body.String()
 	for _, want := range []string{
-		`privascope_node_events_total{node="test-node"} 6`,
+		`privascope_node_ingested_events_total{node="test-node"} 6`,
 		`privascope_node_frames_total{node="test-node"} 1`,
 		`privascope_node_matched_events_total{node="test-node"} 6`,
 		`privascope_node_queue_depth{node="test-node"} 0`,
 		`privascope_node_alerts_total{node="test-node",kind="denied-operation"} 0`,
-		"# TYPE privascope_node_events_total counter",
+		"# TYPE privascope_node_ingested_events_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)

@@ -339,7 +339,7 @@ func TestIngestDedupOnRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := node.Stats()
-	if s.Frames != 1 || s.Events != 3 || s.DedupedFrames != 1 {
+	if s.Frames != 1 || s.Ingest.Events != 3 || s.DedupedFrames != 1 {
 		t.Fatalf("stats = %+v, want 1 frame / 3 events applied and 1 frame deduped", s)
 	}
 	if got := node.StreamCursor("s1"); got != 1 {

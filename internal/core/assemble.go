@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -12,33 +11,17 @@ import (
 	"privascope/internal/schema"
 )
 
-// assemble materialises the PrivacyLTS payload — state IDs, public vectors,
-// decoded store contents, and the transition graph — from a finished
-// exploration result, keeping the exploration's dense state numbering
-// throughout: one slab holds every public vector, store contents are decoded
-// once per distinct store-segment image into the table states index (the maps
-// are read-only through the PrivacyLTS API), and lts.FromParts builds the
-// graph already compiled.
+// assemble materialises the PrivacyLTS payload — public vectors, decoded
+// store contents, and the transition graph — from a finished exploration
+// result, keeping the exploration's dense state numbering throughout: one slab
+// holds every public vector, store contents are decoded once per distinct
+// store-segment image into the table states index (the maps are read-only
+// through the PrivacyLTS API), and lts.FromParts builds the graph already
+// compiled, state i named "s<i>".
 func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explore.Result, workers int) error {
 	n := res.NumStates
 	w := res.Words
 	hasWords := cm.codec.hasWords
-
-	// The IDs s0, s1, ... are substrings of one backing string: one
-	// allocation for all of them instead of one per state.
-	idBuf := make([]byte, 0, n*(1+len(strconv.Itoa(n))))
-	for i := 0; i < n; i++ {
-		idBuf = strconv.AppendInt(append(idBuf, 's'), int64(i), 10)
-	}
-	allIDs := string(idBuf)
-	ids := make([]lts.StateID, n)
-	for i, off, width, wider := 0, 0, 2, 10; i < n; i++ {
-		if i == wider {
-			width, wider = width+1, wider*10
-		}
-		ids[i] = lts.StateID(allIDs[off : off+width])
-		off += width
-	}
 
 	p.vecWords = make([]uint64, n*hasWords)
 	if err := fillVectors(ctx, cm, res, p.vecWords, workers); err != nil {
@@ -92,7 +75,7 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 		}
 		bulk[i] = lts.BulkEdge{From: e.From, To: e.To, Label: e.Label}
 	}
-	graph, err := lts.FromParts(ids, 0, bulk)
+	graph, err := lts.FromParts(n, 0, bulk)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@ import (
 // analysisFixture builds the diamond LTS used across these tests:
 //
 //	s0 --a--> s1 --c--> s3
-//	s0 --b--> s2 --d--> s3 ; s3 --e--> s4 ; island (unreachable)
+//	s0 --b--> s2 --d--> s3 ; s3 --e--> s4 ; s5 (unreachable)
 func analysisFixture() *graph {
 	g := newGraph().init("s0").
 		edge("s0", "s1", StringLabel("a")).
@@ -16,7 +16,7 @@ func analysisFixture() *graph {
 		edge("s1", "s3", StringLabel("c")).
 		edge("s2", "s3", StringLabel("d")).
 		edge("s3", "s4", StringLabel("e"))
-	g.state("island")
+	g.state("s5")
 	return g
 }
 
@@ -36,7 +36,7 @@ func TestTraceEnd(t *testing.T) {
 
 func TestFindStatesRequiresInitial(t *testing.T) {
 	g := newGraph()
-	g.state("lonely")
+	g.state("s0")
 	l := g.build()
 	if _, err := l.FindStates(func(StateID) bool { return true }); err != ErrNoInitialState {
 		t.Errorf("FindStates without initial: err = %v, want ErrNoInitialState", err)
@@ -53,8 +53,8 @@ func TestFindStatesExcludesUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range states {
-		if id == "island" {
-			t.Error("FindStates returned the unreachable island state")
+		if id == "s5" {
+			t.Error("FindStates returned the unreachable state s5")
 		}
 	}
 	if len(states) != 5 {
@@ -63,7 +63,7 @@ func TestFindStatesExcludesUnreachable(t *testing.T) {
 }
 
 func TestFindTransitionsPredicateAndReachability(t *testing.T) {
-	l := analysisFixture().edge("island", "s4", StringLabel("c")).build() // from an unreachable state
+	l := analysisFixture().edge("s5", "s4", StringLabel("c")).build() // from an unreachable state
 	trans, err := l.FindTransitions(func(tr Transition) bool { return tr.Label.LabelString() == "c" })
 	if err != nil {
 		t.Fatal(err)

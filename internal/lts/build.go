@@ -2,47 +2,58 @@ package lts
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 )
 
 // BulkEdge is one transition of a bulk-constructed LTS, with endpoints given
-// as dense indices into the state-ID list passed to FromParts.
+// as dense state indices.
 type BulkEdge struct {
 	From, To int32
 	Label    Label
 }
 
-// FromParts builds an LTS from a dense state list and edge list, the shape
-// exploration drivers naturally produce: state i is ids[i], transition i is
+// FromParts builds an LTS of n states from an edge list, the shape
+// exploration drivers naturally produce: state i is "s<i>", transition i is
 // edges[i], and both CSR layouts are built straight from the dense endpoints,
-// rendering every distinct label object once.
-//
-// ids must be distinct and is retained, not copied; edge endpoints must index
-// into ids. initial is the index of the initial state, or -1 for none.
-func FromParts(ids []StateID, initial int, edges []BulkEdge) (*LTS, error) {
-	n, m := len(ids), len(edges)
-	if initial < -1 || initial >= n {
-		return nil, fmt.Errorf("lts: FromParts: initial index %d out of range", initial)
-	}
+// rendering every distinct label object once. initial is the index of the
+// initial state, or -1 for none.
+func FromParts(n, initial int, edges []BulkEdge) (*LTS, error) {
+	m := len(edges)
 	l := &LTS{
-		states:     ids,
-		initial:    int32(initial),
 		edgeLabels: make([]Label, m),
 		edgeFrom:   make([]int32, m),
 		edgeTo:     make([]int32, m),
 	}
-	if err := l.indexStates(); err != nil {
-		return nil, fmt.Errorf("lts: FromParts: %w", err)
-	}
 	for i, e := range edges {
-		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
-			return nil, fmt.Errorf("lts: FromParts: edge %d endpoints (%d, %d) out of range", i, e.From, e.To)
-		}
 		l.edgeLabels[i], l.edgeFrom[i], l.edgeTo[i] = e.Label, e.From, e.To
 	}
+	if err := l.derive(n, initial); err != nil {
+		return nil, fmt.Errorf("lts: FromParts: %w", err)
+	}
 	l.internLabels()
-	l.buildCSR()
 	return l, nil
+}
+
+// derive completes an LTS whose per-edge arrays are set: it checks the state
+// count, the initial state and every endpoint against n, then names the n
+// states and lays out both CSR directions — the one way either constructor
+// arrives at them.
+func (l *LTS) derive(n, initial int) error {
+	if n < 0 || n > math.MaxInt32 {
+		return fmt.Errorf("state count %d out of range", n)
+	}
+	if initial < -1 || initial >= n {
+		return fmt.Errorf("initial state %d out of range [-1, %d)", initial, n)
+	}
+	for e := range l.edgeFrom {
+		if from, to := l.edgeFrom[e], l.edgeTo[e]; from < 0 || int(from) >= n || to < 0 || int(to) >= n {
+			return fmt.Errorf("transition %d endpoints (%d, %d) out of range [0, %d)", e, from, to, n)
+		}
+	}
+	l.states, l.initial = canonicalIDs(n), int32(initial)
+	l.buildCSR()
+	return nil
 }
 
 // Relabeled returns an LTS with the receiver's states, transitions and CSR

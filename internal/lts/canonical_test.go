@@ -3,25 +3,15 @@ package lts
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
-// canonicalIDs returns s0…s<n-1>.
-func canonicalIDs(n int) []StateID {
-	ids := make([]StateID, n)
-	for i := range ids {
-		ids[i] = StateID(fmt.Sprintf("s%d", i))
-	}
-	return ids
-}
-
-// TestCanonicalIDsBuildNoMap: an LTS whose state i is "s<i>" parses its IDs
-// back to indexes and keeps no ID map, through both constructors; the parser
-// accepts exactly the canonical spelling of a state below the count.
+// TestCanonicalIDsBuildNoMap: both constructors name state i "s<i>" and
+// Index parses those IDs back to indexes; the parser accepts exactly the
+// canonical spelling of a state below the count.
 func TestCanonicalIDsBuildNoMap(t *testing.T) {
 	const n = 12
-	built, err := FromParts(canonicalIDs(n), 0, []BulkEdge{{From: 0, To: n - 1, Label: StringLabel("a")}})
+	built, err := FromParts(n, 0, []BulkEdge{{From: 0, To: n - 1, Label: StringLabel("a")}})
 	if err != nil {
 		t.Fatalf("FromParts: %v", err)
 	}
@@ -30,10 +20,10 @@ func TestCanonicalIDsBuildNoMap(t *testing.T) {
 		t.Fatalf("RestoreCompiled: %v", err)
 	}
 	for name, l := range map[string]*LTS{"FromParts": built, "RestoreCompiled": restored} {
-		if l.ids != nil {
-			t.Errorf("%s: built an ID map for canonical IDs", name)
-		}
 		for i := int32(0); i < n; i++ {
+			if id := l.StateAt(i); id != StateID(fmt.Sprint("s", i)) {
+				t.Errorf("%s: StateAt(%d) = %q", name, i, id)
+			}
 			if s, ok := l.Index(l.StateAt(i)); !ok || s != i {
 				t.Errorf("%s: Index(%q) = (%d, %v), want (%d, true)", name, l.StateAt(i), s, ok, i)
 			}
@@ -44,31 +34,11 @@ func TestCanonicalIDsBuildNoMap(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestNonCanonicalIDsKeepAMap: any other ID list — canonical spellings out
-// of place included — is indexed through the map, and a duplicate fails both
-// constructors.
-func TestNonCanonicalIDsKeepAMap(t *testing.T) {
-	swapped, err := FromParts([]StateID{"s1", "s0"}, 0, nil)
-	if err != nil {
-		t.Fatalf("FromParts: %v", err)
-	}
-	if swapped.ids == nil {
-		t.Fatalf("out-of-place canonical IDs built no ID map")
-	}
-	if s, ok := swapped.Index("s1"); !ok || s != 0 {
-		t.Errorf(`Index("s1") = (%d, %v), want (0, true)`, s, ok)
-	}
-
-	for _, ids := range [][]StateID{{"s0", "s1", "s1"}, {"a", "b", "a"}, {"s0", "x", "s0"}} {
-		if _, err := FromParts(ids, 0, nil); err == nil || !strings.Contains(err.Error(), "duplicate") {
-			t.Errorf("FromParts(%v) = %v, want a duplicate-ID error", ids, err)
-		}
-		p := buildRestoreFixture().Parts()
-		p.States = append(append([]StateID(nil), ids...), "y")
-		if _, err := RestoreCompiled(p); err == nil || !strings.Contains(err.Error(), "duplicate") {
-			t.Errorf("RestoreCompiled with states %v = %v, want a duplicate-ID error", p.States, err)
+	// The widths change at every power of ten.
+	ids := canonicalIDs(1001)
+	for _, i := range []int{0, 9, 10, 99, 100, 999, 1000} {
+		if want := StateID(fmt.Sprint("s", i)); ids[i] != want {
+			t.Errorf("canonicalIDs(1001)[%d] = %q, want %q", i, ids[i], want)
 		}
 	}
 }
@@ -86,15 +56,12 @@ func TestTransitionAtKeepsLabelIdentity(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		n := 1 + rng.Intn(20)
 		ids := canonicalIDs(n)
-		if round%2 == 1 {
-			rng.Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		}
 		// Two distinct objects per label string, so identity is observable.
 		edges := make([]BulkEdge, rng.Intn(60))
 		for e := range edges {
 			edges[e] = BulkEdge{From: int32(rng.Intn(n)), To: int32(rng.Intn(n)), Label: &ptrLabel{fmt.Sprint("a", rng.Intn(3))}}
 		}
-		l, err := FromParts(ids, 0, edges)
+		l, err := FromParts(n, 0, edges)
 		if err != nil {
 			t.Fatalf("round %d: FromParts: %v", round, err)
 		}

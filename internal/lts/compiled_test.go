@@ -15,21 +15,27 @@ import (
 func randomGraph(rng *rand.Rand, maxStates, maxEdges, numLabels int) *graph {
 	g := newGraph()
 	n := 1 + rng.Intn(maxStates)
-	states := make([]StateID, n)
-	for i := range states {
-		states[i] = StateID(fmt.Sprintf("s%d", i))
+	// Slot k is a state the graph names "s<i>" when it first mentions it,
+	// the i-th state mentioned.
+	slots := make([]StateID, n)
+	slot := func(k int) StateID {
+		if slots[k] == "" {
+			slots[k] = StateID(fmt.Sprint("s", len(g.ids)))
+			g.state(slots[k])
+		}
+		return slots[k]
 	}
 	// Register a random subset of states up front; the rest appear only as
 	// transition endpoints.
-	for _, id := range states {
+	for k := range slots {
 		if rng.Intn(3) == 0 {
-			g.state(id)
+			slot(k)
 		}
 	}
 	edges := rng.Intn(maxEdges + 1)
 	for i := 0; i < edges; i++ {
-		from := states[rng.Intn(n)]
-		to := states[rng.Intn(n)]
+		from := slot(rng.Intn(n))
+		to := slot(rng.Intn(n))
 		var label Label
 		if rng.Intn(8) != 0 { // occasionally nil
 			label = StringLabel(fmt.Sprintf("a%d", rng.Intn(numLabels)))
@@ -37,7 +43,7 @@ func randomGraph(rng *rand.Rand, maxStates, maxEdges, numLabels int) *graph {
 		g.edge(from, to, label)
 	}
 	if rng.Intn(8) != 0 {
-		g.init(states[rng.Intn(n)])
+		g.init(slot(rng.Intn(n)))
 	}
 	return g
 }
@@ -135,12 +141,11 @@ func (c *countingLabel) LabelString() string { c.calls++; return c.str }
 // nothing that reads the LTS renders it again.
 func TestLabelsRenderedOncePerObject(t *testing.T) {
 	labels := []*countingLabel{{str: "a"}, {str: "b"}, {str: "a"}} // two objects render alike
-	ids := []StateID{"s0", "s1", "s2", "s3"}
 	var edges []BulkEdge
 	for i := 0; i < 60; i++ {
 		edges = append(edges, BulkEdge{From: int32(i % 4), To: int32((i + 1) % 4), Label: labels[i%3]})
 	}
-	l, err := FromParts(ids, 0, edges)
+	l, err := FromParts(4, 0, edges)
 	if err != nil {
 		t.Fatal(err)
 	}

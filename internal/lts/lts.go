@@ -9,18 +9,21 @@
 // semantics (state variables, actions, extraction rules) on top of it, and
 // the analyses in packages risk and pseudorisk annotate it.
 //
-// An LTS is built whole and never changes. FromParts builds one from a dense
-// state list and edge list, RestoreCompiled from the flat sections a model
+// An LTS is built whole and never changes. FromParts builds one from a state
+// count and an edge list, RestoreCompiled from the flat sections a model
 // store saved and Relabeled from another LTS with new labels; nothing mutates
-// one afterwards. An LTS is its dense arrays — int32 state indices in
-// insertion order, per-transition endpoints and labels, a CSR layout in each
-// direction — so every analysis is an integer traversal and every LTS is safe
-// for concurrent readers. Canonical state IDs (s0…sN-1) are parsed, not mapped.
+// one afterwards. An LTS is its dense arrays — int32 state indices,
+// per-transition endpoints and labels, a CSR layout in each direction — so
+// every analysis is an integer traversal and every LTS is safe for concurrent
+// readers. State i is named "s<i>": the IDs and both CSR layouts are derived
+// from the state count and the edges, never supplied, and an ID is parsed
+// back to its index, not looked up.
 package lts
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -65,19 +68,17 @@ func (t Transition) String() string {
 }
 
 // LTS is an immutable labelled transition system: states are dense int32
-// indices (in insertion order), every distinct label string is interned into
-// a table exactly once, and the transitions are laid out twice in
-// compressed-sparse-row (CSR) form — grouped by source for outgoing traversal
-// and by target for incoming traversal — as flat []int32 slices of transition
-// indices. Every analysis in this package runs on that layout: integer BFS/DFS
-// over slices with bitset visited sets, no map lookups and no label rendering
-// on the hot path. The zero value is not usable; only FromParts,
-// RestoreCompiled and Relabeled build one. All methods are safe for concurrent
-// use.
+// indices, every distinct label string is interned into a table exactly once,
+// and the transitions are laid out twice in compressed-sparse-row (CSR) form —
+// grouped by source for outgoing traversal and by target for incoming
+// traversal — as flat []int32 slices of transition indices. Every analysis
+// in this package runs on that layout: integer BFS/DFS over slices with
+// bitset visited sets, no map lookups and no label rendering on the hot path.
+// The zero value is not usable; only FromParts, RestoreCompiled and Relabeled
+// build one. All methods are safe for concurrent use.
 type LTS struct {
-	states  []StateID         // dense index -> state ID, insertion order
-	ids     map[StateID]int32 // state ID -> dense index; nil when every ID is canonical
-	initial int32             // dense initial state, -1 when none
+	states  []StateID // dense index s -> "s<s>"
+	initial int32     // dense initial state, -1 when none
 
 	labels     []Label  // interned label table; labels[i] is the first Label seen rendering labelStrs[i]
 	labelStrs  []string // labelStrs[i] == labels[i].LabelString(), resolved once
@@ -113,20 +114,10 @@ func (l *LTS) Initial() (StateID, bool) {
 	return l.states[l.initial], true
 }
 
-// Index returns the dense index of the state ID; ok is false for IDs the LTS
-// does not know. When state i is "s<i>" for every i, as in every generated
-// and decoded model, the number is parsed and no map is consulted.
+// Index returns the dense index of the state ID, parsing "s<i>" — decimal,
+// no sign, no leading zero — for a state i below the count; ok is false for
+// any other ID.
 func (l *LTS) Index(id StateID) (int32, bool) {
-	if l.ids != nil {
-		s, ok := l.ids[id]
-		return s, ok
-	}
-	return canonicalIndex(id, len(l.states))
-}
-
-// canonicalIndex parses the canonical ID "s<i>" — decimal, no sign, no
-// leading zero — of a state below n.
-func canonicalIndex(id StateID, n int) (int32, bool) {
 	if len(id) < 2 || len(id) > 11 || id[0] != 's' || (id[1] == '0' && len(id) > 2) {
 		return -1, false
 	}
@@ -137,24 +128,26 @@ func canonicalIndex(id StateID, n int) (int32, bool) {
 		}
 		v = v*10 + uint64(c-'0')
 	}
-	return int32(v), v < uint64(n)
+	return int32(v), v < uint64(len(l.states))
 }
 
-// indexStates leaves ids nil when the state IDs are canonical and otherwise
-// maps each to its index, failing on a duplicate.
-func (l *LTS) indexStates() error {
-	for i, id := range l.states {
-		if s, ok := canonicalIndex(id, len(l.states)); !ok || s != int32(i) {
-			l.ids = make(map[StateID]int32, len(l.states))
-			break
-		}
+// canonicalIDs returns the state IDs s0…s<n-1> as substrings of one backing
+// string: one allocation for all of them instead of one per state.
+func canonicalIDs(n int) []StateID {
+	buf := make([]byte, 0, n*(1+len(strconv.Itoa(n))))
+	for i := 0; i < n; i++ {
+		buf = strconv.AppendInt(append(buf, 's'), int64(i), 10)
 	}
-	for s := 0; l.ids != nil && s < len(l.states); s++ {
-		if l.ids[l.states[s]] = int32(s); len(l.ids) <= s { // the assignment overwrote an entry: one probe finds a duplicate
-			return fmt.Errorf("duplicate state ID %q", l.states[s])
+	all := string(buf)
+	ids := make([]StateID, n)
+	for i, off, width, wider := 0, 0, 2, 10; i < n; i++ {
+		if i == wider {
+			width, wider = width+1, wider*10
 		}
+		ids[i] = StateID(all[off : off+width])
+		off += width
 	}
-	return nil
+	return ids
 }
 
 // StateAt returns the ID of the state at the given dense index.
@@ -165,7 +158,7 @@ func (l *LTS) TransitionAt(e int32) Transition {
 	return Transition{From: l.states[l.edgeFrom[e]], To: l.states[l.edgeTo[e]], Label: l.edgeLabels[e]}
 }
 
-// StateIDs returns all state IDs in insertion order.
+// StateIDs returns all state IDs in dense order.
 func (l *LTS) StateIDs() []StateID {
 	out := make([]StateID, len(l.states))
 	copy(out, l.states)

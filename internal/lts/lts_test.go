@@ -9,7 +9,9 @@ import (
 
 // graph collects a test LTS one edge at a time: a state is registered on
 // first mention and a repeated (from, label string, to) triple is dropped, so
-// fixtures and random corpora read like edge lists. build ends in FromParts.
+// fixtures and random corpora read like edge lists. A state is named by the
+// ID the LTS gives it, so the i-th state mentioned must be "s<i>". build
+// ends in FromParts.
 type graph struct {
 	ids     []StateID
 	index   map[StateID]int32
@@ -25,6 +27,9 @@ func newGraph() *graph {
 // state returns the dense index of id, registering it if it is new.
 func (g *graph) state(id StateID) int32 {
 	if _, ok := g.index[id]; !ok {
+		if want := StateID(fmt.Sprint("s", len(g.ids))); id != want {
+			panic(fmt.Sprintf("test graph: new state %q, want %q", id, want))
+		}
 		g.index[id] = int32(len(g.ids))
 		g.ids = append(g.ids, id)
 	}
@@ -44,7 +49,7 @@ func (g *graph) edge(from, to StateID, label Label) *graph {
 }
 
 func (g *graph) build() *LTS {
-	l, err := FromParts(g.ids, g.initial, g.edges)
+	l, err := FromParts(len(g.ids), g.initial, g.edges)
 	if err != nil {
 		panic(err)
 	}
@@ -59,14 +64,14 @@ func chain() *LTS {
 		edge("s2", "s3", StringLabel("c")).build()
 }
 
-// diamond builds an LTS with two paths from s0 to s3 and a detached state.
+// diamond builds an LTS with two paths from s0 to s3 and a detached state s4.
 func diamond() *LTS {
 	g := newGraph().init("s0").
 		edge("s0", "s1", StringLabel("left")).
 		edge("s0", "s2", StringLabel("right")).
 		edge("s1", "s3", StringLabel("join")).
 		edge("s2", "s3", StringLabel("join"))
-	g.state("island")
+	g.state("s4")
 	return g.build()
 }
 
@@ -107,14 +112,14 @@ func TestReachability(t *testing.T) {
 	if len(reach) != 4 {
 		t.Errorf("len(Reachable()) = %d, want 4", len(reach))
 	}
-	if reach["island"] {
-		t.Error("island should be unreachable")
+	if reach["s4"] {
+		t.Error("s4 should be unreachable")
 	}
 	unreach, err := l.UnreachableStates()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(unreach) != 1 || unreach[0] != "island" {
+	if len(unreach) != 1 || unreach[0] != "s4" {
 		t.Errorf("UnreachableStates() = %v", unreach)
 	}
 	term, err := l.TerminalStates()
@@ -231,7 +236,7 @@ func TestShortestTraceTo(t *testing.T) {
 	if len(trace) != 2 {
 		t.Errorf("trace length = %d, want 2", len(trace))
 	}
-	if _, err := l.ShortestTraceTo("island"); err == nil {
+	if _, err := l.ShortestTraceTo("s4"); err == nil {
 		t.Error("trace to unreachable state should fail")
 	}
 	// Trace to the initial state itself is empty.

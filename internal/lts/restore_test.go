@@ -20,13 +20,13 @@ func buildRestoreFixture() *LTS {
 }
 
 // bulkParts returns the inputs of FromParts that reproduce the LTS.
-func bulkParts(l *LTS) ([]StateID, int, []BulkEdge) {
+func bulkParts(l *LTS) (int, int, []BulkEdge) {
 	p := l.Parts()
 	edges := make([]BulkEdge, len(p.EdgeLabels))
 	for e, label := range p.EdgeLabels {
 		edges[e] = BulkEdge{From: p.EdgeFrom[e], To: p.EdgeTo[e], Label: label}
 	}
-	return append([]StateID(nil), p.States...), int(p.Initial), edges
+	return p.NumStates, int(p.Initial), edges
 }
 
 // TestRestoreCompiledRoundTrip: every bulk constructor — RestoreCompiled over
@@ -52,6 +52,10 @@ func TestRestoreCompiledRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(l.Parts(), orig.Parts()) {
 			t.Fatalf("%s: parts differ from the original's", name)
+		}
+		if !reflect.DeepEqual([4][]int32{l.outOff, l.outEdges, l.inOff, l.inEdges},
+			[4][]int32{orig.outOff, orig.outEdges, orig.inOff, orig.inEdges}) {
+			t.Fatalf("%s: CSR layouts differ from the original's", name)
 		}
 		if got, want := l.String(), orig.String(); got != want {
 			t.Fatalf("%s: LTS renders differently:\n%s\nvs\n%s", name, got, want)
@@ -87,12 +91,11 @@ func TestRestoreCompiledRoundTrip(t *testing.T) {
 // TestFromPartsRejectsBadInput: malformed dense input is an error, never a
 // panic.
 func TestFromPartsRejectsBadInput(t *testing.T) {
-	ids := []StateID{"a", "b"}
 	for name, build := range map[string]func() (*LTS, error){
-		"duplicate id":     func() (*LTS, error) { return FromParts([]StateID{"a", "a"}, 0, nil) },
-		"initial range":    func() (*LTS, error) { return FromParts(ids, 2, nil) },
-		"endpoint range":   func() (*LTS, error) { return FromParts(ids, 0, []BulkEdge{{From: 0, To: 2}}) },
-		"negative source":  func() (*LTS, error) { return FromParts(ids, -1, []BulkEdge{{From: -1, To: 0}}) },
+		"negative count":   func() (*LTS, error) { return FromParts(-1, -1, nil) },
+		"initial range":    func() (*LTS, error) { return FromParts(2, 2, nil) },
+		"endpoint range":   func() (*LTS, error) { return FromParts(2, 0, []BulkEdge{{From: 0, To: 2}}) },
+		"negative source":  func() (*LTS, error) { return FromParts(2, -1, []BulkEdge{{From: -1, To: 0}}) },
 		"relabel mismatch": func() (*LTS, error) { return buildRestoreFixture().Relabeled(nil) },
 	} {
 		if _, err := build(); err == nil {
@@ -111,28 +114,16 @@ func TestRestoreCompiledRejectsCorruptParts(t *testing.T) {
 		p.EdgeFrom = append([]int32(nil), p.EdgeFrom...)
 		p.EdgeTo = append([]int32(nil), p.EdgeTo...)
 		p.EdgeLabel = append([]int32(nil), p.EdgeLabel...)
-		p.OutOff = append([]int32(nil), p.OutOff...)
-		p.OutEdges = append([]int32(nil), p.OutEdges...)
-		p.InOff = append([]int32(nil), p.InOff...)
-		p.InEdges = append([]int32(nil), p.InEdges...)
-		p.States = append([]StateID(nil), p.States...)
 		return p
 	}
 	cases := map[string]func(*CompiledParts){
 		"edge array length":    func(p *CompiledParts) { p.EdgeFrom = p.EdgeFrom[:1] },
 		"label table length":   func(p *CompiledParts) { p.LabelStrs = p.LabelStrs[:1] },
-		"offset array length":  func(p *CompiledParts) { p.OutOff = p.OutOff[:2] },
-		"csr edges length":     func(p *CompiledParts) { p.OutEdges = p.OutEdges[:1] },
 		"initial out of range": func(p *CompiledParts) { p.Initial = 99 },
-		"duplicate state id":   func(p *CompiledParts) { p.States[1] = p.States[0] },
+		"negative state count": func(p *CompiledParts) { p.NumStates = -1 },
 		"endpoint range":       func(p *CompiledParts) { p.EdgeTo[0] = -7 },
+		"source past the end":  func(p *CompiledParts) { p.EdgeFrom[0] = int32(p.NumStates) },
 		"label range":          func(p *CompiledParts) { p.EdgeLabel[0] = 42 },
-		"offsets do not span":  func(p *CompiledParts) { p.OutOff[len(p.OutOff)-1]++ },
-		"offsets decrease":     func(p *CompiledParts) { p.OutOff[1] = p.OutOff[2] + 1 },
-		"csr edge range":       func(p *CompiledParts) { p.OutEdges[0] = 77 },
-		"csr wrong bucket": func(p *CompiledParts) {
-			p.InEdges[0], p.InEdges[len(p.InEdges)-1] = p.InEdges[len(p.InEdges)-1], p.InEdges[0]
-		},
 	}
 	for name, corrupt := range cases {
 		p := fresh()
@@ -141,15 +132,6 @@ func TestRestoreCompiledRejectsCorruptParts(t *testing.T) {
 			t.Errorf("%s: corruption accepted", name)
 		} else if !strings.Contains(err.Error(), "lts: restore") {
 			t.Errorf("%s: unexpected error %v", name, err)
-		}
-	}
-	// A duplicated CSR entry within one bucket must be caught by the
-	// ascending-order check.
-	p := fresh()
-	if len(p.OutEdges) >= 2 && p.OutOff[1] >= 2 {
-		p.OutEdges[1] = p.OutEdges[0]
-		if _, err := RestoreCompiled(p); err == nil {
-			t.Errorf("duplicated CSR entry accepted")
 		}
 	}
 }

@@ -27,11 +27,11 @@ type meta struct {
 
 // Decode rebuilds a privacy model from an artifact, verifying it end to end:
 // the header, the whole-file checksum, every section bound, every index and
-// offset, both CSR layouts, and — via dataflow.Fingerprint — that the
-// artifact really was built from the supplied data-flow model. Malformed
-// input of any kind yields an error, never a panic. Everything is copied out
-// of data: the caller keeps ownership of the buffer and the model never
-// references it again. Store.Load is os.ReadFile plus this function.
+// offset, and — via dataflow.Fingerprint — that the artifact really was built
+// from the supplied data-flow model. Malformed input of any kind yields an
+// error, never a panic. Everything is copied out of data: the caller keeps
+// ownership of the buffer and the model never references it again.
+// Store.Load is os.ReadFile plus this function.
 func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	secs, mt, err := parseSections(data)
 	if err != nil {
@@ -66,21 +66,6 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 		return strs[r], nil
 	}
 
-	// States.
-	sr := section("states", secs[secStates])
-	stateRefs, err := sr.U32s(mt.numStates)
-	if err := firstErr(err, sr.Done()); err != nil {
-		return nil, err
-	}
-	stateIDs := make([]lts.StateID, mt.numStates)
-	for s, r := range stateRefs {
-		id, err := ref(r)
-		if err != nil {
-			return nil, err
-		}
-		stateIDs[s] = lts.StateID(id)
-	}
-
 	// Labels. Each decoded label is re-rendered once and compared against its
 	// stored interned string, so a checksum-valid but dishonest artifact is
 	// rejected rather than silently analysed.
@@ -95,16 +80,6 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	edgeTo, err2 := er.I32s(mt.numEdges)
 	edgeLabelPtr, err3 := er.I32s(mt.numEdges)
 	if err := firstErr(err1, err2, err3, er.Done()); err != nil {
-		return nil, err
-	}
-
-	// CSR layouts (fully validated by lts.RestoreCompiled below).
-	cr := section("csr", secs[secCSR])
-	outOff, err1 := cr.I32s(mt.numStates + 1)
-	inOff, err2 := cr.I32s(mt.numStates + 1)
-	outEdges, err3 := cr.I32s(mt.numEdges)
-	inEdges, err4 := cr.I32s(mt.numEdges)
-	if err := firstErr(err1, err2, err3, err4, cr.Done()); err != nil {
 		return nil, err
 	}
 
@@ -183,7 +158,7 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	}
 
 	graph, err := lts.RestoreCompiled(lts.CompiledParts{
-		States:     stateIDs,
+		NumStates:  mt.numStates,
 		Initial:    mt.initial,
 		EdgeLabels: edgeLabels,
 		Labels:     labelVals,
@@ -191,10 +166,6 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 		EdgeLabel:  edgeLabel,
 		EdgeFrom:   edgeFrom,
 		EdgeTo:     edgeTo,
-		OutOff:     outOff,
-		OutEdges:   outEdges,
-		InOff:      inOff,
-		InEdges:    inEdges,
 	})
 	if err != nil {
 		return nil, corruptf("%v", err)

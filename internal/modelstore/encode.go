@@ -16,17 +16,17 @@ import (
 // the same model yields byte-identical artifacts.
 //
 // It runs in two passes over the dense model. The first takes every string
-// reference in the order that makes the bytes canonical — state IDs, label
-// columns, each store set's records in table order, the vocabulary — so the
-// string table is complete; the second sizes every section, allocates the
-// artifact once and writes each section at its final offset.
+// reference in the order that makes the bytes canonical — label columns, each
+// store set's records in table order, the vocabulary — so the string table is
+// complete; the second sizes every section, allocates the artifact once and
+// writes each section at its final offset.
 func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	fp, err := dataflow.Fingerprint(p.Model)
 	if err != nil {
 		return nil, fmt.Errorf("modelstore: model cannot be fingerprinted: %w", err)
 	}
 	parts := p.Graph.Parts()
-	n, m := len(parts.States), len(parts.EdgeLabels)
+	n, m := parts.NumStates, len(parts.EdgeLabels)
 	if parts.Initial < 0 {
 		return nil, fmt.Errorf("modelstore: model has no initial state")
 	}
@@ -41,13 +41,6 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	}
 
 	// Pass 1: string references.
-	var in wire.Interner
-	in.ResetSized(n)
-	stateRefs := make([]uint32, n)
-	for s, id := range parts.States {
-		stateRefs[s] = in.Ref(string(id))
-	}
-
 	// Distinct label pointers in first-occurrence order over the transitions.
 	// The interned label string of each pointer comes from the compiled label
 	// table — no label is re-rendered during encoding.
@@ -75,7 +68,11 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 			return nil, fmt.Errorf("modelstore: transition %d carries a foreign label type %T", e, label)
 		}
 	}
-	// Seven string refs per label, then every label's field refs.
+	// Seven string refs per label, then every label's field refs. The labels'
+	// strings outnumber the stores' and the vocabulary's, so eight a label
+	// sizes the table once.
+	var in wire.Interner
+	in.ResetSized(8 * len(ptrs))
 	var labelRefs []uint32
 	for i, lbl := range ptrs {
 		labelRefs = append(labelRefs, in.Ref(ptrStrs[i]), in.Ref(lbl.Actor), in.Ref(lbl.Datastore),
@@ -109,10 +106,8 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	var size, off [secVocab + 1]int
 	size[secMeta] = 11*4 + len(fp)
 	size[secStrings] = in.TableSize()
-	size[secStates] = 4 * n
 	size[secLabels] = 4 * (3*numLabels + 1 + len(labelRefs))
 	size[secEdges] = 3 * 4 * m
-	size[secCSR] = 2*4*(n+1) + 2*4*m
 	size[secVectors] = 8 * len(vecWords)
 	size[secStores] = 4*(len(storeSets)+1) + 4*n + 4*recWords
 	size[secVocab] = 4 * len(vocabRefs)
@@ -148,8 +143,6 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 			w.B = append(w.B, fp...)
 		case secStrings:
 			w.StringTable(strs)
-		case secStates:
-			w.U32s(stateRefs)
 		case secLabels:
 			for _, lbl := range ptrs {
 				w.I32(int32(lbl.Action))
@@ -173,11 +166,6 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 			w.I32s(parts.EdgeFrom)
 			w.I32s(parts.EdgeTo)
 			w.I32s(edgeLabelPtr)
-		case secCSR:
-			w.I32s(parts.OutOff)
-			w.I32s(parts.InOff)
-			w.I32s(parts.OutEdges)
-			w.I32s(parts.InEdges)
 		case secVectors:
 			for _, v := range vecWords {
 				w.U64(v)

@@ -31,7 +31,7 @@ func mustEncode(t *testing.T, p *core.PrivacyLTS) []byte {
 
 // TestArtifactBytesPinned pins the artifact bytes across commits, not only
 // within one: the SHA-256 of Encode for three models, written down when the
-// format became version 2 (the store table and a CRC-32C). An encoder rewrite
+// format became version 3 (no state IDs, no CSR layouts). An encoder rewrite
 // that changes a byte — string order, a store record, the padding — fails
 // here even when it decodes its own output; only a deliberate format change
 // re-pins.
@@ -41,9 +41,9 @@ func TestArtifactBytesPinned(t *testing.T) {
 		model *dataflow.Model
 		sum   string
 	}{
-		{"surgery", casestudy.Surgery(), "d28d8e561851de31ff49f7b601e5cf5b3fc46da3cf89b3a64798bfeb027b0354"},
-		{"default", synth.Model(synth.ModelSpec{}), "340e3437a9fa58fbea32a2a3ef90731d8fe88144149eeecea7c50073e215244e"},
-		{"large", synth.Model(largeSpec), "783f96675205233e0233425f76bce1774805e6ac381798e9ee61b072534e7600"},
+		{"surgery", casestudy.Surgery(), "f271ae7f48b287343c45cbc04bd4011e87aa7d3f533126d8d03fb31213f9f8cb"},
+		{"default", synth.Model(synth.ModelSpec{}), "31dcca495dffd80f40ba8c9473f574538bbbb4ea3519ef74051f7c6b86ee3941"},
+		{"large", synth.Model(largeSpec), "1d2420a83455e20778463f3bbbbfd7f5d7e3341315d11ab269b209a6cbae56fc"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := core.Generate(tc.model)

@@ -1,17 +1,16 @@
 // Package modelstore persists compiled privacy models: it serialises a
-// generated core.PrivacyLTS — the dense state table, the interned label
-// table, the forward and reverse CSR transition layouts, the per-state
-// privacy vectors and the store table — into a single versioned binary
-// artifact keyed by the model's dataflow.Fingerprint, and rebuilds the model
-// from the artifact without re-running state-space exploration (and without
-// re-rendering a label string beyond the one check per distinct label).
+// generated core.PrivacyLTS into a single versioned binary artifact keyed by
+// the model's dataflow.Fingerprint, and rebuilds the model from the artifact
+// without re-running state-space exploration (and without re-rendering a
+// label string beyond the one check per distinct label).
 //
-// The sections are the model's in-memory representation, so decoding
-// validates them and hands them to lts.RestoreCompiled and
-// core.RestorePrivacyLTS as they are: the vector slab and the CSR arrays
-// whole, the store table as its distinct store sets in first-occurrence order
-// (each parsed once) plus one set index per state. A loaded model is the
-// object generation builds, down to canonical state IDs that need no ID map.
+// An artifact stores what generation decided and nothing derived from it:
+// the state count and initial state, the interned label table, the edges,
+// the per-state privacy vectors and the store table (its distinct store sets
+// in first-occurrence order plus one set index per state). State IDs and
+// the CSR layouts are functions of the state count and the edges;
+// lts.RestoreCompiled rebuilds them as lts.FromParts does after generation,
+// so a loaded model is the object generation builds.
 //
 // The format is canonical and integrity-checked: every multi-byte value is
 // little-endian regardless of the writing host, encoding the same model
@@ -19,20 +18,19 @@
 // (Castagnoli) rejects corruption — an artifact carries its own checksum, so
 // it guards against damage, not an attacker. Decoding is hardened against
 // untrusted input: a malformed or truncated artifact always yields an error,
-// never a panic and never an inconsistent model — every index, offset and
-// CSR bucket is validated (see lts.RestoreCompiled), and each decoded label
-// is re-rendered against its stored string. An older format version is
-// rejected like corruption, which callers treat as a cache miss.
+// never a panic and never an inconsistent model — every count, offset,
+// endpoint and label index is range-checked, and each decoded label is
+// re-rendered against its stored string. An older format version is rejected
+// like corruption, which callers treat as a cache miss.
 //
-// There is one decode path: Decode copies every section out of the buffer
-// it is given, and Store.Load is os.ReadFile plus Decode, so a loaded model
-// never references the artifact file again — it may be truncated, replaced or
-// deleted under a running process. The buffer mechanics (cursor, string table,
-// interner) are internal/wire's, shared with the cluster's frame formats.
+// Decode copies every section out of the buffer it is given, and Store.Load
+// is os.ReadFile plus Decode, so a loaded model never references the artifact
+// file again. The buffer mechanics (cursor, string table, interner) are
+// internal/wire's, shared with the cluster's frame formats.
 //
-// On top of the codec, Store is a registry directory: one artifact per
-// fingerprint, written atomically (temp file + fsync + rename) so concurrent
-// readers — including other processes — never observe a torn artifact.
+// On top of the codec, Store is a registry directory: one artifact per key,
+// written atomically (temp file + fsync + rename) so concurrent readers —
+// including other processes — never observe a torn artifact.
 package modelstore
 
 import (
@@ -49,7 +47,7 @@ const magic = "PSCMODL\x01"
 // FormatVersion is the artifact format written by Encode. Decode rejects
 // artifacts written by a newer version with ErrFutureVersion instead of
 // misreading them, and an older one as an unknown version.
-const FormatVersion = 2
+const FormatVersion = 3
 
 const (
 	headerSize   = 64 // magic(8) + version(4) + sectionCount(4) + fileSize(8) + checksum(32: CRC-32C, then zeros) + reserved(8)
@@ -63,18 +61,16 @@ const (
 const (
 	secMeta    = 1 // counts, initial state, fingerprint
 	secStrings = 2 // interned string table: offsets + blob (entry 0 is "")
-	secStates  = 3 // state IDs as string refs, dense order
-	secLabels  = 4 // distinct transition labels, column layout
-	secEdges   = 5 // per-transition endpoints and label-pointer refs
-	secCSR     = 6 // forward + reverse CSR layouts
-	secVectors = 7 // flat per-state privacy-vector words
-	secStores  = 8 // distinct store sets' record offsets, per-state set index, records
-	secVocab   = 9 // vocabulary actors/fields and generation warnings
+	secLabels  = 3 // distinct transition labels, column layout
+	secEdges   = 4 // per-transition endpoints and label-pointer refs
+	secVectors = 5 // flat per-state privacy-vector words
+	secStores  = 6 // distinct store sets' record offsets, per-state set index, records
+	secVocab   = 7 // vocabulary actors/fields and generation warnings
 )
 
 // requiredSections lists every section id of the format, in file order.
 var requiredSections = []uint32{
-	secMeta, secStrings, secStates, secLabels, secEdges, secCSR, secVectors, secStores, secVocab,
+	secMeta, secStrings, secLabels, secEdges, secVectors, secStores, secVocab,
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

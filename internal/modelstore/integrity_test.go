@@ -18,8 +18,8 @@ import (
 
 // Section ids and table geometry of the format, as decode_test.go reads them.
 const (
-	secMeta, secStores = 1, 8
-	numSections        = 9
+	secMeta, secStores = 1, 6
+	numSections        = 7
 	sectionTableEnd    = 64 + numSections*24
 )
 
@@ -107,21 +107,38 @@ func TestDecodeRejectsNonCanonicalStoreIndex(t *testing.T) {
 	}
 }
 
-// TestFormerFormatIsUnknown: a genuine version-1 artifact of the case study,
-// written before the store table and CRC-32C, is refused as an unknown
-// version — not as a future one — so callers regenerate over it.
+// formerArtifacts are genuine artifacts of the case study in each earlier
+// format version, with the SHA-256 TestArtifactBytesPinned held for them at
+// that version: version 1 predates the store table and the CRC-32C, version
+// 2 stored the state IDs and both CSR layouts.
+var formerArtifacts = []struct {
+	version int
+	file    string
+	sum     string
+}{
+	{1, "surgery-v1.artifact", "65f18a54dfc6ec3e4069ac460bcd651a01dbfe789ac99d90f4a0c6fee709ad9a"},
+	{2, "surgery-v2.artifact", "d28d8e561851de31ff49f7b601e5cf5b3fc46da3cf89b3a64798bfeb027b0354"},
+}
+
+// TestFormerFormatIsUnknown: an artifact of an earlier format version is
+// refused as an unknown version — not as a future one — so callers
+// regenerate over it.
 func TestFormerFormatIsUnknown(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "surgery-v1.artifact"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The SHA-256 TestArtifactBytesPinned held for the case study at version 1.
-	if sum := sha256.Sum256(v1); hex.EncodeToString(sum[:]) != "65f18a54dfc6ec3e4069ac460bcd651a01dbfe789ac99d90f4a0c6fee709ad9a" {
-		t.Fatalf("testdata/surgery-v1.artifact is not the pinned version-1 artifact")
-	}
-	_, err = modelstore.Decode(v1, casestudy.Surgery())
-	if err == nil || errors.Is(err, modelstore.ErrFutureVersion) || !strings.Contains(err.Error(), "unknown format version 1") {
-		t.Fatalf("Decode(v1) = %v, want an unknown-version error", err)
+	for _, former := range formerArtifacts {
+		t.Run(fmt.Sprint("v", former.version), func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", former.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != former.sum {
+				t.Fatalf("testdata/%s is not the pinned version-%d artifact", former.file, former.version)
+			}
+			_, err = modelstore.Decode(data, casestudy.Surgery())
+			if want := fmt.Sprint("unknown format version ", former.version); err == nil ||
+				errors.Is(err, modelstore.ErrFutureVersion) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Decode(v%d) = %v, want an unknown-version error", former.version, err)
+			}
+		})
 	}
 }
 

@@ -10,14 +10,15 @@ import (
 	"privascope/internal/dataflow"
 )
 
-// ErrNotFound is returned by Store.Load when no artifact exists for the
-// fingerprint.
-var ErrNotFound = errors.New("modelstore: no artifact for fingerprint")
+// ErrNotFound is returned by Store.Load when no artifact exists under the
+// key.
+var ErrNotFound = errors.New("modelstore: no artifact under key")
 
 // artifactExt is the on-disk extension of persisted compiled models.
 const artifactExt = ".psm"
 
-// Store is a registry directory holding one artifact per model fingerprint.
+// Store is a registry directory holding one artifact per key: a model's
+// fingerprint, or a longer hex name a caller derives from it.
 // Writes are atomic (temp file in the same directory, fsync, rename), so a
 // concurrent reader — in this process or another — sees either the old
 // artifact, the new one, or nothing, never a torn file. A Store is safe for
@@ -40,26 +41,26 @@ func Open(dir string) (*Store, error) {
 // Dir returns the registry directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Path returns the artifact path for a fingerprint. Fingerprints are
-// lower-case hex (dataflow.Fingerprint); anything else is rejected so a
-// crafted fingerprint can never traverse outside the registry.
-func (s *Store) Path(fingerprint string) (string, error) {
-	if fingerprint == "" {
-		return "", fmt.Errorf("modelstore: empty fingerprint")
+// Path returns the artifact path for a key. Keys are lower-case hex, as
+// dataflow.Fingerprint is; anything else is rejected so a crafted key can
+// never traverse outside the registry.
+func (s *Store) Path(key string) (string, error) {
+	if key == "" {
+		return "", fmt.Errorf("modelstore: empty key")
 	}
-	for _, c := range fingerprint {
+	for _, c := range key {
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return "", fmt.Errorf("modelstore: fingerprint %q is not lower-case hex", fingerprint)
+			return "", fmt.Errorf("modelstore: key %q is not lower-case hex", key)
 		}
 	}
-	return filepath.Join(s.dir, fingerprint+artifactExt), nil
+	return filepath.Join(s.dir, key+artifactExt), nil
 }
 
-// Save encodes the model and atomically installs it under its fingerprint,
-// replacing any previous artifact. The fingerprint must be the model's own
-// (Encode embeds it; Load verifies it).
-func (s *Store) Save(fingerprint string, p *core.PrivacyLTS) error {
-	path, err := s.Path(fingerprint)
+// Save encodes the model and atomically installs it under the key, replacing
+// any previous artifact. The artifact embeds the model's own fingerprint,
+// which Load verifies, whatever the key.
+func (s *Store) Save(key string, p *core.PrivacyLTS) error {
+	path, err := s.Path(key)
 	if err != nil {
 		return err
 	}
@@ -67,7 +68,7 @@ func (s *Store) Save(fingerprint string, p *core.PrivacyLTS) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, "."+fingerprint+".tmp-*")
+	tmp, err := os.CreateTemp(s.dir, "."+key+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("modelstore: create temp artifact: %w", err)
 	}
@@ -98,20 +99,20 @@ func (s *Store) Save(fingerprint string, p *core.PrivacyLTS) error {
 	return nil
 }
 
-// Load rebuilds the model stored under the fingerprint, verifying the
-// artifact end to end against the supplied data-flow model: it reads the file
-// and Decodes it, so the returned model shares nothing with the file. A
-// missing artifact returns ErrNotFound; a corrupt one returns a decode error
-// (callers treat both as a cache miss and regenerate).
-func (s *Store) Load(fingerprint string, model *dataflow.Model) (*core.PrivacyLTS, error) {
-	path, err := s.Path(fingerprint)
+// Load rebuilds the model stored under the key, verifying the artifact end
+// to end against the supplied data-flow model: it reads the file and Decodes
+// it, so the returned model shares nothing with the file. A missing artifact
+// returns ErrNotFound; a corrupt one returns a decode error (callers treat
+// both as a cache miss and regenerate).
+func (s *Store) Load(key string, model *dataflow.Model) (*core.PrivacyLTS, error) {
+	path, err := s.Path(key)
 	if err != nil {
 		return nil, err
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w %.12s…", ErrNotFound, fingerprint)
+			return nil, fmt.Errorf("%w %.12s…", ErrNotFound, key)
 		}
 		return nil, fmt.Errorf("modelstore: read artifact: %w", err)
 	}
