@@ -267,7 +267,7 @@ func TestAllocCeilings(t *testing.T) {
 		// Router.Register of 8,192 users on a two-node fleet: per chunk a frame,
 		// its request and its decoded snapshots; per user only the slab's and
 		// the ID map's growth.
-		{"router_register", 0.219, "user", func(t *testing.T) (float64, int) {
+		{"router_register", 0.187, "user", func(t *testing.T) (float64, int) {
 			return testutil.AllocsOnFresh(func() *cluster.Local { return startFleet(t, surgeryLTS) }, func(c *cluster.Local) {
 				if err := c.Router.Register(ctx, fleetProfiles); err != nil {
 					t.Fatal(err)
@@ -318,8 +318,43 @@ func TestAllocCeilings(t *testing.T) {
 				}
 			}), len(snaps)
 		}},
+		// The same path for 4,096 users of one profile, ExportUsers from a
+		// monitor first: they share the record's storage from export to
+		// import, so nothing is allocated per user, only as slices grow and
+		// per frame.
+		{"handoff_shared", 0.028, "user", func(t *testing.T) (float64, int) {
+			newMonitor := func(users []risk.UserProfile) *privascope.Monitor {
+				monitor, err := privascope.NewMonitor(surgeryLTS, privascope.MonitorConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range users {
+					if err := monitor.RegisterUser(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return monitor
+			}
+			shared, _ := ingestFixture(4096)
+			src := newMonitor(shared)
+			fresh := func() *privascope.Monitor { return newMonitor(shared[:1]) } // the shape analysed
+			return testutil.AllocsOnFresh(fresh, func(dst *privascope.Monitor) {
+				moved := src.ExportUsers(func(string) (string, bool) { return "dst", true })["dst"]
+				frame, err := cluster.EncodeHandoff(moved)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decoded, err := cluster.DecodeHandoff(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dst.ImportUsers(ctx, decoded); err != nil {
+					t.Fatal(err)
+				}
+			}), len(shared)
+		}},
 		// AddNode then RemoveNode of the joiner on that fleet, registered.
-		{"join_leave", 0.345, "moved user", func(t *testing.T) (float64, int) {
+		{"join_leave", 0.296, "moved user", func(t *testing.T) (float64, int) {
 			fresh := func() *cluster.Local {
 				c := startFleet(t, surgeryLTS)
 				if err := c.Router.Register(ctx, fleetProfiles); err != nil {

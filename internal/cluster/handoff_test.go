@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
 	"privascope/internal/casestudy"
@@ -165,5 +167,31 @@ func TestHandoffEndpoint(t *testing.T) {
 	}
 	if w := post([]byte("not a frame"), ""); w.Code != http.StatusBadRequest {
 		t.Fatalf("garbage handoff returned %d, want 400", w.Code)
+	}
+}
+
+// TestHandoffBufferFollowsTheBody: a request that declares MaxHandoffBytes
+// but sends one user's frame costs the node about one chunk's buffer, not the
+// declared length, so a sender that stalls after its header makes the node
+// hold no more than it has sent; the short frame still imports.
+func TestHandoffBufferFollowsTheBody(t *testing.T) {
+	node := newTestNode(t, NodeConfig{})
+	snap := runtime.UserSnapshot{Profile: casestudy.PatientProfile(), State: surgeryModel(t).InitialState()}
+	frame, err := EncodeHandoff([]runtime.UserSnapshot{snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/handoff", bytes.NewReader(frame))
+	req.ContentLength = MaxHandoffBytes
+	rec := httptest.NewRecorder()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	node.Handler().ServeHTTP(rec, req)
+	goruntime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("handoff returned %d: %s", rec.Code, rec.Body)
+	}
+	if allocated, bound := after.TotalAlloc-before.TotalAlloc, uint64(2*handoffChunkBytes); allocated > bound {
+		t.Errorf("a %d-byte frame declared as %d bytes allocated %d bytes, want at most %d", len(frame), MaxHandoffBytes, allocated, bound)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -345,7 +346,12 @@ type handoffResponse struct {
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	n.receiving.Add(1)
 	defer n.receiving.Add(-1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxHandoffBytes+1))
+	// Sized from the declared length up to one chunk's, a chunk's buffer is
+	// allocated once; a longer body grows it as its bytes arrive, so a sender
+	// cannot make the node hold more than it has sent.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), handoffChunkBytes)+bytes.MinRead))
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, MaxHandoffBytes+1))
+	body := buf.Bytes()
 	if err != nil {
 		http.Error(w, "cluster: reading handoff frame: "+err.Error(), http.StatusBadRequest)
 		return

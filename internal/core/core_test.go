@@ -572,6 +572,11 @@ func TestPrivacyLTSMarshalJSON(t *testing.T) {
 
 func TestDeclaredVsPotentialPartition(t *testing.T) {
 	p := generateClinic(t, Options{})
+	// Stats counts from the edge labels: on a fresh model it builds no view.
+	stats := p.Stats()
+	if p.compiled.Size() != 0 {
+		t.Error("Stats built the compiled view")
+	}
 	total := p.Graph.TransitionCount()
 	if got := len(p.DeclaredTransitions()) + len(p.PotentialTransitions()); got != total {
 		t.Errorf("declared+potential = %d, want %d", got, total)
@@ -588,7 +593,7 @@ func TestDeclaredVsPotentialPartition(t *testing.T) {
 	if !reflect.DeepEqual(p.DeclaredTransitions(), declared) || !reflect.DeepEqual(p.PotentialTransitions(), potential) {
 		t.Error("declared/potential transitions are not the filtered transition list in insertion order")
 	}
-	if got := p.Stats().PotentialTransitions; got != len(potential) || got == 0 {
+	if got := stats.PotentialTransitions; got != len(potential) || got == 0 {
 		t.Errorf("Stats().PotentialTransitions = %d, want %d", got, len(potential))
 	}
 }

@@ -87,12 +87,19 @@ type Stats struct {
 	Warnings             int
 }
 
-// Stats computes summary statistics for reports and benchmarks.
+// Stats computes summary statistics for reports and benchmarks. It reads the
+// edge labels and builds no compiled view.
 func (p *PrivacyLTS) Stats() Stats {
+	potential := 0
+	for _, label := range p.Graph.Parts().EdgeLabels {
+		if label, ok := label.(*TransitionLabel); ok && label.Potential {
+			potential++
+		}
+	}
 	return Stats{
 		States:               p.Graph.StateCount(),
 		Transitions:          p.Graph.TransitionCount(),
-		PotentialTransitions: p.Compiled().potential,
+		PotentialTransitions: potential,
 		StateVariables:       p.Vocab.NumVariables(),
 		Actors:               len(p.Vocab.Actors()),
 		Fields:               len(p.Vocab.Fields()),

@@ -25,7 +25,6 @@ type CompiledView struct {
 	Graph *lts.LTS
 
 	labels    []*TransitionLabel // per edge; nil for foreign label types
-	potential int                // edges whose label is a potential read
 	changes   []EdgeChange       // every edge's newly set variables, back to back
 	changeOff []int32            // edge e's are changes[changeOff[e]:changeOff[e+1]]
 	actors    []string           // vocabulary order (sorted)
@@ -99,9 +98,6 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 	for e, label := range c.Parts().EdgeLabels {
 		if label, ok := label.(*TransitionLabel); ok {
 			v.labels[e] = label
-			if label.Potential {
-				v.potential++
-			}
 		}
 		if to, from, ok := hasVectors(e); ok {
 			for w := 0; w < wpv; w++ {

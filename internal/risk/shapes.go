@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 )
@@ -106,8 +107,15 @@ func mix64(x uint64) uint64 {
 }
 
 // SameRecord reports whether a and b are one shape written alike — service
-// order, and nil against empty, included — whatever their IDs.
+// order, and nil against empty, included — whatever their IDs. Profiles that
+// hold the same services slice and sensitivities map are decided without
+// reading either: the users of one record share its storage.
 func SameRecord(a, b *UserProfile) bool {
+	if x, y := a.ConsentedServices, b.ConsentedServices; len(x) == len(y) && (x == nil) == (y == nil) &&
+		(len(x) == 0 || &x[0] == &y[0]) &&
+		reflect.ValueOf(a.Sensitivities).Pointer() == reflect.ValueOf(b.Sensitivities).Pointer() {
+		return math.Float64bits(a.DefaultSensitivity) == math.Float64bits(b.DefaultSensitivity)
+	}
 	return (a.ConsentedServices == nil) == (b.ConsentedServices == nil) &&
 		(a.Sensitivities == nil) == (b.Sensitivities == nil) &&
 		slices.Equal(a.ConsentedServices, b.ConsentedServices) && sameShape(a, b)

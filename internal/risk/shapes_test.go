@@ -260,3 +260,49 @@ func TestShapesRefuseInvalidProfiles(t *testing.T) {
 		t.Fatalf("after a refused profile, the first valid one got record %d, shape %d, error %v", record, shape, err)
 	}
 }
+
+// sharedStorageProfiles returns profiles that share a services backing array
+// or a sensitivities map in every way SameRecord's shared-storage test could
+// wrongly accept, beside equal profiles in storage of their own.
+func sharedStorageProfiles() []risk.UserProfile {
+	services := []string{casestudy.ServiceMedical, casestudy.ServiceResearch, casestudy.ServiceMedical}
+	base := casestudy.PatientProfile()
+	base.ConsentedServices = services[:2]
+	with := func(services []string, sens map[string]float64, def float64) risk.UserProfile {
+		return risk.UserProfile{ConsentedServices: services, Sensitivities: sens, DefaultSensitivity: def}
+	}
+	copied := with(slices.Clone(base.ConsentedServices), maps.Clone(base.Sensitivities), base.DefaultSensitivity)
+	return []risk.UserProfile{
+		base,
+		with(services[:2], base.Sensitivities, 0.7),                      // the map shared, another default
+		with(services[:1], base.Sensitivities, base.DefaultSensitivity),  // the array shared, shorter
+		with(services[1:3], base.Sensitivities, base.DefaultSensitivity), // the array shared, reordered
+		with(services[:0], base.Sensitivities, base.DefaultSensitivity),  // empty against nil
+		with(nil, base.Sensitivities, base.DefaultSensitivity),
+		with(services[:2], map[string]float64{}, base.DefaultSensitivity), // empty map against nil
+		with(services[:2], nil, base.DefaultSensitivity),
+		with(services[:2], copied.Sensitivities, base.DefaultSensitivity),           // equal, the map copied
+		with(copied.ConsentedServices, base.Sensitivities, base.DefaultSensitivity), // equal, the slice copied
+		copied,
+		base,
+	}
+}
+
+// TestSameRecordSharedStorage: profiles sharing storage are one record only
+// when the record keys say so — a shared map with another default, a shared
+// array at another length or order, nil against empty are all apart — and
+// equal profiles in storage of their own still intern to one record.
+func TestSameRecordSharedStorage(t *testing.T) {
+	profiles := sharedStorageProfiles()
+	for i := range profiles {
+		for j := range profiles {
+			a, b := &profiles[i], &profiles[j]
+			if got, want := risk.SameRecord(a, b), recordKey(*a) == recordKey(*b); got != want {
+				t.Errorf("SameRecord(profile %d, profile %d) = %t, want %t", i, j, got, want)
+			}
+		}
+	}
+	if err := checkShapeIDs(profiles); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -182,18 +182,20 @@ func (m *Monitor) RegisterUserContext(ctx context.Context, profile risk.UserProf
 // as they are. Every profile is interned and its shape's findings resolved
 // before the lock is taken, once, for the whole batch: nothing is installed
 // when any profile is invalid, any shape's analysis fails or ctx is done by
-// then.
+// then. A snapshot of the previous snapshot's record — in a handoff chunk, a
+// run of users sharing its storage — takes that user's record and findings.
 func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 	users := make([]user, len(snaps))
 	for i := range snaps {
 		s, u := &snaps[i], &users[i]
-		record, shape, err := m.profiles.Intern(s.Profile)
-		if err != nil {
-			return fmt.Errorf("runtime: profile of user %q: %w", s.Profile.ID, err)
-		}
-		if i > 0 && users[i-1].profile == record { // a run of one profile
-			u.findings = users[i-1].findings
+		if i > 0 && risk.SameRecord(&snaps[i-1].Profile, &s.Profile) {
+			u.profile, u.findings = users[i-1].profile, users[i-1].findings
 		} else {
+			record, shape, err := m.profiles.Intern(s.Profile)
+			if err != nil {
+				return fmt.Errorf("runtime: profile of user %q: %w", s.Profile.ID, err)
+			}
+			u.profile = record
 			u.findings, err = m.shapes.Do(ctx, shape, func(ctx context.Context) (edgeFindings, error) {
 				return m.findingsOf(ctx, s.Profile)
 			})
@@ -202,7 +204,7 @@ func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 			}
 		}
 		u.state, _ = m.index.graph.Index(s.State)
-		u.id, u.profile, u.applied, u.alerts = s.Profile.ID, record, s.Applied, s.Alerts
+		u.id, u.applied, u.alerts = s.Profile.ID, s.Applied, s.Alerts
 	}
 	if err := ctx.Err(); err != nil {
 		return err

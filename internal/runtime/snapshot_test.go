@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"context"
+	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -305,5 +308,56 @@ func TestMonitorOwnsItsProfiles(t *testing.T) {
 	fresh.IngestBatch(snapshotTrace(want.ID))
 	if got, want := m.AlertsFor(want.ID), fresh.AlertsFor(want.ID); len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("after the caller's edit the user raised %d alerts, an unedited twin %d", len(got), len(want))
+	}
+}
+
+// TestImportBatchRecordsMatchInterning: one ImportUsers batch mixing runs of
+// users that share a profile's storage, equal copies in storage of their own
+// and distinct profiles — among them one sharing the map and the services with
+// another default, and one sharing the services array at another length —
+// gives every user the record, shape and findings that interning each profile
+// alone gives.
+func TestImportBatchRecordsMatchInterning(t *testing.T) {
+	ctx := context.Background()
+	p := snapshotTestModel(t)
+	m, err := NewMonitor(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	services := []string{casestudy.ServiceMedical, casestudy.ServiceResearch}
+	base := casestudy.PatientProfile()
+	base.ConsentedServices = services
+	otherDefault, shorter, copied, distinct := base, base, base, base
+	otherDefault.DefaultSensitivity = 0.7
+	shorter.ConsentedServices = services[:1]
+	copied.ConsentedServices, copied.Sensitivities = slices.Clone(services), maps.Clone(base.Sensitivities)
+	distinct.Sensitivities = map[string]float64{casestudy.FieldDiagnosis: risk.SensitivityLow}
+	batch := []risk.UserProfile{base, base, base, otherDefault, otherDefault, shorter, base, copied, copied,
+		base, distinct, shorter, otherDefault, base}
+	snaps := make([]UserSnapshot, len(batch))
+	for i, profile := range batch {
+		profile.ID = fmt.Sprintf("user-%d", i)
+		snaps[i] = UserSnapshot{Profile: profile, State: p.InitialState()}
+	}
+	if err := m.ImportUsers(ctx, snaps); err != nil {
+		t.Fatal(err)
+	}
+	var alone risk.Shapes
+	for i := range snaps {
+		record, shape, err := alone.Intern(snaps[i].Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := &m.slab[m.users[snaps[i].Profile.ID]]
+		_, gotShape, _ := m.profiles.Intern(m.profiles.Profile(u.profile))
+		if u.profile != record || gotShape != shape {
+			t.Errorf("user %d: record %d, shape %d; interned alone, record %d, shape %d", i, u.profile, gotShape, record, shape)
+		}
+		findings, _ := m.shapes.Do(ctx, shape, func(context.Context) (edgeFindings, error) {
+			return nil, fmt.Errorf("shape %d was never analysed", shape)
+		})
+		if reflect.ValueOf(u.findings).Pointer() != reflect.ValueOf(findings).Pointer() {
+			t.Errorf("user %d does not hold its shape's findings", i)
+		}
 	}
 }
