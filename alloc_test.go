@@ -72,8 +72,10 @@ func TestAllocCeilings(t *testing.T) {
 				mustGenerate(t, large, privascope.GenerateOptions{Workers: 1})
 			}), 1
 		}},
-		// PrivacyLTS.Compiled on that model, 25,000 transitions: a fixed
-		// number of per-edge tables, nothing allocated per edge.
+		// PrivacyLTS.Compiled on that model, 25,000 transitions in 30 edge
+		// classes: a fixed number of tables, nothing allocated per edge or
+		// per class. The row was set by per-edge change lists; the class
+		// table's one hash table makes it read 9.
 		{"compile_view", 8, "view", func(t *testing.T) (float64, int) {
 			fresh := func() *privascope.PrivacyModel {
 				return mustGenerate(t, large, privascope.GenerateOptions{Workers: 1})
@@ -101,7 +103,7 @@ func TestAllocCeilings(t *testing.T) {
 			return allocs, 1
 		}},
 		// One-shot privascope.Assess of the case study: generate, analyse, report.
-		{"assess_one_shot", 736, "assessment", func(t *testing.T) (float64, int) {
+		{"assess_one_shot", 704, "assessment", func(t *testing.T) (float64, int) {
 			return testing.AllocsPerRun(3, func() {
 				if _, err := privascope.Assess(surgery, patient); err != nil {
 					t.Fatal(err)
@@ -109,7 +111,7 @@ func TestAllocCeilings(t *testing.T) {
 			}), 1
 		}},
 		// An uncached risk analysis of the case study on its compiled model.
-		{"risk_analyze", 86, "analysis", func(t *testing.T) (float64, int) {
+		{"risk_analyze", 84, "analysis", func(t *testing.T) (float64, int) {
 			analyzer, err := risk.NewAnalyzer(risk.Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -265,9 +267,9 @@ func TestAllocCeilings(t *testing.T) {
 			}), len(stream)
 		}},
 		// Router.Register of 8,192 users on a two-node fleet: per chunk a frame,
-		// its request and its decoded snapshots; per user only the slab's and
-		// the ID map's growth.
-		{"router_register", 0.187, "user", func(t *testing.T) (float64, int) {
+		// its request and its decoded snapshots, and the slab grows once; per
+		// user only the ID map's growth.
+		{"router_register", 0.184, "user", func(t *testing.T) (float64, int) {
 			return testutil.AllocsOnFresh(func() *cluster.Local { return startFleet(t, surgeryLTS) }, func(c *cluster.Local) {
 				if err := c.Router.Register(ctx, fleetProfiles); err != nil {
 					t.Fatal(err)
@@ -322,7 +324,7 @@ func TestAllocCeilings(t *testing.T) {
 		// monitor first: they share the record's storage from export to
 		// import, so nothing is allocated per user, only as slices grow and
 		// per frame.
-		{"handoff_shared", 0.028, "user", func(t *testing.T) (float64, int) {
+		{"handoff_shared", 0.025, "user", func(t *testing.T) (float64, int) {
 			newMonitor := func(users []risk.UserProfile) *privascope.Monitor {
 				monitor, err := privascope.NewMonitor(surgeryLTS, privascope.MonitorConfig{})
 				if err != nil {

@@ -93,9 +93,9 @@ func (p *PrivacyLTS) DeclaredTransitions() []lts.Transition { return p.transitio
 func (p *PrivacyLTS) transitionsWhere(potential bool) []lts.Transition {
 	v := p.Compiled()
 	var out []lts.Transition
-	for e, label := range v.labels {
-		if label != nil && label.Potential == potential {
-			out = append(out, v.Graph.TransitionAt(int32(e)))
+	for e := range int32(v.Graph.TransitionCount()) {
+		if label := v.Label(e); label != nil && label.Potential == potential {
+			out = append(out, v.Graph.TransitionAt(e))
 		}
 	}
 	return out

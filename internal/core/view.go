@@ -9,26 +9,39 @@ import (
 
 // CompiledView is the analysis-side compilation of a PrivacyLTS: the CSR
 // graph (lts.LTS) plus everything the disclosure analyses would
-// otherwise re-derive per transition per profile, resolved once per model —
-// the TransitionLabel of every edge (no type assertions on the hot path) and
-// the profile-independent state-vector delta of every edge as dense
-// (actor index, field index, kind) triples, so an analysis never resolves a
-// state ID or allocates Variable slices while walking the model.
+// otherwise re-derive per transition per profile, resolved once per model.
+// Edges repeat: a declared flow or potential read fires in many states, and
+// most of its firings newly set the same state variables. So the view
+// hash-conses every labelled edge into an edge class — one TransitionLabel
+// (by identity) and one profile-independent state-vector delta, resolved to
+// dense (actor index, field index, kind) triples — and an analysis does its
+// per-profile work once per class, not once per edge.
 //
 // A CompiledView is immutable and shared: PrivacyLTS.Compiled builds it at
 // most once per model (single-flighted), and the Engine's fingerprint-keyed
 // model cache means every Assess/Analyze/AssessPopulation/Monitor call on the
 // same model shares one view.
 type CompiledView struct {
-	// Graph is the privacy LTS's graph (p.Graph), which every per-edge
-	// table below is indexed by.
+	// Graph is the privacy LTS's graph (p.Graph), which the per-edge class
+	// table is indexed by.
 	Graph *lts.LTS
 
-	labels    []*TransitionLabel // per edge; nil for foreign label types
-	changes   []EdgeChange       // every edge's newly set variables, back to back
-	changeOff []int32            // edge e's are changes[changeOff[e]:changeOff[e+1]]
-	actors    []string           // vocabulary order (sorted)
-	fields    []string
+	class   []int32 // per edge: its index into classes, -1 for foreign label types
+	classes []EdgeClass
+	actors  []string // vocabulary order (sorted)
+	fields  []string
+}
+
+// EdgeClass is the set of labelled edges that carry one TransitionLabel and
+// newly set one set of state variables.
+type EdgeClass struct {
+	Label *TransitionLabel
+	// Changes are the state variables each edge of the class newly sets
+	// relative to its source state, in vocabulary bit order (so actor-major).
+	// The slice is shared and must not be modified.
+	Changes []EdgeChange
+	// Count is the number of edges in the class and First the lowest of them.
+	Count, First int32
 }
 
 // EdgeChange is one state variable a transition newly sets, with the actor
@@ -42,14 +55,20 @@ type EdgeChange struct {
 
 // Label returns the TransitionLabel of the edge (nil when the transition
 // carries a foreign label type).
-func (v *CompiledView) Label(e int32) *TransitionLabel { return v.labels[e] }
-
-// Changes returns the state variables the edge newly sets relative to its
-// source state, in vocabulary bit order. The slice is shared and must not be
-// modified.
-func (v *CompiledView) Changes(e int32) []EdgeChange {
-	return v.changes[v.changeOff[e]:v.changeOff[e+1]:v.changeOff[e+1]]
+func (v *CompiledView) Label(e int32) *TransitionLabel {
+	if c := v.class[e]; c >= 0 {
+		return v.classes[c].Label
+	}
+	return nil
 }
+
+// Class returns the index into Classes of the edge's class, -1 when the
+// transition carries a foreign label type.
+func (v *CompiledView) Class(e int32) int32 { return v.class[e] }
+
+// Classes returns the edge classes in order of their first edge. The slice
+// is shared and must not be modified.
+func (v *CompiledView) Classes() []EdgeClass { return v.classes }
 
 // Actors returns the vocabulary's actors in sorted order. The slice is shared
 // and must not be modified.
@@ -76,75 +95,99 @@ func (p *PrivacyLTS) Compiled() *CompiledView {
 	return v
 }
 
-// newCompiledView resolves the per-edge labels and vector deltas of the
-// model.
+// newCompiledView interns the labelled edges of the model into edge classes.
+// A class is keyed by its label's identity and its state-vector delta (the
+// target vector's words less the source's) and found through one
+// open-addressed table, so at worst every edge is its own class and costs a
+// probe more than resolving it alone. Every table is sized before it is
+// filled: nothing is allocated per edge or per class.
 func newCompiledView(p *PrivacyLTS) *CompiledView {
-	c := p.Graph
-	m := c.TransitionCount()
+	parts := p.Graph.Parts()
+	m := len(parts.EdgeLabels)
 	v := &CompiledView{
-		Graph:     c,
-		labels:    make([]*TransitionLabel, m),
-		changeOff: make([]int32, m+1),
-		actors:    p.Vocab.actors,
-		fields:    p.Vocab.fields,
+		Graph:  p.Graph,
+		class:  make([]int32, m),
+		actors: p.Vocab.actors,
+		fields: p.Vocab.fields,
 	}
-	// An edge whose source or target has no vector contributes no change.
-	numFields, numVecs, wpv := len(v.fields), len(p.storeOf), p.Vocab.wordsPerVec
-	hasVectors := func(e int) (to, from int, ok bool) {
-		to, from = int(c.To(int32(e))), int(c.From(int32(e)))
-		return to, from, to < numVecs && from < numVecs
+	wpv := p.Vocab.wordsPerVec
+	vectors := func(e int32) (to, from []uint64) {
+		t, f := int(parts.EdgeTo[e])*wpv, int(parts.EdgeFrom[e])*wpv
+		return p.vecWords[t : t+wpv], p.vecWords[f : f+wpv]
 	}
-	numChanges := 0
-	for e, label := range c.Parts().EdgeLabels {
-		if label, ok := label.(*TransitionLabel); ok {
-			v.labels[e] = label
+	// A slot holds a class's first edge plus one (0: empty). Equal labels
+	// render one string, so the hash takes the label's interned string index
+	// and the comparison its identity. At most m classes fill at most half
+	// the table.
+	table := make([]int32, 1<<bits.Len(uint(2*m)))
+	mask := uint64(len(table) - 1)
+	numClasses, numChanges := int32(0), 0
+	for e := range int32(m) {
+		label, ok := parts.EdgeLabels[e].(*TransitionLabel)
+		if !ok {
+			v.class[e] = -1
+			continue
 		}
-		if to, from, ok := hasVectors(e); ok {
-			for w := 0; w < wpv; w++ {
-				numChanges += bits.OnesCount64(p.vecWords[to*wpv+w] &^ p.vecWords[from*wpv+w])
-			}
+		to, from := vectors(e)
+		h := uint64(parts.EdgeLabel[e]) + 1
+		for w, word := range to {
+			h = (h ^ word&^from[w]) * 0x9e3779b97f4a7c15
 		}
-	}
-	// Sized exactly: grown by append, the list is copied five times over.
-	v.changes = make([]EdgeChange, 0, numChanges)
-	for e := 0; e < m; e++ {
-		if to, from, ok := hasVectors(e); ok {
-			v.changes = appendEdgeChanges(v.changes, p.vectorAt(to), p.vectorAt(from), numFields)
-		}
-		v.changeOff[e+1] = int32(len(v.changes))
-	}
-	return v
-}
-
-// appendEdgeChanges appends the newly-true variables of to relative to from
-// as dense index triples, in vocabulary bit order (matching
-// StateVector.NewlyTrue).
-func appendEdgeChanges(out []EdgeChange, to, from StateVector, numFields int) []EdgeChange {
-	if numFields == 0 {
-		return out
-	}
-	for w := range to.words {
-		diff := to.words[w]
-		if w < len(from.words) {
-			diff &^= from.words[w]
-		}
-		for diff != 0 {
-			bit := w*64 + bits.TrailingZeros64(diff)
-			diff &= diff - 1
-			if bit >= to.vocab.numVars {
+		h ^= h >> 32
+		for slot := h & mask; ; slot = (slot + 1) & mask {
+			first := table[slot] - 1
+			if first < 0 {
+				table[slot], v.class[e] = e+1, numClasses
+				numClasses++
+				for w, word := range to {
+					numChanges += bits.OnesCount64(word &^ from[w])
+				}
 				break
 			}
-			kind := HasIdentified
-			if bit&1 == 1 {
-				kind = CouldIdentify
+			firstTo, firstFrom := vectors(first)
+			same := parts.EdgeLabels[first] == lts.Label(label)
+			for w := 0; same && w < wpv; w++ {
+				same = to[w]&^from[w] == firstTo[w]&^firstFrom[w]
 			}
-			pair := bit >> 1
-			out = append(out, EdgeChange{
-				Actor: int32(pair / numFields),
-				Field: int32(pair % numFields),
-				Kind:  kind,
-			})
+			if same {
+				v.class[e] = v.class[first]
+				break
+			}
 		}
 	}
-	return out
+
+	v.classes = make([]EdgeClass, numClasses)
+	for e, c := range v.class {
+		if c < 0 {
+			continue
+		}
+		class := &v.classes[c]
+		if class.Count == 0 {
+			class.Label, class.First = parts.EdgeLabels[e].(*TransitionLabel), int32(e)
+		}
+		class.Count++
+	}
+	// Every class's changes, in vocabulary bit order, in one slab.
+	changes := make([]EdgeChange, 0, numChanges)
+	numFields := len(v.fields)
+	for c := range v.classes {
+		start := len(changes)
+		to, from := vectors(v.classes[c].First)
+		for w, word := range to {
+			for diff := word &^ from[w]; diff != 0; diff &= diff - 1 {
+				bit := w*64 + bits.TrailingZeros64(diff)
+				if bit >= p.Vocab.numVars {
+					break
+				}
+				kind := HasIdentified
+				if bit&1 == 1 {
+					kind = CouldIdentify
+				}
+				pair := bit >> 1
+				changes = append(changes, EdgeChange{Actor: int32(pair / numFields), Field: int32(pair % numFields), Kind: kind})
+			}
+		}
+		v.classes[c].Changes = changes[start:len(changes):len(changes)]
+	}
+	return v
 }

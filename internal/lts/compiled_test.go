@@ -79,8 +79,8 @@ func checkBuiltFrom(g *graph, l *LTS) error {
 	var labelOrder []string
 	for e, want := range g.edges {
 		tr := Transition{From: g.ids[want.From], To: g.ids[want.To], Label: want.Label}
-		if got := l.TransitionAt(int32(e)); !reflect.DeepEqual(got, tr) || l.From(int32(e)) != want.From || l.To(int32(e)) != want.To {
-			return fmt.Errorf("transition %d = %+v (%d -> %d), want %+v", e, got, l.From(int32(e)), l.To(int32(e)), tr)
+		if got := l.TransitionAt(int32(e)); !reflect.DeepEqual(got, tr) || l.edgeFrom[e] != want.From || l.To(int32(e)) != want.To {
+			return fmt.Errorf("transition %d = %+v (%d -> %d), want %+v", e, got, l.edgeFrom[e], l.To(int32(e)), tr)
 		}
 		str := labelString(want.Label)
 		if _, ok := firstLabel[str]; !ok {

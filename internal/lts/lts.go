@@ -190,9 +190,6 @@ func (l *LTS) MaxOutDegree() int {
 	return d
 }
 
-// From returns the dense source state of the transition.
-func (l *LTS) From(e int32) int32 { return l.edgeFrom[e] }
-
 // To returns the dense target state of the transition.
 func (l *LTS) To(e int32) int32 { return l.edgeTo[e] }
 

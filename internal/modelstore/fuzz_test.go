@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,6 +51,9 @@ func corpusSeeds(tb testing.TB) map[string][]byte {
 // structural checks) or returns an error — never a panic, never a wrong
 // model. An accepted artifact also re-encodes to the very bytes it came from:
 // decode∘encode is a fixpoint, so the format has one spelling per model.
+// And an accepted artifact compiles to the generated model's view: the same
+// edge classes, which core's TestInvariantCompiledViewClasses checks against
+// the state vectors, and every edge in the same class.
 func FuzzStoreDecode(f *testing.F) {
 	m := synth.Model(synth.ModelSpec{})
 	p, err := core.Generate(m)
@@ -82,6 +86,15 @@ func FuzzStoreDecode(f *testing.F) {
 		}
 		if !bytes.Equal(reencoded, data) {
 			t.Fatalf("accepted artifact of %d bytes re-encodes to %d different bytes", len(data), len(reencoded))
+		}
+		got, want := decoded.Compiled(), p.Compiled()
+		if !reflect.DeepEqual(got.Classes(), want.Classes()) {
+			t.Fatalf("accepted artifact compiles to %d edge classes unlike the generated model's %d", len(got.Classes()), len(want.Classes()))
+		}
+		for e := range int32(p.Graph.TransitionCount()) {
+			if got.Class(e) != want.Class(e) {
+				t.Fatalf("edge %d is in class %d of the accepted artifact, %d of the generated model", e, got.Class(e), want.Class(e))
+			}
 		}
 	})
 }

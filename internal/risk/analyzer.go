@@ -153,98 +153,100 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 // AnalyzeContext assesses the user profile against the privacy LTS. ctx is
 // polled while walking the model's transitions, so analyses of very large
 // models abort promptly with ctx.Err() when the caller cancels or the
-// deadline passes. Each finding of the walk (rank) is written once, straight
-// into its report slot.
+// deadline passes. Each finding is written once, straight into its report
+// slot.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profile UserProfile) (*Assessment, error) {
 	r, err := a.rank(ctx, p, profile)
 	if err != nil {
 		return nil, err
 	}
-	if len(r.pend) == 0 {
+	if r.findings == 0 {
 		return r.assessment, nil
 	}
 	view := r.view
-	// A finding is its class plus its transition: the label (shared per
-	// declared flow; it fixes action, fields, performer, store, service and
-	// potential marker), the actor, the driving field (hence the impact) and
-	// the likelihood class fix every other field. The first finding of a class
-	// in report order is built, texts and all; the others copy it.
+	// A finding is its template plus its transition: the label of the edge
+	// class (shared per declared flow; it fixes action, fields, performer,
+	// store, service and potential marker) and the template (actor, driving
+	// field, hence impact, and likelihood class) fix every other field. The
+	// first finding of a template in report order is built, texts and all;
+	// the others copy it.
 	rc := newRenderCache()
 	fieldSets := make(map[*core.TransitionLabel][]string)
-	type class struct {
-		label          *core.TransitionLabel
-		actor, driving int32
-		serviceClass   bool
-	}
-	first := make(map[class]int) // the report slot of the class's first finding
-	findings := make([]Finding, len(r.pend))
-	r.place(func(pos int, pe pending) {
-		label := view.Label(pe.edge)
+	first := make([]int, len(r.tpl)) // per template: the report slot of its first finding, plus one
+	findings := make([]Finding, r.findings)
+	err = r.place(ctx, func(pos int, e, t int32) {
 		f := &findings[pos]
-		key := class{label: label, actor: pe.actor, driving: pe.driving, serviceClass: pe.serviceClass}
-		if at, ok := first[key]; ok {
-			*f = findings[at]
-			f.Transition = view.Graph.TransitionAt(pe.edge)
+		if at := first[t]; at > 0 {
+			*f = findings[at-1]
+			f.Transition = view.Graph.TransitionAt(e)
 			return
 		}
-		first[key] = pos
+		first[t] = pos + 1
+		label, tp := view.Label(e), r.tpl[t]
 		fieldSet, ok := fieldSets[label]
 		if !ok {
 			fieldSet = label.FieldSet()
 			fieldSets[label] = fieldSet
 		}
 		likelihood, likelihoodLevel, scenarios := a.otherLikelihood, a.otherLevel, a.otherScenarios
-		if pe.serviceClass {
+		if tp.serviceClass {
 			likelihood, likelihoodLevel, scenarios = a.serviceLikelihood, a.serviceLevel, a.serviceScenarios
 		}
 		*f = Finding{
-			Transition:      view.Graph.TransitionAt(pe.edge),
+			Transition:      view.Graph.TransitionAt(e),
 			Action:          label.Action,
-			Actor:           view.Actors()[pe.actor],
+			Actor:           view.Actors()[tp.actor],
 			PerformedBy:     label.Actor,
 			Datastore:       label.Datastore,
 			Fields:          fieldSet,
 			Potential:       label.Potential,
 			Service:         label.Service,
-			DrivingField:    view.Fields()[pe.driving],
-			Impact:          r.sens[pe.driving],
-			ImpactLevel:     Level(pe.impactLevel),
+			DrivingField:    view.Fields()[tp.driving],
+			Impact:          r.sens[tp.driving],
+			ImpactLevel:     Level(tp.impactLevel),
 			Likelihood:      likelihood,
 			LikelihoodLevel: likelihoodLevel,
 			Scenarios:       scenarios,
-			Risk:            Level(pe.risk),
+			Risk:            Level(tp.risk),
 		}
 		f.Explanation, f.Mitigation = a.explain(f, rc), a.suggestMitigation(f, rc)
 	})
+	if err != nil {
+		return nil, err
+	}
 	r.assessment.Findings = findings
 	return r.assessment, nil
 }
 
-// pending is one finding as the walk records it: all of it that is not a
-// function of the edge's label (the impact is the driving field's σ), in 16
-// pointer-free bytes the collector never scans.
-type pending struct {
-	edge, actor, driving int32
-	risk, impactLevel    uint8
-	serviceClass         bool
+// template is the finding every edge of one edge class yields for one
+// non-allowed actor, less the edge: all of a finding that is not a function
+// of the class's label (the impact is the driving field's σ).
+type template struct {
+	actor, driving    int32
+	risk, impactLevel uint8
+	serviceClass      bool
 }
 
-// ranking is one profile's walk over a model: the assessment without its
-// Findings, and the findings as pending entries in walk order (edge
-// ascending, then actor). Report order is (bucket, actor, edge).
+// ranking is one profile's resolution of a model's edge classes: the
+// assessment without its Findings, and each class's finding templates. Every
+// edge of a class yields the class's templates, in actor order. Report order
+// is (bucket, actor, edge).
 type ranking struct {
 	assessment *Assessment
 	view       *core.CompiledView
-	sens       []float64 // σ per vocabulary field
-	impactRank []int32   // per vocabulary field: 0 for the highest σ; equal σ share a rank
-	pend       []pending
+	sens       []float64  // σ per vocabulary field
+	impactRank []int32    // per vocabulary field: 0 for the highest σ; equal σ share a rank
+	tpl        []template // every class's templates, class by class
+	tplOff     []int32    // class c's are tpl[tplOff[c]:tplOff[c+1]]
+	findings   int        // Σ edges of a class × its templates
 }
 
-// rank validates the profile and walks the model's compiled view once:
-// labels and newly-set variables are resolved to dense actor/field indices
-// once per model, σ and the allowed set to index-addressed tables once per
-// call, so the per-transition work is array arithmetic with no map lookup,
-// no rendering and no allocation beyond the pending slice.
+// rank validates the profile and resolves each of the model's edge classes
+// once: labels and newly-set variables are resolved to dense actor/field
+// indices once per model, σ and the allowed set to index-addressed tables
+// once per call, so the per-class work is array arithmetic with no map
+// lookup, no rendering and no allocation beyond the template table, and no
+// edge is visited.
 func (a *Analyzer) rank(ctx context.Context, p *core.PrivacyLTS, profile UserProfile) (*ranking, error) {
 	if p == nil {
 		return nil, errors.New("risk: privacy LTS must not be nil")
@@ -283,7 +285,7 @@ func (a *Analyzer) rank(ctx context.Context, p *core.PrivacyLTS, profile UserPro
 	fields := view.Fields()
 
 	// Per-call index tables: σ(d) per vocabulary field and "is allowed" per
-	// vocabulary actor, so σ(d, a) inside the edge loop is two array loads.
+	// vocabulary actor, so σ(d, a) inside the class loop is two array loads.
 	allowedIdx := make([]bool, len(actors))
 	for i, name := range actors {
 		allowedIdx[i] = allowedSet[name]
@@ -307,146 +309,139 @@ func (a *Analyzer) rank(ctx context.Context, p *core.PrivacyLTS, profile UserPro
 		impactRank[i] = int32(len(distinct) - 1 - j)
 	}
 
-	// Per-actor exposure scratch, reused across every transition via epoch
-	// stamping (no clearing, no per-transition map). Slots are only ever
-	// stamped with a positive impact, and ascending actor index equals
-	// ascending actor name, so iterating the slots in order reproduces the
-	// sorted-actor finding order of the per-transition assessment.
-	type exposure struct {
-		impact  float64
-		driving int32 // the field whose σ is the impact
-		// identified: the transition sets a "has identified" variable for the
-		// actor, who receives the data rather than merely becoming able to
-		// read it later.
-		identified bool
-		stamp      uint32
+	classes := view.Classes()
+	numChanges := 0
+	for c := range classes {
+		numChanges += len(classes[c].Changes)
 	}
-	slots := make([]exposure, len(actors))
-	epoch := uint32(0)
-
-	numEdges := view.Graph.TransitionCount()
-	pend := make([]pending, 0, numEdges) // models yield about one finding an edge
-	for e := 0; e < numEdges; e++ {
-		// Poll between transitions, spaced out so the atomic load never
-		// shows up on profiles of small models.
-		if e&255 == 0 {
+	r := &ranking{assessment: assessment, view: view, sens: sens, impactRank: impactRank,
+		tpl:    make([]template, 0, numChanges), // a template takes at least one change
+		tplOff: make([]int32, len(classes)+1)}
+	for c := range classes {
+		// Poll between classes: at worst every edge is a class of its own.
+		if c&255 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		label := view.Label(int32(e))
-		if label == nil {
-			continue
-		}
-
-		// Impact per non-allowed actor: the maximum sensitivity among the
-		// state variables the transition newly sets for that actor, measured
-		// with σ(d, a) so variables of allowed actors contribute nothing. The
-		// change is measured relative to the source state; because variables
-		// only accumulate along paths from the absolute privacy state, this
-		// equals the paper's "change relative to the absolute privacy state"
-		// for the variables this transition introduces.
-		epoch++
-		exposed := false
-		for _, chg := range view.Changes(int32(e)) {
-			if allowedIdx[chg.Actor] {
+		class := &classes[c]
+		consented := class.Label.Service != "" && consentedSet[class.Label.Service]
+		// Changes are actor-major, so each run of one actor is that actor's
+		// exposure. Impact: the maximum sensitivity among the state variables
+		// the class newly sets for a non-allowed actor, σ(d, a) being zero
+		// for allowed ones. The change is measured relative to the source
+		// state; because variables only accumulate along paths from the
+		// absolute privacy state, this equals the paper's "change relative to
+		// the absolute privacy state" for the variables a transition
+		// introduces.
+		chg := class.Changes
+		for i := 0; i < len(chg); {
+			actor := chg[i].Actor
+			// identified: the class sets a "has identified" variable for the
+			// actor, who receives the data rather than merely becoming able to
+			// read it later.
+			impact, driving, identified := 0.0, int32(-1), false
+			for ; i < len(chg) && chg[i].Actor == actor; i++ {
+				if s := sens[chg[i].Field]; s > 0 && !allowedIdx[actor] {
+					if s > impact {
+						impact, driving = s, chg[i].Field
+					}
+					identified = identified || chg[i].Kind == core.HasIdentified
+				}
+			}
+			if driving < 0 {
 				continue
 			}
-			s := sens[chg.Field]
-			if s <= 0 {
-				continue
-			}
-			slot := &slots[chg.Actor]
-			if slot.stamp != epoch {
-				*slot = exposure{stamp: epoch}
-			}
-			if s > slot.impact {
-				slot.impact = s
-				slot.driving = chg.Field
-			}
-			if chg.Kind == core.HasIdentified {
-				slot.identified = true
-			}
-			exposed = true
-		}
-		if !exposed {
-			continue
-		}
-
-		// Likelihood: which scenarios can make the disclosure to this actor
-		// happen? Declared flows of non-consented services that actually hand
-		// the data over fall under the service-level scenarios; potential
-		// reads and mere exposure fall under the remaining scenarios
-		// (accidental access, maintenance exposure).
-		consented := label.Service != "" && consentedSet[label.Service]
-		for ai := range slots {
-			slot := &slots[ai]
-			if slot.stamp != epoch {
-				continue
-			}
-			serviceClass := !label.Potential && slot.identified && !consented
+			// Likelihood: which scenarios can make the disclosure to this
+			// actor happen? Declared flows of non-consented services that
+			// actually hand the data over fall under the service-level
+			// scenarios; potential reads and mere exposure fall under the
+			// remaining scenarios (accidental access, maintenance exposure).
+			serviceClass := !class.Label.Potential && identified && !consented
 			likelihoodLevel := a.otherLevel
 			if serviceClass {
 				likelihoodLevel = a.serviceLevel
 			}
-			impactLevel := a.cfg.Matrix.ImpactLevel(slot.impact)
+			impactLevel := a.cfg.Matrix.ImpactLevel(impact)
 			riskLevel := a.cfg.Matrix.Risk(impactLevel, likelihoodLevel)
-			pend = append(pend, pending{edge: int32(e), actor: int32(ai), driving: slot.driving,
+			r.tpl = append(r.tpl, template{actor: actor, driving: driving,
 				risk: uint8(riskLevel), impactLevel: uint8(impactLevel), serviceClass: serviceClass})
 			assessment.OverallRisk = max(assessment.OverallRisk, riskLevel)
 		}
+		r.tplOff[c+1] = int32(len(r.tpl))
+		r.findings += int(class.Count) * int(r.tplOff[c+1]-r.tplOff[c])
 	}
-	return &ranking{assessment: assessment, view: view, sens: sens, impactRank: impactRank, pend: pend}, nil
+	return r, nil
 }
 
 // bucket is the major part of a finding's report-order key, in [0,
 // 4·|fields|): risk descending, then impact descending. Within a bucket
 // actors ascend (index order is name order), then edges.
-func (r *ranking) bucket(pe pending) int {
-	return int(LevelHigh-Level(pe.risk))*len(r.sens) + int(r.impactRank[pe.driving])
+func (r *ranking) bucket(t template) int {
+	return int(LevelHigh-Level(t.risk))*len(r.sens) + int(r.impactRank[t.driving])
 }
 
-// place hands every pending finding to put with its position in report
-// order: a stable counting sort by actor, then one by bucket, so its scratch
-// is one copy of the findings plus a counter per actor and per bucket. The
-// walk emitted edges ascending, so they stay ascending within a key.
-func (r *ranking) place(put func(pos int, pe pending)) {
-	byActor := make([]pending, len(r.pend))
-	countingSort(r.pend, len(r.view.Actors()), func(pe pending) int { return int(pe.actor) },
-		func(pos int, pe pending) { byActor[pos] = pe })
-	countingSort(byActor, 4*len(r.sens), r.bucket, put)
-}
-
-// countingSort hands each entry of pend to put with its position in a
-// stable sort of pend by key, which lies in [0, n).
-func countingSort(pend []pending, n int, key func(pending) int, put func(pos int, pe pending)) {
-	next := make([]int, n+1)
-	for _, pe := range pend {
-		next[key(pe)+1]++
+// place hands every finding to put as its edge and template index, with its
+// position in report order: one stable counting sort of the edges, keyed by
+// the dense rank of each template's (bucket, actor) pair, whose counts come
+// from the classes. Edges are walked ascending, so they stay ascending within
+// a key. ctx is polled every 256 edges.
+func (r *ranking) place(ctx context.Context, put func(pos int, e, t int32)) error {
+	numActors := len(r.view.Actors())
+	key := make([]int, len(r.tpl))
+	for t, tp := range r.tpl {
+		key[t] = r.bucket(tp)*numActors + int(tp.actor)
 	}
-	for k := 1; k <= n; k++ {
+	pairs := slices.Clone(key)
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	for t := range key {
+		key[t], _ = slices.BinarySearch(pairs, key[t])
+	}
+	next := make([]int, len(pairs)+1)
+	classes := r.view.Classes()
+	for c := range classes {
+		for t := r.tplOff[c]; t < r.tplOff[c+1]; t++ {
+			next[key[t]+1] += int(classes[c].Count)
+		}
+	}
+	for k := 1; k < len(next); k++ {
 		next[k] += next[k-1]
 	}
-	for _, pe := range pend {
-		k := key(pe)
-		put(next[k], pe)
-		next[k]++
+	for e := range int32(r.view.Graph.TransitionCount()) {
+		// Poll between transitions, spaced out so the atomic load never
+		// shows up on profiles of small models.
+		if e&255 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		c := r.view.Class(e)
+		if c < 0 {
+			continue
+		}
+		for t := r.tplOff[c]; t < r.tplOff[c+1]; t++ {
+			put(next[key[t]], e, t)
+			next[key[t]]++
+		}
 	}
+	return nil
 }
 
-// summary is the profile's population entry, all but its UserID. The first
-// finding in report order has the smallest (bucket, actor) and, of those, the
-// earliest edge, which the walk emitted first.
+// summary is the profile's population entry, all but its UserID, read off
+// the templates. The first finding in report order has the smallest (bucket,
+// actor) and, of those, the earliest edge: the first edge of the earliest
+// class, since classes are in order of their first edge.
 func (r *ranking) summary() UserRisk {
-	entry := UserRisk{OverallRisk: r.assessment.OverallRisk, Findings: len(r.pend)}
+	entry := UserRisk{OverallRisk: r.assessment.OverallRisk, Findings: r.findings}
 	top, topBucket := -1, 0
-	for i, pe := range r.pend {
-		if b := r.bucket(pe); top < 0 || b < topBucket || b == topBucket && pe.actor < r.pend[top].actor {
-			top, topBucket = i, b
+	for t, tp := range r.tpl {
+		if b := r.bucket(tp); top < 0 || b < topBucket || b == topBucket && tp.actor < r.tpl[top].actor {
+			top, topBucket = t, b
 		}
 	}
 	if top >= 0 {
-		entry.HighestImpactField, entry.WorstActor = r.view.Fields()[r.pend[top].driving], r.view.Actors()[r.pend[top].actor]
+		entry.HighestImpactField, entry.WorstActor = r.view.Fields()[r.tpl[top].driving], r.view.Actors()[r.tpl[top].actor]
 	}
 	return entry
 }

@@ -211,6 +211,7 @@ func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.slab = slices.Grow(m.slab, len(users)) // once per batch, not in 1.25x steps
 	for _, u := range users {
 		if at, ok := m.users[u.id]; ok {
 			m.slab[at] = u
