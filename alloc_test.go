@@ -215,6 +215,34 @@ func TestAllocCeilings(t *testing.T) {
 				}
 			}), len(stream)
 		}},
+		// NewMonitor on the 15,625-state model plus its first RegisterUser: a
+		// field mask per edge class and one analysis of the shape's alerting
+		// findings per class; nothing per state or per edge.
+		{"monitor_new_large", 185, "monitor", func(t *testing.T) (float64, int) {
+			p := mustGenerate(t, large, privascope.GenerateOptions{})
+			p.Compiled() // the model's view, which every monitor of it shares
+			profile := synth.Population(large, synth.PopulationOptions{Users: 1, Seed: 3, SensitiveFields: synth.SensitiveFieldsOf(large)})[0]
+			analyzer, err := risk.NewAnalyzer(risk.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			alerting, err := analyzer.AlertFindings(ctx, p, profile, risk.LevelMedium)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(alerting, func(f *risk.Finding) bool { return f != nil }) {
+				t.Fatal("the profile raises no alert on any edge class: the row would measure a degenerate path")
+			}
+			return testing.AllocsPerRun(3, func() {
+				monitor, err := privascope.NewMonitor(p, privascope.MonitorConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := monitor.RegisterUser(profile); err != nil {
+					t.Fatal(err)
+				}
+			}), 1
+		}},
 		// cluster.EncodeFrame of 512 events.
 		{"encode_frame", 22, "frame", func(t *testing.T) (float64, int) {
 			return testing.AllocsPerRun(3, func() {

@@ -131,9 +131,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	events, cancel := cluster.Log().Subscribe(256)
 	defer cancel()
 
-	// Batch the live stream: one goroutine drains the subscription in bursts
-	// (privascope.NextEventBatch) and the monitor ingests each burst through
-	// its batch path. The done channel unblocks a pending send when run
+	// Drain the live stream in bursts: one goroutine reads the subscription
+	// (privascope.NextEventBatch), and the loop below feeds each of the
+	// monitored user's events to Observe, printing its observation. The done
+	// channel unblocks a pending send when run
 	// returns before the subscription closes (deadline or interrupt), so
 	// in-process callers (tests) do not leak the goroutine.
 	done := make(chan struct{})

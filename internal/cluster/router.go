@@ -52,7 +52,8 @@ type routerTuning struct {
 	// backoffBase and backoffMax bound the jittered exponential backoff
 	// after a transport error or 5xx (see backoff), so a flapping node is
 	// probed at a geometrically decreasing rate instead of hammered; a 429
-	// carries the server's own Retry-After advice instead. jitterSeed seeds
+	// (a node never sends one, an intermediary may) carries its own
+	// Retry-After advice instead. jitterSeed seeds
 	// the jitter source, so a test can pin the schedule.
 	backoffBase time.Duration
 	backoffMax  time.Duration
@@ -160,7 +161,9 @@ type cutFrame struct {
 
 // Router is the cluster's ingest client: it partitions events over the ring,
 // buffers per node, cuts binary frames at the batch threshold or flush
-// deadline, and honors 429 + Retry-After backpressure. Membership is live: a
+// deadline, and bounds each node's unacknowledged frames by a window (a node
+// acknowledges a frame once it has applied it); a 429 with Retry-After, which
+// only an intermediary sends, is honoured too. Membership is live: a
 // join, leave or eviction (change, in membership.go) rebuilds the ring at a
 // new epoch after handing per-user monitor state to the new owners, and an
 // evicted node's undelivered frames are re-routed to its users' new owners —
@@ -409,8 +412,9 @@ func (r *Router) run() {
 
 // attempt is the delivery effect: one POST of a frame sequence and, when it
 // fails, the pause before the owner loop may try again — the
-// Retry-After after a 429, the jittered backoff otherwise — reported back as
-// a posted event. A 429 that says how many frames were accepted makes the
+// Retry-After after a 429 (which only an intermediary in front of a node
+// sends), the jittered backoff otherwise — reported back as a posted event. A
+// 429 that says how many frames were accepted makes the
 // next attempt resend from there: acceptance is monotonic across
 // retries. Evicting the node cancels ctx, which ends request and pause.
 func (r *Router) attempt(ctx context.Context, cancel context.CancelFunc, e effect, pause time.Duration) {
@@ -543,7 +547,7 @@ type (
 	posted struct {
 		node     string
 		accepted int
-		rejected bool // the node answered 429
+		rejected bool // the request was answered 429, by an intermediary: a node never is
 		err      error
 	}
 )

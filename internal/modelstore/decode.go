@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
@@ -110,6 +111,17 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	vocab := core.VocabularyFromModel(model)
 	if err := matchVocab(vocab, actorRefs, fieldRefs, mt.wordsPerVec, ref); err != nil {
 		return nil, err
+	}
+	// A vector bit past the vocabulary names no variable, yet it would tell
+	// two otherwise equal vectors apart.
+	if used := vocab.NumVariables() - (mt.wordsPerVec-1)*64; used < 64 {
+		padding := ^uint64(0) << used
+		for s := 0; s < mt.numStates; s++ {
+			if stray := vecWords[(s+1)*mt.wordsPerVec-1] & padding; stray != 0 {
+				return nil, corruptf("state s%d sets vector bit %d, past the vocabulary's %d variables",
+					s, (mt.wordsPerVec-1)*64+bits.TrailingZeros64(stray), vocab.NumVariables())
+			}
+		}
 	}
 	var warnings []string
 	for _, r := range warnRefs {

@@ -18,9 +18,9 @@ import (
 
 // Section ids and table geometry of the format, as decode_test.go reads them.
 const (
-	secMeta, secStores = 1, 6
-	numSections        = 7
-	sectionTableEnd    = 64 + numSections*24
+	secMeta, secVectors, secStores = 1, 5, 6
+	numSections                    = 7
+	sectionTableEnd                = 64 + numSections*24
 )
 
 // TestDecodeRejectsBitFlipsEverywhere: one flipped bit anywhere — in the
@@ -103,6 +103,32 @@ func TestDecodeRejectsNonCanonicalStoreIndex(t *testing.T) {
 		_, err := modelstore.Decode(rechecksum(t, data), m)
 		if err == nil || !strings.Contains(err.Error(), "store set") {
 			t.Errorf("%s: Decode = %v, want a store-set index error", name, err)
+		}
+	}
+}
+
+// TestDecodeRejectsVectorPaddingBits: a state vector's last word holds bits
+// past the vocabulary's variables. A checksum-valid artifact that sets one
+// decodes to the same document, yet its vectors tell apart states that are
+// equal, and an edge whose delta carries the bit falls into a class of its
+// own. Decode rejects it, naming the state and the bit.
+func TestDecodeRejectsVectorPaddingBits(t *testing.T) {
+	m, p := fixtureModel(t)
+	valid := mustEncode(t, p)
+	numVars, wpv := p.Vocab.NumVariables(), p.Vocab.WordsPerVector()
+	if numVars%64 == 0 {
+		t.Fatalf("fixture vectors have %d variables in %d words: no padding bit to set", numVars, wpv)
+	}
+	vecOff, _ := sectionRange(t, valid, secVectors)
+	numStates := p.Graph.StateCount()
+	for _, tc := range []struct{ state, bit int }{{0, numVars}, {numStates / 2, wpv*64 - 1}, {numStates - 1, numVars + 1}} {
+		data := append([]byte(nil), valid...)
+		at := vecOff + ((tc.state+1)*wpv-1)*8
+		word := binary.LittleEndian.Uint64(data[at:]) | 1<<(tc.bit%64)
+		binary.LittleEndian.PutUint64(data[at:], word)
+		_, err := modelstore.Decode(rechecksum(t, data), m)
+		if want := fmt.Sprintf("state s%d sets vector bit %d,", tc.state, tc.bit); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("bit %d of state s%d: Decode = %v, want an error containing %q", tc.bit, tc.state, err, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package modelstore_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -417,6 +418,11 @@ func TestDecodeRejectsCorruptArtifacts(t *testing.T) {
 		},
 		"first payload word corrupted": func(d []byte) {
 			d[288] ^= 0x11
+		},
+		"vector padding bit set": func(d []byte) {
+			off, _ := sectionRange(t, d, secVectors)
+			last := off + (p.Vocab.WordsPerVector()-1)*8 // state 0's last word
+			binary.LittleEndian.PutUint64(d[last:], binary.LittleEndian.Uint64(d[last:])|1<<63)
 		},
 	}
 	for name, mutate := range deep {

@@ -171,7 +171,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 	// first finding of a template in report order is built, texts and all;
 	// the others copy it.
 	rc := newRenderCache()
-	fieldSets := make(map[*core.TransitionLabel][]string)
 	first := make([]int, len(r.tpl)) // per template: the report slot of its first finding, plus one
 	findings := make([]Finding, r.findings)
 	err = r.place(ctx, func(pos int, e, t int32) {
@@ -182,40 +181,70 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 			return
 		}
 		first[t] = pos + 1
-		label, tp := view.Label(e), r.tpl[t]
-		fieldSet, ok := fieldSets[label]
-		if !ok {
-			fieldSet = label.FieldSet()
-			fieldSets[label] = fieldSet
-		}
-		likelihood, likelihoodLevel, scenarios := a.otherLikelihood, a.otherLevel, a.otherScenarios
-		if tp.serviceClass {
-			likelihood, likelihoodLevel, scenarios = a.serviceLikelihood, a.serviceLevel, a.serviceScenarios
-		}
-		*f = Finding{
-			Transition:      view.Graph.TransitionAt(e),
-			Action:          label.Action,
-			Actor:           view.Actors()[tp.actor],
-			PerformedBy:     label.Actor,
-			Datastore:       label.Datastore,
-			Fields:          fieldSet,
-			Potential:       label.Potential,
-			Service:         label.Service,
-			DrivingField:    view.Fields()[tp.driving],
-			Impact:          r.sens[tp.driving],
-			ImpactLevel:     Level(tp.impactLevel),
-			Likelihood:      likelihood,
-			LikelihoodLevel: likelihoodLevel,
-			Scenarios:       scenarios,
-			Risk:            Level(tp.risk),
-		}
-		f.Explanation, f.Mitigation = a.explain(f, rc), a.suggestMitigation(f, rc)
+		*f = a.finding(r, e, r.tpl[t], rc)
 	})
 	if err != nil {
 		return nil, err
 	}
 	r.assessment.Findings = findings
 	return r.assessment, nil
+}
+
+// AlertFindings resolves, per edge class of the model's compiled view
+// (core.CompiledView.Classes), the finding an observed edge of the class
+// raises: the class's finding for the actor who performs it, when its risk is
+// at least threshold, and nil for a class with none. A flow that merely
+// exposes data to someone else is design-time knowledge, already in the
+// assessment; the performer actually reading the data is a live disclosure
+// event. A class has at most one such finding. Each finding's Transition is
+// the class's first edge; a caller reporting another edge of the class sets
+// it.
+func (a *Analyzer) AlertFindings(ctx context.Context, p *core.PrivacyLTS, profile UserProfile, threshold Level) ([]*Finding, error) {
+	r, err := a.rank(ctx, p, profile)
+	if err != nil {
+		return nil, err
+	}
+	rc := newRenderCache()
+	classes := r.view.Classes()
+	out := make([]*Finding, len(classes))
+	for c := range classes {
+		for _, tp := range r.tpl[r.tplOff[c]:r.tplOff[c+1]] {
+			if Level(tp.risk) >= threshold && r.view.Actors()[tp.actor] == classes[c].Label.Actor {
+				f := a.finding(r, classes[c].First, tp, rc)
+				out[c] = &f
+			}
+		}
+	}
+	return out, nil
+}
+
+// finding builds the finding template tp yields on edge e, texts and all.
+func (a *Analyzer) finding(r *ranking, e int32, tp template, rc *renderCache) Finding {
+	view := r.view
+	label := view.Label(e)
+	likelihood, likelihoodLevel, scenarios := a.otherLikelihood, a.otherLevel, a.otherScenarios
+	if tp.serviceClass {
+		likelihood, likelihoodLevel, scenarios = a.serviceLikelihood, a.serviceLevel, a.serviceScenarios
+	}
+	f := Finding{
+		Transition:      view.Graph.TransitionAt(e),
+		Action:          label.Action,
+		Actor:           view.Actors()[tp.actor],
+		PerformedBy:     label.Actor,
+		Datastore:       label.Datastore,
+		Fields:          rc.fieldSet(label),
+		Potential:       label.Potential,
+		Service:         label.Service,
+		DrivingField:    view.Fields()[tp.driving],
+		Impact:          r.sens[tp.driving],
+		ImpactLevel:     Level(tp.impactLevel),
+		Likelihood:      likelihood,
+		LikelihoodLevel: likelihoodLevel,
+		Scenarios:       scenarios,
+		Risk:            Level(tp.risk),
+	}
+	f.Explanation, f.Mitigation = a.explain(&f, rc), a.suggestMitigation(&f, rc)
+	return f
 }
 
 // template is the finding every edge of one edge class yields for one
@@ -446,19 +475,31 @@ func (r *ranking) summary() UserRisk {
 	return entry
 }
 
-// renderCache memoises the report-path string conversions of one analysis:
-// quoted identifiers (every finding quotes actor, store and field names drawn
-// from the same vocabulary) and fixed-point floats (impacts come from the
-// profile's sensitivity set, likelihoods from the analyzer's two scenario
-// aggregates), so each distinct value goes through strconv exactly once per
-// Analyze call.
+// renderCache memoises the report-path conversions of one analysis: label
+// field sets (shared by every finding of a label), quoted identifiers (every
+// finding quotes actor, store and field names drawn from the same vocabulary)
+// and fixed-point floats (impacts come from the profile's sensitivity set,
+// likelihoods from the analyzer's two scenario aggregates), so each distinct
+// value is converted exactly once per Analyze call.
 type renderCache struct {
-	quoted map[string]string
-	fixed  map[float64]string
+	fieldSets map[*core.TransitionLabel][]string
+	quoted    map[string]string
+	fixed     map[float64]string
 }
 
 func newRenderCache() *renderCache {
-	return &renderCache{quoted: make(map[string]string), fixed: make(map[float64]string)}
+	return &renderCache{fieldSets: make(map[*core.TransitionLabel][]string),
+		quoted: make(map[string]string), fixed: make(map[float64]string)}
+}
+
+// fieldSet returns label.FieldSet(), memoised.
+func (r *renderCache) fieldSet(label *core.TransitionLabel) []string {
+	fs, ok := r.fieldSets[label]
+	if !ok {
+		fs = label.FieldSet()
+		r.fieldSets[label] = fs
+	}
+	return fs
 }
 
 // quote returns strconv.Quote(s), memoised.

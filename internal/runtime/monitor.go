@@ -13,12 +13,13 @@
 // (unmodelled behaviour — a design/implementation mismatch).
 //
 // The monitor is built for production event rates: a user is a record in a
-// slab found by one map probe, event matching runs against a transition index
-// compiled once per model (see index.go), and profiles are interned in a
-// risk.Shapes registry, so each shape is analysed once. One mutex guards the
-// user records and the alert log; parallelism across users comes from running
-// one monitor per cluster node (internal/cluster), not from inside the
-// monitor.
+// slab found by one map probe, an event is matched against the edges leaving
+// the user's state through a field mask per edge class, compiled once per
+// monitor (see index.go), and profiles are interned in a risk.Shapes
+// registry, so each shape's alerting findings are resolved once, per edge
+// class. One mutex guards the user records and the alert log; parallelism
+// across users comes from running one monitor per cluster node
+// (internal/cluster), not from inside the monitor.
 package runtime
 
 import (
@@ -89,16 +90,13 @@ type Observation struct {
 	Alerts []Alert
 }
 
-// edgeFindings is one shape's alerting findings by dense edge: an event that
-// takes an edge is performed by its label's actor, so the one finding it can
-// raise is that actor's (findingsOf). Built once per shape, read-only after.
-type edgeFindings map[int32]*risk.Finding
-
-// user is one registered user: its shape's findings, its profile's record in
-// the monitor's registry, its dense cursor and its cumulative counters.
+// user is one registered user: its shape's alerting findings by edge class
+// (risk.Analyzer.AlertFindings, read-only), its profile's record in the
+// monitor's registry, its dense cursor and its cumulative counters. The
+// findings are held through a pointer, so a slab record is 48 bytes, not 64.
 type user struct {
 	id              string
-	findings        edgeFindings
+	findings        *[]*risk.Finding
 	profile, state  int32
 	applied, alerts int64
 }
@@ -115,7 +113,7 @@ type Monitor struct {
 	// profiles interns every installed profile; shapes analyses each of its
 	// shapes once.
 	profiles risk.Shapes
-	shapes   flight.Group[int32, edgeFindings]
+	shapes   flight.Group[int32, *[]*risk.Finding]
 
 	// mu guards users, slab and alerts.
 	mu     sync.Mutex
@@ -134,8 +132,9 @@ type Config struct {
 	AlertAt risk.Level
 }
 
-// NewMonitor creates a monitor for the generated privacy LTS. The model's
-// transition index is compiled here, once, so Observe never scans labels.
+// NewMonitor creates a monitor for the generated privacy LTS. A field mask
+// per edge class of the model is compiled here, once, so Observe never scans
+// label fields.
 func NewMonitor(p *core.PrivacyLTS, cfg Config) (*Monitor, error) {
 	if p == nil {
 		return nil, errors.New("runtime: privacy LTS must not be nil")
@@ -196,14 +195,15 @@ func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 				return fmt.Errorf("runtime: profile of user %q: %w", s.Profile.ID, err)
 			}
 			u.profile = record
-			u.findings, err = m.shapes.Do(ctx, shape, func(ctx context.Context) (edgeFindings, error) {
-				return m.findingsOf(ctx, s.Profile)
+			u.findings, err = m.shapes.Do(ctx, shape, func(ctx context.Context) (*[]*risk.Finding, error) {
+				findings, err := m.analyzer.AlertFindings(ctx, m.lts, s.Profile, m.alertAt)
+				return &findings, err
 			})
 			if err != nil {
 				return err
 			}
 		}
-		u.state, _ = m.index.graph.Index(s.State)
+		u.state, _ = m.lts.Graph.Index(s.State)
 		u.id, u.applied, u.alerts = s.Profile.ID, s.Applied, s.Alerts
 	}
 	if err := ctx.Err(); err != nil {
@@ -221,33 +221,6 @@ func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 		m.slab = append(m.slab, u)
 	}
 	return nil
-}
-
-// findingsOf keeps, per edge, the profile's riskiest finding whose at-risk
-// actor performs it, when its risk reaches the alert threshold: a flow that
-// merely exposes data to someone else is design-time knowledge (already in
-// the static assessment), while the non-allowed actor actually reading the
-// data is a live disclosure event.
-func (m *Monitor) findingsOf(ctx context.Context, profile risk.UserProfile) (edgeFindings, error) {
-	assessment, err := m.analyzer.AnalyzeContext(ctx, m.lts, profile)
-	if err != nil {
-		return nil, err
-	}
-	g := m.index.graph
-	out := make(edgeFindings)
-	for i := range assessment.Findings {
-		f := &assessment.Findings[i]
-		if f.Actor != f.PerformedBy || f.Risk < m.alertAt {
-			continue
-		}
-		from, _ := g.Index(f.Transition.From)
-		for _, e := range g.Out(from) {
-			if existing, ok := out[e]; g.TransitionAt(e) == f.Transition && (!ok || f.Risk > existing.Risk) {
-				out[e] = f
-			}
-		}
-	}
-	return out, nil
 }
 
 // Users returns the IDs of registered users, sorted.
@@ -270,7 +243,7 @@ func (m *Monitor) CurrentState(userID string) (lts.StateID, bool) {
 	if !ok {
 		return "", false
 	}
-	return m.index.graph.StateAt(m.slab[at].state), true
+	return m.lts.Graph.StateAt(m.slab[at].state), true
 }
 
 // CurrentVector returns the user's current privacy state vector.
@@ -346,7 +319,8 @@ func unmodelledAlert(ev *service.Event, cursor lts.StateID) Alert {
 	}
 }
 
-func riskAlert(ev *service.Event, finding risk.Finding) Alert {
+func riskAlert(ev *service.Event, finding risk.Finding, tr lts.Transition) Alert {
+	finding.Transition = tr
 	return Alert{
 		Kind:    AlertRisk,
 		UserID:  ev.UserID,
@@ -390,12 +364,12 @@ func (m *Monitor) apply(ev *service.Event) step {
 	}
 	st.edge, st.matched = m.index.match(u.state, ev)
 	if !st.matched {
-		st.raised = m.raise(u, unmodelledAlert(ev, m.index.graph.StateAt(u.state)))
+		st.raised = m.raise(u, unmodelledAlert(ev, m.lts.Graph.StateAt(u.state)))
 		return st
 	}
-	u.state = m.index.graph.To(st.edge)
-	if finding := u.findings[st.edge]; finding != nil {
-		st.raised = m.raise(u, riskAlert(ev, *finding))
+	u.state = m.lts.Graph.To(st.edge)
+	if finding := (*u.findings)[m.index.view.Class(st.edge)]; finding != nil {
+		st.raised = m.raise(u, riskAlert(ev, *finding, m.lts.Graph.TransitionAt(st.edge)))
 	}
 	return st
 }
@@ -431,11 +405,11 @@ func (m *Monitor) Observe(ev service.Event) (Observation, error) {
 	if !st.registered {
 		return Observation{}, fmt.Errorf("runtime: user %q is not registered with the monitor", ev.UserID)
 	}
-	from := m.index.graph.StateAt(st.from)
+	from := m.lts.Graph.StateAt(st.from)
 	obs := Observation{From: from, To: from}
 	if st.matched {
 		obs.Matched = true
-		obs.Transition = m.index.graph.TransitionAt(st.edge)
+		obs.Transition = m.lts.Graph.TransitionAt(st.edge)
 		obs.To = obs.Transition.To
 	}
 	if st.raised != 0 {

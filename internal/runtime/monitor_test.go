@@ -7,6 +7,7 @@ import (
 
 	"privascope/internal/casestudy"
 	"privascope/internal/core"
+	"privascope/internal/lts"
 	"privascope/internal/risk"
 	"privascope/internal/runtime"
 	"privascope/internal/service"
@@ -161,6 +162,81 @@ func TestObserveUnmodelledBehaviour(t *testing.T) {
 	}
 	if runtime.AlertUnmodelled.String() != "unmodelled-behaviour" || runtime.AlertKind(9).String() == "" {
 		t.Error("AlertKind.String() misbehaves")
+	}
+}
+
+// TestObserveDeclaredBeforeEarlierPotential: a declared flow wins over a
+// potential read with the same action, actor and datastore even when the
+// potential read comes first among the state's outgoing edges. Generation
+// emits declared edges first, so the case-study model is rebuilt from its
+// parts with the nurse's potential EHR read moved ahead of the declared
+// "administer treatment" flow at the state the medical service reaches
+// before it.
+func TestObserveDeclaredBeforeEarlierPotential(t *testing.T) {
+	p, monitor := surgeryMonitor(t)
+	events := medicalServiceEvents("patient-1")
+	prefix, read := events[:len(events)-1], events[len(events)-1]
+	for _, ev := range prefix {
+		if _, err := monitor.Observe(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at, _ := monitor.CurrentState("patient-1")
+	s, _ := p.Graph.Index(at)
+	declared, potential := -1, -1
+	for _, e := range p.Graph.Out(s) {
+		label := core.LabelOf(p.Graph.TransitionAt(e))
+		if label.Action != read.Action || label.Actor != read.Actor || label.Datastore != read.Datastore {
+			continue
+		}
+		if label.Potential && potential < 0 {
+			potential = int(e)
+		} else if !label.Potential && declared < 0 {
+			declared = int(e)
+		}
+	}
+	if declared < 0 || potential < declared {
+		t.Fatalf("state %s: declared read edge %d, potential read edge %d; want a declared edge first", at, declared, potential)
+	}
+
+	parts := p.Graph.Parts()
+	edges := make([]lts.BulkEdge, len(parts.EdgeLabels))
+	for e := range edges {
+		edges[e] = lts.BulkEdge{From: parts.EdgeFrom[e], To: parts.EdgeTo[e], Label: parts.EdgeLabels[e]}
+	}
+	moved := edges[potential]
+	copy(edges[declared+1:potential+1], edges[declared:potential])
+	edges[declared] = moved
+	graph, err := lts.FromParts(p.Graph.StateCount(), int(parts.Initial), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	of, sets := p.StoreTable()
+	rebuilt := core.RestorePrivacyLTS(p.Model, p.Vocab, graph, p.Warnings, p.VectorWords(), of, sets)
+	want := graph.TransitionAt(int32(declared + 1))
+	if core.LabelOf(graph.TransitionAt(int32(declared))) != core.LabelOf(p.Graph.TransitionAt(int32(potential))) ||
+		core.LabelOf(want) != core.LabelOf(p.Graph.TransitionAt(int32(declared))) {
+		t.Fatal("the rebuilt model does not put the potential read right before the declared flow")
+	}
+
+	m, err := runtime.NewMonitor(rebuilt, runtime.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RegisterUser(casestudy.PatientProfile()); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range prefix {
+		if _, err := m.Observe(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obs, err := m.Observe(read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !obs.Matched || obs.Transition != want {
+		t.Fatalf("the nurse's read took %v (matched %v), want the declared flow %v", obs.Transition, obs.Matched, want)
 	}
 }
 

@@ -278,7 +278,9 @@ func TestPropMonitorBatchHandoffForms(t *testing.T) {
 // through IngestBatch raises the same sequence of alert kinds as
 // referenceMonitor, carries the same finding on every risk alert and leaves
 // every user at the same state; at the default threshold and at LevelLow,
-// where risk alerts actually fire.
+// where risk alerts actually fire. The stream is fed as drawn and again with
+// every event of several fields reduced to a random non-empty strict subset
+// of them, so a read of some of a label's fields is checked too.
 func TestPropMonitorAlertsAreDesignTimeFindings(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		s := scenario.Draw(seed)
@@ -291,38 +293,56 @@ func TestPropMonitorAlertsAreDesignTimeFindings(t *testing.T) {
 			users[i] = profile.ID
 		}
 		stream := scenario.RandomEventStream(rng, p, users, 1+(48+len(users)-1)/len(users))
-		for _, tc := range []struct{ alertAt, want risk.Level }{{0, risk.LevelMedium}, {risk.LevelLow, risk.LevelLow}} {
-			monitor, err := runtime.NewMonitor(p, runtime.Config{AlertAt: tc.alertAt})
-			if err != nil {
-				return err
+		subsets := slices.Clone(stream)
+		for i := range subsets {
+			fields := subsets[i].Fields
+			if len(fields) < 2 {
+				continue
 			}
-			for _, profile := range s.Profiles {
-				if err := monitor.RegisterUser(profile); err != nil {
+			keep := rng.Perm(len(fields))[:1+rng.Intn(len(fields)-1)]
+			slices.Sort(keep)
+			subsets[i].Fields = make([]string, len(keep))
+			for j, k := range keep {
+				subsets[i].Fields[j] = fields[k]
+			}
+		}
+		for _, fed := range []struct {
+			name   string
+			events []service.Event
+		}{{"whole fields", stream}, {"field subsets", subsets}} {
+			for _, tc := range []struct{ alertAt, want risk.Level }{{0, risk.LevelMedium}, {risk.LevelLow, risk.LevelLow}} {
+				monitor, err := runtime.NewMonitor(p, runtime.Config{AlertAt: tc.alertAt})
+				if err != nil {
 					return err
 				}
-			}
-			monitor.IngestBatch(stream)
-			wantKinds, wantFindings, wantStates, err := referenceMonitor(p, s.Profiles, stream, tc.want)
-			if err != nil {
-				return err
-			}
-			var kinds []runtime.AlertKind
-			var findings []risk.Finding
-			for _, a := range monitor.Alerts() {
-				kinds = append(kinds, a.Kind)
-				if a.Kind == runtime.AlertRisk {
-					findings = append(findings, a.Finding)
+				for _, profile := range s.Profiles {
+					if err := monitor.RegisterUser(profile); err != nil {
+						return err
+					}
 				}
-			}
-			if !slices.Equal(kinds, wantKinds) {
-				return fmt.Errorf("alert at %v: kinds %v, the design-time reference %v", tc.want, kinds, wantKinds)
-			}
-			if !reflect.DeepEqual(findings, wantFindings) {
-				return fmt.Errorf("alert at %v: risk alerts carry findings\n%+v\nthe reference\n%+v", tc.want, findings, wantFindings)
-			}
-			for id, want := range wantStates {
-				if got, _ := monitor.CurrentState(id); got != want {
-					return fmt.Errorf("alert at %v: user %s ends at %s, the reference at %s", tc.want, id, got, want)
+				monitor.IngestBatch(fed.events)
+				wantKinds, wantFindings, wantStates, err := referenceMonitor(p, s.Profiles, fed.events, tc.want)
+				if err != nil {
+					return err
+				}
+				var kinds []runtime.AlertKind
+				var findings []risk.Finding
+				for _, a := range monitor.Alerts() {
+					kinds = append(kinds, a.Kind)
+					if a.Kind == runtime.AlertRisk {
+						findings = append(findings, a.Finding)
+					}
+				}
+				if !slices.Equal(kinds, wantKinds) {
+					return fmt.Errorf("%s, alert at %v: kinds %v, the design-time reference %v", fed.name, tc.want, kinds, wantKinds)
+				}
+				if !reflect.DeepEqual(findings, wantFindings) {
+					return fmt.Errorf("%s, alert at %v: risk alerts carry findings\n%+v\nthe reference\n%+v", fed.name, tc.want, findings, wantFindings)
+				}
+				for id, want := range wantStates {
+					if got, _ := monitor.CurrentState(id); got != want {
+						return fmt.Errorf("%s, alert at %v: user %s ends at %s, the reference at %s", fed.name, tc.want, id, got, want)
+					}
 				}
 			}
 		}

@@ -52,7 +52,7 @@ func (m *Monitor) ExportUser(userID string) (UserSnapshot, bool) {
 func (m *Monitor) snapshot(u *user) UserSnapshot {
 	profile := m.profiles.Profile(u.profile)
 	profile.ID = u.id
-	return UserSnapshot{Profile: profile, State: m.index.graph.StateAt(u.state), Applied: u.applied, Alerts: u.alerts}
+	return UserSnapshot{Profile: profile, State: m.lts.Graph.StateAt(u.state), Applied: u.applied, Alerts: u.alerts}
 }
 
 // ExportUsers snapshots, in one pass under one lock acquisition, every
@@ -130,7 +130,7 @@ func (m *Monitor) checkSnapshot(snap *UserSnapshot) error {
 	if snap.Profile.ID == "" {
 		return fmt.Errorf("runtime: import: snapshot has no user ID")
 	}
-	if _, ok := m.index.graph.Index(snap.State); !ok {
+	if _, ok := m.lts.Graph.Index(snap.State); !ok {
 		return fmt.Errorf("runtime: import of user %q: state %q is not in the model", snap.Profile.ID, snap.State)
 	}
 	if snap.Applied < 0 || snap.Alerts < 0 {

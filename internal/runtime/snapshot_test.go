@@ -353,10 +353,10 @@ func TestImportBatchRecordsMatchInterning(t *testing.T) {
 		if u.profile != record || gotShape != shape {
 			t.Errorf("user %d: record %d, shape %d; interned alone, record %d, shape %d", i, u.profile, gotShape, record, shape)
 		}
-		findings, _ := m.shapes.Do(ctx, shape, func(context.Context) (edgeFindings, error) {
+		findings, _ := m.shapes.Do(ctx, shape, func(context.Context) (*[]*risk.Finding, error) {
 			return nil, fmt.Errorf("shape %d was never analysed", shape)
 		})
-		if reflect.ValueOf(u.findings).Pointer() != reflect.ValueOf(findings).Pointer() {
+		if u.findings != findings {
 			t.Errorf("user %d does not hold its shape's findings", i)
 		}
 	}

@@ -3,7 +3,9 @@ package privascope_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -113,10 +115,13 @@ func TestPropAssessPopulationMatchesPerProfile(t *testing.T) {
 // generations — every model comes from disk — and its assessment and
 // rendered report are byte-identical to the generated path.
 func TestPropEngineWarmRegistryColdStart(t *testing.T) {
-	dir := t.TempDir()
+	root := t.TempDir()
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		s := scenario.Draw(seed)
 		ctx := context.Background()
+		// A registry per round: two rounds may draw one model, and the
+		// writer must start from a registry that lacks it.
+		dir := filepath.Join(root, fmt.Sprint(seed))
 
 		writer := privascope.MustEngine(privascope.EngineOptions{CacheDir: dir})
 		baseline, err := writer.Assess(ctx, s.Model, s.Profiles[0])
