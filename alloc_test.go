@@ -297,7 +297,7 @@ func TestAllocCeilings(t *testing.T) {
 		// Router.Register of 8,192 users on a two-node fleet: per chunk a frame,
 		// its request and its decoded snapshots, and the slab grows once; per
 		// user only the ID map's growth.
-		{"router_register", 0.184, "user", func(t *testing.T) (float64, int) {
+		{"router_register", 0.166, "user", func(t *testing.T) (float64, int) {
 			return testutil.AllocsOnFresh(func() *cluster.Local { return startFleet(t, surgeryLTS) }, func(c *cluster.Local) {
 				if err := c.Router.Register(ctx, fleetProfiles); err != nil {
 					t.Fatal(err)
@@ -384,7 +384,7 @@ func TestAllocCeilings(t *testing.T) {
 			}), len(shared)
 		}},
 		// AddNode then RemoveNode of the joiner on that fleet, registered.
-		{"join_leave", 0.296, "moved user", func(t *testing.T) (float64, int) {
+		{"join_leave", 0.250, "moved user", func(t *testing.T) (float64, int) {
 			fresh := func() *cluster.Local {
 				c := startFleet(t, surgeryLTS)
 				if err := c.Router.Register(ctx, fleetProfiles); err != nil {

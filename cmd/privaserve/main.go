@@ -92,7 +92,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return runClusterMode(ctx, *clusterNodes, generated, model, profile,
 			*eventsPath, *duration, out)
 	}
-	monitor, err := privascope.NewMonitor(generated, privascope.MonitorConfig{})
+	monitor, err := engine.Monitor(ctx, model, privascope.MonitorConfig{})
 	if err != nil {
 		return err
 	}

@@ -57,14 +57,15 @@ type EngineOptions struct {
 // The engine caches generated privacy models by ModelFingerprint — a
 // canonical content hash, so two loads of the same model document share one
 // generation — and shares one RiskConfig-derived analyzer and assessment
-// cache across all calls, so same-shaped user profiles are analysed once per
-// model. Each cached model carries its lazily-built compiled analysis view
-// (the flat CSR graph with pre-resolved labels and state-vector deltas), so a
-// model is compiled once per fingerprint and every Assess, Analyze,
-// AssessPopulation and Monitor call walks the same compiled core. Both caches are single-flighted: concurrent first requests for the
-// same model block on a single generation instead of duplicating it, a
-// waiter honours its own context, and a generation aborted by cancellation
-// is forgotten rather than cached.
+// cache across Assess calls and its monitors, so same-shaped user profiles
+// are analysed once per model. Each cached model carries its lazily-built
+// compiled analysis view (the flat CSR graph with pre-resolved labels and
+// state-vector deltas), so a model is compiled once per fingerprint and every
+// Assess, Analyze, AssessPopulation and Monitor call walks the same compiled
+// core. Both caches are single-flighted: concurrent first requests for the
+// same model block on a single generation instead of duplicating it, a waiter
+// honours its own context, and a generation aborted by cancellation is
+// forgotten rather than cached.
 //
 // Models handed to an Engine must not be mutated afterwards: the cached
 // privacy LTS retains the model, and the fingerprint is computed from its
@@ -240,26 +241,25 @@ func (e *Engine) analyze(ctx context.Context, m *Model, profile UserProfile) (*P
 }
 
 // AssessPopulation assesses every profile against the (cached) privacy model
-// of m and aggregates the results. Assessments share the engine's
-// profile-shape cache, so repeated population scans — and interleaved
-// single-user Assess calls — never re-analyse a shape the engine has seen.
+// of m and aggregates the results. A scan walks each distinct shape once and
+// builds no Finding, so it neither reads nor fills the assessment cache.
 func (e *Engine) AssessPopulation(ctx context.Context, m *Model, profiles []UserProfile) (*PopulationAssessment, error) {
 	p, err := e.Model(ctx, m)
 	if err != nil {
 		return nil, err
 	}
-	return risk.AnalyzePopulationCached(ctx, e.assessments, p, profiles)
+	return e.analyzer.AnalyzePopulationContext(ctx, p, profiles)
 }
 
 // Monitor creates a runtime privacy monitor backed by the engine's (cached)
-// privacy model of m and the engine's analyzer.
+// privacy model of m and, unless cfg names another, its assessment cache.
 func (e *Engine) Monitor(ctx context.Context, m *Model, cfg MonitorConfig) (*Monitor, error) {
 	p, err := e.Model(ctx, m)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Analyzer == nil {
-		cfg.Analyzer = e.analyzer
+	if cfg.Assessments == nil {
+		cfg.Assessments = e.assessments
 	}
 	return NewMonitor(p, cfg)
 }

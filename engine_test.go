@@ -386,8 +386,8 @@ func TestEngineAssessCancelledNotCached(t *testing.T) {
 	}
 }
 
-// TestEngineMonitor: the engine wires its cached model and shared analyzer
-// into runtime monitors.
+// TestEngineMonitor: the engine wires its cached model and shared assessment
+// cache into runtime monitors.
 func TestEngineMonitor(t *testing.T) {
 	engine := newTestEngine(t)
 	monitor, err := engine.Monitor(context.Background(), casestudy.Surgery(), privascope.MonitorConfig{})
@@ -409,8 +409,32 @@ func TestEngineMonitor(t *testing.T) {
 	}
 }
 
-// TestEngineAssessPopulation: population scans share the engine's assessment
-// cache with single-user calls.
+// TestEngineMonitorsShareAssessments: two monitors of one engine analyse a
+// shape once between them — the second monitor's registration of a shape the
+// first registered is a hit on the engine's assessment cache.
+func TestEngineMonitorsShareAssessments(t *testing.T) {
+	engine := newTestEngine(t)
+	ctx := context.Background()
+	for i := range 2 {
+		monitor, err := engine.Monitor(ctx, casestudy.Surgery(), privascope.MonitorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		profile := casestudy.PatientProfile()
+		profile.ID = fmt.Sprintf("patient-%d", i)
+		if err := monitor.RegisterUser(profile); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := engine.AssessmentCacheStats(); hits != int64(i) || misses != 1 {
+			t.Fatalf("after monitor %d registered the shape: hits=%d misses=%d, want %d/1", i, hits, misses, i)
+		}
+	}
+}
+
+// TestEngineAssessPopulation: a population scan analyses each distinct shape
+// of its population once, and touches no cache — a single-user Assess of the
+// same shape afterwards is the engine's assessment cache's first and only
+// miss.
 func TestEngineAssessPopulation(t *testing.T) {
 	engine := newTestEngine(t)
 	model := casestudy.Surgery()
@@ -432,8 +456,11 @@ func TestEngineAssessPopulation(t *testing.T) {
 	if pop.DistinctShapes != 1 {
 		t.Fatalf("distinct shapes = %d, want 1 (same-shaped users share one analysis)", pop.DistinctShapes)
 	}
-	// The shared cache means a follow-up single-user Assess of the same
-	// shape is a pure cache hit.
+	if hits, misses := engine.AssessmentCacheStats(); hits != 0 || misses != 0 {
+		t.Fatalf("after the scan: assessment cache hits=%d misses=%d, want 0/0", hits, misses)
+	}
+	// The scan filled no cache entry, so a follow-up single-user Assess of the
+	// same shape computes it.
 	if _, err := engine.Assess(context.Background(), model, profiles[0]); err != nil {
 		t.Fatal(err)
 	}

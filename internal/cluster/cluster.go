@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"privascope/internal/core"
+	"privascope/internal/risk"
 	"privascope/internal/runtime"
 )
 
@@ -96,7 +97,8 @@ func (s *NodeServer) Close() error {
 }
 
 // Local is an in-process cluster: n nodes named node0..node{n-1}, each with
-// its own monitor and HTTP server, fronted by one Router. It is the
+// its own monitor and HTTP server, fronted by one Router. The monitors share
+// one risk.AssessmentCache, so a fleet analyses a profile shape once. It is the
 // deployment unit behind `privaserve -cluster N`, the integration tests and
 // the ingest benchmark. Membership is live — AddNode, RemoveNode and
 // EvictNode change the fleet under traffic — and a Prober (StartProber)
@@ -126,6 +128,10 @@ type Local struct {
 func StartLocal(p *core.PrivacyLTS, n int, nodeCfg NodeConfig, routerCfg RouterConfig) (*Local, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
+	}
+	var err error
+	if nodeCfg.assessments, err = risk.NewAssessmentCache(nil); err != nil {
+		return nil, err
 	}
 	c := &Local{model: p, nodeCfg: nodeCfg, nextNode: n}
 	urls := make(map[string]string, n)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"privascope/internal/casestudy"
+	"privascope/internal/core"
 	"privascope/internal/lts"
 	"privascope/internal/proptest/scenario"
 	"privascope/internal/risk"
@@ -288,6 +289,118 @@ func TestClusterEvictFailover(t *testing.T) {
 	requireClusterMatchesDirect(t, c, direct, users)
 	if stats := c.Router.Stats(); stats.Dropped != 0 {
 		t.Fatalf("router dropped %d sequences during failover: %+v", stats.Dropped, stats)
+	}
+}
+
+// TestClusterAnalysesEachShapeOnce: the nodes of a fleet borrow one
+// assessment cache, so 8 profile shapes spread over 3 nodes cost 8 analyses
+// through registration, a join, a leave and an eviction, and users of one
+// shape on different nodes raise their alerts from the one findings table.
+func TestClusterAnalysesEachShapeOnce(t *testing.T) {
+	const shapes, perShape = 8, 6
+	p := surgeryModel(t)
+	var profiles []risk.UserProfile
+	shapeOf := make(map[string]int)
+	for k := range shapes {
+		for i := range perShape {
+			profile := casestudy.PatientProfile()
+			profile.ID = fmt.Sprintf("shape-%d-user-%d", k, i)
+			profile.DefaultSensitivity = 0.1 + 0.01*float64(k)
+			profiles = append(profiles, profile)
+			shapeOf[profile.ID] = k
+		}
+	}
+	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{tuning: routerTuning{batchEvents: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := c.Router.Register(ctx, profiles); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		held := make(map[int]bool)
+		for _, id := range n.Monitor().Users() {
+			held[shapeOf[id]] = true
+		}
+		if len(held) < 2 {
+			t.Fatalf("node %q holds %d shapes, want several", n.Name(), len(held))
+		}
+	}
+	if _, err := c.AddNode(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveNode(ctx, "node1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EvictNode(ctx, "node2"); err != nil {
+		t.Fatal(err)
+	}
+	cache := c.nodeCfg.assessments
+	if misses := cache.Misses(); misses != shapes {
+		t.Fatalf("the fleet analysed %d times, want once per shape: %d", misses, shapes)
+	}
+
+	// Every user runs the medical service, then the administrator reads their
+	// diagnosis: a risk alert, built from the user's shape's findings.
+	var stream []service.Event
+	for _, profile := range profiles {
+		stream = append(append(stream, casestudy.MedicalServiceEvents(profile.ID)...),
+			service.Event{Actor: casestudy.ActorAdministrator, Action: core.ActionRead, Datastore: casestudy.StoreEHR,
+				UserID: profile.ID, Fields: []string{casestudy.FieldDiagnosis}})
+	}
+	if err := c.Router.SendBatch(ctx, stream); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	alertFields := make([]*string, shapes) // a shape's finding's Fields storage
+	nodesOf := make([]map[string]bool, shapes)
+	alerts := 0
+	for _, n := range c.Nodes {
+		for _, a := range n.Monitor().Alerts() {
+			k := shapeOf[a.UserID]
+			if a.Kind != runtime.AlertRisk || len(a.Finding.Fields) == 0 {
+				t.Fatalf("user %q raised %s alert %q, want a risk alert", a.UserID, a.Kind, a.Message)
+			}
+			if alertFields[k] == nil {
+				_, table, err := cache.AlertFindings(ctx, p, profiles[k*perShape], risk.LevelMedium)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range *table {
+					if f != nil && f.Actor == a.Finding.Actor && reflect.DeepEqual(f.Fields, a.Finding.Fields) {
+						alertFields[k], nodesOf[k] = &f.Fields[0], make(map[string]bool)
+					}
+				}
+			}
+			if &a.Finding.Fields[0] != alertFields[k] {
+				t.Fatalf("user %q on %q raised an alert not built from its shape's findings in the fleet's cache", a.UserID, n.Name())
+			}
+			nodesOf[k][n.Name()] = true
+			alerts++
+		}
+	}
+	if alerts != len(profiles) {
+		t.Fatalf("%d risk alerts, want one per user: %d", alerts, len(profiles))
+	}
+	spread := 0
+	for k := range shapes {
+		if len(nodesOf[k]) > 1 {
+			spread++
+		}
+	}
+	if spread == 0 {
+		t.Fatal("no shape has users on two nodes")
+	}
+	if misses := cache.Misses(); misses != shapes {
+		t.Fatalf("the fleet analysed %d times, want once per shape: %d", misses, shapes)
 	}
 }
 

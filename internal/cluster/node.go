@@ -16,6 +16,7 @@ import (
 
 	"privascope/internal/core"
 	"privascope/internal/lts"
+	"privascope/internal/risk"
 	"privascope/internal/runtime"
 	"privascope/internal/service"
 )
@@ -24,6 +25,8 @@ import (
 type NodeConfig struct {
 	// Name is the node's ring name (required; must match the Router's view).
 	Name string
+	// assessments is the fleet's cache (StartLocal); nil: the node's own.
+	assessments *risk.AssessmentCache
 }
 
 // NodeStats is an atomic snapshot of one node's counters.
@@ -102,7 +105,7 @@ func NewNode(p *core.PrivacyLTS, cfg NodeConfig) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("cluster: node needs a name")
 	}
-	monitor, err := runtime.NewMonitor(p, runtime.Config{})
+	monitor, err := runtime.NewMonitor(p, runtime.Config{Assessments: cfg.assessments})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %q: %w", cfg.Name, err)
 	}

@@ -1,8 +1,9 @@
 // Package flight provides a context-aware, generics-based single-flight
 // result cache: the building block behind every "compute once, share with all
-// concurrent callers" structure in this module (the risk assessment cache,
-// the equivalence-class index, the value-risk scenario cache and the public
-// Engine's model cache).
+// concurrent callers" structure in this module: the risk assessment cache
+// (the one per-shape memo, for assessments and monitor alert tables alike), a
+// model's compiled view, the equivalence-class index, the value-risk scenario
+// cache and the public Engine's model cache.
 //
 // It differs from a plain sync.Once-per-entry cache in two ways that matter
 // for a context-first API:

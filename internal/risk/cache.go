@@ -8,28 +8,31 @@ import (
 )
 
 // cacheKey identifies one cached analysis: the model instance (by identity —
-// a PrivacyLTS is immutable once generated) and the profile's shape id.
+// a PrivacyLTS is immutable once generated), the profile's shape id and, for
+// an alert table, its threshold (zero for a whole assessment).
 type cacheKey struct {
-	model *core.PrivacyLTS
-	shape int32
+	model     *core.PrivacyLTS
+	shape     int32
+	threshold Level
 }
 
-// AssessmentCache deduplicates risk assessments across users with identical
-// profile shapes (Shapes). The first analysis of each (model, shape)
-// pair runs the full Analyzer; every subsequent request returns the shared
-// result in O(1), with only the Profile swapped for the caller's. It is safe
-// for concurrent use: concurrent first requests for a shape are
-// single-flighted (one analysis, everyone shares the result), waiters honour
-// their own context, and an analysis aborted by cancellation is forgotten
-// rather than cached.
+// AssessmentCache deduplicates risk analyses across users with identical
+// profile shapes (Shapes): one cache serves an Engine's assessments and every
+// runtime monitor that borrows it. The first analysis of each
+// (model, shape) pair runs the Analyzer; every subsequent request returns the
+// shared result in O(1). It is safe for concurrent use: concurrent first
+// requests for a shape are single-flighted (one analysis, everyone shares the
+// result), waiters honour their own context, and an analysis aborted by
+// cancellation is forgotten rather than cached.
 //
-// Findings of a cached assessment are shared between callers and must be
-// treated as immutable, which matches the Analyzer contract (analyses never
-// mutate their outputs after returning them).
+// Findings of a cached result are shared between callers and must be treated
+// as immutable, which matches the Analyzer contract (analyses never mutate
+// their outputs after returning them).
 type AssessmentCache struct {
 	analyzer *Analyzer
 	shapes   Shapes
 	entries  flight.Group[cacheKey, *Assessment]
+	alerts   flight.Group[cacheKey, *[]*Finding]
 }
 
 // NewAssessmentCache wraps the analyzer with a shape-keyed cache.
@@ -68,8 +71,28 @@ func (c *AssessmentCache) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS
 	return &assessment, nil
 }
 
-// Hits returns how many AnalyzeContext calls were served from the cache.
-func (c *AssessmentCache) Hits() int64 { return c.entries.Hits() }
+// AlertFindings interns the profile and returns its record id in the cache's
+// registry (Profile reads it back) and its shape's Analyzer.AlertFindings
+// table, computed at most once per (model, shape, threshold) with
+// AnalyzeContext's single-flight and cancellation rules. The table is shared
+// with every other user of the shape and must be treated as read-only.
+func (c *AssessmentCache) AlertFindings(ctx context.Context, p *core.PrivacyLTS, profile UserProfile, threshold Level) (int32, *[]*Finding, error) {
+	record, shape, err := c.shapes.Intern(profile)
+	if err != nil {
+		return -1, nil, err
+	}
+	findings, err := c.alerts.Do(ctx, cacheKey{model: p, shape: shape, threshold: threshold}, func(ctx context.Context) (*[]*Finding, error) {
+		findings, err := c.analyzer.AlertFindings(ctx, p, profile, threshold)
+		return &findings, err
+	})
+	return record, findings, err
+}
 
-// Misses returns how many AnalyzeContext calls computed a fresh assessment.
-func (c *AssessmentCache) Misses() int64 { return c.entries.Misses() }
+// Profile returns the interned record, its ID empty (Shapes.Profile).
+func (c *AssessmentCache) Profile(record int32) UserProfile { return c.shapes.Profile(record) }
+
+// Hits returns how many lookups, by either method, were served from the cache.
+func (c *AssessmentCache) Hits() int64 { return c.entries.Hits() + c.alerts.Hits() }
+
+// Misses returns how many lookups, by either method, computed afresh.
+func (c *AssessmentCache) Misses() int64 { return c.entries.Misses() + c.alerts.Misses() }

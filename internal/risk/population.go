@@ -47,8 +47,8 @@ type PopulationAssessment struct {
 	// mitigation pays off most.
 	WorstActors map[string]int
 	// DistinctShapes is the number of distinct profile shapes (Shapes) in
-	// the population: each was analysed (or read from a shared cache) once,
-	// and every other user shared its entry.
+	// the population: each was analysed once, and every other user shared its
+	// entry.
 	DistinctShapes int
 }
 
@@ -81,37 +81,6 @@ func (p *PopulationAssessment) WorstActorsRanked() []string {
 // polled between profiles (and inside each underlying walk), so a cancelled
 // context aborts the scan promptly with ctx.Err().
 func (a *Analyzer) AnalyzePopulationContext(ctx context.Context, p *core.PrivacyLTS, profiles []UserProfile) (*PopulationAssessment, error) {
-	return analyzePopulation(ctx, p, profiles, func(profile UserProfile) (UserRisk, error) {
-		r, err := a.rank(ctx, p, profile)
-		if err != nil {
-			return UserRisk{}, err
-		}
-		return r.summary(), nil
-	})
-}
-
-// AnalyzePopulationCached is AnalyzePopulationContext over a caller-supplied
-// assessment cache, so long-lived sessions (privascope.Engine) can share one
-// cache across many population scans and individual assessments of the same
-// model: a shape's entry comes from its cached Assessment. DistinctShapes
-// still counts the shapes of this population only, not the cache's size.
-func AnalyzePopulationCached(ctx context.Context, cache *AssessmentCache, p *core.PrivacyLTS, profiles []UserProfile) (*PopulationAssessment, error) {
-	return analyzePopulation(ctx, p, profiles, func(profile UserProfile) (UserRisk, error) {
-		a, err := cache.AnalyzeContext(ctx, p, profile)
-		if err != nil {
-			return UserRisk{}, err
-		}
-		entry := UserRisk{OverallRisk: a.OverallRisk, Findings: len(a.Findings)}
-		if len(a.Findings) > 0 { // findings are in report order
-			entry.HighestImpactField, entry.WorstActor = a.Findings[0].DrivingField, a.Findings[0].Actor
-		}
-		return entry, nil
-	})
-}
-
-// analyzePopulation aggregates profiles, asking shape once per distinct shape.
-func analyzePopulation(ctx context.Context, p *core.PrivacyLTS, profiles []UserProfile,
-	shape func(profile UserProfile) (UserRisk, error)) (*PopulationAssessment, error) {
 	if p == nil {
 		return nil, errors.New("risk: privacy LTS must not be nil")
 	}
@@ -131,9 +100,10 @@ func analyzePopulation(ctx context.Context, p *core.PrivacyLTS, profiles []UserP
 		}
 		_, id, err := shapes.Intern(profile)
 		if err == nil && int(id) == len(entries) { // a shape's first user
-			var entry UserRisk
-			entry, err = shape(profile)
-			entries = append(entries, entry)
+			var r *ranking
+			if r, err = a.rank(ctx, p, profile); err == nil {
+				entries = append(entries, r.summary())
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("risk: analysing profile %d (%s): %w", i, profile.ID, err)

@@ -2,10 +2,11 @@ package runtime
 
 import "privascope/internal/service"
 
-// AssessmentCacheStats reports how many user registrations were served from
-// the profile-fingerprint cache versus assessed from scratch.
+// AssessmentCacheStats reports how many lookups of the monitor's assessment
+// cache, by whoever shares it, were served from it versus assessed from
+// scratch.
 func (m *Monitor) AssessmentCacheStats() (hits, misses int64) {
-	return m.shapes.Hits(), m.shapes.Misses()
+	return m.assessments.Hits(), m.assessments.Misses()
 }
 
 // Watch consumes events from the channel until it is closed, observing each

@@ -15,11 +15,12 @@
 // The monitor is built for production event rates: a user is a record in a
 // slab found by one map probe, an event is matched against the edges leaving
 // the user's state through a field mask per edge class, compiled once per
-// monitor (see index.go), and profiles are interned in a risk.Shapes
-// registry, so each shape's alerting findings are resolved once, per edge
-// class. One mutex guards the user records and the alert log; parallelism
-// across users comes from running one monitor per cluster node
-// (internal/cluster), not from inside the monitor.
+// monitor (see index.go), and profiles are interned in a borrowed
+// risk.AssessmentCache, the one per-shape memo, so each shape's alerting
+// findings are resolved once per cache, per edge class, however many monitors
+// (an Engine's, or one per cluster node, internal/cluster) share it. One
+// mutex guards the user records and the alert log; parallelism across users
+// comes from running several monitors, not from inside one.
 package runtime
 
 import (
@@ -32,7 +33,6 @@ import (
 	"sync"
 
 	"privascope/internal/core"
-	"privascope/internal/flight"
 	"privascope/internal/lts"
 	"privascope/internal/risk"
 	"privascope/internal/service"
@@ -91,8 +91,8 @@ type Observation struct {
 }
 
 // user is one registered user: its shape's alerting findings by edge class
-// (risk.Analyzer.AlertFindings, read-only), its profile's record in the
-// monitor's registry, its dense cursor and its cumulative counters. The
+// (risk.AssessmentCache.AlertFindings, read-only), its profile's record in the
+// cache's registry, its dense cursor and its cumulative counters. The
 // findings are held through a pointer, so a slab record is 48 bytes, not 64.
 type user struct {
 	id              string
@@ -104,16 +104,13 @@ type user struct {
 // Monitor tracks per-user privacy state against a privacy LTS. It is safe
 // for concurrent use.
 type Monitor struct {
-	lts      *core.PrivacyLTS
-	analyzer *risk.Analyzer
-	index    *transitionIndex
+	lts   *core.PrivacyLTS
+	index *transitionIndex
 	// alertAt is the minimum risk level that raises an alert.
 	alertAt risk.Level
-
-	// profiles interns every installed profile; shapes analyses each of its
-	// shapes once.
-	profiles risk.Shapes
-	shapes   flight.Group[int32, *[]*risk.Finding]
+	// assessments interns every installed profile and analyses each of its
+	// shapes once; other monitors may share it.
+	assessments *risk.AssessmentCache
 
 	// mu guards users, slab and alerts.
 	mu     sync.Mutex
@@ -124,9 +121,10 @@ type Monitor struct {
 
 // Config configures a Monitor.
 type Config struct {
-	// Analyzer is the disclosure-risk analyzer used to assess users; the
-	// default configuration is used when nil.
-	Analyzer *risk.Analyzer
+	// Assessments is the per-shape cache that assesses users, shared with
+	// whatever else holds it; a fresh cache over the default analyzer is
+	// used when nil.
+	Assessments *risk.AssessmentCache
 	// AlertAt is the minimum risk level that raises an alert; defaults to
 	// Medium.
 	AlertAt risk.Level
@@ -139,10 +137,10 @@ func NewMonitor(p *core.PrivacyLTS, cfg Config) (*Monitor, error) {
 	if p == nil {
 		return nil, errors.New("runtime: privacy LTS must not be nil")
 	}
-	analyzer := cfg.Analyzer
-	if analyzer == nil {
+	assessments := cfg.Assessments
+	if assessments == nil {
 		var err error
-		if analyzer, err = risk.NewAnalyzer(risk.Config{}); err != nil {
+		if assessments, err = risk.NewAssessmentCache(nil); err != nil {
 			return nil, err
 		}
 	}
@@ -151,18 +149,19 @@ func NewMonitor(p *core.PrivacyLTS, cfg Config) (*Monitor, error) {
 		alertAt = risk.LevelMedium
 	}
 	return &Monitor{
-		lts:      p,
-		analyzer: analyzer,
-		index:    newTransitionIndex(p),
-		alertAt:  alertAt,
-		users:    make(map[string]int32),
+		lts:         p,
+		index:       newTransitionIndex(p),
+		alertAt:     alertAt,
+		assessments: assessments,
+		users:       make(map[string]int32),
 	}, nil
 }
 
 // RegisterUser starts tracking a user: their cursor is placed at the initial
 // (absolute privacy) state and their profile is assessed against the model so
-// observed transitions can be mapped to risk levels cheaply. The monitor keeps
-// its own copy of the profile, and analyses each profile shape once.
+// observed transitions can be mapped to risk levels cheaply. The monitor's
+// cache keeps its own copy of the profile and analyses each profile shape
+// once.
 func (m *Monitor) RegisterUser(profile risk.UserProfile) error {
 	return m.RegisterUserContext(context.Background(), profile)
 }
@@ -190,17 +189,10 @@ func (m *Monitor) install(ctx context.Context, snaps []UserSnapshot) error {
 		if i > 0 && risk.SameRecord(&snaps[i-1].Profile, &s.Profile) {
 			u.profile, u.findings = users[i-1].profile, users[i-1].findings
 		} else {
-			record, shape, err := m.profiles.Intern(s.Profile)
+			var err error
+			u.profile, u.findings, err = m.assessments.AlertFindings(ctx, m.lts, s.Profile, m.alertAt)
 			if err != nil {
 				return fmt.Errorf("runtime: profile of user %q: %w", s.Profile.ID, err)
-			}
-			u.profile = record
-			u.findings, err = m.shapes.Do(ctx, shape, func(ctx context.Context) (*[]*risk.Finding, error) {
-				findings, err := m.analyzer.AlertFindings(ctx, m.lts, s.Profile, m.alertAt)
-				return &findings, err
-			})
-			if err != nil {
-				return err
 			}
 		}
 		u.state, _ = m.lts.Graph.Index(s.State)

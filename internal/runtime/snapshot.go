@@ -50,7 +50,7 @@ func (m *Monitor) ExportUser(userID string) (UserSnapshot, bool) {
 
 // snapshot builds the user's snapshot from its record. The caller holds m.mu.
 func (m *Monitor) snapshot(u *user) UserSnapshot {
-	profile := m.profiles.Profile(u.profile)
+	profile := m.assessments.Profile(u.profile)
 	profile.ID = u.id
 	return UserSnapshot{Profile: profile, State: m.lts.Graph.StateAt(u.state), Applied: u.applied, Alerts: u.alerts}
 }

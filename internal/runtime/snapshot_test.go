@@ -349,15 +349,17 @@ func TestImportBatchRecordsMatchInterning(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := &m.slab[m.users[snaps[i].Profile.ID]]
-		_, gotShape, _ := m.profiles.Intern(m.profiles.Profile(u.profile))
+		_, gotShape, _ := alone.Intern(m.assessments.Profile(u.profile))
 		if u.profile != record || gotShape != shape {
 			t.Errorf("user %d: record %d, shape %d; interned alone, record %d, shape %d", i, u.profile, gotShape, record, shape)
 		}
-		findings, _ := m.shapes.Do(ctx, shape, func(context.Context) (*[]*risk.Finding, error) {
-			return nil, fmt.Errorf("shape %d was never analysed", shape)
-		})
-		if u.findings != findings {
-			t.Errorf("user %d does not hold its shape's findings", i)
+		_, misses := m.AssessmentCacheStats()
+		gotRecord, findings, err := m.assessments.AlertFindings(ctx, p, snaps[i].Profile, m.alertAt)
+		if _, after := m.AssessmentCacheStats(); err != nil || after != misses {
+			t.Errorf("user %d: its shape was never analysed (err %v)", i, err)
+		}
+		if gotRecord != record || u.findings != findings {
+			t.Errorf("user %d does not hold its record (%d, want %d) and its shape's findings", i, u.profile, gotRecord)
 		}
 	}
 }
