@@ -67,7 +67,7 @@ func TestAllocCeilings(t *testing.T) {
 		run func(t *testing.T) (allocs float64, units int)
 	}{
 		// Generating the 15,625-state model with one worker.
-		{"generate", 1635, "generation", func(t *testing.T) (float64, int) {
+		{"generate", 1627, "generation", func(t *testing.T) (float64, int) {
 			return testing.AllocsPerRun(1, func() {
 				mustGenerate(t, large, privascope.GenerateOptions{Workers: 1})
 			}), 1
@@ -103,7 +103,7 @@ func TestAllocCeilings(t *testing.T) {
 			return allocs, 1
 		}},
 		// One-shot privascope.Assess of the case study: generate, analyse, report.
-		{"assess_one_shot", 704, "assessment", func(t *testing.T) (float64, int) {
+		{"assess_one_shot", 698, "assessment", func(t *testing.T) (float64, int) {
 			return testing.AllocsPerRun(3, func() {
 				if _, err := privascope.Assess(surgery, patient); err != nil {
 					t.Fatal(err)
@@ -155,7 +155,7 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 		// modelstore.Encode of the default synthetic model: one string table,
 		// one record list per distinct store set, one artifact buffer.
-		{"modelstore_encode", 183, "encode", func(t *testing.T) (float64, int) {
+		{"modelstore_encode", 170, "encode", func(t *testing.T) (float64, int) {
 			p := mustGenerate(t, synth.Model(synth.ModelSpec{}), privascope.GenerateOptions{})
 			return testing.AllocsPerRun(3, func() {
 				if _, err := modelstore.Encode(p); err != nil {
@@ -164,7 +164,7 @@ func TestAllocCeilings(t *testing.T) {
 			}), 1
 		}},
 		// modelstore.Decode of the default synthetic model's artifact.
-		{"modelstore_decode", 328, "decode", func(t *testing.T) (float64, int) {
+		{"modelstore_decode", 313, "decode", func(t *testing.T) (float64, int) {
 			m := synth.Model(synth.ModelSpec{})
 			data, err := modelstore.Encode(mustGenerate(t, m, privascope.GenerateOptions{}))
 			if err != nil {
@@ -177,7 +177,7 @@ func TestAllocCeilings(t *testing.T) {
 			}), 1
 		}},
 		// Regenerating the 15,625-state model after a metadata-only edit.
-		{"regenerate_metadata", 1090, "regeneration", func(t *testing.T) (float64, int) {
+		{"regenerate_metadata", 1083, "regeneration", func(t *testing.T) (float64, int) {
 			relabelled := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3})
 			relabelled.Flows[0].Purpose = "relabelled"
 			gen := core.NewGenerator(core.Options{Workers: 1})

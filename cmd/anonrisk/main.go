@@ -71,6 +71,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *k < 0 {
+		return fmt.Errorf("-k %d is negative", *k)
+	}
+	if *maxRows < 0 {
+		return fmt.Errorf("-max-rows %d is negative", *maxRows)
+	}
 	if *dataPath == "" || *target == "" {
 		return fmt.Errorf("the -data and -target flags are required")
 	}

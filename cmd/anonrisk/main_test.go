@@ -148,6 +148,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-data", path, "-target", "weight", "-k", "2"}, &out); err == nil {
 		t.Error("-k without -quasi accepted")
 	}
+	// A negative value is an error naming its flag, not "off".
+	for _, row := range []struct {
+		flag string
+		args []string
+	}{
+		{"-k", []string{"-data", path, "-target", "weight", "-k", "-1", "-quasi", "age"}},
+		{"-max-rows", []string{"-data", path, "-target", "weight", "-max-rows", "-1"}},
+	} {
+		if err := run(context.Background(), row.args, &out); err == nil || !strings.Contains(err.Error(), row.flag) {
+			t.Errorf("negative %s: err = %v, want an error naming the flag", row.flag, err)
+		}
+	}
 }
 
 // syntheticCSV writes a deterministic dataset mixing numeric, interval and

@@ -66,6 +66,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *duration < 0 {
+		return fmt.Errorf("-duration %v is negative", *duration)
+	}
+	if *clusterNodes < 0 {
+		return fmt.Errorf("-cluster %d is negative", *clusterNodes)
+	}
 	if *modelPath == "" {
 		return fmt.Errorf("the -model flag is required")
 	}

@@ -52,4 +52,20 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-model", path, "-profile", "missing.json", "-duration", "10ms"}, &out); err == nil {
 		t.Error("missing profile accepted")
 	}
+	// A negative value is an error naming its flag, not "off". The timeout
+	// ends a run that takes a negative -duration for "serve forever".
+	for _, row := range []struct {
+		flag string
+		args []string
+	}{
+		{"-cluster", []string{"-model", path, "-cluster", "-2", "-duration", "10ms"}},
+		{"-duration", []string{"-model", path, "-duration", "-5s"}},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		err := run(ctx, row.args, &out)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), row.flag) {
+			t.Errorf("negative %s: err = %v, want an error naming the flag", row.flag, err)
+		}
+	}
 }

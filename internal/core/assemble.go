@@ -61,8 +61,9 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 	// per-worker cache), so how many objects carry one label value follows
 	// the schedule. Keep the first object per distinct value, in edge order,
 	// in the trace as well as the graph: from here on pointer identity is
-	// value identity, which is what modelstore.Encode interns by and what
-	// makes a compiled artifact byte-identical for any worker count.
+	// value identity, which is what the graph's label table interns by (and
+	// modelstore.Encode writes), so a compiled artifact is byte-identical for
+	// any worker count.
 	canon := labelCanon{
 		byPtr:   make(map[*TransitionLabel]*TransitionLabel),
 		byValue: make(map[labelValue]*TransitionLabel),

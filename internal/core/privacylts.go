@@ -88,11 +88,12 @@ type Stats struct {
 }
 
 // Stats computes summary statistics for reports and benchmarks. It reads the
-// edge labels and builds no compiled view.
+// graph's label table and builds no compiled view.
 func (p *PrivacyLTS) Stats() Stats {
 	potential := 0
-	for _, label := range p.Graph.Parts().EdgeLabels {
-		if label, ok := label.(*TransitionLabel); ok && label.Potential {
+	parts := p.Graph.Parts()
+	for e := range int32(len(parts.EdgeLabel)) {
+		if label, ok := labelAt(parts, e); ok && label.Potential {
 			potential++
 		}
 	}

@@ -103,7 +103,7 @@ func (p *PrivacyLTS) Compiled() *CompiledView {
 // filled: nothing is allocated per edge or per class.
 func newCompiledView(p *PrivacyLTS) *CompiledView {
 	parts := p.Graph.Parts()
-	m := len(parts.EdgeLabels)
+	m := len(parts.EdgeLabel)
 	v := &CompiledView{
 		Graph:  p.Graph,
 		class:  make([]int32, m),
@@ -115,21 +115,21 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 		t, f := int(parts.EdgeTo[e])*wpv, int(parts.EdgeFrom[e])*wpv
 		return p.vecWords[t : t+wpv], p.vecWords[f : f+wpv]
 	}
-	// A slot holds a class's first edge plus one (0: empty). Equal labels
-	// render one string, so the hash takes the label's interned string index
-	// and the comparison its identity. At most m classes fill at most half
-	// the table.
+	// A slot holds a class's first edge plus one (0: empty). The graph
+	// interns labels by identity, so a label's table index stands for it in
+	// the hash and the comparison. At most m classes fill at most half the
+	// table.
 	table := make([]int32, 1<<bits.Len(uint(2*m)))
 	mask := uint64(len(table) - 1)
 	numClasses, numChanges := int32(0), 0
 	for e := range int32(m) {
-		label, ok := parts.EdgeLabels[e].(*TransitionLabel)
-		if !ok {
+		lid := parts.EdgeLabel[e]
+		if _, ok := labelAt(parts, e); !ok {
 			v.class[e] = -1
 			continue
 		}
 		to, from := vectors(e)
-		h := uint64(parts.EdgeLabel[e]) + 1
+		h := uint64(lid) + 1
 		for w, word := range to {
 			h = (h ^ word&^from[w]) * 0x9e3779b97f4a7c15
 		}
@@ -145,7 +145,7 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 				break
 			}
 			firstTo, firstFrom := vectors(first)
-			same := parts.EdgeLabels[first] == lts.Label(label)
+			same := parts.EdgeLabel[first] == lid
 			for w := 0; same && w < wpv; w++ {
 				same = to[w]&^from[w] == firstTo[w]&^firstFrom[w]
 			}
@@ -163,7 +163,8 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 		}
 		class := &v.classes[c]
 		if class.Count == 0 {
-			class.Label, class.First = parts.EdgeLabels[e].(*TransitionLabel), int32(e)
+			class.Label, _ = labelAt(parts, int32(e))
+			class.First = int32(e)
 		}
 		class.Count++
 	}
@@ -190,4 +191,13 @@ func newCompiledView(p *PrivacyLTS) *CompiledView {
 		v.classes[c].Changes = changes[start:len(changes):len(changes)]
 	}
 	return v
+}
+
+// labelAt returns edge e's label from the graph's label table; ok is false
+// for a nil label or a foreign label type.
+func labelAt(parts lts.CompiledParts, e int32) (label *TransitionLabel, ok bool) {
+	if lid := parts.EdgeLabel[e]; lid >= 0 {
+		label, ok = parts.Labels[lid].(*TransitionLabel)
+	}
+	return label, ok
 }

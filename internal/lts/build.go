@@ -20,18 +20,14 @@ type BulkEdge struct {
 // initial state, or -1 for none.
 func FromParts(n, initial int, edges []BulkEdge) (*LTS, error) {
 	m := len(edges)
-	l := &LTS{
-		edgeLabels: make([]Label, m),
-		edgeFrom:   make([]int32, m),
-		edgeTo:     make([]int32, m),
-	}
+	l := &LTS{edgeFrom: make([]int32, m), edgeTo: make([]int32, m)}
 	for i, e := range edges {
-		l.edgeLabels[i], l.edgeFrom[i], l.edgeTo[i] = e.Label, e.From, e.To
+		l.edgeFrom[i], l.edgeTo[i] = e.From, e.To
 	}
 	if err := l.derive(n, initial); err != nil {
 		return nil, fmt.Errorf("lts: FromParts: %w", err)
 	}
-	l.internLabels()
+	l.internLabels(m, func(i int) Label { return edges[i].Label })
 	return l, nil
 }
 
@@ -58,50 +54,48 @@ func (l *LTS) derive(n, initial int) error {
 
 // Relabeled returns an LTS with the receiver's states, transitions and CSR
 // layout in which transition i carries labels[i] (in Transitions order)
-// instead of the receiver's label. labels is retained, not copied; everything
-// but it and the label table is shared with the receiver. Incremental
-// regeneration uses this to swap re-derived labels into a wholesale-reused
-// exploration without rebuilding any index.
+// instead of the receiver's label. Everything but the label table is shared
+// with the receiver; labels is read, not retained. Incremental regeneration
+// uses this to swap re-derived labels into a wholesale-reused exploration
+// without rebuilding any index.
 func (l *LTS) Relabeled(labels []Label) (*LTS, error) {
-	if len(labels) != len(l.edgeLabels) {
-		return nil, fmt.Errorf("lts: Relabeled: %d labels for %d transitions", len(labels), len(l.edgeLabels))
+	if len(labels) != len(l.edgeLabel) {
+		return nil, fmt.Errorf("lts: Relabeled: %d labels for %d transitions", len(labels), len(l.edgeLabel))
 	}
 	r := *l
-	r.edgeLabels = labels
-	r.internLabels()
+	r.internLabels(len(labels), func(i int) Label { return labels[i] })
 	return &r, nil
 }
 
-// internLabels derives the label table and the per-edge label index from the
-// per-edge labels: labels intern by rendered string in first-occurrence order,
-// the table keeps the first Label value seen per string, and nil interns as
-// "". A label object is rendered once, then found again by identity
-// (generated models share one object per distinct label).
-func (l *LTS) internLabels() {
-	l.labels, l.labelStrs = nil, nil
-	l.edgeLabel = make([]int32, len(l.edgeLabels))
-	byStr := make(map[string]int32)
-	byObject := make(map[Label]int32)
-	for i, label := range l.edgeLabels {
+// internLabels builds the label table from transition i's label labelOf(i):
+// labels intern by identity (interface equality) in first-occurrence order,
+// each entry is rendered once, a label whose type cannot be compared gets an
+// entry of its own, and nil is -1. Generated models share one object per
+// distinct label, so their tables hold a few dozen entries.
+func (l *LTS) internLabels(m int, labelOf func(int) Label) {
+	l.labels, l.labelStrs = nil, nil // a Relabeled copy must not append to its receiver's table
+	l.edgeLabel = make([]int32, m)
+	ids := make(map[Label]int32)
+	for i := range m {
+		label := labelOf(i)
+		if label == nil {
+			l.edgeLabel[i] = -1
+			continue
+		}
 		// Only comparable label types can key a map.
-		hashable := label != nil && reflect.TypeOf(label).Comparable()
+		hashable := reflect.TypeOf(label).Comparable()
 		if hashable {
-			if lid, ok := byObject[label]; ok {
+			if lid, ok := ids[label]; ok {
 				l.edgeLabel[i] = lid
 				continue
 			}
 		}
-		str := labelString(label)
-		lid, ok := byStr[str]
-		if !ok {
-			lid = int32(len(l.labels))
-			byStr[str] = lid
-			l.labels = append(l.labels, label)
-			l.labelStrs = append(l.labelStrs, str)
-		}
+		lid := int32(len(l.labels))
 		if hashable {
-			byObject[label] = lid
+			ids[label] = lid
 		}
+		l.labels = append(l.labels, label)
+		l.labelStrs = append(l.labelStrs, label.LabelString())
 		l.edgeLabel[i] = lid
 	}
 }
@@ -111,7 +105,7 @@ func (l *LTS) internLabels() {
 // prefix sum, and a stable fill (ascending transition index preserves
 // insertion order within each source/target).
 func (l *LTS) buildCSR() {
-	n, m := len(l.states), len(l.edgeLabels)
+	n, m := len(l.states), len(l.edgeFrom)
 	l.outOff = make([]int32, n+1)
 	l.inOff = make([]int32, n+1)
 	for i := 0; i < m; i++ {

@@ -2,6 +2,7 @@ package lts
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -9,9 +10,9 @@ import (
 )
 
 // randomGraph collects a pseudo-random LTS: up to maxStates states, up to
-// maxEdges transitions over a label alphabet of numLabels strings, an initial
-// state most of the time, and occasionally nil labels and unreachable
-// islands.
+// maxEdges transitions over a label alphabet of numLabels strings (some
+// carried by label objects of their own), an initial state most of the time,
+// and occasionally nil labels and unreachable islands.
 func randomGraph(rng *rand.Rand, maxStates, maxEdges, numLabels int) *graph {
 	g := newGraph()
 	n := 1 + rng.Intn(maxStates)
@@ -38,7 +39,11 @@ func randomGraph(rng *rand.Rand, maxStates, maxEdges, numLabels int) *graph {
 		to := slot(rng.Intn(n))
 		var label Label
 		if rng.Intn(8) != 0 { // occasionally nil
-			label = StringLabel(fmt.Sprintf("a%d", rng.Intn(numLabels)))
+			str := fmt.Sprintf("a%d", rng.Intn(numLabels))
+			label = StringLabel(str)
+			if rng.Intn(4) == 0 { // an object of its own rendering alike
+				label = &ptrLabel{str}
+			}
 		}
 		g.edge(from, to, label)
 	}
@@ -55,8 +60,9 @@ func randomLTS(rng *rand.Rand, maxStates, maxEdges, numLabels int) *LTS {
 // checkBuiltFrom checks that l is exactly the graph g collected: states and
 // dense indices in insertion order, the initial state, every transition with
 // its endpoints and label, both CSR layouts against a linear scan of the
-// edge list, and a label table of the distinct label strings in first
-// occurrence order, each led by the first Label value rendering it.
+// edge list, a label table of the distinct non-nil labels by identity in
+// first-occurrence order, each with its rendering, nil labels indexed -1,
+// and a LabelHistogram line per label string, nil's being "".
 func checkBuiltFrom(g *graph, l *LTS) error {
 	if !slices.Equal(l.StateIDs(), g.ids) {
 		return fmt.Errorf("StateIDs = %v, want %v", l.StateIDs(), g.ids)
@@ -75,27 +81,42 @@ func checkBuiltFrom(g *graph, l *LTS) error {
 	if l.TransitionCount() != len(g.edges) {
 		return fmt.Errorf("TransitionCount = %d, want %d", l.TransitionCount(), len(g.edges))
 	}
-	firstLabel := map[string]int32{}
-	var labelOrder []string
+	firstLabel := map[Label]int32{}
+	var labelOrder []Label
 	for e, want := range g.edges {
 		tr := Transition{From: g.ids[want.From], To: g.ids[want.To], Label: want.Label}
 		if got := l.TransitionAt(int32(e)); !reflect.DeepEqual(got, tr) || l.edgeFrom[e] != want.From || l.To(int32(e)) != want.To {
 			return fmt.Errorf("transition %d = %+v (%d -> %d), want %+v", e, got, l.edgeFrom[e], l.To(int32(e)), tr)
 		}
-		str := labelString(want.Label)
-		if _, ok := firstLabel[str]; !ok {
-			firstLabel[str] = int32(len(labelOrder))
-			labelOrder = append(labelOrder, str)
-			if lid := firstLabel[str]; l.labels[lid] != want.Label {
-				return fmt.Errorf("label table entry %d = %v, want the first value %v", lid, l.labels[lid], want.Label)
+		if want.Label == nil {
+			if l.edgeLabel[e] != -1 {
+				return fmt.Errorf("edge %d has a nil label at index %d, want -1", e, l.edgeLabel[e])
 			}
+			continue
 		}
-		if l.edgeLabel[e] != firstLabel[str] || l.labelStrs[firstLabel[str]] != str {
-			return fmt.Errorf("edge %d label id %d, want %d rendering %q", e, l.edgeLabel[e], firstLabel[str], str)
+		lid, ok := firstLabel[want.Label]
+		if !ok {
+			lid = int32(len(labelOrder))
+			firstLabel[want.Label] = lid
+			labelOrder = append(labelOrder, want.Label)
+		}
+		if l.edgeLabel[e] != lid || l.labels[lid] != want.Label || l.labelStrs[lid] != want.Label.LabelString() {
+			return fmt.Errorf("edge %d label id %d, want %d: %v rendering %q", e, l.edgeLabel[e], lid, want.Label, want.Label.LabelString())
 		}
 	}
 	if l.NumLabels() != len(labelOrder) {
-		return fmt.Errorf("NumLabels = %d, want %d distinct strings", l.NumLabels(), len(labelOrder))
+		return fmt.Errorf("NumLabels = %d, want %d distinct labels", l.NumLabels(), len(labelOrder))
+	}
+	perString := map[string]int{}
+	for _, edge := range g.edges {
+		perString[labelString(edge.Label)]++
+	}
+	var hist []LabelCount
+	for _, str := range slices.Sorted(maps.Keys(perString)) {
+		hist = append(hist, LabelCount{str, perString[str]})
+	}
+	if got := l.LabelHistogram(); !slices.Equal(got, hist) {
+		return fmt.Errorf("LabelHistogram = %v, want %v", got, hist)
 	}
 	for s := range g.ids {
 		var out, in []int32
@@ -136,9 +157,10 @@ type countingLabel struct {
 
 func (c *countingLabel) LabelString() string { c.calls++; return c.str }
 
-// TestLabelsRenderedOncePerObject: building a graph in bulk renders each
-// distinct label object exactly once however many transitions share it, and
-// nothing that reads the LTS renders it again.
+// TestLabelsRenderedOncePerObject: the label table holds one entry per
+// label object, so building a graph in bulk renders each object exactly once
+// however many transitions share it — two objects that render alike included
+// — and nothing that reads the LTS renders it again.
 func TestLabelsRenderedOncePerObject(t *testing.T) {
 	labels := []*countingLabel{{str: "a"}, {str: "b"}, {str: "a"}} // two objects render alike
 	var edges []BulkEdge
@@ -149,11 +171,13 @@ func TestLabelsRenderedOncePerObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.NumLabels() != 2 || l.labels[0] != Label(labels[0]) {
-		t.Fatalf("label table has %d entries led by %v, want 2 led by the first object", l.NumLabels(), l.labels[0])
+	if l.NumLabels() != 3 || l.labels[0] != Label(labels[0]) || l.labels[2] != Label(labels[2]) {
+		t.Fatalf("label table has %d entries %v, want the 3 objects in order", l.NumLabels(), l.labels)
 	}
 	l.Stats() //nolint:errcheck // only the rendering count matters here
-	l.LabelHistogram()
+	if hist := l.LabelHistogram(); !slices.Equal(hist, []LabelCount{{"a", 40}, {"b", 20}}) {
+		t.Errorf("LabelHistogram = %v, want the two objects rendering \"a\" on one line", hist)
+	}
 	l.DOT(DOTOptions{})
 	for i, label := range labels {
 		if label.calls != 1 {

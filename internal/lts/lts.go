@@ -68,10 +68,11 @@ func (t Transition) String() string {
 }
 
 // LTS is an immutable labelled transition system: states are dense int32
-// indices, every distinct label string is interned into a table exactly once,
-// and the transitions are laid out twice in compressed-sparse-row (CSR) form —
-// grouped by source for outgoing traversal and by target for incoming
-// traversal — as flat []int32 slices of transition indices. Every analysis
+// indices, every distinct label is interned by identity into a table and
+// rendered once, and the transitions are laid out twice in
+// compressed-sparse-row (CSR) form — grouped by source for outgoing traversal
+// and by target for incoming traversal — as flat []int32 slices of
+// transition indices. Every analysis
 // in this package runs on that layout: integer BFS/DFS over slices with
 // bitset visited sets, no map lookups and no label rendering on the hot path.
 // The zero value is not usable; only FromParts, RestoreCompiled and Relabeled
@@ -80,12 +81,11 @@ type LTS struct {
 	states  []StateID // dense index s -> "s<s>"
 	initial int32     // dense initial state, -1 when none
 
-	labels     []Label  // interned label table; labels[i] is the first Label seen rendering labelStrs[i]
-	labelStrs  []string // labelStrs[i] == labels[i].LabelString(), resolved once
-	edgeLabels []Label  // per transition -> the Label it was built with
-	edgeLabel  []int32  // per transition -> index into the label table
-	edgeFrom   []int32  // per transition -> dense source state
-	edgeTo     []int32  // per transition -> dense target state
+	labels    []Label  // distinct labels by identity, in first-occurrence order
+	labelStrs []string // labelStrs[i] renders labels[i]
+	edgeLabel []int32  // per transition -> its label's index into labels, -1 for nil
+	edgeFrom  []int32  // per transition -> dense source state
+	edgeTo    []int32  // per transition -> dense target state
 
 	outOff   []int32 // len StateCount+1; out-edges of s are outEdges[outOff[s]:outOff[s+1]]
 	outEdges []int32 // transition indices grouped by source, insertion order within each source
@@ -101,9 +101,10 @@ func (l *LTS) Compiled() *LTS { return l }
 func (l *LTS) StateCount() int { return len(l.states) }
 
 // TransitionCount returns the number of transitions.
-func (l *LTS) TransitionCount() int { return len(l.edgeLabels) }
+func (l *LTS) TransitionCount() int { return len(l.edgeLabel) }
 
-// NumLabels returns the number of distinct label strings.
+// NumLabels returns the number of entries in the label table: the distinct
+// non-nil labels by identity.
 func (l *LTS) NumLabels() int { return len(l.labels) }
 
 // Initial returns the initial state ID; ok is false if the LTS has none.
@@ -155,7 +156,11 @@ func (l *LTS) StateAt(s int32) StateID { return l.states[s] }
 
 // TransitionAt returns the transition at the given transition index.
 func (l *LTS) TransitionAt(e int32) Transition {
-	return Transition{From: l.states[l.edgeFrom[e]], To: l.states[l.edgeTo[e]], Label: l.edgeLabels[e]}
+	var label Label
+	if lid := l.edgeLabel[e]; lid >= 0 {
+		label = l.labels[lid]
+	}
+	return Transition{From: l.states[l.edgeFrom[e]], To: l.states[l.edgeTo[e]], Label: label}
 }
 
 // StateIDs returns all state IDs in dense order.
@@ -167,7 +172,7 @@ func (l *LTS) StateIDs() []StateID {
 
 // Transitions returns a copy of all transitions in insertion order.
 func (l *LTS) Transitions() []Transition {
-	out := make([]Transition, len(l.edgeLabels))
+	out := make([]Transition, len(l.edgeLabel))
 	for e := range out {
 		out[e] = l.TransitionAt(int32(e))
 	}
@@ -300,7 +305,7 @@ func (l *LTS) Stats() (Stats, error) {
 // examples and debugging output.
 func (l *LTS) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "LTS: %d states, %d transitions\n", len(l.states), len(l.edgeLabels))
+	fmt.Fprintf(&b, "LTS: %d states, %d transitions\n", len(l.states), len(l.edgeLabel))
 	if init, ok := l.Initial(); ok {
 		fmt.Fprintf(&b, "initial: %s\n", init)
 	}

@@ -72,7 +72,7 @@ func (l *LTS) FindTransitions(pred func(Transition) bool) ([]Transition, error) 
 	}
 	bits, _ := l.ReachableBits(l.initial)
 	var out []Transition
-	for e := range l.edgeLabels {
+	for e := range l.edgeLabel {
 		if tr := l.TransitionAt(int32(e)); bits.Has(l.edgeFrom[e]) && pred(tr) {
 			out = append(out, tr)
 		}
@@ -84,12 +84,16 @@ func (l *LTS) FindTransitions(pred func(Transition) bool) ([]Transition, error) 
 // the same label string leading to different states.
 func (l *LTS) IsDeterministic() bool {
 	for s := range l.states {
-		seen := make(map[int32]int32)
+		seen := make(map[string]int32)
 		for _, e := range l.Out(int32(s)) {
-			if prev, ok := seen[l.edgeLabel[e]]; ok && prev != l.edgeTo[e] {
+			str := ""
+			if lid := l.edgeLabel[e]; lid >= 0 {
+				str = l.labelStrs[lid]
+			}
+			if prev, ok := seen[str]; ok && prev != l.edgeTo[e] {
 				return false
 			}
-			seen[l.edgeLabel[e]] = l.edgeTo[e]
+			seen[str] = l.edgeTo[e]
 		}
 	}
 	return true

@@ -50,12 +50,12 @@ func (l *LTS) DOT(opts DOTOptions) string {
 		}
 		g.AddNode(string(id), attrs)
 	}
-	// Edge labels come from the interned table, so each distinct label string
-	// is rendered once per model rather than once per transition.
+	// Edge labels come from the interned table, so each distinct label is
+	// rendered once per model rather than once per transition.
 	for e, t := range l.Transitions() {
 		attrs := map[string]string{}
-		if t.Label != nil {
-			attrs["label"] = l.labelStrs[l.edgeLabel[e]]
+		if lid := l.edgeLabel[e]; lid >= 0 {
+			attrs["label"] = l.labelStrs[lid]
 		}
 		if opts.TransitionAttrs != nil {
 			for k, v := range opts.TransitionAttrs(t) {
@@ -113,18 +113,30 @@ func (l *LTS) MarshalJSON() ([]byte, error) {
 
 // LabelHistogram counts transitions per label string, sorted by label. It is
 // used in reports to summarise which actions dominate a model. The counting
-// runs over the interned label table, so no label is re-rendered.
+// runs over the interned label table, so no label is re-rendered; table
+// entries that render alike share a line, and a nil label counts as "".
 func (l *LTS) LabelHistogram() []LabelCount {
-	counts := make([]int, l.NumLabels())
+	counts := make([]int, l.NumLabels()+1) // counts[lid+1]; nil's is counts[0]
 	for _, lid := range l.edgeLabel {
-		counts[lid]++
+		counts[lid+1]++
 	}
 	out := make([]LabelCount, 0, len(counts))
-	for lid, n := range counts {
-		out = append(out, LabelCount{Label: l.labelStrs[lid], Count: n})
+	if counts[0] > 0 {
+		out = append(out, LabelCount{Count: counts[0]})
+	}
+	for lid, str := range l.labelStrs {
+		out = append(out, LabelCount{Label: str, Count: counts[lid+1]})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
+	merged := out[:0]
+	for _, lc := range out {
+		if k := len(merged) - 1; k >= 0 && merged[k].Label == lc.Label {
+			merged[k].Count += lc.Count
+		} else {
+			merged = append(merged, lc)
+		}
+	}
+	return merged
 }
 
 // LabelCount is one entry of LabelHistogram.

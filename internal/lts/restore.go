@@ -13,16 +13,12 @@ type CompiledParts struct {
 	NumStates int
 	// Initial is the dense initial state, -1 when none was set.
 	Initial int32
-	// EdgeLabels holds each transition's Label, indexed by transition index;
-	// EdgeLabels[e] renders LabelStrs[EdgeLabel[e]].
-	EdgeLabels []Label
-	// Labels and LabelStrs are the interned label table: LabelStrs[i] is the
-	// label string and Labels[i] the first Label value encountered rendering
-	// it (possibly nil).
+	// Labels is the label table: the distinct non-nil labels by identity, in
+	// order of their first transition. LabelStrs[i] renders Labels[i].
 	Labels    []Label
 	LabelStrs []string
-	// EdgeLabel, EdgeFrom and EdgeTo are the per-transition label index and
-	// dense endpoint states.
+	// EdgeLabel, EdgeFrom and EdgeTo are per transition: its label's index
+	// into Labels (-1 for a nil label) and its dense endpoint states.
 	EdgeLabel, EdgeFrom, EdgeTo []int32
 }
 
@@ -30,48 +26,58 @@ type CompiledParts struct {
 // LTS and must not be modified.
 func (l *LTS) Parts() CompiledParts {
 	return CompiledParts{
-		NumStates:  len(l.states),
-		Initial:    l.initial,
-		EdgeLabels: l.edgeLabels,
-		Labels:     l.labels,
-		LabelStrs:  l.labelStrs,
-		EdgeLabel:  l.edgeLabel,
-		EdgeFrom:   l.edgeFrom,
-		EdgeTo:     l.edgeTo,
+		NumStates: len(l.states),
+		Initial:   l.initial,
+		Labels:    l.labels,
+		LabelStrs: l.labelStrs,
+		EdgeLabel: l.edgeLabel,
+		EdgeFrom:  l.edgeFrom,
+		EdgeTo:    l.edgeTo,
 	}
 }
 
 // RestoreCompiled rebuilds an LTS from previously exported parts. It checks
-// the section lengths, the initial state and every endpoint and label index,
-// and derives the state IDs and both CSR layouts as FromParts does. It never
-// panics on malformed parts; the first violated invariant is returned as an
-// error. The slices are retained, not copied — callers hand over ownership
-// (the model store passes the slices it decoded out of an artifact).
-//
-// Consistency of EdgeLabels with EdgeLabel is the caller's contract (the model
-// store derives both from one label table); it is not re-verified here
-// because it would re-render or re-compare every label string.
+// the section lengths, the initial state, every endpoint and the label
+// table: each transition's index is -1 or an entry, the entries are
+// referenced in first-occurrence order and each at least once, and none is
+// nil — the table FromParts builds from distinct labels. It derives the
+// state IDs and both CSR layouts as FromParts does. It never panics on
+// malformed parts; the first violated invariant is returned as an error. The
+// slices are retained, not copied — callers hand over ownership (the model
+// store passes the slices it decoded out of an artifact).
 func RestoreCompiled(p CompiledParts) (*LTS, error) {
-	m := len(p.EdgeLabels)
-	if len(p.EdgeLabel) != m || len(p.EdgeFrom) != m || len(p.EdgeTo) != m {
-		return nil, fmt.Errorf("lts: restore: edge arrays have %d/%d/%d entries, want %d",
-			len(p.EdgeLabel), len(p.EdgeFrom), len(p.EdgeTo), m)
+	m := len(p.EdgeLabel)
+	if len(p.EdgeFrom) != m || len(p.EdgeTo) != m {
+		return nil, fmt.Errorf("lts: restore: edge arrays have %d/%d/%d entries",
+			len(p.EdgeLabel), len(p.EdgeFrom), len(p.EdgeTo))
 	}
 	if len(p.Labels) != len(p.LabelStrs) {
 		return nil, fmt.Errorf("lts: restore: %d labels but %d label strings", len(p.Labels), len(p.LabelStrs))
 	}
+	next := int32(0) // the entry a transition's first new label must be
 	for e, lid := range p.EdgeLabel {
-		if lid < 0 || int(lid) >= len(p.Labels) {
-			return nil, fmt.Errorf("lts: restore: transition %d label index %d out of range [0, %d)", e, lid, len(p.Labels))
+		if lid < -1 || lid > next || int(lid) >= len(p.Labels) {
+			return nil, fmt.Errorf("lts: restore: transition %d label index %d, want -1 to %d of %d labels",
+				e, lid, min(next, int32(len(p.Labels))-1), len(p.Labels))
+		}
+		if lid == next {
+			next++
+		}
+	}
+	if int(next) != len(p.Labels) {
+		return nil, fmt.Errorf("lts: restore: transitions reference %d of %d labels", next, len(p.Labels))
+	}
+	for i, label := range p.Labels {
+		if label == nil {
+			return nil, fmt.Errorf("lts: restore: label %d is nil", i)
 		}
 	}
 	l := &LTS{
-		edgeLabels: p.EdgeLabels,
-		labels:     p.Labels,
-		labelStrs:  p.LabelStrs,
-		edgeLabel:  p.EdgeLabel,
-		edgeFrom:   p.EdgeFrom,
-		edgeTo:     p.EdgeTo,
+		labels:    p.Labels,
+		labelStrs: p.LabelStrs,
+		edgeLabel: p.EdgeLabel,
+		edgeFrom:  p.EdgeFrom,
+		edgeTo:    p.EdgeTo,
 	}
 	if err := l.derive(p.NumStates, int(p.Initial)); err != nil {
 		return nil, fmt.Errorf("lts: restore: %w", err)

@@ -22,9 +22,9 @@ func buildRestoreFixture() *LTS {
 // bulkParts returns the inputs of FromParts that reproduce the LTS.
 func bulkParts(l *LTS) (int, int, []BulkEdge) {
 	p := l.Parts()
-	edges := make([]BulkEdge, len(p.EdgeLabels))
-	for e, label := range p.EdgeLabels {
-		edges[e] = BulkEdge{From: p.EdgeFrom[e], To: p.EdgeTo[e], Label: label}
+	edges := make([]BulkEdge, len(p.EdgeLabel))
+	for e := range edges {
+		edges[e] = BulkEdge{From: p.EdgeFrom[e], To: p.EdgeTo[e], Label: l.TransitionAt(int32(e)).Label}
 	}
 	return p.NumStates, int(p.Initial), edges
 }

@@ -70,7 +70,7 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	// Labels. Each decoded label is re-rendered once and compared against its
 	// stored interned string, so a checksum-valid but dishonest artifact is
 	// rejected rather than silently analysed.
-	labels, err := parseLabels(secs[secLabels], mt.numLabels, ref)
+	labels, labelStrs, err := parseLabels(secs[secLabels], mt.numLabels, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 	er := section("edges", secs[secEdges])
 	edgeFrom, err1 := er.I32s(mt.numEdges)
 	edgeTo, err2 := er.I32s(mt.numEdges)
-	edgeLabelPtr, err3 := er.I32s(mt.numEdges)
+	edgeLabel, err3 := er.I32s(mt.numEdges)
 	if err := firstErr(err1, err2, err3, er.Done()); err != nil {
 		return nil, err
 	}
@@ -132,52 +132,17 @@ func Decode(data []byte, model *dataflow.Model) (*core.PrivacyLTS, error) {
 		warnings = append(warnings, w)
 	}
 
-	// Derive the interned label table exactly as lts does from transitions —
-	// by label string in first-occurrence order, with the first Label value per
-	// string and nil interning as "" — from each label's verified stored
-	// rendering. ptrLid memoises per distinct label; its last slot is nil's.
-	edgeLabel := make([]int32, mt.numEdges)
-	edgeLabels := make([]lts.Label, mt.numEdges)
-	strLid := make(map[string]int32, mt.numLabels+1)
-	ptrLid := make([]int32, mt.numLabels+1)
-	for i := range ptrLid {
-		ptrLid[i] = -1
-	}
-	var labelVals []lts.Label
-	var labelStrs []string
-	for e := range edgeLabels {
-		ptr, str := int(edgeLabelPtr[e]), ""
-		var label lts.Label
-		switch {
-		case ptr < -1 || ptr >= mt.numLabels:
-			return nil, corruptf("transition %d label pointer %d out of range [-1, %d)", e, ptr, mt.numLabels)
-		case ptr < 0:
-			ptr = mt.numLabels
-		default:
-			label, str = labels[ptr].label, labels[ptr].str
-		}
-		if ptrLid[ptr] < 0 {
-			lid, ok := strLid[str]
-			if !ok {
-				lid = int32(len(labelStrs))
-				strLid[str] = lid
-				labelStrs = append(labelStrs, str)
-				labelVals = append(labelVals, label)
-			}
-			ptrLid[ptr] = lid
-		}
-		edgeLabel[e], edgeLabels[e] = ptrLid[ptr], label
-	}
-
+	// The label records are the graph's label table and each edge's reference
+	// its index. RestoreCompiled rejects a record no edge references or one
+	// out of first-occurrence order, so the table is the one generation builds.
 	graph, err := lts.RestoreCompiled(lts.CompiledParts{
-		NumStates:  mt.numStates,
-		Initial:    mt.initial,
-		EdgeLabels: edgeLabels,
-		Labels:     labelVals,
-		LabelStrs:  labelStrs,
-		EdgeLabel:  edgeLabel,
-		EdgeFrom:   edgeFrom,
-		EdgeTo:     edgeTo,
+		NumStates: mt.numStates,
+		Initial:   mt.initial,
+		Labels:    labels,
+		LabelStrs: labelStrs,
+		EdgeLabel: edgeLabel,
+		EdgeFrom:  edgeFrom,
+		EdgeTo:    edgeTo,
 	})
 	if err != nil {
 		return nil, corruptf("%v", err)
@@ -270,50 +235,44 @@ func parseMeta(sec []byte, fileSize int) (meta, error) {
 	return mt, nil
 }
 
-// decodedLabel pairs a rebuilt label with its verified interned rendering.
-type decodedLabel struct {
-	label *core.TransitionLabel
-	str   string
-}
-
 // parseLabels rebuilds the distinct transition labels from the column layout
-// and verifies each against its stored rendering.
-func parseLabels(sec []byte, count int, ref func(uint32) (string, error)) ([]decodedLabel, error) {
+// and verifies each against its stored rendering, which it returns beside it.
+func parseLabels(sec []byte, count int, ref func(uint32) (string, error)) ([]lts.Label, []string, error) {
 	r := section("labels", sec)
 	action, err1 := r.I32s(count)
 	flags, err2 := r.U32s(count)
 	strRefs, err3 := r.U32s(7 * count)
 	fieldsOff, err4 := r.U32s(count + 1)
 	if err := firstErr(err1, err2, err3, err4); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if fieldsOff[0] != 0 {
-		return nil, corruptf("label field offsets must start at 0")
+		return nil, nil, corruptf("label field offsets must start at 0")
 	}
 	for i := 0; i < count; i++ {
 		if fieldsOff[i] > fieldsOff[i+1] {
-			return nil, corruptf("label field offsets decrease at label %d", i)
+			return nil, nil, corruptf("label field offsets decrease at label %d", i)
 		}
 	}
 	fieldRefs, err := r.U32s(int(fieldsOff[count]))
 	if err := firstErr(err, r.Done()); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	out := make([]decodedLabel, count)
+	labels, strs := make([]lts.Label, count), make([]string, count)
 	for i := 0; i < count; i++ {
 		if !core.Action(action[i]).Valid() {
-			return nil, corruptf("label %d has invalid action %d", i, action[i])
+			return nil, nil, corruptf("label %d has invalid action %d", i, action[i])
 		}
 		if flags[i]&^1 != 0 {
-			return nil, corruptf("label %d has unknown flags %#x", i, flags[i])
+			return nil, nil, corruptf("label %d has unknown flags %#x", i, flags[i])
 		}
 		cols := strRefs[i*7 : (i+1)*7]
 		var vals [7]string
 		for c, sr := range cols {
 			v, err := ref(sr)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			vals[c] = v
 		}
@@ -330,19 +289,19 @@ func parseLabels(sec []byte, count int, ref func(uint32) (string, error)) ([]dec
 		for _, fr := range fieldRefs[fieldsOff[i]:fieldsOff[i+1]] {
 			f, err := ref(fr)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if n := len(lbl.Fields); n > 0 && f < lbl.Fields[n-1] {
-				return nil, corruptf("label %d fields are not sorted", i)
+				return nil, nil, corruptf("label %d fields are not sorted", i)
 			}
 			lbl.Fields = append(lbl.Fields, f)
 		}
 		if got := lbl.LabelString(); got != vals[0] {
-			return nil, corruptf("label %d renders %q, artifact claims %q", i, got, vals[0])
+			return nil, nil, corruptf("label %d renders %q, artifact claims %q", i, got, vals[0])
 		}
-		out[i] = decodedLabel{label: lbl, str: vals[0]}
+		labels[i], strs[i] = lbl, vals[0]
 	}
-	return out, nil
+	return labels, strs, nil
 }
 
 // parseStores parses each distinct store set once, from its window of the

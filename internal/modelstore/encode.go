@@ -26,7 +26,7 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 		return nil, fmt.Errorf("modelstore: model cannot be fingerprinted: %w", err)
 	}
 	parts := p.Graph.Parts()
-	n, m := parts.NumStates, len(parts.EdgeLabels)
+	n, m := parts.NumStates, len(parts.EdgeLabel)
 	if parts.Initial < 0 {
 		return nil, fmt.Errorf("modelstore: model has no initial state")
 	}
@@ -41,44 +41,28 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	}
 
 	// Pass 1: string references.
-	// Distinct label pointers in first-occurrence order over the transitions.
-	// The interned label string of each pointer comes from the compiled label
-	// table — no label is re-rendered during encoding.
-	ptrIdx := make(map[*core.TransitionLabel]int32)
-	var ptrs []*core.TransitionLabel
-	var ptrStrs []string
-	edgeLabelPtr := make([]int32, m)
-	for e, label := range parts.EdgeLabels {
-		switch lbl := label.(type) {
-		case nil:
-			edgeLabelPtr[e] = -1
-		case *core.TransitionLabel:
-			if lbl == nil {
-				return nil, fmt.Errorf("modelstore: transition %d carries a typed-nil label", e)
-			}
-			idx, ok := ptrIdx[lbl]
-			if !ok {
-				idx = int32(len(ptrs))
-				ptrIdx[lbl] = idx
-				ptrs = append(ptrs, lbl)
-				ptrStrs = append(ptrStrs, parts.LabelStrs[parts.EdgeLabel[e]])
-			}
-			edgeLabelPtr[e] = idx
-		default:
-			return nil, fmt.Errorf("modelstore: transition %d carries a foreign label type %T", e, label)
+	// The graph's label table is the artifact's: one record per distinct
+	// label in first-occurrence order, each with its interned rendering, and
+	// the per-edge label index as each edge's reference (-1 for nil).
+	labels := make([]*core.TransitionLabel, len(parts.Labels))
+	for i, label := range parts.Labels {
+		lbl, ok := label.(*core.TransitionLabel)
+		if !ok || lbl == nil {
+			return nil, fmt.Errorf("modelstore: label %d is %#v, not a *core.TransitionLabel", i, label)
 		}
+		labels[i] = lbl
 	}
 	// Seven string refs per label, then every label's field refs. The labels'
 	// strings outnumber the stores' and the vocabulary's, so eight a label
 	// sizes the table once.
 	var in wire.Interner
-	in.ResetSized(8 * len(ptrs))
+	in.ResetSized(8 * len(labels))
 	var labelRefs []uint32
-	for i, lbl := range ptrs {
-		labelRefs = append(labelRefs, in.Ref(ptrStrs[i]), in.Ref(lbl.Actor), in.Ref(lbl.Datastore),
+	for i, lbl := range labels {
+		labelRefs = append(labelRefs, in.Ref(parts.LabelStrs[i]), in.Ref(lbl.Actor), in.Ref(lbl.Datastore),
 			in.Ref(lbl.Purpose), in.Ref(lbl.Service), in.Ref(lbl.FlowKey), in.Ref(lbl.Counterpart))
 	}
-	for _, lbl := range ptrs {
+	for _, lbl := range labels {
 		for _, f := range lbl.Fields {
 			labelRefs = append(labelRefs, in.Ref(f))
 		}
@@ -102,7 +86,7 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 	strs := in.Strings()
 
 	// Pass 2: size every section, then write each at its offset.
-	numLabels := len(ptrs)
+	numLabels := len(labels)
 	var size, off [secVocab + 1]int
 	size[secMeta] = 11*4 + len(fp)
 	size[secStrings] = in.TableSize()
@@ -144,10 +128,10 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 		case secStrings:
 			w.StringTable(strs)
 		case secLabels:
-			for _, lbl := range ptrs {
+			for _, lbl := range labels {
 				w.I32(int32(lbl.Action))
 			}
-			for _, lbl := range ptrs {
+			for _, lbl := range labels {
 				var flags uint32
 				if lbl.Potential {
 					flags |= 1
@@ -157,7 +141,7 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 			w.U32s(labelRefs[:7*numLabels])
 			fieldsOff := uint32(0)
 			w.U32(0)
-			for _, lbl := range ptrs {
+			for _, lbl := range labels {
 				fieldsOff += uint32(len(lbl.Fields))
 				w.U32(fieldsOff)
 			}
@@ -165,7 +149,7 @@ func Encode(p *core.PrivacyLTS) ([]byte, error) {
 		case secEdges:
 			w.I32s(parts.EdgeFrom)
 			w.I32s(parts.EdgeTo)
-			w.I32s(edgeLabelPtr)
+			w.I32s(parts.EdgeLabel)
 		case secVectors:
 			for _, v := range vecWords {
 				w.U64(v)

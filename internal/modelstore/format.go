@@ -5,12 +5,13 @@
 // label string beyond the one check per distinct label).
 //
 // An artifact stores what generation decided and nothing derived from it:
-// the state count and initial state, the interned label table, the edges,
-// the per-state privacy vectors and the store table (its distinct store sets
-// in first-occurrence order plus one set index per state). State IDs and
-// the CSR layouts are functions of the state count and the edges;
-// lts.RestoreCompiled rebuilds them as lts.FromParts does after generation,
-// so a loaded model is the object generation builds.
+// the state count and initial state, the graph's label table, the edges
+// with each one's index into it, the per-state privacy vectors and the store
+// table (its distinct store sets in first-occurrence order plus one set
+// index per state). State IDs and the CSR layouts are functions of the state
+// count and the edges; lts.RestoreCompiled rebuilds them as lts.FromParts
+// does after generation and takes the label table as stored, so a loaded
+// model is the object generation builds.
 //
 // The format is canonical and integrity-checked: every multi-byte value is
 // little-endian regardless of the writing host, encoding the same model
@@ -19,9 +20,10 @@
 // it guards against damage, not an attacker. Decoding is hardened against
 // untrusted input: a malformed or truncated artifact always yields an error,
 // never a panic and never an inconsistent model — every count, offset,
-// endpoint and label index is range-checked, and each decoded label is
-// re-rendered against its stored string. An older format version is rejected
-// like corruption, which callers treat as a cache miss.
+// endpoint and label index is range-checked, the label table must be in
+// first-occurrence order with every record referenced, and each decoded
+// label is re-rendered against its stored string. An older format version
+// is rejected like corruption, which callers treat as a cache miss.
 //
 // Decode copies every section out of the buffer it is given, and Store.Load
 // is os.ReadFile plus Decode, so a loaded model never references the artifact
@@ -62,7 +64,7 @@ const (
 	secMeta    = 1 // counts, initial state, fingerprint
 	secStrings = 2 // interned string table: offsets + blob (entry 0 is "")
 	secLabels  = 3 // distinct transition labels, column layout
-	secEdges   = 4 // per-transition endpoints and label-pointer refs
+	secEdges   = 4 // per-transition endpoints and label-table indexes (-1: nil)
 	secVectors = 5 // flat per-state privacy-vector words
 	secStores  = 6 // distinct store sets' record offsets, per-state set index, records
 	secVocab   = 7 // vocabulary actors/fields and generation warnings

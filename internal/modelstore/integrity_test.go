@@ -18,9 +18,9 @@ import (
 
 // Section ids and table geometry of the format, as decode_test.go reads them.
 const (
-	secMeta, secVectors, secStores = 1, 5, 6
-	numSections                    = 7
-	sectionTableEnd                = 64 + numSections*24
+	secMeta, secEdges, secVectors, secStores = 1, 4, 5, 6
+	numSections                              = 7
+	sectionTableEnd                          = 64 + numSections*24
 )
 
 // TestDecodeRejectsBitFlipsEverywhere: one flipped bit anywhere — in the

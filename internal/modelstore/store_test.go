@@ -328,7 +328,7 @@ func TestPropModelStoreRoundTrip(t *testing.T) {
 // TestPropEncodeWorkerCountIndependence: the compiled artifact is a function
 // of the model alone. Workers build potential-read labels independently, so
 // the bytes stay equal across worker counts only while generation
-// canonicalises labels by value before the encoder interns them by pointer.
+// canonicalises labels by value before the graph interns them by identity.
 func TestPropEncodeWorkerCountIndependence(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		s := scenario.Draw(seed)
@@ -419,6 +419,23 @@ func TestDecodeRejectsCorruptArtifacts(t *testing.T) {
 		"first payload word corrupted": func(d []byte) {
 			d[288] ^= 0x11
 		},
+		"unreferenced label record": func(d []byte) {
+			last := int32(binary.LittleEndian.Uint32(d[metaOff(t, d)+8:])) - 1 // numLabels - 1
+			remapLabelRefs(t, d, func(ref int32) int32 {
+				if ref == last {
+					return 0
+				}
+				return ref
+			})
+		},
+		"label records out of first-occurrence order": func(d []byte) {
+			remapLabelRefs(t, d, func(ref int32) int32 {
+				if ref == 0 || ref == 1 {
+					return 1 - ref
+				}
+				return ref
+			})
+		},
 		"vector padding bit set": func(d []byte) {
 			off, _ := sectionRange(t, d, secVectors)
 			last := off + (p.Vocab.WordsPerVector()-1)*8 // state 0's last word
@@ -431,6 +448,23 @@ func TestDecodeRejectsCorruptArtifacts(t *testing.T) {
 		if _, err := modelstore.Decode(rechecksum(t, data), m); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// metaOff returns the offset of the artifact's meta section.
+func metaOff(t *testing.T, d []byte) int {
+	off, _ := sectionRange(t, d, secMeta)
+	return off
+}
+
+// remapLabelRefs rewrites every edge's label reference (the edges section's
+// third column; -1 is a nil label) in place.
+func remapLabelRefs(t *testing.T, d []byte, remap func(int32) int32) {
+	off, length := sectionRange(t, d, secEdges)
+	m := length / 12
+	for e := range m {
+		at := off + 8*m + 4*e
+		binary.LittleEndian.PutUint32(d[at:], uint32(remap(int32(binary.LittleEndian.Uint32(d[at:])))))
 	}
 }
 

@@ -200,9 +200,9 @@ func TestObserveDeclaredBeforeEarlierPotential(t *testing.T) {
 	}
 
 	parts := p.Graph.Parts()
-	edges := make([]lts.BulkEdge, len(parts.EdgeLabels))
+	edges := make([]lts.BulkEdge, len(parts.EdgeLabel))
 	for e := range edges {
-		edges[e] = lts.BulkEdge{From: parts.EdgeFrom[e], To: parts.EdgeTo[e], Label: parts.EdgeLabels[e]}
+		edges[e] = lts.BulkEdge{From: parts.EdgeFrom[e], To: parts.EdgeTo[e], Label: p.Graph.TransitionAt(int32(e)).Label}
 	}
 	moved := edges[potential]
 	copy(edges[declared+1:potential+1], edges[declared:potential])
