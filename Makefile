@@ -41,7 +41,7 @@ test-cpu:
 # membership changes, evictions and the seeded fault harness — under the race detector, ten times at GOMAXPROCS 1 and 4:
 # an interleaving bug shows up as a flake, so one run is not evidence. About
 # four and a half minutes on two cores.
-ROUTER_TESTS = ^(TestStep|TestNode(IngestAppliesEvents|FenceRacingIngest)|TestRouter(BackoffSchedule|StatsPersistent5xx|429TrimAcrossRetries)|TestSendDeadline|TestClusterLiveJoin|TestClusterGracefulLeave|TestAbortedChange|TestEvict|TestFailedEviction|TestTickCannotStall|TestFencedNode|TestClusterEvictFailover|TestProberEvicts|TestClusterFaultDeterminismGolden|TestHandoffChunking|TestLeaveChunkBoundaries|TestAbortWaitsForChunkInFlight|TestRegisterChunksAndResets|TestClusterAnalysesEachShapeOnce)
+ROUTER_TESTS = ^(TestStep|TestNode(IngestAppliesEvents|FenceRacingIngest)|TestRouter(BackoffSchedule|StatsPersistent5xx|429TrimAcrossRetries)|TestSendDeadline|TestClusterLiveJoin|TestClusterGracefulLeave|TestAbortedChange|TestEvict|TestFailedEviction|TestFencedNode|TestClusterEvictFailover|TestProberEvicts|TestClusterFaultDeterminismGolden|TestHandoffChunking|TestLeaveChunkBoundaries|TestAbortWaitsForChunkInFlight|TestRegisterChunksAndResets|TestClusterAnalysesEachShapeOnce)
 test-router:
 	$(GO) test -race -count=10 -cpu 1,4 -run '$(ROUTER_TESTS)' ./internal/cluster/
 

@@ -9,8 +9,8 @@ import (
 
 // TestProductionConfiguration pins the one configuration production runs —
 // the zero configs that privaserve -cluster and the benchmark pass —
-// to the numbers the ingest workloads measure: frames of 512 events flushed
-// every 50 ms, a window of four frames, 16 attempts a sequence, backoff from
+// to the numbers the ingest workloads measure: frames of at most 512 events,
+// a window of four frames, 16 attempts a sequence, backoff from
 // 5 ms to 2 s over h2c; probes every 250 ms with a 250 ms timeout, three
 // misses to an eviction.
 func TestProductionConfiguration(t *testing.T) {
@@ -25,7 +25,7 @@ func TestProductionConfiguration(t *testing.T) {
 		t.Errorf("router transport = %#v, want unencrypted HTTP/2", got.client.Transport)
 	}
 	got.client = nil
-	want := routerTuning{batchEvents: 512, flushInterval: 50 * time.Millisecond, maxInFlight: 4,
+	want := routerTuning{batchEvents: 512, maxInFlight: 4,
 		maxRetries: 16, backoffBase: 5 * time.Millisecond, backoffMax: 2 * time.Second, jitterSeed: 1}
 	if got != want {
 		t.Errorf("router tuning = %+v, want %+v", got, want)

@@ -121,26 +121,38 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func TestEvictBlackHoledNode(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	// Only the tick cuts frames, so SendBatch never waits on the victim's
-	// window: one sequence hangs in flight, a frame waits in the window, the
-	// rest stays buffered.
-	f := startBlackHoleFleet(t, ctx, RouterConfig{tuning: routerTuning{batchEvents: 4096, flushInterval: 5 * time.Millisecond}})
+	// Frames are far larger than the stream, so only the idle wire cuts one
+	// and SendBatch never waits on the victim's window: the first slice's
+	// frame hangs in flight, and the second slice stays buffered behind it.
+	f := startBlackHoleFleet(t, ctx, RouterConfig{tuning: routerTuning{batchEvents: 4096}})
 	direct := directMonitor(t, f.profiles, f.stream)
-	q := len(f.rest) / 2
+	q := len(f.rest) / 3
 	if err := f.c.Router.SendBatch(ctx, f.rest[:q]); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "a sequence to hang in flight", func() bool { return f.injector.Stats().Hung == 1 })
+	if err := f.c.Router.SendBatch(ctx, f.rest[q:2*q]); err != nil {
+		t.Fatal(err)
+	}
+	owed := 0
+	for _, ev := range f.rest[:2*q] {
+		if f.c.Router.Ring().Owner(ev.UserID) == f.victim {
+			owed++
+		}
+	}
+	if n := f.c.Router.senderCounts()[f.victim]; n.Wire != 1 || n.Queued != 0 || n.Buffered == 0 {
+		t.Fatalf("victim sender = %+v, want one frame on the wire and the second slice buffered", n)
+	}
 
 	if d := f.evictWithin(t, ctx, 5*time.Second); d >= time.Second {
 		t.Fatalf("EvictNode took %v with a request hanging on the victim, want well under a second", d)
 	}
-	if err := f.c.Router.SendBatch(ctx, f.rest[q:]); err != nil {
+	if err := f.c.Router.SendBatch(ctx, f.rest[2*q:]); err != nil {
 		t.Fatal(err)
 	}
 	requireClusterMatchesDirect(t, f.c, direct, f.users)
-	if stats := f.c.Router.Stats(); stats.Dropped != 0 || stats.ReroutedEvents == 0 {
-		t.Fatalf("router stats = %+v, want the hung sequence re-routed and nothing dropped", stats)
+	if stats := f.c.Router.Stats(); stats.Dropped != 0 || stats.ReroutedEvents != int64(owed) {
+		t.Fatalf("router stats = %+v, want the hung sequence and the buffer, %d events, re-routed and nothing dropped", stats, owed)
 	}
 }
 
@@ -155,8 +167,7 @@ func TestEvictWhileSendBlockedOnDeadWindow(t *testing.T) {
 	defer cancel()
 	f := startBlackHoleFleet(t, ctx, RouterConfig{
 		tuning: routerTuning{
-			batchEvents:   2,
-			flushInterval: time.Hour,
+			batchEvents: 2,
 			// The scenario is scripted on a one-frame window.
 			maxInFlight: 1,
 			// Nothing but the eviction may resolve the victim's frames.
@@ -350,15 +361,15 @@ func TestEvictFencesAbandonedRequest(t *testing.T) {
 	}
 	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{
 		tuning: routerTuning{
-			// Only the batch threshold cuts frames, and a window of four lets
+			// The victim's events come in slices of whole frames, so each
+			// frame is four events whoever cuts it, and a window of four lets
 			// frames 1 and 2 queue behind the held frame 0 and leave as one request.
-			batchEvents:   4,
-			maxInFlight:   4,
-			flushInterval: time.Hour,
-			maxRetries:    1000,
-			backoffBase:   time.Millisecond,
-			backoffMax:    20 * time.Millisecond,
-			client:        &http.Client{Transport: race},
+			batchEvents: 4,
+			maxInFlight: 4,
+			maxRetries:  1000,
+			backoffBase: time.Millisecond,
+			backoffMax:  20 * time.Millisecond,
+			client:      &http.Client{Transport: race},
 		},
 	})
 	if err != nil {
@@ -477,14 +488,11 @@ func TestFailedEvictionLeavesNodeDeliverable(t *testing.T) {
 
 	base := H2CTransport()
 	transport := newSwitchTransport(base)
-	// Only the seal cuts frames: the first half of the stream is still in the
-	// senders' buffers when the eviction starts, so the victim's share of it
-	// is cut onto the cancelled sender and parked.
+	// Frames are far larger than the stream, so only the idle wire cuts one.
 	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{
 		tuning: routerTuning{
-			batchEvents:   4096,
-			flushInterval: time.Hour,
-			client:        &http.Client{Transport: transport},
+			batchEvents: 4096,
+			client:      &http.Client{Transport: transport},
 		},
 	})
 	if err != nil {
@@ -496,16 +504,32 @@ func TestFailedEvictionLeavesNodeDeliverable(t *testing.T) {
 	if err := c.Router.Register(ctx, profiles); err != nil {
 		t.Fatal(err)
 	}
-	half := len(stream) / 2
-	if err := c.Router.SendBatch(ctx, stream[:half]); err != nil {
+
+	// The victim's first request hangs until the eviction aborts it, and the
+	// rest of the first half stays buffered behind it, so when the eviction
+	// starts the cancelled sender is given both to park: the aborted frame
+	// and the one its seal cuts. node0 never acknowledges a handoff, so the
+	// eviction then fails.
+	hostOf := func(i int) string { return strings.TrimPrefix(c.Servers[i].URL(), "http://") }
+	hang := fault.New(base, fault.Config{
+		Paths: []string{"/ingest"},
+		Hang:  []fault.Partition{{Host: hostOf(1), From: 0, To: 1}},
+	})
+	transport.use(fault.New(hang, fault.Config{
+		Paths:      []string{"/handoff"},
+		Partitions: []fault.Partition{{Host: hostOf(0), From: 0, To: math.MaxUint64}},
+	}))
+	half, quarter := len(stream)/2, len(stream)/4
+	if err := c.Router.SendBatch(ctx, stream[:quarter]); err != nil {
 		t.Fatal(err)
 	}
-
-	host := strings.TrimPrefix(c.Servers[0].URL(), "http://")
-	transport.use(fault.New(base, fault.Config{
-		Paths:      []string{"/handoff"},
-		Partitions: []fault.Partition{{Host: host, From: 0, To: math.MaxUint64}},
-	}))
+	waitUntil(t, "the victim's first request to hang", func() bool { return hang.Stats().Hung == 1 })
+	if err := c.Router.SendBatch(ctx, stream[quarter:half]); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Router.senderCounts()["node1"]; n.Wire != 1 || n.Buffered == 0 {
+		t.Fatalf("victim sender = %+v, want a frame on the wire and events buffered behind it", n)
+	}
 	if err := c.EvictNode(ctx, "node1"); err == nil {
 		t.Fatal("the eviction succeeded although the destination never acknowledged its handoff")
 	}

@@ -167,9 +167,10 @@ func TestClusterFaultDeterminismProperty(t *testing.T) {
 	prop := func(seed int64, rng *rand.Rand) error { return faultRound(seed, rng, false) }
 	// Rounds pinned so they run whatever the round schedule draws, both
 	// crash+evict: in the first the victim was slow enough to stop that a short
-	// retry budget ran out before the eviction; in the second a flush tick
-	// found the victim's window full and, waiting on it with the membership
-	// lock held, stalled the eviction until the frames were dropped.
+	// retry budget ran out before the eviction; in the second the router's
+	// periodic flush (since removed) found the victim's window full and,
+	// waiting on it with the membership lock held, stalled the eviction until
+	// the frames were dropped.
 	for _, seed := range []int64{-915060868552363120, 7891740240020887782} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			if err := proptest.CheckSeed(seed, prop); err != nil {

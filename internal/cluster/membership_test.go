@@ -211,9 +211,8 @@ func TestClusterGracefulLeave(t *testing.T) {
 // runs out of retries in that gap abandons frames nobody can recover. The
 // retry budget — at least maxRetries × backoffMax/2 = 10 s, the tests' Stop
 // timeout — outlasts the gap; eviction interrupts the backoff, so it costs
-// nothing once that happens. The flush tick runs at its default interval: a
-// tick that finds the victim's one-frame window full skips that sender
-// instead of waiting on it (TestTickCannotStallEviction).
+// nothing once that happens, and a full window behind the retried sequence
+// does not hold the eviction up (TestEvictWithFullWindowCompletes).
 func crashRouterConfig() RouterConfig {
 	return RouterConfig{
 		tuning: routerTuning{

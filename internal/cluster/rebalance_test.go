@@ -709,15 +709,13 @@ func (r *refuseIngest) RoundTrip(req *http.Request) (*http.Response, error) {
 
 func (r *refuseIngest) CloseIdleConnections() { closeIdle(r.base) }
 
-// TestTickCannotStallEviction: with a node refusing its frames, the sender's
-// one-frame window fills behind the frame being retried. A flush tick that
-// waited for room in that window would do so holding the membership lock, and
-// the eviction — the one thing that empties the window — would queue behind it
-// until the retry budget ran out and the frames were dropped. The tick skips
-// the full window instead: EvictNode returns within a few ticks and every
-// buffered, queued and in-flight event is re-routed.
-func TestTickCannotStallEviction(t *testing.T) {
-	const flushInterval = 10 * time.Millisecond
+// TestEvictWithFullWindowCompletes: with a node refusing its frames, the
+// victim's sender retries its sequence on the wire for as long as its retry
+// budget lasts (at least 10 s), while its one-frame window fills behind it
+// and more events wait in its buffer. None of that may hold up an eviction,
+// the one thing that can resolve those frames: EvictNode returns promptly and
+// every buffered, queued and in-flight event is re-routed, none dropped.
+func TestEvictWithFullWindowCompletes(t *testing.T) {
 	p := surgeryModel(t)
 	ring, err := NewRing([]string{"node0", "node1"})
 	if err != nil {
@@ -727,18 +725,26 @@ func TestTickCannotStallEviction(t *testing.T) {
 	users := profileIDs(profiles)
 	stream := scenario.RandomEventStream(rand.New(rand.NewSource(31)), p, users, 12)
 	direct := directMonitor(t, profiles, stream)
+	// The victim's events are sent apart, in slices that stage its sender;
+	// each user keeps its own order, which is all the monitors compare.
+	var victims, others []service.Event
+	for _, ev := range stream {
+		if ring.Owner(ev.UserID) == "node1" {
+			victims = append(victims, ev)
+		} else {
+			others = append(others, ev)
+		}
+	}
 
 	transport := &refuseIngest{base: H2CTransport()}
 	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{
 		tuning: routerTuning{
-			// Only the tick cuts frames, and the retry budget (≥ 10 s) outlasts
-			// the test: nothing but the eviction can resolve the victim's frames.
-			batchEvents:   4096,
-			flushInterval: flushInterval,
-			maxRetries:    1000,
-			backoffBase:   time.Millisecond,
-			backoffMax:    20 * time.Millisecond,
-			client:        &http.Client{Transport: transport},
+			batchEvents: 4,
+			maxInFlight: 1,
+			maxRetries:  1000,
+			backoffBase: time.Millisecond,
+			backoffMax:  20 * time.Millisecond,
+			client:      &http.Client{Transport: transport},
 		},
 	})
 	if err != nil {
@@ -755,39 +761,33 @@ func TestTickCannotStallEviction(t *testing.T) {
 	transport.host.Store(&host)
 
 	sender := func() senderCounts { return c.Router.senderCounts()[victim.Node().Name()] }
-	// Three slices of the stream: the first is cut by a tick and taken by the
-	// sender, which retries it forever; the second is cut into the window and
-	// fills it; the third stays buffered for the next tick to find.
-	third := len(stream) / 4
-	if err := c.Router.SendBatch(ctx, stream[:third]); err != nil {
+	// One event goes out alone on the idle wire and is retried forever; two
+	// frames cut at the batch threshold fill the window behind it (one more
+	// than the window may wait); three events stay buffered, one short of
+	// the cut that would block.
+	if err := c.Router.SendBatch(ctx, victims[:1]); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "the first frame to be in flight", func() bool {
-		n := sender()
-		return n.Wire == 1 && n.Queued == 0 || n.Wire+n.Queued >= 2
-	})
-	if err := c.Router.SendBatch(ctx, stream[third:2*third]); err != nil {
+	waitUntil(t, "the first frame to be retried", func() bool { return c.Router.Stats().Retries > 0 })
+	if err := c.Router.SendBatch(ctx, victims[1:12]); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "the second frame to fill the window", func() bool { return sender().Queued == 1 })
-	if err := c.Router.SendBatch(ctx, stream[2*third:3*third]); err != nil {
-		t.Fatal(err)
+	if n := sender(); n != (senderCounts{Wire: 1, Queued: 2, Buffered: 3}) {
+		t.Fatalf("victim sender = %+v, want 1 frame on the wire, 2 waiting and 3 events buffered", n)
 	}
-	// Let several ticks find the full window with events buffered behind it.
-	time.Sleep(5 * flushInterval)
 
 	t0 := time.Now()
 	if err := c.EvictNode(ctx, victim.Node().Name()); err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(t0); d > 50*flushInterval {
-		t.Fatalf("EvictNode took %v behind a %v flush tick", d, flushInterval)
+	if d := time.Since(t0); d > 2*time.Second {
+		t.Fatalf("EvictNode took %v behind a full window", d)
 	}
-	if err := c.Router.SendBatch(ctx, stream[3*third:]); err != nil {
+	if err := c.Router.SendBatch(ctx, append(others, victims[12:]...)); err != nil {
 		t.Fatal(err)
 	}
 	requireClusterMatchesDirect(t, c, direct, users)
-	if stats := c.Router.Stats(); stats.DroppedEvents != 0 || stats.ReroutedEvents == 0 {
-		t.Fatalf("router stats = %+v, want events re-routed and none dropped", stats)
+	if stats := c.Router.Stats(); stats.DroppedEvents != 0 || stats.ReroutedEvents != 12 || stats.FailoverSkippedFrames != 0 {
+		t.Fatalf("router stats = %+v, want the victim's 12 events re-routed and none dropped", stats)
 	}
 }

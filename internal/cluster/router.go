@@ -33,11 +33,10 @@ type RouterConfig struct {
 // routerTuning holds the router's protocol parameters; withDefaults gives a
 // zero field its production value.
 type routerTuning struct {
-	// batchEvents is the per-node buffer size at which a frame is cut and
-	// sent; flushInterval bounds how long a buffered event may wait before
-	// the partial frame is sent anyway.
-	batchEvents   int
-	flushInterval time.Duration
+	// batchEvents is the largest frame: a sender with a sequence on the wire
+	// cuts its buffer into the window when it reaches this size. An idle
+	// sender cuts whatever it buffers at once (settle).
+	batchEvents int
 	// maxInFlight bounds the cut frames queued per node behind the sequence
 	// on the wire: one more frame may be cut, and a Send whose event would
 	// cut the next blocks. It is the cluster's one backpressure bound: a node
@@ -67,8 +66,6 @@ const (
 	// amortize the per-request cost over hundreds of events, small enough to
 	// stay far below MaxFrameBytes for any realistic event size.
 	defaultBatchEvents = 512
-	// defaultFlushInterval bounds buffered-event latency.
-	defaultFlushInterval = 50 * time.Millisecond
 	// defaultMaxRetries bounds attempts per frame sequence.
 	defaultMaxRetries = 16
 	// defaultBackoffBase is the first retry's backoff; it doubles per retry
@@ -82,7 +79,6 @@ const (
 // frames (2,048 events a node), jitter seed 1 and the h2c client.
 func (t routerTuning) withDefaults() routerTuning {
 	t.batchEvents = min(cmp.Or(t.batchEvents, defaultBatchEvents), MaxFrameEvents)
-	t.flushInterval = cmp.Or(t.flushInterval, defaultFlushInterval)
 	t.maxInFlight = cmp.Or(t.maxInFlight, 4)
 	t.maxRetries = cmp.Or(t.maxRetries, defaultMaxRetries)
 	t.backoffBase = cmp.Or(t.backoffBase, defaultBackoffBase)
@@ -160,20 +156,20 @@ type cutFrame struct {
 }
 
 // Router is the cluster's ingest client: it partitions events over the ring,
-// buffers per node, cuts binary frames at the batch threshold or flush
-// deadline, and bounds each node's unacknowledged frames by a window (a node
-// acknowledges a frame once it has applied it); a 429 with Retry-After, which
-// only an intermediary sends, is honoured too. Membership is live: a
-// join, leave or eviction (change, in membership.go) rebuilds the ring at a
-// new epoch after handing per-user monitor state to the new owners, and an
-// evicted node's undelivered frames are re-routed to its users' new owners —
-// never silently dropped.
+// buffers per node, cuts a binary frame as soon as the node's wire is idle —
+// or, while a sequence is on the wire, at the batch threshold — and bounds
+// each node's unacknowledged frames by a window (a node acknowledges a frame
+// once it has applied it); a 429 with Retry-After, which only an intermediary
+// sends, is honoured too. Membership is live: a join, leave or eviction
+// (change, in membership.go) rebuilds the ring at a new epoch after handing
+// per-user monitor state to the new owners, and an evicted node's undelivered
+// frames are re-routed to its users' new owners — never silently dropped.
 //
 // The router is one state machine. One goroutine, the owner loop (run), holds
 // the ring, the epoch, every node's buffer, window and owed frames and the
 // change in progress, and changes them only through step. Every call is an
-// event to it, and so are the flush tick and each delivery attempt's outcome;
-// what step asks for — an answer, a POST, a cancellation — run carries out.
+// event to it, and so is each delivery attempt's outcome; what step asks for —
+// an answer, a POST, a cancellation — run carries out.
 type Router struct {
 	tuning routerTuning // every field set
 	// streamID prefixes every sender's dedup stream key, so retried requests
@@ -268,9 +264,10 @@ func (r *Router) Err() (err error) {
 	return err
 }
 
-// Send routes one event to its owner's buffer, cutting a frame when the
-// buffer reaches the batch threshold. It blocks while that frame would find
-// the owner's in-flight window full — that block is the backpressure
+// Send routes one event to its owner's buffer, cutting a frame at once when
+// the owner's wire is idle and otherwise when the buffer reaches the batch
+// threshold. It blocks while that frame would find the owner's in-flight
+// window full — that block is the backpressure
 // propagating to the caller — and while a membership change is rebuilding the
 // ring, so an event observed before a change lands on the old owner (whose
 // state then moves) and an event observed after lands on the new one:
@@ -378,14 +375,8 @@ func (r *Router) inspect(f func(*routerState)) {
 // effects step returns, until Close's flush is answered.
 func (r *Router) run() {
 	defer close(r.done)
-	tick := time.NewTicker(r.tuning.flushInterval)
-	defer tick.Stop()
 	for !r.st.exited {
-		var ev any = flushTick{}
-		select {
-		case ev = <-r.inbox:
-		case <-tick.C:
-		}
+		ev := <-r.inbox
 		if c, ok := ev.(*inspectCall); ok {
 			c.f(&r.st)
 			close(c.done)
@@ -500,8 +491,8 @@ func timerSleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// The events step takes: the calls, which a caller waits on, and the flush
-// tick, a delivery attempt's outcome and a caller taking its call back.
+// The events step takes: the calls, which a caller waits on, a delivery
+// attempt's outcome and a caller taking its call back.
 type (
 	// reply is a call's answer: the owner loop sets err and closes done once
 	// per ask.
@@ -540,8 +531,6 @@ type (
 		r   *reply
 		err error
 	}
-	// flushTick is the flush-interval timer.
-	flushTick struct{}
 	// posted is a delivery attempt's outcome: the node took the first
 	// accepted frames of the sequence, and err says why not the rest.
 	posted struct {
@@ -604,7 +593,7 @@ type sender struct {
 	buf       []service.Event
 	enc       frameEncoder
 	next      int64 // index of the next frame cut in this sender's stream
-	flushTo   int64 // a flush or tick wants the buffer cut until next reaches it
+	flushTo   int64 // a Flush, seal or Close wants the buffer cut until next reaches it
 	queue     []cutFrame
 	inFlight  int
 	attempt   int  // the attempt the sequence on the wire is on, from 0
@@ -665,12 +654,6 @@ func (st *routerState) step(ev any) []effect {
 		st.stepChange(ev)
 	case withdraw:
 		st.answer(ev.r, ev.err)
-	case flushTick:
-		for _, s := range st.senders {
-			if len(s.buf) > 0 {
-				s.flushTo = s.next + 1
-			}
-		}
 	case posted:
 		st.delivered(ev)
 	}
@@ -679,14 +662,21 @@ func (st *routerState) step(ev any) []effect {
 }
 
 // settle does what the event made possible: take the held calls, cut the
-// buffers a flush or tick wants cut and has room for, start the idle senders'
-// deliveries, and answer the flushes whose frames are all resolved.
+// buffers of idle senders and those a flush wants cut and has room for, start
+// the idle senders' deliveries, and answer the flushes whose frames are all
+// resolved. An idle sender — not cancelled, nothing on the wire or queued —
+// cuts its buffer whatever its size, so an event waits at most for the
+// sequence in flight: frames grow with load, up to the batch threshold,
+// instead of waiting to fill. A sender that is not idle keeps its buffer
+// until a later step: its sequence's outcome (a retry's too), once what is
+// queued has gone out, or, for a cancelled sender, its eviction's seal.
 func (st *routerState) settle() {
 	if !st.frozen {
 		st.takeHeld()
 	}
 	for _, s := range st.senders {
-		if len(s.buf) > 0 && s.flushTo > s.next && st.room(s) {
+		idle := !s.cancelled && s.inFlight == 0 && len(s.queue) == 0
+		if len(s.buf) > 0 && (idle || s.flushTo > s.next && st.room(s)) {
 			st.cut(s)
 		}
 	}

@@ -259,9 +259,8 @@ func TestSendDeadlineKeepsAcceptedEvents(t *testing.T) {
 	router, err := NewRouter(RouterConfig{
 		Nodes: map[string]string{"only": srv.URL},
 		tuning: routerTuning{
-			batchEvents:   2,
-			flushInterval: time.Hour,
-			client:        srv.Client(),
+			batchEvents: 2,
+			client:      srv.Client(),
 		},
 	})
 	if err != nil {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"privascope/internal/core"
+	"privascope/internal/proptest"
 	"privascope/internal/service"
 )
 
@@ -185,17 +187,160 @@ func TestStep429TrimsTheSequence(t *testing.T) {
 	}
 }
 
-// TestStepFlushCutsAtOnce: a Flush cuts the buffered partial frame and starts
-// its delivery in the step that takes it, not at the next flush tick.
-func TestStepFlushCutsAtOnce(t *testing.T) {
+// TestStepIdleSenderCutsAtOnce: a sender whose wire is idle cuts whatever it
+// buffers in the step that takes it; one with a sequence on the wire batches
+// until that sequence's outcome, which sends what is queued first and then the
+// buffer. A Flush while busy cuts the buffer into the window, so it rides the
+// next sequence.
+func TestStepIdleSenderCutsAtOnce(t *testing.T) {
 	h := newStepHarness(t, "only")
-	h.send(h.events("only", 1)...)
-	flush := &flushCall{}
-	p := posts(h.step(flush))
-	if len(p) != 1 || !slices.Equal(indices(p[0].frames), []int64{0}) {
-		t.Fatalf("the flush posted %+v, want the buffered event's frame at once", p)
+	ev := h.events("only", 4)
+	s := h.st.sender("only")
+
+	_, effs := h.send(ev[0])
+	if p := posts(effs); len(p) != 1 || !slices.Equal(indices(p[0].frames), []int64{0}) || p[0].frames[0].events != 1 {
+		t.Fatalf("a send to an idle sender posted %+v, want its one-event frame 0 at once", p)
 	}
-	if h.step(posted{node: "only", accepted: 1}); !flush.answered || flush.err != nil {
+	if _, effs := h.send(ev[1]); len(posts(effs)) != 0 || len(s.buf) != 1 {
+		t.Fatalf("a send to a busy sender posted %+v and buffered %d events, want nothing posted and 1 buffered", posts(effs), len(s.buf))
+	}
+	p := posts(h.step(posted{node: "only", accepted: 1}))
+	if len(p) != 1 || !slices.Equal(indices(p[0].frames), []int64{1}) || p[0].frames[0].events != 1 || len(s.buf) != 0 {
+		t.Fatalf("the acknowledgement posted %+v, want the buffered event's frame 1", p)
+	}
+
+	h.send(ev[2])
+	flush := &flushCall{}
+	if effs := h.step(flush); len(posts(effs)) != 0 || !slices.Equal(indices(s.queue), []int64{1, 2}) || len(s.buf) != 0 {
+		t.Fatalf("a Flush while busy posted %+v and left queue %v, want frame 2 cut into the window", posts(effs), indices(s.queue))
+	}
+	h.send(ev[3])
+	p = posts(h.step(posted{node: "only", accepted: 1}))
+	if len(p) != 1 || !slices.Equal(indices(p[0].frames), []int64{2}) || len(s.buf) != 1 || flush.answered {
+		t.Fatalf("frame 1's acknowledgement posted %+v with %d buffered, flush answered %v; want the flushed frame 2 first, the later event still buffered",
+			p, len(s.buf), flush.answered)
+	}
+	p = posts(h.step(posted{node: "only", accepted: 1}))
+	if !flush.answered || flush.err != nil {
 		t.Fatalf("the flush is unanswered (%v) or failed (%v) with its frame delivered", flush.answered, flush.err)
 	}
+	if len(p) != 1 || !slices.Equal(indices(p[0].frames), []int64{3}) {
+		t.Fatalf("frame 2's acknowledgement posted %+v, want the buffered event's frame 3", p)
+	}
+	h.step(posted{node: "only", accepted: 1})
+	if st := h.st.stats; st.FramesSent != 4 || st.EventsSent != 4 {
+		t.Fatalf("stats = %+v, want 4 one-event frames sent", st)
+	}
+}
+
+// TestStepNoEventWaitsForAClockProperty: the router has no timer, so no
+// buffered event may depend on one. Random scripts of sends to random owners,
+// user flushes and delivery outcomes — all accepted, part accepted, a 429 or
+// an error — over small frames and windows leave, after every step, no sender
+// that is not cancelled with nothing on the wire or queued and events
+// buffered: such a sender would wait for a step that never comes. Once
+// everything is acknowledged every taken event is sent or counted dropped,
+// with no Flush.
+func TestStepNoEventWaitsForAClockProperty(t *testing.T) {
+	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
+		nodes := []string{"a", "b", "c"}[:1+rng.Intn(3)]
+		ring, err := NewRing(nodes)
+		if err != nil {
+			return err
+		}
+		urls := make(map[string]string)
+		for _, n := range nodes {
+			urls[n] = "http://" + n
+		}
+		tuning := routerTuning{batchEvents: 1 + rng.Intn(4), maxInFlight: 1 + rng.Intn(3), maxRetries: 2 + rng.Intn(3)}
+		st := newRouterState(urls, tuning, ring)
+		stranded := func(when string) error {
+			for _, s := range st.senders {
+				if !s.cancelled && st.room(s) && s.inFlight == 0 && len(s.queue) == 0 && len(s.buf) > 0 {
+					return fmt.Errorf("%s: sender %q is idle with %d events buffered (batch %d, window %d)",
+						when, s.name, len(s.buf), st.batch, st.window)
+				}
+			}
+			return nil
+		}
+		busy := func() []*sender {
+			var out []*sender
+			for _, s := range st.senders {
+				if s.inFlight > 0 {
+					out = append(out, s)
+				}
+			}
+			return out
+		}
+		var sends []*sendCall
+		var flushes []*flushCall
+		seq := int64(0)
+		for op := 0; op < 48; op++ {
+			var what string
+			switch k, b := rng.Intn(4), busy(); {
+			case k == 0:
+				c := &flushCall{}
+				flushes = append(flushes, c)
+				what = fmt.Sprintf("op %d, a flush", op)
+				st.step(c)
+			case k == 1 || len(b) == 0:
+				c := &sendCall{events: make([]service.Event, 1+rng.Intn(2*st.batch+1))}
+				for i := range c.events {
+					seq++
+					c.events[i] = service.Event{UserID: fmt.Sprintf("u%d", rng.Intn(12)), Action: core.ActionCollect, Seq: seq}
+				}
+				sends = append(sends, c)
+				what = fmt.Sprintf("op %d, a send of %d events", op, len(c.events))
+				st.step(c)
+			default:
+				s := b[rng.Intn(len(b))]
+				p := posted{node: s.name, accepted: s.inFlight}
+				switch rng.Intn(4) {
+				case 1:
+					p.accepted, p.err = rng.Intn(s.inFlight), errors.New("connection reset")
+				case 2:
+					p.accepted, p.rejected = rng.Intn(s.inFlight+1), true
+					if p.accepted < s.inFlight {
+						p.err = errors.New("saturated (429)")
+					}
+				case 3:
+					p.accepted, p.err = 0, errors.New("ingest returned 503")
+				}
+				what = fmt.Sprintf("op %d, %q's outcome %+v", op, s.name, p)
+				st.step(p)
+			}
+			if err := stranded(what); err != nil {
+				return err
+			}
+		}
+		for guard := 0; ; guard++ {
+			b := busy()
+			if len(b) == 0 {
+				break
+			}
+			if guard == 10000 {
+				return fmt.Errorf("still delivering after %d acknowledgements", guard)
+			}
+			st.step(posted{node: b[0].name, accepted: b[0].inFlight})
+			if err := stranded("acknowledging everything"); err != nil {
+				return err
+			}
+		}
+		taken := int64(0)
+		for i, c := range sends {
+			if !c.answered || c.err != nil || c.taken != len(c.events) {
+				return fmt.Errorf("send %d: answered %v, err %v, %d of %d events taken with nothing in flight", i, c.answered, c.err, c.taken, len(c.events))
+			}
+			taken += int64(c.taken)
+		}
+		for i, c := range flushes {
+			if !c.answered {
+				return fmt.Errorf("flush %d unanswered with nothing in flight", i)
+			}
+		}
+		if got := st.stats.EventsSent + st.stats.DroppedEvents; got != taken {
+			return fmt.Errorf("%d events sent + %d dropped = %d, want the %d taken", st.stats.EventsSent, st.stats.DroppedEvents, got, taken)
+		}
+		return nil
+	})
 }
