@@ -39,8 +39,8 @@ var raceDetector bool
 // testing.AllocsPerRun warms up with a call of its own, and a user's script
 // can be replayed only once per registration, so a row whose operation uses
 // its fixture up measures with testutil.AllocsOnFresh: the warm-up gets one
-// fixture, the measured call another. (A second pass over one fixture would
-// measure unmodelled-event alerts, seven allocations an event, not ingest.)
+// fixture, the measured call another. (A second pass over one fixture
+// measures unmodelled-event alerts instead: the monitor_alerting row.)
 //
 // A row that goes red after a deliberate change: re-measure (the log line of
 // a -v run prints the value) and write the new number in the table.
@@ -212,6 +212,29 @@ func TestAllocCeilings(t *testing.T) {
 			return testutil.AllocsOnFresh(fresh, func(monitor *privascope.Monitor) {
 				if stats := monitor.IngestBatch(stream); stats.Matched != len(stream) {
 					t.Fatalf("ingest stats %+v, want all %d events matched", stats, len(stream))
+				}
+			}), len(stream)
+		}},
+		// A second Monitor.IngestBatch over those scripts: every event is
+		// unmodelled and logged as a record sharing one of a few event shapes,
+		// so what is left per event is the log's block growth.
+		{"monitor_alerting", 0.0065, "event", func(t *testing.T) (float64, int) {
+			fresh := func() *privascope.Monitor {
+				monitor, err := privascope.NewMonitor(surgeryLTS, privascope.MonitorConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range profiles {
+					if err := monitor.RegisterUser(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				monitor.IngestBatch(stream)
+				return monitor
+			}
+			return testutil.AllocsOnFresh(fresh, func(monitor *privascope.Monitor) {
+				if stats := monitor.IngestBatch(stream); stats.Unmodelled != len(stream) {
+					t.Fatalf("ingest stats %+v, want all %d events unmodelled", stats, len(stream))
 				}
 			}), len(stream)
 		}},

@@ -294,7 +294,8 @@ func TestClusterEvictFailover(t *testing.T) {
 // TestClusterAnalysesEachShapeOnce: the nodes of a fleet borrow one
 // assessment cache, so 8 profile shapes spread over 3 nodes cost 8 analyses
 // through registration, a join, a leave and an eviction, and users of one
-// shape on different nodes raise their alerts from the one findings table.
+// shape on different nodes raise their alerts from the one findings table,
+// each alert with a copy of its own.
 func TestClusterAnalysesEachShapeOnce(t *testing.T) {
 	const shapes, perShape = 8, 6
 	p := surgeryModel(t)
@@ -359,7 +360,7 @@ func TestClusterAnalysesEachShapeOnce(t *testing.T) {
 	if err := c.Quiesce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	alertFields := make([]*string, shapes) // a shape's finding's Fields storage
+	fleetFinding := make([]*risk.Finding, shapes) // a shape's finding in the fleet's cache
 	nodesOf := make([]map[string]bool, shapes)
 	alerts := 0
 	for _, n := range c.Nodes {
@@ -368,19 +369,24 @@ func TestClusterAnalysesEachShapeOnce(t *testing.T) {
 			if a.Kind != runtime.AlertRisk || len(a.Finding.Fields) == 0 {
 				t.Fatalf("user %q raised %s alert %q, want a risk alert", a.UserID, a.Kind, a.Message)
 			}
-			if alertFields[k] == nil {
+			if fleetFinding[k] == nil {
 				_, table, err := cache.AlertFindings(ctx, p, profiles[k*perShape], risk.LevelMedium)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, f := range *table {
 					if f != nil && f.Actor == a.Finding.Actor && reflect.DeepEqual(f.Fields, a.Finding.Fields) {
-						alertFields[k], nodesOf[k] = &f.Fields[0], make(map[string]bool)
+						fleetFinding[k], nodesOf[k] = f, make(map[string]bool)
 					}
 				}
 			}
-			if &a.Finding.Fields[0] != alertFields[k] {
+			want := *fleetFinding[k]
+			want.Transition = a.Finding.Transition
+			if !reflect.DeepEqual(a.Finding, want) {
 				t.Fatalf("user %q on %q raised an alert not built from its shape's findings in the fleet's cache", a.UserID, n.Name())
+			}
+			if &a.Finding.Fields[0] == &want.Fields[0] {
+				t.Fatalf("user %q on %q raised an alert that shares its finding's Fields with the fleet's cache", a.UserID, n.Name())
 			}
 			nodesOf[k][n.Name()] = true
 			alerts++

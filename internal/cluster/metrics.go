@@ -34,6 +34,8 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric("privascope_node_ingested_events_total", "Events applied to the monitor.", "counter", int64(s.Ingest.Events))
 	metric("privascope_node_matched_events_total", "Applied events that advanced a model cursor.", "counter", int64(s.Ingest.Matched))
 	metric("privascope_node_unregistered_events_total", "Applied events naming an unregistered user.", "counter", int64(s.Ingest.Unregistered))
+	metric("privascope_node_alert_log_records", "Alerts the monitor's log holds.", "gauge", s.AlertRecords)
+	metric("privascope_node_alert_event_shapes", "Distinct event shapes the logged alerts share.", "gauge", s.AlertShapes)
 	fmt.Fprintf(&b, "# HELP privascope_node_alerts_total Alerts raised, by kind.\n# TYPE privascope_node_alerts_total counter\n")
 	for _, kv := range []struct {
 		kind string

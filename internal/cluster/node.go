@@ -57,6 +57,10 @@ type NodeStats struct {
 	Ready bool
 	// Ingest aggregates the monitor's per-batch IngestStats.
 	Ingest runtime.IngestStats
+	// AlertRecords is the number of alerts the monitor's log holds;
+	// AlertShapes the number of distinct event shapes those records share.
+	AlertRecords int64
+	AlertShapes  int64
 }
 
 // Node is one ingest server of the cluster: it decodes event frames from
@@ -146,6 +150,7 @@ func (n *Node) Stats() NodeStats {
 	n.streamsMu.Lock()
 	ingest := n.ingest
 	n.streamsMu.Unlock()
+	records, shapes := n.monitor.AlertLogSize()
 	return NodeStats{
 		Frames:          n.frames.Load(),
 		DecodeErrors:    n.decodeErrors.Load(),
@@ -156,6 +161,8 @@ func (n *Node) Stats() NodeStats {
 		FailoverInUsers: n.failoverIn.Load(),
 		Ready:           n.ready(),
 		Ingest:          ingest,
+		AlertRecords:    int64(records),
+		AlertShapes:     int64(shapes),
 	}
 }
 

@@ -224,7 +224,9 @@ func TestNodeMetricsAndPprof(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := casestudy.MedicalServiceEvents(profile.ID)
-	if rec, _ := postIngest(t, n, mustFrame(t, events)); rec.Code != http.StatusAccepted {
+	denied := events[0]
+	denied.Denied = true
+	if rec, _ := postIngest(t, n, mustFrame(t, append(events, denied))); rec.Code != http.StatusAccepted {
 		t.Fatalf("ingest: status %d", rec.Code)
 	}
 
@@ -233,11 +235,14 @@ func TestNodeMetricsAndPprof(t *testing.T) {
 	n.Handler().ServeHTTP(rec, req)
 	body := rec.Body.String()
 	for _, want := range []string{
-		`privascope_node_ingested_events_total{node="test-node"} 6`,
+		`privascope_node_ingested_events_total{node="test-node"} 7`,
 		`privascope_node_frames_total{node="test-node"} 1`,
 		`privascope_node_matched_events_total{node="test-node"} 6`,
 		`privascope_node_queue_depth{node="test-node"} 0`,
-		`privascope_node_alerts_total{node="test-node",kind="denied-operation"} 0`,
+		`privascope_node_alerts_total{node="test-node",kind="denied-operation"} 1`,
+		`privascope_node_alert_log_records{node="test-node"} 1`,
+		`privascope_node_alert_event_shapes{node="test-node"} 1`,
+		"# TYPE privascope_node_alert_log_records gauge",
 		"# TYPE privascope_node_ingested_events_total counter",
 	} {
 		if !strings.Contains(body, want) {

@@ -27,10 +27,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"privascope/internal/core"
 	"privascope/internal/lts"
@@ -112,11 +114,12 @@ type Monitor struct {
 	// shapes once; other monitors may share it.
 	assessments *risk.AssessmentCache
 
-	// mu guards users, slab and alerts.
+	// mu guards users, slab, alerts and shapes.
 	mu     sync.Mutex
 	users  map[string]int32 // user ID -> slab index
 	slab   []user
 	alerts alertLog
+	shapes shapeTable
 }
 
 // Config configures a Monitor.
@@ -154,6 +157,7 @@ func NewMonitor(p *core.PrivacyLTS, cfg Config) (*Monitor, error) {
 		alertAt:     alertAt,
 		assessments: assessments,
 		users:       make(map[string]int32),
+		shapes:      shapeTable{seed: maphash.MakeSeed()},
 	}, nil
 }
 
@@ -247,80 +251,179 @@ func (m *Monitor) CurrentVector(userID string) (core.StateVector, bool) {
 	return m.lts.Vector(id)
 }
 
-// Alerts returns a copy of every alert raised so far, in the order they were
-// raised.
+// Alerts returns every alert raised so far, in the order they were raised.
+// The alerts are the caller's own: they share no slice with the monitor.
 func (m *Monitor) Alerts() []Alert {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Alert, 0, m.alerts.n)
+	recs := make([]alertRec, 0, m.alerts.n)
 	for _, block := range m.alerts.blocks {
-		out = append(out, block...)
+		recs = append(recs, block...)
 	}
-	return out
+	shapes := m.shapes.list
+	m.mu.Unlock()
+	return m.build(recs, shapes)
 }
 
-// AlertsFor returns the alerts concerning one user.
+// AlertsFor returns the alerts concerning one user, nil when there are none.
 func (m *Monitor) AlertsFor(userID string) []Alert {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Alert
+	var recs []alertRec
 	for _, block := range m.alerts.blocks {
 		for i := range block {
-			if block[i].UserID == userID {
-				out = append(out, block[i])
+			if block[i].user == userID {
+				recs = append(recs, block[i])
 			}
 		}
 	}
-	return out
+	shapes := m.shapes.list
+	m.mu.Unlock()
+	if recs == nil {
+		return nil
+	}
+	return m.build(recs, shapes)
+}
+
+// AlertLogSize reports how many alert records the log holds and how many
+// distinct event shapes they share.
+func (m *Monitor) AlertLogSize() (records, shapes int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.alerts.n, len(m.shapes.list)
+}
+
+// alertRec is one logged alert: what it takes to build the Alert again, and
+// nothing that a read can derive. The user ID shares the slab's string; the
+// event is a shape of the monitor's table plus its sequence number and time.
+type alertRec struct {
+	user    string
+	time    time.Time
+	seq     int64
+	finding *risk.Finding // AlertRisk: the edge class's shared finding
+	shape   int32
+	from    int32 // AlertUnmodelled: the dense state the event found its user in; -1 when denied
+	edge    int32 // AlertRisk: the matched edge
+	kind    AlertKind
 }
 
 // alertLog is the append-only alert log. Its blocks hold 8, 16, ... 512
-// alerts, then 512 each, so an append never copies a block and a short log
+// records, then 512 each, so an append never copies a block and a short log
 // stays small.
 type alertLog struct {
-	blocks [][]Alert
+	blocks [][]alertRec
 	n      int
 }
 
-func (l *alertLog) add(a Alert) {
+func (l *alertLog) add(r alertRec) {
 	if n := len(l.blocks); n == 0 || len(l.blocks[n-1]) == cap(l.blocks[n-1]) {
-		l.blocks = append(l.blocks, make([]Alert, 0, 8<<min(n, 6)))
+		l.blocks = append(l.blocks, make([]alertRec, 0, 8<<min(n, 6)))
 	}
 	last := &l.blocks[len(l.blocks)-1]
-	*last = append(*last, a)
+	*last = append(*last, r)
 	l.n++
 }
 
-func deniedAlert(ev *service.Event) Alert {
-	return Alert{
-		Kind:   AlertDenied,
-		UserID: ev.UserID,
-		Event:  *ev,
-		Message: fmt.Sprintf("access-control denied %s by %q on %s.%v",
-			ev.Action, ev.Actor, ev.Datastore, ev.Fields),
-	}
+// eventShape is an alerting event without its user, sequence number and
+// time. Its strings are its own: the event may be one of a decoded frame's,
+// whose strings and Fields share storage with every other event of that
+// frame, and a shape holding on to them would keep the whole frame alive for
+// as long as the log lives.
+type eventShape struct {
+	actor, datastore, service, purpose string
+	fields                             []string
+	action                             core.Action
+	denied                             bool
 }
 
-func unmodelledAlert(ev *service.Event, cursor lts.StateID) Alert {
-	return Alert{
-		Kind:   AlertUnmodelled,
-		UserID: ev.UserID,
-		Event:  *ev,
-		Message: fmt.Sprintf("observed %s of %v by %q on %q has no matching transition from state %s; the design model and the running system disagree",
-			ev.Action, ev.Fields, ev.Actor, ev.Datastore, cursor),
-	}
+// is reports whether ev has this shape, telling nil Fields from empty ones.
+func (s *eventShape) is(ev *service.Event) bool {
+	return s.actor == ev.Actor && s.action == ev.Action && s.datastore == ev.Datastore &&
+		s.service == ev.Service && s.purpose == ev.Purpose && s.denied == ev.Denied &&
+		(s.fields == nil) == (ev.Fields == nil) && slices.Equal(s.fields, ev.Fields)
 }
 
-func riskAlert(ev *service.Event, finding risk.Finding, tr lts.Transition) Alert {
-	finding.Transition = tr
-	return Alert{
-		Kind:    AlertRisk,
-		UserID:  ev.UserID,
-		Event:   *ev,
-		Risk:    finding.Risk,
-		Finding: finding,
-		Message: fmt.Sprintf("%s-risk disclosure event for user %q: %s", finding.Risk, ev.UserID, finding.Explanation),
+// shapeTable interns the shapes of alerting events. It only ever appends, so
+// a copy of list taken under the monitor's lock stays valid after it.
+type shapeTable struct {
+	seed   maphash.Seed
+	byHash map[uint64][]int32
+	list   []eventShape
+}
+
+// intern returns the index of ev's shape, adding the shape when it is new.
+// The hash only narrows the search; is decides.
+func (t *shapeTable) intern(ev *service.Event) int32 {
+	var h maphash.Hash
+	h.SetSeed(t.seed)
+	for _, s := range [...]string{ev.Actor, ev.Datastore, ev.Service, ev.Purpose} {
+		h.WriteString(s)
+		h.WriteByte(0)
 	}
+	for _, f := range ev.Fields {
+		h.WriteString(f)
+		h.WriteByte(0)
+	}
+	key := h.Sum64() ^ uint64(ev.Action)
+	for _, i := range t.byHash[key] {
+		if t.list[i].is(ev) {
+			return i
+		}
+	}
+	s := eventShape{
+		actor: strings.Clone(ev.Actor), datastore: strings.Clone(ev.Datastore),
+		service: strings.Clone(ev.Service), purpose: strings.Clone(ev.Purpose),
+		fields: slices.Clone(ev.Fields), action: ev.Action, denied: ev.Denied,
+	}
+	for i, f := range s.fields {
+		s.fields[i] = strings.Clone(f)
+	}
+	if t.byHash == nil {
+		t.byHash = make(map[uint64][]int32)
+	}
+	i := int32(len(t.list))
+	t.list = append(t.list, s)
+	t.byHash[key] = append(t.byHash[key], i)
+	return i
+}
+
+// build turns logged records into the alerts they record. A denied alert's
+// message depends only on its shape and an unmodelled one's on its shape and
+// state, so a read formats each of those once.
+func (m *Monitor) build(recs []alertRec, shapes []eventShape) []Alert {
+	out := make([]Alert, len(recs))
+	messages := make(map[[2]int32]string)
+	for i := range recs {
+		r, s := &recs[i], &shapes[recs[i].shape]
+		a := &out[i]
+		a.Kind, a.UserID = r.kind, r.user
+		a.Event = service.Event{
+			Seq: r.seq, Time: r.time, Actor: s.actor, Action: s.action, Datastore: s.datastore,
+			Service: s.service, Purpose: s.purpose, UserID: r.user, Fields: slices.Clone(s.fields), Denied: s.denied,
+		}
+		if a.Kind == AlertRisk {
+			a.Finding = *r.finding
+			f := &a.Finding
+			f.Transition = m.lts.Graph.TransitionAt(r.edge)
+			f.Fields, f.Scenarios = slices.Clone(f.Fields), slices.Clone(f.Scenarios)
+			a.Risk = f.Risk
+			a.Message = fmt.Sprintf("%s-risk disclosure event for user %q: %s", f.Risk, r.user, f.Explanation)
+			continue
+		}
+		key := [2]int32{r.shape, r.from}
+		msg, ok := messages[key]
+		if !ok {
+			ev := &a.Event
+			if a.Kind == AlertDenied {
+				msg = fmt.Sprintf("access-control denied %s by %q on %s.%v",
+					ev.Action, ev.Actor, ev.Datastore, ev.Fields)
+			} else {
+				msg = fmt.Sprintf("observed %s of %v by %q on %q has no matching transition from state %s; the design model and the running system disagree",
+					ev.Action, ev.Fields, ev.Actor, ev.Datastore, m.lts.Graph.StateAt(r.from))
+			}
+			messages[key] = msg
+		}
+		a.Message = msg
+	}
+	return out
 }
 
 // step is what applying one event did.
@@ -351,40 +454,29 @@ func (m *Monitor) apply(ev *service.Event) step {
 	u.applied++
 	st := step{registered: true, from: u.state}
 	if ev.Denied {
-		st.raised = m.raise(u, deniedAlert(ev))
+		st.raised = m.raise(u, ev, alertRec{kind: AlertDenied, from: -1})
 		return st
 	}
 	st.edge, st.matched = m.index.match(u.state, ev)
 	if !st.matched {
-		st.raised = m.raise(u, unmodelledAlert(ev, m.lts.Graph.StateAt(u.state)))
+		st.raised = m.raise(u, ev, alertRec{kind: AlertUnmodelled, from: st.from})
 		return st
 	}
 	u.state = m.lts.Graph.To(st.edge)
 	if finding := (*u.findings)[m.index.view.Class(st.edge)]; finding != nil {
-		st.raised = m.raise(u, riskAlert(ev, *finding, m.lts.Graph.TransitionAt(st.edge)))
+		st.raised = m.raise(u, ev, alertRec{kind: AlertRisk, edge: st.edge, finding: finding})
 	}
 	return st
 }
 
-// raise appends the alert to the log, counts it for the user and returns its
+// raise completes the record with the event's user, shape, sequence number
+// and time, appends it to the log, counts it for the user and returns its
 // kind. The caller holds m.mu.
-//
-// The log owns what it keeps: the caller's event may be one of a decoded
-// frame's, whose strings and Fields share storage with every other event of
-// that frame, and an alert holding on to them would keep the whole frame alive
-// for as long as the log lives.
-func (m *Monitor) raise(u *user, alert Alert) AlertKind {
-	ev := &alert.Event
-	alert.UserID, ev.UserID = u.id, u.id
-	ev.Actor, ev.Datastore = strings.Clone(ev.Actor), strings.Clone(ev.Datastore)
-	ev.Service, ev.Purpose = strings.Clone(ev.Service), strings.Clone(ev.Purpose)
-	ev.Fields = slices.Clone(ev.Fields)
-	for i, f := range ev.Fields {
-		ev.Fields[i] = strings.Clone(f)
-	}
-	m.alerts.add(alert)
+func (m *Monitor) raise(u *user, ev *service.Event, r alertRec) AlertKind {
+	r.user, r.seq, r.time, r.shape = u.id, ev.Seq, ev.Time, m.shapes.intern(ev)
+	m.alerts.add(r)
 	u.alerts++
-	return alert.Kind
+	return r.kind
 }
 
 // Observe feeds one event to the monitor and returns the resulting
@@ -392,8 +484,14 @@ func (m *Monitor) raise(u *user, alert Alert) AlertKind {
 // whether that is fatal (tests) or just logged (live deployments).
 func (m *Monitor) Observe(ev service.Event) (Observation, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	st := m.apply(&ev)
+	var raised []alertRec
+	if st.raised != 0 {
+		last := m.alerts.blocks[len(m.alerts.blocks)-1]
+		raised = []alertRec{last[len(last)-1]}
+	}
+	shapes := m.shapes.list
+	m.mu.Unlock()
 	if !st.registered {
 		return Observation{}, fmt.Errorf("runtime: user %q is not registered with the monitor", ev.UserID)
 	}
@@ -404,9 +502,8 @@ func (m *Monitor) Observe(ev service.Event) (Observation, error) {
 		obs.Transition = m.lts.Graph.TransitionAt(st.edge)
 		obs.To = obs.Transition.To
 	}
-	if st.raised != 0 {
-		last := m.alerts.blocks[len(m.alerts.blocks)-1]
-		obs.Alerts = []Alert{last[len(last)-1]}
+	if raised != nil {
+		obs.Alerts = m.build(raised, shapes)
 	}
 	return obs, nil
 }

@@ -2,6 +2,9 @@ package runtime_test
 
 import (
 	"context"
+	"fmt"
+	goruntime "runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -423,4 +426,133 @@ func TestMonitorAlertAt(t *testing.T) {
 			t.Errorf("AlertAt %v: the %v-risk read raised %+v", tc.alertAt, tc.read, obs.Alerts[0])
 		}
 	}
+}
+
+// TestReturnedAlertsAreTheCallersOwn: an alert a caller holds shares nothing
+// mutable with the monitor. Editing the Fields of alerts from Observe, Alerts
+// and AlertsFor — the event's, and a risk alert's finding's — changes neither
+// what the log reads next nor the finding the same risk raises again.
+func TestReturnedAlertsAreTheCallersOwn(t *testing.T) {
+	_, monitor := surgeryMonitor(t)
+	second := casestudy.PatientProfile()
+	second.ID = "patient-2"
+	if err := monitor.RegisterUser(second); err != nil {
+		t.Fatal(err)
+	}
+	adminRead := func(userID string) runtime.Observation {
+		t.Helper()
+		for _, ev := range medicalServiceEvents(userID) {
+			if _, err := monitor.Observe(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		obs, err := monitor.Observe(service.Event{
+			Actor: casestudy.ActorAdministrator, Action: core.ActionRead, Datastore: casestudy.StoreEHR,
+			UserID: userID, Fields: []string{casestudy.FieldDiagnosis},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(obs.Alerts) != 1 || obs.Alerts[0].Kind != runtime.AlertRisk || len(obs.Alerts[0].Finding.Fields) == 0 {
+			t.Fatalf("the administrator's read raised %+v, want one risk alert", obs.Alerts)
+		}
+		return obs
+	}
+	const edit = "EDITED"
+	// slicesOf returns every slice of strings an alert hands its holder.
+	slicesOf := func(a *runtime.Alert) [][]string {
+		return [][]string{a.Event.Fields, a.Finding.Fields, a.Finding.Scenarios}
+	}
+	editAll := func(alerts []runtime.Alert) {
+		for i := range alerts {
+			for _, s := range slicesOf(&alerts[i]) {
+				if len(s) > 0 {
+					s[0] = edit
+				}
+			}
+		}
+	}
+	unedited := func(what string, alerts []runtime.Alert) {
+		t.Helper()
+		for i := range alerts {
+			for _, s := range slicesOf(&alerts[i]) {
+				if slices.Contains(s, edit) {
+					t.Errorf("%s: alert %d reads %v after its holder edited a copy: %+v", what, i, s, alerts[i])
+				}
+			}
+		}
+	}
+
+	editAll(adminRead("patient-1").Alerts)
+	unmodelled, err := monitor.Observe(service.Event{
+		Actor: casestudy.ActorResearcher, Action: core.ActionRead, Datastore: casestudy.StoreEHR,
+		UserID: "patient-1", Fields: []string{casestudy.FieldDiagnosis},
+	})
+	if err != nil || len(unmodelled.Alerts) != 1 {
+		t.Fatalf("the researcher's read raised %+v (%v), want one alert", unmodelled.Alerts, err)
+	}
+	editAll(unmodelled.Alerts)
+	unedited("Alerts after editing Observe's", monitor.Alerts())
+	editAll(monitor.Alerts())
+	unedited("AlertsFor after editing Alerts'", monitor.AlertsFor("patient-1"))
+	editAll(monitor.AlertsFor("patient-1"))
+	unedited("Alerts after editing AlertsFor's", monitor.Alerts())
+	unedited("the same risk raised again", adminRead("patient-2").Alerts)
+}
+
+// TestAlertLogBytesPerAlert: the log keeps a record per alert, not its
+// rendering. 1,024 users each raise 56 alerts, denied and unmodelled in turn,
+// fed 512 events a batch; after two GCs the heap has grown by at most 96
+// bytes per logged alert (a rendered alert, its message and its copied event
+// took about 650).
+func TestAlertLogBytesPerAlert(t *testing.T) {
+	const users, perUser = 1024, 56
+	p, err := core.Generate(casestudy.Surgery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitor, err := runtime.NewMonitor(p, runtime.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []service.Event
+	for u := range users {
+		profile := casestudy.PatientProfile()
+		profile.ID = fmt.Sprintf("patient-%04d", u)
+		if err := monitor.RegisterUser(profile); err != nil {
+			t.Fatal(err)
+		}
+		script := medicalServiceEvents(profile.ID)
+		for i := range perUser {
+			ev := script[i%len(script)]
+			if i%2 == 0 {
+				ev.Denied = true
+			} else {
+				ev.Actor = casestudy.ActorResearcher
+			}
+			ev.Seq = int64(len(events) + 1)
+			events = append(events, ev)
+		}
+	}
+	heap := func() int64 {
+		var stats goruntime.MemStats
+		goruntime.GC()
+		goruntime.GC()
+		goruntime.ReadMemStats(&stats)
+		return int64(stats.HeapAlloc)
+	}
+	before := heap()
+	for start := 0; start < len(events); start += 512 {
+		monitor.IngestBatch(events[start:min(start+512, len(events))])
+	}
+	grown := heap() - before
+	if records, _ := monitor.AlertLogSize(); records != len(events) {
+		t.Fatalf("%d alerts logged, want one an event (%d)", records, len(events))
+	}
+	per := grown / int64(len(events))
+	t.Logf("the heap grew %d bytes per logged alert", per)
+	if per > 96 {
+		t.Errorf("heap grew %d bytes per logged alert, want at most 96", per)
+	}
+	goruntime.KeepAlive(events)
 }

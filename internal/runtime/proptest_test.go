@@ -351,57 +351,87 @@ func TestPropMonitorAlertsAreDesignTimeFindings(t *testing.T) {
 }
 
 // referenceMonitor replays the stream against the design-time artefacts
-// alone: a linear scan of Graph.Outgoing from each user's cursor (same action,
-// actor and datastore, non-empty event fields within the label's, declared
-// flows before potential reads, first in insertion order) and the Findings of
-// each user's Assessment (the highest Risk per transition and actor). It
-// returns every alert's kind, every risk alert's finding and each user's
-// final state.
+// alone (designReference) and returns every alert's kind, every risk alert's
+// finding and each user's final state.
 func referenceMonitor(p *core.PrivacyLTS, profiles []risk.UserProfile, stream []service.Event, alertAt risk.Level) ([]runtime.AlertKind, []risk.Finding, map[string]lts.StateID, error) {
-	analyzer, err := risk.NewAnalyzer(risk.Config{})
+	ref, err := newDesignReference(p, profiles, alertAt)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	assessed := make(map[string][]risk.Finding)
-	cursor := make(map[string]lts.StateID)
-	for _, profile := range profiles {
-		a, err := analyzer.AnalyzeContext(context.Background(), p, profile)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		assessed[profile.ID], cursor[profile.ID] = a.Findings, p.InitialState()
 	}
 	var kinds []runtime.AlertKind
 	var raised []risk.Finding
 	for _, ev := range stream {
-		tr, matched := lts.Transition{}, false
-		for _, potential := range []bool{false, true} {
-			for _, out := range p.Graph.Outgoing(cursor[ev.UserID]) {
-				label := core.LabelOf(out)
-				if !matched && len(ev.Fields) > 0 && label != nil && label.Potential == potential &&
-					label.Action == ev.Action && label.Actor == ev.Actor && label.Datastore == ev.Datastore &&
-					!slices.ContainsFunc(ev.Fields, func(f string) bool { return !slices.Contains(label.Fields, f) }) {
-					tr, matched = out, true
-				}
-			}
+		kind, _, _, finding := ref.step(ev)
+		if kind != 0 {
+			kinds = append(kinds, kind)
 		}
-		switch {
-		case ev.Denied:
-			kinds = append(kinds, runtime.AlertDenied)
-		case !matched:
-			kinds = append(kinds, runtime.AlertUnmodelled)
-		default:
-			cursor[ev.UserID] = tr.To
-			var best *risk.Finding
-			for i, f := range assessed[ev.UserID] {
-				if f.Transition == tr && f.Actor == ev.Actor && (best == nil || f.Risk > best.Risk) {
-					best = &assessed[ev.UserID][i]
-				}
-			}
-			if best != nil && best.Risk >= alertAt {
-				kinds, raised = append(kinds, runtime.AlertRisk), append(raised, *best)
+		if finding != nil {
+			raised = append(raised, *finding)
+		}
+	}
+	return kinds, raised, ref.cursor, nil
+}
+
+// designReference walks users through a privacy LTS with the design-time
+// artefacts alone: a linear scan of Graph.Outgoing from each user's cursor
+// (same action, actor and datastore, non-empty event fields within the
+// label's, declared flows before potential reads, first in insertion order)
+// and the Findings of each user's Assessment (the highest Risk per transition
+// and actor).
+type designReference struct {
+	p        *core.PrivacyLTS
+	alertAt  risk.Level
+	assessed map[string][]risk.Finding
+	cursor   map[string]lts.StateID
+}
+
+func newDesignReference(p *core.PrivacyLTS, profiles []risk.UserProfile, alertAt risk.Level) (*designReference, error) {
+	analyzer, err := risk.NewAnalyzer(risk.Config{})
+	if err != nil {
+		return nil, err
+	}
+	ref := &designReference{p: p, alertAt: alertAt, assessed: make(map[string][]risk.Finding), cursor: make(map[string]lts.StateID)}
+	for _, profile := range profiles {
+		a, err := analyzer.AnalyzeContext(context.Background(), p, profile)
+		if err != nil {
+			return nil, err
+		}
+		ref.assessed[profile.ID], ref.cursor[profile.ID] = a.Findings, p.InitialState()
+	}
+	return ref, nil
+}
+
+// step applies one event of a user the reference tracks and returns the kind
+// of alert it raised (zero for none), the user's state before it, and for a
+// risk alert the transition taken and the finding raised.
+func (r *designReference) step(ev service.Event) (kind runtime.AlertKind, from lts.StateID, tr lts.Transition, raised *risk.Finding) {
+	from = r.cursor[ev.UserID]
+	matched := false
+	for _, potential := range []bool{false, true} {
+		for _, out := range r.p.Graph.Outgoing(from) {
+			label := core.LabelOf(out)
+			if !matched && len(ev.Fields) > 0 && label != nil && label.Potential == potential &&
+				label.Action == ev.Action && label.Actor == ev.Actor && label.Datastore == ev.Datastore &&
+				!slices.ContainsFunc(ev.Fields, func(f string) bool { return !slices.Contains(label.Fields, f) }) {
+				tr, matched = out, true
 			}
 		}
 	}
-	return kinds, raised, cursor, nil
+	switch {
+	case ev.Denied:
+		return runtime.AlertDenied, from, lts.Transition{}, nil
+	case !matched:
+		return runtime.AlertUnmodelled, from, lts.Transition{}, nil
+	}
+	r.cursor[ev.UserID] = tr.To
+	var best *risk.Finding
+	for i, f := range r.assessed[ev.UserID] {
+		if f.Transition == tr && f.Actor == ev.Actor && (best == nil || f.Risk > best.Risk) {
+			best = &r.assessed[ev.UserID][i]
+		}
+	}
+	if best != nil && best.Risk >= r.alertAt {
+		return runtime.AlertRisk, from, tr, best
+	}
+	return 0, from, tr, nil
 }

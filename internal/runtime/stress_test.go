@@ -13,8 +13,8 @@ import (
 )
 
 // TestMonitorConcurrentStress hammers one monitor with concurrent
-// RegisterUser / Observe / Alerts / Users / CurrentVector calls (run under
-// -race in CI). Each user's events are fed in order by a dedicated
+// RegisterUser / Observe / Alerts / AlertsFor / Users / CurrentVector calls
+// (run under -race in CI). Each user's events are fed in order by a dedicated
 // goroutine, so the per-user alert multiset is deterministic; the test
 // asserts the full sorted alert set equals that of a second, identically
 // driven monitor and holds one alert per user, i.e. concurrent callers never
@@ -74,6 +74,7 @@ func TestMonitorConcurrentStress(t *testing.T) {
 						return
 					default:
 						_ = monitor.Alerts()
+						_ = monitor.AlertsFor(users[0])
 						_ = monitor.Users()
 						_, _ = monitor.CurrentVector(users[0])
 					}
@@ -103,6 +104,9 @@ func TestMonitorConcurrentStress(t *testing.T) {
 					extra.Datastore = casestudy.StoreEHR
 					extra.Fields = []string{casestudy.FieldDiagnosis}
 				}
+				// A purpose of its own makes each extra event a new shape,
+				// so the shape table grows while the readers build alerts.
+				extra.Purpose = id
 				if _, err := monitor.Observe(extra); err != nil {
 					t.Error(err)
 				}
