@@ -134,7 +134,7 @@ fuzz:
 	done
 
 # cache-clean removes local persistent model-cache directories (the -model-cache
-# registries the CLIs and examples write next to the repo).
+# registries the CLIs write next to the repo).
 cache-clean:
 	rm -rf .model-cache
 	find . -name '*.psm' -not -path './.git/*' -delete

@@ -18,12 +18,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"privascope"
 	"privascope/internal/anonymize"
 	"privascope/internal/casestudy"
+	"privascope/internal/casestudy/casestudytest"
 	"privascope/internal/pseudorisk"
 	"privascope/internal/risk"
 	"privascope/internal/synth"
@@ -67,7 +67,7 @@ func BenchmarkFig3MedicalServiceLTS(b *testing.B) {
 // mitigation, and compare.
 func BenchmarkCaseStudyADisclosureRisk(b *testing.B) {
 	original := casestudy.Surgery()
-	mitigated := casestudy.SurgeryWithPolicy(casestudy.MitigatedSurgeryACL())
+	mitigated := casestudy.SurgeryWithPolicy(casestudytest.MitigatedSurgeryACL())
 	profile := casestudy.PatientProfile()
 
 	// Correctness gate: medium before, at most low after.
@@ -107,7 +107,7 @@ func BenchmarkCaseStudyADisclosureRisk(b *testing.B) {
 // risks and violation counts of the six 2-anonymised records under the
 // height / age / age+height visibility progression.
 func BenchmarkTable1ValueRisk(b *testing.B) {
-	evaluator, err := privascope.NewValueRiskEvaluator(casestudy.TableIRecords(), casestudy.ResearchPolicy())
+	evaluator, err := privascope.NewValueRiskEvaluator(casestudytest.TableIRecords(), casestudytest.ResearchPolicy())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,29 +132,33 @@ func BenchmarkTable1ValueRisk(b *testing.B) {
 // BenchmarkFig4PseudonymisationLTS measures layering the Table I value risks
 // onto the metrics-study privacy LTS (the dotted risk transitions of Fig. 4).
 func BenchmarkFig4PseudonymisationLTS(b *testing.B) {
-	p, err := privascope.GenerateWithOptions(casestudy.Metrics(), privascope.GenerateOptions{
+	p, err := privascope.GenerateWithOptions(casestudytest.Metrics(), privascope.GenerateOptions{
 		FlowOrdering:   privascope.OrderDataDriven,
 		PotentialReads: privascope.PotentialReadsOff,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := privascope.PseudonymisationOptions{
+	opts := pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
-		Policy: casestudy.ResearchPolicy(),
-		Table:  casestudy.TableIRecords(),
+		Policy: casestudytest.ResearchPolicy(),
+		Table:  casestudytest.TableIRecords(),
 	}
-	annotation, err := privascope.AnalyzePseudonymisation(p, opts)
+	annotation, err := pseudorisk.AnalyzeLTS(context.Background(), p, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if got := slices.Max(annotation.ViolationCounts()); got != 4 {
-		b.Fatalf("max violations = %d, want 4", got)
+	most := 0
+	for _, rt := range annotation.RiskTransitions {
+		most = max(most, rt.Result.Violations)
+	}
+	if most != 4 {
+		b.Fatalf("max violations = %d, want 4", most)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := privascope.AnalyzePseudonymisation(p, opts); err != nil {
+		if _, err := pseudorisk.AnalyzeLTS(context.Background(), p, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,10 +168,8 @@ func BenchmarkFig4PseudonymisationLTS(b *testing.B) {
 // (means, variances, generalisation loss) between a raw synthetic dataset and
 // its 5-anonymised form.
 func BenchmarkUtilityMetrics(b *testing.B) {
-	raw := synth.HealthRecords(synth.HealthRecordsOptions{Rows: 500, Seed: 9})
-	anonymised, _, err := anonymize.KAnonymize(context.Background(), raw, []string{"age", "height"}, 5, anonymize.KAnonymizeOptions{
-		InitialWidths: map[string]float64{"age": 5, "height": 5},
-	})
+	raw := synth.HealthRecords(500, 9)
+	anonymised, _, err := anonymize.KAnonymize(context.Background(), raw, []string{"age", "height"}, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,17 +189,15 @@ func BenchmarkUtilityMetrics(b *testing.B) {
 // value-risk computation used by the pseudonymisation analysis.
 func BenchmarkKAnonymizeScaling(b *testing.B) {
 	for _, rows := range []int{100, 1000, 5000} {
-		raw := synth.HealthRecords(synth.HealthRecordsOptions{Rows: rows, Seed: 3})
+		raw := synth.HealthRecords(rows, 3)
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				anonymised, _, err := anonymize.KAnonymize(context.Background(), raw, []string{"age", "height"}, 5, anonymize.KAnonymizeOptions{
-					InitialWidths: map[string]float64{"age": 5, "height": 5},
-				})
+				anonymised, _, err := anonymize.KAnonymize(context.Background(), raw, []string{"age", "height"}, 5)
 				if err != nil {
 					b.Fatal(err)
 				}
-				evaluator, err := pseudorisk.NewEvaluator(anonymised, casestudy.ResearchPolicy())
+				evaluator, err := pseudorisk.NewEvaluator(anonymised, casestudytest.ResearchPolicy())
 				if err != nil {
 					b.Fatal(err)
 				}

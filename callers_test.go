@@ -41,7 +41,7 @@ const maxAllowlisted = 15
 // TestEveryNameHasAProductionCaller is the dead-code gate: every name declared
 // in non-test code under internal/ — each exported func, type, var and const,
 // and each func and method of any name — is referenced from some non-test
-// code of the module (the facade, cmd/, examples/, benchmark/ or internal/,
+// code of the module (the facade, cmd/, benchmark/ or internal/,
 // the declaring package included), or it is on productionCallerAllowlist.
 // A reference is a go/types use outside the declaration itself. A method also
 // counts as referenced when its receiver implements an interface holding a

@@ -98,7 +98,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if len(quasiCols) == 0 {
 			return fmt.Errorf("-k requires -quasi")
 		}
-		anonymised, result, err := anonymize.KAnonymize(ctx, table, quasiCols, *k, anonymize.KAnonymizeOptions{})
+		anonymised, result, err := anonymize.KAnonymize(ctx, table, quasiCols, *k)
 		if err != nil {
 			return err
 		}

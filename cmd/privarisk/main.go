@@ -21,8 +21,8 @@
 //	-model-cache string directory of the persistent compiled-model cache;
 //	                   warm entries skip LTS generation entirely
 //
-// The examples/healthcare program produces the same analysis for the paper's
-// doctors'-surgery case study without needing input files.
+// The privascope package's ExampleAssess produces the same analysis for the
+// paper's doctors'-surgery case study without needing input files.
 package main
 
 import (

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"privascope/internal/casestudy"
+	"privascope/internal/casestudy/casestudytest"
 	"privascope/internal/dataflow"
 )
 
@@ -24,7 +25,7 @@ func writeFixtures(t *testing.T) (modelPath, mitigatedPath, profilePath string) 
 		t.Fatal(err)
 	}
 	mitigatedPath = filepath.Join(dir, "mitigated.json")
-	if err := dataflow.Save(casestudy.SurgeryWithPolicy(casestudy.MitigatedSurgeryACL()), mitigatedPath); err != nil {
+	if err := dataflow.Save(casestudy.SurgeryWithPolicy(casestudytest.MitigatedSurgeryACL()), mitigatedPath); err != nil {
 		t.Fatal(err)
 	}
 	profilePath = filepath.Join(dir, "profile.json")

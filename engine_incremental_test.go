@@ -8,6 +8,7 @@ import (
 	"privascope"
 	"privascope/internal/accesscontrol"
 	"privascope/internal/casestudy"
+	"privascope/internal/casestudy/casestudytest"
 )
 
 // TestEngineIncrementalRegeneration: an incremental engine fed a sequence of
@@ -66,7 +67,7 @@ func TestEngineIncrementalStructuralChange(t *testing.T) {
 	if _, err := inc.Model(ctx, casestudy.Surgery()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Model(ctx, casestudy.Metrics()); err != nil {
+	if _, err := inc.Model(ctx, casestudytest.Metrics()); err != nil {
 		t.Fatal(err)
 	}
 	if got := inc.IncrementalHits(); got != 0 {
@@ -74,11 +75,11 @@ func TestEngineIncrementalStructuralChange(t *testing.T) {
 	}
 
 	cold := privascope.MustEngine(privascope.EngineOptions{})
-	want, err := cold.Model(ctx, casestudy.Metrics())
+	want, err := cold.Model(ctx, casestudytest.Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := inc.Model(ctx, casestudy.Metrics())
+	got, err := inc.Model(ctx, casestudytest.Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}

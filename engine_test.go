@@ -15,6 +15,7 @@ import (
 	"privascope"
 	"privascope/internal/accesscontrol"
 	"privascope/internal/casestudy"
+	"privascope/internal/casestudy/casestudytest"
 	"privascope/internal/dataflow"
 	"privascope/internal/modelstore"
 	"privascope/internal/synth"
@@ -116,7 +117,7 @@ func TestEngineDistinctModelsDistinctEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics, err := engine.Model(ctx, casestudy.Metrics())
+	metrics, err := engine.Model(ctx, casestudytest.Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestEngineDistinctModelsDistinctEntries(t *testing.T) {
 	}
 	// The mitigated surgery variant differs only in its ACL — it must still
 	// get its own entry.
-	if _, err := engine.Model(ctx, casestudy.SurgeryWithPolicy(casestudy.MitigatedSurgeryACL())); err != nil {
+	if _, err := engine.Model(ctx, casestudy.SurgeryWithPolicy(casestudytest.MitigatedSurgeryACL())); err != nil {
 		t.Fatal(err)
 	}
 	if got := engine.CachedModels(); got != 3 {
@@ -160,9 +161,9 @@ func TestModelFingerprintDistinguishesSemanticDifferences(t *testing.T) {
 	}
 
 	variants := map[string]*privascope.Model{
-		"policy-change": casestudy.SurgeryWithPolicy(casestudy.MitigatedSurgeryACL()),
+		"policy-change": casestudy.SurgeryWithPolicy(casestudytest.MitigatedSurgeryACL()),
 		"no-policy":     casestudy.SurgeryWithPolicy(nil),
-		"other-model":   casestudy.Metrics(),
+		"other-model":   casestudytest.Metrics(),
 		"renamed": func() *privascope.Model {
 			m := *base
 			m.Name = "renamed-clinic"

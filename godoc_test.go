@@ -7,9 +7,57 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// TestExamplesImportOnlyTheFacade is the gate on the package's Example
+// functions. They are the walkthroughs a user outside this module copies, so
+// a root test file that declares one imports privascope, the standard
+// library and the case-study inputs (internal/casestudy and its
+// casestudytest) and no other internal package, which such a user could not
+// import.
+func TestExamplesImportOnlyTheFacade(t *testing.T) {
+	caseStudies := map[string]bool{
+		"privascope/internal/casestudy":               true,
+		"privascope/internal/casestudy/casestudytest": true,
+	}
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	examples := 0
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared := 0
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
+				declared++
+			}
+		}
+		if declared == 0 {
+			continue
+		}
+		examples += declared
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(path, "privascope/internal/") && !caseStudies[path] {
+				t.Errorf("%s imports %s: a file of Examples imports only privascope, the standard library and the case-study inputs", name, path)
+			}
+		}
+	}
+	if examples == 0 {
+		t.Error("no root test file declares an Example function")
+	}
+}
 
 // TestGodocCompleteness is the documentation gate CI runs: every exported
 // symbol of the public facade and of every internal/ package

@@ -389,9 +389,7 @@ func TestKAnonymize(t *testing.T) {
 		tbl.MustAddRow(Num(r[0]), Num(r[1]), Num(r[2]))
 	}
 	qi := []string{"age", "height"}
-	anon, result, err := KAnonymize(ctx, tbl, qi, 2, KAnonymizeOptions{
-		InitialWidths: map[string]float64{"age": 5, "height": 10},
-	})
+	anon, result, err := KAnonymize(ctx, tbl, qi, 2)
 	if err != nil {
 		t.Fatalf("KAnonymize: %v", err)
 	}
@@ -420,10 +418,10 @@ func TestKAnonymize(t *testing.T) {
 	}
 
 	// Error cases.
-	if _, _, err := KAnonymize(ctx, tbl, qi, 0, KAnonymizeOptions{}); err == nil {
+	if _, _, err := KAnonymize(ctx, tbl, qi, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := KAnonymize(ctx, tbl, []string{"ghost"}, 2, KAnonymizeOptions{}); err == nil {
+	if _, _, err := KAnonymize(ctx, tbl, []string{"ghost"}, 2); err == nil {
 		t.Error("unknown QI accepted")
 	}
 }
@@ -435,7 +433,7 @@ func TestKAnonymizeSuppressionFallback(t *testing.T) {
 	tbl.MustAddRow(Num(1), Num(50))
 	tbl.MustAddRow(Num(1e9), Num(60))
 	tbl.MustAddRow(Num(1), Num(55))
-	anon, result, err := KAnonymize(ctx, tbl, []string{"age"}, 2, KAnonymizeOptions{})
+	anon, result, err := KAnonymize(ctx, tbl, []string{"age"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +465,7 @@ func TestKAnonymizeProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tbl.MustAddRow(Num(float64(next(50))), Num(float64(next(100))))
 		}
-		anon, result, err := KAnonymize(ctx, tbl, []string{"a"}, 2, KAnonymizeOptions{})
+		anon, result, err := KAnonymize(ctx, tbl, []string{"a"}, 2)
 		if err != nil {
 			return false
 		}

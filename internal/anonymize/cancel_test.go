@@ -13,7 +13,7 @@ import (
 
 func cancelTestTable() *anonymize.Table {
 	// Several times the row-loop poll interval (4096).
-	return synth.HealthRecords(synth.HealthRecordsOptions{Rows: 30_000, Seed: 7})
+	return synth.HealthRecords(30_000, 7)
 }
 
 func TestValueRisksContextPreCancelled(t *testing.T) {
@@ -55,12 +55,12 @@ func TestKAnonymizeHonoursCancellation(t *testing.T) {
 	// its rounds unless it is stopped.
 	k := table.NumRows() + 1
 	full := &cancelAfter{Context: context.Background(), after: 1 << 30}
-	if _, _, err := anonymize.KAnonymize(full, table, qis, k, anonymize.KAnonymizeOptions{}); err != nil {
+	if _, _, err := anonymize.KAnonymize(full, table, qis, k); err != nil {
 		t.Fatal(err)
 	}
 	for _, after := range []int{0, 1, full.polls / 2, full.polls - 1} {
 		ctx := &cancelAfter{Context: context.Background(), after: after}
-		_, _, err := anonymize.KAnonymize(ctx, table, qis, k, anonymize.KAnonymizeOptions{})
+		_, _, err := anonymize.KAnonymize(ctx, table, qis, k)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled at poll %d of %d: err = %v, want context.Canceled", after+1, full.polls, err)
 		}

@@ -19,13 +19,6 @@ func smallestClass(classes [][]int) int {
 	return smallest
 }
 
-// KAnonymizeOptions configures the k-anonymiser.
-type KAnonymizeOptions struct {
-	// InitialWidths seeds the bin width per numeric quasi-identifier; when a
-	// column is missing, the width starts at 1.
-	InitialWidths map[string]float64
-}
-
 // maxDoublings bounds the width-doubling rounds of KAnonymize before the
 // remaining undersized classes are suppressed.
 const maxDoublings = 20
@@ -54,7 +47,7 @@ type KAnonymizeResult struct {
 //
 // The input table is not modified. Every round's class building polls ctx, so
 // a cancelled context aborts the search with ctx.Err().
-func KAnonymize(ctx context.Context, t *Table, quasiIdentifiers []string, k int, opts KAnonymizeOptions) (*Table, KAnonymizeResult, error) {
+func KAnonymize(ctx context.Context, t *Table, quasiIdentifiers []string, k int) (*Table, KAnonymizeResult, error) {
 	if k <= 0 {
 		return nil, KAnonymizeResult{}, errors.New("anonymize: k must be positive")
 	}
@@ -66,9 +59,6 @@ func KAnonymize(ctx context.Context, t *Table, quasiIdentifiers []string, k int,
 	widths := make(map[string]float64, len(quasiIdentifiers))
 	for _, q := range quasiIdentifiers {
 		widths[q] = 1
-		if w := opts.InitialWidths[q]; w > 0 {
-			widths[q] = w
-		}
 	}
 
 	result := KAnonymizeResult{K: k, Widths: widths}

@@ -73,7 +73,7 @@ func TestPropKAnonymizeReachesK(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		tab, qis := scenario.RandomTable(rng, 64)
 		k := 2 + rng.Intn(3)
-		out, res, err := anonymize.KAnonymize(context.Background(), tab, qis, k, anonymize.KAnonymizeOptions{})
+		out, res, err := anonymize.KAnonymize(context.Background(), tab, qis, k)
 		if err != nil {
 			return err
 		}

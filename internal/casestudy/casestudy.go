@@ -1,11 +1,10 @@
-// Package casestudy provides the concrete models of the paper's evaluation
-// (Section IV): the doctors'-surgery healthcare service of Fig. 1 used by
-// case study IV-A, and the physical-attributes research scenario with the
-// six 2-anonymised records of Table I used by case study IV-B / Fig. 4.
-//
-// Examples, benchmarks, the CLI tools, and EXPERIMENTS.md all build on the
-// fixtures in this package so that the reproduced numbers come from a single
-// source of truth.
+// Package casestudy provides the doctors'-surgery healthcare service of the
+// paper's Fig. 1 (case study IV-A): its data-flow model and access policy,
+// the patient's profile, and the runtime events of one run of its Medical
+// Service. Benchmarks and tests build on these fixtures so that the
+// reproduced numbers come from a single source of truth; the inputs only
+// tests use (the mitigated policy of IV-A and the whole of case study IV-B)
+// are in casestudytest.
 package casestudy
 
 import (
@@ -77,15 +76,6 @@ func SurgeryACL() *accesscontrol.ACL {
 		accesscontrol.Grant{Actor: ActorResearcher, Datastore: StoreAnonEHR, Fields: all, Permissions: r,
 			Reason: "medical research"},
 	)
-}
-
-// MitigatedSurgeryACL returns the access policy after the mitigation of case
-// study IV-A: the administrator's access to the EHR is restricted to the
-// name field needed for record maintenance, so the sensitive clinical fields
-// are no longer exposed ("The access policies were changed accordingly and
-// the risk level was reduced to Low for this event").
-func MitigatedSurgeryACL() *accesscontrol.ACL {
-	return SurgeryACL().Restrict(ActorAdministrator, StoreEHR, []string{FieldName})
 }
 
 // Surgery builds the doctors'-surgery data-flow model of Fig. 1 with the

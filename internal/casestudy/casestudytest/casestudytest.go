@@ -1,8 +1,14 @@
-package casestudy
+// Package casestudytest holds the case-study inputs that only tests and the
+// facade's Example functions use: the mitigated access policy of case study
+// IV-A, and the physical-attributes research model, violation policy and
+// 2-anonymised records of case study IV-B (the paper's Table I and Fig. 4).
+// No production code imports it.
+package casestudytest
 
 import (
 	"privascope/internal/accesscontrol"
 	"privascope/internal/anonymize"
+	"privascope/internal/casestudy"
 	"privascope/internal/dataflow"
 	"privascope/internal/pseudorisk"
 	"privascope/internal/schema"
@@ -13,7 +19,8 @@ const (
 	ActorParticipant = "participant"
 	ActorClinician   = "clinician"
 	ActorDataManager = "data_manager"
-	// ActorResearcher is shared with the surgery model ("researcher").
+	// The researcher is casestudy.ActorResearcher, shared with the surgery
+	// model.
 
 	StoreMetrics     = "health_metrics"
 	StoreAnonMetrics = "anon_metrics"
@@ -42,7 +49,7 @@ func MetricsACL() *accesscontrol.ACL {
 			Reason: "prepare anonymised study data"},
 		accesscontrol.Grant{Actor: ActorDataManager, Datastore: StoreAnonMetrics, Fields: all, Permissions: rw,
 			Reason: "prepare anonymised study data"},
-		accesscontrol.Grant{Actor: ActorResearcher, Datastore: StoreAnonMetrics, Fields: all, Permissions: r,
+		accesscontrol.Grant{Actor: casestudy.ActorResearcher, Datastore: StoreAnonMetrics, Fields: all, Permissions: r,
 			Reason: "study analysis"},
 	)
 }
@@ -75,7 +82,7 @@ func MetricsWithPolicy(policy accesscontrol.Policy) *dataflow.Model {
 	b.AddActors(
 		dataflow.Actor{ID: ActorClinician, Name: "Clinician", Description: "records physical attributes during a health check"},
 		dataflow.Actor{ID: ActorDataManager, Name: "Data Manager", Description: "produces the 2-anonymised study dataset"},
-		dataflow.Actor{ID: ActorResearcher, Name: "Researcher", Description: "analyses the anonymised dataset"},
+		dataflow.Actor{ID: casestudy.ActorResearcher, Name: "Researcher", Description: "analyses the anonymised dataset"},
 	)
 	b.AddDatastore(schema.Datastore{ID: StoreMetrics, Name: "Health Metrics", Schema: metricsSchema})
 	b.AddDatastore(schema.Datastore{ID: StoreAnonMetrics, Name: "Anonymised Health Metrics", Schema: anonSchema, Anonymised: true})
@@ -96,11 +103,11 @@ func MetricsWithPolicy(policy accesscontrol.Policy) *dataflow.Model {
 	// The researcher reads the anonymised fields one at a time; under
 	// data-driven ordering these reads interleave freely, producing states
 	// where different subsets of the quasi-identifiers have been seen.
-	b.Flow(ServiceMetricsStudy, StoreAnonMetrics, ActorResearcher,
+	b.Flow(ServiceMetricsStudy, StoreAnonMetrics, casestudy.ActorResearcher,
 		[]string{schema.AnonName(FieldWeight)}, "analyse weights")
-	b.Flow(ServiceMetricsStudy, StoreAnonMetrics, ActorResearcher,
+	b.Flow(ServiceMetricsStudy, StoreAnonMetrics, casestudy.ActorResearcher,
 		[]string{schema.AnonName(FieldHeight)}, "analyse heights")
-	b.Flow(ServiceMetricsStudy, StoreAnonMetrics, ActorResearcher,
+	b.Flow(ServiceMetricsStudy, StoreAnonMetrics, casestudy.ActorResearcher,
 		[]string{schema.AnonName(FieldAge)}, "analyse ages")
 
 	b.WithPolicy(policy)
@@ -142,4 +149,13 @@ func TableIRecords() *anonymize.Table {
 		t.MustAddRow(r.age, r.height, anonymize.Num(r.weight))
 	}
 	return t
+}
+
+// MitigatedSurgeryACL returns the access policy after the mitigation of case
+// study IV-A: the administrator's access to the EHR is restricted to the
+// name field needed for record maintenance, so the sensitive clinical fields
+// are no longer exposed ("The access policies were changed accordingly and
+// the risk level was reduced to Low for this event").
+func MitigatedSurgeryACL() *accesscontrol.ACL {
+	return casestudy.SurgeryACL().Restrict(casestudy.ActorAdministrator, casestudy.StoreEHR, []string{casestudy.FieldName})
 }

@@ -136,8 +136,8 @@ func TestClusterGoldenTraceAcrossNodeCounts(t *testing.T) {
 				if n.Name() != owner {
 					continue
 				}
-				gotCursor, ok1 := n.Monitor().CurrentState(casestudy.PatientProfile().ID)
-				wantCursor, ok2 := direct.CurrentState(casestudy.PatientProfile().ID)
+				gotCursor, ok1 := cursorOf(n.Monitor(), casestudy.PatientProfile().ID)
+				wantCursor, ok2 := cursorOf(direct, casestudy.PatientProfile().ID)
 				if !ok1 || !ok2 || gotCursor != wantCursor {
 					t.Errorf("owner cursor %v (%v) differs from direct monitor %v (%v)", gotCursor, ok1, wantCursor, ok2)
 				}

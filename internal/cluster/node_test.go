@@ -101,8 +101,8 @@ func TestNodeIngestAppliesEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct.IngestBatch(events)
-	want, _ := direct.CurrentState(profile.ID)
-	if got, ok := n.Monitor().CurrentState(profile.ID); !ok || got != want {
+	want, _ := cursorOf(direct, profile.ID)
+	if got, ok := cursorOf(n.Monitor(), profile.ID); !ok || got != want {
 		t.Fatalf("user state after the 202 = %q (registered %v), want %q", got, ok, want)
 	}
 	if got := n.StreamCursor("s1"); got != 1 {

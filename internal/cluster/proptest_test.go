@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"privascope/internal/lts"
 	"privascope/internal/proptest"
 	"privascope/internal/proptest/scenario"
 	"privascope/internal/risk"
@@ -148,6 +149,23 @@ type comparableEvent struct {
 	Denied                                     bool
 }
 
+// cursorOf returns the user's current privacy state in m.
+func cursorOf(m *runtime.Monitor, userID string) (lts.StateID, bool) {
+	snap, ok := m.ExportUser(userID)
+	return snap.State, ok
+}
+
+// alertsOf returns the alerts m raised for one user, in the order raised.
+func alertsOf(m *runtime.Monitor, userID string) []runtime.Alert {
+	var out []runtime.Alert
+	for _, a := range m.Alerts() {
+		if a.UserID == userID {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 func stripAlerts(alerts []runtime.Alert) []comparableAlert {
 	out := make([]comparableAlert, len(alerts))
 	for i, a := range alerts {
@@ -236,14 +254,14 @@ func TestClusterSingleNodeEquivalenceProperty(t *testing.T) {
 		}
 		for _, id := range users {
 			owner := byName[ring.Owner(id)].Monitor()
-			gotAlerts := stripAlerts(owner.AlertsFor(id))
-			wantAlerts := stripAlerts(direct.AlertsFor(id))
+			gotAlerts := stripAlerts(alertsOf(owner, id))
+			wantAlerts := stripAlerts(alertsOf(direct, id))
 			if !reflect.DeepEqual(gotAlerts, wantAlerts) {
 				return fmt.Errorf("seed %d: alerts for user %s differ across %d nodes:\ncluster: %+v\ndirect:  %+v",
 					seed, id, nodes, gotAlerts, wantAlerts)
 			}
-			gotCursor, ok1 := owner.CurrentState(id)
-			wantCursor, ok2 := direct.CurrentState(id)
+			gotCursor, ok1 := cursorOf(owner, id)
+			wantCursor, ok2 := cursorOf(direct, id)
 			if ok1 != ok2 || gotCursor != wantCursor {
 				return fmt.Errorf("seed %d: cursor for user %s: cluster %v (%v), direct %v (%v)",
 					seed, id, gotCursor, ok1, wantCursor, ok2)

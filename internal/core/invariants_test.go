@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"privascope/internal/casestudy"
+	"privascope/internal/casestudy/casestudytest"
 	"privascope/internal/core"
 	"privascope/internal/synth"
 )
@@ -27,7 +28,7 @@ func generatedModels(t *testing.T) map[string]*core.PrivacyLTS {
 	add("surgery/sequential", p, err)
 	p, err = core.GenerateWithOptionsContext(context.Background(), surgery, core.Options{FlowOrdering: core.OrderDataDriven})
 	add("surgery/data-driven", p, err)
-	p, err = core.GenerateWithOptionsContext(context.Background(), casestudy.Metrics(), core.Options{
+	p, err = core.GenerateWithOptionsContext(context.Background(), casestudytest.Metrics(), core.Options{
 		FlowOrdering: core.OrderDataDriven, PotentialReads: core.PotentialReadsFull,
 	})
 	add("metrics/full-potential", p, err)

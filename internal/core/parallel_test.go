@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"privascope/internal/casestudy"
+	"privascope/internal/casestudy/casestudytest"
 	"privascope/internal/core"
 	"privascope/internal/synth"
 )
@@ -41,7 +42,7 @@ func TestParallelGenerationIdenticalDigests(t *testing.T) {
 			return core.GenerateWithOptionsContext(context.Background(), casestudy.Surgery(), opts)
 		}},
 		"metrics": {func(opts core.Options) (*core.PrivacyLTS, error) {
-			return core.GenerateWithOptionsContext(context.Background(), casestudy.Metrics(), opts)
+			return core.GenerateWithOptionsContext(context.Background(), casestudytest.Metrics(), opts)
 		}},
 		"synthetic-3": {func(opts core.Options) (*core.PrivacyLTS, error) {
 			return core.GenerateWithOptionsContext(context.Background(), synth.Model(synth.ModelSpec{Services: 3, FieldsPerService: 3}), opts)

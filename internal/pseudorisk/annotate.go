@@ -45,7 +45,7 @@ func (r RiskTransition) LabelString() string {
 
 // Annotation is the result of layering pseudonymisation risk onto a privacy
 // LTS. The underlying LTS is never modified; the annotation carries the
-// additional risk transitions and can render the combined picture (Fig. 4).
+// additional risk transitions (the dotted edges of Fig. 4).
 type Annotation struct {
 	// LTS is the analysed privacy LTS.
 	LTS *core.PrivacyLTS
@@ -54,7 +54,7 @@ type Annotation struct {
 	// Policy is the violation policy.
 	Policy Policy
 	// RiskTransitions are the added risk transitions, one per at-risk state,
-	// ordered by state ID.
+	// in state index order (s2 before s10).
 	RiskTransitions []RiskTransition
 }
 
@@ -157,9 +157,6 @@ func AnalyzeLTS(ctx context.Context, p *core.PrivacyLTS, opts Options) (*Annotat
 			Violates:       result.Violations > 0,
 		})
 	}
-	sort.Slice(annotation.RiskTransitions, func(i, j int) bool {
-		return annotation.RiskTransitions[i].From < annotation.RiskTransitions[j].From
-	})
 	return annotation, nil
 }
 
@@ -190,56 +187,4 @@ func checkAccessRights(p *core.PrivacyLTS, actor, target, targetAnon string) err
 		return fmt.Errorf("pseudorisk: actor %q may read the original field %q directly; the value risk is subsumed by the disclosure risk analysis", actor, target)
 	}
 	return nil
-}
-
-// ViolationCounts returns the violation count of every risk transition in
-// state order — for the case-study model this is the paper's "0, 2 and 4"
-// sequence of Fig. 4.
-func (a *Annotation) ViolationCounts() []int {
-	out := make([]int, len(a.RiskTransitions))
-	for i, rt := range a.RiskTransitions {
-		out[i] = rt.Result.Violations
-	}
-	return out
-}
-
-// CheckThreshold applies the design-time gate to every risk transition.
-func (a *Annotation) CheckThreshold(maxViolationFraction float64) error {
-	results := make([]ScenarioResult, len(a.RiskTransitions))
-	for i, rt := range a.RiskTransitions {
-		results[i] = rt.Result
-	}
-	return CheckThreshold(results, maxViolationFraction)
-}
-
-// DOT renders the privacy LTS together with the risk transitions as dotted
-// edges to synthetic risk nodes, reproducing the visual conventions of the
-// paper's Fig. 4 (dotted lines indicate potential policy violations).
-func (a *Annotation) DOT(name string) string {
-	if name == "" {
-		name = "pseudonymisation_risk"
-	}
-	base := a.LTS.DOT(core.DOTOptions{Name: name})
-	var b strings.Builder
-	// Insert the risk nodes and edges just before the closing brace of the
-	// base document so the output remains a single valid DOT graph.
-	closing := strings.LastIndex(base, "}")
-	if closing < 0 {
-		closing = len(base)
-	}
-	b.WriteString(base[:closing])
-	for i, rt := range a.RiskTransitions {
-		nodeID := fmt.Sprintf("risk%d", i)
-		label := fmt.Sprintf("value risk: %s\ngiven [%s]\nviolations: %d/%d",
-			rt.TargetField, strings.Join(rt.ReadAnonFields, ", "), rt.Result.Violations, len(rt.Result.Risks))
-		colour := "gray40"
-		if rt.Violates {
-			colour = "red3"
-		}
-		fmt.Fprintf(&b, "  %s [label=%q, shape=\"note\", color=%q, fontcolor=%q];\n", nodeID, label, colour, colour)
-		fmt.Fprintf(&b, "  %s -> %s [style=\"dotted\", color=%q, fontcolor=%q, label=\"%d violations\"];\n",
-			string(rt.From), nodeID, colour, colour, rt.Result.Violations)
-	}
-	b.WriteString(base[closing:])
-	return b.String()
 }

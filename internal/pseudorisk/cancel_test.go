@@ -12,7 +12,7 @@ import (
 
 func TestEvaluateProgressionContextPreCancelled(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
-	table := synth.HealthRecords(synth.HealthRecordsOptions{Rows: 20_000, Seed: 5})
+	table := synth.HealthRecords(20_000, 5)
 	evaluator, err := pseudorisk.NewEvaluator(table,
 		pseudorisk.Policy{TargetField: "weight", Closeness: 5, Confidence: 0.9})
 	if err != nil {

@@ -10,13 +10,14 @@ import (
 
 	"privascope/internal/anonymize"
 	"privascope/internal/casestudy"
+	"privascope/internal/casestudy/casestudytest"
 	"privascope/internal/core"
 	"privascope/internal/pseudorisk"
 )
 
 func evaluator(t testing.TB) *pseudorisk.Evaluator {
 	t.Helper()
-	e, err := pseudorisk.NewEvaluator(casestudy.TableIRecords(), casestudy.ResearchPolicy())
+	e, err := pseudorisk.NewEvaluator(casestudytest.TableIRecords(), casestudytest.ResearchPolicy())
 	if err != nil {
 		t.Fatalf("NewEvaluator: %v", err)
 	}
@@ -24,7 +25,7 @@ func evaluator(t testing.TB) *pseudorisk.Evaluator {
 }
 
 func TestPolicyValidate(t *testing.T) {
-	good := casestudy.ResearchPolicy()
+	good := casestudytest.ResearchPolicy()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid policy rejected: %v", err)
 	}
@@ -39,7 +40,7 @@ func TestPolicyValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			p := casestudy.ResearchPolicy()
+			p := casestudytest.ResearchPolicy()
 			tt.mutate(&p)
 			if err := p.Validate(); err == nil {
 				t.Error("invalid policy accepted")
@@ -49,12 +50,12 @@ func TestPolicyValidate(t *testing.T) {
 }
 
 func TestNewEvaluatorValidation(t *testing.T) {
-	if _, err := pseudorisk.NewEvaluator(nil, casestudy.ResearchPolicy()); err == nil {
+	if _, err := pseudorisk.NewEvaluator(nil, casestudytest.ResearchPolicy()); err == nil {
 		t.Error("nil table accepted")
 	}
-	bad := casestudy.ResearchPolicy()
+	bad := casestudytest.ResearchPolicy()
 	bad.TargetField = "ghost"
-	if _, err := pseudorisk.NewEvaluator(casestudy.TableIRecords(), bad); err == nil {
+	if _, err := pseudorisk.NewEvaluator(casestudytest.TableIRecords(), bad); err == nil {
 		t.Error("policy targeting a missing column accepted")
 	}
 	e := evaluator(t)
@@ -158,7 +159,7 @@ func TestCheckThreshold(t *testing.T) {
 
 func metricsLTS(t testing.TB) *core.PrivacyLTS {
 	t.Helper()
-	p, err := core.GenerateWithOptionsContext(context.Background(), casestudy.Metrics(), core.Options{
+	p, err := core.GenerateWithOptionsContext(context.Background(), casestudytest.Metrics(), core.Options{
 		FlowOrdering:   core.OrderDataDriven,
 		PotentialReads: core.PotentialReadsOff,
 	})
@@ -172,8 +173,8 @@ func TestAnalyzeLTSFig4(t *testing.T) {
 	p := metricsLTS(t)
 	annotation, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
-		Policy: casestudy.ResearchPolicy(),
-		Table:  casestudy.TableIRecords(),
+		Policy: casestudytest.ResearchPolicy(),
+		Table:  casestudytest.TableIRecords(),
 	})
 	if err != nil {
 		t.Fatalf("AnalyzeLTS: %v", err)
@@ -201,10 +202,10 @@ func TestAnalyzeLTSFig4(t *testing.T) {
 	}
 	for _, want := range []int{0, 2, 4} {
 		if !seen[want] {
-			t.Errorf("no risk transition with %d violations; counts = %v", want, annotation.ViolationCounts())
+			t.Errorf("no risk transition with %d violations; counts = %v", want, violationCounts(annotation))
 		}
 	}
-	if got := slices.Max(annotation.ViolationCounts()); got != 4 {
+	if got := slices.Max(violationCounts(annotation)); got != 4 {
 		t.Errorf("most violations = %d, want 4", got)
 	}
 	if !slices.ContainsFunc(annotation.RiskTransitions, func(rt pseudorisk.RiskTransition) bool { return rt.Violates }) {
@@ -212,43 +213,57 @@ func TestAnalyzeLTSFig4(t *testing.T) {
 	}
 
 	// Design-time gate: 4/6 violations exceed a 50% threshold.
-	if err := annotation.CheckThreshold(0.5); err == nil {
+	var results []pseudorisk.ScenarioResult
+	for _, rt := range annotation.RiskTransitions {
+		results = append(results, rt.Result)
+	}
+	if err := pseudorisk.CheckThreshold(results, 0.5); err == nil {
 		t.Error("CheckThreshold(0.5) should fail for the Table I data")
 	}
-	if err := annotation.CheckThreshold(0.99); err != nil {
+	if err := pseudorisk.CheckThreshold(results, 0.99); err != nil {
 		t.Errorf("CheckThreshold(0.99) should pass, got %v", err)
 	}
 }
 
-func TestAnalyzeLTSDOT(t *testing.T) {
+// TestAnalyzeLTSStateOrder: risk transitions come out in the order of the
+// states' indices, so the metrics model's Fig. 4 reads s5, s8, s9, s11 with
+// 0, 0, 2 and 4 violations; sorting the IDs as strings put s11 first.
+func TestAnalyzeLTSStateOrder(t *testing.T) {
 	p := metricsLTS(t)
 	annotation, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
-		Policy: casestudy.ResearchPolicy(),
-		Table:  casestudy.TableIRecords(),
+		Policy: casestudytest.ResearchPolicy(),
+		Table:  casestudytest.TableIRecords(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := annotation.DOT("fig4")
-	if !strings.HasPrefix(out, "digraph fig4 {") {
-		t.Errorf("DOT output malformed:\n%.80s", out)
+	last := int32(-1)
+	for _, rt := range annotation.RiskTransitions {
+		idx, ok := p.Graph.Index(rt.From)
+		if !ok || idx <= last {
+			t.Errorf("risk transition from %s (index %d) follows index %d", rt.From, idx, last)
+		}
+		last = idx
 	}
-	if !strings.Contains(out, `style="dotted"`) {
-		t.Error("risk transitions should be dotted (Fig. 4)")
+	if got, want := violationCounts(annotation), []int{0, 0, 2, 4}; !slices.Equal(got, want) {
+		t.Errorf("violation counts = %v, want %v", got, want)
 	}
-	if !strings.Contains(out, "violations") {
-		t.Error("risk nodes should carry violation counts")
+}
+
+// violationCounts lists the violation count of every risk transition.
+func violationCounts(a *pseudorisk.Annotation) []int {
+	out := make([]int, len(a.RiskTransitions))
+	for i, rt := range a.RiskTransitions {
+		out[i] = rt.Result.Violations
 	}
-	if strings.Count(out, "}") < 1 || !strings.HasSuffix(strings.TrimSpace(out), "}") {
-		t.Error("DOT output should remain a single closed graph")
-	}
+	return out
 }
 
 func TestAnalyzeLTSErrors(t *testing.T) {
 	p := metricsLTS(t)
-	table := casestudy.TableIRecords()
-	policy := casestudy.ResearchPolicy()
+	table := casestudytest.TableIRecords()
+	policy := casestudytest.ResearchPolicy()
 
 	if _, err := pseudorisk.AnalyzeLTS(ctx, nil, pseudorisk.Options{Actor: "x", Policy: policy, Table: table}); err == nil {
 		t.Error("nil LTS accepted")
@@ -265,20 +280,20 @@ func TestAnalyzeLTSErrors(t *testing.T) {
 	// An actor who may read the original field is not a pseudonymisation
 	// risk (the disclosure analysis covers them).
 	if _, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
-		Actor: casestudy.ActorDataManager, Policy: policy, Table: table,
+		Actor: casestudytest.ActorDataManager, Policy: policy, Table: table,
 	}); err == nil {
 		t.Error("actor with access to the raw field accepted")
 	}
 	// An actor with no access to the anonymised field has no value risk.
 	if _, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
-		Actor: casestudy.ActorClinician, Policy: policy, Table: table,
+		Actor: casestudytest.ActorClinician, Policy: policy, Table: table,
 	}); err == nil {
 		t.Error("actor without anon access accepted")
 	}
 	// A policy targeting a field with no pseudonymised form in the model.
 	badPolicy := policy
 	badPolicy.TargetField = "shoe_size"
-	badTable := casestudy.TableIRecords().Clone()
+	badTable := casestudytest.TableIRecords().Clone()
 	// Give the table the required target column so NewEvaluator passes and
 	// the model check is exercised.
 	_ = badTable
@@ -298,7 +313,7 @@ func TestAnalyzeLTSFieldColumnMapping(t *testing.T) {
 		anonymize.Column{Name: "height", Role: anonymize.RoleQuasiIdentifier},
 		anonymize.Column{Name: "age", Role: anonymize.RoleQuasiIdentifier},
 	)
-	src := casestudy.TableIRecords()
+	src := casestudytest.TableIRecords()
 	for r := 0; r < src.NumRows(); r++ {
 		age, _ := src.Value(r, "age")
 		height, _ := src.Value(r, "height")
@@ -308,13 +323,13 @@ func TestAnalyzeLTSFieldColumnMapping(t *testing.T) {
 	p := metricsLTS(t)
 	annotation, err := pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
-		Policy: casestudy.ResearchPolicy(),
+		Policy: casestudytest.ResearchPolicy(),
 		Table:  table,
 	})
 	if err != nil {
 		t.Fatalf("AnalyzeLTS with mapping: %v", err)
 	}
-	if got := slices.Max(annotation.ViolationCounts()); got != 4 {
+	if got := slices.Max(violationCounts(annotation)); got != 4 {
 		t.Errorf("most violations with mapped columns = %d, want 4", got)
 	}
 }

@@ -187,17 +187,12 @@ func PopulationSummary(p *risk.PopulationAssessment) *Report {
 	return r
 }
 
-// TableI renders the paper's Table I: one row per record with its
+// TableICapped renders the paper's Table I: one row per record with its
 // quasi-identifier values and the risk fraction under each visible-field
-// scenario, plus the closing "Violations" row.
-func TableI(records *pseudorisk.Evaluator, results []pseudorisk.ScenarioResult) *Table {
-	return TableICapped(records, results, 0)
-}
-
-// TableICapped is TableI with the per-record rows capped at maxRows
-// (0 or negative means no cap): on a million-row dataset the aggregate rows
-// are what matters, and rendering every record would dwarf the analysis
-// itself. When rows are elided, a summary row notes how many; the
+// scenario, plus the closing "Violations" row. The per-record rows are
+// capped at maxRows (0 or negative means no cap): on a million-row dataset
+// the aggregate rows are what matters, and rendering every record would
+// dwarf the analysis itself. When rows are elided, a summary row notes how many; the
 // "Violations" row always covers the full dataset.
 func TableICapped(records *pseudorisk.Evaluator, results []pseudorisk.ScenarioResult, maxRows int) *Table {
 	tbl := records.Table()

@@ -1,8 +1,7 @@
 // Package report renders analysis results as plain-text and Markdown
 // documents: model summaries, unwanted-disclosure assessments, the
 // pseudonymisation-risk table of the paper's Table I, and policy-compliance
-// reports. The CLI tools and examples print these; EXPERIMENTS.md embeds
-// them.
+// reports. The CLI tools and the facade's Render functions print these.
 //
 // A document is measured, then written. A table's rows come in classes of
 // identical rows: a findings listing of a hundred thousand rows has a few

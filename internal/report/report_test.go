@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"privascope/internal/casestudy"
+	"privascope/internal/casestudy/casestudytest"
 	"privascope/internal/core"
 	"privascope/internal/policy"
 	"privascope/internal/pseudorisk"
@@ -150,7 +151,7 @@ func TestRiskComparisonTable(t *testing.T) {
 }
 
 func TestTableIReport(t *testing.T) {
-	evaluator, err := pseudorisk.NewEvaluator(casestudy.TableIRecords(), casestudy.ResearchPolicy())
+	evaluator, err := pseudorisk.NewEvaluator(casestudytest.TableIRecords(), casestudytest.ResearchPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestTableIReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := report.TableI(evaluator, results).Render()
+	out := report.TableICapped(evaluator, results, 0).Render()
 	for _, want := range []string{"height risk", "age risk", "age+height risk", "2/4", "3/4", "2/2", "Violations:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table I report missing %q:\n%s", want, out)
@@ -174,7 +175,7 @@ func TestTableIReport(t *testing.T) {
 }
 
 func TestPseudonymisationAnnotationReport(t *testing.T) {
-	p, err := core.GenerateWithOptionsContext(context.Background(), casestudy.Metrics(), core.Options{
+	p, err := core.GenerateWithOptionsContext(context.Background(), casestudytest.Metrics(), core.Options{
 		FlowOrdering: core.OrderDataDriven, PotentialReads: core.PotentialReadsOff,
 	})
 	if err != nil {
@@ -182,8 +183,8 @@ func TestPseudonymisationAnnotationReport(t *testing.T) {
 	}
 	annotation, err := pseudorisk.AnalyzeLTS(context.Background(), p, pseudorisk.Options{
 		Actor:  casestudy.ActorResearcher,
-		Policy: casestudy.ResearchPolicy(),
-		Table:  casestudy.TableIRecords(),
+		Policy: casestudytest.ResearchPolicy(),
+		Table:  casestudytest.TableIRecords(),
 	})
 	if err != nil {
 		t.Fatal(err)

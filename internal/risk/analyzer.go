@@ -78,18 +78,6 @@ type Assessment struct {
 	OverallRisk Level
 }
 
-// FindingsAtLeast returns the findings whose risk is at least the given
-// level.
-func (a *Assessment) FindingsAtLeast(level Level) []Finding {
-	var out []Finding
-	for _, f := range a.Findings {
-		if f.Risk >= level {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // MaxRiskFor returns the highest risk among findings involving the actor.
 func (a *Assessment) MaxRiskFor(actor string) Level {
 	max := LevelNone

@@ -231,26 +231,6 @@ func (m *Monitor) Users() []string {
 	return out
 }
 
-// CurrentState returns the user's current privacy state.
-func (m *Monitor) CurrentState(userID string) (lts.StateID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	at, ok := m.users[userID]
-	if !ok {
-		return "", false
-	}
-	return m.lts.Graph.StateAt(m.slab[at].state), true
-}
-
-// CurrentVector returns the user's current privacy state vector.
-func (m *Monitor) CurrentVector(userID string) (core.StateVector, bool) {
-	id, ok := m.CurrentState(userID)
-	if !ok {
-		return core.StateVector{}, false
-	}
-	return m.lts.Vector(id)
-}
-
 // Alerts returns every alert raised so far, in the order they were raised.
 // The alerts are the caller's own: they share no slice with the monitor.
 func (m *Monitor) Alerts() []Alert {
@@ -261,25 +241,6 @@ func (m *Monitor) Alerts() []Alert {
 	}
 	shapes := m.shapes.list
 	m.mu.Unlock()
-	return m.build(recs, shapes)
-}
-
-// AlertsFor returns the alerts concerning one user, nil when there are none.
-func (m *Monitor) AlertsFor(userID string) []Alert {
-	m.mu.Lock()
-	var recs []alertRec
-	for _, block := range m.alerts.blocks {
-		for i := range block {
-			if block[i].user == userID {
-				recs = append(recs, block[i])
-			}
-		}
-	}
-	shapes := m.shapes.list
-	m.mu.Unlock()
-	if recs == nil {
-		return nil
-	}
 	return m.build(recs, shapes)
 }
 

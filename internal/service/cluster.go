@@ -10,8 +10,7 @@ import (
 
 // Cluster runs one datastore server per datastore of a data-flow model,
 // sharing a single event log — the smallest deployment of the "distributed
-// data services" the model describes. It is used by the runtime-monitoring
-// example and the integration tests.
+// data services" the model describes.
 type Cluster struct {
 	log     *Log
 	servers map[string]*Server
@@ -70,15 +69,6 @@ func (c *Cluster) URL(datastoreID string) (string, error) {
 		return "", fmt.Errorf("service: no server for datastore %q", datastoreID)
 	}
 	return s.URL(), nil
-}
-
-// Client returns a client for the named datastore bound to the given actor.
-func (c *Cluster) Client(datastoreID, actor string) (*Client, error) {
-	url, err := c.URL(datastoreID)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{BaseURL: url, Actor: actor}, nil
 }
 
 // Datastores returns the IDs of the datastores served by the cluster.

@@ -1,7 +1,7 @@
 // Package service is the distributed data-service substrate: in-memory
-// field-level datastores with access-control enforcement, HTTP servers and
-// clients exposing them, and an append-only event log of every operation on
-// personal data.
+// field-level datastores with access-control enforcement, HTTP servers
+// exposing them, and an event log that hands every operation on personal
+// data to its subscribers.
 //
 // The paper targets "distributed data services" and proposes to "monitor the
 // privacy risks during the lifetime of the service". This package provides
@@ -44,11 +44,11 @@ type Event struct {
 	Denied bool `json:"denied,omitempty"`
 }
 
-// Log is an append-only, thread-safe event log with subscription support.
-// The zero value is ready to use.
+// Log is a thread-safe event log with subscription support: it numbers and
+// timestamps each event and hands it to the current subscribers, and keeps
+// none of them. The zero value is ready to use.
 type Log struct {
 	mu     sync.Mutex
-	events []Event
 	nextID int64
 	subs   map[int]chan Event
 	subSeq int
@@ -60,9 +60,9 @@ func NewLog() *Log {
 	return &Log{subs: make(map[int]chan Event), clock: time.Now}
 }
 
-// Append assigns a sequence number and timestamp to the event, stores it and
-// delivers it to subscribers. Subscribers with full buffers miss the event
-// rather than blocking the writer.
+// Append assigns a sequence number and timestamp to the event and delivers
+// it to subscribers. Subscribers with full buffers miss the event rather than
+// blocking the writer; an event appended with no subscriber reaches no one.
 func (l *Log) Append(ev Event) Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -74,7 +74,6 @@ func (l *Log) Append(ev Event) Event {
 		ev.Time = time.Now()
 	}
 	ev.Fields = append([]string(nil), ev.Fields...)
-	l.events = append(l.events, ev)
 	for _, ch := range l.subs {
 		select {
 		case ch <- ev:

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -51,27 +52,62 @@ func TestLogAppendAndSubscribe(t *testing.T) {
 		t.Errorf("appended event = %+v", ev)
 	}
 	log.Append(service.Event{Actor: "nurse", Action: core.ActionRead, UserID: "alice", Fields: []string{"treatment"}})
-	if log.Len() != 2 {
-		t.Errorf("Len() = %d", log.Len())
-	}
-	events := log.Events()
-	if len(events) != 2 || events[1].Seq != 2 {
-		t.Errorf("Events() = %+v", events)
-	}
-	// Subscriber sees both events.
-	got := []service.Event{<-ch, <-ch}
-	if got[0].Actor != "doctor" || got[1].Actor != "nurse" {
-		t.Errorf("subscription order wrong: %+v", got)
+	// Subscriber sees both events, in order.
+	got := received(ch)
+	if len(got) != 2 || got[0].Actor != "doctor" || got[1].Actor != "nurse" || got[1].Seq != 2 {
+		t.Errorf("subscription delivered %+v", got)
 	}
 	// Cancel closes the channel and later events are not delivered.
 	cancel()
 	if _, ok := <-ch; ok {
 		t.Error("channel should be closed after cancel")
 	}
-	log.Append(service.Event{Actor: "doctor", Action: core.ActionRead, UserID: "alice", Fields: []string{"name"}})
-	if log.Len() != 3 {
-		t.Error("append after cancel should still be recorded")
+	if ev := log.Append(service.Event{Actor: "doctor", Action: core.ActionRead, UserID: "alice", Fields: []string{"name"}}); ev.Seq != 3 {
+		t.Errorf("append after cancel numbered %d, want 3", ev.Seq)
 	}
+}
+
+// received returns the events waiting on a subscription, without blocking.
+func received(ch <-chan service.Event) []service.Event {
+	var out []service.Event
+	for {
+		select {
+		case ev, ok := <-ch:
+			if !ok {
+				return out
+			}
+			out = append(out, ev)
+		default:
+			return out
+		}
+	}
+}
+
+// TestLogRetainsNoEvents: the log hands each event to the subscribers of the
+// moment and keeps none. 10^5 appends with no subscriber grow the heap by at
+// most 8 bytes an event after two GCs (a log that kept every event retained
+// about 208).
+func TestLogRetainsNoEvents(t *testing.T) {
+	const n = 100_000
+	log := service.NewLog()
+	heap := func() int64 {
+		var stats goruntime.MemStats
+		goruntime.GC()
+		goruntime.GC()
+		goruntime.ReadMemStats(&stats)
+		return int64(stats.HeapAlloc)
+	}
+	before := heap()
+	for range n {
+		log.Append(service.Event{Actor: "doctor", Action: core.ActionRead, Datastore: "ehr",
+			UserID: "alice", Fields: []string{"name", "diagnosis"}})
+	}
+	per := (heap() - before) / n
+	t.Logf("the heap grew %d bytes per appended event", per)
+	if per > 8 {
+		t.Errorf("heap grew %d bytes per appended event, want at most 8", per)
+	}
+	goruntime.KeepAlive(log)
 }
 
 func TestNextBatch(t *testing.T) {
@@ -112,6 +148,8 @@ func TestLogConcurrentAppend(t *testing.T) {
 	log := service.NewLog()
 	var wg sync.WaitGroup
 	const writers, perWriter = 8, 50
+	ch, cancel := log.Subscribe(writers * perWriter)
+	defer cancel()
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
@@ -122,11 +160,12 @@ func TestLogConcurrentAppend(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if log.Len() != writers*perWriter {
-		t.Fatalf("Len() = %d, want %d", log.Len(), writers*perWriter)
+	events := received(ch)
+	if len(events) != writers*perWriter {
+		t.Fatalf("received %d events, want %d", len(events), writers*perWriter)
 	}
 	seen := make(map[int64]bool)
-	for _, ev := range log.Events() {
+	for _, ev := range events {
 		if seen[ev.Seq] {
 			t.Fatalf("duplicate sequence number %d", ev.Seq)
 		}
@@ -136,6 +175,8 @@ func TestLogConcurrentAppend(t *testing.T) {
 
 func TestDatastorePutGetDelete(t *testing.T) {
 	log := service.NewLog()
+	events, cancel := log.Subscribe(16)
+	defer cancel()
 	store := ehrDatastore(t, log)
 
 	if err := store.Put("doctor", "alice", "record", map[string]string{"name": "Alice", "diagnosis": "flu"}); err != nil {
@@ -162,7 +203,7 @@ func TestDatastorePutGetDelete(t *testing.T) {
 	}
 	// Event log recorded create, read and delete.
 	actions := make(map[core.Action]int)
-	for _, ev := range log.Events() {
+	for _, ev := range received(events) {
 		actions[ev.Action]++
 		if ev.Denied {
 			t.Errorf("unexpected denied event: %+v", ev)
@@ -175,6 +216,8 @@ func TestDatastorePutGetDelete(t *testing.T) {
 
 func TestDatastoreAccessControl(t *testing.T) {
 	log := service.NewLog()
+	events, cancel := log.Subscribe(16)
+	defer cancel()
 	store := ehrDatastore(t, log)
 	if err := store.Put("doctor", "alice", "record", map[string]string{"diagnosis": "flu", "treatment": "rest", "name": "Alice"}); err != nil {
 		t.Fatal(err)
@@ -198,7 +241,7 @@ func TestDatastoreAccessControl(t *testing.T) {
 	}
 	// Denied operations are still audited.
 	var denied int
-	for _, ev := range log.Events() {
+	for _, ev := range received(events) {
 		if ev.Denied {
 			denied++
 		}
@@ -214,6 +257,8 @@ func TestDatastoreAnonActionAndValidation(t *testing.T) {
 	policy := accesscontrol.MustACL(accesscontrol.Grant{Actor: "dm", Datastore: "anon",
 		Fields: []string{accesscontrol.AllFields}, Permissions: []accesscontrol.Permission{accesscontrol.PermissionWrite}})
 	log := service.NewLog()
+	events, cancel := log.Subscribe(4)
+	defer cancel()
 	store, err := service.NewDatastore(def, policy, log)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +266,7 @@ func TestDatastoreAnonActionAndValidation(t *testing.T) {
 	if err := store.Put("dm", "alice", "study", map[string]string{"weight_anon": "100-110"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := log.Events()[0].Action; got != core.ActionAnon {
+	if got := (<-events).Action; got != core.ActionAnon {
 		t.Errorf("anonymised store write recorded as %v, want anon", got)
 	}
 
@@ -235,6 +280,8 @@ func TestDatastoreAnonActionAndValidation(t *testing.T) {
 
 func TestHTTPHandler(t *testing.T) {
 	log := service.NewLog()
+	events, cancel := log.Subscribe(64)
+	defer cancel()
 	store := ehrDatastore(t, log)
 	server := httptest.NewServer(store.Handler())
 	defer server.Close()
@@ -297,8 +344,8 @@ func TestHTTPHandler(t *testing.T) {
 		t.Errorf("GET /meta status = %d", resp.StatusCode)
 	}
 	// The audit log saw the whole session.
-	if log.Len() == 0 {
-		t.Error("event log is empty after HTTP traffic")
+	if len(received(events)) == 0 {
+		t.Error("event log delivered nothing after HTTP traffic")
 	}
 }
 
@@ -337,6 +384,8 @@ func TestClusterRunsSurgeryModel(t *testing.T) {
 	if got := len(cluster.Datastores()); got != 3 {
 		t.Errorf("cluster datastores = %d, want 3", got)
 	}
+	events, cancel := cluster.Log().Subscribe(16)
+	defer cancel()
 	ctx := context.Background()
 	doctor, err := cluster.Client(casestudy.StoreEHR, casestudy.ActorDoctor)
 	if err != nil {
@@ -363,8 +412,8 @@ func TestClusterRunsSurgeryModel(t *testing.T) {
 	if _, err := researcher.Get(ctx, "patient-1", "curiosity", []string{casestudy.FieldDiagnosis}); !errors.Is(err, service.ErrDenied) {
 		t.Errorf("researcher EHR read error = %v, want ErrDenied", err)
 	}
-	if cluster.Log().Len() < 3 {
-		t.Errorf("cluster log has %d events, want >= 3", cluster.Log().Len())
+	if got := len(received(events)); got < 3 {
+		t.Errorf("cluster log delivered %d events, want >= 3", got)
 	}
 	if _, err := cluster.Client("ghost", "doctor"); err == nil {
 		t.Error("client for unknown datastore accepted")

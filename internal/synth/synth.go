@@ -1,5 +1,5 @@
 // Package synth generates deterministic synthetic inputs for design-time
-// analysis, examples and benchmarks: health-record datasets, user
+// analysis, tests and benchmarks: health-record datasets, user
 // populations with privacy preferences, and whole data-flow models of
 // configurable size.
 //
@@ -22,23 +22,15 @@ import (
 	"privascope/internal/schema"
 )
 
-// HealthRecordsOptions configures the synthetic health-record generator.
-type HealthRecordsOptions struct {
-	// Rows is the number of records; default 100.
-	Rows int
-	// Seed seeds the deterministic generator.
-	Seed int64
-}
-
-// HealthRecords generates a synthetic physical-attributes dataset with age,
-// height and weight columns (the shape of the paper's Table I) plus a
-// categorical condition column.
-func HealthRecords(opts HealthRecordsOptions) *anonymize.Table {
-	rows := opts.Rows
+// HealthRecords generates a synthetic physical-attributes dataset of rows
+// records (100 when rows is not positive) with age, height and weight
+// columns (the shape of the paper's Table I) plus a categorical condition
+// column. The same seed gives the same records.
+func HealthRecords(rows int, seed int64) *anonymize.Table {
 	if rows <= 0 {
 		rows = 100
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	conditions := []string{"none", "asthma", "diabetes", "hypertension", "arthritis"}
 	t := anonymize.MustTable(
 		anonymize.Column{Name: "age", Role: anonymize.RoleQuasiIdentifier},

@@ -12,8 +12,8 @@ import (
 )
 
 func TestHealthRecordsDeterministic(t *testing.T) {
-	a := HealthRecords(HealthRecordsOptions{Rows: 40, Seed: 7})
-	b := HealthRecords(HealthRecordsOptions{Rows: 40, Seed: 7})
+	a := HealthRecords(40, 7)
+	b := HealthRecords(40, 7)
 	if a.NumRows() != 40 || b.NumRows() != 40 {
 		t.Fatalf("rows = %d, %d", a.NumRows(), b.NumRows())
 	}
@@ -26,7 +26,7 @@ func TestHealthRecordsDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c := HealthRecords(HealthRecordsOptions{Rows: 40, Seed: 8})
+	c := HealthRecords(40, 8)
 	same := true
 	for r := 0; r < a.NumRows(); r++ {
 		va, _ := a.Value(r, "weight")
@@ -42,7 +42,7 @@ func TestHealthRecordsDeterministic(t *testing.T) {
 }
 
 func TestHealthRecordsPlausibleRanges(t *testing.T) {
-	tbl := HealthRecords(HealthRecordsOptions{Rows: 200, Seed: 1})
+	tbl := HealthRecords(200, 1)
 	for r := 0; r < tbl.NumRows(); r++ {
 		age, _ := tbl.Value(r, "age")
 		if age.Num < 18 || age.Num > 88 {
@@ -65,16 +65,14 @@ func TestHealthRecordsPlausibleRanges(t *testing.T) {
 		t.Errorf("rows = %d", tbl.NumRows())
 	}
 	// Default row count.
-	if got := HealthRecords(HealthRecordsOptions{}).NumRows(); got != 100 {
+	if got := HealthRecords(0, 0).NumRows(); got != 100 {
 		t.Errorf("default rows = %d, want 100", got)
 	}
 }
 
 func TestHealthRecordsUsableByAnonymiser(t *testing.T) {
-	tbl := HealthRecords(HealthRecordsOptions{Rows: 60, Seed: 3})
-	anon, result, err := anonymize.KAnonymize(context.Background(), tbl, []string{"age", "height"}, 5, anonymize.KAnonymizeOptions{
-		InitialWidths: map[string]float64{"age": 10, "height": 10},
-	})
+	tbl := HealthRecords(60, 3)
+	anon, result, err := anonymize.KAnonymize(context.Background(), tbl, []string{"age", "height"}, 5)
 	if err != nil {
 		t.Fatalf("KAnonymize: %v", err)
 	}

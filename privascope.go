@@ -56,8 +56,8 @@
 //	result, err := engine.Assess(ctx, model, profile)
 //	fmt.Println(result.Report.Render())
 //
-// See the examples directory for complete, runnable programs, including the
-// paper's two case studies.
+// The package's Example functions are complete, checked walkthroughs,
+// including the paper's two case studies (go test -run '^Example' -v .).
 package privascope
 
 import (
@@ -320,8 +320,6 @@ type (
 	ValueRiskScenario = pseudorisk.ScenarioResult
 	// PseudonymisationAnnotation layers value risk onto a privacy model.
 	PseudonymisationAnnotation = pseudorisk.Annotation
-	// PseudonymisationOptions configures AnalyzePseudonymisation.
-	PseudonymisationOptions = pseudorisk.Options
 	// DataClassIndex caches a table's equivalence-class partitions across
 	// scenarios and attacker models.
 	DataClassIndex = anonymize.ClassIndex
@@ -337,25 +335,39 @@ func NewDataClassIndex(t *DataTable) *DataClassIndex {
 	return anonymize.NewClassIndex(t)
 }
 
-// AnalyzePseudonymisation layers dataset-driven value risks onto a privacy
-// model for one actor (the paper's Fig. 4).
-func AnalyzePseudonymisation(p *PrivacyModel, opts PseudonymisationOptions) (*PseudonymisationAnnotation, error) {
-	return pseudorisk.AnalyzeLTS(context.Background(), p, opts)
+// AnalyzePseudonymisation layers the value risks of a pseudonymised dataset
+// onto the privacy model of m for one actor (the paper's Fig. 4): every
+// state in which the actor holds the pseudonymised form of the policy's
+// target field gets a risk transition, scored against table restricted to
+// the pseudonymised fields the actor has read there. The model is generated
+// from its declared flows alone, in data-driven order and without potential
+// reads, so every set of pseudonymised fields the flows let the actor gather,
+// in any order, is some state's; the annotation's LTS is that model. Table
+// columns are named after the model's base fields (age for age_anon).
+func AnalyzePseudonymisation(m *Model, actor string, policy ViolationPolicy, table *DataTable) (*PseudonymisationAnnotation, error) {
+	return AnalyzePseudonymisationContext(context.Background(), m, actor, policy, table)
 }
 
 // AnalyzePseudonymisationContext is AnalyzePseudonymisation with
-// cancellation: ctx is polled between at-risk states and threaded into the
-// dataset evaluations (class building polls it every few thousand rows,
-// scoring between equivalence sets), so a cancelled context aborts the
-// annotation promptly with ctx.Err().
-func AnalyzePseudonymisationContext(ctx context.Context, p *PrivacyModel, opts PseudonymisationOptions) (*PseudonymisationAnnotation, error) {
-	return pseudorisk.AnalyzeLTS(ctx, p, opts)
+// cancellation: generation polls ctx, and so does the annotation between
+// at-risk states and inside the dataset evaluations (class building every
+// few thousand rows, scoring between equivalence sets), so a cancelled
+// context aborts promptly with ctx.Err().
+func AnalyzePseudonymisationContext(ctx context.Context, m *Model, actor string, policy ViolationPolicy, table *DataTable) (*PseudonymisationAnnotation, error) {
+	p, err := core.GenerateWithOptionsContext(ctx, m, GenerateOptions{
+		FlowOrdering:   OrderDataDriven,
+		PotentialReads: PotentialReadsOff,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("privascope: generating privacy model: %w", err)
+	}
+	return pseudorisk.AnalyzeLTS(ctx, p, pseudorisk.Options{Actor: actor, Policy: policy, Table: table})
 }
 
 // KAnonymize produces a k-anonymous version of a table by generalisation and
 // suppression of the given quasi-identifiers.
 func KAnonymize(t *DataTable, quasiIdentifiers []string, k int) (*DataTable, anonymize.KAnonymizeResult, error) {
-	return anonymize.KAnonymize(context.Background(), t, quasiIdentifiers, k, anonymize.KAnonymizeOptions{})
+	return anonymize.KAnonymize(context.Background(), t, quasiIdentifiers, k)
 }
 
 // ReidentReport summarises the re-identification risk of a dataset under the
@@ -385,12 +397,10 @@ type (
 	// Event is one operation on personal data observed in the running
 	// system.
 	Event = service.Event
-	// EventLog is an append-only log of events with subscriptions.
+	// EventLog numbers events and hands each to its current subscribers.
 	EventLog = service.Log
 	// Cluster runs one HTTP datastore server per datastore of a model.
 	Cluster = service.Cluster
-	// DatastoreClient is a typed HTTP client bound to one actor.
-	DatastoreClient = service.Client
 
 	// Monitor tracks per-user privacy state against a privacy model.
 	Monitor = runtime.Monitor
@@ -463,9 +473,10 @@ func SyntheticPopulation(m *Model, opts synth.PopulationOptions) []UserProfile {
 }
 
 // SyntheticHealthRecords generates a deterministic physical-attributes
-// dataset.
-func SyntheticHealthRecords(opts synth.HealthRecordsOptions) *DataTable {
-	return synth.HealthRecords(opts)
+// dataset of rows records (100 when rows is not positive); the same seed
+// gives the same records.
+func SyntheticHealthRecords(rows int, seed int64) *DataTable {
+	return synth.HealthRecords(rows, seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -539,4 +550,29 @@ func RenderAssessment(a *RiskAssessment) string {
 // RenderModelSummary renders a summary of a generated privacy model.
 func RenderModelSummary(p *PrivacyModel) string {
 	return report.ModelSummary(p).Render()
+}
+
+// RenderRiskComparison renders CompareAssessments' changes as a plain-text
+// table: per actor, datastore and field, the risk before and after.
+func RenderRiskComparison(changes []RiskChange) string {
+	return report.RiskComparison(changes).Render()
+}
+
+// RenderTableI renders the paper's Table I for an evaluator's dataset: one
+// row per record with the risk fraction under each scenario of results, and
+// a closing row of violation counts.
+func RenderTableI(e *ValueRiskEvaluator, results []ValueRiskScenario) string {
+	return report.TableICapped(e, results, 0).Render()
+}
+
+// RenderPseudonymisation renders a pseudonymisation annotation as a
+// plain-text report: the policy and one row per risk transition.
+func RenderPseudonymisation(a *PseudonymisationAnnotation) string {
+	return report.PseudonymisationAnnotation(a).Render()
+}
+
+// RenderCompliance renders a compliance report as plain text: the verdict
+// and, when there are any, the violations.
+func RenderCompliance(r *ComplianceReport) string {
+	return report.Compliance(r).Render()
 }

@@ -2,12 +2,13 @@ package privascope_test
 
 import (
 	"context"
-	"slices"
+	"errors"
 	"strings"
 	"testing"
 
 	"privascope"
 	"privascope/internal/casestudy"
+	"privascope/internal/casestudy/casestudytest"
 	"privascope/internal/synth"
 )
 
@@ -116,14 +117,7 @@ func TestFacadeGenerateAndAnalyze(t *testing.T) {
 }
 
 func TestFacadePseudonymisation(t *testing.T) {
-	p, err := privascope.GenerateWithOptions(casestudy.Metrics(), privascope.GenerateOptions{
-		FlowOrdering:   privascope.OrderDataDriven,
-		PotentialReads: privascope.PotentialReadsOff,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evaluator, err := privascope.NewValueRiskEvaluator(casestudy.TableIRecords(), casestudy.ResearchPolicy())
+	evaluator, err := privascope.NewValueRiskEvaluator(casestudytest.TableIRecords(), casestudytest.ResearchPolicy())
 	if err != nil {
 		t.Fatalf("NewValueRiskEvaluator: %v", err)
 	}
@@ -134,21 +128,32 @@ func TestFacadePseudonymisation(t *testing.T) {
 	if scenario.Violations != 4 {
 		t.Errorf("violations = %d, want 4", scenario.Violations)
 	}
-	annotation, err := privascope.AnalyzePseudonymisation(p, privascope.PseudonymisationOptions{
-		Actor:  casestudy.ActorResearcher,
-		Policy: casestudy.ResearchPolicy(),
-		Table:  casestudy.TableIRecords(),
-	})
+	annotation, err := privascope.AnalyzePseudonymisation(casestudytest.Metrics(),
+		casestudy.ActorResearcher, casestudytest.ResearchPolicy(), casestudytest.TableIRecords())
 	if err != nil {
 		t.Fatalf("AnalyzePseudonymisation: %v", err)
 	}
-	if got := slices.Max(annotation.ViolationCounts()); got != 4 {
-		t.Errorf("most violations = %d, want 4", got)
+	// Fig. 4's model: the declared flows alone, in data-driven order.
+	if got := annotation.LTS.Stats().States; got != 12 {
+		t.Errorf("annotated model has %d states, want 12", got)
+	}
+	most := 0
+	for _, rt := range annotation.RiskTransitions {
+		most = max(most, rt.Result.Violations)
+	}
+	if most != 4 {
+		t.Errorf("most violations = %d, want 4", most)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := privascope.AnalyzePseudonymisationContext(ctx, casestudytest.Metrics(),
+		casestudy.ActorResearcher, casestudytest.ResearchPolicy(), casestudytest.TableIRecords()); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled AnalyzePseudonymisationContext returned %v, want context.Canceled", err)
 	}
 }
 
 func TestFacadeKAnonymizeAndSynthetics(t *testing.T) {
-	table := privascope.SyntheticHealthRecords(synth.HealthRecordsOptions{Rows: 30, Seed: 2})
+	table := privascope.SyntheticHealthRecords(30, 2)
 	anon, result, err := privascope.KAnonymize(table, []string{"age", "height"}, 3)
 	if err != nil {
 		t.Fatalf("KAnonymize: %v", err)
