@@ -16,6 +16,7 @@ import (
 	"privascope/internal/cluster"
 	"privascope/internal/core"
 	"privascope/internal/modelstore"
+	"privascope/internal/proptest/scenario"
 	"privascope/internal/pseudorisk"
 	"privascope/internal/risk"
 	"privascope/internal/runtime"
@@ -133,7 +134,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"risk_population", 2.945, "user", func(t *testing.T) (float64, int) {
 			medium := synth.Model(synth.ModelSpec{Services: 4, FieldsPerService: 3})
 			p := mustGenerate(t, medium, privascope.GenerateOptions{})
-			shapes := synth.Population(medium, synth.PopulationOptions{Users: 32, Seed: 3, SensitiveFields: synth.SensitiveFieldsOf(medium)})
+			shapes := scenario.Population(medium, scenario.PopulationOptions{Users: 32, Seed: 3, SensitiveFields: synth.SensitiveFieldsOf(medium)})
 			users := make([]risk.UserProfile, 256)
 			for u := range users {
 				users[u] = shapes[u%len(shapes)]
@@ -244,7 +245,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"monitor_new_large", 185, "monitor", func(t *testing.T) (float64, int) {
 			p := mustGenerate(t, large, privascope.GenerateOptions{})
 			p.Compiled() // the model's view, which every monitor of it shares
-			profile := synth.Population(large, synth.PopulationOptions{Users: 1, Seed: 3, SensitiveFields: synth.SensitiveFieldsOf(large)})[0]
+			profile := scenario.Population(large, scenario.PopulationOptions{Users: 1, Seed: 3, SensitiveFields: synth.SensitiveFieldsOf(large)})[0]
 			analyzer, err := risk.NewAnalyzer(risk.Config{})
 			if err != nil {
 				t.Fatal(err)

@@ -318,7 +318,6 @@ var optionSetterAllowlist = map[string]string{
 	"risk.Config":                "results-defining input: the scenario set and risk matrix decide every finding; tests and the facade's RiskConfig callers supply their own",
 	"runtime.Config.AlertAt":     "results-defining input: the level at which a finding becomes an alert",
 	"core.Options.MaxStates":     "results-defining input: the state-space cap decides whether a model generates at all",
-	"synth.PopulationOptions":    "results-defining input: the size, seed and consent odds of a synthetic population",
 	"cluster.RouterConfig.Nodes": "deployment address: the node URLs a router outside StartLocal dials",
 	"EngineOptions.Incremental":  "gated by benchmark/: it reads Engine.Stats().IncrementalHits, which only this option moves",
 }

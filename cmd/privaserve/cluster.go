@@ -18,9 +18,9 @@ import (
 // runClusterMode is privaserve with -cluster N: instead of one in-process
 // monitor, it spawns N ingest nodes (each with its own monitor and HTTP
 // server), routes all traffic through the rendezvous-hash Router, and merges
-// the fleet's alerts. The datastore servers and the live event stream work
-// exactly as in single-monitor mode; only the observation plane is
-// distributed.
+// the fleet's alerts. The datastores serve exactly as in single-monitor mode;
+// only their sink differs, Router.Send instead of Observe. After serving it
+// prints, in sorted order, the alerts the replay has not printed.
 func runClusterMode(ctx context.Context, nodes int, generated *privascope.PrivacyModel,
 	model *privascope.Model, profile privascope.UserProfile,
 	eventsPath string, duration time.Duration, out io.Writer) error {
@@ -45,87 +45,33 @@ func runClusterMode(ctx context.Context, nodes int, generated *privascope.Privac
 	}
 	fmt.Fprintf(out, "monitoring user %q on node %q\n", profile.ID, c.Router.Ring().Owner(profile.ID))
 
+	var replayed []string
 	if eventsPath != "" {
-		if err := replayEventsCluster(ctx, eventsPath, c, out); err != nil {
+		if replayed, err = replayEventsCluster(ctx, eventsPath, c, out); err != nil {
 			return err
 		}
 	}
 
-	datastores, err := privascope.StartCluster(model)
+	// Unlike single-monitor mode, the whole stream is routed: the ring
+	// partitions every user, registered or not (unregistered users are
+	// counted at their node, not observed).
+	reason, err := serve(ctx, model, duration, out, func(ev privascope.Event) {
+		if err := c.Router.Send(ctx, ev); err != nil {
+			fmt.Fprintf(out, "event %d not routed: %v\n", ev.Seq, err)
+		}
+	})
 	if err != nil {
 		return err
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = datastores.Stop(ctx)
-	}()
-	stores := datastores.Datastores()
-	sort.Strings(stores)
-	fmt.Fprintf(out, "privaserve: serving %d datastores for model %q\n", len(stores), model.Name)
-	for _, id := range stores {
-		url, err := datastores.URL(id)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  %-20s %s\n", id, url)
-	}
-
-	events, cancel := datastores.Log().Subscribe(256)
+	quiesce, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	done := make(chan struct{})
-	defer close(done)
-	batches := make(chan []privascope.Event)
-	go func() {
-		defer close(batches)
-		for {
-			batch := privascope.NextEventBatch(events, 256)
-			if batch == nil {
-				return
-			}
-			select {
-			case batches <- batch:
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	var deadline <-chan time.Time
-	if duration > 0 {
-		timer := time.NewTimer(duration)
-		defer timer.Stop()
-		deadline = timer.C
+	if err := c.Quiesce(quiesce); err != nil {
+		return err
 	}
-	finish := func() error {
-		quiesce, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := c.Quiesce(quiesce); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "privaserve: duration elapsed; %d alerts recorded\n", len(c.Alerts()))
-		printMembershipStats(c, out)
-		return nil
-	}
-	for {
-		select {
-		case batch, ok := <-batches:
-			if !ok {
-				return nil
-			}
-			// Unlike single-monitor mode, the whole stream is routed: the
-			// ring partitions every user, registered or not (unregistered
-			// users are counted at their node, not observed).
-			if err := c.Router.SendBatch(ctx, batch); err != nil {
-				fmt.Fprintf(out, "batch not routed: %v\n", err)
-			}
-		case <-ctx.Done():
-			fmt.Fprintln(out, "privaserve: interrupted")
-			return nil
-		case <-deadline:
-			return finish()
-		}
-	}
+	alerts := printAlerts(c, replayed, out)
+	fmt.Fprintf(out, "privaserve: %s; %d alerts recorded\n", reason, len(alerts))
+	printMembershipStats(c, out)
+	return nil
 }
 
 // startProber starts the fleet's failure detection: a node that misses
@@ -160,27 +106,39 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 
 // replayEventsCluster streams a recorded JSON event trace through the
 // Router, waits for the fleet to quiesce, and prints the merged alerts in a
-// canonical (sorted) order — the cluster-mode analogue of replayEvents. No
-// events are skipped: the ring owns every user ID.
-func replayEventsCluster(ctx context.Context, path string, c *cluster.Local, out io.Writer) error {
+// canonical (sorted) order — the cluster-mode analogue of replayEvents — and
+// returns the lines it printed. No events are skipped: the ring owns every
+// user ID.
+func replayEventsCluster(ctx context.Context, path string, c *cluster.Local, out io.Writer) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("reading events: %w", err)
+		return nil, fmt.Errorf("reading events: %w", err)
 	}
 	var events []privascope.Event
 	if err := json.Unmarshal(data, &events); err != nil {
-		return fmt.Errorf("parsing events: %w", err)
+		return nil, fmt.Errorf("parsing events: %w", err)
 	}
 	if err := c.Router.SendBatch(ctx, events); err != nil {
-		return fmt.Errorf("routing events: %w", err)
+		return nil, fmt.Errorf("routing events: %w", err)
 	}
 	if err := c.Quiesce(ctx); err != nil {
-		return fmt.Errorf("quiescing cluster: %w", err)
+		return nil, fmt.Errorf("quiescing cluster: %w", err)
 	}
 	var stats runtime.IngestStats
 	for _, ns := range c.NodeStats() {
 		stats.Merge(ns.Ingest)
 	}
+	alerts := printAlerts(c, nil, out)
+	fmt.Fprintf(out, "cluster replay complete: %d events (%d unregistered), %d alerts\n",
+		stats.Events, stats.Unregistered, len(alerts))
+	printMembershipStats(c, out)
+	return alerts, nil
+}
+
+// printAlerts prints the ALERT lines of the fleet's alerts in sorted order,
+// leaving out one line for each line of printed (sorted, as an earlier call
+// returned it), and returns all the lines.
+func printAlerts(c *cluster.Local, printed []string, out io.Writer) []string {
 	alerts := c.Alerts()
 	lines := make([]string, len(alerts))
 	for i, alert := range alerts {
@@ -188,12 +146,13 @@ func replayEventsCluster(ctx context.Context, path string, c *cluster.Local, out
 	}
 	sort.Strings(lines)
 	for _, line := range lines {
+		if len(printed) > 0 && printed[0] == line {
+			printed = printed[1:]
+			continue
+		}
 		fmt.Fprintln(out, line)
 	}
-	fmt.Fprintf(out, "cluster replay complete: %d events (%d unregistered), %d alerts\n",
-		stats.Events, stats.Unregistered, len(alerts))
-	printMembershipStats(c, out)
-	return nil
+	return lines
 }
 
 // printMembershipStats summarizes the fault-tolerance counters after a run:

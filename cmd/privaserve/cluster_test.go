@@ -205,7 +205,7 @@ func TestEvictionReportBesideReplay(t *testing.T) {
 		time.Sleep(50 * time.Millisecond) // OnEvict runs as soon as the eviction returns
 	}}
 	prober, out := startProber(c, w)
-	err := replayEventsCluster(ctx, eventsPath, c, out)
+	_, err := replayEventsCluster(ctx, eventsPath, c, out)
 	prober.Stop()
 	if err != nil {
 		t.Fatal(err)

@@ -22,6 +22,12 @@
 // a rendezvous-hash router that streams binary event frames to each user's
 // owner node. The alert set is identical to single-monitor mode for every N;
 // each node also exposes /metrics and /debug/pprof.
+//
+// Both modes serve the same way: a datastore hands each operation's event to
+// the monitor, or to the router, before it answers the request, so no
+// operation goes unobserved. On exit (the duration elapsed or an interrupt)
+// privaserve stops the datastores, waits for the requests in flight, and
+// prints the alert count.
 package main
 
 import (
@@ -112,95 +118,72 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	cluster, err := privascope.StartCluster(model)
+	fmt.Fprintf(out, "monitoring user %q (consented services: %v)\n", profile.ID, profile.ConsentedServices)
+	reason, err := serve(ctx, model, *duration, out, func(ev privascope.Event) {
+		if ev.UserID != profile.ID {
+			return
+		}
+		obs, err := monitor.Observe(ev)
+		if err != nil {
+			fmt.Fprintf(out, "event %d ignored: %v\n", ev.Seq, err)
+			return
+		}
+		fmt.Fprintf(out, "event %d: %s(%v) by %s on %s -> state %s\n",
+			ev.Seq, ev.Action, ev.Fields, ev.Actor, ev.Datastore, obs.To)
+		for _, alert := range obs.Alerts {
+			fmt.Fprintf(out, "ALERT [%s]: %s\n", alert.Kind, alert.Message)
+		}
+	})
 	if err != nil {
 		return err
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = cluster.Stop(ctx)
-	}()
+	fmt.Fprintf(out, "privaserve: %s; %d alerts recorded\n", reason, len(monitor.Alerts()))
+	return nil
+}
 
-	stores := cluster.Datastores()
+// serve runs the model's datastores, one HTTP server each, prints their URLs
+// and serves until ctx ends or the duration elapses (0 = until ctx ends). A
+// datastore hands each operation's event to sink before it answers: sink runs
+// on the servers' request goroutines, one event at a time in Seq order, and a
+// slow sink slows the clients down. serve stops the servers before it
+// returns, which waits for the requests in flight, so every operation a
+// client saw answered has reached sink. It returns why serving stopped.
+func serve(ctx context.Context, model *privascope.Model, duration time.Duration,
+	out io.Writer, sink func(privascope.Event)) (reason string, err error) {
+
+	datastores, err := privascope.StartCluster(model, sink)
+	if err != nil {
+		return "", err
+	}
+	defer func() {
+		stop, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if stopErr := datastores.Stop(stop); stopErr != nil && err == nil {
+			err = fmt.Errorf("stopping the datastores: %w", stopErr)
+		}
+	}()
+	stores := datastores.Datastores()
 	sort.Strings(stores)
 	fmt.Fprintf(out, "privaserve: serving %d datastores for model %q\n", len(stores), model.Name)
 	for _, id := range stores {
-		url, err := cluster.URL(id)
+		url, err := datastores.URL(id)
 		if err != nil {
-			return err
+			return "", err
 		}
 		fmt.Fprintf(out, "  %-20s %s\n", id, url)
 	}
-	fmt.Fprintf(out, "monitoring user %q (consented services: %v)\n", profile.ID, profile.ConsentedServices)
-
-	events, cancel := cluster.Log().Subscribe(256)
-	defer cancel()
-
-	// Drain the live stream in bursts: one goroutine reads the subscription
-	// (privascope.NextEventBatch), and the loop below feeds each of the
-	// monitored user's events to Observe, printing its observation. The done
-	// channel unblocks a pending send when run
-	// returns before the subscription closes (deadline or interrupt), so
-	// in-process callers (tests) do not leak the goroutine.
-	done := make(chan struct{})
-	defer close(done)
-	batches := make(chan []privascope.Event)
-	go func() {
-		defer close(batches)
-		for {
-			batch := privascope.NextEventBatch(events, 256)
-			if batch == nil {
-				return
-			}
-			select {
-			case batches <- batch:
-			case <-done:
-				return
-			}
-		}
-	}()
 
 	var deadline <-chan time.Time
-	if *duration > 0 {
-		timer := time.NewTimer(*duration)
+	if duration > 0 {
+		timer := time.NewTimer(duration)
 		defer timer.Stop()
 		deadline = timer.C
 	}
-
-	for {
-		select {
-		case batch, ok := <-batches:
-			if !ok {
-				return nil
-			}
-			for _, ev := range batch {
-				if ctx.Err() != nil {
-					break
-				}
-				if ev.UserID != profile.ID {
-					continue
-				}
-				obs, err := monitor.Observe(ev)
-				if err != nil {
-					fmt.Fprintf(out, "event %d ignored: %v\n", ev.Seq, err)
-					continue
-				}
-				fmt.Fprintf(out, "event %d: %s(%v) by %s on %s -> state %s\n",
-					ev.Seq, ev.Action, ev.Fields, ev.Actor, ev.Datastore, obs.To)
-				for _, alert := range obs.Alerts {
-					fmt.Fprintf(out, "ALERT [%s]: %s\n", alert.Kind, alert.Message)
-				}
-			}
-		case <-ctx.Done():
-			// Graceful shutdown: the deferred cluster stop and subscription
-			// cancel run on the way out.
-			fmt.Fprintln(out, "privaserve: interrupted")
-			return nil
-		case <-deadline:
-			fmt.Fprintf(out, "privaserve: duration elapsed; %d alerts recorded\n", len(monitor.Alerts()))
-			return nil
-		}
+	select {
+	case <-ctx.Done():
+		return "interrupted", nil
+	case <-deadline:
+		return "duration elapsed", nil
 	}
 }
 

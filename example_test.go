@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"privascope"
 	"privascope/internal/casestudy"
@@ -517,16 +518,36 @@ func ExampleStartCluster() {
 		return
 	}
 
-	cluster, err := privascope.StartCluster(model)
+	// Each step is a collect the monitor observes directly, or one datastore
+	// request over HTTP whose event the datastore hands to the monitor before
+	// it answers, so the monitor sees the steps in order. The datastores call
+	// the sink on their request goroutines.
+	var trueVariables atomic.Int64 // in the user's privacy state after the last step
+	observe := func(ev privascope.Event, report bool) {
+		obs, err := monitor.Observe(ev)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		if vec, ok := generated.Vector(obs.To); ok {
+			trueVariables.Store(int64(vec.CountTrue()))
+		}
+		if !report {
+			return
+		}
+		fmt.Printf("observed %-8s by %-13s on %-12s -> privacy state %s\n",
+			ev.Action, ev.Actor, ev.Datastore, obs.To)
+		for _, alert := range obs.Alerts {
+			fmt.Printf("  ALERT [%s] %s\n", alert.Kind, alert.Message)
+		}
+	}
+	cluster, err := privascope.StartCluster(model, func(ev privascope.Event) { observe(ev, true) })
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	defer cluster.Stop(context.Background())
 
-	// Each step is a collect the monitor observes directly, or one datastore
-	// request over HTTP whose event the monitor reads from the cluster's log
-	// before the next step, so the monitor sees the steps in order.
 	steps := []struct {
 		collect        *privascope.Event
 		method, store  string
@@ -560,44 +581,21 @@ func ExampleStartCluster() {
 		{method: http.MethodGet, store: casestudy.StoreEHR, actor: casestudy.ActorAdministrator,
 			purpose: "maintenance", fields: []string{casestudy.FieldDiagnosis}},
 	}
-	// Room for an event a step: the log drops what a full subscription
-	// has no room for.
-	events, cancel := cluster.Log().Subscribe(len(steps))
-	defer cancel()
-	trueVariables := 0 // in the user's privacy state after the last step
 	for _, step := range steps {
-		ev := step.collect
-		if ev == nil {
-			base, err := cluster.URL(step.store)
-			if err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-			if err := datastoreRequest(step.method, base, userID, step.actor, step.purpose, step.fields, step.values); err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-			logged := <-events
-			ev = &logged
+		if step.collect != nil {
+			observe(*step.collect, false)
+			continue
 		}
-		obs, err := monitor.Observe(*ev)
+		base, err := cluster.URL(step.store)
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		if vec, ok := generated.Vector(obs.To); ok {
-			trueVariables = vec.CountTrue()
-		}
-		if step.collect != nil {
-			continue
-		}
-		fmt.Printf("observed %-8s by %-13s on %-12s -> privacy state %s\n",
-			ev.Action, ev.Actor, ev.Datastore, obs.To)
-		for _, alert := range obs.Alerts {
-			fmt.Printf("  ALERT [%s] %s\n", alert.Kind, alert.Message)
+		if err := datastoreRequest(step.method, base, userID, step.actor, step.purpose, step.fields, step.values); err != nil {
+			fmt.Println("error:", err)
+			return
 		}
 	}
-
 	fmt.Println()
 	var alerts []privascope.Alert
 	for _, alert := range monitor.Alerts() {
@@ -609,7 +607,7 @@ func ExampleStartCluster() {
 	for _, alert := range alerts {
 		fmt.Printf("  [%s] risk=%s actor=%s fields=%v\n", alert.Kind, alert.Risk, alert.Event.Actor, alert.Event.Fields)
 	}
-	fmt.Printf("final privacy state has %d true state variables\n", trueVariables)
+	fmt.Printf("final privacy state has %d true state variables\n", trueVariables.Load())
 	// Output:
 	// observed create   by receptionist  on appointments -> privacy state s2
 	// observed read     by doctor        on appointments -> privacy state s3

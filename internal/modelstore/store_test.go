@@ -94,7 +94,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	requireSameModel(t, p, decoded, synth.Population(m, synth.PopulationOptions{})[0])
+	requireSameModel(t, p, decoded, scenario.Population(m, scenario.PopulationOptions{})[0])
 
 	// Re-encoding the decoded model must reproduce the artifact bit for bit:
 	// the codec loses nothing the codec itself observes.
@@ -205,7 +205,7 @@ func TestStoreSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	requireSameModel(t, p, loaded, synth.Population(m, synth.PopulationOptions{})[0])
+	requireSameModel(t, p, loaded, scenario.Population(m, scenario.PopulationOptions{})[0])
 
 	// Path traversal guard: a crafted fingerprint never escapes the registry.
 	for _, bad := range []string{"", "../evil", "ABC", "a/b", "a.b"} {
@@ -222,7 +222,7 @@ func TestStoreSaveLoad(t *testing.T) {
 // it in place changed the model.
 func TestLoadedModelOutlivesItsArtifact(t *testing.T) {
 	m, p := fixtureModel(t)
-	profile := synth.Population(m, synth.PopulationOptions{})[0]
+	profile := scenario.Population(m, scenario.PopulationOptions{})[0]
 	fp, err := dataflow.Fingerprint(m)
 	if err != nil {
 		t.Fatalf("fingerprint: %v", err)

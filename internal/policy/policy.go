@@ -183,11 +183,6 @@ type ComplianceReport struct {
 // the system's stated service policies.
 type Checker struct {
 	policies *PolicySet
-	// IncludePotential controls whether policy-permitted reads outside the
-	// declared flows (potential reads) are also reported; they are not part
-	// of the designed behaviour, so by default only declared flows are
-	// checked.
-	IncludePotential bool
 }
 
 // NewChecker returns a checker for the given policy set.
@@ -195,8 +190,10 @@ func NewChecker(policies *PolicySet) *Checker {
 	return &Checker{policies: policies}
 }
 
-// Check walks every reachable transition of the LTS and reports the ones the
-// stated policies do not permit.
+// Check walks every reachable declared-flow transition of the LTS and reports
+// the ones the stated policies do not permit. Potential reads (policy-permitted
+// reads outside the declared flows) are not part of the designed behaviour and
+// are not checked.
 func (c *Checker) Check(p *core.PrivacyLTS) (*ComplianceReport, error) {
 	if p == nil {
 		return nil, errors.New("policy: privacy LTS must not be nil")
@@ -217,7 +214,7 @@ func (c *Checker) Check(p *core.PrivacyLTS) (*ComplianceReport, error) {
 		if label == nil {
 			continue
 		}
-		if label.Potential && !c.IncludePotential {
+		if label.Potential {
 			continue
 		}
 		report.CheckedTransitions++

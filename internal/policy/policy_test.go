@@ -187,39 +187,26 @@ func TestCheckerDetectsUncoveredBehaviour(t *testing.T) {
 }
 
 func TestCheckerIncludePotential(t *testing.T) {
+	// Potential reads, such as the administrator's, are no part of the
+	// designed behaviour: Check skips them, so a model generated with them
+	// stays compliant with the policies derived from its declared flows.
 	full, err := core.Generate(casestudy.Surgery())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if full.Stats().PotentialTransitions == 0 {
+		t.Fatal("the generated model has no potential reads to skip")
 	}
 	set := mustPolicySet(t,
 		policy.PolicyFromModelFlows(full, casestudy.ServiceMedical),
 		policy.PolicyFromModelFlows(full, casestudy.ServiceResearch),
 	)
-	checker := policy.NewChecker(set)
-	report, err := checker.Check(full)
+	report, err := policy.NewChecker(set).Check(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !report.Compliant {
 		t.Fatalf("declared flows should be compliant, got %v", report.Violations)
-	}
-
-	checker.IncludePotential = true
-	report, err = checker.Check(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Compliant {
-		t.Error("potential reads (e.g. the administrator's) should violate the stated policies")
-	}
-	var adminViolation bool
-	for _, v := range report.Violations {
-		if v.Actor == casestudy.ActorAdministrator {
-			adminViolation = true
-		}
-	}
-	if !adminViolation {
-		t.Error("expected a violation for the administrator's potential read")
 	}
 }
 

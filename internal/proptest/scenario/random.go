@@ -13,7 +13,7 @@ import (
 	"privascope/internal/synth"
 )
 
-// Where synth.Model, synth.Population and synth.HealthRecords produce one
+// Where synth.Model, Population and synth.HealthRecords produce one
 // fixed shape per spec, the Random* generators draw structure —
 // service/flow/field counts, flow chains, policy kind, grant coverage,
 // populations, datasets — from a caller-supplied *rand.Rand. Everything is a pure function of the generator state, so a
@@ -302,6 +302,64 @@ func rbacFromGrants(grants []accesscontrol.Grant) *accesscontrol.RBAC {
 	return r
 }
 
+// PopulationOptions configures the synthetic user-population generator.
+type PopulationOptions struct {
+	// Users is the number of profiles; default 50.
+	Users int
+	// Seed seeds the deterministic generator.
+	Seed int64
+	// ConsentProbability is the probability a user consents to each service;
+	// default 0.7.
+	ConsentProbability float64
+	// SensitiveFields lists fields that receive elevated sensitivities; the
+	// rest use the default.
+	SensitiveFields []string
+}
+
+// Population generates user profiles for the given model: each user consents
+// to a random subset of the model's services and draws per-field
+// sensitivities, with the listed sensitive fields biased towards high values.
+func Population(m *dataflow.Model, opts PopulationOptions) []risk.UserProfile {
+	users := opts.Users
+	if users <= 0 {
+		users = 50
+	}
+	consentP := opts.ConsentProbability
+	if consentP <= 0 || consentP > 1 {
+		consentP = 0.7
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
+	sensitive := make(map[string]bool, len(opts.SensitiveFields))
+	for _, f := range opts.SensitiveFields {
+		sensitive[f] = true
+	}
+	services := m.ServiceIDs()
+	fields := m.FieldUniverse()
+
+	out := make([]risk.UserProfile, 0, users)
+	for i := 0; i < users; i++ {
+		profile := risk.UserProfile{
+			ID:                 fmt.Sprintf("user-%04d", i),
+			Sensitivities:      make(map[string]float64, len(fields)),
+			DefaultSensitivity: 0.1,
+		}
+		for _, svc := range services {
+			if rng.Float64() < consentP {
+				profile.ConsentedServices = append(profile.ConsentedServices, svc)
+			}
+		}
+		for _, f := range fields {
+			if sensitive[f] {
+				profile.Sensitivities[f] = 0.7 + rng.Float64()*0.3
+			} else {
+				profile.Sensitivities[f] = rng.Float64() * 0.5
+			}
+		}
+		out = append(out, profile)
+	}
+	return out
+}
+
 // RandomPopulation draws a user population for the model: a random user
 // count in [1, maxUsers], a random consent probability and the model's
 // sensitive fields biased high, all derived from rng.
@@ -309,7 +367,7 @@ func RandomPopulation(rng *rand.Rand, m *dataflow.Model, maxUsers int) []risk.Us
 	if maxUsers <= 0 {
 		maxUsers = 8
 	}
-	return synth.Population(m, synth.PopulationOptions{
+	return Population(m, PopulationOptions{
 		Users:              1 + rng.Intn(maxUsers),
 		Seed:               rng.Int63(),
 		ConsentProbability: 0.3 + rng.Float64()*0.6,

@@ -1,14 +1,19 @@
 package scenario_test
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"privascope/internal/accesscontrol"
+	"privascope/internal/core"
 	"privascope/internal/dataflow"
 	"privascope/internal/proptest"
 	"privascope/internal/proptest/scenario"
+	"privascope/internal/risk"
+	"privascope/internal/synth"
 )
 
 // TestPropRandomModelValidates: every drawn model passes dataflow.Validate
@@ -120,4 +125,68 @@ func TestPropRandomTableIsWellFormed(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+func TestPopulation(t *testing.T) {
+	m := synth.Model(synth.ModelSpec{Services: 2, FieldsPerService: 3})
+	profiles := scenario.Population(m, scenario.PopulationOptions{Users: 25, Seed: 11, SensitiveFields: synth.SensitiveFieldsOf(m)})
+	if len(profiles) != 25 {
+		t.Fatalf("profiles = %d", len(profiles))
+	}
+	services := map[string]bool{}
+	for _, s := range m.ServiceIDs() {
+		services[s] = true
+	}
+	for _, p := range profiles {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("profile %s invalid: %v", p.ID, err)
+		}
+		for _, svc := range p.ConsentedServices {
+			if !services[svc] {
+				t.Errorf("profile %s consents to unknown service %q", p.ID, svc)
+			}
+		}
+	}
+	// Sensitive fields are biased high.
+	sensitive := synth.SensitiveFieldsOf(m)
+	if len(sensitive) == 0 {
+		t.Fatal("synthetic model has no sensitive fields")
+	}
+	for _, p := range profiles {
+		for _, f := range sensitive {
+			if p.Sensitivities[f] < 0.7 {
+				t.Errorf("profile %s sensitivity of %s = %v, want >= 0.7", p.ID, f, p.Sensitivities[f])
+			}
+		}
+	}
+	// Determinism.
+	again := scenario.Population(m, scenario.PopulationOptions{Users: 25, Seed: 11, SensitiveFields: synth.SensitiveFieldsOf(m)})
+	if !reflect.DeepEqual(profiles, again) {
+		t.Error("population generation is not deterministic")
+	}
+	// Defaults.
+	if got := len(scenario.Population(m, scenario.PopulationOptions{})); got != 50 {
+		t.Errorf("default users = %d, want 50", got)
+	}
+}
+
+// TestPopulationOfLargeSyntheticModelIsAssessable: the maintenance actor of
+// a synthetic model produces potential reads, and every drawn user is
+// assessable against them.
+func TestPopulationOfLargeSyntheticModelIsAssessable(t *testing.T) {
+	large := synth.Model(synth.ModelSpec{Services: 4, FieldsPerService: 4, ExtraActors: 3})
+	pLarge, err := core.Generate(large)
+	if err != nil {
+		t.Fatalf("Generate(large): %v", err)
+	}
+	analyzer, err := risk.NewAnalyzer(risk.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := scenario.Population(large, scenario.PopulationOptions{Users: 3, Seed: 5, SensitiveFields: synth.SensitiveFieldsOf(large)})
+	for _, profile := range profiles {
+		if _, err := analyzer.AnalyzeContext(context.Background(), pLarge, profile); err != nil {
+			t.Fatalf("Analyze(%s): %v", profile.ID, err)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"privascope/internal/core"
+	"privascope/internal/proptest/scenario"
 	"privascope/internal/report"
 	"privascope/internal/risk"
 	"privascope/internal/synth"
@@ -49,7 +50,7 @@ func goldenModel(t *testing.T) (*core.PrivacyLTS, []risk.UserProfile) {
 	if err != nil {
 		t.Fatalf("generating model: %v", err)
 	}
-	profiles := synth.Population(m, synth.PopulationOptions{
+	profiles := scenario.Population(m, scenario.PopulationOptions{
 		Users: 3, Seed: 7, SensitiveFields: synth.SensitiveFieldsOf(m),
 	})
 	return p, profiles

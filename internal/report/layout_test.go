@@ -245,7 +245,7 @@ func assessed(t testing.TB, spec synth.ModelSpec) *risk.Assessment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := synth.Population(m, synth.PopulationOptions{Users: 1, Seed: 7, SensitiveFields: synth.SensitiveFieldsOf(m)})
+	profiles := scenario.Population(m, scenario.PopulationOptions{Users: 1, Seed: 7, SensitiveFields: synth.SensitiveFieldsOf(m)})
 	a, err := defaultAnalyzer(t).AnalyzeContext(context.Background(), p, profiles[0])
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"privascope/internal/core"
+	"privascope/internal/proptest/scenario"
 	"privascope/internal/risk"
 	"privascope/internal/synth"
 )
@@ -25,7 +26,7 @@ func TestAnalyzeMaterialisesFindingsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := synth.Population(m, synth.PopulationOptions{Users: 1, Seed: 7, SensitiveFields: synth.SensitiveFieldsOf(m)})[0]
+	profile := scenario.Population(m, scenario.PopulationOptions{Users: 1, Seed: 7, SensitiveFields: synth.SensitiveFieldsOf(m)})[0]
 	analyzer := risk.MustAnalyzer(risk.Config{})
 	ctx := context.Background()
 	// The first call compiles the model's shared view, which later calls find

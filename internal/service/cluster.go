@@ -12,22 +12,27 @@ import (
 // sharing a single event log — the smallest deployment of the "distributed
 // data services" the model describes.
 type Cluster struct {
-	log     *Log
 	servers map[string]*Server
 }
 
 // StartCluster starts a server for every datastore of the model on ephemeral
-// local ports. The model must have an access-control policy attached.
-func StartCluster(model *dataflow.Model) (*Cluster, error) {
+// local ports. The model must have an access-control policy attached. Every
+// operation's event reaches sink, in Seq order, before its request is
+// answered (see NewLog).
+func StartCluster(model *dataflow.Model, sink func(Event)) (*Cluster, error) {
 	if model == nil {
 		return nil, errors.New("service: model must not be nil")
 	}
 	if model.Policy == nil {
 		return nil, errors.New("service: model has no access-control policy attached")
 	}
-	c := &Cluster{log: NewLog(), servers: make(map[string]*Server)}
+	if sink == nil {
+		return nil, errors.New("service: event sink must not be nil")
+	}
+	log := NewLog(sink)
+	c := &Cluster{servers: make(map[string]*Server)}
 	for _, def := range model.Datastores {
-		store, err := NewDatastore(def, model.Policy, c.log)
+		store, err := NewDatastore(def, model.Policy, log)
 		if err != nil {
 			c.stopAll()
 			return nil, err
@@ -58,9 +63,6 @@ func (c *Cluster) Stop(ctx context.Context) error {
 	}
 	return firstErr
 }
-
-// Log returns the cluster-wide event log.
-func (c *Cluster) Log() *Log { return c.log }
 
 // URL returns the base URL of the named datastore's server.
 func (c *Cluster) URL(datastoreID string) (string, error) {

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,8 +15,8 @@ import (
 
 func TestMonitorWithLiveCluster(t *testing.T) {
 	// End-to-end: run the medical service against real HTTP datastore
-	// servers, subscribe the monitor to the cluster's event log, then have
-	// the administrator read the EHR and observe the alert.
+	// servers whose sink is the monitor, then have the administrator read the
+	// EHR and observe the alert.
 	p, err := core.Generate(casestudy.Surgery())
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +30,13 @@ func TestMonitorWithLiveCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cluster, err := service.StartCluster(casestudy.Surgery())
+	var observed atomic.Int64
+	cluster, err := service.StartCluster(casestudy.Surgery(), func(ev service.Event) {
+		observed.Add(1)
+		if _, err := monitor.Observe(ev); err != nil {
+			t.Error(err)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,26 +46,20 @@ func TestMonitorWithLiveCluster(t *testing.T) {
 		_ = cluster.Stop(ctx)
 	}()
 
-	events, cancel := cluster.Log().Subscribe(128)
-	defer cancel()
-	done := make(chan int, 1)
-	go func() {
-		n := 0
-		for ev := range events {
-			n++
-			_, _ = monitor.Observe(ev)
-		}
-		done <- n
-	}()
-
 	ctx := context.Background()
 	userID := profile.ID
 
 	// The doctor records the consultation and the nurse reads the treatment.
 	// Collect happens between people, not against a datastore, so the test
-	// appends those events to the cluster's log itself: one ordered stream
-	// then feeds Watch, and no collect can overtake the store events before it.
-	cluster.Log().Append(service.Event{Actor: casestudy.ActorReceptionist, Action: core.ActionCollect,
+	// observes those events itself. A datastore's event reaches the monitor
+	// before the datastore answers, so no collect can overtake the store
+	// events before it.
+	observe := func(ev service.Event) {
+		if _, err := monitor.Observe(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	observe(service.Event{Actor: casestudy.ActorReceptionist, Action: core.ActionCollect,
 		UserID: userID, Fields: []string{casestudy.FieldName, casestudy.FieldDateOfBirth}})
 	receptionist, err := cluster.Client(casestudy.StoreAppointments, casestudy.ActorReceptionist)
 	if err != nil {
@@ -78,7 +79,7 @@ func TestMonitorWithLiveCluster(t *testing.T) {
 	if _, err := doctorAppointments.Get(ctx, userID, "prepare consultation", nil); err != nil {
 		t.Fatal(err)
 	}
-	cluster.Log().Append(service.Event{Actor: casestudy.ActorDoctor, Action: core.ActionCollect,
+	observe(service.Event{Actor: casestudy.ActorDoctor, Action: core.ActionCollect,
 		UserID: userID, Fields: []string{casestudy.FieldMedicalIssues}})
 	doctorEHR, err := cluster.Client(casestudy.StoreEHR, casestudy.ActorDoctor)
 	if err != nil {
@@ -110,16 +111,10 @@ func TestMonitorWithLiveCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stop the cluster so the log subscription closes and Watch returns.
-	ctxStop, cancelStop := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancelStop()
-	if err := cluster.Stop(ctxStop); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	observed := <-done
-	if observed < 5 {
-		t.Errorf("monitor observed %d events, want at least 5", observed)
+	// Five datastore requests, five events: each reached the monitor before
+	// its request was answered.
+	if got := observed.Load(); got != 5 {
+		t.Errorf("monitor observed %d datastore events, want 5", got)
 	}
 
 	alerts := monitor.Alerts()

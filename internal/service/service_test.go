@@ -39,57 +39,71 @@ func ehrDatastore(t testing.TB, log *service.Log) *service.Datastore {
 	return store
 }
 
-func TestLogAppendAndSubscribe(t *testing.T) {
-	log := service.NewLog()
+// recorder is a sink that keeps every event the log hands it.
+type recorder struct {
+	mu     sync.Mutex
+	events []service.Event
+}
+
+func (r *recorder) sink(ev service.Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.events = append(r.events, ev)
+}
+
+func (r *recorder) received() []service.Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]service.Event(nil), r.events...)
+}
+
+func TestLogAppendCallsSink(t *testing.T) {
+	var rec recorder
+	log := service.NewLog(rec.sink)
 	base := time.Date(2026, 6, 15, 10, 0, 0, 0, time.UTC)
 	log.SetClock(func() time.Time { return base })
 
-	ch, cancel := log.Subscribe(4)
-	defer cancel()
-
-	ev := log.Append(service.Event{Actor: "doctor", Action: core.ActionCreate, UserID: "alice", Fields: []string{"name"}})
+	fields := []string{"name"}
+	ev := log.Append(service.Event{Actor: "doctor", Action: core.ActionCreate, UserID: "alice", Fields: fields})
 	if ev.Seq != 1 || !ev.Time.Equal(base) {
 		t.Errorf("appended event = %+v", ev)
 	}
+	// The sink has the event by the time Append returns, as a copy: the
+	// caller's slice is not shared.
+	fields[0] = "changed"
 	log.Append(service.Event{Actor: "nurse", Action: core.ActionRead, UserID: "alice", Fields: []string{"treatment"}})
-	// Subscriber sees both events, in order.
-	got := received(ch)
-	if len(got) != 2 || got[0].Actor != "doctor" || got[1].Actor != "nurse" || got[1].Seq != 2 {
-		t.Errorf("subscription delivered %+v", got)
-	}
-	// Cancel closes the channel and later events are not delivered.
-	cancel()
-	if _, ok := <-ch; ok {
-		t.Error("channel should be closed after cancel")
-	}
-	if ev := log.Append(service.Event{Actor: "doctor", Action: core.ActionRead, UserID: "alice", Fields: []string{"name"}}); ev.Seq != 3 {
-		t.Errorf("append after cancel numbered %d, want 3", ev.Seq)
+	got := rec.received()
+	if len(got) != 2 || got[0].Actor != "doctor" || got[0].Fields[0] != "name" || got[1].Actor != "nurse" || got[1].Seq != 2 {
+		t.Errorf("sink received %+v", got)
 	}
 }
 
-// received returns the events waiting on a subscription, without blocking.
-func received(ch <-chan service.Event) []service.Event {
-	var out []service.Event
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return out
-			}
-			out = append(out, ev)
-		default:
-			return out
+// TestLogHandsEveryEventToTheSink: 10^5 back-to-back appends all reach the
+// sink, numbered 1…10^5 in order.
+func TestLogHandsEveryEventToTheSink(t *testing.T) {
+	const n = 100_000
+	next := int64(1)
+	log := service.NewLog(func(ev service.Event) {
+		if ev.Seq != next {
+			t.Fatalf("sink received Seq %d, want %d", ev.Seq, next)
 		}
+		next++
+	})
+	for range n {
+		log.Append(service.Event{Actor: "doctor", Action: core.ActionRead, UserID: "alice", Fields: []string{"name"}})
+	}
+	if next-1 != n {
+		t.Fatalf("sink received %d events, want %d", next-1, n)
 	}
 }
 
-// TestLogRetainsNoEvents: the log hands each event to the subscribers of the
-// moment and keeps none. 10^5 appends with no subscriber grow the heap by at
-// most 8 bytes an event after two GCs (a log that kept every event retained
-// about 208).
+// TestLogRetainsNoEvents: the log hands each event to its sink and keeps
+// none. 10^5 appends to a sink that drops them grow the heap by at most 8
+// bytes an event after two GCs (a log that kept every event retained about
+// 208).
 func TestLogRetainsNoEvents(t *testing.T) {
 	const n = 100_000
-	log := service.NewLog()
+	log := service.NewLog(func(service.Event) {})
 	heap := func() int64 {
 		var stats goruntime.MemStats
 		goruntime.GC()
@@ -110,46 +124,13 @@ func TestLogRetainsNoEvents(t *testing.T) {
 	goruntime.KeepAlive(log)
 }
 
-func TestNextBatch(t *testing.T) {
-	ch := make(chan service.Event, 8)
-	for i := 0; i < 5; i++ {
-		ch <- service.Event{Seq: int64(i + 1)}
-	}
-	// Blocks for the first event, then drains without blocking up to max.
-	batch := service.NextBatch(ch, 3)
-	if len(batch) != 3 || batch[0].Seq != 1 || batch[2].Seq != 3 {
-		t.Fatalf("NextBatch = %+v, want events 1..3", batch)
-	}
-	// Remaining events, fewer than max: returns what is pending.
-	batch = service.NextBatch(ch, 10)
-	if len(batch) != 2 || batch[0].Seq != 4 {
-		t.Fatalf("NextBatch = %+v, want events 4..5", batch)
-	}
-	// max <= 0 selects a sane default instead of panicking.
-	ch <- service.Event{Seq: 6}
-	if batch = service.NextBatch(ch, 0); len(batch) != 1 || batch[0].Seq != 6 {
-		t.Fatalf("NextBatch(max=0) = %+v", batch)
-	}
-	// Closed and drained: nil.
-	close(ch)
-	if batch = service.NextBatch(ch, 4); batch != nil {
-		t.Fatalf("NextBatch on closed channel = %+v, want nil", batch)
-	}
-	// Closing mid-drain returns the partial batch.
-	ch2 := make(chan service.Event, 2)
-	ch2 <- service.Event{Seq: 1}
-	close(ch2)
-	if batch = service.NextBatch(ch2, 8); len(batch) != 1 {
-		t.Fatalf("NextBatch on closing channel = %+v, want the one event", batch)
-	}
-}
-
+// TestLogConcurrentAppend: with concurrent writers, every Seq reaches the
+// sink exactly once, in increasing order.
 func TestLogConcurrentAppend(t *testing.T) {
-	log := service.NewLog()
+	var rec recorder
+	log := service.NewLog(rec.sink)
 	var wg sync.WaitGroup
-	const writers, perWriter = 8, 50
-	ch, cancel := log.Subscribe(writers * perWriter)
-	defer cancel()
+	const writers, perWriter = 8, 500
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
@@ -160,24 +141,20 @@ func TestLogConcurrentAppend(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	events := received(ch)
+	events := rec.received()
 	if len(events) != writers*perWriter {
 		t.Fatalf("received %d events, want %d", len(events), writers*perWriter)
 	}
-	seen := make(map[int64]bool)
-	for _, ev := range events {
-		if seen[ev.Seq] {
-			t.Fatalf("duplicate sequence number %d", ev.Seq)
+	for i, ev := range events {
+		if ev.Seq != int64(i+1) {
+			t.Fatalf("event %d has Seq %d, want %d", i, ev.Seq, i+1)
 		}
-		seen[ev.Seq] = true
 	}
 }
 
 func TestDatastorePutGetDelete(t *testing.T) {
-	log := service.NewLog()
-	events, cancel := log.Subscribe(16)
-	defer cancel()
-	store := ehrDatastore(t, log)
+	var rec recorder
+	store := ehrDatastore(t, service.NewLog(rec.sink))
 
 	if err := store.Put("doctor", "alice", "record", map[string]string{"name": "Alice", "diagnosis": "flu"}); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -203,7 +180,7 @@ func TestDatastorePutGetDelete(t *testing.T) {
 	}
 	// Event log recorded create, read and delete.
 	actions := make(map[core.Action]int)
-	for _, ev := range received(events) {
+	for _, ev := range rec.received() {
 		actions[ev.Action]++
 		if ev.Denied {
 			t.Errorf("unexpected denied event: %+v", ev)
@@ -215,10 +192,8 @@ func TestDatastorePutGetDelete(t *testing.T) {
 }
 
 func TestDatastoreAccessControl(t *testing.T) {
-	log := service.NewLog()
-	events, cancel := log.Subscribe(16)
-	defer cancel()
-	store := ehrDatastore(t, log)
+	var rec recorder
+	store := ehrDatastore(t, service.NewLog(rec.sink))
 	if err := store.Put("doctor", "alice", "record", map[string]string{"diagnosis": "flu", "treatment": "rest", "name": "Alice"}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +216,7 @@ func TestDatastoreAccessControl(t *testing.T) {
 	}
 	// Denied operations are still audited.
 	var denied int
-	for _, ev := range received(events) {
+	for _, ev := range rec.received() {
 		if ev.Denied {
 			denied++
 		}
@@ -256,18 +231,16 @@ func TestDatastoreAnonActionAndValidation(t *testing.T) {
 		schema.Field{Name: "weight_anon", Category: schema.CategorySensitive, Pseudonymised: true})}
 	policy := accesscontrol.MustACL(accesscontrol.Grant{Actor: "dm", Datastore: "anon",
 		Fields: []string{accesscontrol.AllFields}, Permissions: []accesscontrol.Permission{accesscontrol.PermissionWrite}})
-	log := service.NewLog()
-	events, cancel := log.Subscribe(4)
-	defer cancel()
-	store, err := service.NewDatastore(def, policy, log)
+	var rec recorder
+	store, err := service.NewDatastore(def, policy, service.NewLog(rec.sink))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Put("dm", "alice", "study", map[string]string{"weight_anon": "100-110"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := (<-events).Action; got != core.ActionAnon {
-		t.Errorf("anonymised store write recorded as %v, want anon", got)
+	if got := rec.received(); len(got) != 1 || got[0].Action != core.ActionAnon {
+		t.Errorf("anonymised store write recorded as %+v, want one anon event", got)
 	}
 
 	if _, err := service.NewDatastore(def, nil, nil); err == nil {
@@ -279,10 +252,8 @@ func TestDatastoreAnonActionAndValidation(t *testing.T) {
 }
 
 func TestHTTPHandler(t *testing.T) {
-	log := service.NewLog()
-	events, cancel := log.Subscribe(64)
-	defer cancel()
-	store := ehrDatastore(t, log)
+	var rec recorder
+	store := ehrDatastore(t, service.NewLog(rec.sink))
 	server := httptest.NewServer(store.Handler())
 	defer server.Close()
 	ctx := context.Background()
@@ -343,14 +314,15 @@ func TestHTTPHandler(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET /meta status = %d", resp.StatusCode)
 	}
-	// The audit log saw the whole session.
-	if len(received(events)) == 0 {
-		t.Error("event log delivered nothing after HTTP traffic")
+	// The sink saw the whole session: doctor put, nurse get, denied get,
+	// delete, get. The protocol errors above reached no datastore.
+	if got := len(rec.received()); got != 5 {
+		t.Errorf("sink received %d events after the HTTP session, want 5", got)
 	}
 }
 
 func TestStartServerAndStop(t *testing.T) {
-	store := ehrDatastore(t, service.NewLog())
+	store := ehrDatastore(t, service.NewLog(func(service.Event) {}))
 	server, err := service.StartServer(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)
@@ -371,7 +343,8 @@ func TestStartServerAndStop(t *testing.T) {
 }
 
 func TestClusterRunsSurgeryModel(t *testing.T) {
-	cluster, err := service.StartCluster(casestudy.Surgery())
+	var rec recorder
+	cluster, err := service.StartCluster(casestudy.Surgery(), rec.sink)
 	if err != nil {
 		t.Fatalf("StartCluster: %v", err)
 	}
@@ -384,8 +357,6 @@ func TestClusterRunsSurgeryModel(t *testing.T) {
 	if got := len(cluster.Datastores()); got != 3 {
 		t.Errorf("cluster datastores = %d, want 3", got)
 	}
-	events, cancel := cluster.Log().Subscribe(16)
-	defer cancel()
 	ctx := context.Background()
 	doctor, err := cluster.Client(casestudy.StoreEHR, casestudy.ActorDoctor)
 	if err != nil {
@@ -412,8 +383,9 @@ func TestClusterRunsSurgeryModel(t *testing.T) {
 	if _, err := researcher.Get(ctx, "patient-1", "curiosity", []string{casestudy.FieldDiagnosis}); !errors.Is(err, service.ErrDenied) {
 		t.Errorf("researcher EHR read error = %v, want ErrDenied", err)
 	}
-	if got := len(received(events)); got < 3 {
-		t.Errorf("cluster log delivered %d events, want >= 3", got)
+	// Each request's event reached the sink before its answer did.
+	if got := rec.received(); len(got) != 3 || !got[2].Denied {
+		t.Errorf("sink received %+v, want the put, the read and the denied read", got)
 	}
 	if _, err := cluster.Client("ghost", "doctor"); err == nil {
 		t.Error("client for unknown datastore accepted")
@@ -423,12 +395,15 @@ func TestClusterRunsSurgeryModel(t *testing.T) {
 	}
 
 	// Error cases for StartCluster.
-	if _, err := service.StartCluster(nil); err == nil {
+	if _, err := service.StartCluster(nil, rec.sink); err == nil {
 		t.Error("nil model accepted")
 	}
 	noPolicy := casestudy.Surgery()
 	noPolicy.Policy = nil
-	if _, err := service.StartCluster(noPolicy); err == nil {
+	if _, err := service.StartCluster(noPolicy, rec.sink); err == nil {
 		t.Error("model without policy accepted")
+	}
+	if _, err := service.StartCluster(casestudy.Surgery(), nil); err == nil {
+		t.Error("nil sink accepted")
 	}
 }

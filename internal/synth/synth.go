@@ -1,7 +1,6 @@
 // Package synth generates deterministic synthetic inputs for design-time
-// analysis, tests and benchmarks: health-record datasets, user
-// populations with privacy preferences, and whole data-flow models of
-// configurable size.
+// analysis, tests and benchmarks: health-record datasets and whole data-flow
+// models of configurable size.
 //
 // The paper's method expects simulated data and simulated users during the
 // development phase ("The process can be executed with running users of the
@@ -18,7 +17,6 @@ import (
 	"privascope/internal/accesscontrol"
 	"privascope/internal/anonymize"
 	"privascope/internal/dataflow"
-	"privascope/internal/risk"
 	"privascope/internal/schema"
 )
 
@@ -56,64 +54,6 @@ func HealthRecords(rows int, seed int64) *anonymize.Table {
 		)
 	}
 	return t
-}
-
-// PopulationOptions configures the synthetic user-population generator.
-type PopulationOptions struct {
-	// Users is the number of profiles; default 50.
-	Users int
-	// Seed seeds the deterministic generator.
-	Seed int64
-	// ConsentProbability is the probability a user consents to each service;
-	// default 0.7.
-	ConsentProbability float64
-	// SensitiveFields lists fields that receive elevated sensitivities; the
-	// rest use the default.
-	SensitiveFields []string
-}
-
-// Population generates user profiles for the given model: each user consents
-// to a random subset of the model's services and draws per-field
-// sensitivities, with the listed sensitive fields biased towards high values.
-func Population(m *dataflow.Model, opts PopulationOptions) []risk.UserProfile {
-	users := opts.Users
-	if users <= 0 {
-		users = 50
-	}
-	consentP := opts.ConsentProbability
-	if consentP <= 0 || consentP > 1 {
-		consentP = 0.7
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	sensitive := make(map[string]bool, len(opts.SensitiveFields))
-	for _, f := range opts.SensitiveFields {
-		sensitive[f] = true
-	}
-	services := m.ServiceIDs()
-	fields := m.FieldUniverse()
-
-	out := make([]risk.UserProfile, 0, users)
-	for i := 0; i < users; i++ {
-		profile := risk.UserProfile{
-			ID:                 fmt.Sprintf("user-%04d", i),
-			Sensitivities:      make(map[string]float64, len(fields)),
-			DefaultSensitivity: 0.1,
-		}
-		for _, svc := range services {
-			if rng.Float64() < consentP {
-				profile.ConsentedServices = append(profile.ConsentedServices, svc)
-			}
-		}
-		for _, f := range fields {
-			if sensitive[f] {
-				profile.Sensitivities[f] = 0.7 + rng.Float64()*0.3
-			} else {
-				profile.Sensitivities[f] = rng.Float64() * 0.5
-			}
-		}
-		out = append(out, profile)
-	}
-	return out
 }
 
 // ModelSpec describes the size of a synthetic data-flow model. The generated

@@ -2,13 +2,11 @@ package synth
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"privascope/internal/anonymize"
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
-	"privascope/internal/risk"
 )
 
 func TestHealthRecordsDeterministic(t *testing.T) {
@@ -87,49 +85,6 @@ func TestHealthRecordsUsableByAnonymiser(t *testing.T) {
 	}
 }
 
-func TestPopulation(t *testing.T) {
-	m := Model(ModelSpec{Services: 2, FieldsPerService: 3})
-	profiles := Population(m, PopulationOptions{Users: 25, Seed: 11, SensitiveFields: SensitiveFieldsOf(m)})
-	if len(profiles) != 25 {
-		t.Fatalf("profiles = %d", len(profiles))
-	}
-	services := map[string]bool{}
-	for _, s := range m.ServiceIDs() {
-		services[s] = true
-	}
-	for _, p := range profiles {
-		if err := p.Validate(); err != nil {
-			t.Fatalf("profile %s invalid: %v", p.ID, err)
-		}
-		for _, svc := range p.ConsentedServices {
-			if !services[svc] {
-				t.Errorf("profile %s consents to unknown service %q", p.ID, svc)
-			}
-		}
-	}
-	// Sensitive fields are biased high.
-	sensitive := SensitiveFieldsOf(m)
-	if len(sensitive) == 0 {
-		t.Fatal("synthetic model has no sensitive fields")
-	}
-	for _, p := range profiles {
-		for _, f := range sensitive {
-			if p.Sensitivities[f] < 0.7 {
-				t.Errorf("profile %s sensitivity of %s = %v, want >= 0.7", p.ID, f, p.Sensitivities[f])
-			}
-		}
-	}
-	// Determinism.
-	again := Population(m, PopulationOptions{Users: 25, Seed: 11, SensitiveFields: SensitiveFieldsOf(m)})
-	if !reflect.DeepEqual(profiles, again) {
-		t.Error("population generation is not deterministic")
-	}
-	// Defaults.
-	if got := len(Population(m, PopulationOptions{})); got != 50 {
-		t.Errorf("default users = %d, want 50", got)
-	}
-}
-
 func TestModelSpecDefaultsAndValidity(t *testing.T) {
 	m := Model(ModelSpec{})
 	if err := m.Validate(); err != nil {
@@ -172,18 +127,6 @@ func TestModelScalesAndGenerates(t *testing.T) {
 	if pLarge.Stats().States <= pSmall.Stats().States {
 		t.Errorf("larger model should have more states: %d vs %d",
 			pLarge.Stats().States, pSmall.Stats().States)
-	}
-
-	// The maintenance actor produces potential reads and is assessable.
-	analyzer, err := risk.NewAnalyzer(risk.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := Population(large, PopulationOptions{Users: 3, Seed: 5, SensitiveFields: SensitiveFieldsOf(large)})
-	for _, profile := range profiles {
-		if _, err := analyzer.AnalyzeContext(context.Background(), pLarge, profile); err != nil {
-			t.Fatalf("Analyze(%s): %v", profile.ID, err)
-		}
 	}
 }
 

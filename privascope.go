@@ -397,7 +397,8 @@ type (
 	// Event is one operation on personal data observed in the running
 	// system.
 	Event = service.Event
-	// EventLog numbers events and hands each to its current subscribers.
+	// EventLog numbers events and hands each to its sink before the
+	// datastore that appended it answers.
 	EventLog = service.Log
 	// Cluster runs one HTTP datastore server per datastore of a model.
 	Cluster = service.Cluster
@@ -452,24 +453,11 @@ func NewAssessmentCache(cfg RiskConfig) (*AssessmentCache, error) {
 	return risk.NewAssessmentCache(analyzer)
 }
 
-// NextEventBatch collects the next batch of events from a subscription
-// channel: it blocks for the first event, then drains up to max-1 more
-// without blocking. A nil return means the channel is closed and drained.
-func NextEventBatch(events <-chan Event, max int) []Event {
-	return service.NextBatch(events, max)
-}
-
 // StartCluster starts one HTTP datastore server per datastore of the model on
-// local ports, sharing a single event log.
-func StartCluster(m *Model) (*Cluster, error) { return service.StartCluster(m) }
-
-// SyntheticModel generates a synthetic data-flow model of the given size, for
-// experimentation and benchmarking.
-func SyntheticModel(spec synth.ModelSpec) *Model { return synth.Model(spec) }
-
-// SyntheticPopulation generates user profiles for a model.
-func SyntheticPopulation(m *Model, opts synth.PopulationOptions) []UserProfile {
-	return synth.Population(m, opts)
+// local ports. Every operation's event reaches sink, in Seq order, before the
+// datastore answers the request.
+func StartCluster(m *Model, sink func(Event)) (*Cluster, error) {
+	return service.StartCluster(m, sink)
 }
 
 // SyntheticHealthRecords generates a deterministic physical-attributes

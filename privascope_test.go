@@ -9,7 +9,6 @@ import (
 	"privascope"
 	"privascope/internal/casestudy"
 	"privascope/internal/casestudy/casestudytest"
-	"privascope/internal/synth"
 )
 
 // buildClinic assembles a small model entirely through the public facade.
@@ -163,15 +162,6 @@ func TestFacadeKAnonymizeAndSynthetics(t *testing.T) {
 	}
 	if result.K != 3 {
 		t.Errorf("result.K = %d", result.K)
-	}
-
-	model := privascope.SyntheticModel(synth.ModelSpec{Services: 2, FieldsPerService: 2})
-	if err := model.Validate(); err != nil {
-		t.Fatalf("synthetic model invalid: %v", err)
-	}
-	profiles := privascope.SyntheticPopulation(model, synth.PopulationOptions{Users: 5, Seed: 1})
-	if len(profiles) != 5 {
-		t.Errorf("profiles = %d", len(profiles))
 	}
 }
 
